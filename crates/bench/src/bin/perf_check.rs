@@ -77,21 +77,7 @@
 //! is bit-identical (values, modeled clocks, statistics) to the fault-free
 //! run.
 //!
-//! A seventh artifact, `BENCH_7.json`, records the **sweep fusion** win:
-//! wall-clock of one steady-state lang executor sweep with the fused
-//! gather → compute → scatter path (a single `Backend::run_sweep` epoch —
-//! one pooled broadcast release and one completion barrier, gathers folded
-//! in driver-side) vs the split path (one engine phase per gather /
-//! compute / scatter, each paying its own hand-off), measured on the
-//! pooled engine at a deliberately small N where the per-phase release
-//! dominates the data movement. Values, modeled clocks and statistics are
-//! asserted byte-identical across the two paths before timing — fusion is
-//! pure overhead removal. The fused row is gated at ≥ 1.5× when the host
-//! has ≥ 4 cores (one per rank; below that the lanes timeshare and the
-//! hand-off cost measures the scheduler), with a sequential-engine row as
-//! informational context.
-//!
-//! An eighth artifact, `BENCH_8.json`, records the **flight-recorder
+//! A further artifact, `BENCH_8.json`, records the **flight-recorder
 //! overhead**: wall-clock of a batch of steady-state lang executor sweeps
 //! on the 40k-node / 120k-edge mesh workload at 8 ranks with a `TraceSink`
 //! installed vs tracing disabled, after asserting the traced run is
@@ -101,7 +87,7 @@
 //! hardware-independent); the rings wrap in flight-recorder mode, so the
 //! batch also demonstrates the bounded-memory contract.
 //!
-//! A ninth artifact, `BENCH_9.json`, records the **metrics-registry
+//! The last artifact, `BENCH_9.json`, records the **metrics-registry
 //! overhead**: wall-clock of a batch of steady-state lang executor sweeps
 //! on the same 40k-node / 120k-edge mesh workload at 8 ranks with a
 //! `MetricsRegistry` installed vs metering disabled, after asserting the
@@ -113,23 +99,9 @@
 //! auditor's verdict: one modeled-vs-wall drift row per sampled phase
 //! kind (drift ratio, through-origin slope, residual RMS).
 //!
-//! A tenth artifact, `BENCH_10.json`, records the **incremental
-//! cross-loop schedule** win: the two-loop 40k-node mesh program (edge
-//! loop then face loop, both reading `x`) run with incremental schedules
-//! on vs off (the `with_incremental_schedules(false)` escape hatch), after
-//! asserting the two modes' array values are bit-identical. The gates are
-//! hardware-independent — modeled message count and volume, not wall
-//! clock: the incremental run must send strictly fewer messages and fewer
-//! bytes, and the executor's saved ledger must account for the entire gap
-//! exactly. Wall-clock medians for a steady-state sweep batch are recorded
-//! ungated alongside.
-//!
-//! Usage: `cargo run --release -p chaos-bench --bin perf_check [out.json] [out2.json] [out3.json] [out4.json] [out5.json] [out6.json] [out7.json] [out8.json] [out9.json] [out10.json]`
+//! Usage: `cargo run --release -p chaos-bench --bin perf_check [out.json] [out2.json] [out3.json] [out4.json] [out5.json] [out6.json] [out8.json] [out9.json]`
 
-use chaos_bench::kernel_bench::{
-    edge_executor, edge_executor_pooled, edge_program_inputs, multi_loop_executor,
-    multi_loop_inputs,
-};
+use chaos_bench::kernel_bench::{edge_executor, edge_program_inputs};
 use chaos_bench::spmd_bench::{executor_iteration, executor_workload, phase_overhead_workload};
 use chaos_bench::workload::{mesh_workload, partitioner_scan_geocol, partitioner_scan_rsb};
 use chaos_dmsim::{
@@ -373,18 +345,12 @@ fn main() {
     let out6_path = std::env::args()
         .nth(6)
         .unwrap_or_else(|| "BENCH_6.json".to_string());
-    let out7_path = std::env::args()
-        .nth(7)
-        .unwrap_or_else(|| "BENCH_7.json".to_string());
     let out8_path = std::env::args()
-        .nth(8)
+        .nth(7)
         .unwrap_or_else(|| "BENCH_8.json".to_string());
     let out9_path = std::env::args()
-        .nth(9)
+        .nth(8)
         .unwrap_or_else(|| "BENCH_9.json".to_string());
-    let out10_path = std::env::args()
-        .nth(10)
-        .unwrap_or_else(|| "BENCH_10.json".to_string());
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut rows: Vec<Row> = Vec::new();
 
@@ -989,178 +955,6 @@ fn main() {
         .unwrap_or_else(|e| panic!("failed to write {out6_path}: {e}"));
     println!("wrote {out6_path}");
 
-    // --- BENCH_7: fused vs split sweep (one epoch vs one per phase) ---
-    let mut records7: Vec<serde_json::Value> = Vec::new();
-    {
-        // Small enough that the per-phase engine hand-off (a pool broadcast
-        // release + completion barrier per phase on the pooled engine)
-        // dominates the sweep's data movement: the split path pays it for
-        // the gather, the compute and the scatter, the fused path once.
-        let (nprocs, workers, nnode, nedge) = (4usize, 3usize, 3_000usize, 6_000usize);
-        let inputs = edge_program_inputs(nnode, nedge);
-
-        // Byte-identity before timing, on both engines: fused and split
-        // sweeps must agree on values, modeled clocks and statistics
-        // bit-for-bit — fusion is pure overhead removal.
-        let (fused_pool, cp, label) =
-            edge_executor_pooled(KernelMode::Compiled, nprocs, workers, true, &inputs);
-        let (split_pool, _, _) =
-            edge_executor_pooled(KernelMode::Compiled, nprocs, workers, false, &inputs);
-        let (fused_seq, _, _) = edge_executor(KernelMode::Compiled, nprocs, &inputs);
-        let (split_seq, _, _) = edge_executor(KernelMode::Compiled, nprocs, &inputs);
-        let mut fused_pool = fused_pool;
-        let mut split_pool = split_pool;
-        let mut fused_seq = fused_seq;
-        let mut split_seq = split_seq.with_phase_fusion(false);
-        for _ in 0..3 {
-            fused_pool.execute_loop(&cp, &label).expect("fused sweep");
-            split_pool.execute_loop(&cp, &label).expect("split sweep");
-            fused_seq.execute_loop(&cp, &label).expect("fused sweep");
-            split_seq.execute_loop(&cp, &label).expect("split sweep");
-        }
-        let yf = fused_pool.real_global("y").expect("y");
-        for (other, side) in [
-            (split_pool.real_global("y").expect("y"), "split pooled"),
-            (fused_seq.real_global("y").expect("y"), "fused sequential"),
-            (split_seq.real_global("y").expect("y"), "split sequential"),
-        ] {
-            for (i, (a, b)) in yf.iter().zip(&other).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "y[{i}] diverged ({side})");
-            }
-        }
-        let ef = fused_pool.machine().elapsed();
-        for (other, side) in [
-            (split_pool.machine().elapsed(), "split pooled"),
-            (fused_seq.machine().elapsed(), "fused sequential"),
-            (split_seq.machine().elapsed(), "split sequential"),
-        ] {
-            for p in 0..nprocs {
-                assert_eq!(
-                    ef.per_proc[p].to_bits(),
-                    other.per_proc[p].to_bits(),
-                    "modeled clocks diverged ({side})"
-                );
-            }
-        }
-        let sf = fused_pool.machine().stats().grand_totals();
-        assert_eq!(
-            sf,
-            split_pool.machine().stats().grand_totals(),
-            "statistics diverged (split pooled)"
-        );
-        assert_eq!(
-            sf,
-            split_seq.machine().stats().grand_totals(),
-            "statistics diverged (split sequential)"
-        );
-
-        // Interleave the paired measurements so container noise lands on
-        // both sides of the gated ratio.
-        let samples = 25usize;
-        let batch = 4usize;
-        let measure = |fused: &mut dyn FnMut(), split: &mut dyn FnMut()| -> (u128, u128) {
-            let mut fused_times: Vec<u128> = Vec::with_capacity(samples);
-            let mut split_times: Vec<u128> = Vec::with_capacity(samples);
-            for _ in 0..samples {
-                let t = Instant::now();
-                for _ in 0..batch {
-                    fused();
-                }
-                fused_times.push(t.elapsed().as_nanos() / batch as u128);
-                let t = Instant::now();
-                for _ in 0..batch {
-                    split();
-                }
-                split_times.push(t.elapsed().as_nanos() / batch as u128);
-            }
-            fused_times.sort_unstable();
-            split_times.sort_unstable();
-            (fused_times[samples / 2], split_times[samples / 2])
-        };
-        let (fused_pool_ns, split_pool_ns) = measure(
-            &mut || {
-                fused_pool.execute_loop(&cp, &label).expect("fused sweep");
-            },
-            &mut || {
-                split_pool.execute_loop(&cp, &label).expect("split sweep");
-            },
-        );
-        let (fused_seq_ns, split_seq_ns) = measure(
-            &mut || {
-                fused_seq.execute_loop(&cp, &label).expect("fused sweep");
-            },
-            &mut || {
-                split_seq.execute_loop(&cp, &label).expect("split sweep");
-            },
-        );
-
-        // The pooled row is the gate: the fused sweep must be >= 1.5x the
-        // split one. It arms at >= 4 cores (one per rank) — below that the
-        // worker lanes timeshare and the hand-off the fusion removes
-        // measures the scheduler, not the engine. The sequential row is
-        // informational: the Machine engine has no per-phase hand-off, so
-        // it bounds the non-engine part of the win.
-        let pooled_speedup = split_pool_ns as f64 / fused_pool_ns as f64;
-        let seq_speedup = split_seq_ns as f64 / fused_seq_ns as f64;
-        let gated = cores >= 4;
-        let pass = !gated || pooled_speedup >= 1.5;
-        println!(
-            "lang/sweep-fusion/pooled             split {split_pool_ns:>11} ns  fused     {fused_pool_ns:>11} ns  \
-             speedup {pooled_speedup:>5.2}x  ({} cores{})",
-            cores,
-            if gated {
-                ", gate >= 1.5x"
-            } else {
-                ", informational"
-            }
-        );
-        println!(
-            "lang/sweep-fusion/sequential         split {split_seq_ns:>11} ns  fused     {fused_seq_ns:>11} ns  \
-             speedup {seq_speedup:>5.2}x  (informational)"
-        );
-        records7.push(serde_json::json!({
-            "bench": "lang/sweep-fusion/pooled",
-            "group": "sweep-fusion",
-            "ranks": nprocs,
-            "workers": workers,
-            "nnode": nnode,
-            "nedge": nedge,
-            "split_median_ns": split_pool_ns as u64,
-            "fused_median_ns": fused_pool_ns as u64,
-            "speedup": pooled_speedup,
-            "available_cores": cores,
-            "gate": 1.5,
-            "gated": gated,
-            "gate_arms_at_cores": 4,
-            "pass": pass,
-        }));
-        records7.push(serde_json::json!({
-            "bench": "lang/sweep-fusion/sequential",
-            "group": "sweep-fusion",
-            "ranks": nprocs,
-            "nnode": nnode,
-            "nedge": nedge,
-            "split_median_ns": split_seq_ns as u64,
-            "fused_median_ns": fused_seq_ns as u64,
-            "speedup": seq_speedup,
-            "available_cores": cores,
-            "gate": serde_json::Value::Null,
-            "gated": false,
-            "gate_arms_at_cores": serde_json::Value::Null,
-            "pass": true,
-        }));
-        if !pass {
-            failed = true;
-        }
-    }
-    let doc7 = serde_json::json!({
-        "baseline": "chaos-lang executor sweep with phase fusion disabled (one engine phase per gather / compute / scatter, each paying its own pool release + barrier) vs the fused Backend::run_sweep path (gathers folded driver-side, compute + scatter as one epoch with one broadcast release), same program, same process; values, modeled clocks and CommStats asserted byte-identical across paths and engines before timing. The >=1.5x gate on the pooled row arms itself from the recorded available_cores (>= gate_arms_at_cores); the sequential row is informational context.",
-        "records": records7,
-    });
-    std::fs::write(&out7_path, serde_json::to_string_pretty(&doc7).unwrap())
-        .unwrap_or_else(|e| panic!("failed to write {out7_path}: {e}"));
-    println!("wrote {out7_path}");
-
     // --- BENCH_8: flight-recorder overhead, traced vs untraced sweeps ---
     let mut records8: Vec<serde_json::Value> = Vec::new();
     {
@@ -1389,128 +1183,6 @@ fn main() {
     std::fs::write(&out9_path, serde_json::to_string_pretty(&doc9).unwrap())
         .unwrap_or_else(|e| panic!("failed to write {out9_path}: {e}"));
     println!("wrote {out9_path}");
-
-    // --- BENCH_10: incremental cross-loop schedules, fetch only the new ghosts ---
-    let mut records10: Vec<serde_json::Value> = Vec::new();
-    {
-        use chaos_lang::{SAVED_GATHER_LABEL, SAVED_SCHEDULE_LABEL};
-        let (nprocs, nnode, nedge, nface) = (8usize, 40_000usize, 120_000usize, 90_000usize);
-        let inputs = multi_loop_inputs(nnode, nedge, nface);
-        let (mut incr, cp) = multi_loop_executor(true, nprocs, &inputs);
-        let (mut full, _) = multi_loop_executor(false, nprocs, &inputs);
-
-        // Steady state: re-sweep both loops; the face loop's gathers read
-        // the shared ghost region and fetch only its private difference.
-        let sweeps = 8usize;
-        for _ in 0..sweeps {
-            for label in ["L1", "L2"] {
-                incr.execute_loop(&cp, label).expect("sweep");
-                full.execute_loop(&cp, label).expect("sweep");
-            }
-        }
-
-        // Bit-identity before anything else: incremental schedules are a
-        // communication optimization, not a numerical one.
-        for a in ["x", "y", "z"] {
-            let vi = incr.real_global(a).expect("array");
-            let vf = full.real_global(a).expect("array");
-            for (i, (u, v)) in vi.iter().zip(&vf).enumerate() {
-                assert_eq!(
-                    u.to_bits(),
-                    v.to_bits(),
-                    "{a}[{i}] perturbed by incremental schedules"
-                );
-            }
-        }
-        assert!(incr.report().incremental_bindings > 0, "nothing re-bound");
-
-        // Hardware-independent gates on the modeled communication: strictly
-        // fewer messages and bytes, with the saved ledger accounting for the
-        // entire gap exactly (single-group loops charge-fold losslessly).
-        let it = incr.machine().stats().grand_totals();
-        let ft = full.machine().stats().grand_totals();
-        let sched = incr.machine().stats().saved_labelled(SAVED_SCHEDULE_LABEL);
-        let gath = incr.machine().stats().saved_labelled(SAVED_GATHER_LABEL);
-        let fewer = it.messages < ft.messages && it.bytes < ft.bytes;
-        let exact = ft.messages - it.messages == sched.messages + gath.messages
-            && ft.bytes - it.bytes == sched.bytes + gath.bytes;
-        let pass = fewer && exact;
-        let msg_ratio = it.messages as f64 / ft.messages as f64;
-        let byte_ratio = it.bytes as f64 / ft.bytes as f64;
-
-        // Wall clock recorded for context, ungated (the win is modeled
-        // traffic; wall time mostly reflects the simulator's own work).
-        let batch = |exec: &mut Executor| {
-            let t = Instant::now();
-            for _ in 0..sweeps {
-                for label in ["L1", "L2"] {
-                    exec.execute_loop(&cp, label).expect("sweep");
-                }
-            }
-            t.elapsed().as_nanos()
-        };
-        let samples = 9;
-        let mut incr_times: Vec<u128> = Vec::with_capacity(samples);
-        let mut full_times: Vec<u128> = Vec::with_capacity(samples);
-        for i in 0..samples {
-            if i % 2 == 0 {
-                incr_times.push(batch(&mut incr));
-                full_times.push(batch(&mut full));
-            } else {
-                full_times.push(batch(&mut full));
-                incr_times.push(batch(&mut incr));
-            }
-        }
-        incr_times.sort_unstable();
-        full_times.sort_unstable();
-        println!(
-            "lang/incremental-schedules/messages  full {:>11}     incremental  {:>11}     \
-             ratio {msg_ratio:>5.2}  (gate: fewer, ledger-exact)",
-            ft.messages, it.messages
-        );
-        println!(
-            "lang/incremental-schedules/bytes     full {:>11}     incremental  {:>11}     \
-             ratio {byte_ratio:>5.2}",
-            ft.bytes, it.bytes
-        );
-        records10.push(serde_json::json!({
-            "bench": "lang/incremental-schedules",
-            "group": "inspector",
-            "ranks": nprocs,
-            "nnode": nnode,
-            "nedge": nedge,
-            "nface": nface,
-            "sweeps": sweeps,
-            "full_messages": ft.messages,
-            "incremental_messages": it.messages,
-            "full_bytes": ft.bytes,
-            "incremental_bytes": it.bytes,
-            "message_ratio": msg_ratio,
-            "byte_ratio": byte_ratio,
-            "saved_schedule_messages": sched.messages,
-            "saved_schedule_bytes": sched.bytes,
-            "saved_gather_messages": gath.messages,
-            "saved_gather_bytes": gath.bytes,
-            "incremental_bindings": incr.report().incremental_bindings,
-            "incremental_median_ns": incr_times[samples / 2] as u64,
-            "full_median_ns": full_times[samples / 2] as u64,
-            "available_cores": cores,
-            "gate": "incremental < full on messages and bytes; gap == saved ledger exactly",
-            "gated": true,
-            "gate_arms_at_cores": 1,
-            "pass": pass,
-        }));
-        if !pass {
-            failed = true;
-        }
-    }
-    let doc10 = serde_json::json!({
-        "baseline": "two-loop mesh program (edge loop then face loop, both reading x) through the chaos-lang executor with incremental cross-loop schedules enabled vs the with_incremental_schedules(false) escape hatch, same process, same data; all array values asserted bit-identical across the two modes before anything is recorded. Gates are hardware-independent modeled-communication counts, not wall clock: the incremental run must send strictly fewer request-exchange/gather messages and bytes, and the difference must equal the executor's saved ledger (incremental:schedule-build + incremental:gather) exactly. Median wall times for an 8-sweep batch are recorded ungated for context.",
-        "records": records10,
-    });
-    std::fs::write(&out10_path, serde_json::to_string_pretty(&doc10).unwrap())
-        .unwrap_or_else(|e| panic!("failed to write {out10_path}: {e}"));
-    println!("wrote {out10_path}");
 
     if failed {
         eprintln!("perf gate FAILED: a benchmark group missed its gate (see rows above)");

@@ -4,7 +4,7 @@
 //! `perf_check`'s `BENCH_3.json` rows so the two can never measure
 //! different things.
 
-use chaos_dmsim::{MachineConfig, PooledBackend};
+use chaos_dmsim::MachineConfig;
 use chaos_lang::{
     lower_program, parse_program, CompiledProgram, Executor, KernelMode, ProgramInputs,
 };
@@ -86,11 +86,10 @@ pub fn edge_executor(
 }
 
 /// Two FORALLs over the same node distribution — the paper's mesh shape
-/// where a later loop's ghost set overlaps an earlier one's. The shared
-/// fixture behind `perf_check`'s `BENCH_10.json` rows: with incremental
-/// schedules the face loop's inspector requests (and its steady-state
-/// gathers) fetch only the ghosts the edge loop didn't already make
-/// resident.
+/// where a later loop's ghost set overlaps an earlier one's: the face
+/// loop's inspector requests (and its steady-state gathers) fetch only the
+/// ghosts the edge loop didn't already make resident. The program of the
+/// end-to-end benchmark's `mesh40k_2loop` workload.
 pub const MULTI_LOOP_PROGRAM: &str = r#"
     REAL*8 x(nnode), y(nnode), z(nnode)
     INTEGER e1(nedge), e2(nedge), f1(nface), f2(nface)
@@ -110,108 +109,3 @@ pub const MULTI_LOOP_PROGRAM: &str = r#"
       REDUCE(ADD, z(f1(j)), x(f1(j)) * x(f2(j)))
     END FORALL
 "#;
-
-/// Deterministic inputs for [`MULTI_LOOP_PROGRAM`]: edges as in
-/// [`edge_program_inputs`]; even faces repeat the pair of the
-/// *proportionally corresponding* edge (same BLOCK fraction, hence the
-/// same requesting rank — those ghosts are fully resident once the edge
-/// loop has run, so whole request messages to far-away owners disappear),
-/// odd faces read a narrow node neighborhood around their own BLOCK
-/// fraction (new ghosts only from adjacent owners — the incremental fetch
-/// is a neighbor exchange, not an all-to-all).
-pub fn multi_loop_inputs(nnode: usize, nedge: usize, nface: usize) -> ProgramInputs {
-    let mut state = 0xBE17C0DEu64;
-    let mut next = |m: usize| -> usize {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as usize % m
-    };
-    let span = 256usize;
-    let mut e1 = Vec::with_capacity(nedge);
-    let mut e2 = Vec::with_capacity(nedge);
-    for _ in 0..nedge {
-        let a = next(nnode);
-        let mut b = (a + 1 + next(span)).min(nnode - 1);
-        if b == a {
-            b = (a + 1) % nnode;
-        }
-        e1.push(a as u32 + 1);
-        e2.push(b as u32 + 1);
-    }
-    let mut f1 = Vec::with_capacity(nface);
-    let mut f2 = Vec::with_capacity(nface);
-    for k in 0..nface {
-        if k % 2 == 0 {
-            let j = k * nedge / nface;
-            f1.push(e1[j]);
-            f2.push(e2[j]);
-        } else {
-            let a = (k * nnode / nface + next(span)).min(nnode - 1);
-            let mut b = (a + 1 + next(span / 4)).min(nnode - 1);
-            if b == a {
-                b = (a + 1) % nnode;
-            }
-            f1.push(a as u32 + 1);
-            f2.push(b as u32 + 1);
-        }
-    }
-    ProgramInputs::new()
-        .scalar("nnode", nnode)
-        .scalar("nedge", nedge)
-        .scalar("nface", nface)
-        .real(
-            "x",
-            (0..nnode).map(|i| (i as f64 * 0.7).sin() + 2.0).collect(),
-        )
-        .real("y", vec![0.0; nnode])
-        .real("z", vec![0.0; nnode])
-        .int("e1", e1)
-        .int("e2", e2)
-        .int("f1", f1)
-        .int("f2", f2)
-}
-
-/// Lower [`MULTI_LOOP_PROGRAM`] and run it once (both inspectors + first
-/// sweeps) with incremental cross-loop schedules on or off, returning the
-/// executor and the compiled program for steady-state re-sweeps of `L1` and
-/// `L2`.
-pub fn multi_loop_executor(
-    incremental: bool,
-    nprocs: usize,
-    inputs: &ProgramInputs,
-) -> (Executor, CompiledProgram) {
-    let cp = lower_program(parse_program(MULTI_LOOP_PROGRAM).expect("parse")).expect("lower");
-    let mut exec = Executor::new(MachineConfig::ipsc860(nprocs), inputs.clone())
-        .with_incremental_schedules(incremental);
-    exec.run(&cp).expect("program runs");
-    (exec, cp)
-}
-
-/// Pooled-engine variant of [`edge_executor`] with the fused sweep toggled:
-/// the shared fixture behind `perf_check`'s `BENCH_7.json` rows and the
-/// `sweep_fusion` criterion bench, so the two can never measure different
-/// things. With `fusion` the steady-state sweep runs gather → compute →
-/// scatter as one pooled epoch (one broadcast release, one completion
-/// barrier); without it each phase pays its own pool hand-off.
-pub fn edge_executor_pooled(
-    mode: KernelMode,
-    nprocs: usize,
-    workers: usize,
-    fusion: bool,
-    inputs: &ProgramInputs,
-) -> (Executor<PooledBackend>, CompiledProgram, String) {
-    let cp = lower_program(parse_program(EDGE_PROGRAM).expect("parse")).expect("lower");
-    let label = cp
-        .program
-        .loop_labels()
-        .last()
-        .expect("template has a FORALL")
-        .to_string();
-    let mut exec =
-        Executor::new_pooled_with_workers(MachineConfig::ipsc860(nprocs), workers, inputs.clone())
-            .with_kernel_mode(mode)
-            .with_phase_fusion(fusion);
-    exec.run(&cp).expect("program runs");
-    (exec, cp, label)
-}

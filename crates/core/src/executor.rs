@@ -83,47 +83,16 @@ fn gather_pack_kernel(ctx: &mut RankCtx<'_>, schedule: &CommSchedule) {
     }
 }
 
-/// Rank-local unpack kernel of [`gather_into`]: the executing rank, as a
-/// *requester*, fills its own ghost buffer from the owning shards (shared
-/// reads), charging the unpacking per contiguous owner run. In the
-/// canonical owner-sorted slot order (what the inspector and
-/// [`CommSchedule::merge`] produce) that is exactly one charge per
-/// incoming message, so modeled clocks agree with the plan-based gather
-/// bit-for-bit; a hand-built schedule with unsorted ghost slots charges
-/// the same per-rank totals in smaller pieces (values are unaffected).
+/// Rank-local unpack kernel shared by every gather: the executing rank, as
+/// a *requester*, copies each ghost slot from its owning shard (shared
+/// reads) to position `place(slot)` of `ghost`, charging the unpacking per
+/// contiguous owner run. In the canonical owner-sorted slot order (what the
+/// inspector produces) that is exactly one charge per incoming message, so
+/// modeled clocks agree with the plan-based gather bit-for-bit; a
+/// hand-built schedule with unsorted ghost slots charges the same per-rank
+/// totals in smaller pieces (values are unaffected). Walk and charges do
+/// not depend on `place` — only the landing positions do.
 fn gather_unpack_kernel<T: Clone>(
-    ctx: &mut RankCtx<'_>,
-    schedule: &CommSchedule,
-    array: &DistArray<T>,
-    ghost: &mut [T],
-) {
-    debug_assert_eq!(ctx.nprocs(), schedule.nprocs());
-    let me = ctx.rank();
-    let owners = schedule.ghost_owners(me);
-    let srcs = schedule.ghost_src_offsets(me);
-    let mut lo = 0;
-    while lo < owners.len() {
-        let owner = owners[lo];
-        let mut hi = lo + 1;
-        while hi < owners.len() && owners[hi] == owner {
-            hi += 1;
-        }
-        ctx.charge_memory(me, (hi - lo) as f64);
-        let local = array.local(owner as usize);
-        for slot in lo..hi {
-            ghost[slot] = local[srcs[slot] as usize].clone();
-        }
-        lo = hi;
-    }
-}
-
-/// Generalized form of [`gather_unpack_kernel`] that lands each ghost slot
-/// at `place(slot)` inside a larger buffer — the shared resident ghost
-/// region incremental schedules bind later loops into. Walks and charges
-/// the schedule exactly like `gather_unpack_kernel` (per contiguous owner
-/// run), so a mapped gather of a loop's own schedule costs the same as the
-/// plain gather bit-for-bit; only the landing slots differ.
-fn gather_unpack_kernel_indexed<T: Clone>(
     ctx: &mut RankCtx<'_>,
     schedule: &CommSchedule,
     array: &DistArray<T>,
@@ -150,155 +119,20 @@ fn gather_unpack_kernel_indexed<T: Clone>(
     }
 }
 
-/// Entry check shared by the offset/mapped gather drivers: one region row
-/// per rank, each large enough to hold the slots the gather lands.
-fn check_region_rows<T>(
-    nprocs: usize,
-    schedule: &CommSchedule,
-    rank: usize,
-    row: &[T],
-    needed: usize,
-) {
-    debug_assert_eq!(schedule.nprocs(), nprocs);
-    assert!(
-        row.len() >= needed,
-        "processor {rank} region row too short for the gather ({} < {needed})",
-        row.len()
-    );
-}
-
-/// [`gather_rows`] landing each rank's ghost slots at a per-rank base
-/// offset inside a larger region row (`region[p][bases[p] + slot]`) instead
-/// of a slot-for-slot buffer. This is the incremental-schedule fetch: the
-/// schedule is the *difference* a later loop still needs, and the bases
-/// point at its chunk of the shared resident ghost region. Charges are
-/// those of gathering the difference schedule alone.
-pub fn gather_rows_offset<'g, B, T, I>(
-    backend: &mut B,
-    schedule: &CommSchedule,
-    array: &DistArray<T>,
-    bases: &[u32],
-    ghosts: I,
-) where
-    B: Backend,
-    T: Clone + Send + Sync + 'g,
-    I: IntoIterator<Item = &'g mut Vec<T>>,
-{
-    let nprocs = backend.nprocs();
-    check_schedule(nprocs, schedule);
-    assert_eq!(bases.len(), nprocs, "bases must match machine size");
-    backend.run_phase(
-        PhaseEnd::Quiet,
-        |ctx| gather_pack_kernel(ctx, schedule),
-        ghosts,
-        |ctx, ghost: &mut Vec<T>| {
-            let p = ctx.rank();
-            let base = bases[p] as usize;
-            check_region_rows(nprocs, schedule, p, ghost, base + schedule.ghost_count(p));
-            gather_unpack_kernel_indexed(ctx, schedule, array, ghost, |slot| base + slot);
-        },
-    );
-}
-
-/// [`gather_rows_offset`] folded into an enclosing backend region via
-/// [`run_phase_inline`](chaos_dmsim::run_phase_inline) — same charges, no
-/// epoch advanced (the fused-sweep form).
-pub fn gather_inline_offset<'g, T, I>(
-    machine: &mut Machine,
-    schedule: &CommSchedule,
-    array: &DistArray<T>,
-    bases: &[u32],
-    ghosts: I,
-) where
-    T: Clone + Send + Sync + 'g,
-    I: IntoIterator<Item = &'g mut Vec<T>>,
-{
-    let nprocs = machine.nprocs();
-    check_schedule(nprocs, schedule);
-    assert_eq!(bases.len(), nprocs, "bases must match machine size");
-    chaos_dmsim::run_phase_inline(
-        machine,
-        PhaseEnd::Quiet,
-        |ctx| gather_pack_kernel(ctx, schedule),
-        ghosts,
-        |ctx, ghost: &mut Vec<T>| {
-            let p = ctx.rank();
-            let base = bases[p] as usize;
-            check_region_rows(nprocs, schedule, p, ghost, base + schedule.ghost_count(p));
-            gather_unpack_kernel_indexed(ctx, schedule, array, ghost, |slot| base + slot);
-        },
-    );
-}
-
-/// [`gather_rows`] landing rank `p`'s ghost slot `i` at `maps[p][i]` inside
-/// a larger region row — the full re-binding fetch incremental schedules
-/// fall back to when the resident region's chunks are stale. The schedule
-/// here is the loop's *own* schedule and the map is its binding into the
-/// region, so charges are bit-identical to a plain [`gather_rows`] of that
-/// schedule; only the landing slots differ.
-pub fn gather_rows_mapped<'g, B, T, I>(
-    backend: &mut B,
-    schedule: &CommSchedule,
-    array: &DistArray<T>,
-    maps: &[Vec<u32>],
-    ghosts: I,
-) where
-    B: Backend,
-    T: Clone + Send + Sync + 'g,
-    I: IntoIterator<Item = &'g mut Vec<T>>,
-{
-    let nprocs = backend.nprocs();
-    check_schedule(nprocs, schedule);
-    assert_eq!(maps.len(), nprocs, "slot maps must match machine size");
-    backend.run_phase(
-        PhaseEnd::Quiet,
-        |ctx| gather_pack_kernel(ctx, schedule),
-        ghosts,
-        |ctx, ghost: &mut Vec<T>| {
-            let p = ctx.rank();
-            let map = maps[p].as_slice();
-            assert_eq!(
-                map.len(),
-                schedule.ghost_count(p),
-                "processor {p} slot map length mismatch"
-            );
-            gather_unpack_kernel_indexed(ctx, schedule, array, ghost, |slot| map[slot] as usize);
-        },
-    );
-}
-
-/// [`gather_rows_mapped`] folded into an enclosing backend region via
-/// [`run_phase_inline`](chaos_dmsim::run_phase_inline) — same charges, no
-/// epoch advanced (the fused-sweep form).
-pub fn gather_inline_mapped<'g, T, I>(
-    machine: &mut Machine,
-    schedule: &CommSchedule,
-    array: &DistArray<T>,
-    maps: &[Vec<u32>],
-    ghosts: I,
-) where
-    T: Clone + Send + Sync + 'g,
-    I: IntoIterator<Item = &'g mut Vec<T>>,
-{
-    let nprocs = machine.nprocs();
-    check_schedule(nprocs, schedule);
-    assert_eq!(maps.len(), nprocs, "slot maps must match machine size");
-    chaos_dmsim::run_phase_inline(
-        machine,
-        PhaseEnd::Quiet,
-        |ctx| gather_pack_kernel(ctx, schedule),
-        ghosts,
-        |ctx, ghost: &mut Vec<T>| {
-            let p = ctx.rank();
-            let map = maps[p].as_slice();
-            assert_eq!(
-                map.len(),
-                schedule.ghost_count(p),
-                "processor {p} slot map length mismatch"
-            );
-            gather_unpack_kernel_indexed(ctx, schedule, array, ghost, |slot| map[slot] as usize);
-        },
-    );
+/// Where [`gather_inline`] lands rank `p`'s ghost slot `i` inside the row
+/// it is handed for that rank.
+#[derive(Debug, Clone, Copy)]
+pub enum Landing<'a> {
+    /// `row[i]` — the row is exactly the schedule's ghost buffer.
+    Slots,
+    /// `row[bases[p] + i]` — the incremental fetch: the schedule is the
+    /// *difference* a later loop still needs and `bases[p]` is its chunk of
+    /// the shared resident ghost region.
+    Offset(&'a [u32]),
+    /// `row[maps[p][i]]` — the full re-binding fetch: the schedule is the
+    /// loop's *own* and `maps[p]` its binding into the region, so charges
+    /// equal a [`Landing::Slots`] gather of that schedule bit-for-bit.
+    Mapped(&'a [Vec<u32>]),
 }
 
 /// Rank-local pack kernel of [`scatter_op`]: the executing rank, as an
@@ -401,38 +235,7 @@ pub fn gather_into<B, T>(
         PhaseEnd::Quiet,
         |ctx| gather_pack_kernel(ctx, schedule),
         ghosts.iter_mut(),
-        |ctx, ghost: &mut Vec<T>| gather_unpack_kernel(ctx, schedule, array, ghost),
-    );
-}
-
-/// [`gather_into`] with the ghost rows supplied by an iterator (one row per
-/// rank) instead of one rank-major matrix — the form the language executor
-/// uses when rows are embedded in per-rank sweep areas. Charges are
-/// identical to [`gather_into`]'s.
-pub fn gather_rows<'g, B, T, I>(
-    backend: &mut B,
-    schedule: &CommSchedule,
-    array: &DistArray<T>,
-    ghosts: I,
-) where
-    B: Backend,
-    T: Clone + Send + Sync + 'g,
-    I: IntoIterator<Item = &'g mut Vec<T>>,
-{
-    check_schedule(backend.nprocs(), schedule);
-    backend.run_phase(
-        PhaseEnd::Quiet,
-        |ctx| gather_pack_kernel(ctx, schedule),
-        ghosts,
-        |ctx, ghost: &mut Vec<T>| {
-            assert_eq!(
-                ghost.len(),
-                schedule.ghost_count(ctx.rank()),
-                "processor {} ghost buffer length mismatch",
-                ctx.rank()
-            );
-            gather_unpack_kernel(ctx, schedule, array, ghost);
-        },
+        |ctx, ghost: &mut Vec<T>| gather_unpack_kernel(ctx, schedule, array, ghost, |slot| slot),
     );
 }
 
@@ -440,32 +243,65 @@ pub fn gather_rows<'g, B, T, I>(
 /// pack/unpack kernels driver-side via
 /// [`run_phase_inline`](chaos_dmsim::run_phase_inline), charging the exact
 /// same sequence but advancing **no** epoch — the fused sweep uses this to
-/// make gather → compute → scatter a single epoch. The ghost rows come from
-/// an iterator so callers can hand out rows embedded in per-rank sweep
-/// areas rather than one rank-major matrix.
+/// make gather → compute → scatter a single epoch. `rows` yields one row per
+/// rank (so callers can hand out rows embedded in per-rank sweep areas) and
+/// `landing` says where in its row each ghost slot lands; it is matched
+/// once per rank, outside the copy loop. Charges are those of gathering
+/// `schedule`, whatever the landing.
 pub fn gather_inline<'g, T, I>(
     machine: &mut Machine,
     schedule: &CommSchedule,
     array: &DistArray<T>,
-    ghosts: I,
+    landing: Landing<'_>,
+    rows: I,
 ) where
     T: Clone + Send + Sync + 'g,
     I: IntoIterator<Item = &'g mut Vec<T>>,
 {
-    check_schedule(machine.nprocs(), schedule);
+    let nprocs = machine.nprocs();
+    check_schedule(nprocs, schedule);
+    match landing {
+        Landing::Slots => {}
+        Landing::Offset(bases) => {
+            assert_eq!(bases.len(), nprocs, "bases must match machine size")
+        }
+        Landing::Mapped(maps) => {
+            assert_eq!(maps.len(), nprocs, "slot maps must match machine size")
+        }
+    }
     chaos_dmsim::run_phase_inline(
         machine,
         PhaseEnd::Quiet,
         |ctx| gather_pack_kernel(ctx, schedule),
-        ghosts,
-        |ctx, ghost: &mut Vec<T>| {
-            assert_eq!(
-                ghost.len(),
-                schedule.ghost_count(ctx.rank()),
-                "processor {} ghost buffer length mismatch",
-                ctx.rank()
-            );
-            gather_unpack_kernel(ctx, schedule, array, ghost);
+        rows,
+        |ctx, row: &mut Vec<T>| {
+            let p = ctx.rank();
+            let count = schedule.ghost_count(p);
+            match landing {
+                Landing::Slots => {
+                    assert_eq!(
+                        row.len(),
+                        count,
+                        "processor {p} ghost buffer length mismatch"
+                    );
+                    gather_unpack_kernel(ctx, schedule, array, row, |slot| slot);
+                }
+                Landing::Offset(bases) => {
+                    let base = bases[p] as usize;
+                    assert!(
+                        row.len() >= base + count,
+                        "processor {p} region row too short for the gather ({} < {})",
+                        row.len(),
+                        base + count
+                    );
+                    gather_unpack_kernel(ctx, schedule, array, row, |slot| base + slot);
+                }
+                Landing::Mapped(maps) => {
+                    let map = maps[p].as_slice();
+                    assert_eq!(map.len(), count, "processor {p} slot map length mismatch");
+                    gather_unpack_kernel(ctx, schedule, array, row, |slot| map[slot] as usize);
+                }
+            }
         },
     );
 }
@@ -582,55 +418,6 @@ impl ScatterKind {
     }
 }
 
-/// [`scatter_op`] dispatched on a [`ScatterKind`] value — the executor entry
-/// point for VM-driven scatters. Charges and combine order are identical to
-/// calling `scatter_op` with the corresponding closure.
-pub fn scatter_reduce<B: Backend>(
-    backend: &mut B,
-    label: &str,
-    schedule: &CommSchedule,
-    array: &mut DistArray<f64>,
-    contributions: &[Vec<f64>],
-    kind: ScatterKind,
-) {
-    scatter_op(backend, label, schedule, array, contributions, |a, b| {
-        kind.apply(a, b)
-    });
-}
-
-/// [`scatter_reduce`] with each requester's contribution row supplied by a
-/// lookup instead of one rank-major matrix — the form the language executor
-/// uses when rows are embedded in per-rank sweep areas. Charges, combine
-/// order and panic contract are identical to [`scatter_reduce`]'s.
-pub fn scatter_reduce_rows<'a, B, G>(
-    backend: &mut B,
-    schedule: &CommSchedule,
-    array: &mut DistArray<f64>,
-    row_of: G,
-    kind: ScatterKind,
-) where
-    B: Backend,
-    G: Fn(usize) -> &'a [f64] + Sync,
-{
-    let nprocs = backend.nprocs();
-    check_schedule(nprocs, schedule);
-    for p in 0..nprocs {
-        assert_eq!(
-            row_of(p).len(),
-            schedule.ghost_count(p),
-            "processor {p} ghost contribution length mismatch"
-        );
-    }
-    backend.run_phase(
-        PhaseEnd::Quiet,
-        |ctx| scatter_pack_kernel(ctx, schedule),
-        array.par_shards_mut(),
-        |ctx, local: &mut [f64]| {
-            scatter_combine_rows(ctx, schedule, &row_of, local, &|a, b| kind.apply(a, b))
-        },
-    );
-}
-
 /// Charge `ops_per_proc[p]` computation units to each processor — the local
 /// arithmetic of the executor's compute section.
 pub fn charge_local_compute(machine: &mut Machine, ops_per_proc: &[f64]) {
@@ -692,24 +479,6 @@ mod tests {
         ghosts[0][0] = -1.0;
         gather_into(&mut m, "L", &r.schedule, &x, &mut ghosts);
         assert_eq!(ghosts[0], vec![40.0, 50.0]);
-    }
-
-    #[test]
-    fn gather_inline_matches_gather_into_without_an_epoch() {
-        let (_, x, r) = setup();
-        let mut a = Machine::new(MachineConfig::unit(2));
-        let mut b = Machine::new(MachineConfig::unit(2));
-        let mut ga: Vec<Vec<f64>> = (0..2)
-            .map(|p| vec![0.0; r.schedule.ghost_count(p)])
-            .collect();
-        let mut gb = ga.clone();
-        gather_into(&mut a, "L", &r.schedule, &x, &mut ga);
-        gather_inline(&mut b, &r.schedule, &x, gb.iter_mut());
-        assert_eq!(ga, gb);
-        assert_eq!(a.elapsed(), b.elapsed());
-        assert_eq!(a.stats().grand_totals(), b.stats().grand_totals());
-        assert_eq!(a.epoch(), 1);
-        assert_eq!(b.epoch(), 0, "inline gather advances no epoch");
     }
 
     #[test]
@@ -814,95 +583,92 @@ mod tests {
         let _ = gather(&mut wrong, "L", &r.schedule, &x);
     }
 
+    /// One test over the three landings of [`gather_inline`], each against
+    /// an engine-phase [`gather_into`] on a twin machine.
     #[test]
-    fn mapped_gather_of_own_schedule_charges_like_plain_gather() {
-        let (_, x, r) = setup();
-        let mut a = Machine::new(MachineConfig::unit(2));
-        let mut b = Machine::new(MachineConfig::unit(2));
-        let mut plain: Vec<Vec<f64>> = (0..2)
-            .map(|p| vec![0.0; r.schedule.ghost_count(p)])
-            .collect();
-        // Region rows are larger than the schedule; a reversing map lands
-        // slot i at row position ghost_count - 1 - i.
-        let mut rows: Vec<Vec<f64>> = (0..2)
-            .map(|p| vec![-1.0; r.schedule.ghost_count(p) + 2])
-            .collect();
-        let maps: Vec<Vec<u32>> = (0..2)
-            .map(|p| {
-                let n = r.schedule.ghost_count(p) as u32;
-                (0..n).map(|i| n - 1 - i).collect()
-            })
-            .collect();
-        gather_rows(&mut a, &r.schedule, &x, plain.iter_mut());
-        gather_rows_mapped(&mut b, &r.schedule, &x, &maps, rows.iter_mut());
-        for p in 0..2 {
-            for (slot, &v) in plain[p].iter().enumerate() {
-                assert_eq!(rows[p][maps[p][slot] as usize], v);
-            }
-            assert_eq!(*rows[p].last().unwrap(), -1.0, "untouched tail kept");
-        }
-        // The mapped gather walks and charges the same schedule: modeled
-        // clocks and stats are bit-identical to the plain gather.
-        assert_eq!(a.elapsed(), b.elapsed());
-        assert_eq!(a.stats().grand_totals(), b.stats().grand_totals());
-    }
-
-    #[test]
-    fn offset_gather_fetches_the_difference_into_the_region_chunk() {
-        let mut m = Machine::new(MachineConfig::unit(2));
+    fn gather_inline_lands_by_descriptor_and_charges_like_gather_into() {
         let dist = Distribution::block(8, 2);
         let x = DistArray::from_global(
             "x",
             dist.clone(),
             &(0..8).map(|i| (i * 10) as f64).collect::<Vec<_>>(),
         );
-        // Loop A referenced globals [4, 5] on proc 0; loop B references
-        // [5, 6] — only global 6 still needs fetching.
-        let a = Inspector.localize(
-            &mut m,
-            "A",
-            &dist,
-            &AccessPattern {
-                refs: vec![vec![4, 5], vec![0]],
-            },
-        );
-        let b = Inspector.localize(
-            &mut m,
-            "B",
-            &dist,
-            &AccessPattern {
-                refs: vec![vec![5, 6], vec![0]],
-            },
-        );
-        let diff = b.schedule.difference(&a.schedule);
+        // Loop A references globals [4, 5] on proc 0 and [0] on proc 1;
+        // loop B references [5, 6] and [0] — only global 6 is new.
+        let mut setup = Machine::new(MachineConfig::unit(2));
+        let mut localize = |refs: Vec<Vec<u32>>| {
+            Inspector
+                .localize(&mut setup, "L", &dist, &AccessPattern { refs })
+                .schedule
+        };
+        let a = localize(vec![vec![4, 5], vec![0]]);
+        let b = localize(vec![vec![5, 6], vec![0]]);
+        let diff = b.difference(&a);
         assert_eq!(diff.total_ghosts(), 1);
-        let (merged, map) = a.schedule.merge_incremental(&b.schedule);
-        let bases: Vec<u32> = (0..2).map(|p| a.schedule.ghost_count(p) as u32).collect();
-        let mut rows: Vec<Vec<f64>> = (0..2).map(|p| vec![0.0; merged.ghost_count(p)]).collect();
-        let msgs_before = m.stats().grand_totals().messages;
-        gather_rows_offset(&mut m, &a.schedule, &x, &[0, 0], rows.iter_mut());
-        gather_rows_offset(&mut m, &diff, &x, &bases, rows.iter_mut());
-        // The incremental fetch moved one message (proc 1 → proc 0) instead
-        // of loop B's own two.
-        assert_eq!(m.stats().grand_totals().messages - msgs_before, 3);
-        assert_eq!(b.schedule.message_count(), 2);
-        // Loop B reads its values through the re-binding map.
-        for p in 0..2 {
-            for (slot, (o, s)) in b.schedule.ghost_sources(p).enumerate() {
-                let expected = x.local(o as usize)[s as usize];
-                assert_eq!(rows[p][map[p][slot] as usize], expected);
+        let (region, map) = a.merge_incremental(&b);
+        let bases: Vec<u32> = (0..2).map(|p| a.ghost_count(p) as u32).collect();
+        let buffers = |s: &CommSchedule| -> Vec<Vec<f64>> {
+            (0..2).map(|p| vec![-1.0; s.ghost_count(p)]).collect()
+        };
+        // The resident region after loop A's gather: A's slots filled, the
+        // appended tail untouched.
+        let mut resident = buffers(&region);
+        gather_inline(
+            &mut Machine::new(MachineConfig::unit(2)),
+            &a,
+            &x,
+            Landing::Offset(&[0, 0]),
+            resident.iter_mut(),
+        );
+
+        // (landing, schedule gathered, rows before the gather)
+        let cases = [
+            (Landing::Slots, &b, buffers(&b)),
+            (Landing::Offset(&bases), &diff, resident.clone()),
+            (Landing::Mapped(&map), &b, buffers(&region)),
+        ];
+        for (landing, schedule, mut rows) in cases {
+            let mut engine = Machine::new(MachineConfig::unit(2));
+            let mut inline = Machine::new(MachineConfig::unit(2));
+            let mut reference = buffers(schedule);
+            gather_into(&mut engine, "L", schedule, &x, &mut reference);
+            gather_inline(&mut inline, schedule, &x, landing, rows.iter_mut());
+            // Same charges as the engine phase, bit for bit, but no epoch.
+            assert_eq!(engine.elapsed(), inline.elapsed(), "{landing:?}");
+            assert_eq!(
+                engine.stats().grand_totals(),
+                inline.stats().grand_totals(),
+                "{landing:?}"
+            );
+            assert_eq!((engine.epoch(), inline.epoch()), (1, 0), "{landing:?}");
+            match landing {
+                Landing::Slots => assert_eq!(rows, reference),
+                // The difference lands at the chunk base, and loop B reads
+                // all of its values through the re-binding map.
+                Landing::Offset(_) => {
+                    assert_eq!(engine.stats().grand_totals().messages, 1);
+                    assert_eq!(b.message_count(), 2);
+                    for p in 0..2 {
+                        let base = bases[p] as usize;
+                        assert_eq!(rows[p][..base], resident[p][..base], "A's slots kept");
+                        assert_eq!(rows[p][base..], reference[p][..]);
+                        for (slot, (o, s)) in b.ghost_sources(p).enumerate() {
+                            let expected = x.local(o as usize)[s as usize];
+                            assert_eq!(rows[p][map[p][slot] as usize], expected);
+                        }
+                    }
+                }
+                // Slot i lands at map[i]; region slots B does not bind stay.
+                Landing::Mapped(_) => {
+                    for p in 0..2 {
+                        for (slot, &v) in reference[p].iter().enumerate() {
+                            assert_eq!(rows[p][map[p][slot] as usize], v);
+                        }
+                    }
+                    assert_eq!(rows[0][0], -1.0, "global 4 is not B's to fetch");
+                }
             }
         }
-        // Inline variants charge identically to the run_phase forms.
-        let mut m2 = Machine::new(MachineConfig::unit(2));
-        let mut rows2: Vec<Vec<f64>> = (0..2).map(|p| vec![0.0; merged.ghost_count(p)]).collect();
-        gather_rows_offset(&mut m2, &a.schedule, &x, &[0, 0], rows2.iter_mut());
-        gather_inline_offset(&mut m2, &diff, &x, &bases, rows2.iter_mut());
-        assert_eq!(rows, rows2);
-        let mut rows3 = rows2.clone();
-        let mut m3 = Machine::new(MachineConfig::unit(2));
-        gather_inline_mapped(&mut m3, &b.schedule, &x, &map, rows3.iter_mut());
-        assert_eq!(rows, rows3);
     }
 
     #[test]
@@ -910,7 +676,13 @@ mod tests {
     fn offset_gather_rejects_short_region_rows() {
         let (mut m, x, r) = setup();
         let mut rows = [vec![0.0; 1], vec![0.0; 1]];
-        gather_rows_offset(&mut m, &r.schedule, &x, &[1, 1], rows.iter_mut());
+        gather_inline(
+            &mut m,
+            &r.schedule,
+            &x,
+            Landing::Offset(&[1, 1]),
+            rows.iter_mut(),
+        );
     }
 
     #[test]

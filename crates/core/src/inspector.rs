@@ -168,12 +168,12 @@ impl Inspector {
     /// **deferred**: translation, dedup and reference rewriting are charged
     /// as usual, but the returned schedule has not paid its build exchange.
     ///
-    /// Used by callers that [merge](crate::schedule::CommSchedule::merge)
-    /// several groups' schedules into one and then charge a single
-    /// [`CommSchedule::charge_build_exchange`](crate::schedule::CommSchedule::charge_build_exchange)
-    /// for the union — PARTI's schedule merging. Callers that do not merge
-    /// must charge the exchange themselves or the inspector cost is
-    /// under-counted.
+    /// Used by callers that bind the schedule into a resident ghost region
+    /// ([`ReuseRegistry::region_bind`](crate::reuse::ReuseRegistry::region_bind))
+    /// and then pay one
+    /// [`charge_merged_request_exchange`](crate::schedule::charge_merged_request_exchange)
+    /// for the ghosts still missing. Callers that do neither must charge the
+    /// exchange themselves or the inspector cost is under-counted.
     pub fn localize_deferred_exchange<B: Backend>(
         &self,
         backend: &mut B,

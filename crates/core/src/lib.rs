@@ -84,10 +84,8 @@ pub use dad::{Dad, DadSignature};
 pub use darray::DistArray;
 pub use dist::Distribution;
 pub use executor::{
-    charge_local_compute, gather, gather_inline, gather_inline_mapped, gather_inline_offset,
-    gather_into, gather_rows, gather_rows_mapped, gather_rows_offset, scatter_add,
-    scatter_combine_rows, scatter_op, scatter_pack_kernel, scatter_reduce, scatter_reduce_rows,
-    ScatterKind,
+    charge_local_compute, gather, gather_inline, gather_into, scatter_add, scatter_combine_rows,
+    scatter_op, scatter_pack_kernel, Landing, ScatterKind,
 };
 pub use inspector::{AccessPattern, Inspector, InspectorResult, LocalRef, LocalizeScratch};
 pub use iterpart::{IterPartitionPolicy, IterationPartition};

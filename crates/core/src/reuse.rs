@@ -220,7 +220,7 @@ pub struct RegionBinding {
     /// incremental fetch schedule.
     pub diff: CommSchedule,
     /// Per processor, the region offset this bind's chunk starts at (the
-    /// base the [`crate::executor::gather_rows_offset`] fetch lands at).
+    /// base of the fetch's [`crate::executor::Landing::Offset`]).
     pub base: Vec<u32>,
 }
 

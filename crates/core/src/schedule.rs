@@ -120,10 +120,10 @@ impl CommSchedule {
     }
 
     /// Build a schedule from the flat ghost-side arrays **without charging
-    /// the request exchange** — the deferred form used when several
-    /// schedules are [merged](CommSchedule::merge) into one before a single
-    /// [`charge_build_exchange`](CommSchedule::charge_build_exchange) pays
-    /// for the combined request traffic.
+    /// the request exchange** — the deferred form used when a loop's
+    /// schedules are bound into resident ghost regions first and one
+    /// [`charge_merged_request_exchange`] then pays for the ghosts still
+    /// missing.
     pub fn from_csr_parts_local(
         nprocs: usize,
         ghost_off: Vec<u32>,
@@ -139,7 +139,7 @@ impl CommSchedule {
         assert_eq!(*ghost_off.last().unwrap() as usize, ghost_owner.len());
 
         // Validate the ghost side, then hand the layout pass to
-        // `from_ghost_arrays` (shared with `merge`).
+        // `from_ghost_arrays` (shared with `difference` / `merge_incremental`).
         for p in 0..nprocs {
             let (lo, hi) = (ghost_off[p] as usize, ghost_off[p + 1] as usize);
             for &owner in &ghost_owner[lo..hi] {
@@ -245,92 +245,6 @@ impl CommSchedule {
             .unwrap_or(0)
     }
 
-    /// Merge two schedules built against the *same* distribution into one,
-    /// so that a single gather/scatter serves both loops (PARTI's schedule
-    /// merging: amortizing per-message start-up across loops that reference
-    /// overlapping ghost sets).
-    ///
-    /// Returns the merged schedule plus, for each input schedule, a
-    /// per-processor mapping from its old ghost-slot numbers to slots in the
-    /// merged schedule, so previously localized references remain usable.
-    ///
-    /// Merging is a purely local operation (no communication is charged):
-    /// both inputs already carry the owner-side information needed to
-    /// rebuild the send lists.
-    pub fn merge(&self, other: &CommSchedule) -> (CommSchedule, Vec<Vec<u32>>, Vec<Vec<u32>>) {
-        assert_eq!(
-            self.nprocs, other.nprocs,
-            "cannot merge schedules built for different machine sizes"
-        );
-        let nprocs = self.nprocs;
-        let mut ghost_off = Vec::with_capacity(nprocs + 1);
-        let mut ghost_owner = Vec::with_capacity(self.ghost_owner.len() + other.ghost_owner.len());
-        let mut ghost_src = Vec::with_capacity(ghost_owner.capacity());
-        let mut map_a: Vec<Vec<u32>> = Vec::with_capacity(nprocs);
-        let mut map_b: Vec<Vec<u32>> = Vec::with_capacity(nprocs);
-        ghost_off.push(0u32);
-        let key = |o: u32, s: u32| ((o as u64) << 32) | s as u64;
-        for p in 0..nprocs {
-            // Sort + dedup the union of both sides' packed keys, then map
-            // each side's old slots to their rank in the sorted union. This
-            // makes no ordering assumption about the inputs (`build` accepts
-            // ghost sources in any slot order), and the merged schedule comes
-            // out in the canonical owner-then-offset order.
-            let mut union: Vec<u64> = self
-                .ghost_sources(p)
-                .chain(other.ghost_sources(p))
-                .map(|(o, s)| key(o, s))
-                .collect();
-            union.sort_unstable();
-            union.dedup();
-            let slot_of = |o: u32, s: u32| union.binary_search(&key(o, s)).expect("present") as u32;
-            map_a.push(self.ghost_sources(p).map(|(o, s)| slot_of(o, s)).collect());
-            map_b.push(other.ghost_sources(p).map(|(o, s)| slot_of(o, s)).collect());
-            for &k in &union {
-                ghost_owner.push((k >> 32) as u32);
-                ghost_src.push(k as u32);
-            }
-            ghost_off.push(ghost_owner.len() as u32);
-        }
-
-        // Rebuild the send side locally from the merged ghost sources (no
-        // communication is charged; the layout pass is shared with
-        // `from_csr_parts`).
-        let merged = Self::from_ghost_arrays(nprocs, ghost_off, ghost_owner, ghost_src);
-        (merged, map_a, map_b)
-    }
-
-    /// [`CommSchedule::merge`] without the ghost-slot remap tables — for
-    /// callers that only need the union schedule (e.g. charging one merged
-    /// request exchange for several groups) and would discard the maps.
-    pub fn merge_union(&self, other: &CommSchedule) -> CommSchedule {
-        assert_eq!(
-            self.nprocs, other.nprocs,
-            "cannot merge schedules built for different machine sizes"
-        );
-        let nprocs = self.nprocs;
-        let mut ghost_off = Vec::with_capacity(nprocs + 1);
-        let mut ghost_owner = Vec::with_capacity(self.ghost_owner.len() + other.ghost_owner.len());
-        let mut ghost_src = Vec::with_capacity(ghost_owner.capacity());
-        ghost_off.push(0u32);
-        let key = |o: u32, s: u32| ((o as u64) << 32) | s as u64;
-        for p in 0..nprocs {
-            let mut union: Vec<u64> = self
-                .ghost_sources(p)
-                .chain(other.ghost_sources(p))
-                .map(|(o, s)| key(o, s))
-                .collect();
-            union.sort_unstable();
-            union.dedup();
-            for &k in &union {
-                ghost_owner.push((k >> 32) as u32);
-                ghost_src.push(k as u32);
-            }
-            ghost_off.push(ghost_owner.len() as u32);
-        }
-        Self::from_ghost_arrays(nprocs, ghost_off, ghost_owner, ghost_src)
-    }
-
     /// The part of this schedule not already covered by `resident`: a
     /// schedule containing exactly the `(owner, offset)` sources of `self`
     /// that `resident` does not hold, in `self`'s slot order.
@@ -434,7 +348,7 @@ impl CommSchedule {
     }
 
     /// Construct the full CSR schedule from validated ghost-side arrays
-    /// without charging any machine (used by [`CommSchedule::merge`]).
+    /// without charging any machine.
     fn from_ghost_arrays(
         nprocs: usize,
         ghost_off: Vec<u32>,
@@ -616,105 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_ghosts_and_remaps_slots() {
-        let mut m = Machine::new(MachineConfig::unit(2));
-        // Loop A needs offsets 3 and 5 of proc 1; loop B needs 5 and 7.
-        let a = CommSchedule::build(&mut m, "a", vec![vec![(1, 3), (1, 5)], vec![]]);
-        let b = CommSchedule::build(&mut m, "b", vec![vec![(1, 5), (1, 7)], vec![(0, 2)]]);
-        let messages_before = m.stats().grand_totals().messages;
-        let (merged, map_a, map_b) = a.merge(&b);
-        // Merging is local: no new messages were charged.
-        assert_eq!(m.stats().grand_totals().messages, messages_before);
-        // Union on proc 0: offsets 3, 5, 7 of proc 1 (deduplicated).
-        assert_eq!(merged.ghost_count(0), 3);
-        assert_eq!(merged.ghost_count(1), 1);
-        assert_eq!(
-            merged.ghost_sources(0).collect::<Vec<_>>(),
-            vec![(1, 3), (1, 5), (1, 7)]
-        );
-        // Old slots still address the same elements in the merged schedule.
-        let merged0: Vec<_> = merged.ghost_sources(0).collect();
-        for (old_slot, (owner, off)) in a.ghost_sources(0).enumerate() {
-            assert_eq!(merged0[map_a[0][old_slot] as usize], (owner, off));
-        }
-        for (old_slot, (owner, off)) in b.ghost_sources(0).enumerate() {
-            assert_eq!(merged0[map_b[0][old_slot] as usize], (owner, off));
-        }
-        // One message per (owner, requester) pair with data: 1->0 and 0->1.
-        assert_eq!(merged.message_count(), 2);
-    }
-
-    #[test]
-    fn merged_schedule_gathers_the_union_correctly() {
-        use crate::darray::DistArray;
-        use crate::dist::Distribution;
-        use crate::executor::gather;
-        let mut m = Machine::new(MachineConfig::unit(2));
-        let x = DistArray::from_global(
-            "x",
-            Distribution::block(8, 2),
-            &(0..8).map(|i| i as f64 * 10.0).collect::<Vec<_>>(),
-        );
-        let a = CommSchedule::build(&mut m, "a", vec![vec![(1, 0)], vec![]]); // global 4
-        let b = CommSchedule::build(&mut m, "b", vec![vec![(1, 2)], vec![(0, 1)]]); // globals 6, 1
-        let (merged, map_a, map_b) = a.merge(&b);
-        let ghosts = gather(&mut m, "merged", &merged, &x);
-        assert_eq!(ghosts[0][map_a[0][0] as usize], 40.0);
-        assert_eq!(ghosts[0][map_b[0][0] as usize], 60.0);
-        assert_eq!(ghosts[1][map_b[1][0] as usize], 10.0);
-    }
-
-    #[test]
-    fn merge_handles_unsorted_ghost_sources() {
-        // `build` accepts ghost sources in any slot order; merge must not
-        // assume sortedness (it canonicalizes via sort + dedup).
-        let mut m = Machine::new(MachineConfig::unit(3));
-        let a = CommSchedule::build(&mut m, "a", vec![vec![(2, 1), (1, 0)], vec![], vec![]]);
-        let b = CommSchedule::build(&mut m, "b", vec![vec![(1, 0), (2, 5)], vec![], vec![]]);
-        let (merged, map_a, map_b) = a.merge(&b);
-        // Union deduplicates (1,0): three distinct sources remain.
-        assert_eq!(merged.ghost_count(0), 3);
-        assert_eq!(
-            merged.ghost_sources(0).collect::<Vec<_>>(),
-            vec![(1, 0), (2, 1), (2, 5)]
-        );
-        let merged0: Vec<_> = merged.ghost_sources(0).collect();
-        for (old, (o, s)) in a.ghost_sources(0).enumerate() {
-            assert_eq!(merged0[map_a[0][old] as usize], (o, s));
-        }
-        for (old, (o, s)) in b.ghost_sources(0).enumerate() {
-            assert_eq!(merged0[map_b[0][old] as usize], (o, s));
-        }
-    }
-
-    #[test]
-    fn merge_union_equals_merge_without_the_maps() {
-        let mut m = Machine::new(MachineConfig::unit(3));
-        let a = CommSchedule::build(
-            &mut m,
-            "a",
-            vec![vec![(2, 1), (1, 0)], vec![(0, 4)], vec![]],
-        );
-        let b = CommSchedule::build(
-            &mut m,
-            "b",
-            vec![vec![(1, 0), (2, 5)], vec![], vec![(0, 2)]],
-        );
-        let (merged, _, _) = a.merge(&b);
-        assert_eq!(a.merge_union(&b), merged);
-    }
-
-    #[test]
-    #[should_panic(expected = "different machine sizes")]
-    fn merge_rejects_mismatched_schedules() {
-        let mut m2 = Machine::new(MachineConfig::unit(2));
-        let mut m4 = Machine::new(MachineConfig::unit(4));
-        let a = CommSchedule::build(&mut m2, "a", vec![Vec::new(); 2]);
-        let b = CommSchedule::build(&mut m4, "b", vec![Vec::new(); 4]);
-        let _ = a.merge(&b);
-    }
-
-    #[test]
     fn csr_parts_agree_with_nested_build() {
         // The flat constructor and the nested-Vec convenience wrapper must
         // produce identical schedules.
@@ -801,6 +616,24 @@ mod tests {
         let (again, map2) = merged.merge_incremental(&newer);
         assert_eq!(again, merged);
         assert_eq!(map2, map);
+        // One gather of the union serves both loops: each reads its values
+        // through its own map (the resident side's is the identity).
+        use crate::{darray::DistArray, dist::Distribution, executor::gather};
+        let x = DistArray::from_global(
+            "x",
+            Distribution::block(16, 2),
+            &(0..16).map(|i| i as f64 * 10.0).collect::<Vec<_>>(),
+        );
+        let ghosts = gather(&mut m, "merged", &merged, &x);
+        for p in 0..2 {
+            for (slot, (o, s)) in resident.ghost_sources(p).enumerate() {
+                assert_eq!(ghosts[p][slot], x.local(o as usize)[s as usize]);
+            }
+            for (slot, (o, s)) in newer.ghost_sources(p).enumerate() {
+                let at = map[p][slot] as usize;
+                assert_eq!(ghosts[p][at], x.local(o as usize)[s as usize]);
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   over them: [`run_rank`] (the bytecode VM, with slot CSE: a
 //!   per-iteration preamble pins each distinct read-only slot into a
 //!   dedicated register once) and [`run_rank_interpreted`] (the retained
-//!   tree-walking oracle). Both run inside `Backend::run_compute` or the
-//!   fused `Backend::run_sweep`, so interpreted programs execute
-//!   rank-parallel end-to-end on every engine;
+//!   tree-walking oracle). Both run as the compute stage of
+//!   `Backend::run_sweep`, so programs execute rank-parallel end-to-end on
+//!   every engine;
 //! * [`cache`] — the [`KernelCache`], keyed by dense
 //!   [`LoopId`](chaos_runtime::LoopId) handles alongside the schedule-reuse
 //!   registry: a loop recompiles exactly when it re-inspects, and reused

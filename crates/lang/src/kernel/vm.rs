@@ -10,8 +10,8 @@
 //! register file — so the fused sweep can hand each rank `&mut` its area
 //! during compute and then share all areas immutably with every rank during
 //! the scatter-combine stage. Both are `Send`, so the executor hands one
-//! pair per rank to [`chaos_dmsim::Backend::run_compute`] /
-//! `Backend::run_sweep` and the sweep runs on every engine — including one
+//! pair per rank to [`chaos_dmsim::Backend::run_sweep`] and the sweep runs
+//! on every engine — including one
 //! OS thread per rank under `ThreadedBackend` — with byte-identical
 //! results.
 //!
@@ -59,8 +59,7 @@ fn combine_in_loop(kind: ScatterKind, cell: &mut f64, v: f64) {
 
 /// Everything rank `rank` reads or writes *in place* during one compute
 /// phase. Built by the executor from the cached inspector state and handed
-/// through `Backend::run_compute` / `Backend::run_sweep`, so the borrows
-/// are provably rank-disjoint.
+/// through `Backend::run_sweep`, so the borrows are provably rank-disjoint.
 pub struct RankState<'a> {
     /// The executing rank.
     pub rank: usize,
@@ -75,11 +74,10 @@ pub struct RankState<'a> {
     /// The rank's localized reference row per decomposition group, indexed
     /// like [`KernelBindings::groups`].
     pub localized: Vec<&'a [LocalRef]>,
-    /// Per ghost buffer (indexed like [`KernelBindings::ghosts`]): `Some`
-    /// holds the rank's slot re-binding map into a shared resident ghost
-    /// region — ghost slot `g` is stored at row position `map[g]` — while
-    /// `None` means the buffer is rank-local and slots index it directly.
-    pub ghost_maps: Vec<Option<&'a [u32]>>,
+    /// Per ghost buffer (indexed like [`KernelBindings::ghosts`]), the
+    /// rank's slot re-binding map into the shared resident ghost region its
+    /// row lives in: ghost slot `g` is stored at row position `map[g]`.
+    pub ghost_maps: Vec<&'a [u32]>,
 }
 
 /// The rank's *owned* sweep-scoped storage, split from [`RankState`] so the
@@ -143,10 +141,7 @@ impl RankState<'_> {
             },
             LocalRef::Ghost(g) => {
                 debug_assert_ne!(sb.ghost, super::compile::NO_GHOST, "write-only slot read");
-                let at = match self.ghost_maps[sb.ghost as usize] {
-                    Some(map) => map[g as usize] as usize,
-                    None => g as usize,
-                };
+                let at = self.ghost_maps[sb.ghost as usize][g as usize] as usize;
                 ghosts[sb.ghost as usize][at]
             }
         }
@@ -373,11 +368,7 @@ impl OracleEnv {
             },
             LocalRef::Ghost(g) => {
                 let gid = self.slot_ghost[sid];
-                let at = match st.ghost_maps[gid] {
-                    Some(map) => map[g as usize] as usize,
-                    None => g as usize,
-                };
-                ghosts[gid][at]
+                ghosts[gid][st.ghost_maps[gid][g as usize] as usize]
             }
         }
     }
@@ -532,7 +523,7 @@ mod tests {
                     shards: vec![&mut y],
                     read_shards: vec![&x],
                     localized: vec![&localized],
-                    ghost_maps: vec![None; kernel.bindings.ghosts.len()],
+                    ghost_maps: vec![&[0]; kernel.bindings.ghosts.len()],
                 };
                 if use_vm {
                     run_rank(&kernel, &mut st, &mut area);

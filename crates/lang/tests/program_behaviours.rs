@@ -213,26 +213,25 @@ fn multiple_loops_have_independent_reuse_state() {
     assert_eq!(exec.report().reuse_hits, 2);
 }
 
-/// A FORALL touching two decompositions that share one distribution: the
-/// inspector merges their communication schedules (PARTI schedule merging)
-/// and issues a *single* request exchange instead of one per schedule, with
-/// strictly fewer messages when the ghost sets overlap — and byte-identical
-/// results either way.
+/// A FORALL touching two decompositions: the inspector issues a *single*
+/// request exchange for both groups' schedules instead of one per schedule,
+/// with fewer messages than the schedules' own — the difference booked in
+/// the savings ledger.
 #[test]
-fn same_distribution_groups_merge_into_one_schedule_exchange() {
-    // x lives on rega and the written y on regb — both BLOCK(n), i.e. the
-    // same distribution, so the loop has two decomposition groups whose
-    // schedules merge. Every iteration references one element from each
-    // half of x, so wherever the iteration is placed it needs an
-    // off-processor x ghost whose (owner, offset) coincides with a y ghost
-    // of the same requester — the merged request exchange deduplicates the
-    // shared (owner → requester) messages.
-    let src = r#"
+fn a_loop_over_two_decompositions_issues_one_folded_request_exchange() {
+    // x lives on rega and the written y on regb, so the loop has two
+    // decomposition groups. Every iteration references one element from
+    // each half of x; the tie places all of them on rank 0, which then
+    // needs x and y ghosts from rank 1 — both groups' requests travel over
+    // the one (owner 1 → requester 0) pair.
+    let src = |regb_format: &str| {
+        format!(
+            r#"
         REAL*8 x(n), y(n)
         INTEGER ia(m), ib(m)
         DECOMPOSITION rega(n), regb(n), regc(m)
         DISTRIBUTE rega(BLOCK)
-        DISTRIBUTE regb(BLOCK)
+        DISTRIBUTE regb({regb_format})
         DISTRIBUTE regc(BLOCK)
         ALIGN x WITH rega
         ALIGN y WITH regb
@@ -241,7 +240,9 @@ fn same_distribution_groups_merge_into_one_schedule_exchange() {
         FORALL i = 1, m
           y(i) = x(ia(i)) + x(ib(i))
         END FORALL
-    "#;
+    "#
+        )
+    };
     // m != n so the indirection arrays' decomposition has a distinct DAD
     // (with equal sizes the conservative DAD tracking would invalidate the
     // schedule on every write of y).
@@ -258,80 +259,55 @@ fn same_distribution_groups_merge_into_one_schedule_exchange() {
         .real("y", vec![0.0; n])
         .int("ia", ia.clone())
         .int("ib", ib.clone());
-    let program = lower_program(parse_program(src).unwrap()).unwrap();
 
-    // Incremental schedules are pinned off: this test exercises the classic
-    // union-merging path (`schedule_merges` only counts there; the
-    // incremental path folds request exchanges without building unions).
-    let mut merged =
-        Executor::new(MachineConfig::ipsc860(2), inputs.clone()).with_incremental_schedules(false);
-    merged.run(&program).unwrap();
-    let mut unmerged = Executor::new(MachineConfig::ipsc860(2), inputs.clone())
-        .with_schedule_merging(false)
-        .with_incremental_schedules(false);
-    unmerged.run(&program).unwrap();
+    // (regb's format, request words sent, request words saved). Each
+    // schedule alone would send one message: x's 4 ghosts, and y's 2
+    // (BLOCK: y(5), y(6)) or 3 (CYCLIC: y(2), y(4), y(6)).
+    // * BLOCK: both groups share one distribution, hence one resident
+    //   region; y's ghosts are x's (same owner offsets), so only x's 4 are
+    //   requested.
+    // * CYCLIC: two regions, nothing shared; the 4 + 3 offsets fold into
+    //   one message with a length tag per segment.
+    for (regb_format, words, saved_words) in [("BLOCK", 4, 2), ("CYCLIC", 4 + 3 + 2, 0)] {
+        let program = lower_program(parse_program(&src(regb_format)).unwrap()).unwrap();
+        let mut exec = Executor::new(MachineConfig::ipsc860(2), inputs.clone());
+        exec.run(&program).unwrap();
 
-    // One merged build exchange vs one per decomposition group.
-    let merged_builds = merged
-        .machine()
-        .stats()
-        .records_labelled("L1:schedule-build")
-        .count();
-    let unmerged_builds = unmerged
-        .machine()
-        .stats()
-        .records_labelled("L1:schedule-build")
-        .count();
-    assert_eq!(merged.report().schedule_merges, 1);
-    assert_eq!(unmerged.report().schedule_merges, 0);
-    assert_eq!(merged_builds, 1, "one merged request exchange");
-    assert_eq!(unmerged_builds, 2, "one request exchange per schedule");
+        let word_bytes = exec.machine().config().word_bytes;
+        let stats = exec.machine().stats();
+        let builds: Vec<_> = stats.records_labelled("L1:schedule-build").collect();
+        assert_eq!(builds.len(), 1, "{regb_format}: one request exchange");
+        assert_eq!(builds[0].stats.messages, 1, "{regb_format}");
+        assert_eq!(builds[0].stats.bytes, words * word_bytes, "{regb_format}");
+        let saved = stats.saved_labelled("incremental:schedule-build");
+        assert_eq!(saved.messages, 1, "{regb_format}: one message, not two");
+        assert_eq!(saved.bytes, saved_words * word_bytes, "{regb_format}");
 
-    // Message counts: the shared (owner → requester) pairs deduplicate, so
-    // the merged exchange sends strictly fewer request messages.
-    let merged_msgs = merged
-        .machine()
-        .stats()
-        .messages_labelled("L1:schedule-build");
-    let unmerged_msgs = unmerged
-        .machine()
-        .stats()
-        .messages_labelled("L1:schedule-build");
-    assert!(merged_msgs > 0, "the loop does communicate");
-    assert!(
-        merged_msgs < unmerged_msgs,
-        "merged request exchange must send fewer messages ({merged_msgs} vs {unmerged_msgs})"
-    );
-
-    // Merging must not change any observable value, and reuse still works.
-    let yr = merged.real_global("y").unwrap();
-    let yn = unmerged.real_global("y").unwrap();
-    for (a, b) in yr.iter().zip(&yn) {
-        assert_eq!(a.to_bits(), b.to_bits(), "merge changed the results");
+        // Sequential reference (iterations cover y[0..m]; the tail stays 0).
+        let y = exec.real_global("y").unwrap();
+        for (i, v) in y.iter().enumerate() {
+            let expect = if i < m {
+                x[ia[i] as usize - 1] + x[ib[i] as usize - 1]
+            } else {
+                0.0
+            };
+            assert!((v - expect).abs() < 1e-12, "y[{i}]: {v} vs {expect}");
+        }
+        exec.execute_loop(&program, "L1").unwrap();
+        assert_eq!(exec.report().reuse_hits, 1);
     }
-    // Sequential reference (iterations cover y[0..m]; the tail stays 0).
-    for (i, v) in yr.iter().enumerate() {
-        let expect = if i < m {
-            x[ia[i] as usize - 1] + x[ib[i] as usize - 1]
-        } else {
-            0.0
-        };
-        assert!((v - expect).abs() < 1e-12, "y[{i}]: {v} vs {expect}");
-    }
-    merged.execute_loop(&program, "L1").unwrap();
-    assert_eq!(merged.report().reuse_hits, 1);
 }
 
 /// Two FORALLs read `x` over the same node distribution with overlapping
-/// ghost sets (a chain-edge loop, then a wider face loop). With incremental
-/// schedules (the default), the second loop's inspector requests only the
-/// ghosts the first loop didn't, and its steady-state sweeps gather only
-/// that difference — every avoided message and byte is booked in the
-/// machine's `saved` ledger, which must account *exactly* for the gap to
-/// the escape-hatch run.
+/// ghost sets (a chain-edge loop, then a wider face loop). The second
+/// loop's inspector requests only the ghosts the first loop didn't, and its
+/// steady-state sweeps gather only that difference — every avoided message
+/// and byte is booked in the machine's `saved` ledger. Two invariants pin
+/// that without a second execution path: a loop's result does not depend on
+/// which loops ran before it, and traffic + saved is additive over loops.
 #[test]
 fn incremental_schedules_fetch_only_the_ghosts_earlier_loops_didnt() {
-    let src = r#"
+    let preamble = r#"
         REAL*8 x(nnode), y(nnode), z(nnode)
         INTEGER e1(nedge), e2(nedge), f1(nface), f2(nface)
         DECOMPOSITION regn(nnode), rege(nedge), regf(nface)
@@ -342,9 +318,13 @@ fn incremental_schedules_fetch_only_the_ghosts_earlier_loops_didnt() {
         ALIGN e1, e2 WITH rege
         ALIGN f1, f2 WITH regf
         CALL READ_DATA(x, y, z, e1, e2, f1, f2)
+    "#;
+    let edge_loop = r#"
         FORALL i = 1, nedge
           REDUCE(ADD, y(e1(i)), x(e1(i)) * x(e2(i)))
         END FORALL
+    "#;
+    let face_loop = r#"
         FORALL j = 1, nface
           REDUCE(ADD, z(f1(j)), x(f1(j)) + x(f2(j)))
         END FORALL
@@ -374,37 +354,38 @@ fn incremental_schedules_fetch_only_the_ghosts_earlier_loops_didnt() {
         .int("e2", e2)
         .int("f1", f1)
         .int("f2", f2);
-    let program = lower_program(parse_program(src).expect("parse")).expect("lower");
     let sweeps = 5;
 
-    let drive = |incremental: bool| -> Executor {
-        let mut exec = Executor::new(MachineConfig::ipsc860(4), inputs.clone())
-            .with_incremental_schedules(incremental);
+    // Run the preamble plus `loops`, then `sweeps` more rounds of them.
+    let drive = |loops: &[&str]| -> Executor {
+        let src = format!("{preamble}{}", loops.concat());
+        let program = lower_program(parse_program(&src).expect("parse")).expect("lower");
+        let mut exec = Executor::new(MachineConfig::ipsc860(4), inputs.clone());
         exec.run(&program).expect("run");
         for _ in 0..sweeps {
-            exec.execute_loop(&program, "L1").expect("sweep L1");
-            exec.execute_loop(&program, "L2").expect("sweep L2");
+            for l in 1..=loops.len() {
+                exec.execute_loop(&program, &format!("L{l}"))
+                    .expect("sweep");
+            }
         }
         exec
     };
-    let incr = drive(true);
-    let full = drive(false);
+    let both = drive(&[edge_loop, face_loop]);
+    let only_edges = drive(&[edge_loop]);
+    let only_faces = drive(&[face_loop]);
+    let no_loops = drive(&[]);
 
-    // The second loop's binding found resident ghosts; the escape hatch
-    // never binds.
-    assert!(
-        incr.report().incremental_bindings >= 1,
-        "L2 must bind incrementally over L1's residents"
-    );
-    assert_eq!(full.report().incremental_bindings, 0);
+    // The second loop's binding found resident ghosts; a loop on its own
+    // has nothing to find.
+    assert_eq!(both.report().incremental_bindings, 1);
+    assert_eq!(only_edges.report().incremental_bindings, 0);
+    assert_eq!(only_faces.report().incremental_bindings, 0);
 
     // Savings are booked under both ledgers: the inspector's request
     // exchange and every steady-state gather of the second loop.
-    let sched_saved = incr
-        .machine()
-        .stats()
-        .saved_labelled("incremental:schedule-build");
-    let gather_saved = incr.machine().stats().saved_labelled("incremental:gather");
+    let stats = both.machine().stats();
+    let sched_saved = stats.saved_labelled("incremental:schedule-build");
+    let gather_saved = stats.saved_labelled("incremental:gather");
     assert!(sched_saved.messages > 0, "request-exchange messages saved");
     assert!(gather_saved.messages > 0, "gather messages saved");
     assert!(gather_saved.bytes > 0, "gather volume saved");
@@ -412,30 +393,36 @@ fn incremental_schedules_fetch_only_the_ghosts_earlier_loops_didnt() {
     // the extra ones.
     assert_eq!(gather_saved.phases, sweeps + 1);
 
-    // Exact accounting: the saved ledger explains the *entire* message and
-    // byte gap to the escape-hatch run.
-    let it = incr.machine().stats().grand_totals();
-    let ft = full.machine().stats().grand_totals();
-    assert!(
-        it.messages < ft.messages,
-        "incremental sends fewer messages"
+    // Exact accounting: what a run sent plus what it booked as saved is
+    // what its loops cost on their own (each loop here has one group, so no
+    // tag words enter the folded exchange).
+    let sent_plus_saved = |exec: &Executor| {
+        let stats = exec.machine().stats();
+        let sent = stats.grand_totals();
+        stats
+            .saved_totals()
+            .filter(|(label, _)| label.starts_with("incremental:"))
+            .fold((sent.messages, sent.bytes), |(m, b), (_, s)| {
+                (m + s.messages, b + s.bytes)
+            })
+    };
+    let (two, a, b, p) = (
+        sent_plus_saved(&both),
+        sent_plus_saved(&only_edges),
+        sent_plus_saved(&only_faces),
+        sent_plus_saved(&no_loops),
     );
-    assert!(it.bytes < ft.bytes, "incremental moves fewer bytes");
-    let saved_msgs = sched_saved.messages + gather_saved.messages;
-    let saved_bytes = sched_saved.bytes + gather_saved.bytes;
-    assert_eq!(
-        ft.messages - it.messages,
-        saved_msgs,
-        "message ledger exact"
-    );
-    assert_eq!(ft.bytes - it.bytes, saved_bytes, "byte ledger exact");
+    assert_eq!(two.0 + p.0, a.0 + b.0, "message ledger exact");
+    assert_eq!(two.1 + p.1, a.1 + b.1, "byte ledger exact");
+    let sent = stats.grand_totals();
+    assert!(sent.messages < two.0 && sent.bytes < two.1, "and non-empty");
 
-    // Incremental gathers must not change a single bit of any result.
-    for name in ["x", "y", "z"] {
-        let a = incr.real_global(name).unwrap();
-        let b = full.real_global(name).unwrap();
-        for (u, v) in a.iter().zip(&b) {
-            assert_eq!(u.to_bits(), v.to_bits(), "{name} diverged");
-        }
-    }
+    // A loop's result does not depend on which loops ran before it.
+    let bits = |exec: &Executor, name: &str| -> Vec<u64> {
+        let values = exec.real_global(name).unwrap();
+        values.iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&both, "y"), bits(&only_edges, "y"), "y diverged");
+    assert_eq!(bits(&both, "z"), bits(&only_faces, "z"), "z diverged");
+    assert_eq!(bits(&both, "x"), bits(&no_loops, "x"), "x diverged");
 }

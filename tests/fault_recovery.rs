@@ -425,19 +425,6 @@ fn panic_inside_a_fused_sweep_recovers_bit_identically() {
         .with_fault_plan(plan())
         .with_recovery_policy(retry());
     assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pooled engine");
-
-    // The split path pays one epoch per phase, so its sweeps span more
-    // epochs — fault coordinates are defined against a fixed fusion setting.
-    let mut split = Executor::new(cfg(), ins()).with_phase_fusion(false);
-    split.run(&cp).unwrap();
-    let s0 = split.machine().epoch();
-    for _ in 0..SWEEPS {
-        split.execute_loop(&cp, "L1").unwrap();
-    }
-    assert!(
-        split.machine().epoch() - s0 > SWEEPS as u64,
-        "the split path advances one epoch per phase"
-    );
 }
 
 #[test]

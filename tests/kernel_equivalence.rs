@@ -1,7 +1,7 @@
 //! The compiled-kernel VM must be **byte-identical** to the tree-walking
 //! interpreter — array values, modeled clocks (down to the f64 bit
-//! patterns), communication statistics and execution counters — on both the
-//! sequential and the rank-parallel engine. These tests drive randomized
+//! patterns), communication statistics and execution counters — on the
+//! sequential and the rank-parallel engines. These tests drive randomized
 //! FORALL programs and the mesh / MD experiment templates through all
 //! (kernel mode × backend) combinations and compare every observable.
 
@@ -29,7 +29,6 @@ struct Observation {
     inspector_runs: usize,
     reuse_hits: usize,
     iteration_partitions: usize,
-    schedule_merges: usize,
 }
 
 fn observe<B: Backend>(exec: &Executor<B>, arrays: &[&str]) -> Observation {
@@ -62,7 +61,6 @@ fn observe<B: Backend>(exec: &Executor<B>, arrays: &[&str]) -> Observation {
         inspector_runs: report.inspector_runs,
         reuse_hits: report.reuse_hits,
         iteration_partitions: report.iteration_partitions,
-        schedule_merges: report.schedule_merges,
     }
 }
 
@@ -80,8 +78,9 @@ fn drive<B: Backend>(
     }
 }
 
-/// Assert that compiled and interpreted modes agree on both engines, and
-/// return the compiled-mode observation.
+/// Assert that compiled and interpreted modes agree on the sequential and
+/// threaded engines and the VM on the pooled one, and return the
+/// compiled-mode observation.
 fn assert_all_equivalent(
     src: &str,
     inputs: &ProgramInputs,
@@ -127,6 +126,14 @@ fn assert_all_equivalent(
         "tree-walker diverged across engines"
     );
 
+    let mut vm_pool = Executor::new_pooled(MachineConfig::ipsc860(nprocs), inputs.clone());
+    drive(&mut vm_pool, &cp, &label, extra_sweeps);
+    assert_eq!(
+        obs_vm,
+        observe(&vm_pool, arrays),
+        "VM diverged on the pooled engine"
+    );
+
     // Kernel caching mirrors schedule reuse: one compile per inspector run,
     // a cache hit for every other sweep.
     let report = vm_seq.report();
@@ -136,82 +143,6 @@ fn assert_all_equivalent(
         report.loop_sweeps - report.kernels_compiled
     );
     obs_vm
-}
-
-/// Assert that the fused sweep path (the default) and the split
-/// gather → compute → scatter path observe identically — values, clock
-/// bits, statistics — on all three engines, and return the fused
-/// sequential observation. Only epoch counts may differ: the fused path
-/// advances one epoch per sweep, the split path one per phase.
-fn assert_fusion_equivalent(
-    src: &str,
-    inputs: &ProgramInputs,
-    nprocs: usize,
-    arrays: &[&str],
-    extra_sweeps: usize,
-) -> Observation {
-    let cp = lower_program(parse_program(src).expect("parse")).expect("lower");
-    let label = cp
-        .program
-        .loop_labels()
-        .last()
-        .expect("program has a loop")
-        .to_string();
-
-    let mut fused_seq = Executor::new(MachineConfig::ipsc860(nprocs), inputs.clone());
-    drive(&mut fused_seq, &cp, &label, extra_sweeps);
-    let obs = observe(&fused_seq, arrays);
-
-    let mut split_seq =
-        Executor::new(MachineConfig::ipsc860(nprocs), inputs.clone()).with_phase_fusion(false);
-    drive(&mut split_seq, &cp, &label, extra_sweeps);
-    assert_eq!(
-        obs,
-        observe(&split_seq, arrays),
-        "fused vs split sweep diverged (sequential engine)"
-    );
-    assert!(
-        fused_seq.machine().epoch() <= split_seq.machine().epoch(),
-        "the fused sweep never advances more epochs than the split one"
-    );
-
-    let mut split_tree = Executor::new(MachineConfig::ipsc860(nprocs), inputs.clone())
-        .with_kernel_mode(KernelMode::Interpreted)
-        .with_phase_fusion(false);
-    drive(&mut split_tree, &cp, &label, extra_sweeps);
-    assert_eq!(
-        obs,
-        observe(&split_tree, arrays),
-        "split tree-walker diverged from the fused VM (sequential engine)"
-    );
-
-    let mut split_thr = Executor::new_threaded(MachineConfig::ipsc860(nprocs), inputs.clone())
-        .with_phase_fusion(false);
-    drive(&mut split_thr, &cp, &label, extra_sweeps);
-    assert_eq!(
-        obs,
-        observe(&split_thr, arrays),
-        "split sweep diverged on the threaded engine"
-    );
-
-    let mut fused_pool = Executor::new_pooled(MachineConfig::ipsc860(nprocs), inputs.clone());
-    drive(&mut fused_pool, &cp, &label, extra_sweeps);
-    assert_eq!(
-        obs,
-        observe(&fused_pool, arrays),
-        "fused sweep diverged on the pooled engine"
-    );
-
-    let mut split_pool = Executor::new_pooled(MachineConfig::ipsc860(nprocs), inputs.clone())
-        .with_phase_fusion(false);
-    drive(&mut split_pool, &cp, &label, extra_sweeps);
-    assert_eq!(
-        obs,
-        observe(&split_pool, arrays),
-        "split sweep diverged on the pooled engine"
-    );
-
-    obs
 }
 
 // ---------- randomized programs ----------
@@ -326,45 +257,6 @@ proptest! {
             .int("ib", ib);
         assert_all_equivalent(&src, &inputs, nprocs, &["x", "y", "z"], 2);
     }
-
-    /// Randomized loop bodies: the fused sweep (single gather→compute→scatter
-    /// epoch) matches the split-phase path on the sequential, threaded and
-    /// pooled engines, down to clock bits and CommStats.
-    #[test]
-    fn randomized_programs_agree_fused_vs_split(seed in 0u64..1_000_000) {
-        let mut rng = Rng(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(777));
-        let nnode = 16 + rng.below(24);
-        let nedge = 8 + rng.below(nnode - 8);
-        let nprocs = 1 << (1 + rng.below(2));
-        let body = gen_body(&mut rng);
-        let src = format!(
-            r#"
-        REAL*8 x(nnode), y(nnode), z(nnode)
-        INTEGER ia(nedge), ib(nedge)
-        DECOMPOSITION rega(nnode), regb(nnode), regc(nedge)
-        DISTRIBUTE rega(BLOCK)
-        DISTRIBUTE regb(BLOCK)
-        DISTRIBUTE regc(BLOCK)
-        ALIGN x, y WITH rega
-        ALIGN z WITH regb
-        ALIGN ia, ib WITH regc
-        CALL READ_DATA(x, y, z, ia, ib)
-        FORALL i = 1, nedge
-{body}        END FORALL
-    "#
-        );
-        let ia: Vec<u32> = (0..nedge).map(|_| rng.below(nnode) as u32 + 1).collect();
-        let ib: Vec<u32> = (0..nedge).map(|_| rng.below(nnode) as u32 + 1).collect();
-        let inputs = ProgramInputs::new()
-            .scalar("nnode", nnode)
-            .scalar("nedge", nedge)
-            .real("x", (0..nnode).map(|i| (i as f64 * 0.43).sin() + 1.5).collect())
-            .real("y", (0..nnode).map(|i| (i as f64 * 0.31).cos()).collect())
-            .real("z", (0..nnode).map(|i| i as f64 * 0.07 - 0.9).collect())
-            .int("ia", ia)
-            .int("ib", ib);
-        assert_fusion_equivalent(&src, &inputs, nprocs, &["x", "y", "z"], 2);
-    }
 }
 
 // ---------- the paper's experiment templates ----------
@@ -392,29 +284,4 @@ fn md_example_program_agrees_across_modes_and_engines() {
     let obs = assert_all_equivalent(&src, &inputs, 4, &["x", "y"], 3);
     assert!(obs.messages > 0, "pair loop communicates");
     assert_eq!(obs.loop_sweeps, 4);
-}
-
-/// The mesh experiment through the fused sweep: one epoch per sweep instead
-/// of one per phase, with every observable bit-identical to the split path
-/// on all three engines.
-#[test]
-fn mesh_example_program_agrees_fused_vs_split() {
-    let w = mesh_workload(MeshConfig::tiny(400));
-    let src = program_text(Method::Rsb);
-    let inputs = program_inputs(&w);
-    let obs = assert_fusion_equivalent(&src, &inputs, 8, &["x", "y"], 3);
-    assert!(obs.messages > 0, "irregular mesh loop communicates");
-
-    // The mesh loop gathers and scatters, so fusing must save epochs.
-    let cp = lower_program(parse_program(&src).expect("parse")).expect("lower");
-    let label = cp.program.loop_labels().last().unwrap().to_string();
-    let mut fused = Executor::new(MachineConfig::ipsc860(8), inputs.clone());
-    drive(&mut fused, &cp, &label, 3);
-    let mut split =
-        Executor::new(MachineConfig::ipsc860(8), inputs.clone()).with_phase_fusion(false);
-    drive(&mut split, &cp, &label, 3);
-    assert!(
-        fused.machine().epoch() < split.machine().epoch(),
-        "a communicating loop fuses several phases into one epoch"
-    );
 }

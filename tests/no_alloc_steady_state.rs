@@ -11,26 +11,68 @@
 use chaos_repro::prelude::*;
 use chaos_repro::runtime::{gather_into, scatter_op, Inspector, LocalRef};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Global allocator wrapper counting every allocation (and reallocation).
+/// Global allocator wrapper counting every allocation (and reallocation)
+/// made on a thread that is inside a test body (see [`serialised`]).
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Held by every test for the whole of its body: the counter is
+/// process-global and libtest runs the tests on parallel threads.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Set while this thread is inside a test body. libtest's own threads
+    /// allocate whenever a test finishes or starts (reporting the result,
+    /// spawning the next test), which can fall into the next test's
+    /// measured window; those allocations are not the sweep's.
+    static IN_TEST_BODY: Cell<bool> = const { Cell::new(false) };
+}
+
+struct Serialised {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Serialised {
+    fn drop(&mut self) {
+        IN_TEST_BODY.with(|c| c.set(false));
+    }
+}
+
+/// Take the file-wide lock and start counting this thread's allocations;
+/// both end when the returned guard drops. A test that failed while holding
+/// the lock must not fail the others, so poisoning is ignored (the lock
+/// guards no data).
+fn serialised() -> Serialised {
+    let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    IN_TEST_BODY.with(|c| c.set(true));
+    Serialised { _lock }
+}
+
+#[inline]
+fn count() {
+    if IN_TEST_BODY.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -44,6 +86,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_executor_iteration_is_allocation_free() {
+    let _serial = serialised();
     let nprocs = 8;
     let n = 4096usize;
     // A deterministic irregular distribution and access pattern (no RNG so
@@ -133,7 +176,7 @@ fn steady_state_executor_iteration_is_allocation_free() {
     assert!(machine.elapsed().max_seconds() > 0.0);
 }
 
-/// The fused sweep path must be just as allocation-free as the split one:
+/// The fused sweep must be just as allocation-free as the engine phases:
 /// `gather_inline` + `Backend::run_sweep` drive the same pack / compute /
 /// combine kernels through driver-side contexts and a stack-local
 /// `PhaseCharge`, so a steady-state fused sweep — one epoch for the whole
@@ -141,7 +184,8 @@ fn steady_state_executor_iteration_is_allocation_free() {
 /// per-rank sweep areas exist.
 #[test]
 fn steady_state_fused_sweep_is_allocation_free() {
-    use chaos_repro::runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel};
+    let _serial = serialised();
+    use chaos_repro::runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel, Landing};
 
     struct RankArea {
         ghosts: Vec<f64>,
@@ -182,6 +226,7 @@ fn steady_state_fused_sweep_is_allocation_free() {
             machine,
             &inspect.schedule,
             &x,
+            Landing::Slots,
             areas.iter_mut().map(|a| &mut a.ghosts),
         );
         machine.run_sweep(
@@ -254,8 +299,9 @@ fn steady_state_fused_sweep_is_allocation_free() {
 /// recording is allocation-free too (the rings wrap; they never grow).
 #[test]
 fn steady_state_sweep_is_allocation_free_with_tracing_disabled_and_enabled() {
+    let _serial = serialised();
     use chaos_repro::dmsim::TraceSink;
-    use chaos_repro::runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel};
+    use chaos_repro::runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel, Landing};
     use std::sync::Arc;
 
     struct RankArea {
@@ -294,6 +340,7 @@ fn steady_state_sweep_is_allocation_free_with_tracing_disabled_and_enabled() {
             machine,
             &inspect.schedule,
             &x,
+            Landing::Slots,
             areas.iter_mut().map(|a| &mut a.ghosts),
         );
         machine.run_sweep(
@@ -383,8 +430,9 @@ fn steady_state_sweep_is_allocation_free_with_tracing_disabled_and_enabled() {
 /// histograms never grow).
 #[test]
 fn steady_state_sweep_is_allocation_free_with_metrics_disabled_and_enabled() {
+    let _serial = serialised();
     use chaos_repro::dmsim::{Counter, MetricsRegistry};
-    use chaos_repro::runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel};
+    use chaos_repro::runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel, Landing};
     use std::sync::Arc;
 
     struct RankArea {
@@ -423,6 +471,7 @@ fn steady_state_sweep_is_allocation_free_with_metrics_disabled_and_enabled() {
             machine,
             &inspect.schedule,
             &x,
+            Landing::Slots,
             areas.iter_mut().map(|a| &mut a.ghosts),
         );
         machine.run_sweep(
@@ -511,7 +560,8 @@ fn steady_state_sweep_is_allocation_free_with_metrics_disabled_and_enabled() {
 /// buffers, zero allocations.
 #[test]
 fn steady_state_incremental_region_gather_is_allocation_free() {
-    use chaos_repro::runtime::{gather_inline_offset, Dad, Inspector, ReuseRegistry};
+    let _serial = serialised();
+    use chaos_repro::runtime::{gather_inline, Dad, Inspector, Landing, ReuseRegistry};
 
     let nprocs = 8;
     let n = 4096usize;
@@ -556,8 +606,15 @@ fn steady_state_incremental_region_gather_is_allocation_free() {
     machine.set_phase_kind(Some(PhaseKind::Executor));
     let mut acc = vec![0.0f64; nprocs];
     let sweep = |machine: &mut Machine, rows: &mut Vec<Vec<f64>>, acc: &mut Vec<f64>| {
-        gather_inline_offset(machine, &rb1.diff, &x, &rb1.base, rows.iter_mut());
-        gather_inline_offset(machine, &rb2.diff, &x, &rb2.base, rows.iter_mut());
+        for rb in [&rb1, &rb2] {
+            gather_inline(
+                machine,
+                &rb.diff,
+                &x,
+                Landing::Offset(&rb.base),
+                rows.iter_mut(),
+            );
+        }
         // Read every ghost of both loops through its slot map — the region
         // rows serve both loops' reads without a second fetch.
         for p in 0..nprocs {
@@ -607,6 +664,7 @@ fn steady_state_incremental_region_gather_is_allocation_free() {
 /// steady-state heap profile.
 #[test]
 fn checkpoint_and_rollback_of_a_steady_epoch_are_allocation_free() {
+    let _serial = serialised();
     use chaos_repro::dmsim::MachineSnapshot;
     use chaos_repro::runtime::charge_checkpoint;
 
