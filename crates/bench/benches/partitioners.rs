@@ -1,16 +1,12 @@
 //! Micro-benchmark of the partitioner library (Table 2's partitioner row):
 //! BLOCK vs RCB vs inertial vs RSB on the same mesh, measuring both runtime
-//! and (via the printed quality) edge cut — plus the rank-parallel scan
-//! comparison (`partitioner_scans`): the same RSB/RCB run driver-side vs
-//! through the `PooledBackend`'s `RankScans` executor (the BENCH_5 fixture).
+//! and (via the printed quality) edge cut.
 
 use chaos_bench::workload::mesh_workload;
-use chaos_dmsim::{MachineConfig, PooledBackend};
 use chaos_geocol::{
     BlockPartitioner, GeoColBuilder, InertialPartitioner, KlRefinedPartitioner, PartitionQuality,
     Partitioner, RcbPartitioner, RsbPartitioner,
 };
-use chaos_runtime::MapperCoupler;
 use chaos_workloads::MeshConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -64,30 +60,5 @@ fn bench_partitioners(c: &mut Criterion) {
     group.finish();
 }
 
-/// Rank-parallel partitioner scans: the pure driver-side `partition()`
-/// against the same partitioner driven through the mapper coupler over a
-/// persistent worker pool (`RankScans` scans rank-parallel, partitionings
-/// byte-identical by construction). Shares the BENCH_5 fixture
-/// (`workload::partitioner_scan_geocol`) at a criterion-friendly size.
-fn bench_partitioner_scans(c: &mut Criterion) {
-    let geocol = chaos_bench::workload::partitioner_scan_geocol(12_000);
-    let nprocs = 4;
-    let rsb = chaos_bench::workload::partitioner_scan_rsb();
-    let cases: [(&str, &dyn Partitioner); 2] = [("rsb", &rsb), ("rcb", &RcbPartitioner)];
-
-    let mut group = c.benchmark_group("partitioner_scans");
-    group.sample_size(10);
-    for (name, p) in cases {
-        group.bench_with_input(BenchmarkId::new("serial", name), &name, |b, _| {
-            b.iter(|| p.partition(&geocol, nprocs))
-        });
-        let mut pool = PooledBackend::from_config(MachineConfig::ipsc860(nprocs));
-        group.bench_with_input(BenchmarkId::new("pooled", name), &name, |b, _| {
-            b.iter(|| MapperCoupler.partition(&mut pool, p, &geocol))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_partitioners, bench_partitioner_scans);
+criterion_group!(benches, bench_partitioners);
 criterion_main!(benches);

@@ -5,17 +5,18 @@
 //!
 //! `cargo run -p chaos-bench --bin all_tables --release -- --quick` gives a
 //! scaled-down run in a couple of minutes; omit `--quick` for paper-size
-//! workloads. `--json <dir>` is not supported here — run the individual
-//! table binaries with `--json` for machine-readable output.
+//! workloads. `--json` is rejected here — run the individual table binaries
+//! with `--json` for machine-readable output.
 
-use chaos_bench::cli::Options;
+use chaos_bench::cli::{exit_on_stop, Options};
 use chaos_bench::experiment::Method;
 use chaos_bench::handcoded::verify_against_sequential;
 use chaos_bench::workload::WorkloadKind;
 use std::process::Command;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts =
+        exit_on_stop(Options::parse(std::env::args().skip(1)).and_then(Options::without_json));
 
     // Correctness cross-check first (cheap, scaled-down workloads).
     println!("== Correctness cross-check (parallel executor vs sequential sweep) ==");

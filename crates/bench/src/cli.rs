@@ -1,15 +1,73 @@
-//! Tiny command-line option handling shared by the table binaries.
+//! Tiny command-line option handling shared by the bench binaries.
 //!
-//! Every binary accepts:
+//! Every table binary accepts:
 //!
 //! * `--quick`          — scale the workloads down 8× and run 20 executor
 //!   iterations instead of 100 (useful for smoke tests; the table *shapes*
 //!   are preserved),
 //! * `--scale <N>`      — explicit workload scale divisor,
 //! * `--iters <N>`      — explicit executor iteration count,
-//! * `--json <path>`    — also write the results as JSON.
+//! * `--json <path>`    — also write the results as JSON (`table1` ..
+//!   `table4` only; `all_tables` rejects it),
+//! * `--help`           — print the usage line and exit 0.
+//!
+//! Anything else is rejected with a message on stderr and exit code 2;
+//! `perf_check` takes no arguments at all ([`no_arguments`]).
 
 use crate::workload::WorkloadKind;
+
+/// The usage line of the table binaries.
+pub const TABLE_USAGE: &str =
+    "usage: [--quick] [--scale N] [--iters N] [--json PATH]  (--json: table1..table4 only)";
+
+/// Why argument parsing produced no options.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Stop {
+    /// `--help` / `-h`: print this usage line to stdout, exit 0.
+    Help(&'static str),
+    /// A bad argument: print this message to stderr, exit 2.
+    Bad(String),
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Self {
+        Stop::Bad(msg)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(msg: &str) -> Self {
+        Stop::Bad(msg.to_string())
+    }
+}
+
+/// Unwrap a parse result, or print the [`Stop`] and exit the process.
+pub fn exit_on_stop<T>(parsed: Result<T, Stop>) -> T {
+    match parsed {
+        Ok(value) => value,
+        Err(Stop::Help(usage)) => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Err(Stop::Bad(msg)) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The argument check of a binary that takes none (`perf_check`): `--help`
+/// prints `usage`, anything else is an unknown option.
+pub fn no_arguments<I: IntoIterator<Item = String>>(
+    args: I,
+    usage: &'static str,
+) -> Result<(), Stop> {
+    match args.into_iter().next().as_deref() {
+        None => Ok(()),
+        Some("--help" | "-h") => Err(Stop::Help(usage)),
+        Some(other) => Err(format!("unknown option '{other}'").into()),
+    }
+}
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +92,7 @@ impl Default for Options {
 
 impl Options {
     /// Parse options from an argument iterator (excluding the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String> {
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Stop> {
         let mut opts = Options::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -54,27 +112,28 @@ impl Options {
                 "--json" => {
                     opts.json = Some(it.next().ok_or("--json requires a path")?);
                 }
-                "--help" | "-h" => {
-                    return Err("usage: [--quick] [--scale N] [--iters N] [--json PATH]".to_string())
-                }
-                other => return Err(format!("unknown option '{other}'")),
+                "--help" | "-h" => return Err(Stop::Help(TABLE_USAGE)),
+                other => return Err(format!("unknown option '{other}'").into()),
             }
         }
         if opts.scale == 0 || opts.iterations == 0 {
-            return Err("--scale and --iters must be positive".to_string());
+            return Err("--scale and --iters must be positive".into());
         }
         Ok(opts)
     }
 
-    /// Parse from the process arguments, exiting with a message on error.
-    pub fn from_env() -> Options {
-        match Options::parse(std::env::args().skip(1)) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
+    /// Reject `--json` like any unknown option — for `all_tables`, which
+    /// delegates to the table binaries and writes no record of its own.
+    pub fn without_json(self) -> Result<Options, Stop> {
+        match self.json {
+            Some(_) => Err("unknown option '--json'".into()),
+            None => Ok(self),
         }
+    }
+
+    /// Parse from the process arguments, exiting per [`exit_on_stop`].
+    pub fn from_env() -> Options {
+        exit_on_stop(Options::parse(std::env::args().skip(1)))
     }
 }
 
@@ -92,7 +151,7 @@ pub fn standard_grid() -> Vec<(WorkloadKind, Vec<usize>)> {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Options, String> {
+    fn parse(args: &[&str]) -> Result<Options, Stop> {
         Options::parse(args.iter().map(|s| s.to_string()))
     }
 
@@ -125,6 +184,33 @@ mod tests {
         assert!(parse(&["--scale", "x"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--scale", "0"]).is_err());
+    }
+
+    #[test]
+    fn help_is_not_an_error() {
+        assert_eq!(parse(&["--help"]), Err(Stop::Help(TABLE_USAGE)));
+        assert_eq!(parse(&["--quick", "-h"]), Err(Stop::Help(TABLE_USAGE)));
+    }
+
+    #[test]
+    fn all_tables_rejects_json() {
+        let parsed = parse(&["--quick", "--json", "out.json"]).and_then(Options::without_json);
+        assert_eq!(
+            parsed,
+            Err(Stop::Bad("unknown option '--json'".to_string()))
+        );
+        assert!(parse(&["--quick"]).and_then(Options::without_json).is_ok());
+    }
+
+    #[test]
+    fn a_binary_without_arguments_rejects_any() {
+        let check = |args: &[&str]| no_arguments(args.iter().map(|s| s.to_string()), "usage: x");
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(check(&["--help"]), Err(Stop::Help("usage: x")));
+        assert_eq!(
+            check(&["BENCH_1.json"]),
+            Err(Stop::Bad("unknown option 'BENCH_1.json'".to_string()))
+        );
     }
 
     #[test]

@@ -8,9 +8,7 @@
 
 use crate::experiment::{ExperimentConfig, Method, PhaseTimes};
 use crate::workload::PairLoopWorkload;
-use chaos_dmsim::{
-    Backend, ElapsedReport, Machine, MachineConfig, PhaseKind, PooledBackend, ThreadedBackend,
-};
+use chaos_dmsim::{Backend, ElapsedReport, Machine, MachineConfig, PhaseKind, PooledBackend};
 use chaos_geocol::partitioner_by_name;
 use chaos_runtime::iterpart::partition_iterations;
 use chaos_runtime::{
@@ -48,18 +46,9 @@ pub fn run_handcoded(workload: &PairLoopWorkload, cfg: &ExperimentConfig) -> Pha
     run_handcoded_on(&mut machine, workload, cfg)
 }
 
-/// Run the hand-coded experiment with every virtual processor on its own OS
-/// thread. Modeled times, statistics and results are byte-identical to
-/// [`run_handcoded`]; only the wall clock changes.
-pub fn run_handcoded_threaded(workload: &PairLoopWorkload, cfg: &ExperimentConfig) -> PhaseTimes {
-    let mut backend = ThreadedBackend::from_config(MachineConfig::ipsc860(cfg.nprocs));
-    run_handcoded_on(&mut backend, workload, cfg)
-}
-
 /// Run the hand-coded experiment on the persistent worker-pool engine.
 /// Modeled times, statistics and results are byte-identical to
-/// [`run_handcoded`]; only the wall clock changes (no per-phase thread
-/// spawn).
+/// [`run_handcoded`]; only the wall clock changes.
 pub fn run_handcoded_pooled(workload: &PairLoopWorkload, cfg: &ExperimentConfig) -> PhaseTimes {
     let mut backend = PooledBackend::from_config(MachineConfig::ipsc860(cfg.nprocs));
     run_handcoded_on(&mut backend, workload, cfg)
@@ -219,8 +208,8 @@ pub fn run_handcoded_on<B: Backend>(
 /// Buffers reused by every executor sweep, so the steady-state loop
 /// (gather → kernel → scatter-add with a reused schedule) performs no heap
 /// allocation after the first sweep on the sequential engine. All three
-/// buffer sets are per-rank, so the sweep's compute kernel can run one rank
-/// per thread.
+/// buffer sets are per-rank, so the sweep's compute kernel can run
+/// rank-parallel.
 struct SweepBuffers {
     ghosts: Vec<Vec<f64>>,
     contributions: Vec<Vec<f64>>,
@@ -252,7 +241,7 @@ impl SweepBuffers {
 /// The pair kernel between the two communication phases is a rank-local
 /// compute kernel: rank `q` reads its own iterations, its own `x` shard and
 /// its own ghost buffer, and writes its own `y` shard / contribution
-/// buffer — so on a threaded backend the whole sweep (communication *and*
+/// buffer — so on the pooled backend the whole sweep (communication *and*
 /// computation) runs rank-parallel.
 fn execute_sweep<B: Backend>(
     backend: &mut B,
@@ -421,23 +410,23 @@ mod tests {
     #[test]
     fn threaded_experiment_is_bit_identical_to_sequential() {
         // The full experiment (partition → remap → inspector → 5 sweeps) on
-        // both engines: every modeled quantity must agree exactly, for both
-        // paper workloads.
+        // both engines (the pool at its default lane count): every modeled
+        // quantity must agree exactly, for both paper workloads.
         for w in [
             mesh_workload(MeshConfig::tiny(800)),
             md_workload(MdConfig::tiny(27)),
         ] {
             let cfg = ExperimentConfig::paper(8, Method::Rcb).with_iterations(5);
             let seq = run_handcoded(&w, &cfg);
-            let thr = run_handcoded_threaded(&w, &cfg);
-            assert_eq!(seq.total.to_bits(), thr.total.to_bits(), "{}", w.name);
-            assert_eq!(seq.executor.to_bits(), thr.executor.to_bits());
-            assert_eq!(seq.inspector.to_bits(), thr.inspector.to_bits());
-            assert_eq!(seq.partitioner.to_bits(), thr.partitioner.to_bits());
-            assert_eq!(seq.remap.to_bits(), thr.remap.to_bits());
-            assert_eq!(seq.messages, thr.messages);
-            assert_eq!(seq.bytes, thr.bytes);
-            assert_eq!(seq.local_fraction.to_bits(), thr.local_fraction.to_bits());
+            let pool = run_handcoded_pooled(&w, &cfg);
+            assert_eq!(seq.total.to_bits(), pool.total.to_bits(), "{}", w.name);
+            assert_eq!(seq.executor.to_bits(), pool.executor.to_bits());
+            assert_eq!(seq.inspector.to_bits(), pool.inspector.to_bits());
+            assert_eq!(seq.partitioner.to_bits(), pool.partitioner.to_bits());
+            assert_eq!(seq.remap.to_bits(), pool.remap.to_bits());
+            assert_eq!(seq.messages, pool.messages);
+            assert_eq!(seq.bytes, pool.bytes);
+            assert_eq!(seq.local_fraction.to_bits(), pool.local_fraction.to_bits());
         }
     }
 

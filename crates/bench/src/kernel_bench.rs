@@ -1,8 +1,7 @@
-//! Shared fixture for the kernel-compilation measurements: one
-//! deterministic irregular edge-loop program executed through `chaos-lang`
-//! in both kernel modes, used by the `kernel_compile` criterion bench and
-//! `perf_check`'s `BENCH_3.json` rows so the two can never measure
-//! different things.
+//! Shared program fixtures: one deterministic irregular edge-loop program
+//! executed through `chaos-lang`, swept by `perf_check`'s four gates and by
+//! the end-to-end benchmark (`benchmark/`), plus the two-FORALL program of
+//! its `mesh40k_2loop` workload.
 
 use chaos_dmsim::MachineConfig;
 use chaos_lang::{
@@ -10,8 +9,7 @@ use chaos_lang::{
 };
 
 /// The paper's edge loop (loop L2): two reductions through two indirection
-/// arrays with the edge-flux intrinsic — the body `perf_check` and the
-/// criterion bench sweep.
+/// arrays with the edge-flux intrinsic — the body `perf_check` sweeps.
 pub const EDGE_PROGRAM: &str = r#"
     REAL*8 x(nnode), y(nnode)
     INTEGER end_pt1(nedge), end_pt2(nedge)

@@ -16,21 +16,22 @@
 //!   `chaos-lang`),
 //! * [`tables`] — plain-text table formatting shared by the `table1` ..
 //!   `table4` and `all_tables` binaries,
-//! * [`spmd_bench`] — the shared thread-scaling fixture timed by both the
-//!   `thread_scaling` criterion bench and `perf_check`'s `BENCH_2.json`.
+//! * [`kernel_bench`] — the edge-loop program fixture `perf_check` and the
+//!   end-to-end benchmark (`benchmark/`) run.
 //!
-//! Each binary prints one of the paper's tables; `all_tables` also writes a
-//! JSON record next to the text so the reported numbers are reproducible.
-//! The `perf_check` binary writes the `BENCH_*.json` gate artifacts —
-//! `ARCHITECTURE.md` § "Performance gates" tabulates what each one gates
-//! and at which core count its gate arms.
+//! Each `tableN` binary prints one of the paper's tables and, with
+//! `--json <path>`, also writes a JSON record so the reported numbers are
+//! reproducible; `all_tables` runs all four and takes no `--json`. The
+//! `perf_check` binary runs the four hardware-independent performance gates
+//! (it takes no arguments and writes no file) — `ARCHITECTURE.md` §
+//! "Performance gates" tabulates them. Whether a change made a program
+//! faster is answered by `benchmark/`, not here.
 
 pub mod cli;
 pub mod compilergen;
 pub mod experiment;
 pub mod handcoded;
 pub mod kernel_bench;
-pub mod spmd_bench;
 pub mod tables;
 pub mod workload;
 

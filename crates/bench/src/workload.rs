@@ -104,35 +104,6 @@ impl PairLoopWorkload {
     }
 }
 
-/// The shared partitioner-scan fixture: a full GeoCoL (geometry + load +
-/// connectivity) built from the synthetic mesh at `nnodes` points. Used by
-/// both `perf_check`'s BENCH_5 rows and the `partitioners` criterion
-/// bench's `partitioner_scans` group so the gate and the bench measure the
-/// same shape.
-pub fn partitioner_scan_geocol(nnodes: usize) -> chaos_geocol::GeoCoL {
-    let w = mesh_workload(MeshConfig::tiny(nnodes));
-    chaos_geocol::GeoColBuilder::new(w.nnodes)
-        .geometry(vec![
-            w.coords[0].clone(),
-            w.coords[1].clone(),
-            w.coords[2].clone(),
-        ])
-        .load(w.loads.clone())
-        .link(w.e1.clone(), w.e2.clone())
-        .build()
-        .expect("mesh workload yields a valid GeoCoL")
-}
-
-/// The reduced-iteration RSB configuration the partitioner-scan benches
-/// time (full 200-iteration convergence would only lengthen the runs
-/// without changing the serial-vs-pooled ratio).
-pub fn partitioner_scan_rsb() -> chaos_geocol::RsbPartitioner {
-    chaos_geocol::RsbPartitioner {
-        power_iterations: 30,
-        ..Default::default()
-    }
-}
-
 /// The MD pair kernel: a symmetric charge-product interaction (a stand-in
 /// for the electrostatic force magnitude; the endpoints receive equal and
 /// opposite contributions, as in the paper's loop L2).

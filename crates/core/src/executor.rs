@@ -15,7 +15,7 @@
 //! only its own rank's buffers (its ghost buffer for gather, its
 //! [`DistArray`] shard — via [`DistArray::par_shards_mut`] — for scatter).
 //! Handing the same kernels to the sequential [`Machine`] engine or to
-//! `chaos_dmsim::ThreadedBackend` produces byte-identical array contents
+//! `chaos_dmsim::PooledBackend` produces byte-identical array contents
 //! *and* byte-identical modeled clocks/statistics; only the wall-clock time
 //! changes.
 //!
@@ -540,22 +540,22 @@ mod tests {
 
     #[test]
     fn gather_and_scatter_agree_across_backends() {
-        use chaos_dmsim::ThreadedBackend;
+        use chaos_dmsim::PooledBackend;
         let (_, x, r) = setup();
         let mut seq = Machine::new(MachineConfig::unit(2));
-        let mut thr = ThreadedBackend::from_config(MachineConfig::unit(2));
+        let mut pool = PooledBackend::from_config_with_workers(MachineConfig::unit(2), 2);
         let ghosts_seq = gather(&mut seq, "L", &r.schedule, &x);
-        let ghosts_thr = gather(&mut thr, "L", &r.schedule, &x);
-        assert_eq!(ghosts_seq, ghosts_thr);
+        let ghosts_pool = gather(&mut pool, "L", &r.schedule, &x);
+        assert_eq!(ghosts_seq, ghosts_pool);
         let mut y_seq = x.clone();
-        let mut y_thr = x.clone();
+        let mut y_pool = x.clone();
         scatter_add(&mut seq, "L", &r.schedule, &mut y_seq, &ghosts_seq);
-        scatter_add(&mut thr, "L", &r.schedule, &mut y_thr, &ghosts_thr);
-        assert_eq!(y_seq.to_global(), y_thr.to_global());
-        assert_eq!(seq.elapsed(), thr.machine().elapsed());
+        scatter_add(&mut pool, "L", &r.schedule, &mut y_pool, &ghosts_pool);
+        assert_eq!(y_seq.to_global(), y_pool.to_global());
+        assert_eq!(seq.elapsed(), pool.machine().elapsed());
         assert_eq!(
             seq.stats().grand_totals(),
-            thr.machine().stats().grand_totals()
+            pool.machine().stats().grand_totals()
         );
     }
 

@@ -150,8 +150,8 @@ impl Inspector {
     /// owner-then-offset convention).
     ///
     /// Translation, dedup and reference rewriting are rank-local kernels
-    /// (each rank touches only its own scratch rows), so on a threaded
-    /// [`Backend`] they run one-per-thread; only the final CSR assembly and
+    /// (each rank touches only its own scratch rows), so on the pooled
+    /// [`Backend`] they run on the worker lanes; only the final CSR assembly and
     /// the schedule's request exchange remain on the driver.
     pub fn localize_with_scratch<B: Backend>(
         &self,

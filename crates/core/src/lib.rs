@@ -28,8 +28,8 @@
 //! The primitives execute behind [`chaos_dmsim::Backend`]: each is a driver
 //! handing rank-local kernels to an SPMD engine, so any call site can pass
 //! either `&mut Machine` (sequential, the deterministic oracle) or a
-//! `&mut ThreadedBackend` (one OS thread per virtual processor) and get
-//! byte-identical values, ghost buffers, clocks and statistics.
+//! `&mut PooledBackend` (ranks striped over long-lived worker threads) and
+//! get byte-identical values, ghost buffers, clocks and statistics.
 //!
 //! ## Module map
 //!
@@ -47,7 +47,6 @@
 //! | [`reuse`] | `nmod`, `last_mod`, per-loop inspector-reuse records |
 //! | [`coupler`] | CONSTRUCT / SET ... BY PARTITIONING / REDISTRIBUTE |
 //! | [`ckpt`] | modeled cost of epoch checkpoint/rollback (scan charges deducted from the lump estimate) |
-//! | [`naive`] | retained nested-`Vec` reference implementation (property-test oracle) |
 //!
 //! ## Hot-path layout
 //!
@@ -58,7 +57,8 @@
 //! [`executor::scatter_op`] iterate contiguous slices, charge transfers
 //! through [`chaos_dmsim::Machine::charge_p2p`] and perform **no heap
 //! allocation** with reused buffers. The original nested-`Vec` formulation
-//! survives in [`naive`] as the oracle the property tests compare against.
+//! survives as test support (`tests/naive`), the oracle
+//! `tests/proptest_invariants.rs` compares against.
 //! `ARCHITECTURE.md` § "The inspector → executor CSR data flow" draws the
 //! whole pipeline.
 
@@ -72,7 +72,6 @@ pub mod dist;
 pub mod executor;
 pub mod inspector;
 pub mod iterpart;
-pub mod naive;
 pub mod remap;
 pub mod reuse;
 pub mod schedule;
@@ -104,6 +103,6 @@ pub mod prelude {
     pub use crate::iterpart::{IterPartitionPolicy, IterationPartition};
     pub use crate::remap::remap;
     pub use crate::reuse::{LoopId, ReuseRegistry};
-    pub use chaos_dmsim::{Backend, Machine, MachineConfig, PooledBackend, ThreadedBackend};
+    pub use chaos_dmsim::{Backend, Machine, MachineConfig, PooledBackend};
     pub use chaos_geocol::{GeoColBuilder, Partitioner};
 }

@@ -14,8 +14,8 @@
 //! owner changes and charges the per-pair transfer volume from its side of
 //! the exchange; each new owner copies the elements it keeps straight
 //! across from its old segment and unpacks the movers from its inbox. On
-//! the threaded and pooled engines REDISTRIBUTE therefore scales with
-//! ranks, while the charge model — one memory word per element that stays,
+//! the pooled engine REDISTRIBUTE therefore scales with
+//! worker lanes, while the charge model — one memory word per element that stays,
 //! a pack/unpack word plus one point-to-point message per moving pair — is
 //! the same on every engine, replayed in ascending rank order.
 

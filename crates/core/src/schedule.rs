@@ -27,8 +27,8 @@
 //!
 //! The executor therefore iterates contiguous `&[u32]` slices with zero
 //! per-send pointer chasing. A naive nested-`Vec` reference implementation
-//! is retained in [`crate::naive`] and checked byte-for-byte equivalent by
-//! the property tests.
+//! is retained as test support (`tests/naive`) and checked byte-for-byte
+//! equivalent by `tests/proptest_invariants.rs`.
 
 use chaos_dmsim::{ExchangePlan, Machine};
 

@@ -155,7 +155,7 @@ impl TranslationTable {
     /// request/response message pair, which is the dominant inspector cost
     /// the paper measures. Each requesting rank counts its own requests per
     /// page (a rank-local kernel, so the counting pass parallelizes on the
-    /// threaded engine) — no per-index dispatch, no payload materialization
+    /// pooled engine) — no per-index dispatch, no payload materialization
     /// (the simulator answers from the shared table; only the transfer cost
     /// is modeled, identically to shipping the indices).
     fn charge_dereference<B: Backend>(&self, backend: &mut B, label: &str, requests: &[Vec<u32>]) {
@@ -244,7 +244,7 @@ impl TranslationTable {
     /// (`out[p]` is cleared and refilled, so repeated inspector runs reuse
     /// capacity instead of reallocating). Charges the machine identically to
     /// `dereference`; the per-rank answer fill is a rank-local kernel, so it
-    /// parallelizes on the threaded engine.
+    /// parallelizes on the pooled engine.
     pub fn dereference_packed<B: Backend>(
         &self,
         backend: &mut B,

@@ -1,5 +1,5 @@
 //! The SPMD execution engine behind the runtime: rank-local kernels, charge
-//! ledgers and payload mailboxes.
+//! recording and payload mailboxes.
 //!
 //! The CHAOS/PARTI runtime is an SPMD library — on a real machine every node
 //! runs the inspector/executor code concurrently. This module abstracts *how*
@@ -8,16 +8,14 @@
 //!
 //! * [`Machine`] itself — the deterministic sequential oracle: rank kernels
 //!   run one after another on the driver thread in ascending rank order;
-//! * [`ThreadedBackend`] — rank-parallel execution: every virtual processor
-//!   runs its kernel on its own OS thread (`std::thread::scope`);
 //! * [`PooledBackend`](crate::pool::PooledBackend) — rank-parallel execution
 //!   on a pool of **long-lived** workers driven by broadcast phase
-//!   descriptors and an epoch barrier, removing the per-phase thread-spawn
-//!   cost (see [`crate::pool`]).
+//!   descriptors and an epoch barrier (see [`crate::pool`]). A pool of
+//!   `nprocs` workers gives every rank its own OS thread, all live at once.
 //!
 //! # The determinism contract
 //!
-//! The threaded engine must be **byte-identical** to the sequential one —
+//! The pooled engine must be **byte-identical** to the sequential one —
 //! same array contents, same ghost buffers, same modeled clocks, same
 //! [`CommStats`](crate::stats::CommStats) — not merely "equivalent". That is
 //! achieved structurally rather than by tolerance:
@@ -27,28 +25,29 @@
 //!   same way regardless of scheduling.
 //! * **Costs** — kernels never touch the [`Machine`] directly. They charge
 //!   through a [`RankCtx`], which either applies charges immediately (the
-//!   sequential engine) or records them into a per-rank [ledger](RankLedger)
-//!   that is *replayed in ascending rank order* after the threads join (the
-//!   threaded engine). Both paths perform the exact same sequence of
-//!   floating-point additions on the exact same accumulators, so clocks and
-//!   per-phase statistics agree bit-for-bit.
+//!   sequential engine) or records them into a lane-local event log that is
+//!   *replayed in ascending rank order* after the barrier (the pooled
+//!   engine). Both paths perform the exact same sequence of floating-point
+//!   additions on the exact same accumulators, so clocks and per-phase
+//!   statistics agree bit-for-bit.
 //! * **Payloads** — when ranks must hand values to each other inside one
 //!   phase they post into per-rank [mailboxes](Outbox): rank `r` owns the
 //!   outgoing row `r` of a `P × P` matrix during the pack stage (no locks,
 //!   no contention) and reads column `r` through an [`Inbox`] in the unpack
-//!   stage, after a join barrier. Cell `(from, to)` is written by exactly
-//!   one rank and read by exactly one rank, in different stages.
+//!   stage, after a barrier. Cell `(from, to)` is written by exactly one
+//!   rank and read by exactly one rank, in different stages.
 //!
 //! The `tests/backend_equivalence.rs` property suite exercises this contract
-//! over randomized workloads, including with more ranks than hardware cores.
+//! over randomized workloads, for worker counts below, at and above the rank
+//! count.
 
-use crate::fault::{self, CaughtPanic, FaultPlan, PanicBundle, PhaseError};
+use crate::fault::{self, PhaseError};
 use crate::machine::{Machine, PhaseCharge, ProcId};
 use crate::metrics::{Counter, EngineKind, MetricsRegistry, SpanKind};
 use crate::stats::PhaseKind;
 use crate::trace::{TraceEventKind, TraceSink};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The label bucket every engine's fused executor sweep attributes its
@@ -85,21 +84,13 @@ pub(crate) enum ChargeEvent {
     P2p { from: u32, to: u32, words: usize },
 }
 
-/// Ordered charge log of one rank's kernel execution. Buffers are owned by
-/// the backend and reused across phases, so steady-state replay does not
-/// allocate once the ledgers have grown to the workload's size.
-#[derive(Debug, Default)]
-pub struct RankLedger {
-    events: Vec<ChargeEvent>,
-}
-
 enum Sink<'a> {
     /// Apply charges to the machine immediately (sequential engine).
     Direct {
         machine: &'a mut Machine,
         phase: Option<&'a mut PhaseCharge>,
     },
-    /// Record charges for later in-order replay (threaded / pooled engines).
+    /// Record charges for later in-order replay (the pooled engine).
     Record {
         events: &'a mut Vec<ChargeEvent>,
         in_phase: bool,
@@ -116,7 +107,7 @@ pub struct RankCtx<'a> {
 
 impl<'a> RankCtx<'a> {
     /// A context that applies charges to the machine immediately (the
-    /// sequential engines and driver-side pack stages).
+    /// sequential engine and driver-side pack stages).
     pub(crate) fn direct(
         rank: usize,
         nprocs: usize,
@@ -131,7 +122,7 @@ impl<'a> RankCtx<'a> {
     }
 
     /// A context that records charges into `events` for later in-rank-order
-    /// replay (the threaded and pooled engines).
+    /// replay (the pooled engine).
     pub(crate) fn recording(
         rank: usize,
         nprocs: usize,
@@ -261,9 +252,10 @@ impl<'a, T> Inbox<'a, T> {
 ///
 /// The runtime's primitives (gather / scatter / localize / dereference) are
 /// written as *drivers* that hand rank-local kernels to a backend; the
-/// backend decides whether the ranks run sequentially ([`Machine`]) or each
-/// on its own OS thread ([`ThreadedBackend`]), while guaranteeing identical
-/// results and identical modeled costs either way (see the module docs).
+/// backend decides whether the ranks run sequentially ([`Machine`]) or on
+/// worker threads ([`PooledBackend`](crate::pool::PooledBackend)), while
+/// guaranteeing identical results and identical modeled costs either way
+/// (see the module docs).
 ///
 /// Every `state` iterator must yield exactly one item per rank, in rank
 /// order; item `r` is handed to rank `r`'s kernel as its private mutable
@@ -325,7 +317,7 @@ pub trait Backend {
     ///    the rank's `scratch[r]` (in-place state, e.g. array shards) and
     ///    `posted[r]` (the rank's owned sweep area: the data other ranks
     ///    will read later). This is the only stage guarded by
-    ///    [`FaultPlan`] injection, so the fused
+    ///    [`FaultPlan`](crate::fault::FaultPlan) injection, so the fused
     ///    sweep's `(epoch, rank)` fault coordinates stay well-defined.
     /// 2. Per scatter buffer `j in 0..nscatter`, skipped entirely when
     ///    `scatter_active(posted, j)` is false (reading the *post-compute*
@@ -340,7 +332,7 @@ pub trait Backend {
     /// values, clock bits and [`CommStats`](crate::stats::CommStats) are
     /// byte-identical across engines and fusion settings; only the epoch
     /// count differs (one per fused sweep — the defined way the fused phase
-    /// advances fault coordinates). On panic, recording engines replay
+    /// advances fault coordinates). On panic, the pooled engine replays
     /// nothing, so a restored snapshot can re-run the sweep as if it never
     /// happened.
     #[allow(clippy::too_many_arguments)]
@@ -384,7 +376,7 @@ pub trait Backend {
     /// [`Backend::run_compute`] with detection: rank panics (organic or
     /// injected) are caught and returned as a typed [`PhaseError`] instead
     /// of unwinding, and a post-phase flaw (a pool straggler report) is
-    /// surfaced the same way. On `Err` the failed region's charge ledgers
+    /// surfaced the same way. On `Err` the failed region's recorded charges
     /// were never replayed, so a restored snapshot can rerun it as if it
     /// never happened.
     fn try_run_compute<St, I, F>(&mut self, state: I, kernel: F) -> Result<(), PhaseError>
@@ -512,12 +504,12 @@ pub(crate) fn metrics_span_begin(metrics: &Option<Arc<MetricsRegistry>>) -> Opti
 }
 
 /// Close a driver-side replay span opened with [`metrics_span_begin`]:
-/// record its duration into the `engine` × replay × `kind` histogram and
-/// bump the replay counter (no-op when metrics are off).
+/// record its duration into the pooled × replay × `kind` histogram (only
+/// the pool replays) and bump the replay counter (no-op when metrics are
+/// off).
 #[inline]
 pub(crate) fn metrics_replay_end(
     metrics: &Option<Arc<MetricsRegistry>>,
-    engine: EngineKind,
     kind: PhaseKind,
     t0: Option<Instant>,
 ) {
@@ -525,7 +517,7 @@ pub(crate) fn metrics_replay_end(
         m.incr(None, Counter::ReplayRuns, 1);
         m.record_span(
             None,
-            engine,
+            EngineKind::Pooled,
             SpanKind::Replay,
             kind,
             t0.elapsed().as_nanos() as u64,
@@ -560,7 +552,7 @@ pub(crate) fn trace_replay_end(trace: &Option<Arc<TraceSink>>, machine: &Machine
 }
 
 /// Replay recorded charge events against the machine, in the order they were
-/// recorded — the shared tail of the threaded and pooled engines' phases.
+/// recorded — the tail of every pooled-engine stage.
 pub(crate) fn replay_events(
     machine: &mut Machine,
     mut phase: Option<&mut PhaseCharge>,
@@ -694,7 +686,7 @@ pub fn run_phase_inline<St, I, A, B>(
 
 /// The sequential engine: rank kernels run on the driver thread in ascending
 /// rank order, charging the machine directly. This is the deterministic
-/// oracle the threaded engine is checked against.
+/// oracle the pooled engine is checked against.
 impl Backend for Machine {
     fn machine(&self) -> &Machine {
         self
@@ -909,437 +901,17 @@ impl Backend for Machine {
     }
 }
 
-/// The rank-parallel engine: every virtual processor runs its kernels on its
-/// own OS thread via [`std::thread::scope`], charging into per-rank ledgers
-/// that are replayed in ascending rank order afterwards — which makes the
-/// machine state (clocks, statistics) bit-identical to the sequential
-/// engine's (see the module docs for why).
-///
-/// The processor count may exceed the hardware core count; ranks then
-/// timeshare, still deterministically.
-#[derive(Debug)]
-pub struct ThreadedBackend {
-    machine: Machine,
-    ledgers: Vec<RankLedger>,
-    /// Degraded mode: run every region inline on the sequential oracle path
-    /// (see [`Backend::degrade`]).
-    inline: bool,
-}
-
-impl ThreadedBackend {
-    /// Wrap a machine in the threaded engine.
-    pub fn new(machine: Machine) -> Self {
-        let nprocs = machine.nprocs();
-        ThreadedBackend {
-            machine,
-            ledgers: (0..nprocs).map(|_| RankLedger::default()).collect(),
-            inline: false,
-        }
-    }
-
-    /// Build a threaded engine over a fresh machine with this configuration.
-    pub fn from_config(cfg: crate::config::MachineConfig) -> Self {
-        Self::new(Machine::new(cfg))
-    }
-
-    /// Unwrap the underlying machine.
-    pub fn into_machine(self) -> Machine {
-        self.machine
-    }
-
-    /// Fan one kernel out over all ranks, one scoped OS thread per rank,
-    /// recording each rank's charges into its ledger. Rank panics are caught
-    /// per thread and re-raised after the join as one [`PanicBundle`] naming
-    /// every failing rank — in which case no ledger is replayed, so the
-    /// machine is left untouched by the failed region.
-    ///
-    /// When tracing is on, each rank's thread brackets its kernel with a
-    /// `span` Begin/End pair on ring `rank` (the End is recorded even when
-    /// the kernel unwinds, keeping span nesting consistent) and faults are
-    /// fired through the traced path. When metrics are on, each rank
-    /// records one kernel/combine span and counter tick into shard `rank`
-    /// (the threaded engine's lane), keyed by `kind`.
-    #[allow(clippy::too_many_arguments)]
-    fn fan_out<St, F>(
-        nprocs: usize,
-        ledgers: &mut [RankLedger],
-        in_phase: bool,
-        plan: Option<&FaultPlan>,
-        epoch: u64,
-        trace: Option<&TraceSink>,
-        metrics: Option<&MetricsRegistry>,
-        kind: PhaseKind,
-        span: TraceEventKind,
-        states: Vec<St>,
-        kernel: &F,
-    ) where
-        St: Send,
-        F: Fn(&mut RankCtx<'_>, St) + Sync,
-    {
-        assert_eq!(states.len(), nprocs, "state must yield one item per rank");
-        let caught: Mutex<Vec<CaughtPanic>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (rank, (ledger, st)) in ledgers.iter_mut().zip(states).enumerate() {
-                let caught = &caught;
-                scope.spawn(move || {
-                    ledger.events.clear();
-                    if let Some(t) = trace {
-                        t.record(rank, span, rank as u32);
-                    }
-                    let mt0 = metrics.map(|_| Instant::now());
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        fault::fire_traced(plan, epoch, rank, trace, metrics, Some(rank));
-                        let mut ctx =
-                            RankCtx::recording(rank, nprocs, &mut ledger.events, in_phase);
-                        kernel(&mut ctx, st);
-                    }));
-                    if let Some(t) = trace {
-                        let end = span.span_partner().unwrap_or(span);
-                        t.record(rank, end, rank as u32);
-                    }
-                    if let (Some(m), Some(t0)) = (metrics, mt0) {
-                        let (sk, counter) = if span == TraceEventKind::CombineEnter {
-                            (SpanKind::Combine, Counter::CombineRuns)
-                        } else {
-                            (SpanKind::Kernel, Counter::KernelRuns)
-                        };
-                        m.incr(Some(rank), counter, 1);
-                        m.record_span(
-                            Some(rank),
-                            EngineKind::Threaded,
-                            sk,
-                            kind,
-                            t0.elapsed().as_nanos() as u64,
-                        );
-                    }
-                    if let Err(payload) = result {
-                        caught.lock().unwrap().push(CaughtPanic {
-                            epoch,
-                            rank: Some(rank),
-                            lane: Some(rank),
-                            payload,
-                        });
-                    }
-                });
-            }
-        });
-        let mut panics = caught.into_inner().unwrap();
-        if !panics.is_empty() {
-            panics.sort_by_key(|p| p.rank);
-            resume_unwind(Box::new(PanicBundle { panics }));
-        }
-    }
-
-    /// Replay the ledgers against the machine in ascending rank order —
-    /// the exact charge sequence the sequential engine would have produced.
-    fn replay(machine: &mut Machine, mut phase: Option<&mut PhaseCharge>, ledgers: &[RankLedger]) {
-        for ledger in ledgers {
-            replay_events(machine, phase.as_deref_mut(), &ledger.events);
-        }
-    }
-}
-
-impl Backend for ThreadedBackend {
-    fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    fn run_compute<St, I, F>(&mut self, state: I, kernel: F)
-    where
-        St: Send,
-        I: IntoIterator<Item = St>,
-        F: Fn(&mut RankCtx<'_>, St) + Sync,
-    {
-        if self.inline {
-            return self.machine.run_compute(state, kernel);
-        }
-        let epoch = self.machine.advance_epoch();
-        let nprocs = self.machine.nprocs();
-        let plan = self.machine.fault_plan().cloned();
-        let trace = self.machine.tracer().cloned();
-        let metrics = self.machine.metrics().cloned();
-        let kind = metrics_phase_kind(&self.machine);
-        let states: Vec<St> = state.into_iter().collect();
-        Self::fan_out(
-            nprocs,
-            &mut self.ledgers,
-            false,
-            plan.as_deref(),
-            epoch,
-            trace.as_deref(),
-            metrics.as_deref(),
-            kind,
-            TraceEventKind::KernelEnter,
-            states,
-            &kernel,
-        );
-        let mt0 = metrics_span_begin(&metrics);
-        trace_replay_begin(&trace);
-        Self::replay(&mut self.machine, None, &self.ledgers);
-        trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, EngineKind::Threaded, kind, mt0);
-    }
-
-    fn run_phase<St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
-    where
-        St: Send,
-        I: IntoIterator<Item = St>,
-        A: Fn(&mut RankCtx<'_>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St) + Sync,
-    {
-        if self.inline {
-            return self.machine.run_phase(end, pack, state, unpack);
-        }
-        let epoch = self.machine.advance_epoch();
-        let nprocs = self.machine.nprocs();
-        let plan = self.machine.fault_plan().cloned();
-        let trace = self.machine.tracer().cloned();
-        let metrics = self.machine.metrics().cloned();
-        let kind = metrics_phase_kind(&self.machine);
-        // The pack stage only charges (it moves no data), so fanning it out
-        // would parallelize nothing: run it on the driver thread, applying
-        // charges directly — by construction the same sequence a record +
-        // replay would produce.
-        let mut phase = PhaseCharge::new();
-        for rank in 0..nprocs {
-            fault::fire_traced(
-                plan.as_deref(),
-                epoch,
-                rank,
-                trace.as_deref(),
-                metrics.as_deref(),
-                None,
-            );
-            let mut ctx = RankCtx {
-                rank,
-                nprocs,
-                sink: Sink::Direct {
-                    machine: &mut self.machine,
-                    phase: Some(&mut phase),
-                },
-            };
-            pack(&mut ctx);
-        }
-        close_phase(&mut self.machine, end, phase);
-        // The unpack stage does the real data movement: fan out.
-        let states: Vec<St> = state.into_iter().collect();
-        Self::fan_out(
-            nprocs,
-            &mut self.ledgers,
-            false,
-            plan.as_deref(),
-            epoch,
-            trace.as_deref(),
-            metrics.as_deref(),
-            kind,
-            TraceEventKind::KernelEnter,
-            states,
-            &unpack,
-        );
-        let mt0 = metrics_span_begin(&metrics);
-        trace_replay_begin(&trace);
-        Self::replay(&mut self.machine, None, &self.ledgers);
-        trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, EngineKind::Threaded, kind, mt0);
-    }
-
-    fn run_exchange<T, St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
-    where
-        T: Send + Sync,
-        St: Send,
-        I: IntoIterator<Item = St>,
-        A: Fn(&mut RankCtx<'_>, &mut Outbox<'_, T>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St, &Inbox<'_, T>) + Sync,
-    {
-        if self.inline {
-            return self.machine.run_exchange(end, pack, state, unpack);
-        }
-        let epoch = self.machine.advance_epoch();
-        let nprocs = self.machine.nprocs();
-        let plan = self.machine.fault_plan().cloned();
-        let trace = self.machine.tracer().cloned();
-        let metrics = self.machine.metrics().cloned();
-        let kind = metrics_phase_kind(&self.machine);
-        let mut matrix: Vec<Vec<Vec<T>>> = (0..nprocs)
-            .map(|_| (0..nprocs).map(|_| Vec::new()).collect())
-            .collect();
-        // Pack in parallel: rank r owns row r of the mailbox matrix.
-        let rows: Vec<&mut Vec<Vec<T>>> = matrix.iter_mut().collect();
-        Self::fan_out(
-            nprocs,
-            &mut self.ledgers,
-            true,
-            plan.as_deref(),
-            epoch,
-            trace.as_deref(),
-            metrics.as_deref(),
-            kind,
-            TraceEventKind::KernelEnter,
-            rows,
-            &|ctx: &mut RankCtx<'_>, row: &mut Vec<Vec<T>>| pack(ctx, &mut Outbox { row }),
-        );
-        let mut phase = PhaseCharge::new();
-        let mt0 = metrics_span_begin(&metrics);
-        trace_replay_begin(&trace);
-        Self::replay(&mut self.machine, Some(&mut phase), &self.ledgers);
-        trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, EngineKind::Threaded, kind, mt0);
-        close_phase(&mut self.machine, end, phase);
-        // Unpack in parallel: rank r reads column r.
-        let states: Vec<St> = state.into_iter().collect();
-        let matrix = &matrix;
-        Self::fan_out(
-            nprocs,
-            &mut self.ledgers,
-            false,
-            plan.as_deref(),
-            epoch,
-            trace.as_deref(),
-            metrics.as_deref(),
-            kind,
-            TraceEventKind::KernelEnter,
-            states.into_iter().enumerate().collect(),
-            &|ctx: &mut RankCtx<'_>, (rank, st): (usize, St)| {
-                unpack(ctx, st, &Inbox { matrix, me: rank })
-            },
-        );
-        let mt0 = metrics_span_begin(&metrics);
-        trace_replay_begin(&trace);
-        Self::replay(&mut self.machine, None, &self.ledgers);
-        trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, EngineKind::Threaded, kind, mt0);
-    }
-
-    fn run_sweep<Sc, Px, C, A, P, S>(
-        &mut self,
-        scratch: &mut [Sc],
-        posted: &mut [Px],
-        compute: C,
-        nscatter: usize,
-        scatter_active: A,
-        scatter_pack: P,
-        combine: S,
-    ) where
-        Sc: Send,
-        Px: Send + Sync,
-        C: Fn(&mut RankCtx<'_>, &mut Sc, &mut Px) + Sync,
-        A: Fn(&[Px], usize) -> bool + Sync,
-        P: Fn(&mut RankCtx<'_>, usize),
-        S: Fn(&mut RankCtx<'_>, usize, &mut Sc, &[Px]) + Sync,
-    {
-        if self.inline {
-            return self.machine.run_sweep(
-                scratch,
-                posted,
-                compute,
-                nscatter,
-                scatter_active,
-                scatter_pack,
-                combine,
-            );
-        }
-        let epoch = self.machine.advance_epoch();
-        let nprocs = self.machine.nprocs();
-        assert_eq!(scratch.len(), nprocs, "one scratch item per rank");
-        assert_eq!(posted.len(), nprocs, "one posted area per rank");
-        let plan = self.machine.fault_plan().cloned();
-        let trace = self.machine.tracer().cloned();
-        let metrics = self.machine.metrics().cloned();
-        let kind = metrics_phase_kind(&self.machine);
-        // Compute: one thread per rank, the sweep's only fault-injection
-        // point. A rank panic re-raises from fan_out before any replay, so
-        // the machine keeps only the epoch advance from the failed sweep.
-        let states: Vec<(&mut Sc, &mut Px)> = scratch.iter_mut().zip(posted.iter_mut()).collect();
-        Self::fan_out(
-            nprocs,
-            &mut self.ledgers,
-            false,
-            plan.as_deref(),
-            epoch,
-            trace.as_deref(),
-            metrics.as_deref(),
-            kind,
-            TraceEventKind::KernelEnter,
-            states,
-            &|ctx: &mut RankCtx<'_>, (sc, px): (&mut Sc, &mut Px)| compute(ctx, sc, px),
-        );
-        let mt0 = metrics_span_begin(&metrics);
-        trace_replay_begin(&trace);
-        Self::replay(&mut self.machine, None, &self.ledgers);
-        trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, EngineKind::Threaded, kind, mt0);
-        for j in 0..nscatter {
-            if !scatter_active(posted, j) {
-                continue;
-            }
-            // Pack only charges (see run_phase): run it on the driver.
-            let mut phase = PhaseCharge::new();
-            for rank in 0..nprocs {
-                let mut ctx = RankCtx {
-                    rank,
-                    nprocs,
-                    sink: Sink::Direct {
-                        machine: &mut self.machine,
-                        phase: Some(&mut phase),
-                    },
-                };
-                scatter_pack(&mut ctx, j);
-            }
-            close_phase(
-                &mut self.machine,
-                PhaseEnd::QuietLabelled(FUSED_SWEEP_LABEL),
-                phase,
-            );
-            // Combine: every rank reads the frozen posted areas and mutates
-            // its own scratch. No fault plan here — the sequential engine
-            // fires only at compute entry, and injection points must agree.
-            let states: Vec<&mut Sc> = scratch.iter_mut().collect();
-            let posted_ref: &[Px] = posted;
-            Self::fan_out(
-                nprocs,
-                &mut self.ledgers,
-                false,
-                None,
-                epoch,
-                trace.as_deref(),
-                metrics.as_deref(),
-                kind,
-                TraceEventKind::CombineEnter,
-                states,
-                &|ctx: &mut RankCtx<'_>, sc: &mut Sc| combine(ctx, j, sc, posted_ref),
-            );
-            let mt0 = metrics_span_begin(&metrics);
-            trace_replay_begin(&trace);
-            Self::replay(&mut self.machine, None, &self.ledgers);
-            trace_replay_end(&trace, &self.machine);
-            metrics_replay_end(&metrics, EngineKind::Threaded, kind, mt0);
-        }
-    }
-
-    fn degrade(&mut self) -> bool {
-        self.inline = true;
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
 
-    fn machines(p: usize) -> (Machine, ThreadedBackend) {
-        (
-            Machine::new(MachineConfig::ipsc860(p)),
-            ThreadedBackend::from_config(MachineConfig::ipsc860(p)),
-        )
+    fn machine(p: usize) -> Machine {
+        Machine::new(MachineConfig::ipsc860(p))
     }
 
     /// A phase whose pack charges a ring of messages and whose unpack writes
-    /// rank-local state — exercised identically on both engines.
+    /// rank-local state.
     fn ring_phase<B: Backend>(backend: &mut B, out: &mut [f64]) {
         let n = backend.nprocs();
         backend.run_phase(
@@ -1359,93 +931,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_phase_is_bit_identical_to_sequential() {
-        let (mut seq, mut thr) = machines(8);
-        let mut out_a = vec![0.0; 8];
-        let mut out_b = vec![0.0; 8];
-        ring_phase(&mut seq, &mut out_a);
-        ring_phase(&mut thr, &mut out_b);
-        assert_eq!(out_a, out_b);
-        let (ea, eb) = (seq.elapsed(), thr.machine().elapsed());
-        for p in 0..8 {
-            assert_eq!(ea.per_proc[p].to_bits(), eb.per_proc[p].to_bits());
-            assert_eq!(ea.comm[p].to_bits(), eb.comm[p].to_bits());
-            assert_eq!(ea.idle[p].to_bits(), eb.idle[p].to_bits());
-        }
-        let (sa, sb) = (
-            seq.stats().grand_totals(),
-            thr.machine().stats().grand_totals(),
-        );
-        assert_eq!(sa.messages, sb.messages);
-        assert_eq!(sa.bytes, sb.bytes);
-        assert_eq!(sa.phases, sb.phases);
-        assert_eq!(sa.comm_seconds.to_bits(), sb.comm_seconds.to_bits());
-        assert_eq!(seq.stats().records(), thr.machine().stats().records());
-    }
-
-    /// A fused sweep over two scatter buffers: compute posts per-rank
-    /// contributions (buffer 1 stays untouched), the active buffer charges
-    /// a ring of messages, and combine folds every rank's contribution into
-    /// the local scratch.
-    fn fused_sweep<B: Backend>(backend: &mut B, out: &mut [f64]) -> Vec<f64> {
-        let n = backend.nprocs();
-        let mut posted: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0; 2]).collect();
-        backend.run_sweep(
-            out,
-            &mut posted,
-            |ctx, sc: &mut f64, px: &mut Vec<f64>| {
-                let r = ctx.rank();
-                ctx.charge_compute(r, 1.0 + r as f64);
-                px[0] = (r as f64 + 1.0) * 0.25;
-                px[1] = 1.0;
-                *sc = r as f64;
-            },
-            2,
-            |posted, j| j == 0 && posted.iter().any(|p| p[1] != 0.0),
-            |ctx, _j| {
-                let r = ctx.rank();
-                ctx.charge_memory(r, 2.0);
-                ctx.charge_p2p(r, (r + 1) % ctx.nprocs(), 2);
-            },
-            |ctx, _j, sc, posted| {
-                ctx.charge_compute(ctx.rank(), 0.5);
-                *sc += posted.iter().map(|p| p[0]).sum::<f64>();
-            },
-        );
-        posted.into_iter().map(|p| p[0]).collect()
-    }
-
-    #[test]
-    fn threaded_fused_sweep_is_bit_identical_to_sequential() {
-        let (mut seq, mut thr) = machines(8);
-        let mut out_a = vec![0.0; 8];
-        let mut out_b = vec![0.0; 8];
-        let pa = fused_sweep(&mut seq, &mut out_a);
-        let pb = fused_sweep(&mut thr, &mut out_b);
-        assert_eq!(out_a, out_b);
-        assert_eq!(pa, pb);
-        // The whole sweep is one epoch on both engines.
-        assert_eq!(seq.epoch(), 1);
-        assert_eq!(thr.machine().epoch(), 1);
-        let (ea, eb) = (seq.elapsed(), thr.machine().elapsed());
-        for p in 0..8 {
-            assert_eq!(ea.per_proc[p].to_bits(), eb.per_proc[p].to_bits());
-            assert_eq!(ea.comm[p].to_bits(), eb.comm[p].to_bits());
-            assert_eq!(ea.idle[p].to_bits(), eb.idle[p].to_bits());
-        }
-        assert_eq!(
-            seq.stats().grand_totals(),
-            thr.machine().stats().grand_totals()
-        );
-        assert_eq!(seq.stats().records(), thr.machine().stats().records());
-    }
-
-    #[test]
     fn fused_sweep_with_no_active_buffer_equals_plain_compute() {
         // With every scatter buffer inactive, a fused sweep must degenerate
         // to exactly one compute region: same charges, same single epoch.
-        let (mut a, _) = machines(4);
-        let (mut b, _) = machines(4);
+        let (mut a, mut b) = (machine(4), machine(4));
         let mut sc = vec![0.0f64; 4];
         let mut px = vec![0u8; 4];
         a.run_sweep(
@@ -1474,8 +963,7 @@ mod tests {
     fn inline_phase_matches_run_phase_without_an_epoch() {
         // run_phase_inline charges exactly like Machine::run_phase but
         // advances no epoch and has no fault-injection point.
-        let (mut a, _) = machines(4);
-        let (mut b, _) = machines(4);
+        let (mut a, mut b) = (machine(4), machine(4));
         let mut out_a = vec![0.0; 4];
         let mut out_b = vec![0.0; 4];
         ring_phase(&mut a, &mut out_a);
@@ -1502,75 +990,41 @@ mod tests {
 
     #[test]
     fn run_compute_charges_in_rank_order() {
-        let (mut seq, mut thr) = machines(4);
-        let mut data_a = vec![0u32; 4];
-        seq.run_compute(data_a.iter_mut(), |ctx, d| {
-            ctx.charge_compute(ctx.rank(), 1.5);
+        let mut m = machine(4);
+        let mut data = vec![0u32; 4];
+        m.run_compute(data.iter_mut(), |ctx, d| {
+            ctx.charge_compute(ctx.rank(), 1.5 * (ctx.rank() + 1) as f64);
             *d = ctx.rank() as u32;
         });
-        let mut data_b = vec![0u32; 4];
-        thr.run_compute(data_b.iter_mut(), |ctx, d| {
-            ctx.charge_compute(ctx.rank(), 1.5);
-            *d = ctx.rank() as u32;
-        });
-        assert_eq!(data_a, vec![0, 1, 2, 3]);
-        assert_eq!(data_a, data_b);
-        assert_eq!(seq.elapsed().per_proc, thr.machine().elapsed().per_proc);
+        assert_eq!(data, vec![0, 1, 2, 3]);
+        let per_proc = m.elapsed().per_proc;
+        assert!(per_proc.windows(2).all(|w| w[0] < w[1]), "{per_proc:?}");
+        assert_eq!(m.epoch(), 1);
     }
 
     #[test]
     fn mailbox_exchange_rotates_payloads() {
-        fn rotate<B: Backend>(backend: &mut B) -> Vec<u64> {
-            let n = backend.nprocs();
-            let mut got = vec![0u64; n];
-            backend.run_exchange(
-                PhaseEnd::Labelled("rotate"),
-                |ctx, outbox: &mut Outbox<'_, u64>| {
-                    let r = ctx.rank();
-                    let to = (r + 1) % ctx.nprocs();
-                    outbox.post(to, [r as u64 * 100]);
-                    ctx.charge_p2p(r, to, 1);
-                },
-                got.iter_mut(),
-                |ctx, slot, inbox| {
-                    let from = (ctx.rank() + ctx.nprocs() - 1) % ctx.nprocs();
-                    assert_eq!(inbox.from_rank(ctx.rank()).len(), 0);
-                    *slot = inbox.from_rank(from)[0];
-                    ctx.charge_memory(ctx.rank(), 1.0);
-                },
-            );
-            got
-        }
-        let (mut seq, mut thr) = machines(8);
-        let a = rotate(&mut seq);
-        let b = rotate(&mut thr);
-        assert_eq!(
-            a,
-            (0..8)
-                .map(|r| ((r + 7) % 8) as u64 * 100)
-                .collect::<Vec<_>>()
+        let mut m = machine(8);
+        let mut got = vec![0u64; 8];
+        m.run_exchange(
+            PhaseEnd::Labelled("rotate"),
+            |ctx, outbox: &mut Outbox<'_, u64>| {
+                let r = ctx.rank();
+                let to = (r + 1) % ctx.nprocs();
+                outbox.post(to, [r as u64 * 100]);
+                ctx.charge_p2p(r, to, 1);
+            },
+            got.iter_mut(),
+            |ctx, slot, inbox| {
+                let from = (ctx.rank() + ctx.nprocs() - 1) % ctx.nprocs();
+                assert_eq!(inbox.from_rank(ctx.rank()).len(), 0);
+                *slot = inbox.from_rank(from)[0];
+                ctx.charge_memory(ctx.rank(), 1.0);
+            },
         );
-        assert_eq!(a, b);
-        assert_eq!(seq.elapsed(), thr.machine().elapsed());
-        assert_eq!(
-            seq.stats().grand_totals(),
-            thr.machine().stats().grand_totals()
-        );
-    }
-
-    #[test]
-    fn more_ranks_than_cores_still_agree() {
-        // 64 virtual processors on (likely far) fewer hardware cores: the
-        // scoped threads timeshare, the results must not care.
-        let p = 64;
-        let mut seq = Machine::new(MachineConfig::unit(p));
-        let mut thr = ThreadedBackend::from_config(MachineConfig::unit(p));
-        let mut a = vec![0.0; p];
-        let mut b = vec![0.0; p];
-        ring_phase(&mut seq, &mut a);
-        ring_phase(&mut thr, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(seq.elapsed(), thr.machine().elapsed());
+        let expect: Vec<u64> = (0..8).map(|r| ((r + 7) % 8) as u64 * 100).collect();
+        assert_eq!(got, expect);
+        assert_eq!(m.stats().grand_totals().messages, 8);
     }
 
     #[test]

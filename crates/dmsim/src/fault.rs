@@ -5,17 +5,16 @@
 //! without giving up its determinism contract:
 //!
 //! * **Injection** — a [`FaultPlan`] names faults at `(epoch, rank)`
-//!   coordinates. Every engine ([`Machine`](crate::Machine),
-//!   [`ThreadedBackend`](crate::ThreadedBackend),
-//!   [`PooledBackend`](crate::PooledBackend)) consults the installed plan at
+//!   coordinates. Both engines ([`Machine`](crate::Machine),
+//!   [`PooledBackend`](crate::PooledBackend)) consult the installed plan at
 //!   every per-rank kernel entry, so the same plan produces the same fault
-//!   at the same point of the same phase on any engine.
+//!   at the same point of the same phase on either engine.
 //! * **Detection** — the [`Backend`](crate::Backend) trait's `try_run_*`
 //!   methods catch rank panics (and the pool's barrier-deadline straggler
 //!   reports) and surface them as a typed [`PhaseError`] carrying
 //!   `(epoch, rank, lane, cause)` instead of unwinding through the driver.
 //! * **Recovery** — because kernels charge modeled costs only through their
-//!   [`RankCtx`](crate::RankCtx) ledgers, a phase whose ledgers were never
+//!   [`RankCtx`](crate::RankCtx), a phase whose recorded charges were never
 //!   replayed left no trace on the machine: rerunning it from a restored
 //!   snapshot is bit-identical to having never failed. [`RecoveryPolicy`]
 //!   names the strategies the `chaos-lang` executor implements on top of
@@ -260,8 +259,8 @@ pub struct InjectedFault {
     pub kind: FaultKind,
 }
 
-/// One caught panic with its execution coordinates — the unit the parallel
-/// engines aggregate so that a multi-rank failure names *every* failing
+/// One caught panic with its execution coordinates — the unit the pooled
+/// engine aggregates so that a multi-rank failure names *every* failing
 /// rank, not just the first one caught.
 #[derive(Debug)]
 pub struct CaughtPanic {
@@ -275,7 +274,7 @@ pub struct CaughtPanic {
     pub payload: Box<dyn Any + Send>,
 }
 
-/// Aggregated panic payload re-raised by the parallel engines after their
+/// Aggregated panic payload re-raised by the pooled engine after its
 /// barrier: every rank/lane panic caught during the phase.
 #[derive(Debug, Default)]
 pub struct PanicBundle {

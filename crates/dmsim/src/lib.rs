@@ -18,13 +18,12 @@
 //! costs** (charged to per-processor [`ProcClock`]s according to
 //! [`MachineConfig`]). SPMD regions execute behind the [`Backend`]
 //! abstraction: the [`Machine`] itself runs rank kernels sequentially in
-//! rank order (the deterministic oracle), [`ThreadedBackend`] runs each
-//! virtual processor on its own scoped OS thread, and [`PooledBackend`]
-//! drives a pool of long-lived workers through broadcast phase descriptors
-//! and an epoch barrier (the low-overhead engine). The parallel engines
-//! charge through per-rank ledgers that are replayed in rank order — so the
-//! *modeled* time never depends on real execution order and every
-//! experiment is reproducible bit-for-bit on any engine (see [`backend`]
+//! rank order (the deterministic oracle), and [`PooledBackend`] drives a
+//! pool of long-lived workers through broadcast phase descriptors and an
+//! epoch barrier (the rank-parallel engine). The pool records each rank's
+//! charges and replays them in rank order — so the *modeled* time never
+//! depends on real execution order and every experiment is reproducible
+//! bit-for-bit on either engine (see [`backend`]
 //! and [`pool`] for the contract, and `ARCHITECTURE.md` § "The Backend /
 //! pool / charge-replay determinism contract" for the system-level
 //! picture).
@@ -65,7 +64,7 @@ pub mod trace;
 // their own dependency on it.
 pub use serde_json;
 
-pub use backend::{run_phase_inline, Backend, Inbox, Outbox, PhaseEnd, RankCtx, ThreadedBackend};
+pub use backend::{run_phase_inline, Backend, Inbox, Outbox, PhaseEnd, RankCtx};
 pub use collectives::ReduceOp;
 pub use config::{CostModel, MachineConfig, SyncModel, Topology};
 pub use exchange::{Delivered, ExchangePlan, Message};

@@ -10,9 +10,9 @@
 //!
 //! The registry is a fixed, preallocated array of per-lane shards: one shard
 //! per pool lane plus one for the driver thread (stored last). Exactly one
-//! thread writes a given shard — pool lane `l` writes shard `l`, the
-//! threaded engine maps rank `r` to lane `r`, and the driver writes the last
-//! shard — so writes are plain (non-atomic) array increments. Events for
+//! thread writes a given shard — pool lane `l` writes shard `l` and the
+//! driver writes the last shard — so writes are plain (non-atomic) array
+//! increments. Events for
 //! lanes outside the allocated range are *not* folded into another shard
 //! (that would break the protocol); they bump the shared atomic
 //! [`lane_events_lost`](MetricsRegistry::lane_events_lost) counter instead.
@@ -24,7 +24,7 @@
 //! wall clocks and counts but never touch machine state, so a
 //! metrics-enabled run is bit-identical to a disabled one (values, modeled
 //! clock bits, [`CommStats`]) — `tests/metrics_identity.rs` asserts this
-//! across all three engines.
+//! on both engines.
 //!
 //! # Histograms
 //!
@@ -32,7 +32,7 @@
 //! bucket `i` holds `[2^(i-1), 2^i)` ns, and the last bucket is unbounded.
 //! Each histogram cell is keyed by engine × span kind × [`PhaseKind`], so a
 //! pooled-engine executor-phase kernel stage is distinguishable from a
-//! threaded-engine inspector one.
+//! sequential-engine inspector one.
 //!
 //! # The cost-model auditor
 //!
@@ -81,19 +81,13 @@ pub const HIST_BUCKETS: usize = 32;
 pub enum EngineKind {
     /// The sequential oracle (driver-thread kernels).
     Machine,
-    /// The scoped thread-per-rank engine.
-    Threaded,
     /// The long-lived worker-pool engine.
     Pooled,
 }
 
 impl EngineKind {
     /// Every engine, in dense-index order.
-    pub const ALL: [EngineKind; 3] = [
-        EngineKind::Machine,
-        EngineKind::Threaded,
-        EngineKind::Pooled,
-    ];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Machine, EngineKind::Pooled];
 
     /// Dense index within [`EngineKind::ALL`].
     #[inline]
@@ -105,7 +99,6 @@ impl EngineKind {
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Machine => "machine",
-            EngineKind::Threaded => "threaded",
             EngineKind::Pooled => "pooled",
         }
     }

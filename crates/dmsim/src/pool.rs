@@ -1,11 +1,10 @@
 //! The persistent worker-pool SPMD engine: long-lived workers driven by
 //! broadcast phase descriptors through a two-phase epoch barrier.
 //!
-//! [`ThreadedBackend`](crate::backend::ThreadedBackend) spawns one scoped OS
-//! thread per rank per phase — tens of microseconds each, which dominates
-//! small and medium phases now that the compute inside them is cheap
-//! (CSR schedules, compiled kernels). [`PooledBackend`] removes that cost
-//! structurally:
+//! Spawning one OS thread per rank per phase costs tens of microseconds
+//! each, which dominates small and medium phases now that the compute inside
+//! them is cheap (CSR schedules, compiled kernels). [`PooledBackend`] avoids
+//! that cost structurally:
 //!
 //! * **Workers are created once** (at pool construction) and live until the
 //!   backend is dropped. The driver thread itself doubles as the last lane,
@@ -474,10 +473,9 @@ impl<T> RawCells<T> {
     }
 }
 
-/// The persistent-pool engine: like
-/// [`ThreadedBackend`](crate::backend::ThreadedBackend) but with long-lived
-/// workers, a broadcast-descriptor phase protocol, per-worker reusable
-/// charge arenas and static rank → worker striping (see the module docs).
+/// The persistent-pool engine: long-lived workers, a broadcast-descriptor
+/// phase protocol, per-worker reusable charge arenas and static rank →
+/// worker striping (see the module docs).
 /// Byte-identical to the sequential [`Machine`] engine by construction.
 pub struct PooledBackend {
     machine: Machine,
@@ -767,7 +765,7 @@ impl PooledBackend {
         trace_replay_begin(&trace);
         self.replay(None);
         trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, EngineKind::Pooled, kind, mt0);
+        metrics_replay_end(&metrics, kind, mt0);
     }
 }
 
@@ -805,8 +803,8 @@ impl Backend for PooledBackend {
         }
         let epoch = self.machine.advance_epoch();
         // The pack stage only charges (it moves no data): run it inline on
-        // the driver, exactly as the threaded engine does — by construction
-        // the same charge sequence a record + replay would produce.
+        // the driver — by construction the same charge sequence a record +
+        // replay would produce.
         let nprocs = self.machine.nprocs();
         let plan = self.machine.fault_plan().cloned();
         let trace = self.machine.tracer().cloned();
@@ -862,7 +860,7 @@ impl Backend for PooledBackend {
         trace_replay_begin(&trace);
         self.replay(Some(&mut phase));
         trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, EngineKind::Pooled, kind, mt0);
+        metrics_replay_end(&metrics, kind, mt0);
         close_phase(&mut self.machine, end, phase);
         // Unpack: rank r reads column r of the (now frozen) matrix.
         let mut states = self.collect_states(state);
@@ -879,7 +877,7 @@ impl Backend for PooledBackend {
         trace_replay_begin(&trace);
         self.replay(None);
         trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, EngineKind::Pooled, kind, mt0);
+        metrics_replay_end(&metrics, kind, mt0);
     }
 
     fn run_sweep<Sc, Px, C, A, P, S>(
@@ -1116,7 +1114,7 @@ impl Backend for PooledBackend {
         trace_replay_begin(&trace);
         self.replay_stage(0, None);
         trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, EngineKind::Pooled, kind, mt0);
+        metrics_replay_end(&metrics, kind, mt0);
         for j in 0..nscatter {
             if !scatter_active(posted, j) {
                 continue;
@@ -1135,7 +1133,7 @@ impl Backend for PooledBackend {
             trace_replay_begin(&trace);
             self.replay_stage(1 + j, None);
             trace_replay_end(&trace, &self.machine);
-            metrics_replay_end(&metrics, EngineKind::Pooled, kind, mt0);
+            metrics_replay_end(&metrics, kind, mt0);
         }
     }
 
@@ -1152,7 +1150,6 @@ impl Backend for PooledBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ThreadedBackend;
 
     fn engines(p: usize, workers: usize) -> (Machine, PooledBackend) {
         (
@@ -1294,18 +1291,6 @@ mod tests {
         ring_phase(&mut pool, &mut c);
         let after: usize = pool.arenas.iter().map(|a| a.events.capacity()).sum();
         assert_eq!(arena_capacity, after, "steady-state arenas must not grow");
-    }
-
-    #[test]
-    fn pooled_engine_matches_threaded_engine() {
-        let mut thr = ThreadedBackend::from_config(MachineConfig::ipsc860(8));
-        let mut pool = PooledBackend::from_config_with_workers(MachineConfig::ipsc860(8), 4);
-        let mut a = vec![0.0; 8];
-        let mut b = vec![0.0; 8];
-        ring_phase(&mut thr, &mut a);
-        ring_phase(&mut pool, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(thr.machine().elapsed(), pool.machine().elapsed());
     }
 
     /// A fused sweep over two scatter buffers: compute posts per-rank

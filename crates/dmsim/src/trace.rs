@@ -1,5 +1,5 @@
 //! Flight recorder + epoch tracing: per-lane span timelines correlating
-//! measured wall time with the modeled clock, across all three engines.
+//! measured wall time with the modeled clock, on both engines.
 //!
 //! The simulator's whole argument rests on phase-level cost accounting, but
 //! the aggregate [`StatsRegistry`](crate::stats::StatsRegistry) cannot show
@@ -224,15 +224,14 @@ impl LaneRing {
     }
 }
 
-/// The flight recorder: bounded lock-free per-lane event rings, fed by all
-/// three engines, exportable as a Chrome trace or a summary table.
+/// The flight recorder: bounded lock-free per-lane event rings, fed by both
+/// engines, exportable as a Chrome trace or a summary table.
 ///
 /// Construct one sized to the engine's lane count, wrap it in an
 /// [`Arc`](std::sync::Arc) and install it with
 /// [`Machine::install_trace`](crate::Machine::install_trace) (or the lang
-/// executor's `with_trace`). Lanes `0..lanes` belong to the engine's worker
-/// lanes (the threaded engine uses one per rank, the pool one per worker);
-/// the extra last ring ([`TraceSink::driver_lane`]) belongs to the driver
+/// executor's `with_trace`). Lanes `0..lanes` belong to the pool's worker
+/// lanes, one per worker; the extra last ring ([`TraceSink::driver_lane`]) belongs to the driver
 /// thread.
 ///
 /// # Writer protocol (why the lock-free rings are sound)

@@ -31,9 +31,8 @@
 //!
 //! Both paths are deterministic and depend only on the input — never on the
 //! rank count or engine — so the pure [`Partitioner::partition`] entry point
-//! (single-chunk [`SerialScans`]) is an exact oracle for `Machine`,
-//! `ThreadedBackend` and `PooledBackend` runs
-//! (`tests/backend_equivalence.rs` proptests this).
+//! (single-chunk [`SerialScans`]) is an exact oracle for `Machine` and
+//! `PooledBackend` runs (`tests/backend_equivalence.rs` proptests this).
 //!
 //! # Charge model
 //!

@@ -37,8 +37,8 @@
 //! disjoint items and reductions fold fixed blocks, the Fiedler vector — and
 //! therefore the partitioning — is bit-identical for every rank count and
 //! engine: the pure [`Partitioner::partition`] entry point (single-chunk
-//! [`SerialScans`]) is an exact oracle for `Machine`, `ThreadedBackend` and
-//! `PooledBackend` runs (`tests/backend_equivalence.rs` proptests this).
+//! [`SerialScans`]) is an exact oracle for `Machine` and `PooledBackend`
+//! runs (`tests/backend_equivalence.rs` proptests this).
 //!
 //! # Charge model
 //!

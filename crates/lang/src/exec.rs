@@ -30,7 +30,7 @@ use crate::kernel::{
 use crate::lower::{CompiledProgram, LoopPlan, RefSlot};
 use chaos_dmsim::{
     Backend, Counter, FaultPlan, Machine, MachineConfig, MetricsRegistry, PhaseError, PhaseKind,
-    PooledBackend, RecoveryPolicy, ThreadedBackend, TraceEventKind, TraceSink,
+    PooledBackend, RecoveryPolicy, TraceEventKind, TraceSink,
 };
 use chaos_geocol::partitioner_by_name;
 use chaos_runtime::{
@@ -188,9 +188,8 @@ struct ExecSnapshot {
 /// Generic over the SPMD execution engine: with the default [`Machine`]
 /// backend the runtime phases (index translation, dedup, gather, compute,
 /// scatter) run rank-serially on the driver thread; with a
-/// [`ThreadedBackend`] every virtual processor runs them on its own OS
-/// thread, and with a [`PooledBackend`] on a pool of long-lived workers
-/// (no per-phase spawn cost) — all with byte-identical results, clocks and
+/// [`PooledBackend`] they run rank-parallel on a pool of long-lived workers
+/// (no per-phase spawn cost) — with byte-identical results, clocks and
 /// statistics. The per-iteration arithmetic is compiled to register
 /// bytecode (see [`crate::kernel`]) and executed as the compute stage of
 /// `Backend::run_sweep`, so whole programs run rank-parallel end-to-end;
@@ -240,19 +239,11 @@ impl Executor<Machine> {
     }
 }
 
-impl Executor<ThreadedBackend> {
-    /// Create an executor whose runtime phases run rank-parallel, one OS
-    /// thread per virtual processor.
-    pub fn new_threaded(config: MachineConfig, inputs: ProgramInputs) -> Self {
-        Self::with_backend(ThreadedBackend::from_config(config), inputs)
-    }
-}
-
 impl Executor<PooledBackend> {
     /// Create an executor whose runtime phases run rank-parallel on a pool
     /// of long-lived workers (ranks striped over `min(nprocs, cores)`
-    /// lanes) — the low-per-phase-overhead engine, byte-identical to the
-    /// other two. Kernel sweeps, gathers, scatters, inspector passes and
+    /// lanes) — the rank-parallel engine, byte-identical to the sequential
+    /// one. Kernel sweeps, gathers, scatters, inspector passes and
     /// REDISTRIBUTE all execute through the pool.
     pub fn new_pooled(config: MachineConfig, inputs: ProgramInputs) -> Self {
         Self::with_backend(PooledBackend::from_config(config), inputs)
@@ -920,12 +911,12 @@ impl<B: Backend> Executor<B> {
 
     /// Execute a FORALL under the configured recovery policy.
     ///
-    /// Recovery is *discard and re-run*: a failed region's charge ledgers
+    /// Recovery is *discard and re-run*: a failed region's recorded charges
     /// were never replayed onto the machine, and restoring a snapshot
     /// rewinds whatever the driver-side phases did commit, so a recovered
     /// run is bit-identical (values, clock bits, statistics) to a fault-free
     /// run — the property `tests/fault_recovery.rs` and the backend
-    /// equivalence proptest check on all three engines.
+    /// equivalence proptest check on both engines.
     fn run_forall_recovered(&mut self, plan: &LoopPlan) -> Result<(), LangError> {
         // Fast path: nothing to guard against and no recovery requested —
         // run unwrapped, exactly as before this subsystem existed.
@@ -1440,7 +1431,7 @@ impl<B: Backend> Executor<B> {
     /// The executor sweep shared by both kernel modes: gather every bound
     /// ghost buffer, run the body rank-parallel, then scatter the touched
     /// write buffers — all in the bindings' deterministic order, so the two
-    /// modes (and all three engines) agree byte-for-byte on values, clocks
+    /// modes (and both engines) agree byte-for-byte on values, clocks
     /// and statistics.
     ///
     /// The whole sweep is *one* [`Backend::run_sweep`] region: gathers are
@@ -1699,55 +1690,9 @@ mod tests {
         assert_eq!(exec.report().inspector_runs, 1);
     }
 
-    #[test]
-    fn threaded_backend_runs_whole_programs_bit_identically() {
-        // The same program on the sequential and the rank-parallel engines:
-        // identical values, identical modeled clocks, identical statistics.
-        let inputs = random_inputs(300, 1200);
-        let cp = compiled();
-        let mut seq = Executor::new(MachineConfig::ipsc860(4), inputs.clone());
-        let mut thr = Executor::new_threaded(MachineConfig::ipsc860(4), inputs);
-        seq.run(&cp).unwrap();
-        thr.run(&cp).unwrap();
-        for _ in 0..3 {
-            seq.execute_loop(&cp, "L1").unwrap();
-            thr.execute_loop(&cp, "L1").unwrap();
-        }
-        let ys = seq.real_global("y").unwrap();
-        let yt = thr.real_global("y").unwrap();
-        for (i, (a, b)) in ys.iter().zip(&yt).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "y[{i}] diverged: {a} vs {b}");
-        }
-        assert_eq!(seq.report(), thr.report());
-        let (es, et) = (seq.machine().elapsed(), thr.machine().elapsed());
-        for p in 0..4 {
-            assert_eq!(es.per_proc[p].to_bits(), et.per_proc[p].to_bits());
-        }
-        let (ss, st) = (
-            seq.machine().stats().grand_totals(),
-            thr.machine().stats().grand_totals(),
-        );
-        assert_eq!(ss.messages, st.messages);
-        assert_eq!(ss.bytes, st.bytes);
-        assert_eq!(ss.phases, st.phases);
-        assert_eq!(ss.comm_seconds.to_bits(), st.comm_seconds.to_bits());
-    }
-
-    #[test]
-    fn pooled_backend_runs_whole_programs_bit_identically() {
-        // The same program on the sequential engine and the persistent
-        // worker pool (with ranks deliberately striped over fewer lanes):
-        // identical values, identical modeled clocks, identical statistics.
-        let inputs = random_inputs(300, 1200);
-        let cp = compiled();
-        let mut seq = Executor::new(MachineConfig::ipsc860(4), inputs.clone());
-        let mut pool = Executor::new_pooled_with_workers(MachineConfig::ipsc860(4), 3, inputs);
-        seq.run(&cp).unwrap();
-        pool.run(&cp).unwrap();
-        for _ in 0..3 {
-            seq.execute_loop(&cp, "L1").unwrap();
-            pool.execute_loop(&cp, "L1").unwrap();
-        }
+    /// Values of `y`, the execution report, per-processor clock bits and
+    /// communication totals of a pooled run against the sequential oracle.
+    fn assert_engines_agree(seq: &Executor<Machine>, pool: &Executor<PooledBackend>) {
         let ys = seq.real_global("y").unwrap();
         let yp = pool.real_global("y").unwrap();
         for (i, (a, b)) in ys.iter().zip(&yp).enumerate() {
@@ -1755,7 +1700,7 @@ mod tests {
         }
         assert_eq!(seq.report(), pool.report());
         let (es, ep) = (seq.machine().elapsed(), pool.machine().elapsed());
-        for p in 0..4 {
+        for p in 0..es.per_proc.len() {
             assert_eq!(es.per_proc[p].to_bits(), ep.per_proc[p].to_bits());
         }
         let (ss, sp) = (
@@ -1769,55 +1714,61 @@ mod tests {
     }
 
     #[test]
+    fn pooled_backend_runs_whole_programs_bit_identically() {
+        // The same program on the sequential engine and the persistent
+        // worker pool — with ranks striped over fewer lanes (3) and with
+        // one lane per rank (4): identical values, identical modeled
+        // clocks, identical statistics.
+        let inputs = random_inputs(300, 1200);
+        let cp = compiled();
+        let mut seq = Executor::new(MachineConfig::ipsc860(4), inputs.clone());
+        seq.run(&cp).unwrap();
+        for _ in 0..3 {
+            seq.execute_loop(&cp, "L1").unwrap();
+        }
+        for workers in [3, 4] {
+            let mut pool = Executor::new_pooled_with_workers(
+                MachineConfig::ipsc860(4),
+                workers,
+                inputs.clone(),
+            );
+            pool.run(&cp).unwrap();
+            for _ in 0..3 {
+                pool.execute_loop(&cp, "L1").unwrap();
+            }
+            assert_engines_agree(&seq, &pool);
+        }
+    }
+
+    #[test]
     fn repartition_phases_run_rank_parallel_and_bit_identically() {
         // The MAPPED_PROGRAM's CONSTRUCT → SET ... BY PARTITIONING (RSB) →
         // REDISTRIBUTE preamble routes the partitioner's scans and the
         // remap through the backend: the whole program must agree across
-        // Machine, ThreadedBackend and PooledBackend — values, modeled
+        // Machine and PooledBackend (3 and 4 lanes) — values, modeled
         // clocks and statistics, bit for bit — including the partitioner
         // phase itself.
         let inputs = ring_inputs(64);
         let cp = lower_program(parse_program(MAPPED_PROGRAM).unwrap()).unwrap();
         let mut seq = Executor::new(MachineConfig::ipsc860(4), inputs.clone());
-        let mut thr = Executor::new_threaded(MachineConfig::ipsc860(4), inputs.clone());
-        let mut pool = Executor::new_pooled_with_workers(MachineConfig::ipsc860(4), 3, inputs);
         seq.run(&cp).unwrap();
-        thr.run(&cp).unwrap();
-        pool.run(&cp).unwrap();
         for _ in 0..2 {
             seq.execute_loop(&cp, "L1").unwrap();
-            thr.execute_loop(&cp, "L1").unwrap();
-            pool.execute_loop(&cp, "L1").unwrap();
         }
         // The node decomposition really was repartitioned (irregular now).
         assert_eq!(seq.decomposition("reg").unwrap().kind_name(), "IRREGULAR");
-        let ys = seq.real_global("y").unwrap();
-        for other in [
-            &thr.real_global("y").unwrap(),
-            &pool.real_global("y").unwrap(),
-        ] {
-            for (i, (a, b)) in ys.iter().zip(other.iter()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "y[{i}] diverged: {a} vs {b}");
+        for workers in [3, 4] {
+            let mut pool = Executor::new_pooled_with_workers(
+                MachineConfig::ipsc860(4),
+                workers,
+                inputs.clone(),
+            );
+            pool.run(&cp).unwrap();
+            for _ in 0..2 {
+                pool.execute_loop(&cp, "L1").unwrap();
             }
+            assert_engines_agree(&seq, &pool);
         }
-        let es = seq.machine().elapsed();
-        for elapsed in [thr.machine().elapsed(), pool.machine().elapsed()] {
-            for p in 0..4 {
-                assert_eq!(es.per_proc[p].to_bits(), elapsed.per_proc[p].to_bits());
-            }
-        }
-        let ss = seq.machine().stats().grand_totals();
-        for stats in [
-            thr.machine().stats().grand_totals(),
-            pool.machine().stats().grand_totals(),
-        ] {
-            assert_eq!(ss.messages, stats.messages);
-            assert_eq!(ss.bytes, stats.bytes);
-            assert_eq!(ss.phases, stats.phases);
-            assert_eq!(ss.comm_seconds.to_bits(), stats.comm_seconds.to_bits());
-        }
-        assert_eq!(seq.report(), thr.report());
-        assert_eq!(seq.report(), pool.report());
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! during compute and then share all areas immutably with every rank during
 //! the scatter-combine stage. Both are `Send`, so the executor hands one
 //! pair per rank to [`chaos_dmsim::Backend::run_sweep`] and the sweep runs
-//! on every engine — including one
-//! OS thread per rank under `ThreadedBackend` — with byte-identical
-//! results.
+//! on either engine — including one OS thread per rank under a
+//! `PooledBackend` with `nprocs` workers — with byte-identical results.
 //!
 //! [`run_rank`] is the compiled hot path: the once-per-sweep setup region
 //! (`ops[..iter_start]`, const loads) runs first, then a linear walk of the
@@ -376,7 +375,7 @@ impl OracleEnv {
 
 /// Recursive tree-walking evaluation of one expression — the retained
 /// per-element interpreter the VM is checked against (and measured against
-/// in `perf_check`'s BENCH_3 rows). Intrinsic calls collect their arguments
+/// by `perf_check`'s compiled-vs-interpreted gate). Intrinsic calls collect their arguments
 /// into a fresh vector, as the seed interpreter did.
 fn eval_tree(
     e: &CompiledExpr,

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! and, when the `CHAOS_BENCH_JSON` environment variable names a file, the
-//! same records are appended there as JSON lines so harnesses (e.g.
-//! `perf_check`) can consume them without parsing human output.
+//! same records are appended there as JSON lines so scripts can consume
+//! them without parsing human output.
 
 use std::hint;
 use std::io::Write as _;

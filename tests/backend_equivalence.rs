@@ -1,15 +1,15 @@
-//! The parallel SPMD engines must be **byte-identical** to the sequential
-//! one — array values, ghost buffers, modeled clocks and communication
-//! statistics. Determinism is part of the `Backend` API, not best-effort:
-//! these tests drive randomized mesh-style pipelines and the full mesh / MD
-//! experiments through all three engines — `Machine` (sequential oracle),
-//! `ThreadedBackend` (scoped thread per rank) and `PooledBackend`
-//! (persistent worker pool) — and compare every observable, including the
-//! f64 bit patterns of the clocks, plus stress configurations with more
-//! virtual processors than cores, more ranks than pool workers, and more
-//! pool workers than cores.
+//! The rank-parallel SPMD engine must be **byte-identical** to the
+//! sequential one — array values, ghost buffers, modeled clocks and
+//! communication statistics. Determinism is part of the `Backend` API, not
+//! best-effort: these tests drive randomized mesh-style pipelines and the
+//! full mesh / MD experiments through both engines — `Machine` (sequential
+//! oracle) and `PooledBackend` (persistent worker pool) — and compare every
+//! observable, including the f64 bit patterns of the clocks. The pool runs
+//! with one lane per rank (every rank on its own OS thread, all live at
+//! once), with more ranks than lanes (striping) and with more lanes than
+//! ranks (idle lanes).
 
-use chaos_repro::dmsim::{Backend, PooledBackend, ThreadedBackend, Topology};
+use chaos_repro::dmsim::{Backend, PooledBackend, Topology};
 use chaos_repro::geocol::{
     GeoCoL, GeoColBuilder, Partitioner, Partitioning, RcbPartitioner, RsbPartitioner,
 };
@@ -141,13 +141,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Property: over randomized irregular workloads (both translation-table
-    /// layouts), all three engines — sequential, threaded, pooled — agree on
-    /// values, ghost buffers, modeled clocks and statistics, bit for bit.
-    /// The pool's worker count is derived from the seed so the sweep covers
-    /// ranks > workers (striping) and workers > ranks/cores (idle lanes,
-    /// timesharing).
+    /// layouts), the sequential and pooled engines agree on values, ghost
+    /// buffers, modeled clocks and statistics, bit for bit. One pool has a
+    /// lane per rank; the other's worker count is derived from the seed so
+    /// the sweep covers ranks > workers (striping) and workers > ranks
+    /// (idle lanes).
     #[test]
-    fn all_three_engines_agree_on_random_workloads(
+    fn both_engines_agree_on_random_workloads(
         (p, map, seed, refs_per_proc, distributed_sel) in workload_strategy(),
     ) {
         let n = map.len();
@@ -161,31 +161,24 @@ proptest! {
 
         let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
         let mut seq = Machine::new(cfg());
-        let mut thr = ThreadedBackend::from_config(cfg());
-        // 1..=12 workers: below, at and above both the rank count (2..=8)
-        // and (on small containers) the hardware core count.
-        let workers = 1 + (seed as usize % 12);
-        let mut pool = PooledBackend::with_workers(Machine::new(cfg()), workers);
         let obs_seq = run_pipeline(&mut seq, &dist, &data, &pattern);
-        let obs_thr = run_pipeline(&mut thr, &dist, &data, &pattern);
-        let obs_pool = run_pipeline(&mut pool, &dist, &data, &pattern);
-        prop_assert_eq!(&obs_seq, &obs_thr);
-        prop_assert_eq!(&obs_seq, &obs_pool);
+        // One lane per rank, then 1..=12 workers: below, at and above the
+        // rank count (2..=8).
+        for workers in [p, 1 + (seed as usize % 12)] {
+            let mut pool = PooledBackend::from_config_with_workers(cfg(), workers);
+            let obs_pool = run_pipeline(&mut pool, &dist, &data, &pattern);
+            prop_assert_eq!(&obs_seq, &obs_pool, "workers={}", workers);
+        }
     }
 }
 
-/// Stress: more virtual processors (64) than this machine plausibly has
-/// cores — the scoped threads timeshare, the pool stripes 64 ranks over 5
-/// lanes, and the ledgers must still replay to the exact sequential state.
+/// Stress: many more virtual processors (64) than pool lanes (5) — every
+/// lane runs a 12- or 13-rank stripe and the recorded charges must still
+/// replay to the exact sequential state.
 #[test]
-fn parallel_engines_with_more_ranks_than_cores_are_exact() {
+fn pool_with_more_ranks_than_workers_is_exact() {
     let p = 64;
     let n = 4096;
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    assert!(
-        p > cores,
-        "stress test expects more ranks ({p}) than cores ({cores})"
-    );
     let map: Vec<u32> = (0..n).map(|i| ((i * 31 + i / 7) % p) as u32).collect();
     let dist = Distribution::irregular_from_map_with_policy(&map, p, TTablePolicy::Distributed);
     let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin() + 2.0).collect();
@@ -193,18 +186,15 @@ fn parallel_engines_with_more_ranks_than_cores_are_exact() {
 
     let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
     let mut seq = Machine::new(cfg());
-    let mut thr = ThreadedBackend::new(Machine::new(cfg()));
     let mut pool = PooledBackend::with_workers(Machine::new(cfg()), 5);
     let obs_seq = run_pipeline(&mut seq, &dist, &data, &pattern);
-    let obs_thr = run_pipeline(&mut thr, &dist, &data, &pattern);
     let obs_pool = run_pipeline(&mut pool, &dist, &data, &pattern);
-    assert_eq!(obs_seq, obs_thr);
     assert_eq!(obs_seq, obs_pool);
     assert!(obs_seq.messages > 0, "the stress workload must communicate");
 }
 
 /// Stress the opposite imbalance: a pool with far more workers (32) than
-/// ranks (4) or plausible cores — the idle lanes run empty stripes through
+/// ranks (4) — the idle lanes run empty stripes through
 /// every barrier and must not perturb anything.
 #[test]
 fn pool_with_more_workers_than_cores_is_exact() {
@@ -306,8 +296,8 @@ proptest! {
 
     /// Property: the rank-parallel partitioners (RSB's power-iteration
     /// matvecs and reductions, RCB's extent/histogram scans) agree across
-    /// all three engines — partitionings, modeled clocks and statistics,
-    /// bit for bit — and match the pure `partition()` serial oracle, over
+    /// both engines — partitionings, modeled clocks and statistics, bit
+    /// for bit — and match the pure `partition()` serial oracle, over
     /// random graphs including disconnected ones, with pool worker counts
     /// swept below, at and above the rank count.
     #[test]
@@ -325,16 +315,12 @@ proptest! {
 
         let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
         let mut seq = Machine::new(cfg());
-        let mut thr = ThreadedBackend::from_config(cfg());
-        let workers = 1 + (seed as usize % 12); // ranks>workers and workers>ranks/cores
-        let mut pool = PooledBackend::with_workers(Machine::new(cfg()), workers);
-
         let obs_seq = run_partition(&mut seq, partitioner, &geocol);
-        let obs_thr = run_partition(&mut thr, partitioner, &geocol);
-        let obs_pool = run_partition(&mut pool, partitioner, &geocol);
         prop_assert_eq!(&obs_seq.owners, oracle.owners(), "engine vs pure partition()");
-        prop_assert_eq!(&obs_seq, &obs_thr);
-        prop_assert_eq!(&obs_seq, &obs_pool);
+        let workers = 1 + (seed as usize % 12); // ranks > workers and workers > ranks
+        let mut pool = PooledBackend::from_config_with_workers(cfg(), workers);
+        let obs_pool = run_partition(&mut pool, partitioner, &geocol);
+        prop_assert_eq!(&obs_seq, &obs_pool, "workers={}", workers);
     }
 }
 
@@ -342,8 +328,7 @@ proptest! {
 /// `block_scan` fits one `SCAN_BLOCK` and RCB stays on its sort path. Pin
 /// one deterministic *large* case — above `SORT_CUTOFF`, misaligned with
 /// the block size — so RCB's rank-parallel histogram select and the
-/// multi-block partial compaction run on all three real engines in the
-/// test suite, not only in `perf_check`.
+/// multi-block partial compaction run on both engines in the test suite.
 #[test]
 fn large_active_sets_agree_across_engines_and_match_the_serial_oracle() {
     use chaos_repro::geocol::{SCAN_BLOCK, SORT_CUTOFF};
@@ -358,25 +343,29 @@ fn large_active_sets_agree_across_engines_and_match_the_serial_oracle() {
         let oracle = partitioner.partition(&geocol, 4);
         let cfg = || MachineConfig::unit(4).with_topology(Topology::FullyConnected);
         let mut seq = Machine::new(cfg());
-        let mut thr = ThreadedBackend::from_config(cfg());
-        let mut pool = PooledBackend::with_workers(Machine::new(cfg()), 3);
         let obs_seq = run_partition(&mut seq, partitioner, &geocol);
-        let obs_thr = run_partition(&mut thr, partitioner, &geocol);
-        let obs_pool = run_partition(&mut pool, partitioner, &geocol);
         assert_eq!(
             obs_seq.owners,
             oracle.owners(),
             "{} large-set engine vs pure partition()",
             partitioner.name()
         );
-        assert_eq!(obs_seq, obs_thr, "{}", partitioner.name());
-        assert_eq!(obs_seq, obs_pool, "{}", partitioner.name());
+        for workers in [3, 4] {
+            let mut pool = PooledBackend::from_config_with_workers(cfg(), workers);
+            let obs_pool = run_partition(&mut pool, partitioner, &geocol);
+            assert_eq!(
+                obs_seq,
+                obs_pool,
+                "{} workers={workers}",
+                partitioner.name()
+            );
+        }
     }
 }
 
 /// The disconnected-graph edge case, pinned (the proptest also sweeps it):
-/// RSB on a graph with no edges across components must stay exact on every
-/// engine and cut nothing.
+/// RSB on a graph with no edges across components must stay exact on both
+/// engines and cut nothing.
 #[test]
 fn disconnected_graph_partitioning_is_engine_independent() {
     use chaos_repro::geocol::PartitionQuality;
@@ -385,14 +374,10 @@ fn disconnected_graph_partitioning_is_engine_independent() {
     let oracle = rsb.partition(&geocol, 4);
     let cfg = || MachineConfig::unit(4).with_topology(Topology::FullyConnected);
     let mut seq = Machine::new(cfg());
-    let mut thr = ThreadedBackend::from_config(cfg());
-    let mut pool = PooledBackend::with_workers(Machine::new(cfg()), 2);
     let obs_seq = run_partition(&mut seq, &rsb, &geocol);
-    let obs_thr = run_partition(&mut thr, &rsb, &geocol);
-    let obs_pool = run_partition(&mut pool, &rsb, &geocol);
     assert_eq!(obs_seq.owners, oracle.owners());
-    assert_eq!(obs_seq, obs_thr);
-    assert_eq!(obs_seq, obs_pool);
+    let mut pool = PooledBackend::from_config_with_workers(cfg(), 2);
+    assert_eq!(obs_seq, run_partition(&mut pool, &rsb, &geocol));
     let q = PartitionQuality::evaluate(&geocol, &oracle);
     assert!(
         q.load_imbalance <= 1.5,
@@ -402,21 +387,23 @@ fn disconnected_graph_partitioning_is_engine_independent() {
 }
 
 /// The full mesh experiment end-to-end (partitioner, remap, inspector,
-/// repeated executor sweeps with schedule reuse) agrees across all three
-/// engines on a 16-rank machine.
+/// repeated executor sweeps with schedule reuse) agrees across both engines
+/// on a 16-rank machine — the pool at its default lane count and with one
+/// lane per rank.
 #[test]
 fn mesh_workload_experiment_is_engine_independent() {
     use chaos_bench::experiment::{ExperimentConfig, Method};
-    use chaos_bench::handcoded::{run_handcoded, run_handcoded_pooled, run_handcoded_threaded};
+    use chaos_bench::handcoded::{run_handcoded, run_handcoded_on, run_handcoded_pooled};
     use chaos_bench::workload::mesh_workload;
     use chaos_workloads::MeshConfig;
 
     let w = mesh_workload(MeshConfig::tiny(1500));
     let cfg = ExperimentConfig::paper(16, Method::Rcb).with_iterations(4);
     let seq = run_handcoded(&w, &cfg);
-    let thr = run_handcoded_threaded(&w, &cfg);
     let pooled = run_handcoded_pooled(&w, &cfg);
-    for other in [&thr, &pooled] {
+    let mut lane_per_rank = PooledBackend::from_config_with_workers(MachineConfig::ipsc860(16), 16);
+    let pooled16 = run_handcoded_on(&mut lane_per_rank, &w, &cfg);
+    for other in [&pooled, &pooled16] {
         assert_eq!(seq.total.to_bits(), other.total.to_bits());
         assert_eq!(seq.executor.to_bits(), other.executor.to_bits());
         assert_eq!(seq.inspector.to_bits(), other.inspector.to_bits());
@@ -427,7 +414,7 @@ fn mesh_workload_experiment_is_engine_independent() {
 
 // ---------------------------------------------------------------------------
 // Randomized fault schedules through the language executor: recovery is
-// bit-identical to a fault-free run on every engine.
+// bit-identical to a fault-free run on both engines.
 // ---------------------------------------------------------------------------
 
 mod randomized_faults {
@@ -541,7 +528,8 @@ mod randomized_faults {
 
         /// Any seeded schedule of panics, stalls and corruptions is
         /// recovered bit-identically — values, clock bits, statistics and
-        /// the execution report — on all three engines.
+        /// the execution report — on both engines, the pool with ranks
+        /// striped over 3 lanes and with one lane per rank.
         #[test]
         fn random_fault_schedules_recover_bit_identically(
             seed in 0u64..u64::MAX,
@@ -570,16 +558,13 @@ mod randomized_faults {
                 .with_recovery_policy(policy());
             prop_assert_eq!(&drive(&mut seq, &cp), &want, "sequential engine");
 
-            let mut thr = Executor::new_threaded(MachineConfig::ipsc860(NP), inputs())
-                .with_fault_plan(plan())
-                .with_recovery_policy(policy());
-            prop_assert_eq!(&drive(&mut thr, &cp), &want, "threaded engine");
-
-            let mut pool =
-                Executor::new_pooled_with_workers(MachineConfig::ipsc860(NP), 3, inputs())
-                    .with_fault_plan(plan())
-                    .with_recovery_policy(policy());
-            prop_assert_eq!(&drive(&mut pool, &cp), &want, "pooled engine");
+            for workers in [3, NP] {
+                let mut pool =
+                    Executor::new_pooled_with_workers(MachineConfig::ipsc860(NP), workers, inputs())
+                        .with_fault_plan(plan())
+                        .with_recovery_policy(policy());
+                prop_assert_eq!(&drive(&mut pool, &cp), &want, "pooled engine, {} lanes", workers);
+            }
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Fault injection, detection and recovery, end-to-end through the
-//! language executor on all three engines.
+//! language executor on both engines (the pool with ranks striped over 3
+//! lanes and with one lane per rank).
 //!
 //! The recovery contract is *discard and re-run*: a failed phase never
-//! replayed its charge ledgers onto the machine, and the executor restores
+//! replayed its recorded charges onto the machine, and the executor restores
 //! a pre-sweep (or checkpoint) snapshot before re-running, so a recovered
 //! run must be **bit-identical** — array values, per-processor clock f64
 //! bits, communication statistics, execution report — to a fault-free run
@@ -134,6 +135,10 @@ fn sweep_epochs(cp: &CompiledProgram, checkpoint_every: u64) -> (u64, u64) {
     (start, probe.machine().epoch())
 }
 
+/// The pool configurations every two-engine test runs: ranks striped over
+/// fewer lanes, and one lane per rank (all ranks concurrently live).
+const POOL_WORKERS: [usize; 2] = [3, NPROCS];
+
 fn retry() -> RecoveryPolicy {
     RecoveryPolicy::RetryPhase {
         max_attempts: 3,
@@ -142,7 +147,7 @@ fn retry() -> RecoveryPolicy {
 }
 
 #[test]
-fn injected_panic_recovers_bit_identically_on_all_three_engines() {
+fn injected_panic_recovers_bit_identically_on_both_engines() {
     let cp = program();
     let (e0, e1) = sweep_epochs(&cp, 0);
     assert!(e1 > e0 + 2, "sweeps must span several epochs");
@@ -165,19 +170,16 @@ fn injected_panic_recovers_bit_identically_on_all_three_engines() {
         .with_recovery_policy(retry());
     assert_eq!(drive(&mut seq, &cp).unwrap(), want, "sequential engine");
 
-    let mut thr = Executor::new_threaded(cfg(), ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(retry());
-    assert_eq!(drive(&mut thr, &cp).unwrap(), want, "threaded engine");
-
-    let mut pool = Executor::new_pooled_with_workers(cfg(), 3, ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(retry());
-    assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pooled engine");
+    for workers in POOL_WORKERS {
+        let mut pool = Executor::new_pooled_with_workers(cfg(), workers, ins())
+            .with_fault_plan(plan())
+            .with_recovery_policy(retry());
+        assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
+    }
 }
 
 #[test]
-fn corruption_recovers_bit_identically_on_all_three_engines() {
+fn corruption_recovers_bit_identically_on_both_engines() {
     let cp = program();
     let (e0, e1) = sweep_epochs(&cp, 0);
     let mid = e0 + (e1 - e0) / 2;
@@ -193,15 +195,12 @@ fn corruption_recovers_bit_identically_on_all_three_engines() {
         .with_recovery_policy(retry());
     assert_eq!(drive(&mut seq, &cp).unwrap(), want, "sequential engine");
 
-    let mut thr = Executor::new_threaded(cfg(), ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(retry());
-    assert_eq!(drive(&mut thr, &cp).unwrap(), want, "threaded engine");
-
-    let mut pool = Executor::new_pooled_with_workers(cfg(), 3, ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(retry());
-    assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pooled engine");
+    for workers in POOL_WORKERS {
+        let mut pool = Executor::new_pooled_with_workers(cfg(), workers, ins())
+            .with_fault_plan(plan())
+            .with_recovery_policy(retry());
+        assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
+    }
 }
 
 #[test]
@@ -285,31 +284,52 @@ fn rollback_to_checkpoint_recovers_bit_identically() {
     let mut clean = Executor::new(cfg(), ins()).with_checkpoint_every(EVERY);
     let want = drive(&mut clean, &cp).unwrap();
 
-    for engine in 0..3usize {
-        let obs = match engine {
-            0 => {
-                let mut e = Executor::new(cfg(), ins())
-                    .with_checkpoint_every(EVERY)
-                    .with_fault_plan(plan())
-                    .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
-                drive(&mut e, &cp).unwrap()
-            }
-            1 => {
-                let mut e = Executor::new_threaded(cfg(), ins())
-                    .with_checkpoint_every(EVERY)
-                    .with_fault_plan(plan())
-                    .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
-                drive(&mut e, &cp).unwrap()
-            }
-            _ => {
-                let mut e = Executor::new_pooled_with_workers(cfg(), 3, ins())
-                    .with_checkpoint_every(EVERY)
-                    .with_fault_plan(plan())
-                    .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
-                drive(&mut e, &cp).unwrap()
-            }
-        };
-        assert_eq!(obs, want, "engine {engine}");
+    let mut seq = Executor::new(cfg(), ins())
+        .with_checkpoint_every(EVERY)
+        .with_fault_plan(plan())
+        .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
+    assert_eq!(drive(&mut seq, &cp).unwrap(), want, "sequential engine");
+
+    for workers in POOL_WORKERS {
+        let mut pool = Executor::new_pooled_with_workers(cfg(), workers, ins())
+            .with_checkpoint_every(EVERY)
+            .with_fault_plan(plan())
+            .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
+        assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
+    }
+}
+
+#[test]
+fn checkpoint_cadence_leaves_values_untouched() {
+    // Checkpointing only copies state and charges the modeled scan cost:
+    // against the same program with checkpointing off, the result array
+    // and the execution report are identical, no message is added, and
+    // every processor's modeled clock is at least what it was — the scan
+    // charge is the only permitted difference.
+    const EVERY: u64 = 6;
+    fn check<B: Backend>(make: impl Fn() -> Executor<B>, cp: &CompiledProgram) -> Observation {
+        let off = drive(&mut make(), cp).unwrap();
+        let on = drive(&mut make().with_checkpoint_every(EVERY), cp).unwrap();
+        assert_eq!(off.y_bits, on.y_bits, "values perturbed by checkpointing");
+        assert_eq!(off.report, on.report);
+        assert_eq!((off.messages, off.bytes), (on.messages, on.bytes));
+        assert!(on.epoch > off.epoch, "at least one refresh epoch ran");
+        for (p, (a, b)) in off.clock_bits.iter().zip(&on.clock_bits).enumerate() {
+            assert!(
+                f64::from_bits(b.0) >= f64::from_bits(a.0),
+                "proc {p}: checkpointing made the modeled clock go backwards"
+            );
+        }
+        on
+    }
+    let cp = program();
+    let cfg = || MachineConfig::ipsc860(NPROCS);
+    let ins = || inputs(120, 480);
+    let seq = check(|| Executor::new(cfg(), ins()), &cp);
+    for workers in POOL_WORKERS {
+        let pool = || Executor::new_pooled_with_workers(cfg(), workers, ins());
+        let pooled = check(pool, &cp);
+        assert_eq!(pooled, seq, "checkpointed run diverged on pool/{workers}");
     }
 }
 
@@ -325,18 +345,14 @@ fn degrade_to_machine_recovers_bit_identically() {
     let mut clean = Executor::new(cfg(), ins());
     let want = drive(&mut clean, &cp).unwrap();
 
-    // After the failure the pooled/threaded engines fall back to inline
-    // sequential execution — still bit-identical by the engine-equivalence
-    // contract.
-    let mut thr = Executor::new_threaded(cfg(), ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(RecoveryPolicy::DegradeToMachine);
-    assert_eq!(drive(&mut thr, &cp).unwrap(), want, "threaded degrade");
-
-    let mut pool = Executor::new_pooled_with_workers(cfg(), 3, ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(RecoveryPolicy::DegradeToMachine);
-    assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pooled degrade");
+    // After the failure the pooled engine falls back to inline sequential
+    // execution — still bit-identical by the engine-equivalence contract.
+    for workers in POOL_WORKERS {
+        let mut pool = Executor::new_pooled_with_workers(cfg(), workers, ins())
+            .with_fault_plan(plan())
+            .with_recovery_policy(RecoveryPolicy::DegradeToMachine);
+        assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
+    }
 }
 
 #[test]
@@ -416,15 +432,12 @@ fn panic_inside_a_fused_sweep_recovers_bit_identically() {
         .with_recovery_policy(retry());
     assert_eq!(drive(&mut seq, &cp).unwrap(), want, "sequential engine");
 
-    let mut thr = Executor::new_threaded(cfg(), ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(retry());
-    assert_eq!(drive(&mut thr, &cp).unwrap(), want, "threaded engine");
-
-    let mut pool = Executor::new_pooled_with_workers(cfg(), 3, ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(retry());
-    assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pooled engine");
+    for workers in POOL_WORKERS {
+        let mut pool = Executor::new_pooled_with_workers(cfg(), workers, ins())
+            .with_fault_plan(plan())
+            .with_recovery_policy(retry());
+        assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
+    }
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! bit: on randomized multi-loop programs each loop's result must equal,
 //! byte-for-byte, that of a program containing only that loop, and what the
 //! run sent plus what it booked as saved must be what the loops cost on
-//! their own — while all three SPMD engines (`Machine`, `ThreadedBackend`,
-//! `PooledBackend`) must agree on *everything*: values, per-processor clock
+//! their own — while both SPMD engines (`Machine`, `PooledBackend`) must
+//! agree on *everything*: values, per-processor clock
 //! f64 bit patterns, communication statistics and the executor's report
 //! counters. A fault-injected run must recover bit-identically to a
 //! fault-free one.
@@ -73,7 +73,7 @@ fn inputs_from(
         .int("f2", faces.iter().map(|f| f.1).collect())
 }
 
-/// Everything one run observes; it must match across all three engines
+/// Everything one run observes; it must match across both engines
 /// bit-for-bit.
 #[derive(Debug, PartialEq)]
 struct Observation {
@@ -188,7 +188,8 @@ fn repair(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The three engines agree on everything; each loop computes what it
+    /// Both engines agree on everything (the pool at its default lane
+    /// count and with one lane per rank); each loop computes what it
     /// computes alone; traffic + saved is additive over loops.
     #[test]
     fn engines_agree_and_loops_are_independent_on_random_multi_loop_programs(
@@ -200,10 +201,10 @@ proptest! {
         let cfg = || MachineConfig::ipsc860(nprocs);
 
         let both = drive(&mut Executor::new(cfg(), ins.clone()), &cp);
-        let mut thr = Executor::new_threaded(cfg(), ins.clone());
-        prop_assert_eq!(&drive(&mut thr, &cp), &both, "threaded engine diverged");
         let mut pool = Executor::new_pooled(cfg(), ins.clone());
         prop_assert_eq!(&drive(&mut pool, &cp), &both, "pooled engine diverged");
+        let mut full = Executor::new_pooled_with_workers(cfg(), nprocs, ins.clone());
+        prop_assert_eq!(&drive(&mut full, &cp), &both, "lane-per-rank pool diverged");
 
         let alone = |loops: &[&str]| {
             drive(&mut Executor::new(cfg(), ins.clone()), &program_of(loops))
@@ -229,7 +230,7 @@ proptest! {
 
 /// A kernel panic injected mid-sweep into an incremental run must recover
 /// bit-identically — values, clocks, statistics, counters — to a fault-free
-/// incremental run on every engine (consumed faults never refire, failed
+/// incremental run on both engines (consumed faults never refire, failed
 /// regions never replay their charges).
 #[test]
 fn faulted_incremental_run_recovers_bit_identically() {
@@ -265,15 +266,15 @@ fn faulted_incremental_run_recovers_bit_identically() {
         .with_recovery_policy(retry());
     assert_eq!(drive(&mut seq, &cp), want, "sequential engine");
 
-    let mut thr = Executor::new_threaded(cfg(), ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(retry());
-    assert_eq!(drive(&mut thr, &cp), want, "threaded engine");
-
     let mut pool = Executor::new_pooled(cfg(), ins())
         .with_fault_plan(plan())
         .with_recovery_policy(retry());
     assert_eq!(drive(&mut pool, &cp), want, "pooled engine");
+
+    let mut full = Executor::new_pooled_with_workers(cfg(), nprocs, ins())
+        .with_fault_plan(plan())
+        .with_recovery_policy(retry());
+    assert_eq!(drive(&mut full, &cp), want, "lane-per-rank pool");
 }
 
 /// REDISTRIBUTE gives every aligned array a fresh irregular-distribution

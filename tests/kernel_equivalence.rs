@@ -78,8 +78,9 @@ fn drive<B: Backend>(
     }
 }
 
-/// Assert that compiled and interpreted modes agree on the sequential and
-/// threaded engines and the VM on the pooled one, and return the
+/// Assert that compiled and interpreted modes agree on the sequential
+/// engine, the VM on a pool with one lane per rank (every rank on its own
+/// OS thread) and the tree-walker on the default-sized pool, and return the
 /// compiled-mode observation.
 fn assert_all_equivalent(
     src: &str,
@@ -109,29 +110,22 @@ fn assert_all_equivalent(
         "VM vs tree-walker diverged (sequential engine)"
     );
 
-    let mut vm_thr = Executor::new_threaded(MachineConfig::ipsc860(nprocs), inputs.clone());
-    drive(&mut vm_thr, &cp, &label, extra_sweeps);
-    assert_eq!(
-        obs_vm,
-        observe(&vm_thr, arrays),
-        "VM diverged across engines"
-    );
-
-    let mut tree_thr = Executor::new_threaded(MachineConfig::ipsc860(nprocs), inputs.clone())
-        .with_kernel_mode(KernelMode::Interpreted);
-    drive(&mut tree_thr, &cp, &label, extra_sweeps);
-    assert_eq!(
-        obs_vm,
-        observe(&tree_thr, arrays),
-        "tree-walker diverged across engines"
-    );
-
-    let mut vm_pool = Executor::new_pooled(MachineConfig::ipsc860(nprocs), inputs.clone());
+    let mut vm_pool =
+        Executor::new_pooled_with_workers(MachineConfig::ipsc860(nprocs), nprocs, inputs.clone());
     drive(&mut vm_pool, &cp, &label, extra_sweeps);
     assert_eq!(
         obs_vm,
         observe(&vm_pool, arrays),
-        "VM diverged on the pooled engine"
+        "VM diverged across engines"
+    );
+
+    let mut tree_pool = Executor::new_pooled(MachineConfig::ipsc860(nprocs), inputs.clone())
+        .with_kernel_mode(KernelMode::Interpreted);
+    drive(&mut tree_pool, &cp, &label, extra_sweeps);
+    assert_eq!(
+        obs_vm,
+        observe(&tree_pool, arrays),
+        "tree-walker diverged across engines"
     );
 
     // Kernel caching mirrors schedule reuse: one compile per inspector run,

@@ -1,16 +1,14 @@
 //! The metrics registry is an **observer**: enabling metering must never
 //! change what an engine computes. These tests drive randomized pipelines
-//! through all three engines — `Machine` (sequential oracle),
-//! `ThreadedBackend`, `PooledBackend` — twice each, once with a
-//! `MetricsRegistry` installed and once without, and assert the runs are
-//! bit-identical in every observable (array values, ghost buffers, the f64
-//! bit patterns of the modeled clocks, and the communication statistics).
+//! through both engines — `Machine` (sequential oracle) and `PooledBackend`
+//! — twice each, once with a `MetricsRegistry` installed and once without,
+//! and assert the runs are bit-identical in every observable (array values,
+//! ghost buffers, the f64 bit patterns of the modeled clocks, and the
+//! communication statistics).
 //! The metered runs must additionally have actually metered: epochs and
 //! kernel runs counted, span histograms populated on the right engine.
 
-use chaos_repro::dmsim::{
-    Backend, Counter, EngineKind, MetricsRegistry, PooledBackend, ThreadedBackend, Topology,
-};
+use chaos_repro::dmsim::{Backend, Counter, EngineKind, MetricsRegistry, PooledBackend, Topology};
 use chaos_repro::prelude::*;
 use chaos_repro::runtime::{gather, scatter_add, Inspector, LocalRef};
 use proptest::prelude::*;
@@ -149,8 +147,6 @@ proptest! {
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.41 - 3.0).collect();
         let pattern = build_pattern(p, n, seed, refs_per_proc);
         let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
-        let workers = 1 + (seed as usize % 5);
-
         // Sequential oracle.
         let mut plain = Machine::new(cfg());
         let want = run_pipeline(&mut plain, &dist, &data, &pattern);
@@ -160,23 +156,17 @@ proptest! {
         prop_assert_eq!(&run_pipeline(&mut metered, &dist, &data, &pattern), &want);
         assert_metered(&registry, EngineKind::Machine, "sequential");
 
-        // Scoped-thread engine (one lane per rank).
-        let mut thr = ThreadedBackend::from_config(cfg());
-        prop_assert_eq!(&run_pipeline(&mut thr, &dist, &data, &pattern), &want);
-        let mut thr_metered = ThreadedBackend::from_config(cfg());
-        let registry = Arc::new(MetricsRegistry::new(p));
-        thr_metered.machine_mut().install_metrics(Some(Arc::clone(&registry)));
-        prop_assert_eq!(&run_pipeline(&mut thr_metered, &dist, &data, &pattern), &want);
-        assert_metered(&registry, EngineKind::Threaded, "threaded");
-
-        // Worker pool (ranks striped over `workers` lanes).
-        let mut pool = PooledBackend::with_workers(Machine::new(cfg()), workers);
-        prop_assert_eq!(&run_pipeline(&mut pool, &dist, &data, &pattern), &want);
-        let mut pool_metered = PooledBackend::with_workers(Machine::new(cfg()), workers);
-        let registry = Arc::new(MetricsRegistry::new(workers));
-        pool_metered.machine_mut().install_metrics(Some(Arc::clone(&registry)));
-        prop_assert_eq!(&run_pipeline(&mut pool_metered, &dist, &data, &pattern), &want);
-        assert_metered(&registry, EngineKind::Pooled, "pooled");
+        // Worker pool: one lane per rank, then ranks striped over (or
+        // outnumbered by) 1..=5 lanes.
+        for workers in [p, 1 + (seed as usize % 5)] {
+            let mut pool = PooledBackend::from_config_with_workers(cfg(), workers);
+            prop_assert_eq!(&run_pipeline(&mut pool, &dist, &data, &pattern), &want);
+            let mut pool_metered = PooledBackend::from_config_with_workers(cfg(), workers);
+            let registry = Arc::new(MetricsRegistry::new(workers));
+            pool_metered.machine_mut().install_metrics(Some(Arc::clone(&registry)));
+            prop_assert_eq!(&run_pipeline(&mut pool_metered, &dist, &data, &pattern), &want);
+            assert_metered(&registry, EngineKind::Pooled, "pooled");
+        }
     }
 }
 

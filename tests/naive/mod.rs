@@ -4,20 +4,18 @@
 //! of `localize`, `gather` and `scatter_add` (schedules as
 //! `Vec<Vec<(owner, offset)>>` ghost lists and per-owner `Vec<SendList>`s,
 //! communication through materialized [`ExchangePlan`]s). It is **not** used
-//! by the runtime — the flat CSR implementation in [`crate::schedule`] /
-//! [`crate::executor`] is — but is retained as an executable specification:
-//! the property tests assert that the CSR hot path produces byte-identical
-//! gather/scatter results and identical message/volume accounting against
-//! this reference.
+//! by the runtime — the flat CSR implementation in `chaos_runtime::schedule`
+//! / `chaos_runtime::executor` is — but is retained as an executable
+//! specification: `csr_pipeline_matches_naive_reference` asserts that the CSR
+//! hot path produces byte-identical gather/scatter results and identical
+//! message/volume accounting against this reference.
 
 // This module intentionally preserves the seed's code shape, idioms
 // included — it is the oracle, not the implementation.
 #![allow(clippy::needless_range_loop)]
 
-use crate::darray::DistArray;
-use crate::dist::Distribution;
-use crate::inspector::{AccessPattern, LocalRef};
-use chaos_dmsim::{ExchangePlan, Machine};
+use chaos_repro::dmsim::{ExchangePlan, Machine};
+use chaos_repro::runtime::{AccessPattern, DistArray, Distribution, LocalRef};
 use std::collections::HashMap;
 
 /// One owner→requester send list of the naive schedule.
@@ -263,7 +261,7 @@ pub fn scatter_add(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chaos_dmsim::MachineConfig;
+    use chaos_repro::dmsim::MachineConfig;
 
     #[test]
     fn naive_pipeline_round_trips() {

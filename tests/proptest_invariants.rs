@@ -16,6 +16,8 @@ use chaos_repro::prelude::*;
 use chaos_repro::runtime::{gather, scatter_add, Dad, Inspector, LoopId};
 use proptest::prelude::*;
 
+mod naive;
+
 /// Strategy: a processor count and a map array assigning each of `n`
 /// elements to one of the processors.
 fn map_strategy() -> impl Strategy<Value = (usize, Vec<u32>)> {
@@ -167,8 +169,7 @@ proptest! {
         // The flat CSR schedule + hash-free localize must produce
         // byte-identical gather/scatter results AND identical message /
         // volume accounting versus the retained naive reference
-        // implementation (chaos_runtime::naive).
-        use chaos_repro::runtime::naive;
+        // implementation (tests/naive).
         let n = map.len();
         let distributed = distributed_sel == 1;
         let dist = if distributed {

@@ -1,16 +1,15 @@
 //! The flight recorder is an **observer**: enabling tracing must never
 //! change what an engine computes. These tests drive randomized pipelines
-//! through all three engines — `Machine` (sequential oracle),
-//! `ThreadedBackend`, `PooledBackend` — twice each, once with a `TraceSink`
-//! installed and once without, and assert the runs are bit-identical in
-//! every observable (array values, ghost buffers, the f64 bit patterns of
-//! the modeled clocks, and the communication statistics). The traced runs
-//! must additionally have recorded a well-nested timeline, and a diagnosed
-//! `Straggler` must arrive with the hung lane's flight-recorder tail.
+//! through both engines — `Machine` (sequential oracle) and `PooledBackend`
+//! — twice each, once with a `TraceSink` installed and once without, and
+//! assert the runs are bit-identical in every observable (array values,
+//! ghost buffers, the f64 bit patterns of the modeled clocks, and the
+//! communication statistics). The traced runs must additionally have
+//! recorded a well-nested timeline, and a diagnosed `Straggler` must arrive
+//! with the hung lane's flight-recorder tail.
 
 use chaos_repro::dmsim::{
-    Backend, FaultKind, FaultPlan, PhaseError, PooledBackend, ThreadedBackend, Topology,
-    TraceEventKind, TraceSink,
+    Backend, FaultKind, FaultPlan, PhaseError, PooledBackend, Topology, TraceEventKind, TraceSink,
 };
 use chaos_repro::prelude::*;
 use chaos_repro::runtime::{gather, scatter_add, Inspector, LocalRef};
@@ -137,8 +136,6 @@ proptest! {
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.41 - 3.0).collect();
         let pattern = build_pattern(p, n, seed, refs_per_proc);
         let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
-        let workers = 1 + (seed as usize % 5);
-
         // Sequential oracle.
         let mut plain = Machine::new(cfg());
         let want = run_pipeline(&mut plain, &dist, &data, &pattern);
@@ -148,23 +145,17 @@ proptest! {
         prop_assert_eq!(&run_pipeline(&mut traced, &dist, &data, &pattern), &want);
         assert_traced(&sink, "sequential");
 
-        // Scoped-thread engine (one lane per rank).
-        let mut thr = ThreadedBackend::from_config(cfg());
-        prop_assert_eq!(&run_pipeline(&mut thr, &dist, &data, &pattern), &want);
-        let mut thr_traced = ThreadedBackend::from_config(cfg());
-        let sink = Arc::new(TraceSink::new(p));
-        thr_traced.machine_mut().install_trace(Some(Arc::clone(&sink)));
-        prop_assert_eq!(&run_pipeline(&mut thr_traced, &dist, &data, &pattern), &want);
-        assert_traced(&sink, "threaded");
-
-        // Worker pool (ranks striped over `workers` lanes).
-        let mut pool = PooledBackend::with_workers(Machine::new(cfg()), workers);
-        prop_assert_eq!(&run_pipeline(&mut pool, &dist, &data, &pattern), &want);
-        let mut pool_traced = PooledBackend::with_workers(Machine::new(cfg()), workers);
-        let sink = Arc::new(TraceSink::new(workers));
-        pool_traced.machine_mut().install_trace(Some(Arc::clone(&sink)));
-        prop_assert_eq!(&run_pipeline(&mut pool_traced, &dist, &data, &pattern), &want);
-        assert_traced(&sink, "pooled");
+        // Worker pool: one lane per rank, then ranks striped over (or
+        // outnumbered by) 1..=5 lanes.
+        for workers in [p, 1 + (seed as usize % 5)] {
+            let mut pool = PooledBackend::from_config_with_workers(cfg(), workers);
+            prop_assert_eq!(&run_pipeline(&mut pool, &dist, &data, &pattern), &want);
+            let mut pool_traced = PooledBackend::from_config_with_workers(cfg(), workers);
+            let sink = Arc::new(TraceSink::new(workers));
+            pool_traced.machine_mut().install_trace(Some(Arc::clone(&sink)));
+            prop_assert_eq!(&run_pipeline(&mut pool_traced, &dist, &data, &pattern), &want);
+            assert_traced(&sink, "pooled");
+        }
     }
 }
 
