@@ -15,7 +15,7 @@
 //! That each variant computes bit-identical values, clocks and statistics to
 //! its base is a tier-1 test (`kernel_equivalence`,
 //! `fault_recovery::checkpoint_cadence_leaves_values_untouched`,
-//! `trace_identity`, `metrics_identity`), not repeated here. Whether a change
+//! `observer_identity` for both observers), not repeated here. Whether a change
 //! made whole programs faster is `benchmark/`'s question, not this binary's.
 //!
 //! Usage: `cargo run --release -p chaos-bench --bin perf_check` — no

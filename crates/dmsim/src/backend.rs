@@ -43,12 +43,9 @@
 
 use crate::fault::{self, PhaseError};
 use crate::machine::{Machine, PhaseCharge, ProcId};
-use crate::metrics::{Counter, EngineKind, MetricsRegistry, SpanKind};
-use crate::stats::PhaseKind;
-use crate::trace::{TraceEventKind, TraceSink};
+use crate::probe::Lane;
+use crate::trace::TraceEventKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// The label bucket every engine's fused executor sweep attributes its
 /// scatter phases to (via [`PhaseEnd::QuietLabelled`]), so fused and split
@@ -453,38 +450,24 @@ pub trait Backend {
 }
 
 /// Shared tail of the `try_run_*` detectors: convert a caught panic into a
-/// typed error and surface any post-phase flaw.
+/// typed error, surface any post-phase flaw, and report the diagnosis to
+/// the observers (an `ErrorDiagnosed` instant carrying the failing epoch,
+/// which freezes the flight recorder's tail — see [`Machine::observe`]).
 fn finish_attempt<B: Backend + ?Sized>(
     backend: &mut B,
     result: Result<(), Box<dyn std::any::Any + Send>>,
 ) -> Result<(), PhaseError> {
-    match result {
-        Ok(()) => match backend.take_phase_flaw() {
-            Some(flaw) => Err(diagnose(backend.machine(), flaw)),
-            None => Ok(()),
-        },
-        Err(payload) => {
-            // A panic supersedes any straggler report from the same region.
-            let _ = backend.take_phase_flaw();
-            let err = PhaseError::from_payload(backend.machine().epoch(), payload);
-            Err(diagnose(backend.machine(), err))
-        }
-    }
-}
-
-/// Stamp a freshly diagnosed [`PhaseError`] into the flight recorder: an
-/// `ErrorDiagnosed` instant on the driver ring, then a capture of every
-/// ring's retained tail (see [`TraceSink::error_tail`]) so the error comes
-/// with its timeline attached.
-fn diagnose(machine: &Machine, err: PhaseError) -> PhaseError {
-    if let Some(t) = machine.tracer() {
-        t.record_driver(TraceEventKind::ErrorDiagnosed, 0);
-        t.capture_error_tail();
-    }
-    if let Some(m) = machine.metrics() {
-        m.incr(None, Counter::ErrorsDiagnosed, 1);
-    }
-    err
+    // A panic supersedes any straggler report from the same region.
+    let flaw = backend.take_phase_flaw();
+    let err = match result {
+        Ok(()) => flaw,
+        Err(payload) => Some(PhaseError::from_payload(backend.machine().epoch(), payload)),
+    };
+    let Some(err) = err else { return Ok(()) };
+    backend
+        .machine_mut()
+        .observe(TraceEventKind::ErrorDiagnosed, err.epoch() as u32);
+    Err(err)
 }
 
 /// Close a hand-charged phase per the requested [`PhaseEnd`].
@@ -493,61 +476,6 @@ pub(crate) fn close_phase(machine: &mut Machine, end: PhaseEnd<'_>, phase: Phase
         PhaseEnd::Quiet => machine.end_phase_quiet(phase),
         PhaseEnd::Labelled(label) => machine.end_phase(label, phase),
         PhaseEnd::QuietLabelled(label) => machine.end_phase_quiet_labelled(label, phase),
-    }
-}
-
-/// Start timing a metrics span: `Some(Instant)` only when a registry is
-/// installed, so the disabled path never reads the clock.
-#[inline]
-pub(crate) fn metrics_span_begin(metrics: &Option<Arc<MetricsRegistry>>) -> Option<Instant> {
-    metrics.as_ref().map(|_| Instant::now())
-}
-
-/// Close a driver-side replay span opened with [`metrics_span_begin`]:
-/// record its duration into the pooled × replay × `kind` histogram (only
-/// the pool replays) and bump the replay counter (no-op when metrics are
-/// off).
-#[inline]
-pub(crate) fn metrics_replay_end(
-    metrics: &Option<Arc<MetricsRegistry>>,
-    kind: PhaseKind,
-    t0: Option<Instant>,
-) {
-    if let (Some(m), Some(t0)) = (metrics, t0) {
-        m.incr(None, Counter::ReplayRuns, 1);
-        m.record_span(
-            None,
-            EngineKind::Pooled,
-            SpanKind::Replay,
-            kind,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-}
-
-/// The phase kind metrics spans recorded during the current region are
-/// keyed by: the machine's current kind, `Other` when none is set.
-#[inline]
-pub(crate) fn metrics_phase_kind(machine: &Machine) -> PhaseKind {
-    machine.stats().current_kind().unwrap_or(PhaseKind::Other)
-}
-
-/// Open a driver-side charge-replay span (no-op when tracing is off).
-#[inline]
-pub(crate) fn trace_replay_begin(trace: &Option<Arc<TraceSink>>) {
-    if let Some(t) = trace {
-        t.record_driver(TraceEventKind::ReplayBegin, 0);
-    }
-}
-
-/// Close a driver-side charge-replay span, publishing the post-replay
-/// modeled clock so subsequent events correlate against it (no-op when
-/// tracing is off).
-#[inline]
-pub(crate) fn trace_replay_end(trace: &Option<Arc<TraceSink>>, machine: &Machine) {
-    if let Some(t) = trace {
-        t.publish_modeled(machine.modeled_now());
-        t.record_driver(TraceEventKind::ReplayEnd, 0);
     }
 }
 
@@ -582,26 +510,13 @@ where
     F: Fn(&mut RankCtx<'_>, St) + Sync,
 {
     let nprocs = machine.nprocs();
-    let plan = machine.fault_plan().cloned();
-    let trace = machine.tracer().cloned();
-    let metrics = machine.metrics().cloned();
-    let kind = metrics_phase_kind(machine);
-    let epoch = machine.epoch();
-    let t0 = metrics_span_begin(&metrics);
     let mut count = 0;
     for (rank, st) in state.into_iter().enumerate() {
         assert!(rank < nprocs, "state must yield one item per rank");
-        fault::fire_traced(
-            plan.as_deref(),
-            epoch,
-            rank,
-            trace.as_deref(),
-            metrics.as_deref(),
-            None,
-        );
-        if let Some(t) = &trace {
-            t.record_driver(TraceEventKind::KernelEnter, rank as u32);
-        }
+        fault::fire_traced(machine, rank, Lane::Driver);
+        let span = machine
+            .probe()
+            .enter(Lane::Driver, TraceEventKind::KernelEnter, rank as u32);
         let mut ctx = RankCtx {
             rank,
             nprocs,
@@ -611,24 +526,10 @@ where
             },
         };
         kernel(&mut ctx, st);
-        if let Some(t) = &trace {
-            t.record_driver(TraceEventKind::KernelExit, rank as u32);
-        }
+        machine.probe().exit(Lane::Driver, span, 1);
         count += 1;
     }
     assert_eq!(count, nprocs, "state must yield one item per rank");
-    if let (Some(m), Some(t0)) = (&metrics, t0) {
-        // The sequential oracle runs every rank on the driver: one kernel
-        // span covering the whole loop, on the driver shard.
-        m.incr(None, Counter::KernelRuns, nprocs as u64);
-        m.record_span(
-            None,
-            EngineKind::Machine,
-            SpanKind::Kernel,
-            kind,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
 }
 
 /// Run one communication phase **inline on the driver**, against the shared
@@ -713,21 +614,11 @@ impl Backend for Machine {
         A: Fn(&mut RankCtx<'_>) + Sync,
         B: Fn(&mut RankCtx<'_>, St) + Sync,
     {
-        let epoch = self.advance_epoch();
+        self.advance_epoch();
         let nprocs = self.nprocs();
-        let plan = self.fault_plan().cloned();
-        let trace = self.tracer().cloned();
-        let metrics = self.metrics().cloned();
         let mut phase = PhaseCharge::new();
         for rank in 0..nprocs {
-            fault::fire_traced(
-                plan.as_deref(),
-                epoch,
-                rank,
-                trace.as_deref(),
-                metrics.as_deref(),
-                None,
-            );
+            fault::fire_traced(self, rank, Lane::Driver);
             let mut ctx = RankCtx {
                 rank,
                 nprocs,
@@ -750,24 +641,14 @@ impl Backend for Machine {
         A: Fn(&mut RankCtx<'_>, &mut Outbox<'_, T>) + Sync,
         B: Fn(&mut RankCtx<'_>, St, &Inbox<'_, T>) + Sync,
     {
-        let epoch = self.advance_epoch();
+        self.advance_epoch();
         let nprocs = self.nprocs();
-        let plan = self.fault_plan().cloned();
-        let trace = self.tracer().cloned();
-        let metrics = self.metrics().cloned();
         let mut matrix: Vec<Vec<Vec<T>>> = (0..nprocs)
             .map(|_| (0..nprocs).map(|_| Vec::new()).collect())
             .collect();
         let mut phase = PhaseCharge::new();
         for (rank, row) in matrix.iter_mut().enumerate() {
-            fault::fire_traced(
-                plan.as_deref(),
-                epoch,
-                rank,
-                trace.as_deref(),
-                metrics.as_deref(),
-                None,
-            );
+            fault::fire_traced(self, rank, Lane::Driver);
             let mut ctx = RankCtx {
                 rank,
                 nprocs,
@@ -803,27 +684,15 @@ impl Backend for Machine {
         P: Fn(&mut RankCtx<'_>, usize),
         S: Fn(&mut RankCtx<'_>, usize, &mut Sc, &[Px]) + Sync,
     {
-        let epoch = self.advance_epoch();
+        self.advance_epoch();
         let nprocs = self.nprocs();
         assert_eq!(scratch.len(), nprocs, "one scratch item per rank");
         assert_eq!(posted.len(), nprocs, "one posted area per rank");
-        let plan = self.fault_plan().cloned();
-        let trace = self.tracer().cloned();
-        let metrics = self.metrics().cloned();
-        let kind = metrics_phase_kind(self);
-        let t0 = metrics_span_begin(&metrics);
         for (rank, (sc, px)) in scratch.iter_mut().zip(posted.iter_mut()).enumerate() {
-            fault::fire_traced(
-                plan.as_deref(),
-                epoch,
-                rank,
-                trace.as_deref(),
-                metrics.as_deref(),
-                None,
-            );
-            if let Some(t) = &trace {
-                t.record_driver(TraceEventKind::KernelEnter, rank as u32);
-            }
+            fault::fire_traced(self, rank, Lane::Driver);
+            let span = self
+                .probe()
+                .enter(Lane::Driver, TraceEventKind::KernelEnter, rank as u32);
             let mut ctx = RankCtx {
                 rank,
                 nprocs,
@@ -833,19 +702,7 @@ impl Backend for Machine {
                 },
             };
             compute(&mut ctx, sc, px);
-            if let Some(t) = &trace {
-                t.record_driver(TraceEventKind::KernelExit, rank as u32);
-            }
-        }
-        if let (Some(m), Some(t0)) = (&metrics, t0) {
-            m.incr(None, Counter::KernelRuns, nprocs as u64);
-            m.record_span(
-                None,
-                EngineKind::Machine,
-                SpanKind::Kernel,
-                kind,
-                t0.elapsed().as_nanos() as u64,
-            );
+            self.probe().exit(Lane::Driver, span, 1);
         }
         for j in 0..nscatter {
             if !scatter_active(posted, j) {
@@ -864,11 +721,12 @@ impl Backend for Machine {
                 scatter_pack(&mut ctx, j);
             }
             close_phase(self, PhaseEnd::QuietLabelled(FUSED_SWEEP_LABEL), phase);
-            let t0 = metrics_span_begin(&metrics);
+            // The sequential engine's stripe is every rank: one combine
+            // span per active buffer, like each pool lane's.
+            let span = self
+                .probe()
+                .enter(Lane::Driver, TraceEventKind::CombineEnter, j as u32);
             for (rank, sc) in scratch.iter_mut().enumerate() {
-                if let Some(t) = &trace {
-                    t.record_driver(TraceEventKind::CombineEnter, rank as u32);
-                }
                 let mut ctx = RankCtx {
                     rank,
                     nprocs,
@@ -878,20 +736,8 @@ impl Backend for Machine {
                     },
                 };
                 combine(&mut ctx, j, sc, &*posted);
-                if let Some(t) = &trace {
-                    t.record_driver(TraceEventKind::CombineExit, rank as u32);
-                }
             }
-            if let (Some(m), Some(t0)) = (&metrics, t0) {
-                m.incr(None, Counter::CombineRuns, nprocs as u64);
-                m.record_span(
-                    None,
-                    EngineKind::Machine,
-                    SpanKind::Combine,
-                    kind,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
+            self.probe().exit(Lane::Driver, span, nprocs as u64);
         }
     }
 

@@ -5,7 +5,7 @@
 //! without giving up its determinism contract:
 //!
 //! * **Injection** — a [`FaultPlan`] names faults at `(epoch, rank)`
-//!   coordinates. Both engines ([`Machine`](crate::Machine),
+//!   coordinates. Both engines ([`Machine`],
 //!   [`PooledBackend`](crate::PooledBackend)) consult the installed plan at
 //!   every per-rank kernel entry, so the same plan produces the same fault
 //!   at the same point of the same phase on either engine.
@@ -26,6 +26,9 @@
 //! so restoring a snapshot taken before the fault does not re-arm it, which
 //! is exactly what makes retry terminate.
 
+use crate::machine::Machine;
+use crate::probe::Lane;
+use crate::trace::TraceEventKind;
 use std::any::Any;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -212,36 +215,16 @@ impl FaultPlan {
     }
 }
 
-/// Fire the plan (if any) for `(epoch, rank)` — the helper every engine
-/// calls at kernel entry — with observer hooks: when a fault is about to
-/// fire at `(epoch, rank)`, record a
-/// [`FaultFired`](crate::trace::TraceEventKind::FaultFired) event on the
-/// installed sink (on `lane`'s ring, or the driver's when `lane` is `None`)
-/// and bump the metrics registry's
-/// [`FaultsFired`](crate::metrics::Counter::FaultsFired) counter on the
-/// same lane — both *before* `fire`, so the observers see the injection
-/// even when the fault unwinds the kernel.
+/// Fire `machine`'s fault plan (if any) for `rank` in the current epoch —
+/// the helper every engine calls at kernel entry. A fault about to fire is
+/// first reported to the probe as a `FaultFired` instant on `lane`, so the
+/// observers see the injection even when the fault unwinds the kernel.
 #[inline]
-pub(crate) fn fire_traced(
-    plan: Option<&FaultPlan>,
-    epoch: u64,
-    rank: usize,
-    trace: Option<&crate::trace::TraceSink>,
-    metrics: Option<&crate::metrics::MetricsRegistry>,
-    lane: Option<usize>,
-) {
-    if let Some(plan) = plan {
-        if (trace.is_some() || metrics.is_some()) && plan.scheduled(epoch, rank) {
-            if let Some(t) = trace {
-                let kind = crate::trace::TraceEventKind::FaultFired;
-                match lane {
-                    Some(l) => t.record(l, kind, rank as u32),
-                    None => t.record_driver(kind, rank as u32),
-                }
-            }
-            if let Some(m) = metrics {
-                m.incr(lane, crate::metrics::Counter::FaultsFired, 1);
-            }
+pub(crate) fn fire_traced(machine: &Machine, rank: usize, lane: Lane) {
+    if let Some(plan) = machine.fault_plan() {
+        let (epoch, probe) = (machine.epoch(), machine.probe());
+        if probe.on() && plan.scheduled(epoch, rank) {
+            probe.instant(lane, TraceEventKind::FaultFired, rank as u32);
         }
         plan.fire(epoch, rank);
     }
@@ -507,7 +490,7 @@ pub enum RecoveryPolicy {
     /// sweeps since it, then rerun the failed sweep.
     RollbackToCheckpoint,
     /// Switch the backend to inline sequential execution (the
-    /// [`Machine`](crate::Machine) oracle path) and rerun from the
+    /// [`Machine`] oracle path) and rerun from the
     /// pre-sweep snapshot — bit-identical by the determinism contract.
     DegradeToMachine,
 }

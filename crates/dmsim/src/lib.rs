@@ -54,6 +54,7 @@ pub mod fault;
 pub mod machine;
 pub mod metrics;
 pub mod pool;
+mod probe;
 pub mod stats;
 pub mod time;
 pub mod topology;

@@ -4,7 +4,8 @@
 use crate::config::{MachineConfig, SyncModel};
 use crate::exchange::{Delivered, ExchangePlan};
 use crate::fault::FaultPlan;
-use crate::metrics::{Counter, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
+use crate::probe::{Lane, Probe};
 use crate::stats::{copy_btree_values, CommStats, PhaseKind, StatsRegistry, StatsSnapshot};
 use crate::time::{ElapsedReport, ProcClock};
 use crate::topology::hops;
@@ -68,16 +69,12 @@ pub struct Machine {
     /// entry. Shared (not deep-cloned) across machine clones so consumed
     /// faults stay consumed through snapshot / restore.
     faults: Option<Arc<FaultPlan>>,
-    /// The installed trace sink, fed by every engine when present. `None`
-    /// (the default) keeps every hook on the disabled fast path: one
-    /// pointer test, no allocation, no clock effect. Shared across machine
-    /// clones like the fault plan.
-    trace: Option<Arc<TraceSink>>,
-    /// The installed metrics registry, fed from the same hook points as the
-    /// trace sink. `None` (the default) keeps every hook on the disabled
-    /// fast path: one pointer test, no allocation, no clock effect. Shared
-    /// across machine clones like the fault plan and the trace sink.
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// The installed observers (flight recorder and / or metrics registry),
+    /// fed through the probe's hooks by every engine. Empty by default,
+    /// which keeps every hook on the disabled fast path: one branch, no
+    /// allocation, no clock effect. Shared across machine clones like the
+    /// fault plan.
+    probe: Probe,
 }
 
 /// A reusable snapshot of a [`Machine`]'s mutable state (clocks, statistics,
@@ -130,8 +127,7 @@ impl Machine {
             last_phase_sample: 0.0,
             epoch: 0,
             faults: None,
-            trace: None,
-            metrics: None,
+            probe: Probe::default(),
         }
     }
 
@@ -148,28 +144,18 @@ impl Machine {
     #[inline]
     pub(crate) fn advance_epoch(&mut self) -> u64 {
         self.epoch += 1;
-        if self.trace.is_some() {
-            self.trace_epoch_boundary();
-        }
-        if let Some(m) = &self.metrics {
-            m.incr(None, Counter::Epochs, 1);
+        if self.probe.on() {
+            self.observe_epoch();
         }
         self.epoch
     }
 
-    /// Out-of-line traced side of [`Machine::advance_epoch`]: close the
-    /// previous epoch's span, publish the modeled clock and the new epoch
-    /// stamp, and open the new span — all on the driver's ring. Kept
+    /// Out-of-line observed side of [`Machine::advance_epoch`], kept
     /// `#[cold]` so the disabled path stays a single predictable branch.
     #[cold]
-    fn trace_epoch_boundary(&self) {
-        let Some(t) = &self.trace else { return };
-        t.publish_modeled(self.modeled_now());
-        if self.epoch > 1 {
-            t.record_driver(TraceEventKind::EpochEnd, 0);
-        }
-        t.set_epoch(self.epoch);
-        t.record_driver(TraceEventKind::EpochBegin, 0);
+    fn observe_epoch(&mut self) {
+        let (now, kind) = (self.modeled_now(), self.stats.current_kind());
+        self.probe.epoch(self.epoch, now, kind);
     }
 
     /// The modeled clock "now": the maximum per-processor total, in
@@ -202,12 +188,7 @@ impl Machine {
     /// Installing a sink never changes modeled clocks, values or
     /// statistics — the sink only observes them.
     pub fn install_trace(&mut self, sink: Option<Arc<TraceSink>>) {
-        self.trace = sink;
-    }
-
-    /// The installed trace sink, if any.
-    pub fn tracer(&self) -> Option<&Arc<TraceSink>> {
-        self.trace.as_ref()
+        self.probe.trace = sink;
     }
 
     /// Install (or clear) the metrics registry every engine feeds. Like the
@@ -217,12 +198,24 @@ impl Machine {
     /// statistics — metrics only observe them (see
     /// [`crate::metrics`]).
     pub fn install_metrics(&mut self, registry: Option<Arc<MetricsRegistry>>) {
-        self.metrics = registry;
+        self.probe.metrics = registry;
     }
 
-    /// The installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
+    /// The hooks the engines report through.
+    #[inline]
+    pub(crate) fn probe(&self) -> &Probe {
+        &self.probe
+    }
+
+    /// Report a driver-side instant — a recovery step (`RetryAttempt`,
+    /// `Rollback`, `Degrade`, `CheckpointRefresh`) or an `ErrorDiagnosed`,
+    /// whose `arg` is the failing epoch and which also freezes the flight
+    /// recorder's [error tail](TraceSink::error_tail) — to the installed
+    /// observers: an event on the driver's ring and one on the kind's
+    /// counter. A no-op with none installed. Taking `&mut self` is what
+    /// makes the caller the driver ring's only writer.
+    pub fn observe(&mut self, kind: TraceEventKind, arg: u32) {
+        self.probe.instant(Lane::Driver, kind, arg);
     }
 
     /// Write this machine's mutable state into `snap`, reusing its buffers
@@ -262,25 +255,14 @@ impl Machine {
     /// exactly the rows of the paper's tables. Returns the previous kind so
     /// nested regions can restore it.
     pub fn set_phase_kind(&mut self, kind: Option<PhaseKind>) -> Option<PhaseKind> {
-        let now = self
-            .clocks
-            .iter()
-            .map(|c| c.total().as_seconds())
-            .fold(0.0, f64::max);
+        let now = self.modeled_now();
         let outgoing = self.stats.current_kind();
         if let Some(k) = outgoing {
             *self.phase_elapsed.entry(k).or_insert(0.0) += now - self.last_phase_sample;
         }
-        if let Some(m) = &self.metrics {
-            // The cost-model auditor rides the same sampling point: the
-            // modeled delta credited above, paired with the wall time the
-            // driver actually spent since the previous sample. Intervals
-            // with no active kind are attributed to `Other`.
-            m.audit_sample(
-                outgoing.unwrap_or(PhaseKind::Other),
-                now - self.last_phase_sample,
-            );
-        }
+        // The cost-model auditor rides the same sampling point.
+        self.probe
+            .kind_changed(outgoing, now - self.last_phase_sample);
         self.last_phase_sample = now;
         self.stats.set_current_kind(kind)
     }
@@ -290,12 +272,7 @@ impl Machine {
     pub fn phase_elapsed(&self, kind: PhaseKind) -> f64 {
         let mut t = self.phase_elapsed.get(&kind).copied().unwrap_or(0.0);
         if self.stats.current_kind() == Some(kind) {
-            let now = self
-                .clocks
-                .iter()
-                .map(|c| c.total().as_seconds())
-                .fold(0.0, f64::max);
-            t += now - self.last_phase_sample;
+            t += self.modeled_now() - self.last_phase_sample;
         }
         t
     }
@@ -428,9 +405,7 @@ impl Machine {
             stats.comm_seconds += 2.0 * (transfer + pack);
         }
 
-        if let Some(m) = &self.metrics {
-            m.note_phase_volume(&stats);
-        }
+        self.probe.phase_closed(&stats);
         self.stats.record(label, stats);
         if self.cfg.sync == SyncModel::BarrierPerPhase {
             self.synchronize_clocks();
@@ -471,9 +446,7 @@ impl Machine {
     /// Finish a hand-charged message phase, recording it under `label` and
     /// applying the per-phase barrier if the sync model asks for one.
     pub fn end_phase(&mut self, label: &str, phase: PhaseCharge) {
-        if let Some(m) = &self.metrics {
-            m.note_phase_volume(&phase.stats);
-        }
+        self.probe.phase_closed(&phase.stats);
         self.stats.record(label, phase.stats);
         if self.cfg.sync == SyncModel::BarrierPerPhase {
             self.synchronize_clocks();
@@ -486,9 +459,7 @@ impl Machine {
     /// performs no heap allocation in steady state, which the executor's
     /// per-iteration gather/scatter relies on.
     pub fn end_phase_quiet(&mut self, phase: PhaseCharge) {
-        if let Some(m) = &self.metrics {
-            m.note_phase_volume(&phase.stats);
-        }
+        self.probe.phase_closed(&phase.stats);
         self.stats.record_quiet(phase.stats);
         if self.cfg.sync == SyncModel::BarrierPerPhase {
             self.synchronize_clocks();
@@ -502,9 +473,7 @@ impl Machine {
     /// and grand totals evolve exactly as [`Machine::end_phase_quiet`];
     /// allocation-free in steady state once the label's bucket exists.
     pub fn end_phase_quiet_labelled(&mut self, label: &'static str, phase: PhaseCharge) {
-        if let Some(m) = &self.metrics {
-            m.note_phase_volume(&phase.stats);
-        }
+        self.probe.phase_closed(&phase.stats);
         self.stats.record_quiet_labelled(label, phase.stats);
         if self.cfg.sync == SyncModel::BarrierPerPhase {
             self.synchronize_clocks();
@@ -527,9 +496,7 @@ impl Machine {
                 phases: 1,
                 comm_seconds: t * p as f64,
             };
-            if let Some(m) = &self.metrics {
-                m.note_phase_volume(&stats);
-            }
+            self.probe.phase_closed(&stats);
             self.stats.record(label, stats);
         }
         self.synchronize_clocks();

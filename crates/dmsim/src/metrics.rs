@@ -6,25 +6,24 @@
 //! monotonic counters and fixed-bucket log2 latency histograms — cheap
 //! enough to leave on in steady state and scrape from a long-running job.
 //!
-//! # Layout and the single-writer protocol
+//! # Layout
 //!
-//! The registry is a fixed, preallocated array of per-lane shards: one shard
-//! per pool lane plus one for the driver thread (stored last). Exactly one
-//! thread writes a given shard — pool lane `l` writes shard `l` and the
-//! driver writes the last shard — so writes are plain (non-atomic) array
-//! increments. Events for
-//! lanes outside the allocated range are *not* folded into another shard
-//! (that would break the protocol); they bump the shared atomic
-//! [`lane_events_lost`](MetricsRegistry::lane_events_lost) counter instead.
-//! This is the same discipline [`TraceSink`] uses for its rings.
+//! The registry is a fixed, preallocated array of per-lane shards — one per
+//! pool lane plus one for the driver thread (stored last) — held in the
+//! probe's lane cells, whose docs state the one-writer-per-lane discipline
+//! that lets writes be plain (non-atomic) array increments. Events for
+//! lanes outside the allocated range are *not* folded into another shard;
+//! they bump [`lane_events_lost`](MetricsRegistry::lane_events_lost)
+//! instead, exactly as the [`TraceSink`]'s rings do.
 //!
-//! Everything is preallocated at construction: recording a counter or a span
-//! allocates nothing, and when no registry is installed every hook site
-//! costs exactly one `Option` branch. Metrics are an **observer**: they read
-//! wall clocks and counts but never touch machine state, so a
-//! metrics-enabled run is bit-identical to a disabled one (values, modeled
-//! clock bits, [`CommStats`]) — `tests/metrics_identity.rs` asserts this
-//! on both engines.
+//! The registry is fed only through the machine's probe (`probe.rs`), from
+//! the same hooks as the flight recorder; which counter and histogram an
+//! event feeds is stated once, in
+//! [`TraceEventKind::pairing`](crate::trace::TraceEventKind). The probe owns
+//! the hook contract too — disabled is one branch, recording allocates
+//! nothing, and a metered run is bit-identical to a bare one (values,
+//! modeled clock bits, `CommStats`): `tests/observer_identity.rs` asserts
+//! it on both engines.
 //!
 //! # Histograms
 //!
@@ -66,9 +65,9 @@
 //! run) — the shards are being written lock-free while a region is in
 //! flight.
 
-use crate::stats::{CommStats, PhaseKind};
+use crate::probe::{Lane, LaneCells};
+use crate::stats::PhaseKind;
 use crate::trace::TraceSink;
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -107,9 +106,10 @@ impl EngineKind {
 /// Which stage of a backend region a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanKind {
-    /// A lane's kernel stage (compute / pack / unpack fan-out work).
+    /// One rank's kernel (compute / pack / unpack fan-out work).
     Kernel,
-    /// A lane's combine stage of a fused sweep.
+    /// A lane's combine stage of a fused sweep: one scatter buffer over the
+    /// lane's whole stripe of ranks.
     Combine,
     /// A lane waiting on the stage barrier.
     BarrierWait,
@@ -154,7 +154,9 @@ pub enum Counter {
     CombineRuns,
     /// Driver-side charge-ledger replays.
     ReplayRuns,
-    /// Stage-barrier arrivals.
+    /// Barrier synchronisations a pool lane took part in: its arrival at
+    /// the completion barrier of every release, plus each fused-sweep stage
+    /// barrier it crossed.
     BarrierWaits,
     /// Pool worker releases (one per lane per broadcast job).
     WorkerReleases,
@@ -233,7 +235,9 @@ impl Counter {
             Counter::KernelRuns => "Rank-kernel invocations",
             Counter::CombineRuns => "Fused-sweep combine-stage invocations",
             Counter::ReplayRuns => "Driver-side charge-ledger replays",
-            Counter::BarrierWaits => "Stage-barrier arrivals",
+            Counter::BarrierWaits => {
+                "Pool-lane completion-barrier arrivals plus stage-barrier crossings"
+            }
             Counter::WorkerReleases => "Pool worker releases",
             Counter::WorkerParks => "Pool worker releases that had parked",
             Counter::CheckpointRefreshes => "Recovery checkpoint refreshes",
@@ -339,39 +343,29 @@ struct AuditMoments {
     sum_yy: f64,
 }
 
-/// Driver-only auditor state (same single-writer discipline as the driver
-/// shard: only the driver thread samples).
+/// Auditor state: only the driver samples, so it lives in a lane-cell array
+/// with no worker lanes.
 struct AuditState {
     last_wall: Option<Instant>,
     per_kind: [AuditMoments; PhaseKind::COUNT],
 }
 
 /// Sharded per-lane counters and latency histograms plus the cost-model
-/// auditor — see the [module docs](crate::metrics) for layout, the
-/// single-writer protocol, and the exposition surfaces.
+/// auditor — see the [module docs](crate::metrics) for layout and the
+/// exposition surfaces.
 pub struct MetricsRegistry {
     /// Worker-lane shards first, driver shard last.
-    shards: Vec<UnsafeCell<LaneShard>>,
-    lanes: usize,
-    lost: AtomicU64,
-    audit: UnsafeCell<AuditState>,
+    shards: LaneCells<LaneShard>,
+    audit: LaneCells<AuditState>,
     trace_dropped_wrapped: AtomicU64,
     trace_dropped_lost: AtomicU64,
 }
 
-// SAFETY: shards follow the single-writer-per-lane protocol described in the
-// module docs (worker lane `l` writes shard `l`, the driver writes the last
-// shard and the audit state); cross-lane aggregation happens only at
-// quiescent snapshot points. The shared `lost` / trace-gauge counters are
-// atomics.
-unsafe impl Send for MetricsRegistry {}
-unsafe impl Sync for MetricsRegistry {}
-
 impl fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("lanes", &self.lanes)
-            .field("lost", &self.lost.load(Ordering::Relaxed))
+            .field("lanes", &self.lanes())
+            .field("lost", &self.lane_events_lost())
             .finish_non_exhaustive()
     }
 }
@@ -381,12 +375,8 @@ impl MetricsRegistry {
     /// preallocated — recording never allocates.
     pub fn new(lanes: usize) -> Self {
         MetricsRegistry {
-            shards: (0..=lanes)
-                .map(|_| UnsafeCell::new(LaneShard::new()))
-                .collect(),
-            lanes,
-            lost: AtomicU64::new(0),
-            audit: UnsafeCell::new(AuditState {
+            shards: LaneCells::new(lanes, LaneShard::new),
+            audit: LaneCells::new(0, || AuditState {
                 last_wall: None,
                 per_kind: [AuditMoments::default(); PhaseKind::COUNT],
             }),
@@ -397,87 +387,61 @@ impl MetricsRegistry {
 
     /// Number of worker lanes (the driver shard is extra).
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.shards.len() - 1
     }
 
     /// Events aimed at lanes outside the allocated range, counted instead of
     /// recorded (see the module docs).
     pub fn lane_events_lost(&self) -> u64 {
-        self.lost.load(Ordering::Relaxed)
+        self.shards.lost()
     }
 
+    /// Add `by` to counter `c` on `lane`'s shard.
     #[inline]
-    fn shard_index(&self, lane: Option<usize>) -> Option<usize> {
-        match lane {
-            None => Some(self.lanes),
-            Some(l) if l < self.lanes => Some(l),
-            Some(_) => {
-                self.lost.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Add `by` to counter `c` on `lane` (`None` = the driver shard).
-    ///
-    /// Caller contract: the calling thread must be the single writer of that
-    /// lane's shard (see the module docs).
-    #[inline]
-    pub fn incr(&self, lane: Option<usize>, c: Counter, by: u64) {
-        if let Some(idx) = self.shard_index(lane) {
-            // SAFETY: single writer per lane (caller contract above).
-            unsafe { (*self.shards[idx].get()).counters[c.index()] += by };
-        }
+    pub(crate) fn incr(&self, lane: Lane, c: Counter, by: u64) {
+        self.shards
+            .with(lane, |shard| shard.counters[c.index()] += by);
     }
 
     /// Record a span of `ns` nanoseconds into the `engine` × `span` ×
-    /// `phase` histogram on `lane` (`None` = the driver shard). Same caller
-    /// contract as [`MetricsRegistry::incr`].
+    /// `phase` histogram on `lane`'s shard.
     #[inline]
-    pub fn record_span(
+    pub(crate) fn record_span(
         &self,
-        lane: Option<usize>,
+        lane: Lane,
         engine: EngineKind,
         span: SpanKind,
         phase: PhaseKind,
         ns: u64,
     ) {
-        if let Some(idx) = self.shard_index(lane) {
-            // SAFETY: single writer per lane (caller contract above).
-            unsafe { (*self.shards[idx].get()).cells[cell_index(engine, span, phase)].record(ns) };
-        }
-    }
-
-    /// Fold a closed phase's volume into the driver shard's pack counters.
-    #[inline]
-    pub fn note_phase_volume(&self, stats: &CommStats) {
-        self.incr(None, Counter::PackMessages, stats.messages as u64);
-        self.incr(None, Counter::PackBytes, stats.bytes as u64);
+        self.shards.with(lane, |shard| {
+            shard.cells[cell_index(engine, span, phase)].record(ns)
+        });
     }
 
     /// One auditor sample: `modeled_delta_s` modeled critical-path seconds
     /// were credited to `kind`; pair them with the wall time elapsed since
-    /// the previous sample. Driver thread only (single-writer discipline).
-    pub fn audit_sample(&self, kind: PhaseKind, modeled_delta_s: f64) {
+    /// the previous sample. Driver thread only.
+    pub(crate) fn audit_sample(&self, kind: PhaseKind, modeled_delta_s: f64) {
         let now = Instant::now();
-        // SAFETY: only the driver thread samples the auditor.
-        let st = unsafe { &mut *self.audit.get() };
-        let wall = match st.last_wall {
-            Some(prev) => now.duration_since(prev).as_secs_f64(),
-            None => 0.0,
-        };
-        st.last_wall = Some(now);
-        if modeled_delta_s <= 0.0 && wall <= 0.0 {
-            return;
-        }
-        let (x, y) = (modeled_delta_s, wall);
-        let m = &mut st.per_kind[kind.index()];
-        m.n += 1;
-        m.sum_x += x;
-        m.sum_y += y;
-        m.sum_xx += x * x;
-        m.sum_xy += x * y;
-        m.sum_yy += y * y;
+        self.audit.with(Lane::Driver, |st| {
+            let wall = match st.last_wall {
+                Some(prev) => now.duration_since(prev).as_secs_f64(),
+                None => 0.0,
+            };
+            st.last_wall = Some(now);
+            if modeled_delta_s <= 0.0 && wall <= 0.0 {
+                return;
+            }
+            let (x, y) = (modeled_delta_s, wall);
+            let m = &mut st.per_kind[kind.index()];
+            m.n += 1;
+            m.sum_x += x;
+            m.sum_y += y;
+            m.sum_xx += x * x;
+            m.sum_xy += x * y;
+            m.sum_yy += y * y;
+        });
     }
 
     /// Copy the latest ring-drop split out of a trace sink into the
@@ -498,9 +462,7 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = [0u64; COUNTERS];
         let mut cells = vec![Histogram::ZERO; CELLS];
-        for shard in &self.shards {
-            // SAFETY: quiescent read (caller contract above).
-            let shard = unsafe { &*shard.get() };
+        for shard in self.shards.iter() {
             for (t, s) in counters.iter_mut().zip(shard.counters.iter()) {
                 *t += *s;
             }
@@ -528,10 +490,10 @@ impl MetricsRegistry {
             })
             .collect();
         MetricsSnapshot {
-            lanes: self.lanes,
+            lanes: self.lanes(),
             counters,
             spans,
-            lane_events_lost: self.lost.load(Ordering::Relaxed),
+            lane_events_lost: self.lane_events_lost(),
             trace_dropped_wrapped: self.trace_dropped_wrapped.load(Ordering::Relaxed),
             trace_dropped_lost: self.trace_dropped_lost.load(Ordering::Relaxed),
             audit: self.audit_report(),
@@ -542,8 +504,7 @@ impl MetricsRegistry {
     /// worst offender first. Driver-quiescent like
     /// [`MetricsRegistry::snapshot`].
     pub fn audit_report(&self) -> AuditReport {
-        // SAFETY: quiescent read (caller contract above).
-        let st = unsafe { &*self.audit.get() };
+        let st = self.audit.iter().next().expect("the driver's cell");
         let mut rows: Vec<AuditRow> = PhaseKind::ALL
             .iter()
             .filter_map(|&kind| {
@@ -924,9 +885,9 @@ mod tests {
     #[test]
     fn counters_shard_per_lane_and_sum_in_snapshots() {
         let reg = MetricsRegistry::new(2);
-        reg.incr(Some(0), Counter::KernelRuns, 3);
-        reg.incr(Some(1), Counter::KernelRuns, 4);
-        reg.incr(None, Counter::Epochs, 2);
+        reg.incr(Lane::Worker(0), Counter::KernelRuns, 3);
+        reg.incr(Lane::Worker(1), Counter::KernelRuns, 4);
+        reg.incr(Lane::Driver, Counter::Epochs, 2);
         let snap = reg.snapshot();
         assert_eq!(snap.counter(Counter::KernelRuns), 7);
         assert_eq!(snap.counter(Counter::Epochs), 2);
@@ -937,9 +898,9 @@ mod tests {
     #[test]
     fn out_of_range_lanes_are_counted_not_recorded() {
         let reg = MetricsRegistry::new(1);
-        reg.incr(Some(5), Counter::KernelRuns, 1);
+        reg.incr(Lane::Worker(5), Counter::KernelRuns, 1);
         reg.record_span(
-            Some(9),
+            Lane::Worker(9),
             EngineKind::Pooled,
             SpanKind::Kernel,
             PhaseKind::Executor,
@@ -974,7 +935,7 @@ mod tests {
         let reg = MetricsRegistry::new(2);
         for lane in 0..2 {
             reg.record_span(
-                Some(lane),
+                Lane::Worker(lane),
                 EngineKind::Pooled,
                 SpanKind::Kernel,
                 PhaseKind::Executor,
@@ -982,7 +943,7 @@ mod tests {
             );
         }
         reg.record_span(
-            None,
+            Lane::Driver,
             EngineKind::Machine,
             SpanKind::Replay,
             PhaseKind::Inspector,
@@ -1052,9 +1013,9 @@ mod tests {
     #[test]
     fn prometheus_text_exposes_counters_spans_and_audit() {
         let reg = MetricsRegistry::new(1);
-        reg.incr(None, Counter::Epochs, 3);
+        reg.incr(Lane::Driver, Counter::Epochs, 3);
         reg.record_span(
-            Some(0),
+            Lane::Worker(0),
             EngineKind::Pooled,
             SpanKind::BarrierWait,
             PhaseKind::Executor,
@@ -1076,7 +1037,7 @@ mod tests {
     #[test]
     fn json_snapshot_round_trips_the_same_fields() {
         let reg = MetricsRegistry::new(1);
-        reg.incr(Some(0), Counter::KernelRuns, 5);
+        reg.incr(Lane::Worker(0), Counter::KernelRuns, 5);
         reg.audit_sample(PhaseKind::Inspector, 0.25);
         let json = reg.snapshot().to_json();
         assert!(json.contains("\"kernel_runs\":5"));
@@ -1088,7 +1049,7 @@ mod tests {
     #[test]
     fn display_renders_counters_and_audit_table() {
         let reg = MetricsRegistry::new(1);
-        reg.incr(None, Counter::Rollbacks, 1);
+        reg.incr(Lane::Driver, Counter::Rollbacks, 1);
         reg.audit_sample(PhaseKind::Executor, 1.0);
         let text = reg.snapshot().to_string();
         assert!(text.contains("rollbacks"));

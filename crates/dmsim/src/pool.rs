@@ -42,14 +42,13 @@
 //! count, on any core count.
 
 use crate::backend::{
-    close_phase, metrics_phase_kind, metrics_replay_end, metrics_span_begin, replay_events,
-    trace_replay_begin, trace_replay_end, Backend, ChargeEvent, Inbox, Outbox, PhaseEnd, RankCtx,
+    close_phase, replay_events, Backend, ChargeEvent, Inbox, Outbox, PhaseEnd, RankCtx,
     FUSED_SWEEP_LABEL,
 };
 use crate::config::MachineConfig;
 use crate::fault::{self, CaughtPanic, PanicBundle, PhaseError};
 use crate::machine::{Machine, PhaseCharge};
-use crate::metrics::{Counter, EngineKind, SpanKind};
+use crate::probe::Lane;
 use crate::trace::TraceEventKind;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -590,48 +589,29 @@ impl PooledBackend {
     {
         let nprocs = self.machine.nprocs();
         let lanes = self.pool.lanes;
-        let epoch = self.machine.epoch();
-        let plan = self.machine.fault_plan().cloned();
-        let plan = plan.as_deref();
-        let trace = self.machine.tracer().cloned();
-        let trace = trace.as_deref();
-        let metrics = self.machine.metrics().cloned();
-        let metrics = metrics.as_deref();
-        let kind = metrics_phase_kind(&self.machine);
+        let machine = &self.machine;
+        let (epoch, probe) = (machine.epoch(), machine.probe());
         let caught: Mutex<Vec<CaughtPanic>> = Mutex::new(Vec::new());
         let progress = &self.pool.shared.progress;
         let arenas = RawCells::new(&mut self.arenas);
         let straggler = self.pool.run(
             &|lane: usize, parked: bool| {
-                if let Some(t) = trace {
-                    t.record(lane, TraceEventKind::WorkerRelease, parked as u32);
-                }
-                if let Some(m) = metrics {
-                    m.incr(Some(lane), Counter::WorkerReleases, 1);
-                    if parked {
-                        m.incr(Some(lane), Counter::WorkerParks, 1);
-                    }
-                }
+                let me = Lane::Worker(lane);
+                probe.instant(me, TraceEventKind::WorkerRelease, parked as u32);
                 // Safety: lane indices are distinct across the pool's lanes.
                 let arena = unsafe { arenas.get_mut(lane) };
                 arena.events.clear();
                 arena.starts.clear();
-                let kt0 = metrics.map(|_| Instant::now());
-                let mut ran = 0u64;
                 let mut rank = lane;
                 while rank < nprocs {
                     arena.starts.push(arena.events.len() as u32);
-                    if let Some(t) = trace {
-                        t.record(lane, TraceEventKind::KernelEnter, rank as u32);
-                    }
+                    let span = probe.enter(me, TraceEventKind::KernelEnter, rank as u32);
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        fault::fire_traced(plan, epoch, rank, trace, metrics, Some(lane));
+                        fault::fire_traced(machine, rank, me);
                         let mut ctx = RankCtx::recording(rank, nprocs, &mut arena.events, in_phase);
                         run_rank(&mut ctx, rank);
                     }));
-                    if let Some(t) = trace {
-                        t.record(lane, TraceEventKind::KernelExit, rank as u32);
-                    }
+                    probe.exit(me, span, 1);
                     if let Err(payload) = result {
                         caught.lock().unwrap().push(CaughtPanic {
                             epoch,
@@ -641,26 +621,10 @@ impl PooledBackend {
                         });
                     }
                     progress[lane].fetch_add(1, Ordering::Release);
-                    ran += 1;
                     rank += lanes;
                 }
                 arena.starts.push(arena.events.len() as u32);
-                if let (Some(m), Some(t0)) = (metrics, kt0) {
-                    m.incr(Some(lane), Counter::KernelRuns, ran);
-                    m.record_span(
-                        Some(lane),
-                        EngineKind::Pooled,
-                        SpanKind::Kernel,
-                        kind,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-                if let Some(t) = trace {
-                    t.record(lane, TraceEventKind::BarrierArrive, lane as u32);
-                }
-                if let Some(m) = metrics {
-                    m.incr(Some(lane), Counter::BarrierWaits, 1);
-                }
+                probe.instant(me, TraceEventKind::BarrierArrive, lane as u32);
             },
             self.deadline,
         );
@@ -684,23 +648,6 @@ impl PooledBackend {
         }
     }
 
-    /// Replay the lanes' arenas against the machine in ascending **rank**
-    /// order (interleaving across lanes per the stripe map) — the exact
-    /// charge sequence the sequential engine would have produced.
-    fn replay(&mut self, mut phase: Option<&mut PhaseCharge>) {
-        let lanes = self.pool.lanes;
-        for rank in 0..self.machine.nprocs() {
-            let arena = &self.arenas[rank % lanes];
-            let i = rank / lanes;
-            let (start, end) = (arena.starts[i] as usize, arena.starts[i + 1] as usize);
-            replay_events(
-                &mut self.machine,
-                phase.as_deref_mut(),
-                &arena.events[start..end],
-            );
-        }
-    }
-
     /// Number of ranks striped onto `lane` (`rank % lanes == lane`).
     fn stripe_len(nprocs: usize, lanes: usize, lane: usize) -> usize {
         if lane >= nprocs {
@@ -710,12 +657,20 @@ impl PooledBackend {
         }
     }
 
-    /// Replay one fused-sweep stage's spans in ascending rank order (stage
-    /// `0` is compute, stage `1 + j` is scatter buffer `j`'s combine — see
-    /// the span layout note on [`ChargeArena`]).
+    /// Replay one stage's spans of the lanes' arenas against the machine in
+    /// ascending **rank** order (interleaving across lanes per the stripe
+    /// map) — the exact charge sequence the sequential engine would have
+    /// produced — as one driver-side replay span. A plain fan-out has the
+    /// single stage `0`; in a fused sweep stage `0` is compute and stage
+    /// `1 + j` is scatter buffer `j`'s combine (see the span layout note on
+    /// [`ChargeArena`]).
     fn replay_stage(&mut self, stage: usize, mut phase: Option<&mut PhaseCharge>) {
         let lanes = self.pool.lanes;
         let nprocs = self.machine.nprocs();
+        let span = self
+            .machine
+            .probe()
+            .enter(Lane::Driver, TraceEventKind::ReplayBegin, 0);
         for rank in 0..nprocs {
             let lane = rank % lanes;
             let arena = &self.arenas[lane];
@@ -727,6 +682,7 @@ impl PooledBackend {
                 &arena.events[start..end],
             );
         }
+        self.machine.probe().replayed(span, &self.machine);
     }
 
     /// Collect a state iterator into per-rank slots, checking arity.
@@ -758,14 +714,7 @@ impl PooledBackend {
                 kernel(ctx, st);
             });
         }
-        let trace = self.machine.tracer().cloned();
-        let metrics = self.machine.metrics().cloned();
-        let kind = metrics_phase_kind(&self.machine);
-        let mt0 = metrics_span_begin(&metrics);
-        trace_replay_begin(&trace);
-        self.replay(None);
-        trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, kind, mt0);
+        self.replay_stage(0, None);
     }
 }
 
@@ -801,24 +750,14 @@ impl Backend for PooledBackend {
         if self.inline {
             return self.machine.run_phase(end, pack, state, unpack);
         }
-        let epoch = self.machine.advance_epoch();
+        self.machine.advance_epoch();
         // The pack stage only charges (it moves no data): run it inline on
         // the driver — by construction the same charge sequence a record +
         // replay would produce.
         let nprocs = self.machine.nprocs();
-        let plan = self.machine.fault_plan().cloned();
-        let trace = self.machine.tracer().cloned();
-        let metrics = self.machine.metrics().cloned();
         let mut phase = PhaseCharge::new();
         for rank in 0..nprocs {
-            fault::fire_traced(
-                plan.as_deref(),
-                epoch,
-                rank,
-                trace.as_deref(),
-                metrics.as_deref(),
-                None,
-            );
+            fault::fire_traced(&self.machine, rank, Lane::Driver);
             let mut ctx = RankCtx::direct(rank, nprocs, &mut self.machine, Some(&mut phase));
             pack(&mut ctx);
         }
@@ -852,15 +791,8 @@ impl Backend for PooledBackend {
                 pack(ctx, &mut Outbox::new(row));
             });
         }
-        let trace = self.machine.tracer().cloned();
-        let metrics = self.machine.metrics().cloned();
-        let kind = metrics_phase_kind(&self.machine);
         let mut phase = PhaseCharge::new();
-        let mt0 = metrics_span_begin(&metrics);
-        trace_replay_begin(&trace);
-        self.replay(Some(&mut phase));
-        trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, kind, mt0);
+        self.replay_stage(0, Some(&mut phase));
         close_phase(&mut self.machine, end, phase);
         // Unpack: rank r reads column r of the (now frozen) matrix.
         let mut states = self.collect_states(state);
@@ -873,11 +805,7 @@ impl Backend for PooledBackend {
                 unpack(ctx, st, &Inbox::new(matrix, rank));
             });
         }
-        let mt0 = metrics_span_begin(&metrics);
-        trace_replay_begin(&trace);
-        self.replay(None);
-        trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, kind, mt0);
+        self.replay_stage(0, None);
     }
 
     fn run_sweep<Sc, Px, C, A, P, S>(
@@ -913,13 +841,8 @@ impl Backend for PooledBackend {
         assert_eq!(scratch.len(), nprocs, "one scratch item per rank");
         assert_eq!(posted.len(), nprocs, "one posted area per rank");
         let lanes = self.pool.lanes;
-        let plan = self.machine.fault_plan().cloned();
-        let plan = plan.as_deref();
-        let trace = self.machine.tracer().cloned();
-        let trace = trace.as_deref();
-        let metrics = self.machine.metrics().cloned();
-        let metrics = metrics.as_deref();
-        let kind = metrics_phase_kind(&self.machine);
+        let machine = &self.machine;
+        let probe = machine.probe();
         let caught: Mutex<Vec<CaughtPanic>> = Mutex::new(Vec::new());
         let panicked = AtomicBool::new(false);
         let barrier = StageBarrier::new(lanes);
@@ -932,32 +855,21 @@ impl Backend for PooledBackend {
         // areas are frozen), then records every combine stage.
         let straggler = self.pool.run(
             &|lane: usize, parked: bool| {
-                if let Some(t) = trace {
-                    t.record(lane, TraceEventKind::WorkerRelease, parked as u32);
-                }
-                if let Some(m) = metrics {
-                    m.incr(Some(lane), Counter::WorkerReleases, 1);
-                    if parked {
-                        m.incr(Some(lane), Counter::WorkerParks, 1);
-                    }
-                }
+                let me = Lane::Worker(lane);
+                probe.instant(me, TraceEventKind::WorkerRelease, parked as u32);
                 // Safety: lane indices are distinct across the pool's lanes.
                 let arena = unsafe { arenas.get_mut(lane) };
                 arena.events.clear();
                 arena.starts.clear();
                 // Compute stage: per-rank caught, the sweep's only
                 // fault-injection points.
-                let kt0 = metrics.map(|_| Instant::now());
-                let mut ran = 0u64;
                 let pre = catch_unwind(AssertUnwindSafe(|| {
                     let mut rank = lane;
                     while rank < nprocs {
                         arena.starts.push(arena.events.len() as u32);
-                        if let Some(t) = trace {
-                            t.record(lane, TraceEventKind::KernelEnter, rank as u32);
-                        }
+                        let span = probe.enter(me, TraceEventKind::KernelEnter, rank as u32);
                         let result = catch_unwind(AssertUnwindSafe(|| {
-                            fault::fire_traced(plan, epoch, rank, trace, metrics, Some(lane));
+                            fault::fire_traced(machine, rank, me);
                             let mut ctx =
                                 RankCtx::recording(rank, nprocs, &mut arena.events, false);
                             // Safety: rank → lane striping is a partition.
@@ -965,9 +877,7 @@ impl Backend for PooledBackend {
                             let px = unsafe { posted_cells.get_mut(rank) };
                             compute(&mut ctx, sc, px);
                         }));
-                        if let Some(t) = trace {
-                            t.record(lane, TraceEventKind::KernelExit, rank as u32);
-                        }
+                        probe.exit(me, span, 1);
                         if let Err(payload) = result {
                             panicked.store(true, Ordering::Release);
                             caught.lock().unwrap().push(CaughtPanic {
@@ -978,45 +888,19 @@ impl Backend for PooledBackend {
                             });
                         }
                         progress[lane].fetch_add(1, Ordering::Release);
-                        ran += 1;
                         rank += lanes;
                     }
                 }));
                 if pre.is_err() {
                     panicked.store(true, Ordering::Release);
                 }
-                if let (Some(m), Some(t0)) = (metrics, kt0) {
-                    m.incr(Some(lane), Counter::KernelRuns, ran);
-                    m.record_span(
-                        Some(lane),
-                        EngineKind::Pooled,
-                        SpanKind::Kernel,
-                        kind,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
                 // Every lane must arrive — re-raising before the barrier
                 // would deadlock the peers — so a pre-barrier escape is
                 // deferred until after arrival (the lane-level backstop in
                 // `worker_main` / `WorkerPool::run` keeps the payload).
-                if let Some(t) = trace {
-                    t.record(lane, TraceEventKind::StageWaitBegin, 0);
-                }
-                let bt0 = metrics.map(|_| Instant::now());
+                let wait = probe.enter(me, TraceEventKind::StageWaitBegin, 0);
                 barrier.wait();
-                if let Some(t) = trace {
-                    t.record(lane, TraceEventKind::StageWaitEnd, 0);
-                }
-                if let (Some(m), Some(t0)) = (metrics, bt0) {
-                    m.incr(Some(lane), Counter::BarrierWaits, 1);
-                    m.record_span(
-                        Some(lane),
-                        EngineKind::Pooled,
-                        SpanKind::BarrierWait,
-                        kind,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
+                probe.exit(me, wait, 1);
                 if let Err(payload) = pre {
                     resume_unwind(payload);
                 }
@@ -1033,16 +917,8 @@ impl Backend for PooledBackend {
                 let posted_view = unsafe { posted_cells.as_slice() };
                 for j in 0..nscatter {
                     let active = scatter_active(posted_view, j);
-                    if active {
-                        if let Some(t) = trace {
-                            t.record(lane, TraceEventKind::CombineEnter, j as u32);
-                        }
-                    }
-                    let ct0 = if active {
-                        metrics.map(|_| Instant::now())
-                    } else {
-                        None
-                    };
+                    let span =
+                        active.then(|| probe.enter(me, TraceEventKind::CombineEnter, j as u32));
                     let mut ran = 0u64;
                     let mut rank = lane;
                     while rank < nprocs {
@@ -1058,29 +934,12 @@ impl Backend for PooledBackend {
                         progress[lane].fetch_add(1, Ordering::Release);
                         rank += lanes;
                     }
-                    if active {
-                        if let Some(t) = trace {
-                            t.record(lane, TraceEventKind::CombineExit, j as u32);
-                        }
-                        if let (Some(m), Some(t0)) = (metrics, ct0) {
-                            m.incr(Some(lane), Counter::CombineRuns, ran);
-                            m.record_span(
-                                Some(lane),
-                                EngineKind::Pooled,
-                                SpanKind::Combine,
-                                kind,
-                                t0.elapsed().as_nanos() as u64,
-                            );
-                        }
+                    if let Some(span) = span {
+                        probe.exit(me, span, ran);
                     }
                 }
                 arena.starts.push(arena.events.len() as u32);
-                if let Some(t) = trace {
-                    t.record(lane, TraceEventKind::BarrierArrive, lane as u32);
-                }
-                if let Some(m) = metrics {
-                    m.incr(Some(lane), Counter::BarrierWaits, 1);
-                }
+                probe.instant(me, TraceEventKind::BarrierArrive, lane as u32);
             },
             self.deadline,
         );
@@ -1108,13 +967,7 @@ impl Backend for PooledBackend {
         // (charges only, like `run_phase`'s), a labelled quiet close, and
         // the buffer's combine spans — ascending rank order throughout, the
         // exact sequence the sequential engine produces.
-        let trace = self.machine.tracer().cloned();
-        let metrics = self.machine.metrics().cloned();
-        let mt0 = metrics_span_begin(&metrics);
-        trace_replay_begin(&trace);
         self.replay_stage(0, None);
-        trace_replay_end(&trace, &self.machine);
-        metrics_replay_end(&metrics, kind, mt0);
         for j in 0..nscatter {
             if !scatter_active(posted, j) {
                 continue;
@@ -1129,11 +982,7 @@ impl Backend for PooledBackend {
                 PhaseEnd::QuietLabelled(FUSED_SWEEP_LABEL),
                 phase,
             );
-            let mt0 = metrics_span_begin(&metrics);
-            trace_replay_begin(&trace);
             self.replay_stage(1 + j, None);
-            trace_replay_end(&trace, &self.machine);
-            metrics_replay_end(&metrics, kind, mt0);
         }
     }
 

@@ -1,0 +1,364 @@
+//! The probe: the one place that decides which facts are recorded where.
+//!
+//! Engines and the recovery driver report what happened in the vocabulary
+//! of [`TraceEventKind`]; the [`Probe`] fans each report out to whichever
+//! observers are installed — an event on the flight recorder's ring
+//! ([`TraceSink`]), a counter and a latency sample in the metrics registry
+//! ([`MetricsRegistry`]) — as the one pairing table,
+//! [`TraceEventKind::pairing`], says. A hook site therefore knows none of:
+//! how either sink addresses lanes, which counter and histogram go with an
+//! event, when the clock is read (once per hook, shared by both sinks), or
+//! which engine label a span carries.
+//!
+//! With nothing installed every hook is one predictable branch that reads
+//! no clock and allocates nothing. With observers installed the hooks still
+//! never touch machine state, so values, modeled clocks and statistics are
+//! bit-identical either way (`tests/observer_identity.rs`), and recording
+//! allocates nothing either (`tests/no_alloc_steady_state.rs`): both sinks
+//! preallocate per-lane storage in [`LaneCells`].
+
+use crate::metrics::{Counter, EngineKind, MetricsRegistry, SpanKind};
+use crate::stats::{CommStats, PhaseKind};
+use crate::trace::{TraceEventKind, TraceSink};
+use crate::Machine;
+use std::cell::UnsafeCell;
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Who is recording: pool worker lane `w`, or the driver thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lane {
+    /// A pool lane (the driver thread running its own stripe is the pool's
+    /// last *worker* lane, not [`Lane::Driver`]).
+    Worker(usize),
+    /// The driver thread outside the pool's release → completion window.
+    Driver,
+}
+
+/// One cell per worker lane plus a last one for the driver, each written by
+/// a single thread at a time without locks — the storage under the trace
+/// rings and the metrics shards.
+///
+/// # The lane discipline
+///
+/// Worker lane `w` is the only writer of cell `w`, and only between the
+/// pool's release and completion barriers. The driver is the only writer of
+/// the last cell, and only outside that window: every driver-side hook is
+/// reached through `&mut Machine`. Read-out ([`LaneCells::iter`]) runs
+/// while no phase is in flight — which is every point at which user code
+/// can hold an observer, since the engines' `run_*` entry points do not
+/// return mid-phase. A write addressed to a lane there is no cell for is
+/// counted in [`LaneCells::lost`], never folded into another lane's cell.
+///
+/// Debug builds check the discipline: every cell carries an in-use flag,
+/// set around each write, and a second writer — or a read-out overlapping a
+/// write — panics before the cell is touched.
+pub(crate) struct LaneCells<T> {
+    cells: Vec<LaneCell<T>>,
+    lost: AtomicU64,
+}
+
+struct LaneCell<T> {
+    value: UnsafeCell<T>,
+    #[cfg(debug_assertions)]
+    writing: AtomicBool,
+}
+
+// SAFETY: a cell's `T` is reached through `&LaneCells` only under the lane
+// discipline (type docs): one writer at a time, which hands `&mut T` from
+// thread to thread (`T: Send`), and shared reads only while no writer is
+// active (`T: Sync`). `lost` and the debug flags are atomics.
+unsafe impl<T: Send + Sync> Sync for LaneCells<T> {}
+
+/// Clears a cell's in-use flag when the write it guards ends.
+#[cfg(debug_assertions)]
+struct Claim<'a>(&'a AtomicBool);
+
+#[cfg(debug_assertions)]
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+impl<T> LaneCells<T> {
+    /// `lanes` worker cells plus the driver's, each built by `make`.
+    pub(crate) fn new(lanes: usize, mut make: impl FnMut() -> T) -> Self {
+        LaneCells {
+            cells: (0..=lanes)
+                .map(|_| LaneCell {
+                    value: UnsafeCell::new(make()),
+                    #[cfg(debug_assertions)]
+                    writing: AtomicBool::new(false),
+                })
+                .collect(),
+            lost: AtomicU64::new(0),
+        }
+    }
+
+    /// Number of cells, the driver's included.
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Writes addressed to a lane with no cell.
+    pub(crate) fn lost(&self) -> u64 {
+        self.lost.load(Ordering::Relaxed)
+    }
+
+    /// Run `f` on `lane`'s cell as its current writer (see the lane
+    /// discipline in the type docs).
+    #[inline]
+    pub(crate) fn with(&self, lane: Lane, f: impl FnOnce(&mut T)) {
+        let workers = self.cells.len() - 1;
+        let index = match lane {
+            Lane::Worker(w) if w < workers => w,
+            Lane::Worker(_) => {
+                self.lost.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Lane::Driver => workers,
+        };
+        let cell = &self.cells[index];
+        #[cfg(debug_assertions)]
+        let _claim = {
+            assert!(
+                !cell.writing.swap(true, Ordering::Acquire),
+                "lane cell {index} has two writers at once (lane discipline broken)"
+            );
+            Claim(&cell.writing)
+        };
+        // SAFETY: by the lane discipline this thread is the cell's only
+        // accessor until `f` returns, so the `&mut` is unique.
+        f(unsafe { &mut *cell.value.get() })
+    }
+
+    /// Every cell, worker lanes first and the driver's last. Read-out side:
+    /// call only while no phase is in flight.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.cells.iter().map(|cell| {
+            #[cfg(debug_assertions)]
+            assert!(
+                !cell.writing.load(Ordering::Acquire),
+                "lane cell read out while a lane is writing it (lane discipline broken)"
+            );
+            // SAFETY: no phase is in flight, so no lane holds a `&mut`.
+            unsafe { &*cell.value.get() }
+        })
+    }
+}
+
+/// A span opened by [`Probe::enter`]: what was opened, and the hook's one
+/// clock reading (`None` when no observer is installed).
+#[must_use = "close the span with Probe::exit"]
+pub(crate) struct Start {
+    kind: TraceEventKind,
+    arg: u32,
+    at: Option<Instant>,
+}
+
+/// The machine's observer handle: the installed flight recorder and metrics
+/// registry (either, both or neither), fed through one set of hooks. See
+/// the [module docs](self).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Probe {
+    pub(crate) trace: Option<Arc<TraceSink>>,
+    pub(crate) metrics: Option<Arc<MetricsRegistry>>,
+    /// Phase kind histogram samples are keyed by: the machine's kind as of
+    /// the current epoch's start (it cannot change inside a region), `Other`
+    /// when none is set.
+    phase: Option<PhaseKind>,
+}
+
+impl Probe {
+    /// Whether any observer is installed — the one branch a disabled hook
+    /// costs.
+    #[inline]
+    pub(crate) fn on(&self) -> bool {
+        self.trace.is_some() | self.metrics.is_some()
+    }
+
+    /// Open a span: record `kind` (a Begin-side kind) on `lane`'s ring and
+    /// keep the clock reading for [`Probe::exit`].
+    #[inline]
+    pub(crate) fn enter(&self, lane: Lane, kind: TraceEventKind, arg: u32) -> Start {
+        let at = self.on().then(Instant::now);
+        if let (Some(t), Some(at)) = (&self.trace, at) {
+            t.record(lane, kind, arg, at);
+        }
+        Start { kind, arg, at }
+    }
+
+    /// Close a span: record the partner event, add `runs` to the paired
+    /// counter and the span's duration to the paired histogram, keyed
+    /// engine × span × the epoch's phase kind.
+    #[inline]
+    pub(crate) fn exit(&self, lane: Lane, start: Start, runs: u64) {
+        let Some(t0) = start.at else { return };
+        let now = Instant::now();
+        if let (Some(t), Some(end)) = (&self.trace, start.kind.span_partner()) {
+            t.record(lane, end, start.arg, now);
+        }
+        if let Some(m) = &self.metrics {
+            let pairing = start.kind.pairing();
+            if let Some(c) = pairing.counter {
+                m.incr(lane, c, runs);
+            }
+            if let Some(span) = pairing.span {
+                // Only the pool has worker lanes, and only the pool replays.
+                let engine = match (lane, span) {
+                    (Lane::Worker(_), _) | (_, SpanKind::Replay) => EngineKind::Pooled,
+                    (Lane::Driver, _) => EngineKind::Machine,
+                };
+                let ns = now.duration_since(t0).as_nanos() as u64;
+                let phase = self.phase.unwrap_or(PhaseKind::Other);
+                m.record_span(lane, engine, span, phase, ns);
+            }
+        }
+    }
+
+    /// Record an instant: the event on `lane`'s ring and one on its paired
+    /// counter (plus the flagged counter when `arg` is 1). Diagnosing an
+    /// error also freezes the flight recorder's tail, so every
+    /// [`PhaseError`](crate::fault::PhaseError) arrives with the events that
+    /// led up to it ([`TraceSink::error_tail`]).
+    #[inline]
+    pub(crate) fn instant(&self, lane: Lane, kind: TraceEventKind, arg: u32) {
+        if !self.on() {
+            return;
+        }
+        if let Some(t) = &self.trace {
+            t.record(lane, kind, arg, Instant::now());
+            if kind == TraceEventKind::ErrorDiagnosed {
+                t.capture_error_tail();
+            }
+        }
+        if let Some(m) = &self.metrics {
+            let pairing = kind.pairing();
+            if let Some(c) = pairing.counter {
+                m.incr(lane, c, 1);
+            }
+            if let (Some(c), 1) = (pairing.counter_if_flagged, arg) {
+                m.incr(lane, c, 1);
+            }
+        }
+    }
+
+    /// A new machine epoch began: close the previous epoch's span, publish
+    /// the modeled clock and the epoch stamp to the recorder, open the new
+    /// span, and key this epoch's histogram samples by `phase`.
+    pub(crate) fn epoch(&mut self, epoch: u64, modeled_s: f64, phase: Option<PhaseKind>) {
+        self.phase = phase;
+        if let Some(t) = &self.trace {
+            t.publish_modeled(modeled_s);
+            if epoch > 1 {
+                t.record(Lane::Driver, TraceEventKind::EpochEnd, 0, Instant::now());
+            }
+            t.set_epoch(epoch);
+        }
+        self.instant(Lane::Driver, TraceEventKind::EpochBegin, 0);
+    }
+
+    /// Close a driver-side replay span, first publishing the post-replay
+    /// modeled clock so the `ReplayEnd` event and everything after it
+    /// correlate against it.
+    pub(crate) fn replayed(&self, start: Start, machine: &Machine) {
+        if let Some(t) = &self.trace {
+            t.publish_modeled(machine.modeled_now());
+        }
+        self.exit(Lane::Driver, start, 1);
+    }
+
+    /// A message phase closed: fold its volume into the pack counters.
+    #[inline]
+    pub(crate) fn phase_closed(&self, stats: &CommStats) {
+        if let Some(m) = &self.metrics {
+            m.incr(Lane::Driver, Counter::PackMessages, stats.messages as u64);
+            m.incr(Lane::Driver, Counter::PackBytes, stats.bytes as u64);
+        }
+    }
+
+    /// The driver switched phase kinds, crediting `modeled_delta_s` to the
+    /// `outgoing` kind (`Other` when none was active): the cost-model
+    /// auditor pairs it with the wall time since the previous switch.
+    #[inline]
+    pub(crate) fn kind_changed(&self, outgoing: Option<PhaseKind>, modeled_delta_s: f64) {
+        if let Some(m) = &self.metrics {
+            m.audit_sample(outgoing.unwrap_or(PhaseKind::Other), modeled_delta_s);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Thread A holds lane 0 inside `with` across a barrier; thread B's
+    /// `with` on the same lane must panic without ever running its closure.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "two writers at once")]
+    fn a_second_writer_on_a_held_lane_panics_before_touching_the_cell() {
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        let cells = LaneCells::new(1, || 0u32);
+        let held = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cells.with(Lane::Worker(0), |_| {
+                    held.wait();
+                    held.wait();
+                })
+            });
+            held.wait();
+            let second = catch_unwind(AssertUnwindSafe(|| {
+                cells.with(Lane::Worker(0), |_| unreachable!("cell was touched"))
+            }));
+            held.wait(); // let A out before unwinding, or the scope never joins
+            if let Err(panic) = second {
+                resume_unwind(panic);
+            }
+        });
+    }
+
+    #[test]
+    fn a_span_feeds_ring_counter_and_histogram_from_one_hook() {
+        let sink = Arc::new(TraceSink::new(1));
+        let registry = Arc::new(MetricsRegistry::new(1));
+        let (me, mut probe) = (Lane::Worker(0), Probe::default());
+        let disabled = probe.enter(me, TraceEventKind::KernelEnter, 3);
+        probe.exit(me, disabled, 1);
+        probe.trace = Some(Arc::clone(&sink));
+        probe.metrics = Some(Arc::clone(&registry));
+        probe.epoch(1, 0.5, Some(PhaseKind::Executor));
+        let span = probe.enter(me, TraceEventKind::CombineEnter, 3);
+        probe.exit(me, span, 4);
+        probe.instant(me, TraceEventKind::WorkerRelease, 1);
+
+        // Nothing was recorded while disabled; a partner carries its
+        // Begin's arg; `runs` and the parked flag reach their counters.
+        let recorded: Vec<_> = sink.events(0).iter().map(|e| (e.kind, e.arg)).collect();
+        let (enter, exit) = (TraceEventKind::CombineEnter, TraceEventKind::CombineExit);
+        let release = TraceEventKind::WorkerRelease;
+        assert_eq!(recorded, vec![(enter, 3), (exit, 3), (release, 1)]);
+        let snap = registry.snapshot();
+        let counted = [
+            Counter::KernelRuns,
+            Counter::CombineRuns,
+            Counter::Epochs,
+            Counter::WorkerReleases,
+            Counter::WorkerParks,
+        ];
+        assert_eq!(counted.map(|c| snap.counter(c)), [0, 4, 1, 1, 1]);
+        let [cell] = &snap.spans[..] else {
+            panic!("one histogram cell expected, got {:?}", snap.spans);
+        };
+        assert_eq!(
+            (cell.engine, cell.span),
+            (EngineKind::Pooled, SpanKind::Combine)
+        );
+        assert_eq!((cell.phase, cell.hist.count), (PhaseKind::Executor, 1));
+    }
+}

@@ -8,11 +8,10 @@
 //! time. The [`TraceSink`] is that instrument:
 //!
 //! * **Per-lane ring buffers.** One bounded SoA ring per worker lane plus a
-//!   dedicated driver ring. Each lane is written by exactly one thread at a
-//!   time (the engines' existing single-writer-per-lane discipline), so
-//!   recording takes no locks; the rings are preallocated at construction,
-//!   so steady-state recording performs **zero heap allocation** even with
-//!   tracing enabled.
+//!   dedicated driver ring, held in the probe's lane cells (whose docs state
+//!   the one-writer-per-lane discipline that makes lock-free recording
+//!   sound); the rings are preallocated at construction, so steady-state
+//!   recording performs **zero heap allocation** even with tracing enabled.
 //! * **Flight-recorder mode.** Rings are bounded: once full they wrap,
 //!   keeping the most recent events and counting the overwritten ones. The
 //!   tail is captured automatically into every [`PhaseError`] diagnosis
@@ -27,15 +26,17 @@
 //!   `ReplayEnd` events carry the post-replay clock, which is what lets a
 //!   timeline show modeled time advancing strictly at replay points.
 //!
-//! The contract is the repo's signature: tracing disabled is provably
-//! zero-cost (a `None` check per hook, no allocation, bit-identical values,
-//! clocks and statistics), and tracing enabled never changes modeled
-//! clocks — the sink only observes them.
+//! The sink is fed only through the machine's probe (`probe.rs`), which
+//! owns the hook contract — disabled is one branch, enabled never changes
+//! values, modeled clocks or statistics — and the event table: each
+//! [`TraceEventKind`] documents its lane and `arg` below, and
+//! `TraceEventKind::pairing` what the metrics registry keeps for it.
 //!
 //! [`PhaseError`]: crate::fault::PhaseError
 
+use crate::metrics::{Counter, SpanKind};
+use crate::probe::{Lane, LaneCells};
 use serde_json::{json, Value};
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -59,9 +60,14 @@ pub enum TraceEventKind {
     KernelEnter,
     /// A rank's kernel finished on this lane (`arg` = rank).
     KernelExit,
-    /// A fused-sweep combine stage started for a rank (`arg` = rank).
+    /// This lane started one scatter buffer's combine stage of a fused
+    /// sweep over its whole stripe of ranks (`arg` = scatter-buffer index).
+    /// One span per lane per active buffer on both engines — the sequential
+    /// engine's stripe is every rank — so `Counter::CombineRuns`, which
+    /// counts ranks, is the sum of the stripes these spans cover.
     CombineEnter,
-    /// A fused-sweep combine stage finished for a rank (`arg` = rank).
+    /// The lane finished that buffer's combine stage (`arg` = scatter-buffer
+    /// index).
     CombineExit,
     /// A pool worker was released into a phase; `arg` is 1 when the lane
     /// had parked on the condvar (vs staying in the spin window).
@@ -69,11 +75,12 @@ pub enum TraceEventKind {
     /// The lane arrived at the pool's completion barrier (`arg` = lane).
     BarrierArrive,
     /// The lane began waiting at the fused sweep's [`StageBarrier`]
-    /// (`arg` = stage index).
+    /// (`arg` = index of the stage it just finished: always 0, the sweep's
+    /// one barrier separates compute from the combines).
     ///
     /// [`StageBarrier`]: crate::pool
     StageWaitBegin,
-    /// The lane crossed the stage barrier (`arg` = stage index).
+    /// The lane crossed the stage barrier (`arg` as on the Begin side).
     StageWaitEnd,
     /// Driver-side charge replay began.
     ReplayBegin,
@@ -86,7 +93,8 @@ pub enum TraceEventKind {
     /// lane's kernel entry (`arg` = rank).
     FaultFired,
     /// A [`PhaseError`](crate::fault::PhaseError) was diagnosed; the flight
-    /// recorder tail was captured at this instant. Driver lane.
+    /// recorder tail was captured at this instant (`arg` = the failing
+    /// epoch). Driver lane.
     ErrorDiagnosed,
     /// A recovery retry attempt started (`arg` = attempt number).
     RetryAttempt,
@@ -107,6 +115,37 @@ impl TraceEventKind {
             TraceEventKind::StageWaitBegin => Some(TraceEventKind::StageWaitEnd),
             TraceEventKind::ReplayBegin => Some(TraceEventKind::ReplayEnd),
             _ => None,
+        }
+    }
+
+    /// What the metrics registry keeps for this kind — **the** statement of
+    /// the event → counter / histogram pairing; the probe applies it and
+    /// no hook site repeats it. End sides pair with nothing: a span's
+    /// counter and sample are booked when it closes, from its Begin kind.
+    pub(crate) fn pairing(self) -> Pairing {
+        use TraceEventKind as K;
+        let (counter, span) = match self {
+            K::EpochBegin => (Some(Counter::Epochs), None),
+            K::KernelEnter => (Some(Counter::KernelRuns), Some(SpanKind::Kernel)),
+            K::CombineEnter => (Some(Counter::CombineRuns), Some(SpanKind::Combine)),
+            K::WorkerRelease => (Some(Counter::WorkerReleases), None),
+            K::BarrierArrive => (Some(Counter::BarrierWaits), None),
+            K::StageWaitBegin => (Some(Counter::BarrierWaits), Some(SpanKind::BarrierWait)),
+            K::ReplayBegin => (Some(Counter::ReplayRuns), Some(SpanKind::Replay)),
+            K::CheckpointRefresh => (Some(Counter::CheckpointRefreshes), None),
+            K::FaultFired => (Some(Counter::FaultsFired), None),
+            K::ErrorDiagnosed => (Some(Counter::ErrorsDiagnosed), None),
+            K::RetryAttempt => (Some(Counter::RetryAttempts), None),
+            K::Rollback => (Some(Counter::Rollbacks), None),
+            K::Degrade => (Some(Counter::Degrades), None),
+            K::EpochEnd | K::KernelExit | K::CombineExit | K::StageWaitEnd | K::ReplayEnd => {
+                (None, None)
+            }
+        };
+        Pairing {
+            counter,
+            counter_if_flagged: (self == K::WorkerRelease).then_some(Counter::WorkerParks),
+            span,
         }
     }
 
@@ -140,6 +179,17 @@ impl TraceEventKind {
             TraceEventKind::Degrade => "degrade",
         }
     }
+}
+
+/// One row of the event table: see [`TraceEventKind::pairing`].
+pub(crate) struct Pairing {
+    /// Bumped once per instant, or by the closing span's `runs`.
+    pub(crate) counter: Option<Counter>,
+    /// Also bumped when the event's `arg` is 1 (`WorkerRelease`'s parked
+    /// flag).
+    pub(crate) counter_if_flagged: Option<Counter>,
+    /// The histogram a closing span's duration lands in.
+    pub(crate) span: Option<SpanKind>,
 }
 
 /// One recorded event, as read back out of a lane's ring.
@@ -232,42 +282,27 @@ impl LaneRing {
 /// [`Machine::install_trace`](crate::Machine::install_trace) (or the lang
 /// executor's `with_trace`). Lanes `0..lanes` belong to the pool's worker
 /// lanes, one per worker; the extra last ring ([`TraceSink::driver_lane`]) belongs to the driver
-/// thread.
-///
-/// # Writer protocol (why the lock-free rings are sound)
-///
-/// Each ring is written by at most one thread at any moment: worker lane
-/// `w` writes ring `w` only between the engines' release and completion
-/// barriers, and the driver writes its own ring (and reads everything)
-/// only outside that window. Events recorded to an out-of-range lane are
-/// counted in [`TraceSink::dropped`] rather than recorded. Read-out
-/// methods ([`TraceSink::events`], exports) must only be called while no
-/// phase is in flight — which is every point at which user code can hold
-/// the sink, since the engines' `run_*` entry points do not return
-/// mid-phase.
+/// thread. Only the engines write (through the machine's probe); events
+/// addressed to a lane the sink has no ring for are counted in
+/// [`TraceSink::dropped_lost`]. Read-out methods ([`TraceSink::events`],
+/// exports) must only be called while no phase is in flight — which is
+/// every point at which user code can hold the sink, since the engines'
+/// `run_*` entry points do not return mid-phase.
 pub struct TraceSink {
-    rings: Vec<UnsafeCell<LaneRing>>,
+    rings: LaneCells<LaneRing>,
     origin: Instant,
     /// f64 bits of the last driver-published modeled clock (seconds).
     modeled_bits: AtomicU64,
     /// Machine epoch stamped onto new events.
     epoch: AtomicU64,
-    /// Events addressed to a lane the sink has no ring for.
-    lost: AtomicU64,
     /// The tail captured at the last `PhaseError` diagnosis.
     error_tail: Mutex<Vec<TraceEvent>>,
 }
 
-// Safety: see "Writer protocol" in the type docs — each `UnsafeCell` ring
-// has exactly one writer at any moment and is read only while quiescent;
-// everything else is atomics or a mutex.
-unsafe impl Send for TraceSink {}
-unsafe impl Sync for TraceSink {}
-
 impl fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceSink")
-            .field("lanes", &self.rings.len())
+            .field("lanes", &self.lanes())
             .field("epoch", &self.epoch.load(Ordering::Relaxed))
             .finish()
     }
@@ -288,13 +323,10 @@ impl TraceSink {
     pub fn with_capacity(lanes: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "trace rings need a nonzero capacity");
         TraceSink {
-            rings: (0..lanes + 1)
-                .map(|_| UnsafeCell::new(LaneRing::new(capacity)))
-                .collect(),
+            rings: LaneCells::new(lanes, || LaneRing::new(capacity)),
             origin: Instant::now(),
             modeled_bits: AtomicU64::new(0.0f64.to_bits()),
             epoch: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
             error_tail: Mutex::new(Vec::new()),
         }
     }
@@ -309,34 +341,23 @@ impl TraceSink {
         self.rings.len() - 1
     }
 
-    /// Record one event on `lane`'s ring, stamped with wall time, the
-    /// published modeled clock and the current epoch. Lock-free; callable
-    /// only by `lane`'s current writer (see the type docs).
+    /// Record one event on `lane`'s ring, stamped with the hook's clock
+    /// reading `at`, the published modeled clock and the current epoch.
+    /// Lock-free; the caller is `lane`'s current writer.
     #[inline]
-    pub fn record(&self, lane: usize, kind: TraceEventKind, arg: u32) {
-        let Some(cell) = self.rings.get(lane) else {
-            self.lost.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let wall_ns = self.origin.elapsed().as_nanos() as u64;
+    pub(crate) fn record(&self, lane: Lane, kind: TraceEventKind, arg: u32, at: Instant) {
+        let wall_ns = at.saturating_duration_since(self.origin).as_nanos() as u64;
         let modeled_s = f64::from_bits(self.modeled_bits.load(Ordering::Relaxed));
         let epoch = self.epoch.load(Ordering::Relaxed);
-        // Safety: single writer per lane (type docs); the driver reads only
-        // while the lane is quiescent.
-        unsafe { (*cell.get()).push(kind, arg, wall_ns, modeled_s, epoch) };
-    }
-
-    /// [`TraceSink::record`] on the driver's ring.
-    #[inline]
-    pub fn record_driver(&self, kind: TraceEventKind, arg: u32) {
-        self.record(self.driver_lane(), kind, arg);
+        self.rings
+            .with(lane, |ring| ring.push(kind, arg, wall_ns, modeled_s, epoch));
     }
 
     /// Publish the current modeled clock (max over processors, seconds).
     /// Called by the driver at epoch boundaries and after charge replay;
     /// subsequently recorded events carry this stamp.
     #[inline]
-    pub fn publish_modeled(&self, seconds: f64) {
+    pub(crate) fn publish_modeled(&self, seconds: f64) {
         self.modeled_bits
             .store(seconds.to_bits(), Ordering::Relaxed);
     }
@@ -348,7 +369,7 @@ impl TraceSink {
 
     /// Set the machine epoch stamped onto subsequently recorded events.
     #[inline]
-    pub fn set_epoch(&self, epoch: u64) {
+    pub(crate) fn set_epoch(&self, epoch: u64) {
         self.epoch.store(epoch, Ordering::Relaxed);
     }
 
@@ -361,44 +382,41 @@ impl TraceSink {
     /// Events overwritten by ring wrap-around: the flight-recorder bound
     /// doing its job (old events age out of a full ring).
     pub fn dropped_wrapped(&self) -> u64 {
-        self.rings
-            .iter()
-            .map(|r| unsafe { (*r.get()).dropped() })
-            .sum()
+        self.rings.iter().map(LaneRing::dropped).sum()
     }
 
     /// Events addressed to a lane the sink has no ring for: unlike
     /// wrap-around this indicates a sink sized smaller than the engine's
     /// lane count.
     pub fn dropped_lost(&self) -> u64 {
-        self.lost.load(Ordering::Relaxed)
+        self.rings.lost()
     }
 
     /// One lane's retained events, oldest first. Driver-side read: call
     /// only while no phase is in flight.
     pub fn events(&self, lane: usize) -> Vec<TraceEvent> {
         self.rings
-            .get(lane)
-            .map(|r| unsafe { (*r.get()).events(lane) })
+            .iter()
+            .nth(lane)
+            .map(|ring| ring.events(lane))
             .unwrap_or_default()
     }
 
     /// Every lane's retained events merged and sorted by wall time (ties
     /// broken by lane). Driver-side read.
     pub fn all_events(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = (0..self.rings.len())
-            .flat_map(|lane| self.events(lane))
-            .collect();
+        let rings = self.rings.iter().enumerate();
+        let mut all: Vec<TraceEvent> = rings.flat_map(|(lane, ring)| ring.events(lane)).collect();
         all.sort_by_key(|e| (e.wall_ns, e.lane));
         all
     }
 
     /// Capture the current ring contents as the flight-recorder tail for a
-    /// just-diagnosed [`PhaseError`](crate::fault::PhaseError). Called
-    /// automatically by the engines' `try_run_*` detectors; the captured
-    /// tail stays available through [`TraceSink::error_tail`] until the
-    /// next capture overwrites it.
-    pub fn capture_error_tail(&self) {
+    /// just-diagnosed [`PhaseError`](crate::fault::PhaseError). Called by
+    /// the probe with every `ErrorDiagnosed` event; the captured tail stays
+    /// available through [`TraceSink::error_tail`] until the next capture
+    /// overwrites it.
+    pub(crate) fn capture_error_tail(&self) {
         let tail = self.all_events();
         *self.error_tail.lock().unwrap() = tail;
     }
@@ -427,7 +445,7 @@ impl TraceSink {
             .filter(|e| e.kind == TraceEventKind::EpochEnd && e.epoch == open)
             .count();
         if begins > ends {
-            self.record_driver(TraceEventKind::EpochEnd, 0);
+            self.record(Lane::Driver, TraceEventKind::EpochEnd, 0, Instant::now());
         }
     }
 
@@ -438,7 +456,7 @@ impl TraceSink {
     /// with the modeled clock and epoch attached as event args.
     pub fn chrome_trace(&self) -> Value {
         let mut events: Vec<Value> = Vec::new();
-        for lane in 0..self.rings.len() {
+        for lane in 0..self.lanes() {
             for e in self.events(lane) {
                 // Epoch spans get their own virtual track: a kernel span
                 // aborted by a panic must not appear to contain the next
@@ -447,7 +465,7 @@ impl TraceSink {
                     e.kind,
                     TraceEventKind::EpochBegin | TraceEventKind::EpochEnd
                 ) {
-                    self.rings.len() as u64
+                    self.lanes() as u64
                 } else {
                     lane as u64
                 };
@@ -485,7 +503,7 @@ impl TraceSink {
                 "dropped": self.dropped(),
                 "dropped_wrapped": self.dropped_wrapped(),
                 "dropped_lost": self.dropped_lost(),
-                "lanes": self.rings.len(),
+                "lanes": self.lanes(),
             }),
         })
     }
@@ -502,12 +520,9 @@ impl TraceSink {
     /// open with unmatched Ends (the Begins were overwritten); those are
     /// skipped. Returns a description of the first violation.
     pub fn check_span_nesting(&self) -> Result<(), String> {
-        for lane in 0..self.rings.len() {
-            let events = self.events(lane);
-            let wrapped = self
-                .rings
-                .get(lane)
-                .is_some_and(|r| unsafe { (*r.get()).dropped() } > 0);
+        for (lane, ring) in self.rings.iter().enumerate() {
+            let events = ring.events(lane);
+            let wrapped = ring.dropped() > 0;
             let mut lane_stack: Vec<TraceEventKind> = Vec::new();
             // Epoch spans nest on their own virtual track (see
             // `chrome_trace`), so they get their own stack here too.
@@ -559,12 +574,12 @@ impl TraceSink {
     /// Aggregate the retained timeline into a per-lane utilization and
     /// barrier-wait summary. Driver-side read.
     pub fn summary(&self) -> TraceSummary {
-        let mut lanes = Vec::with_capacity(self.rings.len());
+        let mut lanes = Vec::with_capacity(self.lanes());
         let mut first_wall = u64::MAX;
         let mut last_wall = 0u64;
         let mut epochs = 0u64;
         let mut arrivals: Vec<(u64, u64)> = Vec::new(); // (epoch, wall_ns)
-        for lane in 0..self.rings.len() {
+        for lane in 0..self.lanes() {
             let events = self.events(lane);
             let mut busy_ns = 0u64;
             let mut wait_ns = 0u64;
@@ -806,11 +821,15 @@ impl fmt::Display for TraceSummary {
 mod tests {
     use super::*;
 
+    fn rec(sink: &TraceSink, lane: Lane, kind: TraceEventKind, arg: u32) {
+        sink.record(lane, kind, arg, Instant::now());
+    }
+
     #[test]
     fn rings_wrap_and_keep_the_tail() {
         let sink = TraceSink::with_capacity(1, 4);
         for i in 0..10 {
-            sink.record(0, TraceEventKind::BarrierArrive, i);
+            rec(&sink, Lane::Worker(0), TraceEventKind::BarrierArrive, i);
         }
         let events = sink.events(0);
         assert_eq!(events.len(), 4);
@@ -822,7 +841,7 @@ mod tests {
     #[test]
     fn out_of_range_lane_is_counted_not_recorded() {
         let sink = TraceSink::new(2);
-        sink.record(99, TraceEventKind::KernelEnter, 0);
+        rec(&sink, Lane::Worker(99), TraceEventKind::KernelEnter, 0);
         assert_eq!(sink.dropped(), 1);
         assert!(sink.events(99).is_empty());
     }
@@ -831,10 +850,10 @@ mod tests {
     fn dropped_splits_wrap_from_lost_by_cause() {
         let sink = TraceSink::with_capacity(1, 4);
         for i in 0..7 {
-            sink.record(0, TraceEventKind::BarrierArrive, i); // 3 wrap away
+            rec(&sink, Lane::Worker(0), TraceEventKind::BarrierArrive, i); // 3 wrap away
         }
-        sink.record(42, TraceEventKind::KernelEnter, 0); // 2 lost to a
-        sink.record(42, TraceEventKind::KernelExit, 0); // missing lane
+        rec(&sink, Lane::Worker(42), TraceEventKind::KernelEnter, 0); // 2 lost to a
+        rec(&sink, Lane::Worker(42), TraceEventKind::KernelExit, 0); // missing lane
         assert_eq!(sink.dropped_wrapped(), 3);
         assert_eq!(sink.dropped_lost(), 2);
         assert_eq!(sink.dropped(), 5, "total stays the sum of both causes");
@@ -858,7 +877,7 @@ mod tests {
         let sink = TraceSink::new(1);
         sink.set_epoch(7);
         sink.publish_modeled(1.25);
-        sink.record(0, TraceEventKind::KernelEnter, 3);
+        rec(&sink, Lane::Worker(0), TraceEventKind::KernelEnter, 3);
         let e = sink.events(0)[0];
         assert_eq!(e.epoch, 7);
         assert_eq!(e.modeled_s.to_bits(), 1.25f64.to_bits());
@@ -869,7 +888,7 @@ mod tests {
     fn wall_time_is_monotone_per_lane() {
         let sink = TraceSink::new(1);
         for _ in 0..100 {
-            sink.record(0, TraceEventKind::BarrierArrive, 0);
+            rec(&sink, Lane::Worker(0), TraceEventKind::BarrierArrive, 0);
         }
         let events = sink.events(0);
         for w in events.windows(2) {
@@ -880,24 +899,24 @@ mod tests {
     #[test]
     fn nesting_check_accepts_proper_spans_and_rejects_crossed_ones() {
         let sink = TraceSink::new(1);
-        sink.record(0, TraceEventKind::KernelEnter, 0);
-        sink.record(0, TraceEventKind::KernelExit, 0);
-        sink.record_driver(TraceEventKind::ReplayBegin, 0);
-        sink.record_driver(TraceEventKind::ReplayEnd, 0);
+        rec(&sink, Lane::Worker(0), TraceEventKind::KernelEnter, 0);
+        rec(&sink, Lane::Worker(0), TraceEventKind::KernelExit, 0);
+        rec(&sink, Lane::Driver, TraceEventKind::ReplayBegin, 0);
+        rec(&sink, Lane::Driver, TraceEventKind::ReplayEnd, 0);
         assert!(sink.check_span_nesting().is_ok());
 
         let bad = TraceSink::new(1);
-        bad.record(0, TraceEventKind::KernelEnter, 0);
-        bad.record(0, TraceEventKind::StageWaitEnd, 0);
+        rec(&bad, Lane::Worker(0), TraceEventKind::KernelEnter, 0);
+        rec(&bad, Lane::Worker(0), TraceEventKind::StageWaitEnd, 0);
         assert!(bad.check_span_nesting().is_err());
     }
 
     #[test]
     fn chrome_trace_is_an_object_with_event_array() {
         let sink = TraceSink::new(1);
-        sink.record(0, TraceEventKind::KernelEnter, 5);
-        sink.record(0, TraceEventKind::KernelExit, 5);
-        sink.record(0, TraceEventKind::FaultFired, 5);
+        rec(&sink, Lane::Worker(0), TraceEventKind::KernelEnter, 5);
+        rec(&sink, Lane::Worker(0), TraceEventKind::KernelExit, 5);
+        rec(&sink, Lane::Worker(0), TraceEventKind::FaultFired, 5);
         let v = sink.chrome_trace();
         let Value::Object(fields) = &v else {
             panic!("chrome trace must be a JSON object");
@@ -921,7 +940,7 @@ mod tests {
     fn finish_closes_the_open_epoch_once() {
         let sink = TraceSink::new(0);
         sink.set_epoch(1);
-        sink.record_driver(TraceEventKind::EpochBegin, 0);
+        rec(&sink, Lane::Driver, TraceEventKind::EpochBegin, 0);
         sink.finish();
         sink.finish();
         let kinds: Vec<TraceEventKind> = sink
@@ -940,13 +959,13 @@ mod tests {
     fn summary_attributes_busy_wait_and_skew() {
         let sink = TraceSink::new(2);
         sink.set_epoch(1);
-        sink.record_driver(TraceEventKind::EpochBegin, 0);
-        sink.record(0, TraceEventKind::KernelEnter, 0);
+        rec(&sink, Lane::Driver, TraceEventKind::EpochBegin, 0);
+        rec(&sink, Lane::Worker(0), TraceEventKind::KernelEnter, 0);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        sink.record(0, TraceEventKind::KernelExit, 0);
-        sink.record(0, TraceEventKind::BarrierArrive, 0);
+        rec(&sink, Lane::Worker(0), TraceEventKind::KernelExit, 0);
+        rec(&sink, Lane::Worker(0), TraceEventKind::BarrierArrive, 0);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        sink.record(1, TraceEventKind::BarrierArrive, 1);
+        rec(&sink, Lane::Worker(1), TraceEventKind::BarrierArrive, 1);
         sink.finish();
         let summary = sink.summary();
         assert_eq!(summary.epochs, 1);

@@ -29,7 +29,7 @@ use crate::kernel::{
 };
 use crate::lower::{CompiledProgram, LoopPlan, RefSlot};
 use chaos_dmsim::{
-    Backend, Counter, FaultPlan, Machine, MachineConfig, MetricsRegistry, PhaseError, PhaseKind,
+    Backend, FaultPlan, Machine, MachineConfig, MetricsRegistry, PhaseError, PhaseKind,
     PooledBackend, RecoveryPolicy, TraceEventKind, TraceSink,
 };
 use chaos_geocol::partitioner_by_name;
@@ -331,29 +331,26 @@ impl<B: Backend> Executor<B> {
         self
     }
 
-    /// Install a [`TraceSink`] flight recorder on the machine: every engine
-    /// records span events (epoch boundaries, kernel enter/exit, pool
-    /// release/arrival, stage-barrier waits, replays, checkpoint refreshes,
-    /// fault firings, recovery attempts) stamped with both measured wall
-    /// time and the modeled clock. Tracing never changes modeled clocks,
-    /// values or statistics; with no sink installed the hooks are a single
-    /// branch. Share the `Arc` to read the timeline afterwards — see
-    /// [`TraceSink::chrome_trace_json`] and [`TraceSink::summary`].
+    /// Install a [`TraceSink`] flight recorder on the machine: the machine's
+    /// probe records every event kind of [`TraceEventKind`] (the one event
+    /// table — ARCHITECTURE.md, "Observability") on it, stamped with both
+    /// measured wall time and the modeled clock. Observing never changes
+    /// modeled clocks, values or statistics; with nothing installed each
+    /// hook is a single branch. Share the `Arc` to read the timeline
+    /// afterwards — see [`TraceSink::chrome_trace_json`] and
+    /// [`TraceSink::summary`].
     pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
         self.backend.machine_mut().install_trace(Some(sink));
         self
     }
 
-    /// Install a [`MetricsRegistry`] on the machine: every engine feeds it
-    /// from the same hook points the flight recorder uses — epoch counts,
-    /// per-lane kernel/combine/replay span histograms, barrier waits, pack
-    /// volume, checkpoint refreshes, fault firings and recovery attempts —
-    /// and the machine's phase-kind transitions feed the cost-model auditor
-    /// (modeled-vs-wall drift per [`PhaseKind`]). Metering never changes
-    /// modeled clocks, values or statistics; with no registry installed the
-    /// hooks are a single branch. Share the `Arc` and call
-    /// [`MetricsRegistry::snapshot`] / [`MetricsRegistry::audit_report`]
-    /// once the pool is quiescent.
+    /// Install a [`MetricsRegistry`] on the machine: the probe feeds it from
+    /// the very hooks that feed the flight recorder (each event's counter
+    /// and histogram are columns of the same table), and the machine's
+    /// phase-kind transitions feed the cost-model auditor (modeled-vs-wall
+    /// drift per [`PhaseKind`]). Same contract as [`Executor::with_trace`].
+    /// Share the `Arc` and call [`MetricsRegistry::snapshot`] /
+    /// [`MetricsRegistry::audit_report`] once the pool is quiescent.
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.backend.machine_mut().install_metrics(Some(registry));
         self
@@ -777,12 +774,9 @@ impl<B: Backend> Executor<B> {
             .set_phase_kind(Some(PhaseKind::Checkpoint));
         charge_checkpoint(&mut self.backend, &rank_words);
         self.backend.machine_mut().set_phase_kind(prev_kind);
-        if let Some(t) = self.backend.machine().tracer() {
-            t.record_driver(TraceEventKind::CheckpointRefresh, full as u32);
-        }
-        if let Some(m) = self.backend.machine().metrics() {
-            m.incr(None, Counter::CheckpointRefreshes, 1);
-        }
+        self.backend
+            .machine_mut()
+            .observe(TraceEventKind::CheckpointRefresh, full as u32);
 
         match self.checkpoint.as_deref_mut() {
             Some(ckpt) if !full => {
@@ -839,74 +833,39 @@ impl<B: Backend> Executor<B> {
         }
     }
 
-    /// Flight-recorder hook for a failed attempt: record the diagnosis on
-    /// the driver ring and freeze the recorder's tail, so every
-    /// [`PhaseError`] path leaves the events leading up to the failure
-    /// inspectable through [`TraceSink::error_tail`]. A no-op when no sink
-    /// is installed.
-    fn trace_diagnosed(&self, err: &PhaseError) {
-        if let Some(t) = self.backend.machine().tracer() {
-            t.record_driver(TraceEventKind::ErrorDiagnosed, err.epoch() as u32);
-            t.capture_error_tail();
-        }
-        if let Some(m) = self.backend.machine().metrics() {
-            m.incr(None, Counter::ErrorsDiagnosed, 1);
-        }
-    }
-
     /// Run one FORALL attempt with panic containment: a panic (injected or
-    /// organic) or a pending flaw (straggler) becomes a typed
+    /// organic) or a pending flaw (straggler) becomes a typed, diagnosed
     /// [`PhaseError`]. Mirrors `Backend::try_run_*`, but wraps the whole
-    /// gather → compute → scatter sweep.
-    fn attempt_forall(&mut self, plan: &LoopPlan) -> Result<Result<(), LangError>, PhaseError> {
-        let attempt = match catch_unwind(AssertUnwindSafe(|| self.run_forall(plan))) {
-            Ok(inner) => match self.backend.take_phase_flaw() {
-                Some(flaw) => Err(flaw),
-                None => Ok(inner),
-            },
-            Err(payload) => {
-                let _ = self.backend.take_phase_flaw();
-                Err(PhaseError::from_payload(
-                    self.backend.machine().epoch(),
-                    payload,
-                ))
-            }
-        };
-        if let Err(flaw) = &attempt {
-            self.trace_diagnosed(flaw);
-        }
-        attempt
-    }
-
-    /// Like [`Self::attempt_forall`], but also covers the epoch-checkpoint
-    /// refresh: the refresh charges modeled scan cost through the backend
-    /// (a real SPMD phase), so an injected fault can fire inside it. A
-    /// failure leaves the previous checkpoint and journal intact — the
-    /// retry path restores a snapshot and redoes refresh + sweep.
-    fn attempt_checkpoint_and_forall(
+    /// gather → compute → scatter sweep — and, with `refresh`, the
+    /// epoch-checkpoint refresh before it: the refresh charges modeled scan
+    /// cost through the backend (a real SPMD phase), so an injected fault
+    /// can fire inside it. A failure there leaves the previous checkpoint
+    /// and journal intact — the retry path restores a snapshot and redoes
+    /// refresh + sweep.
+    fn attempt_forall(
         &mut self,
         plan: &LoopPlan,
+        refresh: bool,
     ) -> Result<Result<(), LangError>, PhaseError> {
-        let attempt = match catch_unwind(AssertUnwindSafe(|| {
-            self.maybe_checkpoint();
-            self.run_forall(plan)
-        })) {
-            Ok(inner) => match self.backend.take_phase_flaw() {
-                Some(flaw) => Err(flaw),
-                None => Ok(inner),
-            },
-            Err(payload) => {
-                let _ = self.backend.take_phase_flaw();
-                Err(PhaseError::from_payload(
-                    self.backend.machine().epoch(),
-                    payload,
-                ))
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            if refresh {
+                self.maybe_checkpoint();
             }
+            self.run_forall(plan)
+        }));
+        // A panic supersedes any straggler report from the same region.
+        let flaw = self.backend.take_phase_flaw();
+        let err = match attempt {
+            Ok(inner) => match flaw {
+                Some(flaw) => flaw,
+                None => return Ok(inner),
+            },
+            Err(payload) => PhaseError::from_payload(self.backend.machine().epoch(), payload),
         };
-        if let Err(flaw) = &attempt {
-            self.trace_diagnosed(flaw);
-        }
-        attempt
+        self.backend
+            .machine_mut()
+            .observe(TraceEventKind::ErrorDiagnosed, err.epoch() as u32);
+        Err(err)
     }
 
     /// Execute a FORALL under the configured recovery policy.
@@ -963,7 +922,7 @@ impl<B: Backend> Executor<B> {
 
         let mut attempts: u32 = 0;
         loop {
-            match self.attempt_checkpoint_and_forall(plan) {
+            match self.attempt_forall(plan, true) {
                 Ok(inner) => {
                     if inner.is_ok() {
                         self.note_sweep(plan);
@@ -987,12 +946,9 @@ impl<B: Backend> Executor<B> {
                             if !backoff.is_zero() {
                                 std::thread::sleep(backoff);
                             }
-                            if let Some(t) = self.backend.machine().tracer() {
-                                t.record_driver(TraceEventKind::RetryAttempt, attempts);
-                            }
-                            if let Some(m) = self.backend.machine().metrics() {
-                                m.incr(None, Counter::RetryAttempts, 1);
-                            }
+                            self.backend
+                                .machine_mut()
+                                .observe(TraceEventKind::RetryAttempt, attempts);
                             self.restore_snapshot(presweep.as_ref().expect("taken above"));
                             restore_marks(self);
                         }
@@ -1000,12 +956,9 @@ impl<B: Backend> Executor<B> {
                             let Some(ckpt) = self.checkpoint.take() else {
                                 return Err(LangError::phase(flaw));
                             };
-                            if let Some(t) = self.backend.machine().tracer() {
-                                t.record_driver(TraceEventKind::Rollback, attempts);
-                            }
-                            if let Some(m) = self.backend.machine().metrics() {
-                                m.incr(None, Counter::Rollbacks, 1);
-                            }
+                            self.backend
+                                .machine_mut()
+                                .observe(TraceEventKind::Rollback, attempts);
                             self.restore_snapshot(&ckpt);
                             self.checkpoint = Some(ckpt);
                             // Replay the journal: the loops that ran since
@@ -1015,7 +968,7 @@ impl<B: Backend> Executor<B> {
                             let journal = std::mem::take(&mut self.journal);
                             let mut replay_err = None;
                             for replayed in &journal {
-                                match self.attempt_forall(replayed) {
+                                match self.attempt_forall(replayed, false) {
                                     Ok(Ok(())) => {}
                                     Ok(Err(e)) => {
                                         replay_err = Some(e);
@@ -1033,12 +986,9 @@ impl<B: Backend> Executor<B> {
                             }
                         }
                         RecoveryPolicy::DegradeToMachine => {
-                            if let Some(t) = self.backend.machine().tracer() {
-                                t.record_driver(TraceEventKind::Degrade, attempts);
-                            }
-                            if let Some(m) = self.backend.machine().metrics() {
-                                m.incr(None, Counter::Degrades, 1);
-                            }
+                            self.backend
+                                .machine_mut()
+                                .observe(TraceEventKind::Degrade, attempts);
                             self.backend.degrade();
                             self.restore_snapshot(presweep.as_ref().expect("taken above"));
                             restore_marks(self);

@@ -176,6 +176,118 @@ fn steady_state_executor_iteration_is_allocation_free() {
     assert!(machine.elapsed().max_seconds() > 0.0);
 }
 
+/// One rank's sweep area: ghost values and ghost contributions (the posted
+/// half of a fused sweep, frozen during combine).
+struct RankArea {
+    ghosts: Vec<f64>,
+    contrib: Vec<f64>,
+}
+
+/// A fused-sweep workload on the sequential engine with all its persistent
+/// state — the inspected schedule, per-rank `y` shards (the sweep scratch)
+/// and per-rank sweep areas — so [`FusedSweep::sweep`] is one steady-state
+/// gather → compute → scatter epoch.
+struct FusedSweep {
+    machine: Machine,
+    x: DistArray<f64>,
+    inspect: chaos_repro::runtime::InspectorResult,
+    y: Vec<Vec<f64>>,
+    areas: Vec<RankArea>,
+}
+
+impl FusedSweep {
+    fn new() -> Self {
+        let nprocs = 8;
+        let n = 4096usize;
+        let map: Vec<u32> = (0..n).map(|i| ((i * 7 + i / 13) % nprocs) as u32).collect();
+        let dist = Distribution::irregular_from_map(&map, nprocs);
+        let data: Vec<f64> = (0..n).map(|i| 1.0 + (i % 97) as f64).collect();
+        let x = DistArray::from_global("x", dist.clone(), &data);
+
+        let mut pattern = AccessPattern::new(nprocs);
+        for p in 0..nprocs {
+            for k in 0..512 {
+                pattern.refs[p].push(((p * 131 + k * 17) % n) as u32);
+            }
+        }
+
+        let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
+        let inspect = Inspector.localize(&mut machine, "L", &dist, &pattern);
+        machine.set_phase_kind(Some(PhaseKind::Executor));
+        let y = (0..nprocs).map(|p| vec![0.0; x.local(p).len()]).collect();
+        let areas = (0..nprocs)
+            .map(|p| RankArea {
+                ghosts: vec![0.0; inspect.ghost_counts[p]],
+                contrib: vec![0.0; inspect.ghost_counts[p]],
+            })
+            .collect();
+        FusedSweep {
+            machine,
+            x,
+            inspect,
+            y,
+            areas,
+        }
+    }
+
+    fn sweep(&mut self) {
+        use chaos_repro::runtime::{
+            gather_inline, scatter_combine_rows, scatter_pack_kernel, Landing,
+        };
+        let (x, inspect) = (&self.x, &self.inspect);
+        gather_inline(
+            &mut self.machine,
+            &inspect.schedule,
+            x,
+            Landing::Slots,
+            self.areas.iter_mut().map(|a| &mut a.ghosts),
+        );
+        self.machine.run_sweep(
+            &mut self.y[..],
+            &mut self.areas[..],
+            |ctx, y_local, area| {
+                let rank = ctx.rank();
+                area.contrib.fill(0.0);
+                let x_local = x.local(rank);
+                let mut owned = 0u32;
+                for r in &inspect.localized[rank] {
+                    match *r {
+                        LocalRef::Owned(off) => {
+                            y_local[off as usize] += 2.0 * x_local[off as usize];
+                            owned += 1;
+                        }
+                        LocalRef::Ghost(slot) => {
+                            area.contrib[slot as usize] += 2.0 * area.ghosts[slot as usize];
+                        }
+                    }
+                }
+                ctx.charge_compute(rank, owned as f64);
+            },
+            1,
+            |_areas, _j| true,
+            |ctx, _j| scatter_pack_kernel(ctx, &inspect.schedule),
+            |ctx, _j, y_local, areas| {
+                scatter_combine_rows(
+                    ctx,
+                    &inspect.schedule,
+                    |p| areas[p].contrib.as_slice(),
+                    &mut y_local[..],
+                    &|a, b| *a += b,
+                );
+            },
+        );
+    }
+
+    /// Allocations made by `sweeps` further sweeps.
+    fn allocations_over(&mut self, sweeps: usize) -> u64 {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..sweeps {
+            self.sweep();
+        }
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    }
+}
+
 /// The fused sweep must be just as allocation-free as the engine phases:
 /// `gather_inline` + `Backend::run_sweep` drive the same pack / compute /
 /// combine kernels through driver-side contexts and a stack-local
@@ -185,371 +297,92 @@ fn steady_state_executor_iteration_is_allocation_free() {
 #[test]
 fn steady_state_fused_sweep_is_allocation_free() {
     let _serial = serialised();
-    use chaos_repro::runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel, Landing};
-
-    struct RankArea {
-        ghosts: Vec<f64>,
-        contrib: Vec<f64>,
-    }
-
-    let nprocs = 8;
-    let n = 4096usize;
-    let map: Vec<u32> = (0..n).map(|i| ((i * 7 + i / 13) % nprocs) as u32).collect();
-    let dist = Distribution::irregular_from_map(&map, nprocs);
-    let data: Vec<f64> = (0..n).map(|i| 1.0 + (i % 97) as f64).collect();
-    let x = DistArray::from_global("x", dist.clone(), &data);
-
-    let mut pattern = AccessPattern::new(nprocs);
-    for p in 0..nprocs {
-        for k in 0..512 {
-            pattern.refs[p].push(((p * 131 + k * 17) % n) as u32);
-        }
-    }
-
-    let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-    let inspect = Inspector.localize(&mut machine, "L", &dist, &pattern);
-    machine.set_phase_kind(Some(PhaseKind::Executor));
-
-    // Persistent state: per-rank y shards (the sweep scratch) and per-rank
-    // sweep areas holding ghost values and ghost contributions (the posted
-    // halves, frozen during combine).
-    let mut y: Vec<Vec<f64>> = (0..nprocs).map(|p| vec![0.0; x.local(p).len()]).collect();
-    let mut areas: Vec<RankArea> = (0..nprocs)
-        .map(|p| RankArea {
-            ghosts: vec![0.0; inspect.ghost_counts[p]],
-            contrib: vec![0.0; inspect.ghost_counts[p]],
-        })
-        .collect();
-
-    let sweep = |machine: &mut Machine, y: &mut Vec<Vec<f64>>, areas: &mut Vec<RankArea>| {
-        gather_inline(
-            machine,
-            &inspect.schedule,
-            &x,
-            Landing::Slots,
-            areas.iter_mut().map(|a| &mut a.ghosts),
-        );
-        machine.run_sweep(
-            &mut y[..],
-            &mut areas[..],
-            |ctx, y_local, area| {
-                let rank = ctx.rank();
-                area.contrib.fill(0.0);
-                let x_local = x.local(rank);
-                let mut owned = 0u32;
-                for r in &inspect.localized[rank] {
-                    match *r {
-                        LocalRef::Owned(off) => {
-                            y_local[off as usize] += 2.0 * x_local[off as usize];
-                            owned += 1;
-                        }
-                        LocalRef::Ghost(slot) => {
-                            area.contrib[slot as usize] += 2.0 * area.ghosts[slot as usize];
-                        }
-                    }
-                }
-                ctx.charge_compute(rank, owned as f64);
-            },
-            1,
-            |_areas, _j| true,
-            |ctx, _j| scatter_pack_kernel(ctx, &inspect.schedule),
-            |ctx, _j, y_local, areas| {
-                scatter_combine_rows(
-                    ctx,
-                    &inspect.schedule,
-                    |p| areas[p].contrib.as_slice(),
-                    &mut y_local[..],
-                    &|a, b| *a += b,
-                );
-            },
-        );
-    };
-
+    let mut fused = FusedSweep::new();
     // Warm-up: grows per-kind stats entries and any lazily-sized state.
-    for _ in 0..3 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
+    fused.allocations_over(3);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let epoch_before = machine.epoch();
-    let messages_before = machine.stats().grand_totals().messages;
-    for _ in 0..10 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-
+    let epoch_before = fused.machine.epoch();
+    let messages_before = fused.machine.stats().grand_totals().messages;
+    let allocs = fused.allocations_over(10);
     assert_eq!(
-        after - before,
-        0,
-        "steady-state fused sweeps allocated {} times",
-        after - before
+        allocs, 0,
+        "steady-state fused sweeps allocated {allocs} times"
     );
     // Ten sweeps advanced exactly ten epochs (one per fused sweep) and
     // really communicated.
-    assert_eq!(machine.epoch(), epoch_before + 10);
-    assert!(machine.stats().grand_totals().messages > messages_before);
-    assert!(machine.elapsed().max_seconds() > 0.0);
+    assert_eq!(fused.machine.epoch(), epoch_before + 10);
+    assert!(fused.machine.stats().grand_totals().messages > messages_before);
+    assert!(fused.machine.elapsed().max_seconds() > 0.0);
 }
 
-/// Tracing must be zero-cost in the heap sense on both sides of the switch:
-/// with no `TraceSink` installed the steady-state sweep's only trace cost is
-/// one `Option` check per hook (zero allocations — the contract that lets
-/// the hooks live on the hot path at all), and with a sink *installed* the
-/// preallocated per-lane rings absorb every recorded event, so steady-state
-/// recording is allocation-free too (the rings wrap; they never grow).
+/// Observing must be zero-cost in the heap sense on both sides of the
+/// switch, for the flight recorder, the metrics registry and both together:
+/// with the observers installed once and then removed, the steady-state
+/// sweep's only cost is the disabled branch of every hook (zero allocations
+/// — the contract that lets the hooks live on the hot path at all), and with
+/// them *installed* the preallocated per-lane rings and shards absorb every
+/// event, increment and span sample, so steady-state recording is
+/// allocation-free too (rings wrap, fixed-bucket histograms never grow).
 #[test]
-fn steady_state_sweep_is_allocation_free_with_tracing_disabled_and_enabled() {
+fn steady_state_sweep_is_allocation_free_with_observers_off_and_on() {
     let _serial = serialised();
-    use chaos_repro::dmsim::TraceSink;
-    use chaos_repro::runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel, Landing};
+    use chaos_repro::dmsim::{Counter, MetricsRegistry, TraceSink};
     use std::sync::Arc;
 
-    struct RankArea {
-        ghosts: Vec<f64>,
-        contrib: Vec<f64>,
-    }
-
-    let nprocs = 8;
-    let n = 4096usize;
-    let map: Vec<u32> = (0..n).map(|i| ((i * 3 + i / 17) % nprocs) as u32).collect();
-    let dist = Distribution::irregular_from_map(&map, nprocs);
-    let data: Vec<f64> = (0..n).map(|i| 2.0 + (i % 61) as f64).collect();
-    let x = DistArray::from_global("x", dist.clone(), &data);
-
-    let mut pattern = AccessPattern::new(nprocs);
-    for p in 0..nprocs {
-        for k in 0..512 {
-            pattern.refs[p].push(((p * 127 + k * 19) % n) as u32);
+    let mut fused = FusedSweep::new();
+    for (trace, metrics) in [(true, false), (false, true), (true, true)] {
+        let sink = trace.then(|| Arc::new(TraceSink::new(0)));
+        let registry = metrics.then(|| Arc::new(MetricsRegistry::new(0)));
+        let recorded = || {
+            let events = sink
+                .iter()
+                .map(|s| (0..s.lanes()).map(|l| s.events(l).len()).sum::<usize>())
+                .sum::<usize>();
+            let epochs = registry
+                .iter()
+                .map(|r| r.snapshot().counter(Counter::Epochs))
+                .sum::<u64>();
+            (events, epochs)
+        };
+        for installed in [false, true] {
+            // Not installed: the observers were installed once and then
+            // removed, so the disabled branch of every hook is the one
+            // actually running.
+            fused.machine.install_trace(sink.clone());
+            fused.machine.install_metrics(registry.clone());
+            if !installed {
+                fused.machine.install_trace(None);
+                fused.machine.install_metrics(None);
+            }
+            fused.allocations_over(3);
+            let (events_before, epochs_before) = recorded();
+            let allocs = fused.allocations_over(10);
+            assert_eq!(
+                allocs, 0,
+                "steady-state sweeps allocated {allocs} times with trace={trace} \
+                 metrics={metrics} installed={installed}"
+            );
+            if !installed {
+                continue;
+            }
+            // The observed sweeps really recorded, not silence: ring growth
+            // or wrap, ten more epochs and fresh spans.
+            let (events_after, epochs_after) = recorded();
+            if let Some(sink) = &sink {
+                assert!(
+                    events_after > events_before || sink.dropped() > 0,
+                    "traced sweeps recorded no events"
+                );
+            }
+            if let Some(registry) = &registry {
+                assert_eq!(epochs_after, epochs_before + 10);
+                let snap = registry.snapshot();
+                assert!(snap.counter(Counter::KernelRuns) > 0);
+                assert!(snap.counter(Counter::PackMessages) > 0);
+                assert!(!snap.spans.is_empty(), "no span histograms recorded");
+            }
         }
     }
-
-    let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-    let inspect = Inspector.localize(&mut machine, "L", &dist, &pattern);
-    machine.set_phase_kind(Some(PhaseKind::Executor));
-
-    let mut y: Vec<Vec<f64>> = (0..nprocs).map(|p| vec![0.0; x.local(p).len()]).collect();
-    let mut areas: Vec<RankArea> = (0..nprocs)
-        .map(|p| RankArea {
-            ghosts: vec![0.0; inspect.ghost_counts[p]],
-            contrib: vec![0.0; inspect.ghost_counts[p]],
-        })
-        .collect();
-
-    let sweep = |machine: &mut Machine, y: &mut Vec<Vec<f64>>, areas: &mut Vec<RankArea>| {
-        gather_inline(
-            machine,
-            &inspect.schedule,
-            &x,
-            Landing::Slots,
-            areas.iter_mut().map(|a| &mut a.ghosts),
-        );
-        machine.run_sweep(
-            &mut y[..],
-            &mut areas[..],
-            |ctx, y_local, area| {
-                let rank = ctx.rank();
-                area.contrib.fill(0.0);
-                let x_local = x.local(rank);
-                let mut owned = 0u32;
-                for r in &inspect.localized[rank] {
-                    match *r {
-                        LocalRef::Owned(off) => {
-                            y_local[off as usize] += 2.0 * x_local[off as usize];
-                            owned += 1;
-                        }
-                        LocalRef::Ghost(slot) => {
-                            area.contrib[slot as usize] += 2.0 * area.ghosts[slot as usize];
-                        }
-                    }
-                }
-                ctx.charge_compute(rank, owned as f64);
-            },
-            1,
-            |_areas, _j| true,
-            |ctx, _j| scatter_pack_kernel(ctx, &inspect.schedule),
-            |ctx, _j, y_local, areas| {
-                scatter_combine_rows(
-                    ctx,
-                    &inspect.schedule,
-                    |p| areas[p].contrib.as_slice(),
-                    &mut y_local[..],
-                    &|a, b| *a += b,
-                );
-            },
-        );
-    };
-
-    // Disabled trace: a sink was installed once and then removed, so the
-    // `None` branch of every hook is the one actually running.
-    let sink = Arc::new(TraceSink::new(0));
-    machine.install_trace(Some(Arc::clone(&sink)));
-    machine.install_trace(None);
-    for _ in 0..3 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..10 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
-    let disabled_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        disabled_allocs, 0,
-        "disabled-trace steady-state sweeps allocated {disabled_allocs} times"
-    );
-
-    // Enabled trace: the rings were preallocated at construction and wrap
-    // in place, so recording every sweep's events still allocates nothing.
-    machine.install_trace(Some(Arc::clone(&sink)));
-    for _ in 0..3 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
-    let events_before: usize = (0..sink.lanes()).map(|l| sink.events(l).len()).sum();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..10 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
-    let enabled_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    let events_after: usize = (0..sink.lanes()).map(|l| sink.events(l).len()).sum();
-    assert_eq!(
-        enabled_allocs, 0,
-        "enabled-trace steady-state sweeps allocated {enabled_allocs} times"
-    );
-    // The traced sweeps really recorded (ring growth or wrap, not silence).
-    assert!(
-        events_after > events_before || sink.dropped() > 0,
-        "traced sweeps recorded no events"
-    );
-}
-
-/// Metering must be zero-cost in the heap sense on both sides of the
-/// switch, exactly like tracing: with no `MetricsRegistry` installed the
-/// steady-state sweep's only metering cost is one `Option` check per hook
-/// (zero allocations), and with a registry *installed* the preallocated
-/// per-lane counter/histogram shards absorb every increment and span
-/// sample, so steady-state metering is allocation-free too (fixed-bucket
-/// histograms never grow).
-#[test]
-fn steady_state_sweep_is_allocation_free_with_metrics_disabled_and_enabled() {
-    let _serial = serialised();
-    use chaos_repro::dmsim::{Counter, MetricsRegistry};
-    use chaos_repro::runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel, Landing};
-    use std::sync::Arc;
-
-    struct RankArea {
-        ghosts: Vec<f64>,
-        contrib: Vec<f64>,
-    }
-
-    let nprocs = 8;
-    let n = 4096usize;
-    let map: Vec<u32> = (0..n).map(|i| ((i * 3 + i / 17) % nprocs) as u32).collect();
-    let dist = Distribution::irregular_from_map(&map, nprocs);
-    let data: Vec<f64> = (0..n).map(|i| 2.0 + (i % 61) as f64).collect();
-    let x = DistArray::from_global("x", dist.clone(), &data);
-
-    let mut pattern = AccessPattern::new(nprocs);
-    for p in 0..nprocs {
-        for k in 0..512 {
-            pattern.refs[p].push(((p * 127 + k * 19) % n) as u32);
-        }
-    }
-
-    let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-    let inspect = Inspector.localize(&mut machine, "L", &dist, &pattern);
-    machine.set_phase_kind(Some(PhaseKind::Executor));
-
-    let mut y: Vec<Vec<f64>> = (0..nprocs).map(|p| vec![0.0; x.local(p).len()]).collect();
-    let mut areas: Vec<RankArea> = (0..nprocs)
-        .map(|p| RankArea {
-            ghosts: vec![0.0; inspect.ghost_counts[p]],
-            contrib: vec![0.0; inspect.ghost_counts[p]],
-        })
-        .collect();
-
-    let sweep = |machine: &mut Machine, y: &mut Vec<Vec<f64>>, areas: &mut Vec<RankArea>| {
-        gather_inline(
-            machine,
-            &inspect.schedule,
-            &x,
-            Landing::Slots,
-            areas.iter_mut().map(|a| &mut a.ghosts),
-        );
-        machine.run_sweep(
-            &mut y[..],
-            &mut areas[..],
-            |ctx, y_local, area| {
-                let rank = ctx.rank();
-                area.contrib.fill(0.0);
-                let x_local = x.local(rank);
-                let mut owned = 0u32;
-                for r in &inspect.localized[rank] {
-                    match *r {
-                        LocalRef::Owned(off) => {
-                            y_local[off as usize] += 2.0 * x_local[off as usize];
-                            owned += 1;
-                        }
-                        LocalRef::Ghost(slot) => {
-                            area.contrib[slot as usize] += 2.0 * area.ghosts[slot as usize];
-                        }
-                    }
-                }
-                ctx.charge_compute(rank, owned as f64);
-            },
-            1,
-            |_areas, _j| true,
-            |ctx, _j| scatter_pack_kernel(ctx, &inspect.schedule),
-            |ctx, _j, y_local, areas| {
-                scatter_combine_rows(
-                    ctx,
-                    &inspect.schedule,
-                    |p| areas[p].contrib.as_slice(),
-                    &mut y_local[..],
-                    &|a, b| *a += b,
-                );
-            },
-        );
-    };
-
-    // Disabled metrics: a registry was installed once and then removed, so
-    // the `None` branch of every hook is the one actually running.
-    let registry = Arc::new(MetricsRegistry::new(0));
-    machine.install_metrics(Some(Arc::clone(&registry)));
-    machine.install_metrics(None);
-    for _ in 0..3 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..10 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
-    let disabled_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        disabled_allocs, 0,
-        "disabled-metrics steady-state sweeps allocated {disabled_allocs} times"
-    );
-
-    // Enabled metrics: the shards were preallocated at construction, so
-    // counting and span recording every sweep still allocates nothing.
-    machine.install_metrics(Some(Arc::clone(&registry)));
-    for _ in 0..3 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
-    let epochs_before = registry.snapshot().counter(Counter::Epochs);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..10 {
-        sweep(&mut machine, &mut y, &mut areas);
-    }
-    let enabled_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        enabled_allocs, 0,
-        "enabled-metrics steady-state sweeps allocated {enabled_allocs} times"
-    );
-    // The metered sweeps really recorded: ten more epochs and fresh spans.
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter(Counter::Epochs), epochs_before + 10);
-    assert!(snap.counter(Counter::KernelRuns) > 0);
-    assert!(snap.counter(Counter::PackMessages) > 0);
-    assert!(!snap.spans.is_empty(), "no span histograms recorded");
 }
 
 /// Incremental cross-loop re-binding must not perturb the steady-state heap
