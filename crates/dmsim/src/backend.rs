@@ -386,49 +386,6 @@ pub trait Backend {
         finish_attempt(self, result)
     }
 
-    /// [`Backend::run_phase`] with detection (see
-    /// [`Backend::try_run_compute`]).
-    fn try_run_phase<St, I, A, B>(
-        &mut self,
-        end: PhaseEnd<'_>,
-        pack: A,
-        state: I,
-        unpack: B,
-    ) -> Result<(), PhaseError>
-    where
-        St: Send,
-        I: IntoIterator<Item = St>,
-        A: Fn(&mut RankCtx<'_>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St) + Sync,
-    {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.run_phase(end, pack, state, unpack)
-        }));
-        finish_attempt(self, result)
-    }
-
-    /// [`Backend::run_exchange`] with detection (see
-    /// [`Backend::try_run_compute`]).
-    fn try_run_exchange<T, St, I, A, B>(
-        &mut self,
-        end: PhaseEnd<'_>,
-        pack: A,
-        state: I,
-        unpack: B,
-    ) -> Result<(), PhaseError>
-    where
-        T: Send + Sync,
-        St: Send,
-        I: IntoIterator<Item = St>,
-        A: Fn(&mut RankCtx<'_>, &mut Outbox<'_, T>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St, &Inbox<'_, T>) + Sync,
-    {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.run_exchange(end, pack, state, unpack)
-        }));
-        finish_attempt(self, result)
-    }
-
     /// Take the flaw detected during the last completed region, if any —
     /// the pool's barrier-deadline straggler report arrives here, because
     /// the phase itself still completes (the driver waits out the real
@@ -449,7 +406,7 @@ pub trait Backend {
     }
 }
 
-/// Shared tail of the `try_run_*` detectors: convert a caught panic into a
+/// Tail of [`Backend::try_run_compute`]: convert a caught panic into a
 /// typed error, surface any post-phase flaw, and report the diagnosis to
 /// the observers (an `ErrorDiagnosed` instant carrying the failing epoch,
 /// which freezes the flight recorder's tail — see [`Machine::observe`]).

@@ -9,9 +9,10 @@
 //!   [`PooledBackend`](crate::PooledBackend)) consult the installed plan at
 //!   every per-rank kernel entry, so the same plan produces the same fault
 //!   at the same point of the same phase on either engine.
-//! * **Detection** — the [`Backend`](crate::Backend) trait's `try_run_*`
-//!   methods catch rank panics (and the pool's barrier-deadline straggler
-//!   reports) and surface them as a typed [`PhaseError`] carrying
+//! * **Detection** — [`Backend::try_run_compute`](crate::Backend::try_run_compute)
+//!   (and the lang executor's whole-sweep guard, built the same way) catches
+//!   rank panics (and the pool's barrier-deadline straggler reports) and
+//!   surfaces them as a typed [`PhaseError`] carrying
 //!   `(epoch, rank, lane, cause)` instead of unwinding through the driver.
 //! * **Recovery** — because kernels charge modeled costs only through their
 //!   [`RankCtx`](crate::RankCtx), a phase whose recorded charges were never
@@ -231,7 +232,7 @@ pub(crate) fn fire_traced(machine: &Machine, rank: usize, lane: Lane) {
 }
 
 /// The panic payload an injected panic-style fault unwinds with; the
-/// `try_run_*` detectors downcast it back into a typed failure.
+/// detectors downcast it back into a typed failure.
 #[derive(Debug, Clone, Copy)]
 pub struct InjectedFault {
     /// Machine epoch the fault fired in.
@@ -309,8 +310,9 @@ impl fmt::Display for RankFailure {
     }
 }
 
-/// A detected phase failure, returned by the [`Backend`](crate::Backend)
-/// trait's `try_run_*` methods in place of an unwinding panic.
+/// A detected phase failure, returned by
+/// [`Backend::try_run_compute`](crate::Backend::try_run_compute) (and the
+/// lang executor's sweep guard) in place of an unwinding panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhaseError {
     /// One or more ranks panicked during the phase. `failures` names every
@@ -475,13 +477,19 @@ impl std::error::Error for PhaseError {}
 /// run in which the fault never fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
-    /// Surface the failure to the caller (the default).
+    /// Surface the failure to the caller (the default). Nothing is rolled
+    /// back: the lang executor keeps every array, loop record and resident
+    /// ghost row in place, so the failed loop can be executed again, but
+    /// the arrays that loop writes may hold a partially applied sweep and
+    /// the modeled clocks are where the failed attempt left them.
     #[default]
     Abort,
     /// Restore the pre-sweep snapshot and rerun the failed sweep, up to
-    /// `max_attempts` times, sleeping `backoff` between attempts.
+    /// `max_attempts` times, sleeping `backoff` between attempts. Giving up
+    /// restores the snapshot once more before the error is returned, so the
+    /// caller sees the state the failed sweep started from.
     RetryPhase {
-        /// Attempts before giving up (0 behaves like [`RecoveryPolicy::Abort`]).
+        /// Attempts before giving up (0: the first failure is final).
         max_attempts: u32,
         /// Wall-clock sleep between attempts.
         backoff: Duration,

@@ -517,33 +517,6 @@ impl Machine {
             }
         }
     }
-
-    /// Run an SPMD region: call `f(p)` for every processor id `p` and collect
-    /// the results in processor order. The closures must not touch the
-    /// machine (the machine is borrowed mutably by the caller to charge
-    /// costs afterwards), which keeps the modeled time independent of the
-    /// real execution order.
-    ///
-    /// This is the small fixed-order helper; regions that also need to
-    /// charge costs or exchange payloads rank-locally should go through the
-    /// [`Backend`](crate::backend::Backend) abstraction instead, which can
-    /// run them on one OS thread per rank.
-    pub fn run_spmd<T, F>(&self, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(ProcId) -> T + Sync + Send,
-    {
-        (0..self.nprocs()).map(f).collect()
-    }
-
-    /// Run an SPMD region sequentially (deterministic order, useful in tests
-    /// and tiny phases where thread spawn overhead would dominate).
-    pub fn run_spmd_seq<T, F>(&self, mut f: F) -> Vec<T>
-    where
-        F: FnMut(ProcId) -> T,
-    {
-        (0..self.nprocs()).map(&mut f).collect()
-    }
 }
 
 #[cfg(test)]
@@ -616,15 +589,6 @@ mod tests {
         assert_eq!(t.messages, 2);
         assert_eq!(t.bytes, 15 * 8);
         assert_eq!(t.phases, 1);
-    }
-
-    #[test]
-    fn run_spmd_returns_in_proc_order() {
-        let m = Machine::new(MachineConfig::unit(8));
-        let out = m.run_spmd(|p| p * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-        let out = m.run_spmd_seq(|p| p + 1);
-        assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]

@@ -531,7 +531,7 @@ impl PooledBackend {
     /// Enable straggler detection: a worker lane that has not reached the
     /// completion barrier within `deadline` (measured after the spin window)
     /// is reported as a [`PhaseError::Straggler`] through
-    /// [`Backend::take_phase_flaw`] / the `try_run_*` methods. The phase
+    /// [`Backend::take_phase_flaw`] / [`Backend::try_run_compute`]. The phase
     /// itself still completes — the driver waits out the real arrival so
     /// the borrowed phase descriptor stays sound.
     pub fn with_barrier_deadline(mut self, deadline: Duration) -> Self {

@@ -1,0 +1,254 @@
+//! The directive seam: the mapping statements — `DISTRIBUTE`, `ALIGN`,
+//! `READ_DATA`, `CONSTRUCT`, `SET ... BY PARTITIONING`, `REDISTRIBUTE` —
+//! interpreted as calls into the mapper coupler. They establish (and change)
+//! the arrays, distributions and alignments of the program state the loop
+//! records are later built against, and stamp what they write so the reuse
+//! guard sees it.
+
+use super::Executor;
+use crate::ast::{ConstructSection, ElemType, SizeExpr};
+use crate::error::LangError;
+use crate::lower::CompiledProgram;
+use chaos_dmsim::Backend;
+use chaos_geocol::partitioner_by_name;
+use chaos_runtime::{DistArray, Distribution, GeoColSpec, MapperCoupler};
+
+impl<B: Backend> Executor<B> {
+    pub(super) fn eval_size(&self, size: &SizeExpr) -> Result<usize, LangError> {
+        match size {
+            SizeExpr::Lit(n) => Ok(*n),
+            SizeExpr::Name(name) => self
+                .inputs
+                .scalars
+                .get(name)
+                .copied()
+                .ok_or_else(|| LangError::runtime(format!("scalar '{name}' was not provided"))),
+            SizeExpr::NameMinus(name, k) => {
+                let base = self.eval_size(&SizeExpr::Name(name.clone()))?;
+                Ok(base.saturating_sub(*k))
+            }
+        }
+    }
+
+    pub(super) fn run_distribute(
+        &mut self,
+        program: &CompiledProgram,
+        decomp: &str,
+        format: &str,
+    ) -> Result<(), LangError> {
+        let size_expr = program
+            .info
+            .decomps
+            .get(decomp)
+            .ok_or_else(|| LangError::runtime(format!("unknown decomposition '{decomp}'")))?
+            .clone();
+        let n = self.eval_size(&size_expr)?;
+        let p = self.backend.nprocs();
+        let dist = match format.to_ascii_uppercase().as_str() {
+            "BLOCK" => Distribution::block(n, p),
+            "CYCLIC" => Distribution::cyclic(n, p),
+            _ => {
+                // Map-array distribution: the named INTEGER array holds the
+                // owning processor of every element (0-based processor ids).
+                let map = self
+                    .state
+                    .int
+                    .named(format)
+                    .map(DistArray::to_global)
+                    .or_else(|| self.inputs.int_arrays.get(format).cloned())
+                    .ok_or_else(|| {
+                        LangError::runtime(format!(
+                            "DISTRIBUTE format '{format}' is not a known map array"
+                        ))
+                    })?;
+                if map.len() != n {
+                    return Err(LangError::runtime(format!(
+                        "map array '{format}' has {} entries but decomposition '{decomp}' has {n}",
+                        map.len()
+                    )));
+                }
+                Distribution::irregular_from_map(&map, p)
+            }
+        };
+        self.state.decomp_dist.insert(decomp.to_string(), dist);
+        Ok(())
+    }
+
+    pub(super) fn run_align(
+        &mut self,
+        program: &CompiledProgram,
+        arrays: &[String],
+        decomp: &str,
+    ) -> Result<(), LangError> {
+        let dist = self.state.decomp_dist.get(decomp).cloned().ok_or_else(|| {
+            LangError::runtime(format!(
+                "ALIGN with '{decomp}' before the decomposition was DISTRIBUTEd"
+            ))
+        })?;
+        for name in arrays {
+            let ty = program.info.array(name)?.ty;
+            let st = &mut self.state;
+            st.array_decomp.insert(name.clone(), decomp.to_string());
+            match ty {
+                ElemType::Real => st.real.put(DistArray::new(name, dist.clone())),
+                ElemType::Integer => st.int.put(DistArray::new(name, dist.clone())),
+            }
+            st.run.registry.note_array_write(name);
+        }
+        Ok(())
+    }
+
+    pub(super) fn run_read_data(&mut self, arrays: &[String]) -> Result<(), LangError> {
+        let mut dads = Vec::with_capacity(arrays.len());
+        for name in arrays {
+            if let Some(arr) = self.state.real.named_mut(name) {
+                let values = self.inputs.real_arrays.get(name).ok_or_else(|| {
+                    LangError::runtime(format!("no input data for REAL array '{name}'"))
+                })?;
+                *arr = DistArray::from_global(name, arr.dist().clone(), values);
+                dads.push(arr.dad());
+            } else if let Some(arr) = self.state.int.named_mut(name) {
+                let values = self.inputs.int_arrays.get(name).ok_or_else(|| {
+                    LangError::runtime(format!("no input data for INTEGER array '{name}'"))
+                })?;
+                *arr = DistArray::from_global(name, arr.dist().clone(), values);
+                dads.push(arr.dad());
+            } else {
+                return Err(LangError::runtime(format!(
+                    "READ_DATA of array '{name}' before it was ALIGNed"
+                )));
+            }
+            self.state.run.registry.note_array_write(name);
+        }
+        // One block of code wrote these arrays (Section 3): an indirection
+        // array among them must invalidate the schedules built from it.
+        self.state
+            .run
+            .registry
+            .record_write_block(&dads.iter().collect::<Vec<_>>());
+        Ok(())
+    }
+
+    pub(super) fn run_construct(
+        &mut self,
+        name: &str,
+        nvertices: &SizeExpr,
+        sections: &[ConstructSection],
+    ) -> Result<(), LangError> {
+        let n = self.eval_size(nvertices)?;
+        // Build zero-based endpoint copies for LINK sections (language values
+        // are 1-based).
+        let mut link_arrays: Option<(DistArray<u32>, DistArray<u32>)> = None;
+        let mut geometry_names: Vec<String> = Vec::new();
+        let mut load_name: Option<String> = None;
+        for s in sections {
+            match s {
+                ConstructSection::Geometry(axes) => geometry_names = axes.clone(),
+                ConstructSection::Load(w) => load_name = Some(w.clone()),
+                ConstructSection::Link { list1, list2, .. } => {
+                    let to_zero_based =
+                        |arr: &DistArray<u32>| -> Result<DistArray<u32>, LangError> {
+                            let global: Vec<u32> = arr
+                                .to_global()
+                                .iter()
+                                .map(|&v| v.saturating_sub(1))
+                                .collect();
+                            Ok(DistArray::from_global(
+                                arr.name(),
+                                arr.dist().clone(),
+                                &global,
+                            ))
+                        };
+                    let a = self.state.int.named(list1).ok_or_else(|| {
+                        LangError::runtime(format!("LINK array '{list1}' not available"))
+                    })?;
+                    let b = self.state.int.named(list2).ok_or_else(|| {
+                        LangError::runtime(format!("LINK array '{list2}' not available"))
+                    })?;
+                    link_arrays = Some((to_zero_based(a)?, to_zero_based(b)?));
+                }
+            }
+        }
+
+        let geometry_arrays: Vec<&DistArray<f64>> = geometry_names
+            .iter()
+            .map(|g| {
+                self.state.real.named(g).ok_or_else(|| {
+                    LangError::runtime(format!("GEOMETRY array '{g}' not available"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let load_array =
+            match &load_name {
+                Some(w) => Some(self.state.real.named(w).ok_or_else(|| {
+                    LangError::runtime(format!("LOAD array '{w}' not available"))
+                })?),
+                None => None,
+            };
+
+        let mut spec = GeoColSpec::new(n).with_geometry(geometry_arrays);
+        if let Some(l) = load_array {
+            spec = spec.with_load(l);
+        }
+        if let Some((a, b)) = &link_arrays {
+            spec = spec.with_link(a, b);
+        }
+        let geocol = MapperCoupler.construct_geocol(self.backend.machine_mut(), &spec);
+        self.state.geocols.insert(name.to_string(), geocol);
+        Ok(())
+    }
+
+    pub(super) fn run_set_partition(
+        &mut self,
+        distfmt: &str,
+        geocol: &str,
+        partitioner: &str,
+    ) -> Result<(), LangError> {
+        let g = self.state.geocols.get(geocol).ok_or_else(|| {
+            LangError::runtime(format!("GeoCoL '{geocol}' has not been CONSTRUCTed"))
+        })?;
+        let p = partitioner_by_name(partitioner).ok_or_else(|| {
+            LangError::runtime(format!(
+                "unknown partitioner '{partitioner}' (known: {:?})",
+                chaos_geocol::registered_partitioner_names()
+            ))
+        })?;
+        let outcome = MapperCoupler.partition(&mut self.backend, p.as_ref(), g);
+        self.state
+            .distfmts
+            .insert(distfmt.to_string(), outcome.distribution);
+        Ok(())
+    }
+
+    pub(super) fn run_redistribute(
+        &mut self,
+        decomp: &str,
+        distfmt: &str,
+    ) -> Result<(), LangError> {
+        let new_dist = self.state.distfmts.get(distfmt).cloned().ok_or_else(|| {
+            LangError::runtime(format!("unknown distribution format '{distfmt}'"))
+        })?;
+        let st = &mut self.state;
+        let aligned: Vec<String> = st
+            .array_decomp
+            .iter()
+            .filter(|(_, d)| d.as_str() == decomp)
+            .map(|(a, _)| a.clone())
+            .collect();
+        for name in aligned {
+            if let Some(arr) = st.real.named_mut(&name) {
+                MapperCoupler.redistribute(&mut self.backend, &mut st.run.registry, arr, &new_dist);
+                st.run.report.arrays_redistributed += 1;
+            } else if let Some(arr) = st.int.named_mut(&name) {
+                MapperCoupler.redistribute(&mut self.backend, &mut st.run.registry, arr, &new_dist);
+                st.run.report.arrays_redistributed += 1;
+            }
+            // The shards moved: any resident ghost-region values for the
+            // array are stale regardless of which distribution they were
+            // gathered under.
+            st.run.registry.note_array_write(&name);
+        }
+        st.decomp_dist.insert(decomp.to_string(), new_dist);
+        Ok(())
+    }
+}

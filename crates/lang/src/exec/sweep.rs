@@ -1,0 +1,156 @@
+//! The sweep seam: one gather → compute → scatter pass over a loop's
+//! record, as a function of explicitly split borrows — the engine, the
+//! array table, the resident region values, the record.
+//!
+//! Everything is borrowed **in place**: ghost rows are gathered straight
+//! into [`RegionValues::rows`] and lent to the ranks as `&[f64]`, written
+//! shards are lent from the array table, and the record's sweep areas go to
+//! the engine as they sit in the loop table — so a sweep that unwinds
+//! leaves every array, row and record where it was. Workload-sized buffers
+//! are never reallocated here; a steady sweep allocates O(ranks) small
+//! borrow vectors (the per-rank [`RankState`]s), which
+//! `tests/no_alloc_steady_state.rs` pins.
+
+use super::state::{Inspected, RegionValues};
+use super::SAVED_GATHER_LABEL;
+use crate::kernel::{run_rank, run_rank_interpreted, ArrLoc, RankState, RankSweepArea};
+use crate::lower::LoopPlan;
+use chaos_dmsim::Backend;
+use chaos_runtime::{
+    gather_inline, scatter_combine_rows, scatter_pack_kernel, DistArray, Landing, ReuseRegistry,
+};
+
+/// The executor sweep shared by both kernel modes: gather every bound ghost
+/// buffer, run the body rank-parallel, then scatter the touched write
+/// buffers — all in the bindings' deterministic order, so the two modes
+/// (and both engines) agree byte-for-byte on values, clocks and statistics.
+///
+/// The whole sweep is *one* [`Backend::run_sweep`] region: gathers are
+/// folded in driver-side via [`gather_inline`] and the scatters run as the
+/// region's pack/combine stages — one epoch, one engine release.
+pub(super) fn run_sweep<B: Backend>(
+    backend: &mut B,
+    real: &mut [DistArray<f64>],
+    regions: &mut [RegionValues],
+    registry: &ReuseRegistry,
+    plan: &LoopPlan,
+    rec: &Inspected,
+    areas: &mut [RankSweepArea],
+) {
+    let bindings = &rec.bindings;
+
+    // Gather phase: one gather per bound ghost buffer, driver-side inside
+    // the sweep's single epoch, landing directly in the `(distribution,
+    // array)` resident region rows, so resident values persist across loops
+    // and sweeps. If every chunk this binding depends on still holds fresh
+    // values for the array, only the binding's own difference is gathered
+    // (into its chunk); otherwise the loop's full schedule is gathered
+    // through the slot re-binding map, refreshing the binding's chunk.
+    for (gb, &(arr, rv)) in bindings.ghosts.iter().zip(&rec.ghost_sources) {
+        let group = &rec.groups[gb.group as usize];
+        let (result, rb) = (&group.result, &group.region);
+        let (arr, rv) = (&real[arr], &mut regions[rv]);
+        let stamp = registry.array_stamp(&gb.array);
+        if rv.era != stamp {
+            // The array was written since the region rows were last
+            // gathered: every chunk's values are stale for it.
+            rv.era = stamp;
+            rv.fresh.fill(false);
+        }
+        let (fetch, landing) = if rb.deps.iter().all(|&c| rv.fresh[c as usize]) {
+            // Everything outside this binding's own chunk is resident
+            // and fresh: fetch only the ghosts earlier loops didn't.
+            (&rb.diff, Landing::Offset(&rb.base))
+        } else {
+            // A dependency chunk is stale: gather the loop's own full
+            // schedule, scattered through the slot re-binding map.
+            (&result.schedule, Landing::Mapped(&rb.slot_map))
+        };
+        let machine = backend.machine_mut();
+        gather_inline(machine, fetch, arr, landing, rv.rows.iter_mut());
+        let msgs = result.schedule.message_count() - fetch.message_count();
+        let words = result.schedule.total_ghosts() - fetch.total_ghosts();
+        if msgs > 0 || words > 0 {
+            machine.note_schedule_savings(SAVED_GATHER_LABEL, msgs, words);
+        }
+        rv.fresh[rb.chunk as usize] = true;
+    }
+
+    // Lend every rank its view: iteration list, localized rows and region
+    // rows from the record and the region values, then one pass over the
+    // array table handing out the shards the record resolved — mutably for
+    // the written arrays, shared for the read-only ones.
+    let regions = &*regions;
+    let mut states: Vec<RankState<'_>> = (0..backend.nprocs())
+        .map(|p| RankState {
+            iters: rec.iter_part.iters(p),
+            shards: bindings
+                .written
+                .iter()
+                .map(|_| Default::default())
+                .collect(),
+            read_shards: vec![&[]; bindings.read_only.len()],
+            localized: rec
+                .groups
+                .iter()
+                .map(|g| g.result.localized[p].as_slice())
+                .collect(),
+            ghosts: bindings
+                .ghosts
+                .iter()
+                .zip(&rec.ghost_sources)
+                .map(|(gb, &(_, rv))| {
+                    let map = &rec.groups[gb.group as usize].region.slot_map[p];
+                    (regions[rv].rows[p].as_slice(), map.as_slice())
+                })
+                .collect(),
+        })
+        .collect();
+    for (arr, loc) in real.iter_mut().zip(&rec.array_locs) {
+        match *loc {
+            Some(ArrLoc::Written(w)) => {
+                for (st, shard) in states.iter_mut().zip(arr.par_shards_mut()) {
+                    st.shards[w as usize] = shard;
+                }
+            }
+            Some(ArrLoc::ReadOnly(r)) => {
+                for (st, shard) in states.iter_mut().zip(arr.locals()) {
+                    st.read_shards[r as usize] = shard;
+                }
+            }
+            None => {}
+        }
+    }
+
+    // One region for the rest of the sweep: compute plus every scatter's
+    // pack/combine (touched write buffers only — untouched ones carry
+    // nothing but identities), with one epoch and one release.
+    backend.run_sweep(
+        &mut states,
+        areas,
+        |ctx, st: &mut RankState<'_>, area: &mut RankSweepArea| {
+            let iters = st.iters.len();
+            match &rec.kernel {
+                Some(kernel) => run_rank(kernel, bindings, st, area),
+                None => run_rank_interpreted(plan, bindings, st, area),
+            }
+            ctx.charge_compute(ctx.rank(), iters as f64 * plan.ops_per_iteration);
+        },
+        bindings.write_bufs.len(),
+        |areas: &[RankSweepArea], j| areas.iter().any(|a| a.touched[j]),
+        |ctx, j| {
+            let binding = &bindings.write_bufs[j];
+            scatter_pack_kernel(ctx, &rec.groups[binding.group as usize].result.schedule);
+        },
+        |ctx, j, st: &mut RankState<'_>, areas: &[RankSweepArea]| {
+            let binding = &bindings.write_bufs[j];
+            scatter_combine_rows(
+                ctx,
+                &rec.groups[binding.group as usize].result.schedule,
+                |p| areas[p].contrib[j].as_slice(),
+                &mut st.shards[binding.written as usize][..],
+                &|a, b| binding.kind.apply(a, b),
+            );
+        },
+    );
+}

@@ -1,12 +1,13 @@
 //! Lowering FORALL bodies from [`CompiledExpr`] trees to flat register
 //! bytecode.
 //!
-//! The compiler runs once per (loop, inspector run): it binds every slot of
-//! the [`LoopPlan`] against the cached inspector layout (which decomposition
-//! group the slot's localized references live in, which ghost buffer serves
-//! its reads, which write buffer collects its off-processor writes) and
-//! flattens the statement trees into a linear instruction stream over a
-//! small register file. The result is a [`CompiledKernel`] the
+//! The compiler runs once per (loop, inspector run): [`KernelBindings::bind`]
+//! binds every slot of the [`LoopPlan`] against the inspector's group layout
+//! (which decomposition group the slot's localized references live in, which
+//! ghost buffer serves its reads, which write buffer collects its
+//! off-processor writes) and [`compile_kernel`] flattens the statement trees
+//! into a linear instruction stream over a small register file. The result
+//! is a [`CompiledKernel`] the
 //! [`KernelVm`](crate::kernel::vm) executes as a rank-local compute kernel —
 //! no name lookups, no tree recursion, no per-element allocation.
 //!
@@ -49,7 +50,7 @@ use chaos_runtime::ScatterKind;
 /// Sentinel for "this slot is never read, it has no ghost buffer".
 pub const NO_GHOST: u32 = u32::MAX;
 
-/// One decomposition group of the cached inspector state: the group's
+/// One decomposition group of a loop's inspector state: the group's
 /// decomposition name and the plan slots localized together in it (the
 /// inspector's `localized` rows interleave these slots per iteration).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +61,8 @@ pub struct GroupSpec {
     pub slot_ids: Vec<usize>,
 }
 
-/// Where a slot's array lives during a sweep: moved into the mutable
-/// written-array set, or borrowed read-only.
+/// How a slot's array is lent to a sweep: mutably, as one of the written
+/// arrays, or shared read-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrLoc {
     /// Index into [`KernelBindings::written`].
@@ -110,16 +111,16 @@ pub struct WriteBinding {
     pub kind: ScatterKind,
 }
 
-/// The sweep-state schema of one compiled loop: which arrays are written
-/// (moved into the rank-parallel state) vs read-only, how each slot
-/// resolves, which ghost buffers to gather and which write buffers to
-/// scatter — everything resolved against the CSR schedules at compile time
-/// so the per-element hot path does no name lookups.
+/// The sweep-state schema of one loop: which arrays are written (lent
+/// mutably, shard by shard, to the rank-parallel state) vs read-only, how
+/// each slot resolves, which ghost buffers to gather and which write
+/// buffers to scatter — everything resolved against the CSR schedules at
+/// compile time so the per-element hot path does no name lookups.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelBindings {
     /// Decomposition groups, in the executor's (name-sorted) group order.
     pub groups: Vec<GroupSpec>,
-    /// Arrays the body writes (sorted; moved into the mutable sweep state).
+    /// Arrays the body writes (sorted; lent mutably to the sweep).
     pub written: Vec<String>,
     /// Arrays the body only reads (sorted; borrowed shared).
     pub read_only: Vec<String>,
@@ -133,7 +134,7 @@ pub struct KernelBindings {
 }
 
 impl KernelBindings {
-    /// Bind a plan against the cached inspector layout. Fails when the plan
+    /// Bind a plan against the inspector's group layout. Fails when the plan
     /// exceeds the bytecode's index widths or references a slot outside the
     /// layout (both indicate a bug upstream, but the error is graceful).
     pub fn bind(plan: &LoopPlan, groups: &[GroupSpec]) -> Result<Self, String> {
@@ -300,11 +301,10 @@ pub enum Op {
     StoreMin,
 }
 
-/// A compiled loop body: bindings plus the flat instruction arena.
+/// A compiled loop body: the flat instruction arena over the slots and
+/// buffers of the [`KernelBindings`] it was compiled against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
-    /// Slot / buffer bindings resolved against the inspector layout.
-    pub bindings: KernelBindings,
     /// Opcodes (struct-of-arrays with `dst` / `a` / `b`).
     pub ops: Vec<Op>,
     /// Destination register or target slot, per instruction.
@@ -470,17 +470,18 @@ fn prescan(
     }
 }
 
-/// Compile a loop body against the cached inspector layout: bind every slot
-/// and buffer, pre-scan the statements for the const pool and the pinnable
-/// slots, then flatten the statements into the bytecode arena — a
-/// once-per-sweep const-load setup region followed by the per-iteration
-/// region (pinned-slot preamble, then the statements).
-pub fn compile_kernel(plan: &LoopPlan, groups: &[GroupSpec]) -> Result<CompiledKernel, String> {
-    let bindings = KernelBindings::bind(plan, groups)?;
+/// Compile a loop body against its bindings: pre-scan the statements for the
+/// const pool and the pinnable slots, then flatten the statements into the
+/// bytecode arena — a once-per-sweep const-load setup region followed by the
+/// per-iteration region (pinned-slot preamble, then the statements).
+pub fn compile_kernel(
+    plan: &LoopPlan,
+    bindings: &KernelBindings,
+) -> Result<CompiledKernel, String> {
     let mut consts = Vec::new();
     let mut pinned_slots = Vec::new();
     for stmt in &plan.stmts {
-        prescan(stmt.value(), &bindings, &mut consts, &mut pinned_slots);
+        prescan(stmt.value(), bindings, &mut consts, &mut pinned_slots);
     }
     let nconsts = u16::try_from(consts.len()).map_err(|_| "constant pool overflow".to_string())?;
     let scratch_base = u16::try_from(consts.len() + pinned_slots.len())
@@ -521,7 +522,6 @@ pub fn compile_kernel(plan: &LoopPlan, groups: &[GroupSpec]) -> Result<CompiledK
         e.push(opcode, target, src, wb);
     }
     Ok(CompiledKernel {
-        bindings,
         ops: e.ops,
         dst: e.dst,
         a: e.a,
@@ -607,7 +607,8 @@ mod tests {
     #[test]
     fn bytecode_shape_of_the_edge_loop() {
         let plan = edge_plan();
-        let k = compile_kernel(&plan, &edge_groups(&plan)).unwrap();
+        let b = KernelBindings::bind(&plan, &edge_groups(&plan)).unwrap();
+        let k = compile_kernel(&plan, &b).unwrap();
         // Slot CSE: the two x reads are pinned once by the per-iteration
         // preamble, then both EFLUX statements read the pinned registers —
         // 2 preamble loads + (Eflux + Store) per statement = 6 total,
@@ -656,7 +657,8 @@ mod tests {
             decomp: "reg".to_string(),
             slot_ids: (0..plan.slots.len()).collect(),
         }];
-        let k = compile_kernel(plan, &groups).unwrap();
+        let b = KernelBindings::bind(plan, &groups).unwrap();
+        let k = compile_kernel(plan, &b).unwrap();
         // The two uses of 2.0 share one pool entry, loaded into r0 by the
         // once-per-sweep setup region.
         assert_eq!(k.consts, vec![2.0]);

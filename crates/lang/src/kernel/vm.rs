@@ -4,15 +4,16 @@
 //! Both executors consume the same pair of per-rank structures:
 //! [`RankState`] borrows everything one virtual processor reads or writes
 //! *in place* during a compute phase (its own shards of the written arrays,
-//! shared views of the read-only arrays, its localized reference rows),
-//! while [`RankSweepArea`] *owns* the rank's sweep-scoped storage — gathered
-//! ghost rows, off-processor write-buffer rows, touched flags and the
-//! register file — so the fused sweep can hand each rank `&mut` its area
-//! during compute and then share all areas immutably with every rank during
-//! the scatter-combine stage. Both are `Send`, so the executor hands one
-//! pair per rank to [`chaos_dmsim::Backend::run_sweep`] and the sweep runs
-//! on either engine — including one OS thread per rank under a
-//! `PooledBackend` with `nprocs` workers — with byte-identical results.
+//! shared views of the read-only arrays, its localized reference rows, its
+//! rows of the resident ghost regions), while [`RankSweepArea`] *owns* the
+//! rank's sweep-scoped storage — off-processor write-buffer rows, touched
+//! flags and the register file — so the fused sweep can hand each rank
+//! `&mut` its area during compute and then share all areas immutably with
+//! every rank during the scatter-combine stage. Both are `Send`, so the
+//! executor hands one pair per rank to [`chaos_dmsim::Backend::run_sweep`]
+//! and the sweep runs on either engine — including one OS thread per rank
+//! under a `PooledBackend` with `nprocs` workers — with byte-identical
+//! results.
 //!
 //! [`run_rank`] is the compiled hot path: the once-per-sweep setup region
 //! (`ops[..iter_start]`, const loads) runs first, then a linear walk of the
@@ -56,12 +57,10 @@ fn combine_in_loop(kind: ScatterKind, cell: &mut f64, v: f64) {
     }
 }
 
-/// Everything rank `rank` reads or writes *in place* during one compute
-/// phase. Built by the executor from the cached inspector state and handed
-/// through `Backend::run_sweep`, so the borrows are provably rank-disjoint.
+/// Everything one rank reads or writes *in place* during one compute
+/// phase. Built by the executor from the loop's record and handed through
+/// `Backend::run_sweep`, so the borrows are provably rank-disjoint.
 pub struct RankState<'a> {
-    /// The executing rank.
-    pub rank: usize,
     /// The rank's iteration list (local iteration numbers, 0-based).
     pub iters: &'a [u32],
     /// Mutable shards of the written arrays, indexed like
@@ -74,9 +73,10 @@ pub struct RankState<'a> {
     /// like [`KernelBindings::groups`].
     pub localized: Vec<&'a [LocalRef]>,
     /// Per ghost buffer (indexed like [`KernelBindings::ghosts`]), the
-    /// rank's slot re-binding map into the shared resident ghost region its
-    /// row lives in: ghost slot `g` is stored at row position `map[g]`.
-    pub ghost_maps: Vec<&'a [u32]>,
+    /// rank's row of the shared resident ghost region — lent, not copied —
+    /// and the rank's slot re-binding map into it: ghost slot `g` is read
+    /// at `row[map[g]]`.
+    pub ghosts: Vec<(&'a [f64], &'a [u32])>,
 }
 
 /// The rank's *owned* sweep-scoped storage, split from [`RankState`] so the
@@ -87,9 +87,6 @@ pub struct RankState<'a> {
 /// corresponding [`KernelBindings`] tables.
 #[derive(Debug, Clone, Default)]
 pub struct RankSweepArea {
-    /// The rank's row of each gathered ghost buffer, indexed like
-    /// [`KernelBindings::ghosts`].
-    pub ghosts: Vec<Vec<f64>>,
     /// The rank's row of each off-processor write buffer, indexed like
     /// [`KernelBindings::write_bufs`].
     pub contrib: Vec<Vec<f64>>,
@@ -132,7 +129,7 @@ impl RankState<'_> {
 
     /// Read the value of `slot` at the rank's `iter_pos`-th iteration.
     #[inline]
-    fn read_slot(&self, sb: &SlotBinding, iter_pos: usize, ghosts: &[Vec<f64>]) -> f64 {
+    fn read_slot(&self, sb: &SlotBinding, iter_pos: usize) -> f64 {
         match self.slot_ref(sb, iter_pos) {
             LocalRef::Owned(off) => match sb.arr {
                 ArrLoc::Written(w) => self.shards[w as usize][off as usize],
@@ -140,8 +137,8 @@ impl RankState<'_> {
             },
             LocalRef::Ghost(g) => {
                 debug_assert_ne!(sb.ghost, super::compile::NO_GHOST, "write-only slot read");
-                let at = self.ghost_maps[sb.ghost as usize][g as usize] as usize;
-                ghosts[sb.ghost as usize][at]
+                let (row, map) = self.ghosts[sb.ghost as usize];
+                row[map[g as usize] as usize]
             }
         }
     }
@@ -180,16 +177,20 @@ impl RankState<'_> {
 /// const loads persist in the area's register file), then the per-iteration
 /// region is walked as zipped slices (one linear pass, no per-operand
 /// bounds checks) per iteration.
-pub fn run_rank(kernel: &CompiledKernel, st: &mut RankState<'_>, area: &mut RankSweepArea) {
-    area.reset_write_buffers(&kernel.bindings);
+pub fn run_rank(
+    kernel: &CompiledKernel,
+    bindings: &KernelBindings,
+    st: &mut RankState<'_>,
+    area: &mut RankSweepArea,
+) {
+    area.reset_write_buffers(bindings);
     area.ensure_regs(kernel.nregs.max(1) as usize);
     let RankSweepArea {
-        ghosts,
         contrib,
         touched,
         regs,
     } = area;
-    let slots = &kernel.bindings.slots;
+    let slots = &bindings.slots;
     let setup = kernel
         .ops
         .iter()
@@ -211,7 +212,7 @@ pub fn run_rank(kernel: &CompiledKernel, st: &mut RankState<'_>, area: &mut Rank
             let (d, x, y) = (d as usize, x as usize, y as usize);
             match op {
                 Op::LoadConst => regs[d] = kernel.consts[x],
-                Op::LoadSlot => regs[d] = st.read_slot(&slots[x], iter_pos, ghosts),
+                Op::LoadSlot => regs[d] = st.read_slot(&slots[x], iter_pos),
                 Op::Add => regs[d] = regs[x] + regs[y],
                 Op::Sub => regs[d] = regs[x] - regs[y],
                 Op::Mul => regs[d] = regs[x] * regs[y],
@@ -353,21 +354,15 @@ impl OracleEnv {
 
     /// The seed's `read_slot`: resolve, then fetch the value through the
     /// hoisted array / ghost tables.
-    fn read_slot(
-        &self,
-        st: &RankState<'_>,
-        ghosts: &[Vec<f64>],
-        sid: usize,
-        iter_pos: usize,
-    ) -> f64 {
+    fn read_slot(&self, st: &RankState<'_>, sid: usize, iter_pos: usize) -> f64 {
         match self.resolve(st, sid, iter_pos) {
             LocalRef::Owned(off) => match self.slot_arr[sid] {
                 ArrLoc::Written(w) => st.shards[w as usize][off as usize],
                 ArrLoc::ReadOnly(r) => st.read_shards[r as usize][off as usize],
             },
             LocalRef::Ghost(g) => {
-                let gid = self.slot_ghost[sid];
-                ghosts[gid][st.ghost_maps[gid][g as usize] as usize]
+                let (row, map) = st.ghosts[self.slot_ghost[sid]];
+                row[map[g as usize] as usize]
             }
         }
     }
@@ -377,19 +372,13 @@ impl OracleEnv {
 /// per-element interpreter the VM is checked against (and measured against
 /// by `perf_check`'s compiled-vs-interpreted gate). Intrinsic calls collect their arguments
 /// into a fresh vector, as the seed interpreter did.
-fn eval_tree(
-    e: &CompiledExpr,
-    env: &OracleEnv,
-    st: &RankState<'_>,
-    ghosts: &[Vec<f64>],
-    iter_pos: usize,
-) -> f64 {
+fn eval_tree(e: &CompiledExpr, env: &OracleEnv, st: &RankState<'_>, iter_pos: usize) -> f64 {
     match e {
         CompiledExpr::Lit(v) => *v,
-        CompiledExpr::Slot(s) => env.read_slot(st, ghosts, *s, iter_pos),
+        CompiledExpr::Slot(s) => env.read_slot(st, *s, iter_pos),
         CompiledExpr::Binary { op, lhs, rhs } => {
-            let a = eval_tree(lhs, env, st, ghosts, iter_pos);
-            let b = eval_tree(rhs, env, st, ghosts, iter_pos);
+            let a = eval_tree(lhs, env, st, iter_pos);
+            let b = eval_tree(rhs, env, st, iter_pos);
             match op {
                 '+' => a + b,
                 '-' => a - b,
@@ -401,7 +390,7 @@ fn eval_tree(
         CompiledExpr::Call { intrinsic, args } => {
             let v: Vec<f64> = args
                 .iter()
-                .map(|arg| eval_tree(arg, env, st, ghosts, iter_pos))
+                .map(|arg| eval_tree(arg, env, st, iter_pos))
                 .collect();
             match intrinsic {
                 Intrinsic::Eflux1 => eflux(v[0], v[1]).0,
@@ -429,10 +418,7 @@ pub fn run_rank_interpreted(
 ) {
     area.reset_write_buffers(bindings);
     let RankSweepArea {
-        ghosts,
-        contrib,
-        touched,
-        ..
+        contrib, touched, ..
     } = area;
     let env = OracleEnv::new(plan, bindings);
     // Hoisted per-statement data: target slot, combine kind, write buffer.
@@ -443,7 +429,7 @@ pub fn run_rank_interpreted(
         .collect();
     for iter_pos in 0..st.iters.len() {
         for (stmt, &(target, kind, wb)) in plan.stmts.iter().zip(&stmt_ops) {
-            let v = eval_tree(stmt.value(), &env, st, ghosts, iter_pos);
+            let v = eval_tree(stmt.value(), &env, st, iter_pos);
             // The write applies through the target's resolved location.
             let lr = env.resolve(st, target, iter_pos);
             match lr {
@@ -492,9 +478,10 @@ mod tests {
             decomp: "reg".to_string(),
             slot_ids: (0..plan.slots.len()).collect(),
         }];
-        let kernel = compile_kernel(plan, &groups).unwrap();
+        let bindings = KernelBindings::bind(plan, &groups).unwrap();
+        let kernel = compile_kernel(plan, &bindings).unwrap();
         // Both x and y are read, so each gets a ghost buffer (sorted order).
-        assert_eq!(kernel.bindings.ghosts.len(), 2);
+        assert_eq!(bindings.ghosts.len(), 2);
 
         // One rank, 3 iterations: refs 0 and 2 owned, ref 1 a ghost.
         let localized = [
@@ -508,26 +495,25 @@ mod tests {
         let run = |use_vm: bool| -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<bool>) {
             let mut y = vec![1.0, 2.0];
             let x = vec![0.5, -0.25];
-            let nwb = kernel.bindings.write_bufs.len();
+            let nwb = bindings.write_bufs.len();
             let mut area = RankSweepArea {
-                ghosts: vec![vec![1.5], vec![-0.75]],
                 contrib: (0..nwb).map(|_| vec![0.0; 1]).collect(),
                 touched: vec![false; nwb],
                 regs: Vec::new(),
             };
             {
                 let mut st = RankState {
-                    rank: 0,
                     iters: &[0, 1, 2],
                     shards: vec![&mut y],
                     read_shards: vec![&x],
                     localized: vec![&localized],
-                    ghost_maps: vec![&[0]; kernel.bindings.ghosts.len()],
+                    // The resident region rows (x's, then y's), lent.
+                    ghosts: vec![(&[1.5], &[0]), (&[-0.75], &[0])],
                 };
                 if use_vm {
-                    run_rank(&kernel, &mut st, &mut area);
+                    run_rank(&kernel, &bindings, &mut st, &mut area);
                 } else {
-                    run_rank_interpreted(plan, &kernel.bindings, &mut st, &mut area);
+                    run_rank_interpreted(plan, &bindings, &mut st, &mut area);
                 }
             }
             (y, x, area.contrib.concat(), area.touched)

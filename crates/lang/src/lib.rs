@@ -26,13 +26,14 @@
 //!   [`lower::LoopPlan`] describing the inspector it needs and the executor
 //!   statements to run,
 //! * [`kernel`] — the runtime kernel compiler: FORALL bodies lowered to a
-//!   flat register bytecode executed rank-parallel by a small VM, cached per
-//!   loop alongside the schedule-reuse records,
+//!   flat register bytecode executed rank-parallel by a small VM,
 //! * [`exec`] — the generated-code driver: walks the lowered program on a
 //!   simulated machine, calling the CHAOS mapper coupler for directives and
 //!   the inspector/executor (guarded by the [`chaos_runtime::ReuseRegistry`])
-//!   for loops, with loop bodies dispatched to the compiled kernels (or the
-//!   retained tree-walking oracle).
+//!   for loops. Each loop's saved state — schedules, bindings, bytecode,
+//!   sweep buffers — is one record in one table, built when the inspector
+//!   runs and borrowed in place by every sweep, with loop bodies dispatched
+//!   to the compiled kernels (or the retained tree-walking oracle).
 //!
 //! The benchmark harness runs the same templates twice — once through this
 //! crate ("compiler-generated") and once hand-coded directly against
@@ -61,6 +62,6 @@ pub use error::LangError;
 pub use exec::{
     ExecReport, Executor, KernelMode, ProgramInputs, SAVED_GATHER_LABEL, SAVED_SCHEDULE_LABEL,
 };
-pub use kernel::{compile_kernel, CompiledKernel, KernelCache};
+pub use kernel::{compile_kernel, CompiledKernel};
 pub use lower::{lower_program, CompiledProgram, LoopPlan};
 pub use parser::parse_program;

@@ -12,6 +12,7 @@
 use crate::analyze::{analyze_program, ProgramInfo};
 use crate::ast::*;
 use crate::error::LangError;
+use chaos_runtime::LoopId;
 use std::collections::BTreeMap;
 
 /// One distinct array reference form appearing in a loop body.
@@ -72,8 +73,11 @@ pub enum CompiledStmt {
 /// The lowered form of one `FORALL` loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoopPlan {
-    /// Loop label (also the schedule-reuse loop id).
+    /// Loop label.
     pub label: String,
+    /// The label's interned [`LoopId`], minted here once: the index of the
+    /// loop's record in the executor's table and in the reuse registry.
+    pub id: LoopId,
     /// Loop lower bound (1-based inclusive).
     pub lo: SizeExpr,
     /// Loop upper bound (1-based inclusive).
@@ -281,6 +285,7 @@ fn lower_loop(
 
     Ok(LoopPlan {
         label: label.to_string(),
+        id: LoopId::new(label),
         lo,
         hi,
         slots,

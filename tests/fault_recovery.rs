@@ -272,6 +272,201 @@ fn abort_policy_surfaces_a_typed_phase_error() {
 }
 
 #[test]
+fn abort_leaves_every_array_in_place_and_the_loop_runnable() {
+    // The sweep borrows arrays, the loop's record and the region rows in
+    // place, so the unwind of an aborted FORALL cannot take any of them
+    // with it: arrays the loop does not write are untouched, the written
+    // one is still there (holding some part of the interrupted sweep), and
+    // the loop runs again — the fault is consumed.
+    fn check<B: Backend>(mut exec: Executor<B>, cp: &CompiledProgram, engine: &str) {
+        exec.run(cp).unwrap();
+        let x_before = exec.real_global("x").unwrap();
+        let sweeps = exec.report().loop_sweeps;
+        let err = exec.execute_loop(cp, "L1").unwrap_err();
+        assert!(
+            matches!(err, LangError::Phase(PhaseError::RankPanic { .. })),
+            "{engine}: {err:?}"
+        );
+        let x_after = exec.real_global("x").expect("x is still materialized");
+        assert!(
+            x_before
+                .iter()
+                .zip(&x_after)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{engine}: an array the loop only reads changed"
+        );
+        assert!(exec.real_global("y").is_some(), "{engine}: y was lost");
+        assert_eq!(exec.report().loop_sweeps, sweeps, "{engine}");
+        exec.execute_loop(cp, "L1")
+            .unwrap_or_else(|e| panic!("{engine}: the loop must run again, got {e:?}"));
+        assert_eq!(exec.report().loop_sweeps, sweeps + 1, "{engine}");
+        assert_eq!(
+            exec.report().inspector_runs,
+            1,
+            "{engine}: the record survived"
+        );
+    }
+    let cp = program();
+    let (e0, _) = sweep_epochs(&cp, 0);
+    let plan = || Arc::new(FaultPlan::new().with_fault(e0 + 1, 2, FaultKind::KernelPanic));
+    let cfg = || MachineConfig::ipsc860(NPROCS);
+    let ins = || inputs(120, 480);
+    check(
+        Executor::new(cfg(), ins()).with_fault_plan(plan()),
+        &cp,
+        "machine",
+    );
+    for workers in POOL_WORKERS {
+        let pool = Executor::new_pooled_with_workers(cfg(), workers, ins());
+        check(
+            pool.with_fault_plan(plan()),
+            &cp,
+            &format!("pool/{workers}"),
+        );
+    }
+}
+
+#[test]
+fn exhausted_retry_restores_the_pre_sweep_state() {
+    // RetryPhase holds a pre-sweep snapshot; when it runs out of attempts
+    // the snapshot is restored *before* the error is returned, so the
+    // caller sees exactly the state the failed sweep started from and the
+    // next sweep lands on the fault-free run's bits.
+    fn check<B: Backend>(
+        exec: Executor<B>,
+        cp: &CompiledProgram,
+        want: &Observation,
+        engine: &str,
+    ) {
+        let mut exec = exec.with_recovery_policy(RecoveryPolicy::RetryPhase {
+            max_attempts: 0,
+            backoff: Duration::ZERO,
+        });
+        exec.run(cp).unwrap();
+        let before = observe(&exec);
+        let err = exec.execute_loop(cp, "L1").unwrap_err();
+        assert!(
+            matches!(err, LangError::Phase(PhaseError::RankPanic { .. })),
+            "{engine}: {err:?}"
+        );
+        assert_eq!(observe(&exec), before, "{engine}: pre-sweep state");
+        exec.execute_loop(cp, "L1").unwrap();
+        assert_eq!(&observe(&exec), want, "{engine}: the sweep after giving up");
+    }
+    let cp = program();
+    let (e0, _) = sweep_epochs(&cp, 0);
+    let plan = || Arc::new(FaultPlan::new().with_fault(e0 + 1, 0, FaultKind::KernelPanic));
+    let cfg = || MachineConfig::ipsc860(NPROCS);
+    let ins = || inputs(120, 480);
+
+    let mut clean = Executor::new(cfg(), ins());
+    clean.run(&cp).unwrap();
+    clean.execute_loop(&cp, "L1").unwrap();
+    let want = observe(&clean);
+
+    check(
+        Executor::new(cfg(), ins()).with_fault_plan(plan()),
+        &cp,
+        &want,
+        "machine",
+    );
+    for workers in POOL_WORKERS {
+        let pool = Executor::new_pooled_with_workers(cfg(), workers, ins());
+        check(
+            pool.with_fault_plan(plan()),
+            &cp,
+            &want,
+            &format!("pool/{workers}"),
+        );
+    }
+}
+
+#[test]
+fn rollback_restores_the_resident_ghost_values_with_the_arrays() {
+    // Region values are snapshot state. L2 reads x through ghosts L1 already
+    // fetched, so whether its gather is incremental depends on the resident
+    // rows' freshness: after L3 rewrites x the first L2 refetches in full,
+    // and once L1 has gathered again the next L2 fetches nothing. A fault in
+    // that last L2 rolls back to a checkpoint taken just after L3 — where
+    // the rows were stale — and replays L2, L1: had the rollback kept the
+    // *later* rows, the replayed L2 would skip its refetch and the recovered
+    // run's traffic would not be the fault-free run's.
+    const THREE_LOOPS: &str = r#"
+        REAL*8 x(nnode), y(nnode), z(nnode)
+        INTEGER end_pt1(nedge), end_pt2(nedge)
+        DYNAMIC, DECOMPOSITION reg(nnode), reg2(nedge)
+        DISTRIBUTE reg(BLOCK)
+        DISTRIBUTE reg2(BLOCK)
+        ALIGN x, y, z WITH reg
+        ALIGN end_pt1, end_pt2 WITH reg2
+        CALL READ_DATA(x, y, z, end_pt1, end_pt2)
+        FORALL i = 1, nedge
+          REDUCE(ADD, y(end_pt1(i)), x(end_pt2(i)))
+        END FORALL
+        FORALL i = 1, nedge
+          REDUCE(ADD, z(end_pt2(i)), x(end_pt1(i)))
+        END FORALL
+        FORALL i = 1, nnode
+          x(i) = x(i) * 0.5 + 1.0
+        END FORALL
+    "#;
+    const EVERY: u64 = 3;
+    const TAIL: [&str; 3] = ["L2", "L1", "L2"];
+    /// Values of y and z, clocks, traffic, report and epoch after the tail.
+    fn finish<B: Backend>(mut exec: Executor<B>, cp: &CompiledProgram) -> (Observation, Vec<u64>) {
+        exec.run(cp).unwrap();
+        for label in TAIL {
+            exec.execute_loop(cp, label).unwrap();
+        }
+        let z = exec.real_global("z").unwrap();
+        (observe(&exec), z.iter().map(|v| v.to_bits()).collect())
+    }
+    let cp = lower_program(parse_program(THREE_LOOPS).unwrap()).unwrap();
+    let cfg = || MachineConfig::ipsc860(NPROCS);
+    let ins = || inputs(120, 480).real("z", vec![0.0; 120]);
+
+    // The fault-free run, which also locates the last loop's sweep epoch
+    // and checks the scenario is the one described.
+    let mut clean = Executor::new(cfg(), ins()).with_checkpoint_every(EVERY);
+    clean.run(&cp).unwrap();
+    let tail_start = clean.machine().epoch();
+    let mut messages = Vec::new();
+    let mut last_sweep = 0;
+    for label in TAIL {
+        let sent = clean.machine().stats().grand_totals().messages;
+        clean.execute_loop(&cp, label).unwrap();
+        messages.push(clean.machine().stats().grand_totals().messages - sent);
+        last_sweep = clean.machine().epoch();
+    }
+    assert!(
+        messages[0] > messages[2],
+        "the first L2 refetches x, the last finds it resident: {messages:?}"
+    );
+    assert_eq!(
+        last_sweep,
+        tail_start + 4,
+        "three sweeps and one checkpoint refresh, due before the first"
+    );
+    let want = finish(
+        Executor::new(cfg(), ins()).with_checkpoint_every(EVERY),
+        &cp,
+    );
+    assert_eq!(want.0.epoch, last_sweep);
+
+    let plan = || Arc::new(FaultPlan::new().with_fault(last_sweep, 1, FaultKind::KernelPanic));
+    let seq = Executor::new(cfg(), ins())
+        .with_checkpoint_every(EVERY)
+        .with_fault_plan(plan())
+        .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
+    assert_eq!(finish(seq, &cp), want, "sequential engine");
+    let pool = Executor::new_pooled_with_workers(cfg(), 3, ins())
+        .with_checkpoint_every(EVERY)
+        .with_fault_plan(plan())
+        .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
+    assert_eq!(finish(pool, &cp), want, "pool/3");
+}
+
+#[test]
 fn rollback_to_checkpoint_recovers_bit_identically() {
     const EVERY: u64 = 6;
     let cp = program();

@@ -564,3 +564,74 @@ fn checkpoint_and_rollback_of_a_steady_epoch_are_allocation_free() {
     assert_eq!(machine.epoch(), epoch_before + 10);
     assert!(machine.elapsed().max_seconds() > 0.0);
 }
+
+/// Allocations the driver thread makes over ten steady-state
+/// `execute_loop`s of `cp` (after `run` and three warm-up sweeps).
+fn executor_sweep_allocations<B: chaos_repro::dmsim::Backend>(
+    mut exec: Executor<B>,
+    cp: &chaos_repro::lang::CompiledProgram,
+) -> u64 {
+    exec.run(cp).expect("program runs");
+    for _ in 0..3 {
+        exec.execute_loop(cp, "L1").expect("warm-up sweep");
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..10 {
+        exec.execute_loop(cp, "L1").expect("steady sweep");
+    }
+    let total = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        exec.report().inspector_runs,
+        1,
+        "sweeps reused the schedule"
+    );
+    assert_eq!(
+        exec.report().kernel_reuse_hits,
+        13,
+        "and the compiled kernel"
+    );
+    total
+}
+
+/// The allocation claim on the path users run: the lang `Executor`, Table
+/// 2's RCB program, compiled kernel, on `Machine` and on a 2-lane pool
+/// (driver thread). A steady sweep never reallocates a workload-sized
+/// buffer; what it does allocate is driver glue — the per-rank `RankState`
+/// borrow vectors, the reuse check's DAD vectors and its modeled all-reduce
+/// — so the count is the same whatever the mesh size and is bounded by a
+/// small multiple of the rank count. (One allocation in ten sweeps is the
+/// labelled phase-record table doubling, hence ten-sweep totals.) The
+/// ceiling is the measured 481 / 2 651 per ten sweeps at 4 / 32 ranks, down
+/// from 751 / 2 921 before the loop record was borrowed in place.
+#[test]
+fn steady_executor_sweep_allocates_only_per_rank_glue() {
+    let _serial = serialised();
+    use chaos_bench::compilergen::{program_inputs, program_text};
+    use chaos_bench::experiment::Method;
+    use chaos_bench::workload::mesh_workload;
+
+    let src = program_text(Method::Rcb);
+    let cp = lower_program(parse_program(&src).unwrap()).unwrap();
+    let meshes = [1_000, 4_000].map(|n| program_inputs(&mesh_workload(MeshConfig::tiny(n))));
+    for nprocs in [4usize, 32] {
+        let cfg = || MachineConfig::ipsc860(nprocs);
+        let machine = meshes
+            .clone()
+            .map(|inputs| executor_sweep_allocations(Executor::new(cfg(), inputs), &cp));
+        let pool = meshes.clone().map(|inputs| {
+            let exec = Executor::new_pooled_with_workers(cfg(), 2, inputs);
+            executor_sweep_allocations(exec, &cp)
+        });
+        for (engine, [small, large]) in [("machine", machine), ("pool/2", pool)] {
+            assert_eq!(
+                small, large,
+                "{engine}, {nprocs} ranks: the count grew with the mesh"
+            );
+            let ceiling = 10 * (17 + 8 * nprocs as u64);
+            assert!(
+                small <= ceiling,
+                "{engine}, {nprocs} ranks: {small} allocations in ten sweeps (ceiling {ceiling})"
+            );
+        }
+    }
+}
