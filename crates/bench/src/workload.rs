@@ -81,13 +81,13 @@ impl PairLoopWorkload {
         self.e1.len()
     }
 
-    /// Per-iteration reference lists (each iteration references its two
+    /// Per-iteration reference rows (each iteration references its two
     /// endpoints).
-    pub fn iteration_refs(&self) -> Vec<Vec<u32>> {
+    pub fn iteration_refs(&self) -> Vec<[u32; 2]> {
         self.e1
             .iter()
             .zip(&self.e2)
-            .map(|(&a, &b)| vec![a, b])
+            .map(|(&a, &b)| [a, b])
             .collect()
     }
 

@@ -245,7 +245,9 @@ impl Inspector {
                 let me = ctx.rank() as u64;
                 let located = &located[ctx.rank()];
                 offproc.clear();
-                offproc.extend(located.iter().copied().filter(|&k| (k >> 32) != me));
+                let off_processor = |k: &u64| (k >> 32) != me;
+                offproc.reserve(located.iter().filter(|&k| off_processor(k)).count());
+                offproc.extend(located.iter().copied().filter(off_processor));
                 offproc.sort_unstable();
                 offproc.dedup();
                 *locals = located
@@ -276,6 +278,10 @@ impl Inspector {
         scratch.ghost_owner.clear();
         scratch.ghost_src.clear();
         scratch.ghost_off.push(0);
+        let total_ghosts = scratch.offproc.iter().map(Vec::len).sum();
+        scratch.ghost_off.reserve(nprocs);
+        scratch.ghost_owner.reserve(total_ghosts);
+        scratch.ghost_src.reserve(total_ghosts);
         let mut ghost_counts: Vec<usize> = Vec::with_capacity(nprocs);
         for offproc in scratch.offproc.iter() {
             for &k in offproc {

@@ -13,6 +13,13 @@
 //!
 //! Both policies are implemented so the `iter_partition` ablation bench can
 //! compare them.
+//!
+//! [`partition_iterations`] is the one entry point. It reads a loop's
+//! references one iteration at a time as a `&[u32]` **row** and does not
+//! care how the rows are stored: the lang inspector hands it strided chunks
+//! of its flat reference table, the pair-loop workloads hand it
+//! `Vec<[u32; 2]>`, a nested `Vec<Vec<u32>>` works too. No form needs one
+//! heap allocation per iteration, so none should be built that way.
 
 use crate::dist::Distribution;
 use chaos_dmsim::Machine;
@@ -84,29 +91,46 @@ impl IterationPartition {
 
 /// Partition the iterations of a loop.
 ///
-/// `iteration_refs[i]` lists the global indices (into arrays aligned with
-/// `data_dist`) referenced by iteration `i`; the first entry is treated as
-/// the left-hand-side reference for the owner-computes policy. The cost of
-/// scanning the references is charged to the simulated machine: in the real
-/// system this scan is distributed (each processor examines the iterations
-/// whose indirection-array entries it owns), so the charge is divided across
-/// processors.
-pub fn partition_iterations(
+/// `iteration_refs` yields one **row** per iteration, in iteration order:
+/// the global indices (into arrays aligned with `data_dist`) that iteration
+/// references, as anything that reads as a `&[u32]`. The rows need not be
+/// stored as rows — strided chunks of one flat table, `[u32; 2]` pairs and
+/// nested `Vec`s are all the same input — they may be empty, and they may
+/// differ in length. A row's first entry is the left-hand-side reference
+/// for the owner-computes policy; every entry must be below
+/// `data_dist.len()`. The source must know its length up front
+/// (`BlockOfIterations` sizes its blocks by it) and is walked exactly once.
+///
+/// The cost of scanning the references is charged to the simulated machine:
+/// in the real system this scan is distributed (each processor examines the
+/// iterations whose indirection-array entries it owns), so the charge is
+/// divided across processors.
+pub fn partition_iterations<R>(
     machine: &mut Machine,
     data_dist: &Distribution,
-    iteration_refs: &[Vec<u32>],
+    iteration_refs: R,
     policy: IterPartitionPolicy,
-) -> IterationPartition {
+) -> IterationPartition
+where
+    R: IntoIterator,
+    R::IntoIter: ExactSizeIterator,
+    R::Item: AsRef<[u32]>,
+{
     let nprocs = machine.nprocs();
-    let mut iters: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
+    let rows = iteration_refs.into_iter();
+    let block = rows.len().div_ceil(nprocs).max(1);
+    // Each iteration's processor first, the per-processor lists second, so
+    // every list is allocated once at its final size.
+    let mut home: Vec<u32> = Vec::with_capacity(rows.len());
+    let mut load = vec![0usize; nprocs];
     let mut counts = vec![0usize; nprocs];
+    let mut total_refs = 0usize;
 
-    for (i, refs) in iteration_refs.iter().enumerate() {
+    for (i, row) in rows.enumerate() {
+        let refs = row.as_ref();
+        total_refs += refs.len();
         let target = match policy {
-            IterPartitionPolicy::BlockOfIterations => {
-                let block = iteration_refs.len().div_ceil(nprocs).max(1);
-                (i / block).min(nprocs - 1)
-            }
+            IterPartitionPolicy::BlockOfIterations => (i / block).min(nprocs - 1),
             IterPartitionPolicy::OwnerComputes => match refs.first() {
                 Some(&lhs) => data_dist.owner(lhs as usize),
                 None => i % nprocs,
@@ -130,12 +154,16 @@ pub fn partition_iterations(
                 }
             }
         };
-        iters[target].push(i as u32);
+        home.push(target as u32);
+        load[target] += 1;
+    }
+    let mut iters: Vec<Vec<u32>> = load.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for (i, &p) in home.iter().enumerate() {
+        iters[p as usize].push(i as u32);
     }
 
     // Cost: every reference of every iteration is inspected once; the scan is
     // parallel over processors.
-    let total_refs: usize = iteration_refs.iter().map(Vec::len).sum();
     let per_proc = total_refs as f64 / nprocs as f64;
     for p in 0..nprocs {
         machine.charge_compute(p, per_proc);
@@ -162,12 +190,7 @@ mod tests {
     fn almost_owner_computes_majority_and_ties() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let d = Distribution::block(8, 2);
-        let p = partition_iterations(
-            &mut m,
-            &d,
-            &refs(),
-            IterPartitionPolicy::AlmostOwnerComputes,
-        );
+        let p = partition_iterations(&mut m, &d, refs(), IterPartitionPolicy::AlmostOwnerComputes);
         assert_eq!(p.iters(0), &[0, 3]);
         assert_eq!(p.iters(1), &[1, 2]);
         assert_eq!(p.total(), 4);
@@ -178,7 +201,7 @@ mod tests {
     fn owner_computes_uses_first_reference() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let d = Distribution::block(8, 2);
-        let p = partition_iterations(&mut m, &d, &refs(), IterPartitionPolicy::OwnerComputes);
+        let p = partition_iterations(&mut m, &d, refs(), IterPartitionPolicy::OwnerComputes);
         assert_eq!(p.iters(0), &[0, 2, 3]);
         assert_eq!(p.iters(1), &[1]);
     }
@@ -187,7 +210,7 @@ mod tests {
     fn block_of_iterations_ignores_data() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let d = Distribution::block(8, 2);
-        let p = partition_iterations(&mut m, &d, &refs(), IterPartitionPolicy::BlockOfIterations);
+        let p = partition_iterations(&mut m, &d, refs(), IterPartitionPolicy::BlockOfIterations);
         assert_eq!(p.iters(0), &[0, 1]);
         assert_eq!(p.iters(1), &[2, 3]);
     }
@@ -198,12 +221,7 @@ mod tests {
         // All referenced elements owned by proc 1.
         let map = vec![1u32; 8];
         let d = Distribution::irregular_from_map(&map, 2);
-        let p = partition_iterations(
-            &mut m,
-            &d,
-            &refs(),
-            IterPartitionPolicy::AlmostOwnerComputes,
-        );
+        let p = partition_iterations(&mut m, &d, refs(), IterPartitionPolicy::AlmostOwnerComputes);
         assert!(p.iters(0).is_empty());
         assert_eq!(p.iters(1).len(), 4);
         assert_eq!(p.imbalance(), 2.0);
@@ -216,22 +234,58 @@ mod tests {
         let p = partition_iterations(
             &mut m,
             &d,
-            &[vec![], vec![], vec![]],
+            [[0u32; 0]; 3],
             IterPartitionPolicy::AlmostOwnerComputes,
         );
         assert_eq!(p.total(), 3);
     }
 
     #[test]
+    fn every_row_form_gives_the_same_partition_and_charge() {
+        // The same references as nested rows, as `[u32; 2]` rows and as
+        // strided chunks of one flat table (width 0 included: a loop whose
+        // rows are empty still has iterations to place).
+        let d = Distribution::block(8, 2);
+        for width in [2usize, 0] {
+            let pairs: Vec<[u32; 2]> = vec![[0, 1], [4, 5], [6, 0], [3, 4], [7, 7]];
+            let nested: Vec<Vec<u32>> = pairs.iter().map(|r| r[..width].to_vec()).collect();
+            let flat: Vec<u32> = nested.concat();
+            let strided = || (0..pairs.len()).map(|i| &flat[i * width..(i + 1) * width]);
+            for policy in [
+                IterPartitionPolicy::OwnerComputes,
+                IterPartitionPolicy::AlmostOwnerComputes,
+                IterPartitionPolicy::BlockOfIterations,
+            ] {
+                let run = |m: &mut Machine, form: usize| match form {
+                    0 => partition_iterations(m, &d, &nested, policy),
+                    1 => partition_iterations(m, &d, strided(), policy),
+                    _ => partition_iterations(m, &d, &pairs, policy),
+                };
+                // `[u32; 2]` rows can only spell the width-2 case.
+                let forms = if width == 2 { 3 } else { 2 };
+                let mut reference = Machine::new(MachineConfig::unit(2));
+                let expected = run(&mut reference, 0);
+                assert_eq!(expected.total(), pairs.len());
+                for form in 1..forms {
+                    let mut m = Machine::new(MachineConfig::unit(2));
+                    assert_eq!(run(&mut m, form), expected, "{policy:?} form {form}");
+                    for p in 0..2 {
+                        assert_eq!(
+                            m.elapsed().per_proc[p].to_bits(),
+                            reference.elapsed().per_proc[p].to_bits(),
+                            "{policy:?} form {form}: charge on rank {p}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn charges_scan_cost() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let d = Distribution::block(8, 2);
-        let _ = partition_iterations(
-            &mut m,
-            &d,
-            &refs(),
-            IterPartitionPolicy::AlmostOwnerComputes,
-        );
+        let _ = partition_iterations(&mut m, &d, refs(), IterPartitionPolicy::AlmostOwnerComputes);
         assert!(m.elapsed().max_compute_seconds() > 0.0);
     }
 

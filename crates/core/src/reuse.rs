@@ -426,17 +426,18 @@ impl ReuseRegistry {
         let base: Vec<u32> = (0..nprocs)
             .map(|p| region.resident.ghost_count(p) as u32)
             .collect();
-        let mut deps: Vec<u32> = Vec::new();
+        let mut needed = vec![false; region.chunk_loop.len()];
         for p in 0..nprocs {
             let offs = &region.chunk_off[p];
             for &slot in &slot_map[p] {
                 if slot < base[p] {
-                    deps.push((offs.partition_point(|&o| o <= slot) - 1) as u32);
+                    needed[offs.partition_point(|&o| o <= slot) - 1] = true;
                 }
             }
         }
-        deps.sort_unstable();
-        deps.dedup();
+        let deps: Vec<u32> = (0..needed.len() as u32)
+            .filter(|&c| needed[c as usize])
+            .collect();
         let chunk = region.chunk_loop.len() as u32;
         region.chunk_loop.push(loop_key);
         region.chunk_live.push(true);

@@ -298,8 +298,9 @@ impl CommSchedule {
         let nprocs = self.nprocs;
         let key = |o: u32, s: u32| ((o as u64) << 32) | s as u64;
         let mut ghost_off = Vec::with_capacity(nprocs + 1);
-        let mut ghost_owner = Vec::new();
-        let mut ghost_src = Vec::new();
+        // Every resident slot is kept; only the appended tails grow these.
+        let mut ghost_owner = Vec::with_capacity(self.total_ghosts());
+        let mut ghost_src = Vec::with_capacity(self.total_ghosts());
         let mut map: Vec<Vec<u32>> = Vec::with_capacity(nprocs);
         ghost_off.push(0u32);
         for p in 0..nprocs {

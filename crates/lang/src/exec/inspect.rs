@@ -3,6 +3,21 @@
 //! inspector, whose results are saved as the loop's one record, then the
 //! sweep over that record and the write stamps.
 //!
+//! An inspection starts from **one reference table** (`RefTable`), built by
+//! `reference_table` and by nothing else. Before the loop over iterations it
+//! resolves every name a reference goes through — each slot to a column, to
+//! the extent of the decomposition it indexes and to the values of its
+//! indirection array, each indirection array read once — and checks each
+//! column's source against the loop range. Then a single pass fills
+//! `niters × nslots` 0-based globals and compares every indirection value
+//! with its extent: a short indirection array, a 0 entry or an entry beyond
+//! the extent is a typed [`LangError`] naming the array, the iteration, the
+//! value and the extent, raised here and nowhere later. The table has two
+//! readers, which only index it: iteration partitioning takes the leading
+//! (placing) entries of each row as that iteration's `&[u32]`, and every
+//! decomposition group's `AccessPattern` copies its slots' columns of the
+//! rows each rank was given. The table is dropped when `inspect` returns.
+//!
 //! `inspect` is the only place a loop record is built: every name a sweep
 //! would otherwise look up (the arrays it lends, the region rows each ghost
 //! buffer reads) is resolved to a position, the body is bound and compiled
@@ -21,7 +36,7 @@ use chaos_dmsim::{Backend, PhaseKind};
 use chaos_runtime::{
     AccessPattern, Dad, DistArray, Distribution, Inspector, IterPartitionPolicy, LocalizeScratch,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The current DADs of the named arrays.
 fn dads<T>(table: &ArrayTable<T>, names: &[String], ty: &str) -> Result<Vec<Dad>, LangError> {
@@ -31,6 +46,41 @@ fn dads<T>(table: &ArrayTable<T>, names: &[String], ty: &str) -> Result<Vec<Dad>
             .ok_or_else(|| LangError::runtime(format!("{ty} array '{name}' not materialized")))
     };
     names.iter().map(dad).collect()
+}
+
+/// One inspection's reference table: the 0-based global index of every
+/// reference of every iteration, read and validated once, which iteration
+/// partitioning and every group's access pattern then only index.
+struct RefTable {
+    /// `niters` rows of `width` globals, iteration-major.
+    globals: Vec<u32>,
+    /// Entries per row: one column per slot of the plan.
+    width: usize,
+    /// The leading entries of each row that drive iteration placement.
+    placing: usize,
+    /// The column holding each slot's references.
+    col_of_slot: Vec<usize>,
+    /// The slots grouped by the decomposition they index (name-sorted),
+    /// each group with that decomposition's current distribution.
+    groups: Vec<(GroupSpec, Distribution)>,
+}
+
+/// The error for iteration `it` (1-based) referencing outside the `extent`
+/// elements of `slot`'s array; `value` is the indirection entry it read.
+fn bad_reference(slot: &RefSlot, it: usize, value: u32, extent: usize) -> LangError {
+    let array = &slot.array;
+    LangError::runtime(match &slot.index {
+        Index::LoopVar => {
+            format!("iteration {it} is beyond the {extent} elements of '{array}'")
+        }
+        Index::Indirect(ia) if value == 0 => {
+            format!("indirection array '{ia}' contains 0 at iteration {it} (values are 1-based)")
+        }
+        Index::Indirect(ia) => format!(
+            "indirection array '{ia}' contains {value} at iteration {it}, \
+             beyond the {extent} elements of '{array}'"
+        ),
+    })
 }
 
 impl<B: Backend> Executor<B> {
@@ -118,21 +168,128 @@ impl<B: Backend> Executor<B> {
         }
     }
 
-    /// Decomposition name of a slot's array.
-    fn slot_decomp(&self, slot: &RefSlot) -> Result<String, LangError> {
-        self.state
-            .array_decomp
-            .get(&slot.array)
-            .cloned()
-            .ok_or_else(|| LangError::runtime(format!("array '{}' not ALIGNed", slot.array)))
-    }
+    /// Build the loop's reference table (see [`RefTable`]): resolve every
+    /// name a reference goes through, read every indirection array, and fill
+    /// and check every reference of every iteration — each exactly once.
+    fn reference_table(
+        &mut self,
+        plan: &LoopPlan,
+        lo: usize,
+        niters: usize,
+    ) -> Result<RefTable, LangError> {
+        if lo == 0 {
+            return Err(LangError::runtime(format!(
+                "FORALL '{}' starts at iteration 0 (iterations are 1-based)",
+                plan.label
+            )));
+        }
 
-    fn decomp_dist(&self, decomp: &str) -> Result<Distribution, LangError> {
-        self.state
-            .decomp_dist
-            .get(decomp)
-            .cloned()
-            .ok_or_else(|| LangError::runtime(format!("decomposition '{decomp}' not distributed")))
+        // Group slots by the decomposition of their array (name-sorted: the
+        // group order every binding table is indexed by).
+        let mut by_decomp: BTreeMap<&String, Vec<usize>> = BTreeMap::new();
+        for (sid, slot) in plan.slots.iter().enumerate() {
+            let decomp = self.state.array_decomp.get(&slot.array);
+            let decomp = decomp
+                .ok_or_else(|| LangError::runtime(format!("array '{}' not ALIGNed", slot.array)))?;
+            by_decomp.entry(decomp).or_default().push(sid);
+        }
+        let mut groups = Vec::with_capacity(by_decomp.len());
+        let mut extent_of_slot = vec![0usize; plan.slots.len()];
+        for (decomp, slot_ids) in by_decomp {
+            let dist = self.state.decomp_dist.get(decomp).cloned().ok_or_else(|| {
+                LangError::runtime(format!("decomposition '{decomp}' not distributed"))
+            })?;
+            for &sid in &slot_ids {
+                extent_of_slot[sid] = dist.len();
+            }
+            let decomp = decomp.clone();
+            groups.push((GroupSpec { decomp, slot_ids }, dist));
+        }
+
+        // Snapshot each indirection array's global values (1-based) once;
+        // reading it costs one pass over it.
+        let nprocs = self.backend.nprocs();
+        let mut ind_values: Vec<Vec<u32>> = Vec::with_capacity(plan.indirection_arrays.len());
+        for ia in &plan.indirection_arrays {
+            let arr = self.state.int.named(ia).ok_or_else(|| {
+                LangError::runtime(format!("indirection array '{ia}' not materialized"))
+            })?;
+            ind_values.push(arr.to_global());
+            let words = arr.len() as f64 / nprocs as f64;
+            self.backend.machine_mut().charge_compute_all(words);
+        }
+
+        // One column per slot, the indirect ones first: in an irregular loop
+        // they alone drive iteration placement, so an iteration's placing
+        // references are the leading `placing` entries of its row. Each
+        // column's source is checked against the loop range here — a
+        // directly indexed array must reach the last iteration, an
+        // indirection array must have an entry for every one — which also
+        // bounds the table by the arrays the program already holds.
+        let indirect = |sid: &usize| plan.slots[*sid].index != Index::LoopVar;
+        let (mut slot_of_col, direct): (Vec<usize>, Vec<usize>) =
+            (0..plan.slots.len()).partition(indirect);
+        let placing = if plan.irregular {
+            slot_of_col.len()
+        } else {
+            direct.len()
+        };
+        slot_of_col.extend(direct);
+        let hi = lo - 1 + niters;
+        let mut col_of_slot = vec![0usize; slot_of_col.len()];
+        let mut columns: Vec<(Option<&[u32]>, usize)> = Vec::with_capacity(slot_of_col.len());
+        for (col, &sid) in slot_of_col.iter().enumerate() {
+            col_of_slot[sid] = col;
+            let (slot, extent) = (&plan.slots[sid], extent_of_slot[sid]);
+            let values = match &slot.index {
+                Index::LoopVar if hi > extent => {
+                    return Err(bad_reference(slot, lo.max(extent + 1), 0, extent));
+                }
+                Index::LoopVar => None,
+                Index::Indirect(ia) => {
+                    let at = plan.indirection_arrays.iter().position(|n| n == ia);
+                    let all = &ind_values[at.expect("lowering lists every indirection array")];
+                    Some(all.get(lo - 1..hi).ok_or_else(|| {
+                        LangError::runtime(format!(
+                            "iteration {} out of range for indirection array '{ia}' ({} entries)",
+                            lo.max(all.len() + 1),
+                            all.len()
+                        ))
+                    })?)
+                }
+            };
+            columns.push((values, extent));
+        }
+
+        // The one pass over the references. 1-based indirection values
+        // become 0-based globals, each checked against the extent of the
+        // decomposition it indexes (a 0 wraps to `usize::MAX` and fails the
+        // same compare). This is the only validation they get: the
+        // partitioner, the inspector and the kernels trust the table.
+        let width = columns.len();
+        let mut globals: Vec<u32> = Vec::with_capacity(niters * width);
+        for it0 in 0..niters {
+            for (col, &(values, extent)) in columns.iter().enumerate() {
+                let Some(values) = values else {
+                    globals.push((lo - 1 + it0) as u32);
+                    continue;
+                };
+                let global = (values[it0] as usize).wrapping_sub(1);
+                if global >= extent {
+                    let slot = &plan.slots[slot_of_col[col]];
+                    return Err(bad_reference(slot, lo + it0, values[it0], extent));
+                }
+                globals.push(global as u32);
+            }
+        }
+
+        Ok(RefTable {
+            globals,
+            width,
+            placing,
+            col_of_slot,
+            groups,
+        })
     }
 
     /// Run iteration partitioning and the inspector(s) for a loop and build
@@ -143,38 +300,13 @@ impl<B: Backend> Executor<B> {
         lo: usize,
         niters: usize,
     ) -> Result<LoopState, LangError> {
-        // Snapshot the indirection arrays' global values (1-based) once.
-        let mut ind_values: HashMap<String, Vec<u32>> = HashMap::new();
-        for ia in &plan.indirection_arrays {
-            let arr = self.state.int.named(ia).ok_or_else(|| {
-                LangError::runtime(format!("indirection array '{ia}' not materialized"))
-            })?;
-            ind_values.insert(ia.clone(), arr.to_global());
-            // Reading the indirection array costs one pass over it.
-            let words = arr.len() as f64 / self.backend.nprocs() as f64;
-            self.backend.machine_mut().charge_compute_all(words);
-        }
-
-        // Global reference index of a slot at (1-based) iteration `it`.
-        let global_of = |slot: &RefSlot, it: usize| -> Result<usize, LangError> {
-            match &slot.index {
-                Index::LoopVar => Ok(it - 1),
-                Index::Indirect(ia) => {
-                    let vals = &ind_values[ia];
-                    let v = *vals.get(it - 1).ok_or_else(|| {
-                        LangError::runtime(format!(
-                            "iteration {it} out of range for indirection array '{ia}'"
-                        ))
-                    })?;
-                    if v == 0 {
-                        return Err(LangError::runtime(format!(
-                            "indirection array '{ia}' contains 0 at iteration {it} (values are 1-based)"
-                        )));
-                    }
-                    Ok(v as usize - 1)
-                }
-            }
-        };
+        let RefTable {
+            globals,
+            width,
+            placing,
+            col_of_slot,
+            groups,
+        } = self.reference_table(plan, lo, niters)?;
 
         // Iteration partitioning (phase B). Irregular loops partition
         // almost-owner-computes with respect to the indirectly-referenced
@@ -182,73 +314,44 @@ impl<B: Backend> Executor<B> {
         // of the iteration space.
         let nprocs = self.backend.nprocs();
         let (policy, part_dist) = if plan.irregular {
-            let decomp = plan
-                .slots
-                .iter()
-                .find(|s| matches!(s.index, Index::Indirect(_)))
-                .map(|s| self.slot_decomp(s))
-                .transpose()?
-                .expect("irregular loop has an indirect slot");
-            (
-                IterPartitionPolicy::AlmostOwnerComputes,
-                self.decomp_dist(&decomp)?,
-            )
+            let placed = plan.slots.iter().position(|s| s.index != Index::LoopVar);
+            let placed = placed.expect("irregular loop has an indirect slot");
+            let group = groups.iter().find(|(g, _)| g.slot_ids.contains(&placed));
+            let (_, dist) = group.expect("every slot is in a group");
+            (IterPartitionPolicy::AlmostOwnerComputes, dist.clone())
         } else {
             (
                 IterPartitionPolicy::BlockOfIterations,
                 Distribution::block(niters.max(1), nprocs),
             )
         };
-        let mut iteration_refs: Vec<Vec<u32>> = Vec::with_capacity(niters);
-        for it in lo..lo + niters {
-            let mut refs = Vec::with_capacity(plan.slots.len());
-            for slot in &plan.slots {
-                if plan.irregular && slot.index == Index::LoopVar {
-                    continue; // iteration-aligned refs do not drive placement
-                }
-                refs.push(global_of(slot, it)? as u32);
-            }
-            iteration_refs.push(refs);
-        }
         let prev_kind = self
             .machine_mut()
             .set_phase_kind(Some(PhaseKind::Inspector));
         let iter_part = chaos_runtime::iterpart::partition_iterations(
             self.backend.machine_mut(),
             &part_dist,
-            &iteration_refs,
+            (0..niters).map(|it0| &globals[it0 * width..][..placing]),
             policy,
         );
         self.state.run.report.iteration_partitions += 1;
 
-        // Group slots by the decomposition of their array (name-sorted: the
-        // group order every binding table below is indexed by) and build
-        // each group's access pattern.
-        let mut by_decomp: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, slot) in plan.slots.iter().enumerate() {
-            by_decomp
-                .entry(self.slot_decomp(slot)?)
-                .or_default()
-                .push(i);
-        }
-        let specs: Vec<GroupSpec> = by_decomp
-            .into_iter()
-            .map(|(decomp, slot_ids)| GroupSpec { decomp, slot_ids })
-            .collect();
-        let mut pending: Vec<(Distribution, AccessPattern)> = Vec::with_capacity(specs.len());
-        for spec in &specs {
+        // Each group's access pattern: its slots' columns of the rows of the
+        // iterations each rank was given.
+        let mut specs: Vec<GroupSpec> = Vec::with_capacity(groups.len());
+        let mut pending: Vec<(Distribution, AccessPattern)> = Vec::with_capacity(groups.len());
+        for (spec, dist) in groups {
+            let cols: Vec<usize> = spec.slot_ids.iter().map(|&s| col_of_slot[s]).collect();
             let mut pattern = AccessPattern::new(nprocs);
-            for p in 0..nprocs {
-                let refs = &mut pattern.refs[p];
-                refs.reserve(iter_part.iters(p).len() * spec.slot_ids.len());
+            for (p, refs) in pattern.refs.iter_mut().enumerate() {
+                refs.reserve(iter_part.iters(p).len() * cols.len());
                 for &it0 in iter_part.iters(p) {
-                    let it = lo + it0 as usize;
-                    for &sid in &spec.slot_ids {
-                        refs.push(global_of(&plan.slots[sid], it)? as u32);
-                    }
+                    let row = &globals[it0 as usize * width..][..width];
+                    refs.extend(cols.iter().map(|&c| row[c]));
                 }
             }
-            pending.push((self.decomp_dist(&spec.decomp)?, pattern));
+            specs.push(spec);
+            pending.push((dist, pattern));
         }
 
         // Localize every group with its request exchange deferred, bind

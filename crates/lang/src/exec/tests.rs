@@ -404,6 +404,92 @@ C$          SET fmt BY PARTITIONING G USING METIS
     assert!(err.to_string().contains("unknown partitioner"));
 }
 
+#[test]
+fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
+    // The inspector's input errors — a short indirection array, a 0 entry, an
+    // entry beyond the extent, and their directly indexed kin — each caught
+    // while the reference table is built, before the partitioner or a kernel
+    // can index with the value, and each leaving the program's arrays where
+    // they were.
+    fn check<B: Backend>(
+        mut exec: Executor<B>,
+        cp: &CompiledProgram,
+        what: &str,
+        expected: &[&str],
+    ) {
+        let err = exec.run(cp).expect_err(what).to_string();
+        for part in expected {
+            assert!(err.contains(part), "{what}: '{err}' lacks '{part}'");
+        }
+        assert_eq!(exec.report().inspector_runs, 0, "{what}: nothing saved");
+        for name in ["x", "y"] {
+            let len = exec.real_global(name).map(|v| v.len());
+            assert_eq!(len, Some(40), "{what}: {name} was lost");
+        }
+    }
+    let corrupt = |at: usize, value: u32| {
+        let mut inputs = ring_inputs(40);
+        inputs.int_arrays.get_mut("end_pt2").unwrap()[at] = value;
+        inputs
+    };
+    let edited = |from: &str, to: &str| {
+        assert!(EDGE_PROGRAM.contains(from));
+        lower_program(parse_program(&EDGE_PROGRAM.replace(from, to)).unwrap()).unwrap()
+    };
+    let cases: [(&str, CompiledProgram, ProgramInputs, &[&str]); 6] = [
+        (
+            "an entry one beyond the extent",
+            compiled(),
+            corrupt(5, 41),
+            &["'end_pt2' contains 41 at iteration 6", "40 elements of '"],
+        ),
+        (
+            "an entry far beyond the extent",
+            compiled(),
+            corrupt(5, 4000),
+            &["'end_pt2' contains 4000 at iteration 6", "40 elements of '"],
+        ),
+        (
+            "a 0 entry",
+            compiled(),
+            corrupt(7, 0),
+            &["'end_pt2' contains 0 at iteration 8"],
+        ),
+        (
+            // The loop bound is a scalar of its own, so it can outrun them.
+            "an indirection array shorter than the loop range",
+            edited("FORALL i = 1, nedge", "FORALL i = 1, nloop"),
+            ring_inputs(40).scalar("nloop", 45),
+            &[
+                "iteration 40 out of range for indirection array",
+                "39 entries",
+            ],
+        ),
+        (
+            // 60 edges over 40 nodes: `x(i)` runs out at iteration 41.
+            "a directly indexed array shorter than the loop range",
+            edited("EFLUX1(x(end_pt1(i)),", "EFLUX1(x(i),"),
+            random_inputs(40, 60),
+            &["iteration 41 is beyond the 40 elements of 'x'"],
+        ),
+        (
+            "a loop starting at iteration 0",
+            edited("FORALL i = 1, nedge", "FORALL i = 0, nedge"),
+            ring_inputs(40),
+            &["starts at iteration 0"],
+        ),
+    ];
+    for (what, cp, inputs, expected) in cases {
+        for mode in [KernelMode::Compiled, KernelMode::Interpreted] {
+            let cfg = MachineConfig::ipsc860(4);
+            let machine = Executor::new(cfg.clone(), inputs.clone()).with_kernel_mode(mode);
+            check(machine, &cp, what, expected);
+            let pool = Executor::new_pooled_with_workers(cfg, 3, inputs.clone());
+            check(pool.with_kernel_mode(mode), &cp, what, expected);
+        }
+    }
+}
+
 /// L1's record, as the executor's table holds it.
 fn record<'a>(exec: &'a Executor, cp: &CompiledProgram) -> &'a state::LoopState {
     exec.state.run.loops[cp.plans["L1"].id.index()]

@@ -209,13 +209,13 @@ impl WaterBox {
         self.pair1.len()
     }
 
-    /// Per-iteration reference lists of the force loop: pair `i` references
+    /// Per-iteration reference rows of the force loop: pair `i` references
     /// atoms `pair1[i]` and `pair2[i]`.
-    pub fn pair_iteration_refs(&self) -> Vec<Vec<u32>> {
+    pub fn pair_iteration_refs(&self) -> Vec<[u32; 2]> {
         self.pair1
             .iter()
             .zip(&self.pair2)
-            .map(|(&a, &b)| vec![a, b])
+            .map(|(&a, &b)| [a, b])
             .collect()
     }
 
@@ -299,7 +299,7 @@ mod tests {
         let w = WaterBox::generate(MdConfig::tiny(27));
         let refs = w.pair_iteration_refs();
         assert_eq!(refs.len(), w.npairs());
-        assert_eq!(refs[3], vec![w.pair1[3], w.pair2[3]]);
+        assert_eq!(refs[3], [w.pair1[3], w.pair2[3]]);
     }
 
     #[test]

@@ -204,13 +204,13 @@ impl UnstructuredMesh {
         let _ = inv; // inverse not needed beyond validation
     }
 
-    /// The per-iteration reference lists of the edge loop (`L2` in the
+    /// The per-iteration reference rows of the edge loop (`L2` in the
     /// paper): iteration `i` references nodes `end_pt1[i]` and `end_pt2[i]`.
-    pub fn edge_iteration_refs(&self) -> Vec<Vec<u32>> {
+    pub fn edge_iteration_refs(&self) -> Vec<[u32; 2]> {
         self.end_pt1
             .iter()
             .zip(&self.end_pt2)
-            .map(|(&a, &b)| vec![a, b])
+            .map(|(&a, &b)| [a, b])
             .collect()
     }
 
@@ -311,7 +311,7 @@ mod tests {
         let m = UnstructuredMesh::generate(MeshConfig::tiny(100));
         let refs = m.edge_iteration_refs();
         assert_eq!(refs.len(), m.nedges());
-        assert_eq!(refs[0], vec![m.end_pt1[0], m.end_pt2[0]]);
+        assert_eq!(refs[0], [m.end_pt1[0], m.end_pt2[0]]);
     }
 
     #[test]

@@ -95,16 +95,10 @@ fn main() {
         if valid {
             reuse_hits += 1;
         } else {
-            let refs: Vec<Vec<u32>> = water
-                .pair1
-                .iter()
-                .zip(&water.pair2)
-                .map(|(&a, &b)| vec![a, b])
-                .collect();
             let iter_part = partition_iterations(
                 &mut machine,
                 &dist,
-                &refs,
+                water.pair_iteration_refs(),
                 IterPartitionPolicy::AlmostOwnerComputes,
             );
             let mut pattern = AccessPattern::new(nprocs);

@@ -66,7 +66,7 @@ fn main() {
     let iter_part = partition_iterations(
         &mut machine,
         &outcome.distribution,
-        &mesh.edge_iteration_refs(),
+        mesh.edge_iteration_refs(),
         IterPartitionPolicy::AlmostOwnerComputes,
     );
 

@@ -83,7 +83,7 @@ fn execute(
     let iter_part = partition_iterations(
         machine,
         dist,
-        &mesh.edge_iteration_refs(),
+        mesh.edge_iteration_refs(),
         IterPartitionPolicy::AlmostOwnerComputes,
     );
     let mut pattern = AccessPattern::new(nprocs);
@@ -259,7 +259,7 @@ fn md_pipeline_runs_end_to_end() {
     let iter_part = partition_iterations(
         &mut machine,
         &dist,
-        &water.pair_iteration_refs(),
+        water.pair_iteration_refs(),
         IterPartitionPolicy::AlmostOwnerComputes,
     );
     let mut pattern = AccessPattern::new(nprocs);

@@ -565,11 +565,13 @@ fn checkpoint_and_rollback_of_a_steady_epoch_are_allocation_free() {
     assert!(machine.elapsed().max_seconds() > 0.0);
 }
 
-/// Allocations the driver thread makes over ten steady-state
-/// `execute_loop`s of `cp` (after `run` and three warm-up sweeps).
+/// Allocations the driver thread makes over ten `execute_loop`s of `cp`
+/// (after `run` and three warm-up sweeps), `inspections` of the fourteen
+/// sweeps having run the inspector: 1 with reuse on, all 14 with it off.
 fn executor_sweep_allocations<B: chaos_repro::dmsim::Backend>(
     mut exec: Executor<B>,
     cp: &chaos_repro::lang::CompiledProgram,
+    inspections: usize,
 ) -> u64 {
     exec.run(cp).expect("program runs");
     for _ in 0..3 {
@@ -577,18 +579,14 @@ fn executor_sweep_allocations<B: chaos_repro::dmsim::Backend>(
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..10 {
-        exec.execute_loop(cp, "L1").expect("steady sweep");
+        exec.execute_loop(cp, "L1").expect("measured sweep");
     }
     let total = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        exec.report().inspector_runs,
-        1,
-        "sweeps reused the schedule"
-    );
+    assert_eq!(exec.report().inspector_runs, inspections);
     assert_eq!(
         exec.report().kernel_reuse_hits,
-        13,
-        "and the compiled kernel"
+        14 - inspections,
+        "every sweep that skipped the inspector reused the compiled kernel"
     );
     total
 }
@@ -617,10 +615,10 @@ fn steady_executor_sweep_allocates_only_per_rank_glue() {
         let cfg = || MachineConfig::ipsc860(nprocs);
         let machine = meshes
             .clone()
-            .map(|inputs| executor_sweep_allocations(Executor::new(cfg(), inputs), &cp));
+            .map(|inputs| executor_sweep_allocations(Executor::new(cfg(), inputs), &cp, 1));
         let pool = meshes.clone().map(|inputs| {
             let exec = Executor::new_pooled_with_workers(cfg(), 2, inputs);
-            executor_sweep_allocations(exec, &cp)
+            executor_sweep_allocations(exec, &cp, 1)
         });
         for (engine, [small, large]) in [("machine", machine), ("pool/2", pool)] {
             assert_eq!(
@@ -634,4 +632,30 @@ fn steady_executor_sweep_allocates_only_per_rank_glue() {
             );
         }
     }
+}
+
+/// The other half of the claim, on the path that cannot reuse: with
+/// `with_reuse(false)` every sweep re-runs the inspector, and what that
+/// allocates is per rank and per group — the reference table, the
+/// iteration lists, the access patterns, the schedule — never per
+/// iteration. So the count over ten re-inspecting sweeps is the same on a
+/// mesh four times the size.
+#[test]
+fn reinspecting_sweep_allocations_do_not_grow_with_the_loop() {
+    let _serial = serialised();
+    use chaos_bench::compilergen::{program_inputs, program_text};
+    use chaos_bench::experiment::Method;
+    use chaos_bench::workload::mesh_workload;
+
+    let src = program_text(Method::Rcb);
+    let cp = lower_program(parse_program(&src).unwrap()).unwrap();
+    let [small, large] = [1_000, 4_000].map(|n| {
+        let inputs = program_inputs(&mesh_workload(MeshConfig::tiny(n)));
+        let exec = Executor::new(MachineConfig::ipsc860(4), inputs).with_reuse(false);
+        executor_sweep_allocations(exec, &cp, 14)
+    });
+    assert_eq!(
+        small, large,
+        "ten re-inspections allocated {small} times on the 1k mesh, {large} on the 4k"
+    );
 }
