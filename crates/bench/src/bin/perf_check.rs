@@ -7,7 +7,7 @@
 //!
 //! | gate | variant vs base | bound |
 //! |------|-----------------|-------|
-//! | kernel compiler | tree-walking interpreter vs register bytecode | compiled ≥ 2× faster |
+//! | kernel compiler | tree-walking interpreter vs block-at-a-time bytecode | compiled ≥ 4× faster |
 //! | checkpointing | `with_checkpoint_every(8)` vs none | ≤ 10 % slower |
 //! | flight recorder | `with_trace` vs none | ≤ 10 % slower |
 //! | metrics registry | `with_metrics` vs none | ≤ 5 % slower |
@@ -96,7 +96,7 @@ const GATES: [Gate; 4] = [
         name: "compiled vs interpreted kernel",
         mode: KernelMode::Interpreted,
         configure: |e| e,
-        bound: Bound::SpeedupAtLeast(2.0),
+        bound: Bound::SpeedupAtLeast(4.0),
     },
     Gate {
         name: "checkpoint every 8 epochs",

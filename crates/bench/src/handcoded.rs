@@ -12,9 +12,9 @@ use chaos_dmsim::{Backend, ElapsedReport, Machine, MachineConfig, PhaseKind, Poo
 use chaos_geocol::partitioner_by_name;
 use chaos_runtime::iterpart::partition_iterations;
 use chaos_runtime::{
-    gather_into, scatter_add, AccessPattern, Dad, DistArray, Distribution, GeoColSpec, Inspector,
-    InspectorResult, IterPartitionPolicy, IterationPartition, LocalRef, LocalizeScratch, LoopId,
-    MapperCoupler, ReuseRegistry,
+    gather_into, resolve_local, resolve_local_mut, scatter_add, AccessPattern, Dad, DistArray,
+    Distribution, GeoColSpec, Inspector, InspectorResult, IterPartitionPolicy, IterationPartition,
+    LocalizeScratch, LoopId, MapperCoupler, ReuseRegistry,
 };
 use std::time::Instant;
 
@@ -207,13 +207,11 @@ pub fn run_handcoded_on<B: Backend>(
 
 /// Buffers reused by every executor sweep, so the steady-state loop
 /// (gather → kernel → scatter-add with a reused schedule) performs no heap
-/// allocation after the first sweep on the sequential engine. All three
-/// buffer sets are per-rank, so the sweep's compute kernel can run
-/// rank-parallel.
+/// allocation after the first sweep on the sequential engine. Both buffer
+/// sets are per-rank, so the sweep's compute kernel can run rank-parallel.
 struct SweepBuffers {
     ghosts: Vec<Vec<f64>>,
     contributions: Vec<Vec<f64>>,
-    updates: Vec<Vec<(LocalRef, f64)>>,
 }
 
 impl SweepBuffers {
@@ -221,7 +219,6 @@ impl SweepBuffers {
         SweepBuffers {
             ghosts: vec![Vec::new(); nprocs],
             contributions: vec![Vec::new(); nprocs],
-            updates: vec![Vec::new(); nprocs],
         }
     }
 
@@ -259,41 +256,27 @@ fn execute_sweep<B: Backend>(
     let SweepBuffers {
         ghosts,
         contributions,
-        updates,
     } = buffers;
     gather_into(backend, "edge-loop", &inspect.schedule, x, ghosts);
 
     let ghosts = &*ghosts;
     backend.run_compute(
-        y.par_shards_mut()
-            .zip(contributions.iter_mut())
-            .zip(updates.iter_mut()),
-        |ctx, ((y_local, contrib), updates): ((&mut [f64], _), &mut Vec<(LocalRef, f64)>)| {
+        y.par_shards_mut().zip(contributions.iter_mut()),
+        |ctx, (y_local, contrib): (&mut [f64], &mut Vec<f64>)| {
             let proc = ctx.rank();
             let niters = iter_part.iters(proc).len();
-            let localized = &inspect.localized[proc];
             let x_local = x.local(proc);
             let x_ghost = &ghosts[proc];
-            // Read phase: evaluate the kernel for every local iteration.
-            updates.clear();
-            updates.reserve(2 * niters);
-            for it in 0..niters {
-                let r1 = localized[2 * it];
-                let r2 = localized[2 * it + 1];
-                let v1 = *r1.resolve(x_local, x_ghost);
-                let v2 = *r2.resolve(x_local, x_ghost);
+            // `x` is only read and `y` only written, so each iteration's
+            // two updates are applied where they are computed: owned
+            // elements in place, off-processor ones into the contributions.
+            for refs in inspect.localized[proc].chunks_exact(2) {
+                let (r1, r2) = (refs[0], refs[1]);
+                let v1 = *resolve_local(r1, x_local, x_ghost);
+                let v2 = *resolve_local(r2, x_local, x_ghost);
                 let (f1, f2) = (workload.kernel)(v1, v2);
-                updates.push((r1, f1));
-                updates.push((r2, f2));
-            }
-            // Write phase: accumulate into owned elements or ghost
-            // contributions.
-            let contrib: &mut Vec<f64> = contrib;
-            for &(r, f) in updates.iter() {
-                match r {
-                    LocalRef::Owned(off) => y_local[off as usize] += f,
-                    LocalRef::Ghost(slot) => contrib[slot as usize] += f,
-                }
+                *resolve_local_mut(r1, y_local, contrib) += f1;
+                *resolve_local_mut(r2, y_local, contrib) += f2;
             }
             ctx.charge_compute(proc, niters as f64 * workload.ops_per_iteration);
         },

@@ -37,8 +37,6 @@ use crate::darray::DistArray;
 use crate::schedule::CommSchedule;
 use chaos_dmsim::{Backend, Machine, PhaseEnd, RankCtx};
 
-pub use crate::inspector::LocalRef;
-
 /// Entry check shared by every executor driver: the schedule must match the
 /// machine size. The rank-local kernels re-check this cheaply via
 /// `debug_assert!`.
@@ -461,7 +459,7 @@ mod tests {
         // The localized refs resolve to the right values.
         let v: Vec<f64> = r.localized[0]
             .iter()
-            .map(|lr| *lr.resolve(x.local(0), &ghosts[0]))
+            .map(|&idx| *crate::resolve_local(idx, x.local(0), &ghosts[0]))
             .collect();
         assert_eq!(v, vec![40.0, 50.0]);
     }

@@ -9,38 +9,50 @@
 //! 2. deduplicates off-processor references and assigns each distinct one a
 //!    ghost-buffer slot,
 //! 3. builds the [`CommSchedule`] that will move those elements, and
-//! 4. rewrites the reference list into [`LocalRef`]s (owned offset or ghost
-//!    slot) so the executor never touches a global index again.
+//! 4. rewrites the reference list into *local indices* so the executor never
+//!    touches a global index again.
 //!
 //! This is the work whose cost the paper amortizes via schedule reuse.
+//!
+//! # The local index space
+//!
+//! As in PARTI, every reference localizes to **one** `u32` in a per-processor
+//! index space that puts the ghost buffer *behind* the owned elements: on
+//! processor `p`, `idx < owned_counts[p]` is the offset of an owned element
+//! and any other `idx` is ghost slot `idx - owned_counts[p]`. A row of
+//! [`InspectorResult::localized`] is therefore 4 B per reference and carries
+//! no discriminant to match on. The owned
+//! count is the length of the processor's shard of any array aligned with
+//! the distribution, so a reader that holds the shard needs nothing else:
+//! [`resolve_local`] / [`resolve_local_mut`] decode against a `(shard, ghost
+//! buffer)` pair and are what the hand-coded executors, the examples and the
+//! tests use; the `chaos-lang` kernel VM decodes the same way, once per
+//! block of iterations.
 
 use crate::dist::Distribution;
 use crate::schedule::CommSchedule;
 use chaos_dmsim::Backend;
 
-/// A localized reference produced by the inspector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocalRef {
-    /// The element is owned by the executing processor, at this local offset.
-    Owned(u32),
-    /// The element is an off-processor copy living in this ghost-buffer slot.
-    Ghost(u32),
+/// Read the element a local index names: `local[idx]` when `idx` is an owned
+/// offset (`idx < local.len()`), else ghost slot `idx - local.len()` of
+/// `ghosts` (see the [module docs](self) for the index space).
+#[inline]
+pub fn resolve_local<'a, T>(idx: u32, local: &'a [T], ghosts: &'a [T]) -> &'a T {
+    let idx = idx as usize;
+    match idx.checked_sub(local.len()) {
+        None => &local[idx],
+        Some(slot) => &ghosts[slot],
+    }
 }
 
-impl LocalRef {
-    /// Resolve the reference against a local data slice and a ghost slice.
-    #[inline]
-    pub fn resolve<'a, T>(&self, local: &'a [T], ghosts: &'a [T]) -> &'a T {
-        match *self {
-            LocalRef::Owned(off) => &local[off as usize],
-            LocalRef::Ghost(slot) => &ghosts[slot as usize],
-        }
-    }
-
-    /// True when the reference stays on-processor.
-    #[inline]
-    pub fn is_owned(&self) -> bool {
-        matches!(self, LocalRef::Owned(_))
+/// The write side of [`resolve_local`]: the owned element, or the
+/// off-processor contribution slot behind it.
+#[inline]
+pub fn resolve_local_mut<'a, T>(idx: u32, local: &'a mut [T], ghosts: &'a mut [T]) -> &'a mut T {
+    let idx = idx as usize;
+    match idx.checked_sub(local.len()) {
+        None => &mut local[idx],
+        Some(slot) => &mut ghosts[slot],
     }
 }
 
@@ -72,8 +84,12 @@ impl AccessPattern {
 pub struct InspectorResult {
     /// The communication schedule for the loop's off-processor references.
     pub schedule: CommSchedule,
-    /// The localized references, same shape as the input pattern.
-    pub localized: Vec<Vec<LocalRef>>,
+    /// The localized references, same shape as the input pattern, each one
+    /// local index (owned offset, or `owned_counts[p]` + ghost slot).
+    pub localized: Vec<Vec<u32>>,
+    /// Elements of the data distribution each processor owns: where the
+    /// ghost slots start in its local index space.
+    pub owned_counts: Vec<usize>,
     /// Ghost-buffer size required on each processor.
     pub ghost_counts: Vec<usize>,
 }
@@ -89,9 +105,9 @@ impl InspectorResult {
         let owned: usize = self
             .localized
             .iter()
-            .flat_map(|l| l.iter())
-            .filter(|r| r.is_owned())
-            .count();
+            .zip(&self.owned_counts)
+            .map(|(l, &n)| l.iter().filter(|&&idx| (idx as usize) < n).count())
+            .sum();
         owned as f64 / total as f64
     }
 }
@@ -237,11 +253,12 @@ impl Inspector {
         let located = &scratch.located;
         let offproc = &mut scratch.offproc;
         offproc.resize_with(nprocs, Vec::new);
-        let mut localized: Vec<Vec<LocalRef>> = Vec::new();
+        let owned_counts: Vec<usize> = (0..nprocs).map(|p| data_dist.local_size(p)).collect();
+        let mut localized: Vec<Vec<u32>> = Vec::new();
         localized.resize_with(nprocs, Vec::new);
         backend.run_compute(
             offproc.iter_mut().zip(localized.iter_mut()),
-            |ctx, (offproc, locals): (&mut Vec<u64>, &mut Vec<LocalRef>)| {
+            |ctx, (offproc, locals): (&mut Vec<u64>, &mut Vec<u32>)| {
                 let me = ctx.rank() as u64;
                 let located = &located[ctx.rank()];
                 offproc.clear();
@@ -250,14 +267,21 @@ impl Inspector {
                 offproc.extend(located.iter().copied().filter(off_processor));
                 offproc.sort_unstable();
                 offproc.dedup();
+                // Ghost slots sit behind the owned elements in the rank's
+                // local index space.
+                let n_owned = owned_counts[ctx.rank()];
+                assert!(
+                    u32::try_from(n_owned + offproc.len()).is_ok(),
+                    "local index space of rank {me} exceeds u32"
+                );
                 *locals = located
                     .iter()
                     .map(|&k| {
                         if (k >> 32) == me {
-                            LocalRef::Owned(k as u32)
+                            k as u32
                         } else {
                             let slot = offproc.binary_search(&k).expect("key present after dedup");
-                            LocalRef::Ghost(slot as u32)
+                            (n_owned + slot) as u32
                         }
                     })
                     .collect();
@@ -309,6 +333,7 @@ impl Inspector {
         InspectorResult {
             schedule,
             localized,
+            owned_counts,
             ghost_counts,
         }
     }
@@ -333,18 +358,12 @@ mod tests {
         let dist = Distribution::block(8, 2);
         let r = Inspector.localize(&mut m, "L", &dist, &pattern());
 
+        // Each proc owns 4 elements, so local index 4 is its ghost slot 0.
+        assert_eq!(r.owned_counts, vec![4, 4]);
         // Proc 0: 0 and 1 are owned (offsets 0, 1); 5 is ghost (dedup to one slot).
-        assert_eq!(
-            r.localized[0],
-            vec![
-                LocalRef::Owned(0),
-                LocalRef::Ghost(0),
-                LocalRef::Ghost(0),
-                LocalRef::Owned(1)
-            ]
-        );
+        assert_eq!(r.localized[0], vec![0, 4, 4, 1]);
         // Proc 1: 7 owned at offset 3; 2 is ghost slot 0.
-        assert_eq!(r.localized[1], vec![LocalRef::Owned(3), LocalRef::Ghost(0)]);
+        assert_eq!(r.localized[1], vec![3, 4]);
         assert_eq!(r.ghost_counts, vec![1, 1]);
         assert_eq!(r.schedule.total_ghosts(), 2);
         assert_eq!(r.schedule.message_count(), 2);
@@ -359,12 +378,13 @@ mod tests {
         let dist = Distribution::irregular_from_map(&map, 2);
         let r = Inspector.localize(&mut m, "L", &dist, &pattern());
         // Proc 0 refs [0,5,5,1]: 0 owned (offset 0), 5 ghost, 1 ghost.
-        assert_eq!(r.localized[0][0], LocalRef::Owned(0));
-        assert!(matches!(r.localized[0][1], LocalRef::Ghost(_)));
+        assert_eq!(r.owned_counts, vec![4, 4]);
+        assert_eq!(r.localized[0][0], 0);
+        assert!(r.localized[0][1] >= 4, "5 is off-processor");
         assert_eq!(r.localized[0][1], r.localized[0][2]);
         assert_eq!(r.ghost_counts[0], 2); // globals 5 and 1
                                           // Proc 1 refs [7,2]: 7 owned (local offset 3), 2 ghost.
-        assert_eq!(r.localized[1][0], LocalRef::Owned(3));
+        assert_eq!(r.localized[1][0], 3);
         assert_eq!(r.ghost_counts[1], 1);
     }
 
@@ -387,7 +407,7 @@ mod tests {
         let r = Inspector.localize(&mut m, "L", &dist, &p);
         assert_eq!(r.schedule.total_ghosts(), 0);
         assert_eq!(r.local_fraction(), 1.0);
-        assert!(r.localized.iter().flatten().all(LocalRef::is_owned));
+        assert!(r.localized.iter().flatten().all(|&idx| idx < 4));
     }
 
     #[test]
@@ -430,8 +450,12 @@ mod tests {
     fn resolve_reads_from_the_right_buffer() {
         let local = [10.0, 11.0];
         let ghosts = [99.0];
-        assert_eq!(*LocalRef::Owned(1).resolve(&local, &ghosts), 11.0);
-        assert_eq!(*LocalRef::Ghost(0).resolve(&local, &ghosts), 99.0);
+        assert_eq!(*resolve_local(1, &local, &ghosts), 11.0);
+        assert_eq!(*resolve_local(2, &local, &ghosts), 99.0);
+        let (mut local, mut ghosts) = (local, ghosts);
+        *resolve_local_mut(0, &mut local, &mut ghosts) += 1.0;
+        *resolve_local_mut(2, &mut local, &mut ghosts) += 1.0;
+        assert_eq!((local, ghosts), ([11.0, 11.0], [100.0]));
     }
 
     #[test]

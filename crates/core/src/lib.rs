@@ -86,7 +86,9 @@ pub use executor::{
     charge_local_compute, gather, gather_inline, gather_into, scatter_add, scatter_combine_rows,
     scatter_op, scatter_pack_kernel, Landing, ScatterKind,
 };
-pub use inspector::{AccessPattern, Inspector, InspectorResult, LocalRef, LocalizeScratch};
+pub use inspector::{
+    resolve_local, resolve_local_mut, AccessPattern, Inspector, InspectorResult, LocalizeScratch,
+};
 pub use iterpart::{IterPartitionPolicy, IterationPartition};
 pub use remap::remap;
 pub use reuse::{GhostRegion, LoopId, LoopRecord, RegionBinding, ReuseDecision, ReuseRegistry};

@@ -99,24 +99,42 @@ impl<B: Backend> Executor<B> {
     }
 
     pub(super) fn run_read_data(&mut self, arrays: &[String]) -> Result<(), LangError> {
-        let mut dads = Vec::with_capacity(arrays.len());
+        // Check every array against its input before writing any, so a bad
+        // input leaves the program's arrays and write stamps as they were.
+        let (st, inputs) = (&self.state, &self.inputs);
         for name in arrays {
-            if let Some(arr) = self.state.real.named_mut(name) {
-                let values = self.inputs.real_arrays.get(name).ok_or_else(|| {
-                    LangError::runtime(format!("no input data for REAL array '{name}'"))
-                })?;
-                *arr = DistArray::from_global(name, arr.dist().clone(), values);
-                dads.push(arr.dad());
-            } else if let Some(arr) = self.state.int.named_mut(name) {
-                let values = self.inputs.int_arrays.get(name).ok_or_else(|| {
-                    LangError::runtime(format!("no input data for INTEGER array '{name}'"))
-                })?;
-                *arr = DistArray::from_global(name, arr.dist().clone(), values);
-                dads.push(arr.dad());
+            let (ty, extent, given) = if let Some(arr) = st.real.named(name) {
+                let input = inputs.real_arrays.get(name);
+                ("REAL", arr.len(), input.map(Vec::len))
+            } else if let Some(arr) = st.int.named(name) {
+                let input = inputs.int_arrays.get(name);
+                ("INTEGER", arr.len(), input.map(Vec::len))
             } else {
                 return Err(LangError::runtime(format!(
                     "READ_DATA of array '{name}' before it was ALIGNed"
                 )));
+            };
+            let given = given.ok_or_else(|| {
+                LangError::runtime(format!("no input data for {ty} array '{name}'"))
+            })?;
+            if given != extent {
+                return Err(LangError::runtime(format!(
+                    "READ_DATA input for {ty} array '{name}' has {given} values \
+                     but the array has {extent} elements"
+                )));
+            }
+        }
+
+        let mut dads = Vec::with_capacity(arrays.len());
+        for name in arrays {
+            if let Some(arr) = self.state.real.named_mut(name) {
+                let values = &self.inputs.real_arrays[name];
+                *arr = DistArray::from_global(name, arr.dist().clone(), values);
+                dads.push(arr.dad());
+            } else if let Some(arr) = self.state.int.named_mut(name) {
+                let values = &self.inputs.int_arrays[name];
+                *arr = DistArray::from_global(name, arr.dist().clone(), values);
+                dads.push(arr.dad());
             }
             self.state.run.registry.note_array_write(name);
         }

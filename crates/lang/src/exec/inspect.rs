@@ -15,8 +15,15 @@
 //! value and the extent, raised here and nowhere later. The table has two
 //! readers, which only index it: iteration partitioning takes the leading
 //! (placing) entries of each row as that iteration's `&[u32]`, and every
-//! decomposition group's `AccessPattern` copies its slots' columns of the
-//! rows each rank was given. The table is dropped when `inspect` returns.
+//! decomposition group's `AccessPattern` copies, from the rows each rank was
+//! given, one table column per **distinct index expression** among the
+//! group's slots ([`GroupSpec`]): `x(e1(i))` and `y(e1(i))` are one reference
+//! to localize, translate and dedup, so the edge loop's pattern — and the
+//! localized row a sweep reads — holds 2 entries per iteration, not 4. The
+//! set of distinct off-processor elements is the same either way, so the
+//! schedules do not change. The table is held in one block of rows per rank
+//! and dropped as soon as the patterns are cut, before the localize working
+//! set is allocated in its place.
 //!
 //! `inspect` is the only place a loop record is built: every name a sweep
 //! would otherwise look up (the arrays it lends, the region rows each ghost
@@ -52,8 +59,20 @@ fn dads<T>(table: &ArrayTable<T>, names: &[String], ty: &str) -> Result<Vec<Dad>
 /// reference of every iteration, read and validated once, which iteration
 /// partitioning and every group's access pattern then only index.
 struct RefTable {
-    /// `niters` rows of `width` globals, iteration-major.
-    globals: Vec<u32>,
+    /// `niters` rows of `width` globals, iteration-major, in one block per
+    /// rank: the rows of that rank's share of a BLOCK distribution of the
+    /// iteration space, `share` rows each (the last may be short). The
+    /// table is the one inspector allocation that would otherwise be as
+    /// large as the loop in a single piece, and it lives for a fraction of
+    /// an inspection. In rank-sized blocks its memory comes from, and goes
+    /// back to, the heap the localize working set is allocated from next; a
+    /// loop-sized piece is served by a mapping of its own, and releasing
+    /// that raises glibc's mmap and trim thresholds to its size for the
+    /// rest of the process, after which freed inspector memory stays
+    /// resident.
+    blocks: Vec<Vec<u32>>,
+    /// Rows per block.
+    share: usize,
     /// Entries per row: one column per slot of the plan.
     width: usize,
     /// The leading entries of each row that drive iteration placement.
@@ -202,8 +221,7 @@ impl<B: Backend> Executor<B> {
             for &sid in &slot_ids {
                 extent_of_slot[sid] = dist.len();
             }
-            let decomp = decomp.clone();
-            groups.push((GroupSpec { decomp, slot_ids }, dist));
+            groups.push((GroupSpec::new(plan, decomp.clone(), slot_ids), dist));
         }
 
         // Snapshot each indirection array's global values (1-based) once;
@@ -267,24 +285,31 @@ impl<B: Backend> Executor<B> {
         // same compare). This is the only validation they get: the
         // partitioner, the inspector and the kernels trust the table.
         let width = columns.len();
-        let mut globals: Vec<u32> = Vec::with_capacity(niters * width);
-        for it0 in 0..niters {
-            for (col, &(values, extent)) in columns.iter().enumerate() {
-                let Some(values) = values else {
-                    globals.push((lo - 1 + it0) as u32);
-                    continue;
-                };
-                let global = (values[it0] as usize).wrapping_sub(1);
-                if global >= extent {
-                    let slot = &plan.slots[slot_of_col[col]];
-                    return Err(bad_reference(slot, lo + it0, values[it0], extent));
+        let share = niters.div_ceil(nprocs).max(1);
+        let mut blocks: Vec<Vec<u32>> = Vec::with_capacity(nprocs);
+        for start in (0..niters).step_by(share) {
+            let rows = share.min(niters - start);
+            let mut globals: Vec<u32> = Vec::with_capacity(rows * width);
+            for it0 in start..start + rows {
+                for (col, &(values, extent)) in columns.iter().enumerate() {
+                    let Some(values) = values else {
+                        globals.push((lo - 1 + it0) as u32);
+                        continue;
+                    };
+                    let global = (values[it0] as usize).wrapping_sub(1);
+                    if global >= extent {
+                        let slot = &plan.slots[slot_of_col[col]];
+                        return Err(bad_reference(slot, lo + it0, values[it0], extent));
+                    }
+                    globals.push(global as u32);
                 }
-                globals.push(global as u32);
             }
+            blocks.push(globals);
         }
 
         Ok(RefTable {
-            globals,
+            blocks,
+            share,
             width,
             placing,
             col_of_slot,
@@ -301,12 +326,14 @@ impl<B: Backend> Executor<B> {
         niters: usize,
     ) -> Result<LoopState, LangError> {
         let RefTable {
-            globals,
+            blocks,
+            share,
             width,
             placing,
             col_of_slot,
             groups,
         } = self.reference_table(plan, lo, niters)?;
+        let row = |it0: usize| &blocks[it0 / share][it0 % share * width..][..width];
 
         // Iteration partitioning (phase B). Irregular loops partition
         // almost-owner-computes with respect to the indirectly-referenced
@@ -331,28 +358,35 @@ impl<B: Backend> Executor<B> {
         let iter_part = chaos_runtime::iterpart::partition_iterations(
             self.backend.machine_mut(),
             &part_dist,
-            (0..niters).map(|it0| &globals[it0 * width..][..placing]),
+            (0..niters).map(|it0| &row(it0)[..placing]),
             policy,
         );
         self.state.run.report.iteration_partitions += 1;
 
-        // Each group's access pattern: its slots' columns of the rows of the
-        // iterations each rank was given.
+        // Each group's access pattern: one reference per distinct index
+        // expression among its slots — the table column of any slot of each
+        // of the group's columns, slots that share one having read the same
+        // values — from the rows of the iterations each rank was given.
         let mut specs: Vec<GroupSpec> = Vec::with_capacity(groups.len());
         let mut pending: Vec<(Distribution, AccessPattern)> = Vec::with_capacity(groups.len());
         for (spec, dist) in groups {
-            let cols: Vec<usize> = spec.slot_ids.iter().map(|&s| col_of_slot[s]).collect();
+            let mut cols = vec![0usize; spec.ncols as usize];
+            for (&sid, &col) in spec.slot_ids.iter().zip(&spec.cols) {
+                cols[col as usize] = col_of_slot[sid];
+            }
             let mut pattern = AccessPattern::new(nprocs);
             for (p, refs) in pattern.refs.iter_mut().enumerate() {
                 refs.reserve(iter_part.iters(p).len() * cols.len());
                 for &it0 in iter_part.iters(p) {
-                    let row = &globals[it0 as usize * width..][..width];
+                    let row = row(it0 as usize);
                     refs.extend(cols.iter().map(|&c| row[c]));
                 }
             }
             specs.push(spec);
             pending.push((dist, pattern));
         }
+        // Both readers are done: the localize working set reuses the memory.
+        drop(blocks);
 
         // Localize every group with its request exchange deferred, bind
         // each schedule into its distribution's shared resident ghost

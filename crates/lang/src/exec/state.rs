@@ -9,7 +9,7 @@
 //! of it behind.
 
 use super::ExecReport;
-use crate::kernel::{ArrLoc, CompiledKernel, KernelBindings, RankSweepArea};
+use crate::kernel::{ArrLoc, CompiledKernel, KernelBindings, RankSweepArea, BLOCK};
 use chaos_geocol::GeoCoL;
 use chaos_runtime::{
     DadSignature, DistArray, Distribution, InspectorResult, IterationPartition, RegionBinding,
@@ -112,7 +112,8 @@ pub(super) struct Inspected {
 
 /// A FORALL's one record: the shared inspector results plus the per-rank
 /// sweep areas (off-processor write-buffer rows sized by the schedules'
-/// ghost counts, touched flags, the VM register file) its sweeps reuse.
+/// ghost counts, touched flags, the VM register file sized by the kernel)
+/// its sweeps reuse.
 #[derive(Debug, Clone)]
 pub(super) struct LoopState {
     pub inspected: Arc<Inspected>,
@@ -125,6 +126,7 @@ impl LoopState {
     /// call for.
     pub fn new(inspected: Inspected) -> Self {
         let write_bufs = &inspected.bindings.write_bufs;
+        let nregs = inspected.kernel.as_ref().map_or(0, |k| k.nregs as usize);
         let areas = (0..inspected.iter_part.nprocs())
             .map(|p| RankSweepArea {
                 contrib: write_bufs
@@ -132,7 +134,7 @@ impl LoopState {
                     .map(|w| vec![0.0; inspected.groups[w.group as usize].result.ghost_counts[p]])
                     .collect(),
                 touched: vec![false; write_bufs.len()],
-                regs: Vec::new(),
+                regs: vec![[0.0; BLOCK]; nregs],
             })
             .collect();
         LoopState {

@@ -5,6 +5,7 @@ use crate::kernel::eflux as chaos_workloads_eflux;
 use crate::lower::lower_program;
 use crate::parser::parse_program;
 use chaos_dmsim::PhaseKind;
+use chaos_runtime::IterPartitionPolicy;
 
 const EDGE_PROGRAM: &str = r#"
         REAL*8 x(nnode), y(nnode)
@@ -79,12 +80,18 @@ fn edge_loop_matches_sequential_reference() {
 /// Values of `y`, the execution report, per-processor clock bits and
 /// communication totals of a pooled run against the sequential oracle.
 fn assert_engines_agree(seq: &Executor<Machine>, pool: &Executor<PooledBackend>) {
+    assert_eq!(seq.report(), pool.report());
+    assert_runs_agree(seq, pool);
+}
+
+/// [`assert_engines_agree`] less the report, whose kernel counters tell the
+/// two kernel modes apart.
+fn assert_runs_agree<A: Backend, B: Backend>(seq: &Executor<A>, pool: &Executor<B>) {
     let ys = seq.real_global("y").unwrap();
     let yp = pool.real_global("y").unwrap();
     for (i, (a, b)) in ys.iter().zip(&yp).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "y[{i}] diverged: {a} vs {b}");
     }
-    assert_eq!(seq.report(), pool.report());
     let (es, ep) = (seq.machine().elapsed(), pool.machine().elapsed());
     for p in 0..es.per_proc.len() {
         assert_eq!(es.per_proc[p].to_bits(), ep.per_proc[p].to_bits());
@@ -404,6 +411,26 @@ C$          SET fmt BY PARTITIONING G USING METIS
     assert!(err.to_string().contains("unknown partitioner"));
 }
 
+/// Running `cp` fails with an error holding every part of `expected`, saves
+/// no inspection and leaves the 40-node REAL arrays materialized.
+fn check<B: Backend>(
+    mut exec: Executor<B>,
+    cp: &CompiledProgram,
+    what: &str,
+    expected: &[&str],
+) -> Executor<B> {
+    let err = exec.run(cp).expect_err(what).to_string();
+    for part in expected {
+        assert!(err.contains(part), "{what}: '{err}' lacks '{part}'");
+    }
+    assert_eq!(exec.report().inspector_runs, 0, "{what}: nothing saved");
+    for name in ["x", "y"] {
+        let len = exec.real_global(name).map(|v| v.len());
+        assert_eq!(len, Some(40), "{what}: {name} was lost");
+    }
+    exec
+}
+
 #[test]
 fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
     // The inspector's input errors — a short indirection array, a 0 entry, an
@@ -411,22 +438,6 @@ fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
     // while the reference table is built, before the partitioner or a kernel
     // can index with the value, and each leaving the program's arrays where
     // they were.
-    fn check<B: Backend>(
-        mut exec: Executor<B>,
-        cp: &CompiledProgram,
-        what: &str,
-        expected: &[&str],
-    ) {
-        let err = exec.run(cp).expect_err(what).to_string();
-        for part in expected {
-            assert!(err.contains(part), "{what}: '{err}' lacks '{part}'");
-        }
-        assert_eq!(exec.report().inspector_runs, 0, "{what}: nothing saved");
-        for name in ["x", "y"] {
-            let len = exec.real_global(name).map(|v| v.len());
-            assert_eq!(len, Some(40), "{what}: {name} was lost");
-        }
-    }
     let corrupt = |at: usize, value: u32| {
         let mut inputs = ring_inputs(40);
         inputs.int_arrays.get_mut("end_pt2").unwrap()[at] = value;
@@ -490,6 +501,56 @@ fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
     }
 }
 
+#[test]
+fn read_data_of_the_wrong_length_is_a_typed_error_on_both_engines() {
+    // An input shorter or longer than the array's extent, REAL or INTEGER:
+    // an error naming the array, the length given and the extent — not the
+    // length assert inside `DistArray::from_global` — and every array still
+    // materialized, at its extent.
+    fn check_all<B: Backend>(exec: Executor<B>, what: &str, expected: &[&str]) {
+        let exec = check(exec, &compiled(), what, expected);
+        for name in ["end_pt1", "end_pt2"] {
+            let len = exec.state.int.named(name).map(|a| a.len());
+            assert_eq!(len, Some(39), "{what}: {name} was lost");
+        }
+    }
+    let resized = |real: bool, name: &str, len: usize| {
+        let mut inputs = ring_inputs(40);
+        if real {
+            inputs.real_arrays.get_mut(name).unwrap().resize(len, 0.0);
+        } else {
+            inputs.int_arrays.get_mut(name).unwrap().resize(len, 1);
+        }
+        inputs
+    };
+    let cases: [(&str, ProgramInputs, &[&str]); 3] = [
+        (
+            "a short REAL input",
+            resized(true, "y", 12),
+            &["REAL array 'y'", "12 values", "40 elements"],
+        ),
+        (
+            "a long REAL input",
+            resized(true, "x", 41),
+            &["REAL array 'x'", "41 values", "40 elements"],
+        ),
+        (
+            "a short INTEGER input",
+            resized(false, "end_pt2", 38),
+            &["INTEGER array 'end_pt2'", "38 values", "39 elements"],
+        ),
+    ];
+    for (what, inputs, expected) in cases {
+        let cfg = MachineConfig::ipsc860(4);
+        check_all(Executor::new(cfg.clone(), inputs.clone()), what, expected);
+        check_all(
+            Executor::new_pooled_with_workers(cfg, 3, inputs),
+            what,
+            expected,
+        );
+    }
+}
+
 /// L1's record, as the executor's table holds it.
 fn record<'a>(exec: &'a Executor, cp: &CompiledProgram) -> &'a state::LoopState {
     exec.state.run.loops[cp.plans["L1"].id.index()]
@@ -519,6 +580,127 @@ fn buffers_are_shaped_by_ghost_counts() {
         }
     }
     assert!(total > 0, "random edges reference off-processor nodes");
+}
+
+#[test]
+fn a_loop_record_holds_one_index_per_distinct_reference_and_a_fixed_register_file() {
+    use crate::kernel::BLOCK;
+    // The edge loop has four slots and two distinct references: a rank's
+    // localized row is exactly 2 · iters(p) `u32`s. The register file is
+    // nregs columns of BLOCK lanes per rank, the same on a loop four times
+    // as long.
+    let cp = compiled();
+    let record_of = |nedge: usize| {
+        let mut exec = Executor::new(MachineConfig::ipsc860(4), random_inputs(60, nedge));
+        exec.run(&cp).unwrap();
+        record(&exec, &cp).clone()
+    };
+    let (small, large) = (record_of(240), record_of(960));
+    for rec in [&small, &large] {
+        let ins = &rec.inspected;
+        assert_eq!(ins.groups.len(), 1, "x and y share a decomposition");
+        assert_eq!(ins.bindings.groups[0].ncols, 2);
+        let row: &Vec<u32> = &ins.groups[0].result.localized[0];
+        assert_eq!(std::mem::size_of_val(&row[0]), 4);
+        for p in 0..4 {
+            let iters = ins.iter_part.iters(p).len();
+            assert_eq!(ins.groups[0].result.localized[p].len(), 2 * iters);
+        }
+        let nregs = ins.kernel.as_ref().unwrap().nregs as usize;
+        assert_eq!(nregs, 4);
+        for area in &rec.areas {
+            assert_eq!(std::mem::size_of_val(&area.regs[..]), nregs * BLOCK * 8);
+        }
+    }
+    let iters = |rec: &state::LoopState| -> usize {
+        (0..4).map(|p| rec.inspected.iter_part.iters(p).len()).sum()
+    };
+    assert_eq!((iters(&small), iters(&large)), (240, 960));
+
+    // The tree-walker has no registers to hold.
+    let mut exec = Executor::new(MachineConfig::ipsc860(4), random_inputs(60, 240))
+        .with_kernel_mode(KernelMode::Interpreted);
+    exec.run(&cp).unwrap();
+    assert!(record(&exec, &cp).areas.iter().all(|a| a.regs.is_empty()));
+}
+
+#[test]
+fn iterations_are_placed_by_every_slot_though_localized_by_distinct_column() {
+    // x(e1), y(e2), z(e1): three slots, two distinct index expressions of
+    // unequal multiplicity. Placement counts a reference per *slot* — an
+    // iteration whose e1 and e2 live on different ranks goes to e1's owner,
+    // two votes to one — while the localized row holds a column per
+    // distinct expression. Voting by column would tie and send it to the
+    // lower rank instead.
+    let src = r#"
+        REAL*8 x(nnode), y(nnode), z(nnode)
+        INTEGER end_pt1(nedge), end_pt2(nedge)
+        DECOMPOSITION reg(nnode), reg2(nedge)
+        DISTRIBUTE reg(BLOCK)
+        DISTRIBUTE reg2(BLOCK)
+        ALIGN x, y, z WITH reg
+        ALIGN end_pt1, end_pt2 WITH reg2
+        CALL READ_DATA(x, y, z, end_pt1, end_pt2)
+        FORALL i = 1, nedge
+          REDUCE(ADD, y(end_pt2(i)), x(end_pt1(i)) * 0.5)
+          REDUCE(ADD, z(end_pt1(i)), x(end_pt1(i)))
+        END FORALL
+    "#;
+    let cp = lower_program(parse_program(src).unwrap()).unwrap();
+    let (nnode, nedge) = (64, 400);
+    let inputs = random_inputs(nnode, nedge).real("z", vec![0.0; nnode]);
+    let run = |mode: KernelMode| {
+        let mut exec =
+            Executor::new(MachineConfig::ipsc860(4), inputs.clone()).with_kernel_mode(mode);
+        exec.run(&cp).unwrap();
+        exec.execute_loop(&cp, "L1").unwrap();
+        exec
+    };
+    let vm = run(KernelMode::Compiled);
+
+    // The partition is the one a reference per slot gives.
+    let (e1, e2) = (&inputs.int_arrays["end_pt1"], &inputs.int_arrays["end_pt2"]);
+    let per_slot: Vec<[u32; 3]> = e1
+        .iter()
+        .zip(e2)
+        .map(|(&a, &b)| [a - 1, b - 1, a - 1])
+        .collect();
+    let per_column: Vec<[u32; 2]> = per_slot.iter().map(|r| [r[0], r[1]]).collect();
+    let dist = Distribution::block(nnode, 4);
+    let policy = IterPartitionPolicy::AlmostOwnerComputes;
+    let mut scratch = Machine::new(MachineConfig::ipsc860(4));
+    let expected =
+        chaos_runtime::iterpart::partition_iterations(&mut scratch, &dist, &per_slot, policy);
+    let by_column =
+        chaos_runtime::iterpart::partition_iterations(&mut scratch, &dist, &per_column, policy);
+    assert_ne!(expected, by_column, "the inputs tell the two votes apart");
+    let rec = &record(&vm, &cp).inspected;
+    assert_eq!(rec.iter_part, expected);
+
+    // Three slots in two columns, each rank's row two entries an iteration.
+    let group = &rec.bindings.groups[0];
+    assert_eq!((group.slot_ids.len(), group.ncols), (3, 2));
+    for p in 0..4 {
+        let row = &rec.groups[0].result.localized[p];
+        assert_eq!(row.len(), 2 * expected.iters(p).len());
+    }
+
+    // And the kernels agree on it: compiled and interpreted, both engines.
+    let tree = run(KernelMode::Interpreted);
+    assert_runs_agree(&vm, &tree);
+    let mut pool = Executor::new_pooled_with_workers(MachineConfig::ipsc860(4), 3, inputs.clone());
+    pool.run(&cp).unwrap();
+    pool.execute_loop(&cp, "L1").unwrap();
+    assert_engines_agree(&vm, &pool);
+    let z = |exec: &Executor| -> Vec<u64> {
+        let z = exec.real_global("z").unwrap();
+        z.iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(z(&vm), z(&tree));
+    assert!(
+        z(&vm).iter().any(|&bits| bits != 0),
+        "z was accumulated into"
+    );
 }
 
 #[test]

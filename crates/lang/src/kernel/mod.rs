@@ -9,35 +9,49 @@
 //! This subsystem removes that overhead in two pieces:
 //!
 //! * [`compile`] — binds a [`LoopPlan`](crate::lower::LoopPlan) against one
-//!   inspector run's group layout ([`KernelBindings`]: every array slot,
-//!   ghost buffer and off-processor write buffer resolved once) and lowers
-//!   its body into a [`CompiledKernel`]: a flat struct-of-arrays instruction
-//!   arena over a small register file;
+//!   inspector run's group layout ([`KernelBindings`]: every array slot —
+//!   its column of the group's localized row, one column per distinct index
+//!   expression — every ghost buffer and off-processor write buffer
+//!   resolved once) and lowers its body into a [`CompiledKernel`]: a flat
+//!   struct-of-arrays instruction arena over a small file of *column*
+//!   registers, the stores gathered into [`StoreRun`]s, and the block
+//!   `width` the body can run at — [`BLOCK`] (64) with the stores in a tail,
+//!   or 1 with the stores in stream when the body reads what it writes or
+//!   writes one array with two combine kinds;
 //! * [`vm`] — the [`RankState`] rank-local borrows plus the
 //!   [`RankSweepArea`] owned per-rank sweep storage, and the two executors
-//!   over them: [`run_rank`] (the bytecode VM, with slot CSE: a
-//!   per-iteration preamble pins each distinct read-only slot into a
-//!   dedicated register once) and [`run_rank_interpreted`] (the retained
-//!   tree-walking oracle). Both run as the compute stage of
-//!   `Backend::run_sweep`, so programs execute rank-parallel end-to-end on
-//!   every engine.
+//!   over them: [`run_rank`] (the bytecode VM: each op over a block of
+//!   `width` iterations, operands resolved once per block, with slot CSE —
+//!   a preamble pins each distinct read-only slot into a dedicated register
+//!   once per block) and [`run_rank_interpreted`] (the retained
+//!   tree-walking oracle, one value at a time). Both run as the compute
+//!   stage of `Backend::run_sweep`, so programs execute rank-parallel
+//!   end-to-end on every engine.
+//!
+//! Both executors read the inspector's rows as they are: one `u32` per
+//! reference in the rank's local index space, an owned offset below the
+//! shard's length and a ghost slot behind it
+//! ([`chaos_runtime::inspector`]).
 //!
 //! Nothing here is cached: bindings, bytecode and the per-rank sweep areas
-//! are fields of the loop's one record in the executor's table (see
-//! [`crate::exec`]), built by the inspector driver and overwritten when it
-//! re-runs — so a loop recompiles exactly when it re-inspects, and reused
-//! sweeps skip compilation *and* buffer allocation.
+//! — the register file among them, `nregs × 512` B per rank whatever the
+//! loop length — are fields of the loop's one record in the executor's
+//! table (see [`crate::exec`]), built by the inspector driver and
+//! overwritten when it re-runs — so a loop recompiles exactly when it
+//! re-inspects, and reused sweeps skip compilation *and* buffer allocation.
 //!
-//! The VM's floating-point operation sequence is identical to the
-//! tree-walker's by construction (post-order emission), so the two paths
-//! produce byte-identical array values, modeled clocks and communication
-//! statistics — property-tested in `tests/kernel_equivalence.rs`.
+//! The VM's floating-point operation sequence on every value, and the order
+//! in which every cell receives its contributions, are identical to the
+//! tree-walker's by construction (post-order emission, independent lanes,
+//! iteration-major stores), so the two paths produce byte-identical array
+//! values, modeled clocks and communication statistics — property-tested in
+//! `tests/kernel_equivalence.rs`.
 
 pub mod compile;
 pub mod vm;
 
 pub use compile::{
     compile_kernel, ArrLoc, CompiledKernel, GhostBinding, GroupSpec, KernelBindings, Op,
-    SlotBinding, WriteBinding, NO_GHOST,
+    SlotBinding, StoreRun, StoreTarget, WriteBinding, BLOCK, NO_GHOST,
 };
 pub use vm::{eflux, run_rank, run_rank_interpreted, RankState, RankSweepArea};

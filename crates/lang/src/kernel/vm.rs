@@ -16,19 +16,32 @@
 //! results.
 //!
 //! [`run_rank`] is the compiled hot path: the once-per-sweep setup region
-//! (`ops[..iter_start]`, const loads) runs first, then a linear walk of the
-//! per-iteration region per iteration — pinned-slot preamble (slot CSE:
-//! each distinct read-only slot loads once per iteration) followed by the
-//! statements — with registers in a flat `f64` file persisted in the
-//! rank's [`RankSweepArea`]. Its floating-point operation sequence is
-//! *identical* to the tree-walker's ([`run_rank_interpreted`]) — post-order
-//! emission preserves evaluation order, and loads never round — which is
-//! what makes the byte-for-byte differential tests possible.
+//! (`ops[..iter_start]`, const broadcasts) runs first, then the rank's
+//! iterations are cut into blocks of [`CompiledKernel::width`] and the
+//! per-iteration region is walked once per block, each op over the whole
+//! block. Registers are columns of [`BLOCK`] lanes (512 B each) in a file
+//! that lives in the rank's [`RankSweepArea`], sized by the kernel when the
+//! loop record is built. A `LoadSlot` resolves its column of the localized
+//! row, its owned slice and its region row + slot map once per block and
+//! then streams; the arithmetic ops are plain loops over two columns; a
+//! `Store` resolves its shard, write-buffer row and combine once per block
+//! and applies its run iteration-major. A body whose stores cannot wait for
+//! the end of a block is compiled at width 1 and takes the same loop with
+//! one-lane blocks (see [`compile`](super::compile)).
+//!
+//! The floating-point operation sequence on every value, and the order in
+//! which every cell receives its contributions, are *identical* to the
+//! tree-walker's ([`run_rank_interpreted`]) — post-order emission preserves
+//! evaluation order, loads never round, lanes are independent, and stores
+//! run iteration-major in statement order — which is what makes the
+//! byte-for-byte differential tests possible.
 
-use super::compile::{ArrLoc, CompiledKernel, KernelBindings, Op, SlotBinding};
+use super::compile::{
+    ArrLoc, CompiledKernel, KernelBindings, Op, SlotBinding, StoreRun, StoreTarget, BLOCK,
+};
 use crate::ast::Intrinsic;
 use crate::lower::{CompiledExpr, LoopPlan};
-use chaos_runtime::{LocalRef, ScatterKind};
+use chaos_runtime::ScatterKind;
 
 /// The edge-flux intrinsic shared with the workload crate's kernels. The
 /// arithmetic is duplicated here (rather than depending on `chaos-workloads`)
@@ -42,8 +55,8 @@ pub fn eflux(x1: f64, x2: f64) -> (f64, f64) {
     (flux, -flux)
 }
 
-/// Apply a statement's combine to a cell *inside the compute loop* (an
-/// owned element or a write-buffer slot). Unlike
+/// The tree-walker's combine of a statement's value into a cell *inside the
+/// compute loop* (an owned element or a write-buffer slot). Unlike
 /// [`ScatterKind::apply`], `Store` here assigns unconditionally — the NaN
 /// guard belongs only to the scatter phase, where NaN marks untouched
 /// buffer slots.
@@ -70,8 +83,9 @@ pub struct RankState<'a> {
     /// [`KernelBindings::read_only`].
     pub read_shards: Vec<&'a [f64]>,
     /// The rank's localized reference row per decomposition group, indexed
-    /// like [`KernelBindings::groups`].
-    pub localized: Vec<&'a [LocalRef]>,
+    /// like [`KernelBindings::groups`]: local indices, an owned offset below
+    /// the shard's length and a ghost slot behind it.
+    pub localized: Vec<&'a [u32]>,
     /// Per ghost buffer (indexed like [`KernelBindings::ghosts`]), the
     /// rank's row of the shared resident ghost region — lent, not copied —
     /// and the rank's slot re-binding map into it: ghost slot `g` is read
@@ -94,10 +108,10 @@ pub struct RankSweepArea {
     /// buffers are not scattered, exactly like the lazily-created buffers of
     /// the original driver loop).
     pub touched: Vec<bool>,
-    /// The VM's register file, persisted across sweeps so steady-state
-    /// iterations are allocation-free (lazily grown to the kernel's
-    /// `nregs`).
-    pub regs: Vec<f64>,
+    /// The VM's register file: [`CompiledKernel::nregs`] columns of
+    /// [`BLOCK`] lanes, allocated with the loop record (empty for the
+    /// tree-walker, which has no registers).
+    pub regs: Vec<[f64; BLOCK]>,
 }
 
 impl RankSweepArea {
@@ -109,74 +123,147 @@ impl RankSweepArea {
         }
         self.touched.fill(false);
     }
+}
 
-    /// Grow the register file to at least `nregs` slots (no-op in steady
-    /// state).
-    fn ensure_regs(&mut self, nregs: usize) {
-        if self.regs.len() < nregs {
-            self.regs.resize(nregs, 0.0);
-        }
+/// One register column.
+type Column = [f64; BLOCK];
+
+/// `regs[d][..len] = f(regs[x][..len], regs[y][..len])`, lane by lane: lane
+/// `l` of the operands is read before lane `l` of `d` is written, so `d` may
+/// name an operand — which is also why the lanes are indexed, not iterated.
+#[inline]
+#[allow(clippy::needless_range_loop)]
+fn binary(
+    regs: &mut [Column],
+    (d, x, y): (usize, usize, usize),
+    len: usize,
+    f: impl Fn(f64, f64) -> f64,
+) {
+    for lane in 0..len.min(BLOCK) {
+        regs[d][lane] = f(regs[x][lane], regs[y][lane]);
     }
 }
 
-impl RankState<'_> {
-    /// The localized reference of `slot` at the rank's `iter_pos`-th
-    /// iteration.
-    #[inline]
-    fn slot_ref(&self, sb: &SlotBinding, iter_pos: usize) -> LocalRef {
-        self.localized[sb.group as usize][iter_pos * sb.stride as usize + sb.pos as usize]
-    }
+/// `regs[d][..len] = f(regs[x][..len])`.
+#[inline]
+fn unary(regs: &mut [Column], (d, x): (usize, usize), len: usize, f: impl Fn(f64) -> f64) {
+    binary(regs, (d, x, x), len, |a, _| f(a));
+}
 
-    /// Read the value of `slot` at the rank's `iter_pos`-th iteration.
-    #[inline]
-    fn read_slot(&self, sb: &SlotBinding, iter_pos: usize) -> f64 {
-        match self.slot_ref(sb, iter_pos) {
-            LocalRef::Owned(off) => match sb.arr {
-                ArrLoc::Written(w) => self.shards[w as usize][off as usize],
-                ArrLoc::ReadOnly(r) => self.read_shards[r as usize][off as usize],
-            },
-            LocalRef::Ghost(g) => {
-                debug_assert_ne!(sb.ghost, super::compile::NO_GHOST, "write-only slot read");
-                let (row, map) = self.ghosts[sb.ghost as usize];
-                row[map[g as usize] as usize]
-            }
+/// Load `out.len()` iterations of a slot, from the rank's `start`-th on:
+/// the column, the owned slice and the region row + slot map are resolved
+/// once, then each local index reads the owned element or, behind the
+/// shard's length, its ghost slot through the re-binding map.
+#[inline]
+fn load_slot(sb: &SlotBinding, st: &RankState<'_>, start: usize, out: &mut [f64]) {
+    let (stride, pos) = (sb.stride as usize, sb.pos as usize);
+    let rows = st.localized[sb.group as usize][start * stride..].chunks_exact(stride);
+    let owned: &[f64] = match sb.arr {
+        ArrLoc::Written(w) => &*st.shards[w as usize],
+        ArrLoc::ReadOnly(r) => st.read_shards[r as usize],
+    };
+    debug_assert_ne!(sb.ghost, super::compile::NO_GHOST, "write-only slot read");
+    let (region, map) = st.ghosts[sb.ghost as usize];
+    for (out, row) in out.iter_mut().zip(rows) {
+        let idx = row[pos] as usize;
+        *out = match idx.checked_sub(owned.len()) {
+            None => owned[idx],
+            Some(g) => region[map[g] as usize],
+        };
+    }
+}
+
+/// Execute one store run over `len` iterations from the rank's `start`-th,
+/// iteration-major: the shard, the write-buffer row and the combine are
+/// resolved here, once, and each target then goes to the owned cell or, when
+/// its local index is behind the shard, to its ghost slot's buffer cell.
+#[inline]
+fn store_run(
+    run: &StoreRun,
+    st: &mut RankState<'_>,
+    (contrib, touched): (&mut [Vec<f64>], &mut [bool]),
+    regs: &[Column],
+    (start, len): (usize, usize),
+) {
+    let stride = run.stride as usize;
+    let refs = &st.localized[run.group as usize][start * stride..][..len * stride];
+    let mut cells = RunCells {
+        refs,
+        stride,
+        shard: &mut *st.shards[run.written as usize],
+        buffer: &mut contrib[run.wb as usize],
+        regs,
+    };
+    // One loop per combine, so the operator is not re-matched per value.
+    // `Store` assigns unconditionally — the NaN guard of
+    // `ScatterKind::apply` belongs only to the scatter phase, where NaN
+    // marks untouched buffer slots.
+    touched[run.wb as usize] |= match run.kind {
+        ScatterKind::Add => cells.combine_run(&run.targets, |cell, v| *cell += v),
+        ScatterKind::Max => cells.combine_run(&run.targets, |cell, v| *cell = cell.max(v)),
+        ScatterKind::Min => cells.combine_run(&run.targets, |cell, v| *cell = cell.min(v)),
+        ScatterKind::Store => cells.combine_run(&run.targets, |cell, v| *cell = v),
+    };
+}
+
+/// What a store run resolved for one block: the block's rows of the
+/// localized references, the written shard and the write-buffer row behind
+/// it, and the register file the values come from.
+struct RunCells<'a> {
+    refs: &'a [u32],
+    stride: usize,
+    shard: &'a mut [f64],
+    buffer: &'a mut [f64],
+    regs: &'a [Column],
+}
+
+impl RunCells<'_> {
+    /// Dispatch the element loop on the run's length: runs of one and two
+    /// targets — every paper kernel's — reach it as arrays, so their target
+    /// loop unrolls and each column is looked up once per block.
+    #[inline(always)]
+    fn combine_run(&mut self, targets: &[StoreTarget], combine: impl Fn(&mut f64, f64)) -> bool {
+        match *targets {
+            [a] => self.combine_lanes([a], combine),
+            [a, b] => self.combine_lanes([a, b], combine),
+            _ => self.combine_lanes(targets, combine),
         }
     }
 
-    /// Combine `v` into `slot`'s target cell: the rank's own shard when the
-    /// element is owned, the statement's write buffer when it is not.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn write_slot(
+    /// The element loop, iteration-major; true when a target was
+    /// off-processor.
+    #[inline(always)]
+    fn combine_lanes(
         &mut self,
-        sb: &SlotBinding,
-        iter_pos: usize,
-        wb: usize,
-        kind: ScatterKind,
-        v: f64,
-        contrib: &mut [Vec<f64>],
-        touched: &mut [bool],
-    ) {
-        match self.slot_ref(sb, iter_pos) {
-            LocalRef::Owned(off) => {
-                let ArrLoc::Written(w) = sb.arr else {
-                    unreachable!("store target bound to a read-only array")
-                };
-                combine_in_loop(kind, &mut self.shards[w as usize][off as usize], v);
-            }
-            LocalRef::Ghost(g) => {
-                touched[wb] = true;
-                combine_in_loop(kind, &mut contrib[wb][g as usize], v);
+        targets: impl AsRef<[StoreTarget]>,
+        combine: impl Fn(&mut f64, f64),
+    ) -> bool {
+        let mut off_processor = false;
+        for (lane, row) in (0..BLOCK).zip(self.refs.chunks_exact(self.stride)) {
+            for t in targets.as_ref() {
+                let (idx, v) = (
+                    row[t.pos as usize] as usize,
+                    self.regs[t.src as usize][lane],
+                );
+                match idx.checked_sub(self.shard.len()) {
+                    None => combine(&mut self.shard[idx], v),
+                    Some(g) => {
+                        off_processor = true;
+                        combine(&mut self.buffer[g], v);
+                    }
+                }
             }
         }
+        off_processor
     }
 }
 
 /// Execute the compiled kernel over the rank's iterations: the executor's
 /// compute phase on the bytecode hot path. The setup region runs once (its
-/// const loads persist in the area's register file), then the per-iteration
-/// region is walked as zipped slices (one linear pass, no per-operand
-/// bounds checks) per iteration.
+/// const broadcasts persist in the area's register file), then the
+/// per-iteration region is walked as zipped slices (one linear pass, no
+/// per-operand bounds checks) once per block of `kernel.width` iterations;
+/// lanes beyond a short last block are not computed.
 pub fn run_rank(
     kernel: &CompiledKernel,
     bindings: &KernelBindings,
@@ -184,7 +271,6 @@ pub fn run_rank(
     area: &mut RankSweepArea,
 ) {
     area.reset_write_buffers(bindings);
-    area.ensure_regs(kernel.nregs.max(1) as usize);
     let RankSweepArea {
         contrib,
         touched,
@@ -200,9 +286,11 @@ pub fn run_rank(
     for ((&op, &d), &x) in setup {
         debug_assert_eq!(op, Op::LoadConst, "setup region is const loads only");
         let _ = op;
-        regs[d as usize] = kernel.consts[x as usize];
+        regs[d as usize] = [kernel.consts[x as usize]; BLOCK];
     }
-    for iter_pos in 0..st.iters.len() {
+    let niters = st.iters.len();
+    for start in (0..niters).step_by(kernel.width) {
+        let len = kernel.width.min(niters - start);
         let instrs = kernel.ops[kernel.iter_start..]
             .iter()
             .zip(&kernel.dst[kernel.iter_start..])
@@ -211,52 +299,20 @@ pub fn run_rank(
         for (((&op, &d), &x), &y) in instrs {
             let (d, x, y) = (d as usize, x as usize, y as usize);
             match op {
-                Op::LoadConst => regs[d] = kernel.consts[x],
-                Op::LoadSlot => regs[d] = st.read_slot(&slots[x], iter_pos),
-                Op::Add => regs[d] = regs[x] + regs[y],
-                Op::Sub => regs[d] = regs[x] - regs[y],
-                Op::Mul => regs[d] = regs[x] * regs[y],
-                Op::Div => regs[d] = regs[x] / regs[y],
-                Op::Sqrt => regs[d] = regs[x].sqrt(),
-                Op::Abs => regs[d] = regs[x].abs(),
-                Op::Eflux1 => regs[d] = eflux(regs[x], regs[y]).0,
-                Op::Eflux2 => regs[d] = eflux(regs[x], regs[y]).1,
-                Op::StoreAssign => st.write_slot(
-                    &slots[d],
-                    iter_pos,
-                    y,
-                    ScatterKind::Store,
-                    regs[x],
-                    contrib,
-                    touched,
-                ),
-                Op::StoreAdd => st.write_slot(
-                    &slots[d],
-                    iter_pos,
-                    y,
-                    ScatterKind::Add,
-                    regs[x],
-                    contrib,
-                    touched,
-                ),
-                Op::StoreMax => st.write_slot(
-                    &slots[d],
-                    iter_pos,
-                    y,
-                    ScatterKind::Max,
-                    regs[x],
-                    contrib,
-                    touched,
-                ),
-                Op::StoreMin => st.write_slot(
-                    &slots[d],
-                    iter_pos,
-                    y,
-                    ScatterKind::Min,
-                    regs[x],
-                    contrib,
-                    touched,
-                ),
+                Op::LoadConst => regs[d][..len].fill(kernel.consts[x]),
+                Op::LoadSlot => load_slot(&slots[x], st, start, &mut regs[d][..len]),
+                Op::Add => binary(regs, (d, x, y), len, |a, b| a + b),
+                Op::Sub => binary(regs, (d, x, y), len, |a, b| a - b),
+                Op::Mul => binary(regs, (d, x, y), len, |a, b| a * b),
+                Op::Div => binary(regs, (d, x, y), len, |a, b| a / b),
+                Op::Sqrt => unary(regs, (d, x), len, f64::sqrt),
+                Op::Abs => unary(regs, (d, x), len, f64::abs),
+                Op::Eflux1 => binary(regs, (d, x, y), len, |a, b| eflux(a, b).0),
+                Op::Eflux2 => binary(regs, (d, x, y), len, |a, b| eflux(a, b).1),
+                Op::Store => {
+                    let area = (contrib.as_mut_slice(), touched.as_mut_slice());
+                    store_run(&kernel.runs[x], st, area, regs, (start, len));
+                }
             }
         }
     }
@@ -347,7 +403,7 @@ impl OracleEnv {
 
     /// The seed's `resolve`: localized reference of a slot, through the
     /// hoisted group table.
-    fn resolve(&self, st: &RankState<'_>, sid: usize, iter_pos: usize) -> LocalRef {
+    fn resolve(&self, st: &RankState<'_>, sid: usize, iter_pos: usize) -> u32 {
         let (pos, stride) = self.slot_pos[sid];
         st.localized[self.slot_group[sid]][iter_pos * stride as usize + pos as usize]
     }
@@ -355,15 +411,16 @@ impl OracleEnv {
     /// The seed's `read_slot`: resolve, then fetch the value through the
     /// hoisted array / ghost tables.
     fn read_slot(&self, st: &RankState<'_>, sid: usize, iter_pos: usize) -> f64 {
-        match self.resolve(st, sid, iter_pos) {
-            LocalRef::Owned(off) => match self.slot_arr[sid] {
-                ArrLoc::Written(w) => st.shards[w as usize][off as usize],
-                ArrLoc::ReadOnly(r) => st.read_shards[r as usize][off as usize],
-            },
-            LocalRef::Ghost(g) => {
-                let (row, map) = st.ghosts[self.slot_ghost[sid]];
-                row[map[g as usize] as usize]
-            }
+        let idx = self.resolve(st, sid, iter_pos) as usize;
+        let owned: &[f64] = match self.slot_arr[sid] {
+            ArrLoc::Written(w) => &*st.shards[w as usize],
+            ArrLoc::ReadOnly(r) => st.read_shards[r as usize],
+        };
+        if idx < owned.len() {
+            owned[idx]
+        } else {
+            let (row, map) = st.ghosts[self.slot_ghost[sid]];
+            row[map[idx - owned.len()] as usize]
         }
     }
 }
@@ -431,18 +488,16 @@ pub fn run_rank_interpreted(
         for (stmt, &(target, kind, wb)) in plan.stmts.iter().zip(&stmt_ops) {
             let v = eval_tree(stmt.value(), &env, st, iter_pos);
             // The write applies through the target's resolved location.
-            let lr = env.resolve(st, target, iter_pos);
-            match lr {
-                LocalRef::Owned(off) => {
-                    let ArrLoc::Written(w) = env.slot_arr[target] else {
-                        unreachable!("store target bound to a read-only array")
-                    };
-                    combine_in_loop(kind, &mut st.shards[w as usize][off as usize], v);
-                }
-                LocalRef::Ghost(g) => {
-                    touched[wb as usize] = true;
-                    combine_in_loop(kind, &mut contrib[wb as usize][g as usize], v);
-                }
+            let idx = env.resolve(st, target, iter_pos) as usize;
+            let ArrLoc::Written(w) = env.slot_arr[target] else {
+                unreachable!("store target bound to a read-only array")
+            };
+            let shard = &mut *st.shards[w as usize];
+            if idx < shard.len() {
+                combine_in_loop(kind, &mut shard[idx], v);
+            } else {
+                touched[wb as usize] = true;
+                combine_in_loop(kind, &mut contrib[wb as usize][idx - shard.len()], v);
             }
         }
     }
@@ -455,79 +510,115 @@ mod tests {
     use crate::lower::lower_program;
     use crate::parser::parse_program;
 
-    /// Drive both executors over a tiny synthetic single-rank state and
-    /// compare every written bit.
-    #[test]
-    fn vm_and_tree_walker_agree_on_a_synthetic_rank() {
-        let src = r#"
+    /// `body` in a loop over `ia` / `ib` into x, y (one decomposition).
+    fn program(body: &str) -> String {
+        format!(
+            r#"
             REAL*8 x(n), y(n)
-            INTEGER ia(m)
+            INTEGER ia(m), ib(m)
             DECOMPOSITION reg(n), reg2(m)
             DISTRIBUTE reg(BLOCK)
             DISTRIBUTE reg2(BLOCK)
             ALIGN x, y WITH reg
-            ALIGN ia WITH reg2
+            ALIGN ia, ib WITH reg2
             FORALL i = 1, m
-              REDUCE(ADD, y(ia(i)), SQRT(ABS(x(ia(i)) * 3.0 - 1.0)))
-              y(ia(i)) = y(ia(i)) / 2.0
+              {body}
             END FORALL
-        "#;
-        let cp = lower_program(parse_program(src).unwrap()).unwrap();
+        "#
+        )
+    }
+
+    /// Drive both executors over a synthetic single rank — 5 owned
+    /// elements, 3 ghost slots, `niters` iterations whose references
+    /// collide on those 8 cells many times per block — and compare every
+    /// written bit. Returns the kernel's width.
+    fn both_executors_agree(body: &str, niters: usize) -> usize {
+        let cp = lower_program(parse_program(&program(body)).unwrap()).unwrap();
         let plan = &cp.plans["L1"];
-        let groups = vec![GroupSpec {
-            decomp: "reg".to_string(),
-            slot_ids: (0..plan.slots.len()).collect(),
-        }];
+        let slot_ids = (0..plan.slots.len()).collect();
+        let groups = vec![GroupSpec::new(plan, "reg".to_string(), slot_ids)];
         let bindings = KernelBindings::bind(plan, &groups).unwrap();
         let kernel = compile_kernel(plan, &bindings).unwrap();
-        // Both x and y are read, so each gets a ghost buffer (sorted order).
-        assert_eq!(bindings.ghosts.len(), 2);
 
-        // One rank, 3 iterations: refs 0 and 2 owned, ref 1 a ghost.
-        let localized = [
-            LocalRef::Owned(0),
-            LocalRef::Owned(0),
-            LocalRef::Ghost(0),
-            LocalRef::Ghost(0),
-            LocalRef::Owned(1),
-            LocalRef::Owned(1),
-        ];
-        let run = |use_vm: bool| -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<bool>) {
-            let mut y = vec![1.0, 2.0];
-            let x = vec![0.5, -0.25];
+        let (owned, nghosts) = (5usize, 3usize);
+        let stride = groups[0].ncols as usize;
+        let localized: Vec<u32> = (0..niters * stride)
+            .map(|k| ((k * 7 + k / 3) % (owned + nghosts)) as u32)
+            .collect();
+        let iters: Vec<u32> = (0..niters as u32).collect();
+        // Region rows hold more than this loop's ghosts; the slot map picks.
+        let region: Vec<f64> = (0..6).map(|g| 1.5 - g as f64 * 0.4).collect();
+        let map = [4u32, 0, 2];
+        let run = |use_vm: bool| -> (Vec<f64>, Vec<f64>, Vec<bool>) {
+            let mut y: Vec<f64> = (0..owned).map(|i| 1.0 + i as f64).collect();
+            let x: Vec<f64> = (0..owned).map(|i| 0.5 - i as f64 * 0.25).collect();
             let nwb = bindings.write_bufs.len();
             let mut area = RankSweepArea {
-                contrib: (0..nwb).map(|_| vec![0.0; 1]).collect(),
+                contrib: vec![vec![0.0; nghosts]; nwb],
                 touched: vec![false; nwb],
-                regs: Vec::new(),
+                regs: vec![[0.0; BLOCK]; kernel.nregs as usize],
             };
-            {
-                let mut st = RankState {
-                    iters: &[0, 1, 2],
-                    shards: vec![&mut y],
-                    read_shards: vec![&x],
-                    localized: vec![&localized],
-                    // The resident region rows (x's, then y's), lent.
-                    ghosts: vec![(&[1.5], &[0]), (&[-0.75], &[0])],
-                };
-                if use_vm {
-                    run_rank(&kernel, &bindings, &mut st, &mut area);
-                } else {
-                    run_rank_interpreted(plan, &bindings, &mut st, &mut area);
-                }
+            let mut st = RankState {
+                iters: &iters,
+                shards: vec![&mut y],
+                read_shards: vec![&x],
+                localized: vec![&localized],
+                ghosts: vec![(&region, &map); bindings.ghosts.len()],
+            };
+            if use_vm {
+                run_rank(&kernel, &bindings, &mut st, &mut area);
+            } else {
+                run_rank_interpreted(plan, &bindings, &mut st, &mut area);
             }
-            (y, x, area.contrib.concat(), area.touched)
+            (y, area.contrib.concat(), area.touched)
         };
-        let a = run(true);
-        let b = run(false);
-        for (u, v) in a.0.iter().zip(&b.0) {
-            assert_eq!(u.to_bits(), v.to_bits(), "owned writes diverged");
+        let (vm, tree) = (run(true), run(false));
+        for (u, v) in vm.0.iter().zip(&tree.0) {
+            assert_eq!(u.to_bits(), v.to_bits(), "{niters}: owned writes diverged");
         }
-        for (u, v) in a.2.iter().zip(&b.2) {
-            assert_eq!(u.to_bits(), v.to_bits(), "write buffers diverged");
+        for (u, v) in vm.1.iter().zip(&tree.1) {
+            assert_eq!(u.to_bits(), v.to_bits(), "{niters}: write buffers diverged");
         }
-        assert_eq!(a.3, b.3, "touched flags diverged");
-        assert!(a.3.iter().any(|&t| t), "the ghost write marks its buffer");
+        assert_eq!(vm.2, tree.2, "{niters}: touched flags diverged");
+        if niters > 8 {
+            assert!(vm.2.iter().all(|&t| t), "every buffer saw a ghost write");
+        }
+        kernel.width
+    }
+
+    /// Iteration counts around the block boundaries.
+    const COUNTS: [usize; 7] = [0, 1, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3];
+
+    #[test]
+    fn vm_and_tree_walker_agree_on_a_synthetic_rank() {
+        // Stores in stream: y is read after it is written, within and
+        // across iterations.
+        let body = "REDUCE(ADD, y(ia(i)), SQRT(ABS(x(ia(i)) * 3.0 - 1.0)))
+              y(ia(i)) = y(ia(i)) / 2.0";
+        for n in COUNTS {
+            assert_eq!(both_executors_agree(body, n), 1);
+        }
+    }
+
+    #[test]
+    fn deferred_stores_accumulate_in_the_tree_walkers_order() {
+        // Stores in the tail: two targets of one run collide on 8 cells
+        // throughout every block, so any order but iteration-major,
+        // statement-minor changes a rounding.
+        let body = "REDUCE(ADD, y(ia(i)), EFLUX1(x(ia(i)), x(ib(i))) * 0.1)
+              REDUCE(ADD, y(ib(i)), EFLUX2(x(ia(i)), x(ib(i))) / 3.0)";
+        for n in COUNTS {
+            assert_eq!(both_executors_agree(body, n), BLOCK);
+        }
+    }
+
+    #[test]
+    fn two_kinds_on_one_array_apply_in_statement_order() {
+        let body = "y(ia(i)) = x(ib(i)) - 0.25
+              REDUCE(MAX, y(ia(i)), x(ib(i)) * x(ia(i)) - 1.0)";
+        for n in COUNTS {
+            assert_eq!(both_executors_agree(body, n), 1);
+        }
     }
 
     #[test]

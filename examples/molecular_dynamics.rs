@@ -14,8 +14,8 @@
 use chaos_repro::prelude::*;
 use chaos_runtime::iterpart::partition_iterations;
 use chaos_runtime::{
-    gather, scatter_add, Dad, GeoColSpec, Inspector, InspectorResult, IterationPartition, LocalRef,
-    LoopId, MapperCoupler,
+    gather, resolve_local, resolve_local_mut, scatter_add, Dad, GeoColSpec, Inspector,
+    InspectorResult, IterationPartition, LoopId, MapperCoupler,
 };
 use chaos_workloads::pair_force_kernel;
 
@@ -124,7 +124,7 @@ fn main() {
             let localized = &inspect.localized[p];
             let q_local = charge.local(p);
             let q_ghost = &ghosts[p];
-            let mut updates = Vec::with_capacity(localized.len());
+            let f_local = fx.local_mut(p);
             for (pos, &it) in iter_part.iters(p).iter().enumerate() {
                 let (r1, r2) = (localized[2 * pos], localized[2 * pos + 1]);
                 let (a, b) = (
@@ -134,18 +134,11 @@ fn main() {
                 let f = pair_force_kernel(
                     (water.xc[a], water.yc[a], water.zc[a]),
                     (water.xc[b], water.yc[b], water.zc[b]),
-                    *r1.resolve(q_local, q_ghost),
-                    *r2.resolve(q_local, q_ghost),
+                    *resolve_local(r1, q_local, q_ghost),
+                    *resolve_local(r2, q_local, q_ghost),
                 );
-                updates.push((r1, f.0));
-                updates.push((r2, -f.0));
-            }
-            let f_local = fx.local_mut(p);
-            for (r, f) in updates {
-                match r {
-                    LocalRef::Owned(off) => f_local[off as usize] += f,
-                    LocalRef::Ghost(slot) => contributions[p][slot as usize] += f,
-                }
+                *resolve_local_mut(r1, f_local, &mut contributions[p]) += f.0;
+                *resolve_local_mut(r2, f_local, &mut contributions[p]) -= f.0;
             }
         }
         scatter_add(

@@ -13,7 +13,9 @@
 
 use chaos_repro::prelude::*;
 use chaos_runtime::iterpart::partition_iterations;
-use chaos_runtime::{gather, scatter_add, GeoColSpec, Inspector, LocalRef, MapperCoupler};
+use chaos_runtime::{
+    gather, resolve_local, resolve_local_mut, scatter_add, GeoColSpec, Inspector, MapperCoupler,
+};
 use chaos_workloads::edge_flux_kernel;
 
 fn main() {
@@ -95,23 +97,19 @@ fn main() {
             .map(|p| vec![0.0; inspect.ghost_counts[p]])
             .collect();
         for p in 0..nprocs {
-            let localized = &inspect.localized[p];
             let x_local = x.local(p);
             let x_ghost = &ghosts[p];
-            let mut updates = Vec::with_capacity(localized.len());
-            for it in 0..iter_part.iters(p).len() {
-                let (r1, r2) = (localized[2 * it], localized[2 * it + 1]);
-                let (f1, f2) =
-                    edge_flux_kernel(*r1.resolve(x_local, x_ghost), *r2.resolve(x_local, x_ghost));
-                updates.push((r1, f1));
-                updates.push((r2, f2));
-            }
             let y_local = y.local_mut(p);
-            for (r, f) in updates {
-                match r {
-                    LocalRef::Owned(off) => y_local[off as usize] += f,
-                    LocalRef::Ghost(slot) => contributions[p][slot as usize] += f,
-                }
+            // One local index per reference: an owned offset, or — behind
+            // the owned elements — a ghost slot.
+            for refs in inspect.localized[p].chunks_exact(2) {
+                let (r1, r2) = (refs[0], refs[1]);
+                let (f1, f2) = edge_flux_kernel(
+                    *resolve_local(r1, x_local, x_ghost),
+                    *resolve_local(r2, x_local, x_ghost),
+                );
+                *resolve_local_mut(r1, y_local, &mut contributions[p]) += f1;
+                *resolve_local_mut(r2, y_local, &mut contributions[p]) += f2;
             }
         }
         scatter_add(

@@ -14,14 +14,16 @@ use chaos_repro::geocol::{
     GeoCoL, GeoColBuilder, Partitioner, Partitioning, RcbPartitioner, RsbPartitioner,
 };
 use chaos_repro::prelude::*;
-use chaos_repro::runtime::{gather, scatter_add, scatter_op, Inspector, LocalRef, TTablePolicy};
+use chaos_repro::runtime::{
+    gather, resolve_local, resolve_local_mut, scatter_add, scatter_op, Inspector, TTablePolicy,
+};
 use proptest::prelude::*;
 
 /// What one pipeline run observes: everything that must match across
 /// engines.
 #[derive(Debug, PartialEq)]
 struct PipelineObservation {
-    localized: Vec<Vec<LocalRef>>,
+    localized: Vec<Vec<u32>>,
     ghost_counts: Vec<usize>,
     ghost_bits: Vec<Vec<u64>>,
     y_add_bits: Vec<u64>,
@@ -57,13 +59,9 @@ fn run_pipeline<B: Backend>(
         |ctx, (y_local, contrib): (&mut [f64], &mut Vec<f64>)| {
             let q = ctx.rank();
             contrib.fill(0.0);
-            for r in &result.localized[q] {
-                match *r {
-                    LocalRef::Owned(off) => y_local[off as usize] += 2.0 * x.local(q)[off as usize],
-                    LocalRef::Ghost(slot) => {
-                        contrib[slot as usize] += 2.0 * ghosts[q][slot as usize]
-                    }
-                }
+            for &r in &result.localized[q] {
+                let v = 2.0 * *resolve_local(r, x.local(q), &ghosts[q]);
+                *resolve_local_mut(r, y_local, contrib) += v;
             }
             ctx.charge_compute(q, result.localized[q].len() as f64);
         },

@@ -6,7 +6,8 @@
 use chaos_repro::prelude::*;
 use chaos_repro::runtime::iterpart::partition_iterations;
 use chaos_repro::runtime::{
-    gather, scatter_add, GeoColSpec, Inspector, IterPartitionPolicy, LocalRef, MapperCoupler,
+    gather, resolve_local, resolve_local_mut, scatter_add, GeoColSpec, Inspector,
+    IterPartitionPolicy, MapperCoupler,
 };
 use chaos_repro::workloads::edge_flux_kernel;
 
@@ -105,18 +106,15 @@ fn execute(
             let mut updates = Vec::with_capacity(localized.len());
             for it in 0..iter_part.iters(p).len() {
                 let (r1, r2) = (localized[2 * it], localized[2 * it + 1]);
-                let v1 = *r1.resolve(x.local(p), &ghosts[p]);
-                let v2 = *r2.resolve(x.local(p), &ghosts[p]);
+                let v1 = *resolve_local(r1, x.local(p), &ghosts[p]);
+                let v2 = *resolve_local(r2, x.local(p), &ghosts[p]);
                 let (f1, f2) = edge_flux_kernel(v1, v2);
                 updates.push((r1, f1));
                 updates.push((r2, f2));
             }
             let y_local = y.local_mut(p);
             for (r, f) in updates {
-                match r {
-                    LocalRef::Owned(off) => y_local[off as usize] += f,
-                    LocalRef::Ghost(slot) => contributions[p][slot as usize] += f,
-                }
+                *resolve_local_mut(r, y_local, &mut contributions[p]) += f;
             }
         }
         scatter_add(machine, "L2", &inspect.schedule, y, &contributions);
@@ -281,17 +279,14 @@ fn md_pipeline_runs_end_to_end() {
                 inspect.localized[p][2 * it],
                 inspect.localized[p][2 * it + 1],
             );
-            let qa = *r1.resolve(q.local(p), &ghosts[p]);
-            let qb = *r2.resolve(q.local(p), &ghosts[p]);
+            let qa = *resolve_local(r1, q.local(p), &ghosts[p]);
+            let qb = *resolve_local(r2, q.local(p), &ghosts[p]);
             updates.push((r1, qa * qb));
             updates.push((r2, -(qa * qb)));
         }
         let f_local = f.local_mut(p);
         for (r, v) in updates {
-            match r {
-                LocalRef::Owned(off) => f_local[off as usize] += v,
-                LocalRef::Ghost(slot) => contributions[p][slot as usize] += v,
-            }
+            *resolve_local_mut(r, f_local, &mut contributions[p]) += v;
         }
     }
     scatter_add(

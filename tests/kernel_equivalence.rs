@@ -253,6 +253,133 @@ proptest! {
     }
 }
 
+// ---------- block boundaries and store ordering ----------
+
+/// `body` as the one FORALL over `ia` / `ib` of a program whose x and y
+/// live on one BLOCK decomposition of `nnode` elements.
+fn pair_program(body: &str) -> String {
+    format!(
+        r#"
+        REAL*8 x(nnode), y(nnode)
+        INTEGER ia(nedge), ib(nedge)
+        DECOMPOSITION rega(nnode), regc(nedge)
+        DISTRIBUTE rega(BLOCK)
+        DISTRIBUTE regc(BLOCK)
+        ALIGN x, y WITH rega
+        ALIGN ia, ib WITH regc
+        CALL READ_DATA(x, y, ia, ib)
+        FORALL i = 1, nedge
+{body}
+        END FORALL
+    "#
+    )
+}
+
+fn pair_inputs(nnode: usize, ia: Vec<u32>, ib: Vec<u32>) -> ProgramInputs {
+    ProgramInputs::new()
+        .scalar("nnode", nnode)
+        .scalar("nedge", ia.len())
+        .real(
+            "x",
+            (0..nnode).map(|i| (i as f64 * 0.61).sin() + 1.5).collect(),
+        )
+        .real("y", (0..nnode).map(|i| (i as f64 * 0.23).cos()).collect())
+        .int("ia", ia)
+        .int("ib", ib)
+}
+
+const EDGE_BODY: &str = "
+          REDUCE(ADD, y(ia(i)), EFLUX1(x(ia(i)), x(ib(i))))
+          REDUCE(ADD, y(ib(i)), EFLUX2(x(ia(i)), x(ib(i))))";
+
+/// The VM cuts each rank's iterations into blocks of 64: ranks with 0, 1,
+/// 63, 64, 65 and 2·64+3 iterations (no block, one lane, one short of a
+/// block, exactly one, one over, two and a tail) must agree with the
+/// tree-walker, which knows no blocks, on values, clocks and statistics.
+/// Every rank owns 16 nodes, so the cells of one block collide throughout.
+#[test]
+fn block_boundaries_agree_across_modes_and_engines() {
+    use chaos_repro::runtime::iterpart::partition_iterations;
+    use chaos_repro::runtime::{Distribution, IterPartitionPolicy};
+
+    const COUNTS: [usize; 8] = [0, 1, 63, 64, 65, 2 * 64 + 3, 2, 64];
+    let (nprocs, per_rank) = (COUNTS.len(), 16);
+    let nnode = nprocs * per_rank;
+    let mut rng = Rng(20_221);
+    let (mut ia, mut ib) = (Vec::new(), Vec::new());
+    for (p, &count) in COUNTS.iter().enumerate() {
+        for k in 0..count {
+            // ia on rank p, ib on p or a higher rank: the home of the
+            // iteration (most references, ties to the lowest rank) is p.
+            let other = p + rng.below(nprocs - p);
+            ia.push((p * per_rank + k % per_rank) as u32 + 1);
+            ib.push((other * per_rank + rng.below(per_rank)) as u32 + 1);
+        }
+    }
+    // The counts are what the iteration partitioner makes of these inputs.
+    let mut scratch = chaos_repro::dmsim::Machine::new(MachineConfig::ipsc860(nprocs));
+    let rows: Vec<[u32; 4]> = ia
+        .iter()
+        .zip(&ib)
+        .map(|(&a, &b)| [a - 1, b - 1, a - 1, b - 1])
+        .collect();
+    let part = partition_iterations(
+        &mut scratch,
+        &Distribution::block(nnode, nprocs),
+        &rows,
+        IterPartitionPolicy::AlmostOwnerComputes,
+    );
+    let counts: Vec<usize> = (0..nprocs).map(|p| part.iters(p).len()).collect();
+    assert_eq!(counts, COUNTS);
+
+    let inputs = pair_inputs(nnode, ia, ib);
+    let obs = assert_all_equivalent(&pair_program(EDGE_BODY), &inputs, nprocs, &["x", "y"], 2);
+    assert!(obs.messages > 0, "edges cross ranks");
+}
+
+/// The edge loop on a hub mesh: every edge touches node 1, so within one
+/// block of 64 iterations the same cell is accumulated into 64 times —
+/// owned on rank 0, through the write buffer on rank 1 — and any order but
+/// the loop's own rounds differently.
+#[test]
+fn colliding_cells_within_a_block_accumulate_in_loop_order() {
+    let (nnode, nedge) = (24, 300);
+    let ia: Vec<u32> = (0..nedge).map(|k| if k % 5 == 4 { 2 } else { 1 }).collect();
+    let ib: Vec<u32> = (0..nedge)
+        .map(|k| (3 + (k * 7) % (nnode - 2)) as u32)
+        .collect();
+    assert_all_equivalent(
+        &pair_program(EDGE_BODY),
+        &pair_inputs(nnode, ia, ib),
+        2,
+        &["y"],
+        2,
+    );
+}
+
+/// Bodies whose stores cannot wait for the end of a block: one array
+/// written with two kinds (the assignment and the MAX meet on the owned
+/// cell, and travel in two write buffers), and a body that reads what it
+/// writes, within an iteration and from one iteration to the next.
+#[test]
+fn ordered_stores_agree_across_modes_and_engines() {
+    let two_kinds = "
+          y(ia(i)) = x(ib(i)) - 0.25
+          REDUCE(MAX, y(ia(i)), x(ib(i)) * x(ia(i)) - 1.0)";
+    let reads_its_writes = "
+          REDUCE(ADD, y(ia(i)), x(ib(i)))
+          y(ib(i)) = y(ia(i)) * 0.5 + y(ib(i))";
+    let mut rng = Rng(77_003);
+    let (nnode, nedge) = (40, 333);
+    let ia: Vec<u32> = (0..nedge).map(|_| rng.below(nnode) as u32 + 1).collect();
+    let ib: Vec<u32> = (0..nedge).map(|_| rng.below(nnode) as u32 + 1).collect();
+    let inputs = pair_inputs(nnode, ia, ib);
+    for body in [two_kinds, reads_its_writes] {
+        let obs = assert_all_equivalent(&pair_program(body), &inputs, 4, &["x", "y"], 2);
+        assert!(obs.messages > 0, "random references cross ranks");
+    }
+}
+
 // ---------- the paper's experiment templates ----------
 
 /// The mesh experiment program (Figure 4/5 template with RSB implicit

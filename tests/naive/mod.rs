@@ -15,7 +15,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use chaos_repro::dmsim::{ExchangePlan, Machine};
-use chaos_repro::runtime::{AccessPattern, DistArray, Distribution, LocalRef};
+use chaos_repro::runtime::{AccessPattern, DistArray, Distribution};
 use std::collections::HashMap;
 
 /// One owner→requester send list of the naive schedule.
@@ -100,8 +100,9 @@ impl NaiveSchedule {
 pub struct NaiveInspectorResult {
     /// The naive communication schedule.
     pub schedule: NaiveSchedule,
-    /// Localized references, same shape as the input pattern.
-    pub localized: Vec<Vec<LocalRef>>,
+    /// Localized references, same shape as the input pattern: an owned
+    /// offset, or the processor's owned count plus a ghost slot.
+    pub localized: Vec<Vec<u32>>,
     /// Ghost-buffer sizes.
     pub ghost_counts: Vec<usize>,
 }
@@ -136,7 +137,7 @@ pub fn localize(
     };
 
     let mut ghost_sources: Vec<Vec<(u32, u32)>> = Vec::with_capacity(nprocs);
-    let mut localized: Vec<Vec<LocalRef>> = Vec::with_capacity(nprocs);
+    let mut localized: Vec<Vec<u32>> = Vec::with_capacity(nprocs);
     for p in 0..nprocs {
         let mut offproc: Vec<(u32, u32)> = located[p]
             .iter()
@@ -150,13 +151,14 @@ pub fn localize(
             .enumerate()
             .map(|(slot, &src)| (src, slot as u32))
             .collect();
-        let locals: Vec<LocalRef> = located[p]
+        let n_owned = data_dist.local_size(p) as u32;
+        let locals: Vec<u32> = located[p]
             .iter()
             .map(|&(owner, off)| {
                 if owner as usize == p {
-                    LocalRef::Owned(off)
+                    off
                 } else {
-                    LocalRef::Ghost(slot_of[&(owner, off)])
+                    n_owned + slot_of[&(owner, off)]
                 }
             })
             .collect();

@@ -9,7 +9,7 @@
 //! iterations perform exactly zero allocations.
 
 use chaos_repro::prelude::*;
-use chaos_repro::runtime::{gather_into, scatter_op, Inspector, LocalRef};
+use chaos_repro::runtime::{gather_into, resolve_local, scatter_op, Inspector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,11 +128,11 @@ fn steady_state_executor_iteration_is_allocation_free() {
             let x_ghost = &ghosts[p];
             let contrib = &mut contributions[p];
             let mut owned_updates = 0u32;
-            for r in &inspect.localized[p] {
-                let v = 2.0 * *r.resolve(x_local, x_ghost);
-                match *r {
-                    LocalRef::Owned(_) => owned_updates += 1,
-                    LocalRef::Ghost(slot) => contrib[slot as usize] += v,
+            for &r in &inspect.localized[p] {
+                let v = 2.0 * *resolve_local(r, x_local, x_ghost);
+                match (r as usize).checked_sub(x_local.len()) {
+                    None => owned_updates += 1,
+                    Some(slot) => contrib[slot] += v,
                 }
             }
             machine.charge_compute(p, owned_updates as f64);
@@ -141,9 +141,9 @@ fn steady_state_executor_iteration_is_allocation_free() {
         for p in 0..nprocs {
             let x_local = x.local(p);
             let y_local = y.local_mut(p);
-            for r in &inspect.localized[p] {
-                if let LocalRef::Owned(off) = *r {
-                    y_local[off as usize] += 2.0 * x_local[off as usize];
+            for &r in &inspect.localized[p] {
+                if let Some(x) = x_local.get(r as usize) {
+                    y_local[r as usize] += 2.0 * x;
                 }
             }
         }
@@ -250,15 +250,13 @@ impl FusedSweep {
                 area.contrib.fill(0.0);
                 let x_local = x.local(rank);
                 let mut owned = 0u32;
-                for r in &inspect.localized[rank] {
-                    match *r {
-                        LocalRef::Owned(off) => {
-                            y_local[off as usize] += 2.0 * x_local[off as usize];
+                for &r in &inspect.localized[rank] {
+                    match (r as usize).checked_sub(x_local.len()) {
+                        None => {
+                            y_local[r as usize] += 2.0 * x_local[r as usize];
                             owned += 1;
                         }
-                        LocalRef::Ghost(slot) => {
-                            area.contrib[slot as usize] += 2.0 * area.ghosts[slot as usize];
-                        }
+                        Some(slot) => area.contrib[slot] += 2.0 * area.ghosts[slot],
                     }
                 }
                 ctx.charge_compute(rank, owned as f64);

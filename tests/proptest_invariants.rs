@@ -13,7 +13,9 @@
 //!   reported as reusable).
 
 use chaos_repro::prelude::*;
-use chaos_repro::runtime::{gather, scatter_add, Dad, Inspector, LoopId};
+use chaos_repro::runtime::{
+    gather, resolve_local, resolve_local_mut, scatter_add, Dad, Inspector, LoopId,
+};
 use proptest::prelude::*;
 
 mod naive;
@@ -82,7 +84,7 @@ proptest! {
         #[allow(clippy::needless_range_loop)]
         for q in 0..p {
             for (k, &g) in pattern.refs[q].iter().enumerate() {
-                let resolved = *result.localized[q][k].resolve(arr.local(q), &ghosts[q]);
+                let resolved = *resolve_local(result.localized[q][k], arr.local(q), &ghosts[q]);
                 prop_assert_eq!(resolved, data[g as usize]);
             }
         }
@@ -110,11 +112,8 @@ proptest! {
             (0..p).map(|q| vec![0.0; result.ghost_counts[q]]).collect();
         #[allow(clippy::needless_range_loop)]
         for q in 0..p {
-            for r in &result.localized[q] {
-                match r {
-                    chaos_repro::runtime::LocalRef::Owned(off) => y.local_mut(q)[*off as usize] += 1.0,
-                    chaos_repro::runtime::LocalRef::Ghost(slot) => contributions[q][*slot as usize] += 1.0,
-                }
+            for &r in &result.localized[q] {
+                *resolve_local_mut(r, y.local_mut(q), &mut contributions[q]) += 1.0;
             }
         }
         scatter_add(&mut machine, "prop", &result.schedule, &mut y, &contributions);
