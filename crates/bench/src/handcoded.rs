@@ -60,6 +60,17 @@ pub fn run_handcoded_on<B: Backend>(
     workload: &PairLoopWorkload,
     cfg: &ExperimentConfig,
 ) -> PhaseTimes {
+    drive(backend, workload, cfg).0
+}
+
+/// The experiment itself — arrays, CONSTRUCT / SET / REDISTRIBUTE, the
+/// inspector and the guarded sweeps: its phase breakdown and the `y` it
+/// computed, gathered back to global order.
+fn drive<B: Backend>(
+    backend: &mut B,
+    workload: &PairLoopWorkload,
+    cfg: &ExperimentConfig,
+) -> (PhaseTimes, Vec<f64>) {
     let wall_start = Instant::now();
     let p = cfg.nprocs;
     assert_eq!(
@@ -153,7 +164,7 @@ pub fn run_handcoded_on<B: Backend>(
 
     let (mut iter_part, mut inspect) = run_inspector(backend, &mut pattern, &mut scratch);
     let mut buffers = SweepBuffers::new(p);
-    registry.save_inspector(loop_id, data_dads.clone(), ind_dads.clone());
+    registry.save_inspector(loop_id, &data_dads, &ind_dads);
     times.inspector += sampler.lap(backend.machine());
     times.inspector_runs += 1;
     times.local_fraction = inspect.local_fraction();
@@ -164,13 +175,8 @@ pub fn run_handcoded_on<B: Backend>(
         if cfg.reuse {
             // The generated code's guard: a cheap check that the saved
             // schedules are still valid.
-            let decision = registry.check_on_machine(
-                backend.machine_mut(),
-                "edge-loop",
-                &loop_id,
-                &data_dads,
-                &ind_dads,
-            );
+            let machine = backend.machine_mut();
+            let decision = registry.check_on_machine(machine, &loop_id, &data_dads, &ind_dads);
             debug_assert!(decision.can_reuse());
             times.inspector += sampler.lap(backend.machine());
         } else if sweep > 0 {
@@ -202,7 +208,7 @@ pub fn run_handcoded_on<B: Backend>(
     times.bytes = totals.bytes;
     times.total = backend.machine().elapsed().max_seconds();
     times.wall_seconds = wall_start.elapsed().as_secs_f64();
-    times
+    (times, y.to_global())
 }
 
 /// Buffers reused by every executor sweep, so the steady-state loop
@@ -301,66 +307,8 @@ pub fn verify_against_sequential(
         scale: 1,
     };
     let expected = workload.sequential_sweep();
-    // Re-run the experiment but capture y: duplicate the minimal pieces of
-    // run_handcoded that affect values (distribution choice does not change
-    // results, so BLOCK is used for simplicity when method is BLOCK,
-    // otherwise the partitioned path is exercised end-to-end).
-    let p = cfg.nprocs;
-    let mut machine = Machine::new(MachineConfig::ipsc860(p));
-    let mut registry = ReuseRegistry::new();
-    let n = workload.nnodes;
-    let ne = workload.npairs();
-    let node_dist = Distribution::block(n, p);
-    let edge_dist = Distribution::block(ne, p);
-    let mut x = DistArray::from_global("x", node_dist.clone(), &workload.input);
-    let mut y = DistArray::from_global("y", node_dist.clone(), &vec![0.0; n]);
-    let e1 = DistArray::from_global("end_pt1", edge_dist.clone(), &workload.e1);
-    let e2 = DistArray::from_global("end_pt2", edge_dist.clone(), &workload.e2);
-    let xc = DistArray::from_global("xc", node_dist.clone(), &workload.coords[0]);
-    let yc = DistArray::from_global("yc", node_dist.clone(), &workload.coords[1]);
-    let zc = DistArray::from_global("zc", node_dist.clone(), &workload.coords[2]);
-
-    let mut data_dist = node_dist;
-    if let Some(pname) = cfg.method.partitioner_name() {
-        let spec = match cfg.method {
-            Method::Rsb => GeoColSpec::new(n).with_link(&e1, &e2),
-            _ => GeoColSpec::new(n).with_geometry(vec![&xc, &yc, &zc]),
-        };
-        let geocol = MapperCoupler.construct_geocol(&mut machine, &spec);
-        let partitioner = partitioner_by_name(pname).unwrap();
-        let outcome = MapperCoupler.partition(&mut machine, partitioner.as_ref(), &geocol);
-        MapperCoupler.redistribute(&mut machine, &mut registry, &mut x, &outcome.distribution);
-        MapperCoupler.redistribute(&mut machine, &mut registry, &mut y, &outcome.distribution);
-        data_dist = outcome.distribution;
-    }
-
-    let iteration_refs = workload.iteration_refs();
-    let iter_part = partition_iterations(
-        &mut machine,
-        &data_dist,
-        &iteration_refs,
-        IterPartitionPolicy::AlmostOwnerComputes,
-    );
-    let mut pattern = AccessPattern::new(p);
-    for proc in 0..p {
-        for &it in iter_part.iters(proc) {
-            pattern.refs[proc].push(workload.e1[it as usize]);
-            pattern.refs[proc].push(workload.e2[it as usize]);
-        }
-    }
-    let inspect = Inspector.localize(&mut machine, "verify", &data_dist, &pattern);
-    let mut buffers = SweepBuffers::new(p);
-    execute_sweep(
-        &mut machine,
-        workload,
-        &iter_part,
-        &inspect,
-        &x,
-        &mut y,
-        &mut buffers,
-    );
-
-    let got = y.to_global();
+    let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
+    let (_, got) = drive(&mut machine, workload, &cfg);
     expected
         .iter()
         .zip(&got)

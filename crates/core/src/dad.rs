@@ -15,13 +15,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct DadSignature(pub u64);
 
-/// A data access descriptor.
+/// A data access descriptor: three words, built and compared without
+/// touching the heap (the reuse guard reads one per array per sweep).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Dad {
     /// Global size of the array.
     pub size: usize,
     /// Distribution kind name (`"BLOCK"`, `"CYCLIC"`, `"IRREGULAR"`).
-    pub dist_kind: String,
+    pub dist_kind: &'static str,
     /// Distribution signature (see [`Distribution::signature`]).
     pub dist_signature: u64,
 }
@@ -31,7 +32,7 @@ impl Dad {
     pub fn of(dist: &Distribution) -> Self {
         Dad {
             size: dist.len(),
-            dist_kind: dist.kind_name().to_string(),
+            dist_kind: dist.kind_name(),
             dist_signature: dist.signature(),
         }
     }

@@ -22,8 +22,9 @@
 
 use crate::dad::{Dad, DadSignature};
 use crate::schedule::CommSchedule;
-use chaos_dmsim::{collectives, Machine, ReduceOp};
+use chaos_dmsim::{collectives, Machine};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -85,13 +86,14 @@ impl std::fmt::Display for LoopId {
     }
 }
 
-/// What a loop's inspector recorded the last time it ran.
+/// What a loop's inspector recorded the last time it ran: the comparison
+/// signature of each DAD (all the guard ever compares) and the stamps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopRecord {
-    /// `L.DAD(x_i)` for each data array.
-    pub data_dads: Vec<Dad>,
-    /// `L.DAD(ind_j)` for each indirection array.
-    pub ind_dads: Vec<Dad>,
+    /// The signature of `L.DAD(x_i)` for each data array.
+    pub data_sigs: Vec<DadSignature>,
+    /// The signature of `L.DAD(ind_j)` for each indirection array.
+    pub ind_sigs: Vec<DadSignature>,
     /// `L.last_mod(DAD(ind_j))` for each indirection array.
     pub ind_stamps: Vec<u64>,
 }
@@ -143,13 +145,14 @@ impl ReuseDecision {
 /// has bound so far — the shared resident ghost region incremental
 /// schedules fetch into.
 ///
-/// The region is **append-only**: each [`ReuseRegistry::region_bind`] adds
-/// one *chunk* (possibly empty) of newly requested sources per processor,
-/// and existing slot numbers never move — so the re-binding maps earlier
-/// loops received stay valid forever. A chunk whose loop re-binds (its
-/// inspector re-ran) is marked dead; dead chunks keep their slots (offset
-/// stability) but no loop's binding points at them anymore, and value
-/// freshness is tracked per chunk by the consumer.
+/// The region is **append-only**: a [`ReuseRegistry::region_bind`] that
+/// finds sources missing adds them as one *chunk* per processor, and
+/// existing slot numbers never move — so the re-binding maps earlier loops
+/// received stay valid forever. A bind that finds nothing missing (a loop
+/// re-inspected with its references unchanged) adds no chunk, so the region
+/// grows with the ghosts requested, not with the inspections run. A loop
+/// that re-binds leaves its earlier chunk's slots where they are (offset
+/// stability); value freshness is tracked per chunk by the consumer.
 #[derive(Debug, Clone)]
 pub struct GhostRegion {
     /// Union schedule over all chunks, per-processor in chunk order (NOT
@@ -159,10 +162,6 @@ pub struct GhostRegion {
     /// Per processor, the chunk boundaries: chunk `c`'s slots on processor
     /// `p` are `chunk_off[p][c] .. chunk_off[p][c+1]`. Length `nchunks + 1`.
     chunk_off: Vec<Vec<u32>>,
-    /// The loop key each chunk was bound for.
-    chunk_loop: Vec<u32>,
-    /// False once the chunk's loop has re-bound (stale binding).
-    chunk_live: Vec<bool>,
 }
 
 impl GhostRegion {
@@ -175,8 +174,6 @@ impl GhostRegion {
                 Vec::new(),
             ),
             chunk_off: vec![vec![0]; nprocs],
-            chunk_loop: Vec::new(),
-            chunk_live: Vec::new(),
         }
     }
 
@@ -185,19 +182,14 @@ impl GhostRegion {
         &self.resident
     }
 
-    /// Number of chunks bound so far (live or dead).
+    /// Number of chunks appended so far.
     pub fn nchunks(&self) -> usize {
-        self.chunk_loop.len()
+        self.chunk_off.first().map_or(0, |off| off.len() - 1)
     }
 
     /// Region row length (total resident ghost slots) for processor `p`.
     pub fn size(&self, p: usize) -> usize {
         self.resident.ghost_count(p)
-    }
-
-    /// Whether chunk `c`'s owning loop still points at it.
-    pub fn chunk_is_live(&self, c: usize) -> bool {
-        self.chunk_live[c]
     }
 }
 
@@ -208,8 +200,10 @@ impl GhostRegion {
 pub struct RegionBinding {
     /// The distribution signature whose region this binds into.
     pub sig: DadSignature,
-    /// The chunk this bind appended (may be empty on every processor).
-    pub chunk: u32,
+    /// The chunk this bind appended: what a fetch of
+    /// [`RegionBinding::diff`] makes value-fresh. `None` when nothing was
+    /// missing — `diff` is empty and there is nothing to mark.
+    pub chunk: Option<u32>,
     /// Earlier chunks (sorted, deduplicated) holding slots this loop reads —
     /// the chunks that must be value-fresh for the incremental fetch to be
     /// sufficient. Never includes [`RegionBinding::chunk`] itself.
@@ -259,27 +253,29 @@ impl ReuseRegistry {
 
     /// `last_mod` for a DAD (0 when never written).
     pub fn last_mod(&self, dad: &Dad) -> u64 {
-        self.last_mod.get(&dad.signature()).copied().unwrap_or(0)
+        self.stamp_of(dad.signature())
+    }
+
+    fn stamp_of(&self, sig: DadSignature) -> u64 {
+        self.last_mod.get(&sig).copied().unwrap_or(0)
     }
 
     /// Record that one block of code (a loop, an array intrinsic or a
     /// statement) has possibly written the arrays with the given DADs.
-    /// Increments `nmod` once for the block, then stamps every DAD — this is
-    /// the "once per loop or array intrinsic call" bookkeeping the paper
-    /// argues keeps the overhead low.
-    pub fn record_write_block(&mut self, dads: &[&Dad]) {
-        if dads.is_empty() {
-            return;
-        }
-        self.nmod += 1;
+    /// Increments `nmod` once for the block (not at all for an empty one),
+    /// then stamps every DAD — this is the "once per loop or array intrinsic
+    /// call" bookkeeping the paper argues keeps the overhead low.
+    pub fn record_write_block(&mut self, dads: impl IntoIterator<Item: Borrow<Dad>>) {
+        let stamp = self.nmod + 1;
         for dad in dads {
-            self.last_mod.insert(dad.signature(), self.nmod);
+            self.nmod = stamp;
+            self.last_mod.insert(dad.borrow().signature(), stamp);
         }
     }
 
     /// Record a write to a single distributed array.
     pub fn record_write(&mut self, dad: &Dad) {
-        self.record_write_block(&[dad]);
+        self.record_write_block([dad]);
     }
 
     /// Record that an array was remapped: its DAD changed from `old` to
@@ -287,23 +283,29 @@ impl ReuseRegistry {
     /// changes. In this case, we increment nmod and then set
     /// last_mod(DAD(a)) = nmod."
     pub fn record_remap(&mut self, old: &Dad, new: &Dad) {
-        self.nmod += 1;
-        self.last_mod.insert(old.signature(), self.nmod);
-        self.last_mod.insert(new.signature(), self.nmod);
+        self.record_write_block([old, new]);
     }
 
     /// Store what loop `id`'s inspector saw (call right after running the
-    /// inspector).
-    pub fn save_inspector(&mut self, id: LoopId, data_dads: Vec<Dad>, ind_dads: Vec<Dad>) {
-        let ind_stamps = ind_dads.iter().map(|d| self.last_mod(d)).collect();
+    /// inspector): the signature of every DAD and the indirection arrays'
+    /// current stamps.
+    pub fn save_inspector<D, I>(&mut self, id: LoopId, data_dads: D, ind_dads: I)
+    where
+        D: IntoIterator<Item: Borrow<Dad>>,
+        I: IntoIterator<Item: Borrow<Dad>>,
+    {
+        let data_sigs = data_dads.into_iter().map(|d| d.borrow().signature());
+        let ind_sigs = ind_dads.into_iter().map(|d| d.borrow().signature());
+        let ind_sigs: Vec<DadSignature> = ind_sigs.collect();
+        let record = LoopRecord {
+            data_sigs: data_sigs.collect(),
+            ind_stamps: ind_sigs.iter().map(|&sig| self.stamp_of(sig)).collect(),
+            ind_sigs,
+        };
         if self.records.len() <= id.index() {
             self.records.resize_with(id.index() + 1, || None);
         }
-        self.records[id.index()] = Some(LoopRecord {
-            data_dads,
-            ind_dads,
-            ind_stamps,
-        });
+        self.records[id.index()] = Some(record);
     }
 
     /// The saved record for a loop, if any.
@@ -312,9 +314,16 @@ impl ReuseRegistry {
     }
 
     /// Perform the reuse check for loop `id` given the arrays' *current*
-    /// DADs. Does not mutate the registry except for the hit/miss counters.
-    pub fn check(&mut self, id: &LoopId, data_dads: &[Dad], ind_dads: &[Dad]) -> ReuseDecision {
-        let decision = self.check_inner(id, data_dads, ind_dads);
+    /// DADs, in the order they were saved — slices, or DADs read in place
+    /// off the arrays: nothing is collected, and a check that reuses
+    /// allocates nothing. Does not mutate the registry except for the
+    /// hit/miss counters.
+    pub fn check<D, I>(&mut self, id: &LoopId, data_dads: D, ind_dads: I) -> ReuseDecision
+    where
+        D: IntoIterator<Item: Borrow<Dad>, IntoIter: ExactSizeIterator>,
+        I: IntoIterator<Item: Borrow<Dad>, IntoIter: ExactSizeIterator>,
+    {
+        let decision = self.check_inner(id, data_dads.into_iter(), ind_dads.into_iter());
         match &decision {
             ReuseDecision::Reuse => self.reuse_hits += 1,
             ReuseDecision::Rerun(_) => self.reuse_misses += 1,
@@ -322,32 +331,39 @@ impl ReuseRegistry {
         decision
     }
 
-    fn check_inner(&self, id: &LoopId, data_dads: &[Dad], ind_dads: &[Dad]) -> ReuseDecision {
+    fn check_inner(
+        &self,
+        id: &LoopId,
+        data: impl ExactSizeIterator<Item: Borrow<Dad>>,
+        ind: impl ExactSizeIterator<Item: Borrow<Dad>>,
+    ) -> ReuseDecision {
         let Some(record) = self.record(id) else {
             return ReuseDecision::Rerun(vec![RerunReason::FirstExecution]);
         };
-        let mut reasons = Vec::new();
-        if record.data_dads.len() != data_dads.len() || record.ind_dads.len() != ind_dads.len() {
+        if record.data_sigs.len() != data.len() || record.ind_sigs.len() != ind.len() {
             return ReuseDecision::Rerun(vec![RerunReason::ShapeChanged]);
         }
+        let mut reasons = Vec::new();
         // Condition 1: DAD(x_i) == L.DAD(x_i)
-        for (i, (cur, saved)) in data_dads.iter().zip(&record.data_dads).enumerate() {
-            if cur.signature() != saved.signature() {
-                reasons.push(RerunReason::DataDadChanged { index: i });
+        for (index, (cur, saved)) in data.zip(&record.data_sigs).enumerate() {
+            if cur.borrow().signature() != *saved {
+                reasons.push(RerunReason::DataDadChanged { index });
             }
         }
-        // Condition 2: DAD(ind_j) == L.DAD(ind_j)
-        for (j, (cur, saved)) in ind_dads.iter().zip(&record.ind_dads).enumerate() {
-            if cur.signature() != saved.signature() {
-                reasons.push(RerunReason::IndirectionDadChanged { index: j });
+        // Condition 2: DAD(ind_j) == L.DAD(ind_j), and condition 3:
+        // last_mod(DAD(ind_j)) == L.last_mod(DAD(ind_j)), reported after it.
+        let mut modified = Vec::new();
+        let saved = record.ind_sigs.iter().zip(&record.ind_stamps);
+        for (index, (cur, (saved, &stamp))) in ind.zip(saved).enumerate() {
+            let sig = cur.borrow().signature();
+            if sig != *saved {
+                reasons.push(RerunReason::IndirectionDadChanged { index });
+            }
+            if self.stamp_of(sig) != stamp {
+                modified.push(RerunReason::IndirectionModified { index });
             }
         }
-        // Condition 3: last_mod(DAD(ind_j)) == L.last_mod(DAD(ind_j))
-        for (j, (cur, &saved_stamp)) in ind_dads.iter().zip(&record.ind_stamps).enumerate() {
-            if self.last_mod(cur) != saved_stamp {
-                reasons.push(RerunReason::IndirectionModified { index: j });
-            }
-        }
+        reasons.append(&mut modified);
         if reasons.is_empty() {
             ReuseDecision::Reuse
         } else {
@@ -357,31 +373,25 @@ impl ReuseRegistry {
 
     /// Perform the reuse check *on the simulated machine*, charging the small
     /// global agreement it costs: every processor evaluates its local view of
-    /// the conditions and the results are combined with a single-word
-    /// all-reduce (all processors must agree before anyone may skip its
-    /// inspector). Returns the same decision as [`ReuseRegistry::check`].
-    pub fn check_on_machine(
+    /// the conditions (a handful of comparisons per array) and the results
+    /// are combined with a single-word all-reduce — all processors must
+    /// agree before anyone may skip its inspector, and on the simulator they
+    /// always do. Returns the same decision as [`ReuseRegistry::check`].
+    pub fn check_on_machine<D, I>(
         &mut self,
         machine: &mut Machine,
-        label: &str,
         id: &LoopId,
-        data_dads: &[Dad],
-        ind_dads: &[Dad],
-    ) -> ReuseDecision {
-        // Local evaluation: a handful of comparisons per array per processor.
-        let narrays = (data_dads.len() + 2 * ind_dads.len()) as f64;
-        machine.charge_compute_all(narrays);
-        let decision = self.check(id, data_dads, ind_dads);
-        let flag = u64::from(!decision.can_reuse());
-        let votes = vec![flag; machine.nprocs()];
-        let combined = collectives::all_reduce_scalar_u64(
-            machine,
-            &format!("{label}:reuse-check"),
-            ReduceOp::Max,
-            &votes,
-        );
-        debug_assert_eq!(combined, flag, "simulated processors always agree");
-        decision
+        data_dads: D,
+        ind_dads: I,
+    ) -> ReuseDecision
+    where
+        D: IntoIterator<Item: Borrow<Dad>, IntoIter: ExactSizeIterator>,
+        I: IntoIterator<Item: Borrow<Dad>, IntoIter: ExactSizeIterator>,
+    {
+        let (data, ind) = (data_dads.into_iter(), ind_dads.into_iter());
+        machine.charge_compute_all((data.len() + 2 * ind.len()) as f64);
+        collectives::charge_all_reduce_word(machine);
+        self.check(id, data, ind)
     }
 
     /// `(hits, misses)` counters for reporting.
@@ -389,23 +399,18 @@ impl ReuseRegistry {
         (self.reuse_hits, self.reuse_misses)
     }
 
-    /// Bind loop `loop_key`'s schedule into the shared resident ghost region
-    /// of distribution signature `sig`, creating the region on first use.
+    /// Bind a loop's schedule into the shared resident ghost region of
+    /// distribution signature `sig`, creating the region on first use.
     ///
-    /// Any chunks the loop bound before are retired (its inspector re-ran,
-    /// so the old binding is stale — the REDISTRIBUTE / indirection-write
-    /// invalidation path), then the loop's still-missing sources are
-    /// appended as a new chunk. The returned binding carries the difference
-    /// schedule to fetch, the per-processor chunk bases, the slot map into
-    /// the region, and the earlier chunks whose values the loop piggybacks
-    /// on. Purely local bookkeeping — no communication is charged here; the
-    /// caller owns the (folded) request exchange for `diff`.
-    pub fn region_bind(
-        &mut self,
-        sig: DadSignature,
-        loop_key: u32,
-        schedule: &CommSchedule,
-    ) -> RegionBinding {
+    /// The loop's still-missing sources are appended as a new chunk; when
+    /// none are missing — the same loop re-inspected over unchanged
+    /// references, the `with_reuse(false)` steady state — nothing is
+    /// appended. The returned binding carries the difference schedule to
+    /// fetch, the per-processor chunk bases, the slot map into the region,
+    /// and the earlier chunks whose values the loop piggybacks on. Purely
+    /// local bookkeeping — no communication is charged here; the caller owns
+    /// the (folded) request exchange for `diff`.
+    pub fn region_bind(&mut self, sig: DadSignature, schedule: &CommSchedule) -> RegionBinding {
         let nprocs = schedule.nprocs();
         let region = self
             .regions
@@ -416,17 +421,12 @@ impl ReuseRegistry {
             nprocs,
             "region/schedule machine size mismatch"
         );
-        for (c, &l) in region.chunk_loop.iter().enumerate() {
-            if l == loop_key {
-                region.chunk_live[c] = false;
-            }
-        }
         let diff = schedule.difference(&region.resident);
         let (merged, slot_map) = region.resident.merge_incremental(schedule);
         let base: Vec<u32> = (0..nprocs)
             .map(|p| region.resident.ghost_count(p) as u32)
             .collect();
-        let mut needed = vec![false; region.chunk_loop.len()];
+        let mut needed = vec![false; region.nchunks()];
         for p in 0..nprocs {
             let offs = &region.chunk_off[p];
             for &slot in &slot_map[p] {
@@ -438,12 +438,12 @@ impl ReuseRegistry {
         let deps: Vec<u32> = (0..needed.len() as u32)
             .filter(|&c| needed[c as usize])
             .collect();
-        let chunk = region.chunk_loop.len() as u32;
-        region.chunk_loop.push(loop_key);
-        region.chunk_live.push(true);
-        for p in 0..nprocs {
-            region.chunk_off[p].push(merged.ghost_count(p) as u32);
-        }
+        let chunk = (diff.total_ghosts() > 0).then(|| {
+            for p in 0..nprocs {
+                region.chunk_off[p].push(merged.ghost_count(p) as u32);
+            }
+            needed.len() as u32
+        });
         region.resident = merged;
         RegionBinding {
             sig,
@@ -628,11 +628,11 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let a = block_dad(10);
         let b = block_dad(20);
-        reg.record_write_block(&[&a, &b]);
+        reg.record_write_block([&a, &b]);
         assert_eq!(reg.nmod(), 1);
         assert_eq!(reg.last_mod(&a), 1);
         assert_eq!(reg.last_mod(&b), 1);
-        reg.record_write_block(&[]);
+        reg.record_write_block([&a; 0]);
         assert_eq!(reg.nmod(), 1, "empty blocks do not advance nmod");
         reg.record_write(&a);
         assert_eq!(reg.nmod(), 2);
@@ -663,16 +663,16 @@ mod tests {
         let a = sched2(vec![(1, 3), (1, 5)], vec![(0, 0)]);
         let b = sched2(vec![(1, 5), (1, 7)], vec![(0, 0), (0, 2)]);
         // First bind: everything is missing; identity binding at base 0.
-        let ra = reg.region_bind(sig, 0, &a);
-        assert_eq!(ra.chunk, 0);
+        let ra = reg.region_bind(sig, &a);
+        assert_eq!(ra.chunk, Some(0));
         assert!(ra.deps.is_empty());
         assert_eq!(ra.base, vec![0, 0]);
         assert_eq!(ra.diff, a);
         assert_eq!(ra.slot_map, vec![vec![0, 1], vec![0]]);
         // Second bind: only (1,7) on proc 0 and (0,2) on proc 1 are new;
         // the shared slots come from chunk 0.
-        let rb = reg.region_bind(sig, 1, &b);
-        assert_eq!(rb.chunk, 1);
+        let rb = reg.region_bind(sig, &b);
+        assert_eq!(rb.chunk, Some(1));
         assert_eq!(rb.deps, vec![0]);
         assert_eq!(rb.base, vec![2, 1]);
         assert_eq!(rb.diff.total_ghosts(), 2);
@@ -686,31 +686,42 @@ mod tests {
         assert_eq!(region.nchunks(), 2);
         assert_eq!(region.size(0), 3);
         assert_eq!(region.size(1), 2);
-        assert!(region.chunk_is_live(0) && region.chunk_is_live(1));
-        // A fully covered third loop appends an empty chunk and fetches
-        // nothing.
-        let rc = reg.region_bind(sig, 2, &sched2(vec![(1, 3)], vec![]));
+        // A fully covered third loop appends no chunk and fetches nothing.
+        let rc = reg.region_bind(sig, &sched2(vec![(1, 3)], vec![]));
         assert_eq!(rc.diff.total_ghosts(), 0);
-        assert_eq!(rc.deps, vec![0]);
-        assert_eq!(reg.region(sig).unwrap().size(0), 3, "nothing appended");
+        assert_eq!((rc.chunk, rc.deps), (None, vec![0]));
+        let region = reg.region(sig).unwrap();
+        assert_eq!(
+            (region.nchunks(), region.size(0)),
+            (2, 3),
+            "nothing appended"
+        );
     }
 
     #[test]
-    fn region_rebind_retires_the_loops_previous_chunk() {
+    fn region_rebind_appends_only_what_is_missing() {
         // An inspector re-run (indirection write, REDISTRIBUTE of the
-        // pattern, ...) re-binds the loop: the old chunk must be retired so
-        // no binding points at it, while its slots stay put — earlier
-        // offsets into the region remain valid.
+        // pattern, ...) re-binds the loop: the slots of its earlier chunk
+        // stay put — earlier offsets into the region remain valid — and
+        // only the sources it did not hold before are appended.
         let mut reg = ReuseRegistry::new();
         let sig = block_dad(64).signature();
-        let _ = reg.region_bind(sig, 7, &sched2(vec![(1, 3)], vec![]));
-        let r2 = reg.region_bind(sig, 7, &sched2(vec![(1, 4)], vec![]));
+        let _ = reg.region_bind(sig, &sched2(vec![(1, 3)], vec![]));
+        let changed = sched2(vec![(1, 4)], vec![]);
+        let r2 = reg.region_bind(sig, &changed);
+        assert_eq!(r2.chunk, Some(1));
+        assert_eq!(r2.base, vec![1, 0], "the earlier chunk keeps its slots");
+        assert_eq!(reg.region(sig).unwrap().size(0), 2);
+        // Re-inspecting the unchanged loop — every sweep, with reuse off —
+        // grows nothing: no chunk, no slot, the same binding each time.
+        for _ in 0..50 {
+            let again = reg.region_bind(sig, &changed);
+            assert_eq!((again.chunk, &again.deps), (None, &vec![1]));
+            assert_eq!(again.slot_map, r2.slot_map);
+            assert_eq!(again.diff.total_ghosts(), 0);
+        }
         let region = reg.region(sig).unwrap();
-        assert!(!region.chunk_is_live(0), "re-bound loop retires its chunk");
-        assert!(region.chunk_is_live(1));
-        assert_eq!(r2.chunk, 1);
-        assert_eq!(r2.base, vec![1, 0], "dead chunk keeps its slots");
-        assert_eq!(region.size(0), 2);
+        assert_eq!((region.nchunks(), region.size(0)), (2, 2));
         // A different signature gets an independent region.
         let other = block_dad(128).signature();
         assert!(reg.region(other).is_none());
@@ -737,9 +748,10 @@ mod tests {
         let ind = block_dad(300);
         reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
         let mut m = Machine::new(MachineConfig::unit(4));
-        let d = reg.check_on_machine(&mut m, "L", &LoopId::new("L"), &[data], &[ind]);
+        let d = reg.check_on_machine(&mut m, &LoopId::new("L"), &[data], &[ind]);
         assert!(d.can_reuse());
         assert!(m.stats().grand_totals().messages > 0);
+        assert!(m.stats().is_empty(), "the per-sweep vote keeps no record");
         assert!(m.elapsed().max_seconds() > 0.0);
     }
 }

@@ -30,7 +30,7 @@
 //! is retained as test support (`tests/naive`) and checked byte-for-byte
 //! equivalent by `tests/proptest_invariants.rs`.
 
-use chaos_dmsim::{ExchangePlan, Machine};
+use chaos_dmsim::{Machine, PhaseCharge};
 
 /// A reusable communication schedule for one loop / one distributed-array
 /// distribution, stored as flat CSR arenas (see the module docs).
@@ -156,20 +156,20 @@ impl CommSchedule {
         Self::from_ghost_arrays(nprocs, ghost_off, ghost_owner, ghost_src)
     }
 
-    /// Perform and charge the schedule's request exchange (each requester
-    /// tells each owner which offsets it needs — one word per requested
-    /// element). Part of the inspector cost in the paper's tables; a merged
-    /// schedule charges it once for all the loops' decomposition groups it
-    /// serves.
+    /// Charge the schedule's request exchange (each requester tells each
+    /// owner which offsets it needs — one word per requested element),
+    /// recorded as `"<label>:schedule-build"`. Part of the inspector cost in
+    /// the paper's tables; a merged schedule charges it once for all the
+    /// loops' decomposition groups it serves.
     pub fn charge_build_exchange(&self, machine: &mut Machine, label: &str) {
         assert_eq!(machine.nprocs(), self.nprocs, "schedule/machine mismatch");
-        let mut plan: ExchangePlan<u32> = ExchangePlan::new(self.nprocs);
+        let mut phase = PhaseCharge::new();
         for owner in 0..self.nprocs {
             for send in self.sends(owner) {
-                plan.push(send.to as usize, owner, send.offsets.to_vec());
+                machine.charge_p2p(&mut phase, send.to as usize, owner, send.offsets.len());
             }
         }
-        machine.exchange(&format!("{label}:schedule-build"), plan);
+        machine.end_phase(&format!("{label}:schedule-build"), phase);
     }
 
     /// Processor count the schedule was built for.
@@ -411,14 +411,15 @@ impl CommSchedule {
     }
 }
 
-/// Perform one folded request exchange covering several schedules at once —
-/// the cross-distribution variant of schedule merging. Every `(owner,
-/// requester)` pair that any of `parts` communicates over carries a single
-/// message whose payload concatenates the per-part offset segments; when a
-/// pair carries segments from two or more parts, each segment is prefixed
-/// with one length-tag word so the owner can split the union back into
-/// per-schedule send lists. With a single part the exchange is bit-identical
-/// to [`CommSchedule::charge_build_exchange`].
+/// Charge one folded request exchange covering several schedules at once —
+/// the cross-distribution variant of schedule merging — recorded as
+/// `"<label>:schedule-build"`. Every `(owner, requester)` pair that any of
+/// `parts` communicates over carries a single message whose payload
+/// concatenates the per-part offset segments; when a pair carries segments
+/// from two or more parts, each segment is prefixed with one length-tag word
+/// so the owner can split the union back into per-schedule send lists. With
+/// a single part the exchange is bit-identical to
+/// [`CommSchedule::charge_build_exchange`].
 ///
 /// Returns the `(messages, words)` actually charged, so callers can record
 /// the saving against the per-part exchanges they replaced.
@@ -431,37 +432,25 @@ pub fn charge_merged_request_exchange(
     for part in parts {
         assert_eq!(part.nprocs, nprocs, "schedule/machine mismatch");
     }
-    let mut plan: ExchangePlan<u32> = ExchangePlan::new(nprocs);
+    let mut phase = PhaseCharge::new();
     let mut messages = 0usize;
     let mut words = 0usize;
     for owner in 0..nprocs {
         for requester in 0..nprocs {
-            let mut segs: Vec<&[u32]> = Vec::new();
-            for part in parts {
-                for send in part.sends(owner) {
-                    if send.to as usize == requester {
-                        segs.push(send.offsets);
-                    }
-                }
-            }
-            if segs.is_empty() {
+            let sends = parts.iter().flat_map(|part| part.sends(owner));
+            let segs = sends.filter(|send| send.to as usize == requester);
+            let (nsegs, offsets) =
+                segs.fold((0, 0), |(n, len), send| (n + 1, len + send.offsets.len()));
+            if nsegs == 0 {
                 continue;
             }
-            let tagged = segs.len() >= 2;
-            let mut payload: Vec<u32> =
-                Vec::with_capacity(segs.iter().map(|s| s.len() + tagged as usize).sum());
-            for seg in &segs {
-                if tagged {
-                    payload.push(seg.len() as u32);
-                }
-                payload.extend_from_slice(seg);
-            }
+            let payload = offsets + if nsegs >= 2 { nsegs } else { 0 };
             messages += 1;
-            words += payload.len();
-            plan.push(requester, owner, payload);
+            words += payload;
+            machine.charge_p2p(&mut phase, requester, owner, payload);
         }
     }
-    machine.exchange(&format!("{label}:schedule-build"), plan);
+    machine.end_phase(&format!("{label}:schedule-build"), phase);
     (messages, words)
 }
 
@@ -666,7 +655,7 @@ mod tests {
         assert_eq!(messages, s1.message_count());
         assert_eq!(words, s1.total_ghosts());
         // Identical label, identical message order, identical payloads — the
-        // solo fold is bit-for-bit the plain build exchange.
+        // solo fold is the plain build exchange.
         assert_eq!(m1.stats().grand_totals(), m2.stats().grand_totals());
         assert_eq!(
             m1.elapsed().max_seconds().to_bits(),

@@ -1,211 +1,31 @@
-//! Collective operations built on the machine primitives: broadcast,
-//! reduction, all-reduce, all-gather and all-to-all-v.
+//! The one collective the CHAOS runtime runs every sweep: the single-word
+//! all-reduce behind the schedule-reuse vote ("has anyone's view of this
+//! loop's arrays changed?").
 //!
-//! The CHAOS runtime uses collectives in three places: distributing the
-//! irregular map array when a translation table is built, combining
-//! partitioner results, and the global "any indirection array modified?"
-//! checks of the schedule-reuse machinery. Each collective both moves data
-//! (exactly) and charges the binomial-tree communication cost.
+//! Like every gather and scatter it is **charge-only**: the simulator shares
+//! one address space, so the caller already holds the combined value and the
+//! machine is only asked what agreeing on it costs — one message per edge of
+//! the binomial tree on the way up, one on the way down, each sweep a quiet
+//! phase (no labelled record, no allocation).
 
-use crate::exchange::ExchangePlan;
-use crate::machine::{Machine, ProcId};
+use crate::machine::{Machine, PhaseCharge};
 use crate::topology::binomial_tree_edges;
 
-/// Reduction operators supported by [`reduce_f64`] and [`all_reduce_f64`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Element-wise sum.
-    Sum,
-    /// Element-wise maximum.
-    Max,
-    /// Element-wise minimum.
-    Min,
-}
-
-impl ReduceOp {
-    /// Apply the operator to two f64 operands.
-    #[inline]
-    pub fn apply_f64(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Min => a.min(b),
-        }
-    }
-
-    /// Apply the operator to two u64 operands.
-    #[inline]
-    pub fn apply_u64(self, a: u64, b: u64) -> u64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Min => a.min(b),
-        }
-    }
-}
-
-/// Broadcast `data` from `root` to every processor, returning one copy per
-/// processor (index = processor id).
-pub fn broadcast<T: Clone + Send>(
-    machine: &mut Machine,
-    label: &str,
-    root: ProcId,
-    data: &[T],
-) -> Vec<Vec<T>> {
+/// Charge an all-reduce of one word over the binomial tree rooted at
+/// processor 0: a reduction phase (child → parent on every edge), then the
+/// broadcast of the result back down the same edges.
+pub fn charge_all_reduce_word(machine: &mut Machine) {
     let p = machine.nprocs();
-    let mut plan = ExchangePlan::new(p);
-    for (parent, child) in binomial_tree_edges(p, root) {
-        // Logically the payload travels down the tree; for cost purposes we
-        // charge each tree edge a full copy of the data.
-        plan.push(parent, child, data.to_vec());
-    }
-    machine.exchange(label, plan);
-    (0..p).map(|_| data.to_vec()).collect()
-}
-
-/// Reduce per-processor `f64` vectors element-wise onto `root`. Every input
-/// slice must have the same length. Returns the reduced vector (only
-/// meaningful on `root`, but returned to the caller directly since the
-/// simulator shares an address space).
-pub fn reduce_f64(
-    machine: &mut Machine,
-    label: &str,
-    root: ProcId,
-    op: ReduceOp,
-    contributions: &[Vec<f64>],
-) -> Vec<f64> {
-    assert_eq!(contributions.len(), machine.nprocs());
-    let len = contributions.first().map(Vec::len).unwrap_or(0);
-    assert!(
-        contributions.iter().all(|c| c.len() == len),
-        "all reduction contributions must have equal length"
-    );
-    let p = machine.nprocs();
-    let mut plan = ExchangePlan::new(p);
-    for (parent, child) in binomial_tree_edges(p, root) {
-        // Reduction traffic flows child -> parent.
-        plan.push(child, parent, contributions[child].clone());
-    }
-    machine.exchange(label, plan);
-    let mut acc = contributions[root].clone();
-    for (pid, c) in contributions.iter().enumerate() {
-        if pid == root {
-            continue;
-        }
-        for (a, &b) in acc.iter_mut().zip(c.iter()) {
-            *a = op.apply_f64(*a, b);
-        }
-    }
-    // Charge the combine flops on the root's side of the tree; in a real
-    // binomial reduction the combines are distributed, so charge log2(P)
-    // levels of `len` operations on every processor.
-    let levels = if p > 1 {
-        (usize::BITS - (p - 1).leading_zeros()) as f64
-    } else {
-        0.0
-    };
-    machine.charge_compute_all(levels * len as f64);
-    acc
-}
-
-/// All-reduce: reduce then broadcast. Returns one copy of the result per
-/// processor.
-pub fn all_reduce_f64(
-    machine: &mut Machine,
-    label: &str,
-    op: ReduceOp,
-    contributions: &[Vec<f64>],
-) -> Vec<Vec<f64>> {
-    let reduced = reduce_f64(machine, label, 0, op, contributions);
-    broadcast(machine, label, 0, &reduced)
-}
-
-/// Reduce per-processor `u64` scalars with `op`, returning the combined value
-/// visible on every processor (an all-reduce of a single word). This is the
-/// primitive behind the schedule-reuse "has anyone modified this DAD?" vote.
-pub fn all_reduce_scalar_u64(
-    machine: &mut Machine,
-    label: &str,
-    op: ReduceOp,
-    contributions: &[u64],
-) -> u64 {
-    assert_eq!(contributions.len(), machine.nprocs());
-    let p = machine.nprocs();
-    let mut plan = ExchangePlan::new(p);
+    let mut up = PhaseCharge::new();
     for (parent, child) in binomial_tree_edges(p, 0) {
-        plan.push(child, parent, vec![contributions[child]]);
+        machine.charge_p2p(&mut up, child, parent, 1);
     }
-    machine.exchange(label, plan);
-    let combined = contributions
-        .iter()
-        .copied()
-        .reduce(|a, b| op.apply_u64(a, b))
-        .unwrap_or(0);
-    // Broadcast the single word back down.
-    let mut plan = ExchangePlan::new(p);
+    machine.end_phase_quiet(up);
+    let mut down = PhaseCharge::new();
     for (parent, child) in binomial_tree_edges(p, 0) {
-        plan.push(parent, child, vec![combined]);
+        machine.charge_p2p(&mut down, parent, child, 1);
     }
-    machine.exchange(label, plan);
-    combined
-}
-
-/// All-gather: every processor contributes a vector; every processor receives
-/// the concatenation in processor order.
-pub fn all_gather<T: Clone + Send>(
-    machine: &mut Machine,
-    label: &str,
-    contributions: &[Vec<T>],
-) -> Vec<T> {
-    assert_eq!(contributions.len(), machine.nprocs());
-    let p = machine.nprocs();
-    // Cost: ring all-gather — every processor sends its contribution to every
-    // other processor over p-1 rounds; we approximate with a single exchange
-    // containing all pairs, which charges the same volume.
-    let mut plan = ExchangePlan::new(p);
-    for (src, c) in contributions.iter().enumerate() {
-        for dst in 0..p {
-            if src != dst {
-                plan.push(src, dst, c.clone());
-            }
-        }
-    }
-    machine.exchange(label, plan);
-    let mut out = Vec::with_capacity(contributions.iter().map(Vec::len).sum());
-    for c in contributions {
-        out.extend_from_slice(c);
-    }
-    out
-}
-
-/// All-to-all-v: `send[src][dst]` is the payload from `src` to `dst`. Returns
-/// `recv[dst][src]` (empty vectors where nothing was sent).
-pub fn all_to_all_v<T: Clone + Send>(
-    machine: &mut Machine,
-    label: &str,
-    send: Vec<Vec<Vec<T>>>,
-) -> Vec<Vec<Vec<T>>> {
-    let p = machine.nprocs();
-    assert_eq!(send.len(), p);
-    let mut plan = ExchangePlan::new(p);
-    for (src, row) in send.iter().enumerate() {
-        assert_eq!(row.len(), p, "all_to_all_v send matrix must be P x P");
-        for (dst, payload) in row.iter().enumerate() {
-            if !payload.is_empty() {
-                plan.push(src, dst, payload.clone());
-            }
-        }
-    }
-    machine.exchange(label, plan);
-    let mut recv: Vec<Vec<Vec<T>>> = (0..p)
-        .map(|_| (0..p).map(|_| Vec::new()).collect())
-        .collect();
-    for (src, row) in send.into_iter().enumerate() {
-        for (dst, payload) in row.into_iter().enumerate() {
-            recv[dst][src] = payload;
-        }
-    }
-    recv
+    machine.end_phase_quiet(down);
 }
 
 #[cfg(test)]
@@ -213,91 +33,24 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
 
-    fn machine(p: usize) -> Machine {
-        Machine::new(MachineConfig::unit(p))
-    }
-
-    #[test]
-    fn broadcast_delivers_copies_everywhere() {
-        let mut m = machine(8);
-        let copies = broadcast(&mut m, "bcast", 3, &[1u32, 2, 3]);
-        assert_eq!(copies.len(), 8);
-        assert!(copies.iter().all(|c| c == &vec![1, 2, 3]));
-        assert_eq!(m.stats().grand_totals().messages, 7);
-    }
-
-    #[test]
-    fn reduce_sum_matches_sequential() {
-        let mut m = machine(4);
-        let contributions: Vec<Vec<f64>> = (0..4).map(|p| vec![p as f64, 1.0]).collect();
-        let r = reduce_f64(&mut m, "reduce", 0, ReduceOp::Sum, &contributions);
-        assert_eq!(r, vec![0.0 + 1.0 + 2.0 + 3.0, 4.0]);
-    }
-
-    #[test]
-    fn reduce_max_and_min() {
-        let mut m = machine(4);
-        let contributions: Vec<Vec<f64>> = vec![vec![5.0], vec![-2.0], vec![9.0], vec![0.0]];
-        assert_eq!(
-            reduce_f64(&mut m, "max", 1, ReduceOp::Max, &contributions),
-            vec![9.0]
-        );
-        assert_eq!(
-            reduce_f64(&mut m, "min", 1, ReduceOp::Min, &contributions),
-            vec![-2.0]
-        );
-    }
-
-    #[test]
-    fn all_reduce_gives_every_processor_the_result() {
-        let mut m = machine(4);
-        let contributions: Vec<Vec<f64>> = (0..4).map(|p| vec![p as f64]).collect();
-        let copies = all_reduce_f64(&mut m, "allreduce", ReduceOp::Sum, &contributions);
-        assert_eq!(copies.len(), 4);
-        assert!(copies.iter().all(|c| c == &vec![6.0]));
-    }
-
     #[test]
     fn all_reduce_scalar_max() {
-        let mut m = machine(8);
-        let v = all_reduce_scalar_u64(&mut m, "ts", ReduceOp::Max, &[3, 9, 1, 7, 0, 2, 9, 4]);
-        assert_eq!(v, 9);
-        let v = all_reduce_scalar_u64(&mut m, "ts", ReduceOp::Sum, &[1; 8]);
-        assert_eq!(v, 8);
-    }
-
-    #[test]
-    fn all_gather_concatenates_in_proc_order() {
-        let mut m = machine(3);
-        let contributions = vec![vec![0u32], vec![10, 11], vec![20]];
-        let out = all_gather(&mut m, "ag", &contributions);
-        assert_eq!(out, vec![0, 10, 11, 20]);
-        // 3 procs, each sends to 2 others
-        assert_eq!(m.stats().grand_totals().messages, 6);
-    }
-
-    #[test]
-    fn all_to_all_v_routes_payloads() {
-        let mut m = machine(3);
-        let mut send: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); 3]; 3];
-        send[0][2] = vec![100];
-        send[1][0] = vec![7, 8];
-        send[2][2] = vec![42]; // self
-        let recv = all_to_all_v(&mut m, "a2a", send);
-        assert_eq!(recv[2][0], vec![100]);
-        assert_eq!(recv[0][1], vec![7, 8]);
-        assert_eq!(recv[2][2], vec![42]);
-        assert!(recv[1].iter().all(Vec::is_empty));
+        // 8 processors: 7 tree edges, walked up and then down, one word
+        // each, as two phases that leave no labelled record behind.
+        let mut m = Machine::new(MachineConfig::unit(8));
+        charge_all_reduce_word(&mut m);
+        let t = m.stats().grand_totals();
+        assert_eq!((t.messages, t.phases), (14, 2));
+        assert_eq!(t.bytes, 14 * m.config().word_bytes);
+        assert!(m.stats().is_empty(), "the vote is a quiet phase");
+        assert!(m.elapsed().max_seconds() > 0.0);
     }
 
     #[test]
     fn single_processor_collectives_are_trivial() {
-        let mut m = machine(1);
-        let copies = broadcast(&mut m, "b", 0, &[1u8]);
-        assert_eq!(copies, vec![vec![1]]);
-        let r = reduce_f64(&mut m, "r", 0, ReduceOp::Sum, &[vec![2.0]]);
-        assert_eq!(r, vec![2.0]);
-        assert_eq!(all_reduce_scalar_u64(&mut m, "s", ReduceOp::Max, &[5]), 5);
+        let mut m = Machine::new(MachineConfig::unit(1));
+        charge_all_reduce_word(&mut m);
         assert_eq!(m.stats().grand_totals().messages, 0);
+        assert_eq!(m.elapsed().max_seconds(), 0.0);
     }
 }

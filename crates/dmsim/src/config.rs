@@ -31,7 +31,8 @@ pub enum SyncModel {
     /// advance to the maximum. This matches loosely-synchronous SPMD
     /// execution (the model CHAOS assumes) and is the default.
     BarrierPerPhase,
-    /// Clocks advance independently; only explicit [`crate::Machine::barrier`]
+    /// Clocks advance independently; only explicit
+    /// [`crate::Machine::synchronize_clocks`]
     /// calls synchronize them.
     NoImplicitBarrier,
 }

@@ -7,9 +7,10 @@
 //! * `P` virtual processors, each with its own virtual clock,
 //! * an explicit α–β (latency / bandwidth) communication cost model with an
 //!   optional per-hop term for the hypercube topology,
-//! * deterministic all-to-all personalized exchange of typed messages,
-//! * the usual collectives (barrier, broadcast, reduce, all-gather,
-//!   all-to-all) with `log P` tree costs, and
+//! * one way to charge a message — [`Machine::charge_p2p`] into a
+//!   [`PhaseCharge`], closed by an `end_phase*` call — which every gather,
+//!   scatter, request exchange and the reuse vote's single-word all-reduce
+//!   ([`collectives`], a binomial tree at `log P` depth) go through, and
 //! * per-phase statistics (message counts, volumes, modeled times) that the
 //!   benchmark harness turns into the rows of the paper's tables.
 //!
@@ -29,6 +30,11 @@
 //! picture).
 //!
 //! ## Quick example
+//!
+//! [`ExchangePlan`] / [`Machine::exchange`] move materialised payloads and
+//! charge the same per-message arithmetic. The runtime no longer calls them:
+//! they are the primitive of the naive reference implementation under
+//! `tests/naive`, the oracle the flat executor is checked against.
 //!
 //! ```
 //! use chaos_dmsim::{Machine, MachineConfig, ExchangePlan};
@@ -66,7 +72,6 @@ pub mod trace;
 pub use serde_json;
 
 pub use backend::{run_phase_inline, Backend, Inbox, Outbox, PhaseEnd, RankCtx};
-pub use collectives::ReduceOp;
 pub use config::{CostModel, MachineConfig, SyncModel, Topology};
 pub use exchange::{Delivered, ExchangePlan, Message};
 pub use fault::{

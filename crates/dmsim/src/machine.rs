@@ -353,7 +353,11 @@ impl Machine {
         }
     }
 
-    /// Execute one message exchange phase described by `plan`.
+    /// Execute one message exchange phase described by `plan`: the seed's
+    /// materialised charge path. Nothing in the runtime calls it any more —
+    /// every gather, scatter, request exchange and vote charges through
+    /// [`Machine::charge_p2p`] — and it is kept as the primitive of the
+    /// `tests/naive` oracle, which the runtime is checked against.
     ///
     /// Costs charged per processor `p`:
     /// * for every message sent by `p`: `alpha + beta*bytes + per_hop*hops`
@@ -480,28 +484,6 @@ impl Machine {
         }
     }
 
-    /// Explicit barrier: charge a `log P` tree of latency-only messages and
-    /// advance every clock to the maximum.
-    pub fn barrier(&mut self, label: &str) {
-        let p = self.nprocs();
-        if p > 1 {
-            let rounds = (usize::BITS - (p - 1).leading_zeros()) as f64;
-            let t = 2.0 * rounds * self.cfg.cost.alpha; // up-sweep + down-sweep
-            for c in &mut self.clocks {
-                c.charge_comm(t);
-            }
-            let stats = CommStats {
-                messages: 2 * (p - 1),
-                bytes: 0,
-                phases: 1,
-                comm_seconds: t * p as f64,
-            };
-            self.probe.phase_closed(&stats);
-            self.stats.record(label, stats);
-        }
-        self.synchronize_clocks();
-    }
-
     /// Advance every clock to the current maximum total, charging the
     /// difference as idle time.
     pub fn synchronize_clocks(&mut self) {
@@ -555,7 +537,7 @@ mod tests {
     fn barrier_synchronizes_clocks() {
         let mut m = Machine::new(MachineConfig::unit(4));
         m.charge_compute(2, 100.0);
-        m.barrier("sync");
+        m.synchronize_clocks();
         let e = m.elapsed();
         let max = e.max_seconds();
         for p in 0..4 {

@@ -67,31 +67,21 @@ pub fn diameter(topology: Topology, nprocs: usize) -> usize {
 }
 
 /// The processors a tree-structured collective visits, as (parent, child)
-/// edges of a binomial tree rooted at `root`. Used by the collectives module
-/// both to move data and to charge per-hop costs consistently.
-pub fn binomial_tree_edges(nprocs: usize, root: usize) -> Vec<(usize, usize)> {
+/// edges of a binomial tree rooted at `root`, walked in place: the vote of
+/// [`crate::collectives`] charges one message per edge and keeps no list.
+///
+/// Top-down recursive doubling: at each round the set of reached nodes
+/// doubles, so parents always come before their children.
+pub fn binomial_tree_edges(nprocs: usize, root: usize) -> impl Iterator<Item = (usize, usize)> {
     // Work in a rotated space where the root is 0, then rotate back.
-    let mut edges = Vec::with_capacity(nprocs.saturating_sub(1));
-    if nprocs <= 1 {
-        return edges;
-    }
-    let rotate = |v: usize| (v + root) % nprocs;
-    // Top-down recursive doubling: at each round the set of reached nodes
-    // doubles, so parents always appear in the edge list before their
-    // children.
-    let mut stride = nprocs.next_power_of_two() / 2;
-    while stride >= 1 {
-        for p in (0..nprocs).step_by(stride * 2) {
-            if p + stride < nprocs {
-                edges.push((rotate(p), rotate(p + stride)));
-            }
-        }
-        if stride == 1 {
-            break;
-        }
-        stride /= 2;
-    }
-    edges
+    let rotate = move |v: usize| (v + root) % nprocs;
+    let top = nprocs.next_power_of_two() / 2;
+    let strides = std::iter::successors(Some(top), |s| Some(s / 2)).take_while(|&s| s >= 1);
+    strides.flat_map(move |stride| {
+        let parents = (0..nprocs).step_by(stride * 2);
+        let reached = parents.filter(move |p| p + stride < nprocs);
+        reached.map(move |p| (rotate(p), rotate(p + stride)))
+    })
 }
 
 #[cfg(test)]
@@ -138,7 +128,7 @@ mod tests {
     fn binomial_tree_spans_all_processors() {
         for &p in &[1usize, 2, 3, 4, 7, 8, 16, 33] {
             for root in [0, p - 1] {
-                let edges = binomial_tree_edges(p, root);
+                let edges: Vec<_> = binomial_tree_edges(p, root).collect();
                 assert_eq!(edges.len(), p - 1, "p={p} root={root}");
                 let mut reached = vec![false; p];
                 reached[root] = true;

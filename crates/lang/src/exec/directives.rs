@@ -140,10 +140,7 @@ impl<B: Backend> Executor<B> {
         }
         // One block of code wrote these arrays (Section 3): an indirection
         // array among them must invalidate the schedules built from it.
-        self.state
-            .run
-            .registry
-            .record_write_block(&dads.iter().collect::<Vec<_>>());
+        self.state.run.registry.record_write_block(&dads);
         Ok(())
     }
 

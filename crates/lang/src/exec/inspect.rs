@@ -45,14 +45,20 @@ use chaos_runtime::{
 };
 use std::collections::BTreeMap;
 
-/// The current DADs of the named arrays.
-fn dads<T>(table: &ArrayTable<T>, names: &[String], ty: &str) -> Result<Vec<Dad>, LangError> {
-    let dad = |name: &String| {
-        let arr = table.named(name);
-        arr.map(DistArray::dad)
-            .ok_or_else(|| LangError::runtime(format!("{ty} array '{name}' not materialized")))
-    };
-    names.iter().map(dad).collect()
+/// The current DADs of the named arrays, read in place off the array table
+/// as the iterator is walked (a missing array is the error, raised first).
+fn dads<'a, T>(
+    table: &'a ArrayTable<T>,
+    names: &'a [String],
+    ty: &str,
+) -> Result<impl ExactSizeIterator<Item = Dad> + 'a, LangError> {
+    if let Some(name) = names.iter().find(|name| table.named(name).is_none()) {
+        return Err(LangError::runtime(format!(
+            "{ty} array '{name}' not materialized"
+        )));
+    }
+    let dad = |name: &String| table.named(name).expect("checked above").dad();
+    Ok(names.iter().map(dad))
 }
 
 /// One inspection's reference table: the 0-based global index of every
@@ -111,24 +117,23 @@ impl<B: Backend> Executor<B> {
             return Ok(());
         }
 
-        // Reuse check (Section 3): compare the arrays' current DADs and the
-        // indirection arrays' modification stamps with what the last
-        // inspector recorded.
-        let data_dads = dads(&self.state.real, &plan.data_arrays, "REAL")?;
-        let ind_dads = dads(&self.state.int, &plan.indirection_arrays, "INTEGER")?;
-
         let ix = plan.id.index();
-        let (machine, run) = (self.backend.machine_mut(), &mut self.state.run);
+        let ProgramState { real, int, run, .. } = &mut self.state;
+        let machine = self.backend.machine_mut();
         if run.loops.len() <= ix {
             run.loops.resize_with(ix + 1, || None);
         }
         let prev_kind = machine.set_phase_kind(Some(PhaseKind::Inspector));
-        let can_reuse = self.reuse_enabled
-            && run
-                .registry
-                .check_on_machine(machine, &plan.label, &plan.id, &data_dads, &ind_dads)
-                .can_reuse()
-            && run.loops[ix].is_some();
+        // Reuse check (Section 3): compare the arrays' current DADs and the
+        // indirection arrays' modification stamps, read in place, with the
+        // signatures and stamps the last inspector recorded.
+        let can_reuse = self.reuse_enabled && {
+            let data_dads = dads(real, &plan.data_arrays, "REAL")?;
+            let ind_dads = dads(int, &plan.indirection_arrays, "INTEGER")?;
+            let guard = &mut run.registry;
+            let decision = guard.check_on_machine(machine, &plan.id, data_dads, ind_dads);
+            decision.can_reuse() && run.loops[ix].is_some()
+        };
 
         let compiled = usize::from(self.kernel_mode == KernelMode::Compiled);
         if can_reuse {
@@ -138,11 +143,15 @@ impl<B: Backend> Executor<B> {
             // Overwriting the record retires the previous inspection's
             // schedules, bindings, bytecode and buffers together.
             let record = self.inspect(plan, lo, niters)?;
-            let run = &mut self.state.run;
+            let ProgramState { real, int, run, .. } = &mut self.state;
             run.loops[ix] = Some(record);
             run.report.inspector_runs += 1;
             run.report.kernels_compiled += compiled;
-            run.registry.save_inspector(plan.id, data_dads, ind_dads);
+            run.registry.save_inspector(
+                plan.id,
+                dads(real, &plan.data_arrays, "REAL")?,
+                dads(int, &plan.indirection_arrays, "INTEGER")?,
+            );
         }
         self.machine_mut().set_phase_kind(prev_kind);
 
@@ -174,16 +183,12 @@ impl<B: Backend> Executor<B> {
     /// The loop (one executed block of code) may have written its LHS
     /// arrays: stamp their DADs and their per-array write stamps.
     pub(super) fn stamp_writes(&mut self, plan: &LoopPlan) {
-        let st = &mut self.state;
-        let written_dads: Vec<Dad> = plan
-            .written_arrays
-            .iter()
-            .filter_map(|a| st.real.named(a).map(DistArray::dad))
-            .collect();
-        let refs: Vec<&Dad> = written_dads.iter().collect();
-        st.run.registry.record_write_block(&refs);
+        let ProgramState { real, run, .. } = &mut self.state;
+        let written = plan.written_arrays.iter();
+        let dads = written.filter_map(|a| real.named(a).map(DistArray::dad));
+        run.registry.record_write_block(dads);
         for a in &plan.written_arrays {
-            st.run.registry.note_array_write(a);
+            run.registry.note_array_write(a);
         }
     }
 
@@ -408,11 +413,7 @@ impl<B: Backend> Executor<B> {
                 &mut scratch,
             );
             let sig = Dad::of(dist).signature();
-            let region =
-                self.state
-                    .run
-                    .registry
-                    .region_bind(sig, plan.id.index() as u32, &result.schedule);
+            let region = self.state.run.registry.region_bind(sig, &result.schedule);
             if region.diff.total_ghosts() < result.schedule.total_ghosts() {
                 self.state.run.report.incremental_bindings += 1;
             }

@@ -30,7 +30,7 @@
 mod directives;
 mod inspect;
 mod recover;
-mod state;
+pub(crate) mod state;
 mod sweep;
 #[cfg(test)]
 mod tests;

@@ -58,7 +58,7 @@ impl<T> ArrayTable<T> {
 /// stamp (`era`): when the stamp moves, every chunk's values are stale and
 /// the next reader of each chunk falls back to a full gather.
 #[derive(Debug, Clone)]
-pub(super) struct RegionValues {
+pub(crate) struct RegionValues {
     /// The distribution signature of the region the rows mirror.
     pub sig: DadSignature,
     /// The array whose values the rows hold.
@@ -75,7 +75,7 @@ pub(super) struct RegionValues {
 
 /// One decomposition group of a loop's inspector state.
 #[derive(Debug)]
-pub(super) struct InspectedGroup {
+pub(crate) struct InspectedGroup {
     /// The group's inspector result (schedule, localized rows, ghost
     /// counts) — always the loop's *own* full schedule.
     pub result: InspectorResult,
@@ -89,7 +89,7 @@ pub(super) struct InspectedGroup {
 /// `Arc` instead of copying localized rows. Anything resolved once per
 /// inspection — a name, a position, an index table — belongs here.
 #[derive(Debug)]
-pub(super) struct Inspected {
+pub(crate) struct Inspected {
     /// Which iterations each rank executes.
     pub iter_part: IterationPartition,
     /// One entry per decomposition group, parallel to `bindings.groups`

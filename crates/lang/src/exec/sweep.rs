@@ -6,14 +6,17 @@
 //! into [`RegionValues::rows`] and lent to the ranks as `&[f64]`, written
 //! shards are lent from the array table, and the record's sweep areas go to
 //! the engine as they sit in the loop table — so a sweep that unwinds
-//! leaves every array, row and record where it was. Workload-sized buffers
-//! are never reallocated here; a steady sweep allocates O(ranks) small
-//! borrow vectors (the per-rank [`RankState`]s), which
+//! leaves every array, row and record where it was. What the ranks read is
+//! one shared [`SweepView`] over those borrows, indexed by rank number;
+//! what they write is one flat table of written shards, cut into a row per
+//! rank. Nothing is built per rank and nothing workload-sized is allocated:
+//! a steady sweep makes three small allocations (the view's read-only array
+//! table, the shard table, its row table) whatever the rank count, which
 //! `tests/no_alloc_steady_state.rs` pins.
 
 use super::state::{Inspected, RegionValues};
 use super::SAVED_GATHER_LABEL;
-use crate::kernel::{run_rank, run_rank_interpreted, ArrLoc, RankState, RankSweepArea};
+use crate::kernel::{run_rank, run_rank_interpreted, ArrLoc, RankSweepArea, SweepView};
 use crate::lower::LoopPlan;
 use chaos_dmsim::Backend;
 use chaos_runtime::{
@@ -73,68 +76,52 @@ pub(super) fn run_sweep<B: Backend>(
         if msgs > 0 || words > 0 {
             machine.note_schedule_savings(SAVED_GATHER_LABEL, msgs, words);
         }
-        rv.fresh[rb.chunk as usize] = true;
+        if let Some(chunk) = rb.chunk {
+            rv.fresh[chunk as usize] = true;
+        }
     }
 
-    // Lend every rank its view: iteration list, localized rows and region
-    // rows from the record and the region values, then one pass over the
-    // array table handing out the shards the record resolved — mutably for
-    // the written arrays, shared for the read-only ones.
-    let regions = &*regions;
-    let mut states: Vec<RankState<'_>> = (0..backend.nprocs())
-        .map(|p| RankState {
-            iters: rec.iter_part.iters(p),
-            shards: bindings
-                .written
-                .iter()
-                .map(|_| Default::default())
-                .collect(),
-            read_shards: vec![&[]; bindings.read_only.len()],
-            localized: rec
-                .groups
-                .iter()
-                .map(|g| g.result.localized[p].as_slice())
-                .collect(),
-            ghosts: bindings
-                .ghosts
-                .iter()
-                .zip(&rec.ghost_sources)
-                .map(|(gb, &(_, rv))| {
-                    let map = &rec.groups[gb.group as usize].region.slot_map[p];
-                    (regions[rv].rows[p].as_slice(), map.as_slice())
-                })
-                .collect(),
-        })
-        .collect();
+    // Lend the ranks their operands: one pass over the array table hands
+    // out the shards the record resolved — the read-only arrays shared,
+    // through the view; the written ones mutably, into one flat table that
+    // holds rank `p`'s shard of written array `w` at `p * nwritten + w`.
+    let (nprocs, nwritten) = (backend.nprocs(), bindings.written.len());
+    let mut view = SweepView {
+        rec,
+        regions: &*regions,
+        read_only: vec![&[]; bindings.read_only.len()],
+    };
+    let mut shards: Vec<&mut [f64]> = Vec::new();
+    shards.resize_with(nprocs * nwritten, Default::default);
     for (arr, loc) in real.iter_mut().zip(&rec.array_locs) {
         match *loc {
             Some(ArrLoc::Written(w)) => {
-                for (st, shard) in states.iter_mut().zip(arr.par_shards_mut()) {
-                    st.shards[w as usize] = shard;
+                for (p, shard) in arr.par_shards_mut().enumerate() {
+                    shards[p * nwritten + w as usize] = shard;
                 }
             }
-            Some(ArrLoc::ReadOnly(r)) => {
-                for (st, shard) in states.iter_mut().zip(arr.locals()) {
-                    st.read_shards[r as usize] = shard;
-                }
-            }
+            Some(ArrLoc::ReadOnly(r)) => view.read_only[r as usize] = arr.locals(),
             None => {}
         }
     }
+    let mut rows: Vec<&mut [&mut [f64]]> = shards.chunks_mut(nwritten.max(1)).collect();
+    // A body that writes no array still runs on every rank.
+    rows.resize_with(nprocs, Default::default);
+    let view = &view;
 
     // One region for the rest of the sweep: compute plus every scatter's
     // pack/combine (touched write buffers only — untouched ones carry
     // nothing but identities), with one epoch and one release.
     backend.run_sweep(
-        &mut states,
+        &mut rows,
         areas,
-        |ctx, st: &mut RankState<'_>, area: &mut RankSweepArea| {
-            let iters = st.iters.len();
+        |ctx, shards: &mut &mut [&mut [f64]], area: &mut RankSweepArea| {
+            let rank = ctx.rank();
             match &rec.kernel {
-                Some(kernel) => run_rank(kernel, bindings, st, area),
-                None => run_rank_interpreted(plan, bindings, st, area),
+                Some(kernel) => run_rank(kernel, view, rank, shards, area),
+                None => run_rank_interpreted(plan, view, rank, shards, area),
             }
-            ctx.charge_compute(ctx.rank(), iters as f64 * plan.ops_per_iteration);
+            ctx.charge_compute(rank, view.niters(rank) as f64 * plan.ops_per_iteration);
         },
         bindings.write_bufs.len(),
         |areas: &[RankSweepArea], j| areas.iter().any(|a| a.touched[j]),
@@ -142,13 +129,13 @@ pub(super) fn run_sweep<B: Backend>(
             let binding = &bindings.write_bufs[j];
             scatter_pack_kernel(ctx, &rec.groups[binding.group as usize].result.schedule);
         },
-        |ctx, j, st: &mut RankState<'_>, areas: &[RankSweepArea]| {
+        |ctx, j, shards: &mut &mut [&mut [f64]], areas: &[RankSweepArea]| {
             let binding = &bindings.write_bufs[j];
             scatter_combine_rows(
                 ctx,
                 &rec.groups[binding.group as usize].result.schedule,
                 |p| areas[p].contrib[j].as_slice(),
-                &mut st.shards[binding.written as usize][..],
+                &mut shards[binding.written as usize][..],
                 &|a, b| binding.kind.apply(a, b),
             );
         },

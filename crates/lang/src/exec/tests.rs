@@ -721,3 +721,36 @@ fn reinspection_overwrites_the_loops_one_record() {
     assert!(first.upgrade().is_none(), "the first record was dropped");
     assert!(record(&exec, &cp).inspected.kernel.is_some());
 }
+
+#[test]
+fn reinspecting_an_unchanged_loop_grows_no_region_state() {
+    // With reuse off every sweep re-inspects and re-binds the same
+    // references: the difference against the resident region is empty, so
+    // no chunk is appended — the region and the freshness flags scanned
+    // every sweep stay as the first inspection left them.
+    let cp = compiled();
+    let inputs = random_inputs(60, 240);
+    let mut exec = Executor::new(MachineConfig::ipsc860(4), inputs).with_reuse(false);
+    exec.run(&cp).unwrap();
+    let shape = |exec: &Executor| {
+        let binding = &record(exec, &cp).inspected.groups[0].region;
+        let region = exec.state.run.registry.region(binding.sig).unwrap();
+        let fresh: Vec<usize> = exec
+            .state
+            .run
+            .regions
+            .iter()
+            .map(|r| r.fresh.len())
+            .collect();
+        let sizes: Vec<usize> = (0..4).map(|p| region.size(p)).collect();
+        (region.nchunks(), sizes, fresh, binding.deps.clone())
+    };
+    let first = shape(&exec);
+    assert_eq!((first.0, &first.2), (1, &vec![1]), "one chunk, one flag");
+    for _ in 0..50 {
+        exec.execute_loop(&cp, "L1").unwrap();
+    }
+    assert_eq!(exec.report().inspector_runs, 51);
+    // What a re-inspection reads is the chunk the first one appended.
+    assert_eq!(shape(&exec), (first.0, first.1, first.2, vec![0]));
+}

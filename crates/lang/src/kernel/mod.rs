@@ -18,15 +18,17 @@
 //!   `width` the body can run at — [`BLOCK`] (64) with the stores in a tail,
 //!   or 1 with the stores in stream when the body reads what it writes or
 //!   writes one array with two combine kinds;
-//! * [`vm`] — the [`RankState`] rank-local borrows plus the
-//!   [`RankSweepArea`] owned per-rank sweep storage, and the two executors
-//!   over them: [`run_rank`] (the bytecode VM: each op over a block of
-//!   `width` iterations, operands resolved once per block, with slot CSE —
-//!   a preamble pins each distinct read-only slot into a dedicated register
-//!   once per block) and [`run_rank_interpreted`] (the retained
-//!   tree-walking oracle, one value at a time). Both run as the compute
-//!   stage of `Backend::run_sweep`, so programs execute rank-parallel
-//!   end-to-end on every engine.
+//! * [`vm`] — the one `SweepView` every rank of a sweep reads through (the
+//!   loop's record, the resident region values and the read-only arrays,
+//!   borrowed in place and indexed by rank — nothing is built per rank),
+//!   the [`RankSweepArea`] owned per-rank sweep storage, and the two
+//!   executors over them and the rank's row of written shards: `run_rank`
+//!   (the bytecode VM: each op over a block of `width` iterations, operands
+//!   resolved once per block, with slot CSE — a preamble pins each distinct
+//!   read-only slot into a dedicated register once per block) and
+//!   `run_rank_interpreted` (the retained tree-walking oracle, one value at
+//!   a time). Both run as the compute stage of `Backend::run_sweep`, so
+//!   programs execute rank-parallel end-to-end on every engine.
 //!
 //! Both executors read the inspector's rows as they are: one `u32` per
 //! reference in the rank's local index space, an owned offset below the
@@ -54,4 +56,5 @@ pub use compile::{
     compile_kernel, ArrLoc, CompiledKernel, GhostBinding, GroupSpec, KernelBindings, Op,
     SlotBinding, StoreRun, StoreTarget, WriteBinding, BLOCK, NO_GHOST,
 };
-pub use vm::{eflux, run_rank, run_rank_interpreted, RankState, RankSweepArea};
+pub use vm::{eflux, RankSweepArea};
+pub(crate) use vm::{run_rank, run_rank_interpreted, SweepView};

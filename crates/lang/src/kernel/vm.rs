@@ -1,21 +1,23 @@
 //! The register VM that executes compiled kernels rank-parallel, and the
 //! retained tree-walking interpreter it is differentially checked against.
 //!
-//! Both executors consume the same pair of per-rank structures:
-//! [`RankState`] borrows everything one virtual processor reads or writes
-//! *in place* during a compute phase (its own shards of the written arrays,
-//! shared views of the read-only arrays, its localized reference rows, its
-//! rows of the resident ghost regions), while [`RankSweepArea`] *owns* the
-//! rank's sweep-scoped storage — off-processor write-buffer rows, touched
-//! flags and the register file — so the fused sweep can hand each rank
-//! `&mut` its area during compute and then share all areas immutably with
-//! every rank during the scatter-combine stage. Both are `Send`, so the
-//! executor hands one pair per rank to [`chaos_dmsim::Backend::run_sweep`]
-//! and the sweep runs on either engine — including one OS thread per rank
-//! under a `PooledBackend` with `nprocs` workers — with byte-identical
-//! results.
+//! Both executors consume the same three things. One `SweepView`, shared
+//! by every rank, borrows *in place* everything a rank only reads: the
+//! loop's record (iteration lists, localized reference rows, slot maps),
+//! the rows of the resident ghost regions and the read-only arrays — a rank
+//! indexes it with its own number, nothing is built per rank. The rank's
+//! row of written shards (`&mut [&mut [f64]]`, its chunk of the sweep's one
+//! flat shard table) is what it mutates in place, and its [`RankSweepArea`]
+//! *owns* its sweep-scoped storage — off-processor write-buffer rows,
+//! touched flags and the register file — so the fused sweep can hand each
+//! rank `&mut` its area during compute and then share all areas immutably
+//! with every rank during the scatter-combine stage. Shard rows and areas
+//! are `Send` and the view is `Sync`, so the executor hands one (row, area)
+//! pair per rank to [`chaos_dmsim::Backend::run_sweep`] and the sweep runs
+//! on either engine — including one OS thread per rank under a
+//! `PooledBackend` with `nprocs` workers — with byte-identical results.
 //!
-//! [`run_rank`] is the compiled hot path: the once-per-sweep setup region
+//! `run_rank` is the compiled hot path: the once-per-sweep setup region
 //! (`ops[..iter_start]`, const broadcasts) runs first, then the rank's
 //! iterations are cut into blocks of [`CompiledKernel::width`] and the
 //! per-iteration region is walked once per block, each op over the whole
@@ -31,7 +33,7 @@
 //!
 //! The floating-point operation sequence on every value, and the order in
 //! which every cell receives its contributions, are *identical* to the
-//! tree-walker's ([`run_rank_interpreted`]) — post-order emission preserves
+//! tree-walker's (`run_rank_interpreted`) — post-order emission preserves
 //! evaluation order, loads never round, lanes are independent, and stores
 //! run iteration-major in statement order — which is what makes the
 //! byte-for-byte differential tests possible.
@@ -40,6 +42,7 @@ use super::compile::{
     ArrLoc, CompiledKernel, KernelBindings, Op, SlotBinding, StoreRun, StoreTarget, BLOCK,
 };
 use crate::ast::Intrinsic;
+use crate::exec::state::{Inspected, RegionValues};
 use crate::lower::{CompiledExpr, LoopPlan};
 use chaos_runtime::ScatterKind;
 
@@ -70,34 +73,66 @@ fn combine_in_loop(kind: ScatterKind, cell: &mut f64, v: f64) {
     }
 }
 
-/// Everything one rank reads or writes *in place* during one compute
-/// phase. Built by the executor from the loop's record and handed through
-/// `Backend::run_sweep`, so the borrows are provably rank-disjoint.
-pub struct RankState<'a> {
-    /// The rank's iteration list (local iteration numbers, 0-based).
-    pub iters: &'a [u32],
-    /// Mutable shards of the written arrays, indexed like
-    /// [`KernelBindings::written`].
-    pub shards: Vec<&'a mut [f64]>,
-    /// Shared shards of the read-only arrays, indexed like
+/// Everything the ranks of one sweep read, borrowed *in place* and shared
+/// by all of them: built once per sweep, indexed by rank number. What a
+/// rank writes in place — its shards of the written arrays, indexed like
+/// [`KernelBindings::written`] — travels beside it as that rank's
+/// `&mut [&mut [f64]]` row of the sweep's flat shard table.
+pub(crate) struct SweepView<'a> {
+    /// The loop's record: iteration lists, each group's localized rows
+    /// (local indices, an owned offset below the shard's length and a ghost
+    /// slot behind it) and slot re-binding maps, the bindings.
+    pub rec: &'a Inspected,
+    /// The resident ghost-region values the record's ghost buffers read
+    /// ([`Inspected::ghost_sources`] says which): lent, not copied.
+    pub regions: &'a [RegionValues],
+    /// Every rank's shard of each read-only array, indexed like
     /// [`KernelBindings::read_only`].
-    pub read_shards: Vec<&'a [f64]>,
-    /// The rank's localized reference row per decomposition group, indexed
-    /// like [`KernelBindings::groups`]: local indices, an owned offset below
-    /// the shard's length and a ghost slot behind it.
-    pub localized: Vec<&'a [u32]>,
-    /// Per ghost buffer (indexed like [`KernelBindings::ghosts`]), the
-    /// rank's row of the shared resident ghost region — lent, not copied —
-    /// and the rank's slot re-binding map into it: ghost slot `g` is read
-    /// at `row[map[g]]`.
-    pub ghosts: Vec<(&'a [f64], &'a [u32])>,
+    pub read_only: Vec<&'a [Vec<f64>]>,
 }
 
-/// The rank's *owned* sweep-scoped storage, split from [`RankState`] so the
+impl<'a> SweepView<'a> {
+    /// How many iterations `rank` runs.
+    pub fn niters(&self, rank: usize) -> usize {
+        self.rec.iter_part.iters(rank).len()
+    }
+
+    /// `rank`'s localized reference row of decomposition group `group`.
+    #[inline]
+    fn localized(&self, group: u16, rank: usize) -> &'a [u32] {
+        &self.rec.groups[group as usize].result.localized[rank]
+    }
+
+    /// `rank`'s row of the resident region ghost buffer `ghost` reads and
+    /// its slot re-binding map into it: ghost slot `g` is read at
+    /// `row[map[g]]`.
+    #[inline]
+    fn ghost(&self, ghost: usize, rank: usize) -> (&'a [f64], &'a [u32]) {
+        let group = self.rec.bindings.ghosts[ghost].group as usize;
+        let (_, values) = self.rec.ghost_sources[ghost];
+        let map = &self.rec.groups[group].region.slot_map[rank];
+        (&self.regions[values].rows[rank], map)
+    }
+
+    /// `rank`'s shard of the array at `arr`: its own (written) or the
+    /// shared one.
+    #[inline]
+    fn owned<'s>(&self, arr: ArrLoc, rank: usize, shards: &'s [&mut [f64]]) -> &'s [f64]
+    where
+        'a: 's,
+    {
+        match arr {
+            ArrLoc::Written(w) => &*shards[w as usize],
+            ArrLoc::ReadOnly(r) => &self.read_only[r as usize][rank],
+        }
+    }
+}
+
+/// The rank's *owned* sweep-scoped storage, split from its shard row so the
 /// fused sweep's stages can alias it stage-appropriately: during compute
 /// each rank holds `&mut` its own area; during the scatter-combine stage
 /// every rank reads all areas through a shared `&[RankSweepArea]` while
-/// mutating only its [`RankState`] shards. Rows are indexed like the
+/// mutating only its own shards. Rows are indexed like the
 /// corresponding [`KernelBindings`] tables.
 #[derive(Debug, Clone, Default)]
 pub struct RankSweepArea {
@@ -155,15 +190,18 @@ fn unary(regs: &mut [Column], (d, x): (usize, usize), len: usize, f: impl Fn(f64
 /// once, then each local index reads the owned element or, behind the
 /// shard's length, its ghost slot through the re-binding map.
 #[inline]
-fn load_slot(sb: &SlotBinding, st: &RankState<'_>, start: usize, out: &mut [f64]) {
+fn load_slot(
+    sb: &SlotBinding,
+    view: &SweepView<'_>,
+    (rank, shards): (usize, &[&mut [f64]]),
+    start: usize,
+    out: &mut [f64],
+) {
     let (stride, pos) = (sb.stride as usize, sb.pos as usize);
-    let rows = st.localized[sb.group as usize][start * stride..].chunks_exact(stride);
-    let owned: &[f64] = match sb.arr {
-        ArrLoc::Written(w) => &*st.shards[w as usize],
-        ArrLoc::ReadOnly(r) => st.read_shards[r as usize],
-    };
+    let rows = view.localized(sb.group, rank)[start * stride..].chunks_exact(stride);
+    let owned = view.owned(sb.arr, rank, shards);
     debug_assert_ne!(sb.ghost, super::compile::NO_GHOST, "write-only slot read");
-    let (region, map) = st.ghosts[sb.ghost as usize];
+    let (region, map) = view.ghost(sb.ghost as usize, rank);
     for (out, row) in out.iter_mut().zip(rows) {
         let idx = row[pos] as usize;
         *out = match idx.checked_sub(owned.len()) {
@@ -180,17 +218,18 @@ fn load_slot(sb: &SlotBinding, st: &RankState<'_>, start: usize, out: &mut [f64]
 #[inline]
 fn store_run(
     run: &StoreRun,
-    st: &mut RankState<'_>,
+    refs: &[u32],
+    shards: &mut [&mut [f64]],
     (contrib, touched): (&mut [Vec<f64>], &mut [bool]),
     regs: &[Column],
     (start, len): (usize, usize),
 ) {
     let stride = run.stride as usize;
-    let refs = &st.localized[run.group as usize][start * stride..][..len * stride];
+    let refs = &refs[start * stride..][..len * stride];
     let mut cells = RunCells {
         refs,
         stride,
-        shard: &mut *st.shards[run.written as usize],
+        shard: &mut *shards[run.written as usize],
         buffer: &mut contrib[run.wb as usize],
         regs,
     };
@@ -264,12 +303,14 @@ impl RunCells<'_> {
 /// per-iteration region is walked as zipped slices (one linear pass, no
 /// per-operand bounds checks) once per block of `kernel.width` iterations;
 /// lanes beyond a short last block are not computed.
-pub fn run_rank(
+pub(crate) fn run_rank(
     kernel: &CompiledKernel,
-    bindings: &KernelBindings,
-    st: &mut RankState<'_>,
+    view: &SweepView<'_>,
+    rank: usize,
+    shards: &mut [&mut [f64]],
     area: &mut RankSweepArea,
 ) {
+    let bindings = &view.rec.bindings;
     area.reset_write_buffers(bindings);
     let RankSweepArea {
         contrib,
@@ -288,7 +329,7 @@ pub fn run_rank(
         let _ = op;
         regs[d as usize] = [kernel.consts[x as usize]; BLOCK];
     }
-    let niters = st.iters.len();
+    let niters = view.niters(rank);
     for start in (0..niters).step_by(kernel.width) {
         let len = kernel.width.min(niters - start);
         let instrs = kernel.ops[kernel.iter_start..]
@@ -300,7 +341,9 @@ pub fn run_rank(
             let (d, x, y) = (d as usize, x as usize, y as usize);
             match op {
                 Op::LoadConst => regs[d][..len].fill(kernel.consts[x]),
-                Op::LoadSlot => load_slot(&slots[x], st, start, &mut regs[d][..len]),
+                Op::LoadSlot => {
+                    load_slot(&slots[x], view, (rank, shards), start, &mut regs[d][..len])
+                }
                 Op::Add => binary(regs, (d, x, y), len, |a, b| a + b),
                 Op::Sub => binary(regs, (d, x, y), len, |a, b| a - b),
                 Op::Mul => binary(regs, (d, x, y), len, |a, b| a * b),
@@ -310,8 +353,10 @@ pub fn run_rank(
                 Op::Eflux1 => binary(regs, (d, x, y), len, |a, b| eflux(a, b).0),
                 Op::Eflux2 => binary(regs, (d, x, y), len, |a, b| eflux(a, b).1),
                 Op::Store => {
+                    let run = &kernel.runs[x];
+                    let refs = view.localized(run.group, rank);
                     let area = (contrib.as_mut_slice(), touched.as_mut_slice());
-                    store_run(&kernel.runs[x], st, area, regs, (start, len));
+                    store_run(run, refs, shards, area, regs, (start, len));
                 }
             }
         }
@@ -403,39 +448,45 @@ impl OracleEnv {
 
     /// The seed's `resolve`: localized reference of a slot, through the
     /// hoisted group table.
-    fn resolve(&self, st: &RankState<'_>, sid: usize, iter_pos: usize) -> u32 {
+    fn resolve(&self, at: &RankAt<'_>, sid: usize, iter_pos: usize) -> u32 {
         let (pos, stride) = self.slot_pos[sid];
-        st.localized[self.slot_group[sid]][iter_pos * stride as usize + pos as usize]
+        let row = at.view.localized(self.slot_group[sid] as u16, at.rank);
+        row[iter_pos * stride as usize + pos as usize]
     }
 
     /// The seed's `read_slot`: resolve, then fetch the value through the
     /// hoisted array / ghost tables.
-    fn read_slot(&self, st: &RankState<'_>, sid: usize, iter_pos: usize) -> f64 {
-        let idx = self.resolve(st, sid, iter_pos) as usize;
-        let owned: &[f64] = match self.slot_arr[sid] {
-            ArrLoc::Written(w) => &*st.shards[w as usize],
-            ArrLoc::ReadOnly(r) => st.read_shards[r as usize],
-        };
+    fn read_slot(&self, at: &RankAt<'_>, sid: usize, iter_pos: usize) -> f64 {
+        let idx = self.resolve(at, sid, iter_pos) as usize;
+        let owned = at.view.owned(self.slot_arr[sid], at.rank, at.shards);
         if idx < owned.len() {
             owned[idx]
         } else {
-            let (row, map) = st.ghosts[self.slot_ghost[sid]];
+            let (row, map) = at.view.ghost(self.slot_ghost[sid], at.rank);
             row[map[idx - owned.len()] as usize]
         }
     }
+}
+
+/// Where the tree-walker is evaluating: the sweep's view, the rank, and
+/// that rank's written shards as they stand.
+struct RankAt<'s> {
+    view: &'s SweepView<'s>,
+    rank: usize,
+    shards: &'s [&'s mut [f64]],
 }
 
 /// Recursive tree-walking evaluation of one expression — the retained
 /// per-element interpreter the VM is checked against (and measured against
 /// by `perf_check`'s compiled-vs-interpreted gate). Intrinsic calls collect their arguments
 /// into a fresh vector, as the seed interpreter did.
-fn eval_tree(e: &CompiledExpr, env: &OracleEnv, st: &RankState<'_>, iter_pos: usize) -> f64 {
+fn eval_tree(e: &CompiledExpr, env: &OracleEnv, at: &RankAt<'_>, iter_pos: usize) -> f64 {
     match e {
         CompiledExpr::Lit(v) => *v,
-        CompiledExpr::Slot(s) => env.read_slot(st, *s, iter_pos),
+        CompiledExpr::Slot(s) => env.read_slot(at, *s, iter_pos),
         CompiledExpr::Binary { op, lhs, rhs } => {
-            let a = eval_tree(lhs, env, st, iter_pos);
-            let b = eval_tree(rhs, env, st, iter_pos);
+            let a = eval_tree(lhs, env, at, iter_pos);
+            let b = eval_tree(rhs, env, at, iter_pos);
             match op {
                 '+' => a + b,
                 '-' => a - b,
@@ -447,7 +498,7 @@ fn eval_tree(e: &CompiledExpr, env: &OracleEnv, st: &RankState<'_>, iter_pos: us
         CompiledExpr::Call { intrinsic, args } => {
             let v: Vec<f64> = args
                 .iter()
-                .map(|arg| eval_tree(arg, env, st, iter_pos))
+                .map(|arg| eval_tree(arg, env, at, iter_pos))
                 .collect();
             match intrinsic {
                 Intrinsic::Eflux1 => eflux(v[0], v[1]).0,
@@ -467,12 +518,14 @@ fn eval_tree(e: &CompiledExpr, env: &OracleEnv, st: &RankState<'_>, iter_pos: us
 /// the tree-walker environment's once-per-sweep binding table
 /// (`OracleEnv`) built from the seed's
 /// name-keyed maps.
-pub fn run_rank_interpreted(
+pub(crate) fn run_rank_interpreted(
     plan: &LoopPlan,
-    bindings: &KernelBindings,
-    st: &mut RankState<'_>,
+    view: &SweepView<'_>,
+    rank: usize,
+    shards: &mut [&mut [f64]],
     area: &mut RankSweepArea,
 ) {
+    let bindings = &view.rec.bindings;
     area.reset_write_buffers(bindings);
     let RankSweepArea {
         contrib, touched, ..
@@ -484,15 +537,20 @@ pub fn run_rank_interpreted(
         .iter()
         .map(|s| (s.target(), s.scatter_kind(), bindings.write_buf_of(s, plan)))
         .collect();
-    for iter_pos in 0..st.iters.len() {
+    for iter_pos in 0..view.niters(rank) {
         for (stmt, &(target, kind, wb)) in plan.stmts.iter().zip(&stmt_ops) {
-            let v = eval_tree(stmt.value(), &env, st, iter_pos);
+            let at = RankAt {
+                view,
+                rank,
+                shards: &*shards,
+            };
+            let v = eval_tree(stmt.value(), &env, &at, iter_pos);
             // The write applies through the target's resolved location.
-            let idx = env.resolve(st, target, iter_pos) as usize;
+            let idx = env.resolve(&at, target, iter_pos) as usize;
             let ArrLoc::Written(w) = env.slot_arr[target] else {
                 unreachable!("store target bound to a read-only array")
             };
-            let shard = &mut *st.shards[w as usize];
+            let shard = &mut *shards[w as usize];
             if idx < shard.len() {
                 combine_in_loop(kind, &mut shard[idx], v);
             } else {
@@ -506,9 +564,13 @@ pub fn run_rank_interpreted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::state::InspectedGroup;
     use crate::kernel::compile::{compile_kernel, GroupSpec};
     use crate::lower::lower_program;
     use crate::parser::parse_program;
+    use chaos_runtime::{
+        CommSchedule, DadSignature, InspectorResult, IterationPartition, RegionBinding,
+    };
 
     /// `body` in a loop over `ia` / `ib` into x, y (one decomposition).
     fn program(body: &str) -> String {
@@ -545,30 +607,63 @@ mod tests {
         let localized: Vec<u32> = (0..niters * stride)
             .map(|k| ((k * 7 + k / 3) % (owned + nghosts)) as u32)
             .collect();
-        let iters: Vec<u32> = (0..niters as u32).collect();
         // Region rows hold more than this loop's ghosts; the slot map picks.
         let region: Vec<f64> = (0..6).map(|g| 1.5 - g as f64 * 0.4).collect();
-        let map = [4u32, 0, 2];
+        let sig = DadSignature(0);
+        let no_traffic = CommSchedule::from_csr_parts_local(1, vec![0, 0], vec![], vec![]);
+        let group = InspectedGroup {
+            result: InspectorResult {
+                schedule: no_traffic.clone(),
+                localized: vec![localized],
+                owned_counts: vec![owned],
+                ghost_counts: vec![nghosts],
+            },
+            region: RegionBinding {
+                sig,
+                chunk: None,
+                deps: Vec::new(),
+                slot_map: vec![vec![4, 0, 2]],
+                diff: no_traffic,
+                base: vec![0],
+            },
+        };
+        let rec = Inspected {
+            iter_part: IterationPartition::new(vec![(0..niters as u32).collect()]),
+            groups: vec![group],
+            ghost_sources: vec![(0, 0); bindings.ghosts.len()],
+            array_locs: Vec::new(),
+            bindings,
+            kernel: Some(kernel),
+        };
+        let (bindings, kernel) = (&rec.bindings, rec.kernel.as_ref().unwrap());
+        let regions = [RegionValues {
+            sig,
+            array: "x".to_string(),
+            rows: vec![region],
+            era: 0,
+            fresh: Vec::new(),
+        }];
+        let x = [(0..owned)
+            .map(|i| 0.5 - i as f64 * 0.25)
+            .collect::<Vec<f64>>()];
+        let view = SweepView {
+            rec: &rec,
+            regions: &regions,
+            read_only: vec![&x],
+        };
         let run = |use_vm: bool| -> (Vec<f64>, Vec<f64>, Vec<bool>) {
             let mut y: Vec<f64> = (0..owned).map(|i| 1.0 + i as f64).collect();
-            let x: Vec<f64> = (0..owned).map(|i| 0.5 - i as f64 * 0.25).collect();
             let nwb = bindings.write_bufs.len();
             let mut area = RankSweepArea {
                 contrib: vec![vec![0.0; nghosts]; nwb],
                 touched: vec![false; nwb],
                 regs: vec![[0.0; BLOCK]; kernel.nregs as usize],
             };
-            let mut st = RankState {
-                iters: &iters,
-                shards: vec![&mut y],
-                read_shards: vec![&x],
-                localized: vec![&localized],
-                ghosts: vec![(&region, &map); bindings.ghosts.len()],
-            };
+            let shards: &mut [&mut [f64]] = &mut [&mut y];
             if use_vm {
-                run_rank(&kernel, &bindings, &mut st, &mut area);
+                run_rank(kernel, &view, 0, shards, &mut area);
             } else {
-                run_rank_interpreted(plan, &bindings, &mut st, &mut area);
+                run_rank_interpreted(plan, &view, 0, shards, &mut area);
             }
             (y, area.contrib.concat(), area.touched)
         };

@@ -90,7 +90,7 @@ fn main() {
         let ind_dads: Vec<Dad> = vec![pair1.dad()];
         let valid = cached.is_some()
             && registry
-                .check_on_machine(&mut machine, "force-loop", &loop_id, &data_dads, &ind_dads)
+                .check_on_machine(&mut machine, &loop_id, &data_dads, &ind_dads)
                 .can_reuse();
         if valid {
             reuse_hits += 1;

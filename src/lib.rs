@@ -6,7 +6,7 @@
 //! downstream users can depend on a single crate:
 //!
 //! * [`dmsim`] — the simulated distributed-memory machine (iPSC/860-like
-//!   α–β cost model, deterministic message exchange, collectives),
+//!   α–β cost model, deterministic charge-only message accounting),
 //! * [`geocol`] — the GeoCoL interface data structure and the partitioner
 //!   library (BLOCK, CYCLIC, RCB, inertial, RSB),
 //! * [`runtime`] — the CHAOS/PARTI-style runtime: distributed arrays,

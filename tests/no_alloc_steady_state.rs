@@ -12,14 +12,19 @@ use chaos_repro::prelude::*;
 use chaos_repro::runtime::{gather_into, resolve_local, scatter_op, Inspector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Global allocator wrapper counting every allocation (and reallocation)
-/// made on a thread that is inside a test body (see [`serialised`]).
+/// made on a thread that is inside a test body (see [`serialised`]) — and,
+/// while [`ALL_THREADS`] is set, on every other thread too.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Set around a measured window that must also see what the pool's worker
+/// lanes allocate (see [`executor_sweep_allocations`]).
+static ALL_THREADS: AtomicBool = AtomicBool::new(false);
 
 /// Held by every test for the whole of its body: the counter is
 /// process-global and libtest runs the tests on parallel threads.
@@ -55,7 +60,7 @@ fn serialised() -> Serialised {
 
 #[inline]
 fn count() {
-    if IN_TEST_BODY.try_with(Cell::get).unwrap_or(false) {
+    if ALL_THREADS.load(Ordering::Relaxed) || IN_TEST_BODY.try_with(Cell::get).unwrap_or(false) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -425,8 +430,8 @@ fn steady_state_incremental_region_gather_is_allocation_free() {
     // done once). The second bind's difference must be a strict subset.
     let mut registry = ReuseRegistry::new();
     let sig = Dad::of(&dist).signature();
-    let rb1 = registry.region_bind(sig, 1, &r1.schedule);
-    let rb2 = registry.region_bind(sig, 2, &r2.schedule);
+    let rb1 = registry.region_bind(sig, &r1.schedule);
+    let rb2 = registry.region_bind(sig, &r2.schedule);
     assert!(
         rb2.diff.total_ghosts() < r2.schedule.total_ghosts(),
         "second loop should re-bind resident ghosts instead of refetching"
@@ -563,44 +568,56 @@ fn checkpoint_and_rollback_of_a_steady_epoch_are_allocation_free() {
     assert!(machine.elapsed().max_seconds() > 0.0);
 }
 
-/// Allocations the driver thread makes over ten `execute_loop`s of `cp`
-/// (after `run` and three warm-up sweeps), `inspections` of the fourteen
-/// sweeps having run the inspector: 1 with reuse on, all 14 with it off.
+/// Allocations over ten `execute_loop`s of `cp`, after `run` and three
+/// warm-up sweeps. A `steady` executor (reuse on: only `run` inspects) is
+/// counted on every thread, the pool's worker lanes included; a libtest
+/// thread still reporting the previous test can fall into such a window,
+/// so three are measured and the median returned. A re-inspecting one
+/// (reuse off: every sweep inspects) is counted on this thread, once.
 fn executor_sweep_allocations<B: chaos_repro::dmsim::Backend>(
     mut exec: Executor<B>,
     cp: &chaos_repro::lang::CompiledProgram,
-    inspections: usize,
+    steady: bool,
 ) -> u64 {
     exec.run(cp).expect("program runs");
     for _ in 0..3 {
         exec.execute_loop(cp, "L1").expect("warm-up sweep");
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..10 {
-        exec.execute_loop(cp, "L1").expect("measured sweep");
-    }
-    let total = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let mut windows: Vec<u64> = (0..if steady { 3 } else { 1 })
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            ALL_THREADS.store(steady, Ordering::Relaxed);
+            for _ in 0..10 {
+                exec.execute_loop(cp, "L1").expect("measured sweep");
+            }
+            ALL_THREADS.store(false, Ordering::Relaxed);
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        })
+        .collect();
+    windows.sort_unstable();
+    let sweeps = 4 + 10 * windows.len();
+    let inspections = if steady { 1 } else { sweeps };
     assert_eq!(exec.report().inspector_runs, inspections);
     assert_eq!(
         exec.report().kernel_reuse_hits,
-        14 - inspections,
+        sweeps - inspections,
         "every sweep that skipped the inspector reused the compiled kernel"
     );
-    total
+    windows[windows.len() / 2]
 }
 
 /// The allocation claim on the path users run: the lang `Executor`, Table
-/// 2's RCB program, compiled kernel, on `Machine` and on a 2-lane pool
-/// (driver thread). A steady sweep never reallocates a workload-sized
-/// buffer; what it does allocate is driver glue — the per-rank `RankState`
-/// borrow vectors, the reuse check's DAD vectors and its modeled all-reduce
-/// — so the count is the same whatever the mesh size and is bounded by a
-/// small multiple of the rank count. (One allocation in ten sweeps is the
-/// labelled phase-record table doubling, hence ten-sweep totals.) The
-/// ceiling is the measured 481 / 2 651 per ten sweeps at 4 / 32 ranks, down
-/// from 751 / 2 921 before the loop record was borrowed in place.
+/// 2's RCB program, compiled kernel, on `Machine` and on a 2-lane pool with
+/// every thread counted. A steady sweep builds nothing: the guard compares
+/// stored signatures with DADs read in place and charges its vote like any
+/// other message, and the ranks read through one shared view. What is left
+/// is three small tables per sweep — the view's read-only arrays, the
+/// written shards, their per-rank rows — so the count is a constant: the
+/// same at 4 and 32 ranks, on both meshes and on both engines (48 and 265
+/// per sweep before the per-rank borrow vectors, the DAD vectors and the
+/// materialised vote went).
 #[test]
-fn steady_executor_sweep_allocates_only_per_rank_glue() {
+fn steady_executor_sweep_allocates_a_constant_three_tables() {
     let _serial = serialised();
     use chaos_bench::compilergen::{program_inputs, program_text};
     use chaos_bench::experiment::Method;
@@ -609,27 +626,65 @@ fn steady_executor_sweep_allocates_only_per_rank_glue() {
     let src = program_text(Method::Rcb);
     let cp = lower_program(parse_program(&src).unwrap()).unwrap();
     let meshes = [1_000, 4_000].map(|n| program_inputs(&mesh_workload(MeshConfig::tiny(n))));
+    let mut counts = Vec::new();
     for nprocs in [4usize, 32] {
         let cfg = || MachineConfig::ipsc860(nprocs);
-        let machine = meshes
-            .clone()
-            .map(|inputs| executor_sweep_allocations(Executor::new(cfg(), inputs), &cp, 1));
-        let pool = meshes.clone().map(|inputs| {
-            let exec = Executor::new_pooled_with_workers(cfg(), 2, inputs);
-            executor_sweep_allocations(exec, &cp, 1)
-        });
-        for (engine, [small, large]) in [("machine", machine), ("pool/2", pool)] {
-            assert_eq!(
-                small, large,
-                "{engine}, {nprocs} ranks: the count grew with the mesh"
-            );
-            let ceiling = 10 * (17 + 8 * nprocs as u64);
-            assert!(
-                small <= ceiling,
-                "{engine}, {nprocs} ranks: {small} allocations in ten sweeps (ceiling {ceiling})"
-            );
+        for inputs in &meshes {
+            let machine = Executor::new(cfg(), inputs.clone());
+            counts.push(executor_sweep_allocations(machine, &cp, true));
+            let pool = Executor::new_pooled_with_workers(cfg(), 2, inputs.clone());
+            counts.push(executor_sweep_allocations(pool, &cp, true));
         }
     }
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "ten steady sweeps, per (ranks, mesh, engine): {counts:?}"
+    );
+    assert!(
+        counts[0] <= 10 * 4,
+        "{} allocations in ten steady sweeps (ceiling 4 a sweep)",
+        counts[0]
+    );
+}
+
+/// The same steady path keeps no labelled phase record either: the reuse
+/// vote closes its two phases quietly, so `StatsRegistry::records` holds
+/// what the directives and the one inspection left there however long the
+/// program sweeps.
+#[test]
+fn steady_sweeps_append_no_phase_records() {
+    let _serial = serialised();
+    use chaos_bench::compilergen::{program_inputs, program_text};
+    use chaos_bench::experiment::Method;
+    use chaos_bench::workload::mesh_workload;
+
+    fn records_at_sweeps_4_and_104<B: chaos_repro::dmsim::Backend>(
+        mut exec: Executor<B>,
+        cp: &chaos_repro::lang::CompiledProgram,
+    ) -> [usize; 2] {
+        exec.run(cp).expect("program runs");
+        [4, 100].map(|sweeps| {
+            for _ in 0..sweeps {
+                exec.execute_loop(cp, "L1").expect("steady sweep");
+            }
+            exec.machine().stats().len()
+        })
+    }
+
+    let src = program_text(Method::Rcb);
+    let cp = lower_program(parse_program(&src).unwrap()).unwrap();
+    let inputs = program_inputs(&mesh_workload(MeshConfig::tiny(1_000)));
+    let cfg = || MachineConfig::ipsc860(4);
+    let machine = records_at_sweeps_4_and_104(Executor::new(cfg(), inputs.clone()), &cp);
+    let pool = Executor::new_pooled_with_workers(cfg(), 2, inputs);
+    let pool = records_at_sweeps_4_and_104(pool, &cp);
+    assert_eq!(machine[0], machine[1], "records grew on Machine");
+    assert_eq!(pool[0], pool[1], "records grew on the pool");
+    assert_eq!(machine, pool);
+    assert!(
+        machine[0] > 0,
+        "the inspection's request exchange is recorded"
+    );
 }
 
 /// The other half of the claim, on the path that cannot reuse: with
@@ -650,7 +705,7 @@ fn reinspecting_sweep_allocations_do_not_grow_with_the_loop() {
     let [small, large] = [1_000, 4_000].map(|n| {
         let inputs = program_inputs(&mesh_workload(MeshConfig::tiny(n)));
         let exec = Executor::new(MachineConfig::ipsc860(4), inputs).with_reuse(false);
-        executor_sweep_allocations(exec, &cp, 14)
+        executor_sweep_allocations(exec, &cp, false)
     });
     assert_eq!(
         small, large,
