@@ -29,9 +29,9 @@
 //! makes an inspector schedule worth reusing.
 //!
 //! The local computation between gather and scatter belongs to the
-//! application (see the workload crates); [`charge_local_compute`] lets it
-//! charge its flops to the simulated machine so executor rows in the tables
-//! include both communication and computation.
+//! application (see the workload crates): its kernels charge their flops
+//! through their [`RankCtx`], so executor rows in the tables include both
+//! communication and computation.
 
 use crate::darray::DistArray;
 use crate::schedule::CommSchedule;
@@ -416,14 +416,6 @@ impl ScatterKind {
     }
 }
 
-/// Charge `ops_per_proc[p]` computation units to each processor — the local
-/// arithmetic of the executor's compute section.
-pub fn charge_local_compute(machine: &mut Machine, ops_per_proc: &[f64]) {
-    for (p, &ops) in ops_per_proc.iter().enumerate() {
-        machine.charge_compute(p, ops);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,14 +673,5 @@ mod tests {
             Landing::Offset(&[1, 1]),
             rows.iter_mut(),
         );
-    }
-
-    #[test]
-    fn charge_local_compute_advances_clocks() {
-        let mut m = Machine::new(MachineConfig::unit(2));
-        charge_local_compute(&mut m, &[10.0, 20.0]);
-        let e = m.elapsed();
-        assert_eq!(e.compute[0], 10.0);
-        assert_eq!(e.compute[1], 20.0);
     }
 }

@@ -83,8 +83,8 @@ pub use dad::{Dad, DadSignature};
 pub use darray::DistArray;
 pub use dist::Distribution;
 pub use executor::{
-    charge_local_compute, gather, gather_inline, gather_into, scatter_add, scatter_combine_rows,
-    scatter_op, scatter_pack_kernel, Landing, ScatterKind,
+    gather, gather_inline, gather_into, scatter_add, scatter_combine_rows, scatter_op,
+    scatter_pack_kernel, Landing, ScatterKind,
 };
 pub use inspector::{
     resolve_local, resolve_local_mut, AccessPattern, Inspector, InspectorResult, LocalizeScratch,

@@ -13,6 +13,14 @@
 //!   descriptors and an epoch barrier (see [`crate::pool`]). A pool of
 //!   `nprocs` workers gives every rank its own OS thread, all live at once.
 //!
+//! What an engine implements is **one fan-out** — [`Backend::fan_out`], a
+//! stage of rank kernels whose charges reach the machine in rank order —
+//! plus the fused [`Backend::run_sweep`]. The regions built out of stages
+//! (`run_compute`, `run_phase`, `run_exchange`) are provided methods of the
+//! trait, written once: their epoch advance, charge-only pack
+//! (`charge_stage`), mailbox matrix and phase close touch only the shared
+//! [`Machine`].
+//!
 //! # The determinism contract
 //!
 //! The pooled engine must be **byte-identical** to the sequential one —
@@ -105,7 +113,7 @@ pub struct RankCtx<'a> {
 impl<'a> RankCtx<'a> {
     /// A context that applies charges to the machine immediately (the
     /// sequential engine and driver-side pack stages).
-    pub(crate) fn direct(
+    fn direct(
         rank: usize,
         nprocs: usize,
         machine: &'a mut Machine,
@@ -207,12 +215,7 @@ pub struct Outbox<'a, T> {
     row: &'a mut [Vec<T>],
 }
 
-impl<'a, T> Outbox<'a, T> {
-    /// Wrap one rank's outgoing mailbox row.
-    pub(crate) fn new(row: &'a mut [Vec<T>]) -> Self {
-        Outbox { row }
-    }
-
+impl<T> Outbox<'_, T> {
     /// The (initially empty) payload buffer destined for rank `to`.
     #[inline]
     pub fn payload_mut(&mut self, to: ProcId) -> &mut Vec<T> {
@@ -232,12 +235,7 @@ pub struct Inbox<'a, T> {
     me: usize,
 }
 
-impl<'a, T> Inbox<'a, T> {
-    /// Wrap the full mailbox matrix as rank `me`'s incoming view.
-    pub(crate) fn new(matrix: &'a [Vec<Vec<T>>], me: usize) -> Self {
-        Inbox { matrix, me }
-    }
-
+impl<T> Inbox<'_, T> {
     /// The payload rank `from` posted to this rank (empty if none).
     #[inline]
     pub fn from_rank(&self, from: ProcId) -> &[T] {
@@ -253,6 +251,9 @@ impl<'a, T> Inbox<'a, T> {
 /// worker threads ([`PooledBackend`](crate::pool::PooledBackend)), while
 /// guaranteeing identical results and identical modeled costs either way
 /// (see the module docs).
+///
+/// An engine supplies [`Backend::fan_out`] and [`Backend::run_sweep`]; every
+/// other region is a provided method over `fan_out` (see the module docs).
 ///
 /// Every `state` iterator must yield exactly one item per rank, in rank
 /// order; item `r` is handed to rank `r`'s kernel as its private mutable
@@ -270,6 +271,20 @@ pub trait Backend {
         self.machine().nprocs()
     }
 
+    /// Run one **stage** of rank kernels: `kernel` once per rank with its
+    /// state item, each entry a fault-injection point and a `KernelEnter`
+    /// span. This is the engines' building block, not a region of its own —
+    /// it advances no epoch. However the ranks execute, their charges reach
+    /// the machine in ascending rank order; with a `phase` they land in that
+    /// accumulator, which makes `charge_p2p` legal inside the kernel (the
+    /// pack stage of [`Backend::run_exchange`]). If a rank panics the pooled
+    /// engine applies none of the stage's charges.
+    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
+    where
+        St: Send,
+        I: IntoIterator<Item = St>,
+        F: Fn(&mut RankCtx<'_>, St) + Sync;
+
     /// Run `kernel` once per rank as a pure compute region (no phase
     /// boundary, no phase statistics). Kernels may charge compute/memory
     /// costs and mutate their rank's state item.
@@ -277,31 +292,61 @@ pub trait Backend {
     where
         St: Send,
         I: IntoIterator<Item = St>,
-        F: Fn(&mut RankCtx<'_>, St) + Sync;
+        F: Fn(&mut RankCtx<'_>, St) + Sync,
+    {
+        self.machine_mut().advance_epoch();
+        self.fan_out(None, state, kernel);
+    }
 
     /// Run one communication phase: `pack` runs for every rank and charges
     /// the phase's messages (it must not move data — it only charges, which
-    /// lets the engine run it on the driver thread), then the phase is closed
-    /// per `end` (recording statistics and applying the sync model's
-    /// barrier), then `unpack` runs for every rank with its state item.
+    /// is why it runs on the driver thread under every engine), then the
+    /// phase is closed per `end` (recording statistics and applying the
+    /// per-phase barrier), then `unpack` runs for every rank with its state
+    /// item.
     fn run_phase<St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
     where
         St: Send,
         I: IntoIterator<Item = St>,
         A: Fn(&mut RankCtx<'_>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St) + Sync;
+        B: Fn(&mut RankCtx<'_>, St) + Sync,
+    {
+        let machine = self.machine_mut();
+        machine.advance_epoch();
+        charge_stage(machine, end, true, pack);
+        self.fan_out(None, state, unpack);
+    }
 
     /// Run one communication phase in which ranks exchange typed payloads
     /// through per-rank mailboxes: `pack` posts values into its [`Outbox`]
     /// (and charges the messages), the phase is closed per `end`, then
-    /// `unpack` reads its [`Inbox`].
+    /// `unpack` reads its [`Inbox`]. Both halves are rank-kernel stages.
     fn run_exchange<T, St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
     where
         T: Send + Sync,
         St: Send,
         I: IntoIterator<Item = St>,
         A: Fn(&mut RankCtx<'_>, &mut Outbox<'_, T>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St, &Inbox<'_, T>) + Sync;
+        B: Fn(&mut RankCtx<'_>, St, &Inbox<'_, T>) + Sync,
+    {
+        self.machine_mut().advance_epoch();
+        let nprocs = self.nprocs();
+        let mut matrix: Vec<Vec<Vec<T>>> = (0..nprocs)
+            .map(|_| (0..nprocs).map(|_| Vec::new()).collect())
+            .collect();
+        // Pack: rank r owns row r of the mailbox matrix.
+        let mut phase = PhaseCharge::new();
+        self.fan_out(Some(&mut phase), matrix.iter_mut(), |ctx, row| {
+            pack(ctx, &mut Outbox { row })
+        });
+        close_phase(self.machine_mut(), end, phase);
+        // Unpack: rank r reads column r of the (now frozen) matrix.
+        let matrix = &matrix;
+        self.fan_out(None, state, |ctx, st| {
+            let me = ctx.rank();
+            unpack(ctx, st, &Inbox { matrix, me });
+        });
+    }
 
     /// Run one **fused executor sweep** — compute plus every scatter stage —
     /// as a *single* backend region: one epoch advance, one engine
@@ -382,8 +427,8 @@ pub trait Backend {
         I: IntoIterator<Item = St>,
         F: Fn(&mut RankCtx<'_>, St) + Sync,
     {
-        let result = catch_unwind(AssertUnwindSafe(|| self.run_compute(state, kernel)));
-        finish_attempt(self, result)
+        let attempt = catch_unwind(AssertUnwindSafe(|| self.run_compute(state, kernel)));
+        diagnose_attempt(self, attempt)
     }
 
     /// Take the flaw detected during the last completed region, if any —
@@ -406,21 +451,22 @@ pub trait Backend {
     }
 }
 
-/// Tail of [`Backend::try_run_compute`]: convert a caught panic into a
-/// typed error, surface any post-phase flaw, and report the diagnosis to
+/// Diagnose one attempted region (or run of regions) on `backend`: a caught
+/// panic becomes a typed [`PhaseError`] at the machine's current epoch and
+/// supersedes any straggler report from the same attempt, a straggler alone
+/// fails an otherwise completed attempt, and the diagnosis is reported to
 /// the observers (an `ErrorDiagnosed` instant carrying the failing epoch,
 /// which freezes the flight recorder's tail — see [`Machine::observe`]).
-fn finish_attempt<B: Backend + ?Sized>(
+pub fn diagnose_attempt<B: Backend + ?Sized, R>(
     backend: &mut B,
-    result: Result<(), Box<dyn std::any::Any + Send>>,
-) -> Result<(), PhaseError> {
-    // A panic supersedes any straggler report from the same region.
+    attempt: std::thread::Result<R>,
+) -> Result<R, PhaseError> {
     let flaw = backend.take_phase_flaw();
-    let err = match result {
-        Ok(()) => flaw,
-        Err(payload) => Some(PhaseError::from_payload(backend.machine().epoch(), payload)),
+    let err = match (attempt, flaw) {
+        (Ok(value), None) => return Ok(value),
+        (Ok(_), Some(flaw)) => flaw,
+        (Err(payload), _) => PhaseError::from_payload(backend.machine().epoch(), payload),
     };
-    let Some(err) = err else { return Ok(()) };
     backend
         .machine_mut()
         .observe(TraceEventKind::ErrorDiagnosed, err.epoch() as u32);
@@ -428,12 +474,35 @@ fn finish_attempt<B: Backend + ?Sized>(
 }
 
 /// Close a hand-charged phase per the requested [`PhaseEnd`].
-pub(crate) fn close_phase(machine: &mut Machine, end: PhaseEnd<'_>, phase: PhaseCharge) {
+fn close_phase(machine: &mut Machine, end: PhaseEnd<'_>, phase: PhaseCharge) {
     match end {
         PhaseEnd::Quiet => machine.end_phase_quiet(phase),
         PhaseEnd::Labelled(label) => machine.end_phase(label, phase),
         PhaseEnd::QuietLabelled(label) => machine.end_phase_quiet_labelled(label, phase),
     }
+}
+
+/// The one driver-side **charge-only pack stage**: `pack` charges per rank,
+/// in rank order, into a fresh phase accumulator, then the phase closes per
+/// `end`. It touches only the shared [`Machine`], so `run_phase`'s pack,
+/// [`run_phase_inline`]'s and both engines' fused-sweep scatter packs are
+/// this one function and charge identically by construction. `fire_faults`
+/// makes each rank's entry a fault-injection point (a region's first stage);
+/// packs folded into an enclosing region leave it off.
+pub(crate) fn charge_stage<A>(machine: &mut Machine, end: PhaseEnd<'_>, fire_faults: bool, pack: A)
+where
+    A: Fn(&mut RankCtx<'_>),
+{
+    let nprocs = machine.nprocs();
+    let mut phase = PhaseCharge::new();
+    for rank in 0..nprocs {
+        if fire_faults {
+            fault::fire_traced(machine, rank, Lane::Driver);
+        }
+        let mut ctx = RankCtx::direct(rank, nprocs, machine, Some(&mut phase));
+        pack(&mut ctx);
+    }
+    close_phase(machine, end, phase);
 }
 
 /// Replay recorded charge events against the machine, in the order they were
@@ -457,33 +526,37 @@ pub(crate) fn replay_events(
     }
 }
 
-/// The sequential compute loop shared by [`Machine`]'s `run_compute` and the
-/// unpack half of its `run_phase` — factored out so each public `run_*`
-/// entry point advances the epoch exactly once.
-fn machine_compute<St, I, F>(machine: &mut Machine, state: I, kernel: F)
-where
-    St: Send,
+/// One stage of rank kernels run serially on the driver, charging the
+/// machine directly, lazily over the state iterator (nothing is collected,
+/// which keeps the sequential engine's phases allocation-free). `observed`
+/// stages are rank-kernel stages proper — a fault-injection point and a
+/// `KernelEnter` span per rank; the unpack of an inline phase and the
+/// sequential combine stage are not.
+fn serial_stage<St, I, F>(
+    machine: &mut Machine,
+    mut phase: Option<&mut PhaseCharge>,
+    observed: bool,
+    state: I,
+    kernel: F,
+) where
     I: IntoIterator<Item = St>,
-    F: Fn(&mut RankCtx<'_>, St) + Sync,
+    F: Fn(&mut RankCtx<'_>, St),
 {
     let nprocs = machine.nprocs();
     let mut count = 0;
     for (rank, st) in state.into_iter().enumerate() {
         assert!(rank < nprocs, "state must yield one item per rank");
-        fault::fire_traced(machine, rank, Lane::Driver);
-        let span = machine
-            .probe()
-            .enter(Lane::Driver, TraceEventKind::KernelEnter, rank as u32);
-        let mut ctx = RankCtx {
-            rank,
-            nprocs,
-            sink: Sink::Direct {
-                machine,
-                phase: None,
-            },
-        };
+        if observed {
+            fault::fire_traced(machine, rank, Lane::Driver);
+        }
+        let probe = machine.probe();
+        let span =
+            observed.then(|| probe.enter(Lane::Driver, TraceEventKind::KernelEnter, rank as u32));
+        let mut ctx = RankCtx::direct(rank, nprocs, machine, phase.as_deref_mut());
         kernel(&mut ctx, st);
-        machine.probe().exit(Lane::Driver, span, 1);
+        if let Some(span) = span {
+            machine.probe().exit(Lane::Driver, span, 1);
+        }
         count += 1;
     }
     assert_eq!(count, nprocs, "state must yield one item per rank");
@@ -511,35 +584,8 @@ pub fn run_phase_inline<St, I, A, B>(
     A: Fn(&mut RankCtx<'_>),
     B: Fn(&mut RankCtx<'_>, St),
 {
-    let nprocs = machine.nprocs();
-    let mut phase = PhaseCharge::new();
-    for rank in 0..nprocs {
-        let mut ctx = RankCtx {
-            rank,
-            nprocs,
-            sink: Sink::Direct {
-                machine,
-                phase: Some(&mut phase),
-            },
-        };
-        pack(&mut ctx);
-    }
-    close_phase(machine, end, phase);
-    let mut count = 0;
-    for (rank, st) in state.into_iter().enumerate() {
-        assert!(rank < nprocs, "state must yield one item per rank");
-        let mut ctx = RankCtx {
-            rank,
-            nprocs,
-            sink: Sink::Direct {
-                machine,
-                phase: None,
-            },
-        };
-        unpack(&mut ctx, st);
-        count += 1;
-    }
-    assert_eq!(count, nprocs, "state must yield one item per rank");
+    charge_stage(machine, end, false, pack);
+    serial_stage(machine, None, false, state, unpack);
 }
 
 /// The sequential engine: rank kernels run on the driver thread in ascending
@@ -554,74 +600,13 @@ impl Backend for Machine {
         self
     }
 
-    fn run_compute<St, I, F>(&mut self, state: I, kernel: F)
+    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
     where
         St: Send,
         I: IntoIterator<Item = St>,
         F: Fn(&mut RankCtx<'_>, St) + Sync,
     {
-        self.advance_epoch();
-        machine_compute(self, state, kernel);
-    }
-
-    fn run_phase<St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
-    where
-        St: Send,
-        I: IntoIterator<Item = St>,
-        A: Fn(&mut RankCtx<'_>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St) + Sync,
-    {
-        self.advance_epoch();
-        let nprocs = self.nprocs();
-        let mut phase = PhaseCharge::new();
-        for rank in 0..nprocs {
-            fault::fire_traced(self, rank, Lane::Driver);
-            let mut ctx = RankCtx {
-                rank,
-                nprocs,
-                sink: Sink::Direct {
-                    machine: self,
-                    phase: Some(&mut phase),
-                },
-            };
-            pack(&mut ctx);
-        }
-        close_phase(self, end, phase);
-        machine_compute(self, state, unpack);
-    }
-
-    fn run_exchange<T, St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
-    where
-        T: Send + Sync,
-        St: Send,
-        I: IntoIterator<Item = St>,
-        A: Fn(&mut RankCtx<'_>, &mut Outbox<'_, T>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St, &Inbox<'_, T>) + Sync,
-    {
-        self.advance_epoch();
-        let nprocs = self.nprocs();
-        let mut matrix: Vec<Vec<Vec<T>>> = (0..nprocs)
-            .map(|_| (0..nprocs).map(|_| Vec::new()).collect())
-            .collect();
-        let mut phase = PhaseCharge::new();
-        for (rank, row) in matrix.iter_mut().enumerate() {
-            fault::fire_traced(self, rank, Lane::Driver);
-            let mut ctx = RankCtx {
-                rank,
-                nprocs,
-                sink: Sink::Direct {
-                    machine: self,
-                    phase: Some(&mut phase),
-                },
-            };
-            pack(&mut ctx, &mut Outbox { row });
-        }
-        close_phase(self, end, phase);
-        let matrix = &matrix;
-        machine_compute(self, state, |ctx, st| {
-            let me = ctx.rank();
-            unpack(ctx, st, &Inbox { matrix, me });
-        });
+        serial_stage(self, phase, true, state, kernel);
     }
 
     fn run_sweep<Sc, Px, C, A, P, S>(
@@ -645,55 +630,23 @@ impl Backend for Machine {
         let nprocs = self.nprocs();
         assert_eq!(scratch.len(), nprocs, "one scratch item per rank");
         assert_eq!(posted.len(), nprocs, "one posted area per rank");
-        for (rank, (sc, px)) in scratch.iter_mut().zip(posted.iter_mut()).enumerate() {
-            fault::fire_traced(self, rank, Lane::Driver);
-            let span = self
-                .probe()
-                .enter(Lane::Driver, TraceEventKind::KernelEnter, rank as u32);
-            let mut ctx = RankCtx {
-                rank,
-                nprocs,
-                sink: Sink::Direct {
-                    machine: self,
-                    phase: None,
-                },
-            };
-            compute(&mut ctx, sc, px);
-            self.probe().exit(Lane::Driver, span, 1);
-        }
+        let stripe = scratch.iter_mut().zip(posted.iter_mut());
+        self.fan_out(None, stripe, |ctx, (sc, px)| compute(ctx, sc, px));
+        let posted = &*posted;
         for j in 0..nscatter {
             if !scatter_active(posted, j) {
                 continue;
             }
-            let mut phase = PhaseCharge::new();
-            for rank in 0..nprocs {
-                let mut ctx = RankCtx {
-                    rank,
-                    nprocs,
-                    sink: Sink::Direct {
-                        machine: self,
-                        phase: Some(&mut phase),
-                    },
-                };
-                scatter_pack(&mut ctx, j);
-            }
-            close_phase(self, PhaseEnd::QuietLabelled(FUSED_SWEEP_LABEL), phase);
+            let end = PhaseEnd::QuietLabelled(FUSED_SWEEP_LABEL);
+            charge_stage(self, end, false, |ctx| scatter_pack(ctx, j));
             // The sequential engine's stripe is every rank: one combine
             // span per active buffer, like each pool lane's.
             let span = self
                 .probe()
                 .enter(Lane::Driver, TraceEventKind::CombineEnter, j as u32);
-            for (rank, sc) in scratch.iter_mut().enumerate() {
-                let mut ctx = RankCtx {
-                    rank,
-                    nprocs,
-                    sink: Sink::Direct {
-                        machine: self,
-                        phase: None,
-                    },
-                };
-                combine(&mut ctx, j, sc, &*posted);
-            }
+            serial_stage(self, None, false, scratch.iter_mut(), |ctx, sc| {
+                combine(ctx, j, sc, posted)
+            });
             self.probe().exit(Lane::Driver, span, nprocs as u64);
         }
     }
@@ -828,6 +781,74 @@ mod tests {
         let expect: Vec<u64> = (0..8).map(|r| ((r + 7) % 8) as u64 * 100).collect();
         assert_eq!(got, expect);
         assert_eq!(m.stats().grand_totals().messages, 8);
+    }
+
+    #[test]
+    fn exchange_pack_is_a_fault_point_at_one_coordinate_on_both_engines() {
+        use crate::fault::{FaultKind, FaultPlan, PhaseCause};
+        use crate::pool::PooledBackend;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        // A clean compute region, then an exchange whose epoch carries a
+        // planted panic on `rank`: the error's coordinates, whether the
+        // unpack stage ran, and what the machine looks like afterwards.
+        fn failed_exchange<B: Backend>(backend: &mut B, rank: usize) -> (PhaseError, bool, bool) {
+            backend.run_charges(|ctx| ctx.charge_compute(ctx.rank(), 1.0));
+            let before = (
+                backend.machine().elapsed(),
+                backend.machine().stats().grand_totals(),
+            );
+            let plan = FaultPlan::new().with_fault(2, rank, FaultKind::KernelPanic);
+            backend
+                .machine_mut()
+                .install_fault_plan(Some(Arc::new(plan)));
+            let unpacked = AtomicBool::new(false);
+            let mut got = vec![0u64; backend.nprocs()];
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                backend.run_exchange(
+                    PhaseEnd::Labelled("rotate"),
+                    |ctx, outbox: &mut Outbox<'_, u64>| {
+                        let (r, to) = (ctx.rank(), (ctx.rank() + 1) % ctx.nprocs());
+                        outbox.post(to, [r as u64]);
+                        ctx.charge_p2p(r, to, 1);
+                    },
+                    got.iter_mut(),
+                    |_, _, _| unpacked.store(true, Ordering::Relaxed),
+                )
+            }));
+            let err = diagnose_attempt(backend, attempt).unwrap_err();
+            let machine = backend.machine();
+            assert_eq!(machine.epoch(), 2);
+            // The phase never closed, whichever rank failed.
+            assert_eq!(machine.stats().grand_totals(), before.1);
+            let clocks_untouched = machine.elapsed() == before.0;
+            (err, unpacked.load(Ordering::Relaxed), clocks_untouched)
+        }
+
+        for rank in [0, 2] {
+            let mut seq = machine(4);
+            let mut pool = PooledBackend::from_config_with_workers(MachineConfig::ipsc860(4), 2);
+            let (seq_err, seq_unpacked, seq_untouched) = failed_exchange(&mut seq, rank);
+            let (pool_err, pool_unpacked, pool_untouched) = failed_exchange(&mut pool, rank);
+            for (err, unpacked) in [(&seq_err, seq_unpacked), (&pool_err, pool_unpacked)] {
+                assert!(!unpacked, "the fault fires at the pack stage");
+                let PhaseError::RankPanic { epoch, failures } = err else {
+                    panic!("expected RankPanic, got {err:?}");
+                };
+                assert_eq!((*epoch, failures.len()), (2, 1));
+                assert_eq!((failures[0].epoch, failures[0].rank), (2, Some(rank)));
+                assert_eq!(
+                    failures[0].cause,
+                    PhaseCause::Injected(FaultKind::KernelPanic)
+                );
+            }
+            // The pool replays nothing of a failed stage. The oracle charges
+            // as it goes, so only the ranks before the failing one have
+            // packed: none of them when rank 0 fails.
+            assert!(pool_untouched, "rank {rank}: pool clocks moved");
+            assert_eq!(seq_untouched, rank == 0, "rank {rank}: oracle clocks");
+        }
     }
 
     #[test]

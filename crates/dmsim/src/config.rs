@@ -24,19 +24,6 @@ pub enum Topology {
     Mesh2D,
 }
 
-/// How processor clocks are reconciled at the end of a communication phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SyncModel {
-    /// Every communication phase ends with an implicit barrier: all clocks
-    /// advance to the maximum. This matches loosely-synchronous SPMD
-    /// execution (the model CHAOS assumes) and is the default.
-    BarrierPerPhase,
-    /// Clocks advance independently; only explicit
-    /// [`crate::Machine::synchronize_clocks`]
-    /// calls synchronize them.
-    NoImplicitBarrier,
-}
-
 /// The α–β(–hop) communication and per-operation computation cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
@@ -64,19 +51,6 @@ impl CostModel {
             per_hop: 10e-6,
             compute_unit: 0.1e-6,
             memory_word: 0.025e-6,
-        }
-    }
-
-    /// Cost model for a modern commodity cluster (lower latency, much higher
-    /// bandwidth, much faster cores). Used by the ablation benches to show
-    /// the crossover points move but the orderings do not.
-    pub fn modern_cluster() -> Self {
-        CostModel {
-            alpha: 2e-6,
-            beta_per_byte: 0.0001e-6,
-            per_hop: 0.2e-6,
-            compute_unit: 0.0005e-6,
-            memory_word: 0.0002e-6,
         }
     }
 
@@ -109,8 +83,6 @@ pub struct MachineConfig {
     pub topology: Topology,
     /// Cost model constants.
     pub cost: CostModel,
-    /// Clock synchronization behaviour.
-    pub sync: SyncModel,
     /// Number of bytes occupied by one array element / message word. The
     /// paper's arrays are REAL*8, so the default is 8.
     pub word_bytes: usize,
@@ -123,18 +95,6 @@ impl MachineConfig {
             nprocs,
             topology: Topology::Hypercube,
             cost: CostModel::ipsc860(),
-            sync: SyncModel::BarrierPerPhase,
-            word_bytes: 8,
-        }
-    }
-
-    /// A modern cluster configuration with `nprocs` processors.
-    pub fn modern(nprocs: usize) -> Self {
-        MachineConfig {
-            nprocs,
-            topology: Topology::FullyConnected,
-            cost: CostModel::modern_cluster(),
-            sync: SyncModel::BarrierPerPhase,
             word_bytes: 8,
         }
     }
@@ -145,7 +105,6 @@ impl MachineConfig {
             nprocs,
             topology: Topology::FullyConnected,
             cost: CostModel::unit(),
-            sync: SyncModel::BarrierPerPhase,
             word_bytes: 8,
         }
     }
@@ -153,18 +112,6 @@ impl MachineConfig {
     /// Builder-style: replace the topology.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Builder-style: replace the sync model.
-    pub fn with_sync(mut self, sync: SyncModel) -> Self {
-        self.sync = sync;
-        self
-    }
-
-    /// Builder-style: replace the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 

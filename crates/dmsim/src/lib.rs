@@ -21,7 +21,9 @@
 //! abstraction: the [`Machine`] itself runs rank kernels sequentially in
 //! rank order (the deterministic oracle), and [`PooledBackend`] drives a
 //! pool of long-lived workers through broadcast phase descriptors and an
-//! epoch barrier (the rank-parallel engine). The pool records each rank's
+//! epoch barrier (the rank-parallel engine). An engine implements one stage
+//! of rank kernels ([`Backend::fan_out`]) and the fused sweep; every other
+//! region is a provided method of the trait. The pool records each rank's
 //! charges and replays them in rank order — so the *modeled* time never
 //! depends on real execution order and every experiment is reproducible
 //! bit-for-bit on either engine (see [`backend`]
@@ -71,8 +73,8 @@ pub mod trace;
 // their own dependency on it.
 pub use serde_json;
 
-pub use backend::{run_phase_inline, Backend, Inbox, Outbox, PhaseEnd, RankCtx};
-pub use config::{CostModel, MachineConfig, SyncModel, Topology};
+pub use backend::{diagnose_attempt, run_phase_inline, Backend, Inbox, Outbox, PhaseEnd, RankCtx};
+pub use config::{CostModel, MachineConfig, Topology};
 pub use exchange::{Delivered, ExchangePlan, Message};
 pub use fault::{
     Fault, FaultKind, FaultPlan, InjectedFault, PhaseCause, PhaseError, RankFailure, RecoveryPolicy,

@@ -1,7 +1,7 @@
 //! The [`Machine`]: processor clocks + cost model + statistics, and the
 //! primitive operations the CHAOS runtime is built on.
 
-use crate::config::{MachineConfig, SyncModel};
+use crate::config::MachineConfig;
 use crate::exchange::{Delivered, ExchangePlan};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
@@ -368,8 +368,8 @@ impl Machine {
     /// Self-sends (messages with `from == to`) move data but are charged only
     /// the memory-copy cost, no α/β.
     ///
-    /// When the sync model is [`SyncModel::BarrierPerPhase`] every clock is
-    /// advanced to the phase maximum afterwards.
+    /// The phase ends with the loosely-synchronous model's implicit barrier:
+    /// every clock is advanced to the phase maximum afterwards.
     pub fn exchange<T: Clone + Send>(
         &mut self,
         label: &str,
@@ -411,9 +411,7 @@ impl Machine {
 
         self.probe.phase_closed(&stats);
         self.stats.record(label, stats);
-        if self.cfg.sync == SyncModel::BarrierPerPhase {
-            self.synchronize_clocks();
-        }
+        self.synchronize_clocks();
         Delivered::from_messages(nprocs, plan.into_messages())
     }
 
@@ -448,13 +446,11 @@ impl Machine {
     }
 
     /// Finish a hand-charged message phase, recording it under `label` and
-    /// applying the per-phase barrier if the sync model asks for one.
+    /// applying the per-phase barrier.
     pub fn end_phase(&mut self, label: &str, phase: PhaseCharge) {
         self.probe.phase_closed(&phase.stats);
         self.stats.record(label, phase.stats);
-        if self.cfg.sync == SyncModel::BarrierPerPhase {
-            self.synchronize_clocks();
-        }
+        self.synchronize_clocks();
     }
 
     /// Finish a hand-charged message phase without keeping a labelled
@@ -465,9 +461,7 @@ impl Machine {
     pub fn end_phase_quiet(&mut self, phase: PhaseCharge) {
         self.probe.phase_closed(&phase.stats);
         self.stats.record_quiet(phase.stats);
-        if self.cfg.sync == SyncModel::BarrierPerPhase {
-            self.synchronize_clocks();
-        }
+        self.synchronize_clocks();
     }
 
     /// Finish a hand-charged message phase without a per-phase record, but
@@ -479,14 +473,14 @@ impl Machine {
     pub fn end_phase_quiet_labelled(&mut self, label: &'static str, phase: PhaseCharge) {
         self.probe.phase_closed(&phase.stats);
         self.stats.record_quiet_labelled(label, phase.stats);
-        if self.cfg.sync == SyncModel::BarrierPerPhase {
-            self.synchronize_clocks();
-        }
+        self.synchronize_clocks();
     }
 
-    /// Advance every clock to the current maximum total, charging the
-    /// difference as idle time.
-    pub fn synchronize_clocks(&mut self) {
+    /// The implicit barrier that ends every communication phase
+    /// (loosely-synchronous SPMD, the model CHAOS assumes): advance every
+    /// clock to the current maximum total, charging the difference as idle
+    /// time.
+    fn synchronize_clocks(&mut self) {
         let max_total = self
             .clocks
             .iter()
@@ -504,11 +498,11 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MachineConfig, SyncModel};
+    use crate::config::MachineConfig;
 
     #[test]
     fn exchange_charges_both_ends() {
-        let mut m = Machine::new(MachineConfig::unit(2).with_sync(SyncModel::NoImplicitBarrier));
+        let mut m = Machine::new(MachineConfig::unit(2));
         let mut plan = ExchangePlan::new(2);
         plan.push(0, 1, vec![1u64, 2, 3]);
         let d = m.exchange("test", plan);
@@ -522,7 +516,7 @@ mod tests {
 
     #[test]
     fn self_send_is_memory_only() {
-        let mut m = Machine::new(MachineConfig::unit(2).with_sync(SyncModel::NoImplicitBarrier));
+        let mut m = Machine::new(MachineConfig::unit(2));
         let mut plan = ExchangePlan::new(2);
         plan.push(0, 0, vec![1u64, 2]);
         let d = m.exchange("local", plan);

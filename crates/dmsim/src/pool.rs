@@ -11,12 +11,16 @@
 //!   so a pool of `w` workers spawns only `w - 1` OS threads — and a
 //!   single-worker pool runs everything inline with no synchronization at
 //!   all.
-//! * **Phases are broadcast, not spawned.** Each `run_*` call publishes one
-//!   type-erased phase descriptor (a borrowed closure, made to outlive the
-//!   call through the pool's epoch protocol) and releases the workers by
-//!   bumping an epoch counter — the monotonic generalization of a
-//!   sense-reversing barrier flag: a worker's "sense" is the last epoch it
-//!   completed, and the release test is simply `epoch != seen`.
+//! * **Stages are broadcast, not spawned.** The engine has **one lane
+//!   body** (`PooledBackend::run_lanes`, the only caller of
+//!   `WorkerPool::run`): a kernel stage over the lane's stripe and, for the
+//!   fused sweep, a stage barrier followed by the combine stages. The two
+//!   things the pool implements of [`Backend`], `fan_out` and `run_sweep`,
+//!   publish it as one type-erased descriptor (a borrowed closure, made to
+//!   outlive the call through the pool's epoch protocol) and release the
+//!   workers by bumping an epoch counter — the monotonic generalization of
+//!   a sense-reversing barrier flag: a worker's "sense" is the last epoch
+//!   it completed, and the release test is simply `epoch != seen`.
 //! * **The barrier has two phases.** Release: workers spin briefly on the
 //!   epoch, then park on a condvar (spin-then-park keeps back-to-back
 //!   phases off the scheduler while letting an idle pool consume no CPU).
@@ -42,8 +46,7 @@
 //! count, on any core count.
 
 use crate::backend::{
-    close_phase, replay_events, Backend, ChargeEvent, Inbox, Outbox, PhaseEnd, RankCtx,
-    FUSED_SWEEP_LABEL,
+    charge_stage, replay_events, Backend, ChargeEvent, PhaseEnd, RankCtx, FUSED_SWEEP_LABEL,
 };
 use crate::config::MachineConfig;
 use crate::fault::{self, CaughtPanic, PanicBundle, PhaseError};
@@ -472,6 +475,34 @@ impl<T> RawCells<T> {
     }
 }
 
+/// Number of ranks striped onto `lane` (`rank % lanes == lane`).
+fn stripe_len(nprocs: usize, lanes: usize, lane: usize) -> usize {
+    if lane >= nprocs {
+        0
+    } else {
+        (nprocs - lane).div_ceil(lanes)
+    }
+}
+
+/// The rank a straggler report names: `lane` had completed `done`
+/// rank-executions (counted across every stage of the region, each stage a
+/// pass over the lane's stripe) when the barrier deadline passed, so it was
+/// executing — or about to execute — position `done % stripe` of its stripe;
+/// a lane that had just finished a pass (or the whole region) without
+/// arriving is pinned to the last rank it ran. Always a rank of `lane`'s own
+/// stripe; a lane with an empty stripe has none, and the last rank stands in.
+fn straggler_rank(nprocs: usize, lanes: usize, lane: usize, done: usize) -> usize {
+    let stripe = stripe_len(nprocs, lanes, lane);
+    if stripe == 0 {
+        return nprocs.saturating_sub(1);
+    }
+    let pos = match done % stripe {
+        0 if done > 0 => stripe - 1,
+        pos => pos,
+    };
+    lane + pos * lanes
+}
+
 /// The persistent-pool engine: long-lived workers, a broadcast-descriptor
 /// phase protocol, per-worker reusable charge arenas and static rank →
 /// worker striping (see the module docs).
@@ -574,24 +605,44 @@ impl PooledBackend {
         (self.machine, joined)
     }
 
-    /// Broadcast one phase over the pool: lane `w` runs ranks `w`,
-    /// `w + workers`, `w + 2*workers`, … (static striping), recording each
-    /// rank's charges as one span in the lane's arena.
+    /// Broadcast one region over the pool — the single lane body. Lane `w`
+    /// takes ranks `w`, `w + workers`, … (static striping) and records each
+    /// rank's charges as one span in its arena:
     ///
-    /// Rank panics (organic or injected) are caught per rank, aggregated,
-    /// and re-raised as one [`PanicBundle`] naming every failing rank; in
-    /// that case the arenas are never replayed, so the machine is untouched
-    /// by the failed region. A blown barrier deadline is parked in
-    /// `pending_flaw` as a [`PhaseError::Straggler`].
-    fn fan_out_ranks<F>(&mut self, in_phase: bool, run_rank: F)
-    where
-        F: Fn(&mut RankCtx<'_>, usize) + Sync,
+    /// 1. the **kernel stage**: `kernel(ctx, rank)` per stripe rank, each
+    ///    entry a fault-injection point and a `KernelEnter` span, each rank
+    ///    caught on its own;
+    /// 2. with `ncombine > 0` (the fused sweep), a [`StageBarrier`] — what
+    ///    the kernel stage wrote is frozen past it — then per buffer `j` one
+    ///    span per stripe rank, filled by `combine(ctx, j, rank)` when
+    ///    `active(j)` and left empty otherwise, so span indexing stays
+    ///    uniform for [`Self::replay_stage`]. A plain fan-out has no second
+    ///    stage and does not wait.
+    ///
+    /// Rank panics (organic or injected) are re-raised as one sorted
+    /// [`PanicBundle`] naming every failing rank; the caller then never
+    /// reaches its replay, so the machine is untouched by the failed region.
+    /// A blown barrier deadline is parked in `pending_flaw` as a
+    /// [`PhaseError::Straggler`].
+    fn run_lanes<K, A, S>(
+        &mut self,
+        in_phase: bool,
+        kernel: K,
+        ncombine: usize,
+        active: A,
+        combine: S,
+    ) where
+        K: Fn(&mut RankCtx<'_>, usize) + Sync,
+        A: Fn(usize) -> bool + Sync,
+        S: Fn(&mut RankCtx<'_>, usize, usize) + Sync,
     {
         let nprocs = self.machine.nprocs();
         let lanes = self.pool.lanes;
         let machine = &self.machine;
         let (epoch, probe) = (machine.epoch(), machine.probe());
         let caught: Mutex<Vec<CaughtPanic>> = Mutex::new(Vec::new());
+        let panicked = AtomicBool::new(false);
+        let barrier = StageBarrier::new(lanes);
         let progress = &self.pool.shared.progress;
         let arenas = RawCells::new(&mut self.arenas);
         let straggler = self.pool.run(
@@ -602,26 +653,67 @@ impl PooledBackend {
                 let arena = unsafe { arenas.get_mut(lane) };
                 arena.events.clear();
                 arena.starts.clear();
-                let mut rank = lane;
-                while rank < nprocs {
-                    arena.starts.push(arena.events.len() as u32);
-                    let span = probe.enter(me, TraceEventKind::KernelEnter, rank as u32);
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        fault::fire_traced(machine, rank, me);
-                        let mut ctx = RankCtx::recording(rank, nprocs, &mut arena.events, in_phase);
-                        run_rank(&mut ctx, rank);
-                    }));
-                    probe.exit(me, span, 1);
-                    if let Err(payload) = result {
-                        caught.lock().unwrap().push(CaughtPanic {
-                            epoch,
-                            rank: Some(rank),
-                            lane: Some(lane),
-                            payload,
-                        });
+                let pre = catch_unwind(AssertUnwindSafe(|| {
+                    for rank in (lane..nprocs).step_by(lanes) {
+                        arena.starts.push(arena.events.len() as u32);
+                        let span = probe.enter(me, TraceEventKind::KernelEnter, rank as u32);
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            fault::fire_traced(machine, rank, me);
+                            let mut ctx =
+                                RankCtx::recording(rank, nprocs, &mut arena.events, in_phase);
+                            kernel(&mut ctx, rank);
+                        }));
+                        probe.exit(me, span, 1);
+                        if let Err(payload) = result {
+                            panicked.store(true, Ordering::Release);
+                            caught.lock().unwrap().push(CaughtPanic {
+                                epoch,
+                                rank: Some(rank),
+                                lane: Some(lane),
+                                payload,
+                            });
+                        }
+                        progress[lane].fetch_add(1, Ordering::Release);
                     }
-                    progress[lane].fetch_add(1, Ordering::Release);
-                    rank += lanes;
+                }));
+                if pre.is_err() {
+                    panicked.store(true, Ordering::Release);
+                }
+                if ncombine > 0 {
+                    // Every lane must arrive — re-raising before the barrier
+                    // would deadlock the peers — so an escape from the loop
+                    // above is deferred until after arrival (the lane-level
+                    // backstop in `worker_main` / `WorkerPool::run` keeps
+                    // the payload).
+                    let wait = probe.enter(me, TraceEventKind::StageWaitBegin, 0);
+                    barrier.wait();
+                    probe.exit(me, wait, 1);
+                }
+                if let Err(payload) = pre {
+                    resume_unwind(payload);
+                }
+                // Some rank failed: the region re-raises and never replays,
+                // so the combine stages are skipped pool-wide.
+                if !panicked.load(Ordering::Acquire) {
+                    for j in 0..ncombine {
+                        let active = active(j);
+                        let span =
+                            active.then(|| probe.enter(me, TraceEventKind::CombineEnter, j as u32));
+                        let mut ran = 0u64;
+                        for rank in (lane..nprocs).step_by(lanes) {
+                            arena.starts.push(arena.events.len() as u32);
+                            if active {
+                                let mut ctx =
+                                    RankCtx::recording(rank, nprocs, &mut arena.events, false);
+                                combine(&mut ctx, j, rank);
+                                ran += 1;
+                            }
+                            progress[lane].fetch_add(1, Ordering::Release);
+                        }
+                        if let Some(span) = span {
+                            probe.exit(me, span, ran);
+                        }
+                    }
                 }
                 arena.starts.push(arena.events.len() as u32);
                 probe.instant(me, TraceEventKind::BarrierArrive, lane as u32);
@@ -629,13 +721,10 @@ impl PooledBackend {
             self.deadline,
         );
         if let Some(report) = straggler {
-            // The straggling lane was executing (or about to execute) the
-            // rank its progress counter points at in its stripe.
             let done = report.progress[report.lane] as usize;
-            let rank = (report.lane + done * lanes).min(nprocs.saturating_sub(1));
             self.pending_flaw = Some(PhaseError::Straggler {
                 epoch,
-                rank,
+                rank: straggler_rank(nprocs, lanes, report.lane, done),
                 lane: report.lane,
                 waited: report.waited,
                 progress: report.progress,
@@ -645,15 +734,6 @@ impl PooledBackend {
         if !panics.is_empty() {
             panics.sort_by_key(|p| p.rank);
             resume_unwind(Box::new(PanicBundle { panics }));
-        }
-    }
-
-    /// Number of ranks striped onto `lane` (`rank % lanes == lane`).
-    fn stripe_len(nprocs: usize, lanes: usize, lane: usize) -> usize {
-        if lane >= nprocs {
-            0
-        } else {
-            (nprocs - lane).div_ceil(lanes)
         }
     }
 
@@ -674,7 +754,7 @@ impl PooledBackend {
         for rank in 0..nprocs {
             let lane = rank % lanes;
             let arena = &self.arenas[lane];
-            let i = stage * Self::stripe_len(nprocs, lanes, lane) + rank / lanes;
+            let i = stage * stripe_len(nprocs, lanes, lane) + rank / lanes;
             let (start, end) = (arena.starts[i] as usize, arena.starts[i + 1] as usize);
             replay_events(
                 &mut self.machine,
@@ -683,38 +763,6 @@ impl PooledBackend {
             );
         }
         self.machine.probe().replayed(span, &self.machine);
-    }
-
-    /// Collect a state iterator into per-rank slots, checking arity.
-    fn collect_states<St, I: IntoIterator<Item = St>>(&self, state: I) -> Vec<Option<St>> {
-        let states: Vec<Option<St>> = state.into_iter().map(Some).collect();
-        assert_eq!(
-            states.len(),
-            self.machine.nprocs(),
-            "state must yield one item per rank"
-        );
-        states
-    }
-
-    /// The compute-region body shared by `run_compute` and the unpack half
-    /// of `run_phase` — factored out so each public `run_*` entry point
-    /// advances the machine epoch exactly once.
-    fn compute_impl<St, I, F>(&mut self, state: I, kernel: F)
-    where
-        St: Send,
-        I: IntoIterator<Item = St>,
-        F: Fn(&mut RankCtx<'_>, St) + Sync,
-    {
-        let mut states = self.collect_states(state);
-        {
-            let cells = RawCells::new(&mut states);
-            self.fan_out_ranks(false, |ctx, rank| {
-                // Safety: each rank index is visited exactly once per phase.
-                let st = unsafe { cells.get_mut(rank) }.take().expect("state slot");
-                kernel(ctx, st);
-            });
-        }
-        self.replay_stage(0, None);
     }
 }
 
@@ -727,85 +775,31 @@ impl Backend for PooledBackend {
         &mut self.machine
     }
 
-    fn run_compute<St, I, F>(&mut self, state: I, kernel: F)
+    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
     where
         St: Send,
         I: IntoIterator<Item = St>,
         F: Fn(&mut RankCtx<'_>, St) + Sync,
     {
         if self.inline {
-            return self.machine.run_compute(state, kernel);
+            return self.machine.fan_out(phase, state, kernel);
         }
-        self.machine.advance_epoch();
-        self.compute_impl(state, kernel);
-    }
-
-    fn run_phase<St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
-    where
-        St: Send,
-        I: IntoIterator<Item = St>,
-        A: Fn(&mut RankCtx<'_>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St) + Sync,
-    {
-        if self.inline {
-            return self.machine.run_phase(end, pack, state, unpack);
-        }
-        self.machine.advance_epoch();
-        // The pack stage only charges (it moves no data): run it inline on
-        // the driver — by construction the same charge sequence a record +
-        // replay would produce.
+        let mut states: Vec<Option<St>> = state.into_iter().map(Some).collect();
         let nprocs = self.machine.nprocs();
-        let mut phase = PhaseCharge::new();
-        for rank in 0..nprocs {
-            fault::fire_traced(&self.machine, rank, Lane::Driver);
-            let mut ctx = RankCtx::direct(rank, nprocs, &mut self.machine, Some(&mut phase));
-            pack(&mut ctx);
-        }
-        close_phase(&mut self.machine, end, phase);
-        // The unpack stage does the real data movement: broadcast it.
-        self.compute_impl(state, unpack);
-    }
-
-    fn run_exchange<T, St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
-    where
-        T: Send + Sync,
-        St: Send,
-        I: IntoIterator<Item = St>,
-        A: Fn(&mut RankCtx<'_>, &mut Outbox<'_, T>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St, &Inbox<'_, T>) + Sync,
-    {
-        if self.inline {
-            return self.machine.run_exchange(end, pack, state, unpack);
-        }
-        self.machine.advance_epoch();
-        let nprocs = self.machine.nprocs();
-        let mut matrix: Vec<Vec<Vec<T>>> = (0..nprocs)
-            .map(|_| (0..nprocs).map(|_| Vec::new()).collect())
-            .collect();
-        // Pack: rank r owns row r of the mailbox matrix.
-        {
-            let rows = RawCells::new(&mut matrix);
-            self.fan_out_ranks(true, |ctx, rank| {
-                // Safety: row `rank` is written only by rank `rank`'s lane.
-                let row = unsafe { rows.get_mut(rank) };
-                pack(ctx, &mut Outbox::new(row));
-            });
-        }
-        let mut phase = PhaseCharge::new();
-        self.replay_stage(0, Some(&mut phase));
-        close_phase(&mut self.machine, end, phase);
-        // Unpack: rank r reads column r of the (now frozen) matrix.
-        let mut states = self.collect_states(state);
-        {
-            let cells = RawCells::new(&mut states);
-            let matrix = &matrix;
-            self.fan_out_ranks(false, |ctx, rank| {
-                // Safety: each rank index is visited exactly once per phase.
+        assert_eq!(states.len(), nprocs, "state must yield one item per rank");
+        let cells = RawCells::new(&mut states);
+        self.run_lanes(
+            phase.is_some(),
+            |ctx, rank| {
+                // Safety: each rank index is visited exactly once per region.
                 let st = unsafe { cells.get_mut(rank) }.take().expect("state slot");
-                unpack(ctx, st, &Inbox::new(matrix, rank));
-            });
-        }
-        self.replay_stage(0, None);
+                kernel(ctx, st);
+            },
+            0,
+            |_| false,
+            |_, _, _| {},
+        );
+        self.replay_stage(0, phase);
     }
 
     fn run_sweep<Sc, Px, C, A, P, S>(
@@ -836,152 +830,44 @@ impl Backend for PooledBackend {
                 combine,
             );
         }
-        let epoch = self.machine.advance_epoch();
+        self.machine.advance_epoch();
         let nprocs = self.machine.nprocs();
         assert_eq!(scratch.len(), nprocs, "one scratch item per rank");
         assert_eq!(posted.len(), nprocs, "one posted area per rank");
-        let lanes = self.pool.lanes;
-        let machine = &self.machine;
-        let probe = machine.probe();
-        let caught: Mutex<Vec<CaughtPanic>> = Mutex::new(Vec::new());
-        let panicked = AtomicBool::new(false);
-        let barrier = StageBarrier::new(lanes);
-        let progress = &self.pool.shared.progress;
-        let arenas = RawCells::new(&mut self.arenas);
         let scratch_cells = RawCells::new(&mut *scratch);
         let posted_cells = RawCells::new(&mut *posted);
         // One broadcast release runs the whole sweep: every lane computes
         // its stripe, crosses the stage barrier (after which the posted
         // areas are frozen), then records every combine stage.
-        let straggler = self.pool.run(
-            &|lane: usize, parked: bool| {
-                let me = Lane::Worker(lane);
-                probe.instant(me, TraceEventKind::WorkerRelease, parked as u32);
-                // Safety: lane indices are distinct across the pool's lanes.
-                let arena = unsafe { arenas.get_mut(lane) };
-                arena.events.clear();
-                arena.starts.clear();
-                // Compute stage: per-rank caught, the sweep's only
-                // fault-injection points.
-                let pre = catch_unwind(AssertUnwindSafe(|| {
-                    let mut rank = lane;
-                    while rank < nprocs {
-                        arena.starts.push(arena.events.len() as u32);
-                        let span = probe.enter(me, TraceEventKind::KernelEnter, rank as u32);
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            fault::fire_traced(machine, rank, me);
-                            let mut ctx =
-                                RankCtx::recording(rank, nprocs, &mut arena.events, false);
-                            // Safety: rank → lane striping is a partition.
-                            let sc = unsafe { scratch_cells.get_mut(rank) };
-                            let px = unsafe { posted_cells.get_mut(rank) };
-                            compute(&mut ctx, sc, px);
-                        }));
-                        probe.exit(me, span, 1);
-                        if let Err(payload) = result {
-                            panicked.store(true, Ordering::Release);
-                            caught.lock().unwrap().push(CaughtPanic {
-                                epoch,
-                                rank: Some(rank),
-                                lane: Some(lane),
-                                payload,
-                            });
-                        }
-                        progress[lane].fetch_add(1, Ordering::Release);
-                        rank += lanes;
-                    }
-                }));
-                if pre.is_err() {
-                    panicked.store(true, Ordering::Release);
-                }
-                // Every lane must arrive — re-raising before the barrier
-                // would deadlock the peers — so a pre-barrier escape is
-                // deferred until after arrival (the lane-level backstop in
-                // `worker_main` / `WorkerPool::run` keeps the payload).
-                let wait = probe.enter(me, TraceEventKind::StageWaitBegin, 0);
-                barrier.wait();
-                probe.exit(me, wait, 1);
-                if let Err(payload) = pre {
-                    resume_unwind(payload);
-                }
-                if panicked.load(Ordering::Acquire) {
-                    // Some rank failed: the sweep re-raises and never
-                    // replays, so combine stages are skipped pool-wide.
-                    return;
-                }
-                // Combine stages: the posted areas are frozen now; every
-                // lane records one span per stripe rank per scatter buffer
-                // (empty when the buffer is inactive) so span indexing
-                // stays uniform for the replayer.
-                // Safety: the barrier retired every `&mut` from compute.
-                let posted_view = unsafe { posted_cells.as_slice() };
-                for j in 0..nscatter {
-                    let active = scatter_active(posted_view, j);
-                    let span =
-                        active.then(|| probe.enter(me, TraceEventKind::CombineEnter, j as u32));
-                    let mut ran = 0u64;
-                    let mut rank = lane;
-                    while rank < nprocs {
-                        arena.starts.push(arena.events.len() as u32);
-                        if active {
-                            let mut ctx =
-                                RankCtx::recording(rank, nprocs, &mut arena.events, false);
-                            // Safety: striping partitions scratch too.
-                            let sc = unsafe { scratch_cells.get_mut(rank) };
-                            combine(&mut ctx, j, sc, posted_view);
-                            ran += 1;
-                        }
-                        progress[lane].fetch_add(1, Ordering::Release);
-                        rank += lanes;
-                    }
-                    if let Some(span) = span {
-                        probe.exit(me, span, ran);
-                    }
-                }
-                arena.starts.push(arena.events.len() as u32);
-                probe.instant(me, TraceEventKind::BarrierArrive, lane as u32);
+        self.run_lanes(
+            false,
+            |ctx, rank| {
+                // Safety: rank → lane striping is a partition.
+                let sc = unsafe { scratch_cells.get_mut(rank) };
+                let px = unsafe { posted_cells.get_mut(rank) };
+                compute(ctx, sc, px);
             },
-            self.deadline,
+            nscatter,
+            // Safety (both views): the stage barrier retired every `&mut`
+            // the compute stage took into the posted areas.
+            |j| scatter_active(unsafe { posted_cells.as_slice() }, j),
+            |ctx, j, rank| {
+                // Safety: striping partitions scratch too.
+                let sc = unsafe { scratch_cells.get_mut(rank) };
+                combine(ctx, j, sc, unsafe { posted_cells.as_slice() });
+            },
         );
-        if let Some(report) = straggler {
-            // Progress counts rank-executions across all stages; fold it
-            // back onto the lane's stripe for the rank attribution.
-            let stripe = Self::stripe_len(nprocs, lanes, report.lane);
-            let done = report.progress[report.lane] as usize;
-            let pos = if stripe == 0 { 0 } else { done % stripe };
-            let rank = (report.lane + pos * lanes).min(nprocs.saturating_sub(1));
-            self.pending_flaw = Some(PhaseError::Straggler {
-                epoch,
-                rank,
-                lane: report.lane,
-                waited: report.waited,
-                progress: report.progress,
-            });
-        }
-        let mut panics = caught.into_inner().unwrap();
-        if !panics.is_empty() {
-            panics.sort_by_key(|p| p.rank);
-            resume_unwind(Box::new(PanicBundle { panics }));
-        }
-        // Replay compute, then per active buffer: a driver-side pack stage
-        // (charges only, like `run_phase`'s), a labelled quiet close, and
-        // the buffer's combine spans — ascending rank order throughout, the
-        // exact sequence the sequential engine produces.
+        // Replay compute, then per active buffer: the driver-side pack
+        // stage (charges only, like `run_phase`'s), a labelled quiet close,
+        // and the buffer's combine spans — ascending rank order throughout,
+        // the exact sequence the sequential engine produces.
         self.replay_stage(0, None);
         for j in 0..nscatter {
             if !scatter_active(posted, j) {
                 continue;
             }
-            let mut phase = PhaseCharge::new();
-            for rank in 0..nprocs {
-                let mut ctx = RankCtx::direct(rank, nprocs, &mut self.machine, Some(&mut phase));
-                scatter_pack(&mut ctx, j);
-            }
-            close_phase(
-                &mut self.machine,
-                PhaseEnd::QuietLabelled(FUSED_SWEEP_LABEL),
-                phase,
-            );
+            let end = PhaseEnd::QuietLabelled(FUSED_SWEEP_LABEL);
+            charge_stage(&mut self.machine, end, false, |ctx| scatter_pack(ctx, j));
             self.replay_stage(1 + j, None);
         }
     }
@@ -999,6 +885,7 @@ impl Backend for PooledBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Outbox;
 
     fn engines(p: usize, workers: usize) -> (Machine, PooledBackend) {
         (
@@ -1361,6 +1248,40 @@ mod tests {
         pool.try_run_compute(out.iter_mut(), |ctx, slot| *slot = ctx.rank() as u64)
             .unwrap();
         assert_eq!(out, [0, 1]);
+    }
+
+    #[test]
+    fn straggler_rank_is_always_in_the_reported_lanes_stripe() {
+        for nprocs in 1..=8usize {
+            for lanes in 1..=8usize {
+                for lane in 0..lanes {
+                    let stripe = stripe_len(nprocs, lanes, lane);
+                    for done in 0..=2 * stripe {
+                        let rank = straggler_rank(nprocs, lanes, lane, done);
+                        let at = (nprocs, lanes, lane, done);
+                        assert!(rank < nprocs, "{at:?} -> {rank}");
+                        if stripe == 0 {
+                            continue;
+                        }
+                        assert_eq!(rank % lanes, lane, "{at:?} -> {rank}");
+                        let last = lane + (stripe - 1) * lanes;
+                        if done < stripe {
+                            // In flight: the position the counter points at.
+                            assert_eq!(rank, lane + done * lanes, "{at:?}");
+                        } else if done % stripe == 0 {
+                            // A finished pass: the last rank it ran.
+                            assert_eq!(rank, last, "{at:?}");
+                        } else {
+                            // A later stage walks the same stripe again.
+                            let folded = straggler_rank(nprocs, lanes, lane, done - stripe);
+                            assert_eq!(rank, folded, "{at:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // The parent's clamp named rank 3, which lane 1 runs.
+        assert_eq!(straggler_rank(4, 2, 0, 2), 2);
     }
 
     #[test]

@@ -12,7 +12,8 @@ use super::Executor;
 use crate::error::LangError;
 use crate::lower::LoopPlan;
 use chaos_dmsim::{
-    Backend, Machine, MachineSnapshot, PhaseError, PhaseKind, RecoveryPolicy, TraceEventKind,
+    diagnose_attempt, Backend, Machine, MachineSnapshot, PhaseError, PhaseKind, RecoveryPolicy,
+    TraceEventKind,
 };
 use chaos_runtime::{charge_checkpoint, DistArray};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -139,7 +140,7 @@ impl<B: Backend> Executor<B> {
 
     /// Run one FORALL attempt with panic containment: a panic (injected or
     /// organic) or a pending flaw (straggler) becomes a typed, diagnosed
-    /// [`PhaseError`]. Mirrors `Backend::try_run_compute`, but wraps the
+    /// [`PhaseError`]. `Backend::try_run_compute`'s diagnosis, but around the
     /// whole gather → compute → scatter sweep — and, with `refresh`, the
     /// epoch-checkpoint refresh before it: the refresh charges modeled scan
     /// cost through the backend (a real SPMD phase), so an injected fault
@@ -157,18 +158,7 @@ impl<B: Backend> Executor<B> {
             }
             self.run_forall(plan)
         }));
-        // A panic supersedes any straggler report from the same region.
-        let flaw = self.backend.take_phase_flaw();
-        let err = match attempt {
-            Ok(inner) => match flaw {
-                Some(flaw) => flaw,
-                None => return Ok(inner),
-            },
-            Err(payload) => PhaseError::from_payload(self.backend.machine().epoch(), payload),
-        };
-        self.machine_mut()
-            .observe(TraceEventKind::ErrorDiagnosed, err.epoch() as u32);
-        Err(err)
+        diagnose_attempt(&mut self.backend, attempt)
     }
 
     /// Execute a FORALL under the configured recovery policy.

@@ -211,6 +211,104 @@ fn pool_with_more_workers_than_cores_is_exact() {
     assert_eq!(obs_seq, obs_pool);
 }
 
+/// What [`drive_every_entry_point`] observes on an engine.
+#[derive(Debug, PartialEq)]
+struct RegionsObservation {
+    values: Vec<u64>,
+    clock_bits: Vec<(u64, u64, u64)>,
+    traffic: (usize, usize, usize, u64),
+    epoch: u64,
+}
+
+/// One region through each of the four `Backend` entry points —
+/// `run_compute`, `run_phase`, `run_exchange`, `run_sweep` — each charging
+/// and each feeding its values to the next: the values, the clock bits and
+/// the traffic totals afterwards.
+fn drive_every_entry_point<B: Backend>(backend: &mut B) -> RegionsObservation {
+    use chaos_repro::dmsim::{Outbox, PhaseEnd};
+    let n = backend.nprocs();
+    let mut v = vec![0.0f64; n];
+    backend.run_compute(v.iter_mut(), |ctx, s| {
+        ctx.charge_compute(ctx.rank(), 1.0 + ctx.rank() as f64);
+        *s = ctx.rank() as f64 * 0.5;
+    });
+    let ring = |ctx: &mut chaos_repro::dmsim::RankCtx<'_>| {
+        let r = ctx.rank();
+        ctx.charge_memory(r, 2.0);
+        ctx.charge_p2p(r, (r + 1) % ctx.nprocs(), 2);
+    };
+    backend.run_phase(PhaseEnd::Labelled("ring"), ring, v.iter_mut(), |ctx, s| {
+        ctx.charge_compute(ctx.rank(), 0.25);
+        *s += 1.0;
+    });
+    let sent = v.clone();
+    backend.run_exchange(
+        PhaseEnd::Labelled("rotate"),
+        |ctx, outbox: &mut Outbox<'_, f64>| {
+            let (r, to) = (ctx.rank(), (ctx.rank() + 1) % ctx.nprocs());
+            outbox.post(to, [sent[r]]);
+            ctx.charge_p2p(r, to, 1);
+        },
+        v.iter_mut(),
+        |ctx, s, inbox| {
+            let from = (ctx.rank() + ctx.nprocs() - 1) % ctx.nprocs();
+            *s += 3.0 * inbox.from_rank(from)[0];
+            ctx.charge_memory(ctx.rank(), 1.0);
+        },
+    );
+    let mut posted = vec![0.0f64; n];
+    backend.run_sweep(
+        &mut v,
+        &mut posted,
+        |ctx, s: &mut f64, px: &mut f64| {
+            ctx.charge_compute(ctx.rank(), 2.0);
+            *px = *s * 0.125;
+        },
+        2,
+        |_, j| j == 1,
+        |ctx, _j| ring(ctx),
+        |ctx, _j, s, posted| {
+            ctx.charge_compute(ctx.rank(), 0.5);
+            *s += posted.iter().sum::<f64>();
+        },
+    );
+    let machine = backend.machine();
+    let (e, t) = (machine.elapsed(), machine.stats().grand_totals());
+    RegionsObservation {
+        values: v.iter().map(|x| x.to_bits()).collect(),
+        clock_bits: (0..n)
+            .map(|p| {
+                (
+                    e.compute[p].to_bits(),
+                    e.comm[p].to_bits(),
+                    e.idle[p].to_bits(),
+                )
+            })
+            .collect(),
+        traffic: (t.messages, t.bytes, t.phases, t.comm_seconds.to_bits()),
+        epoch: machine.epoch(),
+    }
+}
+
+/// `degrade()` turns the pool into the sequential oracle for every region
+/// that follows: a pool degraded before the run agrees bit for bit with
+/// `Machine` and with the live pool through all four entry points.
+#[test]
+fn degraded_pool_is_exact_through_every_entry_point() {
+    let cfg = || MachineConfig::ipsc860(8);
+    let want = drive_every_entry_point(&mut Machine::new(cfg()));
+    let mut live = PooledBackend::from_config_with_workers(cfg(), 3);
+    assert_eq!(drive_every_entry_point(&mut live), want, "live pool");
+    let mut degraded = PooledBackend::from_config_with_workers(cfg(), 3);
+    assert!(degraded.degrade(), "the pool can always degrade");
+    assert_eq!(
+        drive_every_entry_point(&mut degraded),
+        want,
+        "degraded pool"
+    );
+    assert_eq!(want.epoch, 4, "one epoch per region");
+}
+
 /// Everything one coupler-driven partitioning run observes on an engine.
 #[derive(Debug, PartialEq)]
 struct PartitionObservation {

@@ -578,3 +578,91 @@ fn each_event_has_one_definition_on_both_engines() {
     let diagnosed = args(&sink, [K::ErrorDiagnosed; 2]);
     assert_eq!(diagnosed, BTreeSet::from([failing as u32]));
 }
+
+/// The engines tell one story to the metrics registry: for a program that
+/// remaps (`REDISTRIBUTE`, a mailbox exchange per aligned array), runs two
+/// FORALLs and scatters, the counters that describe *what ran* — regions,
+/// rank kernels, combine ranks, fired faults, pack volume — are equal on
+/// the sequential engine and on the pool at 1, 2 and `nprocs` workers.
+/// Every region is built from the same stages on both: the exchange's pack
+/// is a rank-kernel stage everywhere, not only on the pool.
+#[test]
+fn what_ran_counters_agree_across_engines() {
+    const SRC: &str = r#"
+        REAL*8 x(nnode), y(nnode)
+        INTEGER e1(nedge), e2(nedge)
+        DYNAMIC, DECOMPOSITION regn(nnode), rege(nedge)
+        DISTRIBUTE regn(BLOCK)
+        DISTRIBUTE rege(BLOCK)
+        ALIGN x, y WITH regn
+        ALIGN e1, e2 WITH rege
+        CALL READ_DATA(x, y, e1, e2)
+        FORALL i = 1, nedge
+          REDUCE(ADD, y(e1(i)), EFLUX1(x(e1(i)), x(e2(i))))
+        END FORALL
+C$      CONSTRUCT g (nnode, LINK(nedge, e1, e2))
+C$      SET dfmt BY PARTITIONING g USING RSB
+C$      REDISTRIBUTE regn(dfmt)
+        FORALL i = 1, nedge
+          REDUCE(ADD, y(e1(i)), EFLUX1(x(e1(i)), x(e2(i))))
+          REDUCE(ADD, y(e2(i)), EFLUX2(x(e1(i)), x(e2(i))))
+        END FORALL
+    "#;
+    const WHAT_RAN: [Counter; 6] = [
+        Counter::Epochs,
+        Counter::KernelRuns,
+        Counter::CombineRuns,
+        Counter::FaultsFired,
+        Counter::PackMessages,
+        Counter::PackBytes,
+    ];
+    let cp = lower_program(parse_program(SRC).expect("parse")).expect("lower");
+    let (nnode, nedge) = (64usize, 192usize);
+    let inputs = ProgramInputs::new()
+        .scalar("nnode", nnode)
+        .scalar("nedge", nedge)
+        .real("x", (0..nnode).map(|i| (i as f64 * 0.3).sin()).collect())
+        .real("y", vec![0.0; nnode])
+        .int("e1", (0..nedge).map(|i| (i % nnode) as u32 + 1).collect())
+        .int(
+            "e2",
+            (0..nedge)
+                .map(|i| ((i * 5 + 2) % nnode) as u32 + 1)
+                .collect(),
+        );
+    // A stall is a fault that fires without failing anything: epoch 1 is a
+    // region of every engine's run, so `FaultsFired` compares 1 with 1.
+    let plan = || {
+        let stall = FaultPlan::new().with_stall(Duration::from_millis(1));
+        Arc::new(stall.with_fault(1, 0, FaultKind::LaneStall))
+    };
+    fn counted<B: Backend>(
+        exec: Executor<B>,
+        cp: &CompiledProgram,
+        plan: Arc<FaultPlan>,
+        lanes: usize,
+    ) -> [u64; 6] {
+        let registry = Arc::new(MetricsRegistry::new(lanes));
+        let mut exec = exec
+            .with_metrics(Arc::clone(&registry))
+            .with_fault_plan(plan);
+        exec.run(cp).expect("program runs");
+        exec.execute_loop(cp, "L2").expect("sweep");
+        let snap = registry.snapshot();
+        assert_eq!(snap.lane_events_lost, 0);
+        WHAT_RAN.map(|c| snap.counter(c))
+    }
+
+    let cfg = || MachineConfig::ipsc860(LANG_NPROCS);
+    let want = counted(Executor::new(cfg(), inputs.clone()), &cp, plan(), 0);
+    assert!(
+        want.iter().all(|&c| c > 0),
+        "a counter saw nothing: {want:?}"
+    );
+    for workers in [1, 2, LANG_NPROCS] {
+        let pool = Executor::new_pooled_with_workers(cfg(), workers, inputs.clone());
+        let got = counted(pool, &cp, plan(), workers);
+        let names = WHAT_RAN.map(|c| c.name());
+        assert_eq!(got, want, "workers={workers}: {names:?}");
+    }
+}
