@@ -1,5 +1,5 @@
-//! Ablation bench: iteration-partitioning policy (owner-computes vs the
-//! paper's almost-owner-computes vs a naive block of iterations), measuring
+//! Ablation bench: iteration-partitioning policy (the paper's
+//! almost-owner-computes vs a naive block of iterations), measuring
 //! both the partitioning pass itself and the off-processor reference count
 //! it leaves for the executor.
 
@@ -29,7 +29,6 @@ fn bench_iter_partition(c: &mut Criterion) {
     let mut group = c.benchmark_group("iter_partition");
     group.sample_size(20);
     for (name, policy) in [
-        ("owner_computes", IterPartitionPolicy::OwnerComputes),
         (
             "almost_owner_computes",
             IterPartitionPolicy::AlmostOwnerComputes,

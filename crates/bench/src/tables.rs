@@ -115,16 +115,6 @@ pub fn format_seconds(v: f64) -> String {
     }
 }
 
-/// The standard per-phase rows as a JSON object keyed by phase label — the
-/// machine-readable emit path for the per-phase breakdowns the tables print.
-pub fn phase_rows_json(t: &PhaseTimes, include_graph_and_partitioner: bool) -> String {
-    let fields: Vec<(String, serde_json::Value)> = phase_rows(t, include_graph_and_partitioner)
-        .into_iter()
-        .map(|(label, v)| (label.to_string(), serde_json::Value::Num(v)))
-        .collect();
-    serde_json::to_string(&serde_json::Value::Object(fields)).unwrap_or_default()
-}
-
 /// The standard per-phase rows (Tables 2–4): returns `(label, value)` pairs
 /// in the paper's order.
 pub fn phase_rows(t: &PhaseTimes, include_graph_and_partitioner: bool) -> Vec<(&'static str, f64)> {
@@ -175,20 +165,6 @@ mod tests {
         assert!(json.contains("\"title\":\"Table X\""));
         assert!(json.contains("\"Executor\""));
         assert!(json.contains("\"12.7\""));
-    }
-
-    #[test]
-    fn phase_rows_json_keys_by_label() {
-        let t = PhaseTimes {
-            inspector: 4.25,
-            executor: 13.0,
-            total: 22.5,
-            ..Default::default()
-        };
-        let json = phase_rows_json(&t, false);
-        assert!(json.contains("\"Inspector\":4.25"));
-        assert!(json.contains("\"Total\":22.5"));
-        assert!(!json.contains("Partitioner"));
     }
 
     #[test]

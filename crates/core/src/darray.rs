@@ -102,30 +102,12 @@ impl<T> DistArray<T> {
         &self.local
     }
 
-    /// Mutable access to every processor's local segment at once (used by
-    /// the executor which updates all processors within one simulated phase).
-    pub fn locals_mut(&mut self) -> &mut [Vec<T>] {
-        &mut self.local
-    }
-
     /// Independently borrowable per-processor shards, in rank order — the
     /// form the rank-parallel executor kernels consume: each rank's kernel
     /// receives exclusive access to its own segment, so the shards can be
     /// distributed over threads (see `chaos_dmsim::Backend`).
     pub fn par_shards_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
         self.local.iter_mut().map(Vec::as_mut_slice)
-    }
-
-    /// Read the element at global index `g`.
-    pub fn get_global(&self, g: usize) -> &T {
-        let (p, off) = self.dist.locate(g);
-        &self.local[p][off]
-    }
-
-    /// Write the element at global index `g`.
-    pub fn set_global(&mut self, g: usize, value: T) {
-        let (p, off) = self.dist.locate(g);
-        self.local[p][off] = value;
     }
 
     /// Overwrite this array's element values with `src`'s, shard by shard,
@@ -194,15 +176,6 @@ mod tests {
         let a = DistArray::from_global("y", Distribution::irregular_from_map(&map, 3), &data);
         assert_eq!(a.to_global(), data);
         assert_eq!(a.local(1), &[101, 104, 107]);
-    }
-
-    #[test]
-    fn global_get_set() {
-        let mut a: DistArray<f64> = DistArray::new("z", Distribution::cyclic(8, 2));
-        a.set_global(5, 2.5);
-        assert_eq!(*a.get_global(5), 2.5);
-        assert_eq!(*a.get_global(0), 0.0);
-        assert_eq!(a.local(1)[2], 2.5); // global 5 = cyclic (1, 2)
     }
 
     #[test]

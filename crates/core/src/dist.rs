@@ -188,11 +188,6 @@ impl Distribution {
             Distribution::Irregular { table } => 0x3000_0000_0000_0000 | table.id(),
         }
     }
-
-    /// True when two distributions are observably identical (same signature).
-    pub fn same_as(&self, other: &Distribution) -> bool {
-        self.signature() == other.signature()
-    }
 }
 
 #[cfg(test)]
@@ -281,15 +276,15 @@ mod tests {
         let b = Distribution::block(100, 4);
         let c = Distribution::block(101, 4);
         let d = Distribution::cyclic(100, 4);
-        assert!(a.same_as(&b));
-        assert!(!a.same_as(&c));
-        assert!(!a.same_as(&d));
+        assert_eq!(a.signature(), b.signature());
+        assert_ne!(a.signature(), c.signature());
+        assert_ne!(a.signature(), d.signature());
         let m = vec![0u32; 100];
         let i1 = Distribution::irregular_from_map(&m, 4);
         let i2 = Distribution::irregular_from_map(&m, 4);
         // Each irregular build is a *new* mapping event and therefore a new DAD.
-        assert!(!i1.same_as(&i2));
-        assert!(i1.same_as(&i1.clone()));
+        assert_ne!(i1.signature(), i2.signature());
+        assert_eq!(i1.signature(), i1.clone().signature());
     }
 
     #[test]

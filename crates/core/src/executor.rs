@@ -226,9 +226,9 @@ pub fn gather_into<B, T>(
     );
 
     // Packing on the owners plus the transfers, then the phase barrier,
-    // then unpacking at the requesters — the same charge order as an
-    // ExchangePlan-based gather, so modeled clocks agree with the naive
-    // reference bit-for-bit.
+    // then unpacking at the requesters — the same charge order as the
+    // materialised gather of the naive reference (`tests/naive`), so
+    // modeled clocks agree with it bit-for-bit.
     backend.run_phase(
         PhaseEnd::Quiet,
         |ctx| gather_pack_kernel(ctx, schedule),

@@ -30,7 +30,7 @@
 //! block of iterations.
 
 use crate::dist::Distribution;
-use crate::schedule::CommSchedule;
+use crate::schedule::{charge_request_exchange, CommSchedule};
 use chaos_dmsim::Backend;
 
 /// Read the element a local index names: `local[idx]` when `idx` is an owned
@@ -165,10 +165,9 @@ impl Inspector {
     /// that sorted order (identical slot numbering to the paper's
     /// owner-then-offset convention).
     ///
-    /// Translation, dedup and reference rewriting are rank-local kernels
-    /// (each rank touches only its own scratch rows), so on the pooled
-    /// [`Backend`] they run on the worker lanes; only the final CSR assembly and
-    /// the schedule's request exchange remain on the driver.
+    /// It is [`Inspector::localize_deferred_exchange`] followed by the
+    /// schedule's request exchange, [`charge_request_exchange`] over the one
+    /// schedule.
     pub fn localize_with_scratch<B: Backend>(
         &self,
         backend: &mut B,
@@ -177,19 +176,26 @@ impl Inspector {
         pattern: &AccessPattern,
         scratch: &mut LocalizeScratch,
     ) -> InspectorResult {
-        self.localize_impl(backend, label, data_dist, pattern, scratch, true)
+        let result = self.localize_deferred_exchange(backend, label, data_dist, pattern, scratch);
+        charge_request_exchange(backend.machine_mut(), label, &[&result.schedule]);
+        result
     }
 
     /// [`Inspector::localize`] with the schedule's request exchange
     /// **deferred**: translation, dedup and reference rewriting are charged
-    /// as usual, but the returned schedule has not paid its build exchange.
+    /// as usual, but the returned schedule has not paid its build exchange
+    /// (building a schedule never charges).
+    ///
+    /// Translation, dedup and reference rewriting are rank-local kernels
+    /// (each rank touches only its own scratch rows), so on the pooled
+    /// [`Backend`] they run on the worker lanes; only the final CSR assembly
+    /// remains on the driver.
     ///
     /// Used by callers that bind the schedule into a resident ghost region
     /// ([`ReuseRegistry::region_bind`](crate::reuse::ReuseRegistry::region_bind))
-    /// and then pay one
-    /// [`charge_merged_request_exchange`](crate::schedule::charge_merged_request_exchange)
-    /// for the ghosts still missing. Callers that do neither must charge the
-    /// exchange themselves or the inspector cost is under-counted.
+    /// and then pay one [`charge_request_exchange`] for the ghosts still
+    /// missing. Callers that do neither must charge the exchange themselves
+    /// or the inspector cost is under-counted.
     pub fn localize_deferred_exchange<B: Backend>(
         &self,
         backend: &mut B,
@@ -197,18 +203,6 @@ impl Inspector {
         data_dist: &Distribution,
         pattern: &AccessPattern,
         scratch: &mut LocalizeScratch,
-    ) -> InspectorResult {
-        self.localize_impl(backend, label, data_dist, pattern, scratch, false)
-    }
-
-    fn localize_impl<B: Backend>(
-        &self,
-        backend: &mut B,
-        label: &str,
-        data_dist: &Distribution,
-        pattern: &AccessPattern,
-        scratch: &mut LocalizeScratch,
-        charge_exchange: bool,
     ) -> InspectorResult {
         let nprocs = backend.nprocs();
         assert_eq!(
@@ -316,19 +310,16 @@ impl Inspector {
             ghost_counts.push(offproc.len());
         }
 
-        // Step 3: build the communication schedule (request exchange charged
-        // inside unless deferred for merging). The schedule owns its arenas,
-        // so the scratch arrays are cloned out — their capacity stays with
-        // the scratch for the next run.
-        let schedule = CommSchedule::from_csr_parts_local(
+        // Step 3: build the communication schedule (its request exchange is
+        // the caller's to charge). The schedule owns its arenas, so the
+        // scratch arrays are cloned out — their capacity stays with the
+        // scratch for the next run.
+        let schedule = CommSchedule::from_csr_parts(
             nprocs,
             scratch.ghost_off.clone(),
             scratch.ghost_owner.clone(),
             scratch.ghost_src.clone(),
         );
-        if charge_exchange {
-            schedule.charge_build_exchange(backend.machine_mut(), label);
-        }
 
         InspectorResult {
             schedule,

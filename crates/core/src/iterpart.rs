@@ -11,8 +11,8 @@
 //!   iteration* to "the processor that is the home of the largest number of
 //!   the iteration's distributed array references".
 //!
-//! Both policies are implemented so the `iter_partition` ablation bench can
-//! compare them.
+//! The runtime implements the second, plus a block-of-iterations baseline
+//! the `iter_partition` ablation bench compares it against.
 //!
 //! [`partition_iterations`] is the one entry point. It reads a loop's
 //! references one iteration at a time as a `&[u32]` **row** and does not
@@ -27,9 +27,6 @@ use chaos_dmsim::Machine;
 /// The iteration-assignment convention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IterPartitionPolicy {
-    /// Assign each iteration to the owner of its first (left-hand-side)
-    /// reference.
-    OwnerComputes,
     /// Assign each iteration to the processor owning the largest number of
     /// its references (ties go to the lowest processor id). The paper's
     /// default.
@@ -96,10 +93,9 @@ impl IterationPartition {
 /// references, as anything that reads as a `&[u32]`. The rows need not be
 /// stored as rows — strided chunks of one flat table, `[u32; 2]` pairs and
 /// nested `Vec`s are all the same input — they may be empty, and they may
-/// differ in length. A row's first entry is the left-hand-side reference
-/// for the owner-computes policy; every entry must be below
-/// `data_dist.len()`. The source must know its length up front
-/// (`BlockOfIterations` sizes its blocks by it) and is walked exactly once.
+/// differ in length. Every entry must be below `data_dist.len()`. The
+/// source must know its length up front (`BlockOfIterations` sizes its
+/// blocks by it) and is walked exactly once.
 ///
 /// The cost of scanning the references is charged to the simulated machine:
 /// in the real system this scan is distributed (each processor examines the
@@ -131,10 +127,6 @@ where
         total_refs += refs.len();
         let target = match policy {
             IterPartitionPolicy::BlockOfIterations => (i / block).min(nprocs - 1),
-            IterPartitionPolicy::OwnerComputes => match refs.first() {
-                Some(&lhs) => data_dist.owner(lhs as usize),
-                None => i % nprocs,
-            },
             IterPartitionPolicy::AlmostOwnerComputes => {
                 if refs.is_empty() {
                     i % nprocs
@@ -198,15 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn owner_computes_uses_first_reference() {
-        let mut m = Machine::new(MachineConfig::unit(2));
-        let d = Distribution::block(8, 2);
-        let p = partition_iterations(&mut m, &d, refs(), IterPartitionPolicy::OwnerComputes);
-        assert_eq!(p.iters(0), &[0, 2, 3]);
-        assert_eq!(p.iters(1), &[1]);
-    }
-
-    #[test]
     fn block_of_iterations_ignores_data() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let d = Distribution::block(8, 2);
@@ -252,7 +235,6 @@ mod tests {
             let flat: Vec<u32> = nested.concat();
             let strided = || (0..pairs.len()).map(|i| &flat[i * width..(i + 1) * width]);
             for policy in [
-                IterPartitionPolicy::OwnerComputes,
                 IterPartitionPolicy::AlmostOwnerComputes,
                 IterPartitionPolicy::BlockOfIterations,
             ] {

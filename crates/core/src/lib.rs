@@ -92,7 +92,7 @@ pub use inspector::{
 pub use iterpart::{IterPartitionPolicy, IterationPartition};
 pub use remap::remap;
 pub use reuse::{GhostRegion, LoopId, LoopRecord, RegionBinding, ReuseDecision, ReuseRegistry};
-pub use schedule::{charge_merged_request_exchange, CommSchedule, SendRef};
+pub use schedule::{charge_request_exchange, CommSchedule, SendRef};
 pub use ttable::{TTablePolicy, TranslationTable};
 
 /// Convenient prelude for downstream crates and examples.

@@ -167,7 +167,7 @@ pub struct GhostRegion {
 impl GhostRegion {
     fn empty(nprocs: usize) -> Self {
         GhostRegion {
-            resident: CommSchedule::from_csr_parts_local(
+            resident: CommSchedule::from_csr_parts(
                 nprocs,
                 vec![0; nprocs + 1],
                 Vec::new(),
@@ -226,9 +226,6 @@ pub struct ReuseRegistry {
     /// Per-loop records, dense-indexed by [`LoopId::index`] — the per-sweep
     /// reuse check is a bounds-checked array load, never a string hash.
     records: Vec<Option<LoopRecord>>,
-    /// Counters for reporting: how many checks reused vs re-ran.
-    reuse_hits: u64,
-    reuse_misses: u64,
     /// Shared resident ghost regions, one per distribution signature.
     regions: HashMap<DadSignature, GhostRegion>,
     /// Global counter behind the per-array write stamps.
@@ -316,27 +313,13 @@ impl ReuseRegistry {
     /// Perform the reuse check for loop `id` given the arrays' *current*
     /// DADs, in the order they were saved — slices, or DADs read in place
     /// off the arrays: nothing is collected, and a check that reuses
-    /// allocates nothing. Does not mutate the registry except for the
-    /// hit/miss counters.
-    pub fn check<D, I>(&mut self, id: &LoopId, data_dads: D, ind_dads: I) -> ReuseDecision
+    /// allocates nothing. Does not mutate the registry.
+    pub fn check<D, I>(&self, id: &LoopId, data_dads: D, ind_dads: I) -> ReuseDecision
     where
         D: IntoIterator<Item: Borrow<Dad>, IntoIter: ExactSizeIterator>,
         I: IntoIterator<Item: Borrow<Dad>, IntoIter: ExactSizeIterator>,
     {
-        let decision = self.check_inner(id, data_dads.into_iter(), ind_dads.into_iter());
-        match &decision {
-            ReuseDecision::Reuse => self.reuse_hits += 1,
-            ReuseDecision::Rerun(_) => self.reuse_misses += 1,
-        }
-        decision
-    }
-
-    fn check_inner(
-        &self,
-        id: &LoopId,
-        data: impl ExactSizeIterator<Item: Borrow<Dad>>,
-        ind: impl ExactSizeIterator<Item: Borrow<Dad>>,
-    ) -> ReuseDecision {
+        let (data, ind) = (data_dads.into_iter(), ind_dads.into_iter());
         let Some(record) = self.record(id) else {
             return ReuseDecision::Rerun(vec![RerunReason::FirstExecution]);
         };
@@ -378,7 +361,7 @@ impl ReuseRegistry {
     /// agree before anyone may skip its inspector, and on the simulator they
     /// always do. Returns the same decision as [`ReuseRegistry::check`].
     pub fn check_on_machine<D, I>(
-        &mut self,
+        &self,
         machine: &mut Machine,
         id: &LoopId,
         data_dads: D,
@@ -392,11 +375,6 @@ impl ReuseRegistry {
         machine.charge_compute_all((data.len() + 2 * ind.len()) as f64);
         collectives::charge_all_reduce_word(machine);
         self.check(id, data, ind)
-    }
-
-    /// `(hits, misses)` counters for reporting.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.reuse_hits, self.reuse_misses)
     }
 
     /// Bind a loop's schedule into the shared resident ghost region of
@@ -506,7 +484,7 @@ mod tests {
 
     #[test]
     fn first_execution_requires_inspector() {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let d = block_dad(100);
         let decision = reg.check(
             &LoopId::new("L2"),
@@ -527,7 +505,6 @@ mod tests {
         reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
         let d = reg.check(&LoopId::new("L"), &[data], &[ind]);
         assert!(d.can_reuse());
-        assert_eq!(reg.hit_miss(), (1, 0));
     }
 
     #[test]
@@ -610,7 +587,6 @@ mod tests {
         // Re-run the inspector (records the new stamp).
         reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
         assert!(reg.check(&LoopId::new("L"), &[data], &[ind]).can_reuse());
-        assert_eq!(reg.hit_miss(), (1, 1));
     }
 
     #[test]
@@ -653,7 +629,7 @@ mod tests {
             }
             off.push(owner.len() as u32);
         }
-        CommSchedule::from_csr_parts_local(2, off, owner, src)
+        CommSchedule::from_csr_parts(2, off, owner, src)
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! executor cost paid every iteration. Amortizing the former over many of
 //! the latter is exactly what the paper's schedule-reuse mechanism is for.
 //!
+//! Constructing a [`CommSchedule`] never charges the machine: the request
+//! exchange is charged by one function, [`charge_request_exchange`], over
+//! every schedule whose ghosts a build actually requests (one, or several
+//! folded into one exchange).
+//!
 //! # Layout
 //!
 //! Because schedule *use* is the per-iteration hot path, the schedule is
@@ -70,61 +75,17 @@ pub struct SendRef<'a> {
 }
 
 impl CommSchedule {
-    /// Build a schedule from each requester's deduplicated off-processor
-    /// reference list.
+    /// Build a schedule from the flat ghost-side arrays (the form the
+    /// inspector produces; see the module docs for the layout):
+    /// `ghost_off[p] .. ghost_off[p+1]` indexes processor `p`'s ghost slots,
+    /// each naming the owning processor and the element's local offset
+    /// there. Slots must not reference elements owned by `p` itself (those
+    /// are local accesses, not ghosts).
     ///
-    /// `ghost_sources[p]` must list, for every ghost slot of processor `p`,
-    /// the owning processor and the element's local offset there. Slots must
-    /// not reference elements owned by `p` itself (those are local accesses,
-    /// not ghosts).
-    ///
-    /// Building the schedule performs the request exchange (each requester
-    /// tells each owner which offsets it needs) and charges it to `machine` —
-    /// this is part of the inspector cost in the paper's tables.
-    pub fn build(machine: &mut Machine, label: &str, ghost_sources: Vec<Vec<(u32, u32)>>) -> Self {
-        let nprocs = machine.nprocs();
-        assert_eq!(
-            ghost_sources.len(),
-            nprocs,
-            "ghost_sources must have one entry per processor"
-        );
-        let total: usize = ghost_sources.iter().map(Vec::len).sum();
-        let mut ghost_off = Vec::with_capacity(nprocs + 1);
-        let mut ghost_owner = Vec::with_capacity(total);
-        let mut ghost_src = Vec::with_capacity(total);
-        ghost_off.push(0u32);
-        for sources in &ghost_sources {
-            for &(owner, offset) in sources {
-                ghost_owner.push(owner);
-                ghost_src.push(offset);
-            }
-            ghost_off.push(ghost_owner.len() as u32);
-        }
-        Self::from_csr_parts(machine, label, ghost_off, ghost_owner, ghost_src)
-    }
-
-    /// Build a schedule directly from the flat ghost-side arrays (the form
-    /// the inspector produces). See the module docs for the layout. Performs
-    /// and charges the same request exchange as [`CommSchedule::build`].
+    /// Nothing is charged: the request exchange is paid by
+    /// [`charge_request_exchange`], once the caller knows which ghosts are
+    /// still missing.
     pub fn from_csr_parts(
-        machine: &mut Machine,
-        label: &str,
-        ghost_off: Vec<u32>,
-        ghost_owner: Vec<u32>,
-        ghost_src: Vec<u32>,
-    ) -> Self {
-        let schedule =
-            Self::from_csr_parts_local(machine.nprocs(), ghost_off, ghost_owner, ghost_src);
-        schedule.charge_build_exchange(machine, label);
-        schedule
-    }
-
-    /// Build a schedule from the flat ghost-side arrays **without charging
-    /// the request exchange** — the deferred form used when a loop's
-    /// schedules are bound into resident ghost regions first and one
-    /// [`charge_merged_request_exchange`] then pays for the ghosts still
-    /// missing.
-    pub fn from_csr_parts_local(
         nprocs: usize,
         ghost_off: Vec<u32>,
         ghost_owner: Vec<u32>,
@@ -154,22 +115,6 @@ impl CommSchedule {
             }
         }
         Self::from_ghost_arrays(nprocs, ghost_off, ghost_owner, ghost_src)
-    }
-
-    /// Charge the schedule's request exchange (each requester tells each
-    /// owner which offsets it needs — one word per requested element),
-    /// recorded as `"<label>:schedule-build"`. Part of the inspector cost in
-    /// the paper's tables; a merged schedule charges it once for all the
-    /// loops' decomposition groups it serves.
-    pub fn charge_build_exchange(&self, machine: &mut Machine, label: &str) {
-        assert_eq!(machine.nprocs(), self.nprocs, "schedule/machine mismatch");
-        let mut phase = PhaseCharge::new();
-        for owner in 0..self.nprocs {
-            for send in self.sends(owner) {
-                machine.charge_p2p(&mut phase, send.to as usize, owner, send.offsets.len());
-            }
-        }
-        machine.end_phase(&format!("{label}:schedule-build"), phase);
     }
 
     /// Processor count the schedule was built for.
@@ -234,15 +179,6 @@ impl CommSchedule {
                 ghost_slots: &self.pack_slot[a..b],
             }
         })
-    }
-
-    /// Maximum ghost count over processors (bounds per-processor buffer
-    /// space).
-    pub fn max_ghosts(&self) -> usize {
-        (0..self.nprocs)
-            .map(|p| self.ghost_count(p))
-            .max()
-            .unwrap_or(0)
     }
 
     /// The part of this schedule not already covered by `resident`: a
@@ -411,19 +347,21 @@ impl CommSchedule {
     }
 }
 
-/// Charge one folded request exchange covering several schedules at once —
-/// the cross-distribution variant of schedule merging — recorded as
-/// `"<label>:schedule-build"`. Every `(owner, requester)` pair that any of
-/// `parts` communicates over carries a single message whose payload
-/// concatenates the per-part offset segments; when a pair carries segments
-/// from two or more parts, each segment is prefixed with one length-tag word
-/// so the owner can split the union back into per-schedule send lists. With
-/// a single part the exchange is bit-identical to
-/// [`CommSchedule::charge_build_exchange`].
+/// Charge the request exchange of `parts` — each requester tells each owner
+/// which offsets it needs — as one phase recorded as
+/// `"<label>:schedule-build"`: the one way a schedule build is charged, and
+/// part of the inspector cost in the paper's tables.
+///
+/// Every `(owner, requester)` pair that any of `parts` communicates over
+/// carries a single message whose payload concatenates the per-part offset
+/// segments, one word per requested element. When a pair carries segments
+/// from two or more parts (the cross-distribution variant of schedule
+/// merging), each segment is prefixed with one length-tag word so the owner
+/// can split the union back into per-schedule send lists.
 ///
 /// Returns the `(messages, words)` actually charged, so callers can record
 /// the saving against the per-part exchanges they replaced.
-pub fn charge_merged_request_exchange(
+pub fn charge_request_exchange(
     machine: &mut Machine,
     label: &str,
     parts: &[&CommSchedule],
@@ -459,22 +397,34 @@ mod tests {
     use super::*;
     use chaos_dmsim::MachineConfig;
 
+    /// A schedule from each requester's `(owner, offset)` ghost list.
+    fn schedule(nprocs: usize, sources: &[Vec<(u32, u32)>]) -> CommSchedule {
+        let mut ghost_off = vec![0u32];
+        let (mut ghost_owner, mut ghost_src) = (Vec::new(), Vec::new());
+        for row in sources {
+            for &(o, s) in row {
+                ghost_owner.push(o);
+                ghost_src.push(s);
+            }
+            ghost_off.push(ghost_owner.len() as u32);
+        }
+        CommSchedule::from_csr_parts(nprocs, ghost_off, ghost_owner, ghost_src)
+    }
+
     /// 2 procs; proc 0 needs elements at offsets 3 and 5 of proc 1, proc 1
     /// needs offset 0 of proc 0.
-    fn simple_schedule(machine: &mut Machine) -> CommSchedule {
-        CommSchedule::build(machine, "test", vec![vec![(1, 3), (1, 5)], vec![(0, 0)]])
+    fn simple_schedule() -> CommSchedule {
+        schedule(2, &[vec![(1, 3), (1, 5)], vec![(0, 0)]])
     }
 
     #[test]
     fn build_produces_matching_send_lists() {
-        let mut m = Machine::new(MachineConfig::unit(2));
-        let s = simple_schedule(&mut m);
+        let s = simple_schedule();
         assert_eq!(s.nprocs(), 2);
         assert_eq!(s.ghost_count(0), 2);
         assert_eq!(s.ghost_count(1), 1);
         assert_eq!(s.total_ghosts(), 3);
         assert_eq!(s.message_count(), 2);
-        assert_eq!(s.max_ghosts(), 2);
 
         let from1: Vec<_> = s.sends(1).collect();
         assert_eq!(from1.len(), 1);
@@ -490,78 +440,42 @@ mod tests {
     #[test]
     fn build_charges_request_exchange() {
         let mut m = Machine::new(MachineConfig::unit(2));
-        let _ = simple_schedule(&mut m);
+        let s = simple_schedule();
+        let (messages, words) = charge_request_exchange(&mut m, "test", &[&s]);
+        assert_eq!((messages, words), (s.message_count(), s.total_ghosts()));
         let t = m.stats().grand_totals();
         assert_eq!(t.messages, 2);
         assert!(m.elapsed().max_seconds() > 0.0);
+        assert_eq!(m.stats().records_labelled("test:schedule-build").count(), 1);
     }
 
     #[test]
     fn empty_schedule_is_free_of_messages() {
         let mut m = Machine::new(MachineConfig::unit(4));
-        let s = CommSchedule::build(&mut m, "empty", vec![Vec::new(); 4]);
+        let s = schedule(4, &[Vec::new(), Vec::new(), Vec::new(), Vec::new()]);
         assert_eq!(s.total_ghosts(), 0);
         assert_eq!(s.message_count(), 0);
+        charge_request_exchange(&mut m, "empty", &[&s]);
         assert_eq!(m.stats().grand_totals().messages, 0);
     }
 
     #[test]
     #[should_panic(expected = "references itself")]
     fn self_reference_rejected() {
-        let mut m = Machine::new(MachineConfig::unit(2));
-        let _ = CommSchedule::build(&mut m, "bad", vec![vec![(0, 1)], Vec::new()]);
+        let _ = schedule(2, &[vec![(0, 1)], Vec::new()]);
     }
 
     #[test]
     #[should_panic(expected = "one entry per processor")]
     fn wrong_shape_rejected() {
-        let mut m = Machine::new(MachineConfig::unit(4));
-        let _ = CommSchedule::build(&mut m, "bad", vec![Vec::new(); 2]);
-    }
-
-    #[test]
-    fn csr_parts_agree_with_nested_build() {
-        // The flat constructor and the nested-Vec convenience wrapper must
-        // produce identical schedules.
-        let sources = vec![
-            vec![(1u32, 3u32), (1, 5), (2, 0)],
-            vec![(0, 0)],
-            vec![(1, 1)],
-        ];
-        let mut m1 = Machine::new(MachineConfig::unit(3));
-        let nested = CommSchedule::build(&mut m1, "n", sources.clone());
-        let mut ghost_off = vec![0u32];
-        let mut ghost_owner = Vec::new();
-        let mut ghost_src = Vec::new();
-        for row in &sources {
-            for &(o, s) in row {
-                ghost_owner.push(o);
-                ghost_src.push(s);
-            }
-            ghost_off.push(ghost_owner.len() as u32);
-        }
-        let mut m2 = Machine::new(MachineConfig::unit(3));
-        let flat = CommSchedule::from_csr_parts(&mut m2, "f", ghost_off, ghost_owner, ghost_src);
-        assert_eq!(nested, flat);
-        assert_eq!(
-            m1.stats().grand_totals().messages,
-            m2.stats().grand_totals().messages
-        );
+        let _ = schedule(4, &[Vec::new(), Vec::new()]);
     }
 
     #[test]
     fn difference_keeps_only_uncovered_sources() {
-        let mut m = Machine::new(MachineConfig::unit(2));
-        let resident = CommSchedule::build(&mut m, "a", vec![vec![(1, 3), (1, 5)], vec![(0, 0)]]);
-        let later = CommSchedule::build(
-            &mut m,
-            "b",
-            vec![vec![(1, 5), (1, 7)], vec![(0, 0), (0, 2)]],
-        );
-        let messages_before = m.stats().grand_totals().messages;
+        let resident = simple_schedule();
+        let later = schedule(2, &[vec![(1, 5), (1, 7)], vec![(0, 0), (0, 2)]]);
         let diff = later.difference(&resident);
-        // Differencing is local: no new messages were charged.
-        assert_eq!(m.stats().grand_totals().messages, messages_before);
         assert_eq!(diff.ghost_sources(0).collect::<Vec<_>>(), vec![(1, 7)]);
         assert_eq!(diff.ghost_sources(1).collect::<Vec<_>>(), vec![(0, 2)]);
         // The send side is rebuilt consistently for the kept subset.
@@ -572,19 +486,15 @@ mod tests {
         assert_eq!(nothing.total_ghosts(), 0);
         assert_eq!(nothing.message_count(), 0);
         // Empty resident → the difference is the schedule itself.
-        let empty = CommSchedule::build(&mut m, "e", vec![Vec::new(); 2]);
+        let empty = schedule(2, &[Vec::new(), Vec::new()]);
         assert_eq!(later.difference(&empty), later);
     }
 
     #[test]
     fn merge_incremental_preserves_resident_slots_and_appends() {
         let mut m = Machine::new(MachineConfig::unit(2));
-        let resident = CommSchedule::build(&mut m, "a", vec![vec![(1, 5), (1, 3)], vec![]]);
-        let newer = CommSchedule::build(
-            &mut m,
-            "b",
-            vec![vec![(1, 3), (1, 7), (1, 0)], vec![(0, 2)]],
-        );
+        let resident = schedule(2, &[vec![(1, 5), (1, 3)], vec![]]);
+        let newer = schedule(2, &[vec![(1, 3), (1, 7), (1, 0)], vec![(0, 2)]]);
         let (merged, map) = resident.merge_incremental(&newer);
         // Resident slots keep their numbers (original, even unsorted, order);
         // newer-only sources are appended in canonical order.
@@ -627,48 +537,11 @@ mod tests {
     }
 
     #[test]
-    fn merged_exchange_with_one_part_matches_charge_build_exchange() {
-        let sources = vec![
-            vec![(1u32, 3u32), (1, 5), (2, 0)],
-            vec![(0, 0)],
-            vec![(1, 1)],
-        ];
-        let mut m1 = Machine::new(MachineConfig::unit(3));
-        let s1 = CommSchedule::build(&mut m1, "L", sources.clone());
-        let mut m2 = Machine::new(MachineConfig::unit(3));
-        let s2 = CommSchedule::from_csr_parts_local(
-            3,
-            {
-                let mut off = vec![0u32];
-                let mut n = 0;
-                for row in &sources {
-                    n += row.len() as u32;
-                    off.push(n);
-                }
-                off
-            },
-            sources.iter().flatten().map(|&(o, _)| o).collect(),
-            sources.iter().flatten().map(|&(_, s)| s).collect(),
-        );
-        let (messages, words) = charge_merged_request_exchange(&mut m2, "L", &[&s2]);
-        assert_eq!(s1, s2);
-        assert_eq!(messages, s1.message_count());
-        assert_eq!(words, s1.total_ghosts());
-        // Identical label, identical message order, identical payloads — the
-        // solo fold is the plain build exchange.
-        assert_eq!(m1.stats().grand_totals(), m2.stats().grand_totals());
-        assert_eq!(
-            m1.elapsed().max_seconds().to_bits(),
-            m2.elapsed().max_seconds().to_bits()
-        );
-    }
-
-    #[test]
     fn merged_exchange_folds_pairs_and_tags_shared_ones() {
         let mut m = Machine::new(MachineConfig::unit(2));
-        let a = CommSchedule::from_csr_parts_local(2, vec![0, 2, 2], vec![1, 1], vec![3, 5]);
-        let b = CommSchedule::from_csr_parts_local(2, vec![0, 1, 2], vec![1, 0], vec![7, 0]);
-        let (messages, words) = charge_merged_request_exchange(&mut m, "F", &[&a, &b]);
+        let a = CommSchedule::from_csr_parts(2, vec![0, 2, 2], vec![1, 1], vec![3, 5]);
+        let b = CommSchedule::from_csr_parts(2, vec![0, 1, 2], vec![1, 0], vec![7, 0]);
+        let (messages, words) = charge_request_exchange(&mut m, "F", &[&a, &b]);
         // Pair (owner 1 → requester 0) is shared by both parts: one message,
         // tagged segments (1 length word each). Pair (0 → 1) only appears in
         // b: untagged. Separate exchanges would have cost 3 messages.

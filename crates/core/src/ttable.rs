@@ -139,13 +139,6 @@ impl TranslationTable {
         self.len().div_ceil(self.nprocs).max(1)
     }
 
-    /// Which processor holds the table *page* for `global` under the
-    /// distributed layout (a BLOCK distribution of the index space).
-    #[inline]
-    pub fn page_owner(&self, global: usize) -> usize {
-        (global / self.page_block()).min(self.nprocs - 1)
-    }
-
     /// Charge the machine for dereferencing `requests` (the cost side of
     /// [`TranslationTable::dereference`], shared by the packed variant).
     ///
@@ -346,16 +339,6 @@ mod tests {
         let answers = t.dereference(&mut m, "test", &[vec![0, 1], vec![], vec![], vec![]]);
         assert_eq!(answers[0], vec![(2, 0), (0, 0)]);
         assert_eq!(m.stats().grand_totals().messages, 0);
-    }
-
-    #[test]
-    fn page_owner_covers_whole_range() {
-        let t = TranslationTable::from_map(&[0; 10], 4);
-        for g in 0..10 {
-            assert!(t.page_owner(g) < 4);
-        }
-        assert_eq!(t.page_owner(0), 0);
-        assert_eq!(t.page_owner(9), 3);
     }
 
     #[test]

@@ -55,11 +55,6 @@ use crate::probe::Lane;
 use crate::trace::TraceEventKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The label bucket every engine's fused executor sweep attributes its
-/// scatter phases to (via [`PhaseEnd::QuietLabelled`]), so fused and split
-/// runs stay distinguishable in recorded phase tables.
-pub const FUSED_SWEEP_LABEL: &str = "executor:fused-sweep";
-
 /// How an exchange phase is closed: recorded under a label (a
 /// [`PhaseRecord`](crate::stats::PhaseRecord) is kept) or quietly (totals
 /// only, no allocation — the executor's steady-state path).
@@ -69,12 +64,6 @@ pub enum PhaseEnd<'a> {
     Quiet,
     /// Record the phase under this label.
     Labelled(&'a str),
-    /// Merge the phase into the per-kind totals *and* a static label bucket
-    /// (see [`StatsRegistry::record_quiet_labelled`]) without keeping a
-    /// record — quiet-path cost, but attributable.
-    ///
-    /// [`StatsRegistry::record_quiet_labelled`]: crate::stats::StatsRegistry::record_quiet_labelled
-    QuietLabelled(&'static str),
 }
 
 /// One recorded charge, replayed against the machine in rank order.
@@ -216,12 +205,6 @@ pub struct Outbox<'a, T> {
 }
 
 impl<T> Outbox<'_, T> {
-    /// The (initially empty) payload buffer destined for rank `to`.
-    #[inline]
-    pub fn payload_mut(&mut self, to: ProcId) -> &mut Vec<T> {
-        &mut self.row[to]
-    }
-
     /// Append `values` to the payload destined for rank `to`.
     pub fn post<I: IntoIterator<Item = T>>(&mut self, to: ProcId, values: I) {
         self.row[to].extend(values);
@@ -478,7 +461,6 @@ fn close_phase(machine: &mut Machine, end: PhaseEnd<'_>, phase: PhaseCharge) {
     match end {
         PhaseEnd::Quiet => machine.end_phase_quiet(phase),
         PhaseEnd::Labelled(label) => machine.end_phase(label, phase),
-        PhaseEnd::QuietLabelled(label) => machine.end_phase_quiet_labelled(label, phase),
     }
 }
 
@@ -637,8 +619,7 @@ impl Backend for Machine {
             if !scatter_active(posted, j) {
                 continue;
             }
-            let end = PhaseEnd::QuietLabelled(FUSED_SWEEP_LABEL);
-            charge_stage(self, end, false, |ctx| scatter_pack(ctx, j));
+            charge_stage(self, PhaseEnd::Quiet, false, |ctx| scatter_pack(ctx, j));
             // The sequential engine's stripe is every rank: one combine
             // span per active buffer, like each pool lane's.
             let span = self

@@ -33,22 +33,20 @@
 //!
 //! ## Quick example
 //!
-//! [`ExchangePlan`] / [`Machine::exchange`] move materialised payloads and
-//! charge the same per-message arithmetic. The runtime no longer calls them:
-//! they are the primitive of the naive reference implementation under
-//! `tests/naive`, the oracle the flat executor is checked against.
+//! The data itself moves through the caller's own buffers; the machine is
+//! told only what each message would cost.
 //!
 //! ```
-//! use chaos_dmsim::{Machine, MachineConfig, ExchangePlan};
+//! use chaos_dmsim::{Machine, MachineConfig, PhaseCharge};
 //!
 //! let mut machine = Machine::new(MachineConfig::ipsc860(4));
-//! // every processor sends its rank to processor 0
-//! let mut plan = ExchangePlan::new(4);
+//! // every processor sends one word (its rank) to processor 0
+//! let mut phase = PhaseCharge::new();
 //! for p in 1..4 {
-//!     plan.push(p, 0, vec![p as u64]);
+//!     machine.charge_p2p(&mut phase, p, 0, 1);
 //! }
-//! let delivered = machine.exchange("gather-ranks", plan);
-//! assert_eq!(delivered.received(0).len(), 3);
+//! machine.end_phase("gather-ranks", phase);
+//! assert_eq!(machine.stats().grand_totals().messages, 3);
 //! assert!(machine.elapsed().max_seconds() > 0.0);
 //! ```
 
@@ -57,7 +55,6 @@
 pub mod backend;
 pub mod collectives;
 pub mod config;
-pub mod exchange;
 pub mod fault;
 pub mod machine;
 pub mod metrics;
@@ -75,7 +72,6 @@ pub use serde_json;
 
 pub use backend::{diagnose_attempt, run_phase_inline, Backend, Inbox, Outbox, PhaseEnd, RankCtx};
 pub use config::{CostModel, MachineConfig, Topology};
-pub use exchange::{Delivered, ExchangePlan, Message};
 pub use fault::{
     Fault, FaultKind, FaultPlan, InjectedFault, PhaseCause, PhaseError, RankFailure, RecoveryPolicy,
 };

@@ -2,7 +2,6 @@
 //! primitive operations the CHAOS runtime is built on.
 
 use crate::config::MachineConfig;
-use crate::exchange::{Delivered, ExchangePlan};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::probe::{Lane, Probe};
@@ -17,12 +16,11 @@ use std::sync::Arc;
 pub type ProcId = usize;
 
 /// Statistics accumulator for a message phase charged message-by-message via
-/// [`Machine::charge_p2p`] instead of through an [`ExchangePlan`].
+/// [`Machine::charge_p2p`].
 ///
 /// One `PhaseCharge` corresponds to one exchange phase: it starts with
-/// `phases = 1` (mirroring what [`Machine::exchange`] records even for an
-/// empty plan) and collects message/byte/time totals as messages are
-/// charged.
+/// `phases = 1` (an empty phase still counts as one) and collects
+/// message/byte/time totals as messages are charged.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseCharge {
     stats: CommStats,
@@ -49,8 +47,8 @@ impl PhaseCharge {
 ///
 /// The machine does not own any application data; the CHAOS runtime keeps
 /// distributed arrays in its own per-processor structures and uses the
-/// machine only to (a) move message payloads between processors and (b)
-/// charge modeled time for communication and local computation.
+/// machine only to charge modeled time for communication and local
+/// computation: data moves directly between the runtime's own buffers.
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: MachineConfig,
@@ -84,9 +82,8 @@ pub struct Machine {
 /// rolling back with [`Machine::restore_from`] are allocation-free in steady
 /// state (once the snapshot's buffers have grown to the machine's working
 /// set and no *new* phase-kind keys or labelled records appear between
-/// refreshes). Restore relies on the machine having evolved forward from
-/// the snapshot without an intervening [`Machine::reset`]: labelled records
-/// are append-only, so rollback just truncates them.
+/// refreshes). The machine's statistics only ever grow — labelled records
+/// are append-only — so rollback just truncates them.
 #[derive(Debug, Clone, Default)]
 pub struct MachineSnapshot {
     clocks: Vec<ProcClock>,
@@ -229,8 +226,7 @@ impl Machine {
         snap.epoch = self.epoch;
     }
 
-    /// Roll this machine back to `snap`. The machine must have evolved
-    /// forward from the snapshot without [`Machine::reset`] in between
+    /// Roll this machine back to `snap`, taken earlier from this machine
     /// (labelled phase records are restored by truncation). Allocation-free
     /// in steady state; the installed fault plan and trace sink are left
     /// as-is.
@@ -294,12 +290,6 @@ impl Machine {
         &self.stats
     }
 
-    /// Mutable access to the statistics registry (used by the harness to set
-    /// the current phase kind).
-    pub fn stats_mut(&mut self) -> &mut StatsRegistry {
-        &mut self.stats
-    }
-
     /// Note communication an optimization avoided — `messages` messages and
     /// `words` payload words (converted to bytes with the machine's word
     /// size) that would have been charged without it. Bookkeeping only:
@@ -319,17 +309,6 @@ impl Machine {
             comm: self.clocks.iter().map(|c| c.comm.as_seconds()).collect(),
             idle: self.clocks.iter().map(|c| c.idle.as_seconds()).collect(),
         }
-    }
-
-    /// Reset all clocks and statistics to zero.
-    pub fn reset(&mut self) {
-        for c in &mut self.clocks {
-            *c = ProcClock::default();
-        }
-        self.stats.clear();
-        self.phase_elapsed.clear();
-        self.last_phase_sample = 0.0;
-        self.epoch = 0;
     }
 
     /// Charge `units` of local computation on processor `proc`.
@@ -353,80 +332,18 @@ impl Machine {
         }
     }
 
-    /// Execute one message exchange phase described by `plan`: the seed's
-    /// materialised charge path. Nothing in the runtime calls it any more —
-    /// every gather, scatter, request exchange and vote charges through
-    /// [`Machine::charge_p2p`] — and it is kept as the primitive of the
-    /// `tests/naive` oracle, which the runtime is checked against.
-    ///
-    /// Costs charged per processor `p`:
-    /// * for every message sent by `p`: `alpha + beta*bytes + per_hop*hops`
-    ///   plus `memory_word` per payload word for packing;
-    /// * for every message received by `p`: the same transfer cost (the
-    ///   receive side of a blocking `csend`/`crecv` pair) plus unpacking.
-    ///
-    /// Self-sends (messages with `from == to`) move data but are charged only
-    /// the memory-copy cost, no α/β.
-    ///
-    /// The phase ends with the loosely-synchronous model's implicit barrier:
-    /// every clock is advanced to the phase maximum afterwards.
-    pub fn exchange<T: Clone + Send>(
-        &mut self,
-        label: &str,
-        plan: ExchangePlan<T>,
-    ) -> Delivered<T> {
-        assert_eq!(
-            plan.nprocs(),
-            self.nprocs(),
-            "exchange plan built for a different machine size"
-        );
-        let word_bytes = self.cfg.word_bytes;
-        let cost = self.cfg.cost;
-        let topology = self.cfg.topology;
-        let nprocs = self.nprocs();
-
-        let mut stats = CommStats {
-            phases: 1,
-            ..CommStats::default()
-        };
-
-        for m in plan.messages() {
-            let words = m.payload.len();
-            let bytes = words * word_bytes;
-            if m.from == m.to {
-                // Local copy only.
-                let t = 2.0 * words as f64 * cost.memory_word;
-                self.clocks[m.from].charge_compute(t);
-                continue;
-            }
-            let h = hops(topology, nprocs, m.from, m.to);
-            let transfer = cost.message_cost(bytes, h);
-            let pack = words as f64 * cost.memory_word;
-            self.clocks[m.from].charge_comm(transfer + pack);
-            self.clocks[m.to].charge_comm(transfer + pack);
-            stats.messages += 1;
-            stats.bytes += bytes;
-            stats.comm_seconds += 2.0 * (transfer + pack);
-        }
-
-        self.probe.phase_closed(&stats);
-        self.stats.record(label, stats);
-        self.synchronize_clocks();
-        Delivered::from_messages(nprocs, plan.into_messages())
-    }
-
     /// Charge one point-to-point message of `words` payload words from
-    /// `from` to `to` without building an [`ExchangePlan`], accumulating its
-    /// statistics into `phase`. The cost math is identical to one message of
-    /// [`Machine::exchange`]: `alpha + beta*bytes + per_hop*hops` transfer
-    /// plus a packing word cost, charged to both endpoint clocks; self-sends
-    /// are charged the local copy cost only and counted as zero messages.
+    /// `from` to `to`, accumulating its statistics into `phase` — the one
+    /// way a message is charged. Both endpoint clocks pay the transfer
+    /// (`alpha + beta*bytes + per_hop*hops`) plus a packing cost of
+    /// `memory_word` per payload word; self-sends pay the local copy cost
+    /// only (in and out) and count as zero messages.
     ///
-    /// This is the allocation-free path the flattened executor uses: data
-    /// moves directly between the runtime's own buffers (the simulator
-    /// shares one address space), and the machine is only asked to account
-    /// for the transfer. Finish the phase with [`Machine::end_phase`] or
-    /// [`Machine::end_phase_quiet`].
+    /// Data moves directly between the runtime's own buffers (the simulator
+    /// shares one address space); the machine only accounts for the
+    /// transfer. Finish the phase with [`Machine::end_phase`] or
+    /// [`Machine::end_phase_quiet`], which end it with the
+    /// loosely-synchronous model's implicit barrier.
     #[inline]
     pub fn charge_p2p(&mut self, phase: &mut PhaseCharge, from: ProcId, to: ProcId, words: usize) {
         let bytes = words * self.cfg.word_bytes;
@@ -464,18 +381,6 @@ impl Machine {
         self.synchronize_clocks();
     }
 
-    /// Finish a hand-charged message phase without a per-phase record, but
-    /// with its totals additionally attributed to a static label bucket
-    /// (see [`StatsRegistry::record_quiet_labelled`]) — how fused sweeps
-    /// stay distinguishable from split phases in recorded tables. Clocks
-    /// and grand totals evolve exactly as [`Machine::end_phase_quiet`];
-    /// allocation-free in steady state once the label's bucket exists.
-    pub fn end_phase_quiet_labelled(&mut self, label: &'static str, phase: PhaseCharge) {
-        self.probe.phase_closed(&phase.stats);
-        self.stats.record_quiet_labelled(label, phase.stats);
-        self.synchronize_clocks();
-    }
-
     /// The implicit barrier that ends every communication phase
     /// (loosely-synchronous SPMD, the model CHAOS assumes): advance every
     /// clock to the current maximum total, charging the difference as idle
@@ -500,13 +405,19 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
 
+    /// One labelled phase of `(from, to, words)` messages, charged in order.
+    fn charge_phase(m: &mut Machine, label: &str, messages: &[(ProcId, ProcId, usize)]) {
+        let mut phase = PhaseCharge::new();
+        for &(from, to, words) in messages {
+            m.charge_p2p(&mut phase, from, to, words);
+        }
+        m.end_phase(label, phase);
+    }
+
     #[test]
     fn exchange_charges_both_ends() {
         let mut m = Machine::new(MachineConfig::unit(2));
-        let mut plan = ExchangePlan::new(2);
-        plan.push(0, 1, vec![1u64, 2, 3]);
-        let d = m.exchange("test", plan);
-        assert_eq!(d.received(1)[0].payload, vec![1, 2, 3]);
+        charge_phase(&mut m, "test", &[(0, 1, 3)]);
         let e = m.elapsed();
         // unit cost: alpha=1, beta=1/byte (3 words * 8 bytes = 24), hop=1,
         // memory=1/word*3 -> transfer=1+24+1=26, pack=3 -> 29 per side.
@@ -517,10 +428,7 @@ mod tests {
     #[test]
     fn self_send_is_memory_only() {
         let mut m = Machine::new(MachineConfig::unit(2));
-        let mut plan = ExchangePlan::new(2);
-        plan.push(0, 0, vec![1u64, 2]);
-        let d = m.exchange("local", plan);
-        assert_eq!(d.received(0)[0].payload, vec![1, 2]);
+        charge_phase(&mut m, "local", &[(0, 0, 2)]);
         let e = m.elapsed();
         assert_eq!(e.comm[0], 0.0);
         assert!((e.compute[0] - 4.0).abs() < 1e-9); // 2 words in + out
@@ -543,9 +451,7 @@ mod tests {
     #[test]
     fn barrier_per_phase_syncs_after_exchange() {
         let mut m = Machine::new(MachineConfig::unit(4));
-        let mut plan = ExchangePlan::new(4);
-        plan.push(0, 1, vec![9u8]);
-        m.exchange("x", plan);
+        charge_phase(&mut m, "x", &[(0, 1, 1)]);
         let e = m.elapsed();
         let max = e.max_seconds();
         assert!(max > 0.0);
@@ -557,26 +463,11 @@ mod tests {
     #[test]
     fn stats_accumulate_messages_and_bytes() {
         let mut m = Machine::new(MachineConfig::ipsc860(4));
-        let mut plan = ExchangePlan::new(4);
-        plan.push(0, 1, vec![1u64; 10]);
-        plan.push(2, 3, vec![1u64; 5]);
-        m.exchange("phase", plan);
+        charge_phase(&mut m, "phase", &[(0, 1, 10), (2, 3, 5)]);
         let t = m.stats().grand_totals();
         assert_eq!(t.messages, 2);
         assert_eq!(t.bytes, 15 * 8);
         assert_eq!(t.phases, 1);
-    }
-
-    #[test]
-    fn reset_clears_clocks_and_stats() {
-        let mut m = Machine::new(MachineConfig::unit(2));
-        m.charge_compute(0, 5.0);
-        let mut plan = ExchangePlan::new(2);
-        plan.push(0, 1, vec![1u8]);
-        m.exchange("x", plan);
-        m.reset();
-        assert_eq!(m.elapsed().max_seconds(), 0.0);
-        assert!(m.stats().is_empty());
     }
 
     #[test]
@@ -591,39 +482,6 @@ mod tests {
         assert!((m.phase_elapsed(crate::stats::PhaseKind::Executor) - 5.0).abs() < 1e-9);
         m.set_phase_kind(None);
         assert!((m.phase_elapsed(crate::stats::PhaseKind::Executor) - 5.0).abs() < 1e-9);
-        m.reset();
-        assert_eq!(m.phase_elapsed(crate::stats::PhaseKind::Executor), 0.0);
-    }
-
-    #[test]
-    fn charge_p2p_matches_exchange_costs() {
-        // The hand-charged path must be cost-identical to an ExchangePlan
-        // carrying the same messages.
-        let cfg = MachineConfig::ipsc860(4);
-        let mut via_plan = Machine::new(cfg.clone());
-        let mut plan = ExchangePlan::new(4);
-        plan.push(0, 1, vec![0u64; 10]);
-        plan.push(2, 3, vec![0u64; 5]);
-        plan.push(1, 1, vec![0u64; 7]); // self-send
-        via_plan.exchange("x", plan);
-
-        let mut via_charge = Machine::new(cfg);
-        let mut phase = PhaseCharge::new();
-        via_charge.charge_p2p(&mut phase, 0, 1, 10);
-        via_charge.charge_p2p(&mut phase, 2, 3, 5);
-        via_charge.charge_p2p(&mut phase, 1, 1, 7);
-        via_charge.end_phase("x", phase);
-
-        let a = via_plan.stats().grand_totals();
-        let b = via_charge.stats().grand_totals();
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.phases, b.phases);
-        let ea = via_plan.elapsed();
-        let eb = via_charge.elapsed();
-        for p in 0..4 {
-            assert!((ea.per_proc[p] - eb.per_proc[p]).abs() < 1e-12, "proc {p}");
-        }
     }
 
     #[test]
@@ -644,13 +502,5 @@ mod tests {
     #[should_panic(expected = "invalid machine configuration")]
     fn bad_config_panics() {
         let _ = Machine::new(MachineConfig::ipsc860(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "different machine size")]
-    fn mismatched_plan_panics() {
-        let mut m = Machine::new(MachineConfig::unit(2));
-        let plan: ExchangePlan<u8> = ExchangePlan::new(4);
-        m.exchange("bad", plan);
     }
 }

@@ -45,9 +45,7 @@
 //! statistics and values are bit-identical by construction, for any worker
 //! count, on any core count.
 
-use crate::backend::{
-    charge_stage, replay_events, Backend, ChargeEvent, PhaseEnd, RankCtx, FUSED_SWEEP_LABEL,
-};
+use crate::backend::{charge_stage, replay_events, Backend, ChargeEvent, PhaseEnd, RankCtx};
 use crate::config::MachineConfig;
 use crate::fault::{self, CaughtPanic, PanicBundle, PhaseError};
 use crate::machine::{Machine, PhaseCharge};
@@ -858,16 +856,17 @@ impl Backend for PooledBackend {
             },
         );
         // Replay compute, then per active buffer: the driver-side pack
-        // stage (charges only, like `run_phase`'s), a labelled quiet close,
-        // and the buffer's combine spans — ascending rank order throughout,
-        // the exact sequence the sequential engine produces.
+        // stage (charges only, like `run_phase`'s), a quiet close, and the
+        // buffer's combine spans — ascending rank order throughout, the
+        // exact sequence the sequential engine produces.
         self.replay_stage(0, None);
         for j in 0..nscatter {
             if !scatter_active(posted, j) {
                 continue;
             }
-            let end = PhaseEnd::QuietLabelled(FUSED_SWEEP_LABEL);
-            charge_stage(&mut self.machine, end, false, |ctx| scatter_pack(ctx, j));
+            charge_stage(&mut self.machine, PhaseEnd::Quiet, false, |ctx| {
+                scatter_pack(ctx, j)
+            });
             self.replay_stage(1 + j, None);
         }
     }

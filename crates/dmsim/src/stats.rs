@@ -111,10 +111,6 @@ pub struct PhaseRecord {
 pub struct StatsRegistry {
     records: Vec<PhaseRecord>,
     by_kind: BTreeMap<PhaseKind, CommStats>,
-    /// Totals for quiet phases that carried a static label (e.g. the fused
-    /// sweep's `executor:fused-sweep`) — a sub-attribution of `by_kind`,
-    /// never added on top of it.
-    by_label: BTreeMap<&'static str, CommStats>,
     /// Communication that did NOT happen, by label — e.g. the messages an
     /// incremental schedule avoided fetching because earlier loops' ghosts
     /// were already resident. Purely observational bookkeeping: never part
@@ -162,28 +158,6 @@ impl StatsRegistry {
         self.by_kind.entry(kind).or_default().merge(&stats);
     }
 
-    /// [`StatsRegistry::record_quiet`], additionally attributing the
-    /// phase's statistics to a `'static` label bucket so families of quiet
-    /// phases (fused sweeps vs split per-stage phases) stay distinguishable
-    /// in recorded tables. The label totals are a *sub-attribution* of the
-    /// per-kind totals: [`StatsRegistry::grand_totals`] is unchanged. After
-    /// the first phase with a given label this allocates nothing.
-    pub fn record_quiet_labelled(&mut self, label: &'static str, stats: CommStats) {
-        self.record_quiet(stats);
-        self.by_label.entry(label).or_default().merge(&stats);
-    }
-
-    /// Aggregate statistics for every quiet phase recorded under `label`
-    /// via [`StatsRegistry::record_quiet_labelled`].
-    pub fn totals_labelled(&self, label: &str) -> CommStats {
-        self.by_label.get(label).copied().unwrap_or_default()
-    }
-
-    /// The per-label quiet-phase totals, in label order.
-    pub fn labelled_totals(&self) -> impl Iterator<Item = (&'static str, CommStats)> + '_ {
-        self.by_label.iter().map(|(l, s)| (*l, *s))
-    }
-
     /// All phase records in execution order.
     pub fn records(&self) -> &[PhaseRecord] {
         &self.records
@@ -196,12 +170,6 @@ impl StatsRegistry {
         label: &'a str,
     ) -> impl Iterator<Item = &'a PhaseRecord> + 'a {
         self.records.iter().filter(move |r| r.label == label)
-    }
-
-    /// Total messages across the phases labelled `label` (a convenience for
-    /// message-count assertions in tests and perf tooling).
-    pub fn messages_labelled(&self, label: &str) -> usize {
-        self.records_labelled(label).map(|r| r.stats.messages).sum()
     }
 
     /// Note communication that was *avoided* under `label` — `messages`
@@ -253,39 +221,28 @@ impl StatsRegistry {
         self.records.is_empty()
     }
 
-    /// Drop all records and totals.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.by_kind.clear();
-        self.by_label.clear();
-        self.saved.clear();
-    }
-
     /// Write this registry's state into `snap`, reusing its buffers.
     ///
-    /// Labelled records are append-only (only [`StatsRegistry::clear`]
-    /// removes them), so the snapshot stores just their count and restore
-    /// truncates — no record contents are copied, which keeps steady-state
-    /// checkpointing allocation-free.
+    /// The registry only ever grows — labelled records are append-only — so
+    /// the snapshot stores just their count and restore truncates: no record
+    /// contents are copied, which keeps steady-state checkpointing
+    /// allocation-free.
     pub fn snapshot_into(&self, snap: &mut StatsSnapshot) {
         snap.records_len = self.records.len();
         copy_btree_values(&self.by_kind, &mut snap.by_kind);
-        copy_btree_values(&self.by_label, &mut snap.by_label);
         copy_btree_values(&self.saved, &mut snap.saved);
         snap.current_kind = self.current_kind;
     }
 
-    /// Roll this registry back to `snap`. Valid only if the registry evolved
-    /// forward from the snapshot without an intervening
-    /// [`StatsRegistry::clear`].
+    /// Roll this registry back to `snap`, which must have been taken from
+    /// this registry (it has only grown since).
     pub fn restore_from(&mut self, snap: &StatsSnapshot) {
         debug_assert!(
             self.records.len() >= snap.records_len,
-            "registry was cleared since the snapshot was taken"
+            "snapshot taken from a different registry"
         );
         self.records.truncate(snap.records_len);
         copy_btree_values(&snap.by_kind, &mut self.by_kind);
-        copy_btree_values(&snap.by_label, &mut self.by_label);
         copy_btree_values(&snap.saved, &mut self.saved);
         self.current_kind = snap.current_kind;
     }
@@ -297,7 +254,6 @@ impl StatsRegistry {
 pub struct StatsSnapshot {
     records_len: usize,
     by_kind: BTreeMap<PhaseKind, CommStats>,
-    by_label: BTreeMap<&'static str, CommStats>,
     saved: BTreeMap<&'static str, CommStats>,
     current_kind: Option<PhaseKind>,
 }
@@ -333,16 +289,6 @@ impl serde_json::ToValue for StatsRegistry {
                 .map(|(k, s)| {
                     serde_json::json!({
                         "kind": k.label(),
-                        "stats": serde_json::ToValue::to_value(s),
-                    })
-                })
-                .collect::<Vec<_>>(),
-            "by_label": self
-                .by_label
-                .iter()
-                .map(|(l, s)| {
-                    serde_json::json!({
-                        "label": *l,
                         "stats": serde_json::ToValue::to_value(s),
                     })
                 })
@@ -428,15 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let mut reg = StatsRegistry::new();
-        reg.record("x", stats(1, 1));
-        reg.clear();
-        assert!(reg.is_empty());
-        assert_eq!(reg.grand_totals().messages, 0);
-    }
-
-    #[test]
     fn dense_index_round_trips_through_all() {
         assert_eq!(PhaseKind::ALL.len(), PhaseKind::COUNT);
         for (i, kind) in PhaseKind::ALL.iter().enumerate() {
@@ -449,38 +386,6 @@ mod tests {
         assert_eq!(PhaseKind::Executor.label(), "executor");
         assert_eq!(PhaseKind::GraphGeneration.label(), "graph generation");
         assert_eq!(PhaseKind::Checkpoint.label(), "checkpoint");
-    }
-
-    #[test]
-    fn quiet_labelled_subattributes_without_double_counting() {
-        let mut reg = StatsRegistry::new();
-        reg.set_current_kind(Some(PhaseKind::Executor));
-        reg.record_quiet_labelled("executor:fused-sweep", stats(4, 40));
-        reg.record_quiet(stats(1, 10));
-        assert_eq!(reg.totals_labelled("executor:fused-sweep").messages, 4);
-        assert_eq!(reg.totals_for(PhaseKind::Executor).messages, 5);
-        assert_eq!(reg.grand_totals().messages, 5, "labels never double count");
-        assert_eq!(
-            reg.labelled_totals().collect::<Vec<_>>(),
-            vec![("executor:fused-sweep", stats(4, 40))]
-        );
-        assert!(
-            reg.records().is_empty(),
-            "labelled quiet phases keep no record"
-        );
-    }
-
-    #[test]
-    fn snapshot_round_trips_label_buckets() {
-        let mut reg = StatsRegistry::new();
-        reg.record_quiet_labelled("a", stats(1, 8));
-        let mut snap = StatsSnapshot::default();
-        reg.snapshot_into(&mut snap);
-        reg.record_quiet_labelled("a", stats(2, 16));
-        reg.restore_from(&snap);
-        assert_eq!(reg.totals_labelled("a").messages, 1);
-        reg.clear();
-        assert_eq!(reg.totals_labelled("a").messages, 0);
     }
 
     #[test]
@@ -502,8 +407,6 @@ mod tests {
         // Real totals see only the real phase.
         assert_eq!(reg.grand_totals().messages, 3);
         assert_eq!(reg.totals_for(PhaseKind::Inspector).messages, 3);
-        reg.clear();
-        assert_eq!(reg.saved_labelled("L2:schedule-build").messages, 0);
     }
 
     #[test]
@@ -524,11 +427,10 @@ mod tests {
         let mut reg = StatsRegistry::new();
         reg.set_current_kind(Some(PhaseKind::Inspector));
         reg.record("build", stats(3, 24));
-        reg.record_quiet_labelled("executor:fused-sweep", stats(1, 8));
+        reg.record_quiet(stats(1, 8));
         reg.note_saved("L2:schedule-build", 2, 16);
         let json = serde_json::to_string(&serde_json::ToValue::to_value(&reg)).unwrap();
         assert!(json.contains("\"build\""));
-        assert!(json.contains("executor:fused-sweep"));
         assert!(json.contains("\"comm_seconds\""));
         assert!(json.contains("\"saved\""));
         assert!(json.contains("L2:schedule-build"));

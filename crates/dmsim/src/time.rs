@@ -30,18 +30,6 @@ impl SimTime {
         self.0
     }
 
-    /// The value in milliseconds.
-    #[inline]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
-    /// The value in microseconds.
-    #[inline]
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// Element-wise maximum.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -230,8 +218,6 @@ mod tests {
         assert_eq!((a + b).as_seconds(), 3.5);
         assert_eq!((b - a).as_seconds(), 0.5);
         assert_eq!(a.max(b), b);
-        assert_eq!(SimTime::seconds(1.0).as_millis(), 1000.0);
-        assert_eq!(SimTime::seconds(1.0).as_micros(), 1e6);
     }
 
     #[test]

@@ -46,26 +46,6 @@ pub fn mesh_cols(nprocs: usize) -> usize {
     nprocs / best
 }
 
-/// Diameter of the network: the maximum hop count over all processor pairs.
-pub fn diameter(topology: Topology, nprocs: usize) -> usize {
-    match topology {
-        Topology::FullyConnected => usize::from(nprocs > 1),
-        Topology::Hypercube => {
-            if nprocs <= 1 {
-                0
-            } else {
-                (usize::BITS - (nprocs - 1).leading_zeros()) as usize
-            }
-        }
-        Topology::Ring => nprocs / 2,
-        Topology::Mesh2D => {
-            let cols = mesh_cols(nprocs);
-            let rows = nprocs.div_ceil(cols);
-            (rows - 1) + (cols - 1)
-        }
-    }
-}
-
 /// The processors a tree-structured collective visits, as (parent, child)
 /// edges of a binomial tree rooted at `root`, walked in place: the vote of
 /// [`crate::collectives`] charges one message per edge and keeps no list.
@@ -118,6 +98,11 @@ mod tests {
 
     #[test]
     fn diameters() {
+        // The diameter: the maximum hop count over all processor pairs.
+        let diameter = |topology, n| {
+            let pairs = (0..n).flat_map(|a| (0..n).map(move |b| (a, b)));
+            pairs.map(|(a, b)| hops(topology, n, a, b)).max().unwrap()
+        };
         assert_eq!(diameter(Topology::Hypercube, 16), 4);
         assert_eq!(diameter(Topology::Hypercube, 1), 0);
         assert_eq!(diameter(Topology::FullyConnected, 16), 1);

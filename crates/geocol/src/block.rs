@@ -7,7 +7,7 @@
 //! benches to bound the worst case.
 
 use crate::geocol::GeoCoL;
-use crate::partition::{Partitioner, Partitioning};
+use crate::partition::{Partitioner, Partitioning, RankScans};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +30,12 @@ impl Partitioner for BlockPartitioner {
         "BLOCK"
     }
 
-    fn partition(&self, geocol: &GeoCoL, nparts: usize) -> Partitioning {
+    fn partition_with_scans(
+        &self,
+        geocol: &GeoCoL,
+        nparts: usize,
+        _scans: &mut dyn RankScans,
+    ) -> Partitioning {
         let n = geocol.nvertices();
         let owners = (0..n).map(|i| block_owner(n, nparts, i) as u32).collect();
         Partitioning::new(owners, nparts)
@@ -51,7 +56,12 @@ impl Partitioner for CyclicPartitioner {
         "CYCLIC"
     }
 
-    fn partition(&self, geocol: &GeoCoL, nparts: usize) -> Partitioning {
+    fn partition_with_scans(
+        &self,
+        geocol: &GeoCoL,
+        nparts: usize,
+        _scans: &mut dyn RankScans,
+    ) -> Partitioning {
         let owners = (0..geocol.nvertices())
             .map(|i| (i % nparts) as u32)
             .collect();
@@ -82,7 +92,12 @@ impl Partitioner for RandomPartitioner {
         "RANDOM"
     }
 
-    fn partition(&self, geocol: &GeoCoL, nparts: usize) -> Partitioning {
+    fn partition_with_scans(
+        &self,
+        geocol: &GeoCoL,
+        nparts: usize,
+        _scans: &mut dyn RankScans,
+    ) -> Partitioning {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let owners = (0..geocol.nvertices())
             .map(|_| rng.gen_range(0..nparts) as u32)

@@ -173,11 +173,6 @@ impl GeoCoL {
         }
     }
 
-    /// Total load over a set of vertices.
-    pub fn total_load_of(&self, vertices: &[u32]) -> f64 {
-        vertices.iter().map(|&v| self.vertex_load(v as usize)).sum()
-    }
-
     /// Total load over all vertices.
     pub fn total_load(&self) -> f64 {
         match &self.load {
@@ -202,14 +197,6 @@ impl GeoCoL {
     #[inline]
     pub fn degree(&self, vertex: usize) -> usize {
         self.adj_offsets[vertex + 1] - self.adj_offsets[vertex]
-    }
-
-    /// Approximate memory footprint in 8-byte words, used by the runtime to
-    /// charge the cost of generating and shipping the GeoCoL structure.
-    pub fn size_words(&self) -> usize {
-        self.nvertices * self.coords.len()
-            + self.load.as_ref().map(|l| l.len()).unwrap_or(0)
-            + 2 * self.edges.len()
     }
 }
 
@@ -400,7 +387,6 @@ mod tests {
         assert_eq!(g.coord(1, 2), 1.0);
         assert_eq!(g.vertex_load(1), 2.0);
         assert_eq!(g.total_load(), 6.0);
-        assert_eq!(g.total_load_of(&[0, 2]), 4.0);
     }
 
     #[test]
@@ -476,16 +462,5 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn size_words_accounts_for_sections() {
-        let g = GeoColBuilder::new(3)
-            .geometry(vec![vec![0.0; 3], vec![0.0; 3], vec![0.0; 3]])
-            .load(vec![1.0; 3])
-            .link(vec![0, 1], vec![1, 2])
-            .build()
-            .unwrap();
-        assert_eq!(g.size_words(), 9 + 3 + 4);
     }
 }

@@ -25,7 +25,7 @@
 //! iteration + sort per level), so it is never double-charged.
 
 use crate::geocol::GeoCoL;
-use crate::partition::{block_scan, Partitioner, Partitioning, RankScans, SerialScans};
+use crate::partition::{block_scan, Partitioner, Partitioning, RankScans};
 
 /// Recursive inertial bisection partitioner.
 #[derive(Debug, Clone, Copy)]
@@ -45,11 +45,6 @@ impl Default for InertialPartitioner {
 impl Partitioner for InertialPartitioner {
     fn name(&self) -> &'static str {
         "INERTIAL"
-    }
-
-    fn partition(&self, geocol: &GeoCoL, nparts: usize) -> Partitioning {
-        // Single-chunk scans degenerate to the classic sequential folds.
-        self.partition_with_scans(geocol, nparts, &mut SerialScans::single())
     }
 
     /// The rank-parallel entry point: the mean and covariance accumulations
@@ -265,6 +260,7 @@ mod tests {
     use super::*;
     use crate::geocol::GeoColBuilder;
     use crate::metrics::PartitionQuality;
+    use crate::partition::SerialScans;
 
     /// A long thin diagonal strip of points: the principal axis is the
     /// diagonal, so inertial bisection should split it crosswise while plain

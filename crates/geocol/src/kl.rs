@@ -176,11 +176,6 @@ impl<P: Partitioner> Partitioner for KlRefinedPartitioner<P> {
         "KL-REFINED"
     }
 
-    fn partition(&self, geocol: &GeoCoL, nparts: usize) -> Partitioning {
-        let initial = self.base.partition(geocol, nparts);
-        refine(geocol, &initial, self.options)
-    }
-
     /// Forward the scans to the base partitioner — `RSB-KL`/`RCB-KL` run
     /// the base's rank-parallel passes like the unwrapped partitioner
     /// would; only the refinement pass itself stays driver-side (its cost

@@ -290,16 +290,21 @@ pub trait Partitioner {
     /// benchmark tables (e.g. `"RCB"`, `"RSB"`, `"BLOCK"`).
     fn name(&self) -> &'static str;
 
-    /// Compute a partitioning of `geocol` into `nparts` parts.
-    fn partition(&self, geocol: &GeoCoL, nparts: usize) -> Partitioning;
+    /// Compute a partitioning of `geocol` into `nparts` parts — the
+    /// partitioning [`Partitioner::partition_with_scans`] computes over a
+    /// single-chunk [`SerialScans`].
+    fn partition(&self, geocol: &GeoCoL, nparts: usize) -> Partitioning {
+        self.partition_with_scans(geocol, nparts, &mut SerialScans::single())
+    }
 
-    /// Like [`Partitioner::partition`], but with a [`RankScans`] executor
-    /// the implementation may route its data-parallel passes through. The
-    /// default ignores the executor (driver-side algorithms); partitioners
-    /// restructured rank-parallel — `RSB`'s power-iteration matvecs,
-    /// `RCB`'s extent/histogram median scans and `INERTIAL`'s moment scans
-    /// — override it, making them scale with ranks when the runtime passes
-    /// a `Backend`-backed executor.
+    /// Compute a partitioning of `geocol` into `nparts` parts with a
+    /// [`RankScans`] executor the implementation may route its
+    /// data-parallel passes through. Driver-side algorithms (`BLOCK`,
+    /// `CYCLIC`, `RANDOM`) ignore the executor; partitioners restructured
+    /// rank-parallel — `RSB`'s power-iteration matvecs, `RCB`'s
+    /// extent/histogram median scans and `INERTIAL`'s moment scans — use
+    /// it, making them scale with ranks when the runtime passes a
+    /// `Backend`-backed executor.
     ///
     /// The restructured partitioners express every pass through
     /// [`map_scan`] (disjoint per-item writes) or [`block_scan`]
@@ -325,10 +330,7 @@ pub trait Partitioner {
         geocol: &GeoCoL,
         nparts: usize,
         scans: &mut dyn RankScans,
-    ) -> Partitioning {
-        let _ = scans;
-        self.partition(geocol, nparts)
-    }
+    ) -> Partitioning;
 
     /// A rough cost estimate, in abstract "operations", of running this
     /// partitioner on `geocol`. The mapper coupler divides this by the

@@ -31,8 +31,9 @@
 //!
 //! Both paths are deterministic and depend only on the input — never on the
 //! rank count or engine — so the pure [`Partitioner::partition`] entry point
-//! (single-chunk [`SerialScans`]) is an exact oracle for `Machine` and
-//! `PooledBackend` runs (`tests/backend_equivalence.rs` proptests this).
+//! (single-chunk [`SerialScans`](crate::SerialScans)) is an exact oracle
+//! for `Machine` and `PooledBackend` runs (`tests/backend_equivalence.rs`
+//! proptests this).
 //!
 //! # Charge model
 //!
@@ -43,7 +44,7 @@
 //! orders of magnitude below RSB as in Table 2.
 
 use crate::geocol::GeoCoL;
-use crate::partition::{block_scan, Partitioner, Partitioning, RankScans, SerialScans};
+use crate::partition::{block_scan, Partitioner, Partitioning, RankScans};
 
 /// Active-set size at or below which the weighted median is found by the
 /// classic driver-side sort instead of the rank-parallel histogram select.
@@ -59,13 +60,6 @@ pub struct RcbPartitioner;
 impl Partitioner for RcbPartitioner {
     fn name(&self) -> &'static str {
         "RCB"
-    }
-
-    fn partition(&self, geocol: &GeoCoL, nparts: usize) -> Partitioning {
-        // Single-chunk scans degenerate to the classic sequential folds —
-        // and, because every scan is rank-count independent, this is also
-        // the bit-exact oracle for every backend-driven run.
-        self.partition_with_scans(geocol, nparts, &mut SerialScans::single())
     }
 
     /// The rank-parallel entry point: the extent/load scans and the
@@ -358,6 +352,7 @@ mod tests {
     use super::*;
     use crate::geocol::GeoColBuilder;
     use crate::metrics::PartitionQuality;
+    use crate::partition::SerialScans;
 
     /// A uniform 2-D grid of `side x side` points with 4-neighbour edges.
     fn grid_geocol(side: usize) -> GeoCoL {

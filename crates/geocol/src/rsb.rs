@@ -37,8 +37,8 @@
 //! disjoint items and reductions fold fixed blocks, the Fiedler vector — and
 //! therefore the partitioning — is bit-identical for every rank count and
 //! engine: the pure [`Partitioner::partition`] entry point (single-chunk
-//! [`SerialScans`]) is an exact oracle for `Machine` and `PooledBackend`
-//! runs (`tests/backend_equivalence.rs` proptests this).
+//! [`SerialScans`](crate::SerialScans)) is an exact oracle for `Machine` and
+//! `PooledBackend` runs (`tests/backend_equivalence.rs` proptests this).
 //!
 //! # Charge model
 //!
@@ -49,7 +49,7 @@
 //! keeps RSB one to two orders of magnitude above RCB, matching Table 2.
 
 use crate::geocol::GeoCoL;
-use crate::partition::{block_scan, map_scan, Partitioner, Partitioning, RankScans, SerialScans};
+use crate::partition::{block_scan, map_scan, Partitioner, Partitioning, RankScans};
 
 /// Recursive spectral bisection partitioner.
 #[derive(Debug, Clone, Copy)]
@@ -72,13 +72,6 @@ impl Default for RsbPartitioner {
 impl Partitioner for RsbPartitioner {
     fn name(&self) -> &'static str {
         "RSB"
-    }
-
-    fn partition(&self, geocol: &GeoCoL, nparts: usize) -> Partitioning {
-        // Single-chunk scans degenerate to the classic sequential folds —
-        // and, because every scan is rank-count independent, this is also
-        // the bit-exact oracle for every backend-driven run.
-        self.partition_with_scans(geocol, nparts, &mut SerialScans::single())
     }
 
     /// The rank-parallel entry point: the power iteration behind every
@@ -350,6 +343,7 @@ mod tests {
     use crate::block::BlockPartitioner;
     use crate::geocol::GeoColBuilder;
     use crate::metrics::PartitionQuality;
+    use crate::partition::SerialScans;
 
     /// Two dense clusters joined by a single bridge edge. The spectral split
     /// must find the bridge.

@@ -67,6 +67,13 @@ impl<B: Backend> Executor<B> {
                         map.len()
                     )));
                 }
+                if let Some((at, owner)) = map.iter().enumerate().find(|&(_, &o)| o as usize >= p) {
+                    return Err(LangError::runtime(format!(
+                        "map array '{format}' assigns element {} to processor {owner}, \
+                         but the machine has {p} processors",
+                        at + 1
+                    )));
+                }
                 Distribution::irregular_from_map(&map, p)
             }
         };

@@ -423,11 +423,8 @@ impl<B: Backend> Executor<B> {
         }
         let parts: Vec<&chaos_runtime::CommSchedule> =
             groups.iter().map(|g| &g.region.diff).collect();
-        let (msgs, words) = chaos_runtime::charge_merged_request_exchange(
-            self.backend.machine_mut(),
-            &plan.label,
-            &parts,
-        );
+        let (msgs, words) =
+            chaos_runtime::charge_request_exchange(self.backend.machine_mut(), &plan.label, &parts);
         if full_msgs > msgs || full_words > words {
             self.backend.machine_mut().note_schedule_savings(
                 SAVED_SCHEDULE_LABEL,

@@ -502,6 +502,37 @@ fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
 }
 
 #[test]
+fn map_entry_beyond_the_processor_count_is_a_typed_error_on_both_engines() {
+    // A `DISTRIBUTE reg(pmap)` whose map names processor 7 of 4: an error
+    // naming the array, the element, the value and the processor count —
+    // not the translation table's assert — and no distribution built.
+    let src = r#"
+        REAL*8 x(n)
+        INTEGER pmap(n)
+        DECOMPOSITION reg(n), regmap(n)
+        DISTRIBUTE regmap(BLOCK)
+        ALIGN pmap WITH regmap
+        CALL READ_DATA(pmap)
+        DISTRIBUTE reg(pmap)
+        ALIGN x WITH reg
+    "#;
+    let cp = lower_program(parse_program(src).unwrap()).unwrap();
+    let mut map: Vec<u32> = (0..8).map(|i| i % 4).collect();
+    map[5] = 7;
+    let inputs = ProgramInputs::new().scalar("n", 8).int("pmap", map);
+    fn check<B: Backend>(mut exec: Executor<B>, cp: &CompiledProgram) {
+        let err = exec.run(cp).expect_err("bad map entry").to_string();
+        for part in ["'pmap'", "element 6", "processor 7", "4 processors"] {
+            assert!(err.contains(part), "'{err}' lacks '{part}'");
+        }
+        assert!(exec.decomposition("reg").is_none(), "no distribution built");
+    }
+    let cfg = MachineConfig::ipsc860(4);
+    check(Executor::new(cfg.clone(), inputs.clone()), &cp);
+    check(Executor::new_pooled_with_workers(cfg, 3, inputs), &cp);
+}
+
+#[test]
 fn read_data_of_the_wrong_length_is_a_typed_error_on_both_engines() {
     // An input shorter or longer than the array's extent, REAL or INTEGER:
     // an error naming the array, the length given and the extent — not the

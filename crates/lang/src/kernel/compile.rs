@@ -521,19 +521,14 @@ impl Emitter {
                 for (i, arg) in args.iter().enumerate() {
                     regs.push(self.emit_expr(arg, depth + i)?);
                 }
-                let (opcode, arity) = match intrinsic {
-                    Intrinsic::Eflux1 => (Op::Eflux1, 2),
-                    Intrinsic::Eflux2 => (Op::Eflux2, 2),
-                    Intrinsic::Sqrt => (Op::Sqrt, 1),
-                    Intrinsic::Abs => (Op::Abs, 1),
+                let opcode = match intrinsic {
+                    Intrinsic::Eflux1 => Op::Eflux1,
+                    Intrinsic::Eflux2 => Op::Eflux2,
+                    Intrinsic::Sqrt => Op::Sqrt,
+                    Intrinsic::Abs => Op::Abs,
                 };
-                if regs.len() != arity {
-                    return Err(format!(
-                        "intrinsic {intrinsic:?} takes {arity} arguments, got {}",
-                        regs.len()
-                    ));
-                }
-                let b = if arity == 2 { regs[1] } else { 0 };
+                // The parser checked the arity; a unary op ignores `b`.
+                let b = regs.get(1).copied().unwrap_or(0);
                 self.push(opcode, dst, regs[0], b);
                 Ok(dst)
             }

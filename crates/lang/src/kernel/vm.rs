@@ -610,7 +610,7 @@ mod tests {
         // Region rows hold more than this loop's ghosts; the slot map picks.
         let region: Vec<f64> = (0..6).map(|g| 1.5 - g as f64 * 0.4).collect();
         let sig = DadSignature(0);
-        let no_traffic = CommSchedule::from_csr_parts_local(1, vec![0, 0], vec![], vec![]);
+        let no_traffic = CommSchedule::from_csr_parts(1, vec![0, 0], vec![], vec![]);
         let group = InspectedGroup {
             result: InspectorResult {
                 schedule: no_traffic.clone(),

@@ -344,13 +344,13 @@ fn parse_primary(toks: &mut Lexer) -> Result<Expr, LangError> {
         .peek_word()
         .ok_or_else(|| toks.error("expected expression"))?;
     let intrinsic = match name.as_str() {
-        "EFLUX1" => Some(Intrinsic::Eflux1),
-        "EFLUX2" => Some(Intrinsic::Eflux2),
-        "SQRT" => Some(Intrinsic::Sqrt),
-        "ABS" => Some(Intrinsic::Abs),
+        "EFLUX1" => Some((Intrinsic::Eflux1, 2)),
+        "EFLUX2" => Some((Intrinsic::Eflux2, 2)),
+        "SQRT" => Some((Intrinsic::Sqrt, 1)),
+        "ABS" => Some((Intrinsic::Abs, 1)),
         _ => None,
     };
-    if let Some(intrinsic) = intrinsic {
+    if let Some((intrinsic, arity)) = intrinsic {
         toks.next_word()?;
         toks.expect_punct('(')?;
         let mut args = vec![parse_expr(toks)?];
@@ -358,6 +358,13 @@ fn parse_primary(toks: &mut Lexer) -> Result<Expr, LangError> {
             args.push(parse_expr(toks)?);
         }
         toks.expect_punct(')')?;
+        // The one arity check: no kernel mode ever sees a wrong count.
+        if args.len() != arity {
+            return Err(toks.error(format!(
+                "intrinsic {name} takes {arity} argument(s), got {}",
+                args.len()
+            )));
+        }
         return Ok(Expr::Call { intrinsic, args });
     }
     Ok(Expr::Ref(parse_array_ref(toks)?))
@@ -633,6 +640,24 @@ C$          SET fmt BY PARTITIONING G USING RCB
     fn reports_unknown_statement() {
         let err = parse_program("FROBNICATE x").unwrap_err();
         assert!(matches!(err, LangError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn intrinsic_with_the_wrong_argument_count_is_a_parse_error() {
+        for (body, name, arity, got) in [
+            ("y(ia(i)) = EFLUX1(x(ia(i)))", "EFLUX1", 2, 1),
+            ("y(ia(i)) = SQRT(x(ia(i)), x(ib(i)))", "SQRT", 1, 2),
+        ] {
+            let src = format!("FORALL i = 1, n\n {body}\nEND FORALL");
+            let err = parse_program(&src).unwrap_err();
+            assert!(matches!(err, LangError::Parse { line: 2, .. }), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(name)
+                    && msg.contains(&format!("takes {arity} argument(s), got {got}")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -219,15 +219,6 @@ impl WaterBox {
             .collect()
     }
 
-    /// Pair list as tuples.
-    pub fn pair_list(&self) -> Vec<(u32, u32)> {
-        self.pair1
-            .iter()
-            .zip(&self.pair2)
-            .map(|(&a, &b)| (a, b))
-            .collect()
-    }
-
     /// Per-atom interaction counts (LOAD weights for the partitioner).
     pub fn interaction_counts(&self) -> Vec<f64> {
         let mut c = vec![0.0; self.natoms()];

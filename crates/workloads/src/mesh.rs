@@ -32,22 +32,6 @@ pub struct MeshConfig {
 }
 
 impl MeshConfig {
-    /// The 10K-node mesh of the paper's Tables 1 and 3–4.
-    pub fn mesh_10k() -> Self {
-        MeshConfig {
-            nnodes: 10_000,
-            ..Self::default()
-        }
-    }
-
-    /// The 53K-node mesh of the paper's Tables 1–4.
-    pub fn mesh_53k() -> Self {
-        MeshConfig {
-            nnodes: 53_000,
-            ..Self::default()
-        }
-    }
-
     /// A small mesh for unit tests.
     pub fn tiny(nnodes: usize) -> Self {
         MeshConfig {

@@ -30,24 +30,25 @@ fn main() {
     let ind_dad = Dad::of(&edge_dist);
     let loop_id = LoopId::new("L2");
 
-    let check = |registry: &mut ReuseRegistry, label: &str, data: &[Dad], ind: &[Dad]| {
-        let decision = registry.check(&LoopId::new("L2"), data, ind);
-        println!(
-            "{label:<55} -> {}",
-            if decision.can_reuse() {
-                "REUSE saved schedules"
-            } else {
-                "RE-RUN inspector"
-            }
-        );
-        decision.can_reuse()
+    // (reuse, re-run) outcomes of the checks below.
+    let (mut hits, mut misses) = (0, 0);
+    let mut check = |registry: &ReuseRegistry, label: &str, data: &[Dad], ind: &[Dad]| {
+        let reuse = registry.check(&LoopId::new("L2"), data, ind).can_reuse();
+        let (verdict, count) = if reuse {
+            ("REUSE saved schedules", &mut hits)
+        } else {
+            ("RE-RUN inspector", &mut misses)
+        };
+        *count += 1;
+        println!("{label:<55} -> {verdict}");
+        reuse
     };
 
     println!("nmod = {}\n", registry.nmod());
 
     // First execution: nothing recorded yet.
     check(
-        &mut registry,
+        &registry,
         "first execution of L2",
         &[x_dad.clone(), y_dad.clone()],
         std::slice::from_ref(&ind_dad),
@@ -61,7 +62,7 @@ fn main() {
 
     // Case 1: nothing changed.
     check(
-        &mut registry,
+        &registry,
         "second execution, nothing modified",
         &[x_dad.clone(), y_dad.clone()],
         std::slice::from_ref(&ind_dad),
@@ -71,7 +72,7 @@ fn main() {
     // indirection arrays' DAD, so the schedules stay valid.
     registry.record_write(&y_dad);
     check(
-        &mut registry,
+        &registry,
         "after the executor wrote y (a data array)",
         &[x_dad.clone(), y_dad.clone()],
         std::slice::from_ref(&ind_dad),
@@ -82,7 +83,7 @@ fn main() {
     // stamp: conservative invalidation.
     registry.record_write(&ind_dad);
     let reused = check(
-        &mut registry,
+        &registry,
         "after the mesh adapted (end_pt arrays rewritten)",
         &[x_dad.clone(), y_dad.clone()],
         std::slice::from_ref(&ind_dad),
@@ -103,13 +104,12 @@ fn main() {
     let x_new = Dad::of(&irregular);
     registry.record_remap(&x_dad, &x_new);
     check(
-        &mut registry,
+        &registry,
         "after REDISTRIBUTE remapped x to an irregular distribution",
         &[x_new.clone(), y_dad.clone()],
         std::slice::from_ref(&ind_dad),
     );
 
-    let (hits, misses) = registry.hit_miss();
     println!(
         "\nnmod = {}, reuse check outcomes: {hits} reuse / {misses} re-run",
         registry.nmod()

@@ -3,7 +3,8 @@
 //! This module preserves the original nested-`Vec` + `HashMap` formulation
 //! of `localize`, `gather` and `scatter_add` (schedules as
 //! `Vec<Vec<(owner, offset)>>` ghost lists and per-owner `Vec<SendList>`s,
-//! communication through materialized [`ExchangePlan`]s). It is **not** used
+//! communication through materialized [`ExchangePlan`]s, which this module
+//! owns along with their one consumer, [`exchange`]). It is **not** used
 //! by the runtime — the flat CSR implementation in `chaos_runtime::schedule`
 //! / `chaos_runtime::executor` is — but is retained as an executable
 //! specification: `csr_pipeline_matches_naive_reference` asserts that the CSR
@@ -14,9 +15,32 @@
 // included — it is the oracle, not the implementation.
 #![allow(clippy::needless_range_loop)]
 
-use chaos_repro::dmsim::{ExchangePlan, Machine};
+use chaos_repro::dmsim::{Machine, PhaseCharge};
 use chaos_repro::runtime::{AccessPattern, DistArray, Distribution};
 use std::collections::HashMap;
+
+/// One phase of materialized `(from, to, payload)` messages.
+pub type ExchangePlan<T> = Vec<(usize, usize, Vec<T>)>;
+
+/// The seed's `Machine::exchange`: charge every message of `plan` with
+/// [`Machine::charge_p2p`] in plan order, close the phase under `label`
+/// (a recorded phase, then the implicit barrier), and move each payload to
+/// its destination's list as `(source, payload)`, in plan order.
+pub fn exchange<T>(
+    machine: &mut Machine,
+    label: &str,
+    plan: ExchangePlan<T>,
+) -> Vec<Vec<(usize, Vec<T>)>> {
+    let mut delivered: Vec<Vec<(usize, Vec<T>)>> =
+        (0..machine.nprocs()).map(|_| Vec::new()).collect();
+    let mut phase = PhaseCharge::new();
+    for (from, to, payload) in plan {
+        machine.charge_p2p(&mut phase, from, to, payload.len());
+        delivered[to].push((from, payload));
+    }
+    machine.end_phase(label, phase);
+    delivered
+}
 
 /// One owner→requester send list of the naive schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,15 +78,15 @@ impl NaiveSchedule {
                 cell.1.push(slot as u32);
             }
         }
-        let mut plan: ExchangePlan<u32> = ExchangePlan::new(nprocs);
+        let mut plan: ExchangePlan<u32> = Vec::new();
         for (owner, row) in grouped.iter().enumerate() {
             for (requester, (offsets, _)) in row.iter().enumerate() {
                 if !offsets.is_empty() {
-                    plan.push(requester, owner, offsets.clone());
+                    plan.push((requester, owner, offsets.clone()));
                 }
             }
         }
-        machine.exchange(&format!("{label}:schedule-build"), plan);
+        exchange(machine, &format!("{label}:schedule-build"), plan);
         let send_lists: Vec<Vec<NaiveSendList>> = grouped
             .into_iter()
             .map(|row| {
@@ -82,6 +106,14 @@ impl NaiveSchedule {
             ghost_sources,
             send_lists,
         }
+    }
+
+    /// Owner `owner`'s send list to `requester`.
+    fn send_to(&self, owner: usize, requester: usize) -> &NaiveSendList {
+        self.send_lists[owner]
+            .iter()
+            .find(|send| send.to as usize == requester)
+            .expect("one send list per communicating pair")
     }
 
     /// Number of point-to-point messages one gather performs.
@@ -188,7 +220,7 @@ pub fn gather<T: Clone + Default + Send>(
     let mut ghosts: Vec<Vec<T>> = (0..nprocs)
         .map(|p| vec![T::default(); schedule.ghost_count(p)])
         .collect();
-    let mut plan: ExchangePlan<T> = ExchangePlan::new(nprocs);
+    let mut plan: ExchangePlan<T> = Vec::new();
     for owner in 0..nprocs {
         let local = array.local(owner);
         for send in &schedule.send_lists[owner] {
@@ -198,17 +230,16 @@ pub fn gather<T: Clone + Default + Send>(
                 .map(|&off| local[off as usize].clone())
                 .collect();
             machine.charge_memory(owner, payload.len() as f64);
-            plan.push(owner, send.to as usize, payload);
+            plan.push((owner, send.to as usize, payload));
         }
     }
-    machine.exchange(&format!("{label}:gather"), plan);
-    for owner in 0..nprocs {
-        let local = array.local(owner);
-        for send in &schedule.send_lists[owner] {
-            let dest = send.to as usize;
-            machine.charge_memory(dest, send.offsets.len() as f64);
-            for (&off, &slot) in send.offsets.iter().zip(&send.ghost_slots) {
-                ghosts[dest][slot as usize] = local[off as usize].clone();
+    let delivered = exchange(machine, &format!("{label}:gather"), plan);
+    for (dest, inbox) in delivered.into_iter().enumerate() {
+        for (owner, payload) in inbox {
+            let send = schedule.send_to(owner, dest);
+            machine.charge_memory(dest, payload.len() as f64);
+            for (value, &slot) in payload.into_iter().zip(&send.ghost_slots) {
+                ghosts[dest][slot as usize] = value;
             }
         }
     }
@@ -226,7 +257,7 @@ pub fn scatter_add(
 ) {
     let nprocs = machine.nprocs();
     assert_eq!(schedule.nprocs, nprocs);
-    let mut plan: ExchangePlan<f64> = ExchangePlan::new(nprocs);
+    let mut plan: ExchangePlan<f64> = Vec::new();
     for owner in 0..nprocs {
         for send in &schedule.send_lists[owner] {
             let requester = send.to as usize;
@@ -236,20 +267,16 @@ pub fn scatter_add(
                 .map(|&slot| contributions[requester][slot as usize])
                 .collect();
             machine.charge_memory(requester, payload.len() as f64);
-            plan.push(requester, owner, payload);
+            plan.push((requester, owner, payload));
         }
     }
-    machine.exchange(&format!("{label}:scatter"), plan);
-    for owner in 0..nprocs {
-        let updates: Vec<(u32, f64)> = schedule.send_lists[owner]
-            .iter()
-            .flat_map(|send| {
-                let requester = send.to as usize;
-                send.offsets
-                    .iter()
-                    .zip(&send.ghost_slots)
-                    .map(move |(&off, &slot)| (off, contributions[requester][slot as usize]))
-                    .collect::<Vec<_>>()
+    let delivered = exchange(machine, &format!("{label}:scatter"), plan);
+    for (owner, inbox) in delivered.into_iter().enumerate() {
+        let updates: Vec<(u32, f64)> = inbox
+            .into_iter()
+            .flat_map(|(requester, payload)| {
+                let send = schedule.send_to(owner, requester);
+                send.offsets.iter().copied().zip(payload)
             })
             .collect();
         machine.charge_compute(owner, updates.len() as f64);
