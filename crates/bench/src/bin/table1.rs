@@ -3,79 +3,32 @@
 //!
 //! Paper setting: loop over edges of the 10K / 53K unstructured Euler meshes
 //! and the 648-atom MD electrostatic loop, arrays decomposed irregularly
-//! with recursive binary (coordinate) dissection, Intel iPSC/860.
+//! with recursive binary (coordinate) dissection, Intel iPSC/860. Printed
+//! from the compiler-generated program.
 //!
 //! Run `cargo run -p chaos-bench --bin table1 --release` for the full-size
 //! experiment or add `--quick` for a scaled-down smoke run.
 
-use chaos_bench::cli::{standard_grid, Options};
-use chaos_bench::experiment::{ExperimentConfig, Method};
-use chaos_bench::handcoded::run_handcoded;
-use chaos_bench::tables::{format_seconds, TextTable};
+use chaos_bench::cli::Options;
+use chaos_bench::experiment::{Method, PhaseTimes};
+use chaos_bench::tables::{grid_runs, run_table};
+use chaos_lang::LangError;
 
-fn main() {
+fn main() -> Result<(), LangError> {
     let opts = Options::from_env();
-    let grid = standard_grid();
-
-    let mut header = vec!["(Time in secs)".to_string()];
-    for (kind, procs) in &grid {
-        for p in procs {
-            header.push(format!("{} P={p}", kind.label()));
-        }
-    }
-    let mut no_reuse_row = vec!["No Schedule Reuse".to_string()];
-    let mut reuse_row = vec!["Schedule Reuse".to_string()];
-    let mut records = Vec::new();
-
-    for (kind, procs) in &grid {
-        let workload = kind.build(opts.scale);
-        for &p in procs {
-            for reuse in [false, true] {
-                let cfg = ExperimentConfig::paper(p, Method::Rcb)
-                    .with_reuse(reuse)
-                    .with_iterations(opts.iterations)
-                    .with_scale(opts.scale);
-                let t = run_handcoded(&workload, &cfg);
-                // Table 1 reports the time of the 100-iteration loop itself:
-                // inspector (repeated when reuse is off) + executor.
-                let loop_time = t.inspector + t.executor;
-                if reuse {
-                    reuse_row.push(format_seconds(loop_time));
-                } else {
-                    no_reuse_row.push(format_seconds(loop_time));
-                }
-                records.push(serde_json::json!({
-                    "table": 1,
-                    "workload": kind.label(),
-                    "nprocs": p,
-                    "reuse": reuse,
-                    "loop_seconds": loop_time,
-                    "phases": t,
-                }));
-                eprintln!(
-                    "  [{} P={p} reuse={reuse}] loop={:.2}s inspector_runs={} wall={:.1}s",
-                    kind.label(),
-                    loop_time,
-                    t.inspector_runs,
-                    t.wall_seconds
-                );
-            }
-        }
-    }
-
-    let mut table = TextTable::new(
-        &format!(
-            "Table 1: Performance with and without schedule reuse ({} executor iterations, RCB-partitioned, modeled seconds)",
-            opts.iterations
-        ),
-        header,
+    let runs = grid_runs(&opts, &[(Method::Rcb, false), (Method::Rcb, true)]);
+    let title = format!(
+        "Table 1: Performance with and without schedule reuse ({} executor iterations, RCB-partitioned, modeled seconds)",
+        opts.iterations
     );
-    table.row(no_reuse_row);
-    table.row(reuse_row);
-    println!("{}", table.render());
+    let (mut table, times) = run_table(1, &title, &opts, &runs)?;
+    let (no_reuse, reuse) = times.split_at(times.len() / 2);
 
-    if let Some(path) = &opts.json {
-        std::fs::write(path, serde_json::to_string_pretty(&records).unwrap())
-            .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
-    }
+    // Table 1 reports the time of the 100-iteration loop itself: inspector
+    // (repeated when reuse is off) + executor.
+    let loop_time = |t: &PhaseTimes| t.inspector + t.executor;
+    table.phase_rows(&[("No Schedule Reuse", loop_time)], no_reuse);
+    table.phase_rows(&[("Schedule Reuse", loop_time)], reuse);
+    println!("{}", table.render());
+    Ok(())
 }

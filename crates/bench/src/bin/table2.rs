@@ -2,144 +2,70 @@
 //! compiler-generated vs hand-coded mapper coupler, across data-mapping
 //! methods (binary coordinate bisection, BLOCK, spectral bisection), with
 //! per-phase breakdown (graph generation, partitioner, inspector, remap,
-//! executor, total).
+//! executor, total). The only table with hand-coded columns.
 //!
 //! Run `cargo run -p chaos-bench --bin table2 --release` (add `--quick` for
 //! a scaled-down smoke run).
 
 use chaos_bench::cli::Options;
-use chaos_bench::compilergen::run_compiler_generated;
-use chaos_bench::experiment::{ExperimentConfig, Method, PhaseTimes};
-use chaos_bench::handcoded::run_handcoded;
-use chaos_bench::tables::TextTable;
+use chaos_bench::experiment::{ExperimentConfig, Method};
+use chaos_bench::tables::{
+    run_table, Run, COMPILER, EXECUTOR, GRAPH_GENERATION, HAND_CODED, INSPECTOR, PARTITIONER,
+    REMAP, TOTAL,
+};
 use chaos_bench::workload::WorkloadKind;
+use chaos_lang::LangError;
 
-fn main() {
+const NPROCS: usize = 32;
+
+fn main() -> Result<(), LangError> {
     let opts = Options::from_env();
-    let nprocs = 32;
-    let workload = WorkloadKind::Mesh53k.build(opts.scale);
-
+    let run = |column: &str, method, driver, reuse| Run {
+        column: column.to_string(),
+        kind: WorkloadKind::Mesh53k,
+        cfg: ExperimentConfig::paper(NPROCS, method)
+            .with_reuse(reuse)
+            .with_iterations(opts.iterations),
+        driver,
+    };
     // The paper's columns: coordinate bisection (compiler with schedule
     // reuse, compiler without schedule reuse, hand coded), BLOCK (hand
     // coded), spectral bisection (hand coded, compiler with reuse).
-    struct Column {
-        label: &'static str,
-        method: Method,
-        compiler: bool,
-        reuse: bool,
-    }
-    let columns = [
-        Column {
-            label: "RCB Compiler (reuse)",
-            method: Method::Rcb,
-            compiler: true,
-            reuse: true,
-        },
-        Column {
-            label: "RCB Compiler (no reuse)",
-            method: Method::Rcb,
-            compiler: true,
-            reuse: false,
-        },
-        Column {
-            label: "RCB Hand Coded",
-            method: Method::Rcb,
-            compiler: false,
-            reuse: true,
-        },
-        Column {
-            label: "Block Hand Coded",
-            method: Method::Block,
-            compiler: false,
-            reuse: true,
-        },
-        Column {
-            label: "RSB Hand Coded",
-            method: Method::Rsb,
-            compiler: false,
-            reuse: true,
-        },
-        Column {
-            label: "RSB Compiler (reuse)",
-            method: Method::Rsb,
-            compiler: true,
-            reuse: true,
-        },
+    let runs = [
+        run("RCB Compiler (reuse)", Method::Rcb, COMPILER, true),
+        run("RCB Compiler (no reuse)", Method::Rcb, COMPILER, false),
+        run("RCB Hand Coded", Method::Rcb, HAND_CODED, true),
+        run("Block Hand Coded", Method::Block, HAND_CODED, true),
+        run("RSB Hand Coded", Method::Rsb, HAND_CODED, true),
+        run("RSB Compiler (reuse)", Method::Rsb, COMPILER, true),
     ];
-
-    let mut results: Vec<(String, PhaseTimes)> = Vec::new();
-    for col in &columns {
-        let cfg = ExperimentConfig::paper(nprocs, col.method)
-            .with_reuse(col.reuse)
-            .with_iterations(opts.iterations)
-            .with_scale(opts.scale);
-        let t = if col.compiler {
-            run_compiler_generated(&workload, &cfg)
-                .expect("compiler-generated experiment failed")
-                .0
-        } else {
-            run_handcoded(&workload, &cfg)
-        };
-        eprintln!(
-            "  [{}] total={:.2}s executor={:.2}s partitioner={:.2}s wall={:.1}s",
-            col.label, t.total, t.executor, t.partitioner, t.wall_seconds
-        );
-        results.push((col.label.to_string(), t));
-    }
-
-    let mut header = vec!["(Time in secs)".to_string()];
-    header.extend(results.iter().map(|(l, _)| l.clone()));
-    let mut table = TextTable::new(
-        &format!(
-            "Table 2: Unstructured mesh template - 53K mesh - {nprocs} processors ({} executor iterations, modeled seconds)",
-            opts.iterations
-        ),
-        header,
+    let title = format!(
+        "Table 2: Unstructured mesh template - 53K mesh - {NPROCS} processors ({} executor iterations, modeled seconds)",
+        opts.iterations
     );
-    for row_label in [
-        "Graph Generation",
-        "Partitioner",
-        "Inspector",
-        "Remap",
-        "Executor",
-        "Total",
-    ] {
-        let values: Vec<f64> = results
-            .iter()
-            .map(|(_, t)| match row_label {
-                "Graph Generation" => t.graph_generation,
-                "Partitioner" => t.partitioner,
-                "Inspector" => t.inspector,
-                "Remap" => t.remap,
-                "Executor" => t.executor,
-                _ => t.total,
-            })
-            .collect();
-        table.seconds_row(row_label, &values);
-    }
+    let (mut table, times) = run_table(2, &title, &opts, &runs)?;
+    table.phase_rows(
+        &[
+            GRAPH_GENERATION,
+            PARTITIONER,
+            INSPECTOR,
+            REMAP,
+            EXECUTOR,
+            TOTAL,
+        ],
+        &times,
+    );
     println!("{}", table.render());
 
     // The paper's headline claim: compiler-generated within ~10 % of
     // hand-coded (compare the reuse columns for each partitioner).
-    let get = |label: &str| {
-        results
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, t)| t.total)
-    };
-    if let (Some(c), Some(h)) = (get("RCB Compiler (reuse)"), get("RCB Hand Coded")) {
-        println!("RCB  compiler/hand total ratio: {:.3}", c / h);
-    }
-    if let (Some(c), Some(h)) = (get("RSB Compiler (reuse)"), get("RSB Hand Coded")) {
-        println!("RSB  compiler/hand total ratio: {:.3}", c / h);
-    }
-
-    if let Some(path) = &opts.json {
-        let records: Vec<_> = results
-            .iter()
-            .map(|(label, t)| serde_json::json!({"table": 2, "column": label, "phases": t}))
-            .collect();
-        std::fs::write(path, serde_json::to_string_pretty(&records).unwrap())
-            .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
-    }
+    println!(
+        "RCB  compiler/hand total ratio: {:.3}",
+        times[0].total / times[2].total
+    );
+    println!(
+        "RSB  compiler/hand total ratio: {:.3}",
+        times[5].total / times[4].total
+    );
+    Ok(())
 }

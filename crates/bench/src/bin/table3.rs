@@ -1,68 +1,30 @@
 //! Table 3 — detailed performance of the compiler-linked coordinate
 //! bisection partitioner with schedule reuse: partitioner / inspector /
-//! remap / executor / total, across the workload × processor grid.
+//! remap / executor / total, across the workload × processor grid. Printed
+//! from the compiler-generated program.
 //!
 //! Run `cargo run -p chaos-bench --bin table3 --release` (add `--quick` for
 //! a scaled-down smoke run).
 
-use chaos_bench::cli::{standard_grid, Options};
-use chaos_bench::experiment::{ExperimentConfig, Method, PhaseTimes};
-use chaos_bench::handcoded::run_handcoded;
-use chaos_bench::tables::TextTable;
+use chaos_bench::cli::Options;
+use chaos_bench::experiment::Method;
+use chaos_bench::tables::{
+    grid_runs, run_table, EXECUTOR, INSPECTOR, PARTITIONER_AND_GRAPH, REMAP, TOTAL,
+};
+use chaos_lang::LangError;
 
-fn main() {
+fn main() -> Result<(), LangError> {
     let opts = Options::from_env();
-    let grid = standard_grid();
-
-    let mut header = vec!["(Time in secs)".to_string()];
-    let mut results: Vec<(String, PhaseTimes)> = Vec::new();
-    for (kind, procs) in &grid {
-        let workload = kind.build(opts.scale);
-        for &p in procs {
-            header.push(format!("{} P={p}", kind.label()));
-            let cfg = ExperimentConfig::paper(p, Method::Rcb)
-                .with_iterations(opts.iterations)
-                .with_scale(opts.scale);
-            let t = run_handcoded(&workload, &cfg);
-            eprintln!(
-                "  [{} P={p}] total={:.2}s executor={:.2}s wall={:.1}s",
-                kind.label(),
-                t.total,
-                t.executor,
-                t.wall_seconds
-            );
-            results.push((format!("{} P={p}", kind.label()), t));
-        }
-    }
-
-    let mut table = TextTable::new(
-        &format!(
-            "Table 3: Compiler-linked coordinate bisection with schedule reuse ({} executor iterations, modeled seconds)",
-            opts.iterations
-        ),
-        header,
+    let runs = grid_runs(&opts, &[(Method::Rcb, true)]);
+    let title = format!(
+        "Table 3: Compiler-linked coordinate bisection with schedule reuse ({} executor iterations, modeled seconds)",
+        opts.iterations
     );
-    for row_label in ["Partitioner", "Inspector", "Remap", "Executor", "Total"] {
-        let values: Vec<f64> = results
-            .iter()
-            .map(|(_, t)| match row_label {
-                "Partitioner" => t.partitioner + t.graph_generation,
-                "Inspector" => t.inspector,
-                "Remap" => t.remap,
-                "Executor" => t.executor,
-                _ => t.total,
-            })
-            .collect();
-        table.seconds_row(row_label, &values);
-    }
+    let (mut table, times) = run_table(3, &title, &opts, &runs)?;
+    table.phase_rows(
+        &[PARTITIONER_AND_GRAPH, INSPECTOR, REMAP, EXECUTOR, TOTAL],
+        &times,
+    );
     println!("{}", table.render());
-
-    if let Some(path) = &opts.json {
-        let records: Vec<_> = results
-            .iter()
-            .map(|(label, t)| serde_json::json!({"table": 3, "config": label, "phases": t}))
-            .collect();
-        std::fs::write(path, serde_json::to_string_pretty(&records).unwrap())
-            .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
-    }
+    Ok(())
 }

@@ -1,84 +1,39 @@
 //! Table 4 — performance of naive BLOCK partitioning with schedule reuse:
 //! inspector / remap / executor / total across the workload × processor
 //! grid, for comparison against the irregular distributions of Table 3.
+//! Printed from the compiler-generated program.
 //!
 //! Run `cargo run -p chaos-bench --bin table4 --release` (add `--quick` for
 //! a scaled-down smoke run).
 
-use chaos_bench::cli::{standard_grid, Options};
-use chaos_bench::experiment::{ExperimentConfig, Method, PhaseTimes};
-use chaos_bench::handcoded::run_handcoded;
-use chaos_bench::tables::TextTable;
+use chaos_bench::cli::Options;
+use chaos_bench::experiment::Method;
+use chaos_bench::tables::{grid_runs, run_table, EXECUTOR, INSPECTOR, REMAP, TOTAL};
+use chaos_lang::LangError;
 
-fn main() {
+fn main() -> Result<(), LangError> {
     let opts = Options::from_env();
-    let grid = standard_grid();
-
-    let mut header = vec!["(Time in secs)".to_string()];
-    let mut results: Vec<(String, PhaseTimes, PhaseTimes)> = Vec::new();
-    for (kind, procs) in &grid {
-        let workload = kind.build(opts.scale);
-        for &p in procs {
-            header.push(format!("{} P={p}", kind.label()));
-            let block_cfg = ExperimentConfig::paper(p, Method::Block)
-                .with_iterations(opts.iterations)
-                .with_scale(opts.scale);
-            let block = run_handcoded(&workload, &block_cfg);
-            // Also run RCB so the executor ratio (the point of the
-            // comparison, Section 6.2) can be printed alongside.
-            let rcb_cfg = ExperimentConfig::paper(p, Method::Rcb)
-                .with_iterations(opts.iterations)
-                .with_scale(opts.scale);
-            let rcb = run_handcoded(&workload, &rcb_cfg);
-            eprintln!(
-                "  [{} P={p}] BLOCK executor={:.2}s vs RCB executor={:.2}s (ratio {:.2})",
-                kind.label(),
-                block.executor,
-                rcb.executor,
-                block.executor / rcb.executor.max(1e-12)
-            );
-            results.push((format!("{} P={p}", kind.label()), block, rcb));
-        }
-    }
-
-    let mut table = TextTable::new(
-        &format!(
-            "Table 4: BLOCK partitioning with schedule reuse ({} executor iterations, modeled seconds)",
-            opts.iterations
-        ),
-        header,
+    // RCB runs too, so the executor ratio (the point of the comparison,
+    // Section 6.2) can be printed alongside.
+    let runs = grid_runs(&opts, &[(Method::Block, true), (Method::Rcb, true)]);
+    let title = format!(
+        "Table 4: BLOCK partitioning with schedule reuse ({} executor iterations, modeled seconds)",
+        opts.iterations
     );
-    for row_label in ["Inspector", "Remap", "Executor", "Total"] {
-        let values: Vec<f64> = results
-            .iter()
-            .map(|(_, t, _)| match row_label {
-                "Inspector" => t.inspector,
-                "Remap" => t.remap,
-                "Executor" => t.executor,
-                _ => t.total,
-            })
-            .collect();
-        table.seconds_row(row_label, &values);
-    }
+    let (mut table, times) = run_table(4, &title, &opts, &runs)?;
+    let (block, rcb) = times.split_at(times.len() / 2);
+
+    table.phase_rows(&[INSPECTOR, REMAP, EXECUTOR, TOTAL], block);
     // Extra row not in the paper's table but implied by its Section 6.2
     // discussion: how much worse BLOCK's executor is than RCB's.
-    let ratios: Vec<String> = results
-        .iter()
-        .map(|(_, block, rcb)| format!("{:.2}x", block.executor / rcb.executor.max(1e-12)))
-        .collect();
     let mut ratio_row = vec!["Executor vs RCB".to_string()];
-    ratio_row.extend(ratios);
+    ratio_row.extend(
+        block
+            .iter()
+            .zip(rcb)
+            .map(|(b, r)| format!("{:.2}x", b.executor / r.executor.max(1e-12))),
+    );
     table.row(ratio_row);
     println!("{}", table.render());
-
-    if let Some(path) = &opts.json {
-        let records: Vec<_> = results
-            .iter()
-            .map(|(label, block, rcb)| {
-                serde_json::json!({"table": 4, "config": label, "block": block, "rcb": rcb})
-            })
-            .collect();
-        std::fs::write(path, serde_json::to_string_pretty(&records).unwrap())
-            .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
-    }
+    Ok(())
 }

@@ -1,5 +1,6 @@
 //! Experiment configuration and the phase-time record the tables report.
 
+use chaos_dmsim::{Machine, PhaseKind};
 use serde::{Deserialize, Serialize};
 
 /// Data-mapping method used by an experiment (the columns of Table 2 and the
@@ -50,20 +51,17 @@ pub struct ExperimentConfig {
     pub reuse: bool,
     /// Number of executor sweeps (the paper uses 100).
     pub executor_iterations: usize,
-    /// Workload scale divisor (1 = paper-size).
-    pub scale: usize,
 }
 
 impl ExperimentConfig {
     /// Paper-style configuration: given processors and method, 100 executor
-    /// iterations with schedule reuse on, full-size workload.
+    /// iterations with schedule reuse on.
     pub fn paper(nprocs: usize, method: Method) -> Self {
         ExperimentConfig {
             nprocs,
             method,
             reuse: true,
             executor_iterations: 100,
-            scale: 1,
         }
     }
 
@@ -79,10 +77,13 @@ impl ExperimentConfig {
         self
     }
 
-    /// Builder-style: scale the workload down by a divisor.
-    pub fn with_scale(mut self, scale: usize) -> Self {
-        self.scale = scale;
-        self
+    /// Both drivers' entry check: panics unless the experiment sweeps at
+    /// least once, since the compiler-generated program runs its FORALL.
+    pub fn assert_sweeps(&self) {
+        assert!(
+            self.executor_iterations > 0,
+            "ExperimentConfig::executor_iterations must be at least 1"
+        );
     }
 }
 
@@ -137,6 +138,24 @@ impl serde_json::ToValue for PhaseTimes {
 }
 
 impl PhaseTimes {
+    /// The five phase rows (`Machine::phase_elapsed`), `total`, `messages`
+    /// and `bytes` of a finished experiment, as both drivers report them;
+    /// the other fields are the driver's to fill.
+    pub fn from_machine(machine: &Machine) -> PhaseTimes {
+        let totals = machine.stats().grand_totals();
+        PhaseTimes {
+            graph_generation: machine.phase_elapsed(PhaseKind::GraphGeneration),
+            partitioner: machine.phase_elapsed(PhaseKind::Partitioner),
+            inspector: machine.phase_elapsed(PhaseKind::Inspector),
+            remap: machine.phase_elapsed(PhaseKind::Remap),
+            executor: machine.phase_elapsed(PhaseKind::Executor),
+            total: machine.elapsed().max_seconds(),
+            messages: totals.messages,
+            bytes: totals.bytes,
+            ..PhaseTimes::default()
+        }
+    }
+
     /// Executor time per sweep.
     pub fn executor_per_iteration(&self) -> f64 {
         if self.executor_sweeps == 0 {
@@ -163,11 +182,9 @@ mod tests {
         assert_eq!(c.nprocs, 32);
         assert!(c.reuse);
         assert_eq!(c.executor_iterations, 100);
-        assert_eq!(c.scale, 1);
-        let c = c.with_reuse(false).with_iterations(10).with_scale(4);
+        let c = c.with_reuse(false).with_iterations(10);
         assert!(!c.reuse);
         assert_eq!(c.executor_iterations, 10);
-        assert_eq!(c.scale, 4);
     }
 
     #[test]

@@ -2,42 +2,23 @@
 //!
 //! This is the baseline the paper's authors compare their compiler against:
 //! the same template written directly against the CHAOS runtime calls, with
-//! no language front end in the way. The benchmark binaries run both this
-//! and the compiler-generated path (`crate::compilergen`) and report both,
-//! reproducing Table 2's "Hand Coded" vs "Compiler Generated" columns.
+//! no language front end in the way. It prints only Table 2's three "Hand
+//! Coded" columns; Tables 1, 3 and 4 and Table 2's compiler columns come
+//! from the compiler-generated program (`crate::compilergen`). It is also
+//! the end-to-end benchmark's reference closure and the subject of the
+//! engine-equivalence tests.
 
 use crate::experiment::{ExperimentConfig, Method, PhaseTimes};
 use crate::workload::PairLoopWorkload;
-use chaos_dmsim::{Backend, ElapsedReport, Machine, MachineConfig, PhaseKind, PooledBackend};
+use chaos_dmsim::{Backend, Machine, MachineConfig, PhaseKind};
 use chaos_geocol::partitioner_by_name;
 use chaos_runtime::iterpart::partition_iterations;
 use chaos_runtime::{
     gather_into, resolve_local, resolve_local_mut, scatter_add, AccessPattern, Dad, DistArray,
-    Distribution, GeoColSpec, Inspector, InspectorResult, IterPartitionPolicy, IterationPartition,
-    LocalizeScratch, LoopId, MapperCoupler, ReuseRegistry,
+    Distribution, GeoColSpec, Inspector, InspectorResult, IterPartitionPolicy, LocalizeScratch,
+    LoopId, MapperCoupler, ReuseRegistry,
 };
 use std::time::Instant;
-
-/// Tracks phase boundaries by sampling the machine clocks.
-struct PhaseSampler {
-    last: ElapsedReport,
-}
-
-impl PhaseSampler {
-    fn new(machine: &Machine) -> Self {
-        PhaseSampler {
-            last: machine.elapsed(),
-        }
-    }
-
-    /// Modeled seconds elapsed (critical path) since the previous sample.
-    fn lap(&mut self, machine: &Machine) -> f64 {
-        let now = machine.elapsed();
-        let dt = now.since(&self.last).max_seconds();
-        self.last = now;
-        dt
-    }
-}
 
 /// Run the hand-coded experiment on the sequential engine and return its
 /// phase breakdown.
@@ -46,15 +27,9 @@ pub fn run_handcoded(workload: &PairLoopWorkload, cfg: &ExperimentConfig) -> Pha
     run_handcoded_on(&mut machine, workload, cfg)
 }
 
-/// Run the hand-coded experiment on the persistent worker-pool engine.
-/// Modeled times, statistics and results are byte-identical to
-/// [`run_handcoded`]; only the wall clock changes.
-pub fn run_handcoded_pooled(workload: &PairLoopWorkload, cfg: &ExperimentConfig) -> PhaseTimes {
-    let mut backend = PooledBackend::from_config(MachineConfig::ipsc860(cfg.nprocs));
-    run_handcoded_on(&mut backend, workload, cfg)
-}
-
-/// Run the hand-coded experiment on an explicit SPMD engine.
+/// Run the hand-coded experiment on an explicit SPMD engine. On the
+/// persistent worker pool, modeled times, statistics and results are
+/// byte-identical to [`run_handcoded`]'s; only the wall clock changes.
 pub fn run_handcoded_on<B: Backend>(
     backend: &mut B,
     workload: &PairLoopWorkload,
@@ -72,6 +47,7 @@ fn drive<B: Backend>(
     cfg: &ExperimentConfig,
 ) -> (PhaseTimes, Vec<f64>) {
     let wall_start = Instant::now();
+    cfg.assert_sweeps();
     let p = cfg.nprocs;
     assert_eq!(
         backend.nprocs(),
@@ -79,7 +55,6 @@ fn drive<B: Backend>(
         "backend size must match the experiment"
     );
     let mut registry = ReuseRegistry::new();
-    let mut times = PhaseTimes::default();
 
     let n = workload.nnodes;
     let ne = workload.npairs();
@@ -96,10 +71,9 @@ fn drive<B: Backend>(
     let zc = DistArray::from_global("zc", node_dist.clone(), &workload.coords[2]);
     let load = DistArray::from_global("load", node_dist.clone(), &workload.loads);
 
-    let mut sampler = PhaseSampler::new(backend.machine());
-
     // Phase A (CONSTRUCT + SET) and phase C (REDISTRIBUTE) for the
-    // partitioned methods; BLOCK keeps the default distribution.
+    // partitioned methods; BLOCK keeps the default distribution. The coupler
+    // books each under its own phase kind.
     let mut data_dist = node_dist.clone();
     if let Some(pname) = cfg.method.partitioner_name() {
         let spec = match cfg.method {
@@ -110,15 +84,10 @@ fn drive<B: Backend>(
             Method::Block => unreachable!("BLOCK has no partitioner"),
         };
         let geocol = MapperCoupler.construct_geocol(backend.machine_mut(), &spec);
-        times.graph_generation = sampler.lap(backend.machine());
-
         let partitioner = partitioner_by_name(pname).expect("registered partitioner");
         let outcome = MapperCoupler.partition(backend, partitioner.as_ref(), &geocol);
-        times.partitioner = sampler.lap(backend.machine());
-
         MapperCoupler.redistribute(backend, &mut registry, &mut x, &outcome.distribution);
         MapperCoupler.redistribute(backend, &mut registry, &mut y, &outcome.distribution);
-        times.remap = sampler.lap(backend.machine());
         data_dist = outcome.distribution;
     }
 
@@ -137,7 +106,7 @@ fn drive<B: Backend>(
     let run_inspector = |backend: &mut B,
                          pattern: &mut AccessPattern,
                          scratch: &mut LocalizeScratch|
-     -> (IterationPartition, InspectorResult) {
+     -> InspectorResult {
         let prev = backend
             .machine_mut()
             .set_phase_kind(Some(PhaseKind::Inspector));
@@ -159,84 +128,59 @@ fn drive<B: Backend>(
         let result =
             Inspector.localize_with_scratch(backend, "edge-loop", &data_dist, pattern, scratch);
         backend.machine_mut().set_phase_kind(prev);
-        (iter_part, result)
+        result
     };
 
-    let (mut iter_part, mut inspect) = run_inspector(backend, &mut pattern, &mut scratch);
-    let mut buffers = SweepBuffers::new(p);
+    let mut inspect = run_inspector(backend, &mut pattern, &mut scratch);
+    // Per-rank ghost and contribution buffers reused by every sweep, so the
+    // steady-state loop (gather → kernel → scatter-add with a reused
+    // schedule) allocates nothing after the first sweep on the sequential
+    // engine, and the compute kernel can run rank-parallel.
+    let mut ghosts = vec![Vec::new(); p];
+    let mut contributions = vec![Vec::new(); p];
     registry.save_inspector(loop_id, &data_dads, &ind_dads);
-    times.inspector += sampler.lap(backend.machine());
-    times.inspector_runs += 1;
-    times.local_fraction = inspect.local_fraction();
+    let mut inspector_runs = 1;
+    let local_fraction = inspect.local_fraction();
 
     // Executor sweeps (phase E), optionally re-running the inspector first
     // (the "no schedule reuse" rows of Table 1).
     for sweep in 0..cfg.executor_iterations {
         if cfg.reuse {
             // The generated code's guard: a cheap check that the saved
-            // schedules are still valid.
+            // schedules are still valid, booked to the inspector as the
+            // language executor books it.
             let machine = backend.machine_mut();
+            let prev = machine.set_phase_kind(Some(PhaseKind::Inspector));
             let decision = registry.check_on_machine(machine, &loop_id, &data_dads, &ind_dads);
             debug_assert!(decision.can_reuse());
-            times.inspector += sampler.lap(backend.machine());
+            machine.set_phase_kind(prev);
         } else if sweep > 0 {
-            let (ip, ir) = run_inspector(backend, &mut pattern, &mut scratch);
-            iter_part = ip;
-            inspect = ir;
-            times.inspector += sampler.lap(backend.machine());
-            times.inspector_runs += 1;
+            inspect = run_inspector(backend, &mut pattern, &mut scratch);
+            inspector_runs += 1;
         }
 
         execute_sweep(
             backend,
             workload,
-            &iter_part,
             &inspect,
             &x,
             &mut y,
-            &mut buffers,
+            &mut ghosts,
+            &mut contributions,
         );
-        times.executor += sampler.lap(backend.machine());
-        times.executor_sweeps += 1;
 
         // The loop wrote y: record it, exactly as the generated code would.
         registry.record_write(&y.dad());
     }
 
-    let totals = backend.machine().stats().grand_totals();
-    times.messages = totals.messages;
-    times.bytes = totals.bytes;
-    times.total = backend.machine().elapsed().max_seconds();
-    times.wall_seconds = wall_start.elapsed().as_secs_f64();
+    let times = PhaseTimes {
+        inspector_runs,
+        executor_sweeps: cfg.executor_iterations,
+        local_fraction,
+        wall_seconds: wall_start.elapsed().as_secs_f64(),
+        ..PhaseTimes::from_machine(backend.machine())
+    };
     (times, y.to_global())
-}
-
-/// Buffers reused by every executor sweep, so the steady-state loop
-/// (gather → kernel → scatter-add with a reused schedule) performs no heap
-/// allocation after the first sweep on the sequential engine. Both buffer
-/// sets are per-rank, so the sweep's compute kernel can run rank-parallel.
-struct SweepBuffers {
-    ghosts: Vec<Vec<f64>>,
-    contributions: Vec<Vec<f64>>,
-}
-
-impl SweepBuffers {
-    fn new(nprocs: usize) -> Self {
-        SweepBuffers {
-            ghosts: vec![Vec::new(); nprocs],
-            contributions: vec![Vec::new(); nprocs],
-        }
-    }
-
-    /// Size the ghost and contribution buffers for an inspector result
-    /// (no-op when the sizes are unchanged); contributions are zeroed.
-    fn fit(&mut self, ghost_counts: &[usize]) {
-        for (q, &count) in ghost_counts.iter().enumerate() {
-            self.ghosts[q].resize(count, 0.0);
-            self.contributions[q].resize(count, 0.0);
-            self.contributions[q].fill(0.0);
-        }
-    }
 }
 
 /// One executor sweep: gather → local pair kernel → scatter-add.
@@ -249,20 +193,22 @@ impl SweepBuffers {
 fn execute_sweep<B: Backend>(
     backend: &mut B,
     workload: &PairLoopWorkload,
-    iter_part: &IterationPartition,
     inspect: &InspectorResult,
     x: &DistArray<f64>,
     y: &mut DistArray<f64>,
-    buffers: &mut SweepBuffers,
+    ghosts: &mut [Vec<f64>],
+    contributions: &mut [Vec<f64>],
 ) {
     let prev = backend
         .machine_mut()
         .set_phase_kind(Some(PhaseKind::Executor));
-    buffers.fit(&inspect.ghost_counts);
-    let SweepBuffers {
-        ghosts,
-        contributions,
-    } = buffers;
+    // Size the buffers for this inspector result (no-op when the sizes are
+    // unchanged); contributions start from zero.
+    for (q, &count) in inspect.ghost_counts.iter().enumerate() {
+        ghosts[q].resize(count, 0.0);
+        contributions[q].clear();
+        contributions[q].resize(count, 0.0);
+    }
     gather_into(backend, "edge-loop", &inspect.schedule, x, ghosts);
 
     let ghosts = &*ghosts;
@@ -270,13 +216,13 @@ fn execute_sweep<B: Backend>(
         y.par_shards_mut().zip(contributions.iter_mut()),
         |ctx, (y_local, contrib): (&mut [f64], &mut Vec<f64>)| {
             let proc = ctx.rank();
-            let niters = iter_part.iters(proc).len();
+            let localized = &inspect.localized[proc];
             let x_local = x.local(proc);
             let x_ghost = &ghosts[proc];
             // `x` is only read and `y` only written, so each iteration's
             // two updates are applied where they are computed: owned
             // elements in place, off-processor ones into the contributions.
-            for refs in inspect.localized[proc].chunks_exact(2) {
+            for refs in localized.chunks_exact(2) {
                 let (r1, r2) = (refs[0], refs[1]);
                 let v1 = *resolve_local(r1, x_local, x_ghost);
                 let v2 = *resolve_local(r2, x_local, x_ghost);
@@ -284,6 +230,7 @@ fn execute_sweep<B: Backend>(
                 *resolve_local_mut(r1, y_local, contrib) += f1;
                 *resolve_local_mut(r2, y_local, contrib) += f2;
             }
+            let niters = localized.len() / 2;
             ctx.charge_compute(proc, niters as f64 * workload.ops_per_iteration);
         },
     );
@@ -291,40 +238,39 @@ fn execute_sweep<B: Backend>(
     backend.machine_mut().set_phase_kind(prev);
 }
 
-/// Run one sweep sequentially and through the hand-coded path, returning the
-/// maximum absolute difference (used by tests and the `all_tables`
-/// self-check).
-pub fn verify_against_sequential(
-    workload: &PairLoopWorkload,
-    nprocs: usize,
-    method: Method,
-) -> f64 {
-    let cfg = ExperimentConfig {
-        nprocs,
-        method,
-        reuse: true,
-        executor_iterations: 1,
-        scale: 1,
-    };
-    let expected = workload.sequential_sweep();
-    let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-    let (_, got) = drive(&mut machine, workload, &cfg);
-    expected
-        .iter()
-        .zip(&got)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::{Driver, COMPILER, HAND_CODED};
     use crate::workload::{md_workload, mesh_workload};
+    use chaos_dmsim::PooledBackend;
     use chaos_workloads::{MdConfig, MeshConfig};
 
     fn small_mesh() -> PairLoopWorkload {
         mesh_workload(MeshConfig::tiny(600))
     }
+
+    /// Run one sweep through the hand-coded path and return the maximum
+    /// absolute difference from the sequential sweep.
+    fn verify_against_sequential(
+        workload: &PairLoopWorkload,
+        nprocs: usize,
+        method: Method,
+    ) -> f64 {
+        let cfg = ExperimentConfig::paper(nprocs, method).with_iterations(1);
+        let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
+        let (_, got) = drive(&mut machine, workload, &cfg);
+        workload
+            .sequential_sweep()
+            .iter()
+            .zip(&got)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// The paper's claims hold on both paths: the hand-coded runtime calls
+    /// and the compiler-generated program the tables print.
+    const DRIVERS: [(&str, Driver); 2] = [("hand-coded", HAND_CODED), ("compiler", COMPILER)];
 
     #[test]
     fn handcoded_matches_sequential_for_all_methods() {
@@ -349,7 +295,8 @@ mod tests {
         ] {
             let cfg = ExperimentConfig::paper(8, Method::Rcb).with_iterations(5);
             let seq = run_handcoded(&w, &cfg);
-            let pool = run_handcoded_pooled(&w, &cfg);
+            let mut backend = PooledBackend::from_config(MachineConfig::ipsc860(8));
+            let pool = run_handcoded_on(&mut backend, &w, &cfg);
             assert_eq!(seq.total.to_bits(), pool.total.to_bits(), "{}", w.name);
             assert_eq!(seq.executor.to_bits(), pool.executor.to_bits());
             assert_eq!(seq.inspector.to_bits(), pool.inspector.to_bits());
@@ -388,68 +335,69 @@ mod tests {
     fn schedule_reuse_reduces_inspector_cost() {
         let w = small_mesh();
         let base = ExperimentConfig::paper(4, Method::Rcb).with_iterations(10);
-        let with = run_handcoded(&w, &base);
-        let without = run_handcoded(&w, &base.with_reuse(false));
-        assert_eq!(with.inspector_runs, 1);
-        assert_eq!(without.inspector_runs, 10);
-        assert!(
-            without.inspector > 3.0 * with.inspector,
-            "inspector: {} vs {}",
-            without.inspector,
-            with.inspector
-        );
-        assert!(without.total > with.total);
-        // Executor time per sweep is unaffected by reuse.
-        let a = with.executor_per_iteration();
-        let b = without.executor_per_iteration();
-        assert!(
-            (a - b).abs() < 0.25 * a.max(b),
-            "executor per iter {a} vs {b}"
-        );
+        for (path, run) in DRIVERS {
+            let with = run(&w, &base).unwrap();
+            let without = run(&w, &base.with_reuse(false)).unwrap();
+            assert_eq!(with.inspector_runs, 1, "{path}");
+            assert_eq!(without.inspector_runs, 10, "{path}");
+            assert!(
+                without.inspector > 3.0 * with.inspector,
+                "{path} inspector: {} vs {}",
+                without.inspector,
+                with.inspector
+            );
+            assert!(without.total > with.total, "{path}");
+            // Executor time per sweep is unaffected by reuse.
+            let a = with.executor_per_iteration();
+            let b = without.executor_per_iteration();
+            assert!(
+                (a - b).abs() < 0.25 * a.max(b),
+                "{path} executor per iter {a} vs {b}"
+            );
+        }
     }
 
     #[test]
     fn irregular_partitioning_beats_block_in_the_executor() {
         let w = small_mesh();
-        let block = run_handcoded(
-            &w,
-            &ExperimentConfig::paper(8, Method::Block).with_iterations(5),
-        );
-        let rcb = run_handcoded(
-            &w,
-            &ExperimentConfig::paper(8, Method::Rcb).with_iterations(5),
-        );
-        assert!(
-            block.executor > 1.3 * rcb.executor,
-            "BLOCK executor {} should exceed RCB executor {}",
-            block.executor,
-            rcb.executor
-        );
-        assert!(rcb.local_fraction > block.local_fraction);
-        // BLOCK pays no partitioning / graph generation cost.
-        assert_eq!(block.partitioner, 0.0);
-        assert_eq!(block.graph_generation, 0.0);
-        assert!(rcb.partitioner > 0.0);
+        for (path, run) in DRIVERS {
+            let block_cfg = ExperimentConfig::paper(8, Method::Block).with_iterations(5);
+            let block = run(&w, &block_cfg).unwrap();
+            let rcb_cfg = ExperimentConfig::paper(8, Method::Rcb).with_iterations(5);
+            let rcb = run(&w, &rcb_cfg).unwrap();
+            assert!(
+                block.executor > 1.3 * rcb.executor,
+                "{path}: BLOCK executor {} should exceed RCB executor {}",
+                block.executor,
+                rcb.executor
+            );
+            // The language executor does not surface the local fraction.
+            if path == "hand-coded" {
+                assert!(rcb.local_fraction > block.local_fraction);
+            }
+            // BLOCK pays no partitioning / graph generation cost.
+            assert_eq!(block.partitioner, 0.0, "{path}");
+            assert_eq!(block.graph_generation, 0.0, "{path}");
+            assert!(rcb.partitioner > 0.0, "{path}");
+        }
     }
 
     #[test]
     fn rsb_costs_more_to_partition_but_executes_no_worse() {
         let w = small_mesh();
-        let rcb = run_handcoded(
-            &w,
-            &ExperimentConfig::paper(4, Method::Rcb).with_iterations(5),
-        );
-        let rsb = run_handcoded(
-            &w,
-            &ExperimentConfig::paper(4, Method::Rsb).with_iterations(5),
-        );
-        assert!(
-            rsb.partitioner > 3.0 * rcb.partitioner,
-            "RSB partitioner {} should dwarf RCB {}",
-            rsb.partitioner,
-            rcb.partitioner
-        );
-        assert!(rsb.executor < 1.3 * rcb.executor);
+        for (path, run) in DRIVERS {
+            let rcb_cfg = ExperimentConfig::paper(4, Method::Rcb).with_iterations(5);
+            let rcb = run(&w, &rcb_cfg).unwrap();
+            let rsb_cfg = ExperimentConfig::paper(4, Method::Rsb).with_iterations(5);
+            let rsb = run(&w, &rsb_cfg).unwrap();
+            assert!(
+                rsb.partitioner > 3.0 * rcb.partitioner,
+                "{path}: RSB partitioner {} should dwarf RCB {}",
+                rsb.partitioner,
+                rcb.partitioner
+            );
+            assert!(rsb.executor < 1.3 * rcb.executor, "{path}");
+        }
     }
 
     #[test]
@@ -458,38 +406,45 @@ mod tests {
         // per-message latency; tiny meshes are (realistically) latency-bound
         // and do not scale.
         let w = mesh_workload(MeshConfig::tiny(4000));
-        let p4 = run_handcoded(
-            &w,
-            &ExperimentConfig::paper(4, Method::Rcb).with_iterations(5),
-        );
-        let p16 = run_handcoded(
-            &w,
-            &ExperimentConfig::paper(16, Method::Rcb).with_iterations(5),
-        );
-        assert!(
-            p16.executor < p4.executor,
-            "executor should scale: 4p={} 16p={}",
-            p4.executor,
-            p16.executor
-        );
+        for (path, run) in DRIVERS {
+            let p4 = run(
+                &w,
+                &ExperimentConfig::paper(4, Method::Rcb).with_iterations(5),
+            )
+            .unwrap();
+            let p16 = run(
+                &w,
+                &ExperimentConfig::paper(16, Method::Rcb).with_iterations(5),
+            )
+            .unwrap();
+            assert!(
+                p16.executor < p4.executor,
+                "{path}: executor should scale: 4p={} 16p={}",
+                p4.executor,
+                p16.executor
+            );
+        }
     }
 
     #[test]
     fn phase_times_account_for_most_of_the_total() {
         let w = small_mesh();
-        let t = run_handcoded(
-            &w,
-            &ExperimentConfig::paper(4, Method::Rcb).with_iterations(3),
-        );
-        assert!(t.phase_sum() <= t.total * 1.001);
-        assert!(
-            t.phase_sum() > 0.5 * t.total,
-            "phases {} vs total {}",
-            t.phase_sum(),
-            t.total
-        );
-        assert!(t.messages > 0);
-        assert!(t.bytes > 0);
-        assert!(t.wall_seconds > 0.0);
+        for (path, run) in DRIVERS {
+            let t = run(
+                &w,
+                &ExperimentConfig::paper(4, Method::Rcb).with_iterations(3),
+            )
+            .unwrap();
+            assert!(t.phase_sum() <= t.total * 1.001, "{path}");
+            assert!(
+                t.phase_sum() > 0.5 * t.total,
+                "{path}: phases {} vs total {}",
+                t.phase_sum(),
+                t.total
+            );
+            assert!(t.messages > 0, "{path}");
+            assert!(t.bytes > 0, "{path}");
+            assert!(t.wall_seconds > 0.0, "{path}");
+        }
     }
 }

@@ -7,15 +7,19 @@
 //!   generators into the "pair loop" form every experiment uses,
 //! * [`experiment`] — experiment configuration and the phase-by-phase
 //!   timing record the tables report (graph generation, partitioner,
-//!   inspector, remap, executor, total),
+//!   inspector, remap, executor, total), read off the machine's phase
+//!   clocks the same way for both drivers,
 //! * [`handcoded`] — the hand-embedded runtime version of the edge / force
 //!   loop (calls `chaos-runtime` directly, as the paper's authors did when
-//!   they "embedded our runtime support by hand"),
+//!   they "embedded our runtime support by hand"); it prints Table 2's three
+//!   "Hand Coded" columns and nothing else,
 //! * [`compilergen`] — the compiler-generated version (the same template
 //!   expressed in the Fortran-D-like mini-language and executed through
-//!   `chaos-lang`),
-//! * [`tables`] — plain-text table formatting shared by the `table1` ..
-//!   `table4` and `all_tables` binaries,
+//!   `chaos-lang`); it prints Tables 1, 3 and 4 and Table 2's compiler
+//!   columns,
+//! * [`tables`] — the one table runner (workloads, drivers, progress lines,
+//!   `--json` records) and the row table and text formatting shared by the
+//!   `table1` .. `table4` binaries,
 //! * [`kernel_bench`] — the edge-loop program fixture `perf_check` and the
 //!   end-to-end benchmark (`benchmark/`) run.
 //!
@@ -35,6 +39,5 @@ pub mod kernel_bench;
 pub mod tables;
 pub mod workload;
 
-pub use cli::{standard_grid, Options};
 pub use experiment::{ExperimentConfig, Method, PhaseTimes};
 pub use workload::{md_workload, mesh_workload, PairLoopWorkload, WorkloadKind};

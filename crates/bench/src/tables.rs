@@ -1,10 +1,140 @@
-//! Plain-text table formatting shared by the `table1` .. `table4` binaries.
+//! The table runner and plain-text formatting shared by the `table1` ..
+//! `table4` binaries.
 //!
-//! The tables mirror the layout of the paper's Tables 1–4: a header row of
-//! workload / processor-count columns and one row per phase (or per reuse
-//! setting), values in modeled seconds.
+//! A binary declares its experiments as [`Run`]s and its rows as [`Row`]s;
+//! [`run_table`] builds each workload once, runs every experiment through
+//! its driver, prints a progress line per run, writes the `--json` records
+//! and heads the table with the runs' columns. The tables mirror the layout
+//! of the paper's Tables 1–4: a header row of workload / processor-count
+//! columns and one row per phase (or per reuse setting), values in modeled
+//! seconds.
 
-use crate::experiment::PhaseTimes;
+use crate::cli::{standard_grid, Options};
+use crate::compilergen::run_compiler_generated;
+use crate::experiment::{ExperimentConfig, Method, PhaseTimes};
+use crate::handcoded::run_handcoded;
+use crate::workload::{PairLoopWorkload, WorkloadKind};
+use chaos_lang::LangError;
+use std::collections::HashMap;
+
+/// How one experiment is run.
+pub type Driver = fn(&PairLoopWorkload, &ExperimentConfig) -> Result<PhaseTimes, LangError>;
+
+/// The compiler-generated program through the language executor: Tables 1,
+/// 3 and 4, and Table 2's compiler columns.
+pub const COMPILER: Driver = |w, cfg| Ok(run_compiler_generated(w, cfg)?.0);
+
+/// The hand-embedded runtime calls: Table 2's "Hand Coded" columns only.
+pub const HAND_CODED: Driver = |w, cfg| Ok(run_handcoded(w, cfg));
+
+/// One experiment of a table: the column it is printed under, its workload,
+/// its configuration and the driver that runs it.
+pub struct Run {
+    /// Header of the column the run's values land in.
+    pub column: String,
+    /// The workload, built at the table's `--scale`.
+    pub kind: WorkloadKind,
+    /// Processors, method, reuse and sweeps.
+    pub cfg: ExperimentConfig,
+    /// Which path runs it.
+    pub driver: Driver,
+}
+
+/// The runs of Tables 1, 3 and 4: every column of the paper's workload ×
+/// processor grid once per `(method, reuse)` variant, variant by variant,
+/// on the compiler-generated path. The results of variant `k` are the `k`-th
+/// of the equal chunks [`run_table`] returns.
+pub fn grid_runs(opts: &Options, variants: &[(Method, bool)]) -> Vec<Run> {
+    let mut runs = Vec::new();
+    for &(method, reuse) in variants {
+        for (kind, procs) in standard_grid() {
+            for p in procs {
+                runs.push(Run {
+                    column: format!("{} P={p}", kind.label()),
+                    kind,
+                    cfg: ExperimentConfig::paper(p, method)
+                        .with_reuse(reuse)
+                        .with_iterations(opts.iterations),
+                    driver: COMPILER,
+                });
+            }
+        }
+    }
+    runs
+}
+
+/// Run every experiment in order, building each workload once, with one
+/// progress line per run on stderr; write `{table, column, nprocs, method,
+/// reuse, phases}` records to `--json` when asked. Returns the table, titled
+/// and headed by the runs' distinct columns, and the phase times in run
+/// order.
+pub fn run_table(
+    table: u8,
+    title: &str,
+    opts: &Options,
+    runs: &[Run],
+) -> Result<(TextTable, Vec<PhaseTimes>), LangError> {
+    let mut workloads = HashMap::new();
+    let mut header = vec!["(Time in secs)".to_string()];
+    let mut times = Vec::with_capacity(runs.len());
+    for run in runs {
+        if !header.contains(&run.column) {
+            header.push(run.column.clone());
+        }
+        let workload = workloads
+            .entry(run.kind)
+            .or_insert_with(|| run.kind.build(opts.scale));
+        let t = (run.driver)(workload, &run.cfg)?;
+        eprintln!(
+            "  [{}: {}, reuse={}] total={:.3}s inspector={:.3}s executor={:.3}s wall={:.2}s",
+            run.column,
+            run.cfg.method.label(),
+            run.cfg.reuse,
+            t.total,
+            t.inspector,
+            t.executor,
+            t.wall_seconds
+        );
+        times.push(t);
+    }
+    if let Some(path) = &opts.json {
+        let records: Vec<_> = runs
+            .iter()
+            .zip(&times)
+            .map(|(run, t)| {
+                serde_json::json!({
+                    "table": table,
+                    "column": run.column.clone(),
+                    "nprocs": run.cfg.nprocs,
+                    "method": run.cfg.method.label(),
+                    "reuse": run.cfg.reuse,
+                    "phases": t,
+                })
+            })
+            .collect();
+        std::fs::write(path, serde_json::to_string_pretty(&records).unwrap())
+            .unwrap_or_else(|e| eprintln!("failed to write {path}: {e}"));
+    }
+    Ok((TextTable::new(title, header), times))
+}
+
+/// A table row: its label and the modeled seconds it reads off one run.
+pub type Row = (&'static str, fn(&PhaseTimes) -> f64);
+
+/// GeoCoL graph generation (Table 2).
+pub const GRAPH_GENERATION: Row = ("Graph Generation", |t| t.graph_generation);
+/// The partitioner alone (Table 2).
+pub const PARTITIONER: Row = ("Partitioner", |t| t.partitioner);
+/// The partitioner with its graph generation (Table 3).
+pub const PARTITIONER_AND_GRAPH: Row = ("Partitioner", |t| t.partitioner + t.graph_generation);
+/// The inspector, over all its runs.
+pub const INSPECTOR: Row = ("Inspector", |t| t.inspector);
+/// Array remapping.
+pub const REMAP: Row = ("Remap", |t| t.remap);
+/// The executor, over all sweeps.
+pub const EXECUTOR: Row = ("Executor", |t| t.executor);
+/// End-to-end modeled time.
+pub const TOTAL: Row = ("Total", |t| t.total);
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -29,27 +159,14 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Append a row of second-valued cells with a label.
-    pub fn seconds_row(&mut self, label: &str, values: &[f64]) {
-        let mut cells = vec![label.to_string()];
-        cells.extend(values.iter().map(|v| format_seconds(*v)));
-        self.rows.push(cells);
-    }
-
-    /// Machine-readable twin of [`TextTable::render`]: the same title,
-    /// header and rows as one JSON object, so harnesses can diff table
-    /// contents without scraping the aligned text.
-    pub fn to_json(&self) -> String {
-        let value = serde_json::json!({
-            "title": self.title.clone(),
-            "header": self.header.clone(),
-            "rows": self
-                .rows
-                .iter()
-                .map(serde_json::ToValue::to_value)
-                .collect::<Vec<_>>(),
-        });
-        serde_json::to_string(&value).unwrap_or_default()
+    /// Append one row of modeled seconds per `row`, each read off every
+    /// column's run.
+    pub fn phase_rows(&mut self, rows: &[Row], columns: &[PhaseTimes]) {
+        for (label, value) in rows {
+            let mut cells = vec![label.to_string()];
+            cells.extend(columns.iter().map(|t| format_seconds(value(t))));
+            self.rows.push(cells);
+        }
     }
 
     /// Render to a string.
@@ -115,21 +232,6 @@ pub fn format_seconds(v: f64) -> String {
     }
 }
 
-/// The standard per-phase rows (Tables 2–4): returns `(label, value)` pairs
-/// in the paper's order.
-pub fn phase_rows(t: &PhaseTimes, include_graph_and_partitioner: bool) -> Vec<(&'static str, f64)> {
-    let mut rows = Vec::new();
-    if include_graph_and_partitioner {
-        rows.push(("Graph Generation", t.graph_generation));
-        rows.push(("Partitioner", t.partitioner));
-    }
-    rows.push(("Inspector", t.inspector));
-    rows.push(("Remap", t.remap));
-    rows.push(("Executor", t.executor));
-    rows.push(("Total", t.total));
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,8 +248,12 @@ mod tests {
     #[test]
     fn table_renders_aligned_columns() {
         let mut t = TextTable::new("Table X", vec!["".into(), "4".into(), "8".into()]);
-        t.seconds_row("Executor", &[12.7, 7.0]);
-        t.seconds_row("Total", &[17.6, 10.8]);
+        let run = |executor, total| PhaseTimes {
+            executor,
+            total,
+            ..Default::default()
+        };
+        t.phase_rows(&[EXECUTOR, TOTAL], &[run(12.7, 17.6), run(7.0, 10.8)]);
         let s = t.render();
         assert!(s.contains("Table X"));
         assert!(s.contains("Executor"));
@@ -155,16 +261,6 @@ mod tests {
         let exec_line = s.lines().find(|l| l.contains("Executor")).unwrap();
         let total_line = s.lines().find(|l| l.contains("Total")).unwrap();
         assert_eq!(exec_line.find("12.7"), total_line.find("17.6"));
-    }
-
-    #[test]
-    fn table_emits_json_twin() {
-        let mut t = TextTable::new("Table X", vec!["".into(), "4".into()]);
-        t.seconds_row("Executor", &[12.7]);
-        let json = t.to_json();
-        assert!(json.contains("\"title\":\"Table X\""));
-        assert!(json.contains("\"Executor\""));
-        assert!(json.contains("\"12.7\""));
     }
 
     #[test]
@@ -178,11 +274,19 @@ mod tests {
             total: 22.4,
             ..Default::default()
         };
-        let rows = phase_rows(&t, true);
-        assert_eq!(rows[0].0, "Graph Generation");
-        assert_eq!(rows.last().unwrap().0, "Total");
-        let rows = phase_rows(&t, false);
-        assert_eq!(rows[0].0, "Inspector");
-        assert_eq!(rows.len(), 4);
+        let mut table = TextTable::new("Table X", vec!["".into(), "A".into(), "B".into()]);
+        table.phase_rows(
+            &[PARTITIONER_AND_GRAPH, INSPECTOR, REMAP, EXECUTOR, TOTAL],
+            &[t.clone(), PhaseTimes::default()],
+        );
+        let labels: Vec<&str> = table.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(
+            labels,
+            ["Partitioner", "Inspector", "Remap", "Executor", "Total"]
+        );
+        // Table 3's partitioner row folds graph generation in.
+        assert_eq!(table.rows[0][1..], ["3.80", "0.000"]);
+        assert_eq!(GRAPH_GENERATION.1(&t), 2.2);
+        assert_eq!(PARTITIONER.1(&t), 1.6);
     }
 }

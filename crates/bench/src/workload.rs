@@ -9,7 +9,7 @@
 use chaos_workloads::{edge_flux_kernel, MdConfig, MeshConfig, UnstructuredMesh, WaterBox};
 
 /// Which paper workload an experiment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// The 10K-node unstructured Euler mesh.
     Mesh10k,

@@ -250,14 +250,27 @@ fn reuse_saves_the_inspector_phase() {
         for _ in 0..10 {
             exec.execute_loop(&cp, "L1").unwrap();
         }
+        let stats = exec.machine().stats();
         (
             exec.machine().phase_elapsed(PhaseKind::Inspector),
             exec.report().inspector_runs,
+            stats.totals_for(PhaseKind::Executor),
+            stats.saved_labelled(SAVED_GATHER_LABEL),
         )
     };
-    let (with_time, with_runs) = run(true);
-    let (without_time, without_runs) = run(false);
+    let (with_time, with_runs, with_sent, _) = run(true);
+    let (without_time, without_runs, without_sent, without_saved) = run(false);
     assert_eq!((with_runs, without_runs), (1, 11));
+    // What the re-bound loop's gathers skip is exactly the traffic the
+    // reuse arm sends: its executor carries the no-reuse executor's
+    // messages and bytes plus the saved gathers.
+    assert_eq!(
+        (with_sent.messages, with_sent.bytes),
+        (
+            without_sent.messages + without_saved.messages,
+            without_sent.bytes + without_saved.bytes
+        )
+    );
     // Under a BLOCK distribution the inspector is comparatively cheap
     // (index translation is local arithmetic); the paper-scale factors
     // appear once the data is irregularly distributed (see the Table 1

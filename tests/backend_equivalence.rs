@@ -489,14 +489,15 @@ fn disconnected_graph_partitioning_is_engine_independent() {
 #[test]
 fn mesh_workload_experiment_is_engine_independent() {
     use chaos_bench::experiment::{ExperimentConfig, Method};
-    use chaos_bench::handcoded::{run_handcoded, run_handcoded_on, run_handcoded_pooled};
+    use chaos_bench::handcoded::{run_handcoded, run_handcoded_on};
     use chaos_bench::workload::mesh_workload;
     use chaos_workloads::MeshConfig;
 
     let w = mesh_workload(MeshConfig::tiny(1500));
     let cfg = ExperimentConfig::paper(16, Method::Rcb).with_iterations(4);
     let seq = run_handcoded(&w, &cfg);
-    let pooled = run_handcoded_pooled(&w, &cfg);
+    let mut default_lanes = PooledBackend::from_config(MachineConfig::ipsc860(16));
+    let pooled = run_handcoded_on(&mut default_lanes, &w, &cfg);
     let mut lane_per_rank = PooledBackend::from_config_with_workers(MachineConfig::ipsc860(16), 16);
     let pooled16 = run_handcoded_on(&mut lane_per_rank, &w, &cfg);
     for other in [&pooled, &pooled16] {

@@ -7,12 +7,12 @@
 
 use chaos_bench::compilergen::{program_inputs, program_text};
 use chaos_bench::experiment::Method;
-use chaos_bench::workload::{md_workload, mesh_workload};
+use chaos_bench::workload::{md_workload, mesh_workload, PairLoopWorkload};
 use chaos_repro::dmsim::{Backend, MachineConfig};
 use chaos_repro::lang::{
     lower_program, parse_program, CompiledProgram, Executor, KernelMode, ProgramInputs,
 };
-use chaos_repro::workloads::{MdConfig, MeshConfig};
+use chaos_repro::workloads::{edge_flux_kernel, MdConfig, MeshConfig};
 use proptest::prelude::*;
 
 /// Everything one program run observes that must match across kernel modes
@@ -405,4 +405,76 @@ fn md_example_program_agrees_across_modes_and_engines() {
     let obs = assert_all_equivalent(&src, &inputs, 4, &["x", "y"], 3);
     assert!(obs.messages > 0, "pair loop communicates");
     assert_eq!(obs.loop_sweeps, 4);
+}
+
+// ---------- data edge cases ----------
+
+/// A pair workload over `nnodes` points with the given 0-based pairs, run
+/// with the template's edge-flux kernel.
+fn edge_case(nnodes: usize, pairs: &[(u32, u32)]) -> PairLoopWorkload {
+    let line: Vec<f64> = (0..nnodes).map(|i| i as f64).collect();
+    PairLoopWorkload {
+        name: format!("{nnodes} nodes, {} pairs", pairs.len()),
+        nnodes,
+        coords: [
+            line.clone(),
+            line.iter().map(|v| (v * 0.37).sin()).collect(),
+            vec![0.0; nnodes],
+        ],
+        loads: vec![1.0; nnodes],
+        e1: pairs.iter().map(|p| p.0).collect(),
+        e2: pairs.iter().map(|p| p.1).collect(),
+        input: line.iter().map(|v| 1.5 + (v * 0.61).sin()).collect(),
+        kernel: edge_flux_kernel,
+        ops_per_iteration: 0.0,
+    }
+}
+
+/// `y` after the program and one reused sweep of its loop.
+fn two_sweeps<B: Backend>(mut exec: Executor<B>, cp: &CompiledProgram) -> Vec<f64> {
+    exec.run(cp).expect("program runs");
+    exec.execute_loop(cp, "L1").expect("sweep runs");
+    exec.real_global("y").expect("y materialized")
+}
+
+/// Empty arrays, an empty loop, more ranks than elements, duplicate
+/// references within one iteration and a lone self-edge, through the
+/// `Executor` on `Machine` and on a 2-lane pool, in both kernel modes, under
+/// the BLOCK program and with the RCB preamble: every run gives the serial
+/// reference.
+#[test]
+fn data_edge_cases_match_the_serial_reference_on_every_engine_and_mode() {
+    let cases = [
+        (8, edge_case(0, &[])),
+        (4, edge_case(5, &[])),
+        (8, edge_case(3, &[(0, 1), (1, 2), (2, 0)])),
+        (
+            4,
+            edge_case(12, &[(3, 3), (4, 7), (4, 7), (7, 4), (0, 11), (11, 11)]),
+        ),
+        (2, edge_case(1, &[(0, 0)])),
+    ];
+    for (nprocs, w) in &cases {
+        let expected: Vec<f64> = w.sequential_sweep().iter().map(|v| 2.0 * v).collect();
+        for method in [Method::Block, Method::Rcb] {
+            let cp = lower_program(parse_program(&program_text(method)).unwrap()).unwrap();
+            for mode in [KernelMode::Compiled, KernelMode::Interpreted] {
+                let cfg = MachineConfig::ipsc860(*nprocs);
+                let on_machine =
+                    Executor::new(cfg.clone(), program_inputs(w)).with_kernel_mode(mode);
+                let on_pool = Executor::new_pooled_with_workers(cfg, 2, program_inputs(w))
+                    .with_kernel_mode(mode);
+                let (ym, yp) = (two_sweeps(on_machine, &cp), two_sweeps(on_pool, &cp));
+                let case = format!("{}, {method:?}, {mode:?}", w.name);
+                assert_eq!(ym.len(), expected.len(), "{case}");
+                for ((m, p), e) in ym.iter().zip(&yp).zip(&expected) {
+                    assert_eq!(m.to_bits(), p.to_bits(), "{case}: engines disagree");
+                    assert!(
+                        (m - e).abs() <= 1e-12 * (1.0 + e.abs()),
+                        "{case}: {m} vs {e}"
+                    );
+                }
+            }
+        }
+    }
 }
