@@ -4,14 +4,10 @@
 //! plus the machine's clocks and statistics. The copy itself is exact (plain
 //! `clone_from` of the shard `Vec`s — see
 //! [`crate::darray::DistArray::copy_values_from`]); this module charges its
-//! *modeled* cost to the virtual clocks the same way the mapper coupler
-//! charges a partitioner run: the per-rank shard scans are charged
-//! rank-parallel through the [`Backend`], their total is **deducted** from
-//! the lump-sum [`checkpoint_cost_estimate`], and only the non-negative
-//! residual (bookkeeping that does not scale with the shard sizes) is
-//! charged to every processor. The scan work is therefore never counted
-//! twice — the exact analogue of how `MapperCoupler::partition` deducts
-//! `RankScans` charges from the partitioner's `cost_estimate`.
+//! *modeled* cost to the virtual clocks: each rank's shard scan is charged
+//! to that rank rank-parallel through the [`Backend`], and the fixed
+//! bookkeeping that does not scale with the shard sizes is split evenly
+//! over every processor.
 
 use chaos_dmsim::Backend;
 
@@ -24,45 +20,27 @@ pub const CKPT_OPS_PER_WORD: f64 = 0.5;
 /// bookkeeping) in compute units, independent of the shard sizes.
 pub const CKPT_BASE_OPS: f64 = 64.0;
 
-/// Lump-sum estimate of one checkpoint (or restore) of `words` total words
-/// across all ranks: the per-word scan cost plus the fixed bookkeeping.
-pub fn checkpoint_cost_estimate(words: usize) -> f64 {
-    CKPT_BASE_OPS + CKPT_OPS_PER_WORD * words as f64
-}
-
 /// Charge one checkpoint (or restore) of `rank_words[p]` words on each rank
-/// `p` to the backend's clocks.
-///
-/// Each rank's shard scan is charged to that rank's own clock through a
-/// rank-parallel compute region, and what those scans charged in total is
-/// deducted from [`checkpoint_cost_estimate`] before the residual is divided
-/// across the processors — so the scan cost appears on the clocks exactly
-/// once, regardless of the engine. Returns the compute units charged per
-/// rank by the scan region (excluding the residual).
+/// `p` to the backend's clocks: [`CKPT_OPS_PER_WORD`] per word to the rank
+/// that scans it, through a rank-parallel compute region, then
+/// [`CKPT_BASE_OPS`] split evenly over the processors.
 ///
 /// # Panics
 /// Panics if `rank_words.len()` differs from the backend's rank count.
-pub fn charge_checkpoint<B: Backend + ?Sized>(backend: &mut B, rank_words: &[usize]) -> f64 {
+pub fn charge_checkpoint<B: Backend + ?Sized>(backend: &mut B, rank_words: &[usize]) {
     let nprocs = backend.nprocs();
     assert_eq!(
         rank_words.len(),
         nprocs,
         "charge_checkpoint: one word count per rank"
     );
-    let total: usize = rank_words.iter().sum();
-
-    // Rank-parallel scan charge: each rank pays for copying its own shards.
     backend.run_charges(|ctx| {
         let rank = ctx.rank();
         ctx.charge_compute(rank, CKPT_OPS_PER_WORD * rank_words[rank] as f64);
     });
-
-    // Deduct what the scans charged from the lump-sum estimate; only the
-    // residual bookkeeping is charged to every processor.
-    let charged = CKPT_OPS_PER_WORD * total as f64;
-    let residual = ((checkpoint_cost_estimate(total) - charged) / nprocs as f64).max(0.0);
-    backend.machine_mut().charge_compute_all(residual);
-    charged
+    backend
+        .machine_mut()
+        .charge_compute_all(CKPT_BASE_OPS / nprocs as f64);
 }
 
 #[cfg(test)]
@@ -71,41 +49,13 @@ mod tests {
     use chaos_dmsim::{Machine, MachineConfig};
 
     #[test]
-    fn scan_charges_are_deducted_not_double_charged() {
-        // Unit cost model: 1 compute unit = 1 second, so the clocks read the
-        // charged units directly.
-        let mut machine = Machine::new(MachineConfig::unit(4));
-        let rank_words = [100, 200, 300, 400];
-        charge_checkpoint(&mut machine, &rank_words);
-
-        let elapsed = machine.elapsed();
-        let total_words: usize = rank_words.iter().sum();
-        let estimate = checkpoint_cost_estimate(total_words);
-        let scan_total = CKPT_OPS_PER_WORD * total_words as f64;
-        let residual_each = (estimate - scan_total) / 4.0;
-
-        // Every rank paid its own scan plus an equal share of the residual —
-        // and nothing else. Summed over ranks that is exactly the estimate,
-        // not estimate + scan (which is what double-charging would produce).
-        let mut summed = 0.0;
-        for (p, &w) in rank_words.iter().enumerate() {
-            let expected = CKPT_OPS_PER_WORD * w as f64 + residual_each;
-            assert_eq!(elapsed.per_proc[p].to_bits(), expected.to_bits());
-            summed += elapsed.per_proc[p];
-        }
-        assert!((summed - estimate).abs() < 1e-9);
-    }
-
-    #[test]
     fn residual_is_size_independent_bookkeeping() {
-        // The estimate's per-word term matches the scans exactly, so after
-        // the deduction only the fixed bookkeeping remains — whatever the
-        // checkpoint size.
+        // Each rank pays its own scan plus an equal share of the fixed
+        // bookkeeping — whatever the checkpoint size.
         for words in [0usize, 10, 1_000_000] {
             let mut machine = Machine::new(MachineConfig::unit(2));
             let rank_words = [words, words];
-            let charged = charge_checkpoint(&mut machine, &rank_words);
-            assert_eq!(charged, CKPT_OPS_PER_WORD * (2 * words) as f64);
+            charge_checkpoint(&mut machine, &rank_words);
             let elapsed = machine.elapsed();
             let expected = CKPT_OPS_PER_WORD * words as f64 + CKPT_BASE_OPS / 2.0;
             assert_eq!(elapsed.per_proc[0].to_bits(), expected.to_bits());

@@ -121,15 +121,13 @@ fn gather_unpack_kernel<T: Clone>(
 /// it is handed for that rank.
 #[derive(Debug, Clone, Copy)]
 pub enum Landing<'a> {
-    /// `row[i]` — the row is exactly the schedule's ghost buffer.
-    Slots,
     /// `row[bases[p] + i]` — the incremental fetch: the schedule is the
     /// *difference* a later loop still needs and `bases[p]` is its chunk of
     /// the shared resident ghost region.
     Offset(&'a [u32]),
     /// `row[maps[p][i]]` — the full re-binding fetch: the schedule is the
     /// loop's *own* and `maps[p]` its binding into the region, so charges
-    /// equal a [`Landing::Slots`] gather of that schedule bit-for-bit.
+    /// equal a [`gather_into`] of that schedule bit-for-bit.
     Mapped(&'a [Vec<u32>]),
 }
 
@@ -259,7 +257,6 @@ pub fn gather_inline<'g, T, I>(
     let nprocs = machine.nprocs();
     check_schedule(nprocs, schedule);
     match landing {
-        Landing::Slots => {}
         Landing::Offset(bases) => {
             assert_eq!(bases.len(), nprocs, "bases must match machine size")
         }
@@ -276,14 +273,6 @@ pub fn gather_inline<'g, T, I>(
             let p = ctx.rank();
             let count = schedule.ghost_count(p);
             match landing {
-                Landing::Slots => {
-                    assert_eq!(
-                        row.len(),
-                        count,
-                        "processor {p} ghost buffer length mismatch"
-                    );
-                    gather_unpack_kernel(ctx, schedule, array, row, |slot| slot);
-                }
                 Landing::Offset(bases) => {
                     let base = bases[p] as usize;
                     assert!(
@@ -573,7 +562,7 @@ mod tests {
         let _ = gather(&mut wrong, "L", &r.schedule, &x);
     }
 
-    /// One test over the three landings of [`gather_inline`], each against
+    /// One test over the two landings of [`gather_inline`], each against
     /// an engine-phase [`gather_into`] on a twin machine.
     #[test]
     fn gather_inline_lands_by_descriptor_and_charges_like_gather_into() {
@@ -613,7 +602,6 @@ mod tests {
 
         // (landing, schedule gathered, rows before the gather)
         let cases = [
-            (Landing::Slots, &b, buffers(&b)),
             (Landing::Offset(&bases), &diff, resident.clone()),
             (Landing::Mapped(&map), &b, buffers(&region)),
         ];
@@ -632,7 +620,6 @@ mod tests {
             );
             assert_eq!((engine.epoch(), inline.epoch()), (1, 0), "{landing:?}");
             match landing {
-                Landing::Slots => assert_eq!(rows, reference),
                 // The difference lands at the chunk base, and loop B reads
                 // all of its values through the re-binding map.
                 Landing::Offset(_) => {

@@ -46,7 +46,7 @@
 //! | [`mod@remap`] | array remapping between distributions |
 //! | [`reuse`] | `nmod`, `last_mod`, per-loop inspector-reuse records |
 //! | [`coupler`] | CONSTRUCT / SET ... BY PARTITIONING / REDISTRIBUTE |
-//! | [`ckpt`] | modeled cost of epoch checkpoint/rollback (scan charges deducted from the lump estimate) |
+//! | [`ckpt`] | modeled cost of epoch checkpoint/rollback (per-rank shard scans plus fixed bookkeeping) |
 //!
 //! ## Hot-path layout
 //!
@@ -77,7 +77,7 @@ pub mod reuse;
 pub mod schedule;
 pub mod ttable;
 
-pub use ckpt::{charge_checkpoint, checkpoint_cost_estimate};
+pub use ckpt::charge_checkpoint;
 pub use coupler::{GeoColSpec, MapperCoupler, PartitionOutcome};
 pub use dad::{Dad, DadSignature};
 pub use darray::DistArray;

@@ -18,10 +18,6 @@ pub enum Topology {
     Hypercube,
     /// Fully connected network: every pair of processors is one hop apart.
     FullyConnected,
-    /// Unidirectional ring: hop count is the clockwise distance.
-    Ring,
-    /// 2-D mesh, as square as possible. Hop count is the Manhattan distance.
-    Mesh2D,
 }
 
 /// The α–β(–hop) communication and per-operation computation cost model.
@@ -109,12 +105,6 @@ impl MachineConfig {
         }
     }
 
-    /// Builder-style: replace the topology.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Validate the configuration, returning a description of the problem if
     /// it is unusable.
     pub fn validate(&self) -> Result<(), String> {
@@ -148,10 +138,11 @@ mod tests {
     #[test]
     fn hypercube_rejects_non_power_of_two() {
         assert!(MachineConfig::ipsc860(6).validate().is_err());
-        assert!(MachineConfig::ipsc860(6)
-            .with_topology(Topology::FullyConnected)
-            .validate()
-            .is_ok());
+        let fully_connected = MachineConfig {
+            topology: Topology::FullyConnected,
+            ..MachineConfig::ipsc860(6)
+        };
+        assert!(fully_connected.validate().is_ok());
     }
 
     #[test]

@@ -15,35 +15,7 @@ pub fn hops(topology: Topology, nprocs: usize, a: usize, b: usize) -> usize {
     match topology {
         Topology::FullyConnected => 1,
         Topology::Hypercube => (a ^ b).count_ones() as usize,
-        Topology::Ring => {
-            let d = (a as isize - b as isize).unsigned_abs();
-            d.min(nprocs - d)
-        }
-        Topology::Mesh2D => {
-            let cols = mesh_cols(nprocs);
-            let (ar, ac) = (a / cols, a % cols);
-            let (br, bc) = (b / cols, b % cols);
-            ar.abs_diff(br) + ac.abs_diff(bc)
-        }
     }
-}
-
-/// Number of columns used for the [`Topology::Mesh2D`] layout: the largest
-/// divisor of a square-ish factorization, falling back to a single row when
-/// `nprocs` is prime.
-pub fn mesh_cols(nprocs: usize) -> usize {
-    if nprocs == 0 {
-        return 1;
-    }
-    let mut best = 1;
-    let mut d = 1;
-    while d * d <= nprocs {
-        if nprocs.is_multiple_of(d) {
-            best = d;
-        }
-        d += 1;
-    }
-    nprocs / best
 }
 
 /// The processors a tree-structured collective visits, as (parent, child)
@@ -76,21 +48,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_hops_wrap_around() {
-        assert_eq!(hops(Topology::Ring, 8, 0, 7), 1);
-        assert_eq!(hops(Topology::Ring, 8, 0, 4), 4);
-        assert_eq!(hops(Topology::Ring, 8, 2, 5), 3);
-    }
-
-    #[test]
-    fn mesh_hops_are_manhattan() {
-        // 4x4 mesh for 16 procs
-        assert_eq!(mesh_cols(16), 4);
-        assert_eq!(hops(Topology::Mesh2D, 16, 0, 15), 6);
-        assert_eq!(hops(Topology::Mesh2D, 16, 5, 6), 1);
-    }
-
-    #[test]
     fn fully_connected_is_single_hop() {
         assert_eq!(hops(Topology::FullyConnected, 64, 3, 60), 1);
         assert_eq!(hops(Topology::FullyConnected, 64, 3, 3), 0);
@@ -106,7 +63,6 @@ mod tests {
         assert_eq!(diameter(Topology::Hypercube, 16), 4);
         assert_eq!(diameter(Topology::Hypercube, 1), 0);
         assert_eq!(diameter(Topology::FullyConnected, 16), 1);
-        assert_eq!(diameter(Topology::Ring, 8), 4);
     }
 
     #[test]
@@ -125,12 +81,5 @@ mod tests {
                 assert!(reached.iter().all(|&r| r));
             }
         }
-    }
-
-    #[test]
-    fn mesh_cols_prime_falls_back_to_row() {
-        assert_eq!(mesh_cols(7), 7);
-        assert_eq!(mesh_cols(12), 4);
-        assert_eq!(mesh_cols(1), 1);
     }
 }

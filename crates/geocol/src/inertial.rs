@@ -1,31 +1,27 @@
-//! Recursive inertial bisection: like coordinate bisection, but each split is
-//! made perpendicular to the principal axis of the vertex point cloud rather
-//! than a coordinate axis. The paper cites this family of geometric
-//! partitioners (Nour-Omid et al.) as one of the options a user can couple
-//! through the GeoCoL interface.
+//! Recursive inertial bisection (Nour-Omid et al.), one of the geometric
+//! partitioners the paper cites as options a user can couple through the
+//! GeoCoL interface — one split rule over the crate's recursive bisection.
 //!
-//! # Rank-parallel structure
+//! # Split rule
 //!
-//! The two O(n·dim) accumulation passes behind every principal-axis
-//! computation — total load + load-weighted coordinate sums, then the
-//! covariance moments (the partitioner's "moment scans") — run through the
-//! [`RankScans`] executor as [`block_scan`] fixed-size-block partial sums,
-//! folded driver-side in ascending block order; the tiny `dim × dim` power
-//! iteration and the projection sort stay driver-side. Because the block
-//! boundaries are independent of the rank count, the partitioning from the
-//! pure [`Partitioner::partition`] entry point is bit-identical to every
-//! backend-driven [`Partitioner::partition_with_scans`] run, on every
-//! engine.
-//!
-//! # Charge model
-//!
-//! Scan-routed moment work is charged per rank by the runtime's
-//! `Backend`-backed executor and deducted from
-//! [`Partitioner::cost_estimate`]'s lump sum (accumulation + power
-//! iteration + sort per level), so it is never double-charged.
+//! Order the active set by its projection onto the principal axis of the
+//! load-weighted point cloud and cut at the weighted median. The two
+//! O(n·dim) accumulation passes behind the principal axis — total load +
+//! load-weighted coordinate sums, then the covariance moments (the
+//! partitioner's "moment scans") — run through the [`RankScans`] executor
+//! as [`block_scan`] fixed-size-block partial sums, folded driver-side in
+//! ascending block order; the tiny `dim × dim` power iteration, the
+//! projection sort and the total load of the sorted set stay driver-side.
+//! Because the block boundaries are independent of the rank count, the
+//! partitioning from the pure [`Partitioner::partition`] entry point is
+//! bit-identical to every backend-driven
+//! [`Partitioner::partition_with_scans`] run, on every engine.
 
 use crate::geocol::GeoCoL;
-use crate::partition::{block_scan, Partitioner, Partitioning, RankScans};
+use crate::partition::{
+    block_scan, left_target, load_prefix, recursive_bisection, sort_by_key, Partitioner,
+    Partitioning, RankScans,
+};
 
 /// Recursive inertial bisection partitioner.
 #[derive(Debug, Clone, Copy)]
@@ -64,14 +60,25 @@ impl Partitioner for InertialPartitioner {
             geocol.has_geometry(),
             "inertial bisection requires a GEOMETRY section in the GeoCoL structure"
         );
-        let n = geocol.nvertices();
-        let mut owners = vec![0u32; n];
-        if n == 0 || nparts == 1 {
-            return Partitioning::new(owners, nparts);
-        }
-        let mut vertices: Vec<u32> = (0..n as u32).collect();
-        self.bisect(geocol, &mut vertices, 0, nparts, &mut owners, scans);
-        Partitioning::new(owners, nparts)
+        recursive_bisection(
+            geocol,
+            nparts,
+            scans,
+            |vertices, left_parts, nparts, scans| {
+                let axis = principal_axis(geocol, vertices, self.power_iterations, scans);
+                let keys: Vec<f64> = vertices
+                    .iter()
+                    .map(|&v| project(geocol, v as usize, &axis))
+                    .collect();
+                sort_by_key(vertices, &keys);
+                let total_load: f64 = vertices
+                    .iter()
+                    .map(|&v| geocol.vertex_load(v as usize))
+                    .sum();
+                let target_left = left_target(total_load, left_parts, nparts);
+                load_prefix(geocol, vertices, 0.0, target_left).clamp(1, vertices.len() - 1)
+            },
+        )
     }
 
     fn cost_estimate(&self, geocol: &GeoCoL, nparts: usize) -> f64 {
@@ -79,62 +86,6 @@ impl Partitioner for InertialPartitioner {
         let levels = (nparts.max(2) as f64).log2().ceil();
         // Covariance accumulation + power iteration + sort per level.
         (n * (self.power_iterations as f64 + geocol.geometry_dim() as f64) + n * n.log2()) * levels
-    }
-}
-
-impl InertialPartitioner {
-    fn bisect(
-        &self,
-        geocol: &GeoCoL,
-        vertices: &mut [u32],
-        part_lo: usize,
-        nparts: usize,
-        owners: &mut [u32],
-        scans: &mut dyn RankScans,
-    ) {
-        if nparts <= 1 || vertices.len() <= 1 {
-            for &v in vertices.iter() {
-                owners[v as usize] = part_lo as u32;
-            }
-            return;
-        }
-
-        let axis = principal_axis(geocol, vertices, self.power_iterations, scans);
-        // Project each vertex onto the principal axis and sort by projection.
-        vertices.sort_unstable_by(|&a, &b| {
-            let pa = project(geocol, a as usize, &axis);
-            let pb = project(geocol, b as usize, &axis);
-            pa.partial_cmp(&pb).unwrap().then(a.cmp(&b))
-        });
-
-        let left_parts = nparts / 2;
-        let right_parts = nparts - left_parts;
-        let total_load: f64 = vertices
-            .iter()
-            .map(|&v| geocol.vertex_load(v as usize))
-            .sum();
-        let target_left = total_load * left_parts as f64 / nparts as f64;
-        let mut acc = 0.0;
-        let mut split = 0usize;
-        for (i, &v) in vertices.iter().enumerate() {
-            acc += geocol.vertex_load(v as usize);
-            split = i + 1;
-            if acc >= target_left {
-                break;
-            }
-        }
-        split = split.clamp(1, vertices.len() - 1);
-
-        let (left, right) = vertices.split_at_mut(split);
-        self.bisect(geocol, left, part_lo, left_parts, owners, scans);
-        self.bisect(
-            geocol,
-            right,
-            part_lo + left_parts,
-            right_parts,
-            owners,
-            scans,
-        );
     }
 }
 

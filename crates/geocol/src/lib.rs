@@ -26,6 +26,21 @@
 //! * a string-keyed [`registry`] so the `SET distfmt BY PARTITIONING G
 //!   USING RSB` directive can look partitioners up by name.
 //!
+//! # Recursive bisection
+//!
+//! RCB, inertial bisection and RSB are one recursion with three split
+//! rules. The recursion (in [`partition`]) splits the active vertex set in
+//! two — `nparts / 2` parts to the left, the rest to the right — until
+//! each set is bound for one part; a part count that is not a power of two
+//! splits its part range unevenly. Each split rule only *orders* the set:
+//! RCB along the coordinate axis of largest extent, inertial bisection by
+//! projection onto the principal axis of the load-weighted point cloud,
+//! RSB by the subgraph's Fiedler vector. All three then cut at the same
+//! load-weighted median — the shortest prefix whose load reaches the left
+//! parts' share of the set's total — so neither side is empty. Keys are
+//! computed once per vertex and ties break by vertex id, so every ordering,
+//! and therefore every partitioning, is unique.
+//!
 //! # Rank-parallel partitioner passes
 //!
 //! The real PARTI/CHAOS partitioners ran data-parallel on the nodes, and so
@@ -42,9 +57,9 @@
 //!
 //! | partitioner | rank-parallel passes | driver-side remainder |
 //! |---|---|---|
-//! | [`RsbPartitioner`] | power-iteration matvec, moment reductions, deflate/normalize | induced-CSR setup, median sort |
-//! | [`RcbPartitioner`] | extents + load scan, histogram median scan | boundary-bucket select, below-cutoff sorts |
-//! | [`InertialPartitioner`] | mean + covariance moment scans | `dim × dim` power iteration, projection sort |
+//! | [`RsbPartitioner`] | power-iteration matvec, moment reductions, deflate/normalize, total load | induced-CSR setup, Fiedler sort, median walk |
+//! | [`RcbPartitioner`] | extents + load scan, histogram median scan | boundary-bucket select, below-cutoff sorts, median walk |
+//! | [`InertialPartitioner`] | mean + covariance moment scans | `dim × dim` power iteration, projection sort, total load, median walk |
 //! | [`BlockPartitioner`] / [`CyclicPartitioner`] / [`RandomPartitioner`] | — (O(n) arithmetic, charged as lump sum) | everything |
 //! | [`KlRefinedPartitioner`] | inherits its base partitioner's scans | the KL/FM refinement pass |
 //!

@@ -346,6 +346,100 @@ pub trait Partitioner {
     }
 }
 
+/// The recursive bisection behind RCB, inertial bisection and RSB: assign
+/// every vertex of `geocol` to one of `nparts` parts by splitting the active
+/// vertex set in two, `nparts / 2` parts to the left and the rest to the
+/// right, until each set is bound for one part.
+///
+/// `split(vertices, left_parts, nparts, scans)` is the partitioner's rule,
+/// called on every active set of two or more vertices bound for two or more
+/// parts: it reorders `vertices` so the ones bound for the first
+/// `left_parts` parts are a prefix and returns the prefix length. Sets with
+/// more parts than vertices leave the extra parts empty.
+pub(crate) fn recursive_bisection(
+    geocol: &GeoCoL,
+    nparts: usize,
+    scans: &mut dyn RankScans,
+    mut split: impl FnMut(&mut [u32], usize, usize, &mut dyn RankScans) -> usize,
+) -> Partitioning {
+    let n = geocol.nvertices();
+    let mut owners = vec![0u32; n];
+    if n == 0 || nparts == 1 {
+        return Partitioning::new(owners, nparts);
+    }
+    let mut vertices: Vec<u32> = (0..n as u32).collect();
+    bisect(&mut vertices, 0, nparts, &mut owners, scans, &mut split);
+    Partitioning::new(owners, nparts)
+}
+
+/// Assign `vertices` to parts `part_lo .. part_lo + nparts`.
+fn bisect<F>(
+    vertices: &mut [u32],
+    part_lo: usize,
+    nparts: usize,
+    owners: &mut [u32],
+    scans: &mut dyn RankScans,
+    split: &mut F,
+) where
+    F: FnMut(&mut [u32], usize, usize, &mut dyn RankScans) -> usize,
+{
+    if nparts <= 1 || vertices.len() <= 1 {
+        for &v in vertices.iter() {
+            owners[v as usize] = part_lo as u32;
+        }
+        return;
+    }
+    let left_parts = nparts / 2;
+    let at = split(vertices, left_parts, nparts, scans);
+    let (left, right) = vertices.split_at_mut(at);
+    bisect(left, part_lo, left_parts, owners, scans, split);
+    bisect(
+        right,
+        part_lo + left_parts,
+        nparts - left_parts,
+        owners,
+        scans,
+        split,
+    );
+}
+
+/// The load a split sends left: the `left_parts / nparts` share of
+/// `total_load`.
+pub(crate) fn left_target(total_load: f64, left_parts: usize, nparts: usize) -> f64 {
+    total_load * left_parts as f64 / nparts as f64
+}
+
+/// Sort `vertices` by `keys` (parallel to `vertices`, one key per vertex),
+/// ties broken by vertex id so the order is unique.
+///
+/// # Panics
+/// Panics if a key is NaN.
+pub(crate) fn sort_by_key(vertices: &mut [u32], keys: &[f64]) {
+    debug_assert_eq!(keys.len(), vertices.len(), "one key per vertex");
+    let mut keyed: Vec<(f64, u32)> = keys.iter().copied().zip(vertices.iter().copied()).collect();
+    keyed.sort_unstable_by(|a, b| {
+        let by_key = a.0.partial_cmp(&b.0).expect("a partition key is NaN");
+        by_key.then(a.1.cmp(&b.1))
+    });
+    for (v, (_, id)) in vertices.iter_mut().zip(keyed) {
+        *v = id;
+    }
+}
+
+/// The weighted-median walk: add the loads of `vertices`, in order, to
+/// `start` and return how many it takes to reach `target` (all of them if
+/// the sum never does).
+pub(crate) fn load_prefix(geocol: &GeoCoL, vertices: &[u32], start: f64, target: f64) -> usize {
+    let mut acc = start;
+    for (i, &v) in vertices.iter().enumerate() {
+        acc += geocol.vertex_load(v as usize);
+        if acc >= target {
+            return i + 1;
+        }
+    }
+    vertices.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

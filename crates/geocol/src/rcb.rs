@@ -1,50 +1,33 @@
 //! Recursive (binary) coordinate bisection — the geometry-based partitioner
 //! of Berger & Bokhari used throughout the paper's Tables 2 and 3
-//! ("recursive binary dissection" / "coordinate bisection").
+//! ("recursive binary dissection" / "coordinate bisection"), one split rule
+//! over the crate's recursive bisection.
 //!
-//! # Algorithm
+//! # Split rule
 //!
-//! At each level the current vertex set is split along the coordinate axis
-//! with the largest extent, at the weighted median, so that the two halves
-//! carry (approximately) the target fraction of the computational load.
-//! Recursion continues until every group corresponds to one part. Part counts
-//! that are not powers of two are handled by splitting the target part range
-//! unevenly and weighting the median accordingly.
-//!
-//! # Rank-parallel structure
-//!
-//! The per-level passes over the active vertex set run through the
+//! Order the active set along the coordinate axis of largest extent and cut
+//! at the weighted median. Its passes over the set run through the
 //! [`RankScans`] executor:
 //!
 //! * **extents + load** — one [`block_scan`] computes per-axis min/max and
 //!   the total load as fixed-size-block partials, folded driver-side in
 //!   ascending block order (min/max are exact under any grouping; the load
 //!   sum is exact because the blocks are fixed);
-//! * **median selection** — for large sets, a second [`block_scan`] builds
-//!   a per-block **histogram** (count + load per coordinate bucket) over
-//!   the chosen axis; the driver then *selects* the bucket containing the
-//!   weighted median, sorts only that bucket's members, and walks their
-//!   prefix loads — replacing the full `O(m log m)` sort with a
-//!   rank-parallel `O(m)` scan plus a driver-side select over one bucket.
-//!   Sets at or below [`SORT_CUTOFF`] (and degenerate clouds with zero
-//!   extent) use the classic driver-side sort-select instead.
+//! * **median selection** — above [`SORT_CUTOFF`], a second [`block_scan`]
+//!   builds a per-block **histogram** (count + load per coordinate bucket)
+//!   over the chosen axis; the driver then *selects* the bucket holding the
+//!   weighted median, sorts only that bucket's members and walks their
+//!   prefix loads — a rank-parallel `O(m)` scan instead of the full
+//!   `O(m log m)` sort. Smaller sets (and degenerate clouds with zero
+//!   extent) sort the whole set driver-side.
 //!
-//! Both paths are deterministic and depend only on the input — never on the
-//! rank count or engine — so the pure [`Partitioner::partition`] entry point
-//! (single-chunk [`SerialScans`](crate::SerialScans)) is an exact oracle
-//! for `Machine` and `PooledBackend` runs (`tests/backend_equivalence.rs`
-//! proptests this).
-//!
-//! # Charge model
-//!
-//! Scan-routed work is charged per rank through the coupler's
-//! `Backend`-backed executor and deducted from
-//! [`Partitioner::cost_estimate`]'s lump sum (`n log n` per level, the
-//! classic sort bound), so the cheap geometric partitioner stays one to two
-//! orders of magnitude below RSB as in Table 2.
+//! Both paths depend only on the input — never on the rank count or engine.
 
 use crate::geocol::GeoCoL;
-use crate::partition::{block_scan, Partitioner, Partitioning, RankScans};
+use crate::partition::{
+    block_scan, left_target, load_prefix, recursive_bisection, sort_by_key, Partitioner,
+    Partitioning, RankScans,
+};
 
 /// Active-set size at or below which the weighted median is found by the
 /// classic driver-side sort instead of the rank-parallel histogram select.
@@ -77,14 +60,14 @@ impl Partitioner for RcbPartitioner {
             geocol.has_geometry(),
             "RCB requires a GEOMETRY section in the GeoCoL structure"
         );
-        let n = geocol.nvertices();
-        let mut owners = vec![0u32; n];
-        if n == 0 || nparts == 1 {
-            return Partitioning::new(owners, nparts);
-        }
-        let mut vertices: Vec<u32> = (0..n as u32).collect();
-        bisect(geocol, &mut vertices, 0, nparts, &mut owners, scans);
-        Partitioning::new(owners, nparts)
+        recursive_bisection(
+            geocol,
+            nparts,
+            scans,
+            |vertices, left_parts, nparts, scans| {
+                split(geocol, vertices, left_parts, nparts, scans)
+            },
+        )
     }
 
     fn cost_estimate(&self, geocol: &GeoCoL, nparts: usize) -> f64 {
@@ -97,24 +80,15 @@ impl Partitioner for RcbPartitioner {
     }
 }
 
-/// Recursively assign `vertices` to parts `part_lo .. part_lo + nparts`.
-fn bisect(
+/// RCB's split rule: order `vertices` along the axis of largest extent and
+/// cut at the weighted median of the `left_parts / nparts` load share.
+fn split(
     geocol: &GeoCoL,
     vertices: &mut [u32],
-    part_lo: usize,
+    left_parts: usize,
     nparts: usize,
-    owners: &mut [u32],
     scans: &mut dyn RankScans,
-) {
-    if nparts <= 1 || vertices.len() <= 1 {
-        for &v in vertices.iter() {
-            owners[v as usize] = part_lo as u32;
-        }
-        // A degenerate split (more parts than vertices) leaves the extra
-        // parts empty, which Partitioning tolerates.
-        return;
-    }
-
+) -> usize {
     let dim = geocol.geometry_dim();
     let m = vertices.len();
     let vs: &[u32] = vertices;
@@ -164,14 +138,9 @@ fn bisect(
         }
     }
 
-    let left_parts = nparts / 2;
-    let right_parts = nparts - left_parts;
-    let target_left = total_load * left_parts as f64 / nparts as f64;
-
+    let target_left = left_target(total_load, left_parts, nparts);
     let histogram_usable = m > SORT_CUTOFF && best_extent.is_finite() && best_extent > 0.0;
-    let split = if !histogram_usable {
-        sort_select(geocol, vertices, axis, target_left)
-    } else {
+    if histogram_usable {
         histogram_select(
             geocol,
             vertices,
@@ -181,42 +150,27 @@ fn bisect(
             target_left,
             scans,
         )
-    };
+    } else {
+        sort_select(geocol, vertices, axis, target_left)
+    }
+}
 
-    let (left, right) = vertices.split_at_mut(split);
-    bisect(geocol, left, part_lo, left_parts, owners, scans);
-    bisect(
-        geocol,
-        right,
-        part_lo + left_parts,
-        right_parts,
-        owners,
-        scans,
-    );
+/// `vertices`' coordinates along `axis`, one per vertex.
+fn coords(geocol: &GeoCoL, vertices: &[u32], axis: usize) -> Vec<f64> {
+    vertices
+        .iter()
+        .map(|&v| geocol.coord(axis, v as usize))
+        .collect()
 }
 
 /// Classic weighted-median selection: sort the active set along `axis`
-/// (ties broken by vertex id) and walk prefix loads until `target_left` is
-/// reached. Reorders `vertices` so the left group is `..split`; returns
-/// `split`, clamped so neither side is empty.
+/// and walk prefix loads until `target_left` is reached. Returns the split,
+/// clamped so neither side is empty.
 fn sort_select(geocol: &GeoCoL, vertices: &mut [u32], axis: usize, target_left: f64) -> usize {
-    vertices.sort_unstable_by(|&a, &b| {
-        let ca = geocol.coord(axis, a as usize);
-        let cb = geocol.coord(axis, b as usize);
-        ca.partial_cmp(&cb).unwrap().then(a.cmp(&b))
-    });
-    let mut acc = 0.0;
-    let mut split = 0usize;
-    for (i, &v) in vertices.iter().enumerate() {
-        acc += geocol.vertex_load(v as usize);
-        split = i + 1;
-        if acc >= target_left {
-            break;
-        }
-    }
-    split.clamp(1, vertices.len() - 1)
+    let keys = coords(geocol, vertices, axis);
+    sort_by_key(vertices, &keys);
+    load_prefix(geocol, vertices, 0.0, target_left).clamp(1, vertices.len() - 1)
 }
-
 /// Rank-parallel weighted-median selection: a per-block histogram scan over
 /// `NBINS` coordinate buckets feeds a driver-side select — pick the bucket
 /// where the cumulative load first reaches `target_left`, sort only that
@@ -289,20 +243,9 @@ fn histogram_select(
         .copied()
         .filter(|&v| bin_of(v) == boundary)
         .collect();
-    candidates.sort_unstable_by(|&a, &b| {
-        let ca = geocol.coord(axis, a as usize);
-        let cb = geocol.coord(axis, b as usize);
-        ca.partial_cmp(&cb).unwrap().then(a.cmp(&b))
-    });
-    let mut acc = below_load;
-    let mut taken = 0usize;
-    for &v in &candidates {
-        acc += geocol.vertex_load(v as usize);
-        taken += 1;
-        if acc >= target_left {
-            break;
-        }
-    }
+    let keys = coords(geocol, &candidates, axis);
+    sort_by_key(&mut candidates, &keys);
+    let taken = load_prefix(geocol, &candidates, below_load, target_left);
     let split = (below_count + taken).clamp(1, m - 1);
     if split < below_count {
         // The clamp cannot reach back below the boundary bucket (the

@@ -1,26 +1,24 @@
 //! Recursive spectral bisection (Simon) — the connectivity-based partitioner
 //! used in the paper's Table 2 ("a parallelized version of Simon's
-//! eigenvalue partitioner").
+//! eigenvalue partitioner") — one split rule over the crate's recursive
+//! bisection.
 //!
-//! # Algorithm
+//! # Split rule
 //!
-//! Each recursion level computes an approximation to the **Fiedler vector**
-//! (the eigenvector of the graph Laplacian belonging to the second-smallest
-//! eigenvalue) of the current subgraph and splits the vertices at the
-//! load-weighted median of their Fiedler components. The Fiedler vector is
-//! obtained with power iteration on the spectrally shifted matrix
-//! `B = cI − L` (`c` = a bound on the largest Laplacian eigenvalue), with the
-//! constant vector deflated away, which avoids any external linear-algebra
-//! dependency while keeping the characteristic behaviour the paper reports:
-//! much higher partitioning cost than coordinate bisection, in exchange for
-//! the lowest edge cut / fastest executor.
+//! Order the active set by its components of the subgraph's **Fiedler
+//! vector** (the eigenvector of the graph Laplacian belonging to the
+//! second-smallest eigenvalue) and cut at the weighted median. The Fiedler
+//! vector is obtained with power iteration on the spectrally shifted matrix
+//! `B = cI − L` (`c` = a bound on the largest Laplacian eigenvalue), with
+//! the constant vector deflated away, which avoids any external
+//! linear-algebra dependency while keeping the characteristic behaviour
+//! the paper reports: much higher partitioning cost than coordinate
+//! bisection, in exchange for the lowest edge cut / fastest executor.
 //!
-//! # Rank-parallel structure (this is the expensive partitioner)
-//!
-//! The inner loops of [`fiedler_vector`](RsbPartitioner) dominate the whole
-//! preprocessing pipeline, so they run **rank-parallel** through the
-//! [`RankScans`] executor (the PARTI/CHAOS partitioners themselves ran
-//! data-parallel on the nodes — this is the reproduction's version of that):
+//! The power iteration dominates the whole preprocessing pipeline, so its
+//! inner loops run **rank-parallel** through the [`RankScans`] executor
+//! (the PARTI/CHAOS partitioners themselves ran data-parallel on the nodes
+//! — this is the reproduction's version of that):
 //!
 //! * the **sparse matvec** `y = Bx` over the induced-subgraph CSR adjacency
 //!   is a [`map_scan`] — each rank computes its `ceil(m/nranks)` chunk of
@@ -30,26 +28,21 @@
 //!   fixed-size-block partial sums, folded driver-side in ascending block
 //!   order;
 //! * the deflate + renormalize **update** `x ← (y − mean)/‖y − mean‖` is a
-//!   second [`map_scan`].
+//!   second [`map_scan`];
+//! * the sorted set's **total load** is one more [`block_scan`].
 //!
-//! Only O(1) scalar work and the (comparison-based, inherently sequential)
-//! median split stay on the driver between scans. Because maps write
-//! disjoint items and reductions fold fixed blocks, the Fiedler vector — and
-//! therefore the partitioning — is bit-identical for every rank count and
-//! engine: the pure [`Partitioner::partition`] entry point (single-chunk
-//! [`SerialScans`](crate::SerialScans)) is an exact oracle for `Machine` and
-//! `PooledBackend` runs (`tests/backend_equivalence.rs` proptests this).
-//!
-//! # Charge model
-//!
-//! When invoked through the mapper coupler, the scans charge their compute
-//! to the executing ranks' clocks and the coupler deducts those charged ops
-//! from [`Partitioner::cost_estimate`]'s lump sum, so routed work is never
-//! double-charged. The estimate (`iterations · (n + 2e) · log₂ nparts`)
-//! keeps RSB one to two orders of magnitude above RCB, matching Table 2.
+//! Only O(1) scalar work, the induced-CSR setup and the sort stay on the
+//! driver between scans. Because maps write disjoint items and reductions
+//! fold fixed blocks, the Fiedler vector — and therefore the partitioning —
+//! is bit-identical for every rank count and engine. The cost estimate
+//! (`iterations · (n + 2e) · log₂ nparts`) keeps RSB one to two orders of
+//! magnitude above RCB, matching Table 2.
 
 use crate::geocol::GeoCoL;
-use crate::partition::{block_scan, map_scan, Partitioner, Partitioning, RankScans};
+use crate::partition::{
+    block_scan, left_target, load_prefix, map_scan, recursive_bisection, sort_by_key, Partitioner,
+    Partitioning, RankScans,
+};
 
 /// Recursive spectral bisection partitioner.
 #[derive(Debug, Clone, Copy)]
@@ -89,23 +82,27 @@ impl Partitioner for RsbPartitioner {
             geocol.has_connectivity(),
             "RSB requires a LINK (connectivity) section in the GeoCoL structure"
         );
-        let n = geocol.nvertices();
-        let mut owners = vec![0u32; n];
-        if n == 0 || nparts == 1 {
-            return Partitioning::new(owners, nparts);
-        }
-        let mut vertices: Vec<u32> = (0..n as u32).collect();
-        let mut local = vec![u32::MAX; n];
-        self.bisect(
+        // Global → local index scratch, reset after every Fiedler vector.
+        let mut local = vec![u32::MAX; geocol.nvertices()];
+        recursive_bisection(
             geocol,
-            &mut vertices,
-            0,
             nparts,
-            &mut owners,
-            &mut local,
             scans,
-        );
-        Partitioning::new(owners, nparts)
+            |vertices, left_parts, nparts, scans| {
+                let fiedler = self.fiedler_vector(geocol, vertices, &mut local, scans);
+                sort_by_key(vertices, &fiedler);
+                let vs: &[u32] = vertices;
+                let total_load = block_scan(scans, vs.len(), 1, 1.0, &|items, acc| {
+                    for i in items {
+                        acc[0] += geocol.vertex_load(vs[i] as usize);
+                    }
+                })
+                .iter()
+                .sum::<f64>();
+                let target_left = left_target(total_load, left_parts, nparts);
+                load_prefix(geocol, vertices, 0.0, target_left).clamp(1, vertices.len() - 1)
+            },
+        )
     }
 
     fn cost_estimate(&self, geocol: &GeoCoL, nparts: usize) -> f64 {
@@ -122,72 +119,6 @@ impl Partitioner for RsbPartitioner {
 }
 
 impl RsbPartitioner {
-    #[allow(clippy::too_many_arguments)]
-    fn bisect(
-        &self,
-        geocol: &GeoCoL,
-        vertices: &mut [u32],
-        part_lo: usize,
-        nparts: usize,
-        owners: &mut [u32],
-        local: &mut [u32],
-        scans: &mut dyn RankScans,
-    ) {
-        if nparts <= 1 || vertices.len() <= 1 {
-            for &v in vertices.iter() {
-                owners[v as usize] = part_lo as u32;
-            }
-            return;
-        }
-
-        let fiedler = self.fiedler_vector(geocol, vertices, local, scans);
-
-        // Sort by Fiedler component (ties by vertex id for determinism).
-        let mut order: Vec<usize> = (0..vertices.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            fiedler[a]
-                .partial_cmp(&fiedler[b])
-                .unwrap()
-                .then(vertices[a].cmp(&vertices[b]))
-        });
-        let sorted: Vec<u32> = order.iter().map(|&i| vertices[i]).collect();
-        vertices.copy_from_slice(&sorted);
-
-        let left_parts = nparts / 2;
-        let right_parts = nparts - left_parts;
-        let vs: &[u32] = vertices;
-        let total_load = block_scan(scans, vs.len(), 1, 1.0, &|items, acc| {
-            for i in items {
-                acc[0] += geocol.vertex_load(vs[i] as usize);
-            }
-        })
-        .iter()
-        .sum::<f64>();
-        let target_left = total_load * left_parts as f64 / nparts as f64;
-        let mut acc = 0.0;
-        let mut split = 0usize;
-        for (i, &v) in vertices.iter().enumerate() {
-            acc += geocol.vertex_load(v as usize);
-            split = i + 1;
-            if acc >= target_left {
-                break;
-            }
-        }
-        split = split.clamp(1, vertices.len() - 1);
-
-        let (left, right) = vertices.split_at_mut(split);
-        self.bisect(geocol, left, part_lo, left_parts, owners, local, scans);
-        self.bisect(
-            geocol,
-            right,
-            part_lo + left_parts,
-            right_parts,
-            owners,
-            local,
-            scans,
-        );
-    }
-
     /// Approximate Fiedler vector of the subgraph induced by `vertices`,
     /// indexed by position within `vertices`. The power iteration's matvec,
     /// moment reductions and deflate/normalize update run through `scans`

@@ -1,16 +1,21 @@
-//! Semantic analysis.
+//! Semantic analysis, and the statement walk that lowers each `FORALL`.
 //!
 //! The analyzer enforces the assumptions the paper states up front
 //! (Section 1): irregular accesses appear inside `FORALL` loops, the only
 //! loop-carried dependences are left-hand-side reductions, and irregular
 //! references use a *single* level of indirection through a distributed
-//! integer array indexed directly by the loop variable. It also builds the
-//! per-loop reference summary (which arrays are data arrays, which are
-//! indirection arrays, which decompositions they live on) that the lowering
-//! step and the schedule-reuse guards need.
+//! integer array indexed directly by the loop variable.
+//!
+//! `analyze_program` walks the statements once in source order. It checks
+//! each directive against the declarations, alignments and GeoCoLs before
+//! it, and lowers each `FORALL` where it stands ([`crate::lower`]); lowering
+//! calls back `check_ref` for every distinct reference it gives a slot and
+//! `check_one_decomposition` over the loop's slots, so the first error a
+//! program reports is the first bad statement or reference in source order.
 
 use crate::ast::*;
 use crate::error::LangError;
+use crate::lower::{lower_loop, LoopPlan, RefSlot};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What is known about one declared array.
@@ -18,28 +23,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct ArrayInfo {
     /// Element type.
     pub ty: ElemType,
-    /// Declared size expression.
-    pub size: SizeExpr,
     /// The decomposition the array is aligned with (if any).
     pub decomp: Option<String>,
-}
-
-/// Per-`FORALL` reference summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoopInfo {
-    /// Loop label (schedule-reuse id).
-    pub label: String,
-    /// REAL arrays referenced in the body (data arrays), sorted.
-    pub data_arrays: Vec<String>,
-    /// REAL arrays written in the body, sorted.
-    pub written_arrays: Vec<String>,
-    /// INTEGER indirection arrays used in the body, sorted.
-    pub indirection_arrays: Vec<String>,
-    /// Decompositions of the data arrays referenced through indirection.
-    pub indirect_decomps: Vec<String>,
-    /// True when at least one reference is indirect (the loop needs an
-    /// inspector).
-    pub irregular: bool,
 }
 
 /// Result of analysing a program.
@@ -49,8 +34,6 @@ pub struct ProgramInfo {
     pub arrays: BTreeMap<String, ArrayInfo>,
     /// Declared decompositions and their size expressions.
     pub decomps: BTreeMap<String, SizeExpr>,
-    /// Per-loop summaries in source order.
-    pub loops: Vec<LoopInfo>,
 }
 
 impl ProgramInfo {
@@ -60,23 +43,23 @@ impl ProgramInfo {
             .get(name)
             .ok_or_else(|| LangError::semantic(format!("array '{name}' is not declared")))
     }
-
-    /// Loop summary by label.
-    pub fn loop_info(&self, label: &str) -> Option<&LoopInfo> {
-        self.loops.iter().find(|l| l.label == label)
-    }
 }
 
-/// Analyse a parsed program.
-pub fn analyze_program(program: &Program) -> Result<ProgramInfo, LangError> {
+/// Analyse a parsed program, lowering each `FORALL` where it stands: the
+/// declarations and alignments, plus one [`LoopPlan`] per loop keyed by
+/// label.
+pub(crate) fn analyze_program(
+    program: &Program,
+) -> Result<(ProgramInfo, BTreeMap<String, LoopPlan>), LangError> {
     let mut info = ProgramInfo::default();
+    let mut plans = BTreeMap::new();
     let mut distfmts: BTreeSet<String> = BTreeSet::new();
     let mut geocols: BTreeSet<String> = BTreeSet::new();
 
     for stmt in &program.stmts {
         match stmt {
             Stmt::Declare { ty, arrays } => {
-                for (name, size) in arrays {
+                for (name, _) in arrays {
                     if info.arrays.contains_key(name) {
                         return Err(LangError::semantic(format!(
                             "array '{name}' declared twice"
@@ -86,7 +69,6 @@ pub fn analyze_program(program: &Program) -> Result<ProgramInfo, LangError> {
                         name.clone(),
                         ArrayInfo {
                             ty: *ty,
-                            size: size.clone(),
                             decomp: None,
                         },
                     );
@@ -184,97 +166,67 @@ pub fn analyze_program(program: &Program) -> Result<ProgramInfo, LangError> {
                 }
             }
             Stmt::Forall {
-                label, var, body, ..
+                label,
+                lo,
+                hi,
+                body,
+                ..
             } => {
-                info.loops.push(analyze_loop(&info, label, var, body)?);
+                plans.insert(label.clone(), lower_loop(&info, label, lo, hi, body)?);
             }
         }
     }
 
-    Ok(info)
+    Ok((info, plans))
 }
 
-fn analyze_loop(
+/// Check one distinct reference of loop `label`: a REAL data array ALIGNed
+/// with a decomposition, indexed by the loop variable or through an
+/// ALIGNed INTEGER indirection array.
+pub(crate) fn check_ref(info: &ProgramInfo, label: &str, r: &RefSlot) -> Result<(), LangError> {
+    let ai = info.array(&r.array)?;
+    if ai.ty != ElemType::Real {
+        return Err(LangError::semantic(format!(
+            "array '{}' referenced as data in loop {label} must be REAL",
+            r.array
+        )));
+    }
+    if ai.decomp.is_none() {
+        return Err(LangError::semantic(format!(
+            "array '{}' used in loop {label} is not ALIGNed with any decomposition",
+            r.array
+        )));
+    }
+    if let Index::Indirect(ind) = &r.index {
+        let ii = info.array(ind)?;
+        if ii.ty != ElemType::Integer {
+            return Err(LangError::semantic(format!(
+                "indirection array '{ind}' in loop {label} must be INTEGER"
+            )));
+        }
+        if ii.decomp.is_none() {
+            return Err(LangError::semantic(format!(
+                "indirection array '{ind}' in loop {label} is not ALIGNed"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// All data arrays loop `label` references through indirection must share
+/// one decomposition — the restriction under which a single inspector per
+/// loop suffices, matching the paper's templates (x and y are aligned to
+/// the same decomposition). `slots` have passed [`check_ref`].
+pub(crate) fn check_one_decomposition(
     info: &ProgramInfo,
     label: &str,
-    loop_var: &str,
-    body: &[LoopStmt],
-) -> Result<LoopInfo, LangError> {
-    let mut data_arrays = BTreeSet::new();
-    let mut written = BTreeSet::new();
-    let mut indirection = BTreeSet::new();
-    let mut indirect_decomps = BTreeSet::new();
-    let _ = loop_var;
-
-    let mut visit_ref = |r: &ArrayRef, is_write: bool| -> Result<(), LangError> {
-        let ai = info.array(&r.array)?;
-        if ai.ty != ElemType::Real {
-            return Err(LangError::semantic(format!(
-                "array '{}' referenced as data in loop {label} must be REAL",
-                r.array
-            )));
-        }
-        if ai.decomp.is_none() {
-            return Err(LangError::semantic(format!(
-                "array '{}' used in loop {label} is not ALIGNed with any decomposition",
-                r.array
-            )));
-        }
-        data_arrays.insert(r.array.clone());
-        if is_write {
-            written.insert(r.array.clone());
-        }
-        if let Index::Indirect(ind) = &r.index {
-            let ii = info.array(ind)?;
-            if ii.ty != ElemType::Integer {
-                return Err(LangError::semantic(format!(
-                    "indirection array '{ind}' in loop {label} must be INTEGER"
-                )));
-            }
-            if ii.decomp.is_none() {
-                return Err(LangError::semantic(format!(
-                    "indirection array '{ind}' in loop {label} is not ALIGNed"
-                )));
-            }
-            indirection.insert(ind.clone());
-            indirect_decomps.insert(ai.decomp.clone().unwrap());
-        }
-        Ok(())
-    };
-
-    fn visit_expr(
-        expr: &Expr,
-        visit: &mut dyn FnMut(&ArrayRef, bool) -> Result<(), LangError>,
-    ) -> Result<(), LangError> {
-        match expr {
-            Expr::Lit(_) => Ok(()),
-            Expr::Ref(r) => visit(r, false),
-            Expr::Binary { lhs, rhs, .. } => {
-                visit_expr(lhs, visit)?;
-                visit_expr(rhs, visit)
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    visit_expr(a, visit)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    for stmt in body {
-        match stmt {
-            LoopStmt::Assign { target, value } | LoopStmt::Reduce { target, value, .. } => {
-                visit_ref(target, true)?;
-                visit_expr(value, &mut visit_ref)?;
-            }
-        }
-    }
-
-    // All indirectly referenced data arrays must share one decomposition —
-    // the restriction under which a single inspector per loop suffices,
-    // matching the paper's templates (x and y are aligned to the same
-    // decomposition).
+    slots: &[RefSlot],
+) -> Result<(), LangError> {
+    let indirect_decomps: BTreeSet<&str> = slots
+        .iter()
+        .filter(|r| matches!(r.index, Index::Indirect(_)))
+        .filter_map(|r| info.arrays.get(&r.array)?.decomp.as_deref())
+        .collect();
     if indirect_decomps.len() > 1 {
         return Err(LangError::semantic(format!(
             "loop {label} indirectly references arrays on different decompositions ({:?}); \
@@ -282,16 +234,7 @@ fn analyze_loop(
             indirect_decomps
         )));
     }
-
-    let irregular = !indirection.is_empty();
-    Ok(LoopInfo {
-        label: label.to_string(),
-        data_arrays: data_arrays.into_iter().collect(),
-        written_arrays: written.into_iter().collect(),
-        indirection_arrays: indirection.into_iter().collect(),
-        indirect_decomps: indirect_decomps.into_iter().collect(),
-        irregular,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -316,15 +259,14 @@ mod tests {
     #[test]
     fn analyzes_edge_loop() {
         let p = parse_program(EDGE_LOOP).unwrap();
-        let info = analyze_program(&p).unwrap();
+        let (info, plans) = analyze_program(&p).unwrap();
         assert_eq!(info.arrays.len(), 4);
         assert_eq!(info.decomps.len(), 2);
-        let l = info.loop_info("L1").unwrap();
+        let l = &plans["L1"];
         assert!(l.irregular);
         assert_eq!(l.data_arrays, vec!["x", "y"]);
         assert_eq!(l.written_arrays, vec!["y"]);
         assert_eq!(l.indirection_arrays, vec!["end_pt1", "end_pt2"]);
-        assert_eq!(l.indirect_decomps, vec!["reg"]);
         assert_eq!(info.array("x").unwrap().decomp.as_deref(), Some("reg"));
     }
 
@@ -339,8 +281,8 @@ mod tests {
               y(i) = x(i) * 2.0
             END FORALL
         "#;
-        let info = analyze_program(&parse_program(src).unwrap()).unwrap();
-        let l = &info.loops[0];
+        let (_, plans) = analyze_program(&parse_program(src).unwrap()).unwrap();
+        let l = &plans["L1"];
         assert!(!l.irregular);
         assert!(l.indirection_arrays.is_empty());
     }

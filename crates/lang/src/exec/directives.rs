@@ -5,6 +5,7 @@
 //! records are later built against, and stamp what they write so the reuse
 //! guard sees it.
 
+use super::state::RunState;
 use super::Executor;
 use crate::ast::{ConstructSection, ElemType, SizeExpr};
 use crate::error::LangError;
@@ -250,27 +251,33 @@ impl<B: Backend> Executor<B> {
         let new_dist = self.state.distfmts.get(distfmt).cloned().ok_or_else(|| {
             LangError::runtime(format!("unknown distribution format '{distfmt}'"))
         })?;
+        // REAL arrays in ALIGN order, then INTEGER arrays in ALIGN order —
+        // the order the array tables hold — so the remap records and the
+        // epoch each array moves at are the same on every run.
         let st = &mut self.state;
-        let aligned: Vec<String> = st
-            .array_decomp
-            .iter()
-            .filter(|(_, d)| d.as_str() == decomp)
-            .map(|(a, _)| a.clone())
-            .collect();
-        for name in aligned {
-            if let Some(arr) = st.real.named_mut(&name) {
-                MapperCoupler.redistribute(&mut self.backend, &mut st.run.registry, arr, &new_dist);
-                st.run.report.arrays_redistributed += 1;
-            } else if let Some(arr) = st.int.named_mut(&name) {
-                MapperCoupler.redistribute(&mut self.backend, &mut st.run.registry, arr, &new_dist);
-                st.run.report.arrays_redistributed += 1;
-            }
-            // The shards moved: any resident ghost-region values for the
-            // array are stale regardless of which distribution they were
-            // gathered under.
-            st.run.registry.note_array_write(&name);
+        let on_decomp = |name: &str| st.array_decomp.get(name).is_some_and(|d| d == decomp);
+        for arr in st.real.0.iter_mut().filter(|a| on_decomp(a.name())) {
+            remap_aligned(&mut self.backend, &mut st.run, arr, &new_dist);
+        }
+        for arr in st.int.0.iter_mut().filter(|a| on_decomp(a.name())) {
+            remap_aligned(&mut self.backend, &mut st.run, arr, &new_dist);
         }
         st.decomp_dist.insert(decomp.to_string(), new_dist);
         Ok(())
     }
+}
+
+/// Move one array aligned with a redistributed decomposition onto
+/// `new_dist`.
+fn remap_aligned<T: Clone + Default + Send + Sync, B: Backend>(
+    backend: &mut B,
+    run: &mut RunState,
+    arr: &mut DistArray<T>,
+    new_dist: &Distribution,
+) {
+    MapperCoupler.redistribute(backend, &mut run.registry, arr, new_dist);
+    run.report.arrays_redistributed += 1;
+    // The shards moved: any resident ghost-region values for the array are
+    // stale regardless of which distribution they were gathered under.
+    run.registry.note_array_write(arr.name());
 }

@@ -369,6 +369,41 @@ C$          REDISTRIBUTE reg(distfmt)
 }
 
 #[test]
+fn redistribute_remaps_real_then_integer_arrays_in_align_order() {
+    // Six arrays on the redistributed decomposition, ALIGNed out of name
+    // order and interleaving the two types: every fresh executor remaps the
+    // REAL ones in ALIGN order, then the INTEGER ones, so the labelled
+    // records — and the epoch each remap runs at — never vary run to run.
+    let src = r#"
+            REAL*8 zc(nnode), x(nnode), yc(nnode), y(nnode)
+            INTEGER tag(nnode), mark(nnode), end_pt1(nedge), end_pt2(nedge)
+            DYNAMIC, DECOMPOSITION reg(nnode), reg2(nedge)
+            DISTRIBUTE reg(BLOCK)
+            DISTRIBUTE reg2(BLOCK)
+            ALIGN zc, tag, x WITH reg
+            ALIGN end_pt1, end_pt2 WITH reg2
+            ALIGN mark, yc, y WITH reg
+            CALL READ_DATA(end_pt1, end_pt2)
+C$          CONSTRUCT G (nnode, LINK(nedge, end_pt1, end_pt2))
+C$          SET distfmt BY PARTITIONING G USING RSB
+C$          REDISTRIBUTE reg(distfmt)
+    "#;
+    let cp = lower_program(parse_program(src).unwrap()).unwrap();
+    for run in 0..8 {
+        let mut exec = Executor::new(MachineConfig::ipsc860(4), ring_inputs(32));
+        exec.run(&cp).unwrap();
+        let remapped: Vec<&str> = exec
+            .machine()
+            .stats()
+            .records()
+            .iter()
+            .filter_map(|r| r.label.strip_suffix(":remap"))
+            .collect();
+        assert_eq!(remapped, ["zc", "x", "yc", "y", "tag", "mark"], "run {run}");
+    }
+}
+
+#[test]
 fn regular_loop_executes_without_indirection() {
     let src = r#"
             REAL*8 x(n), y(n)

@@ -18,13 +18,14 @@
 //! parse almost verbatim) and the same lowering:
 //!
 //! * [`parser`] — lexer + recursive-descent parser producing the [`ast`],
-//! * [`analyze`] — semantic checks (the paper's restrictions: single level of
+//! * [`analyze`] — the one walk over the statements: the directive checks,
+//!   and the reference checks (the paper's restrictions: single level of
 //!   indirection, indirection arrays indexed by the loop variable, only
-//!   reduction-style loop-carried dependences) plus the per-loop reference
-//!   analysis that identifies data arrays and indirection arrays,
+//!   reduction-style loop-carried dependences) that lowering calls on each
+//!   loop's references,
 //! * [`lower`] — the "runtime compilation" step: each `FORALL` becomes a
 //!   [`lower::LoopPlan`] describing the inspector it needs and the executor
-//!   statements to run,
+//!   statements to run, lowered where it stands in that walk,
 //! * [`kernel`] — the runtime kernel compiler: FORALL bodies lowered to a
 //!   flat register bytecode executed rank-parallel by a small VM,
 //! * [`exec`] — the generated-code driver: walks the lowered program on a
@@ -51,7 +52,6 @@ pub mod kernel;
 pub mod lower;
 pub mod parser;
 
-pub use analyze::analyze_program;
 pub use ast::{Program, Stmt};
 pub use chaos_dmsim::{
     AuditReport, Counter, EngineKind, Fault, FaultKind, FaultPlan, MetricsRegistry,

@@ -7,13 +7,19 @@
 //! runs gather → local compute → scatter-reduction. Here the "emitted code"
 //! is a [`LoopPlan`]: a compact, pre-resolved form of the loop body in which
 //! every distinct array reference has been assigned a *slot*, so the
-//! executor's inner loop does no name lookups.
+//! executor's inner loop does no name lookups. The reference summary the
+//! inspector and the reuse guard need — data, written and indirection
+//! arrays — is derived from those slots.
+//!
+//! Lowering is the `FORALL` step of [`crate::analyze`]'s statement walk:
+//! each loop is lowered where it stands, and the reference checks run on
+//! the slots as lowering creates them.
 
-use crate::analyze::{analyze_program, ProgramInfo};
+use crate::analyze::{analyze_program, check_one_decomposition, check_ref, ProgramInfo};
 use crate::ast::*;
 use crate::error::LangError;
 use chaos_runtime::LoopId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One distinct array reference form appearing in a loop body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,11 +92,12 @@ pub struct LoopPlan {
     pub slots: Vec<RefSlot>,
     /// Compiled body.
     pub stmts: Vec<CompiledStmt>,
-    /// REAL data arrays referenced (sorted).
+    /// REAL data arrays referenced (sorted): the arrays of `slots`.
     pub data_arrays: Vec<String>,
-    /// REAL data arrays written (sorted).
+    /// REAL data arrays written (sorted): the arrays of the statements'
+    /// target slots.
     pub written_arrays: Vec<String>,
-    /// INTEGER indirection arrays (sorted).
+    /// INTEGER indirection arrays (sorted): those `slots` index through.
     pub indirection_arrays: Vec<String>,
     /// True when the loop contains at least one indirect reference.
     pub irregular: bool,
@@ -149,22 +156,6 @@ impl LoopPlan {
             .map(|i| self.stmts.iter().any(|s| expr_uses(s.value(), i)))
             .collect()
     }
-
-    /// Which slots are written by the body.
-    pub fn written_slots(&self) -> Vec<usize> {
-        let mut w: Vec<usize> = self
-            .stmts
-            .iter()
-            .map(|s| match s {
-                CompiledStmt::Assign { target, .. } | CompiledStmt::Reduce { target, .. } => {
-                    *target
-                }
-            })
-            .collect();
-        w.sort_unstable();
-        w.dedup();
-        w
-    }
 }
 
 /// A lowered program: the original statements (directives are interpreted
@@ -181,24 +172,7 @@ pub struct CompiledProgram {
 
 /// Analyse and lower a parsed program.
 pub fn lower_program(program: Program) -> Result<CompiledProgram, LangError> {
-    let info = analyze_program(&program)?;
-    let mut plans = BTreeMap::new();
-    for stmt in &program.stmts {
-        if let Stmt::Forall {
-            label,
-            lo,
-            hi,
-            body,
-            ..
-        } = stmt
-        {
-            let loop_info = info
-                .loop_info(label)
-                .expect("analysis produced info for every loop");
-            let plan = lower_loop(label, lo.clone(), hi.clone(), body, loop_info)?;
-            plans.insert(label.clone(), plan);
-        }
-    }
+    let (info, plans) = analyze_program(&program)?;
     Ok(CompiledProgram {
         program,
         info,
@@ -206,94 +180,115 @@ pub fn lower_program(program: Program) -> Result<CompiledProgram, LangError> {
     })
 }
 
-fn lower_loop(
-    label: &str,
-    lo: SizeExpr,
-    hi: SizeExpr,
-    body: &[LoopStmt],
-    loop_info: &crate::analyze::LoopInfo,
-) -> Result<LoopPlan, LangError> {
-    let mut slots: Vec<RefSlot> = Vec::new();
-    let mut slot_of = |r: &ArrayRef, slots: &mut Vec<RefSlot>| -> usize {
-        let key = RefSlot {
-            array: r.array.clone(),
-            index: r.index.clone(),
-        };
-        if let Some(i) = slots.iter().position(|s| *s == key) {
-            i
-        } else {
-            slots.push(key);
+/// The slot of reference `r`, appending one on its first appearance.
+fn slot_of(slots: &mut Vec<RefSlot>, r: &ArrayRef) -> usize {
+    match slots
+        .iter()
+        .position(|s| s.array == r.array && s.index == r.index)
+    {
+        Some(i) => i,
+        None => {
+            slots.push(RefSlot {
+                array: r.array.clone(),
+                index: r.index.clone(),
+            });
             slots.len() - 1
         }
-    };
+    }
+}
 
-    fn lower_expr(
-        e: &Expr,
-        slots: &mut Vec<RefSlot>,
-        slot_of: &mut impl FnMut(&ArrayRef, &mut Vec<RefSlot>) -> usize,
-        ops: &mut f64,
-    ) -> CompiledExpr {
-        match e {
-            Expr::Lit(v) => CompiledExpr::Lit(*v),
-            Expr::Ref(r) => {
-                *ops += 2.0;
-                CompiledExpr::Slot(slot_of(r, slots))
+fn lower_expr(e: &Expr, slots: &mut Vec<RefSlot>, ops: &mut f64) -> CompiledExpr {
+    match e {
+        Expr::Lit(v) => CompiledExpr::Lit(*v),
+        Expr::Ref(r) => {
+            *ops += 2.0;
+            CompiledExpr::Slot(slot_of(slots, r))
+        }
+        Expr::Binary { op, lhs, rhs } => {
+            *ops += 1.0;
+            CompiledExpr::Binary {
+                op: *op,
+                lhs: Box::new(lower_expr(lhs, slots, ops)),
+                rhs: Box::new(lower_expr(rhs, slots, ops)),
             }
-            Expr::Binary { op, lhs, rhs } => {
-                *ops += 1.0;
-                CompiledExpr::Binary {
-                    op: *op,
-                    lhs: Box::new(lower_expr(lhs, slots, slot_of, ops)),
-                    rhs: Box::new(lower_expr(rhs, slots, slot_of, ops)),
-                }
-            }
-            Expr::Call { intrinsic, args } => {
-                *ops += 4.0;
-                CompiledExpr::Call {
-                    intrinsic: *intrinsic,
-                    args: args
-                        .iter()
-                        .map(|a| lower_expr(a, slots, slot_of, ops))
-                        .collect(),
-                }
+        }
+        Expr::Call { intrinsic, args } => {
+            *ops += 4.0;
+            CompiledExpr::Call {
+                intrinsic: *intrinsic,
+                args: args.iter().map(|a| lower_expr(a, slots, ops)).collect(),
             }
         }
     }
+}
 
+/// The distinct `names`, sorted.
+fn sorted<'a>(names: impl Iterator<Item = &'a String>) -> Vec<String> {
+    names
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .cloned()
+        .collect()
+}
+
+/// Lower loop `label` against the declarations and alignments `info` holds
+/// at its place in the program.
+pub(crate) fn lower_loop(
+    info: &ProgramInfo,
+    label: &str,
+    lo: &SizeExpr,
+    hi: &SizeExpr,
+    body: &[LoopStmt],
+) -> Result<LoopPlan, LangError> {
+    let mut slots: Vec<RefSlot> = Vec::new();
     let mut stmts = Vec::with_capacity(body.len());
     let mut ops_per_iteration = 0.0;
     for s in body {
-        match s {
-            LoopStmt::Assign { target, value } => {
-                let value = lower_expr(value, &mut slots, &mut slot_of, &mut ops_per_iteration);
-                let target = slot_of(target, &mut slots);
+        let before = slots.len();
+        let (LoopStmt::Assign { target, value } | LoopStmt::Reduce { target, value, .. }) = s;
+        let value = lower_expr(value, &mut slots, &mut ops_per_iteration);
+        let target = slot_of(&mut slots, target);
+        let stmt = match s {
+            LoopStmt::Assign { .. } => {
                 ops_per_iteration += 2.0;
-                stmts.push(CompiledStmt::Assign { target, value });
+                CompiledStmt::Assign { target, value }
             }
-            LoopStmt::Reduce { op, target, value } => {
-                let value = lower_expr(value, &mut slots, &mut slot_of, &mut ops_per_iteration);
-                let target = slot_of(target, &mut slots);
+            LoopStmt::Reduce { op, .. } => {
                 ops_per_iteration += 3.0;
-                stmts.push(CompiledStmt::Reduce {
+                CompiledStmt::Reduce {
                     op: *op,
                     target,
                     value,
-                });
+                }
             }
+        };
+        // Check the references this statement slotted first, in source
+        // order: the target, then the value's in order of appearance.
+        let fresh = before..slots.len();
+        let value_refs = fresh.clone().filter(|&i| i != target);
+        let first = fresh.contains(&target).then_some(target);
+        for i in first.into_iter().chain(value_refs) {
+            check_ref(info, label, &slots[i])?;
         }
+        stmts.push(stmt);
     }
+    check_one_decomposition(info, label, &slots)?;
 
+    let indirection_arrays = sorted(slots.iter().filter_map(|s| match &s.index {
+        Index::Indirect(ind) => Some(ind),
+        Index::LoopVar => None,
+    }));
     Ok(LoopPlan {
         label: label.to_string(),
         id: LoopId::new(label),
-        lo,
-        hi,
+        lo: lo.clone(),
+        hi: hi.clone(),
+        data_arrays: sorted(slots.iter().map(|s| &s.array)),
+        written_arrays: sorted(stmts.iter().map(|s| &slots[s.target()].array)),
+        irregular: !indirection_arrays.is_empty(),
+        indirection_arrays,
         slots,
         stmts,
-        data_arrays: loop_info.data_arrays.clone(),
-        written_arrays: loop_info.written_arrays.clone(),
-        indirection_arrays: loop_info.indirection_arrays.clone(),
-        irregular: loop_info.irregular,
         ops_per_iteration,
     })
 }
@@ -325,7 +320,7 @@ mod tests {
         assert_eq!(plan.slots.len(), 4);
         assert!(plan.irregular);
         assert_eq!(plan.stmts.len(), 2);
-        assert_eq!(plan.written_slots().len(), 2);
+        assert_eq!(plan.written_arrays, vec!["y"]);
         assert!(plan.ops_per_iteration > 0.0);
         // The two statements must write *different* slots (y via end_pt1 and
         // y via end_pt2).

@@ -9,7 +9,7 @@
 //! once), with more ranks than lanes (striping) and with more lanes than
 //! ranks (idle lanes).
 
-use chaos_repro::dmsim::{Backend, PooledBackend, Topology};
+use chaos_repro::dmsim::{Backend, PooledBackend};
 use chaos_repro::geocol::{
     GeoCoL, GeoColBuilder, Partitioner, Partitioning, RcbPartitioner, RsbPartitioner,
 };
@@ -157,7 +157,7 @@ proptest! {
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.37 - 5.0).collect();
         let pattern = build_pattern(p, n, seed, refs_per_proc);
 
-        let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
+        let cfg = || MachineConfig::unit(p);
         let mut seq = Machine::new(cfg());
         let obs_seq = run_pipeline(&mut seq, &dist, &data, &pattern);
         // One lane per rank, then 1..=12 workers: below, at and above the
@@ -182,7 +182,7 @@ fn pool_with_more_ranks_than_workers_is_exact() {
     let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin() + 2.0).collect();
     let pattern = build_pattern(p, n, 0xC4A05, 512);
 
-    let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
+    let cfg = || MachineConfig::unit(p);
     let mut seq = Machine::new(cfg());
     let mut pool = PooledBackend::with_workers(Machine::new(cfg()), 5);
     let obs_seq = run_pipeline(&mut seq, &dist, &data, &pattern);
@@ -203,7 +203,7 @@ fn pool_with_more_workers_than_cores_is_exact() {
     let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos() - 1.0).collect();
     let pattern = build_pattern(p, n, 0xBEEF, 96);
 
-    let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
+    let cfg = || MachineConfig::unit(p);
     let mut seq = Machine::new(cfg());
     let mut pool = PooledBackend::with_workers(Machine::new(cfg()), 32);
     let obs_seq = run_pipeline(&mut seq, &dist, &data, &pattern);
@@ -409,7 +409,7 @@ proptest! {
         let partitioner: &dyn Partitioner = if which == 0 { &rsb } else { &RcbPartitioner };
         let oracle: Partitioning = partitioner.partition(&geocol, p);
 
-        let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
+        let cfg = || MachineConfig::unit(p);
         let mut seq = Machine::new(cfg());
         let obs_seq = run_partition(&mut seq, partitioner, &geocol);
         prop_assert_eq!(&obs_seq.owners, oracle.owners(), "engine vs pure partition()");
@@ -437,7 +437,7 @@ fn large_active_sets_agree_across_engines_and_match_the_serial_oracle() {
     let partitioners: [&dyn Partitioner; 2] = [&RcbPartitioner, &rsb];
     for partitioner in partitioners {
         let oracle = partitioner.partition(&geocol, 4);
-        let cfg = || MachineConfig::unit(4).with_topology(Topology::FullyConnected);
+        let cfg = || MachineConfig::unit(4);
         let mut seq = Machine::new(cfg());
         let obs_seq = run_partition(&mut seq, partitioner, &geocol);
         assert_eq!(
@@ -459,6 +459,234 @@ fn large_active_sets_agree_across_engines_and_match_the_serial_oracle() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of a word stream.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The recursive-bisection partitioners the golden hashes pin.
+const BISECTIONS: [&str; 4] = ["RCB", "RSB", "INERTIAL", "RCB-KL"];
+
+/// The golden-partition graphs: a mesh above `SORT_CUTOFF` (so RCB's
+/// histogram select runs) and an MD box, each with unit loads and with
+/// `PairLoopWorkload::loads`, labelled `"<workload> <unit|loads>"`.
+fn golden_geocols() -> Vec<(String, GeoCoL)> {
+    use chaos_bench::workload::{md_workload, mesh_workload};
+    use chaos_workloads::{MdConfig, MeshConfig};
+    let mut out = Vec::new();
+    for (wname, w) in [
+        ("mesh", mesh_workload(MeshConfig::tiny(6000))),
+        ("md", md_workload(MdConfig::tiny(300))),
+    ] {
+        for weighted in [false, true] {
+            let builder = GeoColBuilder::new(w.nnodes)
+                .geometry(w.coords.to_vec())
+                .link(w.e1.clone(), w.e2.clone());
+            let (builder, loads) = if weighted {
+                (builder.load(w.loads.clone()), "loads")
+            } else {
+                (builder, "unit")
+            };
+            out.push((format!("{wname} {loads}"), builder.build().unwrap()));
+        }
+    }
+    out
+}
+
+/// Hash `hash(partitioner, geocol, p)` over the golden grid, one
+/// `"<graph> <partitioner> P=<p> <hash>"` line per point, and compare
+/// with the recorded lines, listing every point that moved.
+fn assert_golden(
+    nprocs: &[usize],
+    hash: impl Fn(&dyn Partitioner, &GeoCoL, usize) -> u64,
+    want: &[&str],
+) {
+    let mut got = Vec::new();
+    for (graph, geocol) in golden_geocols() {
+        for pname in BISECTIONS {
+            let partitioner = chaos_repro::geocol::partitioner_by_name(pname).unwrap();
+            for &p in nprocs {
+                let h = hash(partitioner.as_ref(), &geocol, p);
+                got.push(format!("{graph} {pname} P={p} {h:016x}"));
+            }
+        }
+    }
+    let moved: Vec<String> = got
+        .iter()
+        .zip(want)
+        .filter(|(g, w)| g != w)
+        .map(|(g, w)| format!("got {g}, recorded {w}"))
+        .collect();
+    assert!(
+        moved.is_empty() && got.len() == want.len(),
+        "{} of {} partitionings moved:\n{}",
+        moved.len(),
+        want.len(),
+        moved.join("\n")
+    );
+}
+
+/// Every recursive-bisection partitioning against recorded values: the
+/// owner array of RCB, RSB, INERTIAL and RCB-KL on the golden graphs at
+/// P = 3, 4, 8 and 16. A change to a split rule, its sort order or its
+/// weighted-median walk moves a hash.
+#[test]
+fn recursive_bisection_owner_arrays_match_their_recorded_hashes() {
+    assert_golden(
+        &[3, 4, 8, 16],
+        |partitioner, geocol, p| {
+            let owners = partitioner.partition(geocol, p);
+            fnv1a(owners.owners().iter().map(|&o| o as u64))
+        },
+        GOLDEN_OWNERS,
+    );
+}
+
+/// The same grid through `MapperCoupler::partition` on an iPSC/860 at the
+/// power-of-two P it runs: the per-processor clock bits the partitioner
+/// leaves behind, so a change to the charged scans or to the lump sum
+/// they are deducted from moves a hash.
+#[test]
+fn recursive_bisection_coupler_clocks_match_their_recorded_hashes() {
+    assert_golden(
+        &[4, 8, 16],
+        |partitioner, geocol, p| {
+            let mut machine = Machine::new(MachineConfig::ipsc860(p));
+            let obs = run_partition(&mut machine, partitioner, geocol);
+            fnv1a(obs.clock_bits.iter().flat_map(|&(c, m, i)| [c, m, i]))
+        },
+        GOLDEN_CLOCKS,
+    );
+}
+
+/// FNV-1a of each owner array. These are recorded values: one that moves
+/// is a changed partitioning, to be justified before it is re-recorded.
+const GOLDEN_OWNERS: &[&str] = &[
+    "mesh unit RCB P=3 0d9639180baa1d25",
+    "mesh unit RCB P=4 8f36d7d53aee9845",
+    "mesh unit RCB P=8 f3e5badf19d7a245",
+    "mesh unit RCB P=16 8728fa63cc40dd65",
+    "mesh unit RSB P=3 29edee1d35698ca5",
+    "mesh unit RSB P=4 b9d306ec49b1cd65",
+    "mesh unit RSB P=8 ed74978004b64c25",
+    "mesh unit RSB P=16 b279f02b4dc6ee25",
+    "mesh unit INERTIAL P=3 8cd700d317129025",
+    "mesh unit INERTIAL P=4 b6d0014718d2cce5",
+    "mesh unit INERTIAL P=8 f44a6077ddf591a5",
+    "mesh unit INERTIAL P=16 84b7ef9535aa7045",
+    "mesh unit RCB-KL P=3 2d57432892a19ce6",
+    "mesh unit RCB-KL P=4 a623066d89c1c0a6",
+    "mesh unit RCB-KL P=8 cad5db93a95691a6",
+    "mesh unit RCB-KL P=16 3982941a595fb68b",
+    "mesh loads RCB P=3 6b60960ac1825ce4",
+    "mesh loads RCB P=4 bc99a4355dff5c66",
+    "mesh loads RCB P=8 5fc593ac0d08fbe2",
+    "mesh loads RCB P=16 3560b7b983f1d72a",
+    "mesh loads RSB P=3 e44179f38cbef4e4",
+    "mesh loads RSB P=4 db215774e56e1a64",
+    "mesh loads RSB P=8 f00fd967f1e9aa27",
+    "mesh loads RSB P=16 a6a16eaa008a1f21",
+    "mesh loads INERTIAL P=3 b76894dd4cfdf107",
+    "mesh loads INERTIAL P=4 ad5f90e6b5fd31a5",
+    "mesh loads INERTIAL P=8 3cc2ad09e868afc5",
+    "mesh loads INERTIAL P=16 9aa701e1cce32764",
+    "mesh loads RCB-KL P=3 560195a6272d9824",
+    "mesh loads RCB-KL P=4 c217cc578bcba225",
+    "mesh loads RCB-KL P=8 04ad814608169300",
+    "mesh loads RCB-KL P=16 de1f9eb8685ed8a9",
+    "md unit RCB P=3 76d3d521e307b445",
+    "md unit RCB P=4 4edb50b8083eb525",
+    "md unit RCB P=8 7b0f1c46a1e01825",
+    "md unit RCB P=16 1c89feec536e9f85",
+    "md unit RSB P=3 36cbcd00703bb1c5",
+    "md unit RSB P=4 649818c13c360ee5",
+    "md unit RSB P=8 1110958827dcbba5",
+    "md unit RSB P=16 32456a23155492c5",
+    "md unit INERTIAL P=3 8cca6a3d369d3d65",
+    "md unit INERTIAL P=4 3b14e666896fc1c5",
+    "md unit INERTIAL P=8 98c4981b950bc1a5",
+    "md unit INERTIAL P=16 f88e581c2e331365",
+    "md unit RCB-KL P=3 32176f0b0ed0e647",
+    "md unit RCB-KL P=4 b384397037d09165",
+    "md unit RCB-KL P=8 57ad19ce5316a287",
+    "md unit RCB-KL P=16 9b5ca51db9d2a3e5",
+    "md loads RCB P=3 7606774e61f16085",
+    "md loads RCB P=4 80e8662d9e65cdc6",
+    "md loads RCB P=8 6322dc42ccf05aa3",
+    "md loads RCB P=16 23b06c289155a488",
+    "md loads RSB P=3 84c8b0c64823fe44",
+    "md loads RSB P=4 e53f0c7eba717805",
+    "md loads RSB P=8 684f03f10491fc64",
+    "md loads RSB P=16 55897a04d8303e27",
+    "md loads INERTIAL P=3 c88f8a9893db4284",
+    "md loads INERTIAL P=4 1a7f6b35fd470604",
+    "md loads INERTIAL P=8 2d821e7794bb1526",
+    "md loads INERTIAL P=16 627fea1128c409a2",
+    "md loads RCB-KL P=3 408768a923fc0186",
+    "md loads RCB-KL P=4 884eed403d210067",
+    "md loads RCB-KL P=8 ec55fde358604347",
+    "md loads RCB-KL P=16 f052531a7091e6a4",
+];
+
+/// FNV-1a of each run's per-processor `(compute, comm, idle)` clock bits,
+/// recorded with [`GOLDEN_OWNERS`].
+const GOLDEN_CLOCKS: &[&str] = &[
+    "mesh unit RCB P=4 dcbcfc0eb31b58de",
+    "mesh unit RCB P=8 f5c487135c2563fd",
+    "mesh unit RCB P=16 ede28d91ed566491",
+    "mesh unit RSB P=4 268d9add39297b23",
+    "mesh unit RSB P=8 aaa7bb8526cf4695",
+    "mesh unit RSB P=16 d6d878e4027b5d29",
+    "mesh unit INERTIAL P=4 07997e5565a36c2d",
+    "mesh unit INERTIAL P=8 df3ae083c994cf3c",
+    "mesh unit INERTIAL P=16 b46f1262a3cb410e",
+    "mesh unit RCB-KL P=4 86b33a4259a288f3",
+    "mesh unit RCB-KL P=8 70814bff8ecf442c",
+    "mesh unit RCB-KL P=16 746b1d9d454267a0",
+    "mesh loads RCB P=4 490071ebe729064b",
+    "mesh loads RCB P=8 09c8d9d2d2f285b9",
+    "mesh loads RCB P=16 e12629a136c9637f",
+    "mesh loads RSB P=4 c585489b15b73e70",
+    "mesh loads RSB P=8 db7d51461c09bb78",
+    "mesh loads RSB P=16 6fa4d4575de664a4",
+    "mesh loads INERTIAL P=4 07997e5565a36c2d",
+    "mesh loads INERTIAL P=8 df3ae083c994cf3c",
+    "mesh loads INERTIAL P=16 b46f1262a3cb410e",
+    "mesh loads RCB-KL P=4 86b33a4259a288f3",
+    "mesh loads RCB-KL P=8 7ae160cdddf06438",
+    "mesh loads RCB-KL P=16 7706e8a2471df05c",
+    "md unit RCB P=4 7d2f31e7593f3e81",
+    "md unit RCB P=8 aae69621c9b742b6",
+    "md unit RCB P=16 5d6d6fd1a8963fa3",
+    "md unit RSB P=4 7242929ed3c5da90",
+    "md unit RSB P=8 e66008db6edd22e0",
+    "md unit RSB P=16 0226f1eabb07d74c",
+    "md unit INERTIAL P=4 b9b13a5ebbf311a1",
+    "md unit INERTIAL P=8 abc448c1dc8c6fa2",
+    "md unit INERTIAL P=16 5740ce2c9fa74e3a",
+    "md unit RCB-KL P=4 5da8e68017169905",
+    "md unit RCB-KL P=8 90f6434b60f9cc2c",
+    "md unit RCB-KL P=16 e8aa507e7fb0f522",
+    "md loads RCB P=4 7d2f31e7593f3e81",
+    "md loads RCB P=8 aae69621c9b742b6",
+    "md loads RCB P=16 5d6d6fd1a8963fa3",
+    "md loads RSB P=4 54e525f9640588d7",
+    "md loads RSB P=8 fe84129902962341",
+    "md loads RSB P=16 5ca40632d06903ae",
+    "md loads INERTIAL P=4 b9b13a5ebbf311a1",
+    "md loads INERTIAL P=8 abc448c1dc8c6fa2",
+    "md loads INERTIAL P=16 b66dd8aaba577be3",
+    "md loads RCB-KL P=4 5da8e68017169905",
+    "md loads RCB-KL P=8 90f6434b60f9cc2c",
+    "md loads RCB-KL P=16 e8aa507e7fb0f522",
+];
+
 /// The disconnected-graph edge case, pinned (the proptest also sweeps it):
 /// RSB on a graph with no edges across components must stay exact on both
 /// engines and cut nothing.
@@ -468,7 +696,7 @@ fn disconnected_graph_partitioning_is_engine_independent() {
     let geocol = random_geocol(96, 0xD15C0, 3);
     let rsb = RsbPartitioner::default();
     let oracle = rsb.partition(&geocol, 4);
-    let cfg = || MachineConfig::unit(4).with_topology(Topology::FullyConnected);
+    let cfg = || MachineConfig::unit(4);
     let mut seq = Machine::new(cfg());
     let obs_seq = run_partition(&mut seq, &rsb, &geocol);
     assert_eq!(obs_seq.owners, oracle.owners());

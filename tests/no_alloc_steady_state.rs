@@ -198,6 +198,9 @@ struct FusedSweep {
     inspect: chaos_repro::runtime::InspectorResult,
     y: Vec<Vec<f64>>,
     areas: Vec<RankArea>,
+    /// Where each rank's ghosts land in its area's `ghosts` row: at 0, the
+    /// row being exactly the schedule's ghost buffer.
+    bases: Vec<u32>,
 }
 
 impl FusedSweep {
@@ -232,6 +235,7 @@ impl FusedSweep {
             inspect,
             y,
             areas,
+            bases: vec![0; nprocs],
         }
     }
 
@@ -244,7 +248,7 @@ impl FusedSweep {
             &mut self.machine,
             &inspect.schedule,
             x,
-            Landing::Slots,
+            Landing::Offset(&self.bases),
             self.areas.iter_mut().map(|a| &mut a.ghosts),
         );
         self.machine.run_sweep(

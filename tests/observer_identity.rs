@@ -13,7 +13,7 @@
 
 use chaos_repro::dmsim::{
     Backend, Counter, EngineKind, FaultKind, FaultPlan, MetricsRegistry, PhaseError, PooledBackend,
-    RecoveryPolicy, Topology, TraceEvent, TraceEventKind, TraceSink,
+    RecoveryPolicy, TraceEvent, TraceEventKind, TraceSink,
 };
 use chaos_repro::lang::CompiledProgram;
 use chaos_repro::prelude::*;
@@ -266,7 +266,7 @@ proptest! {
         let dist = Distribution::irregular_from_map(&map, p);
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.41 - 3.0).collect();
         let pattern = build_pattern(p, n, seed, refs_per_proc);
-        let cfg = || MachineConfig::unit(p).with_topology(Topology::FullyConnected);
+        let cfg = || MachineConfig::unit(p);
         // Sequential oracle.
         let mut bare = Machine::new(cfg());
         let want = run_pipeline(&mut bare, &dist, &data, &pattern);

@@ -51,7 +51,7 @@ proptest! {
     fn remap_preserves_contents((p, map) in map_strategy()) {
         let n = map.len();
         let data: Vec<f64> = (0..n).map(|i| i as f64 * 1.5 - 3.0).collect();
-        let mut machine = Machine::new(MachineConfig::unit(p).with_topology(chaos_repro::dmsim::Topology::FullyConnected));
+        let mut machine = Machine::new(MachineConfig::unit(p));
         let mut arr = DistArray::from_global("a", Distribution::block(n, p), &data);
         chaos_repro::runtime::remap(&mut machine, "t", &mut arr, Distribution::irregular_from_map(&map, p));
         prop_assert_eq!(arr.to_global(), data.clone());
@@ -78,7 +78,7 @@ proptest! {
                 pattern.refs[q].push(((state >> 33) as usize % n) as u32);
             }
         }
-        let mut machine = Machine::new(MachineConfig::unit(p).with_topology(chaos_repro::dmsim::Topology::FullyConnected));
+        let mut machine = Machine::new(MachineConfig::unit(p));
         let result = Inspector.localize(&mut machine, "prop", &dist, &pattern);
         let ghosts = gather(&mut machine, "prop", &result.schedule, &arr);
         #[allow(clippy::needless_range_loop)]
@@ -103,7 +103,7 @@ proptest! {
         for q in 0..p {
             pattern.refs[q] = (0..n as u32).collect();
         }
-        let mut machine = Machine::new(MachineConfig::unit(p).with_topology(chaos_repro::dmsim::Topology::FullyConnected));
+        let mut machine = Machine::new(MachineConfig::unit(p));
         let result = Inspector.localize(&mut machine, "prop", &dist, &pattern);
         let mut y = DistArray::from_global("y", dist.clone(), &vec![0.0; n]);
         // Local references incremented directly, ghost references through
@@ -188,7 +188,7 @@ proptest! {
             }
         }
 
-        let cfg = || MachineConfig::unit(p).with_topology(chaos_repro::dmsim::Topology::FullyConnected);
+        let cfg = || MachineConfig::unit(p);
         let mut m_csr = Machine::new(cfg());
         let mut m_naive = Machine::new(cfg());
 
