@@ -8,7 +8,7 @@
 //! | gate | variant vs base | bound |
 //! |------|-----------------|-------|
 //! | kernel compiler | tree-walking interpreter vs block-at-a-time bytecode | compiled ≥ 4× faster |
-//! | checkpointing | `with_checkpoint_every(8)` vs none | ≤ 10 % slower |
+//! | checkpointing | `RollbackToCheckpoint { every: 8 }` vs `Abort` | ≤ 10 % slower |
 //! | flight recorder | `with_trace` vs none | ≤ 10 % slower |
 //! | metrics registry | `with_metrics` vs none | ≤ 5 % slower |
 //!
@@ -25,7 +25,7 @@
 use chaos_bench::cli::{exit_on_stop, no_arguments};
 use chaos_bench::kernel_bench::{edge_executor, edge_program_inputs};
 use chaos_dmsim::{MetricsRegistry, TraceSink};
-use chaos_lang::{CompiledProgram, Executor, KernelMode};
+use chaos_lang::{CompiledProgram, Executor, KernelMode, RecoveryPolicy};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -101,7 +101,7 @@ const GATES: [Gate; 4] = [
     Gate {
         name: "checkpoint every 8 epochs",
         mode: KernelMode::Compiled,
-        configure: |e| e.with_checkpoint_every(8),
+        configure: |e| e.with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint { every: 8 }),
         bound: Bound::OverheadAtMost(0.10),
     },
     Gate {

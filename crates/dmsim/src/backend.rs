@@ -424,9 +424,9 @@ pub trait Backend {
     }
 
     /// Switch this engine to inline sequential execution (the
-    /// [`Machine`] oracle path) for all subsequent regions — the
-    /// [`RecoveryPolicy::DegradeToMachine`](crate::fault::RecoveryPolicy)
-    /// escape hatch. Returns `false` if the engine cannot degrade (the
+    /// [`Machine`] oracle path) for all subsequent regions — the escape
+    /// hatch of the lang executor's `RecoveryPolicy::DegradeToMachine`.
+    /// Returns `false` if the engine cannot degrade (the
     /// default); bit-identical results are guaranteed by the determinism
     /// contract when it can.
     fn degrade(&mut self) -> bool {

@@ -10,16 +10,21 @@
 //!   every per-rank kernel entry, so the same plan produces the same fault
 //!   at the same point of the same phase on either engine.
 //! * **Detection** — [`Backend::try_run_compute`](crate::Backend::try_run_compute)
-//!   (and the lang executor's whole-sweep guard, built the same way) catches
-//!   rank panics (and the pool's barrier-deadline straggler reports) and
-//!   surfaces them as a typed [`PhaseError`] carrying
-//!   `(epoch, rank, lane, cause)` instead of unwinding through the driver.
+//!   and the lang executor's one guarded attempt per FORALL both catch rank
+//!   panics and take the pool's barrier-deadline straggler reports, and
+//!   [`diagnose_attempt`](crate::diagnose_attempt) surfaces either as a
+//!   typed [`PhaseError`] carrying `(epoch, rank, lane, cause)` instead of
+//!   unwinding through the driver.
 //! * **Recovery** — because kernels charge modeled costs only through their
 //!   [`RankCtx`](crate::RankCtx), a phase whose recorded charges were never
 //!   replayed left no trace on the machine: rerunning it from a restored
-//!   snapshot is bit-identical to having never failed. [`RecoveryPolicy`]
-//!   names the strategies the `chaos-lang` executor implements on top of
-//!   this (retry, checkpoint rollback, degrading to the sequential oracle).
+//!   snapshot is bit-identical to having never failed. The strategies built
+//!   on this (retry, checkpoint rollback, degrading to the sequential
+//!   oracle through [`Backend::degrade`](crate::Backend::degrade)) are the
+//!   `chaos-lang` executor's `RecoveryPolicy`.
+//!
+//! A fault is one of two things: a crash ([`FaultKind::KernelPanic`]) or a
+//! stall ([`FaultKind::LaneStall`]).
 //!
 //! Faults are **consumed**: each planned fault fires at most once, and the
 //! consumed flags live in the plan itself (shared through the
@@ -46,9 +51,6 @@ pub enum FaultKind {
     /// harmless to the simulation; the pool's barrier deadline turns a
     /// detected one into [`PhaseError::Straggler`].
     LaneStall,
-    /// The rank's mailbox payload is flagged as corrupted at kernel entry
-    /// (a failed integrity check), surfacing as [`PhaseError::Corruption`].
-    MailboxCorruption,
 }
 
 impl fmt::Display for FaultKind {
@@ -56,7 +58,6 @@ impl fmt::Display for FaultKind {
         match self {
             FaultKind::KernelPanic => write!(f, "kernel panic"),
             FaultKind::LaneStall => write!(f, "lane stall"),
-            FaultKind::MailboxCorruption => write!(f, "mailbox corruption"),
         }
     }
 }
@@ -134,7 +135,7 @@ impl FaultPlan {
     }
 
     /// A deterministic pseudo-random plan: `count` faults drawn from
-    /// `epochs` × `0..nprocs` × all three kinds by a seeded LCG. The same
+    /// `epochs` × `0..nprocs` × both kinds by a seeded LCG. The same
     /// `(seed, count, epochs, nprocs)` always yields the same plan.
     pub fn randomized(
         seed: u64,
@@ -156,10 +157,9 @@ impl FaultPlan {
         for _ in 0..count {
             let epoch = epochs.start + lcg() % span;
             let rank = (lcg() % nprocs as u64) as usize;
-            let kind = match lcg() % 3 {
+            let kind = match lcg() % 2 {
                 0 => FaultKind::KernelPanic,
-                1 => FaultKind::LaneStall,
-                _ => FaultKind::MailboxCorruption,
+                _ => FaultKind::LaneStall,
             };
             plan = plan.with_fault(epoch, rank, kind);
         }
@@ -179,11 +179,6 @@ impl FaultPlan {
         self
     }
 
-    /// The planned faults, in insertion order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// True once every planned fault has fired.
     pub fn exhausted(&self) -> bool {
         self.consumed.iter().all(|c| c.load(Ordering::Acquire))
@@ -200,9 +195,9 @@ impl FaultPlan {
     }
 
     /// Consult the plan at a kernel entry: fire (at most once each) every
-    /// not-yet-consumed fault planned for `(epoch, rank)`. Panic-style
-    /// faults unwind with an [`InjectedFault`] payload; stalls sleep on the
-    /// calling thread and return normally.
+    /// not-yet-consumed fault planned for `(epoch, rank)`. A panic unwinds
+    /// with an [`InjectedFault`] payload; a stall sleeps on the calling
+    /// thread and returns normally.
     pub fn fire(&self, epoch: u64, rank: usize) {
         for (i, f) in self.faults.iter().enumerate() {
             if f.epoch == epoch && f.rank == rank && !self.consumed[i].swap(true, Ordering::AcqRel)
@@ -231,7 +226,7 @@ pub(crate) fn fire_traced(machine: &Machine, rank: usize, lane: Lane) {
     }
 }
 
-/// The panic payload an injected panic-style fault unwinds with; the
+/// The panic payload an injected [`FaultKind::KernelPanic`] unwinds with; the
 /// detectors downcast it back into a typed failure.
 #[derive(Debug, Clone, Copy)]
 pub struct InjectedFault {
@@ -312,7 +307,7 @@ impl fmt::Display for RankFailure {
 
 /// A detected phase failure, returned by
 /// [`Backend::try_run_compute`](crate::Backend::try_run_compute) (and the
-/// lang executor's sweep guard) in place of an unwinding panic.
+/// lang executor's guarded FORALL attempt) in place of an unwinding panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhaseError {
     /// One or more ranks panicked during the phase. `failures` names every
@@ -322,15 +317,6 @@ pub enum PhaseError {
         epoch: u64,
         /// Every caught failure, sorted by rank.
         failures: Vec<RankFailure>,
-    },
-    /// A rank's mailbox payload failed its (simulated) integrity check.
-    Corruption {
-        /// Machine epoch of the failing phase.
-        epoch: u64,
-        /// The rank whose payload was corrupted.
-        rank: usize,
-        /// The worker lane it ran on, when applicable.
-        lane: Option<usize>,
     },
     /// A worker lane blew the pool's barrier deadline. The phase still
     /// completed (the driver waits out the real arrival so the borrowed
@@ -356,9 +342,7 @@ impl PhaseError {
     /// The machine epoch the failure was detected in.
     pub fn epoch(&self) -> u64 {
         match self {
-            PhaseError::RankPanic { epoch, .. }
-            | PhaseError::Corruption { epoch, .. }
-            | PhaseError::Straggler { epoch, .. } => *epoch,
+            PhaseError::RankPanic { epoch, .. } | PhaseError::Straggler { epoch, .. } => *epoch,
         }
     }
 
@@ -382,16 +366,6 @@ impl PhaseError {
 
     fn from_failures(epoch: u64, mut failures: Vec<RankFailure>) -> PhaseError {
         failures.sort_by_key(|f| f.rank);
-        if failures.len() == 1
-            && failures[0].cause == PhaseCause::Injected(FaultKind::MailboxCorruption)
-        {
-            let f = &failures[0];
-            return PhaseError::Corruption {
-                epoch: f.epoch,
-                rank: f.rank.unwrap_or(0),
-                lane: f.lane,
-            };
-        }
         let epoch = failures.first().map_or(epoch, |f| f.epoch);
         PhaseError::RankPanic { epoch, failures }
     }
@@ -440,16 +414,6 @@ impl fmt::Display for PhaseError {
                 }
                 Ok(())
             }
-            PhaseError::Corruption { epoch, rank, lane } => {
-                write!(
-                    f,
-                    "corrupted mailbox payload on rank {rank} in epoch {epoch}"
-                )?;
-                if let Some(l) = lane {
-                    write!(f, " (lane {l})")?;
-                }
-                Ok(())
-            }
             PhaseError::Straggler {
                 epoch,
                 rank,
@@ -466,39 +430,3 @@ impl fmt::Display for PhaseError {
 }
 
 impl std::error::Error for PhaseError {}
-
-/// What the executor does when a phase fails.
-///
-/// Recovery exploits the determinism contract: a failed phase whose charge
-/// ledgers were never replayed left the machine untouched, and the executor
-/// snapshots the rest of the program state (array shards, clocks, stats)
-/// before each sweep — so *retry is a no-op under determinism*: the
-/// recovered run is bit-identical (values, clock f64 bits, statistics) to a
-/// run in which the fault never fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryPolicy {
-    /// Surface the failure to the caller (the default). Nothing is rolled
-    /// back: the lang executor keeps every array, loop record and resident
-    /// ghost row in place, so the failed loop can be executed again, but
-    /// the arrays that loop writes may hold a partially applied sweep and
-    /// the modeled clocks are where the failed attempt left them.
-    #[default]
-    Abort,
-    /// Restore the pre-sweep snapshot and rerun the failed sweep, up to
-    /// `max_attempts` times, sleeping `backoff` between attempts. Giving up
-    /// restores the snapshot once more before the error is returned, so the
-    /// caller sees the state the failed sweep started from.
-    RetryPhase {
-        /// Attempts before giving up (0: the first failure is final).
-        max_attempts: u32,
-        /// Wall-clock sleep between attempts.
-        backoff: Duration,
-    },
-    /// Restore the last every-K-epochs checkpoint, replay the journalled
-    /// sweeps since it, then rerun the failed sweep.
-    RollbackToCheckpoint,
-    /// Switch the backend to inline sequential execution (the
-    /// [`Machine`] oracle path) and rerun from the
-    /// pre-sweep snapshot — bit-identical by the determinism contract.
-    DegradeToMachine,
-}

@@ -72,9 +72,7 @@ pub use serde_json;
 
 pub use backend::{diagnose_attempt, run_phase_inline, Backend, Inbox, Outbox, PhaseEnd, RankCtx};
 pub use config::{CostModel, MachineConfig, Topology};
-pub use fault::{
-    Fault, FaultKind, FaultPlan, InjectedFault, PhaseCause, PhaseError, RankFailure, RecoveryPolicy,
-};
+pub use fault::{Fault, FaultKind, FaultPlan, InjectedFault, PhaseCause, PhaseError, RankFailure};
 pub use machine::{Machine, MachineSnapshot, PhaseCharge, ProcId};
 pub use metrics::{
     AuditReport, AuditRow, Counter, EngineKind, Histogram, MetricsRegistry, MetricsSnapshot,

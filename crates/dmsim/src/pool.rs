@@ -563,12 +563,6 @@ impl PooledBackend {
     /// [`Backend::take_phase_flaw`] / [`Backend::try_run_compute`]. The phase
     /// itself still completes — the driver waits out the real arrival so
     /// the borrowed phase descriptor stays sound.
-    pub fn with_barrier_deadline(mut self, deadline: Duration) -> Self {
-        self.set_barrier_deadline(deadline);
-        self
-    }
-
-    /// In-place form of [`PooledBackend::with_barrier_deadline`].
     pub fn set_barrier_deadline(&mut self, deadline: Duration) {
         self.deadline = Some(deadline);
     }
@@ -1212,8 +1206,8 @@ mod tests {
         // spawned worker (lane 0). Stall it well past the barrier deadline:
         // the phase still completes (a stall is a delay, not a crash) but the
         // typed error names the hung rank with its lane and progress.
-        let mut pool = PooledBackend::from_config_with_workers(MachineConfig::unit(2), 2)
-            .with_barrier_deadline(Duration::from_millis(5));
+        let mut pool = PooledBackend::from_config_with_workers(MachineConfig::unit(2), 2);
+        pool.set_barrier_deadline(Duration::from_millis(5));
         let plan = FaultPlan::new()
             .with_stall(Duration::from_millis(120))
             .with_fault(1, 0, FaultKind::LaneStall);

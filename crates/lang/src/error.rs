@@ -15,7 +15,7 @@ pub enum LangError {
     /// Error raised while executing the lowered program.
     Runtime(String),
     /// An execution phase failed (injected fault, kernel panic or straggler)
-    /// and the configured [`chaos_dmsim::RecoveryPolicy`] did not — or was
+    /// and the configured [`crate::RecoveryPolicy`] did not — or was
     /// not allowed to — recover it. Carries the typed
     /// `(epoch, rank, lane, cause)` diagnosis.
     Phase(chaos_dmsim::PhaseError),

@@ -39,11 +39,11 @@ use crate::ast::Stmt;
 use crate::error::LangError;
 use crate::lower::{CompiledProgram, LoopPlan};
 use chaos_dmsim::{
-    Backend, FaultPlan, Machine, MachineConfig, MetricsRegistry, PooledBackend, RecoveryPolicy,
-    TraceSink,
+    Backend, FaultPlan, Machine, MachineConfig, MetricsRegistry, PooledBackend, TraceSink,
 };
 use chaos_runtime::{DistArray, Distribution};
-use recover::{ExecSnapshot, DEFAULT_CHECKPOINT_EVERY};
+use recover::ExecSnapshot;
+pub use recover::RecoveryPolicy;
 use state::ProgramState;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -156,8 +156,8 @@ pub struct Executor<B: Backend = Machine> {
 
     // --- fault recovery (see ARCHITECTURE.md § "Fault model & recovery") ---
     policy: RecoveryPolicy,
-    /// Checkpoint cadence in machine epochs; 0 disables checkpointing.
-    checkpoint_every: u64,
+    /// The epoch checkpoint, kept under
+    /// [`RecoveryPolicy::RollbackToCheckpoint`] only.
     checkpoint: Option<Box<ExecSnapshot>>,
     /// FORALLs executed since the checkpoint, in order — rollback restores
     /// the checkpoint and replays these (deterministically, since consumed
@@ -166,9 +166,6 @@ pub struct Executor<B: Backend = Machine> {
     /// those (values-only, into the checkpoint's own storage) and charges
     /// only their words.
     journal: Vec<LoopPlan>,
-    /// A directive changed distributions/alignments since the checkpoint:
-    /// the next refresh must re-clone everything, not just dirty values.
-    structural_change: bool,
 }
 
 impl Executor<Machine> {
@@ -221,10 +218,8 @@ impl<B: Backend> Executor<B> {
             reuse_enabled: true,
             state: ProgramState::default(),
             policy: RecoveryPolicy::default(),
-            checkpoint_every: 0,
             checkpoint: None,
             journal: Vec::new(),
-            structural_change: false,
         }
     }
 
@@ -244,9 +239,9 @@ impl<B: Backend> Executor<B> {
     }
 
     /// Install a deterministic [`FaultPlan`] on the machine: every engine
-    /// consults it at each per-rank kernel entry, and FORALL execution is
-    /// guarded so failures surface as [`LangError::Phase`] (or are recovered
-    /// per the [`RecoveryPolicy`]).
+    /// consults it at each per-rank kernel entry. A fault inside a FORALL
+    /// surfaces as [`LangError::Phase`] or is recovered per the
+    /// [`RecoveryPolicy`], as any other failed attempt is.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.backend.machine_mut().install_fault_plan(Some(plan));
         self
@@ -279,29 +274,18 @@ impl<B: Backend> Executor<B> {
         self
     }
 
-    /// Select what happens when a FORALL phase fails (default:
-    /// [`RecoveryPolicy::Abort`]). Selecting
-    /// [`RecoveryPolicy::RollbackToCheckpoint`] enables epoch checkpointing
-    /// at the default cadence if [`Executor::with_checkpoint_every`] was not
-    /// called.
+    /// Select what happens when a FORALL fails (default:
+    /// [`RecoveryPolicy::Abort`]). Only
+    /// [`RecoveryPolicy::RollbackToCheckpoint`] checkpoints, at the cadence
+    /// it carries.
+    ///
+    /// # Panics
+    /// Panics if a checkpoint cadence is zero.
     pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.policy = policy;
-        if matches!(policy, RecoveryPolicy::RollbackToCheckpoint) && self.checkpoint_every == 0 {
-            self.checkpoint_every = DEFAULT_CHECKPOINT_EVERY;
+        if let RecoveryPolicy::RollbackToCheckpoint { every } = policy {
+            assert!(every >= 1, "a checkpoint cadence is at least one epoch");
         }
-        self
-    }
-
-    /// Checkpoint the execution state every `epochs` machine epochs (0
-    /// disables checkpointing). A checkpoint is a
-    /// [`MachineSnapshot`](chaos_dmsim::MachineSnapshot) (clocks,
-    /// statistics, epoch) plus one clone of the program state, which shares
-    /// every loop's inspector results instead of copying them; a refresh
-    /// re-copies only the arrays dirtied since the previous checkpoint
-    /// (values-only) and charges their modeled scan cost through
-    /// [`chaos_runtime::charge_checkpoint`].
-    pub fn with_checkpoint_every(mut self, epochs: u64) -> Self {
-        self.checkpoint_every = epochs;
+        self.policy = policy;
         self
     }
 
@@ -310,9 +294,8 @@ impl<B: Backend> Executor<B> {
         self.backend.machine()
     }
 
-    /// Mutable access to the machine (the bench harness uses this to tag
-    /// phase kinds around directive groups).
-    pub fn machine_mut(&mut self) -> &mut Machine {
+    /// Mutable access to the machine.
+    pub(crate) fn machine_mut(&mut self) -> &mut Machine {
         self.backend.machine_mut()
     }
 
@@ -373,9 +356,8 @@ impl<B: Backend> Executor<B> {
         // Directives change distributions, alignments or array storage, so
         // the journal's only-FORALLs-since-checkpoint invariant would break:
         // force a full checkpoint refresh right after any of them.
-        if result.is_ok() && self.checkpoint_every > 0 {
-            self.structural_change = true;
-            self.refresh_checkpoint();
+        if result.is_ok() && matches!(self.policy, RecoveryPolicy::RollbackToCheckpoint { .. }) {
+            self.refresh_checkpoint(true);
         }
         result
     }

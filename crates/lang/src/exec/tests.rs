@@ -630,6 +630,26 @@ fn read_data_of_the_wrong_length_is_a_typed_error_on_both_engines() {
     }
 }
 
+#[test]
+fn a_forall_that_fails_restores_the_phase_kind_it_was_entered_under() {
+    // The inspector's typed error returns from inside the FORALL after it
+    // switched the machine to `Inspector`; the time after it must not be
+    // booked there.
+    fn check<B: Backend>(mut exec: Executor<B>, cp: &CompiledProgram) {
+        let err = exec.run(cp).expect_err("a 0 entry").to_string();
+        assert!(err.contains("'end_pt1' contains 0 at iteration 2"), "{err}");
+        assert_eq!(exec.machine().stats().current_kind(), None);
+    }
+    let mut inputs = ring_inputs(40);
+    inputs.int_arrays.get_mut("end_pt1").unwrap()[1] = 0;
+    let cfg = MachineConfig::ipsc860(4);
+    check(Executor::new(cfg.clone(), inputs.clone()), &compiled());
+    check(
+        Executor::new_pooled_with_workers(cfg, 3, inputs),
+        &compiled(),
+    );
+}
+
 /// L1's record, as the executor's table holds it.
 fn record<'a>(exec: &'a Executor, cp: &CompiledProgram) -> &'a state::LoopState {
     exec.state.run.loops[cp.plans["L1"].id.index()]

@@ -55,12 +55,12 @@ pub mod parser;
 pub use ast::{Program, Stmt};
 pub use chaos_dmsim::{
     AuditReport, Counter, EngineKind, Fault, FaultKind, FaultPlan, MetricsRegistry,
-    MetricsSnapshot, PhaseError, RecoveryPolicy, SpanKind, TraceEvent, TraceEventKind, TraceSink,
-    TraceSummary,
+    MetricsSnapshot, PhaseError, SpanKind, TraceEvent, TraceEventKind, TraceSink, TraceSummary,
 };
 pub use error::LangError;
 pub use exec::{
-    ExecReport, Executor, KernelMode, ProgramInputs, SAVED_GATHER_LABEL, SAVED_SCHEDULE_LABEL,
+    ExecReport, Executor, KernelMode, ProgramInputs, RecoveryPolicy, SAVED_GATHER_LABEL,
+    SAVED_SCHEDULE_LABEL,
 };
 pub use kernel::{compile_kernel, CompiledKernel};
 pub use lower::{lower_program, CompiledProgram, LoopPlan};

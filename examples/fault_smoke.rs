@@ -1,14 +1,16 @@
 //! Fault-injection smoke test: the mesh and MD sweeps survive a seeded
-//! schedule of kernel panics, lane stalls and mailbox corruptions, and the
-//! recovered runs are **bit-identical** to fault-free runs.
+//! schedule of two kernel panics and a lane stall, and the recovered runs
+//! are **bit-identical** to fault-free runs under the same recovery policy.
 //!
 //! Both cases run the Fortran-D-like template through the worker-pool
-//! engine with epoch checkpointing every 8 epochs. The mesh case recovers
-//! via `RetryPhase` (discard the failed phase's ledgers, restore the
-//! pre-sweep snapshot, re-run); the MD pair sweep recovers via
-//! `RollbackToCheckpoint` (restore the last epoch checkpoint, replay the
-//! journaled sweeps). A barrier deadline on the pool turns the injected
-//! stall into a typed `Straggler` diagnosis instead of a silent hang.
+//! engine. The mesh case recovers via `RetryPhase` (discard the failed
+//! phase's ledgers, restore the pre-sweep snapshot, re-run); the MD pair
+//! sweep recovers via `RollbackToCheckpoint { every: 8 }` (checkpoint every
+//! 8 epochs; restore the last checkpoint, replay the journaled sweeps). The
+//! pool's barrier deadline is armed, but the stall lands in a fused sweep's
+//! compute stage, where the other lanes wait at the stage barrier, which
+//! has no deadline: the run reports two diagnosed errors, and the stall is
+//! a wall-clock delay only.
 //!
 //! Run with `cargo run --example fault_smoke --release`.
 
@@ -49,23 +51,24 @@ struct CaseResult {
     epoch: u64,
 }
 
-/// Run preamble + sweeps on a fresh pooled executor; optionally inject the
-/// fault schedule with the given recovery policy and/or install a trace
-/// sink (tracing must never change the result — the traced case below is
+/// Run preamble + sweeps on a fresh pooled executor under `policy`;
+/// optionally inject the fault schedule and/or install a trace sink
+/// (tracing must never change the result — the traced case below is
 /// asserted bit-identical to the untraced one).
 fn run_case(
     inputs: &ProgramInputs,
-    faults: Option<(Arc<FaultPlan>, RecoveryPolicy)>,
+    policy: RecoveryPolicy,
+    faults: Option<Arc<FaultPlan>>,
     trace: Option<Arc<TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
 ) -> CaseResult {
     let cp = lower_program(parse_program(EDGE_TEMPLATE).expect("parse")).expect("lower");
     let mut exec =
         Executor::new_pooled_with_workers(MachineConfig::ipsc860(NPROCS), WORKERS, inputs.clone())
-            .with_checkpoint_every(CHECKPOINT_EVERY)
-            .with_barrier_deadline(Duration::from_millis(10));
-    if let Some((plan, policy)) = faults {
-        exec = exec.with_fault_plan(plan).with_recovery_policy(policy);
+            .with_barrier_deadline(Duration::from_millis(10))
+            .with_recovery_policy(policy);
+    if let Some(plan) = faults {
+        exec = exec.with_fault_plan(plan);
     }
     if let Some(sink) = trace {
         exec = exec.with_trace(sink);
@@ -89,11 +92,11 @@ fn run_case(
 }
 
 /// Epochs spanned by the sweeps (past the directive preamble), probed on a
-/// fault-free executor with the same checkpoint cadence.
-fn sweep_epochs(inputs: &ProgramInputs) -> (u64, u64) {
+/// fault-free executor under the same recovery policy.
+fn sweep_epochs(inputs: &ProgramInputs, policy: RecoveryPolicy) -> (u64, u64) {
     let cp = lower_program(parse_program(EDGE_TEMPLATE).expect("parse")).expect("lower");
-    let mut probe = Executor::new(MachineConfig::ipsc860(NPROCS), inputs.clone())
-        .with_checkpoint_every(CHECKPOINT_EVERY);
+    let mut probe =
+        Executor::new(MachineConfig::ipsc860(NPROCS), inputs.clone()).with_recovery_policy(policy);
     probe.run(&cp).expect("program runs");
     let start = probe.machine().epoch();
     for _ in 0..SWEEPS {
@@ -102,8 +105,7 @@ fn sweep_epochs(inputs: &ProgramInputs) -> (u64, u64) {
     (start, probe.machine().epoch())
 }
 
-/// One panic, one stall (caught by the pool's barrier deadline) and one
-/// corruption, spread across the sweep epochs.
+/// A panic, a stall and a second panic, spread across the sweep epochs.
 fn smoke_plan(e0: u64, e1: u64) -> Arc<FaultPlan> {
     let span = e1 - e0;
     Arc::new(
@@ -111,7 +113,7 @@ fn smoke_plan(e0: u64, e1: u64) -> Arc<FaultPlan> {
             .with_stall(Duration::from_millis(60))
             .with_fault(e0 + 1, 1, FaultKind::KernelPanic)
             .with_fault(e0 + span / 2, 0, FaultKind::LaneStall)
-            .with_fault(e0 + 3 * span / 4, NPROCS - 1, FaultKind::MailboxCorruption),
+            .with_fault(e0 + 3 * span / 4, NPROCS - 1, FaultKind::KernelPanic),
     )
 }
 
@@ -230,20 +232,17 @@ fn main() {
     }));
 
     println!(
-        "fault smoke: {NPROCS} ranks on {WORKERS} pool workers, checkpoint every \
-         {CHECKPOINT_EVERY} epochs, {SWEEPS} sweeps per case"
+        "fault smoke: {NPROCS} ranks on {WORKERS} pool workers, {SWEEPS} sweeps per case, \
+         rollback checkpoints every {CHECKPOINT_EVERY} epochs"
     );
 
     // Case 1: unstructured-mesh edge sweep, RetryPhase recovery.
+    let retry = RecoveryPolicy::RetryPhase { max_attempts: 3 };
     let mesh = mesh_inputs();
-    let (e0, e1) = sweep_epochs(&mesh);
-    let clean = run_case(&mesh, None, None, None);
+    let (e0, e1) = sweep_epochs(&mesh, retry);
+    let clean = run_case(&mesh, retry, None, None, None);
     let plan = smoke_plan(e0, e1);
-    let retry = || RecoveryPolicy::RetryPhase {
-        max_attempts: 3,
-        backoff: Duration::ZERO,
-    };
-    let recovered = run_case(&mesh, Some((Arc::clone(&plan), retry())), None, None);
+    let recovered = run_case(&mesh, retry, Some(Arc::clone(&plan)), None, None);
     assert!(plan.exhausted(), "mesh: every scheduled fault fired");
     assert_bit_identical("mesh/retry-phase", &clean, &recovered);
 
@@ -257,7 +256,8 @@ fn main() {
     let plan = smoke_plan(e0, e1);
     let traced = run_case(
         &mesh,
-        Some((Arc::clone(&plan), retry())),
+        retry,
+        Some(Arc::clone(&plan)),
         Some(Arc::clone(&sink)),
         Some(Arc::clone(&registry)),
     );
@@ -268,31 +268,39 @@ fn main() {
     validate_chrome_trace(&sink);
 
     // The recovery story in counters: every injected fault was seen, every
-    // retry and checkpoint refresh was tallied, and the auditor has at
-    // least one phase kind worth of modeled-vs-wall samples.
+    // retry was tallied, and the auditor has at least one phase kind worth
+    // of modeled-vs-wall samples.
     registry.observe_trace(&sink);
     let snap = registry.snapshot();
     assert!(snap.counter(Counter::FaultsFired) >= 3, "faults metered");
     assert!(snap.counter(Counter::RetryAttempts) >= 1, "retries metered");
+    println!("\nmetrics after recovery:\n{snap}");
+
+    // Case 2: MD non-bonded pair sweep, RollbackToCheckpoint recovery. The
+    // fault-free run checkpoints at the same cadence.
+    let rollback = RecoveryPolicy::RollbackToCheckpoint {
+        every: CHECKPOINT_EVERY,
+    };
+    let md = md_inputs();
+    let (e0, e1) = sweep_epochs(&md, rollback);
+    let clean = run_case(&md, rollback, None, None, None);
+    let plan = smoke_plan(e0, e1);
+    let registry = Arc::new(MetricsRegistry::new(WORKERS));
+    let recovered = run_case(
+        &md,
+        rollback,
+        Some(Arc::clone(&plan)),
+        None,
+        Some(Arc::clone(&registry)),
+    );
+    assert!(plan.exhausted(), "md: every scheduled fault fired");
+    assert_bit_identical("md/rollback-to-checkpoint", &clean, &recovered);
+    let snap = registry.snapshot();
     assert!(
         snap.counter(Counter::CheckpointRefreshes) >= 1,
         "checkpoint refreshes metered"
     );
-    println!("\nmetrics after recovery:\n{snap}");
+    assert!(snap.counter(Counter::Rollbacks) >= 1, "rollbacks metered");
 
-    // Case 2: MD non-bonded pair sweep, RollbackToCheckpoint recovery.
-    let md = md_inputs();
-    let (e0, e1) = sweep_epochs(&md);
-    let clean = run_case(&md, None, None, None);
-    let plan = smoke_plan(e0, e1);
-    let recovered = run_case(
-        &md,
-        Some((Arc::clone(&plan), RecoveryPolicy::RollbackToCheckpoint)),
-        None,
-        None,
-    );
-    assert!(plan.exhausted(), "md: every scheduled fault fired");
-    assert_bit_identical("md/rollback-to-checkpoint", &clean, &recovered);
-
-    println!("fault smoke passed: panic, stall and corruption all recovered on the pool");
+    println!("fault smoke passed: two panics and a stall recovered on the pool");
 }

@@ -744,8 +744,8 @@ fn mesh_workload_experiment_is_engine_independent() {
 
 mod randomized_faults {
     use super::*;
-    use chaos_repro::dmsim::{FaultPlan, RecoveryPolicy};
-    use chaos_repro::lang::CompiledProgram;
+    use chaos_repro::dmsim::FaultPlan;
+    use chaos_repro::lang::{CompiledProgram, RecoveryPolicy};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -851,7 +851,7 @@ mod randomized_faults {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// Any seeded schedule of panics, stalls and corruptions is
+        /// Any seeded schedule of panics and stalls is
         /// recovered bit-identically — values, clock bits, statistics and
         /// the execution report — on both engines, the pool with ranks
         /// striped over 3 lanes and with one lane per rank.
@@ -872,10 +872,10 @@ mod randomized_faults {
             // must be burned through one retry at a time.
             let policy = || RecoveryPolicy::RetryPhase {
                 max_attempts: count as u32 + 1,
-                backoff: Duration::ZERO,
             };
 
-            let mut clean = Executor::new(MachineConfig::ipsc860(NP), inputs());
+            let mut clean = Executor::new(MachineConfig::ipsc860(NP), inputs())
+                .with_recovery_policy(policy());
             let want = drive(&mut clean, &cp);
 
             let mut seq = Executor::new(MachineConfig::ipsc860(NP), inputs())

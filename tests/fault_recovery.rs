@@ -7,10 +7,12 @@
 //! a pre-sweep (or checkpoint) snapshot before re-running, so a recovered
 //! run must be **bit-identical** — array values, per-processor clock f64
 //! bits, communication statistics, execution report — to a fault-free run
-//! of the same program under the same checkpoint configuration.
+//! of the same program under the same recovery policy.
 
-use chaos_repro::dmsim::{Backend, FaultKind, FaultPlan, PhaseError, RecoveryPolicy};
-use chaos_repro::lang::{CompiledProgram, LangError};
+use chaos_repro::dmsim::{
+    Backend, FaultKind, FaultPlan, PhaseCause, PhaseCharge, PhaseError, RankCtx,
+};
+use chaos_repro::lang::{CompiledProgram, LangError, RecoveryPolicy};
 use chaos_repro::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,12 +123,12 @@ fn drive<B: Backend>(
     Ok(observe(exec))
 }
 
-/// Epoch range spanned by the post-preamble sweeps under a given checkpoint
-/// cadence (faults scheduled inside this range hit the executor sweeps, not
-/// the directive preamble).
-fn sweep_epochs(cp: &CompiledProgram, checkpoint_every: u64) -> (u64, u64) {
+/// Epoch range spanned by the post-preamble sweeps under a given recovery
+/// policy (faults scheduled inside this range hit the executor sweeps, not
+/// the directive preamble; only a rollback policy's checkpoints move it).
+fn sweep_epochs(cp: &CompiledProgram, policy: RecoveryPolicy) -> (u64, u64) {
     let mut probe = Executor::new(MachineConfig::ipsc860(NPROCS), inputs(120, 480))
-        .with_checkpoint_every(checkpoint_every);
+        .with_recovery_policy(policy);
     probe.run(cp).unwrap();
     let start = probe.machine().epoch();
     for _ in 0..SWEEPS {
@@ -140,16 +142,13 @@ fn sweep_epochs(cp: &CompiledProgram, checkpoint_every: u64) -> (u64, u64) {
 const POOL_WORKERS: [usize; 2] = [3, NPROCS];
 
 fn retry() -> RecoveryPolicy {
-    RecoveryPolicy::RetryPhase {
-        max_attempts: 3,
-        backoff: Duration::ZERO,
-    }
+    RecoveryPolicy::RetryPhase { max_attempts: 3 }
 }
 
 #[test]
 fn injected_panic_recovers_bit_identically_on_both_engines() {
     let cp = program();
-    let (e0, e1) = sweep_epochs(&cp, 0);
+    let (e0, e1) = sweep_epochs(&cp, retry());
     assert!(e1 > e0 + 2, "sweeps must span several epochs");
     let mid = e0 + (e1 - e0) / 2;
     let plan = || {
@@ -162,32 +161,7 @@ fn injected_panic_recovers_bit_identically_on_both_engines() {
     let cfg = || MachineConfig::ipsc860(NPROCS);
     let ins = || inputs(120, 480);
 
-    let mut clean = Executor::new(cfg(), ins());
-    let want = drive(&mut clean, &cp).unwrap();
-
-    let mut seq = Executor::new(cfg(), ins())
-        .with_fault_plan(plan())
-        .with_recovery_policy(retry());
-    assert_eq!(drive(&mut seq, &cp).unwrap(), want, "sequential engine");
-
-    for workers in POOL_WORKERS {
-        let mut pool = Executor::new_pooled_with_workers(cfg(), workers, ins())
-            .with_fault_plan(plan())
-            .with_recovery_policy(retry());
-        assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
-    }
-}
-
-#[test]
-fn corruption_recovers_bit_identically_on_both_engines() {
-    let cp = program();
-    let (e0, e1) = sweep_epochs(&cp, 0);
-    let mid = e0 + (e1 - e0) / 2;
-    let plan = || Arc::new(FaultPlan::new().with_fault(mid, 0, FaultKind::MailboxCorruption));
-    let cfg = || MachineConfig::ipsc860(NPROCS);
-    let ins = || inputs(100, 400);
-
-    let mut clean = Executor::new(cfg(), ins());
+    let mut clean = Executor::new(cfg(), ins()).with_recovery_policy(retry());
     let want = drive(&mut clean, &cp).unwrap();
 
     let mut seq = Executor::new(cfg(), ins())
@@ -206,7 +180,7 @@ fn corruption_recovers_bit_identically_on_both_engines() {
 #[test]
 fn stall_is_detected_by_the_pool_deadline_and_recovered_bit_identically() {
     let cp = program();
-    let (e0, e1) = sweep_epochs(&cp, 0);
+    let (e0, e1) = sweep_epochs(&cp, retry());
     let mid = e0 + (e1 - e0) / 2;
     // Rank 0 runs on a spawned worker lane (the driver takes the last
     // lane), so the stall leaves the driver waiting at the barrier.
@@ -218,7 +192,8 @@ fn stall_is_detected_by_the_pool_deadline_and_recovered_bit_identically() {
     let cfg = || MachineConfig::ipsc860(NPROCS);
     let ins = || inputs(100, 400);
 
-    let mut clean = Executor::new_pooled_with_workers(cfg(), 2, ins());
+    let mut clean =
+        Executor::new_pooled_with_workers(cfg(), 2, ins()).with_recovery_policy(retry());
     let want = drive(&mut clean, &cp).unwrap();
 
     let mut pool = Executor::new_pooled_with_workers(cfg(), 2, ins())
@@ -234,7 +209,7 @@ fn stall_without_a_deadline_is_harmless_wall_clock_delay() {
     // nothing to the modeled clocks, so the run completes identically with
     // no error.
     let cp = program();
-    let (e0, e1) = sweep_epochs(&cp, 0);
+    let (e0, e1) = sweep_epochs(&cp, RecoveryPolicy::Abort);
     let mid = e0 + (e1 - e0) / 2;
     let plan = Arc::new(
         FaultPlan::new()
@@ -254,7 +229,7 @@ fn stall_without_a_deadline_is_harmless_wall_clock_delay() {
 #[test]
 fn abort_policy_surfaces_a_typed_phase_error() {
     let cp = program();
-    let (e0, _) = sweep_epochs(&cp, 0);
+    let (e0, _) = sweep_epochs(&cp, RecoveryPolicy::Abort);
     let plan = Arc::new(FaultPlan::new().with_fault(e0 + 1, 2, FaultKind::KernelPanic));
     let mut exec = Executor::new(MachineConfig::ipsc860(NPROCS), inputs(120, 480))
         .with_fault_plan(Arc::clone(&plan));
@@ -307,7 +282,7 @@ fn abort_leaves_every_array_in_place_and_the_loop_runnable() {
         );
     }
     let cp = program();
-    let (e0, _) = sweep_epochs(&cp, 0);
+    let (e0, _) = sweep_epochs(&cp, RecoveryPolicy::Abort);
     let plan = || Arc::new(FaultPlan::new().with_fault(e0 + 1, 2, FaultKind::KernelPanic));
     let cfg = || MachineConfig::ipsc860(NPROCS);
     let ins = || inputs(120, 480);
@@ -326,6 +301,123 @@ fn abort_leaves_every_array_in_place_and_the_loop_runnable() {
     }
 }
 
+/// The sequential engine, except that its fused sweep number `panic_at`
+/// (counting from 0) panics at entry: an organic failure, not an injected
+/// fault.
+struct FlakySweep {
+    machine: Machine,
+    sweeps: usize,
+    panic_at: usize,
+}
+
+impl Backend for FlakySweep {
+    fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+
+    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
+    where
+        St: Send,
+        I: IntoIterator<Item = St>,
+        F: Fn(&mut RankCtx<'_>, St) + Sync,
+    {
+        self.machine.fan_out(phase, state, kernel);
+    }
+
+    fn run_sweep<Sc, Px, C, A, P, S>(
+        &mut self,
+        scratch: &mut [Sc],
+        posted: &mut [Px],
+        compute: C,
+        nscatter: usize,
+        scatter_active: A,
+        scatter_pack: P,
+        combine: S,
+    ) where
+        Sc: Send,
+        Px: Send + Sync,
+        C: Fn(&mut RankCtx<'_>, &mut Sc, &mut Px) + Sync,
+        A: Fn(&[Px], usize) -> bool + Sync,
+        P: Fn(&mut RankCtx<'_>, usize),
+        S: Fn(&mut RankCtx<'_>, usize, &mut Sc, &[Px]) + Sync,
+    {
+        let sweep = self.sweeps;
+        self.sweeps += 1;
+        if sweep == self.panic_at {
+            panic!("organic sweep failure");
+        }
+        self.machine.run_sweep(
+            scratch,
+            posted,
+            compute,
+            nscatter,
+            scatter_active,
+            scatter_pack,
+            combine,
+        );
+    }
+}
+
+#[test]
+fn organic_panic_under_the_default_policy_is_a_typed_error() {
+    // No fault plan and the default `Abort`: a panic inside the FORALL is
+    // still caught and diagnosed, not unwound through `Executor::run`. With
+    // as many edges as nodes, `y` and the indirection arrays share one DAD,
+    // so every stamp of `y` invalidates the loop's saved inspection: the
+    // sweep after the failure re-inspects only if the failed one stamped
+    // its writes.
+    let cp = program();
+    let cfg = || MachineConfig::ipsc860(NPROCS);
+    let ins = || inputs(120, 120);
+    let mut clean = Executor::new(cfg(), ins());
+    clean.run(&cp).unwrap();
+    clean.execute_loop(&cp, "L1").unwrap();
+    assert_eq!(clean.report().inspector_runs, 2, "every sweep re-inspects");
+
+    let flaky = FlakySweep {
+        machine: Machine::new(cfg()),
+        sweeps: 0,
+        panic_at: 1,
+    };
+    let mut exec = Executor::with_backend(flaky, ins());
+    exec.run(&cp).unwrap();
+    let entry_kind = exec.machine().stats().current_kind();
+    let err = exec.execute_loop(&cp, "L1").unwrap_err();
+    match &err {
+        LangError::Phase(PhaseError::RankPanic { failures, .. }) => {
+            assert_eq!(failures.len(), 1, "{err}");
+            assert!(
+                matches!(&failures[0].cause, PhaseCause::Panic(m) if m.contains("organic")),
+                "{err}"
+            );
+        }
+        other => panic!("expected a typed RankPanic, got {other:?}"),
+    }
+    assert_eq!(
+        exec.machine().stats().current_kind(),
+        entry_kind,
+        "the entry phase kind is back"
+    );
+
+    let inspections = exec.report().inspector_runs;
+    exec.execute_loop(&cp, "L1").unwrap();
+    assert_eq!(
+        exec.report().inspector_runs,
+        inspections + 1,
+        "the failed sweep stamped y"
+    );
+    assert_eq!(exec.report().loop_sweeps, clean.report().loop_sweeps);
+    assert_eq!(
+        exec.real_global("y"),
+        clean.real_global("y"),
+        "the sweep after the failure matches the fault-free run"
+    );
+}
+
 #[test]
 fn exhausted_retry_restores_the_pre_sweep_state() {
     // RetryPhase holds a pre-sweep snapshot; when it runs out of attempts
@@ -338,10 +430,7 @@ fn exhausted_retry_restores_the_pre_sweep_state() {
         want: &Observation,
         engine: &str,
     ) {
-        let mut exec = exec.with_recovery_policy(RecoveryPolicy::RetryPhase {
-            max_attempts: 0,
-            backoff: Duration::ZERO,
-        });
+        let mut exec = exec.with_recovery_policy(RecoveryPolicy::RetryPhase { max_attempts: 0 });
         exec.run(cp).unwrap();
         let before = observe(&exec);
         let err = exec.execute_loop(cp, "L1").unwrap_err();
@@ -354,12 +443,13 @@ fn exhausted_retry_restores_the_pre_sweep_state() {
         assert_eq!(&observe(&exec), want, "{engine}: the sweep after giving up");
     }
     let cp = program();
-    let (e0, _) = sweep_epochs(&cp, 0);
+    let (e0, _) = sweep_epochs(&cp, RecoveryPolicy::Abort);
     let plan = || Arc::new(FaultPlan::new().with_fault(e0 + 1, 0, FaultKind::KernelPanic));
     let cfg = || MachineConfig::ipsc860(NPROCS);
     let ins = || inputs(120, 480);
 
-    let mut clean = Executor::new(cfg(), ins());
+    let mut clean = Executor::new(cfg(), ins())
+        .with_recovery_policy(RecoveryPolicy::RetryPhase { max_attempts: 0 });
     clean.run(&cp).unwrap();
     clean.execute_loop(&cp, "L1").unwrap();
     let want = observe(&clean);
@@ -427,7 +517,8 @@ fn rollback_restores_the_resident_ghost_values_with_the_arrays() {
 
     // The fault-free run, which also locates the last loop's sweep epoch
     // and checks the scenario is the one described.
-    let mut clean = Executor::new(cfg(), ins()).with_checkpoint_every(EVERY);
+    let rollback = || RecoveryPolicy::RollbackToCheckpoint { every: EVERY };
+    let mut clean = Executor::new(cfg(), ins()).with_recovery_policy(rollback());
     clean.run(&cp).unwrap();
     let tail_start = clean.machine().epoch();
     let mut messages = Vec::new();
@@ -448,63 +539,102 @@ fn rollback_restores_the_resident_ghost_values_with_the_arrays() {
         "three sweeps and one checkpoint refresh, due before the first"
     );
     let want = finish(
-        Executor::new(cfg(), ins()).with_checkpoint_every(EVERY),
+        Executor::new(cfg(), ins()).with_recovery_policy(rollback()),
         &cp,
     );
     assert_eq!(want.0.epoch, last_sweep);
 
     let plan = || Arc::new(FaultPlan::new().with_fault(last_sweep, 1, FaultKind::KernelPanic));
     let seq = Executor::new(cfg(), ins())
-        .with_checkpoint_every(EVERY)
         .with_fault_plan(plan())
-        .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
+        .with_recovery_policy(rollback());
     assert_eq!(finish(seq, &cp), want, "sequential engine");
     let pool = Executor::new_pooled_with_workers(cfg(), 3, ins())
-        .with_checkpoint_every(EVERY)
         .with_fault_plan(plan())
-        .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
+        .with_recovery_policy(rollback());
     assert_eq!(finish(pool, &cp), want, "pool/3");
 }
 
 #[test]
 fn rollback_to_checkpoint_recovers_bit_identically() {
     const EVERY: u64 = 6;
+    let rollback = || RecoveryPolicy::RollbackToCheckpoint { every: EVERY };
     let cp = program();
-    let (e0, e1) = sweep_epochs(&cp, EVERY);
+    let (e0, e1) = sweep_epochs(&cp, rollback());
     let late = e0 + 3 * (e1 - e0) / 4;
     let plan = || Arc::new(FaultPlan::new().with_fault(late, 2, FaultKind::KernelPanic));
     let cfg = || MachineConfig::ipsc860(NPROCS);
     let ins = || inputs(120, 480);
 
-    let mut clean = Executor::new(cfg(), ins()).with_checkpoint_every(EVERY);
+    let mut clean = Executor::new(cfg(), ins()).with_recovery_policy(rollback());
     let want = drive(&mut clean, &cp).unwrap();
 
     let mut seq = Executor::new(cfg(), ins())
-        .with_checkpoint_every(EVERY)
         .with_fault_plan(plan())
-        .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
+        .with_recovery_policy(rollback());
     assert_eq!(drive(&mut seq, &cp).unwrap(), want, "sequential engine");
 
     for workers in POOL_WORKERS {
         let mut pool = Executor::new_pooled_with_workers(cfg(), workers, ins())
-            .with_checkpoint_every(EVERY)
             .with_fault_plan(plan())
-            .with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint);
+            .with_recovery_policy(rollback());
         assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
+    }
+}
+
+#[test]
+fn rollback_recovers_a_fault_inside_a_checkpoint_refresh() {
+    // A refresh is a charged SPMD phase, so a fault can fire inside it. The
+    // rollback then restores the previous checkpoint, replays the sweeps
+    // journalled since it and reruns the failed FORALL, whose refresh must
+    // re-copy and charge exactly the arrays the fault-free refresh did.
+    const EVERY: u64 = 2;
+    let rollback = || RecoveryPolicy::RollbackToCheckpoint { every: EVERY };
+    let cp = program();
+    let cfg = || MachineConfig::ipsc860(NPROCS);
+    let ins = || inputs(120, 480);
+
+    // A sweep that spans two epochs ran a refresh in the first of them.
+    let mut clean = Executor::new(cfg(), ins()).with_recovery_policy(rollback());
+    clean.run(&cp).unwrap();
+    let mut refresh = None;
+    for _ in 0..SWEEPS {
+        let before = clean.machine().epoch();
+        clean.execute_loop(&cp, "L1").unwrap();
+        if clean.machine().epoch() == before + 2 {
+            refresh.get_or_insert(before + 1);
+        }
+    }
+    let refresh = refresh.expect("a refresh falls due among the sweeps");
+    let want = observe(&clean);
+
+    let plan = || Arc::new(FaultPlan::new().with_fault(refresh, 1, FaultKind::KernelPanic));
+    let mut seq = Executor::new(cfg(), ins())
+        .with_fault_plan(plan())
+        .with_recovery_policy(rollback());
+    assert_eq!(drive(&mut seq, &cp).unwrap(), want, "sequential engine");
+    for workers in POOL_WORKERS {
+        let plan = plan();
+        let mut pool = Executor::new_pooled_with_workers(cfg(), workers, ins())
+            .with_fault_plan(Arc::clone(&plan))
+            .with_recovery_policy(rollback());
+        assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
+        assert!(plan.exhausted(), "the fault fired inside the refresh");
     }
 }
 
 #[test]
 fn checkpoint_cadence_leaves_values_untouched() {
     // Checkpointing only copies state and charges the modeled scan cost:
-    // against the same program with checkpointing off, the result array
-    // and the execution report are identical, no message is added, and
-    // every processor's modeled clock is at least what it was — the scan
-    // charge is the only permitted difference.
+    // against the same program under `Abort`, which keeps no checkpoint, the
+    // result array and the execution report are identical, no message is
+    // added, and every processor's modeled clock is at least what it was —
+    // the scan charge is the only permitted difference.
     const EVERY: u64 = 6;
     fn check<B: Backend>(make: impl Fn() -> Executor<B>, cp: &CompiledProgram) -> Observation {
         let off = drive(&mut make(), cp).unwrap();
-        let on = drive(&mut make().with_checkpoint_every(EVERY), cp).unwrap();
+        let rollback = RecoveryPolicy::RollbackToCheckpoint { every: EVERY };
+        let on = drive(&mut make().with_recovery_policy(rollback), cp).unwrap();
         assert_eq!(off.y_bits, on.y_bits, "values perturbed by checkpointing");
         assert_eq!(off.report, on.report);
         assert_eq!((off.messages, off.bytes), (on.messages, on.bytes));
@@ -531,13 +661,14 @@ fn checkpoint_cadence_leaves_values_untouched() {
 #[test]
 fn degrade_to_machine_recovers_bit_identically() {
     let cp = program();
-    let (e0, e1) = sweep_epochs(&cp, 0);
+    let (e0, e1) = sweep_epochs(&cp, RecoveryPolicy::DegradeToMachine);
     let mid = e0 + (e1 - e0) / 2;
     let plan = || Arc::new(FaultPlan::new().with_fault(mid, 1, FaultKind::KernelPanic));
     let cfg = || MachineConfig::ipsc860(NPROCS);
     let ins = || inputs(100, 400);
 
-    let mut clean = Executor::new(cfg(), ins());
+    let mut clean =
+        Executor::new(cfg(), ins()).with_recovery_policy(RecoveryPolicy::DegradeToMachine);
     let want = drive(&mut clean, &cp).unwrap();
 
     // After the failure the pooled engine falls back to inline sequential
@@ -555,14 +686,11 @@ fn retry_attempts_are_bounded() {
     // max_attempts = 0 means the first failure is final even under
     // RetryPhase.
     let cp = program();
-    let (e0, _) = sweep_epochs(&cp, 0);
+    let (e0, _) = sweep_epochs(&cp, retry());
     let plan = Arc::new(FaultPlan::new().with_fault(e0 + 1, 0, FaultKind::KernelPanic));
     let mut exec = Executor::new(MachineConfig::ipsc860(NPROCS), inputs(120, 480))
         .with_fault_plan(plan)
-        .with_recovery_policy(RecoveryPolicy::RetryPhase {
-            max_attempts: 0,
-            backoff: Duration::ZERO,
-        });
+        .with_recovery_policy(RecoveryPolicy::RetryPhase { max_attempts: 0 });
     exec.run(&cp).unwrap();
     let err = exec.execute_loop(&cp, "L1").unwrap_err();
     assert!(matches!(
@@ -572,12 +700,12 @@ fn retry_attempts_are_bounded() {
 }
 
 #[test]
-fn all_three_fault_kinds_in_one_pooled_run_recover_bit_identically() {
-    // The acceptance scenario: one pooled run with an injected panic, a
-    // stall (caught by the barrier deadline) and a corruption, all
-    // recovered, final state bit-identical to fault-free.
+fn panics_and_a_stall_in_one_pooled_run_recover_bit_identically() {
+    // The acceptance scenario: one pooled run with two injected panics and a
+    // stall (caught by the barrier deadline), all recovered, final state
+    // bit-identical to fault-free.
     let cp = program();
-    let (e0, e1) = sweep_epochs(&cp, 0);
+    let (e0, e1) = sweep_epochs(&cp, retry());
     assert!(e1 - e0 >= 4, "need at least four sweep epochs");
     let span = e1 - e0;
     let plan = Arc::new(
@@ -585,12 +713,13 @@ fn all_three_fault_kinds_in_one_pooled_run_recover_bit_identically() {
             .with_stall(Duration::from_millis(60))
             .with_fault(e0 + 1, 1, FaultKind::KernelPanic)
             .with_fault(e0 + span / 2, 0, FaultKind::LaneStall)
-            .with_fault(e0 + 3 * span / 4, 2, FaultKind::MailboxCorruption),
+            .with_fault(e0 + 3 * span / 4, 2, FaultKind::KernelPanic),
     );
     let cfg = || MachineConfig::ipsc860(NPROCS);
     let ins = || inputs(140, 560);
 
-    let mut clean = Executor::new_pooled_with_workers(cfg(), 2, ins());
+    let mut clean =
+        Executor::new_pooled_with_workers(cfg(), 2, ins()).with_recovery_policy(retry());
     let want = drive(&mut clean, &cp).unwrap();
 
     let mut pool = Executor::new_pooled_with_workers(cfg(), 2, ins())
@@ -604,7 +733,7 @@ fn all_three_fault_kinds_in_one_pooled_run_recover_bit_identically() {
 #[test]
 fn panic_inside_a_fused_sweep_recovers_bit_identically() {
     let cp = program();
-    let (e0, e1) = sweep_epochs(&cp, 0);
+    let (e0, e1) = sweep_epochs(&cp, retry());
     assert_eq!(
         e1 - e0,
         SWEEPS as u64,
@@ -619,7 +748,7 @@ fn panic_inside_a_fused_sweep_recovers_bit_identically() {
     let cfg = || MachineConfig::ipsc860(NPROCS);
     let ins = || inputs(120, 480);
 
-    let mut clean = Executor::new(cfg(), ins());
+    let mut clean = Executor::new(cfg(), ins()).with_recovery_policy(retry());
     let want = drive(&mut clean, &cp).unwrap();
 
     let mut seq = Executor::new(cfg(), ins())
@@ -640,11 +769,12 @@ fn machine_backend_is_the_degraded_target_already() {
     // DegradeToMachine on the sequential engine: degrade() is a no-op that
     // reports success, and the retry still recovers.
     let cp = program();
-    let (e0, _) = sweep_epochs(&cp, 0);
+    let (e0, _) = sweep_epochs(&cp, RecoveryPolicy::DegradeToMachine);
     let plan = Arc::new(FaultPlan::new().with_fault(e0 + 1, 0, FaultKind::KernelPanic));
     let cfg = || MachineConfig::ipsc860(NPROCS);
 
-    let mut clean = Executor::new(cfg(), inputs(80, 320));
+    let mut clean = Executor::new(cfg(), inputs(80, 320))
+        .with_recovery_policy(RecoveryPolicy::DegradeToMachine);
     let want = drive(&mut clean, &cp).unwrap();
 
     let mut seq = Executor::new(cfg(), inputs(80, 320))

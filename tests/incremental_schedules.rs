@@ -8,11 +8,12 @@
 //! counters. A fault-injected run must recover bit-identically to a
 //! fault-free one.
 
-use chaos_repro::dmsim::{Backend, FaultKind, FaultPlan, MachineConfig, RecoveryPolicy};
-use chaos_repro::lang::{lower_program, parse_program, CompiledProgram, Executor, ProgramInputs};
+use chaos_repro::dmsim::{Backend, FaultKind, FaultPlan, MachineConfig};
+use chaos_repro::lang::{
+    lower_program, parse_program, CompiledProgram, Executor, ProgramInputs, RecoveryPolicy,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 const PREAMBLE: &str = r#"
     REAL*8 x(nnode), y(nnode), z(nnode)
@@ -240,13 +241,10 @@ fn faulted_incremental_run_recovers_bit_identically() {
     let ins = || inputs_from(24, &edges, &faces, 0x9E37);
     let nprocs = 4;
     let cfg = || MachineConfig::ipsc860(nprocs);
-    let retry = || RecoveryPolicy::RetryPhase {
-        max_attempts: 3,
-        backoff: Duration::ZERO,
-    };
+    let retry = || RecoveryPolicy::RetryPhase { max_attempts: 3 };
 
     // Find an epoch inside the steady-state sweeps to fault.
-    let mut probe = Executor::new(cfg(), ins());
+    let mut probe = Executor::new(cfg(), ins()).with_recovery_policy(retry());
     probe.run(&cp).unwrap();
     let start = probe.machine().epoch();
     let want = {

@@ -13,9 +13,9 @@
 
 use chaos_repro::dmsim::{
     Backend, Counter, EngineKind, FaultKind, FaultPlan, MetricsRegistry, PhaseError, PooledBackend,
-    RecoveryPolicy, TraceEvent, TraceEventKind, TraceSink,
+    TraceEvent, TraceEventKind, TraceSink,
 };
-use chaos_repro::lang::CompiledProgram;
+use chaos_repro::lang::{CompiledProgram, RecoveryPolicy};
 use chaos_repro::prelude::*;
 use chaos_repro::runtime::{gather, resolve_local, resolve_local_mut, scatter_add, Inspector};
 use proptest::prelude::*;
@@ -299,8 +299,8 @@ proptest! {
 fn straggler_error_carries_the_hung_lanes_flight_recorder_tail() {
     // Two lanes: the driver takes the last lane, so rank 0 runs on the
     // spawned worker (lane 0). Stall it well past the barrier deadline.
-    let mut pool = PooledBackend::from_config_with_workers(MachineConfig::unit(2), 2)
-        .with_barrier_deadline(Duration::from_millis(5));
+    let mut pool = PooledBackend::from_config_with_workers(MachineConfig::unit(2), 2);
+    pool.set_barrier_deadline(Duration::from_millis(5));
     let (sink, registry) = Observers::install(pool.machine_mut(), (true, true), 2).both();
     let plan = FaultPlan::new()
         .with_stall(Duration::from_millis(120))
@@ -397,14 +397,15 @@ fn lang_program() -> (CompiledProgram, ProgramInputs) {
 /// the epoch count.
 type LangObs = (Vec<u64>, Vec<u64>, (usize, usize, usize, u64), u64);
 
-/// The program plus six more sweeps of its loop, checkpointing every four
-/// epochs, on `exec` — bare, or with both observers sized for `lanes`.
+/// The program plus six more sweeps of its loop under the rollback policy,
+/// checkpointing every four epochs, on `exec` — bare, or with both
+/// observers sized for `lanes`.
 fn drive_lang<B: Backend>(
     exec: Executor<B>,
     cp: &CompiledProgram,
     lanes: Option<usize>,
 ) -> (LangObs, Observers) {
-    let mut exec = exec.with_checkpoint_every(4);
+    let mut exec = exec.with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint { every: 4 });
     let sink = lanes.map(|l| Arc::new(TraceSink::new(l)));
     let registry = lanes.map(|l| Arc::new(MetricsRegistry::new(l)));
     if let (Some(sink), Some(registry)) = (&sink, &registry) {
@@ -569,10 +570,7 @@ fn each_event_has_one_definition_on_both_engines() {
     let mut exec = pooled_lang(&inputs)
         .with_trace(Arc::clone(&sink))
         .with_fault_plan(Arc::new(plan))
-        .with_recovery_policy(RecoveryPolicy::RetryPhase {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        });
+        .with_recovery_policy(RecoveryPolicy::RetryPhase { max_attempts: 1 });
     exec.run(&cp).expect("program runs");
     exec.execute_loop(&cp, "L1").expect("the retry recovers");
     let diagnosed = args(&sink, [K::ErrorDiagnosed; 2]);
