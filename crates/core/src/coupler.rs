@@ -21,7 +21,8 @@ use crate::remap::remap;
 use crate::reuse::ReuseRegistry;
 use chaos_dmsim::{Backend, Machine, PhaseKind};
 use chaos_geocol::{
-    scan_chunk, GeoCoL, GeoColBuilder, Partitioner, Partitioning, RankScans, ScanKernel,
+    scan_chunk, GeoCoL, GeoColBuilder, GeoColError, Partitioner, Partitioning, RankScans,
+    ScanKernel,
 };
 
 /// Description of the arrays feeding a `CONSTRUCT` directive.
@@ -139,7 +140,25 @@ impl MapperCoupler {
     /// structure requires gathering them (an all-gather-style exchange whose
     /// volume is the size of the sections), which is the "graph generation"
     /// row of Table 2.
+    ///
+    /// # Panics
+    /// Panics if the sections do not form a valid GeoCoL structure; a
+    /// caller whose sections come from a program uses
+    /// [`Self::try_construct_geocol`].
     pub fn construct_geocol(&self, machine: &mut Machine, spec: &GeoColSpec<'_>) -> GeoCoL {
+        self.try_construct_geocol(machine, spec)
+            .expect("CONSTRUCT directive produced an invalid GeoCoL structure")
+    }
+
+    /// [`Self::construct_geocol`], with an invalid structure — a LINK
+    /// endpoint outside the vertex range, endpoint lists or sections of the
+    /// wrong length — returned as the builder's error. The gather is charged
+    /// either way, as the directive ran.
+    pub fn try_construct_geocol(
+        &self,
+        machine: &mut Machine,
+        spec: &GeoColSpec<'_>,
+    ) -> Result<GeoCoL, GeoColError> {
         let prev = machine.set_phase_kind(Some(PhaseKind::GraphGeneration));
 
         let mut builder = GeoColBuilder::new(spec.nvertices);
@@ -161,12 +180,7 @@ impl MapperCoupler {
             builder = builder.load(load.to_global());
         }
         if let Some((e1, e2)) = spec.link {
-            assert_eq!(
-                e1.len(),
-                e2.len(),
-                "LINK endpoint arrays must have the same length"
-            );
-            gathered_words += 2 * e1.len();
+            gathered_words += e1.len() + e2.len();
             builder = builder.link(e1.to_global(), e2.to_global());
         }
 
@@ -195,9 +209,7 @@ impl MapperCoupler {
         }
         machine.end_phase("geocol:assemble", phase);
 
-        let geocol = builder
-            .build()
-            .expect("CONSTRUCT directive produced an invalid GeoCoL structure");
+        let geocol = builder.build();
         machine.set_phase_kind(prev);
         geocol
     }

@@ -33,6 +33,10 @@ impl<T: Clone + Default> DistArray<T> {
 
     /// Create an array by scattering a global vector according to `dist`.
     ///
+    /// A BLOCK array's shards are consecutive runs of the global vector in
+    /// rank order, so each is one slice copy; CYCLIC and irregular arrays
+    /// place element by element.
+    ///
     /// # Panics
     /// Panics if `global.len() != dist.len()`.
     pub fn from_global(name: &str, dist: Distribution, global: &[T]) -> Self {
@@ -42,16 +46,35 @@ impl<T: Clone + Default> DistArray<T> {
             "global data length does not match the distribution"
         );
         let mut arr = Self::new(name, dist);
-        for (g, v) in global.iter().enumerate() {
-            let (p, off) = arr.dist.locate(g);
-            arr.local[p][off] = v.clone();
+        if let Distribution::Block { .. } = arr.dist {
+            let mut rest = global;
+            for shard in &mut arr.local {
+                let (run, tail) = rest.split_at(shard.len());
+                shard.clone_from_slice(run);
+                rest = tail;
+            }
+        } else {
+            for (g, v) in global.iter().enumerate() {
+                let (p, off) = arr.dist.locate(g);
+                arr.local[p][off] = v.clone();
+            }
         }
         arr
     }
 
-    /// Gather the array back into a single global vector (test / verification
-    /// helper; a real application would never do this).
+    /// Gather the array into one global vector, in global index order.
+    ///
+    /// The simulator shares one address space, so the driver reads whole
+    /// arrays this way where the paper's processors would each scan their
+    /// own shard: `READ_DATA`'s input is scattered by [`Self::from_global`],
+    /// and `CONSTRUCT`'s sections and the lang inspector's indirection
+    /// arrays are gathered here, as are the values a caller reads back. A
+    /// BLOCK array is its shards end to end, one slice copy each; CYCLIC
+    /// and irregular arrays are read element by element.
     pub fn to_global(&self) -> Vec<T> {
+        if let Distribution::Block { .. } = self.dist {
+            return self.local.concat();
+        }
         let mut out = vec![T::default(); self.dist.len()];
         for (g, slot) in out.iter_mut().enumerate() {
             let (p, off) = self.dist.locate(g);
@@ -176,6 +199,42 @@ mod tests {
         let a = DistArray::from_global("y", Distribution::irregular_from_map(&map, 3), &data);
         assert_eq!(a.to_global(), data);
         assert_eq!(a.local(1), &[101, 104, 107]);
+    }
+
+    #[test]
+    fn the_shard_walk_is_the_element_walk() {
+        // BLOCK with a short last shard, with empty shards (n < p) and
+        // empty, then CYCLIC and irregular: both directions equal a walk
+        // that locates every element, and `locate` is `owner` and
+        // `local_offset` together.
+        let map: Vec<u32> = (0..23).map(|i| (i * 7 % 5) as u32).collect();
+        for d in [
+            Distribution::block(23, 4),
+            Distribution::block(3, 8),
+            Distribution::block(0, 4),
+            Distribution::cyclic(23, 4),
+            Distribution::irregular_from_map(&map, 5),
+        ] {
+            let what = format!("{} n={} p={}", d.kind_name(), d.len(), d.nprocs());
+            let global: Vec<u64> = (0..d.len() as u64).map(|g| 1000 + g * g).collect();
+            let mut shards: Vec<Vec<u64>> =
+                (0..d.nprocs()).map(|p| vec![0; d.local_size(p)]).collect();
+            for (g, &v) in global.iter().enumerate() {
+                let (p, off) = d.locate(g);
+                assert_eq!((p, off), (d.owner(g), d.local_offset(g)), "{what}: {g}");
+                shards[p][off] = v;
+            }
+            let a = DistArray::from_global("a", d.clone(), &global);
+            assert_eq!(a.locals(), &shards[..], "{what}: from_global");
+            let walked: Vec<u64> = (0..d.len())
+                .map(|g| {
+                    let (p, off) = d.locate(g);
+                    a.local(p)[off]
+                })
+                .collect();
+            assert_eq!(a.to_global(), walked, "{what}: to_global");
+            assert_eq!(walked, global, "{what}: round trip");
+        }
     }
 
     #[test]

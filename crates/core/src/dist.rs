@@ -133,10 +133,21 @@ impl Distribution {
         }
     }
 
-    /// `(owner, local_offset)` of `global`.
+    /// `(owner, local_offset)` of `global`. A BLOCK lookup computes its
+    /// block size once: two integer divisions, where `owner` and
+    /// `local_offset` called in turn would spend five.
     #[inline]
     pub fn locate(&self, global: usize) -> (usize, usize) {
-        (self.owner(global), self.local_offset(global))
+        debug_assert!(global < self.len(), "global index {global} out of range");
+        match self {
+            Distribution::Block { n, p } => {
+                let b = Self::block_size(*n, *p);
+                let owner = (global / b).min(p - 1);
+                (owner, global - owner * b)
+            }
+            Distribution::Cyclic { p, .. } => (global % p, global / p),
+            Distribution::Irregular { table } => (table.owner(global), table.local_offset(global)),
+        }
     }
 
     /// Number of elements owned by processor `proc`.

@@ -97,6 +97,9 @@ impl IterationPartition {
 /// source must know its length up front (`BlockOfIterations` sizes its
 /// blocks by it) and is walked exactly once.
 ///
+/// Placing an iteration costs its references, not `nprocs`: the vote
+/// counts only the owners its row names and resets only those.
+///
 /// The cost of scanning the references is charged to the simulated machine:
 /// in the real system this scan is distributed (each processor examines the
 /// iterations whose indirection-array entries it owns), so the charge is
@@ -119,7 +122,11 @@ where
     // every list is allocated once at its final size.
     let mut home: Vec<u32> = Vec::with_capacity(rows.len());
     let mut load = vec![0usize; nprocs];
-    let mut counts = vec![0usize; nprocs];
+    // The vote: `counts` is all zeros between rows, and `touched` lists the
+    // owners the current row has named, so a row costs its references, not
+    // `nprocs`.
+    let mut counts = vec![0u32; nprocs];
+    let mut touched: Vec<usize> = Vec::new();
     let mut total_refs = 0usize;
 
     for (i, row) in rows.enumerate() {
@@ -127,23 +134,26 @@ where
         total_refs += refs.len();
         let target = match policy {
             IterPartitionPolicy::BlockOfIterations => (i / block).min(nprocs - 1),
+            IterPartitionPolicy::AlmostOwnerComputes if refs.is_empty() => i % nprocs,
             IterPartitionPolicy::AlmostOwnerComputes => {
-                if refs.is_empty() {
-                    i % nprocs
-                } else {
-                    for c in counts.iter_mut() {
-                        *c = 0;
+                for &r in refs {
+                    let owner = data_dist.owner(r as usize);
+                    if counts[owner] == 0 {
+                        touched.push(owner);
                     }
-                    for &r in refs {
-                        counts[data_dist.owner(r as usize)] += 1;
-                    }
-                    counts
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|&(p, &c)| (c, std::cmp::Reverse(p)))
-                        .map(|(p, _)| p)
-                        .unwrap_or(0)
+                    counts[owner] += 1;
                 }
+                // The highest count wins, ties to the lowest rank.
+                let mut best = touched[0];
+                for &p in &touched[1..] {
+                    if (counts[p], best) > (counts[best], p) {
+                        best = p;
+                    }
+                }
+                for p in touched.drain(..) {
+                    counts[p] = 0;
+                }
+                best
             }
         };
         home.push(target as u32);
@@ -258,6 +268,93 @@ mod tests {
                             "{policy:?} form {form}: charge on rank {p}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The vote as first written, kept as the oracle of the one above:
+    /// zero an `nprocs`-wide count per row and take `max_by_key` over all
+    /// of it, then charge the scan the same way.
+    fn nprocs_wide_vote(
+        m: &mut Machine,
+        d: &Distribution,
+        rows: &[Vec<u32>],
+    ) -> IterationPartition {
+        let nprocs = m.nprocs();
+        let mut iters = vec![Vec::new(); nprocs];
+        let mut counts = vec![0usize; nprocs];
+        for (i, refs) in rows.iter().enumerate() {
+            let target = if refs.is_empty() {
+                i % nprocs
+            } else {
+                counts.iter_mut().for_each(|c| *c = 0);
+                for &r in refs {
+                    counts[d.owner(r as usize)] += 1;
+                }
+                let best = counts
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|&(p, &c)| (c, std::cmp::Reverse(p)));
+                best.map(|(p, _)| p).unwrap_or(0)
+            };
+            iters[target].push(i as u32);
+        }
+        let total_refs: usize = rows.iter().map(Vec::len).sum();
+        for p in 0..nprocs {
+            m.charge_compute(p, total_refs as f64 / nprocs as f64);
+        }
+        IterationPartition::new(iters)
+    }
+
+    #[test]
+    fn placement_matches_the_nprocs_wide_vote() {
+        // Seeded rows of width 0..=9 (duplicates and rows wider than
+        // `nprocs` included), every third row a forced tie among up to four
+        // owners, over BLOCK, CYCLIC and irregular data on 1..=64 ranks.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let n = 50;
+        for nprocs in 1..=64 {
+            let map: Vec<u32> = (0..n).map(|_| next(nprocs) as u32).collect();
+            for d in [
+                Distribution::block(n, nprocs),
+                Distribution::cyclic(n, nprocs),
+                Distribution::irregular_from_map(&map, nprocs),
+            ] {
+                let owned: Vec<Vec<usize>> = (0..nprocs).map(|p| d.owned_globals(p)).collect();
+                let rows: Vec<Vec<u32>> = (0..120)
+                    .map(|i| {
+                        if i % 3 != 0 {
+                            let width = next(10);
+                            return (0..width).map(|_| next(n) as u32).collect();
+                        }
+                        let copies = 1 + next(2);
+                        let mut row = Vec::new();
+                        for _ in 0..2 + next(3) {
+                            let mine = &owned[next(nprocs)];
+                            if !mine.is_empty() && !row.contains(&(mine[0] as u32)) {
+                                row.extend(std::iter::repeat_n(mine[0] as u32, copies));
+                            }
+                        }
+                        row
+                    })
+                    .collect();
+                let mut oracle = Machine::new(MachineConfig::unit(nprocs));
+                let expected = nprocs_wide_vote(&mut oracle, &d, &rows);
+                let mut m = Machine::new(MachineConfig::unit(nprocs));
+                let policy = IterPartitionPolicy::AlmostOwnerComputes;
+                let got = partition_iterations(&mut m, &d, &rows, policy);
+                let what = format!("{} on {nprocs} ranks", d.kind_name());
+                assert_eq!(got, expected, "{what}");
+                for p in 0..nprocs {
+                    let (a, b) = (m.elapsed().per_proc[p], oracle.elapsed().per_proc[p]);
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: charge on rank {p}");
                 }
             }
         }

@@ -11,7 +11,7 @@ use crate::ast::{ConstructSection, ElemType, SizeExpr};
 use crate::error::LangError;
 use crate::lower::CompiledProgram;
 use chaos_dmsim::Backend;
-use chaos_geocol::partitioner_by_name;
+use chaos_geocol::{partitioner_by_name, GeoColError};
 use chaos_runtime::{DistArray, Distribution, GeoColSpec, MapperCoupler};
 
 impl<B: Backend> Executor<B> {
@@ -159,9 +159,10 @@ impl<B: Backend> Executor<B> {
         sections: &[ConstructSection],
     ) -> Result<(), LangError> {
         let n = self.eval_size(nvertices)?;
-        // Build zero-based endpoint copies for LINK sections (language values
-        // are 1-based).
-        let mut link_arrays: Option<(DistArray<u32>, DistArray<u32>)> = None;
+        // Zero-based endpoint copies for a LINK section (language values are
+        // 1-based), each shard mapped in place. A 0 wraps to `u32::MAX`, so
+        // the builder's range check rejects it with the entries beyond `n`.
+        let mut link_arrays: Option<[(&String, DistArray<u32>); 2]> = None;
         let mut geometry_names: Vec<String> = Vec::new();
         let mut load_name: Option<String> = None;
         for s in sections {
@@ -169,26 +170,16 @@ impl<B: Backend> Executor<B> {
                 ConstructSection::Geometry(axes) => geometry_names = axes.clone(),
                 ConstructSection::Load(w) => load_name = Some(w.clone()),
                 ConstructSection::Link { list1, list2, .. } => {
-                    let to_zero_based =
-                        |arr: &DistArray<u32>| -> Result<DistArray<u32>, LangError> {
-                            let global: Vec<u32> = arr
-                                .to_global()
-                                .iter()
-                                .map(|&v| v.saturating_sub(1))
-                                .collect();
-                            Ok(DistArray::from_global(
-                                arr.name(),
-                                arr.dist().clone(),
-                                &global,
-                            ))
-                        };
-                    let a = self.state.int.named(list1).ok_or_else(|| {
-                        LangError::runtime(format!("LINK array '{list1}' not available"))
-                    })?;
-                    let b = self.state.int.named(list2).ok_or_else(|| {
-                        LangError::runtime(format!("LINK array '{list2}' not available"))
-                    })?;
-                    link_arrays = Some((to_zero_based(a)?, to_zero_based(b)?));
+                    let zero_based = |list: &String| {
+                        let mut arr = self.state.int.named(list).cloned().ok_or_else(|| {
+                            LangError::runtime(format!("LINK array '{list}' not available"))
+                        })?;
+                        for shard in arr.par_shards_mut() {
+                            shard.iter_mut().for_each(|v| *v = v.wrapping_sub(1));
+                        }
+                        Ok::<_, LangError>(arr)
+                    };
+                    link_arrays = Some([(list1, zero_based(list1)?), (list2, zero_based(list2)?)]);
                 }
             }
         }
@@ -213,10 +204,31 @@ impl<B: Backend> Executor<B> {
         if let Some(l) = load_array {
             spec = spec.with_load(l);
         }
-        if let Some((a, b)) = &link_arrays {
+        if let Some([(_, a), (_, b)]) = &link_arrays {
             spec = spec.with_link(a, b);
         }
-        let geocol = MapperCoupler.construct_geocol(self.backend.machine_mut(), &spec);
+        let built = MapperCoupler.try_construct_geocol(self.backend.machine_mut(), &spec);
+        let geocol = built.map_err(|err| match (err, &link_arrays) {
+            (GeoColError::EdgeOutOfRange { edge, vertex, .. }, Some([(list1, a), (list2, _)])) => {
+                // The builder checks an edge's first endpoint first.
+                let (p, off) = a.dist().locate(edge);
+                let list = if a.local(p)[off] as usize == vertex {
+                    list1
+                } else {
+                    list2
+                };
+                let (value, at) = ((vertex as u32).wrapping_add(1), edge + 1);
+                LangError::runtime(if value == 0 {
+                    format!("LINK array '{list}' contains 0 at position {at} (values are 1-based)")
+                } else {
+                    format!(
+                        "LINK array '{list}' contains {value} at position {at}, \
+                         beyond the {n} vertices of GeoCoL '{name}'"
+                    )
+                })
+            }
+            (err, _) => LangError::runtime(format!("CONSTRUCT {name}: {err}")),
+        })?;
         self.state.geocols.insert(name.to_string(), geocol);
         Ok(())
     }

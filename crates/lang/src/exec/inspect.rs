@@ -90,6 +90,25 @@ struct RefTable {
     groups: Vec<(GroupSpec, Distribution)>,
 }
 
+/// A reader of [`RefTable`] rows for ascending iteration numbers (0-based):
+/// it steps from block to block as the numbers pass each block's end,
+/// rather than dividing every number by `share`. Iteration placement reads
+/// every row in order, and each rank's pattern its own iterations, which
+/// `IterationPartition` lists in ascending order.
+fn row_walker<'a>(
+    blocks: &'a [Vec<u32>],
+    share: usize,
+    width: usize,
+) -> impl FnMut(usize) -> &'a [u32] {
+    let (mut block, mut start) = (0, 0);
+    move |it0| {
+        while it0 >= start + share {
+            (block, start) = (block + 1, start + share);
+        }
+        &blocks[block][(it0 - start) * width..][..width]
+    }
+}
+
 /// The error for iteration `it` (1-based) referencing outside the `extent`
 /// elements of `slot`'s array; `value` is the indirection entry it read.
 fn bad_reference(slot: &RefSlot, it: usize, value: u32, extent: usize) -> LangError {
@@ -338,7 +357,6 @@ impl<B: Backend> Executor<B> {
             col_of_slot,
             groups,
         } = self.reference_table(plan, lo, niters)?;
-        let row = |it0: usize| &blocks[it0 / share][it0 % share * width..][..width];
 
         // Iteration partitioning (phase B). Irregular loops partition
         // almost-owner-computes with respect to the indirectly-referenced
@@ -360,10 +378,11 @@ impl<B: Backend> Executor<B> {
         let prev_kind = self
             .machine_mut()
             .set_phase_kind(Some(PhaseKind::Inspector));
+        let mut row_of = row_walker(&blocks, share, width);
         let iter_part = chaos_runtime::iterpart::partition_iterations(
             self.backend.machine_mut(),
             &part_dist,
-            (0..niters).map(|it0| &row(it0)[..placing]),
+            (0..niters).map(move |it0| &row_of(it0)[..placing]),
             policy,
         );
         self.state.run.report.iteration_partitions += 1;
@@ -382,8 +401,9 @@ impl<B: Backend> Executor<B> {
             let mut pattern = AccessPattern::new(nprocs);
             for (p, refs) in pattern.refs.iter_mut().enumerate() {
                 refs.reserve(iter_part.iters(p).len() * cols.len());
+                let mut row_of = row_walker(&blocks, share, width);
                 for &it0 in iter_part.iters(p) {
-                    let row = row(it0 as usize);
+                    let row = row_of(it0 as usize);
                     refs.extend(cols.iter().map(|&c| row[c]));
                 }
             }

@@ -631,6 +631,55 @@ fn read_data_of_the_wrong_length_is_a_typed_error_on_both_engines() {
 }
 
 #[test]
+fn a_link_endpoint_outside_the_vertices_is_a_typed_error_on_both_engines() {
+    // CONSTRUCT over 8 nodes with a LINK entry of 0 or of 9: an error naming
+    // the array, the position and the value — not the GeoCoL builder's
+    // panic, and not a 0 clamped to node 1 — and no GeoCoL built.
+    let cp = lower_program(parse_program(MAPPED_PROGRAM).unwrap()).unwrap();
+    let corrupt = |list: &str, at: usize, value: u32| {
+        let mut inputs = ring_inputs(8);
+        inputs.int_arrays.get_mut(list).unwrap()[at] = value;
+        inputs
+    };
+    fn check<B: Backend>(mut exec: Executor<B>, cp: &CompiledProgram, expected: &[&str]) {
+        let err = exec.run(cp).expect_err("a bad LINK entry").to_string();
+        for part in expected {
+            assert!(err.contains(part), "'{err}' lacks '{part}'");
+        }
+        assert!(exec.state.geocols.is_empty(), "no GeoCoL built");
+    }
+    let cases: [(ProgramInputs, &[&str]); 3] = [
+        (
+            corrupt("end_pt1", 3, 9),
+            &[
+                "LINK array 'end_pt1' contains 9 at position 4",
+                "8 vertices",
+            ],
+        ),
+        (
+            corrupt("end_pt2", 5, 9),
+            &[
+                "LINK array 'end_pt2' contains 9 at position 6",
+                "8 vertices",
+            ],
+        ),
+        (
+            corrupt("end_pt2", 2, 0),
+            &["LINK array 'end_pt2' contains 0 at position 3 (values are 1-based)"],
+        ),
+    ];
+    for (inputs, expected) in cases {
+        let cfg = MachineConfig::ipsc860(4);
+        check(Executor::new(cfg.clone(), inputs.clone()), &cp, expected);
+        check(
+            Executor::new_pooled_with_workers(cfg, 3, inputs),
+            &cp,
+            expected,
+        );
+    }
+}
+
+#[test]
 fn a_forall_that_fails_restores_the_phase_kind_it_was_entered_under() {
     // The inspector's typed error returns from inside the FORALL after it
     // switched the machine to `Inspector`; the time after it must not be
