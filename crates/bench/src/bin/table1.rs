@@ -10,13 +10,13 @@
 //! experiment or add `--quick` for a scaled-down smoke run.
 
 use chaos_bench::cli::Options;
-use chaos_bench::experiment::{Method, PhaseTimes};
-use chaos_bench::tables::{grid_runs, run_table};
+use chaos_bench::experiment::PhaseTimes;
+use chaos_bench::tables::{run_table, table_runs};
 use chaos_lang::LangError;
 
 fn main() -> Result<(), LangError> {
     let opts = Options::from_env();
-    let runs = grid_runs(&opts, &[(Method::Rcb, false), (Method::Rcb, true)]);
+    let runs = table_runs(1, &opts);
     let title = format!(
         "Table 1: Performance with and without schedule reuse ({} executor iterations, RCB-partitioned, modeled seconds)",
         opts.iterations

@@ -8,39 +8,17 @@
 //! a scaled-down smoke run).
 
 use chaos_bench::cli::Options;
-use chaos_bench::experiment::{ExperimentConfig, Method};
 use chaos_bench::tables::{
-    run_table, Run, COMPILER, EXECUTOR, GRAPH_GENERATION, HAND_CODED, INSPECTOR, PARTITIONER,
-    REMAP, TOTAL,
+    run_table, table_runs, EXECUTOR, GRAPH_GENERATION, INSPECTOR, PARTITIONER, REMAP,
+    TABLE2_NPROCS, TOTAL,
 };
-use chaos_bench::workload::WorkloadKind;
 use chaos_lang::LangError;
-
-const NPROCS: usize = 32;
 
 fn main() -> Result<(), LangError> {
     let opts = Options::from_env();
-    let run = |column: &str, method, driver, reuse| Run {
-        column: column.to_string(),
-        kind: WorkloadKind::Mesh53k,
-        cfg: ExperimentConfig::paper(NPROCS, method)
-            .with_reuse(reuse)
-            .with_iterations(opts.iterations),
-        driver,
-    };
-    // The paper's columns: coordinate bisection (compiler with schedule
-    // reuse, compiler without schedule reuse, hand coded), BLOCK (hand
-    // coded), spectral bisection (hand coded, compiler with reuse).
-    let runs = [
-        run("RCB Compiler (reuse)", Method::Rcb, COMPILER, true),
-        run("RCB Compiler (no reuse)", Method::Rcb, COMPILER, false),
-        run("RCB Hand Coded", Method::Rcb, HAND_CODED, true),
-        run("Block Hand Coded", Method::Block, HAND_CODED, true),
-        run("RSB Hand Coded", Method::Rsb, HAND_CODED, true),
-        run("RSB Compiler (reuse)", Method::Rsb, COMPILER, true),
-    ];
+    let runs = table_runs(2, &opts);
     let title = format!(
-        "Table 2: Unstructured mesh template - 53K mesh - {NPROCS} processors ({} executor iterations, modeled seconds)",
+        "Table 2: Unstructured mesh template - 53K mesh - {TABLE2_NPROCS} processors ({} executor iterations, modeled seconds)",
         opts.iterations
     );
     let (mut table, times) = run_table(2, &title, &opts, &runs)?;

@@ -7,15 +7,14 @@
 //! a scaled-down smoke run).
 
 use chaos_bench::cli::Options;
-use chaos_bench::experiment::Method;
 use chaos_bench::tables::{
-    grid_runs, run_table, EXECUTOR, INSPECTOR, PARTITIONER_AND_GRAPH, REMAP, TOTAL,
+    run_table, table_runs, EXECUTOR, INSPECTOR, PARTITIONER_AND_GRAPH, REMAP, TOTAL,
 };
 use chaos_lang::LangError;
 
 fn main() -> Result<(), LangError> {
     let opts = Options::from_env();
-    let runs = grid_runs(&opts, &[(Method::Rcb, true)]);
+    let runs = table_runs(3, &opts);
     let title = format!(
         "Table 3: Compiler-linked coordinate bisection with schedule reuse ({} executor iterations, modeled seconds)",
         opts.iterations

@@ -7,15 +7,12 @@
 //! a scaled-down smoke run).
 
 use chaos_bench::cli::Options;
-use chaos_bench::experiment::Method;
-use chaos_bench::tables::{grid_runs, run_table, EXECUTOR, INSPECTOR, REMAP, TOTAL};
+use chaos_bench::tables::{run_table, table_runs, EXECUTOR, INSPECTOR, REMAP, TOTAL};
 use chaos_lang::LangError;
 
 fn main() -> Result<(), LangError> {
     let opts = Options::from_env();
-    // RCB runs too, so the executor ratio (the point of the comparison,
-    // Section 6.2) can be printed alongside.
-    let runs = grid_runs(&opts, &[(Method::Block, true), (Method::Rcb, true)]);
+    let runs = table_runs(4, &opts);
     let title = format!(
         "Table 4: BLOCK partitioning with schedule reuse ({} executor iterations, modeled seconds)",
         opts.iterations

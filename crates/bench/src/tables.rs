@@ -29,6 +29,7 @@ pub const HAND_CODED: Driver = |w, cfg| Ok(run_handcoded(w, cfg));
 
 /// One experiment of a table: the column it is printed under, its workload,
 /// its configuration and the driver that runs it.
+#[derive(Clone)]
 pub struct Run {
     /// Header of the column the run's values land in.
     pub column: String,
@@ -61,6 +62,46 @@ pub fn grid_runs(opts: &Options, variants: &[(Method, bool)]) -> Vec<Run> {
         }
     }
     runs
+}
+
+/// Table 2's processor count: the paper's 53K mesh on 32 processors.
+pub const TABLE2_NPROCS: usize = 32;
+
+/// The runs of the paper's Table `table` (1–4), in column order.
+///
+/// # Panics
+/// Panics on any other table number.
+pub fn table_runs(table: u8, opts: &Options) -> Vec<Run> {
+    match table {
+        1 => grid_runs(opts, &[(Method::Rcb, false), (Method::Rcb, true)]),
+        2 => {
+            let run = |column: &str, method, driver, reuse| Run {
+                column: column.to_string(),
+                kind: WorkloadKind::Mesh53k,
+                cfg: ExperimentConfig::paper(TABLE2_NPROCS, method)
+                    .with_reuse(reuse)
+                    .with_iterations(opts.iterations),
+                driver,
+            };
+            // The paper's columns: coordinate bisection (compiler with
+            // schedule reuse, compiler without schedule reuse, hand coded),
+            // BLOCK (hand coded), spectral bisection (hand coded, compiler
+            // with reuse).
+            vec![
+                run("RCB Compiler (reuse)", Method::Rcb, COMPILER, true),
+                run("RCB Compiler (no reuse)", Method::Rcb, COMPILER, false),
+                run("RCB Hand Coded", Method::Rcb, HAND_CODED, true),
+                run("Block Hand Coded", Method::Block, HAND_CODED, true),
+                run("RSB Hand Coded", Method::Rsb, HAND_CODED, true),
+                run("RSB Compiler (reuse)", Method::Rsb, COMPILER, true),
+            ]
+        }
+        3 => grid_runs(opts, &[(Method::Rcb, true)]),
+        // RCB runs too, so the executor ratio (the point of the comparison,
+        // Section 6.2) can be printed alongside.
+        4 => grid_runs(opts, &[(Method::Block, true), (Method::Rcb, true)]),
+        _ => panic!("the paper has Tables 1-4, not Table {table}"),
+    }
 }
 
 /// Run every experiment in order, building each workload once, with one
