@@ -30,7 +30,7 @@ fn bench_partitioners(c: &mut Criterion) {
         (
             "rsb",
             Box::new(RsbPartitioner {
-                power_iterations: 60,
+                max_steps: 60,
                 ..Default::default()
             }),
         ),

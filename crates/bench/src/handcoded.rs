@@ -396,8 +396,44 @@ mod tests {
                 rsb.partitioner,
                 rcb.partitioner
             );
-            assert!(rsb.executor < 1.3 * rcb.executor, "{path}");
+            assert!(
+                rsb.executor <= rcb.executor,
+                "{path}: RSB executor {} vs RCB {}",
+                rsb.executor,
+                rcb.executor
+            );
         }
+    }
+
+    /// The same claim where the paper makes it: the 53K mesh on 32
+    /// processors, per modeled executor sweep of the compiler-generated
+    /// program, on the benchmark's `mesh53k_rsb_setup` mesh (seed 1). Its
+    /// RCB and RSB both partition unit vertex loads (GEOMETRY or LINK
+    /// alone). The claim is mesh-dependent: over generator seeds 1, 2, 3, 4
+    /// and the default, RSB's executor reads 0.986, 1.090, 1.038, 0.997 and
+    /// 1.088 times RCB's, because RSB balances vertices, not the edges a
+    /// rank sweeps.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "partitions the 53K mesh twice; CI's release smoke job runs it"
+    )]
+    fn rsb_executes_no_worse_on_the_53k_mesh_at_32_ranks() {
+        let w = mesh_workload(MeshConfig {
+            nnodes: 53_000,
+            seed: 1,
+            ..MeshConfig::default()
+        });
+        let cfg = |method| ExperimentConfig::paper(32, method).with_iterations(10);
+        let rcb = COMPILER(&w, &cfg(Method::Rcb)).unwrap();
+        let rsb = COMPILER(&w, &cfg(Method::Rsb)).unwrap();
+        assert!(rsb.partitioner > 3.0 * rcb.partitioner);
+        assert!(
+            rsb.executor_per_iteration() <= rcb.executor_per_iteration(),
+            "RSB {} vs RCB {} s per sweep",
+            rsb.executor_per_iteration(),
+            rcb.executor_per_iteration()
+        );
     }
 
     #[test]

@@ -77,8 +77,8 @@ impl<'a> GeoColSpec<'a> {
 /// fold kernel per rank (charging `ops_per_item` compute units per item to
 /// that rank's clock) and returns the rank-major partials for driver-side
 /// combination in ascending rank order. This is how partitioners that
-/// implement `partition_with_scans` — RSB's power-iteration matvecs and
-/// moment reductions, RCB's extent/histogram median scans, the inertial
+/// implement `partition_with_scans` — RSB's Lanczos matvecs, moment
+/// reductions and updates, RCB's extent/histogram median scans, the inertial
 /// partitioner's moment scans — run rank-parallel on every engine. The
 /// partitioners build every pass from `chaos_geocol`'s `map_scan` /
 /// `block_scan` conventions (disjoint per-item writes; fixed-size-block
@@ -230,6 +230,13 @@ impl MapperCoupler {
     /// estimate so it is never counted twice, and the partitioning is
     /// bit-identical to the pure serial `Partitioner::partition` on every
     /// engine and rank count.
+    ///
+    /// The remainder is clamped at zero, so the modeled partitioner time is
+    /// the larger of the estimate and what the scans charged. For RSB on the
+    /// meshes here it is the scans' charge: its Lanczos steps charge more
+    /// ops per vertex than the estimate's fixed 200-step calibration allows,
+    /// so a Fiedler vector that converges in fewer steps costs less modeled
+    /// time.
     pub fn partition<B: Backend>(
         &self,
         backend: &mut B,

@@ -323,7 +323,7 @@ mod tests {
         use crate::rsb::RsbPartitioner;
         let g = shuffled_grid(10);
         let wrapped = KlRefinedPartitioner::new(RsbPartitioner {
-            power_iterations: 30,
+            max_steps: 30,
             ..Default::default()
         });
         let serial = wrapped.partition(&g, 4);

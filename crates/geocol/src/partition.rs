@@ -121,7 +121,7 @@ pub type RangeKernel<'a> = dyn Fn(std::ops::Range<usize>, &mut [f64]) + Sync + '
 /// writing `out[k]` for item `range.start + k`. Because every item's value
 /// is computed by exactly one rank from shared inputs, the result is
 /// **bit-identical for every rank count and engine** — this is how the RSB
-/// partitioner's sparse matvec and deflate/normalize passes stay exact. The
+/// partitioner's sparse matvec and Lanczos updates stay exact. The
 /// rank-major partials of a `width == ceil(n/nranks)` scan are laid out so
 /// that item `i` lands at global offset `i`, so no reassembly copy is
 /// needed.
@@ -301,7 +301,7 @@ pub trait Partitioner {
     /// [`RankScans`] executor the implementation may route its
     /// data-parallel passes through. Driver-side algorithms (`BLOCK`,
     /// `CYCLIC`, `RANDOM`) ignore the executor; partitioners restructured
-    /// rank-parallel — `RSB`'s power-iteration matvecs, `RCB`'s
+    /// rank-parallel — `RSB`'s Lanczos matvecs, `RCB`'s
     /// extent/histogram median scans and `INERTIAL`'s moment scans — use
     /// it, making them scale with ranks when the runtime passes a
     /// `Backend`-backed executor.

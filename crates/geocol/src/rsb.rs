@@ -6,37 +6,63 @@
 //! # Split rule
 //!
 //! Order the active set by its components of the subgraph's **Fiedler
-//! vector** (the eigenvector of the graph Laplacian belonging to the
+//! vector** (the eigenvector of the graph Laplacian `L` belonging to the
 //! second-smallest eigenvalue) and cut at the weighted median. The Fiedler
-//! vector is obtained with power iteration on the spectrally shifted matrix
-//! `B = cI − L` (`c` = a bound on the largest Laplacian eigenvalue), with
-//! the constant vector deflated away, which avoids any external
-//! linear-algebra dependency while keeping the characteristic behaviour
-//! the paper reports: much higher partitioning cost than coordinate
-//! bisection, in exchange for the lowest edge cut / fastest executor.
+//! vector is the smallest Ritz vector of a **Lanczos** run on `L` with the
+//! constant vector (the trivial eigenvector) projected out of every Lanczos
+//! vector — Simon's method (Pothen, Simon & Liou, SIAM J. Matrix Anal.
+//! Appl. 11(3), 1990). There is no stored Krylov basis and no
+//! reorthogonalization, so the run is **two passes**:
 //!
-//! The power iteration dominates the whole preprocessing pipeline, so its
-//! inner loops run **rank-parallel** through the [`RankScans`] executor
-//! (the PARTI/CHAOS partitioners themselves ran data-parallel on the nodes
-//! — this is the reproduction's version of that):
+//! 1. The recurrence runs, keeping only the tridiagonal's scalars (`α`,
+//!    `β` and each step's projected-out mean). Every 4 steps the driver
+//!    takes the smallest eigenpair `(θ, s)` of the tridiagonal `T_k` —
+//!    Sturm bisection for `θ`, inverse iteration for `s`, O(k) scalar
+//!    work — and stops once the Ritz residual `‖Lx − θx‖ = β_k·|s_k|` is
+//!    within [`RsbPartitioner::tolerance`] of the spectral bound
+//!    `2·max_degree`, or when `β` vanishes (the Krylov space is invariant:
+//!    an edgeless subgraph stops at step 1).
+//! 2. The recurrence is replayed from the stored scalars, so every Lanczos
+//!    vector is bit-identical to pass 1's, and the Ritz vector
+//!    `x = Σ s_j q_j` is accumulated on the way.
 //!
-//! * the **sparse matvec** `y = Bx` over the induced-subgraph CSR adjacency
-//!   is a [`map_scan`] — each rank computes its `ceil(m/nranks)` chunk of
-//!   `y`, charging `~(3 + 2·avg_degree)` modeled ops per vertex;
-//! * the `deflate_constant` / `normalize` / `dot` **reductions** are one
-//!   [`block_scan`] per iteration computing `[Σy, Σy², Σy·x, Σx]` as
-//!   fixed-size-block partial sums, folded driver-side in ascending block
-//!   order;
-//! * the deflate + renormalize **update** `x ← (y − mean)/‖y − mean‖` is a
-//!   second [`map_scan`];
-//! * the sorted set's **total load** is one more [`block_scan`].
+//! Live memory is four vectors of the subgraph's size (`q`, `q₋`, `u`,
+//! `x`) plus the one a scan is writing; a stored basis would cost `k`.
 //!
-//! Only O(1) scalar work, the induced-CSR setup and the sort stay on the
-//! driver between scans. Because maps write disjoint items and reductions
-//! fold fixed blocks, the Fiedler vector — and therefore the partitioning —
-//! is bit-identical for every rank count and engine. The cost estimate
-//! (`iterations · (n + 2e) · log₂ nparts`) keeps RSB one to two orders of
-//! magnitude above RCB, matching Table 2.
+//! # Rank-parallel passes
+//!
+//! Both passes dominate the whole preprocessing pipeline, so their inner
+//! loops run **rank-parallel** through the [`RankScans`] executor (the
+//! PARTI/CHAOS partitioners themselves ran data-parallel on the nodes —
+//! this is the reproduction's version of that). A pass-1 step is three
+//! scans:
+//!
+//! * the **sparse matvec** `u = Lq` over the induced-subgraph CSR adjacency,
+//!   a [`map_scan`] charging `2 + 2·avg_degree` ops per vertex (the
+//!   diagonal's multiply and store, a load and a subtract per edge);
+//! * one width-9 [`block_scan`] of `Σu, Σq, Σq₋, Σu², Σq², Σq₋², Σuq, Σuq₋,
+//!   Σqq₋` (15 ops per vertex), from which `α = qᵀu`, the mean of
+//!   `w = u − αq − β₋q₋` and `β = ‖w − mean‖` follow by algebra;
+//! * the **update** `q₊ = (w − mean)/β`, a [`map_scan`] (6 ops per vertex).
+//!
+//! A pass-2 step is the same matvec and update plus the accumulation
+//! `x ← x + s_j q_j`, one more [`map_scan`] (2 ops per vertex). The sorted
+//! set's **total load** is one more [`block_scan`].
+//!
+//! Only O(k) scalar work, the induced-CSR setup, the start vector and the
+//! sort stay on the driver between scans. Because maps write disjoint items
+//! and reductions fold fixed blocks, the Fiedler vector — and therefore the
+//! partitioning — is bit-identical for every rank count and engine.
+//!
+//! # Modeled cost
+//!
+//! [`Partitioner::cost_estimate`] is a fixed calibration: 200 steps of
+//! `n + 2e` per recursion level, one to two orders of magnitude above RCB
+//! as in Table 2 (258 s against 1.6 s on the 53K mesh). The coupler deducts
+//! what the scans charged from it and charges the remainder; on the meshes
+//! here the scans charge more than the estimate, so the modeled partitioner
+//! time is the scans' charge: it grows with the Lanczos steps a bisection
+//! takes to converge.
 
 use crate::geocol::GeoCoL;
 use crate::partition::{
@@ -44,20 +70,30 @@ use crate::partition::{
     Partitioning, RankScans,
 };
 
+/// Lanczos steps per recursion level that [`Partitioner::cost_estimate`]
+/// assumes: the model's calibration, independent of the step cap and the
+/// tolerance.
+const CALIBRATION_STEPS: f64 = 200.0;
+
+/// A Ritz pair is taken from the tridiagonal once every this many steps.
+const RITZ_EVERY: usize = 4;
+
 /// Recursive spectral bisection partitioner.
 #[derive(Debug, Clone, Copy)]
 pub struct RsbPartitioner {
-    /// Power-iteration steps per bisection level.
-    pub power_iterations: usize,
-    /// Convergence tolerance on the change of the Rayleigh quotient.
+    /// Lanczos steps per bisection, at most (the subgraph's size minus one
+    /// bounds it too).
+    pub max_steps: usize,
+    /// Convergence tolerance: the Ritz residual `‖Lx − θx‖` relative to the
+    /// spectral bound `2·max_degree` of the subgraph.
     pub tolerance: f64,
 }
 
 impl Default for RsbPartitioner {
     fn default() -> Self {
         RsbPartitioner {
-            power_iterations: 200,
-            tolerance: 1e-7,
+            max_steps: 300,
+            tolerance: 1e-3,
         }
     }
 }
@@ -67,11 +103,11 @@ impl Partitioner for RsbPartitioner {
         "RSB"
     }
 
-    /// The rank-parallel entry point: the power iteration behind every
-    /// Fiedler vector — sparse matvec, moment reductions and the
-    /// deflate/normalize update — runs through `scans`, one chunk per rank,
-    /// so the runtime can execute it through `Backend::run_compute` while
-    /// the partitioning stays bit-identical to [`Partitioner::partition`].
+    /// The rank-parallel entry point: both Lanczos passes behind every
+    /// Fiedler vector — sparse matvec, moment reductions, update and
+    /// accumulation — run through `scans`, one chunk per rank, so the
+    /// runtime can execute them through `Backend::run_compute` while the
+    /// partitioning stays bit-identical to [`Partitioner::partition`].
     fn partition_with_scans(
         &self,
         geocol: &GeoCoL,
@@ -106,23 +142,121 @@ impl Partitioner for RsbPartitioner {
     }
 
     fn cost_estimate(&self, geocol: &GeoCoL, nparts: usize) -> f64 {
-        // Each power-iteration step touches every edge of the subgraph; the
+        // Each Lanczos step touches every edge of the subgraph; the
         // subgraphs at one recursion level cover the whole graph, so a level
-        // costs ~ iterations * (n + 2e). This is what makes RSB one to two
-        // orders of magnitude more expensive than RCB, matching the paper's
-        // Table 2 (258 s vs 1.6 s on the 53K mesh).
+        // costs ~ steps * (n + 2e). This is what makes RSB one to two orders
+        // of magnitude more expensive than RCB, matching the paper's Table 2
+        // (258 s vs 1.6 s on the 53K mesh).
         let levels = (nparts.max(2) as f64).log2().ceil();
-        self.power_iterations as f64
-            * (geocol.nvertices() as f64 + 2.0 * geocol.nedges() as f64)
-            * levels
+        CALIBRATION_STEPS * (geocol.nvertices() as f64 + 2.0 * geocol.nedges() as f64) * levels
     }
 }
 
+/// One Lanczos step's scalars: `q₊ = (Lq − alpha·q − beta_prev·q₋ − mean)
+/// / beta`.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    alpha: f64,
+    beta_prev: f64,
+    mean: f64,
+    beta: f64,
+}
+
+/// The induced subgraph of an active vertex set, in local indices.
+struct Subgraph {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Subgraph {
+    /// The subgraph of `geocol` induced by `vertices`: two counting passes
+    /// over a global→local lookup in `local`, which is left reset.
+    fn induced(geocol: &GeoCoL, vertices: &[u32], local: &mut [u32]) -> Subgraph {
+        let m = vertices.len();
+        for (i, &v) in vertices.iter().enumerate() {
+            local[v as usize] = i as u32;
+        }
+        let mut offsets = vec![0usize; m + 1];
+        for (i, &v) in vertices.iter().enumerate() {
+            let deg = geocol
+                .neighbors(v as usize)
+                .iter()
+                .filter(|&&nb| local[nb as usize] != u32::MAX)
+                .count();
+            offsets[i + 1] = offsets[i] + deg;
+        }
+        let mut targets = Vec::with_capacity(offsets[m]);
+        for &v in vertices {
+            for &nb in geocol.neighbors(v as usize) {
+                let l = local[nb as usize];
+                if l != u32::MAX {
+                    targets.push(l);
+                }
+            }
+        }
+        for &v in vertices {
+            local[v as usize] = u32::MAX;
+        }
+        Subgraph { offsets, targets }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn max_degree(&self) -> usize {
+        self.offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// `u = Lq`, rank-parallel.
+    fn matvec(&self, scans: &mut dyn RankScans, q: &[f64]) -> Vec<f64> {
+        let (offs, tgts) = (&self.offsets, &self.targets);
+        let ops = 2.0 + 2.0 * tgts.len() as f64 / self.len() as f64;
+        map_scan(scans, self.len(), ops, &|range, out| {
+            for (k, i) in range.enumerate() {
+                let row = offs[i]..offs[i + 1];
+                let mut s = row.len() as f64 * q[i];
+                for &nb in &tgts[row] {
+                    s -= q[nb as usize];
+                }
+                out[k] = s;
+            }
+        })
+    }
+}
+
+/// The Lanczos update `q₊ = (u − αq − β₋q₋ − mean)/β`, rank-parallel. Both
+/// passes call it with the same inputs, so their vectors are bit-identical.
+fn lanczos_update(
+    scans: &mut dyn RankScans,
+    u: &[f64],
+    q: &[f64],
+    q_prev: &[f64],
+    step: Step,
+) -> Vec<f64> {
+    let Step {
+        alpha,
+        beta_prev,
+        mean,
+        beta,
+    } = step;
+    map_scan(scans, u.len(), 6.0, &|range, out| {
+        for (k, i) in range.enumerate() {
+            out[k] = (u[i] - alpha * q[i] - beta_prev * q_prev[i] - mean) / beta;
+        }
+    })
+}
+
 impl RsbPartitioner {
-    /// Approximate Fiedler vector of the subgraph induced by `vertices`,
-    /// indexed by position within `vertices`. The power iteration's matvec,
-    /// moment reductions and deflate/normalize update run through `scans`
-    /// (see the module docs); `local` is reusable global→local scratch.
+    /// Fiedler vector of the subgraph induced by `vertices` (two or more),
+    /// indexed by position within `vertices`: the smallest Ritz vector of a
+    /// two-pass Lanczos run whose matvecs, moment reductions, updates and
+    /// accumulations run through `scans` (see the module docs); `local` is
+    /// reusable global→local scratch.
     fn fiedler_vector(
         &self,
         geocol: &GeoCoL,
@@ -131,141 +265,240 @@ impl RsbPartitioner {
         scans: &mut dyn RankScans,
     ) -> Vec<f64> {
         let m = vertices.len();
-        // Local index lookup + induced CSR adjacency (local indices),
-        // driver-side setup: two counting passes, no per-vertex Vecs.
-        for (i, &v) in vertices.iter().enumerate() {
-            local[v as usize] = i as u32;
-        }
-        let mut offsets = vec![0usize; m + 1];
-        for (i, &v) in vertices.iter().enumerate() {
-            let mut deg = 0usize;
-            for &nb in geocol.neighbors(v as usize) {
-                if local[nb as usize] != u32::MAX {
-                    deg += 1;
-                }
-            }
-            offsets[i + 1] = offsets[i] + deg;
-        }
-        let mut targets = vec![0u32; offsets[m]];
-        let mut cursor = 0usize;
-        for &v in vertices {
-            for &nb in geocol.neighbors(v as usize) {
-                let l = local[nb as usize];
-                if l != u32::MAX {
-                    targets[cursor] = l;
-                    cursor += 1;
-                }
-            }
-        }
-        let max_degree = (0..m)
-            .map(|i| offsets[i + 1] - offsets[i])
-            .max()
-            .unwrap_or(0) as f64;
-        // Shift so that B = cI - L is positive semi-definite with the Fiedler
-        // direction as its second-largest eigenvector; c = 2*max_degree + 1
-        // comfortably bounds the Laplacian spectrum.
-        let c = 2.0 * max_degree + 1.0;
-        // Modeled per-vertex cost of one matvec row: the diagonal term plus
-        // a multiply-add per incident edge.
-        let matvec_ops = 3.0 + 2.0 * offsets[m] as f64 / m as f64;
+        let graph = Subgraph::induced(geocol, vertices, local);
+        // The Laplacian's spectrum lies in [0, 2·max_degree]: the scale the
+        // residual tolerance is relative to.
+        let spectral_bound = 2.0 * graph.max_degree() as f64;
 
-        // Deterministic pseudo-random start vector, orthogonal to 1
-        // (driver-side: O(m) once per level, no scan state involved).
-        let mut x: Vec<f64> = (0..m)
-            .map(|i| {
-                let v = vertices[i] as u64;
-                let h = v.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(31);
-                (h % 10_000) as f64 / 10_000.0 - 0.5
-            })
-            .collect();
-        deflate_constant(&mut x);
-        normalize(&mut x);
-
-        let mut prev_rayleigh = f64::INFINITY;
-        for _ in 0..self.power_iterations {
-            // Rank-parallel matvec: y = B x = c*x - L x, one chunk per rank.
-            let (offs, tgts, xr) = (&offsets, &targets, &x);
-            let y = map_scan(scans, m, matvec_ops, &|range, out| {
-                for (k, i) in range.enumerate() {
-                    let row = offs[i]..offs[i + 1];
-                    let mut s = (c - row.len() as f64) * xr[i];
-                    for &nb in &tgts[row] {
-                        s += xr[nb as usize];
-                    }
-                    out[k] = s;
-                }
-            });
-
-            // Rank-parallel moments: [Σy, Σy², Σy·x, Σx] as fixed-block
-            // partial sums, folded in ascending block order.
-            let yr = &y;
-            let blocks = block_scan(scans, m, 4, 4.0, &|items, acc| {
+        // Pass 1: the recurrence, keeping only T's scalars. The deflated
+        // space has m − 1 dimensions, so the run is exact by then.
+        let cap = self.max_steps.min(m - 1).max(1);
+        let mut steps: Vec<Step> = Vec::new();
+        let mut q_prev = vec![0.0; m];
+        let mut q = start_vector(vertices);
+        let ritz = loop {
+            let u = graph.matvec(scans, &q);
+            let (ur, qr, pr) = (&u, &q, &q_prev);
+            let blocks = block_scan(scans, m, 9, 15.0, &|items, acc| {
                 for i in items {
-                    acc[0] += yr[i];
-                    acc[1] += yr[i] * yr[i];
-                    acc[2] += yr[i] * xr[i];
-                    acc[3] += xr[i];
+                    let (u, q, p) = (ur[i], qr[i], pr[i]);
+                    acc[0] += u;
+                    acc[1] += q;
+                    acc[2] += p;
+                    acc[3] += u * u;
+                    acc[4] += q * q;
+                    acc[5] += p * p;
+                    acc[6] += u * q;
+                    acc[7] += u * p;
+                    acc[8] += q * p;
                 }
             });
-            let (mut sy, mut sy2, mut syx, mut sx) = (0.0, 0.0, 0.0, 0.0);
-            for b in blocks.chunks_exact(4) {
-                sy += b[0];
-                sy2 += b[1];
-                syx += b[2];
-                sx += b[3];
+            let mut sum = [0.0; 9];
+            for b in blocks.chunks_exact(9) {
+                for (s, v) in sum.iter_mut().zip(b) {
+                    *s += v;
+                }
             }
-            let mean = sy / m as f64;
-            // ‖y − mean‖² = Σy² − mean·Σy; with x deflated, mean stays tiny
-            // relative to the spread, so the identity is numerically safe.
-            let norm = (sy2 - mean * sy).max(0.0).sqrt();
-            if norm < 1e-30 {
-                // Graph is (near-)complete or degenerate; keep current x.
-                break;
+            let [su, sq, sp, suu, sqq, spp, suq, sup, sqp] = sum;
+            // w = u − αq − β₋q₋, with q of unit length so α = qᵀLq.
+            let alpha = suq;
+            let beta_prev = steps.last().map_or(0.0, |s| s.beta);
+            let sw = su - alpha * sq - beta_prev * sp;
+            let magnitude = suu + alpha * alpha * sqq + beta_prev * beta_prev * spp;
+            let sww = magnitude - 2.0 * alpha * suq - 2.0 * beta_prev * sup
+                + 2.0 * alpha * beta_prev * sqp;
+            let mean = sw / m as f64;
+            let beta2 = (sww - mean * sw).max(0.0);
+            steps.push(Step {
+                alpha,
+                beta_prev,
+                mean,
+                beta: beta2.sqrt(),
+            });
+            let k = steps.len();
+            // β² is a difference of terms of size `magnitude`: below its
+            // rounding error the Krylov space is invariant (L = 0 on an
+            // edgeless subgraph breaks down at step 1).
+            let invariant = beta2 <= 1e-12 * magnitude;
+            if invariant || k == cap || k.is_multiple_of(RITZ_EVERY) {
+                let alphas: Vec<f64> = steps.iter().map(|s| s.alpha).collect();
+                let betas: Vec<f64> = steps[..k - 1].iter().map(|s| s.beta).collect();
+                let s = smallest_eigenvector(&alphas, &betas);
+                let residual = steps[k - 1].beta * s[k - 1].abs();
+                if invariant || k == cap || residual <= self.tolerance * spectral_bound {
+                    break s;
+                }
             }
-            // Rayleigh quotient of L: lambda = c - (y - mean)·x.
-            let rayleigh = c - (syx - mean * sx);
+            let next = lanczos_update(scans, &u, &q, &q_prev, steps[k - 1]);
+            q_prev = std::mem::replace(&mut q, next);
+        };
 
-            // Rank-parallel deflate + renormalize: x ← (y − mean)/norm.
-            x = map_scan(scans, m, 2.0, &|range, out| {
-                for (k, i) in range.enumerate() {
-                    out[k] = (yr[i] - mean) / norm;
-                }
+        // Pass 2: replay the recurrence and accumulate x = Σ s_j q_j.
+        let mut q_prev = vec![0.0; m];
+        let mut q = start_vector(vertices);
+        let mut x: Option<Vec<f64>> = None;
+        for j in 1..steps.len() {
+            let u = graph.matvec(scans, &q);
+            let next = lanczos_update(scans, &u, &q, &q_prev, steps[j - 1]);
+            drop(u);
+            q_prev = std::mem::replace(&mut q, next);
+            let (s_prev, s_next, qp, qn) = (ritz[j - 1], ritz[j], &q_prev, &q);
+            x = Some(match x {
+                None => map_scan(scans, m, 3.0, &|range, out| {
+                    for (k, i) in range.enumerate() {
+                        out[k] = s_prev * qp[i] + s_next * qn[i];
+                    }
+                }),
+                Some(x) => map_scan(scans, m, 2.0, &|range, out| {
+                    for (k, i) in range.enumerate() {
+                        out[k] = x[i] + s_next * qn[i];
+                    }
+                }),
             });
-            if (rayleigh - prev_rayleigh).abs() < self.tolerance {
-                break;
-            }
-            prev_rayleigh = rayleigh;
         }
-        // Reset the scratch for the sibling/parent calls.
-        for &v in vertices {
-            local[v as usize] = u32::MAX;
-        }
-        x
+        // After one step the Ritz vector is the start vector itself.
+        x.unwrap_or(q)
     }
 }
 
-/// Remove the component along the constant vector (the trivial Laplacian
-/// eigenvector). Driver-side helper for the start vector.
-fn deflate_constant(x: &mut [f64]) {
-    if x.is_empty() {
-        return;
-    }
+/// The deterministic pseudo-random start vector of a Lanczos run over
+/// `vertices`: hashed from the vertex ids, orthogonal to the constant
+/// vector, of unit length. Driver-side, O(m) once per pass.
+fn start_vector(vertices: &[u32]) -> Vec<f64> {
+    let mut x: Vec<f64> = vertices
+        .iter()
+        .map(|&v| {
+            let h = (v as u64).wrapping_mul(0x9E3779B97F4A7C15).rotate_left(31);
+            (h % 10_000) as f64 / 10_000.0 - 0.5
+        })
+        .collect();
     let mean = x.iter().sum::<f64>() / x.len() as f64;
     for v in x.iter_mut() {
         *v -= mean;
     }
-}
-
-/// Normalize to unit length, returning the pre-normalization norm.
-/// Driver-side helper for the start vector.
-fn normalize(x: &mut [f64]) -> f64 {
     let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
     if norm > 1e-30 {
         for v in x.iter_mut() {
             *v /= norm;
         }
     }
-    norm
+    x
+}
+
+/// Unit eigenvector of the smallest eigenvalue of the symmetric tridiagonal
+/// matrix with diagonal `a` and off-diagonal `b` (`b.len() + 1 == a.len()`):
+/// the eigenvalue by Sturm-count bisection to full precision, the vector by
+/// inverse iteration through a partially pivoted LU of `T − θI`.
+fn smallest_eigenvector(a: &[f64], b: &[f64]) -> Vec<f64> {
+    let k = a.len();
+    debug_assert_eq!(b.len() + 1, k);
+    if k == 1 {
+        return vec![1.0];
+    }
+    // Gershgorin bounds the spectrum.
+    let radius = |i: usize| {
+        let left = if i > 0 { b[i - 1].abs() } else { 0.0 };
+        left + b.get(i).map_or(0.0, |v| v.abs())
+    };
+    let (mut lo, mut hi, mut norm) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+    for (i, &ai) in a.iter().enumerate() {
+        lo = lo.min(ai - radius(i));
+        hi = hi.max(ai + radius(i));
+        norm = norm.max(ai.abs() + radius(i));
+    }
+    let pivmin = f64::MIN_POSITIVE * b.iter().fold(1.0f64, |m, v| m.max(v * v));
+    // Number of eigenvalues below `x`: the negative pivots of T − xI = LDLᵀ.
+    let below = |x: f64| {
+        let mut count = 0;
+        let mut d = 1.0;
+        for i in 0..k {
+            d = a[i] - x - if i > 0 { b[i - 1] * b[i - 1] / d } else { 0.0 };
+            if d.abs() < pivmin {
+                d = -pivmin;
+            }
+            if d < 0.0 {
+                count += 1;
+            }
+        }
+        count
+    };
+    loop {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
+        }
+        if below(mid) >= 1 {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    let theta = hi;
+
+    // T − θI = PLU with partial pivoting: U has two superdiagonals.
+    let mut d: Vec<f64> = a.iter().map(|&v| v - theta).collect();
+    let mut dl = b.to_vec();
+    let mut du = b.to_vec();
+    let mut du2 = vec![0.0; k - 1];
+    let mut swapped = vec![false; k - 1];
+    for i in 0..k - 1 {
+        if d[i].abs() >= dl[i].abs() {
+            if d[i] != 0.0 {
+                dl[i] /= d[i];
+                d[i + 1] -= dl[i] * du[i];
+            }
+        } else {
+            let f = d[i] / dl[i];
+            d[i] = dl[i];
+            dl[i] = f;
+            let t = du[i];
+            du[i] = d[i + 1];
+            d[i + 1] = t - f * d[i + 1];
+            if i + 2 < k {
+                du2[i] = du[i + 1];
+                du[i + 1] *= -f;
+            }
+            swapped[i] = true;
+        }
+    }
+    // θ is an eigenvalue to working precision, so a pivot may vanish.
+    let floor = f64::EPSILON * norm;
+    for p in d.iter_mut() {
+        if p.abs() < floor {
+            *p = floor;
+        }
+    }
+    // Inverse iteration from a start vector no symmetry of T is orthogonal
+    // to.
+    let mut s: Vec<f64> = (0..k)
+        .map(|i| 1.0 + ((i as f64 * 0.618_033_988_749_895).fract() - 0.5) * 0.5)
+        .collect();
+    for _ in 0..3 {
+        for i in 0..k - 1 {
+            if swapped[i] {
+                let t = s[i];
+                s[i] = s[i + 1];
+                s[i + 1] = t - dl[i] * s[i];
+            } else {
+                s[i + 1] -= dl[i] * s[i];
+            }
+        }
+        for i in (0..k).rev() {
+            let mut v = s[i];
+            if i + 1 < k {
+                v -= du[i] * s[i + 1];
+            }
+            if i + 2 < k {
+                v -= du2[i] * s[i + 2];
+            }
+            s[i] = v / d[i];
+        }
+        let norm = s.iter().map(|v| v * v).sum::<f64>().sqrt();
+        for v in s.iter_mut() {
+            *v /= norm;
+        }
+    }
+    s
 }
 
 #[cfg(test)]
@@ -274,7 +507,7 @@ mod tests {
     use crate::block::BlockPartitioner;
     use crate::geocol::GeoColBuilder;
     use crate::metrics::PartitionQuality;
-    use crate::partition::SerialScans;
+    use crate::partition::{ScanKernel, SerialScans};
 
     /// Two dense clusters joined by a single bridge edge. The spectral split
     /// must find the bridge.
@@ -375,6 +608,12 @@ mod tests {
             rsb_cost > 10.0 * rcb_cost,
             "RSB {rsb_cost} should be much more expensive than RCB {rcb_cost}"
         );
+        // The estimate is a calibration, not a function of the knobs.
+        let capped = RsbPartitioner {
+            max_steps: 8,
+            tolerance: 0.5,
+        };
+        assert_eq!(capped.cost_estimate(&g, 8), rsb_cost);
     }
 
     #[test]
@@ -453,5 +692,171 @@ mod tests {
             .build()
             .unwrap();
         let _ = RsbPartitioner::default().partition(&g, 2);
+    }
+
+    /// A single-chunk [`RankScans`] that counts the scans it runs.
+    struct CountingScans(usize);
+
+    impl RankScans for CountingScans {
+        fn nranks(&self) -> usize {
+            1
+        }
+
+        fn scan(
+            &mut self,
+            n_items: usize,
+            width: usize,
+            ops_per_item: f64,
+            kernel: &ScanKernel<'_>,
+        ) -> Vec<f64> {
+            self.0 += 1;
+            SerialScans::single().scan(n_items, width, ops_per_item, kernel)
+        }
+    }
+
+    /// The Fiedler vector of the whole of `g`.
+    fn whole_graph_fiedler(rsb: &RsbPartitioner, g: &GeoCoL) -> Vec<f64> {
+        let vertices: Vec<u32> = (0..g.nvertices() as u32).collect();
+        let mut local = vec![u32::MAX; g.nvertices()];
+        rsb.fiedler_vector(g, &vertices, &mut local, &mut SerialScans::single())
+    }
+
+    /// The largest componentwise distance from `x` to the analytic
+    /// `cos(π(c+½)/n)` of each vertex's position `c` along the long axis,
+    /// both of unit length and `x` sign-matched.
+    fn distance_to_cosine(x: &[f64], position: impl Fn(usize) -> usize, n: usize) -> f64 {
+        let unit = |v: Vec<f64>| {
+            let norm = v.iter().map(|a| a * a).sum::<f64>().sqrt();
+            v.into_iter().map(|a| a / norm).collect::<Vec<f64>>()
+        };
+        let want = unit(
+            (0..x.len())
+                .map(|i| (std::f64::consts::PI * (position(i) as f64 + 0.5) / n as f64).cos())
+                .collect(),
+        );
+        let x = unit(x.to_vec());
+        let sign = x
+            .iter()
+            .zip(&want)
+            .map(|(a, b)| a * b)
+            .sum::<f64>()
+            .signum();
+        x.iter()
+            .zip(&want)
+            .map(|(a, b)| (sign * a - b).abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn the_fiedler_vector_is_the_analytic_eigenvector() {
+        let tight = RsbPartitioner {
+            max_steps: 300,
+            tolerance: 1e-12,
+        };
+        // The path P₆₄: λ₂ = 2 − 2cos(π/64), vector cos(π(i+½)/64).
+        let n = 64;
+        let path = GeoColBuilder::new(n)
+            .link((0..n as u32 - 1).collect(), (1..n as u32).collect())
+            .build()
+            .unwrap();
+        let err = distance_to_cosine(&whole_graph_fiedler(&tight, &path), |i| i, n);
+        assert!(err < 1e-6, "path: {err:e}");
+
+        // A 12×7 grid (a rectangle: a square's λ₂ is degenerate): the
+        // vector varies as cos(π(c+½)/12) along the 12-long axis and is
+        // constant across the short one.
+        let (cols, rows) = (12usize, 7usize);
+        let (mut e1, mut e2) = (Vec::new(), Vec::new());
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = (r * cols + c) as u32;
+                if c + 1 < cols {
+                    e1.push(v);
+                    e2.push(v + 1);
+                }
+                if r + 1 < rows {
+                    e1.push(v);
+                    e2.push(v + cols as u32);
+                }
+            }
+        }
+        let grid = GeoColBuilder::new(cols * rows)
+            .link(e1, e2)
+            .build()
+            .unwrap();
+        let err = distance_to_cosine(&whole_graph_fiedler(&tight, &grid), |i| i % cols, cols);
+        assert!(err < 1e-6, "grid: {err:e}");
+    }
+
+    #[test]
+    fn an_edgeless_subgraph_breaks_down_at_the_first_step() {
+        // The leaves of a star induce no edge: L = 0, so β = 0 at step 1
+        // and the start vector is the answer — one matvec and one moment
+        // scan, no replay.
+        let star = GeoColBuilder::new(9)
+            .link(vec![0; 8], (1..9).collect())
+            .build()
+            .unwrap();
+        let leaves: Vec<u32> = (1..9).collect();
+        let mut local = vec![u32::MAX; 9];
+        let mut scans = CountingScans(0);
+        let x = RsbPartitioner::default().fiedler_vector(&star, &leaves, &mut local, &mut scans);
+        assert_eq!(scans.0, 2);
+        assert_eq!(x, start_vector(&leaves));
+        assert!(local.iter().all(|&l| l == u32::MAX), "scratch reset");
+    }
+
+    #[test]
+    fn degenerate_graphs_partition_without_a_nan_key() {
+        let graph = |n: usize, edges: &[(u32, u32)]| {
+            GeoColBuilder::new(n).link_edges(edges).build().unwrap()
+        };
+        let mut complete = Vec::new();
+        for i in 0..12u32 {
+            for j in (i + 1)..12 {
+                complete.push((i, j));
+            }
+        }
+        let star: Vec<(u32, u32)> = (1..12).map(|leaf| (0, leaf)).collect();
+        // A 6-cycle beside 6 isolated vertices.
+        let beside: Vec<(u32, u32)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+        let cases = [
+            ("one edge, the rest isolated", graph(12, &[(3, 7)]), 4),
+            ("complete K12", graph(12, &complete), 4),
+            ("star", graph(12, &star), 4),
+            ("two vertices", graph(2, &[(0, 1)]), 2),
+            ("isolated vertices beside a cycle", graph(12, &beside), 4),
+        ];
+        for (name, g, nparts) in cases {
+            let serial = RsbPartitioner::default().partition(&g, nparts);
+            let q = PartitionQuality::evaluate(&g, &serial);
+            assert!(q.load_imbalance <= 1.3, "{name}: {}", q.load_imbalance);
+            for nranks in [1, 3, 16] {
+                let chunked = RsbPartitioner::default().partition_with_scans(
+                    &g,
+                    nparts,
+                    &mut SerialScans { nranks },
+                );
+                assert_eq!(serial, chunked, "{name}: nranks={nranks}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_smallest_tridiagonal_eigenvector_is_exact_on_known_spectra() {
+        // The path Laplacian is itself tridiagonal: diagonal [1, 2, …, 2, 1],
+        // off-diagonal −1; its smallest eigenvalue 0 has the constant vector.
+        let n = 10;
+        let mut a = vec![2.0; n];
+        a[0] = 1.0;
+        a[n - 1] = 1.0;
+        let s = smallest_eigenvector(&a, &vec![-1.0; n - 1]);
+        let c = 1.0 / (n as f64).sqrt();
+        assert!(s.iter().all(|v| (v.abs() - c).abs() < 1e-12), "{s:?}");
+        // A diagonal matrix: the unit vector of the smallest entry.
+        let s = smallest_eigenvector(&[3.0, 1.0, 2.0], &[0.0, 0.0]);
+        assert!((s[1].abs() - 1.0).abs() < 1e-12, "{s:?}");
+        assert!(s[0].abs() < 1e-12 && s[2].abs() < 1e-12, "{s:?}");
+        assert_eq!(smallest_eigenvector(&[5.0], &[]), vec![1.0]);
     }
 }
