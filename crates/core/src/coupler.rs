@@ -73,13 +73,14 @@ impl<'a> GeoColSpec<'a> {
 }
 
 /// [`RankScans`] executor backed by [`Backend::run_compute`]: each scan
-/// chunks the item range over the machine's virtual processors, runs one
+/// chunks the item range over the machine's virtual processors and runs one
 /// fold kernel per rank (charging `ops_per_item` compute units per item to
-/// that rank's clock) and returns the rank-major partials for driver-side
-/// combination in ascending rank order. This is how partitioners that
-/// implement `partition_with_scans` — RSB's Lanczos matvecs, moment
-/// reductions and updates, RCB's extent/histogram median scans, the inertial
-/// partitioner's moment scans — run rank-parallel on every engine. The
+/// that rank's clock) on that rank's slice of the caller's rank-major
+/// partials, which the caller combines in ascending rank order. This is how
+/// partitioners that implement `partition_with_scans` — RSB's Lanczos
+/// matvecs, moment reductions and updates, RCB's extent/histogram median
+/// scans, the inertial partitioner's moment scans — run rank-parallel on
+/// every engine. The
 /// partitioners build every pass from `chaos_geocol`'s `map_scan` /
 /// `block_scan` conventions (disjoint per-item writes; fixed-size-block
 /// partial sums), so the partitioning they produce through any backend is
@@ -103,9 +104,10 @@ impl<B: Backend> RankScans for BackendScans<'_, B> {
         width: usize,
         ops_per_item: f64,
         kernel: &ScanKernel<'_>,
-    ) -> Vec<f64> {
+        partials: &mut [f64],
+    ) {
         let nranks = self.backend.nprocs();
-        let mut partials = vec![0.0; width * nranks];
+        debug_assert_eq!(partials.len(), width * nranks);
         self.backend
             .run_compute(partials.chunks_mut(width), |ctx, acc: &mut [f64]| {
                 let rank = ctx.rank();
@@ -114,7 +116,6 @@ impl<B: Backend> RankScans for BackendScans<'_, B> {
                 kernel(rank, range, acc);
             });
         self.charged_ops += ops_per_item * n_items as f64;
-        partials
     }
 }
 

@@ -99,8 +99,8 @@ pub fn scan_chunk(n_items: usize, nranks: usize, rank: usize) -> std::ops::Range
 }
 
 /// A rank-local fold kernel handed to [`RankScans::scan`]: called as
-/// `kernel(rank, range, partials)` with the rank's [`scan_chunk`] item range
-/// and its private accumulator slice.
+/// `kernel(rank, range, acc)` with the rank's [`scan_chunk`] item range
+/// and its slice of the scan's partials.
 pub type ScanKernel<'a> = dyn Fn(usize, std::ops::Range<usize>, &mut [f64]) + Sync + 'a;
 
 /// Number of consecutive items folded into one partial-accumulator block by
@@ -114,8 +114,8 @@ pub const SCAN_BLOCK: usize = 1024;
 /// `width` slots for the whole block ([`block_scan`]).
 pub type RangeKernel<'a> = dyn Fn(std::ops::Range<usize>, &mut [f64]) + Sync + 'a;
 
-/// Run an elementwise map rank-parallel through `scans` and return the full
-/// `n_items`-long output vector.
+/// Run an elementwise map rank-parallel through `scans`, writing item `i`
+/// to `out[i]`.
 ///
 /// Each rank computes `map(range, out)` for its [`scan_chunk`] item range,
 /// writing `out[k]` for item `range.start + k`. Because every item's value
@@ -123,26 +123,40 @@ pub type RangeKernel<'a> = dyn Fn(std::ops::Range<usize>, &mut [f64]) + Sync + '
 /// **bit-identical for every rank count and engine** — this is how the RSB
 /// partitioner's sparse matvec and Lanczos updates stay exact. The
 /// rank-major partials of a `width == ceil(n/nranks)` scan are laid out so
-/// that item `i` lands at global offset `i`, so no reassembly copy is
-/// needed.
+/// that item `i` lands at global offset `i`, so the scan writes straight
+/// into `out`.
+///
+/// `out` is a buffer the caller reuses across scans: it grows to the scan's
+/// `ceil(n/nranks)·nranks` slots if it is shorter (with zeros), and every
+/// entry from `n_items` on keeps its value, so a caller may keep data past
+/// the items (RSB keeps a `0.0` there for its padded matvec).
 pub fn map_scan(
     scans: &mut dyn RankScans,
     n_items: usize,
     ops_per_item: f64,
+    out: &mut Vec<f64>,
     map: &RangeKernel<'_>,
-) -> Vec<f64> {
+) {
     if n_items == 0 {
-        return Vec::new();
+        return;
     }
-    let per = n_items.div_ceil(scans.nranks().max(1));
-    let mut out = scans.scan(n_items, per, ops_per_item, &|_rank, range, acc| {
-        let len = range.len();
-        map(range, &mut acc[..len]);
-    });
+    let nranks = scans.nranks();
+    let per = n_items.div_ceil(nranks.max(1));
+    if out.len() < per * nranks {
+        out.resize(per * nranks, 0.0);
+    }
     // Rank r's chunk is [r*per, (r+1)*per) and its accumulator starts at
     // r*per, so the partials are already the output vector in item order.
-    out.truncate(n_items);
-    out
+    scans.scan(
+        n_items,
+        per,
+        ops_per_item,
+        &|_rank, range, acc| {
+            let len = range.len();
+            map(range, &mut acc[..len]);
+        },
+        &mut out[..per * nranks],
+    );
 }
 
 /// Run a reduction rank-parallel through `scans` as fixed-size-block partial
@@ -152,13 +166,14 @@ pub fn map_scan(
 /// Items are grouped into [`SCAN_BLOCK`]-sized blocks; the *blocks* (not
 /// the items) are chunked over the ranks with [`scan_chunk`], and each rank
 /// calls `fold(item_range, acc)` once per block it owns, filling the
-/// block's `width`-wide accumulator. Callers combine the returned blocks in
-/// ascending block order (sum, min, max, ...). Because the block boundaries
-/// and each block's fold order depend only on `n_items`, the combined
-/// result is **bit-identical for every rank count and engine** — the
-/// single-chunk [`SerialScans::single`] executor behind the pure
-/// [`Partitioner::partition`] entry points produces exactly the same
-/// floating-point values as a backend-driven scan over any number of ranks.
+/// block's `width`-wide accumulator, which starts at zero. Callers combine
+/// the returned blocks in ascending block order (sum, min, max, ...).
+/// Because the block boundaries and each block's fold order depend only on
+/// `n_items`, the combined result is **bit-identical for every rank count
+/// and engine** — the single-chunk [`SerialScans::single`] executor behind
+/// the pure [`Partitioner::partition`] entry points produces exactly the
+/// same floating-point values as a backend-driven scan over any number of
+/// ranks.
 ///
 /// `ops_per_item` is the modeled compute charge per *item*: the per-block
 /// charge handed to [`RankScans::scan`] is `ops_per_item` times the average
@@ -177,9 +192,10 @@ pub fn block_scan(
     if nblocks == 0 {
         return Vec::new();
     }
-    let nranks = scans.nranks().max(1);
-    let blocks_per_rank = nblocks.div_ceil(nranks);
-    let partials = scans.scan(
+    let nranks = scans.nranks();
+    let blocks_per_rank = nblocks.div_ceil(nranks.max(1));
+    let mut partials = vec![0.0; width * blocks_per_rank * nranks];
+    scans.scan(
         nblocks,
         width * blocks_per_rank,
         ops_per_item * n_items as f64 / nblocks as f64,
@@ -189,6 +205,7 @@ pub fn block_scan(
                 fold(items, &mut acc[k * width..(k + 1) * width]);
             }
         },
+        &mut partials,
     );
     // Compact the rank-major (padded) partials into block-major order.
     let mut out = vec![0.0; nblocks * width];
@@ -210,8 +227,9 @@ pub fn block_scan(
 /// charged to the simulated machine), while the pure
 /// [`Partitioner::partition`] entry point uses the driver-side
 /// [`SerialScans`]. Implementations must chunk with [`scan_chunk`] and
-/// return rank-major partials; callers combine them in ascending rank
-/// order, which keeps results engine-independent by construction.
+/// write each rank's partials into that rank's slice of the caller's
+/// rank-major buffer; callers combine them in ascending rank order, which
+/// keeps results engine-independent by construction.
 ///
 /// Partitioner code does not usually call [`RankScans::scan`] raw: the
 /// [`map_scan`] and [`block_scan`] helpers wrap it with conventions
@@ -222,19 +240,20 @@ pub trait RankScans {
     /// Number of ranks the scan is folded over.
     fn nranks(&self) -> usize;
 
-    /// Run `kernel(rank, range, partials)` once per rank, where `range` is
-    /// [`scan_chunk`]`(n_items, nranks, rank)` and `partials` is that rank's
-    /// private zero-initialized `width`-wide accumulator slice. Charges
-    /// `ops_per_item` modeled compute units per item to the executing rank
-    /// (where a machine is attached) and returns the concatenated rank-major
-    /// partials.
+    /// Run `kernel(rank, range, acc)` once per rank, where `range` is
+    /// [`scan_chunk`]`(n_items, nranks, rank)` and `acc` is rank `rank`'s
+    /// `width`-wide slice of `partials` (`width × nranks` long, rank-major),
+    /// as the caller left it: the scan neither clears nor allocates it.
+    /// Charges `ops_per_item` modeled compute units per item to the
+    /// executing rank (where a machine is attached).
     fn scan(
         &mut self,
         n_items: usize,
         width: usize,
         ops_per_item: f64,
         kernel: &ScanKernel<'_>,
-    ) -> Vec<f64>;
+        partials: &mut [f64],
+    );
 }
 
 /// Driver-side [`RankScans`] executor: runs every chunk sequentially on the
@@ -271,12 +290,12 @@ impl RankScans for SerialScans {
         width: usize,
         _ops_per_item: f64,
         kernel: &ScanKernel<'_>,
-    ) -> Vec<f64> {
-        let mut partials = vec![0.0; width * self.nranks];
+        partials: &mut [f64],
+    ) {
+        debug_assert_eq!(partials.len(), width * self.nranks);
         for (rank, acc) in partials.chunks_mut(width).enumerate() {
             kernel(rank, scan_chunk(n_items, self.nranks, rank), acc);
         }
-        partials
     }
 }
 
@@ -416,13 +435,31 @@ pub(crate) fn left_target(total_load: f64, left_parts: usize, nparts: usize) -> 
 /// Panics if a key is NaN.
 pub(crate) fn sort_by_key(vertices: &mut [u32], keys: &[f64]) {
     debug_assert_eq!(keys.len(), vertices.len(), "one key per vertex");
-    let mut keyed: Vec<(f64, u32)> = keys.iter().copied().zip(vertices.iter().copied()).collect();
-    keyed.sort_unstable_by(|a, b| {
-        let by_key = a.0.partial_cmp(&b.0).expect("a partition key is NaN");
-        by_key.then(a.1.cmp(&b.1))
-    });
+    let mut keyed: Vec<(u64, u32)> = keys
+        .iter()
+        .zip(vertices.iter())
+        .map(|(&k, &v)| (ordered_bits(k), v))
+        .collect();
+    keyed.sort_unstable();
     for (v, (_, id)) in vertices.iter_mut().zip(keyed) {
         *v = id;
+    }
+}
+
+/// The image of a non-NaN `key` under a map to `u64` that preserves the
+/// order `partial_cmp` gives: `-0.0` folds into `+0.0` (which `partial_cmp`
+/// calls equal), then a positive key gets its sign bit set and a negative
+/// key has every bit flipped.
+///
+/// # Panics
+/// Panics if `key` is NaN.
+fn ordered_bits(key: f64) -> u64 {
+    assert!(!key.is_nan(), "a partition key is NaN");
+    let bits = (key + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
@@ -502,20 +539,76 @@ mod tests {
         let data: Vec<f64> = (0..777).map(|i| (i as f64 * 0.13).cos()).collect();
         let expect: Vec<f64> = data.iter().map(|v| v * 3.0 - 1.0).collect();
         for nranks in [1, 2, 5, 16, 1000] {
-            let got = map_scan(
+            let mut got = Vec::new();
+            map_scan(
                 &mut SerialScans { nranks },
                 data.len(),
                 2.0,
+                &mut got,
                 &|range, out| {
                     for (k, i) in range.enumerate() {
                         out[k] = data[i] * 3.0 - 1.0;
                     }
                 },
             );
-            assert_eq!(got.len(), expect.len());
+            assert!(got.len() >= expect.len());
             for (a, b) in got.iter().zip(&expect) {
                 assert_eq!(a.to_bits(), b.to_bits(), "nranks={nranks}");
             }
+        }
+    }
+
+    #[test]
+    fn a_reused_map_scan_buffer_leaks_nothing() {
+        let data: Vec<f64> = (0..333).map(|i| (i as f64 * 0.29).sin()).collect();
+        let map: &RangeKernel<'_> = &|range, out| {
+            for (k, i) in range.enumerate() {
+                out[k] = data[i] * data[i] - 0.5;
+            }
+        };
+        for nranks in [1, 2, 7, 64, 500] {
+            let mut fresh = Vec::new();
+            map_scan(
+                &mut SerialScans { nranks },
+                data.len(),
+                1.0,
+                &mut fresh,
+                map,
+            );
+            // Longer than the scan's padded length, and NaN throughout.
+            let mut reused = vec![f64::NAN; data.len() + 600];
+            map_scan(
+                &mut SerialScans { nranks },
+                data.len(),
+                1.0,
+                &mut reused,
+                map,
+            );
+            assert_eq!(
+                reused.len(),
+                data.len() + 600,
+                "a long buffer keeps its length"
+            );
+            for (i, (a, b)) in reused.iter().zip(&fresh).take(data.len()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "nranks={nranks} item {i}");
+            }
+            assert!(
+                reused[data.len()..].iter().all(|v| v.is_nan()),
+                "nranks={nranks}: a slot past the items was written"
+            );
+            // A short buffer grows, and the slot it held past the items
+            // survives the scan.
+            let mut short = vec![0.0; data.len() + 1];
+            short[data.len()] = 7.0;
+            map_scan(
+                &mut SerialScans { nranks },
+                data.len(),
+                1.0,
+                &mut short,
+                map,
+            );
+            assert_eq!(short[..data.len()], fresh[..data.len()], "nranks={nranks}");
+            assert_eq!(short[data.len()], 7.0, "nranks={nranks}");
         }
     }
 
@@ -534,6 +627,15 @@ mod tests {
         };
         let reference = block_scan(&mut SerialScans::single(), data.len(), 2, 2.0, fold);
         assert_eq!(reference.len(), data.len().div_ceil(SCAN_BLOCK) * 2);
+        // Each block's partials are its fold from zero.
+        for (block, sums) in reference.chunks_exact(2).enumerate() {
+            let mut want = [0.0; 2];
+            fold(
+                block * SCAN_BLOCK..((block + 1) * SCAN_BLOCK).min(data.len()),
+                &mut want,
+            );
+            assert_eq!(sums, want, "block {block}");
+        }
         for nranks in [2, 3, 7, 64] {
             let got = block_scan(&mut SerialScans { nranks }, data.len(), 2, 2.0, fold);
             for (a, b) in got.iter().zip(&reference) {
@@ -545,7 +647,75 @@ mod tests {
     #[test]
     fn scans_handle_empty_inputs() {
         let mut scans = SerialScans { nranks: 4 };
-        assert!(map_scan(&mut scans, 0, 1.0, &|_, _| {}).is_empty());
+        let mut out = Vec::new();
+        map_scan(&mut scans, 0, 1.0, &mut out, &|_, _| {});
+        assert!(out.is_empty());
         assert!(block_scan(&mut scans, 0, 3, 1.0, &|_, _| {}).is_empty());
+    }
+
+    /// The order `sort_by_key` promises: `partial_cmp` on the keys, then
+    /// the vertex id.
+    fn reference_sort(vertices: &mut [u32], keys: &[f64]) {
+        let mut keyed: Vec<(f64, u32)> =
+            keys.iter().copied().zip(vertices.iter().copied()).collect();
+        keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        for (v, (_, id)) in vertices.iter_mut().zip(keyed) {
+            *v = id;
+        }
+    }
+
+    #[test]
+    fn sort_by_key_is_the_partial_cmp_then_id_order() {
+        let tiny = f64::from_bits(1);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            1.0 + f64::EPSILON,
+            -1.5,
+            2.5e-300,
+            -2.5e-300,
+        ];
+        // Every special twice (repeats across ids) plus a pseudo-random tail
+        // drawn from the specials and from a spread of negatives.
+        let mut keys: Vec<f64> = specials.iter().chain(&specials).copied().collect();
+        let mut state = 7u64;
+        for _ in 0..500 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pick = (state >> 33) as usize;
+            keys.push(if pick.is_multiple_of(3) {
+                specials[pick % specials.len()]
+            } else {
+                ((pick % 2001) as f64 - 1000.0) * 0.125
+            });
+        }
+        // Ids in a scrambled order, so the id tie-break does real work.
+        let ids: Vec<u32> = (0..keys.len() as u32)
+            .map(|i| (i * 7919) % keys.len() as u32)
+            .collect();
+        let mut got = ids.clone();
+        sort_by_key(&mut got, &keys);
+        let mut want = ids;
+        reference_sort(&mut want, &keys);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "a partition key is NaN")]
+    fn sort_by_key_rejects_a_nan_key() {
+        sort_by_key(&mut [0, 1, 2], &[1.0, f64::NAN, 0.0]);
     }
 }

@@ -26,8 +26,10 @@
 //!    vector is bit-identical to pass 1's, and the Ritz vector
 //!    `x = Σ s_j q_j` is accumulated on the way.
 //!
-//! Live memory is four vectors of the subgraph's size (`q`, `q₋`, `u`,
-//! `x`) plus the one a scan is writing; a stored basis would cost `k`.
+//! Live memory is five `m + 1`-long buffers (`q`, `q₋`, `u`, `q₊`, `x`),
+//! allocated once per bisection and rotated between scans; a stored basis
+//! would cost `k`. Slot `m` of each is a `0.0` no scan writes: the operand
+//! of the matvec's padding.
 //!
 //! # Rank-parallel passes
 //!
@@ -37,9 +39,13 @@
 //! this is the reproduction's version of that). A pass-1 step is three
 //! scans:
 //!
-//! * the **sparse matvec** `u = Lq` over the induced-subgraph CSR adjacency,
-//!   a [`map_scan`] charging `2 + 2·avg_degree` ops per vertex (the
-//!   diagonal's multiply and store, a load and a subtract per edge);
+//! * the **sparse matvec** `u = Lq`, a [`map_scan`] charging
+//!   `2 + 2·avg_degree` ops per vertex (the diagonal's multiply and store, a
+//!   load and a subtract per edge). The Laplacian is stored sliced ELLPACK,
+//!   8 rows per slice with each slice's neighbour lists column-major and
+//!   padded to its longest row, so a slice's 8 rows run as 8 independent
+//!   subtraction chains with no data-dependent branch; the padding
+//!   subtracts `+0.0`, which changes no bit and is not charged;
 //! * one width-9 [`block_scan`] of `Σu, Σq, Σq₋, Σu², Σq², Σq₋², Σuq, Σuq₋,
 //!   Σqq₋` (15 ops per vertex), from which `α = qᵀu`, the mean of
 //!   `w = u − αq − β₋q₋` and `β = ‖w − mean‖` follow by algebra;
@@ -49,10 +55,11 @@
 //! `x ← x + s_j q_j`, one more [`map_scan`] (2 ops per vertex). The sorted
 //! set's **total load** is one more [`block_scan`].
 //!
-//! Only O(k) scalar work, the induced-CSR setup, the start vector and the
-//! sort stay on the driver between scans. Because maps write disjoint items
-//! and reductions fold fixed blocks, the Fiedler vector — and therefore the
-//! partitioning — is bit-identical for every rank count and engine.
+//! Only O(k) scalar work, building the sliced Laplacian, the start vector
+//! and the sort stay on the driver between scans. Because maps write
+//! disjoint items and reductions fold fixed blocks, the Fiedler vector — and
+//! therefore the partitioning — is bit-identical for every rank count and
+//! engine.
 //!
 //! # Modeled cost
 //!
@@ -162,10 +169,28 @@ struct Step {
     beta: f64,
 }
 
-/// The induced subgraph of an active vertex set, in local indices.
+/// Rows per slice of [`Subgraph`]'s layout: the matvec runs a whole
+/// slice's rows as this many independent subtraction chains.
+const SLICE: usize = 8;
+
+/// The Laplacian of the subgraph induced by an active vertex set, in local
+/// indices, sliced ELLPACK with [`SLICE`] rows per slice (SELL-C without
+/// the row sort; Kreutzer et al., SIAM J. Sci. Comput. 36(5), 2014). Rows
+/// `s·SLICE ..` form slice `s`, whose neighbour lists are stored
+/// column-major — column `c` holds the `c`-th neighbour of each of the
+/// slice's rows, in [`GeoCoL::neighbors`] order — and padded to the slice's
+/// longest row with the index `m`: the slot past the rows where every
+/// Lanczos vector keeps a `0.0`.
 struct Subgraph {
-    offsets: Vec<usize>,
-    targets: Vec<u32>,
+    /// Each row's degree within the subgraph.
+    degree: Vec<f64>,
+    /// Slice `s`'s columns are `cols[starts[s]..starts[s + 1]]`, `SLICE`
+    /// entries each (the last slice's lanes past `m` are padding too).
+    starts: Vec<usize>,
+    cols: Vec<u32>,
+    /// Neighbour entries that are edges: the degrees' sum, padding excluded.
+    nnz: usize,
+    max_degree: usize,
 }
 
 impl Subgraph {
@@ -176,77 +201,124 @@ impl Subgraph {
         for (i, &v) in vertices.iter().enumerate() {
             local[v as usize] = i as u32;
         }
-        let mut offsets = vec![0usize; m + 1];
+        // Pass 1: the degrees, and from them each slice's width.
+        let mut degree = Vec::with_capacity(m);
+        let mut starts = Vec::with_capacity(m.div_ceil(SLICE) + 1);
+        starts.push(0);
+        let (mut nnz, mut max_degree, mut width) = (0, 0, 0);
         for (i, &v) in vertices.iter().enumerate() {
             let deg = geocol
                 .neighbors(v as usize)
                 .iter()
                 .filter(|&&nb| local[nb as usize] != u32::MAX)
                 .count();
-            offsets[i + 1] = offsets[i] + deg;
+            degree.push(deg as f64);
+            nnz += deg;
+            width = width.max(deg);
+            if (i + 1) % SLICE == 0 || i + 1 == m {
+                starts.push(starts[starts.len() - 1] + width * SLICE);
+                max_degree = max_degree.max(width);
+                width = 0;
+            }
         }
-        let mut targets = Vec::with_capacity(offsets[m]);
-        for &v in vertices {
+        // Pass 2: the neighbour lists, each row down its slice's lane.
+        let mut cols = vec![m as u32; starts[starts.len() - 1]];
+        for (i, &v) in vertices.iter().enumerate() {
+            let mut at = starts[i / SLICE] + i % SLICE;
             for &nb in geocol.neighbors(v as usize) {
                 let l = local[nb as usize];
                 if l != u32::MAX {
-                    targets.push(l);
+                    cols[at] = l;
+                    at += SLICE;
                 }
             }
         }
         for &v in vertices {
             local[v as usize] = u32::MAX;
         }
-        Subgraph { offsets, targets }
+        Subgraph {
+            degree,
+            starts,
+            cols,
+            nnz,
+            max_degree,
+        }
     }
 
     fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.degree.len()
     }
 
-    fn max_degree(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// `u = Lq`, rank-parallel.
-    fn matvec(&self, scans: &mut dyn RankScans, q: &[f64]) -> Vec<f64> {
-        let (offs, tgts) = (&self.offsets, &self.targets);
-        let ops = 2.0 + 2.0 * tgts.len() as f64 / self.len() as f64;
-        map_scan(scans, self.len(), ops, &|range, out| {
-            for (k, i) in range.enumerate() {
-                let row = offs[i]..offs[i + 1];
-                let mut s = row.len() as f64 * q[i];
-                for &nb in &tgts[row] {
-                    s -= q[nb as usize];
+    /// `u[..m] = Lq[..m]`, rank-parallel, where `q[m]` must be `0.0`.
+    ///
+    /// Row `i` is `degree_i·q_i` minus `q` at each neighbour in order, then
+    /// minus `q[m]` at each padded entry: `x − (+0.0)` is `x` bit for bit
+    /// (`−0.0` included), so every `u[i]` is the one a CSR loop over the
+    /// true neighbours computes. A slice that lies whole in a rank's chunk
+    /// runs its rows in lockstep — independent chains, no data-dependent
+    /// branch; a slice the chunk boundary cuts runs row by row. The charge
+    /// is `2 + 2·avg_degree` per row (the diagonal's multiply and store, a
+    /// load and a subtract per edge): the padding is not modeled work.
+    fn matvec(&self, scans: &mut dyn RankScans, q: &[f64], u: &mut Vec<f64>) {
+        let m = self.len();
+        debug_assert_eq!(q[m].to_bits(), 0, "the padding's operand is +0.0");
+        let ops = 2.0 + 2.0 * self.nnz as f64 / m as f64;
+        map_scan(scans, m, ops, u, &|rows, out| {
+            let mut i = rows.start;
+            while i < rows.end {
+                let first = i / SLICE * SLICE;
+                let (columns, _) = self.cols
+                    [self.starts[first / SLICE]..self.starts[first / SLICE + 1]]
+                    .as_chunks::<SLICE>();
+                let out = &mut out[i - rows.start..];
+                if i == first && first + SLICE <= rows.end {
+                    let mut acc: [f64; SLICE] =
+                        std::array::from_fn(|r| self.degree[first + r] * q[first + r]);
+                    for column in columns {
+                        for (a, &nb) in acc.iter_mut().zip(column) {
+                            *a -= q[nb as usize];
+                        }
+                    }
+                    out[..SLICE].copy_from_slice(&acc);
+                    i += SLICE;
+                } else {
+                    let end = rows.end.min(first + SLICE);
+                    for (o, row) in out.iter_mut().zip(i..end) {
+                        let mut acc = self.degree[row] * q[row];
+                        for column in columns {
+                            acc -= q[column[row - first] as usize];
+                        }
+                        *o = acc;
+                    }
+                    i = end;
                 }
-                out[k] = s;
             }
-        })
+        });
     }
 }
 
-/// The Lanczos update `q₊ = (u − αq − β₋q₋ − mean)/β`, rank-parallel. Both
-/// passes call it with the same inputs, so their vectors are bit-identical.
+/// The Lanczos update `q₊ = (u − αq − β₋q₋ − mean)/β` of the first `m`
+/// items into `next`, rank-parallel. Both passes call it with the same
+/// inputs, so their vectors are bit-identical.
 fn lanczos_update(
     scans: &mut dyn RankScans,
+    m: usize,
     u: &[f64],
     q: &[f64],
     q_prev: &[f64],
     step: Step,
-) -> Vec<f64> {
+    next: &mut Vec<f64>,
+) {
     let Step {
         alpha,
         beta_prev,
         mean,
         beta,
     } = step;
-    map_scan(scans, u.len(), 6.0, &|range, out| {
-        for (k, i) in range.enumerate() {
-            out[k] = (u[i] - alpha * q[i] - beta_prev * q_prev[i] - mean) / beta;
+    map_scan(scans, m, 6.0, next, &|range, out| {
+        let (u, q, q_prev) = (&u[range.clone()], &q[range.clone()], &q_prev[range]);
+        for (k, o) in out.iter_mut().enumerate() {
+            *o = (u[k] - alpha * q[k] - beta_prev * q_prev[k] - mean) / beta;
         }
     })
 }
@@ -268,30 +340,40 @@ impl RsbPartitioner {
         let graph = Subgraph::induced(geocol, vertices, local);
         // The Laplacian's spectrum lies in [0, 2·max_degree]: the scale the
         // residual tolerance is relative to.
-        let spectral_bound = 2.0 * graph.max_degree() as f64;
+        let spectral_bound = 2.0 * graph.max_degree as f64;
+
+        // Every vector is m + 1 long: slot m is the matvec padding's 0.0,
+        // and no scan writes it.
+        let mut q_prev = vec![0.0; m + 1];
+        let mut q = vec![0.0; m + 1];
+        let mut u = vec![0.0; m + 1];
+        let mut next = vec![0.0; m + 1];
+        let mut x = vec![0.0; m + 1];
 
         // Pass 1: the recurrence, keeping only T's scalars. The deflated
         // space has m − 1 dimensions, so the run is exact by then.
         let cap = self.max_steps.min(m - 1).max(1);
         let mut steps: Vec<Step> = Vec::new();
-        let mut q_prev = vec![0.0; m];
-        let mut q = start_vector(vertices);
+        start_vector(vertices, &mut q);
         let ritz = loop {
-            let u = graph.matvec(scans, &q);
-            let (ur, qr, pr) = (&u, &q, &q_prev);
+            graph.matvec(scans, &q, &mut u);
+            let (ur, qr, pr) = (&u[..m], &q[..m], &q_prev[..m]);
             let blocks = block_scan(scans, m, 9, 15.0, &|items, acc| {
-                for i in items {
-                    let (u, q, p) = (ur[i], qr[i], pr[i]);
-                    acc[0] += u;
-                    acc[1] += q;
-                    acc[2] += p;
-                    acc[3] += u * u;
-                    acc[4] += q * q;
-                    acc[5] += p * p;
-                    acc[6] += u * q;
-                    acc[7] += u * p;
-                    acc[8] += q * p;
+                let mut s = [0.0; 9];
+                s.copy_from_slice(acc);
+                let (ur, qr, pr) = (&ur[items.clone()], &qr[items.clone()], &pr[items]);
+                for ((&u, &q), &p) in ur.iter().zip(qr).zip(pr) {
+                    s[0] += u;
+                    s[1] += q;
+                    s[2] += p;
+                    s[3] += u * u;
+                    s[4] += q * q;
+                    s[5] += p * p;
+                    s[6] += u * q;
+                    s[7] += u * p;
+                    s[8] += q * p;
                 }
+                acc.copy_from_slice(&s);
             });
             let mut sum = [0.0; 9];
             for b in blocks.chunks_exact(9) {
@@ -329,49 +411,55 @@ impl RsbPartitioner {
                     break s;
                 }
             }
-            let next = lanczos_update(scans, &u, &q, &q_prev, steps[k - 1]);
-            q_prev = std::mem::replace(&mut q, next);
+            lanczos_update(scans, m, &u, &q, &q_prev, steps[k - 1], &mut next);
+            // q₋ ← q ← q₊; the old q₋ is the next update's buffer.
+            std::mem::swap(&mut q_prev, &mut q);
+            std::mem::swap(&mut q, &mut next);
         };
 
         // Pass 2: replay the recurrence and accumulate x = Σ s_j q_j.
-        let mut q_prev = vec![0.0; m];
-        let mut q = start_vector(vertices);
-        let mut x: Option<Vec<f64>> = None;
+        q_prev.fill(0.0);
+        start_vector(vertices, &mut q);
         for j in 1..steps.len() {
-            let u = graph.matvec(scans, &q);
-            let next = lanczos_update(scans, &u, &q, &q_prev, steps[j - 1]);
-            drop(u);
-            q_prev = std::mem::replace(&mut q, next);
+            graph.matvec(scans, &q, &mut u);
+            lanczos_update(scans, m, &u, &q, &q_prev, steps[j - 1], &mut next);
+            std::mem::swap(&mut q_prev, &mut q);
+            std::mem::swap(&mut q, &mut next);
             let (s_prev, s_next, qp, qn) = (ritz[j - 1], ritz[j], &q_prev, &q);
-            x = Some(match x {
-                None => map_scan(scans, m, 3.0, &|range, out| {
+            if j == 1 {
+                map_scan(scans, m, 3.0, &mut x, &|range, out| {
                     for (k, i) in range.enumerate() {
                         out[k] = s_prev * qp[i] + s_next * qn[i];
                     }
-                }),
-                Some(x) => map_scan(scans, m, 2.0, &|range, out| {
+                });
+            } else {
+                // u is free until the next matvec: x's swap partner.
+                let xr = &x;
+                map_scan(scans, m, 2.0, &mut u, &|range, out| {
                     for (k, i) in range.enumerate() {
-                        out[k] = x[i] + s_next * qn[i];
+                        out[k] = xr[i] + s_next * qn[i];
                     }
-                }),
-            });
+                });
+                std::mem::swap(&mut x, &mut u);
+            }
         }
         // After one step the Ritz vector is the start vector itself.
-        x.unwrap_or(q)
+        let mut x = if steps.len() == 1 { q } else { x };
+        x.truncate(m);
+        x
     }
 }
 
 /// The deterministic pseudo-random start vector of a Lanczos run over
-/// `vertices`: hashed from the vertex ids, orthogonal to the constant
-/// vector, of unit length. Driver-side, O(m) once per pass.
-fn start_vector(vertices: &[u32]) -> Vec<f64> {
-    let mut x: Vec<f64> = vertices
-        .iter()
-        .map(|&v| {
-            let h = (v as u64).wrapping_mul(0x9E3779B97F4A7C15).rotate_left(31);
-            (h % 10_000) as f64 / 10_000.0 - 0.5
-        })
-        .collect();
+/// `vertices`, written to `x[..vertices.len()]`: hashed from the vertex ids,
+/// orthogonal to the constant vector, of unit length. Driver-side, O(m)
+/// once per pass.
+fn start_vector(vertices: &[u32], x: &mut [f64]) {
+    let x = &mut x[..vertices.len()];
+    for (xi, &v) in x.iter_mut().zip(vertices) {
+        let h = (v as u64).wrapping_mul(0x9E3779B97F4A7C15).rotate_left(31);
+        *xi = (h % 10_000) as f64 / 10_000.0 - 0.5;
+    }
     let mean = x.iter().sum::<f64>() / x.len() as f64;
     for v in x.iter_mut() {
         *v -= mean;
@@ -382,7 +470,6 @@ fn start_vector(vertices: &[u32]) -> Vec<f64> {
             *v /= norm;
         }
     }
-    x
 }
 
 /// Unit eigenvector of the smallest eigenvalue of the symmetric tridiagonal
@@ -708,9 +795,10 @@ mod tests {
             width: usize,
             ops_per_item: f64,
             kernel: &ScanKernel<'_>,
-        ) -> Vec<f64> {
+            partials: &mut [f64],
+        ) {
             self.0 += 1;
-            SerialScans::single().scan(n_items, width, ops_per_item, kernel)
+            SerialScans::single().scan(n_items, width, ops_per_item, kernel, partials)
         }
     }
 
@@ -802,8 +890,121 @@ mod tests {
         let mut scans = CountingScans(0);
         let x = RsbPartitioner::default().fiedler_vector(&star, &leaves, &mut local, &mut scans);
         assert_eq!(scans.0, 2);
-        assert_eq!(x, start_vector(&leaves));
+        let mut start = vec![0.0; leaves.len()];
+        start_vector(&leaves, &mut start);
+        assert_eq!(x, start);
         assert!(local.iter().all(|&l| l == u32::MAX), "scratch reset");
+    }
+
+    /// The CSR matvec the sliced layout replaced, kept as its oracle: the
+    /// induced subgraph's adjacency as offsets and targets, and one serial
+    /// chain of subtractions per row.
+    fn csr_matvec(geocol: &GeoCoL, vertices: &[u32], q: &[f64]) -> Vec<f64> {
+        let mut local = vec![u32::MAX; geocol.nvertices()];
+        for (i, &v) in vertices.iter().enumerate() {
+            local[v as usize] = i as u32;
+        }
+        let mut offsets = vec![0usize];
+        let mut targets = Vec::new();
+        for &v in vertices {
+            for &nb in geocol.neighbors(v as usize) {
+                let l = local[nb as usize];
+                if l != u32::MAX {
+                    targets.push(l);
+                }
+            }
+            offsets.push(targets.len());
+        }
+        (0..vertices.len())
+            .map(|i| {
+                let row = offsets[i]..offsets[i + 1];
+                let mut s = row.len() as f64 * q[i];
+                for &nb in &targets[row] {
+                    s -= q[nb as usize];
+                }
+                s
+            })
+            .collect()
+    }
+
+    /// A pseudo-random graph on `n` vertices with about `n·degree / 2`
+    /// edges (self-loops and duplicates dropped by the builder or kept as
+    /// they come), from a fixed seed.
+    fn random_graph(n: usize, degree: usize, seed: u64) -> GeoCoL {
+        let mut state = seed;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32 % n as u32
+        };
+        let mut edges = Vec::new();
+        for _ in 0..n * degree / 2 {
+            let (a, b) = (next(), next());
+            if a != b {
+                edges.push((a, b));
+            }
+        }
+        GeoColBuilder::new(n).link_edges(&edges).build().unwrap()
+    }
+
+    #[test]
+    fn the_sliced_matvec_is_the_csr_matvec_bit_for_bit() {
+        let star = GeoColBuilder::new(41)
+            .link(vec![5; 40], (0..41).filter(|&v| v != 5).collect())
+            .build()
+            .unwrap();
+        // Slice 1 (rows 8..16) has no edge: its vertices touch only
+        // vertices outside the active set.
+        let hollow = {
+            let mut edges: Vec<(u32, u32)> = (0..7).map(|i| (i, i + 1)).collect();
+            edges.extend((8..16).map(|i| (i, i + 16)));
+            edges.extend((16..23).map(|i| (i, i + 1)));
+            GeoColBuilder::new(32).link_edges(&edges).build().unwrap()
+        };
+        let mut cases: Vec<(String, GeoCoL, Vec<u32>)> = Vec::new();
+        for m in (1..=40).chain([1003]) {
+            // An induced subset: some neighbours fall outside it, and
+            // sparse draws leave degree-0 rows.
+            let g = random_graph(m + m / 3 + 1, 5, m as u64);
+            let mut vertices: Vec<u32> = (0..g.nvertices() as u32).collect();
+            vertices.sort_by_key(|&v| (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            vertices.truncate(m);
+            cases.push((format!("random m={m}"), g, vertices));
+        }
+        cases.push(("star".into(), star, (0..41).collect()));
+        cases.push(("hollow slice".into(), hollow, (0..24).collect()));
+        let mesh = shuffled_grid(23);
+        cases.push(("mesh".into(), mesh, (0..23 * 23).collect()));
+
+        for (name, g, vertices) in &cases {
+            let m = vertices.len();
+            // Signed values, zeros of both signs among them.
+            let mut q: Vec<f64> = (0..m)
+                .map(|i| match i % 7 {
+                    3 => -0.0,
+                    5 => 0.0,
+                    _ => ((i as f64 * 0.731).sin() * 1e3).fract(),
+                })
+                .collect();
+            let want = csr_matvec(g, vertices, &q);
+            q.push(0.0);
+            let mut local = vec![u32::MAX; g.nvertices()];
+            let graph = Subgraph::induced(g, vertices, &mut local);
+            assert!(
+                local.iter().all(|&l| l == u32::MAX),
+                "{name}: scratch reset"
+            );
+            for nranks in [1, 3, 7, 64] {
+                let mut u = vec![0.0; m + 1];
+                graph.matvec(&mut SerialScans { nranks }, &q, &mut u);
+                for (i, (a, b)) in u.iter().zip(&want).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{name} nranks={nranks} row {i}");
+                }
+                assert_eq!(u[m].to_bits(), 0, "{name} nranks={nranks}: u's zero slot");
+                assert_eq!(q[m].to_bits(), 0, "{name} nranks={nranks}: q's zero slot");
+            }
+        }
     }
 
     #[test]
