@@ -1,4 +1,4 @@
-//! Performance gates: four hardware-independent wall-clock ratios.
+//! Performance gates: three hardware-independent wall-clock overheads.
 //!
 //! Each gate runs two `chaos-lang` executors over the same steady-state
 //! sweeps of the shared edge-loop program (`kernel_bench`, 40k nodes / 120k
@@ -7,14 +7,13 @@
 //!
 //! | gate | variant vs base | bound |
 //! |------|-----------------|-------|
-//! | kernel compiler | tree-walking interpreter vs block-at-a-time bytecode | compiled ≥ 4× faster |
 //! | checkpointing | `RollbackToCheckpoint { every: 8 }` vs `Abort` | ≤ 10 % slower |
 //! | flight recorder | `with_trace` vs none | ≤ 10 % slower |
 //! | metrics registry | `with_metrics` vs none | ≤ 5 % slower |
 //!
 //! That each variant computes bit-identical values, clocks and statistics to
-//! its base is a tier-1 test (`kernel_equivalence`,
-//! `fault_recovery::checkpoint_cadence_leaves_values_untouched`,
+//! its base is a tier-1 test
+//! (`fault_recovery::checkpoint_cadence_leaves_values_untouched`,
 //! `observer_identity` for both observers), not repeated here. Whether a change
 //! made whole programs faster is `benchmark/`'s question, not this binary's.
 //!
@@ -25,7 +24,7 @@
 use chaos_bench::cli::{exit_on_stop, no_arguments};
 use chaos_bench::kernel_bench::{edge_executor, edge_program_inputs};
 use chaos_dmsim::{MetricsRegistry, TraceSink};
-use chaos_lang::{CompiledProgram, Executor, KernelMode, RecoveryPolicy};
+use chaos_lang::{CompiledProgram, Executor, RecoveryPolicy};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,76 +73,52 @@ fn paired_ratio(
     ratios[PAIRS / 2]
 }
 
-/// What a gate requires of its variant/base ratio.
-enum Bound {
-    /// The base must be at least this many times faster than the variant.
-    SpeedupAtLeast(f64),
-    /// The variant may be at most this fraction slower than the base.
-    OverheadAtMost(f64),
-}
-
-/// One gate: the variant's kernel mode and configuration (the base is always
-/// the plain compiled executor) and the bound on their ratio.
+/// One gate: the variant's configuration (the base is always the plain
+/// executor) and the fraction by which the variant may at most be slower.
 struct Gate {
     name: &'static str,
-    mode: KernelMode,
     configure: fn(Executor) -> Executor,
-    bound: Bound,
+    max_overhead: f64,
 }
 
-const GATES: [Gate; 4] = [
-    Gate {
-        name: "compiled vs interpreted kernel",
-        mode: KernelMode::Interpreted,
-        configure: |e| e,
-        bound: Bound::SpeedupAtLeast(4.0),
-    },
+const GATES: [Gate; 3] = [
     Gate {
         name: "checkpoint every 8 epochs",
-        mode: KernelMode::Compiled,
         configure: |e| e.with_recovery_policy(RecoveryPolicy::RollbackToCheckpoint { every: 8 }),
-        bound: Bound::OverheadAtMost(0.10),
+        max_overhead: 0.10,
     },
     Gate {
         name: "flight recorder installed",
-        mode: KernelMode::Compiled,
         configure: |e| e.with_trace(Arc::new(TraceSink::new(0))),
-        bound: Bound::OverheadAtMost(0.10),
+        max_overhead: 0.10,
     },
     Gate {
         name: "metrics registry installed",
-        mode: KernelMode::Compiled,
         configure: |e| e.with_metrics(Arc::new(MetricsRegistry::new(0))),
-        bound: Bound::OverheadAtMost(0.05),
+        max_overhead: 0.05,
     },
 ];
 
 fn main() {
     exit_on_stop(no_arguments(
         std::env::args().skip(1),
-        "usage: perf_check  (no arguments; prints four gate rows, exits 1 on a miss)",
+        "usage: perf_check  (no arguments; prints three gate rows, exits 1 on a miss)",
     ));
     let inputs = edge_program_inputs(NNODE, NEDGE);
     let mut failed = false;
     for gate in &GATES {
-        let (mut base, cp, label) = edge_executor(KernelMode::Compiled, NPROCS, &inputs);
-        let (variant, _, _) = edge_executor(gate.mode, NPROCS, &inputs);
+        let (mut base, cp, label) = edge_executor(NPROCS, &inputs);
+        let (variant, _, _) = edge_executor(NPROCS, &inputs);
         let mut variant = (gate.configure)(variant);
-        let ratio = paired_ratio(&mut base, &mut variant, &cp, &label);
-        let (measured, required, pass) = match gate.bound {
-            Bound::SpeedupAtLeast(min) => (
-                format!("speedup {ratio:>6.2}x"),
-                format!(">= {min}x"),
-                ratio >= min,
-            ),
-            Bound::OverheadAtMost(max) => (
-                format!("overhead {:>+5.1}%", 100.0 * (ratio - 1.0)),
-                format!("<= {:.0}%", 100.0 * max),
-                ratio - 1.0 <= max,
-            ),
-        };
+        let overhead = paired_ratio(&mut base, &mut variant, &cp, &label) - 1.0;
+        let pass = overhead <= gate.max_overhead;
         let verdict = if pass { "ok" } else { "MISSED" };
-        println!("{:<32} {measured}  (gate {required})  {verdict}", gate.name);
+        println!(
+            "{:<32} overhead {:>+5.1}%  (gate <= {:.0}%)  {verdict}",
+            gate.name,
+            100.0 * overhead,
+            100.0 * gate.max_overhead
+        );
         failed |= !pass;
     }
     if failed {

@@ -157,7 +157,8 @@ impl PhaseTimes {
     }
 
     /// Executor time per sweep.
-    pub fn executor_per_iteration(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn executor_per_iteration(&self) -> f64 {
         if self.executor_sweeps == 0 {
             0.0
         } else {
@@ -167,7 +168,8 @@ impl PhaseTimes {
 
     /// Sum of the phase rows (may differ slightly from `total`, which also
     /// includes barrier idle time outside the tagged phases).
-    pub fn phase_sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn phase_sum(&self) -> f64 {
         self.graph_generation + self.partitioner + self.inspector + self.remap + self.executor
     }
 }

@@ -1,12 +1,10 @@
 //! Shared program fixtures: one deterministic irregular edge-loop program
-//! executed through `chaos-lang`, swept by `perf_check`'s four gates and by
-//! the end-to-end benchmark (`benchmark/`), plus the two-FORALL program of
-//! its `mesh40k_2loop` workload.
+//! executed through `chaos-lang`, swept by `perf_check`'s three gates, plus
+//! the two-FORALL program of the end-to-end benchmark's (`benchmark/`)
+//! `mesh40k_2loop` workload.
 
 use chaos_dmsim::MachineConfig;
-use chaos_lang::{
-    lower_program, parse_program, CompiledProgram, Executor, KernelMode, ProgramInputs,
-};
+use chaos_lang::{lower_program, parse_program, CompiledProgram, Executor, ProgramInputs};
 
 /// The paper's edge loop (loop L2): two reductions through two indirection
 /// arrays with the edge-flux intrinsic — the body `perf_check` sweeps.
@@ -63,13 +61,9 @@ pub fn edge_program_inputs(nnode: usize, nedge: usize) -> ProgramInputs {
 }
 
 /// Lower [`EDGE_PROGRAM`] and run it once (inspector + first sweep) on a
-/// fresh executor in the given kernel mode, returning the executor, the
-/// compiled program and the loop label for steady-state re-sweeps.
-pub fn edge_executor(
-    mode: KernelMode,
-    nprocs: usize,
-    inputs: &ProgramInputs,
-) -> (Executor, CompiledProgram, String) {
+/// fresh executor, returning the executor, the compiled program and the
+/// loop label for steady-state re-sweeps.
+pub fn edge_executor(nprocs: usize, inputs: &ProgramInputs) -> (Executor, CompiledProgram, String) {
     let cp = lower_program(parse_program(EDGE_PROGRAM).expect("parse")).expect("lower");
     let label = cp
         .program
@@ -77,8 +71,7 @@ pub fn edge_executor(
         .last()
         .expect("template has a FORALL")
         .to_string();
-    let mut exec =
-        Executor::new(MachineConfig::ipsc860(nprocs), inputs.clone()).with_kernel_mode(mode);
+    let mut exec = Executor::new(MachineConfig::ipsc860(nprocs), inputs.clone());
     exec.run(&cp).expect("program runs");
     (exec, cp, label)
 }

@@ -720,10 +720,9 @@ impl MetricsSnapshot {
                     if *b == 0 && i + 1 < HIST_BUCKETS {
                         continue;
                     }
-                    let le = if i + 1 >= HIST_BUCKETS {
-                        "+Inf".to_string()
-                    } else {
-                        format!("{:e}", (1u64 << i) as f64 / 1e9)
+                    let le = match Histogram::bucket_bound_ns(i) {
+                        u64::MAX => "+Inf".to_string(),
+                        bound => format!("{:e}", bound as f64 / 1e9),
                     };
                     out.push_str(&format!(
                         "chaos_span_duration_seconds_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
@@ -928,6 +927,37 @@ mod tests {
         assert_eq!(Histogram::bucket_bound_ns(1), 1);
         assert_eq!(Histogram::bucket_bound_ns(10), 1023);
         assert_eq!(Histogram::bucket_bound_ns(HIST_BUCKETS - 1), u64::MAX);
+    }
+
+    #[test]
+    fn prometheus_buckets_count_each_sample_at_or_below_its_le() {
+        let reg = MetricsRegistry::new(0);
+        for ns in [1, 2, 1024, 0] {
+            reg.record_span(
+                Lane::Driver,
+                EngineKind::Machine,
+                SpanKind::Kernel,
+                PhaseKind::Executor,
+                ns,
+            );
+        }
+        let text = reg.snapshot().prometheus_text();
+        let buckets: Vec<(f64, u64)> = text
+            .lines()
+            .filter(|l| l.starts_with("chaos_span_duration_seconds_bucket"))
+            .filter_map(|l| {
+                let le = l.split("le=\"").nth(1)?.split('"').next()?.parse().ok()?;
+                Some((le, l.rsplit(' ').next()?.parse().ok()?))
+            })
+            .collect();
+        for ns in [1u64, 2, 1024, 0] {
+            let below = [1, 2, 1024, 0].iter().filter(|&&s| s <= ns).count() as u64;
+            let (_, count) = buckets
+                .iter()
+                .find(|&&(le, _)| le >= ns as f64 / 1e9)
+                .expect("a finite bucket holds the sample");
+            assert_eq!(*count, below, "{ns} ns:\n{text}");
+        }
     }
 
     #[test]

@@ -240,7 +240,8 @@ impl GeoColBuilder {
     }
 
     /// Add connectivity from an explicit edge list.
-    pub fn link_edges(self, edges: &[(u32, u32)]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn link_edges(self, edges: &[(u32, u32)]) -> Self {
         let (a, b): (Vec<u32>, Vec<u32>) = edges.iter().copied().unzip();
         self.link(a, b)
     }

@@ -17,7 +17,6 @@
 //! improvement.
 
 use crate::geocol::GeoCoL;
-use crate::metrics::PartitionQuality;
 use crate::partition::{Partitioner, Partitioning};
 
 /// Options controlling the refinement pass.
@@ -198,24 +197,24 @@ impl<P: Partitioner> Partitioner for KlRefinedPartitioner<P> {
     }
 }
 
-/// Quality report helper used by benches: evaluate a partitioning before and
-/// after refinement and return `(before, after)`.
-pub fn refinement_effect(
-    geocol: &GeoCoL,
-    partitioning: &Partitioning,
-    options: KlOptions,
-) -> (PartitionQuality, PartitionQuality) {
-    let before = PartitionQuality::evaluate(geocol, partitioning);
-    let after = PartitionQuality::evaluate(geocol, &refine(geocol, partitioning, options));
-    (before, after)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::BlockPartitioner;
     use crate::geocol::GeoColBuilder;
+    use crate::metrics::PartitionQuality;
     use crate::rcb::RcbPartitioner;
+
+    /// The quality of `partitioning` before and after refinement.
+    fn refinement_effect(
+        geocol: &GeoCoL,
+        partitioning: &Partitioning,
+        options: KlOptions,
+    ) -> (PartitionQuality, PartitionQuality) {
+        let before = PartitionQuality::evaluate(geocol, partitioning);
+        let after = PartitionQuality::evaluate(geocol, &refine(geocol, partitioning, options));
+        (before, after)
+    }
 
     /// 2-D grid with vertices shuffled so BLOCK produces a terrible cut.
     fn shuffled_grid(side: usize) -> GeoCoL {

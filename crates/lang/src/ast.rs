@@ -74,6 +74,19 @@ pub enum Intrinsic {
     Abs,
 }
 
+/// Binary arithmetic operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum BinOp {
+    /// `+`
+    Add,
+    /// `-`
+    Sub,
+    /// `*`
+    Mul,
+    /// `/`
+    Div,
+}
+
 /// Expressions inside a loop body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Expr {
@@ -83,8 +96,8 @@ pub enum Expr {
     Ref(ArrayRef),
     /// Binary arithmetic.
     Binary {
-        /// Operator: `+`, `-`, `*`, `/`.
-        op: char,
+        /// Operator.
+        op: BinOp,
         /// Left operand.
         lhs: Box<Expr>,
         /// Right operand.
@@ -274,7 +287,7 @@ mod tests {
         let r2 = r1.clone();
         assert_eq!(r1, r2);
         let e = Expr::Binary {
-            op: '+',
+            op: BinOp::Add,
             lhs: Box::new(Expr::Ref(r1)),
             rhs: Box::new(Expr::Lit(1.0)),
         };

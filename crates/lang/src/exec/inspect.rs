@@ -34,7 +34,7 @@
 
 use super::state::{ArrayTable, Inspected, InspectedGroup, LoopState, ProgramState, RegionValues};
 use super::sweep::run_sweep;
-use super::{Executor, KernelMode, SAVED_SCHEDULE_LABEL};
+use super::{Executor, SAVED_SCHEDULE_LABEL};
 use crate::ast::Index;
 use crate::error::LangError;
 use crate::kernel::{compile_kernel, ArrLoc, GroupSpec, KernelBindings};
@@ -154,10 +154,9 @@ impl<B: Backend> Executor<B> {
             decision.can_reuse() && run.loops[ix].is_some()
         };
 
-        let compiled = usize::from(self.kernel_mode == KernelMode::Compiled);
         if can_reuse {
             run.report.reuse_hits += 1;
-            run.report.kernel_reuse_hits += compiled;
+            run.report.kernel_reuse_hits += 1;
         } else {
             // Overwriting the record retires the previous inspection's
             // schedules, bindings, bytecode and buffers together.
@@ -165,7 +164,7 @@ impl<B: Backend> Executor<B> {
             let ProgramState { real, int, run, .. } = &mut self.state;
             run.loops[ix] = Some(record);
             run.report.inspector_runs += 1;
-            run.report.kernels_compiled += compiled;
+            run.report.kernels_compiled += 1;
             run.registry.save_inspector(
                 plan.id,
                 dads(real, &plan.data_arrays, "REAL")?,
@@ -189,8 +188,9 @@ impl<B: Backend> Executor<B> {
             &mut run.regions,
             &run.registry,
             plan,
-            &record.inspected,
-            &mut record.areas,
+            record,
+            #[cfg(any(test, feature = "oracle"))]
+            self.kernel_mode,
         );
         self.machine_mut().set_phase_kind(prev_kind);
 
@@ -457,11 +457,7 @@ impl<B: Backend> Executor<B> {
         // Bind (and compile) the body against the fresh layout, and resolve
         // every name a sweep needs to a position, once.
         let bindings = KernelBindings::bind(plan, &specs).map_err(LangError::runtime)?;
-        let compiled = self.kernel_mode == KernelMode::Compiled;
-        let kernel = compiled
-            .then(|| compile_kernel(plan, &bindings))
-            .transpose();
-        let kernel = kernel.map_err(LangError::runtime)?;
+        let kernel = compile_kernel(plan, &bindings).map_err(LangError::runtime)?;
         let ProgramState { real, run, .. } = &mut self.state;
         let position = |name: &String| {
             real.position(name)

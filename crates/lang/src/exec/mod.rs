@@ -109,9 +109,11 @@ pub struct ExecReport {
     pub iteration_partitions: usize,
     /// Number of REDISTRIBUTE operations performed (counting each array).
     pub arrays_redistributed: usize,
-    /// Number of kernel (re)compilations (compiled mode only).
+    /// Number of kernel (re)compilations: every inspection compiles the
+    /// body, so this equals `inspector_runs`.
     pub kernels_compiled: usize,
-    /// Number of sweeps that reused a saved compiled kernel.
+    /// Number of sweeps that reused a saved compiled kernel; equals
+    /// `reuse_hits`.
     pub kernel_reuse_hits: usize,
     /// Number of incremental region bindings whose request exchange was
     /// smaller than the loop's full schedule — i.e. cross-loop bindings
@@ -120,16 +122,18 @@ pub struct ExecReport {
     pub incremental_bindings: usize,
 }
 
-/// How FORALL bodies execute during the sweep's compute phase.
+/// How FORALL bodies execute during the sweep's compute phase — a choice
+/// that exists in test builds only (`cfg(test)` or the `oracle` feature),
+/// where it selects the differential oracle. Release builds always run the
+/// bytecode VM.
+#[cfg(any(test, feature = "oracle"))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Compile each body to register bytecode (saved in the loop's record
-    /// with the inspector results) and run it on the [`crate::kernel`] VM —
-    /// the default fast path.
+    /// Run the loop record's bytecode on the kernel VM, as release builds do.
     #[default]
     Compiled,
-    /// Walk the `CompiledExpr` trees per element — the retained oracle the
-    /// compiled path is differentially tested against.
+    /// Walk the `CompiledExpr` trees per element — the tree-walking oracle
+    /// the VM is differentially tested against.
     Interpreted,
 }
 
@@ -141,13 +145,13 @@ pub enum KernelMode {
 /// [`PooledBackend`] they run rank-parallel on a pool of long-lived workers
 /// (no per-phase spawn cost) — with byte-identical results, clocks and
 /// statistics. The per-iteration arithmetic is compiled to register
-/// bytecode (see [`crate::kernel`]) and executed as the compute stage of
-/// `Backend::run_sweep`, so whole programs run rank-parallel end-to-end;
-/// [`KernelMode::Interpreted`] retains the tree-walking oracle for
-/// differential testing.
+/// bytecode when the loop is inspected and executed as the compute stage of
+/// `Backend::run_sweep`, so whole programs run rank-parallel end-to-end.
 #[derive(Debug)]
 pub struct Executor<B: Backend = Machine> {
     backend: B,
+    /// Test builds only: which executor the sweeps' compute stage runs.
+    #[cfg(any(test, feature = "oracle"))]
     kernel_mode: KernelMode,
     inputs: ProgramInputs,
     reuse_enabled: bool,
@@ -213,6 +217,7 @@ impl<B: Backend> Executor<B> {
     pub fn with_backend(backend: B, inputs: ProgramInputs) -> Self {
         Executor {
             backend,
+            #[cfg(any(test, feature = "oracle"))]
             kernel_mode: KernelMode::default(),
             inputs,
             reuse_enabled: true,
@@ -230,9 +235,10 @@ impl<B: Backend> Executor<B> {
         self
     }
 
-    /// Select how loop bodies execute (default: compiled to bytecode). The
-    /// interpreted mode is the retained tree-walking oracle; both modes
-    /// produce byte-identical values, clocks and statistics.
+    /// Select how loop bodies execute (test builds only; default: the
+    /// bytecode VM). The interpreted mode is the tree-walking oracle; both
+    /// modes produce byte-identical values, clocks and statistics.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
         self

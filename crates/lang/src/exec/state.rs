@@ -98,9 +98,8 @@ pub(crate) struct Inspected {
     /// How every slot, ghost buffer and write buffer of the plan resolves
     /// against `groups`.
     pub bindings: KernelBindings,
-    /// The body's bytecode ([`KernelMode::Compiled`](super::KernelMode)
-    /// only; the oracle walks the plan's trees).
-    pub kernel: Option<CompiledKernel>,
+    /// The body's bytecode, compiled against `bindings`.
+    pub kernel: CompiledKernel,
     /// Per ghost buffer (parallel to `bindings.ghosts`): the position of
     /// the gathered array in [`ProgramState::real`] and of the rows it is
     /// gathered into in [`RunState::regions`].
@@ -126,7 +125,7 @@ impl LoopState {
     /// call for.
     pub fn new(inspected: Inspected) -> Self {
         let write_bufs = &inspected.bindings.write_bufs;
-        let nregs = inspected.kernel.as_ref().map_or(0, |k| k.nregs as usize);
+        let nregs = inspected.kernel.nregs as usize;
         let areas = (0..inspected.iter_part.nprocs())
             .map(|p| RankSweepArea {
                 contrib: write_bufs

@@ -14,19 +14,24 @@
 //! table, the shard table, its row table) whatever the rank count, which
 //! `tests/no_alloc_steady_state.rs` pins.
 
-use super::state::{Inspected, RegionValues};
+use super::state::{LoopState, RegionValues};
+#[cfg(any(test, feature = "oracle"))]
+use super::KernelMode;
 use super::SAVED_GATHER_LABEL;
-use crate::kernel::{run_rank, run_rank_interpreted, ArrLoc, RankSweepArea, SweepView};
+#[cfg(any(test, feature = "oracle"))]
+use crate::kernel::oracle;
+use crate::kernel::{run_rank, ArrLoc, RankSweepArea, SweepView};
 use crate::lower::LoopPlan;
 use chaos_dmsim::Backend;
 use chaos_runtime::{
     gather_inline, scatter_combine_rows, scatter_pack_kernel, DistArray, Landing, ReuseRegistry,
 };
 
-/// The executor sweep shared by both kernel modes: gather every bound ghost
-/// buffer, run the body rank-parallel, then scatter the touched write
-/// buffers — all in the bindings' deterministic order, so the two modes
-/// (and both engines) agree byte-for-byte on values, clocks and statistics.
+/// The executor sweep: gather every bound ghost buffer, run the body's
+/// bytecode rank-parallel, then scatter the touched write buffers — all in
+/// the bindings' deterministic order, so both engines (and, in test builds,
+/// the tree-walking oracle `mode` can select) agree byte-for-byte on
+/// values, clocks and statistics.
 ///
 /// The whole sweep is *one* [`Backend::run_sweep`] region: gathers are
 /// folded in driver-side via [`gather_inline`] and the scatters run as the
@@ -37,10 +42,11 @@ pub(super) fn run_sweep<B: Backend>(
     regions: &mut [RegionValues],
     registry: &ReuseRegistry,
     plan: &LoopPlan,
-    rec: &Inspected,
-    areas: &mut [RankSweepArea],
+    record: &mut LoopState,
+    #[cfg(any(test, feature = "oracle"))] mode: KernelMode,
 ) {
-    let bindings = &rec.bindings;
+    let LoopState { inspected, areas } = record;
+    let (rec, bindings) = (&**inspected, &inspected.bindings);
 
     // Gather phase: one gather per bound ghost buffer, driver-side inside
     // the sweep's single epoch, landing directly in the `(distribution,
@@ -117,10 +123,14 @@ pub(super) fn run_sweep<B: Backend>(
         areas,
         |ctx, shards: &mut &mut [&mut [f64]], area: &mut RankSweepArea| {
             let rank = ctx.rank();
-            match &rec.kernel {
-                Some(kernel) => run_rank(kernel, view, rank, shards, area),
-                None => run_rank_interpreted(plan, view, rank, shards, area),
+            #[cfg(any(test, feature = "oracle"))]
+            if mode == KernelMode::Interpreted {
+                oracle::run_rank_interpreted(plan, view, rank, shards, area);
+            } else {
+                run_rank(&rec.kernel, view, rank, shards, area);
             }
+            #[cfg(not(any(test, feature = "oracle")))]
+            run_rank(&rec.kernel, view, rank, shards, area);
             ctx.charge_compute(rank, view.niters(rank) as f64 * plan.ops_per_iteration);
         },
         bindings.write_bufs.len(),

@@ -77,7 +77,7 @@
 //! | `Eflux1/2` | register    | arg-1 reg  | arg-2 reg       |
 //! | `Store`    | —           | run id     | —               |
 
-use crate::ast::{Index, Intrinsic};
+use crate::ast::{BinOp, Index, Intrinsic};
 use crate::lower::{CompiledExpr, CompiledStmt, LoopPlan};
 use chaos_runtime::ScatterKind;
 
@@ -430,19 +430,6 @@ pub struct CompiledKernel {
     pub width: usize,
 }
 
-impl CompiledKernel {
-    /// Total number of instructions, including the once-per-sweep setup
-    /// region `ops[..iter_start]`.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True for an empty loop body.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
 struct Emitter {
     ops: Vec<Op>,
     dst: Vec<u16>,
@@ -506,11 +493,10 @@ impl Emitter {
                 let a = self.emit_expr(lhs, depth)?;
                 let b = self.emit_expr(rhs, depth + 1)?;
                 let opcode = match op {
-                    '+' => Op::Add,
-                    '-' => Op::Sub,
-                    '*' => Op::Mul,
-                    '/' => Op::Div,
-                    other => return Err(format!("unknown binary operator '{other}'")),
+                    BinOp::Add => Op::Add,
+                    BinOp::Sub => Op::Sub,
+                    BinOp::Mul => Op::Mul,
+                    BinOp::Div => Op::Div,
                 };
                 self.push(opcode, dst, a, b);
                 Ok(dst)
@@ -772,7 +758,7 @@ mod tests {
         // Compute ops, then the store tail. Slot CSE pins the two x reads
         // once per block; both EFLUX statements read the pinned registers;
         // the two stores, into one write buffer, are one run.
-        assert!(!k.is_empty());
+        assert!(!k.ops.is_empty());
         assert_eq!(
             k.ops,
             vec![
@@ -809,9 +795,9 @@ mod tests {
         assert_eq!(k.a[4], 0, "the Store names run 0");
         assert_eq!(b.write_bufs.len(), k.runs.len());
         // SoA arenas stay parallel.
-        assert_eq!(k.dst.len(), k.len());
-        assert_eq!(k.a.len(), k.len());
-        assert_eq!(k.b.len(), k.len());
+        assert_eq!(k.dst.len(), k.ops.len());
+        assert_eq!(k.a.len(), k.ops.len());
+        assert_eq!(k.b.len(), k.ops.len());
     }
 
     #[test]
@@ -833,7 +819,7 @@ mod tests {
         assert_eq!(k.ops[0], Op::LoadConst);
         // Per block: pin x → r1, then Mul / Add in scratch r2, then the tail.
         assert_eq!(k.ops[1..], [Op::LoadSlot, Op::Mul, Op::Add, Op::Store]);
-        assert_eq!((k.len(), k.tail_start, k.width), (5, 4, BLOCK));
+        assert_eq!((k.ops.len(), k.tail_start, k.width), (5, 4, BLOCK));
         assert_eq!(k.nregs, 3);
         // Both arithmetic ops read the shared const register r0.
         assert_eq!((k.a[2], k.b[2], k.dst[2]), (1, 0, 2));
@@ -874,7 +860,7 @@ mod tests {
             k.ops[k.iter_start..],
             [Op::LoadSlot, Op::Store, Op::Mul, Op::Store]
         );
-        assert_eq!((k.width, k.tail_start), (1, k.len()));
+        assert_eq!((k.width, k.tail_start), (1, k.ops.len()));
         let kinds: Vec<_> = k
             .runs
             .iter()
@@ -912,7 +898,7 @@ mod tests {
             k.ops[k.iter_start..],
             [Op::LoadSlot, Op::Store, Op::LoadSlot, Op::Div, Op::Store]
         );
-        assert_eq!((k.width, k.tail_start), (1, k.len()));
+        assert_eq!((k.width, k.tail_start), (1, k.ops.len()));
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! The register VM that executes compiled kernels rank-parallel, and the
-//! retained tree-walking interpreter it is differentially checked against.
+//! The register VM that executes compiled kernels rank-parallel.
 //!
-//! Both executors consume the same three things. One `SweepView`, shared
+//! `run_rank` consumes three things. One `SweepView`, shared
 //! by every rank, borrows *in place* everything a rank only reads: the
 //! loop's record (iteration lists, localized reference rows, slot maps),
 //! the rows of the resident ghost regions and the read-only arrays — a rank
@@ -32,45 +31,31 @@
 //! one-lane blocks (see [`compile`](super::compile)).
 //!
 //! The floating-point operation sequence on every value, and the order in
-//! which every cell receives its contributions, are *identical* to the
-//! tree-walker's (`run_rank_interpreted`) — post-order emission preserves
-//! evaluation order, loads never round, lanes are independent, and stores
-//! run iteration-major in statement order — which is what makes the
-//! byte-for-byte differential tests possible.
+//! which every cell receives its contributions, are *identical* to a
+//! per-element walk of the body's trees in statement order — post-order
+//! emission preserves evaluation order, loads never round, lanes are
+//! independent, and stores run iteration-major in statement order — which
+//! is what lets the tests compare the VM byte for byte against the
+//! tree-walking oracle (`kernel::oracle`, test builds only).
 
 use super::compile::{
     ArrLoc, CompiledKernel, KernelBindings, Op, SlotBinding, StoreRun, StoreTarget, BLOCK,
 };
-use crate::ast::Intrinsic;
 use crate::exec::state::{Inspected, RegionValues};
-use crate::lower::{CompiledExpr, LoopPlan};
 use chaos_runtime::ScatterKind;
 
 /// The edge-flux intrinsic shared with the workload crate's kernels. The
 /// arithmetic is duplicated here (rather than depending on `chaos-workloads`)
-/// to keep the language crate's dependency graph minimal; the cross-crate
-/// integration tests assert the two stay identical.
+/// to keep the language crate's dependency graph minimal. Nothing compares
+/// the two functions directly: the cross-crate tests check them end to end,
+/// a program's `EFLUX` sweep against the serial reference sweep that calls
+/// `chaos_workloads::edge_flux_kernel`.
 #[inline]
 pub fn eflux(x1: f64, x2: f64) -> (f64, f64) {
     let avg = 0.5 * (x1 + x2);
     let diff = x2 - x1;
     let flux = avg * diff + 0.25 * diff.abs() * x1;
     (flux, -flux)
-}
-
-/// The tree-walker's combine of a statement's value into a cell *inside the
-/// compute loop* (an owned element or a write-buffer slot). Unlike
-/// [`ScatterKind::apply`], `Store` here assigns unconditionally — the NaN
-/// guard belongs only to the scatter phase, where NaN marks untouched
-/// buffer slots.
-#[inline]
-fn combine_in_loop(kind: ScatterKind, cell: &mut f64, v: f64) {
-    match kind {
-        ScatterKind::Add => *cell += v,
-        ScatterKind::Max => *cell = cell.max(v),
-        ScatterKind::Min => *cell = cell.min(v),
-        ScatterKind::Store => *cell = v,
-    }
 }
 
 /// Everything the ranks of one sweep read, borrowed *in place* and shared
@@ -99,7 +84,7 @@ impl<'a> SweepView<'a> {
 
     /// `rank`'s localized reference row of decomposition group `group`.
     #[inline]
-    fn localized(&self, group: u16, rank: usize) -> &'a [u32] {
+    pub(super) fn localized(&self, group: u16, rank: usize) -> &'a [u32] {
         &self.rec.groups[group as usize].result.localized[rank]
     }
 
@@ -107,7 +92,7 @@ impl<'a> SweepView<'a> {
     /// its slot re-binding map into it: ghost slot `g` is read at
     /// `row[map[g]]`.
     #[inline]
-    fn ghost(&self, ghost: usize, rank: usize) -> (&'a [f64], &'a [u32]) {
+    pub(super) fn ghost(&self, ghost: usize, rank: usize) -> (&'a [f64], &'a [u32]) {
         let group = self.rec.bindings.ghosts[ghost].group as usize;
         let (_, values) = self.rec.ghost_sources[ghost];
         let map = &self.rec.groups[group].region.slot_map[rank];
@@ -117,7 +102,7 @@ impl<'a> SweepView<'a> {
     /// `rank`'s shard of the array at `arr`: its own (written) or the
     /// shared one.
     #[inline]
-    fn owned<'s>(&self, arr: ArrLoc, rank: usize, shards: &'s [&mut [f64]]) -> &'s [f64]
+    pub(super) fn owned<'s>(&self, arr: ArrLoc, rank: usize, shards: &'s [&mut [f64]]) -> &'s [f64]
     where
         'a: 's,
     {
@@ -144,14 +129,13 @@ pub struct RankSweepArea {
     /// the original driver loop).
     pub touched: Vec<bool>,
     /// The VM's register file: [`CompiledKernel::nregs`] columns of
-    /// [`BLOCK`] lanes, allocated with the loop record (empty for the
-    /// tree-walker, which has no registers).
+    /// [`BLOCK`] lanes, allocated with the loop record.
     pub regs: Vec<[f64; BLOCK]>,
 }
 
 impl RankSweepArea {
     /// Reset the write-buffer rows to their identities and clear the touched
-    /// flags — the per-sweep prologue both executors share.
+    /// flags — the per-sweep prologue of every rank's compute.
     pub fn reset_write_buffers(&mut self, bindings: &KernelBindings) {
         for (wb, row) in self.contrib.iter_mut().enumerate() {
             row.fill(bindings.write_bufs[wb].kind.identity());
@@ -363,209 +347,12 @@ pub(crate) fn run_rank(
     }
 }
 
-/// The interpreter's per-rank name-resolution environment. The seed
-/// interpreter resolved every slot read by *name* per element (a
-/// `String`-keyed map lookup per read, two `String` clones per ghost
-/// access); the oracle-hoist satellite moves that resolution behind a
-/// one-time binding table built here, once per sweep: the constructor
-/// still walks the name-keyed maps (decomposition-name group map,
-/// array-name location map, `(decomposition, array)` ghost map — so the
-/// two modes still resolve through genuinely different paths and a binding
-/// bug cannot cancel out of the differential tests), but the per-read hot
-/// path indexes the resolved per-slot tables. Output is byte-identical:
-/// resolution is pure lookup, so hoisting it cannot change a value. The
-/// per-statement combine kind and write-buffer resolution are likewise
-/// hoisted once per sweep, and no per-element closure is constructed.
-struct OracleEnv {
-    /// Slot → group index, resolved through the decomposition-name map.
-    slot_group: Vec<usize>,
-    /// Slot → (pos, stride) inside its group's localization row.
-    slot_pos: Vec<(u32, u32)>,
-    /// Slot → array location, resolved through the array-name map.
-    slot_arr: Vec<ArrLoc>,
-    /// Slot → ghost buffer id, resolved through the
-    /// `(decomposition, array)` map (`usize::MAX` for write-only slots,
-    /// which never read).
-    slot_ghost: Vec<usize>,
-}
-
-impl OracleEnv {
-    fn new(plan: &LoopPlan, bindings: &KernelBindings) -> Self {
-        // The seed's name-keyed maps, now built and consulted exactly once
-        // per sweep instead of once per element read.
-        let group_of: std::collections::BTreeMap<String, usize> = bindings
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(g, spec)| (spec.decomp.clone(), g))
-            .collect();
-        let mut arr_of = std::collections::HashMap::new();
-        for (w, name) in bindings.written.iter().enumerate() {
-            arr_of.insert(name.clone(), ArrLoc::Written(w as u16));
-        }
-        for (r, name) in bindings.read_only.iter().enumerate() {
-            arr_of.insert(name.clone(), ArrLoc::ReadOnly(r as u16));
-        }
-        let ghost_of: std::collections::HashMap<(String, String), usize> = bindings
-            .ghosts
-            .iter()
-            .enumerate()
-            .map(|(gid, gb)| {
-                (
-                    (
-                        bindings.groups[gb.group as usize].decomp.clone(),
-                        gb.array.clone(),
-                    ),
-                    gid,
-                )
-            })
-            .collect();
-
-        let mut slot_group = Vec::with_capacity(bindings.slots.len());
-        let mut slot_pos = Vec::with_capacity(bindings.slots.len());
-        let mut slot_arr = Vec::with_capacity(bindings.slots.len());
-        let mut slot_ghost = Vec::with_capacity(bindings.slots.len());
-        for (sid, sb) in bindings.slots.iter().enumerate() {
-            let decomp = &bindings.groups[sb.group as usize].decomp;
-            let array = &plan.slots[sid].array;
-            slot_group.push(group_of[decomp]);
-            slot_pos.push((sb.pos, sb.stride));
-            slot_arr.push(arr_of[array]);
-            slot_ghost.push(
-                ghost_of
-                    .get(&(decomp.clone(), array.clone()))
-                    .copied()
-                    .unwrap_or(usize::MAX),
-            );
-        }
-        OracleEnv {
-            slot_group,
-            slot_pos,
-            slot_arr,
-            slot_ghost,
-        }
-    }
-
-    /// The seed's `resolve`: localized reference of a slot, through the
-    /// hoisted group table.
-    fn resolve(&self, at: &RankAt<'_>, sid: usize, iter_pos: usize) -> u32 {
-        let (pos, stride) = self.slot_pos[sid];
-        let row = at.view.localized(self.slot_group[sid] as u16, at.rank);
-        row[iter_pos * stride as usize + pos as usize]
-    }
-
-    /// The seed's `read_slot`: resolve, then fetch the value through the
-    /// hoisted array / ghost tables.
-    fn read_slot(&self, at: &RankAt<'_>, sid: usize, iter_pos: usize) -> f64 {
-        let idx = self.resolve(at, sid, iter_pos) as usize;
-        let owned = at.view.owned(self.slot_arr[sid], at.rank, at.shards);
-        if idx < owned.len() {
-            owned[idx]
-        } else {
-            let (row, map) = at.view.ghost(self.slot_ghost[sid], at.rank);
-            row[map[idx - owned.len()] as usize]
-        }
-    }
-}
-
-/// Where the tree-walker is evaluating: the sweep's view, the rank, and
-/// that rank's written shards as they stand.
-struct RankAt<'s> {
-    view: &'s SweepView<'s>,
-    rank: usize,
-    shards: &'s [&'s mut [f64]],
-}
-
-/// Recursive tree-walking evaluation of one expression — the retained
-/// per-element interpreter the VM is checked against (and measured against
-/// by `perf_check`'s compiled-vs-interpreted gate). Intrinsic calls collect their arguments
-/// into a fresh vector, as the seed interpreter did.
-fn eval_tree(e: &CompiledExpr, env: &OracleEnv, at: &RankAt<'_>, iter_pos: usize) -> f64 {
-    match e {
-        CompiledExpr::Lit(v) => *v,
-        CompiledExpr::Slot(s) => env.read_slot(at, *s, iter_pos),
-        CompiledExpr::Binary { op, lhs, rhs } => {
-            let a = eval_tree(lhs, env, at, iter_pos);
-            let b = eval_tree(rhs, env, at, iter_pos);
-            match op {
-                '+' => a + b,
-                '-' => a - b,
-                '*' => a * b,
-                '/' => a / b,
-                _ => unreachable!("parser only emits + - * /"),
-            }
-        }
-        CompiledExpr::Call { intrinsic, args } => {
-            let v: Vec<f64> = args
-                .iter()
-                .map(|arg| eval_tree(arg, env, at, iter_pos))
-                .collect();
-            match intrinsic {
-                Intrinsic::Eflux1 => eflux(v[0], v[1]).0,
-                Intrinsic::Eflux2 => eflux(v[0], v[1]).1,
-                Intrinsic::Sqrt => v[0].sqrt(),
-                Intrinsic::Abs => v[0].abs(),
-            }
-        }
-    }
-}
-
-/// Execute the loop body by walking the `CompiledExpr` trees per element —
-/// the differential oracle. The statements' targets, combine kinds and
-/// write buffers are hoisted out of the iteration loop (they are
-/// plan-static, the satellite fix over the seed's per-statement
-/// re-derivation), and each read resolves arrays and ghost buffers through
-/// the tree-walker environment's once-per-sweep binding table
-/// (`OracleEnv`) built from the seed's
-/// name-keyed maps.
-pub(crate) fn run_rank_interpreted(
-    plan: &LoopPlan,
-    view: &SweepView<'_>,
-    rank: usize,
-    shards: &mut [&mut [f64]],
-    area: &mut RankSweepArea,
-) {
-    let bindings = &view.rec.bindings;
-    area.reset_write_buffers(bindings);
-    let RankSweepArea {
-        contrib, touched, ..
-    } = area;
-    let env = OracleEnv::new(plan, bindings);
-    // Hoisted per-statement data: target slot, combine kind, write buffer.
-    let stmt_ops: Vec<(usize, ScatterKind, u16)> = plan
-        .stmts
-        .iter()
-        .map(|s| (s.target(), s.scatter_kind(), bindings.write_buf_of(s, plan)))
-        .collect();
-    for iter_pos in 0..view.niters(rank) {
-        for (stmt, &(target, kind, wb)) in plan.stmts.iter().zip(&stmt_ops) {
-            let at = RankAt {
-                view,
-                rank,
-                shards: &*shards,
-            };
-            let v = eval_tree(stmt.value(), &env, &at, iter_pos);
-            // The write applies through the target's resolved location.
-            let idx = env.resolve(&at, target, iter_pos) as usize;
-            let ArrLoc::Written(w) = env.slot_arr[target] else {
-                unreachable!("store target bound to a read-only array")
-            };
-            let shard = &mut *shards[w as usize];
-            if idx < shard.len() {
-                combine_in_loop(kind, &mut shard[idx], v);
-            } else {
-                touched[wb as usize] = true;
-                combine_in_loop(kind, &mut contrib[wb as usize][idx - shard.len()], v);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::state::InspectedGroup;
     use crate::kernel::compile::{compile_kernel, GroupSpec};
+    use crate::kernel::oracle::run_rank_interpreted;
     use crate::lower::lower_program;
     use crate::parser::parse_program;
     use chaos_runtime::{
@@ -633,9 +420,9 @@ mod tests {
             ghost_sources: vec![(0, 0); bindings.ghosts.len()],
             array_locs: Vec::new(),
             bindings,
-            kernel: Some(kernel),
+            kernel,
         };
-        let (bindings, kernel) = (&rec.bindings, rec.kernel.as_ref().unwrap());
+        let (bindings, kernel) = (&rec.bindings, &rec.kernel);
         let regions = [RegionValues {
             sig,
             array: "x".to_string(),

@@ -26,15 +26,16 @@
 //! * [`lower`] — the "runtime compilation" step: each `FORALL` becomes a
 //!   [`lower::LoopPlan`] describing the inspector it needs and the executor
 //!   statements to run, lowered where it stands in that walk,
-//! * [`kernel`] — the runtime kernel compiler: FORALL bodies lowered to a
-//!   flat register bytecode executed rank-parallel by a small VM,
+//! * `kernel` (crate-private) — the runtime kernel compiler: FORALL bodies
+//!   lowered to a flat register bytecode executed rank-parallel by a small
+//!   VM,
 //! * [`exec`] — the generated-code driver: walks the lowered program on a
 //!   simulated machine, calling the CHAOS mapper coupler for directives and
 //!   the inspector/executor (guarded by the [`chaos_runtime::ReuseRegistry`])
 //!   for loops. Each loop's saved state — schedules, bindings, bytecode,
 //!   sweep buffers — is one record in one table, built when the inspector
-//!   runs and borrowed in place by every sweep, with loop bodies dispatched
-//!   to the compiled kernels (or the retained tree-walking oracle).
+//!   runs and borrowed in place by every sweep, whose compute stage runs
+//!   the loop's bytecode on the VM.
 //!
 //! The benchmark harness runs the same templates twice — once through this
 //! crate ("compiler-generated") and once hand-coded directly against
@@ -48,7 +49,7 @@ pub mod analyze;
 pub mod ast;
 pub mod error;
 pub mod exec;
-pub mod kernel;
+mod kernel;
 pub mod lower;
 pub mod parser;
 
@@ -59,9 +60,7 @@ pub use chaos_dmsim::{
 };
 pub use error::LangError;
 pub use exec::{
-    ExecReport, Executor, KernelMode, ProgramInputs, RecoveryPolicy, SAVED_GATHER_LABEL,
-    SAVED_SCHEDULE_LABEL,
+    ExecReport, Executor, ProgramInputs, RecoveryPolicy, SAVED_GATHER_LABEL, SAVED_SCHEDULE_LABEL,
 };
-pub use kernel::{compile_kernel, CompiledKernel};
 pub use lower::{lower_program, CompiledProgram, LoopPlan};
 pub use parser::parse_program;

@@ -39,8 +39,8 @@ pub enum CompiledExpr {
     Slot(usize),
     /// Binary arithmetic.
     Binary {
-        /// Operator char (`+ - * /`).
-        op: char,
+        /// Operator.
+        op: BinOp,
         /// Left operand.
         lhs: Box<CompiledExpr>,
         /// Right operand.

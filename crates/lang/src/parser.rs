@@ -9,6 +9,13 @@
 use crate::ast::*;
 use crate::error::LangError;
 
+/// How deep an expression may nest. Every node of the tree — a literal, a
+/// reference, an operator, an intrinsic call — and every parenthesised group
+/// counts one level, so a left-deep chain `a + b + c` counts each operator.
+/// Parsing, lowering, compiling and dropping a tree each recurse once per
+/// level; a body nested deeper is a parse error, not an exhausted stack.
+const MAX_EXPR_DEPTH: usize = 256;
+
 /// Parse a whole program from source text.
 pub fn parse_program(source: &str) -> Result<Program, LangError> {
     let mut stmts = Vec::new();
@@ -261,13 +268,13 @@ fn parse_loop_stmt(toks: &mut Lexer) -> Result<LoopStmt, LangError> {
         toks.expect_punct(',')?;
         let target = parse_array_ref(toks)?;
         toks.expect_punct(',')?;
-        let value = parse_expr(toks)?;
+        let (value, _) = parse_expr(toks, 1)?;
         toks.expect_punct(')')?;
         Ok(LoopStmt::Reduce { op, target, value })
     } else {
         let target = parse_array_ref(toks)?;
         toks.expect_punct('=')?;
-        let value = parse_expr(toks)?;
+        let (value, _) = parse_expr(toks, 1)?;
         Ok(LoopStmt::Assign { target, value })
     }
 }
@@ -290,54 +297,65 @@ fn parse_array_ref(toks: &mut Lexer) -> Result<ArrayRef, LangError> {
     Ok(ArrayRef { array, index })
 }
 
-fn parse_expr(toks: &mut Lexer) -> Result<Expr, LangError> {
-    let mut lhs = parse_term(toks)?;
+/// Parse an expression whose root sits `level` levels deep (a statement's
+/// value is level 1), returning it with its height: the levels from its
+/// root to its deepest leaf. No leaf lies below [`MAX_EXPR_DEPTH`].
+fn parse_expr(toks: &mut Lexer, level: usize) -> Result<(Expr, usize), LangError> {
+    let (mut lhs, mut height) = parse_term(toks, level)?;
     loop {
         let op = if toks.eat_punct_opt('+') {
-            '+'
+            BinOp::Add
         } else if toks.eat_punct_opt('-') {
-            '-'
+            BinOp::Sub
         } else {
             break;
         };
-        let rhs = parse_term(toks)?;
+        let (rhs, rhs_height) = parse_term(toks, level + 1)?;
+        height = 1 + height.max(rhs_height);
+        toks.within_depth(level + height - 1)?;
         lhs = Expr::Binary {
             op,
             lhs: Box::new(lhs),
             rhs: Box::new(rhs),
         };
     }
-    Ok(lhs)
+    Ok((lhs, height))
 }
 
-fn parse_term(toks: &mut Lexer) -> Result<Expr, LangError> {
-    let mut lhs = parse_primary(toks)?;
+/// [`parse_expr`] for a product.
+fn parse_term(toks: &mut Lexer, level: usize) -> Result<(Expr, usize), LangError> {
+    let (mut lhs, mut height) = parse_primary(toks, level)?;
     loop {
         let op = if toks.eat_punct_opt('*') {
-            '*'
+            BinOp::Mul
         } else if toks.eat_punct_opt('/') {
-            '/'
+            BinOp::Div
         } else {
             break;
         };
-        let rhs = parse_primary(toks)?;
+        let (rhs, rhs_height) = parse_primary(toks, level + 1)?;
+        height = 1 + height.max(rhs_height);
+        toks.within_depth(level + height - 1)?;
         lhs = Expr::Binary {
             op,
             lhs: Box::new(lhs),
             rhs: Box::new(rhs),
         };
     }
-    Ok(lhs)
+    Ok((lhs, height))
 }
 
-fn parse_primary(toks: &mut Lexer) -> Result<Expr, LangError> {
+/// [`parse_expr`] for a parenthesised group, a literal, an intrinsic call or
+/// an array reference.
+fn parse_primary(toks: &mut Lexer, level: usize) -> Result<(Expr, usize), LangError> {
+    toks.within_depth(level)?;
     if toks.eat_punct_opt('(') {
-        let e = parse_expr(toks)?;
+        let (e, height) = parse_expr(toks, level + 1)?;
         toks.expect_punct(')')?;
-        return Ok(e);
+        return Ok((e, height + 1));
     }
     if let Some(n) = toks.eat_number_opt() {
-        return Ok(Expr::Lit(n));
+        return Ok((Expr::Lit(n), 1));
     }
     // Identifier: intrinsic call or array reference.
     let name = toks
@@ -353,9 +371,12 @@ fn parse_primary(toks: &mut Lexer) -> Result<Expr, LangError> {
     if let Some((intrinsic, arity)) = intrinsic {
         toks.next_word()?;
         toks.expect_punct('(')?;
-        let mut args = vec![parse_expr(toks)?];
+        let (first, mut height) = parse_expr(toks, level + 1)?;
+        let mut args = vec![first];
         while toks.eat_punct_opt(',') {
-            args.push(parse_expr(toks)?);
+            let (arg, arg_height) = parse_expr(toks, level + 1)?;
+            height = height.max(arg_height);
+            args.push(arg);
         }
         toks.expect_punct(')')?;
         // The one arity check: no kernel mode ever sees a wrong count.
@@ -365,9 +386,9 @@ fn parse_primary(toks: &mut Lexer) -> Result<Expr, LangError> {
                 args.len()
             )));
         }
-        return Ok(Expr::Call { intrinsic, args });
+        return Ok((Expr::Call { intrinsic, args }, height + 1));
     }
-    Ok(Expr::Ref(parse_array_ref(toks)?))
+    Ok((Expr::Ref(parse_array_ref(toks)?), 1))
 }
 
 /// A trivial token stream over one source line.
@@ -444,6 +465,17 @@ impl Lexer {
 
     fn error(&self, message: impl Into<String>) -> LangError {
         LangError::parse(self.line, message)
+    }
+
+    /// The parse error for an expression that reaches `depth` levels, when
+    /// that is past [`MAX_EXPR_DEPTH`].
+    fn within_depth(&self, depth: usize) -> Result<(), LangError> {
+        if depth > MAX_EXPR_DEPTH {
+            return Err(self.error(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(())
     }
 
     fn peek_word(&self) -> Option<String> {
@@ -609,7 +641,7 @@ C$          SET fmt BY PARTITIONING G USING RCB
             Stmt::Forall { body, .. } => match &body[0] {
                 LoopStmt::Assign { target, value } => {
                     assert_eq!(target.index, Index::Indirect("ia".into()));
-                    assert!(matches!(value, Expr::Binary { op: '+', .. }));
+                    assert!(matches!(value, Expr::Binary { op: BinOp::Add, .. }));
                 }
                 other => panic!("{other:?}"),
             },
@@ -657,6 +689,26 @@ C$          SET fmt BY PARTITIONING G USING RCB
                     && msg.contains(&format!("takes {arity} argument(s), got {got}")),
                 "{msg}"
             );
+        }
+    }
+
+    #[test]
+    fn an_expression_nested_past_the_limit_is_a_parse_error() {
+        // Each shape recurses once per level in every later walk of the
+        // tree; unchecked, both exhaust even an 8 MiB stack and abort the
+        // process. Here they come back as typed errors on a test thread.
+        let past_the_limit = [
+            format!("{}x(ia(i)){}", "(".repeat(10_000), ")".repeat(10_000)),
+            vec!["x(ia(i))"; 100_000].join(" + "),
+        ];
+        for value in past_the_limit {
+            let src = format!("FORALL i = 1, n\n y(ia(i)) = {value}\nEND FORALL");
+            let err = parse_program(&src).unwrap_err();
+            let LangError::Parse { line, message } = &err else {
+                panic!("{err}");
+            };
+            assert_eq!(*line, 2);
+            assert_eq!(message, "expression nested deeper than 256 levels");
         }
     }
 

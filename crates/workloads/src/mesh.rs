@@ -198,15 +198,6 @@ impl UnstructuredMesh {
             .collect()
     }
 
-    /// Undirected edge list as `(end_pt1[i], end_pt2[i])` pairs.
-    pub fn edge_pairs(&self) -> Vec<(u32, u32)> {
-        self.end_pt1
-            .iter()
-            .zip(&self.end_pt2)
-            .map(|(&a, &b)| (a, b))
-            .collect()
-    }
-
     /// Vertex degrees (used for LOAD-weighted partitioning: the paper notes
     /// the vertex weight of loop L2 "would be proportional to the degree of
     /// the vertex").
@@ -277,9 +268,10 @@ mod tests {
         let shuffled = UnstructuredMesh::generate(cfg);
         let cut = |m: &UnstructuredMesh| {
             let half = (m.nnodes() / 2) as u32;
-            m.edge_pairs()
+            m.end_pt1
                 .iter()
-                .filter(|&&(a, b)| (a < half) != (b < half))
+                .zip(&m.end_pt2)
+                .filter(|&(&a, &b)| (a < half) != (b < half))
                 .count()
         };
         assert!(

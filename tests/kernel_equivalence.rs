@@ -9,9 +9,8 @@ use chaos_bench::compilergen::{program_inputs, program_text};
 use chaos_bench::experiment::Method;
 use chaos_bench::workload::{md_workload, mesh_workload, PairLoopWorkload};
 use chaos_repro::dmsim::{Backend, MachineConfig};
-use chaos_repro::lang::{
-    lower_program, parse_program, CompiledProgram, Executor, KernelMode, ProgramInputs,
-};
+use chaos_repro::lang::exec::KernelMode;
+use chaos_repro::lang::{lower_program, parse_program, CompiledProgram, Executor, ProgramInputs};
 use chaos_repro::workloads::{edge_flux_kernel, MdConfig, MeshConfig};
 use proptest::prelude::*;
 
