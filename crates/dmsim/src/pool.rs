@@ -1,5 +1,6 @@
 //! The persistent worker-pool SPMD engine: long-lived workers driven by
-//! broadcast phase descriptors through a two-phase epoch barrier.
+//! broadcast phase descriptors through an epoch release and a completion
+//! crossing.
 //!
 //! Spawning one OS thread per rank per phase costs tens of microseconds
 //! each, which dominates small and medium phases now that the compute inside
@@ -21,13 +22,14 @@
 //!   workers by bumping an epoch counter — the monotonic generalization of
 //!   a sense-reversing barrier flag: a worker's "sense" is the last epoch
 //!   it completed, and the release test is simply `epoch != seen`.
-//! * **The barrier has two phases.** Release: workers spin briefly on the
-//!   epoch, then park on a condvar (spin-then-park keeps back-to-back
-//!   phases off the scheduler while letting an idle pool consume no CPU).
-//!   Completion: each worker arrives at an atomic counter; the last arrival
-//!   wakes the (also spin-then-park) driver. Only after the completion
-//!   barrier does the driver touch the descriptor slot again, which is what
-//!   makes lending the borrowed closure to the workers sound.
+//! * **Every crossing waits the same way.** The release (workers wait for
+//!   the epoch), the fused sweep's stage crossing and the completion (the
+//!   driver waits for every worker) share one wait: spin briefly, yield,
+//!   then park on the crossing's condvar. Back-to-back phases stay off the
+//!   scheduler, lanes that outnumber the cores hand their quantum on, and
+//!   an idle pool consumes no CPU. Only after the completion crossing does
+//!   the driver touch the descriptor slot again, which is what makes
+//!   lending the borrowed closure to the workers sound.
 //! * **Ranks are striped statically.** Rank `r` always runs on lane
 //!   `r % workers`, so more ranks than workers fold onto the pool without
 //!   rebalancing, and a rank's charges always land in the same lane-local
@@ -53,23 +55,26 @@ use crate::probe::Lane;
 use crate::trace::TraceEventKind;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long each side of the barrier spins before parking on its condvar.
-/// Back-to-back phases (the executor's steady state) stay in the spin
-/// window; an idle pool parks and costs nothing.
-const SPIN_ROUNDS: u32 = 1 << 14;
+/// A wait spins (`spin_loop`) this many rounds, then yields its time slice
+/// (so a lane that outnumbers the cores hands its quantum to the lane it
+/// waits for) until `PARK_AFTER_ROUNDS`, then parks on its condvar. 1 024
+/// rounds take about 0.3 ms on a 2-core x86-64 host: back-to-back phases
+/// never park, and an idle pool soon stops consuming CPU.
+const YIELD_AFTER_ROUNDS: u32 = 128;
+const PARK_AFTER_ROUNDS: u32 = 1024;
 
 /// How long [`WorkerPool`]'s `Drop` waits for the lanes to exit before
 /// detaching them (see [`WorkerPool::shutdown_with_deadline`]).
 const DEFAULT_SHUTDOWN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// What the driver learned when a completion-barrier deadline passed: which
-/// lane had not arrived, how long it had waited, and how many ranks each
-/// lane had completed by then.
+/// What the driver learned when the deadline of one of its waits passed:
+/// which lane had not arrived at that crossing, how long the driver had
+/// waited, and how many ranks each lane had completed by then.
 struct StragglerReport {
     lane: usize,
     waited: Duration,
@@ -77,130 +82,158 @@ struct StragglerReport {
 }
 
 /// A type-erased phase descriptor: the closure every lane runs once per
-/// phase, handed its lane index and whether the lane had to park (fall off
-/// the spin window onto the condvar) while waiting for this release — the
-/// flight recorder turns that flag into a `WorkerRelease` annotation. The
-/// `'static` in the pointee type is a lie the pool is structured to keep
-/// harmless — the driver never returns from [`WorkerPool::run`] until every
-/// worker has passed the completion barrier, so the borrow the pointer was
-/// created from is still live whenever a worker dereferences it.
+/// phase, handed its lane index and whether the lane had to park (outlast
+/// the spin and yield rounds and sleep on the condvar) while waiting for
+/// this release — the flight recorder turns that flag into a
+/// `WorkerRelease` annotation. The `'static` in the pointee type is a lie
+/// the pool is structured to keep harmless — the driver never returns from
+/// [`WorkerPool::run`] until every worker has passed the completion
+/// crossing, so the borrow the pointer was created from is still live
+/// whenever a worker dereferences it.
 type Job = *const (dyn Fn(usize, bool) + Sync);
+
+/// One barrier crossing: a monotonic count of arrivals, and where waiters
+/// sleep once they outlast the spin and yield rounds. An arrival is an
+/// `AcqRel` increment, so a waiter that `Acquire`-reads a count at or past
+/// its target sees what every earlier arrival wrote. The lock guards no
+/// data (poisoning is ignored); it orders a waiter's last check and the wake.
+#[derive(Default)]
+struct Crossing {
+    count: AtomicU64,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Crossing {
+    /// Arrive, and return the new count. The arrival that completes a
+    /// crossing of `parties` wakes the parked waiters: one lock and one
+    /// `notify_all`.
+    fn arrive(&self, parties: u64) -> u64 {
+        let count = self.count.fetch_add(1, Ordering::AcqRel) + 1;
+        if count.is_multiple_of(parties) {
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+            self.cv.notify_all();
+        }
+        count
+    }
+
+    /// The pool's one wait: until the count reaches `target`, spin, then
+    /// yield, then park. Returns `true` when the wait parked (the flight
+    /// recorder's park-vs-spin signal).
+    ///
+    /// Once a wait with a `deadline` has lasted that long, `overdue` runs
+    /// and the wait goes on until the real arrival: the workers hold
+    /// borrowed pointers into the driver's stack, so surfacing a hang must
+    /// not make lending the phase descriptor unsound.
+    fn wait_until(
+        &self,
+        target: u64,
+        deadline: Option<Duration>,
+        mut overdue: impl FnMut(Duration),
+    ) -> bool {
+        let mut due = deadline.map(|d| (Instant::now(), d));
+        let mut parked = None;
+        let mut round = 0u32;
+        while self.count.load(Ordering::Acquire) < target {
+            let mut timeout = Duration::MAX;
+            if let Some((start, d)) = due {
+                let waited = start.elapsed();
+                if waited < d {
+                    timeout = d - waited;
+                } else {
+                    overdue(waited);
+                    due = None;
+                }
+            }
+            round = round.saturating_add(1);
+            if round <= YIELD_AFTER_ROUNDS {
+                std::hint::spin_loop();
+            } else if round <= PARK_AFTER_ROUNDS {
+                std::thread::yield_now();
+            } else if let Some(guard) = parked.take() {
+                let woken = self.cv.wait_timeout(guard, timeout);
+                parked = Some(woken.unwrap_or_else(PoisonError::into_inner).0);
+            } else {
+                // Lock, then re-check before the first sleep: the arrival
+                // wakes under the same lock, so it cannot slip in between.
+                parked = Some(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+            }
+        }
+        parked.is_some()
+    }
+}
 
 /// State shared between the driver and the spawned workers.
 struct PoolShared {
-    /// Phase counter, bumped (Release) by the driver to publish a phase.
-    epoch: AtomicU64,
+    /// Release: its count is the pool epoch, bumped by the driver to
+    /// publish a phase.
+    release: Crossing,
     /// The current phase descriptor. Written by the driver strictly before
-    /// the epoch bump, cleared strictly after the completion barrier; in
+    /// the epoch bump, cleared strictly after the completion crossing; in
     /// between, read-only.
     job: UnsafeCell<Option<Job>>,
-    /// Completion barrier: how many workers have finished the current phase.
-    arrived: AtomicUsize,
+    /// The fused sweep's stage crossing: every lane arrives.
+    stage: Crossing,
+    /// Completion: every worker arrives once per phase, so after epoch `e`
+    /// the count is `e * spawned`.
+    done: Crossing,
     /// Set (before a final epoch bump) to make the workers exit.
     shutdown: AtomicBool,
-    /// Park support for workers waiting on a new epoch.
-    wake_lock: Mutex<()>,
-    wake_cv: Condvar,
-    /// Park support for the driver waiting on the completion barrier.
-    done_lock: Mutex<()>,
-    done_cv: Condvar,
     /// Backstop: every panic payload that escaped a lane's phase closure,
     /// with the lane it was caught on and the pool epoch it happened in.
     panics: Mutex<Vec<CaughtPanic>>,
     /// Ranks completed per lane during the current phase (the straggler
     /// diagnostic). Reset by the driver while the pool is quiescent.
     progress: Vec<AtomicU64>,
-    /// Per-lane completion flags for the current phase, so a blown barrier
-    /// deadline can name the lane that has not arrived. Driver lane included
-    /// (set by the driver itself).
-    lane_done: Vec<AtomicBool>,
+    /// Crossings (stage and completion) each lane has arrived at during the
+    /// current phase, so a blown deadline can name a lane that has not
+    /// reached the crossing the driver waits at. Driver lane included.
+    crossed: Vec<AtomicU64>,
+    /// The first straggler report of the current phase.
+    straggler: Mutex<Option<StragglerReport>>,
     /// Number of spawned workers (lanes excluding the driver's).
     spawned: usize,
 }
 
 // Safety: `job` is the only non-Sync field. It is written by the driver only
 // while every worker is quiescent (before the epoch release / after the
-// completion barrier) and read by workers only between those two points.
+// completion crossing) and read by workers only between those two points.
 unsafe impl Send for PoolShared {}
 unsafe impl Sync for PoolShared {}
 
 impl PoolShared {
-    /// Release side of the barrier: wait until the epoch moves past `seen`.
-    /// The second return is `true` when the wait fell out of the spin window
-    /// and parked on the condvar (the flight recorder's park-vs-spin signal).
-    fn wait_for_epoch(&self, seen: u64) -> (u64, bool) {
-        for _ in 0..SPIN_ROUNDS {
-            let e = self.epoch.load(Ordering::Acquire);
-            if e != seen {
-                return (e, false);
+    /// Wait at `crossing` until its count reaches `target`. Only the driver
+    /// lane passes the pool's `deadline`; when it passes, the phase's first
+    /// straggler report is recorded: the first worker lane that has arrived
+    /// at fewer crossings than the driver lane, with the per-lane progress
+    /// counters at that moment. Returns whether the wait parked.
+    fn wait_at(&self, crossing: &Crossing, target: u64, deadline: Option<Duration>) -> bool {
+        crossing.wait_until(target, deadline, |waited| {
+            let mut slot = self.straggler.lock().expect("a straggler report panicked");
+            if slot.is_none() {
+                let at = self.crossed[self.spawned].load(Ordering::Acquire);
+                let lane = (0..self.spawned)
+                    .position(|lane| self.crossed[lane].load(Ordering::Acquire) < at)
+                    .unwrap_or(0);
+                let progress = self.progress.iter().map(|p| p.load(Ordering::Acquire));
+                *slot = Some(StragglerReport {
+                    lane,
+                    waited,
+                    progress: progress.collect(),
+                });
             }
-            std::hint::spin_loop();
-        }
-        let mut guard = self.wake_lock.lock().unwrap();
-        loop {
-            let e = self.epoch.load(Ordering::Acquire);
-            if e != seen {
-                return (e, true);
-            }
-            guard = self.wake_cv.wait(guard).unwrap();
-        }
+        })
     }
 
-    /// Completion side, worker half: arrive, waking the driver on last.
-    fn arrive(&self, lane: usize) {
-        self.lane_done[lane].store(true, Ordering::Release);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.spawned {
-            let _guard = self.done_lock.lock().unwrap();
-            self.done_cv.notify_one();
-        }
-    }
-
-    /// Completion side, driver half: wait for every worker to arrive.
-    ///
-    /// With a `deadline`, a worker that has not arrived by then is reported
-    /// as a straggler (with the per-lane progress counters at that moment)
-    /// — but the driver still waits out the real arrival, because the
-    /// workers hold borrowed pointers into the driver's stack; surfacing
-    /// the hang must not make lending the phase descriptor unsound.
-    fn wait_for_workers(&self, deadline: Option<Duration>) -> Option<StragglerReport> {
-        for _ in 0..SPIN_ROUNDS {
-            if self.arrived.load(Ordering::Acquire) == self.spawned {
-                return None;
-            }
-            std::hint::spin_loop();
-        }
-        let start = Instant::now();
-        let mut report = None;
-        let mut guard = self.done_lock.lock().unwrap();
-        while self.arrived.load(Ordering::Acquire) != self.spawned {
-            match deadline {
-                Some(d) if report.is_none() => {
-                    let remaining = d.saturating_sub(start.elapsed());
-                    if remaining.is_zero() {
-                        let progress: Vec<u64> = self
-                            .progress
-                            .iter()
-                            .map(|p| p.load(Ordering::Acquire))
-                            .collect();
-                        let lane = self
-                            .lane_done
-                            .iter()
-                            .take(self.spawned)
-                            .position(|done| !done.load(Ordering::Acquire))
-                            .unwrap_or(0);
-                        report = Some(StragglerReport {
-                            lane,
-                            waited: start.elapsed(),
-                            progress,
-                        });
-                        continue;
-                    }
-                    guard = self.done_cv.wait_timeout(guard, remaining).unwrap().0;
-                }
-                _ => guard = self.done_cv.wait(guard).unwrap(),
-            }
-        }
-        report
+    /// The stage crossing inside one phase (the fused sweep's compute →
+    /// combine boundary): every lane arrives, and the last arrival releases
+    /// the rest. Only the driver lane's wait carries the `deadline`.
+    fn cross_stage(&self, lane: usize, deadline: Option<Duration>) {
+        let lanes = self.spawned as u64 + 1;
+        self.crossed[lane].fetch_add(1, Ordering::Release);
+        let count = self.stage.arrive(lanes);
+        let deadline = deadline.filter(|_| lane == self.spawned);
+        self.wait_at(&self.stage, count.div_ceil(lanes) * lanes, deadline);
     }
 }
 
@@ -208,8 +241,10 @@ impl PoolShared {
 fn worker_main(shared: Arc<PoolShared>, lane: usize) {
     let mut seen = 0u64;
     loop {
-        let (epoch, parked) = shared.wait_for_epoch(seen);
-        seen = epoch;
+        // Each release moves the epoch by one, and the driver releases
+        // again only after this worker has arrived.
+        let parked = shared.wait_at(&shared.release, seen + 1, None);
+        seen += 1;
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
@@ -228,7 +263,8 @@ fn worker_main(shared: Arc<PoolShared>, lane: usize) {
                 payload,
             });
         }
-        shared.arrive(lane);
+        shared.crossed[lane].fetch_add(1, Ordering::Release);
+        shared.done.arrive(shared.spawned as u64);
     }
 }
 
@@ -246,17 +282,15 @@ impl WorkerPool {
         assert!(lanes >= 1, "a pool needs at least one lane");
         let spawned = lanes - 1;
         let shared = Arc::new(PoolShared {
-            epoch: AtomicU64::new(0),
+            release: Crossing::default(),
             job: UnsafeCell::new(None),
-            arrived: AtomicUsize::new(0),
+            stage: Crossing::default(),
+            done: Crossing::default(),
             shutdown: AtomicBool::new(false),
-            wake_lock: Mutex::new(()),
-            wake_cv: Condvar::new(),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
             panics: Mutex::new(Vec::new()),
             progress: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
-            lane_done: (0..lanes).map(|_| AtomicBool::new(false)).collect(),
+            crossed: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+            straggler: Mutex::new(None),
             spawned,
         });
         let handles = (0..spawned)
@@ -278,10 +312,12 @@ impl WorkerPool {
     /// Run `job(lane)` once per lane — spawned workers take lanes
     /// `0..lanes-1`, the driver takes the last — returning only after every
     /// lane has finished. Worker panics are re-raised here, after the
-    /// barrier, so the borrowed descriptor is never outlived; when several
-    /// lanes panicked, *all* their payloads are re-raised together as one
-    /// [`PanicBundle`]. A blown `deadline` on the completion barrier is
-    /// returned as a straggler report (the phase still completes).
+    /// completion crossing, so the borrowed descriptor is never outlived;
+    /// when several lanes panicked, *all* their payloads are re-raised
+    /// together as one [`PanicBundle`]. The first `deadline` the driver lane
+    /// blew — at the completion crossing here, or at a stage crossing the
+    /// job crossed with the same deadline — is returned as a straggler
+    /// report (the phase still completes).
     fn run(
         &self,
         job: &(dyn Fn(usize, bool) + Sync),
@@ -295,14 +331,12 @@ impl WorkerPool {
             return None;
         }
         // Reset the per-phase diagnostics while every worker is quiescent.
-        for p in &shared.progress {
+        for (p, c) in shared.progress.iter().zip(&shared.crossed) {
             p.store(0, Ordering::Relaxed);
-        }
-        for d in &shared.lane_done {
-            d.store(false, Ordering::Relaxed);
+            c.store(0, Ordering::Relaxed);
         }
         // Publish, then release. Safety: every worker is quiescent between
-        // phases (the previous completion barrier has passed), so the slot
+        // phases (the previous completion crossing has passed), so the slot
         // is ours to write.
         unsafe {
             *shared.job.get() = Some(std::mem::transmute::<
@@ -310,25 +344,25 @@ impl WorkerPool {
                 Job,
             >(job));
         }
-        shared.arrived.store(0, Ordering::Relaxed);
-        shared.epoch.fetch_add(1, Ordering::Release);
-        drop(shared.wake_lock.lock().unwrap());
-        shared.wake_cv.notify_all();
+        let epoch = shared.release.arrive(1);
         // The driver is a lane too: run its stripe while the workers run
         // theirs (never parked — it released this epoch itself). A panic
-        // here must still wait out the barrier (the workers hold pointers
-        // into the driver's stack), hence the catch.
+        // here must still wait out the completion crossing (the workers hold
+        // pointers into the driver's stack), hence the catch.
         let mine = catch_unwind(AssertUnwindSafe(|| job(driver_lane, false)));
-        shared.lane_done[driver_lane].store(true, Ordering::Release);
-        let straggler = shared.wait_for_workers(deadline);
-        // Safety: completion barrier passed; the slot is quiescent again.
+        shared.crossed[driver_lane].fetch_add(1, Ordering::Release);
+        shared.wait_at(&shared.done, epoch * shared.spawned as u64, deadline);
+        // Safety: completion crossing passed; the slot is quiescent again.
         unsafe {
             *shared.job.get() = None;
         }
+        // Taken before any re-raise, so no report outlives its phase.
+        let straggler = shared.straggler.lock();
+        let straggler = straggler.expect("a straggler report panicked").take();
         let mut caught: Vec<CaughtPanic> = std::mem::take(&mut *shared.panics.lock().unwrap());
         match mine {
             Err(payload) if !caught.is_empty() => caught.push(CaughtPanic {
-                epoch: shared.epoch.load(Ordering::Acquire),
+                epoch,
                 rank: None,
                 lane: Some(driver_lane),
                 payload,
@@ -342,20 +376,18 @@ impl WorkerPool {
         straggler
     }
 
-    /// Explicit bounded shutdown: wake every parked lane, then join each
-    /// worker, polling up to `deadline` overall. A worker that still has
-    /// not exited by then is detached rather than joined — safe because
-    /// workers check the shutdown flag before dereferencing the job slot,
-    /// and no phase is in flight when this runs (every `run` waits out its
-    /// completion barrier). Returns `true` when every worker was joined.
+    /// Bounded shutdown: wake every parked lane, then join each worker,
+    /// polling up to `deadline` overall. A worker that still has not exited
+    /// by then is detached rather than joined — safe because workers check
+    /// the shutdown flag before dereferencing the job slot, and no phase is
+    /// in flight when this runs (every `run` waits out its completion
+    /// crossing). Returns `true` when every worker was joined.
     fn shutdown_with_deadline(&mut self, deadline: Duration) -> bool {
         if self.handles.is_empty() {
             return true;
         }
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.epoch.fetch_add(1, Ordering::Release);
-        drop(self.shared.wake_lock.lock().unwrap());
-        self.shared.wake_cv.notify_all();
+        self.shared.release.arrive(1);
         let start = Instant::now();
         let mut all_joined = true;
         for handle in self.handles.drain(..) {
@@ -392,48 +424,6 @@ impl Drop for WorkerPool {
 struct ChargeArena {
     events: Vec<ChargeEvent>,
     starts: Vec<u32>,
-}
-
-/// A reusable sense-reversing spin barrier for the lanes *inside* one pool
-/// job — the fused sweep uses it to separate the compute stage (lanes write
-/// their own ranks' posted areas) from the combine stages (lanes read
-/// everyone's). Spins briefly then yields, so a stalled peer degrades to
-/// timesharing instead of burning a core.
-struct StageBarrier {
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    parties: usize,
-}
-
-impl StageBarrier {
-    fn new(parties: usize) -> Self {
-        StageBarrier {
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            parties,
-        }
-    }
-
-    /// Arrive and wait for all parties. The last arrival resets the counter
-    /// (visible before the generation bump releases the waiters), so the
-    /// barrier is immediately reusable.
-    fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Release);
-        } else {
-            let mut rounds = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                rounds = rounds.saturating_add(1);
-                if rounds < SPIN_ROUNDS {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
 }
 
 /// A `&mut [T]` smuggled to the pool's lanes as disjointly-indexed cells.
@@ -557,12 +547,13 @@ impl PooledBackend {
         }
     }
 
-    /// Enable straggler detection: a worker lane that has not reached the
-    /// completion barrier within `deadline` (measured after the spin window)
-    /// is reported as a [`PhaseError::Straggler`] through
-    /// [`Backend::take_phase_flaw`] / [`Backend::try_run_compute`]. The phase
-    /// itself still completes — the driver waits out the real arrival so
-    /// the borrowed phase descriptor stays sound.
+    /// Enable straggler detection: whenever the driver lane has waited
+    /// `deadline` at a crossing — a fused sweep's stage crossing or a
+    /// region's completion — for a worker lane that has not arrived, the
+    /// region's first such lane is reported as a [`PhaseError::Straggler`]
+    /// through [`Backend::take_phase_flaw`] / [`Backend::try_run_compute`].
+    /// The region itself still completes — the driver waits out the real
+    /// arrival so the borrowed phase descriptor stays sound.
     pub fn set_barrier_deadline(&mut self, deadline: Duration) {
         self.deadline = Some(deadline);
     }
@@ -582,21 +573,6 @@ impl PooledBackend {
         self.pool.lanes
     }
 
-    /// Unwrap the underlying machine (the pool's workers are joined).
-    pub fn into_machine(self) -> Machine {
-        self.machine
-    }
-
-    /// Explicit bounded shutdown of the worker lanes (the satellite of
-    /// [`PooledBackend::into_machine`] for callers that need to know the
-    /// join succeeded): wakes every parked lane and joins each worker,
-    /// waiting at most `deadline` overall; stuck workers are detached.
-    /// Returns the machine and whether every worker was joined.
-    pub fn shutdown(mut self, deadline: Duration) -> (Machine, bool) {
-        let joined = self.pool.shutdown_with_deadline(deadline);
-        (self.machine, joined)
-    }
-
     /// Broadcast one region over the pool — the single lane body. Lane `w`
     /// takes ranks `w`, `w + workers`, … (static striping) and records each
     /// rank's charges as one span in its arena:
@@ -604,7 +580,7 @@ impl PooledBackend {
     /// 1. the **kernel stage**: `kernel(ctx, rank)` per stripe rank, each
     ///    entry a fault-injection point and a `KernelEnter` span, each rank
     ///    caught on its own;
-    /// 2. with `ncombine > 0` (the fused sweep), a [`StageBarrier`] — what
+    /// 2. with `ncombine > 0` (the fused sweep), the stage crossing — what
     ///    the kernel stage wrote is frozen past it — then per buffer `j` one
     ///    span per stripe rank, filled by `combine(ctx, j, rank)` when
     ///    `active(j)` and left empty otherwise, so span indexing stays
@@ -614,8 +590,8 @@ impl PooledBackend {
     /// Rank panics (organic or injected) are re-raised as one sorted
     /// [`PanicBundle`] naming every failing rank; the caller then never
     /// reaches its replay, so the machine is untouched by the failed region.
-    /// A blown barrier deadline is parked in `pending_flaw` as a
-    /// [`PhaseError::Straggler`].
+    /// The driver lane's first blown deadline (at the stage crossing or the
+    /// completion) is parked in `pending_flaw` as a [`PhaseError::Straggler`].
     fn run_lanes<K, A, S>(
         &mut self,
         in_phase: bool,
@@ -634,8 +610,7 @@ impl PooledBackend {
         let (epoch, probe) = (machine.epoch(), machine.probe());
         let caught: Mutex<Vec<CaughtPanic>> = Mutex::new(Vec::new());
         let panicked = AtomicBool::new(false);
-        let barrier = StageBarrier::new(lanes);
-        let progress = &self.pool.shared.progress;
+        let (shared, deadline) = (&*self.pool.shared, self.deadline);
         let arenas = RawCells::new(&mut self.arenas);
         let straggler = self.pool.run(
             &|lane: usize, parked: bool| {
@@ -665,20 +640,20 @@ impl PooledBackend {
                                 payload,
                             });
                         }
-                        progress[lane].fetch_add(1, Ordering::Release);
+                        shared.progress[lane].fetch_add(1, Ordering::Release);
                     }
                 }));
                 if pre.is_err() {
                     panicked.store(true, Ordering::Release);
                 }
                 if ncombine > 0 {
-                    // Every lane must arrive — re-raising before the barrier
+                    // Every lane must arrive — re-raising before the crossing
                     // would deadlock the peers — so an escape from the loop
                     // above is deferred until after arrival (the lane-level
                     // backstop in `worker_main` / `WorkerPool::run` keeps
                     // the payload).
                     let wait = probe.enter(me, TraceEventKind::StageWaitBegin, 0);
-                    barrier.wait();
+                    shared.cross_stage(lane, deadline);
                     probe.exit(me, wait, 1);
                 }
                 if let Err(payload) = pre {
@@ -700,7 +675,7 @@ impl PooledBackend {
                                 combine(&mut ctx, j, rank);
                                 ran += 1;
                             }
-                            progress[lane].fetch_add(1, Ordering::Release);
+                            shared.progress[lane].fetch_add(1, Ordering::Release);
                         }
                         if let Some(span) = span {
                             probe.exit(me, span, ran);
@@ -710,7 +685,7 @@ impl PooledBackend {
                 arena.starts.push(arena.events.len() as u32);
                 probe.instant(me, TraceEventKind::BarrierArrive, lane as u32);
             },
-            self.deadline,
+            deadline,
         );
         if let Some(report) = straggler {
             let done = report.progress[report.lane] as usize;
@@ -1002,7 +977,7 @@ mod tests {
     #[test]
     fn many_phases_reuse_the_pool_and_stay_identical() {
         // 100 back-to-back phases through the same pool: the epoch barrier
-        // must hand off cleanly every time (spin window and park path both
+        // must hand off cleanly every time (spin, yield and park paths all
         // get exercised under scheduler noise), and the arenas must absorb
         // the recording without fresh allocation once grown.
         let mut seq = Machine::new(MachineConfig::unit(6));
@@ -1192,8 +1167,10 @@ mod tests {
     #[test]
     fn dropping_the_backend_joins_the_workers() {
         let pool = PooledBackend::from_config_with_workers(MachineConfig::unit(2), 6);
-        let machine = pool.into_machine();
-        assert_eq!(machine.nprocs(), 2);
+        let shared = Arc::clone(&pool.pool.shared);
+        drop(pool);
+        // Each of the five workers held a clone until its thread exited.
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]
@@ -1244,6 +1221,66 @@ mod tests {
     }
 
     #[test]
+    fn the_deadline_holds_at_a_fused_sweeps_stage_crossing() {
+        use crate::fault::{FaultKind, FaultPlan};
+        use std::time::Duration;
+
+        // Rank 0 runs on the spawned worker (lane 0) and stalls in the
+        // compute stage, so the driver lane waits at the stage crossing; by
+        // the completion crossing every lane is back on time.
+        let (mut seq, mut pool) = engines(4, 2);
+        pool.set_barrier_deadline(Duration::from_millis(20));
+        let plan = FaultPlan::new()
+            .with_stall(Duration::from_millis(150))
+            .with_fault(1, 0, FaultKind::LaneStall);
+        pool.machine_mut().install_fault_plan(Some(Arc::new(plan)));
+        let (mut a, mut b) = (vec![0.0; 4], vec![0.0; 4]);
+        fused_sweep(&mut seq, &mut a);
+        fused_sweep(&mut pool, &mut b);
+        match pool.take_phase_flaw() {
+            Some(PhaseError::Straggler {
+                epoch: 1,
+                rank: 0,
+                lane: 0,
+                waited,
+                progress,
+            }) => {
+                assert!(waited >= Duration::from_millis(20));
+                assert_eq!(progress[0], 0, "rank 0 had not finished computing");
+            }
+            other => panic!("expected a straggler at rank 0, lane 0, got {other:?}"),
+        }
+        // The sweep itself completed, and the next one is flaw-free.
+        assert_eq!(a, b);
+        assert_bit_identical(&seq, &pool);
+        fused_sweep(&mut pool, &mut b);
+        assert!(pool.take_phase_flaw().is_none());
+    }
+
+    #[test]
+    fn a_straggler_report_does_not_outlive_its_phase() {
+        use std::time::Duration;
+
+        // The worker lane stays until the driver lane has reported it, while
+        // the driver lane's job panics: the panic unwinds out of `run`, and
+        // the next phase must not inherit the report.
+        let pool = WorkerPool::new(2);
+        let deadline = Some(Duration::from_millis(5));
+        let shared = Arc::clone(&pool.shared);
+        let overstay = move |lane: usize, _| match lane {
+            0 => {
+                while shared.straggler.lock().unwrap().is_none() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            _ => panic!("the driver lane's job failed"),
+        };
+        assert!(catch_unwind(AssertUnwindSafe(|| pool.run(&overstay, deadline))).is_err());
+        // Without a deadline the next phase can only return a stale report.
+        assert!(pool.run(&|_, _| {}, None).is_none());
+    }
+
+    #[test]
     fn straggler_rank_is_always_in_the_reported_lanes_stripe() {
         for nprocs in 1..=8usize {
             for lanes in 1..=8usize {
@@ -1284,9 +1321,9 @@ mod tests {
         let mut pool = PooledBackend::from_config_with_workers(MachineConfig::unit(4), 3);
         let mut out = [0u8; 4];
         pool.run_compute(out.iter_mut(), |ctx, slot| *slot = ctx.rank() as u8);
-        let (machine, all_joined) = pool.shutdown(Duration::from_secs(5));
+        let all_joined = pool.pool.shutdown_with_deadline(Duration::from_secs(5));
         assert!(all_joined, "idle workers must join within the deadline");
-        assert_eq!(machine.nprocs(), 4);
+        assert_eq!(pool.machine().nprocs(), 4);
         assert_eq!(out, [0, 1, 2, 3]);
     }
 
@@ -1308,7 +1345,7 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, PhaseError::RankPanic { .. }));
-        let (_, all_joined) = pool.shutdown(Duration::from_secs(5));
+        let all_joined = pool.pool.shutdown_with_deadline(Duration::from_secs(5));
         assert!(all_joined, "workers must join after a caught panic");
     }
 }

@@ -70,15 +70,13 @@ pub enum TraceEventKind {
     /// index).
     CombineExit,
     /// A pool worker was released into a phase; `arg` is 1 when the lane
-    /// had parked on the condvar (vs staying in the spin window).
+    /// had parked on the condvar (vs returning while it spun or yielded).
     WorkerRelease,
     /// The lane arrived at the pool's completion barrier (`arg` = lane).
     BarrierArrive,
-    /// The lane began waiting at the fused sweep's [`StageBarrier`]
+    /// The lane began waiting at the fused sweep's stage barrier
     /// (`arg` = index of the stage it just finished: always 0, the sweep's
     /// one barrier separates compute from the combines).
-    ///
-    /// [`StageBarrier`]: crate::pool
     StageWaitBegin,
     /// The lane crossed the stage barrier (`arg` as on the Begin side).
     StageWaitEnd,

@@ -202,10 +202,12 @@ impl Executor<PooledBackend> {
         )
     }
 
-    /// Arm the pool's barrier deadline: a worker lane that fails to arrive
-    /// within `deadline` (e.g. an injected [`chaos_dmsim::FaultKind::LaneStall`])
-    /// surfaces as [`chaos_dmsim::PhaseError::Straggler`] naming the hung
-    /// rank, its lane and each lane's progress, instead of blocking silently.
+    /// Arm the pool's barrier deadline: a worker lane that keeps the driver
+    /// lane waiting longer than `deadline` at any crossing — a sweep's stage
+    /// barrier or a region's completion (e.g. an injected
+    /// [`chaos_dmsim::FaultKind::LaneStall`]) — surfaces as
+    /// [`chaos_dmsim::PhaseError::Straggler`] naming the hung rank, its lane
+    /// and each lane's progress, instead of blocking silently.
     pub fn with_barrier_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.backend.set_barrier_deadline(deadline);
         self

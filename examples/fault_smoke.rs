@@ -7,10 +7,10 @@
 //! phase's ledgers, restore the pre-sweep snapshot, re-run); the MD pair
 //! sweep recovers via `RollbackToCheckpoint { every: 8 }` (checkpoint every
 //! 8 epochs; restore the last checkpoint, replay the journaled sweeps). The
-//! pool's barrier deadline is armed, but the stall lands in a fused sweep's
-//! compute stage, where the other lanes wait at the stage barrier, which
-//! has no deadline: the run reports two diagnosed errors, and the stall is
-//! a wall-clock delay only.
+//! pool's barrier deadline is armed, and the stall lands in a fused sweep's
+//! compute stage, where the driver lane waits at the stage crossing under
+//! that deadline: the run reports three diagnosed errors (two panics and a
+//! straggler), each recovered by one retry.
 //!
 //! Run with `cargo run --example fault_smoke --release`.
 

@@ -10,11 +10,12 @@
 //! of the same program under the same recovery policy.
 
 use chaos_repro::dmsim::{
-    Backend, FaultKind, FaultPlan, PhaseCause, PhaseCharge, PhaseError, RankCtx,
+    Backend, Counter, FaultKind, FaultPlan, MetricsRegistry, PhaseCause, PhaseCharge, PhaseError,
+    PooledBackend, RankCtx,
 };
 use chaos_repro::lang::{CompiledProgram, LangError, RecoveryPolicy};
 use chaos_repro::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const EDGE_PROGRAM: &str = r#"
@@ -177,18 +178,28 @@ fn injected_panic_recovers_bit_identically_on_both_engines() {
     }
 }
 
+/// The barrier deadline of the tests that count diagnoses: long enough that
+/// a lane delayed by other tests' threads on a 2-core host does not miss
+/// it, so the only straggler is the injected one.
+const DEADLINE: Duration = Duration::from_millis(50);
+
+/// A stall of rank 0, well past [`DEADLINE`], in the fused sweep at the
+/// middle sweep epoch. Rank 0 runs on a spawned worker lane (the driver
+/// takes the last lane), so the stall leaves the driver lane waiting at the
+/// sweep's stage crossing.
+fn mid_sweep_stall(cp: &CompiledProgram, policy: RecoveryPolicy) -> (u64, Arc<FaultPlan>) {
+    let (e0, e1) = sweep_epochs(cp, policy);
+    let mid = e0 + (e1 - e0) / 2;
+    let plan = FaultPlan::new()
+        .with_stall(6 * DEADLINE)
+        .with_fault(mid, 0, FaultKind::LaneStall);
+    (mid, Arc::new(plan))
+}
+
 #[test]
 fn stall_is_detected_by_the_pool_deadline_and_recovered_bit_identically() {
     let cp = program();
-    let (e0, e1) = sweep_epochs(&cp, retry());
-    let mid = e0 + (e1 - e0) / 2;
-    // Rank 0 runs on a spawned worker lane (the driver takes the last
-    // lane), so the stall leaves the driver waiting at the barrier.
-    let plan = Arc::new(
-        FaultPlan::new()
-            .with_stall(Duration::from_millis(100))
-            .with_fault(mid, 0, FaultKind::LaneStall),
-    );
+    let (_, plan) = mid_sweep_stall(&cp, retry());
     let cfg = || MachineConfig::ipsc860(NPROCS);
     let ins = || inputs(100, 400);
 
@@ -196,11 +207,42 @@ fn stall_is_detected_by_the_pool_deadline_and_recovered_bit_identically() {
         Executor::new_pooled_with_workers(cfg(), 2, ins()).with_recovery_policy(retry());
     let want = drive(&mut clean, &cp).unwrap();
 
+    let registry = Arc::new(MetricsRegistry::new(2));
     let mut pool = Executor::new_pooled_with_workers(cfg(), 2, ins())
-        .with_barrier_deadline(Duration::from_millis(5))
+        .with_barrier_deadline(DEADLINE)
         .with_fault_plan(plan)
+        .with_metrics(Arc::clone(&registry))
         .with_recovery_policy(retry());
     assert_eq!(drive(&mut pool, &cp).unwrap(), want, "straggler recovery");
+    // The stall was caught by the deadline, not merely waited out.
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter(Counter::ErrorsDiagnosed), 1, "diagnoses");
+    assert_eq!(snap.counter(Counter::RetryAttempts), 1, "retries");
+}
+
+#[test]
+fn stall_in_a_fused_sweep_under_abort_is_a_straggler_error() {
+    let cp = program();
+    let (mid, plan) = mid_sweep_stall(&cp, RecoveryPolicy::Abort);
+    let mut pool =
+        Executor::new_pooled_with_workers(MachineConfig::ipsc860(NPROCS), 2, inputs(100, 400))
+            .with_barrier_deadline(DEADLINE)
+            .with_fault_plan(plan);
+    pool.run(&cp).unwrap();
+    // Every sweep advances one epoch: the sweeps before the stall's run
+    // clean, and the one whose epoch it names fails.
+    while pool.machine().epoch() + 1 < mid {
+        pool.execute_loop(&cp, "L1").unwrap();
+    }
+    match pool.execute_loop(&cp, "L1").unwrap_err() {
+        LangError::Phase(PhaseError::Straggler {
+            epoch,
+            rank: 0,
+            lane: 0,
+            ..
+        }) => assert_eq!(epoch, mid),
+        other => panic!("expected a straggler at rank 0, lane 0, got {other:?}"),
+    }
 }
 
 #[test]
@@ -710,7 +752,7 @@ fn panics_and_a_stall_in_one_pooled_run_recover_bit_identically() {
     let span = e1 - e0;
     let plan = Arc::new(
         FaultPlan::new()
-            .with_stall(Duration::from_millis(60))
+            .with_stall(6 * DEADLINE)
             .with_fault(e0 + 1, 1, FaultKind::KernelPanic)
             .with_fault(e0 + span / 2, 0, FaultKind::LaneStall)
             .with_fault(e0 + 3 * span / 4, 2, FaultKind::KernelPanic),
@@ -722,12 +764,16 @@ fn panics_and_a_stall_in_one_pooled_run_recover_bit_identically() {
         Executor::new_pooled_with_workers(cfg(), 2, ins()).with_recovery_policy(retry());
     let want = drive(&mut clean, &cp).unwrap();
 
+    let registry = Arc::new(MetricsRegistry::new(2));
     let mut pool = Executor::new_pooled_with_workers(cfg(), 2, ins())
-        .with_barrier_deadline(Duration::from_millis(5))
+        .with_barrier_deadline(DEADLINE)
         .with_fault_plan(Arc::clone(&plan))
+        .with_metrics(Arc::clone(&registry))
         .with_recovery_policy(retry());
     assert_eq!(drive(&mut pool, &cp).unwrap(), want);
     assert!(plan.exhausted(), "every scheduled fault fired");
+    // Two panics and the straggler, each recovered by one retry.
+    assert_eq!(registry.snapshot().counter(Counter::RetryAttempts), 3);
 }
 
 #[test]
@@ -781,4 +827,151 @@ fn machine_backend_is_the_degraded_target_already() {
         .with_fault_plan(plan)
         .with_recovery_policy(RecoveryPolicy::DegradeToMachine);
     assert_eq!(drive(&mut seq, &cp).unwrap(), want);
+}
+
+/// The pool, logging the `(rank, lane)` of every straggler report it hands
+/// to the executor's recovery.
+struct LoggedPool {
+    pool: PooledBackend,
+    stragglers: Arc<Mutex<Vec<(usize, usize)>>>,
+}
+
+impl Backend for LoggedPool {
+    fn machine(&self) -> &Machine {
+        self.pool.machine()
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine {
+        self.pool.machine_mut()
+    }
+
+    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
+    where
+        St: Send,
+        I: IntoIterator<Item = St>,
+        F: Fn(&mut RankCtx<'_>, St) + Sync,
+    {
+        self.pool.fan_out(phase, state, kernel);
+    }
+
+    fn run_sweep<Sc, Px, C, A, P, S>(
+        &mut self,
+        scratch: &mut [Sc],
+        posted: &mut [Px],
+        compute: C,
+        nscatter: usize,
+        scatter_active: A,
+        scatter_pack: P,
+        combine: S,
+    ) where
+        Sc: Send,
+        Px: Send + Sync,
+        C: Fn(&mut RankCtx<'_>, &mut Sc, &mut Px) + Sync,
+        A: Fn(&[Px], usize) -> bool + Sync,
+        P: Fn(&mut RankCtx<'_>, usize),
+        S: Fn(&mut RankCtx<'_>, usize, &mut Sc, &[Px]) + Sync,
+    {
+        self.pool.run_sweep(
+            scratch,
+            posted,
+            compute,
+            nscatter,
+            scatter_active,
+            scatter_pack,
+            combine,
+        );
+    }
+
+    fn take_phase_flaw(&mut self) -> Option<PhaseError> {
+        let flaw = self.pool.take_phase_flaw();
+        if let Some(PhaseError::Straggler { rank, lane, .. }) = &flaw {
+            self.stragglers.lock().unwrap().push((*rank, *lane));
+        }
+        flaw
+    }
+
+    fn degrade(&mut self) -> bool {
+        self.pool.degrade()
+    }
+}
+
+#[test]
+fn seeded_panics_and_stalls_on_1_to_16_lanes_recover_bit_identically() {
+    // One case per lane count 1..=16, each over 2..=16 ranks (so lanes
+    // outnumber both the ranks and the cores in many cases) and a seeded
+    // schedule of kernel panics and 2-20 ms lane stalls under a 10 ms barrier
+    // deadline (the shorter stalls are delays only). Even cases reuse the inspection, so every fault lands in a
+    // fused sweep; odd cases re-inspect before each sweep, so faults land in
+    // the inspector's plain fan-outs too. Every recovered run must equal the
+    // fault-free sequential run: values, clock bits and statistics.
+    let cp = program();
+    // A loaded host can make a lane miss the deadline without a stall;
+    // that is one more recovered straggler, so allow every retry the
+    // executor's overall cap of 32 attempts leaves.
+    let policy = RecoveryPolicy::RetryPhase { max_attempts: 31 };
+    let mut state = 0x5EED_u64;
+    let mut next = |m: u64| -> u64 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let stragglers = Arc::new(Mutex::new(Vec::new()));
+    let mut diagnosed = 0;
+    for workers in 1..=16usize {
+        let nprocs = 2 + next(15) as usize;
+        let reuse = workers % 2 == 0;
+        let cfg = || MachineConfig::unit(nprocs);
+        let ins = || inputs(60, 240);
+        let at = format!("{nprocs} ranks on {workers} lanes, reuse {reuse}");
+
+        let mut clean = Executor::new(cfg(), ins())
+            .with_reuse(reuse)
+            .with_recovery_policy(policy);
+        clean.run(&cp).unwrap();
+        let e0 = clean.machine().epoch();
+        for _ in 0..SWEEPS {
+            clean.execute_loop(&cp, "L1").unwrap();
+        }
+        let want = observe(&clean);
+        let span = clean.machine().epoch() - e0;
+
+        let mut plan = FaultPlan::new().with_stall(Duration::from_millis(2 + next(19)));
+        for _ in 0..1 + next(3) {
+            let kind = match next(2) {
+                0 => FaultKind::KernelPanic,
+                _ => FaultKind::LaneStall,
+            };
+            plan = plan.with_fault(e0 + 1 + next(span), next(nprocs as u64) as usize, kind);
+        }
+        let mut pool = PooledBackend::from_config_with_workers(cfg(), workers);
+        pool.set_barrier_deadline(Duration::from_millis(10));
+        let logged = LoggedPool {
+            pool,
+            stragglers: Arc::clone(&stragglers),
+        };
+        let plan = Arc::new(plan);
+        let mut exec = Executor::with_backend(logged, ins())
+            .with_reuse(reuse)
+            .with_fault_plan(Arc::clone(&plan))
+            .with_recovery_policy(policy);
+        assert_eq!(drive(&mut exec, &cp).unwrap(), want, "{at}");
+        assert!(plan.exhausted(), "{at}: every scheduled fault fired");
+        let mut log = stragglers.lock().unwrap();
+        for &(rank, lane) in log.iter() {
+            assert!(rank < nprocs, "{at}: straggler rank {rank}");
+            // A lane past the last rank has an empty stripe; the last rank
+            // stands in for it.
+            if lane < nprocs {
+                assert_eq!(
+                    rank % workers,
+                    lane,
+                    "{at}: rank {rank} is not lane {lane}'s"
+                );
+            }
+        }
+        diagnosed += log.len();
+        log.clear();
+    }
+    assert!(diagnosed > 0, "no stall outlasted the deadline");
 }
