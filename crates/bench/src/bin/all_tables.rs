@@ -6,16 +6,18 @@
 //!
 //! `cargo run -p chaos-bench --bin all_tables --release -- --quick` gives a
 //! scaled-down run in a couple of seconds; omit `--quick` for paper-size
-//! workloads. `--json` is rejected here — run the individual table binaries
-//! with `--json` for machine-readable output.
+//! workloads. The tables print in this process, through the same printers
+//! as the `table1` .. `table4` binaries (`tables::table1` ..). `--json` is
+//! rejected here — run the individual table binaries with `--json` for
+//! machine-readable output.
 
 use chaos_bench::cli::{exit_on_stop, Options};
 use chaos_bench::compilergen::run_compiler_generated;
 use chaos_bench::experiment::{ExperimentConfig, Method};
+use chaos_bench::tables::{table1, table2, table3, table4};
 use chaos_bench::workload::WorkloadKind;
 use chaos_lang::LangError;
 use chaos_workloads::edge_flux_kernel;
-use std::process::Command;
 
 fn main() -> Result<(), LangError> {
     let opts =
@@ -50,17 +52,9 @@ fn main() -> Result<(), LangError> {
     }
     println!();
 
-    // Delegate to the individual table binaries, with the same arguments,
-    // so their output formats stay the single source of truth.
-    for table in ["table1", "table2", "table3", "table4"] {
-        println!("== Running {table} ==");
-        let exe = std::env::current_exe().expect("current exe path");
-        let sibling = exe.with_file_name(table);
-        let status = Command::new(&sibling)
-            .args(std::env::args().skip(1))
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {}: {e}", sibling.display()));
-        assert!(status.success(), "{table} exited with {status}");
+    for (n, print) in (1..).zip([table1, table2, table3, table4]) {
+        println!("== Running table{n} ==");
+        print(&opts)?;
     }
     Ok(())
 }

@@ -123,7 +123,7 @@ impl Options {
     }
 
     /// Reject `--json` like any unknown option — for `all_tables`, which
-    /// delegates to the table binaries and writes no record of its own.
+    /// prints all four tables and writes no record of its own.
     pub fn without_json(self) -> Result<Options, Stop> {
         match self.json {
             Some(_) => Err("unknown option '--json'".into()),

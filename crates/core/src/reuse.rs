@@ -191,6 +191,60 @@ impl GhostRegion {
     pub fn size(&self, p: usize) -> usize {
         self.resident.ghost_count(p)
     }
+
+    /// Panic, naming the broken invariant, unless the region's chunks and
+    /// the binding `bind` just made are consistent: on every rank the same
+    /// number of chunks, `chunk_off` monotone from 0 to the row size; each
+    /// `slot_map[p]` injective into the row; the appended chunk (if any) the
+    /// last one, starting at `base[p]` and `diff.ghost_count(p)` slots long
+    /// (with none appended, `base[p]` is the row size and `diff` is empty);
+    /// and `deps` sorted, deduplicated and below the appended chunk.
+    /// Allocation-free; run after every bind in debug builds.
+    fn check_binding(&self, bind: &RegionBinding) {
+        let nprocs = self.chunk_off.len();
+        let nchunks = self.nchunks();
+        assert!(
+            bind.slot_map.len() == nprocs && bind.base.len() == nprocs,
+            "region invariant: the binding does not have one row per rank"
+        );
+        assert!(
+            bind.chunk.is_none_or(|c| c as usize + 1 == nchunks),
+            "region invariant: the appended chunk is not the last"
+        );
+        // The appended chunk, or the empty one past the last.
+        let (start, end) = match bind.chunk {
+            Some(c) => (c as usize, c as usize + 1),
+            None => (nchunks, nchunks),
+        };
+        assert!(
+            bind.deps.windows(2).all(|w| w[0] < w[1])
+                && bind.deps.iter().all(|&c| (c as usize) < start),
+            "region invariant: deps are not sorted, deduplicated and below the chunk"
+        );
+        for p in 0..nprocs {
+            let (offs, size) = (&self.chunk_off[p], self.size(p));
+            assert!(
+                offs.len() == nchunks + 1 && offs[0] == 0 && offs.windows(2).all(|w| w[0] <= w[1]),
+                "region invariant: rank {p}'s chunk_off is not monotone over {nchunks} chunks"
+            );
+            assert_eq!(
+                offs[nchunks] as usize, size,
+                "region invariant: rank {p}'s chunk_off does not end at the row size"
+            );
+            let map = &bind.slot_map[p];
+            for (i, &slot) in map.iter().enumerate() {
+                assert!(
+                    (slot as usize) < size && !map[..i].contains(&slot),
+                    "region invariant: rank {p}'s slot map is not injective into its row"
+                );
+            }
+            assert!(
+                bind.base[p] == offs[start]
+                    && bind.base[p] as usize + bind.diff.ghost_count(p) == offs[end] as usize,
+                "region invariant: rank {p}'s base and fetch are not the chunk's slots"
+            );
+        }
+    }
 }
 
 /// A loop's binding into a [`GhostRegion`]: which chunk it appended, which
@@ -423,14 +477,18 @@ impl ReuseRegistry {
             needed.len() as u32
         });
         region.resident = merged;
-        RegionBinding {
+        let bind = RegionBinding {
             sig,
             chunk,
             deps,
             slot_map,
             diff,
             base,
+        };
+        if cfg!(debug_assertions) {
+            region.check_binding(&bind);
         }
+        bind
     }
 
     /// The resident ghost region for a distribution signature, if any loop
@@ -672,6 +730,38 @@ mod tests {
             (2, 3),
             "nothing appended"
         );
+    }
+
+    /// Bind two loops, corrupt the region or the second binding, and
+    /// assert that `check_binding` panics naming `invariant`.
+    fn assert_breaks(invariant: &str, corrupt: impl FnOnce(&mut GhostRegion, &mut RegionBinding)) {
+        let mut reg = ReuseRegistry::new();
+        let sig = block_dad(64).signature();
+        let _ = reg.region_bind(sig, &sched2(vec![(1, 3), (1, 5)], vec![(0, 0)]));
+        let mut bind = reg.region_bind(sig, &sched2(vec![(1, 5), (1, 7)], vec![(0, 2)]));
+        let mut region = reg.region(sig).unwrap().clone();
+        region.check_binding(&bind);
+        corrupt(&mut region, &mut bind);
+        let payload =
+            std::panic::catch_unwind(|| region.check_binding(&bind)).expect_err(invariant);
+        let message = (payload.downcast_ref::<String>().map(String::as_str))
+            .or(payload.downcast_ref::<&str>().copied());
+        assert!(
+            message.is_some_and(|m| m.contains(invariant)),
+            "{invariant:?} not in {message:?}"
+        );
+    }
+
+    #[test]
+    fn a_corrupted_binding_fails_the_invariant_it_breaks() {
+        assert_breaks("one row per rank", |_, b| b.base.truncate(1));
+        assert_breaks("chunk is not the last", |_, b| b.chunk = Some(0));
+        assert_breaks("deps are not sorted", |_, b| b.deps = vec![1]);
+        assert_breaks("chunk_off is not monotone", |r, _| {
+            r.chunk_off[1].swap(1, 2)
+        });
+        assert_breaks("not injective", |_, b| b.slot_map[0] = vec![1, 1]);
+        assert_breaks("not the chunk's slots", |_, b| b.base[0] = 1);
     }
 
     #[test]

@@ -333,7 +333,7 @@ impl CommSchedule {
                 cursor[seg] += 1;
             }
         }
-        CommSchedule {
+        let schedule = CommSchedule {
             nprocs,
             ghost_off,
             ghost_owner,
@@ -343,8 +343,95 @@ impl CommSchedule {
             seg_off,
             pack_src,
             pack_slot,
+        };
+        if cfg!(debug_assertions) {
+            schedule.check_invariants();
         }
+        schedule
     }
+
+    /// Panic, naming the broken invariant, unless the layout is consistent:
+    /// every CSR offset array monotone from 0 and ending at its arena's
+    /// length, every owner in range and never the requester itself, and
+    /// every ghost slot in exactly one send segment — its owner's, to its
+    /// requester — with a matching source offset. Allocation-free; run after
+    /// every layout pass in debug builds.
+    fn check_invariants(&self) {
+        let n = self.nprocs;
+        check_offsets("ghost_off", &self.ghost_off, n, self.ghost_owner.len());
+        check_offsets("send_off", &self.send_off, n, self.send_to.len());
+        let nsends = self.send_to.len();
+        check_offsets("seg_off", &self.seg_off, nsends, self.pack_src.len());
+        assert!(
+            self.ghost_src.len() == self.ghost_owner.len()
+                && self.pack_slot.len() == self.pack_src.len(),
+            "schedule invariant: parallel arenas differ in length"
+        );
+        for p in 0..n {
+            for &owner in self.ghost_owners(p) {
+                assert!(
+                    (owner as usize) < n && owner as usize != p,
+                    "schedule invariant: a ghost slot of processor {p} names owner {owner}"
+                );
+            }
+        }
+        // Each entry lands in a distinct slot of its requester that names
+        // this owner and this source; as many entries as slots then puts
+        // every slot in exactly one segment.
+        for owner in 0..n {
+            let lists = self.send_off[owner] as usize..self.send_off[owner + 1] as usize;
+            let mut last_to = None;
+            for s in lists {
+                let to = self.send_to[s];
+                assert!(
+                    (to as usize) < n && to as usize != owner && last_to < Some(to),
+                    "schedule invariant: owner {owner}'s send lists are not one per requester"
+                );
+                last_to = Some(to);
+                let (owners, srcs) = (
+                    self.ghost_owners(to as usize),
+                    self.ghost_src_offsets(to as usize),
+                );
+                let entries = self.seg_off[s] as usize..self.seg_off[s + 1] as usize;
+                let mut last_slot = None;
+                for e in entries {
+                    let slot = self.pack_slot[e];
+                    assert!(
+                        last_slot < Some(slot),
+                        "schedule invariant: a send segment lists a ghost slot twice or out of order"
+                    );
+                    last_slot = Some(slot);
+                    let slot = slot as usize;
+                    assert!(
+                        slot < owners.len() && owners[slot] as usize == owner,
+                        "schedule invariant: a send segment of owner {owner} fills a slot it does not own"
+                    );
+                    assert_eq!(
+                        srcs[slot], self.pack_src[e],
+                        "schedule invariant: a send entry's source offset differs from its ghost slot's"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            self.pack_src.len(),
+            self.ghost_owner.len(),
+            "schedule invariant: not every ghost slot is in exactly one send segment"
+        );
+    }
+}
+
+/// The CSR offset check of [`CommSchedule::check_invariants`]: `off` has one
+/// entry per row plus one, is monotone from 0, and ends at `end`.
+fn check_offsets(name: &str, off: &[u32], rows: usize, end: usize) {
+    assert!(
+        off.len() == rows + 1 && off[0] == 0 && off.windows(2).all(|w| w[0] <= w[1]),
+        "schedule invariant: {name} is not monotone from 0 over {rows} rows"
+    );
+    assert_eq!(
+        off[rows] as usize, end,
+        "schedule invariant: {name} does not end at its arena's length"
+    );
 }
 
 /// Charge the request exchange of `parts` — each requester tells each owner
@@ -469,6 +556,37 @@ mod tests {
     #[should_panic(expected = "one entry per processor")]
     fn wrong_shape_rejected() {
         let _ = schedule(4, &[Vec::new(), Vec::new()]);
+    }
+
+    /// Corrupt a valid schedule and assert that `check_invariants` panics
+    /// naming `invariant`.
+    fn assert_breaks(invariant: &str, corrupt: impl FnOnce(&mut CommSchedule)) {
+        let mut s = schedule(3, &[vec![(1, 3), (1, 5), (2, 0)], vec![(0, 0)], vec![]]);
+        s.check_invariants();
+        corrupt(&mut s);
+        let payload = std::panic::catch_unwind(|| s.check_invariants()).expect_err(invariant);
+        let message = (payload.downcast_ref::<String>().map(String::as_str))
+            .or(payload.downcast_ref::<&str>().copied());
+        assert!(
+            message.is_some_and(|m| m.contains(invariant)),
+            "{invariant:?} not in {message:?}"
+        );
+    }
+
+    #[test]
+    fn a_corrupted_layout_fails_the_invariant_it_breaks() {
+        assert_breaks("ghost_off is not monotone", |s| s.ghost_off.swap(1, 2));
+        assert_breaks("send_off does not end", |s| {
+            *s.send_off.last_mut().unwrap() -= 1
+        });
+        assert_breaks("names owner 1", |s| s.ghost_owner[3] = 1);
+        assert_breaks("not one per requester", |s| s.send_to[0] = 0);
+        assert_breaks("twice or out of order", |s| {
+            s.pack_slot.swap(1, 2);
+            s.pack_src.swap(1, 2);
+        });
+        assert_breaks("a slot it does not own", |s| s.pack_slot[2] = 2);
+        assert_breaks("source offset differs", |s| s.pack_src[0] = 9);
     }
 
     #[test]

@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+mod cells;
 pub mod collectives;
 pub mod config;
 pub mod fault;

@@ -9,12 +9,14 @@
 //! # Layout
 //!
 //! The registry is a fixed, preallocated array of per-lane shards — one per
-//! pool lane plus one for the driver thread (stored last) — held in the
-//! probe's lane cells, whose docs state the one-writer-per-lane discipline
-//! that lets writes be plain (non-atomic) array increments. Events for
-//! lanes outside the allocated range are *not* folded into another shard;
-//! they bump [`lane_events_lost`](MetricsRegistry::lane_events_lost)
-//! instead, exactly as the [`TraceSink`]'s rings do.
+//! pool lane plus one for the driver thread (stored last) — held in
+//! `LaneCells` (the crate's one lock-free cell module, `cells.rs`), whose
+//! docs state the one-writer-per-lane discipline that lets writes be plain
+//! (non-atomic) array increments. Events for lanes outside the allocated
+//! range are *not* folded into another shard; they bump
+//! [`lane_events_lost`](MetricsRegistry::lane_events_lost) instead, exactly
+//! as the [`TraceSink`]'s rings do. The auditor's state is driver-only and
+//! sits behind a plain, never contended `Mutex`.
 //!
 //! The registry is fed only through the machine's probe (`probe.rs`), from
 //! the same hooks as the flight recorder; which counter and histogram an
@@ -65,11 +67,13 @@
 //! run) — the shards are being written lock-free while a region is in
 //! flight.
 
-use crate::probe::{Lane, LaneCells};
+use crate::cells::LaneCells;
+use crate::probe::Lane;
 use crate::stats::PhaseKind;
 use crate::trace::TraceSink;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Number of log2 buckets per histogram (bucket 0 = 0 ns, last unbounded).
@@ -343,8 +347,7 @@ struct AuditMoments {
     sum_yy: f64,
 }
 
-/// Auditor state: only the driver samples, so it lives in a lane-cell array
-/// with no worker lanes.
+/// Auditor state. Only the driver samples, so its lock is never contended.
 struct AuditState {
     last_wall: Option<Instant>,
     per_kind: [AuditMoments; PhaseKind::COUNT],
@@ -356,7 +359,7 @@ struct AuditState {
 pub struct MetricsRegistry {
     /// Worker-lane shards first, driver shard last.
     shards: LaneCells<LaneShard>,
-    audit: LaneCells<AuditState>,
+    audit: Mutex<AuditState>,
     trace_dropped_wrapped: AtomicU64,
     trace_dropped_lost: AtomicU64,
 }
@@ -376,7 +379,7 @@ impl MetricsRegistry {
     pub fn new(lanes: usize) -> Self {
         MetricsRegistry {
             shards: LaneCells::new(lanes, LaneShard::new),
-            audit: LaneCells::new(0, || AuditState {
+            audit: Mutex::new(AuditState {
                 last_wall: None,
                 per_kind: [AuditMoments::default(); PhaseKind::COUNT],
             }),
@@ -424,24 +427,23 @@ impl MetricsRegistry {
     /// the previous sample. Driver thread only.
     pub(crate) fn audit_sample(&self, kind: PhaseKind, modeled_delta_s: f64) {
         let now = Instant::now();
-        self.audit.with(Lane::Driver, |st| {
-            let wall = match st.last_wall {
-                Some(prev) => now.duration_since(prev).as_secs_f64(),
-                None => 0.0,
-            };
-            st.last_wall = Some(now);
-            if modeled_delta_s <= 0.0 && wall <= 0.0 {
-                return;
-            }
-            let (x, y) = (modeled_delta_s, wall);
-            let m = &mut st.per_kind[kind.index()];
-            m.n += 1;
-            m.sum_x += x;
-            m.sum_y += y;
-            m.sum_xx += x * x;
-            m.sum_xy += x * y;
-            m.sum_yy += y * y;
-        });
+        let mut st = self.audit.lock().unwrap_or_else(PoisonError::into_inner);
+        let wall = match st.last_wall {
+            Some(prev) => now.duration_since(prev).as_secs_f64(),
+            None => 0.0,
+        };
+        st.last_wall = Some(now);
+        if modeled_delta_s <= 0.0 && wall <= 0.0 {
+            return;
+        }
+        let (x, y) = (modeled_delta_s, wall);
+        let m = &mut st.per_kind[kind.index()];
+        m.n += 1;
+        m.sum_x += x;
+        m.sum_y += y;
+        m.sum_xx += x * x;
+        m.sum_xy += x * y;
+        m.sum_yy += y * y;
     }
 
     /// Copy the latest ring-drop split out of a trace sink into the
@@ -504,7 +506,7 @@ impl MetricsRegistry {
     /// worst offender first. Driver-quiescent like
     /// [`MetricsRegistry::snapshot`].
     pub fn audit_report(&self) -> AuditReport {
-        let st = self.audit.iter().next().expect("the driver's cell");
+        let st = self.audit.lock().unwrap_or_else(PoisonError::into_inner);
         let mut rows: Vec<AuditRow> = PhaseKind::ALL
             .iter()
             .filter_map(|&kind| {

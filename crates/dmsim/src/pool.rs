@@ -2,42 +2,33 @@
 //! broadcast phase descriptors through an epoch release and a completion
 //! crossing.
 //!
-//! Spawning one OS thread per rank per phase costs tens of microseconds
-//! each, which dominates small and medium phases now that the compute inside
-//! them is cheap (CSR schedules, compiled kernels). [`PooledBackend`] avoids
-//! that cost structurally:
+//! Spawning one OS thread per rank per phase costs tens of microseconds,
+//! which would dominate phases whose compute is cheap (CSR schedules,
+//! compiled kernels). [`PooledBackend`] avoids that cost structurally:
 //!
-//! * **Workers are created once** (at pool construction) and live until the
-//!   backend is dropped. The driver thread itself doubles as the last lane,
-//!   so a pool of `w` workers spawns only `w - 1` OS threads — and a
-//!   single-worker pool runs everything inline with no synchronization at
-//!   all.
+//! * **Workers are created once** and live until the backend is dropped.
+//!   The driver thread doubles as the last lane, so `w` workers spawn
+//!   `w - 1` OS threads, and a single-worker pool runs inline.
 //! * **Stages are broadcast, not spawned.** The engine has **one lane
 //!   body** (`PooledBackend::run_lanes`, the only caller of
 //!   `WorkerPool::run`): a kernel stage over the lane's stripe and, for the
-//!   fused sweep, a stage barrier followed by the combine stages. The two
-//!   things the pool implements of [`Backend`], `fan_out` and `run_sweep`,
-//!   publish it as one type-erased descriptor (a borrowed closure, made to
-//!   outlive the call through the pool's epoch protocol) and release the
-//!   workers by bumping an epoch counter — the monotonic generalization of
-//!   a sense-reversing barrier flag: a worker's "sense" is the last epoch
-//!   it completed, and the release test is simply `epoch != seen`.
-//! * **Every crossing waits the same way.** The release (workers wait for
-//!   the epoch), the fused sweep's stage crossing and the completion (the
-//!   driver waits for every worker) share one wait: spin briefly, yield,
-//!   then park on the crossing's condvar. Back-to-back phases stay off the
-//!   scheduler, lanes that outnumber the cores hand their quantum on, and
-//!   an idle pool consumes no CPU. Only after the completion crossing does
-//!   the driver touch the descriptor slot again, which is what makes
-//!   lending the borrowed closure to the workers sound.
+//!   fused sweep, a stage crossing followed by the combine stages. `fan_out`
+//!   and `run_sweep` lend it to the workers as one borrowed descriptor and
+//!   release them by bumping an epoch counter — a sense-reversing barrier
+//!   flag generalized: a worker's "sense" is the last epoch it completed.
+//! * **Every crossing waits the same way.** The release, the stage crossing
+//!   and the completion share one wait: spin briefly, yield, then park on
+//!   the crossing's condvar, so back-to-back phases stay off the scheduler
+//!   and an idle pool consumes no CPU.
 //! * **Ranks are striped statically.** Rank `r` always runs on lane
-//!   `r % workers`, so more ranks than workers fold onto the pool without
-//!   rebalancing, and a rank's charges always land in the same lane-local
-//!   arena.
-//! * **Scratch is per-worker and reusable.** Each lane owns a
-//!   `ChargeArena` — a small CSR log (flat event vector + one offset per
-//!   processed rank) cleared, not freed, every phase. Steady state records
-//!   and replays charges with zero allocation.
+//!   `r % workers`, so its charges always land in the same lane's
+//!   `ChargeArena` — a CSR log cleared, not freed, every phase, so steady
+//!   state records and replays with zero allocation.
+//! * **One writer per cell per phase.** The arenas, the per-rank state,
+//!   scratch and posted slots and the descriptor slot are lent to the lanes
+//!   through the crate's one lock-free primitive (`cells.rs`), whose debug
+//!   builds check the rule; the posted slots are read shared only with the
+//!   stage crossing's `StageCrossed` proof.
 //!
 //! Determinism is inherited from the [`Backend`](crate::backend) contract
 //! unchanged: kernels write only rank-disjoint state, charge only through
@@ -48,23 +39,22 @@
 //! count, on any core count.
 
 use crate::backend::{charge_stage, replay_events, Backend, ChargeEvent, PhaseEnd, RankCtx};
+use crate::cells::{Cells, Claims, Job, JobSlot};
 use crate::config::MachineConfig;
 use crate::fault::{self, CaughtPanic, PanicBundle, PhaseError};
 use crate::machine::{Machine, PhaseCharge};
 use crate::probe::Lane;
 use crate::trace::TraceEventKind;
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A wait spins (`spin_loop`) this many rounds, then yields its time slice
-/// (so a lane that outnumbers the cores hands its quantum to the lane it
-/// waits for) until `PARK_AFTER_ROUNDS`, then parks on its condvar. 1 024
-/// rounds take about 0.3 ms on a 2-core x86-64 host: back-to-back phases
-/// never park, and an idle pool soon stops consuming CPU.
+/// A wait spins this many rounds, then yields its time slice (to the lane
+/// it waits for, when lanes outnumber cores) until `PARK_AFTER_ROUNDS`,
+/// then parks. 1 024 rounds take about 0.3 ms on a 2-core x86-64 host:
+/// back-to-back phases never park, and an idle pool soon stops spinning.
 const YIELD_AFTER_ROUNDS: u32 = 128;
 const PARK_AFTER_ROUNDS: u32 = 1024;
 
@@ -72,25 +62,13 @@ const PARK_AFTER_ROUNDS: u32 = 1024;
 /// detaching them (see [`WorkerPool::shutdown_with_deadline`]).
 const DEFAULT_SHUTDOWN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// What the driver learned when the deadline of one of its waits passed:
-/// which lane had not arrived at that crossing, how long the driver had
-/// waited, and how many ranks each lane had completed by then.
+/// When the driver's deadline passed: the lane that had not arrived, how
+/// long the driver had waited, and how many ranks each lane had completed.
 struct StragglerReport {
     lane: usize,
     waited: Duration,
     progress: Vec<u64>,
 }
-
-/// A type-erased phase descriptor: the closure every lane runs once per
-/// phase, handed its lane index and whether the lane had to park (outlast
-/// the spin and yield rounds and sleep on the condvar) while waiting for
-/// this release — the flight recorder turns that flag into a
-/// `WorkerRelease` annotation. The `'static` in the pointee type is a lie
-/// the pool is structured to keep harmless — the driver never returns from
-/// [`WorkerPool::run`] until every worker has passed the completion
-/// crossing, so the borrow the pointer was created from is still live
-/// whenever a worker dereferences it.
-type Job = *const (dyn Fn(usize, bool) + Sync);
 
 /// One barrier crossing: a monotonic count of arrivals, and where waiters
 /// sleep once they outlast the spin and yield rounds. An arrival is an
@@ -118,13 +96,9 @@ impl Crossing {
     }
 
     /// The pool's one wait: until the count reaches `target`, spin, then
-    /// yield, then park. Returns `true` when the wait parked (the flight
-    /// recorder's park-vs-spin signal).
-    ///
-    /// Once a wait with a `deadline` has lasted that long, `overdue` runs
-    /// and the wait goes on until the real arrival: the workers hold
-    /// borrowed pointers into the driver's stack, so surfacing a hang must
-    /// not make lending the phase descriptor unsound.
+    /// yield, then park; `true` when it parked. Once a wait has lasted its
+    /// `deadline`, `overdue` runs and the wait goes on until the real
+    /// arrival: the workers hold pointers into the driver's stack.
     fn wait_until(
         &self,
         target: u64,
@@ -168,10 +142,9 @@ struct PoolShared {
     /// Release: its count is the pool epoch, bumped by the driver to
     /// publish a phase.
     release: Crossing,
-    /// The current phase descriptor. Written by the driver strictly before
-    /// the epoch bump, cleared strictly after the completion crossing; in
-    /// between, read-only.
-    job: UnsafeCell<Option<Job>>,
+    /// The phase descriptor, lent from before the release to after the
+    /// completion crossing.
+    job: JobSlot,
     /// The fused sweep's stage crossing: every lane arrives.
     stage: Crossing,
     /// Completion: every worker arrives once per phase, so after epoch `e`
@@ -182,24 +155,16 @@ struct PoolShared {
     /// Backstop: every panic payload that escaped a lane's phase closure,
     /// with the lane it was caught on and the pool epoch it happened in.
     panics: Mutex<Vec<CaughtPanic>>,
-    /// Ranks completed per lane during the current phase (the straggler
-    /// diagnostic). Reset by the driver while the pool is quiescent.
+    /// Ranks completed per lane this phase (the straggler diagnostic).
     progress: Vec<AtomicU64>,
-    /// Crossings (stage and completion) each lane has arrived at during the
-    /// current phase, so a blown deadline can name a lane that has not
-    /// reached the crossing the driver waits at. Driver lane included.
+    /// Crossings each lane (the driver's included) has arrived at this
+    /// phase, so a blown deadline can name a lane that has not.
     crossed: Vec<AtomicU64>,
     /// The first straggler report of the current phase.
     straggler: Mutex<Option<StragglerReport>>,
     /// Number of spawned workers (lanes excluding the driver's).
     spawned: usize,
 }
-
-// Safety: `job` is the only non-Sync field. It is written by the driver only
-// while every worker is quiescent (before the epoch release / after the
-// completion crossing) and read by workers only between those two points.
-unsafe impl Send for PoolShared {}
-unsafe impl Sync for PoolShared {}
 
 impl PoolShared {
     /// Wait at `crossing` until its count reaches `target`. Only the driver
@@ -228,14 +193,19 @@ impl PoolShared {
     /// The stage crossing inside one phase (the fused sweep's compute →
     /// combine boundary): every lane arrives, and the last arrival releases
     /// the rest. Only the driver lane's wait carries the `deadline`.
-    fn cross_stage(&self, lane: usize, deadline: Option<Duration>) {
+    fn cross_stage(&self, lane: usize, deadline: Option<Duration>) -> StageCrossed {
         let lanes = self.spawned as u64 + 1;
         self.crossed[lane].fetch_add(1, Ordering::Release);
         let count = self.stage.arrive(lanes);
         let deadline = deadline.filter(|_| lane == self.spawned);
         self.wait_at(&self.stage, count.div_ceil(lanes) * lanes, deadline);
+        StageCrossed(())
     }
 }
+
+/// Proof that a lane passed the stage crossing, where every lane's
+/// kernel-stage claims closed ([`Cells::frozen`]); only `cross_stage` makes one.
+pub(crate) struct StageCrossed(());
 
 /// Long-lived worker loop: wait for a phase, run the lane's share, arrive.
 fn worker_main(shared: Arc<PoolShared>, lane: usize) {
@@ -248,11 +218,7 @@ fn worker_main(shared: Arc<PoolShared>, lane: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Safety: the driver published the descriptor before this epoch and
-        // keeps the underlying closure alive until after `arrive`.
-        let job = unsafe { (*shared.job.get()).expect("pool epoch bumped with no job") };
-        let job = unsafe { &*job };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(lane, parked))) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| shared.job.run(lane, parked))) {
             // Backstop for panics that escape the phase closure's own
             // per-rank catch: keep *every* payload, tagged with its lane and
             // pool epoch, so multi-lane failures lose nothing.
@@ -283,7 +249,7 @@ impl WorkerPool {
         let spawned = lanes - 1;
         let shared = Arc::new(PoolShared {
             release: Crossing::default(),
-            job: UnsafeCell::new(None),
+            job: JobSlot::default(),
             stage: Crossing::default(),
             done: Crossing::default(),
             shutdown: AtomicBool::new(false),
@@ -309,20 +275,12 @@ impl WorkerPool {
         }
     }
 
-    /// Run `job(lane)` once per lane — spawned workers take lanes
-    /// `0..lanes-1`, the driver takes the last — returning only after every
-    /// lane has finished. Worker panics are re-raised here, after the
-    /// completion crossing, so the borrowed descriptor is never outlived;
-    /// when several lanes panicked, *all* their payloads are re-raised
-    /// together as one [`PanicBundle`]. The first `deadline` the driver lane
-    /// blew — at the completion crossing here, or at a stage crossing the
-    /// job crossed with the same deadline — is returned as a straggler
-    /// report (the phase still completes).
-    fn run(
-        &self,
-        job: &(dyn Fn(usize, bool) + Sync),
-        deadline: Option<Duration>,
-    ) -> Option<StragglerReport> {
+    /// Run `job(lane)` once per lane — workers take lanes `0..lanes-1`, the
+    /// driver the last — returning after every lane has finished. Lane
+    /// panics are re-raised after the completion crossing, several as one
+    /// [`PanicBundle`]. The first `deadline` the driver lane blew (here or
+    /// at a stage crossing) is returned as a straggler report.
+    fn run(&self, job: Job<'_>, deadline: Option<Duration>) -> Option<StragglerReport> {
         let shared = &*self.shared;
         let driver_lane = shared.spawned;
         if shared.spawned == 0 {
@@ -335,27 +293,17 @@ impl WorkerPool {
             p.store(0, Ordering::Relaxed);
             c.store(0, Ordering::Relaxed);
         }
-        // Publish, then release. Safety: every worker is quiescent between
-        // phases (the previous completion crossing has passed), so the slot
-        // is ours to write.
-        unsafe {
-            *shared.job.get() = Some(std::mem::transmute::<
-                *const (dyn Fn(usize, bool) + Sync),
-                Job,
-            >(job));
-        }
-        let epoch = shared.release.arrive(1);
-        // The driver is a lane too: run its stripe while the workers run
-        // theirs (never parked — it released this epoch itself). A panic
-        // here must still wait out the completion crossing (the workers hold
-        // pointers into the driver's stack), hence the catch.
-        let mine = catch_unwind(AssertUnwindSafe(|| job(driver_lane, false)));
-        shared.crossed[driver_lane].fetch_add(1, Ordering::Release);
-        shared.wait_at(&shared.done, epoch * shared.spawned as u64, deadline);
-        // Safety: completion crossing passed; the slot is quiescent again.
-        unsafe {
-            *shared.job.get() = None;
-        }
+        let (epoch, mine) = shared.job.lend(&job, || {
+            let epoch = shared.release.arrive(1);
+            // The driver is a lane too: run its stripe while the workers run
+            // theirs (never parked — it released this epoch itself). A panic
+            // here must still wait out the completion crossing (the workers
+            // hold pointers into the driver's stack), hence the catch.
+            let mine = catch_unwind(AssertUnwindSafe(|| job(driver_lane, false)));
+            shared.crossed[driver_lane].fetch_add(1, Ordering::Release);
+            shared.wait_at(&shared.done, epoch * shared.spawned as u64, deadline);
+            (epoch, mine)
+        });
         // Taken before any re-raise, so no report outlives its phase.
         let straggler = shared.straggler.lock();
         let straggler = straggler.expect("a straggler report panicked").take();
@@ -376,12 +324,10 @@ impl WorkerPool {
         straggler
     }
 
-    /// Bounded shutdown: wake every parked lane, then join each worker,
-    /// polling up to `deadline` overall. A worker that still has not exited
-    /// by then is detached rather than joined — safe because workers check
-    /// the shutdown flag before dereferencing the job slot, and no phase is
-    /// in flight when this runs (every `run` waits out its completion
-    /// crossing). Returns `true` when every worker was joined.
+    /// Bounded shutdown: wake every lane, then join each worker within
+    /// `deadline` overall, detaching any that has not exited (safe: workers
+    /// check the shutdown flag before reading the job slot, and no phase is
+    /// in flight). Returns `true` when every worker was joined.
     fn shutdown_with_deadline(&mut self, deadline: Duration) -> bool {
         if self.handles.is_empty() {
             return true;
@@ -411,56 +357,14 @@ impl Drop for WorkerPool {
     }
 }
 
-/// One lane's reusable charge scratch: every event the lane's ranks recorded
-/// this phase, stored contiguously, with one start offset per processed rank
-/// (CSR-style; a trailing sentinel closes the last span). Cleared — never
-/// freed — each phase, so steady-state phases record without allocating.
-///
-/// The fused sweep generalizes the layout to multiple *stages* per phase:
-/// stage `s`'s span for the lane's `i`-th stripe rank is span
-/// `s * stripe_len + i`, with inactive stages contributing empty spans so
-/// the indexing stays uniform.
+/// One lane's reusable charge log: the events its ranks recorded this phase,
+/// with one start offset per span and a closing sentinel (CSR). Stage `s`'s
+/// span for the lane's `i`-th stripe rank is span `s * stripe_len + i`
+/// (inactive stages leave theirs empty). Cleared, never freed, each phase.
 #[derive(Debug, Default)]
 struct ChargeArena {
     events: Vec<ChargeEvent>,
     starts: Vec<u32>,
-}
-
-/// A `&mut [T]` smuggled to the pool's lanes as disjointly-indexed cells.
-///
-/// Safety contract: during one phase, each index is touched by at most one
-/// lane (the rank → lane striping is a partition), and the driver does not
-/// touch the slice until the phase's completion barrier has passed.
-struct RawCells<T> {
-    ptr: *mut T,
-    len: usize,
-}
-
-unsafe impl<T: Send> Send for RawCells<T> {}
-unsafe impl<T: Send> Sync for RawCells<T> {}
-
-impl<T> RawCells<T> {
-    fn new(slice: &mut [T]) -> Self {
-        RawCells {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-        }
-    }
-
-    /// Safety: `i < len`, and no other lane touches index `i` this phase.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len);
-        &mut *self.ptr.add(i)
-    }
-
-    /// A shared view of the whole slice. Safety: no lane holds a `&mut`
-    /// into the slice for as long as the view is read — in the fused sweep
-    /// the stage barrier separates the mutating compute stage from the
-    /// read-only combine stages.
-    unsafe fn as_slice(&self) -> &[T] {
-        std::slice::from_raw_parts(self.ptr, self.len)
-    }
 }
 
 /// Number of ranks striped onto `lane` (`rank % lanes == lane`).
@@ -472,13 +376,11 @@ fn stripe_len(nprocs: usize, lanes: usize, lane: usize) -> usize {
     }
 }
 
-/// The rank a straggler report names: `lane` had completed `done`
-/// rank-executions (counted across every stage of the region, each stage a
-/// pass over the lane's stripe) when the barrier deadline passed, so it was
-/// executing — or about to execute — position `done % stripe` of its stripe;
-/// a lane that had just finished a pass (or the whole region) without
-/// arriving is pinned to the last rank it ran. Always a rank of `lane`'s own
-/// stripe; a lane with an empty stripe has none, and the last rank stands in.
+/// The rank a straggler report names: `lane` had run `done` ranks (over
+/// every stage, each a pass over its stripe), so it was at position
+/// `done % stripe` of its stripe, or at the last rank it ran after a full
+/// pass. Always a rank of `lane`'s stripe; for an empty stripe, the last
+/// rank stands in.
 fn straggler_rank(nprocs: usize, lanes: usize, lane: usize, done: usize) -> usize {
     let stripe = stripe_len(nprocs, lanes, lane);
     if stripe == 0 {
@@ -491,14 +393,15 @@ fn straggler_rank(nprocs: usize, lanes: usize, lane: usize, done: usize) -> usiz
     lane + pos * lanes
 }
 
-/// The persistent-pool engine: long-lived workers, a broadcast-descriptor
-/// phase protocol, per-worker reusable charge arenas and static rank →
-/// worker striping (see the module docs).
-/// Byte-identical to the sequential [`Machine`] engine by construction.
+/// The persistent-pool engine (see the module docs), byte-identical to the
+/// sequential [`Machine`] engine by construction.
 pub struct PooledBackend {
     machine: Machine,
     pool: WorkerPool,
     arenas: Vec<ChargeArena>,
+    /// Debug builds' in-use flags for the cells a region lends: the lanes'
+    /// arenas, then the per-rank scratch (or state) and posted cells.
+    claims: [Claims; 3],
     /// Completion-barrier deadline; `None` disables straggler detection.
     deadline: Option<Duration>,
     /// Straggler detected during the last completed region, surfaced
@@ -537,23 +440,23 @@ impl PooledBackend {
     pub fn with_workers(machine: Machine, workers: usize) -> Self {
         assert!(workers >= 1, "a pool needs at least one worker");
         let arenas = (0..workers).map(|_| ChargeArena::default()).collect();
+        let nprocs = machine.nprocs();
         PooledBackend {
             machine,
             pool: WorkerPool::new(workers),
             arenas,
+            claims: [workers, nprocs, nprocs].map(Claims::new),
             deadline: None,
             pending_flaw: None,
             inline: false,
         }
     }
 
-    /// Enable straggler detection: whenever the driver lane has waited
-    /// `deadline` at a crossing — a fused sweep's stage crossing or a
-    /// region's completion — for a worker lane that has not arrived, the
+    /// Enable straggler detection: when the driver lane has waited
+    /// `deadline` at a crossing (stage or completion) for a worker lane, the
     /// region's first such lane is reported as a [`PhaseError::Straggler`]
     /// through [`Backend::take_phase_flaw`] / [`Backend::try_run_compute`].
-    /// The region itself still completes — the driver waits out the real
-    /// arrival so the borrowed phase descriptor stays sound.
+    /// The region still completes: the driver waits out the real arrival.
     pub fn set_barrier_deadline(&mut self, deadline: Duration) {
         self.deadline = Some(deadline);
     }
@@ -577,32 +480,34 @@ impl PooledBackend {
     /// takes ranks `w`, `w + workers`, … (static striping) and records each
     /// rank's charges as one span in its arena:
     ///
-    /// 1. the **kernel stage**: `kernel(ctx, rank)` per stripe rank, each
-    ///    entry a fault-injection point and a `KernelEnter` span, each rank
-    ///    caught on its own;
-    /// 2. with `ncombine > 0` (the fused sweep), the stage crossing — what
-    ///    the kernel stage wrote is frozen past it — then per buffer `j` one
-    ///    span per stripe rank, filled by `combine(ctx, j, rank)` when
-    ///    `active(j)` and left empty otherwise, so span indexing stays
-    ///    uniform for [`Self::replay_stage`]. A plain fan-out has no second
-    ///    stage and does not wait.
+    /// 1. the **kernel stage**: `kernel(ctx, scratch, posted)` on each stripe
+    ///    rank's two cells, each a fault-injection point and a `KernelEnter`
+    ///    span, each rank caught on its own;
+    /// 2. with `ncombine > 0` (the fused sweep), the stage crossing, past
+    ///    which `posted` is frozen, then per buffer `j` one span per stripe
+    ///    rank, filled by `combine(ctx, j, scratch, posted)` when
+    ///    `active(posted, j)` and left empty otherwise, so span indexing stays
+    ///    uniform for [`Self::replay_stage`].
     ///
-    /// Rank panics (organic or injected) are re-raised as one sorted
-    /// [`PanicBundle`] naming every failing rank; the caller then never
-    /// reaches its replay, so the machine is untouched by the failed region.
-    /// The driver lane's first blown deadline (at the stage crossing or the
-    /// completion) is parked in `pending_flaw` as a [`PhaseError::Straggler`].
-    fn run_lanes<K, A, S>(
+    /// Rank panics are re-raised as one [`PanicBundle`] sorted by rank, so the
+    /// caller never replays a failed region; the driver lane's first blown
+    /// deadline is parked in `pending_flaw` as a [`PhaseError::Straggler`].
+    #[allow(clippy::too_many_arguments)]
+    fn run_lanes<Sc, Px, K, A, S>(
         &mut self,
         in_phase: bool,
+        scratch: &mut [Sc],
+        posted: &mut [Px],
         kernel: K,
         ncombine: usize,
         active: A,
         combine: S,
     ) where
-        K: Fn(&mut RankCtx<'_>, usize) + Sync,
-        A: Fn(usize) -> bool + Sync,
-        S: Fn(&mut RankCtx<'_>, usize, usize) + Sync,
+        Sc: Send,
+        Px: Send + Sync,
+        K: Fn(&mut RankCtx<'_>, &mut Sc, &mut Px) + Sync,
+        A: Fn(&[Px], usize) -> bool + Sync,
+        S: Fn(&mut RankCtx<'_>, usize, &mut Sc, &[Px]) + Sync,
     {
         let nprocs = self.machine.nprocs();
         let lanes = self.pool.lanes;
@@ -611,78 +516,87 @@ impl PooledBackend {
         let caught: Mutex<Vec<CaughtPanic>> = Mutex::new(Vec::new());
         let panicked = AtomicBool::new(false);
         let (shared, deadline) = (&*self.pool.shared, self.deadline);
-        let arenas = RawCells::new(&mut self.arenas);
+        let [lane_claims, scratch_claims, posted_claims] = &self.claims;
+        let arenas = Cells::new(&mut self.arenas, lane_claims);
+        let scratch = Cells::new(scratch, scratch_claims);
+        let posted = Cells::new(posted, posted_claims);
         let straggler = self.pool.run(
             &|lane: usize, parked: bool| {
                 let me = Lane::Worker(lane);
                 probe.instant(me, TraceEventKind::WorkerRelease, parked as u32);
-                // Safety: lane indices are distinct across the pool's lanes.
-                let arena = unsafe { arenas.get_mut(lane) };
-                arena.events.clear();
-                arena.starts.clear();
+                // The arena is claimed once per stage, never across the
+                // crossing: a claim that fails is caught like a rank's panic.
                 let pre = catch_unwind(AssertUnwindSafe(|| {
-                    for rank in (lane..nprocs).step_by(lanes) {
-                        arena.starts.push(arena.events.len() as u32);
-                        let span = probe.enter(me, TraceEventKind::KernelEnter, rank as u32);
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            fault::fire_traced(machine, rank, me);
-                            let mut ctx =
-                                RankCtx::recording(rank, nprocs, &mut arena.events, in_phase);
-                            kernel(&mut ctx, rank);
-                        }));
-                        probe.exit(me, span, 1);
-                        if let Err(payload) = result {
-                            panicked.store(true, Ordering::Release);
-                            caught.lock().unwrap().push(CaughtPanic {
-                                epoch,
-                                rank: Some(rank),
-                                lane: Some(lane),
-                                payload,
-                            });
+                    arenas.with(lane, |arena| {
+                        arena.events.clear();
+                        arena.starts.clear();
+                        for rank in (lane..nprocs).step_by(lanes) {
+                            arena.starts.push(arena.events.len() as u32);
+                            let span = probe.enter(me, TraceEventKind::KernelEnter, rank as u32);
+                            let result = catch_unwind(AssertUnwindSafe(|| {
+                                fault::fire_traced(machine, rank, me);
+                                let mut ctx =
+                                    RankCtx::recording(rank, nprocs, &mut arena.events, in_phase);
+                                scratch.with(rank, |sc| {
+                                    posted.with(rank, |px| kernel(&mut ctx, sc, px))
+                                });
+                            }));
+                            probe.exit(me, span, 1);
+                            if let Err(payload) = result {
+                                panicked.store(true, Ordering::Release);
+                                caught.lock().unwrap().push(CaughtPanic {
+                                    epoch,
+                                    rank: Some(rank),
+                                    lane: Some(lane),
+                                    payload,
+                                });
+                            }
+                            shared.progress[lane].fetch_add(1, Ordering::Release);
                         }
-                        shared.progress[lane].fetch_add(1, Ordering::Release);
-                    }
+                    })
                 }));
                 if pre.is_err() {
                     panicked.store(true, Ordering::Release);
                 }
-                if ncombine > 0 {
-                    // Every lane must arrive — re-raising before the crossing
-                    // would deadlock the peers — so an escape from the loop
-                    // above is deferred until after arrival (the lane-level
-                    // backstop in `worker_main` / `WorkerPool::run` keeps
-                    // the payload).
+                // Every lane must arrive, or its peers deadlock: an escape
+                // from the stage above is re-raised after the crossing (the
+                // backstop in `worker_main` / `WorkerPool::run` keeps it).
+                let crossed = (ncombine > 0).then(|| {
                     let wait = probe.enter(me, TraceEventKind::StageWaitBegin, 0);
-                    shared.cross_stage(lane, deadline);
+                    let crossed = shared.cross_stage(lane, deadline);
                     probe.exit(me, wait, 1);
-                }
+                    crossed
+                });
                 if let Err(payload) = pre {
                     resume_unwind(payload);
                 }
-                // Some rank failed: the region re-raises and never replays,
-                // so the combine stages are skipped pool-wide.
-                if !panicked.load(Ordering::Acquire) {
-                    for j in 0..ncombine {
-                        let active = active(j);
-                        let span =
-                            active.then(|| probe.enter(me, TraceEventKind::CombineEnter, j as u32));
-                        let mut ran = 0u64;
-                        for rank in (lane..nprocs).step_by(lanes) {
-                            arena.starts.push(arena.events.len() as u32);
-                            if active {
-                                let mut ctx =
-                                    RankCtx::recording(rank, nprocs, &mut arena.events, false);
-                                combine(&mut ctx, j, rank);
-                                ran += 1;
+                arenas.with(lane, |arena| {
+                    // Some rank failed: the region re-raises and never
+                    // replays, so the combine stages are skipped pool-wide.
+                    if let (Some(crossed), false) = (crossed, panicked.load(Ordering::Acquire)) {
+                        let posted = posted.frozen(&crossed);
+                        for j in 0..ncombine {
+                            let active = active(posted, j);
+                            let span = active
+                                .then(|| probe.enter(me, TraceEventKind::CombineEnter, j as u32));
+                            let mut ran = 0u64;
+                            for rank in (lane..nprocs).step_by(lanes) {
+                                arena.starts.push(arena.events.len() as u32);
+                                if active {
+                                    let mut ctx =
+                                        RankCtx::recording(rank, nprocs, &mut arena.events, false);
+                                    scratch.with(rank, |sc| combine(&mut ctx, j, sc, posted));
+                                    ran += 1;
+                                }
+                                shared.progress[lane].fetch_add(1, Ordering::Release);
                             }
-                            shared.progress[lane].fetch_add(1, Ordering::Release);
-                        }
-                        if let Some(span) = span {
-                            probe.exit(me, span, ran);
+                            if let Some(span) = span {
+                                probe.exit(me, span, ran);
+                            }
                         }
                     }
-                }
-                arena.starts.push(arena.events.len() as u32);
+                    arena.starts.push(arena.events.len() as u32);
+                });
                 probe.instant(me, TraceEventKind::BarrierArrive, lane as u32);
             },
             deadline,
@@ -704,13 +618,10 @@ impl PooledBackend {
         }
     }
 
-    /// Replay one stage's spans of the lanes' arenas against the machine in
-    /// ascending **rank** order (interleaving across lanes per the stripe
-    /// map) — the exact charge sequence the sequential engine would have
-    /// produced — as one driver-side replay span. A plain fan-out has the
-    /// single stage `0`; in a fused sweep stage `0` is compute and stage
-    /// `1 + j` is scatter buffer `j`'s combine (see the span layout note on
-    /// [`ChargeArena`]).
+    /// Replay one stage's spans of the arenas against the machine in
+    /// ascending **rank** order — the sequential engine's exact charge
+    /// sequence — as one driver-side replay span. Stage `0` is the kernel
+    /// stage, stage `1 + j` scatter buffer `j`'s combine ([`ChargeArena`]).
     fn replay_stage(&mut self, stage: usize, mut phase: Option<&mut PhaseCharge>) {
         let lanes = self.pool.lanes;
         let nprocs = self.machine.nprocs();
@@ -754,17 +665,16 @@ impl Backend for PooledBackend {
         let mut states: Vec<Option<St>> = state.into_iter().map(Some).collect();
         let nprocs = self.machine.nprocs();
         assert_eq!(states.len(), nprocs, "state must yield one item per rank");
-        let cells = RawCells::new(&mut states);
+        // A plain fan-out posts nothing (a `Vec` of `()` never allocates).
+        let mut posted = vec![(); nprocs];
         self.run_lanes(
             phase.is_some(),
-            |ctx, rank| {
-                // Safety: each rank index is visited exactly once per region.
-                let st = unsafe { cells.get_mut(rank) }.take().expect("state slot");
-                kernel(ctx, st);
-            },
+            &mut states,
+            &mut posted,
+            |ctx, st, _| kernel(ctx, st.take().expect("state slot")),
             0,
-            |_| false,
-            |_, _, _| {},
+            |_, _| false,
+            |_, _, _, _| {},
         );
         self.replay_stage(0, phase);
     }
@@ -801,33 +711,19 @@ impl Backend for PooledBackend {
         let nprocs = self.machine.nprocs();
         assert_eq!(scratch.len(), nprocs, "one scratch item per rank");
         assert_eq!(posted.len(), nprocs, "one posted area per rank");
-        let scratch_cells = RawCells::new(&mut *scratch);
-        let posted_cells = RawCells::new(&mut *posted);
-        // One broadcast release runs the whole sweep: every lane computes
-        // its stripe, crosses the stage barrier (after which the posted
-        // areas are frozen), then records every combine stage.
+        // One release runs the whole sweep: compute, stage crossing, combine.
         self.run_lanes(
             false,
-            |ctx, rank| {
-                // Safety: rank → lane striping is a partition.
-                let sc = unsafe { scratch_cells.get_mut(rank) };
-                let px = unsafe { posted_cells.get_mut(rank) };
-                compute(ctx, sc, px);
-            },
+            scratch,
+            posted,
+            compute,
             nscatter,
-            // Safety (both views): the stage barrier retired every `&mut`
-            // the compute stage took into the posted areas.
-            |j| scatter_active(unsafe { posted_cells.as_slice() }, j),
-            |ctx, j, rank| {
-                // Safety: striping partitions scratch too.
-                let sc = unsafe { scratch_cells.get_mut(rank) };
-                combine(ctx, j, sc, unsafe { posted_cells.as_slice() });
-            },
+            &scatter_active,
+            combine,
         );
-        // Replay compute, then per active buffer: the driver-side pack
-        // stage (charges only, like `run_phase`'s), a quiet close, and the
-        // buffer's combine spans — ascending rank order throughout, the
-        // exact sequence the sequential engine produces.
+        // Replay compute, then per active buffer the driver-side pack stage
+        // (charges only), a quiet close and the buffer's combine spans: the
+        // sequential engine's exact sequence.
         self.replay_stage(0, None);
         for j in 0..nscatter {
             if !scatter_active(posted, j) {

@@ -15,16 +15,14 @@
 //! never touch machine state, so values, modeled clocks and statistics are
 //! bit-identical either way (`tests/observer_identity.rs`), and recording
 //! allocates nothing either (`tests/no_alloc_steady_state.rs`): both sinks
-//! preallocate per-lane storage in [`LaneCells`].
+//! preallocate per-lane storage in [`LaneCells`](crate::cells::LaneCells),
+//! whose docs state the one-writer-per-lane discipline that lets a hook
+//! write without a lock.
 
 use crate::metrics::{Counter, EngineKind, MetricsRegistry, SpanKind};
 use crate::stats::{CommStats, PhaseKind};
 use crate::trace::{TraceEventKind, TraceSink};
 use crate::Machine;
-use std::cell::UnsafeCell;
-#[cfg(debug_assertions)]
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,119 +34,6 @@ pub(crate) enum Lane {
     Worker(usize),
     /// The driver thread outside the pool's release → completion window.
     Driver,
-}
-
-/// One cell per worker lane plus a last one for the driver, each written by
-/// a single thread at a time without locks — the storage under the trace
-/// rings and the metrics shards.
-///
-/// # The lane discipline
-///
-/// Worker lane `w` is the only writer of cell `w`, and only between the
-/// pool's release and completion barriers. The driver is the only writer of
-/// the last cell, and only outside that window: every driver-side hook is
-/// reached through `&mut Machine`. Read-out ([`LaneCells::iter`]) runs
-/// while no phase is in flight — which is every point at which user code
-/// can hold an observer, since the engines' `run_*` entry points do not
-/// return mid-phase. A write addressed to a lane there is no cell for is
-/// counted in [`LaneCells::lost`], never folded into another lane's cell.
-///
-/// Debug builds check the discipline: every cell carries an in-use flag,
-/// set around each write, and a second writer — or a read-out overlapping a
-/// write — panics before the cell is touched.
-pub(crate) struct LaneCells<T> {
-    cells: Vec<LaneCell<T>>,
-    lost: AtomicU64,
-}
-
-struct LaneCell<T> {
-    value: UnsafeCell<T>,
-    #[cfg(debug_assertions)]
-    writing: AtomicBool,
-}
-
-// SAFETY: a cell's `T` is reached through `&LaneCells` only under the lane
-// discipline (type docs): one writer at a time, which hands `&mut T` from
-// thread to thread (`T: Send`), and shared reads only while no writer is
-// active (`T: Sync`). `lost` and the debug flags are atomics.
-unsafe impl<T: Send + Sync> Sync for LaneCells<T> {}
-
-/// Clears a cell's in-use flag when the write it guards ends.
-#[cfg(debug_assertions)]
-struct Claim<'a>(&'a AtomicBool);
-
-#[cfg(debug_assertions)]
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
-    }
-}
-
-impl<T> LaneCells<T> {
-    /// `lanes` worker cells plus the driver's, each built by `make`.
-    pub(crate) fn new(lanes: usize, mut make: impl FnMut() -> T) -> Self {
-        LaneCells {
-            cells: (0..=lanes)
-                .map(|_| LaneCell {
-                    value: UnsafeCell::new(make()),
-                    #[cfg(debug_assertions)]
-                    writing: AtomicBool::new(false),
-                })
-                .collect(),
-            lost: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of cells, the driver's included.
-    pub(crate) fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Writes addressed to a lane with no cell.
-    pub(crate) fn lost(&self) -> u64 {
-        self.lost.load(Ordering::Relaxed)
-    }
-
-    /// Run `f` on `lane`'s cell as its current writer (see the lane
-    /// discipline in the type docs).
-    #[inline]
-    pub(crate) fn with(&self, lane: Lane, f: impl FnOnce(&mut T)) {
-        let workers = self.cells.len() - 1;
-        let index = match lane {
-            Lane::Worker(w) if w < workers => w,
-            Lane::Worker(_) => {
-                self.lost.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Lane::Driver => workers,
-        };
-        let cell = &self.cells[index];
-        #[cfg(debug_assertions)]
-        let _claim = {
-            assert!(
-                !cell.writing.swap(true, Ordering::Acquire),
-                "lane cell {index} has two writers at once (lane discipline broken)"
-            );
-            Claim(&cell.writing)
-        };
-        // SAFETY: by the lane discipline this thread is the cell's only
-        // accessor until `f` returns, so the `&mut` is unique.
-        f(unsafe { &mut *cell.value.get() })
-    }
-
-    /// Every cell, worker lanes first and the driver's last. Read-out side:
-    /// call only while no phase is in flight.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.cells.iter().map(|cell| {
-            #[cfg(debug_assertions)]
-            assert!(
-                !cell.writing.load(Ordering::Acquire),
-                "lane cell read out while a lane is writing it (lane discipline broken)"
-            );
-            // SAFETY: no phase is in flight, so no lane holds a `&mut`.
-            unsafe { &*cell.value.get() }
-        })
-    }
 }
 
 /// A span opened by [`Probe::enter`]: what was opened, and the hook's one
@@ -295,33 +180,6 @@ impl Probe {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Thread A holds lane 0 inside `with` across a barrier; thread B's
-    /// `with` on the same lane must panic without ever running its closure.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "two writers at once")]
-    fn a_second_writer_on_a_held_lane_panics_before_touching_the_cell() {
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        let cells = LaneCells::new(1, || 0u32);
-        let held = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                cells.with(Lane::Worker(0), |_| {
-                    held.wait();
-                    held.wait();
-                })
-            });
-            held.wait();
-            let second = catch_unwind(AssertUnwindSafe(|| {
-                cells.with(Lane::Worker(0), |_| unreachable!("cell was touched"))
-            }));
-            held.wait(); // let A out before unwinding, or the scope never joins
-            if let Err(panic) = second {
-                resume_unwind(panic);
-            }
-        });
-    }
 
     #[test]
     fn a_span_feeds_ring_counter_and_histogram_from_one_hook() {

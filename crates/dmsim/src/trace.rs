@@ -8,9 +8,10 @@
 //! time. The [`TraceSink`] is that instrument:
 //!
 //! * **Per-lane ring buffers.** One bounded SoA ring per worker lane plus a
-//!   dedicated driver ring, held in the probe's lane cells (whose docs state
-//!   the one-writer-per-lane discipline that makes lock-free recording
-//!   sound); the rings are preallocated at construction, so steady-state
+//!   dedicated driver ring, held in `LaneCells` (the crate's one lock-free
+//!   cell module, `cells.rs`, whose docs state the one-writer-per-lane
+//!   discipline that makes lock-free recording sound and whose debug builds
+//!   check it); the rings are preallocated at construction, so steady-state
 //!   recording performs **zero heap allocation** even with tracing enabled.
 //! * **Flight-recorder mode.** Rings are bounded: once full they wrap,
 //!   keeping the most recent events and counting the overwritten ones. The
@@ -34,8 +35,9 @@
 //!
 //! [`PhaseError`]: crate::fault::PhaseError
 
+use crate::cells::LaneCells;
 use crate::metrics::{Counter, SpanKind};
-use crate::probe::{Lane, LaneCells};
+use crate::probe::Lane;
 use serde_json::{json, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
