@@ -4,8 +4,8 @@
 
 use chaos_bench::workload::mesh_workload;
 use chaos_geocol::{
-    BlockPartitioner, GeoColBuilder, InertialPartitioner, KlRefinedPartitioner, PartitionQuality,
-    Partitioner, RcbPartitioner, RsbPartitioner,
+    BlockPartitioner, GeoColBuilder, InertialPartitioner, PartitionQuality, Partitioner,
+    RcbPartitioner, RsbPartitioner,
 };
 use chaos_workloads::MeshConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,19 +26,13 @@ fn bench_partitioners(c: &mut Criterion) {
     let partitioners: Vec<(&str, Box<dyn Partitioner>)> = vec![
         ("block", Box::new(BlockPartitioner)),
         ("rcb", Box::new(RcbPartitioner)),
-        ("inertial", Box::new(InertialPartitioner::default())),
+        ("inertial", Box::new(InertialPartitioner)),
         (
             "rsb",
             Box::new(RsbPartitioner {
                 max_steps: 60,
                 ..Default::default()
             }),
-        ),
-        // Ablation: KL/FM boundary refinement on top of the geometric
-        // partitioner (the paper's reference [15] style post-pass).
-        (
-            "rcb+kl",
-            Box::new(KlRefinedPartitioner::new(RcbPartitioner)),
         ),
     ];
 

@@ -426,7 +426,7 @@ mod tests {
             .with_link(&f.e1, &f.e2);
         let g = MapperCoupler.construct_geocol(&mut f.machine, &spec);
         let rsb = RsbPartitioner::default();
-        let inertial = InertialPartitioner::default();
+        let inertial = InertialPartitioner;
         let partitioners: [&dyn Partitioner; 3] = [&RcbPartitioner, &rsb, &inertial];
         for p in partitioners {
             let oracle = p.partition(&g, 4);

@@ -73,19 +73,13 @@ impl Partitioner for CyclicPartitioner {
     }
 }
 
-/// Uniform random assignment with a fixed seed. Deterministic for a given
-/// (seed, vertex count, nparts) triple.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomPartitioner {
-    /// RNG seed; the default is 0xC4A05 ("CHAOS").
-    pub seed: u64,
-}
+/// Uniform random assignment from the fixed seed 0xC4A05 ("CHAOS").
+/// Deterministic for a given (vertex count, nparts) pair.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RandomPartitioner;
 
-impl Default for RandomPartitioner {
-    fn default() -> Self {
-        RandomPartitioner { seed: 0xC4A05 }
-    }
-}
+/// [`RandomPartitioner`]'s RNG seed.
+const RANDOM_SEED: u64 = 0xC4A05;
 
 impl Partitioner for RandomPartitioner {
     fn name(&self) -> &'static str {
@@ -98,7 +92,7 @@ impl Partitioner for RandomPartitioner {
         nparts: usize,
         _scans: &mut dyn RankScans,
     ) -> Partitioning {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(RANDOM_SEED);
         let owners = (0..geocol.nvertices())
             .map(|_| rng.gen_range(0..nparts) as u32)
             .collect();
@@ -168,17 +162,15 @@ mod tests {
     #[test]
     fn random_is_deterministic_per_seed() {
         let g = line(50);
-        let a = RandomPartitioner::default().partition(&g, 4);
-        let b = RandomPartitioner::default().partition(&g, 4);
+        let a = RandomPartitioner.partition(&g, 4);
+        let b = RandomPartitioner.partition(&g, 4);
         assert_eq!(a, b);
-        let c = RandomPartitioner { seed: 7 }.partition(&g, 4);
-        assert_ne!(a, c);
     }
 
     #[test]
     fn names_are_stable() {
         assert_eq!(BlockPartitioner.name(), "BLOCK");
         assert_eq!(CyclicPartitioner.name(), "CYCLIC");
-        assert_eq!(RandomPartitioner::default().name(), "RANDOM");
+        assert_eq!(RandomPartitioner.name(), "RANDOM");
     }
 }

@@ -24,19 +24,12 @@ use crate::partition::{
 };
 
 /// Recursive inertial bisection partitioner.
-#[derive(Debug, Clone, Copy)]
-pub struct InertialPartitioner {
-    /// Number of power-iteration steps used to find the principal axis.
-    pub power_iterations: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InertialPartitioner;
 
-impl Default for InertialPartitioner {
-    fn default() -> Self {
-        InertialPartitioner {
-            power_iterations: 32,
-        }
-    }
-}
+/// Power-iteration steps on the `dim × dim` covariance that find the
+/// principal axis.
+const POWER_ITERATIONS: usize = 32;
 
 impl Partitioner for InertialPartitioner {
     fn name(&self) -> &'static str {
@@ -65,7 +58,7 @@ impl Partitioner for InertialPartitioner {
             nparts,
             scans,
             |vertices, left_parts, nparts, scans| {
-                let axis = principal_axis(geocol, vertices, self.power_iterations, scans);
+                let axis = principal_axis(geocol, vertices, scans);
                 let keys: Vec<f64> = vertices
                     .iter()
                     .map(|&v| project(geocol, v as usize, &axis))
@@ -85,7 +78,7 @@ impl Partitioner for InertialPartitioner {
         let n = geocol.nvertices().max(2) as f64;
         let levels = (nparts.max(2) as f64).log2().ceil();
         // Covariance accumulation + power iteration + sort per level.
-        (n * (self.power_iterations as f64 + geocol.geometry_dim() as f64) + n * n.log2()) * levels
+        (n * (POWER_ITERATIONS as f64 + geocol.geometry_dim() as f64) + n * n.log2()) * levels
     }
 }
 
@@ -109,12 +102,7 @@ fn project(geocol: &GeoCoL, vertex: usize, direction: &[f64]) -> f64 {
 /// in ascending block order (making the result independent of the rank
 /// count, not just the engine) and the tiny `dim × dim` power iteration
 /// stays driver-side.
-fn principal_axis(
-    geocol: &GeoCoL,
-    vertices: &[u32],
-    iterations: usize,
-    scans: &mut dyn RankScans,
-) -> Vec<f64> {
+fn principal_axis(geocol: &GeoCoL, vertices: &[u32], scans: &mut dyn RankScans) -> Vec<f64> {
     let dim = geocol.geometry_dim();
 
     // Moment scan 1: [total load, load-weighted coordinate sums].
@@ -184,7 +172,7 @@ fn principal_axis(
     for (i, x) in vec_.iter_mut().enumerate() {
         *x = 1.0 + 0.1 * i as f64;
     }
-    for _ in 0..iterations {
+    for _ in 0..POWER_ITERATIONS {
         let mut next = vec![0.0; dim];
         for i in 0..dim {
             for j in 0..dim {
@@ -249,7 +237,7 @@ mod tests {
     #[test]
     fn inertial_splits_along_the_diagonal() {
         let g = diagonal_strip(64);
-        let p = InertialPartitioner::default().partition(&g, 2);
+        let p = InertialPartitioner.partition(&g, 2);
         let q = PartitionQuality::evaluate(&g, &p);
         assert!(q.load_imbalance <= 1.05);
         // Cutting across the strip severs at most a handful of edges (the
@@ -261,7 +249,7 @@ mod tests {
     fn inertial_balances_multiway() {
         let g = diagonal_strip(64);
         for nparts in [4, 8, 5] {
-            let p = InertialPartitioner::default().partition(&g, nparts);
+            let p = InertialPartitioner.partition(&g, nparts);
             let q = PartitionQuality::evaluate(&g, &p);
             assert!(
                 q.load_imbalance <= 1.25,
@@ -279,15 +267,15 @@ mod tests {
             .geometry(vec![vec![1.0; 8], vec![2.0; 8]])
             .build()
             .unwrap();
-        let p = InertialPartitioner::default().partition(&g, 2);
+        let p = InertialPartitioner.partition(&g, 2);
         assert_eq!(p.part_sizes().iter().sum::<usize>(), 8);
     }
 
     #[test]
     fn deterministic() {
         let g = diagonal_strip(32);
-        let a = InertialPartitioner::default().partition(&g, 4);
-        let b = InertialPartitioner::default().partition(&g, 4);
+        let a = InertialPartitioner.partition(&g, 4);
+        let b = InertialPartitioner.partition(&g, 4);
         assert_eq!(a, b);
     }
 
@@ -295,9 +283,9 @@ mod tests {
     fn moment_scans_are_rank_count_independent() {
         let g = diagonal_strip(48);
         for nparts in [2, 4, 5] {
-            let serial = InertialPartitioner::default().partition(&g, nparts);
+            let serial = InertialPartitioner.partition(&g, nparts);
             for nranks in [2, 3, 9, 50] {
-                let chunked = InertialPartitioner::default().partition_with_scans(
+                let chunked = InertialPartitioner.partition_with_scans(
                     &g,
                     nparts,
                     &mut SerialScans { nranks },
@@ -314,6 +302,6 @@ mod tests {
             .link(vec![0], vec![1])
             .build()
             .unwrap();
-        let _ = InertialPartitioner::default().partition(&g, 2);
+        let _ = InertialPartitioner.partition(&g, 2);
     }
 }

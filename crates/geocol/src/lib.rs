@@ -61,7 +61,6 @@
 //! | [`RcbPartitioner`] | extents + load scan, histogram median scan | boundary-bucket select, below-cutoff sorts, median walk |
 //! | [`InertialPartitioner`] | mean + covariance moment scans | `dim × dim` power iteration, projection sort, total load, median walk |
 //! | [`BlockPartitioner`] / [`CyclicPartitioner`] / [`RandomPartitioner`] | — (O(n) arithmetic, charged as lump sum) | everything |
-//! | [`KlRefinedPartitioner`] | inherits its base partitioner's scans | the KL/FM refinement pass |
 //!
 //! The remaining driver-side cost of each partitioner is still charged to
 //! the simulated machine through the cost estimate, preserving the paper's
@@ -74,7 +73,6 @@
 pub mod block;
 pub mod geocol;
 pub mod inertial;
-pub mod kl;
 pub mod metrics;
 pub mod partition;
 pub mod rcb;
@@ -84,7 +82,6 @@ pub mod rsb;
 pub use block::{BlockPartitioner, CyclicPartitioner, RandomPartitioner};
 pub use geocol::{GeoCoL, GeoColBuilder, GeoColError};
 pub use inertial::InertialPartitioner;
-pub use kl::{refine as kl_refine, KlOptions, KlRefinedPartitioner};
 pub use metrics::PartitionQuality;
 pub use partition::{
     block_scan, map_scan, scan_chunk, Partitioner, Partitioning, RangeKernel, RankScans,

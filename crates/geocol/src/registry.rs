@@ -9,7 +9,6 @@
 
 use crate::block::{BlockPartitioner, CyclicPartitioner, RandomPartitioner};
 use crate::inertial::InertialPartitioner;
-use crate::kl::KlRefinedPartitioner;
 use crate::partition::Partitioner;
 use crate::rcb::RcbPartitioner;
 use crate::rsb::RsbPartitioner;
@@ -17,31 +16,25 @@ use crate::rsb::RsbPartitioner;
 /// Look up a library partitioner by its directive name (case-insensitive).
 ///
 /// Recognized names: `BLOCK`, `CYCLIC`, `RANDOM`, `RCB` (aliases
-/// `COORDINATE`, `BINARY-COORDINATE`), `INERTIAL`, `RSB` (alias `SPECTRAL`),
-/// and the KL/FM-refined variants `RCB-KL` and `RSB-KL`.
+/// `COORDINATE`, `BINARY-COORDINATE`), `INERTIAL` and `RSB` (alias
+/// `SPECTRAL`).
 pub fn partitioner_by_name(name: &str) -> Option<Box<dyn Partitioner + Send + Sync>> {
     match name.to_ascii_uppercase().as_str() {
         "BLOCK" => Some(Box::new(BlockPartitioner)),
         "CYCLIC" => Some(Box::new(CyclicPartitioner)),
-        "RANDOM" => Some(Box::new(RandomPartitioner::default())),
+        "RANDOM" => Some(Box::new(RandomPartitioner)),
         "RCB" | "COORDINATE" | "BINARY-COORDINATE" | "BINARY_COORDINATE" => {
             Some(Box::new(RcbPartitioner))
         }
-        "INERTIAL" => Some(Box::new(InertialPartitioner::default())),
+        "INERTIAL" => Some(Box::new(InertialPartitioner)),
         "RSB" | "SPECTRAL" => Some(Box::new(RsbPartitioner::default())),
-        "RCB-KL" | "RCB_KL" => Some(Box::new(KlRefinedPartitioner::new(RcbPartitioner))),
-        "RSB-KL" | "RSB_KL" => Some(Box::new(KlRefinedPartitioner::new(
-            RsbPartitioner::default(),
-        ))),
         _ => None,
     }
 }
 
 /// The canonical names accepted by [`partitioner_by_name`].
 pub fn registered_partitioner_names() -> &'static [&'static str] {
-    &[
-        "BLOCK", "CYCLIC", "RANDOM", "RCB", "INERTIAL", "RSB", "RCB-KL", "RSB-KL",
-    ]
+    &["BLOCK", "CYCLIC", "RANDOM", "RCB", "INERTIAL", "RSB"]
 }
 
 #[cfg(test)]
@@ -53,11 +46,7 @@ mod tests {
     fn every_registered_name_resolves() {
         for name in registered_partitioner_names() {
             let p = partitioner_by_name(name).unwrap_or_else(|| panic!("{name} not found"));
-            if name.ends_with("-KL") {
-                assert_eq!(p.name(), "KL-REFINED");
-            } else {
-                assert_eq!(&p.name(), name);
-            }
+            assert_eq!(&p.name(), name);
         }
     }
 
@@ -67,6 +56,7 @@ mod tests {
         assert_eq!(partitioner_by_name("Spectral").unwrap().name(), "RSB");
         assert_eq!(partitioner_by_name("coordinate").unwrap().name(), "RCB");
         assert!(partitioner_by_name("METIS").is_none());
+        assert!(partitioner_by_name("RCB-KL").is_none());
     }
 
     #[test]

@@ -86,6 +86,11 @@ const CALIBRATION_STEPS: f64 = 200.0;
 const RITZ_EVERY: usize = 4;
 
 /// Recursive spectral bisection partitioner.
+///
+/// A program selects it by name (`USING RSB`), which takes the
+/// [`Default`] step cap and tolerance. The two fields stay settable for
+/// callers that drive the partitioner directly: tests cap the Lanczos
+/// runtime with them on graphs where the default would dominate the run.
 #[derive(Debug, Clone, Copy)]
 pub struct RsbPartitioner {
     /// Lanczos steps per bisection, at most (the subgraph's size minus one

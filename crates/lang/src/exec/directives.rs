@@ -263,6 +263,15 @@ impl<B: Backend> Executor<B> {
         let new_dist = self.state.distfmts.get(distfmt).cloned().ok_or_else(|| {
             LangError::runtime(format!("unknown distribution format '{distfmt}'"))
         })?;
+        if let Some(extent) = self.state.decomp_dist.get(decomp).map(Distribution::len) {
+            if extent != new_dist.len() {
+                return Err(LangError::runtime(format!(
+                    "distribution format '{distfmt}' places {} elements but decomposition \
+                     '{decomp}' has {extent}",
+                    new_dist.len()
+                )));
+            }
+        }
         // REAL arrays in ALIGN order, then INTEGER arrays in ALIGN order —
         // the order the array tables hold — so the remap records and the
         // epoch each array moves at are the same on every run.

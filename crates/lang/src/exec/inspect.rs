@@ -33,7 +33,7 @@
 //! and schedules cannot disagree about which inspection they belong to.
 
 use super::state::{ArrayTable, Inspected, InspectedGroup, LoopState, ProgramState, RegionValues};
-use super::sweep::run_sweep;
+use super::sweep::{gather_ghosts, run_sweep};
 use super::{Executor, SAVED_SCHEDULE_LABEL};
 use crate::ast::Index;
 use crate::error::LangError;
@@ -182,13 +182,20 @@ impl<B: Backend> Executor<B> {
                 plan.label
             )));
         };
+        gather_ghosts(
+            &mut self.backend,
+            &real.0,
+            &mut run.regions,
+            &run.registry,
+            &record.inspected,
+        );
         run_sweep(
             &mut self.backend,
             &mut real.0,
-            &mut run.regions,
-            &run.registry,
+            &run.regions,
             plan,
             record,
+            &mut self.sweep_tables,
             #[cfg(any(test, feature = "oracle"))]
             self.kernel_mode,
         );

@@ -47,6 +47,7 @@ pub use recover::RecoveryPolicy;
 use state::ProgramState;
 use std::collections::HashMap;
 use std::sync::Arc;
+use sweep::SweepTables;
 
 /// Statistics label under which the inspector books request-exchange
 /// traffic *avoided* by incremental schedules (ghosts already requested by
@@ -157,6 +158,8 @@ pub struct Executor<B: Backend = Machine> {
     reuse_enabled: bool,
     /// Everything a snapshot holds (see `state`).
     state: ProgramState,
+    /// The sweeps' borrow tables, parked empty between sweeps.
+    sweep_tables: SweepTables,
 
     // --- fault recovery (see ARCHITECTURE.md § "Fault model & recovery") ---
     policy: RecoveryPolicy,
@@ -224,6 +227,7 @@ impl<B: Backend> Executor<B> {
             inputs,
             reuse_enabled: true,
             state: ProgramState::default(),
+            sweep_tables: SweepTables::default(),
             policy: RecoveryPolicy::default(),
             checkpoint: None,
             journal: Vec::new(),

@@ -675,6 +675,28 @@ fn a_link_endpoint_outside_the_vertices_is_a_typed_error_on_both_engines() {
 }
 
 #[test]
+fn a_redistribution_of_another_extent_is_a_typed_error_on_both_engines() {
+    // A GeoCoL over 45 vertices partitioned into a format for the 40-node
+    // decomposition: an error naming the format, both extents and the
+    // decomposition — not the remap's length assert — and no array moved.
+    let src = MAPPED_PROGRAM.replace("CONSTRUCT G (nnode,", "CONSTRUCT G (ngraph,");
+    let cp = lower_program(parse_program(&src).unwrap()).unwrap();
+    let inputs = ring_inputs(40).scalar("ngraph", 45);
+    fn check<B: Backend>(mut exec: Executor<B>, cp: &CompiledProgram) {
+        let err = exec.run(cp).expect_err("a format of another extent");
+        let err = err.to_string();
+        for part in ["'distfmt' places 45 elements", "'reg' has 40"] {
+            assert!(err.contains(part), "'{err}' lacks '{part}'");
+        }
+        assert_eq!(exec.report().arrays_redistributed, 0, "no array moved");
+        assert_eq!(exec.real_global("x").map(|x| x.len()), Some(40));
+    }
+    let cfg = MachineConfig::ipsc860(4);
+    check(Executor::new(cfg.clone(), inputs.clone()), &cp);
+    check(Executor::new_pooled_with_workers(cfg, 3, inputs), &cp);
+}
+
+#[test]
 fn a_forall_that_fails_restores_the_phase_kind_it_was_entered_under() {
     // The inspector's typed error returns from inside the FORALL after it
     // switched the machine to `Inspector`; the time after it must not be

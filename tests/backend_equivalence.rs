@@ -471,7 +471,7 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// The recursive-bisection partitioners the golden hashes pin.
-const BISECTIONS: [&str; 4] = ["RCB", "RSB", "INERTIAL", "RCB-KL"];
+const BISECTIONS: [&str; 3] = ["RCB", "RSB", "INERTIAL"];
 
 /// The golden-partition graphs: a mesh above `SORT_CUTOFF` (so RCB's
 /// histogram select runs) and an MD box, each with unit loads and with
@@ -533,7 +533,7 @@ fn assert_golden(
 }
 
 /// Every recursive-bisection partitioning against recorded values: the
-/// owner array of RCB, RSB, INERTIAL and RCB-KL on the golden graphs at
+/// owner array of RCB, RSB and INERTIAL on the golden graphs at
 /// P = 3, 4, 8 and 16. A change to a split rule, its sort order or its
 /// weighted-median walk moves a hash.
 #[test]
@@ -571,7 +571,7 @@ fn recursive_bisection_coupler_clocks_match_their_recorded_hashes() {
 /// Fiedler vector changed from a power iteration on `cI − L` that stopped
 /// at its step cap to a converged two-pass Lanczos run: a different vector
 /// orders the sets differently, and fewer, different scans charge the
-/// clocks. No RCB, INERTIAL or RCB-KL line moved.
+/// clocks. No RCB or INERTIAL line moved.
 const GOLDEN_OWNERS: &[&str] = &[
     "mesh unit RCB P=3 0d9639180baa1d25",
     "mesh unit RCB P=4 8f36d7d53aee9845",
@@ -585,10 +585,6 @@ const GOLDEN_OWNERS: &[&str] = &[
     "mesh unit INERTIAL P=4 b6d0014718d2cce5",
     "mesh unit INERTIAL P=8 f44a6077ddf591a5",
     "mesh unit INERTIAL P=16 84b7ef9535aa7045",
-    "mesh unit RCB-KL P=3 2d57432892a19ce6",
-    "mesh unit RCB-KL P=4 a623066d89c1c0a6",
-    "mesh unit RCB-KL P=8 cad5db93a95691a6",
-    "mesh unit RCB-KL P=16 3982941a595fb68b",
     "mesh loads RCB P=3 6b60960ac1825ce4",
     "mesh loads RCB P=4 bc99a4355dff5c66",
     "mesh loads RCB P=8 5fc593ac0d08fbe2",
@@ -601,10 +597,6 @@ const GOLDEN_OWNERS: &[&str] = &[
     "mesh loads INERTIAL P=4 ad5f90e6b5fd31a5",
     "mesh loads INERTIAL P=8 3cc2ad09e868afc5",
     "mesh loads INERTIAL P=16 9aa701e1cce32764",
-    "mesh loads RCB-KL P=3 560195a6272d9824",
-    "mesh loads RCB-KL P=4 c217cc578bcba225",
-    "mesh loads RCB-KL P=8 04ad814608169300",
-    "mesh loads RCB-KL P=16 de1f9eb8685ed8a9",
     "md unit RCB P=3 76d3d521e307b445",
     "md unit RCB P=4 4edb50b8083eb525",
     "md unit RCB P=8 7b0f1c46a1e01825",
@@ -617,10 +609,6 @@ const GOLDEN_OWNERS: &[&str] = &[
     "md unit INERTIAL P=4 3b14e666896fc1c5",
     "md unit INERTIAL P=8 98c4981b950bc1a5",
     "md unit INERTIAL P=16 f88e581c2e331365",
-    "md unit RCB-KL P=3 32176f0b0ed0e647",
-    "md unit RCB-KL P=4 b384397037d09165",
-    "md unit RCB-KL P=8 57ad19ce5316a287",
-    "md unit RCB-KL P=16 9b5ca51db9d2a3e5",
     "md loads RCB P=3 7606774e61f16085",
     "md loads RCB P=4 80e8662d9e65cdc6",
     "md loads RCB P=8 6322dc42ccf05aa3",
@@ -633,10 +621,6 @@ const GOLDEN_OWNERS: &[&str] = &[
     "md loads INERTIAL P=4 1a7f6b35fd470604",
     "md loads INERTIAL P=8 2d821e7794bb1526",
     "md loads INERTIAL P=16 627fea1128c409a2",
-    "md loads RCB-KL P=3 408768a923fc0186",
-    "md loads RCB-KL P=4 884eed403d210067",
-    "md loads RCB-KL P=8 ec55fde358604347",
-    "md loads RCB-KL P=16 f052531a7091e6a4",
 ];
 
 /// FNV-1a of each run's per-processor `(compute, comm, idle)` clock bits,
@@ -651,9 +635,6 @@ const GOLDEN_CLOCKS: &[&str] = &[
     "mesh unit INERTIAL P=4 07997e5565a36c2d",
     "mesh unit INERTIAL P=8 df3ae083c994cf3c",
     "mesh unit INERTIAL P=16 b46f1262a3cb410e",
-    "mesh unit RCB-KL P=4 86b33a4259a288f3",
-    "mesh unit RCB-KL P=8 70814bff8ecf442c",
-    "mesh unit RCB-KL P=16 746b1d9d454267a0",
     "mesh loads RCB P=4 490071ebe729064b",
     "mesh loads RCB P=8 09c8d9d2d2f285b9",
     "mesh loads RCB P=16 e12629a136c9637f",
@@ -663,9 +644,6 @@ const GOLDEN_CLOCKS: &[&str] = &[
     "mesh loads INERTIAL P=4 07997e5565a36c2d",
     "mesh loads INERTIAL P=8 df3ae083c994cf3c",
     "mesh loads INERTIAL P=16 b46f1262a3cb410e",
-    "mesh loads RCB-KL P=4 86b33a4259a288f3",
-    "mesh loads RCB-KL P=8 7ae160cdddf06438",
-    "mesh loads RCB-KL P=16 7706e8a2471df05c",
     "md unit RCB P=4 7d2f31e7593f3e81",
     "md unit RCB P=8 aae69621c9b742b6",
     "md unit RCB P=16 5d6d6fd1a8963fa3",
@@ -675,9 +653,6 @@ const GOLDEN_CLOCKS: &[&str] = &[
     "md unit INERTIAL P=4 b9b13a5ebbf311a1",
     "md unit INERTIAL P=8 abc448c1dc8c6fa2",
     "md unit INERTIAL P=16 5740ce2c9fa74e3a",
-    "md unit RCB-KL P=4 5da8e68017169905",
-    "md unit RCB-KL P=8 90f6434b60f9cc2c",
-    "md unit RCB-KL P=16 e8aa507e7fb0f522",
     "md loads RCB P=4 7d2f31e7593f3e81",
     "md loads RCB P=8 aae69621c9b742b6",
     "md loads RCB P=16 5d6d6fd1a8963fa3",
@@ -687,9 +662,6 @@ const GOLDEN_CLOCKS: &[&str] = &[
     "md loads INERTIAL P=4 b9b13a5ebbf311a1",
     "md loads INERTIAL P=8 abc448c1dc8c6fa2",
     "md loads INERTIAL P=16 b66dd8aaba577be3",
-    "md loads RCB-KL P=4 5da8e68017169905",
-    "md loads RCB-KL P=8 90f6434b60f9cc2c",
-    "md loads RCB-KL P=16 e8aa507e7fb0f522",
 ];
 
 /// The disconnected-graph edge case, pinned (the proptest also sweeps it):

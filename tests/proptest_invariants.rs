@@ -265,3 +265,142 @@ proptest! {
         }
     }
 }
+
+/// The identifiers a mutated program may swap in: every name the
+/// compiler-generated templates use, plus the partitioner names.
+const TEMPLATE_NAMES: [&str; 16] = [
+    "x", "y", "xc", "yc", "zc", "end_pt1", "end_pt2", "reg", "reg2", "nnode", "nedge", "distfmt",
+    "G", "i", "RCB", "RSB",
+];
+
+/// Stray punctuation a mutation may insert.
+const STRAY: [&str; 9] = ["(", ")", ",", "=", "*", "+", "-", ":", "$"];
+
+/// Apply one mutation to `text`: `kind` picks drop, duplicate or swap a
+/// line, swap an identifier, swap a digit or insert stray punctuation;
+/// `a` and `b` pick where and what (reduced modulo what there is to pick).
+fn mutate(text: &str, (kind, a, b): (usize, usize, usize)) -> String {
+    if kind == 4 {
+        let digits: Vec<usize> = text
+            .match_indices(|c: char| c.is_ascii_digit())
+            .map(|(at, _)| at)
+            .collect();
+        let mut text = text.to_string();
+        if let Some(&at) = digits.get(b % digits.len().max(1)) {
+            text.replace_range(at..at + 1, &(a % 10).to_string());
+        }
+        return text;
+    }
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let n = lines.len();
+    let line = &mut lines[a % n];
+    match kind {
+        0 => {
+            lines.remove(a % n);
+        }
+        1 => {
+            let copy = line.clone();
+            lines.insert(a % n, copy);
+        }
+        2 => lines.swap(a % n, b % n),
+        3 => {
+            let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+            let starts: Vec<usize> = line
+                .char_indices()
+                .filter(|&(at, c)| c.is_ascii_alphabetic() && !line[..at].ends_with(is_word))
+                .map(|(at, _)| at)
+                .collect();
+            if let Some(&start) = starts.get(b % starts.len().max(1)) {
+                let end = line[start..]
+                    .find(|c| !is_word(c))
+                    .map_or(line.len(), |len| start + len);
+                line.replace_range(start..end, TEMPLATE_NAMES[a / n % TEMPLATE_NAMES.len()]);
+            }
+        }
+        _ => line.insert_str(b % (line.len() + 1), STRAY[a % STRAY.len()]),
+    }
+    lines.join("\n") + "\n"
+}
+
+/// Make the template's inputs hostile: `kind` 0 leaves them alone, 1 and
+/// 2 set one indirection entry to 0 or past its extent, 3 and 4 bind an
+/// `nnode` or `nedge` that disagrees with the data.
+fn hostile_inputs(mut inputs: ProgramInputs, (kind, a): (usize, usize)) -> ProgramInputs {
+    let nnode = inputs.scalars["nnode"];
+    let array = if a % 2 == 0 { "end_pt1" } else { "end_pt2" };
+    match kind {
+        1 | 2 => {
+            let entries = inputs.int_arrays.get_mut(array).unwrap();
+            let at = a % entries.len();
+            entries[at] = if kind == 1 {
+                0
+            } else {
+                (nnode + 1 + a % 3) as u32
+            };
+        }
+        3 | 4 => {
+            let name = if kind == 3 { "nnode" } else { "nedge" };
+            let value = inputs.scalars[name];
+            let off = 1 + a % 3;
+            let value = if a % 2 == 0 {
+                value + off
+            } else {
+                value.saturating_sub(off)
+            };
+            inputs.scalars.insert(name.to_string(), value);
+        }
+        _ => {}
+    }
+    inputs
+}
+
+/// Parse, lower and run `text` over `inputs` on `Machine` and on a 2-lane
+/// pool. With no fault plan and no barrier deadline installed, a
+/// `LangError::Phase` can only be a kernel panic the recovery path caught,
+/// so it counts as a panic here.
+fn run_hostile(text: &str, inputs: &ProgramInputs, nprocs: usize) -> Result<(), String> {
+    use chaos_repro::lang::LangError;
+    let run = || -> Result<(), LangError> {
+        let cp = lower_program(parse_program(text)?)?;
+        let config = || MachineConfig::ipsc860(nprocs);
+        Executor::new(config(), inputs.clone()).run(&cp)?;
+        Executor::new_pooled_with_workers(config(), 2, inputs.clone()).run(&cp)
+    };
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+        Ok(Err(LangError::Phase(err))) => Err(format!("a caught panic: {err}")),
+        Ok(_) => Ok(()),
+        Err(_) => Err("a panic".to_string()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Property: mutated compiler-generated program text over hostile
+    /// inputs — out-of-range indirection entries, size scalars that
+    /// disagree with the data — ends in `Ok` or a typed `LangError` on
+    /// both engines, never in a panic.
+    #[test]
+    fn hostile_program_text_reaches_a_typed_error(
+        method in 0usize..4,
+        mutations in collection::vec((0usize..6, 0usize..10_000, 0usize..10_000), 0..3),
+        hostile in (0usize..5, 0usize..10_000),
+        nnodes in 24usize..64,
+        log_nprocs in 0u32..4,
+    ) {
+        use chaos_bench::compilergen::{program_inputs, program_text};
+        use chaos_bench::experiment::Method;
+        use chaos_bench::workload::mesh_workload;
+        let method = [Method::Block, Method::Rcb, Method::Rsb, Method::Inertial][method];
+        let text = mutations.iter().fold(program_text(method), |text, &m| mutate(&text, m));
+        let inputs = program_inputs(&mesh_workload(MeshConfig::tiny(nnodes)));
+        let inputs = hostile_inputs(inputs, hostile);
+        let nprocs = 1 << log_nprocs;
+        let outcome = run_hostile(&text, &inputs, nprocs);
+        prop_assert!(
+            outcome.is_ok(),
+            "{} on {nprocs} ranks, hostile inputs {hostile:?}, program:\n{text}",
+            outcome.unwrap_err()
+        );
+    }
+}
