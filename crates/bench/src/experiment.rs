@@ -1,11 +1,10 @@
 //! Experiment configuration and the phase-time record the tables report.
 
 use chaos_dmsim::{Machine, PhaseKind};
-use serde::{Deserialize, Serialize};
 
 /// Data-mapping method used by an experiment (the columns of Table 2 and the
 /// row groups of Tables 3 / 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Naive HPF BLOCK distribution of the node arrays (Table 4).
     Block,
@@ -41,7 +40,7 @@ impl Method {
 }
 
 /// Full description of one experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of simulated processors.
     pub nprocs: usize,
@@ -89,7 +88,7 @@ impl ExperimentConfig {
 
 /// Modeled time (seconds) spent in each phase, plus bookkeeping counters.
 /// These are the rows of the paper's tables.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseTimes {
     /// GeoCoL graph generation time.
     pub graph_generation: f64,

@@ -9,15 +9,14 @@
 //! invalidates the saved inspector results.
 
 use crate::dist::Distribution;
-use serde::{Deserialize, Serialize};
 
 /// Compact value identifying a DAD for equality comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DadSignature(pub u64);
 
 /// A data access descriptor: three words, built and compared without
 /// touching the heap (the reuse guard reads one per array per sweep).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dad {
     /// Global size of the array.
     pub size: usize,

@@ -48,11 +48,6 @@ impl Distribution {
         Distribution::Cyclic { n, p }
     }
 
-    /// An irregular distribution backed by a translation table.
-    pub fn irregular(table: Arc<TranslationTable>) -> Self {
-        Distribution::Irregular { table }
-    }
-
     /// An irregular distribution built directly from a map array
     /// (`map[i]` = owning processor of global element `i`), using a
     /// replicated translation table.

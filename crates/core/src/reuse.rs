@@ -23,7 +23,6 @@
 use crate::dad::{Dad, DadSignature};
 use crate::schedule::CommSchedule;
 use chaos_dmsim::{collectives, Machine};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -99,7 +98,7 @@ pub struct LoopRecord {
 }
 
 /// Why an inspector had to be re-run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RerunReason {
     /// The loop has never run an inspector.
     FirstExecution,

@@ -18,11 +18,10 @@
 //! `translation` ablation bench compares them.
 
 use chaos_dmsim::{Backend, PhaseEnd};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Physical layout policy for the translation table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TTablePolicy {
     /// Whole table replicated on every processor.
     Replicated,

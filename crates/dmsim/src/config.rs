@@ -8,10 +8,8 @@
 //! relative shapes matter — but starting from realistic constants keeps the
 //! inspector : executor : partitioner ratios in a familiar regime.
 
-use serde::{Deserialize, Serialize};
-
 /// Interconnect topology used to derive hop counts between processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// Hypercube of dimension `log2(P)` (the iPSC/860). Hop count is the
     /// Hamming distance between processor numbers.
@@ -21,7 +19,7 @@ pub enum Topology {
 }
 
 /// The α–β(–hop) communication and per-operation computation cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Message start-up latency in seconds (α).
     pub alpha: f64,
@@ -71,7 +69,7 @@ impl CostModel {
 }
 
 /// Complete description of the simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Number of virtual processors.
     pub nprocs: usize,

@@ -16,7 +16,7 @@
 //!
 //! The simulator separates **what data moves** (done with ordinary `Vec`s in
 //! one address space, so results are exact and deterministic) from **what it
-//! costs** (charged to per-processor [`ProcClock`]s according to
+//! costs** (charged to per-processor [`time::ProcClock`]s according to
 //! [`MachineConfig`]). SPMD regions execute behind the [`Backend`]
 //! abstraction: the [`Machine`] itself runs rank kernels sequentially in
 //! rank order (the deterministic oracle), and [`PooledBackend`] drives a
@@ -81,5 +81,5 @@ pub use metrics::{
 };
 pub use pool::PooledBackend;
 pub use stats::{CommStats, PhaseKind, PhaseRecord, StatsRegistry, StatsSnapshot};
-pub use time::{ElapsedReport, ProcClock, SimTime};
+pub use time::ElapsedReport;
 pub use trace::{LaneSummary, TraceEvent, TraceEventKind, TraceSink, TraceSummary};

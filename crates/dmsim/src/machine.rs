@@ -5,11 +5,10 @@ use crate::config::MachineConfig;
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::probe::{Lane, Probe};
-use crate::stats::{copy_btree_values, CommStats, PhaseKind, StatsRegistry, StatsSnapshot};
+use crate::stats::{CommStats, PhaseKind, StatsRegistry, StatsSnapshot};
 use crate::time::{ElapsedReport, ProcClock};
 use crate::topology::hops;
 use crate::trace::{TraceEventKind, TraceSink};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Identifier of a virtual processor (`0 .. nprocs`).
@@ -54,9 +53,9 @@ pub struct Machine {
     cfg: MachineConfig,
     clocks: Vec<ProcClock>,
     stats: StatsRegistry,
-    /// Critical-path modeled seconds attributed to each phase kind (see
-    /// [`Machine::set_phase_kind`]).
-    phase_elapsed: BTreeMap<PhaseKind, f64>,
+    /// Critical-path modeled seconds attributed to each phase kind, indexed
+    /// by [`PhaseKind::index`] (see [`Machine::set_phase_kind`]).
+    phase_elapsed: [f64; PhaseKind::COUNT],
     /// Clock reading at the last phase-kind change.
     last_phase_sample: f64,
     /// Count of SPMD regions run so far: every public `Backend::run_*` call
@@ -81,14 +80,16 @@ pub struct Machine {
 /// Refreshing an existing snapshot with [`Machine::snapshot_into`] and
 /// rolling back with [`Machine::restore_from`] are allocation-free in steady
 /// state (once the snapshot's buffers have grown to the machine's working
-/// set and no *new* phase-kind keys or labelled records appear between
-/// refreshes). The machine's statistics only ever grow — labelled records
-/// are append-only — so rollback just truncates them.
+/// set and no new saved-communication labels or labelled records appear
+/// between refreshes); the per-kind tables are fixed-size arrays, so a phase
+/// kind seen for the first time costs nothing. The machine's statistics only
+/// ever grow — labelled records are append-only — so rollback just truncates
+/// them.
 #[derive(Debug, Clone, Default)]
 pub struct MachineSnapshot {
     clocks: Vec<ProcClock>,
     stats: StatsSnapshot,
-    phase_elapsed: BTreeMap<PhaseKind, f64>,
+    phase_elapsed: [f64; PhaseKind::COUNT],
     last_phase_sample: f64,
     epoch: u64,
 }
@@ -120,7 +121,7 @@ impl Machine {
             cfg,
             clocks,
             stats: StatsRegistry::new(),
-            phase_elapsed: BTreeMap::new(),
+            phase_elapsed: [0.0; PhaseKind::COUNT],
             last_phase_sample: 0.0,
             epoch: 0,
             faults: None,
@@ -160,10 +161,7 @@ impl Machine {
     /// measured wall time.
     #[inline]
     pub fn modeled_now(&self) -> f64 {
-        self.clocks
-            .iter()
-            .map(|c| c.total().as_seconds())
-            .fold(0.0, f64::max)
+        self.clocks.iter().map(|c| c.total()).fold(0.0, f64::max)
     }
 
     /// Install (or clear) the fault schedule consulted at every per-rank
@@ -221,7 +219,7 @@ impl Machine {
         snap.clocks.clear();
         snap.clocks.extend_from_slice(&self.clocks);
         self.stats.snapshot_into(&mut snap.stats);
-        copy_btree_values(&self.phase_elapsed, &mut snap.phase_elapsed);
+        snap.phase_elapsed = self.phase_elapsed;
         snap.last_phase_sample = self.last_phase_sample;
         snap.epoch = self.epoch;
     }
@@ -238,7 +236,7 @@ impl Machine {
         );
         self.clocks.copy_from_slice(&snap.clocks);
         self.stats.restore_from(&snap.stats);
-        copy_btree_values(&snap.phase_elapsed, &mut self.phase_elapsed);
+        self.phase_elapsed = snap.phase_elapsed;
         self.last_phase_sample = snap.last_phase_sample;
         self.epoch = snap.epoch;
     }
@@ -254,7 +252,7 @@ impl Machine {
         let now = self.modeled_now();
         let outgoing = self.stats.current_kind();
         if let Some(k) = outgoing {
-            *self.phase_elapsed.entry(k).or_insert(0.0) += now - self.last_phase_sample;
+            self.phase_elapsed[k.index()] += now - self.last_phase_sample;
         }
         // The cost-model auditor rides the same sampling point.
         self.probe
@@ -266,7 +264,7 @@ impl Machine {
     /// Critical-path modeled seconds attributed to `kind` so far. Work done
     /// while the current kind is still active is included.
     pub fn phase_elapsed(&self, kind: PhaseKind) -> f64 {
-        let mut t = self.phase_elapsed.get(&kind).copied().unwrap_or(0.0);
+        let mut t = self.phase_elapsed[kind.index()];
         if self.stats.current_kind() == Some(kind) {
             t += self.modeled_now() - self.last_phase_sample;
         }
@@ -304,10 +302,10 @@ impl Machine {
     /// Snapshot of the per-processor clocks as an [`ElapsedReport`].
     pub fn elapsed(&self) -> ElapsedReport {
         ElapsedReport {
-            per_proc: self.clocks.iter().map(|c| c.total().as_seconds()).collect(),
-            compute: self.clocks.iter().map(|c| c.compute.as_seconds()).collect(),
-            comm: self.clocks.iter().map(|c| c.comm.as_seconds()).collect(),
-            idle: self.clocks.iter().map(|c| c.idle.as_seconds()).collect(),
+            per_proc: self.clocks.iter().map(|c| c.total()).collect(),
+            compute: self.clocks.iter().map(|c| c.compute).collect(),
+            comm: self.clocks.iter().map(|c| c.comm).collect(),
+            idle: self.clocks.iter().map(|c| c.idle).collect(),
         }
     }
 
@@ -386,13 +384,9 @@ impl Machine {
     /// clock to the current maximum total, charging the difference as idle
     /// time.
     fn synchronize_clocks(&mut self) {
-        let max_total = self
-            .clocks
-            .iter()
-            .map(|c| c.total().as_seconds())
-            .fold(0.0, f64::max);
+        let max_total = self.clocks.iter().map(|c| c.total()).fold(0.0, f64::max);
         for c in &mut self.clocks {
-            let gap = max_total - c.total().as_seconds();
+            let gap = max_total - c.total();
             if gap > 0.0 {
                 c.charge_idle(gap);
             }

@@ -5,12 +5,11 @@
 //! The registry is purely observational — removing it would not change any
 //! delivered data or any clock value.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Broad classification of a phase, mirroring the row labels of the paper's
 /// tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PhaseKind {
     /// GeoCoL graph generation.
     GraphGeneration,
@@ -32,8 +31,9 @@ impl PhaseKind {
     /// Number of kinds (the size of dense per-kind tables).
     pub const COUNT: usize = 7;
 
-    /// Every kind in declaration order — the dense-index space used by the
-    /// metrics registry's fixed-size per-kind tables.
+    /// Every kind in declaration order — the dense-index space of every
+    /// per-kind table (the registry's totals, the machine's phase ledger,
+    /// the metrics registry's counters).
     pub const ALL: [PhaseKind; PhaseKind::COUNT] = [
         PhaseKind::GraphGeneration,
         PhaseKind::Partitioner,
@@ -47,15 +47,7 @@ impl PhaseKind {
     /// Dense index of this kind within [`PhaseKind::ALL`].
     #[inline]
     pub fn index(self) -> usize {
-        match self {
-            PhaseKind::GraphGeneration => 0,
-            PhaseKind::Partitioner => 1,
-            PhaseKind::Inspector => 2,
-            PhaseKind::Remap => 3,
-            PhaseKind::Executor => 4,
-            PhaseKind::Checkpoint => 5,
-            PhaseKind::Other => 6,
-        }
+        self as usize
     }
 
     /// Human-readable label used in printed tables.
@@ -73,7 +65,7 @@ impl PhaseKind {
 }
 
 /// Communication statistics aggregated over one or more phases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
     /// Total number of point-to-point messages.
     pub messages: usize,
@@ -96,7 +88,7 @@ impl CommStats {
 }
 
 /// Record of a single named phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRecord {
     /// Free-form label supplied by the caller (e.g. `"executor iter 12"`).
     pub label: String,
@@ -107,10 +99,11 @@ pub struct PhaseRecord {
 }
 
 /// Registry of phase records plus totals grouped by [`PhaseKind`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StatsRegistry {
     records: Vec<PhaseRecord>,
-    by_kind: BTreeMap<PhaseKind, CommStats>,
+    /// Totals indexed by [`PhaseKind::index`].
+    by_kind: [CommStats; PhaseKind::COUNT],
     /// Communication that did NOT happen, by label — e.g. the messages an
     /// incremental schedule avoided fetching because earlier loops' ghosts
     /// were already resident. Purely observational bookkeeping: never part
@@ -139,7 +132,7 @@ impl StatsRegistry {
     /// Record a completed phase.
     pub fn record(&mut self, label: &str, stats: CommStats) {
         let kind = self.current_kind.unwrap_or(PhaseKind::Other);
-        self.by_kind.entry(kind).or_default().merge(&stats);
+        self.by_kind[kind.index()].merge(&stats);
         self.records.push(PhaseRecord {
             label: label.to_string(),
             kind,
@@ -148,14 +141,14 @@ impl StatsRegistry {
     }
 
     /// Merge a phase's statistics into the per-kind totals without keeping a
-    /// labelled [`PhaseRecord`]. This is the executor hot path: after the
-    /// first phase of a given kind it performs no heap allocation, which is
-    /// what lets a steady-state gather/scatter iteration run allocation-free.
+    /// labelled [`PhaseRecord`]. This is the executor hot path: it performs
+    /// no heap allocation, which is what lets a steady-state gather/scatter
+    /// iteration run allocation-free.
     /// Quiet phases are invisible to [`StatsRegistry::records`] but fully
     /// counted by [`StatsRegistry::totals_for`] / [`StatsRegistry::grand_totals`].
     pub fn record_quiet(&mut self, stats: CommStats) {
         let kind = self.current_kind.unwrap_or(PhaseKind::Other);
-        self.by_kind.entry(kind).or_default().merge(&stats);
+        self.by_kind[kind.index()].merge(&stats);
     }
 
     /// All phase records in execution order.
@@ -199,13 +192,13 @@ impl StatsRegistry {
 
     /// Aggregate statistics for a phase kind.
     pub fn totals_for(&self, kind: PhaseKind) -> CommStats {
-        self.by_kind.get(&kind).copied().unwrap_or_default()
+        self.by_kind[kind.index()]
     }
 
     /// Aggregate statistics over every phase.
     pub fn grand_totals(&self) -> CommStats {
         let mut t = CommStats::default();
-        for s in self.by_kind.values() {
+        for s in &self.by_kind {
             t.merge(s);
         }
         t
@@ -229,7 +222,7 @@ impl StatsRegistry {
     /// allocation-free.
     pub fn snapshot_into(&self, snap: &mut StatsSnapshot) {
         snap.records_len = self.records.len();
-        copy_btree_values(&self.by_kind, &mut snap.by_kind);
+        snap.by_kind = self.by_kind;
         copy_btree_values(&self.saved, &mut snap.saved);
         snap.current_kind = self.current_kind;
     }
@@ -242,7 +235,7 @@ impl StatsRegistry {
             "snapshot taken from a different registry"
         );
         self.records.truncate(snap.records_len);
-        copy_btree_values(&snap.by_kind, &mut self.by_kind);
+        self.by_kind = snap.by_kind;
         copy_btree_values(&snap.saved, &mut self.saved);
         self.current_kind = snap.current_kind;
     }
@@ -253,67 +246,15 @@ impl StatsRegistry {
 #[derive(Debug, Clone, Default)]
 pub struct StatsSnapshot {
     records_len: usize,
-    by_kind: BTreeMap<PhaseKind, CommStats>,
+    by_kind: [CommStats; PhaseKind::COUNT],
     saved: BTreeMap<&'static str, CommStats>,
     current_kind: Option<PhaseKind>,
-}
-
-impl serde_json::ToValue for CommStats {
-    fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "phases": self.phases,
-            "comm_seconds": self.comm_seconds,
-        })
-    }
-}
-
-impl serde_json::ToValue for PhaseRecord {
-    fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
-            "label": self.label.clone(),
-            "kind": self.kind.label(),
-            "stats": serde_json::ToValue::to_value(&self.stats),
-        })
-    }
-}
-
-impl serde_json::ToValue for StatsRegistry {
-    fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
-            "records": self.records.clone(),
-            "by_kind": self
-                .by_kind
-                .iter()
-                .map(|(k, s)| {
-                    serde_json::json!({
-                        "kind": k.label(),
-                        "stats": serde_json::ToValue::to_value(s),
-                    })
-                })
-                .collect::<Vec<_>>(),
-            "saved": self
-                .saved
-                .iter()
-                .map(|(l, s)| {
-                    serde_json::json!({
-                        "label": *l,
-                        "stats": serde_json::ToValue::to_value(s),
-                    })
-                })
-                .collect::<Vec<_>>(),
-        })
-    }
 }
 
 /// Copy `src`'s entries into `dst`, overwriting values in place when the key
 /// sets already match (the steady state — no allocation) and rebuilding the
 /// map otherwise.
-pub(crate) fn copy_btree_values<K: Ord + Copy, V: Copy>(
-    src: &BTreeMap<K, V>,
-    dst: &mut BTreeMap<K, V>,
-) {
+fn copy_btree_values<K: Ord + Copy, V: Copy>(src: &BTreeMap<K, V>, dst: &mut BTreeMap<K, V>) {
     if dst.len() == src.len() && dst.keys().eq(src.keys()) {
         for (d, s) in dst.values_mut().zip(src.values()) {
             *d = *s;
@@ -420,19 +361,5 @@ mod tests {
         reg.restore_from(&snap);
         assert_eq!(reg.saved_labelled("a").messages, 1);
         assert_eq!(reg.saved_labelled("b").messages, 0);
-    }
-
-    #[test]
-    fn registry_renders_to_json() {
-        let mut reg = StatsRegistry::new();
-        reg.set_current_kind(Some(PhaseKind::Inspector));
-        reg.record("build", stats(3, 24));
-        reg.record_quiet(stats(1, 8));
-        reg.note_saved("L2:schedule-build", 2, 16);
-        let json = serde_json::to_string(&serde_json::ToValue::to_value(&reg)).unwrap();
-        assert!(json.contains("\"build\""));
-        assert!(json.contains("\"comm_seconds\""));
-        assert!(json.contains("\"saved\""));
-        assert!(json.contains("L2:schedule-build"));
     }
 }

@@ -362,8 +362,9 @@ impl TraceSink {
             .store(seconds.to_bits(), Ordering::Relaxed);
     }
 
-    /// The most recently published modeled clock, in seconds.
-    pub fn published_modeled(&self) -> f64 {
+    /// The most recently published modeled clock, in seconds (reported as
+    /// [`TraceSummary::modeled_s`]).
+    fn published_modeled(&self) -> f64 {
         f64::from_bits(self.modeled_bits.load(Ordering::Relaxed))
     }
 

@@ -12,8 +12,6 @@
 //! The builder mirrors the directive: start from the vertex count and add
 //! whichever sections the program supplies.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors produced while assembling or validating a GeoCoL structure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GeoColError {
@@ -101,7 +99,7 @@ impl std::fmt::Display for GeoColError {
 impl std::error::Error for GeoColError {}
 
 /// The GeoCoL interface data structure handed to partitioners.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeoCoL {
     nvertices: usize,
     /// Coordinates stored axis-major: `coords[axis][vertex]`.

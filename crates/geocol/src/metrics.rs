@@ -7,10 +7,9 @@
 
 use crate::geocol::GeoCoL;
 use crate::partition::Partitioning;
-use serde::{Deserialize, Serialize};
 
 /// Quality summary for a partitioning of a GeoCoL graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionQuality {
     /// Number of graph edges whose endpoints live on different parts.
     pub edge_cut: usize,

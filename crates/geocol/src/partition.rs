@@ -1,12 +1,11 @@
 //! Partitionings and the [`Partitioner`] trait.
 
 use crate::geocol::GeoCoL;
-use serde::{Deserialize, Serialize};
 
 /// The result of partitioning a GeoCoL graph: an owning processor for each
 /// vertex. In the paper this is exactly the irregular `map` array passed to
 /// `DISTRIBUTE irreg(map)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partitioning {
     owners: Vec<u32>,
     nparts: usize,

@@ -7,10 +7,8 @@
 //! Indexing is 1-based, as in Fortran: `FORALL i = 1, nedge` iterates over
 //! `1..=nedge`, and indirection-array *values* are 1-based element numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// Elemental type of a declared array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElemType {
     /// `REAL*8`
     Real,
@@ -20,7 +18,7 @@ pub enum ElemType {
 
 /// A scalar size expression: a literal, a named scalar, or `name - literal`
 /// (enough for `nedge`, `53000`, `nnode-1`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SizeExpr {
     /// Literal value.
     Lit(usize),
@@ -31,7 +29,7 @@ pub enum SizeExpr {
 }
 
 /// How an array is indexed inside a `FORALL` body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Index {
     /// Directly by the loop variable: `x(i)`.
     LoopVar,
@@ -42,7 +40,7 @@ pub enum Index {
 }
 
 /// A reference to a distributed array element inside a loop body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayRef {
     /// Array name.
     pub array: String,
@@ -51,7 +49,7 @@ pub struct ArrayRef {
 }
 
 /// Reduction operators allowed on the left-hand side of `REDUCE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Accumulate with `+`.
     Add,
@@ -62,7 +60,7 @@ pub enum ReduceOp {
 }
 
 /// Built-in scalar functions usable in loop bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Intrinsic {
     /// First component of the Euler edge flux (`f` in the paper's loop L2).
     Eflux1,
@@ -75,7 +73,7 @@ pub enum Intrinsic {
 }
 
 /// Binary arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -88,7 +86,7 @@ pub enum BinOp {
 }
 
 /// Expressions inside a loop body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Floating-point literal.
     Lit(f64),
@@ -113,7 +111,7 @@ pub enum Expr {
 }
 
 /// A statement inside a `FORALL` body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoopStmt {
     /// `target = expr` — no loop-carried dependence allowed.
     Assign {
@@ -135,7 +133,7 @@ pub enum LoopStmt {
 }
 
 /// A section of a `CONSTRUCT` directive.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConstructSection {
     /// `GEOMETRY(dim, xc, yc, zc)`.
     Geometry(Vec<String>),
@@ -153,7 +151,7 @@ pub enum ConstructSection {
 }
 
 /// Top-level statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `REAL x(n), y(n)` / `INTEGER ia(m)`.
     Declare {
@@ -231,7 +229,7 @@ pub enum Stmt {
 }
 
 /// A parsed program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     /// Top-level statements in source order.
     pub stmts: Vec<Stmt>,

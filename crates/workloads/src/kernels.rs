@@ -12,11 +12,9 @@
 //! END FORALL
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Cost model of one edge/pair iteration in abstract machine "compute units"
 /// (used when charging the executor's local arithmetic to the simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeKernelCost {
     /// Units charged per edge / pair iteration.
     pub ops_per_iteration: f64,

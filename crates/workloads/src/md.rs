@@ -12,10 +12,9 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the water-box generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MdConfig {
     /// Number of water molecules (atoms = 3 × molecules).
     pub nmolecules: usize,
@@ -61,7 +60,7 @@ impl Default for MdConfig {
 }
 
 /// A water box: atom coordinates, charges and the non-bonded pair list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaterBox {
     /// Atom x coordinates.
     pub xc: Vec<f64>,

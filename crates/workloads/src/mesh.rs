@@ -13,10 +13,9 @@ use crate::renumber::{invert_permutation, random_permutation};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic mesh generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeshConfig {
     /// Requested number of mesh points (the generator rounds to the nearest
     /// lattice that holds at least this many and then trims).
@@ -56,7 +55,7 @@ impl Default for MeshConfig {
 /// A synthetic unstructured mesh: node coordinates plus an edge list given as
 /// two endpoint arrays (the paper's `end_pt1` / `end_pt2` indirection
 /// arrays).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnstructuredMesh {
     /// Node x coordinates.
     pub xc: Vec<f64>,

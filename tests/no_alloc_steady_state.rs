@@ -157,7 +157,7 @@ fn steady_state_executor_iteration_is_allocation_free() {
         });
     };
 
-    // Warm-up: grows per-kind stats entries and any lazily-sized state.
+    // Warm-up: grows any lazily-sized state.
     for _ in 0..3 {
         iteration(&mut machine, &mut y, &mut ghosts, &mut contributions);
     }
@@ -305,7 +305,7 @@ impl FusedSweep {
 fn steady_state_fused_sweep_is_allocation_free() {
     let _serial = serialised();
     let mut fused = FusedSweep::new();
-    // Warm-up: grows per-kind stats entries and any lazily-sized state.
+    // Warm-up: grows any lazily-sized state.
     fused.allocations_over(3);
 
     let epoch_before = fused.machine.epoch();
@@ -543,7 +543,7 @@ fn checkpoint_and_rollback_of_a_steady_epoch_are_allocation_free() {
         y.copy_values_from(ckpt_y);
     };
 
-    // Warm-up grows the snapshot buffers and the per-kind stats entries.
+    // Warm-up grows the snapshot buffers.
     for _ in 0..3 {
         iteration(&mut machine, &mut y, &mut ckpt_y, &mut snap);
     }
@@ -570,6 +570,53 @@ fn checkpoint_and_rollback_of_a_steady_epoch_are_allocation_free() {
     }
     assert_eq!(machine.epoch(), epoch_before + 10);
     assert!(machine.elapsed().max_seconds() > 0.0);
+}
+
+/// The machine's per-kind ledgers (statistics totals and critical-path
+/// phase time) are fixed-size tables: a phase kind seen for the first time
+/// inserts nothing, and a snapshot or restore across it copies in place.
+#[test]
+fn snapshot_and_restore_across_a_new_phase_kind_allocate_nothing() {
+    let _serial = serialised();
+    use chaos_repro::dmsim::{MachineSnapshot, PhaseCharge};
+
+    let nprocs = 8;
+    let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
+    let mut snap = MachineSnapshot::new();
+    let quiet_phase = |machine: &mut Machine| {
+        let mut phase = PhaseCharge::new();
+        machine.charge_p2p(&mut phase, 0, nprocs - 1, 16);
+        machine.end_phase_quiet(phase);
+    };
+
+    // Warm-up: quiet executor phases and snapshot / restore rounds grow the
+    // snapshot's buffers.
+    machine.set_phase_kind(Some(PhaseKind::Executor));
+    for _ in 0..3 {
+        quiet_phase(&mut machine);
+        machine.snapshot_into(&mut snap);
+        machine.restore_from(&snap);
+    }
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    machine.set_phase_kind(Some(PhaseKind::Checkpoint));
+    quiet_phase(&mut machine);
+    machine.set_phase_kind(Some(PhaseKind::Executor));
+    machine.snapshot_into(&mut snap);
+    machine.restore_from(&snap);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+
+    assert_eq!(
+        after - before,
+        0,
+        "a first phase of a new kind plus snapshot / restore allocated {} times",
+        after - before
+    );
+    assert_eq!(
+        machine.stats().totals_for(PhaseKind::Checkpoint).messages,
+        1
+    );
+    assert!(machine.phase_elapsed(PhaseKind::Checkpoint) > 0.0);
 }
 
 /// Allocations over ten `execute_loop`s of `cp`, after `run` and three
