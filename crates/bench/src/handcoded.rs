@@ -410,9 +410,14 @@ mod tests {
     /// program, on the benchmark's `mesh53k_rsb_setup` mesh (seed 1). Its
     /// RCB and RSB both partition unit vertex loads (GEOMETRY or LINK
     /// alone). The claim is mesh-dependent: over generator seeds 1, 2, 3, 4
-    /// and the default, RSB's executor reads 0.986, 1.090, 1.038, 0.997 and
-    /// 1.088 times RCB's, because RSB balances vertices, not the edges a
-    /// rank sweeps.
+    /// and the default, RSB's executor reads 0.983, 0.991, 1.040, 1.012 and
+    /// 1.021 times RCB's, so seeds 3, 4 and the default miss it by 4.0 %,
+    /// 1.2 % and 2.1 %. Ghosts do not explain the gap: RSB's parts have
+    /// 15 % fewer than RCB's on every seed. Iterations do: RSB balances
+    /// vertices, not the edges a rank sweeps, and a cut edge goes to the
+    /// lower-numbered rank. RSB's busiest rank sweeps 1.10–1.14 times the
+    /// mean, against RCB's 1.07–1.08. On the three missed seeds it also
+    /// talks to 17 parts, against RCB's 14 or 15.
     #[test]
     #[cfg_attr(
         debug_assertions,

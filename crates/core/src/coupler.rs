@@ -233,11 +233,12 @@ impl MapperCoupler {
     /// engine and rank count.
     ///
     /// The remainder is clamped at zero, so the modeled partitioner time is
-    /// the larger of the estimate and what the scans charged. For RSB on the
-    /// meshes here it is the scans' charge: its Lanczos steps charge more
-    /// ops per vertex than the estimate's fixed 200-step calibration allows,
-    /// so a Fiedler vector that converges in fewer steps costs less modeled
-    /// time.
+    /// at least the estimate's parallel share, plus the time ranks wait at
+    /// the scans for the busiest one. For RSB on the meshes here the scans'
+    /// ops fall far under the estimate: each active set's Lanczos run starts
+    /// from its coarsened hierarchy's Fiedler vector and takes a few steps.
+    /// The remainder stands for the driver-side coarsening and coarse
+    /// solves.
     pub fn partition<B: Backend>(
         &self,
         backend: &mut B,

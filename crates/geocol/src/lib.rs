@@ -57,7 +57,7 @@
 //!
 //! | partitioner | rank-parallel passes | driver-side remainder |
 //! |---|---|---|
-//! | [`RsbPartitioner`] | Lanczos matvec, moment reductions and update, Ritz-vector accumulation, total load | sliced-ELLPACK Laplacian setup, tridiagonal Ritz pair, Fiedler sort, median walk |
+//! | [`RsbPartitioner`] | the active set's Lanczos matvec, moment reductions and update, Ritz-vector accumulation, total load | sliced-ELLPACK Laplacian setup, coarsening and the coarse levels' Lanczos runs, tridiagonal Ritz pair, Fiedler sort, median walk |
 //! | [`RcbPartitioner`] | extents + load scan, histogram median scan | boundary-bucket select, below-cutoff sorts, median walk |
 //! | [`InertialPartitioner`] | mean + covariance moment scans | `dim × dim` power iteration, projection sort, total load, median walk |
 //! | [`BlockPartitioner`] / [`CyclicPartitioner`] / [`RandomPartitioner`] | — (O(n) arithmetic, charged as lump sum) | everything |

@@ -26,26 +26,44 @@
 //!    vector is bit-identical to pass 1's, and the Ritz vector
 //!    `x = Σ s_j q_j` is accumulated on the way.
 //!
-//! Live memory is five `m + 1`-long buffers (`q`, `q₋`, `u`, `q₊`, `x`),
-//! allocated once per bisection and rotated between scans; a stored basis
-//! would cost `k`. Slot `m` of each is a `0.0` no scan writes: the operand
-//! of the matvec's padding.
+//! Live memory is five `m + 1`-long buffers (`q`, `q₋`, `u`, `q₊`, `x`,
+//! which holds the start until pass 2), rotated between scans. Slot `m` of
+//! each is a `0.0` no scan writes: the operand of the matvec's padding.
+//!
+//! # Multilevel start vector
+//!
+//! A set of at most `COARSEST` = 500 vertices starts from a vector hashed
+//! from its vertex ids. A larger one starts from the Fiedler vector of a
+//! **coarsened hierarchy** of its subgraph (Barnard & Simon, Concurrency:
+//! Pract. Exper. 6(2), 1994; Hendrickson & Leland, Supercomputing '95).
+//! Each coarse vertex contracts rows of the level below, summing the
+//! weights of the edges between them. Level 1 contracts a maximal
+//! independent set, each seed with its free neighbours (about 4.5 rows on a
+//! mesh); every later level a greedy heavy-edge matching, whose pairs
+//! converge in fewer steps on the weighted levels. Coarsening stops at
+//! `COARSEST` vertices or before a level that would shrink by less than
+//! 5 %. The same Lanczos, with the same step cap and tolerance, runs on the
+//! coarsest level from a hashed start and on each finer level from the
+//! coarser level's Fiedler vector, prolonged, centred and normalised. The
+//! set's own run then stops at its first or second Ritz check, after 4 or
+//! 8 steps; the hierarchy is freed before it allocates its buffers.
 //!
 //! # Rank-parallel passes
 //!
-//! Both passes dominate the whole preprocessing pipeline, so their inner
-//! loops run **rank-parallel** through the [`RankScans`] executor (the
-//! PARTI/CHAOS partitioners themselves ran data-parallel on the nodes —
-//! this is the reproduction's version of that). A pass-1 step is three
-//! scans:
+//! The active set's own Lanczos run — the only one whose size is the
+//! input's — runs its inner loops **rank-parallel** through the
+//! [`RankScans`] executor (the PARTI/CHAOS partitioners themselves ran
+//! data-parallel on the nodes — this is the reproduction's version of
+//! that). A pass-1 step is three scans:
 //!
 //! * the **sparse matvec** `u = Lq`, a [`map_scan`] charging
 //!   `2 + 2·avg_degree` ops per vertex (the diagonal's multiply and store, a
 //!   load and a subtract per edge). The Laplacian is stored sliced ELLPACK,
-//!   8 rows per slice with each slice's neighbour lists column-major and
-//!   padded to its longest row, so a slice's 8 rows run as 8 independent
-//!   subtraction chains with no data-dependent branch; the padding
-//!   subtracts `+0.0`, which changes no bit and is not charged;
+//!   8 rows per slice with each slice's neighbour lists (and a coarse
+//!   level's edge weights) column-major and padded to its longest row, so a
+//!   slice's 8 rows run as 8 independent subtraction chains `acc −= w·q[nb]`
+//!   with no data-dependent branch; the padding subtracts `w·q[m] = +0.0`,
+//!   which changes no bit and is not charged;
 //! * one width-9 [`block_scan`] of `Σu, Σq, Σq₋, Σu², Σq², Σq₋², Σuq, Σuq₋,
 //!   Σqq₋` (15 ops per vertex), from which `α = qᵀu`, the mean of
 //!   `w = u − αq − β₋q₋` and `β = ‖w − mean‖` follow by algebra;
@@ -55,26 +73,27 @@
 //! `x ← x + s_j q_j`, one more [`map_scan`] (2 ops per vertex). The sorted
 //! set's **total load** is one more [`block_scan`].
 //!
-//! Only O(k) scalar work, building the sliced Laplacian, the start vector
-//! and the sort stay on the driver between scans. Because maps write
-//! disjoint items and reductions fold fixed blocks, the Fiedler vector — and
-//! therefore the partitioning — is bit-identical for every rank count and
-//! engine.
+//! The coarse levels (through [`SerialScans::single`]), the O(k) scalar
+//! work, the Laplacians, the start vector and the sort stay on the driver,
+//! independent of the executor. Maps write disjoint items and reductions
+//! fold fixed blocks, so the partitioning is bit-identical for every rank
+//! count and engine.
 //!
 //! # Modeled cost
 //!
 //! [`Partitioner::cost_estimate`] is a fixed calibration: 200 steps of
 //! `n + 2e` per recursion level, one to two orders of magnitude above RCB
-//! as in Table 2 (258 s against 1.6 s on the 53K mesh). The coupler deducts
-//! what the scans charged from it and charges the remainder; on the meshes
-//! here the scans charge more than the estimate, so the modeled partitioner
-//! time is the scans' charge: it grows with the Lanczos steps a bisection
-//! takes to converge.
+//! as in Table 2 (258 s against 1.6 s on the 53K mesh). The coupler charges
+//! what the scans do not; a warm-started run charges far less, so the
+//! modeled time is the estimate's parallel share plus the ranks' wait at
+//! the scans (a reduction folds fixed 1 024-item blocks, so on a set of a
+//! few thousand vertices few ranks fold). The remainder stands for the
+//! driver-side coarse work.
 
 use crate::geocol::GeoCoL;
 use crate::partition::{
     block_scan, left_target, load_prefix, map_scan, recursive_bisection, sort_by_key, Partitioner,
-    Partitioning, RankScans,
+    Partitioning, RankScans, SerialScans,
 };
 
 /// Lanczos steps per recursion level that [`Partitioner::cost_estimate`]
@@ -85,6 +104,11 @@ const CALIBRATION_STEPS: f64 = 200.0;
 /// A Ritz pair is taken from the tridiagonal once every this many steps.
 const RITZ_EVERY: usize = 4;
 
+/// An active set of more vertices than this starts its Lanczos run from a
+/// coarsened hierarchy's Fiedler vector, and coarsening stops once a level
+/// is this small.
+const COARSEST: usize = 500;
+
 /// Recursive spectral bisection partitioner.
 ///
 /// A program selects it by name (`USING RSB`), which takes the
@@ -93,11 +117,11 @@ const RITZ_EVERY: usize = 4;
 /// runtime with them on graphs where the default would dominate the run.
 #[derive(Debug, Clone, Copy)]
 pub struct RsbPartitioner {
-    /// Lanczos steps per bisection, at most (the subgraph's size minus one
-    /// bounds it too).
+    /// Lanczos steps per run, at most (the graph's size minus one bounds it
+    /// too); every level of a coarsened hierarchy gets the same cap.
     pub max_steps: usize,
     /// Convergence tolerance: the Ritz residual `‖Lx − θx‖` relative to the
-    /// spectral bound `2·max_degree` of the subgraph.
+    /// spectral bound `2·max_degree` of the graph, at every level.
     pub tolerance: f64,
 }
 
@@ -116,10 +140,10 @@ impl Partitioner for RsbPartitioner {
     }
 
     /// The rank-parallel entry point: both Lanczos passes behind every
-    /// Fiedler vector — sparse matvec, moment reductions, update and
-    /// accumulation — run through `scans`, one chunk per rank, so the
-    /// runtime can execute them through `Backend::run_compute` while the
-    /// partitioning stays bit-identical to [`Partitioner::partition`].
+    /// active set's Fiedler vector — sparse matvec, moment reductions,
+    /// update and accumulation — run through `scans`, one chunk per rank,
+    /// so the runtime can execute them through `Backend::run_compute` while
+    /// the partitioning stays bit-identical to [`Partitioner::partition`].
     fn partition_with_scans(
         &self,
         geocol: &GeoCoL,
@@ -130,14 +154,14 @@ impl Partitioner for RsbPartitioner {
             geocol.has_connectivity(),
             "RSB requires a LINK (connectivity) section in the GeoCoL structure"
         );
-        // Global → local index scratch, reset after every Fiedler vector.
+        // Global → local index scratch, reset after every use.
         let mut local = vec![u32::MAX; geocol.nvertices()];
         recursive_bisection(
             geocol,
             nparts,
             scans,
             |vertices, left_parts, nparts, scans| {
-                let fiedler = self.fiedler_vector(geocol, vertices, &mut local, scans);
+                let fiedler = self.multilevel_fiedler(geocol, vertices, &mut local, scans);
                 sort_by_key(vertices, &fiedler);
                 let vs: &[u32] = vertices;
                 let total_load = block_scan(scans, vs.len(), 1, 1.0, &|items, acc| {
@@ -178,93 +202,182 @@ struct Step {
 /// slice's rows as this many independent subtraction chains.
 const SLICE: usize = 8;
 
-/// The Laplacian of the subgraph induced by an active vertex set, in local
-/// indices, sliced ELLPACK with [`SLICE`] rows per slice (SELL-C without
-/// the row sort; Kreutzer et al., SIAM J. Sci. Comput. 36(5), 2014). Rows
-/// `s·SLICE ..` form slice `s`, whose neighbour lists are stored
-/// column-major — column `c` holds the `c`-th neighbour of each of the
-/// slice's rows, in [`GeoCoL::neighbors`] order — and padded to the slice's
-/// longest row with the index `m`: the slot past the rows where every
-/// Lanczos vector keeps a `0.0`.
+/// The weighted Laplacian of a graph on `m` local vertices — an active
+/// set's induced subgraph, or a coarse level — sliced ELLPACK with
+/// [`SLICE`] rows per slice (SELL-C without the row sort; Kreutzer et al.,
+/// SIAM J. Sci. Comput. 36(5), 2014). Slice `s` (rows `s·SLICE ..`) stores
+/// its entries column-major — column `c` holds each row's `c`-th — padded
+/// to its longest row with index `m`, where every Lanczos vector keeps a
+/// `0.0`, and weight `0`.
 struct Subgraph {
-    /// Each row's degree within the subgraph.
+    /// Each row's weighted degree: the sum of its entries' weights.
     degree: Vec<f64>,
-    /// Slice `s`'s columns are `cols[starts[s]..starts[s + 1]]`, `SLICE`
-    /// entries each (the last slice's lanes past `m` are padding too).
+    /// Slice `s`'s entries are `starts[s]..starts[s + 1]`.
     starts: Vec<usize>,
     cols: Vec<u32>,
-    /// Neighbour entries that are edges: the degrees' sum, padding excluded.
+    /// The number of fine edges each entry stands for; empty on an induced
+    /// subgraph, whose entries weigh 1.
+    weights: Vec<u32>,
+    /// Entries that are edges: padding excluded.
     nnz: usize,
-    max_degree: usize,
 }
 
 impl Subgraph {
-    /// The subgraph of `geocol` induced by `vertices`: two counting passes
-    /// over a global→local lookup in `local`, which is left reset.
+    /// The subgraph of `geocol` induced by `vertices`, each row's
+    /// neighbours in [`GeoCoL::neighbors`] order, through a global→local
+    /// lookup in `local`, which is left reset. Its weights are all 1, so it
+    /// stores none.
     fn induced(geocol: &GeoCoL, vertices: &[u32], local: &mut [u32]) -> Subgraph {
-        let m = vertices.len();
         for (i, &v) in vertices.iter().enumerate() {
             local[v as usize] = i as u32;
         }
-        // Pass 1: the degrees, and from them each slice's width.
-        let mut degree = Vec::with_capacity(m);
-        let mut starts = Vec::with_capacity(m.div_ceil(SLICE) + 1);
-        starts.push(0);
-        let (mut nnz, mut max_degree, mut width) = (0, 0, 0);
-        for (i, &v) in vertices.iter().enumerate() {
-            let deg = geocol
-                .neighbors(v as usize)
-                .iter()
-                .filter(|&&nb| local[nb as usize] != u32::MAX)
-                .count();
-            degree.push(deg as f64);
-            nnz += deg;
-            width = width.max(deg);
-            if (i + 1) % SLICE == 0 || i + 1 == m {
-                starts.push(starts[starts.len() - 1] + width * SLICE);
-                max_degree = max_degree.max(width);
-                width = 0;
-            }
-        }
-        // Pass 2: the neighbour lists, each row down its slice's lane.
-        let mut cols = vec![m as u32; starts[starts.len() - 1]];
-        for (i, &v) in vertices.iter().enumerate() {
-            let mut at = starts[i / SLICE] + i % SLICE;
-            for &nb in geocol.neighbors(v as usize) {
+        let bound = |i: usize| geocol.degree(vertices[i] as usize);
+        let graph = Subgraph::build(vertices.len(), false, bound, |i, lane, cols, _| {
+            let mut len = 0;
+            for &nb in geocol.neighbors(vertices[i] as usize) {
                 let l = local[nb as usize];
                 if l != u32::MAX {
-                    cols[at] = l;
-                    at += SLICE;
+                    cols[len][lane] = l;
+                    len += 1;
                 }
             }
-        }
+            len
+        });
         for &v in vertices {
             local[v as usize] = u32::MAX;
         }
-        Subgraph {
-            degree,
-            starts,
-            cols,
-            nnz,
-            max_degree,
+        graph
+    }
+
+    /// The coarse graph whose vertex `c < mc` contracts the rows `i` with
+    /// `coarse_of[i] == c`: its row lists the coarse vertices of their
+    /// neighbours in first-seen order, summing the weights of the fine
+    /// edges to each; the edges inside it vanish.
+    fn contract(&self, coarse_of: &[u32], mc: usize) -> Subgraph {
+        // Each coarse vertex's rows, in order: `rows[first[c]..first[c + 1]]`.
+        let mut first = vec![0u32; mc + 1];
+        for &c in coarse_of {
+            first[c as usize + 1] += 1;
         }
+        for c in 0..mc {
+            first[c + 1] += first[c];
+        }
+        let mut rows = vec![0u32; coarse_of.len()];
+        let mut next = first.clone();
+        for (i, &c) in coarse_of.iter().enumerate() {
+            rows[next[c as usize] as usize] = i as u32;
+            next[c as usize] += 1;
+        }
+        let members = |c: usize| &rows[first[c] as usize..first[c + 1] as usize];
+        let bound = |c: usize| members(c).iter().map(|&i| self.width(i as usize)).sum();
+        // `tag[cj]` is the coarse row that last met coarse neighbour `cj`,
+        // and its column there. A row tags itself with the scratch column,
+        // so the edges inside it merge there and are cut off; the merge has
+        // no data-dependent branch.
+        let mut tag = vec![(u32::MAX, 0u32); mc];
+        Subgraph::build(mc, true, bound, |c, lane, cols, weights| {
+            let c = c as u32;
+            tag[c as usize] = (c, cols.len() as u32 - 1);
+            let mut len = 0;
+            for &i in members(c as usize) {
+                for (j, w) in self.row(i as usize) {
+                    let cj = coarse_of[j];
+                    let (owner, column) = tag[cj as usize];
+                    let k = if owner == c { column as usize } else { len };
+                    cols[k][lane] = cj;
+                    weights[k][lane] += w;
+                    tag[cj as usize] = (c, k as u32);
+                    len += usize::from(owner != c);
+                }
+            }
+            len
+        })
+    }
+
+    /// The graph on `m` rows whose row `i` has at most `bound(i)` entries:
+    /// `write(i, lane, cols, weights)` puts entry `k` in `cols[k][lane]`,
+    /// adds its weight to `weights[k][lane]` (empty unless `weighted`) and
+    /// returns the count. A slice comes padded, plus a scratch column past
+    /// its longest bound; each array is allocated once, at its bounds.
+    fn build(
+        m: usize,
+        weighted: bool,
+        bound: impl Fn(usize) -> usize,
+        mut write: impl FnMut(usize, usize, &mut [[u32; SLICE]], &mut [[u32; SLICE]]) -> usize,
+    ) -> Subgraph {
+        let slices = |s: usize| s * SLICE..(s * SLICE + SLICE).min(m);
+        let columns: Vec<usize> = (0..m.div_ceil(SLICE))
+            .map(|s| slices(s).map(&bound).max().unwrap_or(0) + 1)
+            .collect();
+        let capacity = columns.iter().sum::<usize>() * SLICE;
+        let mut graph = Subgraph {
+            degree: Vec::with_capacity(m),
+            starts: Vec::with_capacity(columns.len() + 1),
+            cols: Vec::with_capacity(capacity),
+            weights: Vec::with_capacity(if weighted { capacity } else { 0 }),
+            nnz: 0,
+        };
+        graph.starts.push(0);
+        for (s, &ncols) in columns.iter().enumerate() {
+            let at = graph.cols.len();
+            graph.cols.resize(at + ncols * SLICE, m as u32);
+            if weighted {
+                graph.weights.resize(at + ncols * SLICE, 0);
+            }
+            let (cols, _) = graph.cols[at..].as_chunks_mut::<SLICE>();
+            let weights = graph.weights.get_mut(at..).unwrap_or_default();
+            let (weights, _) = weights.as_chunks_mut();
+            let mut width = 0;
+            for (lane, i) in slices(s).enumerate() {
+                let len = write(i, lane, cols, weights);
+                // Unweighted, `weights` is empty and every entry weighs 1.
+                let sum = |w: &[[u32; SLICE]]| w.iter().map(|w| u64::from(w[lane])).sum();
+                let degree = weights.get(..len).map_or(len as u64, sum);
+                graph.degree.push(degree as f64);
+                graph.nnz += len;
+                width = width.max(len);
+            }
+            graph.cols.truncate(at + width * SLICE);
+            graph.weights.truncate(at + width * SLICE);
+            graph.starts.push(graph.cols.len());
+        }
+        graph.cols.shrink_to_fit();
+        graph.weights.shrink_to_fit();
+        graph
     }
 
     fn len(&self) -> usize {
         self.degree.len()
     }
 
+    /// The width of row `i`'s slice: a bound on the row's length.
+    fn width(&self, i: usize) -> usize {
+        (self.starts[i / SLICE + 1] - self.starts[i / SLICE]) / SLICE
+    }
+
+    /// Row `i`'s entries as `(neighbour, weight)`, padding excluded.
+    fn row(&self, i: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let (start, lane) = (self.starts[i / SLICE], i % SLICE);
+        let (columns, _) = self.cols[start..self.starts[i / SLICE + 1]].as_chunks::<SLICE>();
+        let weight = move |k: usize| *self.weights.get(start + k * SLICE + lane).unwrap_or(&1);
+        columns
+            .iter()
+            .enumerate()
+            .map(move |(k, c)| (c[lane] as usize, weight(k)))
+            .take_while(|&(j, _)| j != self.len())
+    }
+
     /// `u[..m] = Lq[..m]`, rank-parallel, where `q[m]` must be `0.0`.
     ///
-    /// Row `i` is `degree_i·q_i` minus `q` at each neighbour in order, then
-    /// minus `q[m]` at each padded entry: `x − (+0.0)` is `x` bit for bit
-    /// (`−0.0` included), so every `u[i]` is the one a CSR loop over the
-    /// true neighbours computes. A slice that lies whole in a rank's chunk
-    /// runs its rows in lockstep — independent chains, no data-dependent
-    /// branch; a slice the chunk boundary cuts runs row by row. The charge
-    /// is `2 + 2·avg_degree` per row (the diagonal's multiply and store, a
-    /// load and a subtract per edge): the padding is not modeled work.
+    /// Row `i` is `degree_i·q_i` minus `w·q` at each entry in order, then
+    /// minus `w·q[m] = +0.0` at each padded entry: `x − (+0.0)` is `x` bit
+    /// for bit (`−0.0` included), and `1·q` is `q`, so every `u[i]` is the
+    /// one a CSR loop over the true entries computes. A slice whole in a
+    /// rank's chunk runs its rows in lockstep; one the chunk boundary cuts,
+    /// row by row. The charge, `2 + 2·avg_degree` per row, skips padding.
     fn matvec(&self, scans: &mut dyn RankScans, q: &[f64], u: &mut Vec<f64>) {
+        let (w, _) = self.weights.as_chunks::<SLICE>();
+        let weights = |column: usize| w.get(column).map_or([1.0; SLICE], |w| w.map(f64::from));
         let m = self.len();
         debug_assert_eq!(q[m].to_bits(), 0, "the padding's operand is +0.0");
         let ops = 2.0 + 2.0 * self.nnz as f64 / m as f64;
@@ -272,16 +385,17 @@ impl Subgraph {
             let mut i = rows.start;
             while i < rows.end {
                 let first = i / SLICE * SLICE;
-                let (columns, _) = self.cols
-                    [self.starts[first / SLICE]..self.starts[first / SLICE + 1]]
-                    .as_chunks::<SLICE>();
+                let start = self.starts[first / SLICE];
+                let (columns, _) =
+                    self.cols[start..self.starts[first / SLICE + 1]].as_chunks::<SLICE>();
                 let out = &mut out[i - rows.start..];
                 if i == first && first + SLICE <= rows.end {
                     let mut acc: [f64; SLICE] =
                         std::array::from_fn(|r| self.degree[first + r] * q[first + r]);
-                    for column in columns {
-                        for (a, &nb) in acc.iter_mut().zip(column) {
-                            *a -= q[nb as usize];
+                    for (k, column) in columns.iter().enumerate() {
+                        let w = weights(start / SLICE + k);
+                        for ((a, &nb), w) in acc.iter_mut().zip(column).zip(w) {
+                            *a -= w * q[nb as usize];
                         }
                     }
                     out[..SLICE].copy_from_slice(&acc);
@@ -289,9 +403,10 @@ impl Subgraph {
                 } else {
                     let end = rows.end.min(first + SLICE);
                     for (o, row) in out.iter_mut().zip(i..end) {
+                        let lane = row - first;
                         let mut acc = self.degree[row] * q[row];
-                        for column in columns {
-                            acc -= q[column[row - first] as usize];
+                        for (k, column) in columns.iter().enumerate() {
+                            acc -= weights(start / SLICE + k)[lane] * q[column[lane] as usize];
                         }
                         *o = acc;
                     }
@@ -299,6 +414,79 @@ impl Subgraph {
                 }
             }
         });
+    }
+}
+
+/// Rows `0..m` in blocks of [`SLICE`], visited with a stride coprime to
+/// the block count near `0.618×` it: consecutive blocks lie far apart.
+fn strided(m: usize) -> impl Iterator<Item = usize> {
+    let blocks = m.div_ceil(SLICE);
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let mut stride = ((blocks as f64 * 0.618) as usize).max(1);
+    while gcd(stride, blocks) != 1 {
+        stride += 1;
+    }
+    (0..blocks)
+        .map(move |k| k * stride % blocks)
+        .flat_map(move |b| b * SLICE..(b * SLICE + SLICE).min(m))
+}
+
+/// Each row's coarse vertex, and their number. Visited in [`strided`]
+/// order, a free row seeds a coarse vertex with all its free neighbours (a
+/// maximal independent set of seeds, after Barnard & Simon) or, with
+/// `pairs`, its heaviest one (heavy-edge matching, after Hendrickson &
+/// Leland; ties to the larger complement of the index's [`mix`]).
+fn coarse_vertices(fine: &Subgraph, pairs: bool) -> (Vec<u32>, usize) {
+    let mut seed = vec![u32::MAX; fine.len()];
+    for i in strided(fine.len()) {
+        if seed[i] != u32::MAX {
+            continue;
+        }
+        seed[i] = i as u32;
+        // Weight above, hash below: the larger key wins.
+        let (mut best, mut best_key) = (i, 0);
+        for (j, w) in fine.row(i) {
+            let key = u64::from(w) << 32 | !mix(j as u32) >> 32;
+            if seed[j] == u32::MAX && !pairs {
+                seed[j] = i as u32;
+            } else if seed[j] == u32::MAX && key > best_key {
+                (best, best_key) = (j, key);
+            }
+        }
+        seed[best] = i as u32;
+    }
+    // Coarse vertices are numbered in the order of their first row.
+    let (mut id, mut mc) = (vec![u32::MAX; fine.len()], 0);
+    for s in seed.iter_mut() {
+        if id[*s as usize] == u32::MAX {
+            (id[*s as usize], mc) = (mc, mc + 1);
+        }
+        *s = id[*s as usize];
+    }
+    (seed, mc as usize)
+}
+
+/// The coarsened hierarchy of `finest` (graph 0): `levels[k]` is graph
+/// `k + 1` and graph `k`'s rows' coarse vertices in it. Empty for a graph
+/// of at most [`COARSEST`] rows or one that does not shrink by 5 %.
+fn hierarchy(finest: &Subgraph) -> Vec<(Vec<u32>, Subgraph)> {
+    let mut levels: Vec<(Vec<u32>, Subgraph)> = Vec::new();
+    loop {
+        let fine = levels.last().map_or(finest, |(_, graph)| graph);
+        if fine.len() <= COARSEST {
+            return levels;
+        }
+        let (coarse_of, mc) = coarse_vertices(fine, !levels.is_empty());
+        if mc * 20 > fine.len() * 19 {
+            return levels;
+        }
+        let coarse = fine.contract(&coarse_of, mc);
+        levels.push((coarse_of, coarse));
     }
 }
 
@@ -330,36 +518,63 @@ fn lanczos_update(
 
 impl RsbPartitioner {
     /// Fiedler vector of the subgraph induced by `vertices` (two or more),
-    /// indexed by position within `vertices`: the smallest Ritz vector of a
-    /// two-pass Lanczos run whose matvecs, moment reductions, updates and
-    /// accumulations run through `scans` (see the module docs); `local` is
-    /// reusable global→local scratch.
-    fn fiedler_vector(
+    /// by position within `vertices`: its run through `scans` starts from
+    /// the hashed vector or its [`hierarchy`]'s; `local` is scratch.
+    fn multilevel_fiedler(
         &self,
         geocol: &GeoCoL,
         vertices: &[u32],
         local: &mut [u32],
         scans: &mut dyn RankScans,
     ) -> Vec<f64> {
-        let m = vertices.len();
-        let graph = Subgraph::induced(geocol, vertices, local);
+        let finest = Subgraph::induced(geocol, vertices, local);
+        let mut levels = hierarchy(&finest);
+        // Solved from the coarsest up, each level freed on the way.
+        let start = match levels.pop() {
+            None => start_vector(vertices.iter().map(|&v| hashed(v))),
+            Some((mut coarse_of, coarsest)) => {
+                let driver = &mut SerialScans::single();
+                let start = start_vector((0..coarsest.len() as u32).map(hashed));
+                let mut x = self.fiedler_vector(&coarsest, start, driver);
+                while let Some((finer_of, graph)) = levels.pop() {
+                    let start = start_vector(coarse_of.iter().map(|&c| x[c as usize]));
+                    x = self.fiedler_vector(&graph, start, driver);
+                    coarse_of = finer_of;
+                }
+                start_vector(coarse_of.iter().map(|&c| x[c as usize]))
+            }
+        };
+        self.fiedler_vector(&finest, start, scans)
+    }
+
+    /// Fiedler vector of `graph` (two or more rows): the smallest Ritz
+    /// vector of a two-pass Lanczos run from `start` — a [`start_vector`] —
+    /// whose matvecs, moment reductions, updates and accumulations run
+    /// through `scans` (see the module docs).
+    fn fiedler_vector(
+        &self,
+        graph: &Subgraph,
+        start: Vec<f64>,
+        scans: &mut dyn RankScans,
+    ) -> Vec<f64> {
+        let m = graph.len();
         // The Laplacian's spectrum lies in [0, 2·max_degree]: the scale the
         // residual tolerance is relative to.
-        let spectral_bound = 2.0 * graph.max_degree as f64;
+        let spectral_bound = 2.0 * graph.degree.iter().fold(0.0, |a: f64, &d| a.max(d));
 
         // Every vector is m + 1 long: slot m is the matvec padding's 0.0,
-        // and no scan writes it.
+        // and no scan writes it. x holds the start until pass 2.
         let mut q_prev = vec![0.0; m + 1];
         let mut q = vec![0.0; m + 1];
         let mut u = vec![0.0; m + 1];
         let mut next = vec![0.0; m + 1];
-        let mut x = vec![0.0; m + 1];
+        let mut x = start;
 
         // Pass 1: the recurrence, keeping only T's scalars. The deflated
         // space has m − 1 dimensions, so the run is exact by then.
         let cap = self.max_steps.min(m - 1).max(1);
         let mut steps: Vec<Step> = Vec::new();
-        start_vector(vertices, &mut q);
+        q[..m].copy_from_slice(&x[..m]);
         let ritz = loop {
             graph.matvec(scans, &q, &mut u);
             let (ur, qr, pr) = (&u[..m], &q[..m], &q_prev[..m]);
@@ -422,9 +637,10 @@ impl RsbPartitioner {
             std::mem::swap(&mut q, &mut next);
         };
 
-        // Pass 2: replay the recurrence and accumulate x = Σ s_j q_j.
+        // Pass 2: replay the recurrence and accumulate x = Σ s_j q_j. After
+        // one step the Ritz vector is the start vector itself.
         q_prev.fill(0.0);
-        start_vector(vertices, &mut q);
+        q[..m].copy_from_slice(&x[..m]);
         for j in 1..steps.len() {
             graph.matvec(scans, &q, &mut u);
             lanczos_update(scans, m, &u, &q, &q_prev, steps[j - 1], &mut next);
@@ -448,24 +664,29 @@ impl RsbPartitioner {
                 std::mem::swap(&mut x, &mut u);
             }
         }
-        // After one step the Ritz vector is the start vector itself.
-        let mut x = if steps.len() == 1 { q } else { x };
         x.truncate(m);
         x
     }
 }
 
-/// The deterministic pseudo-random start vector of a Lanczos run over
-/// `vertices`, written to `x[..vertices.len()]`: hashed from the vertex ids,
-/// orthogonal to the constant vector, of unit length. Driver-side, O(m)
-/// once per pass.
-fn start_vector(vertices: &[u32], x: &mut [f64]) {
-    let x = &mut x[..vertices.len()];
-    for (xi, &v) in x.iter_mut().zip(vertices) {
-        let h = (v as u64).wrapping_mul(0x9E3779B97F4A7C15).rotate_left(31);
-        *xi = (h % 10_000) as f64 / 10_000.0 - 0.5;
-    }
-    let mean = x.iter().sum::<f64>() / x.len() as f64;
+/// The hash behind the start vector and the matching's tie-break.
+fn mix(v: u32) -> u64 {
+    (v as u64).wrapping_mul(0x9E3779B97F4A7C15).rotate_left(31)
+}
+
+/// The hashed start vector's component at `id`, in `[−0.5, 0.5)`.
+fn hashed(id: u32) -> f64 {
+    (mix(id) % 10_000) as f64 / 10_000.0 - 0.5
+}
+
+/// A Lanczos start vector from `values`: centred (orthogonal to the
+/// constant vector), of unit length, followed by the padding slot's `0.0`.
+/// Driver-side, O(m).
+fn start_vector(values: impl ExactSizeIterator<Item = f64>) -> Vec<f64> {
+    let m = values.len();
+    let mut x = Vec::with_capacity(m + 1);
+    x.extend(values);
+    let mean = x.iter().sum::<f64>() / m as f64;
     for v in x.iter_mut() {
         *v -= mean;
     }
@@ -475,6 +696,8 @@ fn start_vector(vertices: &[u32], x: &mut [f64]) {
             *v /= norm;
         }
     }
+    x.push(0.0);
+    x
 }
 
 /// Unit eigenvector of the smallest eigenvalue of the symmetric tridiagonal
@@ -599,7 +822,8 @@ mod tests {
     use crate::block::BlockPartitioner;
     use crate::geocol::GeoColBuilder;
     use crate::metrics::PartitionQuality;
-    use crate::partition::{ScanKernel, SerialScans};
+    use crate::partition::ScanKernel;
+    use std::collections::{HashMap, HashSet};
 
     /// Two dense clusters joined by a single bridge edge. The spectral split
     /// must find the bridge.
@@ -811,7 +1035,7 @@ mod tests {
     fn whole_graph_fiedler(rsb: &RsbPartitioner, g: &GeoCoL) -> Vec<f64> {
         let vertices: Vec<u32> = (0..g.nvertices() as u32).collect();
         let mut local = vec![u32::MAX; g.nvertices()];
-        rsb.fiedler_vector(g, &vertices, &mut local, &mut SerialScans::single())
+        rsb.multilevel_fiedler(g, &vertices, &mut local, &mut SerialScans::single())
     }
 
     /// The largest componentwise distance from `x` to the analytic
@@ -855,30 +1079,33 @@ mod tests {
         let err = distance_to_cosine(&whole_graph_fiedler(&tight, &path), |i| i, n);
         assert!(err < 1e-6, "path: {err:e}");
 
-        // A 12×7 grid (a rectangle: a square's λ₂ is degenerate): the
-        // vector varies as cos(π(c+½)/12) along the 12-long axis and is
-        // constant across the short one.
-        let (cols, rows) = (12usize, 7usize);
-        let (mut e1, mut e2) = (Vec::new(), Vec::new());
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = (r * cols + c) as u32;
-                if c + 1 < cols {
-                    e1.push(v);
-                    e2.push(v + 1);
-                }
-                if r + 1 < rows {
-                    e1.push(v);
-                    e2.push(v + cols as u32);
+        // Rectangles (a square's λ₂ is degenerate): the vector varies as
+        // cos(π(c+½)/cols) along the long axis and is constant across the
+        // short one. 12×7 starts from the hashed vector; 120×70 lies above
+        // the coarsest size, so it starts from its hierarchy's.
+        for (cols, rows) in [(12usize, 7usize), (120, 70)] {
+            let (mut e1, mut e2) = (Vec::new(), Vec::new());
+            for r in 0..rows {
+                for c in 0..cols {
+                    let v = (r * cols + c) as u32;
+                    if c + 1 < cols {
+                        e1.push(v);
+                        e2.push(v + 1);
+                    }
+                    if r + 1 < rows {
+                        e1.push(v);
+                        e2.push(v + cols as u32);
+                    }
                 }
             }
+            let grid = GeoColBuilder::new(cols * rows)
+                .link(e1, e2)
+                .build()
+                .unwrap();
+            let x = whole_graph_fiedler(&tight, &grid);
+            let err = distance_to_cosine(&x, |i| i % cols, cols);
+            assert!(err < 1e-6, "{cols}x{rows} grid: {err:e}");
         }
-        let grid = GeoColBuilder::new(cols * rows)
-            .link(e1, e2)
-            .build()
-            .unwrap();
-        let err = distance_to_cosine(&whole_graph_fiedler(&tight, &grid), |i| i % cols, cols);
-        assert!(err < 1e-6, "grid: {err:e}");
     }
 
     #[test]
@@ -893,10 +1120,11 @@ mod tests {
         let leaves: Vec<u32> = (1..9).collect();
         let mut local = vec![u32::MAX; 9];
         let mut scans = CountingScans(0);
-        let x = RsbPartitioner::default().fiedler_vector(&star, &leaves, &mut local, &mut scans);
+        let x =
+            RsbPartitioner::default().multilevel_fiedler(&star, &leaves, &mut local, &mut scans);
         assert_eq!(scans.0, 2);
-        let mut start = vec![0.0; leaves.len()];
-        start_vector(&leaves, &mut start);
+        let mut start = start_vector(leaves.iter().map(|&v| hashed(v)));
+        start.truncate(leaves.len());
         assert_eq!(x, start);
         assert!(local.iter().all(|&l| l == u32::MAX), "scratch reset");
     }
@@ -1013,6 +1241,91 @@ mod tests {
     }
 
     #[test]
+    fn every_level_contracts_its_rows_and_sums_the_edges_between_them() {
+        let g = shuffled_grid(60);
+        let vertices: Vec<u32> = (0..g.nvertices() as u32).collect();
+        let mut local = vec![u32::MAX; g.nvertices()];
+        let finest = Subgraph::induced(&g, &vertices, &mut local);
+        let levels = hierarchy(&finest);
+        assert!(levels.len() >= 2, "{} coarse levels", levels.len());
+        let mut fine = &finest;
+        for (k, (coarse_of, coarse)) in levels.iter().enumerate() {
+            let level = k + 1;
+            let mc = coarse.len();
+            assert_eq!(coarse_of.len(), fine.len(), "level {level}");
+            assert!(mc * 20 <= fine.len() * 19, "level {level} shrinks by 5 %");
+            // Every row in exactly one coarse vertex, and none empty; past
+            // level 1 a coarse vertex is a matched pair or a single row.
+            let mut rows = vec![0; mc];
+            for &c in coarse_of {
+                rows[c as usize] += 1;
+            }
+            assert!(
+                rows.iter().all(|&r| r >= 1),
+                "level {level}: an empty coarse vertex"
+            );
+            if level > 1 {
+                assert!(
+                    rows.iter().all(|&r| r <= 2),
+                    "level {level}: more than a pair"
+                );
+            }
+            // The fine edges between distinct coarse vertices, summed.
+            let mut want: HashMap<(usize, usize), u32> = HashMap::new();
+            for i in 0..fine.len() {
+                for (j, w) in fine.row(i) {
+                    let (c, d) = (coarse_of[i] as usize, coarse_of[j] as usize);
+                    if c != d {
+                        *want.entry((c, d)).or_default() += w;
+                    }
+                }
+            }
+            let mut got = HashMap::new();
+            for c in 0..mc {
+                let mut seen = HashSet::new();
+                let mut degree = 0;
+                for (d, w) in coarse.row(c) {
+                    assert!(seen.insert(d), "level {level}: row {c} lists {d} twice");
+                    got.insert((c, d), w);
+                    degree += w;
+                }
+                assert_eq!(coarse.degree[c], f64::from(degree), "level {level} row {c}");
+            }
+            assert_eq!(got, want, "level {level}");
+            assert_eq!(coarse.nnz, want.len(), "level {level}");
+            fine = coarse;
+        }
+        assert!(fine.len() <= COARSEST || coarse_vertices(fine, true).1 * 20 > fine.len() * 19);
+    }
+
+    #[test]
+    fn a_coarsened_set_partitions_identically_at_every_rank_count() {
+        // 3 600 vertices: the top bisections start from their hierarchies.
+        let g = shuffled_grid(60);
+        for nparts in [2, 5] {
+            let serial = RsbPartitioner::default().partition(&g, nparts);
+            let q = PartitionQuality::evaluate(&g, &serial);
+            assert!(
+                q.load_imbalance <= 1.01,
+                "nparts={nparts}: {}",
+                q.load_imbalance
+            );
+            for nranks in [1, 3, 7, 64] {
+                let chunked = RsbPartitioner::default().partition_with_scans(
+                    &g,
+                    nparts,
+                    &mut SerialScans { nranks },
+                );
+                assert_eq!(serial, chunked, "nparts={nparts} nranks={nranks}");
+            }
+        }
+        // A 60×60 grid's best bisection cuts 60 of its 7 080 edges.
+        let halves = RsbPartitioner::default().partition(&g, 2);
+        let cut = PartitionQuality::evaluate(&g, &halves).edge_cut;
+        assert!(cut <= 90, "cut {cut}");
+    }
+
+    #[test]
     fn degenerate_graphs_partition_without_a_nan_key() {
         let graph = |n: usize, edges: &[(u32, u32)]| {
             GeoColBuilder::new(n).link_edges(edges).build().unwrap()
@@ -1026,12 +1339,15 @@ mod tests {
         let star: Vec<(u32, u32)> = (1..12).map(|leaf| (0, leaf)).collect();
         // A 6-cycle beside 6 isolated vertices.
         let beside: Vec<(u32, u32)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+        let disjoint: Vec<(u32, u32)> = (0..600).map(|i| (2 * i, 2 * i + 1)).collect();
         let cases = [
             ("one edge, the rest isolated", graph(12, &[(3, 7)]), 4),
             ("complete K12", graph(12, &complete), 4),
             ("star", graph(12, &star), 4),
             ("two vertices", graph(2, &[(0, 1)]), 2),
             ("isolated vertices beside a cycle", graph(12, &beside), 4),
+            // Above the coarsest size: level 1 is 600 isolated vertices.
+            ("600 disjoint edges", graph(1200, &disjoint), 4),
         ];
         for (name, g, nparts) in cases {
             let serial = RsbPartitioner::default().partition(&g, nparts);
