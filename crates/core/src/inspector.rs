@@ -115,10 +115,11 @@ impl InspectorResult {
 /// Reusable intermediate buffers for [`Inspector::localize_with_scratch`].
 ///
 /// The inspector's working set — packed translated references, the per-
-/// processor dedup buffer and the flat ghost-source arrays handed to the
-/// schedule constructor — lives here, so a loop that re-runs its inspector
-/// (the schedule-reuse miss path) stops allocating once the buffers have
-/// grown to the workload's size.
+/// processor off-processor references and dedup buffer, and the flat
+/// ghost-source arrays handed to the schedule constructor — lives here, so
+/// a loop that re-runs its inspector (the schedule-reuse miss path) stops
+/// allocating once the buffers have grown to the workload's size. The lang
+/// `Executor` keeps one between inspections.
 #[derive(Debug, Clone, Default)]
 pub struct LocalizeScratch {
     /// Packed `owner << 32 | offset` location of every reference, per proc.
@@ -126,11 +127,25 @@ pub struct LocalizeScratch {
     /// Sorted, deduplicated off-processor keys, per proc (rank-local so the
     /// dedup kernels can run one per thread).
     offproc: Vec<Vec<u64>>,
+    /// One word of off-processor flags per 64 references, per proc: their
+    /// count sizes `pending` exactly.
+    flags: Vec<Vec<u64>>,
+    /// The position of each off-processor reference, per proc: sorted by
+    /// key, they give the ghost slots and where each one is written.
+    pending: Vec<Vec<u32>>,
     /// Flat CSR ghost-source arrays under construction.
     ghost_off: Vec<u32>,
     ghost_owner: Vec<u32>,
     ghost_src: Vec<u32>,
 }
+
+/// One rank's rows of the dedup / rewrite kernel: its off-processor flags,
+/// the positions of its off-processor references, its deduplicated keys
+/// and its localized references.
+type Rows<'a> = (
+    ((&'a mut Vec<u64>, &'a mut Vec<u32>), &'a mut Vec<u64>),
+    &'a mut Vec<u32>,
+);
 
 /// The inspector itself. Stateless; all state lives in the returned
 /// [`InspectorResult`] (and optionally a caller-held [`LocalizeScratch`]).
@@ -160,9 +175,10 @@ impl Inspector {
     /// intermediates after the first call.
     ///
     /// Deduplication is hash-free: every reference is translated to a packed
-    /// `owner << 32 | local_offset` key, the off-processor keys are sorted
-    /// and deduplicated in one pass, and ghost slots are assigned by rank in
-    /// that sorted order (identical slot numbering to the paper's
+    /// `owner << 32 | local_offset` key, one pass rewrites the owned ones and
+    /// sets the off-processor ones aside with their positions, and sorting
+    /// those by key deduplicates them and assigns ghost slots by rank in that
+    /// sorted order (identical slot numbering to the paper's
     /// owner-then-offset convention).
     ///
     /// It is [`Inspector::localize_deferred_exchange`] followed by the
@@ -239,46 +255,75 @@ impl Inspector {
             }
         }
 
-        // Steps 2 & 4 (rank-local kernels): dedup off-processor references
-        // per processor with a single sort + dedup over the packed keys,
-        // assign ghost slots (rank in sorted order — owner-major, then
-        // offset), and rewrite every reference to an owned offset or a
-        // ghost slot.
+        // Steps 2 & 4 (rank-local kernels), one pass over the translated
+        // references: an owned reference is rewritten to its offset where
+        // it stands, and an off-processor one's position is set aside.
+        // Sorting those by key deduplicates them, assigns the ghost slots
+        // (rank in sorted order — owner-major, then offset) and reaches
+        // every position holding each key, which is then rewritten to its
+        // slot.
         let located = &scratch.located;
+        let (flags, pending) = (&mut scratch.flags, &mut scratch.pending);
         let offproc = &mut scratch.offproc;
+        flags.resize_with(nprocs, Vec::new);
+        pending.resize_with(nprocs, Vec::new);
         offproc.resize_with(nprocs, Vec::new);
         let owned_counts: Vec<usize> = (0..nprocs).map(|p| data_dist.local_size(p)).collect();
         let mut localized: Vec<Vec<u32>> = Vec::new();
         localized.resize_with(nprocs, Vec::new);
+        let rows = flags
+            .iter_mut()
+            .zip(pending.iter_mut())
+            .zip(offproc.iter_mut())
+            .zip(localized.iter_mut());
         backend.run_compute(
-            offproc.iter_mut().zip(localized.iter_mut()),
-            |ctx, (offproc, locals): (&mut Vec<u64>, &mut Vec<u32>)| {
+            rows,
+            |ctx, (((flags, pending), offproc), locals): Rows<'_>| {
                 let me = ctx.rank() as u64;
                 let located = &located[ctx.rank()];
-                offproc.clear();
-                let off_processor = |k: &u64| (k >> 32) != me;
-                offproc.reserve(located.iter().filter(|&k| off_processor(k)).count());
-                offproc.extend(located.iter().copied().filter(off_processor));
-                offproc.sort_unstable();
-                offproc.dedup();
+                assert!(
+                    u32::try_from(located.len()).is_ok(),
+                    "rank {me} has more than u32::MAX references"
+                );
+                // The one pass over the references, 64 at a time: their low
+                // words (an owned reference's offset) are copied as a block,
+                // beside a word of off-processor flags. Only a word that holds
+                // a flag is branched on, and the flags' count sizes the
+                // positions exactly.
+                flags.clear();
+                flags.reserve_exact(located.len().div_ceil(64));
+                locals.reserve_exact(located.len());
+                for chunk in located.chunks(64) {
+                    locals.extend(chunk.iter().map(|&k| k as u32));
+                    let flag = |(j, &k): (usize, &u64)| u64::from((k >> 32) != me) << j;
+                    flags.push(chunk.iter().enumerate().map(flag).fold(0, |a, b| a | b));
+                }
+                pending.clear();
+                pending.reserve_exact(flags.iter().map(|w| w.count_ones() as usize).sum());
+                for (c, &word) in flags.iter().enumerate() {
+                    let mut off = word;
+                    while off != 0 {
+                        pending.push((c * 64) as u32 + off.trailing_zeros());
+                        off &= off - 1;
+                    }
+                }
+                pending.sort_unstable_by_key(|&at| located[at as usize]);
                 // Ghost slots sit behind the owned elements in the rank's
                 // local index space.
                 let n_owned = owned_counts[ctx.rank()];
+                offproc.clear();
+                offproc.reserve(pending.len());
+                for &at in pending.iter() {
+                    let k = located[at as usize];
+                    if offproc.last() != Some(&k) {
+                        offproc.push(k);
+                    }
+                    locals[at as usize] = (n_owned + offproc.len() - 1) as u32;
+                }
                 assert!(
                     u32::try_from(n_owned + offproc.len()).is_ok(),
                     "local index space of rank {me} exceeds u32"
                 );
-                *locals = located
-                    .iter()
-                    .map(|&k| {
-                        if (k >> 32) == me {
-                            k as u32
-                        } else {
-                            let slot = offproc.binary_search(&k).expect("key present after dedup");
-                            (n_owned + slot) as u32
-                        }
-                    })
-                    .collect();
                 // Charge dedup / rewrite work: ~2 ops per reference plus 1
                 // per distinct off-processor element (same model as the
                 // paper's hash-table accounting — the layout changed, not

@@ -139,7 +139,8 @@ impl TranslationTable {
     }
 
     /// Charge the machine for dereferencing `requests` (the cost side of
-    /// [`TranslationTable::dereference`], shared by the packed variant).
+    /// [`TranslationTable::dereference`]; the packed variant shares its
+    /// replicated half and counts pages in its own fill).
     ///
     /// With the replicated policy the lookups are free of communication
     /// (only local table-probe compute is charged); with the distributed
@@ -162,43 +163,54 @@ impl TranslationTable {
             TTablePolicy::Distributed => {
                 // Counting pass: how many of each rank's requests land on
                 // each table page. Rank r fills row r.
-                let block = self.page_block();
-                let mut counts = vec![0u32; nprocs * nprocs];
+                let (mut counts, page_of) = (vec![0u32; nprocs * nprocs], self.page_of());
                 backend.run_compute(counts.chunks_mut(nprocs), |ctx, row| {
                     for &g in &requests[ctx.rank()] {
-                        row[(g as usize / block).min(nprocs - 1)] += 1;
+                        row[page_of(g)] += 1;
                     }
                 });
-                // Round 1: ship requests to page owners (one word per index).
-                backend.run_charge_phase(
-                    PhaseEnd::Labelled(&format!("{label}:deref-request")),
-                    |ctx| {
-                        let p = ctx.rank();
-                        for page in 0..nprocs {
-                            let cnt = counts[p * nprocs + page] as usize;
-                            if cnt > 0 {
-                                ctx.charge_p2p(p, page, cnt);
-                            }
-                        }
-                    },
-                );
-                // Round 2: page owners probe their pages and answer with
-                // (owner, offset) pairs — twice the volume of the request.
-                backend.run_charge_phase(
-                    PhaseEnd::Labelled(&format!("{label}:deref-reply")),
-                    |ctx| {
-                        let p = ctx.rank();
-                        for page in 0..nprocs {
-                            let cnt = counts[p * nprocs + page] as usize;
-                            if cnt > 0 {
-                                ctx.charge_compute(page, cnt as f64);
-                                ctx.charge_p2p(page, p, 2 * cnt);
-                            }
-                        }
-                    },
-                );
+                self.charge_page_traffic(backend, label, &counts);
             }
         }
+    }
+
+    /// The table page a global index lives on under the distributed
+    /// layout, with the page size computed once.
+    fn page_of(&self) -> impl Fn(u32) -> usize + Sync {
+        let (block, last) = (self.page_block(), self.nprocs - 1);
+        move |g| (g as usize / block).min(last)
+    }
+
+    /// Charge the distributed layout's two message rounds, given how many
+    /// of each rank's requests land on each page (`counts[p * nprocs +
+    /// page]`).
+    fn charge_page_traffic<B: Backend>(&self, backend: &mut B, label: &str, counts: &[u32]) {
+        let nprocs = self.nprocs;
+        // Round 1: ship requests to page owners (one word per index).
+        backend.run_charge_phase(
+            PhaseEnd::Labelled(&format!("{label}:deref-request")),
+            |ctx| {
+                let p = ctx.rank();
+                for page in 0..nprocs {
+                    let cnt = counts[p * nprocs + page] as usize;
+                    if cnt > 0 {
+                        ctx.charge_p2p(p, page, cnt);
+                    }
+                }
+            },
+        );
+        // Round 2: page owners probe their pages and answer with
+        // (owner, offset) pairs — twice the volume of the request.
+        backend.run_charge_phase(PhaseEnd::Labelled(&format!("{label}:deref-reply")), |ctx| {
+            let p = ctx.rank();
+            for page in 0..nprocs {
+                let cnt = counts[p * nprocs + page] as usize;
+                if cnt > 0 {
+                    ctx.charge_compute(page, cnt as f64);
+                    ctx.charge_p2p(page, p, 2 * cnt);
+                }
+            }
+        });
     }
 
     /// Dereference a batch of global indices on behalf of each requesting
@@ -236,7 +248,9 @@ impl TranslationTable {
     /// (`out[p]` is cleared and refilled, so repeated inspector runs reuse
     /// capacity instead of reallocating). Charges the machine identically to
     /// `dereference`; the per-rank answer fill is a rank-local kernel, so it
-    /// parallelizes on the pooled engine.
+    /// parallelizes on the pooled engine. Under the distributed layout the
+    /// fill also counts each rank's requests per page, so the requests are
+    /// read once.
     pub fn dereference_packed<B: Backend>(
         &self,
         backend: &mut B,
@@ -245,16 +259,30 @@ impl TranslationTable {
         out: &mut Vec<Vec<u64>>,
     ) {
         assert_eq!(requests.len(), self.nprocs);
-        self.charge_dereference(backend, label, requests);
         out.resize_with(self.nprocs, Vec::new);
-        backend.run_compute(out.iter_mut(), |ctx, row: &mut Vec<u64>| {
-            row.clear();
-            row.extend(
-                requests[ctx.rank()]
-                    .iter()
-                    .map(|&g| self.packed[g as usize]),
-            );
-        });
+        let nprocs = self.nprocs;
+        match self.policy {
+            TTablePolicy::Replicated => {
+                self.charge_dereference(backend, label, requests);
+                backend.run_compute(out.iter_mut(), |ctx, row: &mut Vec<u64>| {
+                    row.clear();
+                    let answer = |&g: &u32| self.packed[g as usize];
+                    row.extend(requests[ctx.rank()].iter().map(answer));
+                });
+            }
+            TTablePolicy::Distributed => {
+                let (mut counts, page_of) = (vec![0u32; nprocs * nprocs], self.page_of());
+                let rows = out.iter_mut().zip(counts.chunks_mut(nprocs));
+                backend.run_compute(rows, |ctx, (row, pages): (&mut Vec<u64>, &mut [u32])| {
+                    row.clear();
+                    row.extend(requests[ctx.rank()].iter().map(|&g| {
+                        pages[page_of(g)] += 1;
+                        self.packed[g as usize]
+                    }));
+                });
+                self.charge_page_traffic(backend, label, &counts);
+            }
+        }
     }
 
     /// Words of table state stored on processor `proc`, used to charge the

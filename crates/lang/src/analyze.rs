@@ -263,7 +263,7 @@ mod tests {
         assert_eq!(info.arrays.len(), 4);
         assert_eq!(info.decomps.len(), 2);
         let l = &plans["L1"];
-        assert!(l.irregular);
+        assert_eq!(l.indirection_arrays, vec!["end_pt1", "end_pt2"]);
         assert_eq!(l.data_arrays, vec!["x", "y"]);
         assert_eq!(l.written_arrays, vec!["y"]);
         assert_eq!(l.indirection_arrays, vec!["end_pt1", "end_pt2"]);
@@ -283,7 +283,6 @@ mod tests {
         "#;
         let (_, plans) = analyze_program(&parse_program(src).unwrap()).unwrap();
         let l = &plans["L1"];
-        assert!(!l.irregular);
         assert!(l.indirection_arrays.is_empty());
     }
 

@@ -8,22 +8,30 @@
 //! resolves every name a reference goes through — each slot to a column, to
 //! the extent of the decomposition it indexes and to the values of its
 //! indirection array, each indirection array read once — and checks each
-//! column's source against the loop range. Then a single pass fills
-//! `niters × nslots` 0-based globals and compares every indirection value
-//! with its extent: a short indirection array, a 0 entry or an entry beyond
-//! the extent is a typed [`LangError`] naming the array, the iteration, the
-//! value and the extent, raised here and nowhere later. The table has two
-//! readers, which only index it: iteration partitioning takes the leading
-//! (placing) entries of each row as that iteration's `&[u32]`, and every
-//! decomposition group's `AccessPattern` copies, from the rows each rank was
-//! given, one table column per **distinct index expression** among the
-//! group's slots ([`GroupSpec`]): `x(e1(i))` and `y(e1(i))` are one reference
-//! to localize, translate and dedup, so the edge loop's pattern — and the
-//! localized row a sweep reads — holds 2 entries per iteration, not 4. The
-//! set of distinct off-processor elements is the same either way, so the
+//! slot's source against the loop range. The table holds one column per
+//! **distinct index expression** of the plan, not per slot: the edge loop's
+//! `x(e1(i))`, `x(e2(i))`, `y(e1(i))`, `y(e2(i))` are 2 columns, `e1` and
+//! `e2`. A single pass then fills `niters × ncolumns` 0-based globals, a
+//! column at a time, and compares every indirection value with the
+//! smallest extent its column is read at: a short indirection array, a 0
+//! entry or an entry beyond the extent is a typed [`LangError`] naming the
+//! array, the iteration, the value and the extent of the first slot, in
+//! the per-slot check order, that the value does not fit — raised here and
+//! nowhere later. The table has two readers, which only index it:
+//! iteration partitioning takes the leading (placing) columns of each row
+//! as that iteration's `&[u32]`, each column weighted by the number of
+//! placing slots that read it, so the vote still counts a reference per
+//! slot; and every decomposition group's `AccessPattern` copies, from the
+//! rows each rank was given, the columns of the distinct index expressions
+//! among the group's slots ([`GroupSpec`]). So the edge loop's pattern —
+//! and the localized row a sweep reads — holds 2 entries per iteration,
+//! not 4. The set of
+//! distinct off-processor elements is the same either way, so the
 //! schedules do not change. The table is held in one block of rows per rank
 //! and dropped as soon as the patterns are cut, before the localize working
-//! set is allocated in its place.
+//! set is refilled in its place. That working set (`LocalizeScratch`) is
+//! parked on the executor, so a re-inspection refills buffers that have
+//! already grown to the loop's size.
 //!
 //! `inspect` is the only place a loop record is built: every name a sweep
 //! would otherwise look up (the arrays it lends, the region rows each ghost
@@ -40,9 +48,7 @@ use crate::error::LangError;
 use crate::kernel::{compile_kernel, ArrLoc, GroupSpec, KernelBindings};
 use crate::lower::{LoopPlan, RefSlot};
 use chaos_dmsim::{Backend, PhaseKind};
-use chaos_runtime::{
-    AccessPattern, Dad, DistArray, Distribution, Inspector, IterPartitionPolicy, LocalizeScratch,
-};
+use chaos_runtime::{AccessPattern, Dad, DistArray, Distribution, Inspector, IterPartitionPolicy};
 use std::collections::BTreeMap;
 
 /// The current DADs of the named arrays, read in place off the array table
@@ -57,13 +63,15 @@ fn dads<'a, T>(
             "{ty} array '{name}' not materialized"
         )));
     }
+    // Every name was found just above, and the table is borrowed for the
+    // iterator's life, so no lookup can fail.
     let dad = |name: &String| table.named(name).expect("checked above").dad();
     Ok(names.iter().map(dad))
 }
 
 /// One inspection's reference table: the 0-based global index of every
-/// reference of every iteration, read and validated once, which iteration
-/// partitioning and every group's access pattern then only index.
+/// distinct reference of every iteration, read and validated once, which
+/// iteration partitioning and every group's access pattern then only index.
 struct RefTable {
     /// `niters` rows of `width` globals, iteration-major, in one block per
     /// rank: the rows of that rank's share of a BLOCK distribution of the
@@ -79,15 +87,32 @@ struct RefTable {
     blocks: Vec<Vec<u32>>,
     /// Rows per block.
     share: usize,
-    /// Entries per row: one column per slot of the plan.
+    /// Entries per row: one column per distinct index expression of the
+    /// plan, the indirect ones first. `x(e1(i))` and `y(e1(i))` read one
+    /// column.
     width: usize,
-    /// The leading entries of each row that drive iteration placement.
-    placing: usize,
+    /// One weight per leading (placing) column: how many of the slots that
+    /// place an iteration read it. Placement votes each column that many
+    /// times, so it counts a reference per slot, as the paper's rule does.
+    weights: Vec<u32>,
     /// The column holding each slot's references.
     col_of_slot: Vec<usize>,
     /// The slots grouped by the decomposition they index (name-sorted),
     /// each group with that decomposition's current distribution.
     groups: Vec<(GroupSpec, Distribution)>,
+    /// The group whose distribution places the iterations: that of the
+    /// first indirect slot. `None` for a loop with no indirect reference,
+    /// whose iterations are placed in blocks.
+    placer: Option<usize>,
+}
+
+/// A [`RefTable`] column while the table is built: its index expression,
+/// the indirection values it reads over the loop range (`None` for the
+/// loop variable) and the smallest extent a slot reads it at.
+struct Column<'a> {
+    index: &'a Index,
+    values: Option<&'a [u32]>,
+    extent: usize,
 }
 
 /// A reader of [`RefTable`] rows for ascending iteration numbers (0-based):
@@ -220,7 +245,8 @@ impl<B: Backend> Executor<B> {
 
     /// Build the loop's reference table (see [`RefTable`]): resolve every
     /// name a reference goes through, read every indirection array, and fill
-    /// and check every reference of every iteration — each exactly once.
+    /// and check every distinct reference of every iteration — each exactly
+    /// once.
     fn reference_table(
         &mut self,
         plan: &LoopPlan,
@@ -244,13 +270,14 @@ impl<B: Backend> Executor<B> {
             by_decomp.entry(decomp).or_default().push(sid);
         }
         let mut groups = Vec::with_capacity(by_decomp.len());
+        let mut group_of_slot = vec![0usize; plan.slots.len()];
         let mut extent_of_slot = vec![0usize; plan.slots.len()];
-        for (decomp, slot_ids) in by_decomp {
+        for (g, (decomp, slot_ids)) in by_decomp.into_iter().enumerate() {
             let dist = self.state.decomp_dist.get(decomp).cloned().ok_or_else(|| {
                 LangError::runtime(format!("decomposition '{decomp}' not distributed"))
             })?;
             for &sid in &slot_ids {
-                extent_of_slot[sid] = dist.len();
+                (group_of_slot[sid], extent_of_slot[sid]) = (g, dist.len());
             }
             groups.push((GroupSpec::new(plan, decomp.clone(), slot_ids), dist));
         }
@@ -268,27 +295,29 @@ impl<B: Backend> Executor<B> {
             self.backend.machine_mut().charge_compute_all(words);
         }
 
-        // One column per slot, the indirect ones first: in an irregular loop
-        // they alone drive iteration placement, so an iteration's placing
-        // references are the leading `placing` entries of its row. Each
-        // column's source is checked against the loop range here — a
-        // directly indexed array must reach the last iteration, an
-        // indirection array must have an entry for every one — which also
-        // bounds the table by the arrays the program already holds.
+        // The slots in check order, the indirect ones first: in an
+        // irregular loop they alone place an iteration. Each slot's source
+        // is checked against the loop range here — a directly indexed array
+        // must reach the last iteration, an indirection array must have an
+        // entry for every one — which also bounds the table by the arrays
+        // the program already holds. Slots reading one index expression
+        // share its column, the indirect expressions first, and the column
+        // is checked against the smallest extent among them.
         let indirect = |sid: &usize| plan.slots[*sid].index != Index::LoopVar;
-        let (mut slot_of_col, direct): (Vec<usize>, Vec<usize>) =
+        let (mut slot_order, direct): (Vec<usize>, Vec<usize>) =
             (0..plan.slots.len()).partition(indirect);
-        let placing = if plan.irregular {
-            slot_of_col.len()
+        let placer = slot_order.first().map(|&sid| group_of_slot[sid]);
+        let nplacing = if placer.is_some() {
+            slot_order.len()
         } else {
             direct.len()
         };
-        slot_of_col.extend(direct);
+        slot_order.extend(direct);
         let hi = lo - 1 + niters;
-        let mut col_of_slot = vec![0usize; slot_of_col.len()];
-        let mut columns: Vec<(Option<&[u32]>, usize)> = Vec::with_capacity(slot_of_col.len());
-        for (col, &sid) in slot_of_col.iter().enumerate() {
-            col_of_slot[sid] = col;
+        let mut col_of_slot = vec![0usize; plan.slots.len()];
+        let mut columns: Vec<Column<'_>> = Vec::new();
+        let mut weights: Vec<u32> = Vec::new();
+        for (k, &sid) in slot_order.iter().enumerate() {
             let (slot, extent) = (&plan.slots[sid], extent_of_slot[sid]);
             let values = match &slot.index {
                 Index::LoopVar if hi > extent => {
@@ -297,7 +326,9 @@ impl<B: Backend> Executor<B> {
                 Index::LoopVar => None,
                 Index::Indirect(ia) => {
                     let at = plan.indirection_arrays.iter().position(|n| n == ia);
-                    let all = &ind_values[at.expect("lowering lists every indirection array")];
+                    let all = at.map(|at| &ind_values[at]).ok_or_else(|| {
+                        LangError::runtime(format!("indirection array '{ia}' not read"))
+                    })?;
                     Some(all.get(lo - 1..hi).ok_or_else(|| {
                         LangError::runtime(format!(
                             "iteration {} out of range for indirection array '{ia}' ({} entries)",
@@ -307,33 +338,71 @@ impl<B: Backend> Executor<B> {
                     })?)
                 }
             };
-            columns.push((values, extent));
+            let seen = columns.iter().position(|c| c.index == &slot.index);
+            let col = seen.unwrap_or_else(|| {
+                columns.push(Column {
+                    index: &slot.index,
+                    values,
+                    extent,
+                });
+                columns.len() - 1
+            });
+            columns[col].extent = columns[col].extent.min(extent);
+            col_of_slot[sid] = col;
+            if k < nplacing {
+                weights.resize(weights.len().max(col + 1), 0);
+                weights[col] += 1;
+            }
         }
 
-        // The one pass over the references. 1-based indirection values
-        // become 0-based globals, each checked against the extent of the
-        // decomposition it indexes (a 0 wraps to `usize::MAX` and fails the
-        // same compare). This is the only validation they get: the
-        // partitioner, the inspector and the kernels trust the table.
+        // The one pass over the references, a column at a time. 1-based
+        // indirection values become 0-based globals, each checked against
+        // the smallest extent its column is read at (a 0 wraps to
+        // `usize::MAX` and fails the same compare). This is the only
+        // validation they get: the partitioner, the inspector and the
+        // kernels trust the table. A failed check names the first slot, in
+        // check order, that the iteration's value does not fit.
         let width = columns.len();
         let share = niters.div_ceil(nprocs).max(1);
         let mut blocks: Vec<Vec<u32>> = Vec::with_capacity(nprocs);
         for start in (0..niters).step_by(share) {
             let rows = share.min(niters - start);
-            let mut globals: Vec<u32> = Vec::with_capacity(rows * width);
-            for it0 in start..start + rows {
-                for (col, &(values, extent)) in columns.iter().enumerate() {
-                    let Some(values) = values else {
-                        globals.push((lo - 1 + it0) as u32);
-                        continue;
-                    };
-                    let global = (values[it0] as usize).wrapping_sub(1);
-                    if global >= extent {
-                        let slot = &plan.slots[slot_of_col[col]];
-                        return Err(bad_reference(slot, lo + it0, values[it0], extent));
+            let mut globals = vec![0u32; rows * width];
+            let mut first_bad = rows;
+            for (col, column) in columns.iter().enumerate() {
+                let cells = globals.chunks_exact_mut(width).map(|row| &mut row[col]);
+                let Some(values) = column.values else {
+                    for (cell, it0) in cells.zip(start..) {
+                        *cell = (lo - 1 + it0) as u32;
                     }
-                    globals.push(global as u32);
+                    continue;
+                };
+                let values = &values[start..start + rows];
+                let mut fits = true;
+                for (cell, &value) in cells.zip(values) {
+                    let global = (value as usize).wrapping_sub(1);
+                    fits &= global < column.extent;
+                    *cell = global as u32;
                 }
+                if !fits {
+                    let bad = values
+                        .iter()
+                        .position(|&v| (v as usize).wrapping_sub(1) >= column.extent);
+                    first_bad = first_bad.min(bad.unwrap_or(rows));
+                }
+            }
+            if first_bad < rows {
+                let it0 = start + first_bad;
+                let value = |sid: usize| columns[col_of_slot[sid]].values.map_or(0, |v| v[it0]);
+                let fits = |&sid: &usize| {
+                    (value(sid) as usize).wrapping_sub(1) < extent_of_slot[sid]
+                        || plan.slots[sid].index == Index::LoopVar
+                };
+                let sid = slot_order.iter().find(|sid| !fits(sid));
+                // The column's smallest extent is a slot's, so one fails.
+                let sid = *sid.unwrap_or(&slot_order[0]);
+                let (slot, extent) = (&plan.slots[sid], extent_of_slot[sid]);
+                return Err(bad_reference(slot, lo + it0, value(sid), extent));
             }
             blocks.push(globals);
         }
@@ -342,9 +411,10 @@ impl<B: Backend> Executor<B> {
             blocks,
             share,
             width,
-            placing,
+            weights,
             col_of_slot,
             groups,
+            placer,
         })
     }
 
@@ -360,9 +430,10 @@ impl<B: Backend> Executor<B> {
             blocks,
             share,
             width,
-            placing,
+            weights,
             col_of_slot,
             groups,
+            placer,
         } = self.reference_table(plan, lo, niters)?;
 
         // Iteration partitioning (phase B). Irregular loops partition
@@ -370,34 +441,33 @@ impl<B: Backend> Executor<B> {
         // data decomposition; regular loops fall back to a block partition
         // of the iteration space.
         let nprocs = self.backend.nprocs();
-        let (policy, part_dist) = if plan.irregular {
-            let placed = plan.slots.iter().position(|s| s.index != Index::LoopVar);
-            let placed = placed.expect("irregular loop has an indirect slot");
-            let group = groups.iter().find(|(g, _)| g.slot_ids.contains(&placed));
-            let (_, dist) = group.expect("every slot is in a group");
-            (IterPartitionPolicy::AlmostOwnerComputes, dist.clone())
-        } else {
-            (
+        let (policy, part_dist) = match placer {
+            Some(g) => (
+                IterPartitionPolicy::AlmostOwnerComputes,
+                groups[g].1.clone(),
+            ),
+            None => (
                 IterPartitionPolicy::BlockOfIterations,
                 Distribution::block(niters.max(1), nprocs),
-            )
+            ),
         };
         let prev_kind = self
             .machine_mut()
             .set_phase_kind(Some(PhaseKind::Inspector));
+        let placing = weights.len();
         let mut row_of = row_walker(&blocks, share, width);
-        let iter_part = chaos_runtime::iterpart::partition_iterations(
+        let iter_part = chaos_runtime::iterpart::partition_iterations_weighted(
             self.backend.machine_mut(),
             &part_dist,
             (0..niters).map(move |it0| &row_of(it0)[..placing]),
+            &weights,
             policy,
         );
         self.state.run.report.iteration_partitions += 1;
 
         // Each group's access pattern: one reference per distinct index
-        // expression among its slots — the table column of any slot of each
-        // of the group's columns, slots that share one having read the same
-        // values — from the rows of the iterations each rank was given.
+        // expression among its slots — the table column any of them reads —
+        // from the rows of the iterations each rank was given.
         let mut specs: Vec<GroupSpec> = Vec::with_capacity(groups.len());
         let mut pending: Vec<(Distribution, AccessPattern)> = Vec::with_capacity(groups.len());
         for (spec, dist) in groups {
@@ -407,9 +477,10 @@ impl<B: Backend> Executor<B> {
             }
             let mut pattern = AccessPattern::new(nprocs);
             for (p, refs) in pattern.refs.iter_mut().enumerate() {
-                refs.reserve(iter_part.iters(p).len() * cols.len());
+                let iters = iter_part.iters(p);
+                refs.reserve(iters.len() * cols.len());
                 let mut row_of = row_walker(&blocks, share, width);
-                for &it0 in iter_part.iters(p) {
+                for &it0 in iters {
                     let row = row_of(it0 as usize);
                     refs.extend(cols.iter().map(|&c| row[c]));
                 }
@@ -427,7 +498,6 @@ impl<B: Backend> Executor<B> {
         // ghosts: one tagged-offset exchange folds every group's difference
         // — including groups over *different* distributions — into a single
         // message per processor pair.
-        let mut scratch = LocalizeScratch::default();
         let mut full_msgs = 0usize;
         let mut full_words = 0usize;
         let mut groups: Vec<InspectedGroup> = Vec::with_capacity(pending.len());
@@ -437,7 +507,7 @@ impl<B: Backend> Executor<B> {
                 &plan.label,
                 dist,
                 pattern,
-                &mut scratch,
+                &mut self.localize_scratch,
             );
             let sig = Dad::of(dist).signature();
             let region = self.state.run.registry.region_bind(sig, &result.schedule);
@@ -480,7 +550,9 @@ impl<B: Backend> Executor<B> {
         let mut ghost_sources = Vec::with_capacity(bindings.ghosts.len());
         for gb in &bindings.ghosts {
             let sig = groups[gb.group as usize].region.sig;
-            let region = run.registry.region(sig).expect("bound just above");
+            let region = run.registry.region(sig).ok_or_else(|| {
+                LangError::runtime(format!("no ghost region bound for '{}'", gb.array))
+            })?;
             let found = run
                 .regions
                 .iter()

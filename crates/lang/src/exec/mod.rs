@@ -41,7 +41,7 @@ use crate::lower::{CompiledProgram, LoopPlan};
 use chaos_dmsim::{
     Backend, FaultPlan, Machine, MachineConfig, MetricsRegistry, PooledBackend, TraceSink,
 };
-use chaos_runtime::{DistArray, Distribution};
+use chaos_runtime::{DistArray, Distribution, LocalizeScratch};
 use recover::ExecSnapshot;
 pub use recover::RecoveryPolicy;
 use state::ProgramState;
@@ -160,6 +160,9 @@ pub struct Executor<B: Backend = Machine> {
     state: ProgramState,
     /// The sweeps' borrow tables, parked empty between sweeps.
     sweep_tables: SweepTables,
+    /// The inspector's working set, kept between inspections so that a
+    /// re-inspection refills buffers already grown to the loop's size.
+    localize_scratch: LocalizeScratch,
 
     // --- fault recovery (see ARCHITECTURE.md § "Fault model & recovery") ---
     policy: RecoveryPolicy,
@@ -228,6 +231,7 @@ impl<B: Backend> Executor<B> {
             reuse_enabled: true,
             state: ProgramState::default(),
             sweep_tables: SweepTables::default(),
+            localize_scratch: LocalizeScratch::default(),
             policy: RecoveryPolicy::default(),
             checkpoint: None,
             journal: Vec::new(),

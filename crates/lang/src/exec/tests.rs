@@ -545,6 +545,70 @@ fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
 }
 
 #[test]
+fn a_reference_read_at_two_extents_is_checked_against_the_smaller() {
+    // One index expression, end_pt1(i), read by slots on two decompositions
+    // of different extents: w on `wide` (60 elements) and x on `reg` (40).
+    // The reference table keeps one column for the expression, checked
+    // against the smaller extent. An entry only `wide` holds must name x,
+    // the slot it does not fit, even though w's slot is checked first; a 0
+    // entry fails w's slot first and names the indirection array. The
+    // front end wants a loop's indirectly referenced arrays on one
+    // decomposition where the loop stands, so a setup program re-ALIGNs w
+    // and the loop then runs on its own.
+    let decls = r#"
+        REAL*8 x(nnode), y(nnode), w(nedge)
+        INTEGER end_pt1(nedge), end_pt2(nedge)
+        DECOMPOSITION reg(nnode), reg2(nedge), wide(nedge)
+        DISTRIBUTE reg(BLOCK)
+        DISTRIBUTE reg2(BLOCK)
+        DISTRIBUTE wide(BLOCK)
+        ALIGN end_pt1, end_pt2 WITH reg2
+    "#;
+    let setup = format!(
+        "{decls}
+        ALIGN x, y WITH reg
+        ALIGN w WITH wide
+        CALL READ_DATA(x, y, w, end_pt1, end_pt2)"
+    );
+    let forall = format!(
+        "{decls}
+        ALIGN x, y, w WITH reg
+        FORALL i = 1, nedge
+          REDUCE(ADD, y(end_pt2(i)), w(end_pt1(i)) + x(end_pt1(i)))
+        END FORALL"
+    );
+    let lower = |src: &str| lower_program(parse_program(src).unwrap()).unwrap();
+    let (setup, forall) = (lower(&setup), lower(&forall));
+    let (nnode, nedge) = (40, 60);
+    let run = |at: usize, value: u32| {
+        let mut inputs = random_inputs(nnode, nedge).real("w", vec![1.0; nedge]);
+        inputs.int_arrays.get_mut("end_pt1").unwrap()[at] = value;
+        let mut exec = Executor::new(MachineConfig::ipsc860(4), inputs);
+        exec.run(&setup).unwrap();
+        let err = exec.execute_loop(&forall, "L1").unwrap_err();
+        assert_eq!(exec.report().inspector_runs, 0, "nothing saved");
+        err.to_string()
+    };
+    let expected = LangError::runtime(
+        "indirection array 'end_pt1' contains 43 at iteration 6, \
+         beyond the 40 elements of 'x'",
+    );
+    assert_eq!(run(5, 43), expected.to_string());
+    let expected = LangError::runtime(
+        "indirection array 'end_pt1' contains 0 at iteration 8 (values are 1-based)",
+    );
+    assert_eq!(run(7, 0), expected.to_string());
+    // An entry both extents hold is no error: the loop runs.
+    let mut exec = Executor::new(
+        MachineConfig::ipsc860(4),
+        random_inputs(nnode, nedge).real("w", vec![1.0; nedge]),
+    );
+    exec.run(&setup).unwrap();
+    exec.execute_loop(&forall, "L1").unwrap();
+    assert_eq!(exec.report().inspector_runs, 1);
+}
+
+#[test]
 fn map_entry_beyond_the_processor_count_is_a_typed_error_on_both_engines() {
     // A `DISTRIBUTE reg(pmap)` whose map names processor 7 of 4: an error
     // naming the array, the element, the value and the processor count —

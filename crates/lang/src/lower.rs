@@ -99,8 +99,6 @@ pub struct LoopPlan {
     pub written_arrays: Vec<String>,
     /// INTEGER indirection arrays (sorted): those `slots` index through.
     pub indirection_arrays: Vec<String>,
-    /// True when the loop contains at least one indirect reference.
-    pub irregular: bool,
     /// Estimated compute units per iteration (charged to the machine by the
     /// executor): a few units per slot access plus per arithmetic node.
     pub ops_per_iteration: f64,
@@ -285,7 +283,6 @@ pub(crate) fn lower_loop(
         hi: hi.clone(),
         data_arrays: sorted(slots.iter().map(|s| &s.array)),
         written_arrays: sorted(stmts.iter().map(|s| &slots[s.target()].array)),
-        irregular: !indirection_arrays.is_empty(),
         indirection_arrays,
         slots,
         stmts,
@@ -318,7 +315,7 @@ mod tests {
         let plan = &cp.plans["L1"];
         // Distinct slots: x(end_pt1), x(end_pt2), y(end_pt1), y(end_pt2).
         assert_eq!(plan.slots.len(), 4);
-        assert!(plan.irregular);
+        assert_eq!(plan.indirection_arrays, vec!["end_pt1", "end_pt2"]);
         assert_eq!(plan.stmts.len(), 2);
         assert_eq!(plan.written_arrays, vec!["y"]);
         assert!(plan.ops_per_iteration > 0.0);
@@ -345,7 +342,7 @@ mod tests {
         "#;
         let cp = lower_program(parse_program(src).unwrap()).unwrap();
         let plan = &cp.plans["L1"];
-        assert!(!plan.irregular);
+        assert!(plan.indirection_arrays.is_empty());
         assert_eq!(plan.slots.len(), 2);
         assert!(plan.slots.iter().all(|s| s.index == Index::LoopVar));
     }
