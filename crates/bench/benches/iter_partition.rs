@@ -48,7 +48,7 @@ fn bench_iter_partition(c: &mut Criterion) {
                 pattern.refs[p].push(w.e2[it as usize]);
             }
         }
-        let result = Inspector.localize(&mut machine, "bench", &dist, &pattern);
+        let result = Inspector.localize(&mut machine, &dist, &pattern);
         eprintln!(
             "{name}: local fraction {:.3}, ghosts {}, imbalance {:.3}",
             result.local_fraction(),

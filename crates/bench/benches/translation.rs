@@ -34,7 +34,7 @@ fn bench_translation(c: &mut Criterion) {
         let table = TranslationTable::from_map_with_policy(&map, nprocs, policy);
         // Report the modeled cost difference once.
         let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-        table.dereference(&mut machine, "bench", &requests);
+        table.dereference(&mut machine, &requests);
         eprintln!(
             "{name}: modeled dereference {:.4}s, messages {}, storage/proc {} words",
             machine.elapsed().max_seconds(),
@@ -44,7 +44,7 @@ fn bench_translation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dereference", name), &table, |b, table| {
             b.iter(|| {
                 let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-                table.dereference(&mut machine, "bench", &requests)
+                table.dereference(&mut machine, &requests)
             })
         });
         // The inspector's hot path: packed answers into reused buffers.
@@ -55,7 +55,7 @@ fn bench_translation(c: &mut Criterion) {
                 let mut out: Vec<Vec<u64>> = Vec::new();
                 b.iter(|| {
                     let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-                    table.dereference_packed(&mut machine, "bench", &requests, &mut out);
+                    table.dereference_packed(&mut machine, &requests, &mut out);
                 })
             },
         );

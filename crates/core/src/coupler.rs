@@ -208,7 +208,7 @@ impl MapperCoupler {
                 );
             }
         }
-        machine.end_phase("geocol:assemble", phase);
+        machine.end_phase(phase);
 
         let geocol = builder.build();
         machine.set_phase_kind(prev);
@@ -273,7 +273,7 @@ impl MapperCoupler {
                 }
             }
         }
-        machine.end_phase("partition:map-allgather", phase);
+        machine.end_phase(phase);
 
         // The new irregular distribution uses the CHAOS-style distributed
         // (paged) translation table, so subsequent inspectors pay the
@@ -303,8 +303,7 @@ impl MapperCoupler {
     ) -> usize {
         let prev = backend.machine_mut().set_phase_kind(Some(PhaseKind::Remap));
         let old_dad = array.dad();
-        let label = array.name().to_string();
-        let moved = remap(backend, &label, array, new_dist.clone());
+        let moved = remap(backend, array, new_dist.clone());
         registry.record_remap(&old_dad, &array.dad());
         backend.machine_mut().set_phase_kind(prev);
         moved

@@ -35,7 +35,7 @@
 
 use crate::darray::DistArray;
 use crate::schedule::CommSchedule;
-use chaos_dmsim::{Backend, Machine, PhaseEnd, RankCtx};
+use chaos_dmsim::{Backend, Machine, RankCtx};
 
 /// Entry check shared by every executor driver: the schedule must match the
 /// machine size. The rank-local kernels re-check this cheaply via
@@ -182,12 +182,7 @@ pub fn scatter_combine_rows<'a, T, F, G>(
 /// Returns `ghosts[p][slot]` aligned with the schedule's ghost slots for
 /// processor `p`. Allocates the buffers; iteration loops that reuse a
 /// schedule should allocate once and call [`gather_into`].
-pub fn gather<B, T>(
-    backend: &mut B,
-    label: &str,
-    schedule: &CommSchedule,
-    array: &DistArray<T>,
-) -> Vec<Vec<T>>
+pub fn gather<B, T>(backend: &mut B, schedule: &CommSchedule, array: &DistArray<T>) -> Vec<Vec<T>>
 where
     B: Backend,
     T: Clone + Default + Send + Sync,
@@ -197,13 +192,14 @@ where
     let mut ghosts: Vec<Vec<T>> = (0..nprocs)
         .map(|p| vec![T::default(); schedule.ghost_count(p)])
         .collect();
-    gather_into(backend, label, schedule, array, &mut ghosts);
+    gather_into(backend, "", schedule, array, &mut ghosts);
     ghosts
 }
 
 /// [`gather`] into caller-owned ghost buffers (`ghosts[p]` must have exactly
 /// `schedule.ghost_count(p)` elements). Performs no heap allocation on the
-/// sequential engine.
+/// sequential engine. `_label` is ignored: a phase is counted under its
+/// [`PhaseKind`](chaos_dmsim::PhaseKind), not by name.
 pub fn gather_into<B, T>(
     backend: &mut B,
     _label: &str,
@@ -228,7 +224,6 @@ pub fn gather_into<B, T>(
     // materialised gather of the naive reference (`tests/naive`), so
     // modeled clocks agree with it bit-for-bit.
     backend.run_phase(
-        PhaseEnd::Quiet,
         |ctx| gather_pack_kernel(ctx, schedule),
         ghosts.iter_mut(),
         |ctx, ghost: &mut Vec<T>| gather_unpack_kernel(ctx, schedule, array, ghost, |slot| slot),
@@ -266,7 +261,6 @@ pub fn gather_inline<'g, T, I>(
     }
     chaos_dmsim::run_phase_inline(
         machine,
-        PhaseEnd::Quiet,
         |ctx| gather_pack_kernel(ctx, schedule),
         rows,
         |ctx, row: &mut Vec<T>| {
@@ -294,17 +288,16 @@ pub fn gather_inline<'g, T, I>(
 }
 
 /// Scatter ghost-buffer contributions back to their owners, adding them into
-/// the owned elements (`y(owner) += contribution`).
+/// the owned elements (`y(owner) += contribution`). `_label` is ignored, as
+/// in [`gather_into`].
 pub fn scatter_add<B: Backend>(
     backend: &mut B,
-    label: &str,
+    _label: &str,
     schedule: &CommSchedule,
     array: &mut DistArray<f64>,
     contributions: &[Vec<f64>],
 ) {
-    scatter_op(backend, label, schedule, array, contributions, |acc, c| {
-        *acc += c
-    });
+    scatter_op(backend, schedule, array, contributions, |acc, c| *acc += c);
 }
 
 /// Scatter ghost-buffer contributions back to their owners combining with an
@@ -317,7 +310,6 @@ pub fn scatter_add<B: Backend>(
 /// backend.
 pub fn scatter_op<B, T, F>(
     backend: &mut B,
-    _label: &str,
     schedule: &CommSchedule,
     array: &mut DistArray<T>,
     contributions: &[Vec<T>],
@@ -344,7 +336,6 @@ pub fn scatter_op<B, T, F>(
     // then the owner-side combine — the same charge order as the plan-based
     // scatter.
     backend.run_phase(
-        PhaseEnd::Quiet,
         |ctx| scatter_pack_kernel(ctx, schedule),
         array.par_shards_mut(),
         |ctx, local: &mut [T]| {
@@ -425,14 +416,14 @@ mod tests {
         let pattern = AccessPattern {
             refs: vec![vec![4, 5], vec![0]],
         };
-        let r = Inspector.localize(&mut m, "L", &dist, &pattern);
+        let r = Inspector.localize(&mut m, &dist, &pattern);
         (m, x, r)
     }
 
     #[test]
     fn gather_fills_ghost_buffers() {
         let (mut m, x, r) = setup();
-        let ghosts = gather(&mut m, "L", &r.schedule, &x);
+        let ghosts = gather(&mut m, &r.schedule, &x);
         // Proc 0's ghosts are globals 4 and 5 (owner-local offsets 0 and 1).
         assert_eq!(ghosts[0], vec![40.0, 50.0]);
         // Proc 1's ghost is global 0.
@@ -464,7 +455,7 @@ mod tests {
     fn gather_charges_messages() {
         let (mut m, x, r) = setup();
         let before = m.stats().grand_totals().messages;
-        let _ = gather(&mut m, "L", &r.schedule, &x);
+        let _ = gather(&mut m, &r.schedule, &x);
         assert_eq!(m.stats().grand_totals().messages - before, 2);
     }
 
@@ -488,7 +479,7 @@ mod tests {
         let (mut m, _x, r) = setup();
         let mut y = DistArray::from_global("y", Distribution::block(8, 2), &[3.0; 8]);
         let contributions = vec![vec![10.0, 1.0], vec![2.0]];
-        scatter_op(&mut m, "L", &r.schedule, &mut y, &contributions, |a, b| {
+        scatter_op(&mut m, &r.schedule, &mut y, &contributions, |a, b| {
             *a = f64::max(*a, b)
         });
         let g = y.to_global();
@@ -502,7 +493,7 @@ mod tests {
         // Property: scatter_add of gathered values doubles exactly the
         // referenced elements.
         let (mut m, x, r) = setup();
-        let ghosts = gather(&mut m, "L", &r.schedule, &x);
+        let ghosts = gather(&mut m, &r.schedule, &x);
         let mut y = x.clone();
         scatter_add(&mut m, "L", &r.schedule, &mut y, &ghosts);
         let xg = x.to_global();
@@ -523,8 +514,8 @@ mod tests {
         let (_, x, r) = setup();
         let mut seq = Machine::new(MachineConfig::unit(2));
         let mut pool = PooledBackend::from_config_with_workers(MachineConfig::unit(2), 2);
-        let ghosts_seq = gather(&mut seq, "L", &r.schedule, &x);
-        let ghosts_pool = gather(&mut pool, "L", &r.schedule, &x);
+        let ghosts_seq = gather(&mut seq, &r.schedule, &x);
+        let ghosts_pool = gather(&mut pool, &r.schedule, &x);
         assert_eq!(ghosts_seq, ghosts_pool);
         let mut y_seq = x.clone();
         let mut y_pool = x.clone();
@@ -559,7 +550,7 @@ mod tests {
     fn gather_rejects_mismatched_machine() {
         let (_, x, r) = setup();
         let mut wrong = Machine::new(MachineConfig::unit(4));
-        let _ = gather(&mut wrong, "L", &r.schedule, &x);
+        let _ = gather(&mut wrong, &r.schedule, &x);
     }
 
     /// One test over the two landings of [`gather_inline`], each against
@@ -577,7 +568,7 @@ mod tests {
         let mut setup = Machine::new(MachineConfig::unit(2));
         let mut localize = |refs: Vec<Vec<u32>>| {
             Inspector
-                .localize(&mut setup, "L", &dist, &AccessPattern { refs })
+                .localize(&mut setup, &dist, &AccessPattern { refs })
                 .schedule
         };
         let a = localize(vec![vec![4, 5], vec![0]]);

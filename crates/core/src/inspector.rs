@@ -162,12 +162,11 @@ impl Inspector {
     pub fn localize<B: Backend>(
         &self,
         backend: &mut B,
-        label: &str,
         data_dist: &Distribution,
         pattern: &AccessPattern,
     ) -> InspectorResult {
         let mut scratch = LocalizeScratch::default();
-        self.localize_with_scratch(backend, label, data_dist, pattern, &mut scratch)
+        self.localize_with_scratch(backend, "", data_dist, pattern, &mut scratch)
     }
 
     /// [`Inspector::localize`] reusing caller-held scratch buffers, so
@@ -183,17 +182,18 @@ impl Inspector {
     ///
     /// It is [`Inspector::localize_deferred_exchange`] followed by the
     /// schedule's request exchange, [`charge_request_exchange`] over the one
-    /// schedule.
+    /// schedule. `_label` is ignored: a phase is counted under its
+    /// [`PhaseKind`](chaos_dmsim::PhaseKind), not by name.
     pub fn localize_with_scratch<B: Backend>(
         &self,
         backend: &mut B,
-        label: &str,
+        _label: &str,
         data_dist: &Distribution,
         pattern: &AccessPattern,
         scratch: &mut LocalizeScratch,
     ) -> InspectorResult {
-        let result = self.localize_deferred_exchange(backend, label, data_dist, pattern, scratch);
-        charge_request_exchange(backend.machine_mut(), label, &[&result.schedule]);
+        let result = self.localize_deferred_exchange(backend, data_dist, pattern, scratch);
+        charge_request_exchange(backend.machine_mut(), &[&result.schedule]);
         result
     }
 
@@ -215,7 +215,6 @@ impl Inspector {
     pub fn localize_deferred_exchange<B: Backend>(
         &self,
         backend: &mut B,
-        label: &str,
         data_dist: &Distribution,
         pattern: &AccessPattern,
         scratch: &mut LocalizeScratch,
@@ -238,7 +237,7 @@ impl Inspector {
         // distributions it is rank-local arithmetic.
         match data_dist {
             Distribution::Irregular { table } => {
-                table.dereference_packed(backend, label, &pattern.refs, &mut scratch.located);
+                table.dereference_packed(backend, &pattern.refs, &mut scratch.located);
             }
             _ => {
                 scratch.located.resize_with(nprocs, Vec::new);
@@ -392,7 +391,7 @@ mod tests {
     fn localize_block_distribution() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let dist = Distribution::block(8, 2);
-        let r = Inspector.localize(&mut m, "L", &dist, &pattern());
+        let r = Inspector.localize(&mut m, &dist, &pattern());
 
         // Each proc owns 4 elements, so local index 4 is its ghost slot 0.
         assert_eq!(r.owned_counts, vec![4, 4]);
@@ -412,7 +411,7 @@ mod tests {
         // Interleave ownership: evens on 0, odds on 1.
         let map: Vec<u32> = (0..8).map(|i| (i % 2) as u32).collect();
         let dist = Distribution::irregular_from_map(&map, 2);
-        let r = Inspector.localize(&mut m, "L", &dist, &pattern());
+        let r = Inspector.localize(&mut m, &dist, &pattern());
         // Proc 0 refs [0,5,5,1]: 0 owned (offset 0), 5 ghost, 1 ghost.
         assert_eq!(r.owned_counts, vec![4, 4]);
         assert_eq!(r.localized[0][0], 0);
@@ -428,7 +427,7 @@ mod tests {
     fn localize_charges_the_machine() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let dist = Distribution::block(8, 2);
-        let _ = Inspector.localize(&mut m, "L", &dist, &pattern());
+        let _ = Inspector.localize(&mut m, &dist, &pattern());
         assert!(m.elapsed().max_seconds() > 0.0);
         assert!(m.stats().grand_totals().messages > 0);
     }
@@ -440,7 +439,7 @@ mod tests {
         let p = AccessPattern {
             refs: vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]],
         };
-        let r = Inspector.localize(&mut m, "L", &dist, &p);
+        let r = Inspector.localize(&mut m, &dist, &p);
         assert_eq!(r.schedule.total_ghosts(), 0);
         assert_eq!(r.local_fraction(), 1.0);
         assert!(r.localized.iter().flatten().all(|&idx| idx < 4));
@@ -450,7 +449,7 @@ mod tests {
     fn empty_pattern_is_fine() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let dist = Distribution::block(8, 2);
-        let r = Inspector.localize(&mut m, "L", &dist, &AccessPattern::new(2));
+        let r = Inspector.localize(&mut m, &dist, &AccessPattern::new(2));
         assert_eq!(r.schedule.total_ghosts(), 0);
         assert_eq!(r.local_fraction(), 1.0);
         assert_eq!(AccessPattern::new(2).total_refs(), 0);
@@ -477,7 +476,7 @@ mod tests {
         assert_eq!(r2.ghost_counts, vec![1, 1]);
         // Same result as a fresh-scratch run.
         let mut fresh = Machine::new(MachineConfig::unit(2));
-        let reference = Inspector.localize(&mut fresh, "L", &dist2, &pattern());
+        let reference = Inspector.localize(&mut fresh, &dist2, &pattern());
         assert_eq!(r2.localized, reference.localized);
         assert_eq!(r2.schedule, reference.schedule);
     }
@@ -499,6 +498,6 @@ mod tests {
     fn wrong_pattern_shape_panics() {
         let mut m = Machine::new(MachineConfig::unit(4));
         let dist = Distribution::block(8, 4);
-        let _ = Inspector.localize(&mut m, "L", &dist, &AccessPattern::new(2));
+        let _ = Inspector.localize(&mut m, &dist, &AccessPattern::new(2));
     }
 }

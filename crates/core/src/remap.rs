@@ -21,7 +21,7 @@
 
 use crate::darray::DistArray;
 use crate::dist::Distribution;
-use chaos_dmsim::{Backend, Inbox, Outbox, PhaseEnd, RankCtx};
+use chaos_dmsim::{Backend, Inbox, Outbox, RankCtx};
 
 /// Remap `array` in place to `new_dist`, charging the data movement to
 /// `backend`'s machine. Returns the number of elements that changed owner.
@@ -35,12 +35,7 @@ use chaos_dmsim::{Backend, Inbox, Outbox, PhaseEnd, RankCtx};
 /// # Panics
 /// Panics if the new distribution has a different global length or processor
 /// count than the old one.
-pub fn remap<T, B>(
-    backend: &mut B,
-    label: &str,
-    array: &mut DistArray<T>,
-    new_dist: Distribution,
-) -> usize
+pub fn remap<T, B>(backend: &mut B, array: &mut DistArray<T>, new_dist: Distribution) -> usize
 where
     T: Clone + Default + Send + Sync,
     B: Backend,
@@ -85,7 +80,6 @@ where
         let array = &*array;
         let owned = &owned;
         backend.run_exchange(
-            PhaseEnd::Labelled(&format!("{label}:remap")),
             |ctx: &mut RankCtx<'_>, outbox: &mut Outbox<'_, (u32, T)>| {
                 // Pack (as old owner): scan this rank's segment in local
                 // order, post the elements whose owner changes to their new
@@ -151,7 +145,7 @@ mod tests {
         let mut a = DistArray::from_global("x", Distribution::block(16, 4), &data);
         let map: Vec<u32> = (0..16).map(|i| ((i * 7) % 4) as u32).collect();
         let new_dist = Distribution::irregular_from_map(&map, 4);
-        let moved = remap(&mut m, "test", &mut a, new_dist);
+        let moved = remap(&mut m, &mut a, new_dist);
         assert_eq!(a.to_global(), data, "values survive the remap");
         assert_eq!(a.dad().dist_kind, "IRREGULAR");
         assert!(moved > 0);
@@ -163,7 +157,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::unit(4));
         let data: Vec<f64> = (0..16).map(|i| i as f64).collect();
         let mut a = DistArray::from_global("x", Distribution::block(16, 4), &data);
-        let moved = remap(&mut m, "test", &mut a, Distribution::block(16, 4));
+        let moved = remap(&mut m, &mut a, Distribution::block(16, 4));
         assert_eq!(moved, 0);
         assert_eq!(m.stats().grand_totals().messages, 0);
         assert_eq!(a.to_global(), data);
@@ -174,10 +168,10 @@ mod tests {
         let mut m = Machine::new(MachineConfig::unit(2));
         let data: Vec<i64> = (0..9).map(|i| i as i64 * 3).collect();
         let mut a = DistArray::from_global("x", Distribution::block(9, 2), &data);
-        remap(&mut m, "to-cyclic", &mut a, Distribution::cyclic(9, 2));
+        remap(&mut m, &mut a, Distribution::cyclic(9, 2));
         assert_eq!(a.to_global(), data);
         assert_eq!(a.local(0).len(), 5);
-        remap(&mut m, "back", &mut a, Distribution::block(9, 2));
+        remap(&mut m, &mut a, Distribution::block(9, 2));
         assert_eq!(a.to_global(), data);
         assert_eq!(a.local(0), &[0, 3, 6, 9, 12]);
     }
@@ -192,12 +186,7 @@ mod tests {
         );
         let before = a.dad().signature();
         let map: Vec<u32> = (0..8).map(|i| (i % 2) as u32).collect();
-        remap(
-            &mut m,
-            "test",
-            &mut a,
-            Distribution::irregular_from_map(&map, 2),
-        );
+        remap(&mut m, &mut a, Distribution::irregular_from_map(&map, 2));
         assert_ne!(a.dad().signature(), before);
     }
 
@@ -206,6 +195,6 @@ mod tests {
     fn remap_rejects_length_change() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let mut a: DistArray<f64> = DistArray::new("x", Distribution::block(8, 2));
-        remap(&mut m, "bad", &mut a, Distribution::block(9, 2));
+        remap(&mut m, &mut a, Distribution::block(9, 2));
     }
 }

@@ -435,9 +435,8 @@ fn check_offsets(name: &str, off: &[u32], rows: usize, end: usize) {
 }
 
 /// Charge the request exchange of `parts` — each requester tells each owner
-/// which offsets it needs — as one phase recorded as
-/// `"<label>:schedule-build"`: the one way a schedule build is charged, and
-/// part of the inspector cost in the paper's tables.
+/// which offsets it needs — as one phase: the one way a schedule build is
+/// charged, and part of the inspector cost in the paper's tables.
 ///
 /// Every `(owner, requester)` pair that any of `parts` communicates over
 /// carries a single message whose payload concatenates the per-part offset
@@ -448,11 +447,7 @@ fn check_offsets(name: &str, off: &[u32], rows: usize, end: usize) {
 ///
 /// Returns the `(messages, words)` actually charged, so callers can record
 /// the saving against the per-part exchanges they replaced.
-pub fn charge_request_exchange(
-    machine: &mut Machine,
-    label: &str,
-    parts: &[&CommSchedule],
-) -> (usize, usize) {
+pub fn charge_request_exchange(machine: &mut Machine, parts: &[&CommSchedule]) -> (usize, usize) {
     let nprocs = machine.nprocs();
     for part in parts {
         assert_eq!(part.nprocs, nprocs, "schedule/machine mismatch");
@@ -475,7 +470,7 @@ pub fn charge_request_exchange(
             machine.charge_p2p(&mut phase, requester, owner, payload);
         }
     }
-    machine.end_phase(&format!("{label}:schedule-build"), phase);
+    machine.end_phase(phase);
     (messages, words)
 }
 
@@ -528,12 +523,11 @@ mod tests {
     fn build_charges_request_exchange() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let s = simple_schedule();
-        let (messages, words) = charge_request_exchange(&mut m, "test", &[&s]);
+        let (messages, words) = charge_request_exchange(&mut m, &[&s]);
         assert_eq!((messages, words), (s.message_count(), s.total_ghosts()));
         let t = m.stats().grand_totals();
-        assert_eq!(t.messages, 2);
+        assert_eq!((t.messages, t.phases), (2, 1));
         assert!(m.elapsed().max_seconds() > 0.0);
-        assert_eq!(m.stats().records_labelled("test:schedule-build").count(), 1);
     }
 
     #[test]
@@ -542,7 +536,7 @@ mod tests {
         let s = schedule(4, &[Vec::new(), Vec::new(), Vec::new(), Vec::new()]);
         assert_eq!(s.total_ghosts(), 0);
         assert_eq!(s.message_count(), 0);
-        charge_request_exchange(&mut m, "empty", &[&s]);
+        charge_request_exchange(&mut m, &[&s]);
         assert_eq!(m.stats().grand_totals().messages, 0);
     }
 
@@ -642,7 +636,7 @@ mod tests {
             Distribution::block(16, 2),
             &(0..16).map(|i| i as f64 * 10.0).collect::<Vec<_>>(),
         );
-        let ghosts = gather(&mut m, "merged", &merged, &x);
+        let ghosts = gather(&mut m, &merged, &x);
         for p in 0..2 {
             for (slot, (o, s)) in resident.ghost_sources(p).enumerate() {
                 assert_eq!(ghosts[p][slot], x.local(o as usize)[s as usize]);
@@ -659,7 +653,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::unit(2));
         let a = CommSchedule::from_csr_parts(2, vec![0, 2, 2], vec![1, 1], vec![3, 5]);
         let b = CommSchedule::from_csr_parts(2, vec![0, 1, 2], vec![1, 0], vec![7, 0]);
-        let (messages, words) = charge_request_exchange(&mut m, "F", &[&a, &b]);
+        let (messages, words) = charge_request_exchange(&mut m, &[&a, &b]);
         // Pair (owner 1 → requester 0) is shared by both parts: one message,
         // tagged segments (1 length word each). Pair (0 → 1) only appears in
         // b: untagged. Separate exchanges would have cost 3 messages.

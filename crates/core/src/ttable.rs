@@ -17,7 +17,7 @@
 //! communication charged by [`TranslationTable::dereference`]. The
 //! `translation` ablation bench compares them.
 
-use chaos_dmsim::{Backend, PhaseEnd};
+use chaos_dmsim::Backend;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Physical layout policy for the translation table.
@@ -151,7 +151,7 @@ impl TranslationTable {
     /// pooled engine) — no per-index dispatch, no payload materialization
     /// (the simulator answers from the shared table; only the transfer cost
     /// is modeled, identically to shipping the indices).
-    fn charge_dereference<B: Backend>(&self, backend: &mut B, label: &str, requests: &[Vec<u32>]) {
+    fn charge_dereference<B: Backend>(&self, backend: &mut B, requests: &[Vec<u32>]) {
         let nprocs = self.nprocs;
         match self.policy {
             TTablePolicy::Replicated => {
@@ -169,7 +169,7 @@ impl TranslationTable {
                         row[page_of(g)] += 1;
                     }
                 });
-                self.charge_page_traffic(backend, label, &counts);
+                self.charge_page_traffic(backend, &counts);
             }
         }
     }
@@ -184,24 +184,21 @@ impl TranslationTable {
     /// Charge the distributed layout's two message rounds, given how many
     /// of each rank's requests land on each page (`counts[p * nprocs +
     /// page]`).
-    fn charge_page_traffic<B: Backend>(&self, backend: &mut B, label: &str, counts: &[u32]) {
+    fn charge_page_traffic<B: Backend>(&self, backend: &mut B, counts: &[u32]) {
         let nprocs = self.nprocs;
         // Round 1: ship requests to page owners (one word per index).
-        backend.run_charge_phase(
-            PhaseEnd::Labelled(&format!("{label}:deref-request")),
-            |ctx| {
-                let p = ctx.rank();
-                for page in 0..nprocs {
-                    let cnt = counts[p * nprocs + page] as usize;
-                    if cnt > 0 {
-                        ctx.charge_p2p(p, page, cnt);
-                    }
+        backend.run_charge_phase(|ctx| {
+            let p = ctx.rank();
+            for page in 0..nprocs {
+                let cnt = counts[p * nprocs + page] as usize;
+                if cnt > 0 {
+                    ctx.charge_p2p(p, page, cnt);
                 }
-            },
-        );
+            }
+        });
         // Round 2: page owners probe their pages and answer with
         // (owner, offset) pairs — twice the volume of the request.
-        backend.run_charge_phase(PhaseEnd::Labelled(&format!("{label}:deref-reply")), |ctx| {
+        backend.run_charge_phase(|ctx| {
             let p = ctx.rank();
             for page in 0..nprocs {
                 let cnt = counts[p * nprocs + page] as usize;
@@ -223,11 +220,10 @@ impl TranslationTable {
     pub fn dereference<B: Backend>(
         &self,
         backend: &mut B,
-        label: &str,
         requests: &[Vec<u32>],
     ) -> Vec<Vec<(u32, u32)>> {
         assert_eq!(requests.len(), self.nprocs);
-        self.charge_dereference(backend, label, requests);
+        self.charge_dereference(backend, requests);
         // The actual answers (exact, independent of the cost policy), read
         // from the packed arena in one load per lookup.
         requests
@@ -254,7 +250,6 @@ impl TranslationTable {
     pub fn dereference_packed<B: Backend>(
         &self,
         backend: &mut B,
-        label: &str,
         requests: &[Vec<u32>],
         out: &mut Vec<Vec<u64>>,
     ) {
@@ -263,7 +258,7 @@ impl TranslationTable {
         let nprocs = self.nprocs;
         match self.policy {
             TTablePolicy::Replicated => {
-                self.charge_dereference(backend, label, requests);
+                self.charge_dereference(backend, requests);
                 backend.run_compute(out.iter_mut(), |ctx, row: &mut Vec<u64>| {
                     row.clear();
                     let answer = |&g: &u32| self.packed[g as usize];
@@ -280,7 +275,7 @@ impl TranslationTable {
                         self.packed[g as usize]
                     }));
                 });
-                self.charge_page_traffic(backend, label, &counts);
+                self.charge_page_traffic(backend, &counts);
             }
         }
     }
@@ -339,7 +334,7 @@ mod tests {
     fn replicated_dereference_is_comm_free() {
         let t = TranslationTable::from_map(&sample_map(), 4);
         let mut m = Machine::new(MachineConfig::unit(4));
-        let answers = t.dereference(&mut m, "test", &[vec![0, 3], vec![], vec![7], vec![]]);
+        let answers = t.dereference(&mut m, &[vec![0, 3], vec![], vec![7], vec![]]);
         assert_eq!(answers[0], vec![(2, 0), (1, 0)]);
         assert_eq!(answers[2], vec![(3, 0)]);
         assert_eq!(m.stats().grand_totals().messages, 0);
@@ -350,7 +345,7 @@ mod tests {
         let t = TranslationTable::from_map_with_policy(&sample_map(), 4, TTablePolicy::Distributed);
         let mut m = Machine::new(MachineConfig::unit(4));
         // proc 0 asks about global 7 whose page (block size 2) lives on proc 3.
-        let answers = t.dereference(&mut m, "test", &[vec![7], vec![], vec![], vec![]]);
+        let answers = t.dereference(&mut m, &[vec![7], vec![], vec![], vec![]]);
         assert_eq!(answers[0], vec![(3, 0)]);
         assert!(
             m.stats().grand_totals().messages >= 2,
@@ -363,7 +358,7 @@ mod tests {
         let t = TranslationTable::from_map_with_policy(&sample_map(), 4, TTablePolicy::Distributed);
         let mut m = Machine::new(MachineConfig::unit(4));
         // proc 0 asks about globals 0 and 1: page owner of both is proc 0.
-        let answers = t.dereference(&mut m, "test", &[vec![0, 1], vec![], vec![], vec![]]);
+        let answers = t.dereference(&mut m, &[vec![0, 1], vec![], vec![], vec![]]);
         assert_eq!(answers[0], vec![(2, 0), (0, 0)]);
         assert_eq!(m.stats().grand_totals().messages, 0);
     }
@@ -387,8 +382,8 @@ mod tests {
             TranslationTable::from_map_with_policy(&sample_map(), 4, TTablePolicy::Distributed);
         let reqs = vec![vec![0, 1, 2], vec![3], vec![4, 5], vec![6, 7]];
         assert_eq!(
-            rep.dereference(&mut m, "a", &reqs),
-            dist.dereference(&mut m, "b", &reqs)
+            rep.dereference(&mut m, &reqs),
+            dist.dereference(&mut m, &reqs)
         );
     }
 }

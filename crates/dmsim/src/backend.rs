@@ -55,17 +55,6 @@ use crate::probe::Lane;
 use crate::trace::TraceEventKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// How an exchange phase is closed: recorded under a label (a
-/// [`PhaseRecord`](crate::stats::PhaseRecord) is kept) or quietly (totals
-/// only, no allocation — the executor's steady-state path).
-#[derive(Debug, Clone, Copy)]
-pub enum PhaseEnd<'a> {
-    /// Merge the phase into the per-kind totals without keeping a record.
-    Quiet,
-    /// Record the phase under this label.
-    Labelled(&'a str),
-}
-
 /// One recorded charge, replayed against the machine in rank order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ChargeEvent {
@@ -284,10 +273,10 @@ pub trait Backend {
     /// Run one communication phase: `pack` runs for every rank and charges
     /// the phase's messages (it must not move data — it only charges, which
     /// is why it runs on the driver thread under every engine), then the
-    /// phase is closed per `end` (recording statistics and applying the
-    /// per-phase barrier), then `unpack` runs for every rank with its state
-    /// item.
-    fn run_phase<St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
+    /// phase is closed ([`Machine::end_phase`]: its statistics join the
+    /// per-kind totals and the per-phase barrier applies), then `unpack`
+    /// runs for every rank with its state item.
+    fn run_phase<St, I, A, B>(&mut self, pack: A, state: I, unpack: B)
     where
         St: Send,
         I: IntoIterator<Item = St>,
@@ -296,15 +285,15 @@ pub trait Backend {
     {
         let machine = self.machine_mut();
         machine.advance_epoch();
-        charge_stage(machine, end, true, pack);
+        charge_stage(machine, true, pack);
         self.fan_out(None, state, unpack);
     }
 
     /// Run one communication phase in which ranks exchange typed payloads
     /// through per-rank mailboxes: `pack` posts values into its [`Outbox`]
-    /// (and charges the messages), the phase is closed per `end`, then
-    /// `unpack` reads its [`Inbox`]. Both halves are rank-kernel stages.
-    fn run_exchange<T, St, I, A, B>(&mut self, end: PhaseEnd<'_>, pack: A, state: I, unpack: B)
+    /// (and charges the messages), the phase is closed, then `unpack` reads
+    /// its [`Inbox`]. Both halves are rank-kernel stages.
+    fn run_exchange<T, St, I, A, B>(&mut self, pack: A, state: I, unpack: B)
     where
         T: Send + Sync,
         St: Send,
@@ -322,7 +311,7 @@ pub trait Backend {
         self.fan_out(Some(&mut phase), matrix.iter_mut(), |ctx, row| {
             pack(ctx, &mut Outbox { row })
         });
-        close_phase(self.machine_mut(), end, phase);
+        self.machine_mut().end_phase(phase);
         // Unpack: rank r reads column r of the (now frozen) matrix.
         let matrix = &matrix;
         self.fan_out(None, state, |ctx, st| {
@@ -348,7 +337,7 @@ pub trait Backend {
     ///    `scatter_active(posted, j)` is false (reading the *post-compute*
     ///    areas): a charge-only **pack** stage runs driver-side per rank
     ///    with a live phase accumulator (so `charge_p2p` is legal), the
-    ///    phase closes quietly, then the **combine** stage runs once per
+    ///    phase closes, then the **combine** stage runs once per
     ///    rank with `&mut scratch[r]` and a shared view of *all* posted
     ///    areas.
     ///
@@ -390,12 +379,12 @@ pub trait Backend {
 
     /// [`Backend::run_phase`] for phases that only charge messages and have
     /// no unpack work (e.g. the translation table's dereference rounds).
-    fn run_charge_phase<A>(&mut self, end: PhaseEnd<'_>, pack: A)
+    fn run_charge_phase<A>(&mut self, pack: A)
     where
         A: Fn(&mut RankCtx<'_>) + Sync,
     {
         let n = self.nprocs();
-        self.run_phase(end, pack, (0..n).map(|_| ()), |_, ()| {});
+        self.run_phase(pack, (0..n).map(|_| ()), |_, ()| {});
     }
 
     /// [`Backend::run_compute`] with detection: rank panics (organic or
@@ -456,22 +445,15 @@ pub fn diagnose_attempt<B: Backend + ?Sized, R>(
     Err(err)
 }
 
-/// Close a hand-charged phase per the requested [`PhaseEnd`].
-fn close_phase(machine: &mut Machine, end: PhaseEnd<'_>, phase: PhaseCharge) {
-    match end {
-        PhaseEnd::Quiet => machine.end_phase_quiet(phase),
-        PhaseEnd::Labelled(label) => machine.end_phase(label, phase),
-    }
-}
-
 /// The one driver-side **charge-only pack stage**: `pack` charges per rank,
-/// in rank order, into a fresh phase accumulator, then the phase closes per
-/// `end`. It touches only the shared [`Machine`], so `run_phase`'s pack,
-/// [`run_phase_inline`]'s and both engines' fused-sweep scatter packs are
-/// this one function and charge identically by construction. `fire_faults`
+/// in rank order, into a fresh phase accumulator, then the phase closes
+/// ([`Machine::end_phase`]). It touches only the shared [`Machine`], so
+/// `run_phase`'s pack, [`run_phase_inline`]'s and both engines' fused-sweep
+/// scatter packs are this one function and charge identically by
+/// construction. `fire_faults`
 /// makes each rank's entry a fault-injection point (a region's first stage);
 /// packs folded into an enclosing region leave it off.
-pub(crate) fn charge_stage<A>(machine: &mut Machine, end: PhaseEnd<'_>, fire_faults: bool, pack: A)
+pub(crate) fn charge_stage<A>(machine: &mut Machine, fire_faults: bool, pack: A)
 where
     A: Fn(&mut RankCtx<'_>),
 {
@@ -484,7 +466,7 @@ where
         let mut ctx = RankCtx::direct(rank, nprocs, machine, Some(&mut phase));
         pack(&mut ctx);
     }
-    close_phase(machine, end, phase);
+    machine.end_phase(phase);
 }
 
 /// Replay recorded charge events against the machine, in the order they were
@@ -546,27 +528,22 @@ fn serial_stage<St, I, F>(
 
 /// Run one communication phase **inline on the driver**, against the shared
 /// machine, with *no* epoch advance and *no* fault-injection point: `pack`
-/// charges per rank into a live phase accumulator, the phase closes per
-/// `end`, then `unpack` runs per rank charging directly.
+/// charges per rank into a live phase accumulator, the phase closes, then
+/// `unpack` runs per rank charging directly.
 ///
 /// This is the building block the fused sweep driver uses to fold gather
 /// phases into the surrounding [`Backend::run_sweep`] epoch: because it only
 /// touches the shared [`Machine`], it produces the same charge sequence under
 /// every engine by construction, and fault coordinates stay pinned to the
 /// enclosing region's `(epoch, rank)` points.
-pub fn run_phase_inline<St, I, A, B>(
-    machine: &mut Machine,
-    end: PhaseEnd<'_>,
-    pack: A,
-    state: I,
-    unpack: B,
-) where
+pub fn run_phase_inline<St, I, A, B>(machine: &mut Machine, pack: A, state: I, unpack: B)
+where
     St: Send,
     I: IntoIterator<Item = St>,
     A: Fn(&mut RankCtx<'_>),
     B: Fn(&mut RankCtx<'_>, St),
 {
-    charge_stage(machine, end, false, pack);
+    charge_stage(machine, false, pack);
     serial_stage(machine, None, false, state, unpack);
 }
 
@@ -619,7 +596,7 @@ impl Backend for Machine {
             if !scatter_active(posted, j) {
                 continue;
             }
-            charge_stage(self, PhaseEnd::Quiet, false, |ctx| scatter_pack(ctx, j));
+            charge_stage(self, false, |ctx| scatter_pack(ctx, j));
             // The sequential engine's stripe is every rank: one combine
             // span per active buffer, like each pool lane's.
             let span = self
@@ -652,7 +629,6 @@ mod tests {
     fn ring_phase<B: Backend>(backend: &mut B, out: &mut [f64]) {
         let n = backend.nprocs();
         backend.run_phase(
-            PhaseEnd::Labelled("ring"),
             |ctx| {
                 let r = ctx.rank();
                 ctx.charge_memory(r, 3.0);
@@ -706,7 +682,6 @@ mod tests {
         ring_phase(&mut a, &mut out_a);
         run_phase_inline(
             &mut b,
-            PhaseEnd::Labelled("ring"),
             |ctx| {
                 let r = ctx.rank();
                 ctx.charge_memory(r, 3.0);
@@ -744,7 +719,6 @@ mod tests {
         let mut m = machine(8);
         let mut got = vec![0u64; 8];
         m.run_exchange(
-            PhaseEnd::Labelled("rotate"),
             |ctx, outbox: &mut Outbox<'_, u64>| {
                 let r = ctx.rank();
                 let to = (r + 1) % ctx.nprocs();
@@ -788,7 +762,6 @@ mod tests {
             let mut got = vec![0u64; backend.nprocs()];
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 backend.run_exchange(
-                    PhaseEnd::Labelled("rotate"),
                     |ctx, outbox: &mut Outbox<'_, u64>| {
                         let (r, to) = (ctx.rank(), (ctx.rank() + 1) % ctx.nprocs());
                         outbox.post(to, [r as u64]);
@@ -848,15 +821,15 @@ mod tests {
     }
 
     #[test]
-    fn charge_phase_helper_records_the_label() {
+    fn charge_phase_helper_closes_one_phase() {
         let mut m = Machine::new(MachineConfig::unit(2));
-        m.run_charge_phase(PhaseEnd::Labelled("probe"), |ctx| {
+        m.run_charge_phase(|ctx| {
             if ctx.rank() == 0 {
                 ctx.charge_p2p(0, 1, 4);
             }
         });
-        assert_eq!(m.stats().records().len(), 1);
-        assert_eq!(m.stats().records()[0].label, "probe");
-        assert_eq!(m.stats().grand_totals().messages, 1);
+        let totals = m.stats().totals_for(crate::stats::PhaseKind::Other);
+        assert_eq!((totals.phases, totals.messages), (1, 1));
+        assert_eq!(m.stats().grand_totals(), totals);
     }
 }

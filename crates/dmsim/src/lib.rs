@@ -8,11 +8,11 @@
 //! * an explicit α–β (latency / bandwidth) communication cost model with an
 //!   optional per-hop term for the hypercube topology,
 //! * one way to charge a message — [`Machine::charge_p2p`] into a
-//!   [`PhaseCharge`], closed by an `end_phase*` call — which every gather,
+//!   [`PhaseCharge`], closed by [`Machine::end_phase`] — which every gather,
 //!   scatter, request exchange and the reuse vote's single-word all-reduce
 //!   ([`collectives`], a binomial tree at `log P` depth) go through, and
-//! * per-phase statistics (message counts, volumes, modeled times) that the
-//!   benchmark harness turns into the rows of the paper's tables.
+//! * per-phase-kind statistics (message counts, volumes, modeled times) that
+//!   the benchmark harness turns into the rows of the paper's tables.
 //!
 //! The simulator separates **what data moves** (done with ordinary `Vec`s in
 //! one address space, so results are exact and deterministic) from **what it
@@ -45,7 +45,7 @@
 //! for p in 1..4 {
 //!     machine.charge_p2p(&mut phase, p, 0, 1);
 //! }
-//! machine.end_phase("gather-ranks", phase);
+//! machine.end_phase(phase);
 //! assert_eq!(machine.stats().grand_totals().messages, 3);
 //! assert!(machine.elapsed().max_seconds() > 0.0);
 //! ```
@@ -71,7 +71,7 @@ pub mod trace;
 // their own dependency on it.
 pub use serde_json;
 
-pub use backend::{diagnose_attempt, run_phase_inline, Backend, Inbox, Outbox, PhaseEnd, RankCtx};
+pub use backend::{diagnose_attempt, run_phase_inline, Backend, Inbox, Outbox, RankCtx};
 pub use config::{CostModel, MachineConfig, Topology};
 pub use fault::{Fault, FaultKind, FaultPlan, InjectedFault, PhaseCause, PhaseError, RankFailure};
 pub use machine::{Machine, MachineSnapshot, PhaseCharge, ProcId};
@@ -80,6 +80,6 @@ pub use metrics::{
     SpanCell, SpanKind,
 };
 pub use pool::PooledBackend;
-pub use stats::{CommStats, PhaseKind, PhaseRecord, StatsRegistry, StatsSnapshot};
+pub use stats::{CommStats, PhaseKind, StatsRegistry};
 pub use time::ElapsedReport;
 pub use trace::{LaneSummary, TraceEvent, TraceEventKind, TraceSink, TraceSummary};

@@ -5,7 +5,7 @@ use crate::config::MachineConfig;
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::probe::{Lane, Probe};
-use crate::stats::{CommStats, PhaseKind, StatsRegistry, StatsSnapshot};
+use crate::stats::{CommStats, PhaseKind, StatsRegistry};
 use crate::time::{ElapsedReport, ProcClock};
 use crate::topology::hops;
 use crate::trace::{TraceEventKind, TraceSink};
@@ -80,15 +80,13 @@ pub struct Machine {
 /// Refreshing an existing snapshot with [`Machine::snapshot_into`] and
 /// rolling back with [`Machine::restore_from`] are allocation-free in steady
 /// state (once the snapshot's buffers have grown to the machine's working
-/// set and no new saved-communication labels or labelled records appear
-/// between refreshes); the per-kind tables are fixed-size arrays, so a phase
-/// kind seen for the first time costs nothing. The machine's statistics only
-/// ever grow — labelled records are append-only — so rollback just truncates
-/// them.
+/// set and no new saved-communication labels appear between refreshes); the
+/// per-kind tables are fixed-size arrays, so a phase kind seen for the first
+/// time costs nothing.
 #[derive(Debug, Clone, Default)]
 pub struct MachineSnapshot {
     clocks: Vec<ProcClock>,
-    stats: StatsSnapshot,
+    stats: StatsRegistry,
     phase_elapsed: [f64; PhaseKind::COUNT],
     last_phase_sample: f64,
     epoch: u64,
@@ -218,16 +216,15 @@ impl Machine {
     pub fn snapshot_into(&self, snap: &mut MachineSnapshot) {
         snap.clocks.clear();
         snap.clocks.extend_from_slice(&self.clocks);
-        self.stats.snapshot_into(&mut snap.stats);
+        snap.stats.copy_from(&self.stats);
         snap.phase_elapsed = self.phase_elapsed;
         snap.last_phase_sample = self.last_phase_sample;
         snap.epoch = self.epoch;
     }
 
-    /// Roll this machine back to `snap`, taken earlier from this machine
-    /// (labelled phase records are restored by truncation). Allocation-free
-    /// in steady state; the installed fault plan and trace sink are left
-    /// as-is.
+    /// Roll this machine back to `snap`, taken earlier from this machine.
+    /// Allocation-free in steady state; the installed fault plan and trace
+    /// sink are left as-is.
     pub fn restore_from(&mut self, snap: &MachineSnapshot) {
         assert_eq!(
             snap.clocks.len(),
@@ -235,7 +232,7 @@ impl Machine {
             "snapshot taken on a different machine size"
         );
         self.clocks.copy_from_slice(&snap.clocks);
-        self.stats.restore_from(&snap.stats);
+        self.stats.copy_from(&snap.stats);
         self.phase_elapsed = snap.phase_elapsed;
         self.last_phase_sample = snap.last_phase_sample;
         self.epoch = snap.epoch;
@@ -339,9 +336,8 @@ impl Machine {
     ///
     /// Data moves directly between the runtime's own buffers (the simulator
     /// shares one address space); the machine only accounts for the
-    /// transfer. Finish the phase with [`Machine::end_phase`] or
-    /// [`Machine::end_phase_quiet`], which end it with the
-    /// loosely-synchronous model's implicit barrier.
+    /// transfer. Finish the phase with [`Machine::end_phase`], which ends
+    /// it with the loosely-synchronous model's implicit barrier.
     #[inline]
     pub fn charge_p2p(&mut self, phase: &mut PhaseCharge, from: ProcId, to: ProcId, words: usize) {
         let bytes = words * self.cfg.word_bytes;
@@ -360,22 +356,12 @@ impl Machine {
         phase.stats.comm_seconds += 2.0 * (transfer + pack);
     }
 
-    /// Finish a hand-charged message phase, recording it under `label` and
-    /// applying the per-phase barrier.
-    pub fn end_phase(&mut self, label: &str, phase: PhaseCharge) {
+    /// Finish a hand-charged message phase: merge its statistics into the
+    /// current phase kind's totals (see [`StatsRegistry::record`]) and apply
+    /// the per-phase barrier. Allocation-free.
+    pub fn end_phase(&mut self, phase: PhaseCharge) {
         self.probe.phase_closed(&phase.stats);
-        self.stats.record(label, phase.stats);
-        self.synchronize_clocks();
-    }
-
-    /// Finish a hand-charged message phase without keeping a labelled
-    /// record (see [`StatsRegistry::record_quiet`]); totals and clocks are
-    /// updated exactly as [`Machine::end_phase`] would. This variant
-    /// performs no heap allocation in steady state, which the executor's
-    /// per-iteration gather/scatter relies on.
-    pub fn end_phase_quiet(&mut self, phase: PhaseCharge) {
-        self.probe.phase_closed(&phase.stats);
-        self.stats.record_quiet(phase.stats);
+        self.stats.record(phase.stats);
         self.synchronize_clocks();
     }
 
@@ -399,19 +385,19 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
 
-    /// One labelled phase of `(from, to, words)` messages, charged in order.
-    fn charge_phase(m: &mut Machine, label: &str, messages: &[(ProcId, ProcId, usize)]) {
+    /// One phase of `(from, to, words)` messages, charged in order.
+    fn charge_phase(m: &mut Machine, messages: &[(ProcId, ProcId, usize)]) {
         let mut phase = PhaseCharge::new();
         for &(from, to, words) in messages {
             m.charge_p2p(&mut phase, from, to, words);
         }
-        m.end_phase(label, phase);
+        m.end_phase(phase);
     }
 
     #[test]
     fn exchange_charges_both_ends() {
         let mut m = Machine::new(MachineConfig::unit(2));
-        charge_phase(&mut m, "test", &[(0, 1, 3)]);
+        charge_phase(&mut m, &[(0, 1, 3)]);
         let e = m.elapsed();
         // unit cost: alpha=1, beta=1/byte (3 words * 8 bytes = 24), hop=1,
         // memory=1/word*3 -> transfer=1+24+1=26, pack=3 -> 29 per side.
@@ -422,7 +408,7 @@ mod tests {
     #[test]
     fn self_send_is_memory_only() {
         let mut m = Machine::new(MachineConfig::unit(2));
-        charge_phase(&mut m, "local", &[(0, 0, 2)]);
+        charge_phase(&mut m, &[(0, 0, 2)]);
         let e = m.elapsed();
         assert_eq!(e.comm[0], 0.0);
         assert!((e.compute[0] - 4.0).abs() < 1e-9); // 2 words in + out
@@ -445,7 +431,7 @@ mod tests {
     #[test]
     fn barrier_per_phase_syncs_after_exchange() {
         let mut m = Machine::new(MachineConfig::unit(4));
-        charge_phase(&mut m, "x", &[(0, 1, 1)]);
+        charge_phase(&mut m, &[(0, 1, 1)]);
         let e = m.elapsed();
         let max = e.max_seconds();
         assert!(max > 0.0);
@@ -457,7 +443,7 @@ mod tests {
     #[test]
     fn stats_accumulate_messages_and_bytes() {
         let mut m = Machine::new(MachineConfig::ipsc860(4));
-        charge_phase(&mut m, "phase", &[(0, 1, 10), (2, 3, 5)]);
+        charge_phase(&mut m, &[(0, 1, 10), (2, 3, 5)]);
         let t = m.stats().grand_totals();
         assert_eq!(t.messages, 2);
         assert_eq!(t.bytes, 15 * 8);
@@ -476,20 +462,6 @@ mod tests {
         assert!((m.phase_elapsed(crate::stats::PhaseKind::Executor) - 5.0).abs() < 1e-9);
         m.set_phase_kind(None);
         assert!((m.phase_elapsed(crate::stats::PhaseKind::Executor) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quiet_phase_counts_in_totals_but_not_records() {
-        let mut m = Machine::new(MachineConfig::unit(2));
-        let mut phase = PhaseCharge::new();
-        m.charge_p2p(&mut phase, 0, 1, 3);
-        m.end_phase_quiet(phase);
-        assert_eq!(m.stats().grand_totals().messages, 1);
-        assert_eq!(m.stats().grand_totals().phases, 1);
-        assert!(
-            m.stats().records().is_empty(),
-            "quiet phases keep no record"
-        );
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! statistics and values are bit-identical by construction, for any worker
 //! count, on any core count.
 
-use crate::backend::{charge_stage, replay_events, Backend, ChargeEvent, PhaseEnd, RankCtx};
+use crate::backend::{charge_stage, replay_events, Backend, ChargeEvent, RankCtx};
 use crate::cells::{Cells, Claims, Job, JobSlot};
 use crate::config::MachineConfig;
 use crate::fault::{self, CaughtPanic, PanicBundle, PhaseError};
@@ -722,16 +722,14 @@ impl Backend for PooledBackend {
             combine,
         );
         // Replay compute, then per active buffer the driver-side pack stage
-        // (charges only), a quiet close and the buffer's combine spans: the
+        // (charges only), the phase close and the buffer's combine spans: the
         // sequential engine's exact sequence.
         self.replay_stage(0, None);
         for j in 0..nscatter {
             if !scatter_active(posted, j) {
                 continue;
             }
-            charge_stage(&mut self.machine, PhaseEnd::Quiet, false, |ctx| {
-                scatter_pack(ctx, j)
-            });
+            charge_stage(&mut self.machine, false, |ctx| scatter_pack(ctx, j));
             self.replay_stage(1 + j, None);
         }
     }
@@ -762,7 +760,6 @@ mod tests {
     /// rank-local state — exercised identically on both engines.
     fn ring_phase<B: Backend>(backend: &mut B, out: &mut [f64]) {
         backend.run_phase(
-            PhaseEnd::Labelled("ring"),
             |ctx| {
                 let r = ctx.rank();
                 ctx.charge_memory(r, 3.0);
@@ -791,7 +788,17 @@ mod tests {
         assert_eq!(sa.bytes, sb.bytes);
         assert_eq!(sa.phases, sb.phases);
         assert_eq!(sa.comm_seconds.to_bits(), sb.comm_seconds.to_bits());
-        assert_eq!(seq.stats().records(), pool.machine().stats().records());
+        for kind in crate::stats::PhaseKind::ALL {
+            let (ka, kb) = (
+                seq.stats().totals_for(kind),
+                pool.machine().stats().totals_for(kind),
+            );
+            assert_eq!(
+                (ka.messages, ka.bytes, ka.phases),
+                (kb.messages, kb.bytes, kb.phases)
+            );
+            assert_eq!(ka.comm_seconds.to_bits(), kb.comm_seconds.to_bits());
+        }
     }
 
     #[test]
@@ -813,7 +820,6 @@ mod tests {
             let n = backend.nprocs();
             let mut got = vec![0u64; n];
             backend.run_exchange(
-                PhaseEnd::Labelled("rotate"),
                 |ctx, outbox: &mut Outbox<'_, u64>| {
                     let r = ctx.rank();
                     let to = (r + 1) % ctx.nprocs();

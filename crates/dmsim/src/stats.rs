@@ -1,9 +1,10 @@
 //! Per-phase statistics: message counts, byte volumes, and modeled times.
 //!
-//! The benchmark harness labels every communication phase ("inspector",
-//! "remap", "executor", …) and later asks the registry for aggregated counts.
-//! The registry is purely observational — removing it would not change any
-//! delivered data or any clock value.
+//! Every communication phase is counted under the [`PhaseKind`] current when
+//! it closes ("inspector", "remap", "executor", …), and the benchmark
+//! harness later asks the registry for the per-kind totals. The registry is
+//! purely observational — removing it would not change any delivered data
+//! or any clock value.
 
 use std::collections::BTreeMap;
 
@@ -87,21 +88,9 @@ impl CommStats {
     }
 }
 
-/// Record of a single named phase.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseRecord {
-    /// Free-form label supplied by the caller (e.g. `"executor iter 12"`).
-    pub label: String,
-    /// Classification.
-    pub kind: PhaseKind,
-    /// Statistics for this phase alone.
-    pub stats: CommStats,
-}
-
-/// Registry of phase records plus totals grouped by [`PhaseKind`].
+/// Communication totals grouped by [`PhaseKind`], plus the savings bucket.
 #[derive(Debug, Clone, Default)]
 pub struct StatsRegistry {
-    records: Vec<PhaseRecord>,
     /// Totals indexed by [`PhaseKind::index`].
     by_kind: [CommStats; PhaseKind::COUNT],
     /// Communication that did NOT happen, by label — e.g. the messages an
@@ -129,40 +118,11 @@ impl StatsRegistry {
         self.current_kind
     }
 
-    /// Record a completed phase.
-    pub fn record(&mut self, label: &str, stats: CommStats) {
+    /// Merge a completed phase's statistics into the current kind's totals
+    /// ([`PhaseKind::Other`] when none is set). Allocation-free.
+    pub fn record(&mut self, stats: CommStats) {
         let kind = self.current_kind.unwrap_or(PhaseKind::Other);
         self.by_kind[kind.index()].merge(&stats);
-        self.records.push(PhaseRecord {
-            label: label.to_string(),
-            kind,
-            stats,
-        });
-    }
-
-    /// Merge a phase's statistics into the per-kind totals without keeping a
-    /// labelled [`PhaseRecord`]. This is the executor hot path: it performs
-    /// no heap allocation, which is what lets a steady-state gather/scatter
-    /// iteration run allocation-free.
-    /// Quiet phases are invisible to [`StatsRegistry::records`] but fully
-    /// counted by [`StatsRegistry::totals_for`] / [`StatsRegistry::grand_totals`].
-    pub fn record_quiet(&mut self, stats: CommStats) {
-        let kind = self.current_kind.unwrap_or(PhaseKind::Other);
-        self.by_kind[kind.index()].merge(&stats);
-    }
-
-    /// All phase records in execution order.
-    pub fn records(&self) -> &[PhaseRecord] {
-        &self.records
-    }
-
-    /// The recorded phases whose label matches `label` exactly — e.g. every
-    /// `"L1:schedule-build"` request exchange of one loop's inspector runs.
-    pub fn records_labelled<'a>(
-        &'a self,
-        label: &'a str,
-    ) -> impl Iterator<Item = &'a PhaseRecord> + 'a {
-        self.records.iter().filter(move |r| r.label == label)
     }
 
     /// Note communication that was *avoided* under `label` — `messages`
@@ -204,51 +164,15 @@ impl StatsRegistry {
         t
     }
 
-    /// Number of recorded phases.
-    pub fn len(&self) -> usize {
-        self.records.len()
+    /// Overwrite this registry with `src`'s state, reusing this registry's
+    /// buffers: allocation-free once the saved bucket holds the same labels.
+    /// Checkpoints use it both ways — refresh a snapshot from the live
+    /// registry, roll the live registry back to the snapshot.
+    pub fn copy_from(&mut self, src: &StatsRegistry) {
+        self.by_kind = src.by_kind;
+        copy_btree_values(&src.saved, &mut self.saved);
+        self.current_kind = src.current_kind;
     }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Write this registry's state into `snap`, reusing its buffers.
-    ///
-    /// The registry only ever grows — labelled records are append-only — so
-    /// the snapshot stores just their count and restore truncates: no record
-    /// contents are copied, which keeps steady-state checkpointing
-    /// allocation-free.
-    pub fn snapshot_into(&self, snap: &mut StatsSnapshot) {
-        snap.records_len = self.records.len();
-        snap.by_kind = self.by_kind;
-        copy_btree_values(&self.saved, &mut snap.saved);
-        snap.current_kind = self.current_kind;
-    }
-
-    /// Roll this registry back to `snap`, which must have been taken from
-    /// this registry (it has only grown since).
-    pub fn restore_from(&mut self, snap: &StatsSnapshot) {
-        debug_assert!(
-            self.records.len() >= snap.records_len,
-            "snapshot taken from a different registry"
-        );
-        self.records.truncate(snap.records_len);
-        self.by_kind = snap.by_kind;
-        copy_btree_values(&snap.saved, &mut self.saved);
-        self.current_kind = snap.current_kind;
-    }
-}
-
-/// A reusable snapshot of a [`StatsRegistry`] (see
-/// [`StatsRegistry::snapshot_into`]).
-#[derive(Debug, Clone, Default)]
-pub struct StatsSnapshot {
-    records_len: usize,
-    by_kind: [CommStats; PhaseKind::COUNT],
-    saved: BTreeMap<&'static str, CommStats>,
-    current_kind: Option<PhaseKind>,
 }
 
 /// Copy `src`'s entries into `dst`, overwriting values in place when the key
@@ -282,12 +206,13 @@ mod tests {
     fn registry_groups_by_kind() {
         let mut reg = StatsRegistry::new();
         reg.set_current_kind(Some(PhaseKind::Inspector));
-        reg.record("build schedule", stats(10, 100));
+        reg.record(stats(10, 100));
         reg.set_current_kind(Some(PhaseKind::Executor));
-        reg.record("gather", stats(5, 50));
-        reg.record("gather", stats(5, 50));
+        reg.record(stats(5, 50));
+        reg.record(stats(5, 50));
 
-        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.totals_for(PhaseKind::Inspector).phases, 1);
+        assert_eq!(reg.totals_for(PhaseKind::Executor).phases, 2);
         assert_eq!(reg.totals_for(PhaseKind::Inspector).messages, 10);
         assert_eq!(reg.totals_for(PhaseKind::Executor).messages, 10);
         assert_eq!(reg.totals_for(PhaseKind::Executor).bytes, 100);
@@ -299,7 +224,7 @@ mod tests {
     #[test]
     fn unlabelled_phases_fall_into_other() {
         let mut reg = StatsRegistry::new();
-        reg.record("misc", stats(1, 8));
+        reg.record(stats(1, 8));
         assert_eq!(reg.totals_for(PhaseKind::Other).messages, 1);
     }
 
@@ -333,7 +258,7 @@ mod tests {
     fn saved_bucket_never_touches_real_totals() {
         let mut reg = StatsRegistry::new();
         reg.set_current_kind(Some(PhaseKind::Inspector));
-        reg.record("build", stats(3, 24));
+        reg.record(stats(3, 24));
         reg.note_saved("L2:schedule-build", 2, 16);
         reg.note_saved("L2:schedule-build", 1, 8);
         reg.note_saved("executor:gather", 4, 32);
@@ -354,11 +279,11 @@ mod tests {
     fn snapshot_round_trips_the_saved_bucket() {
         let mut reg = StatsRegistry::new();
         reg.note_saved("a", 1, 8);
-        let mut snap = StatsSnapshot::default();
-        reg.snapshot_into(&mut snap);
+        let mut snap = StatsRegistry::new();
+        snap.copy_from(&reg);
         reg.note_saved("a", 2, 16);
         reg.note_saved("b", 5, 40);
-        reg.restore_from(&snap);
+        reg.copy_from(&snap);
         assert_eq!(reg.saved_labelled("a").messages, 1);
         assert_eq!(reg.saved_labelled("b").messages, 0);
     }

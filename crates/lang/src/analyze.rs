@@ -222,19 +222,29 @@ pub(crate) fn check_one_decomposition(
     label: &str,
     slots: &[RefSlot],
 ) -> Result<(), LangError> {
-    let indirect_decomps: BTreeSet<&str> = slots
+    let indirect_decomps = slots
         .iter()
         .filter(|r| matches!(r.index, Index::Indirect(_)))
-        .filter_map(|r| info.arrays.get(&r.array)?.decomp.as_deref())
-        .collect();
-    if indirect_decomps.len() > 1 {
-        return Err(LangError::semantic(format!(
-            "loop {label} indirectly references arrays on different decompositions ({:?}); \
-             this reproduction requires them to share one",
-            indirect_decomps
-        )));
-    }
-    Ok(())
+        .filter_map(|r| info.arrays.get(&r.array)?.decomp.as_deref());
+    mixed_decompositions(label, indirect_decomps).map_or(Ok(()), |m| Err(LangError::semantic(m)))
+}
+
+/// The message for loop `label` when `decomps`, those of the arrays it
+/// references through indirection, name more than one decomposition. The
+/// front end ([`check_one_decomposition`]) and the executor, which meets
+/// the case when a later ALIGN has moved one of the loop's arrays, say the
+/// same words.
+pub(crate) fn mixed_decompositions<'a>(
+    label: &str,
+    decomps: impl IntoIterator<Item = &'a str>,
+) -> Option<String> {
+    let decomps: BTreeSet<&str> = decomps.into_iter().collect();
+    (decomps.len() > 1).then(|| {
+        format!(
+            "loop {label} indirectly references arrays on different decompositions \
+             ({decomps:?}); this reproduction requires them to share one"
+        )
+    })
 }
 
 #[cfg(test)]

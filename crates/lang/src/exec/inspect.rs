@@ -17,7 +17,9 @@
 //! entry or an entry beyond the extent is a typed [`LangError`] naming the
 //! array, the iteration, the value and the extent of the first slot, in
 //! the per-slot check order, that the value does not fit — raised here and
-//! nowhere later. The table has two readers, which only index it:
+//! nowhere later. A loop whose indirectly referenced arrays a later ALIGN
+//! has spread over two decompositions is then refused in the front end's
+//! words. The table has two readers, which only index it:
 //! iteration partitioning takes the leading (placing) columns of each row
 //! as that iteration's `&[u32]`, each column weighted by the number of
 //! placing slots that read it, so the vote still counts a reference per
@@ -43,6 +45,7 @@
 use super::state::{ArrayTable, Inspected, InspectedGroup, LoopState, ProgramState, RegionValues};
 use super::sweep::{gather_ghosts, run_sweep};
 use super::{Executor, SAVED_SCHEDULE_LABEL};
+use crate::analyze::mixed_decompositions;
 use crate::ast::Index;
 use crate::error::LangError;
 use crate::kernel::{compile_kernel, ArrLoc, GroupSpec, KernelBindings};
@@ -407,6 +410,19 @@ impl<B: Backend> Executor<B> {
             blocks.push(globals);
         }
 
+        // The front end wants the indirectly referenced arrays on one
+        // decomposition where the loop stands, but a later ALIGN can move
+        // one of them: placement reads every placing column through one
+        // distribution, so an entry that fits only another decomposition's
+        // extent would index that distribution out of range.
+        let indirect_decomps = plan.slots.iter().zip(&group_of_slot);
+        let indirect_decomps = indirect_decomps
+            .filter(|(slot, _)| slot.index != Index::LoopVar)
+            .map(|(_, &g)| groups[g].0.decomp.as_str());
+        if let Some(message) = mixed_decompositions(&plan.label, indirect_decomps) {
+            return Err(LangError::runtime(message));
+        }
+
         Ok(RefTable {
             blocks,
             share,
@@ -504,7 +520,6 @@ impl<B: Backend> Executor<B> {
         for (dist, pattern) in &pending {
             let result = Inspector.localize_deferred_exchange(
                 &mut self.backend,
-                &plan.label,
                 dist,
                 pattern,
                 &mut self.localize_scratch,
@@ -521,7 +536,7 @@ impl<B: Backend> Executor<B> {
         let parts: Vec<&chaos_runtime::CommSchedule> =
             groups.iter().map(|g| &g.region.diff).collect();
         let (msgs, words) =
-            chaos_runtime::charge_request_exchange(self.backend.machine_mut(), &plan.label, &parts);
+            chaos_runtime::charge_request_exchange(self.backend.machine_mut(), &parts);
         if full_msgs > msgs || full_words > words {
             self.backend.machine_mut().note_schedule_savings(
                 SAVED_SCHEDULE_LABEL,

@@ -367,8 +367,9 @@ C$          REDISTRIBUTE reg(distfmt)
 fn redistribute_remaps_real_then_integer_arrays_in_align_order() {
     // Six arrays on the redistributed decomposition, ALIGNed out of name
     // order and interleaving the two types: every fresh executor remaps the
-    // REAL ones in ALIGN order, then the INTEGER ones, so the labelled
-    // records — and the epoch each remap runs at — never vary run to run.
+    // REAL ones in ALIGN order, then the INTEGER ones, so the clocks, which
+    // each remap's charges advance in turn, and the per-kind totals never
+    // vary run to run.
     let src = r#"
             REAL*8 zc(nnode), x(nnode), yc(nnode), y(nnode)
             INTEGER tag(nnode), mark(nnode), end_pt1(nedge), end_pt2(nedge)
@@ -384,17 +385,30 @@ C$          SET distfmt BY PARTITIONING G USING RSB
 C$          REDISTRIBUTE reg(distfmt)
     "#;
     let cp = lower_program(parse_program(src).unwrap()).unwrap();
+    let fingerprint = |exec: &Executor| {
+        let machine = exec.machine();
+        let clocks: Vec<u64> = machine
+            .elapsed()
+            .per_proc
+            .iter()
+            .map(|t| t.to_bits())
+            .collect();
+        let totals: Vec<_> = PhaseKind::ALL
+            .iter()
+            .map(|&kind| {
+                let t = machine.stats().totals_for(kind);
+                (t.messages, t.bytes, t.phases, t.comm_seconds.to_bits())
+            })
+            .collect();
+        (clocks, totals, exec.report().arrays_redistributed)
+    };
+    let mut first = None;
     for run in 0..8 {
         let mut exec = Executor::new(MachineConfig::ipsc860(4), ring_inputs(32));
         exec.run(&cp).unwrap();
-        let remapped: Vec<&str> = exec
-            .machine()
-            .stats()
-            .records()
-            .iter()
-            .filter_map(|r| r.label.strip_suffix(":remap"))
-            .collect();
-        assert_eq!(remapped, ["zc", "x", "yc", "y", "tag", "mark"], "run {run}");
+        let got = fingerprint(&exec);
+        assert_eq!(got.2, 6, "every array on reg remapped");
+        assert_eq!(&got, first.get_or_insert_with(|| got.clone()), "run {run}");
     }
 }
 
@@ -554,7 +568,8 @@ fn a_reference_read_at_two_extents_is_checked_against_the_smaller() {
     // entry fails w's slot first and names the indirection array. The
     // front end wants a loop's indirectly referenced arrays on one
     // decomposition where the loop stands, so a setup program re-ALIGNs w
-    // and the loop then runs on its own.
+    // and the loop then runs on its own. Input that passes the table's
+    // checks then meets the same rule at run time.
     let decls = r#"
         REAL*8 x(nnode), y(nnode), w(nedge)
         INTEGER end_pt1(nedge), end_pt2(nedge)
@@ -598,14 +613,79 @@ fn a_reference_read_at_two_extents_is_checked_against_the_smaller() {
         "indirection array 'end_pt1' contains 0 at iteration 8 (values are 1-based)",
     );
     assert_eq!(run(7, 0), expected.to_string());
-    // An entry both extents hold is no error: the loop runs.
-    let mut exec = Executor::new(
-        MachineConfig::ipsc860(4),
-        random_inputs(nnode, nedge).real("w", vec![1.0; nedge]),
+    let expected = LangError::runtime(
+        "loop L1 indirectly references arrays on different decompositions \
+         ({\"reg\", \"wide\"}); this reproduction requires them to share one",
     );
-    exec.run(&setup).unwrap();
-    exec.execute_loop(&forall, "L1").unwrap();
-    assert_eq!(exec.report().inspector_runs, 1);
+    assert_eq!(run(5, 40), expected.to_string());
+}
+
+#[test]
+fn a_loop_realigned_onto_two_decompositions_is_a_typed_error_on_both_engines() {
+    // x sits on an irregular reg(40) and w, re-ALIGNed after the loop was
+    // checked, on a BLOCK wide(60). end_pt2 is read by w alone, so its
+    // entry 55 fits its column; placement, which reads every placing
+    // column through the first indirect slot's distribution (x's), would
+    // look it up in reg's 40-entry translation table. The executor refuses
+    // the loop as the front end does, before anything is placed.
+    let decls = r#"
+        REAL*8 x(nnode), y(nnode), w(nedge)
+        INTEGER end_pt1(nedge), end_pt2(nedge), pmap(nnode)
+        DECOMPOSITION reg(nnode), regmap(nnode), reg2(nedge), wide(nedge)
+        DISTRIBUTE regmap(BLOCK)
+        DISTRIBUTE reg2(BLOCK)
+        DISTRIBUTE wide(BLOCK)
+        ALIGN pmap WITH regmap
+        ALIGN end_pt1, end_pt2 WITH reg2
+    "#;
+    let setup = format!(
+        "{decls}
+        CALL READ_DATA(pmap)
+        DISTRIBUTE reg(pmap)
+        ALIGN x, y WITH reg
+        ALIGN w WITH wide
+        CALL READ_DATA(x, y, w, end_pt1, end_pt2)"
+    );
+    let forall = format!(
+        "{decls}
+        ALIGN x, y, w WITH reg
+        FORALL i = 1, nedge
+          REDUCE(ADD, y(end_pt1(i)), x(end_pt1(i)) + w(end_pt2(i)))
+        END FORALL"
+    );
+    let lower = |src: &str| lower_program(parse_program(src).unwrap()).unwrap();
+    let (setup, forall) = (lower(&setup), lower(&forall));
+    let (nnode, nedge) = (40, 60);
+    let mut inputs = random_inputs(nnode, nedge)
+        .real("w", vec![1.0; nedge])
+        .int("pmap", (0..nnode as u32).map(|i| (i * 7) % 4).collect());
+    inputs.int_arrays.get_mut("end_pt2").unwrap()[9] = 55;
+    let expected = LangError::runtime(
+        "loop L1 indirectly references arrays on different decompositions \
+         ({\"reg\", \"wide\"}); this reproduction requires them to share one",
+    );
+    fn check<B: Backend>(
+        mut exec: Executor<B>,
+        (setup, forall): (&CompiledProgram, &CompiledProgram),
+        expected: &LangError,
+    ) {
+        exec.run(setup).unwrap();
+        assert_eq!(exec.decomposition("reg").unwrap().kind_name(), "IRREGULAR");
+        assert_eq!(exec.execute_loop(forall, "L1").as_ref(), Err(expected));
+        assert_eq!(exec.report().inspector_runs, 0, "nothing saved");
+        assert_eq!(exec.machine().stats().current_kind(), None);
+    }
+    let cfg = MachineConfig::ipsc860(4);
+    check(
+        Executor::new(cfg.clone(), inputs.clone()),
+        (&setup, &forall),
+        &expected,
+    );
+    check(
+        Executor::new_pooled_with_workers(cfg, 3, inputs),
+        (&setup, &forall),
+        &expected,
+    );
 }
 
 #[test]

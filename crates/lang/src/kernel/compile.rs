@@ -329,6 +329,8 @@ impl KernelBindings {
         let kind = stmt.scatter_kind();
         let sb = &self.slots[target];
         let array = &plan.slots[target].array;
+        // `bind` pushed a buffer for every statement's (group, array, kind)
+        // of this plan, so only a `stmt` from another plan can miss.
         self.write_bufs
             .iter()
             .position(|wb| wb.group == sb.group && wb.array == *array && wb.kind == kind)
@@ -455,6 +457,8 @@ impl Emitter {
     /// populated) const pool, since consts occupy registers `0..nconsts`.
     fn const_reg(&self, v: f64) -> u16 {
         let bits = v.to_bits();
+        // `prescan` pushed every literal of the body before emission
+        // starts, so the lookup cannot miss.
         self.consts
             .iter()
             .position(|c| c.to_bits() == bits)

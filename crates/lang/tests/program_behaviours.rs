@@ -4,7 +4,8 @@
 //! Figure 1), CYCLIC distributions, map-array (`DISTRIBUTE irreg(map)`,
 //! Figure 3) distributions, and multiple loops with independent reuse state.
 
-use chaos_dmsim::MachineConfig;
+use chaos_dmsim::collectives::charge_all_reduce_word;
+use chaos_dmsim::{Machine, MachineConfig, PhaseKind};
 use chaos_lang::{lower_program, parse_program, Executor, ProgramInputs};
 
 fn run(src: &str, inputs: ProgramInputs, nprocs: usize) -> Executor {
@@ -275,10 +276,25 @@ fn a_loop_over_two_decompositions_issues_one_folded_request_exchange() {
 
         let word_bytes = exec.machine().config().word_bytes;
         let stats = exec.machine().stats();
-        let builds: Vec<_> = stats.records_labelled("L1:schedule-build").collect();
-        assert_eq!(builds.len(), 1, "{regb_format}: one request exchange");
-        assert_eq!(builds[0].stats.messages, 1, "{regb_format}");
-        assert_eq!(builds[0].stats.bytes, words * word_bytes, "{regb_format}");
+        // The inspector's traffic is the reuse vote's all-reduce plus the
+        // request exchange (no translation table: both formats are regular).
+        let mut vote = Machine::new(MachineConfig::ipsc860(2));
+        charge_all_reduce_word(&mut vote);
+        let (inspector, vote) = (
+            stats.totals_for(PhaseKind::Inspector),
+            vote.stats().grand_totals(),
+        );
+        assert_eq!(
+            inspector.phases - vote.phases,
+            1,
+            "{regb_format}: one request exchange"
+        );
+        assert_eq!(inspector.messages - vote.messages, 1, "{regb_format}");
+        assert_eq!(
+            inspector.bytes - vote.bytes,
+            words * word_bytes,
+            "{regb_format}"
+        );
         let saved = stats.saved_labelled("incremental:schedule-build");
         assert_eq!(saved.messages, 1, "{regb_format}: one message, not two");
         assert_eq!(saved.bytes, saved_words * word_bytes, "{regb_format}");

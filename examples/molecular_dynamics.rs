@@ -108,7 +108,7 @@ fn main() {
                     pattern.refs[p].push(water.pair2[it as usize]);
                 }
             }
-            let result = Inspector.localize(&mut machine, "force-loop", &dist, &pattern);
+            let result = Inspector.localize(&mut machine, &dist, &pattern);
             registry.save_inspector(loop_id, data_dads, ind_dads);
             cached = Some((iter_part, result));
             inspector_runs += 1;
@@ -116,7 +116,7 @@ fn main() {
         let (iter_part, inspect) = cached.as_ref().unwrap();
 
         // Executor: gather charges, accumulate pairwise force x-components.
-        let ghosts = gather(&mut machine, "force-loop", &inspect.schedule, &charge);
+        let ghosts = gather(&mut machine, &inspect.schedule, &charge);
         let mut contributions: Vec<Vec<f64>> = (0..nprocs)
             .map(|p| vec![0.0; inspect.ghost_counts[p]])
             .collect();

@@ -81,7 +81,7 @@ fn main() {
             pattern.refs[p].push(mesh.end_pt2[it as usize]);
         }
     }
-    let inspect = Inspector.localize(&mut machine, "edge-loop", &outcome.distribution, &pattern);
+    let inspect = Inspector.localize(&mut machine, &outcome.distribution, &pattern);
     println!(
         "inspector: {:.1}% of references stay on-processor, {} ghost elements, {} messages per sweep",
         100.0 * inspect.local_fraction(),
@@ -92,7 +92,7 @@ fn main() {
     // Phase E: ten executor sweeps of the paper's loop L2, reusing the
     // schedule every time.
     for _ in 0..10 {
-        let ghosts = gather(&mut machine, "edge-loop", &inspect.schedule, &x);
+        let ghosts = gather(&mut machine, &inspect.schedule, &x);
         let mut contributions: Vec<Vec<f64>> = (0..nprocs)
             .map(|p| vec![0.0; inspect.ghost_counts[p]])
             .collect();

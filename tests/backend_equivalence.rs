@@ -33,7 +33,8 @@ struct PipelineObservation {
     bytes: usize,
     phases: usize,
     comm_seconds_bits: u64,
-    record_labels: Vec<String>,
+    /// Per [`PhaseKind`]: messages, bytes, phases and `comm_seconds` bits.
+    kind_totals: Vec<(usize, usize, usize, u64)>,
 }
 
 /// Run the full inspector/executor pipeline (localize → gather → rank-local
@@ -47,8 +48,8 @@ fn run_pipeline<B: Backend>(
 ) -> PipelineObservation {
     let n = data.len();
     let x = DistArray::from_global("x", dist.clone(), data);
-    let result = Inspector.localize(backend, "L", dist, pattern);
-    let ghosts = gather(backend, "L", &result.schedule, &x);
+    let result = Inspector.localize(backend, dist, pattern);
+    let ghosts = gather(backend, &result.schedule, &x);
 
     // Rank-local compute: each rank folds 2*x over its references into its
     // own y shard / contribution buffer (the executor template).
@@ -70,7 +71,7 @@ fn run_pipeline<B: Backend>(
 
     // A second reduction operator over the same schedule.
     let mut z = DistArray::from_global("z", dist.clone(), &vec![0.5; n]);
-    scatter_op(backend, "L", &result.schedule, &mut z, &ghosts, |a, b| {
+    scatter_op(backend, &result.schedule, &mut z, &ghosts, |a, b| {
         *a = f64::max(*a, b)
     });
 
@@ -99,11 +100,12 @@ fn run_pipeline<B: Backend>(
         bytes: totals.bytes,
         phases: totals.phases,
         comm_seconds_bits: totals.comm_seconds.to_bits(),
-        record_labels: machine
-            .stats()
-            .records()
+        kind_totals: PhaseKind::ALL
             .iter()
-            .map(|r| format!("{}:{:?}:{}b", r.label, r.kind, r.stats.bytes))
+            .map(|&kind| {
+                let t = machine.stats().totals_for(kind);
+                (t.messages, t.bytes, t.phases, t.comm_seconds.to_bits())
+            })
             .collect(),
     }
 }
@@ -225,7 +227,7 @@ struct RegionsObservation {
 /// and each feeding its values to the next: the values, the clock bits and
 /// the traffic totals afterwards.
 fn drive_every_entry_point<B: Backend>(backend: &mut B) -> RegionsObservation {
-    use chaos_repro::dmsim::{Outbox, PhaseEnd};
+    use chaos_repro::dmsim::Outbox;
     let n = backend.nprocs();
     let mut v = vec![0.0f64; n];
     backend.run_compute(v.iter_mut(), |ctx, s| {
@@ -237,13 +239,12 @@ fn drive_every_entry_point<B: Backend>(backend: &mut B) -> RegionsObservation {
         ctx.charge_memory(r, 2.0);
         ctx.charge_p2p(r, (r + 1) % ctx.nprocs(), 2);
     };
-    backend.run_phase(PhaseEnd::Labelled("ring"), ring, v.iter_mut(), |ctx, s| {
+    backend.run_phase(ring, v.iter_mut(), |ctx, s| {
         ctx.charge_compute(ctx.rank(), 0.25);
         *s += 1.0;
     });
     let sent = v.clone();
     backend.run_exchange(
-        PhaseEnd::Labelled("rotate"),
         |ctx, outbox: &mut Outbox<'_, f64>| {
             let (r, to) = (ctx.rank(), (ctx.rank() + 1) % ctx.nprocs());
             outbox.post(to, [sent[r]]);

@@ -94,10 +94,10 @@ fn execute(
             pattern.refs[p].push(mesh.end_pt2[it as usize]);
         }
     }
-    let inspect = Inspector.localize(machine, "L2", dist, &pattern);
+    let inspect = Inspector.localize(machine, dist, &pattern);
     machine.set_phase_kind(Some(PhaseKind::Executor));
     for _ in 0..sweeps {
-        let ghosts = gather(machine, "L2", &inspect.schedule, x);
+        let ghosts = gather(machine, &inspect.schedule, x);
         let mut contributions: Vec<Vec<f64>> = (0..nprocs)
             .map(|p| vec![0.0; inspect.ghost_counts[p]])
             .collect();
@@ -267,8 +267,8 @@ fn md_pipeline_runs_end_to_end() {
             pattern.refs[p].push(water.pair2[it as usize]);
         }
     }
-    let inspect = Inspector.localize(&mut machine, "md", &dist, &pattern);
-    let ghosts = gather(&mut machine, "md", &inspect.schedule, &q);
+    let inspect = Inspector.localize(&mut machine, &dist, &pattern);
+    let ghosts = gather(&mut machine, &inspect.schedule, &q);
     let mut contributions: Vec<Vec<f64>> = (0..nprocs)
         .map(|p| vec![0.0; inspect.ghost_counts[p]])
         .collect();

@@ -23,14 +23,10 @@ use std::collections::HashMap;
 pub type ExchangePlan<T> = Vec<(usize, usize, Vec<T>)>;
 
 /// The seed's `Machine::exchange`: charge every message of `plan` with
-/// [`Machine::charge_p2p`] in plan order, close the phase under `label`
-/// (a recorded phase, then the implicit barrier), and move each payload to
-/// its destination's list as `(source, payload)`, in plan order.
-pub fn exchange<T>(
-    machine: &mut Machine,
-    label: &str,
-    plan: ExchangePlan<T>,
-) -> Vec<Vec<(usize, Vec<T>)>> {
+/// [`Machine::charge_p2p`] in plan order, close the phase (its totals, then
+/// the implicit barrier), and move each payload to its destination's list as
+/// `(source, payload)`, in plan order.
+pub fn exchange<T>(machine: &mut Machine, plan: ExchangePlan<T>) -> Vec<Vec<(usize, Vec<T>)>> {
     let mut delivered: Vec<Vec<(usize, Vec<T>)>> =
         (0..machine.nprocs()).map(|_| Vec::new()).collect();
     let mut phase = PhaseCharge::new();
@@ -38,7 +34,7 @@ pub fn exchange<T>(
         machine.charge_p2p(&mut phase, from, to, payload.len());
         delivered[to].push((from, payload));
     }
-    machine.end_phase(label, phase);
+    machine.end_phase(phase);
     delivered
 }
 
@@ -66,7 +62,7 @@ pub struct NaiveSchedule {
 impl NaiveSchedule {
     /// Build the schedule and charge the request exchange, exactly as the
     /// seed implementation did.
-    pub fn build(machine: &mut Machine, label: &str, ghost_sources: Vec<Vec<(u32, u32)>>) -> Self {
+    pub fn build(machine: &mut Machine, ghost_sources: Vec<Vec<(u32, u32)>>) -> Self {
         let nprocs = machine.nprocs();
         assert_eq!(ghost_sources.len(), nprocs);
         let mut grouped: Vec<Vec<(Vec<u32>, Vec<u32>)>> =
@@ -86,7 +82,7 @@ impl NaiveSchedule {
                 }
             }
         }
-        exchange(machine, &format!("{label}:schedule-build"), plan);
+        exchange(machine, plan);
         let send_lists: Vec<Vec<NaiveSendList>> = grouped
             .into_iter()
             .map(|row| {
@@ -143,14 +139,13 @@ pub struct NaiveInspectorResult {
 /// slot assignment, nested-`Vec` schedule.
 pub fn localize(
     machine: &mut Machine,
-    label: &str,
     data_dist: &Distribution,
     pattern: &AccessPattern,
 ) -> NaiveInspectorResult {
     let nprocs = machine.nprocs();
     assert_eq!(pattern.refs.len(), nprocs);
     let located: Vec<Vec<(u32, u32)>> = match data_dist {
-        Distribution::Irregular { table } => table.dereference(machine, label, &pattern.refs),
+        Distribution::Irregular { table } => table.dereference(machine, &pattern.refs),
         _ => {
             let mut out = Vec::with_capacity(nprocs);
             for (p, refs) in pattern.refs.iter().enumerate() {
@@ -200,7 +195,7 @@ pub fn localize(
     }
 
     let ghost_counts: Vec<usize> = ghost_sources.iter().map(Vec::len).collect();
-    let schedule = NaiveSchedule::build(machine, label, ghost_sources);
+    let schedule = NaiveSchedule::build(machine, ghost_sources);
     NaiveInspectorResult {
         schedule,
         localized,
@@ -211,7 +206,6 @@ pub fn localize(
 /// The seed's `gather`: pack payload vectors, run a real exchange, unpack.
 pub fn gather<T: Clone + Default + Send>(
     machine: &mut Machine,
-    label: &str,
     schedule: &NaiveSchedule,
     array: &DistArray<T>,
 ) -> Vec<Vec<T>> {
@@ -233,7 +227,7 @@ pub fn gather<T: Clone + Default + Send>(
             plan.push((owner, send.to as usize, payload));
         }
     }
-    let delivered = exchange(machine, &format!("{label}:gather"), plan);
+    let delivered = exchange(machine, plan);
     for (dest, inbox) in delivered.into_iter().enumerate() {
         for (owner, payload) in inbox {
             let send = schedule.send_to(owner, dest);
@@ -250,7 +244,6 @@ pub fn gather<T: Clone + Default + Send>(
 /// combine at the owners via an intermediate update list.
 pub fn scatter_add(
     machine: &mut Machine,
-    label: &str,
     schedule: &NaiveSchedule,
     array: &mut DistArray<f64>,
     contributions: &[Vec<f64>],
@@ -270,7 +263,7 @@ pub fn scatter_add(
             plan.push((requester, owner, payload));
         }
     }
-    let delivered = exchange(machine, &format!("{label}:scatter"), plan);
+    let delivered = exchange(machine, plan);
     for (owner, inbox) in delivered.into_iter().enumerate() {
         let updates: Vec<(u32, f64)> = inbox
             .into_iter()
@@ -304,12 +297,12 @@ mod tests {
         let pattern = AccessPattern {
             refs: vec![vec![4, 5, 5], vec![0]],
         };
-        let r = localize(&mut m, "L", &dist, &pattern);
+        let r = localize(&mut m, &dist, &pattern);
         assert_eq!(r.ghost_counts, vec![2, 1]);
-        let ghosts = gather(&mut m, "L", &r.schedule, &x);
+        let ghosts = gather(&mut m, &r.schedule, &x);
         assert_eq!(ghosts[0], vec![4.0, 5.0]);
         let mut y = DistArray::from_global("y", dist, &[0.0; 8]);
-        scatter_add(&mut m, "L", &r.schedule, &mut y, &ghosts);
+        scatter_add(&mut m, &r.schedule, &mut y, &ghosts);
         assert_eq!(y.to_global()[4], 4.0);
         assert_eq!(y.to_global()[0], 0.0);
     }

@@ -110,7 +110,7 @@ fn steady_state_executor_iteration_is_allocation_free() {
     }
 
     let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-    let inspect = Inspector.localize(&mut machine, "L", &dist, &pattern);
+    let inspect = Inspector.localize(&mut machine, &dist, &pattern);
     machine.set_phase_kind(Some(PhaseKind::Executor));
 
     // Reused executor buffers: ghost values and ghost contributions.
@@ -152,9 +152,7 @@ fn steady_state_executor_iteration_is_allocation_free() {
                 }
             }
         }
-        scatter_op(machine, "L", &inspect.schedule, y, contributions, |a, b| {
-            *a += b
-        });
+        scatter_op(machine, &inspect.schedule, y, contributions, |a, b| *a += b);
     };
 
     // Warm-up: grows any lazily-sized state.
@@ -220,7 +218,7 @@ impl FusedSweep {
         }
 
         let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-        let inspect = Inspector.localize(&mut machine, "L", &dist, &pattern);
+        let inspect = Inspector.localize(&mut machine, &dist, &pattern);
         machine.set_phase_kind(Some(PhaseKind::Executor));
         let y = (0..nprocs).map(|p| vec![0.0; x.local(p).len()]).collect();
         let areas = (0..nprocs)
@@ -427,8 +425,8 @@ fn steady_state_incremental_region_gather_is_allocation_free() {
     }
 
     let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-    let r1 = Inspector.localize(&mut machine, "L1", &dist, &first);
-    let r2 = Inspector.localize(&mut machine, "L2", &dist, &second);
+    let r1 = Inspector.localize(&mut machine, &dist, &first);
+    let r2 = Inspector.localize(&mut machine, &dist, &second);
 
     // Bind both loops into the shared ghost region (inspector-time work,
     // done once). The second bind's difference must be a strict subset.
@@ -583,24 +581,24 @@ fn snapshot_and_restore_across_a_new_phase_kind_allocate_nothing() {
     let nprocs = 8;
     let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
     let mut snap = MachineSnapshot::new();
-    let quiet_phase = |machine: &mut Machine| {
+    let one_phase = |machine: &mut Machine| {
         let mut phase = PhaseCharge::new();
         machine.charge_p2p(&mut phase, 0, nprocs - 1, 16);
-        machine.end_phase_quiet(phase);
+        machine.end_phase(phase);
     };
 
-    // Warm-up: quiet executor phases and snapshot / restore rounds grow the
+    // Warm-up: executor phases and snapshot / restore rounds grow the
     // snapshot's buffers.
     machine.set_phase_kind(Some(PhaseKind::Executor));
     for _ in 0..3 {
-        quiet_phase(&mut machine);
+        one_phase(&mut machine);
         machine.snapshot_into(&mut snap);
         machine.restore_from(&snap);
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     machine.set_phase_kind(Some(PhaseKind::Checkpoint));
-    quiet_phase(&mut machine);
+    one_phase(&mut machine);
     machine.set_phase_kind(Some(PhaseKind::Executor));
     machine.snapshot_into(&mut snap);
     machine.restore_from(&snap);
@@ -617,6 +615,63 @@ fn snapshot_and_restore_across_a_new_phase_kind_allocate_nothing() {
         1
     );
     assert!(machine.phase_elapsed(PhaseKind::Checkpoint) > 0.0);
+}
+
+/// Closing a phase allocates nothing, whoever closes it: an inspection's
+/// request exchange (`charge_request_exchange`) and a charge-only region
+/// (`run_charge_phase`, the translation table's dereference rounds) merge
+/// their statistics into the per-kind totals and apply the barrier, with no
+/// name built and nothing kept per phase.
+#[test]
+fn request_exchange_and_charge_phase_allocate_nothing() {
+    let _serial = serialised();
+    use chaos_repro::dmsim::Backend;
+    use chaos_repro::runtime::charge_request_exchange;
+
+    let nprocs = 8;
+    let n = 4096usize;
+    let map: Vec<u32> = (0..n).map(|i| ((i * 3 + i / 7) % nprocs) as u32).collect();
+    let dist = Distribution::irregular_from_map(&map, nprocs);
+    let mut pattern = AccessPattern::new(nprocs);
+    for p in 0..nprocs {
+        for k in 0..256 {
+            pattern.refs[p].push(((p * 97 + k * 31) % n) as u32);
+        }
+    }
+    let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
+    let schedule = Inspector.localize(&mut machine, &dist, &pattern).schedule;
+    assert!(
+        schedule.message_count() > 0,
+        "the exchange carries messages"
+    );
+
+    machine.set_phase_kind(Some(PhaseKind::Inspector));
+    let round = |machine: &mut Machine| {
+        charge_request_exchange(machine, &[&schedule]);
+        machine.run_charge_phase(|ctx| {
+            let p = ctx.rank();
+            ctx.charge_p2p(p, (p + 1) % ctx.nprocs(), 4);
+        });
+    };
+    for _ in 0..3 {
+        round(&mut machine);
+    }
+
+    let phases_before = machine.stats().totals_for(PhaseKind::Inspector).phases;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..10 {
+        round(&mut machine);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+
+    assert_eq!(
+        after - before,
+        0,
+        "ten request exchanges and charge phases allocated {} times",
+        after - before
+    );
+    let phases = machine.stats().totals_for(PhaseKind::Inspector).phases;
+    assert_eq!(phases - phases_before, 20, "every phase was counted");
 }
 
 /// Allocations over ten `execute_loop`s of `cp`, after `run` and three
@@ -689,46 +744,6 @@ fn steady_executor_sweep_allocates_nothing() {
     assert!(
         counts.iter().all(|&c| c == 0),
         "ten steady sweeps allocated, per (ranks, mesh, engine): {counts:?}"
-    );
-}
-
-/// The same steady path keeps no labelled phase record either: the reuse
-/// vote closes its two phases quietly, so `StatsRegistry::records` holds
-/// what the directives and the one inspection left there however long the
-/// program sweeps.
-#[test]
-fn steady_sweeps_append_no_phase_records() {
-    let _serial = serialised();
-    use chaos_bench::compilergen::{program_inputs, program_text};
-    use chaos_bench::experiment::Method;
-    use chaos_bench::workload::mesh_workload;
-
-    fn records_at_sweeps_4_and_104<B: chaos_repro::dmsim::Backend>(
-        mut exec: Executor<B>,
-        cp: &chaos_repro::lang::CompiledProgram,
-    ) -> [usize; 2] {
-        exec.run(cp).expect("program runs");
-        [4, 100].map(|sweeps| {
-            for _ in 0..sweeps {
-                exec.execute_loop(cp, "L1").expect("steady sweep");
-            }
-            exec.machine().stats().len()
-        })
-    }
-
-    let src = program_text(Method::Rcb);
-    let cp = lower_program(parse_program(&src).unwrap()).unwrap();
-    let inputs = program_inputs(&mesh_workload(MeshConfig::tiny(1_000)));
-    let cfg = || MachineConfig::ipsc860(4);
-    let machine = records_at_sweeps_4_and_104(Executor::new(cfg(), inputs.clone()), &cp);
-    let pool = Executor::new_pooled_with_workers(cfg(), 2, inputs);
-    let pool = records_at_sweeps_4_and_104(pool, &cp);
-    assert_eq!(machine[0], machine[1], "records grew on Machine");
-    assert_eq!(pool[0], pool[1], "records grew on the pool");
-    assert_eq!(machine, pool);
-    assert!(
-        machine[0] > 0,
-        "the inspection's request exchange is recorded"
     );
 }
 

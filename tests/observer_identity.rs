@@ -34,7 +34,8 @@ struct Obs {
     bytes: usize,
     phases: usize,
     comm_seconds_bits: u64,
-    record_labels: Vec<String>,
+    /// Per [`PhaseKind`]: messages, bytes, phases and `comm_seconds` bits.
+    kind_totals: Vec<(usize, usize, usize, u64)>,
     epoch: u64,
 }
 
@@ -47,8 +48,8 @@ fn run_pipeline<B: Backend>(
 ) -> Obs {
     let n = data.len();
     let x = DistArray::from_global("x", dist.clone(), data);
-    let result = Inspector.localize(backend, "L", dist, pattern);
-    let ghosts = gather(backend, "L", &result.schedule, &x);
+    let result = Inspector.localize(backend, dist, pattern);
+    let ghosts = gather(backend, &result.schedule, &x);
 
     let mut y = DistArray::from_global("y", dist.clone(), &vec![1.0; n]);
     let mut contributions: Vec<Vec<f64>> = ghosts.clone();
@@ -88,11 +89,12 @@ fn run_pipeline<B: Backend>(
         bytes: totals.bytes,
         phases: totals.phases,
         comm_seconds_bits: totals.comm_seconds.to_bits(),
-        record_labels: machine
-            .stats()
-            .records()
+        kind_totals: PhaseKind::ALL
             .iter()
-            .map(|r| format!("{}:{:?}:{}b", r.label, r.kind, r.stats.bytes))
+            .map(|&kind| {
+                let t = machine.stats().totals_for(kind);
+                (t.messages, t.bytes, t.phases, t.comm_seconds.to_bits())
+            })
             .collect(),
         epoch: machine.epoch(),
     }

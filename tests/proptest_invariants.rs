@@ -53,10 +53,10 @@ proptest! {
         let data: Vec<f64> = (0..n).map(|i| i as f64 * 1.5 - 3.0).collect();
         let mut machine = Machine::new(MachineConfig::unit(p));
         let mut arr = DistArray::from_global("a", Distribution::block(n, p), &data);
-        chaos_repro::runtime::remap(&mut machine, "t", &mut arr, Distribution::irregular_from_map(&map, p));
+        chaos_repro::runtime::remap(&mut machine, &mut arr, Distribution::irregular_from_map(&map, p));
         prop_assert_eq!(arr.to_global(), data.clone());
         // And back to cyclic.
-        chaos_repro::runtime::remap(&mut machine, "t", &mut arr, Distribution::cyclic(n, p));
+        chaos_repro::runtime::remap(&mut machine, &mut arr, Distribution::cyclic(n, p));
         prop_assert_eq!(arr.to_global(), data);
     }
 
@@ -79,8 +79,8 @@ proptest! {
             }
         }
         let mut machine = Machine::new(MachineConfig::unit(p));
-        let result = Inspector.localize(&mut machine, "prop", &dist, &pattern);
-        let ghosts = gather(&mut machine, "prop", &result.schedule, &arr);
+        let result = Inspector.localize(&mut machine, &dist, &pattern);
+        let ghosts = gather(&mut machine, &result.schedule, &arr);
         #[allow(clippy::needless_range_loop)]
         for q in 0..p {
             for (k, &g) in pattern.refs[q].iter().enumerate() {
@@ -104,7 +104,7 @@ proptest! {
             pattern.refs[q] = (0..n as u32).collect();
         }
         let mut machine = Machine::new(MachineConfig::unit(p));
-        let result = Inspector.localize(&mut machine, "prop", &dist, &pattern);
+        let result = Inspector.localize(&mut machine, &dist, &pattern);
         let mut y = DistArray::from_global("y", dist.clone(), &vec![0.0; n]);
         // Local references incremented directly, ghost references through
         // the contribution buffers.
@@ -192,8 +192,8 @@ proptest! {
         let mut m_csr = Machine::new(cfg());
         let mut m_naive = Machine::new(cfg());
 
-        let csr = Inspector.localize(&mut m_csr, "L", &dist, &pattern);
-        let reference = naive::localize(&mut m_naive, "L", &dist, &pattern);
+        let csr = Inspector.localize(&mut m_csr, &dist, &pattern);
+        let reference = naive::localize(&mut m_naive, &dist, &pattern);
 
         // Identical localization and ghost numbering.
         prop_assert_eq!(&csr.localized, &reference.localized);
@@ -205,15 +205,15 @@ proptest! {
         }
 
         // Byte-identical gather.
-        let g_csr = gather(&mut m_csr, "L", &csr.schedule, &arr);
-        let g_naive = naive::gather(&mut m_naive, "L", &reference.schedule, &arr);
+        let g_csr = gather(&mut m_csr, &csr.schedule, &arr);
+        let g_naive = naive::gather(&mut m_naive, &reference.schedule, &arr);
         prop_assert_eq!(&g_csr, &g_naive);
 
         // Byte-identical scatter-add of the gathered ghosts.
         let mut y_csr = DistArray::from_global("y", dist.clone(), &vec![1.0; n]);
         let mut y_naive = y_csr.clone();
         scatter_add(&mut m_csr, "L", &csr.schedule, &mut y_csr, &g_csr);
-        naive::scatter_add(&mut m_naive, "L", &reference.schedule, &mut y_naive, &g_naive);
+        naive::scatter_add(&mut m_naive, &reference.schedule, &mut y_naive, &g_naive);
         prop_assert_eq!(y_csr.to_global(), y_naive.to_global());
 
         // Identical message / volume accounting for the whole pipeline
