@@ -281,13 +281,6 @@ pub struct ReuseRegistry {
     records: Vec<Option<LoopRecord>>,
     /// Shared resident ghost regions, one per distribution signature.
     regions: HashMap<DadSignature, GhostRegion>,
-    /// Global counter behind the per-array write stamps.
-    array_clock: u64,
-    /// Per *array* (by name) write stamps. DAD-keyed `last_mod` deliberately
-    /// over-approximates (two arrays on the same distribution share a
-    /// stamp); region value freshness must not, or one array's resident
-    /// ghosts would be served for another's.
-    array_stamps: HashMap<String, u64>,
 }
 
 impl ReuseRegistry {
@@ -494,26 +487,6 @@ impl ReuseRegistry {
     /// has bound into it.
     pub fn region(&self, sig: DadSignature) -> Option<&GhostRegion> {
         self.regions.get(&sig)
-    }
-
-    /// Record that the named array's values may have changed. Unlike
-    /// [`ReuseRegistry::record_write_block`] this is keyed by array *name*,
-    /// not DAD — it answers "are the resident ghost values of this array
-    /// still current?", which must not be shared between arrays that merely
-    /// have the same distribution. Allocation-free once the array has been
-    /// stamped once.
-    pub fn note_array_write(&mut self, name: &str) {
-        self.array_clock += 1;
-        if let Some(stamp) = self.array_stamps.get_mut(name) {
-            *stamp = self.array_clock;
-        } else {
-            self.array_stamps.insert(name.to_string(), self.array_clock);
-        }
-    }
-
-    /// The named array's current write stamp (0 when never written).
-    pub fn array_stamp(&self, name: &str) -> u64 {
-        self.array_stamps.get(name).copied().unwrap_or(0)
     }
 }
 
@@ -790,20 +763,6 @@ mod tests {
         // A different signature gets an independent region.
         let other = block_dad(128).signature();
         assert!(reg.region(other).is_none());
-    }
-
-    #[test]
-    fn array_stamps_are_per_name_not_per_dad() {
-        let mut reg = ReuseRegistry::new();
-        assert_eq!(reg.array_stamp("x"), 0);
-        reg.note_array_write("x");
-        let x1 = reg.array_stamp("x");
-        assert!(x1 > 0);
-        assert_eq!(reg.array_stamp("y"), 0, "y's ghosts stay fresh");
-        reg.note_array_write("y");
-        reg.note_array_write("x");
-        assert!(reg.array_stamp("x") > reg.array_stamp("y"));
-        assert!(reg.array_stamp("x") > x1);
     }
 
     #[test]

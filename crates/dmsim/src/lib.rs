@@ -66,9 +66,9 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-// The trace exports speak `serde_json::Value` (the vendored shim);
-// re-export the crate so downstream users can consume them without adding
-// their own dependency on it.
+// The flight recorder's export, `TraceSink::chrome_trace`, is a
+// `serde_json::Value` (the vendored shim); re-export the crate so
+// downstream users can serialize it without their own dependency on it.
 pub use serde_json;
 
 pub use backend::{diagnose_attempt, run_phase_inline, Backend, Inbox, Outbox, RankCtx};
@@ -76,8 +76,7 @@ pub use config::{CostModel, MachineConfig, Topology};
 pub use fault::{Fault, FaultKind, FaultPlan, InjectedFault, PhaseCause, PhaseError, RankFailure};
 pub use machine::{Machine, MachineSnapshot, PhaseCharge, ProcId};
 pub use metrics::{
-    AuditReport, AuditRow, Counter, EngineKind, Histogram, MetricsRegistry, MetricsSnapshot,
-    SpanCell, SpanKind,
+    AuditReport, AuditRow, Counter, Histogram, MetricsRegistry, MetricsSnapshot, SpanCell, SpanKind,
 };
 pub use pool::PooledBackend;
 pub use stats::{CommStats, PhaseKind, StatsRegistry};

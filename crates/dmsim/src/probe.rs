@@ -7,8 +7,7 @@
 //! ([`MetricsRegistry`]) — as the one pairing table,
 //! [`TraceEventKind::pairing`], says. A hook site therefore knows none of:
 //! how either sink addresses lanes, which counter and histogram go with an
-//! event, when the clock is read (once per hook, shared by both sinks), or
-//! which engine label a span carries.
+//! event, or when the clock is read (once per hook, shared by both sinks).
 //!
 //! With nothing installed every hook is one predictable branch that reads
 //! no clock and allocates nothing. With observers installed the hooks still
@@ -19,7 +18,7 @@
 //! whose docs state the one-writer-per-lane discipline that lets a hook
 //! write without a lock.
 
-use crate::metrics::{Counter, EngineKind, MetricsRegistry, SpanKind};
+use crate::metrics::{Counter, MetricsRegistry};
 use crate::stats::{CommStats, PhaseKind};
 use crate::trace::{TraceEventKind, TraceSink};
 use crate::Machine;
@@ -79,7 +78,7 @@ impl Probe {
 
     /// Close a span: record the partner event, add `runs` to the paired
     /// counter and the span's duration to the paired histogram, keyed
-    /// engine × span × the epoch's phase kind.
+    /// span × the epoch's phase kind.
     #[inline]
     pub(crate) fn exit(&self, lane: Lane, start: Start, runs: u64) {
         let Some(t0) = start.at else { return };
@@ -93,14 +92,8 @@ impl Probe {
                 m.incr(lane, c, runs);
             }
             if let Some(span) = pairing.span {
-                // Only the pool has worker lanes, and only the pool replays.
-                let engine = match (lane, span) {
-                    (Lane::Worker(_), _) | (_, SpanKind::Replay) => EngineKind::Pooled,
-                    (Lane::Driver, _) => EngineKind::Machine,
-                };
                 let ns = now.duration_since(t0).as_nanos() as u64;
-                let phase = self.phase.unwrap_or(PhaseKind::Other);
-                m.record_span(lane, engine, span, phase, ns);
+                m.record_span(lane, span, self.phase.unwrap_or(PhaseKind::Other), ns);
             }
         }
     }
@@ -180,6 +173,7 @@ impl Probe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SpanKind;
 
     #[test]
     fn a_span_feeds_ring_counter_and_histogram_from_one_hook() {
@@ -213,10 +207,10 @@ mod tests {
         let [cell] = &snap.spans[..] else {
             panic!("one histogram cell expected, got {:?}", snap.spans);
         };
+        let (span, phase, count) = (cell.span, cell.phase, cell.hist.count);
         assert_eq!(
-            (cell.engine, cell.span),
-            (EngineKind::Pooled, SpanKind::Combine)
+            (span, phase, count),
+            (SpanKind::Combine, PhaseKind::Executor, 1)
         );
-        assert_eq!((cell.phase, cell.hist.count), (PhaseKind::Executor, 1));
     }
 }

@@ -283,11 +283,11 @@ impl LaneRing {
 /// executor's `with_trace`). Lanes `0..lanes` belong to the pool's worker
 /// lanes, one per worker; the extra last ring ([`TraceSink::driver_lane`]) belongs to the driver
 /// thread. Only the engines write (through the machine's probe); events
-/// addressed to a lane the sink has no ring for are counted in
-/// [`TraceSink::dropped_lost`]. Read-out methods ([`TraceSink::events`],
-/// exports) must only be called while no phase is in flight — which is
-/// every point at which user code can hold the sink, since the engines'
-/// `run_*` entry points do not return mid-phase.
+/// addressed to a lane the sink has no ring for are counted as lost
+/// ([`TraceSummary::dropped_lost`]). Read-out methods
+/// ([`TraceSink::events`], exports) must only be called while no phase is
+/// in flight — which is every point at which user code can hold the sink,
+/// since the engines' `run_*` entry points do not return mid-phase.
 pub struct TraceSink {
     rings: LaneCells<LaneRing>,
     origin: Instant,
@@ -374,22 +374,23 @@ impl TraceSink {
         self.epoch.store(epoch, Ordering::Relaxed);
     }
 
-    /// Total events lost to ring wrap-around or out-of-range lanes — the
-    /// sum of [`TraceSink::dropped_wrapped`] and [`TraceSink::dropped_lost`].
+    /// Total events lost to ring wrap-around or out-of-range lanes (the
+    /// split by cause is in [`TraceSummary`] and `chrome_trace`'s
+    /// `otherData`).
     pub fn dropped(&self) -> u64 {
         self.dropped_wrapped() + self.dropped_lost()
     }
 
     /// Events overwritten by ring wrap-around: the flight-recorder bound
     /// doing its job (old events age out of a full ring).
-    pub fn dropped_wrapped(&self) -> u64 {
+    fn dropped_wrapped(&self) -> u64 {
         self.rings.iter().map(LaneRing::dropped).sum()
     }
 
     /// Events addressed to a lane the sink has no ring for: unlike
     /// wrap-around this indicates a sink sized smaller than the engine's
     /// lane count.
-    pub fn dropped_lost(&self) -> u64 {
+    fn dropped_lost(&self) -> u64 {
         self.rings.lost()
     }
 
@@ -454,7 +455,8 @@ impl TraceSink {
     /// (`chrome://tracing` / Perfetto "trace event" format): span kinds
     /// become `B`/`E` duration events, instants become `i`, one Chrome
     /// thread per lane, timestamps in microseconds of measured wall time,
-    /// with the modeled clock and epoch attached as event args.
+    /// with the modeled clock and epoch attached as event args. Serialize
+    /// it with `serde_json::to_string` to write a `.json` file.
     pub fn chrome_trace(&self) -> Value {
         let mut events: Vec<Value> = Vec::new();
         for lane in 0..self.lanes() {
@@ -507,12 +509,6 @@ impl TraceSink {
                 "lanes": self.lanes(),
             }),
         })
-    }
-
-    /// [`TraceSink::chrome_trace`] rendered as a JSON string, ready to be
-    /// written to a `.json` file and opened in `chrome://tracing`.
-    pub fn chrome_trace_json(&self) -> String {
-        serde_json::to_string(&self.chrome_trace()).unwrap_or_default()
     }
 
     /// Check that every lane's retained span events nest monotonically:
@@ -737,36 +733,6 @@ impl TraceSummary {
             self.skews_ns.iter().sum::<u64>() as f64 / self.skews_ns.len() as f64
         }
     }
-
-    /// The summary as a JSON value (machine-readable emit path).
-    pub fn to_json(&self) -> Value {
-        json!({
-            "span_ns": self.span_ns,
-            "epochs": self.epochs,
-            "epochs_per_sec": self.epochs_per_sec(),
-            "max_skew_ns": self.max_skew_ns(),
-            "mean_skew_ns": self.mean_skew_ns(),
-            "dropped": self.dropped,
-            "dropped_wrapped": self.dropped_wrapped,
-            "dropped_lost": self.dropped_lost,
-            "modeled_s": self.modeled_s,
-            "lanes": self
-                .lanes
-                .iter()
-                .map(|l| {
-                    json!({
-                        "lane": l.lane,
-                        "events": l.events,
-                        "busy_ns": l.busy_ns,
-                        "stage_wait_ns": l.stage_wait_ns,
-                        "releases": l.releases,
-                        "parked_releases": l.parked_releases,
-                        "utilization": l.utilization(self.span_ns),
-                    })
-                })
-                .collect::<Vec<_>>(),
-        })
-    }
 }
 
 impl fmt::Display for TraceSummary {
@@ -826,6 +792,17 @@ mod tests {
         sink.record(lane, kind, arg, Instant::now());
     }
 
+    /// `object[key]`, panicking unless `object` is an object that has it.
+    fn field<'a>(object: &'a Value, key: &str) -> &'a Value {
+        let Value::Object(fields) = object else {
+            panic!("{key}: not a JSON object");
+        };
+        let found = fields.iter().find(|(k, _)| k == key);
+        found
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no key {key}"))
+    }
+
     #[test]
     fn rings_wrap_and_keep_the_tail() {
         let sink = TraceSink::with_capacity(1, 4);
@@ -855,8 +832,6 @@ mod tests {
         }
         rec(&sink, Lane::Worker(42), TraceEventKind::KernelEnter, 0); // 2 lost to a
         rec(&sink, Lane::Worker(42), TraceEventKind::KernelExit, 0); // missing lane
-        assert_eq!(sink.dropped_wrapped(), 3);
-        assert_eq!(sink.dropped_lost(), 2);
         assert_eq!(sink.dropped(), 5, "total stays the sum of both causes");
         let summary = sink.summary();
         assert_eq!(summary.dropped_wrapped, 3);
@@ -865,12 +840,15 @@ mod tests {
         assert!(summary
             .to_string()
             .contains("5 dropped (3 wrapped, 2 lost)"));
-        let json = serde_json::to_string(&summary.to_json()).unwrap_or_default();
-        assert!(json.contains("\"dropped_wrapped\":3"));
-        assert!(json.contains("\"dropped_lost\":2"));
-        let chrome = serde_json::to_string(&sink.chrome_trace()).unwrap_or_default();
-        assert!(chrome.contains("\"dropped_wrapped\":3"));
-        assert!(chrome.contains("\"dropped_lost\":2"));
+        let chrome = sink.chrome_trace();
+        let other = field(&chrome, "otherData");
+        for (key, n) in [
+            ("dropped", 5.0),
+            ("dropped_wrapped", 3.0),
+            ("dropped_lost", 2.0),
+        ] {
+            assert_eq!(field(other, key), &Value::Num(n), "{key}");
+        }
     }
 
     #[test]
@@ -919,22 +897,12 @@ mod tests {
         rec(&sink, Lane::Worker(0), TraceEventKind::KernelExit, 5);
         rec(&sink, Lane::Worker(0), TraceEventKind::FaultFired, 5);
         let v = sink.chrome_trace();
-        let Value::Object(fields) = &v else {
-            panic!("chrome trace must be a JSON object");
-        };
-        let events = fields
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map(|(_, v)| v)
-            .expect("traceEvents key");
-        let Value::Array(items) = events else {
+        let Value::Array(items) = field(&v, "traceEvents") else {
             panic!("traceEvents must be an array");
         };
-        assert_eq!(items.len(), 3);
-        let s = sink.chrome_trace_json();
-        assert!(s.contains("\"ph\":\"B\""));
-        assert!(s.contains("\"ph\":\"E\""));
-        assert!(s.contains("\"ph\":\"i\""));
+        let phases: Vec<&Value> = items.iter().map(|e| field(e, "ph")).collect();
+        let ph = |s: &str| Value::Str(s.to_string());
+        assert_eq!(phases, [&ph("B"), &ph("E"), &ph("i")]);
     }
 
     #[test]
@@ -973,10 +941,11 @@ mod tests {
         assert!(summary.lanes[0].busy_ns > 0);
         assert_eq!(summary.skews_ns.len(), 1);
         assert!(summary.max_skew_ns() > 0);
+        assert_eq!(summary.lanes.len(), 3, "two worker lanes and the driver's");
+        let utilization = summary.lanes[0].utilization(summary.span_ns);
+        assert!(utilization > 0.0 && utilization <= 1.0, "{utilization}");
         let rendered = summary.to_string();
         assert!(rendered.contains("util%"));
         assert!(rendered.contains("(driver)"));
-        let json = serde_json::to_string(&summary.to_json()).unwrap();
-        assert!(json.contains("\"utilization\""));
     }
 }

@@ -101,7 +101,7 @@ impl<B: Backend> Executor<B> {
                 ElemType::Real => st.real.put(DistArray::new(name, dist.clone())),
                 ElemType::Integer => st.int.put(DistArray::new(name, dist.clone())),
             }
-            st.run.registry.note_array_write(name);
+            st.run.stale_ghosts(name);
         }
         Ok(())
     }
@@ -144,7 +144,7 @@ impl<B: Backend> Executor<B> {
                 *arr = DistArray::from_global(name, arr.dist().clone(), values);
                 dads.push(arr.dad());
             }
-            self.state.run.registry.note_array_write(name);
+            self.state.run.stale_ghosts(name);
         }
         // One block of code wrote these arrays (Section 3): an indirection
         // array among them must invalidate the schedules built from it.
@@ -300,5 +300,5 @@ fn remap_aligned<T: Clone + Default + Send + Sync, B: Backend>(
     run.report.arrays_redistributed += 1;
     // The shards moved: any resident ghost-region values for the array are
     // stale regardless of which distribution they were gathered under.
-    run.registry.note_array_write(arr.name());
+    run.stale_ghosts(arr.name());
 }

@@ -5,6 +5,8 @@
 //!
 //! An inspection starts from **one reference table** (`RefTable`), built by
 //! `reference_table` and by nothing else. Before the loop over iterations it
+//! refuses a loop whose indirectly referenced arrays a later ALIGN has
+//! spread over two decompositions, in the front end's words. It then
 //! resolves every name a reference goes through — each slot to a column, to
 //! the extent of the decomposition it indexes and to the values of its
 //! indirection array, each indirection array read once — and checks each
@@ -12,14 +14,12 @@
 //! **distinct index expression** of the plan, not per slot: the edge loop's
 //! `x(e1(i))`, `x(e2(i))`, `y(e1(i))`, `y(e2(i))` are 2 columns, `e1` and
 //! `e2`. A single pass then fills `niters × ncolumns` 0-based globals, a
-//! column at a time, and compares every indirection value with the
-//! smallest extent its column is read at: a short indirection array, a 0
-//! entry or an entry beyond the extent is a typed [`LangError`] naming the
-//! array, the iteration, the value and the extent of the first slot, in
-//! the per-slot check order, that the value does not fit — raised here and
-//! nowhere later. A loop whose indirectly referenced arrays a later ALIGN
-//! has spread over two decompositions is then refused in the front end's
-//! words. The table has two readers, which only index it:
+//! column at a time, and compares every indirection value with the extent
+//! of the one decomposition the indirect slots index: a short indirection
+//! array, a 0 entry or an entry beyond the extent is a typed [`LangError`]
+//! naming the array, the iteration, the value and the extent of the first
+//! slot, in the per-slot check order, that the value does not fit — raised
+//! here and nowhere later. The table has two readers, which only index it:
 //! iteration partitioning takes the leading (placing) columns of each row
 //! as that iteration's `&[u32]`, each column weighted by the number of
 //! placing slots that read it, so the vote still counts a reference per
@@ -109,13 +109,12 @@ struct RefTable {
     placer: Option<usize>,
 }
 
-/// A [`RefTable`] column while the table is built: its index expression,
-/// the indirection values it reads over the loop range (`None` for the
-/// loop variable) and the smallest extent a slot reads it at.
+/// A [`RefTable`] column while the table is built: its index expression
+/// and the indirection values it reads over the loop range (`None` for the
+/// loop variable).
 struct Column<'a> {
     index: &'a Index,
     values: Option<&'a [u32]>,
-    extent: usize,
 }
 
 /// A reader of [`RefTable`] rows for ascending iteration numbers (0-based):
@@ -214,7 +213,6 @@ impl<B: Backend> Executor<B> {
             &mut self.backend,
             &real.0,
             &mut run.regions,
-            &run.registry,
             &record.inspected,
         );
         run_sweep(
@@ -235,14 +233,14 @@ impl<B: Backend> Executor<B> {
     }
 
     /// The loop (one executed block of code) may have written its LHS
-    /// arrays: stamp their DADs and their per-array write stamps.
+    /// arrays: stamp their DADs and mark their resident ghost values stale.
     pub(super) fn stamp_writes(&mut self, plan: &LoopPlan) {
         let ProgramState { real, run, .. } = &mut self.state;
         let written = plan.written_arrays.iter();
         let dads = written.filter_map(|a| real.named(a).map(DistArray::dad));
         run.registry.record_write_block(dads);
         for a in &plan.written_arrays {
-            run.registry.note_array_write(a);
+            run.stale_ghosts(a);
         }
     }
 
@@ -285,6 +283,21 @@ impl<B: Backend> Executor<B> {
             groups.push((GroupSpec::new(plan, decomp.clone(), slot_ids), dist));
         }
 
+        // The front end wants the indirectly referenced arrays on one
+        // decomposition where the loop stands, but a later ALIGN can move
+        // one of them: placement reads every placing column through one
+        // distribution, so an entry that fits only another decomposition's
+        // extent would index that distribution out of range. Refused before
+        // any indirection array is read, every indirect column of an
+        // accepted loop is read at one extent.
+        let indirect_decomps = plan.slots.iter().zip(&group_of_slot);
+        let indirect_decomps = indirect_decomps
+            .filter(|(slot, _)| slot.index != Index::LoopVar)
+            .map(|(_, &g)| groups[g].0.decomp.as_str());
+        if let Some(message) = mixed_decompositions(&plan.label, indirect_decomps) {
+            return Err(LangError::runtime(message));
+        }
+
         // Snapshot each indirection array's global values (1-based) once;
         // reading it costs one pass over it.
         let nprocs = self.backend.nprocs();
@@ -304,12 +317,14 @@ impl<B: Backend> Executor<B> {
         // must reach the last iteration, an indirection array must have an
         // entry for every one — which also bounds the table by the arrays
         // the program already holds. Slots reading one index expression
-        // share its column, the indirect expressions first, and the column
-        // is checked against the smallest extent among them.
+        // share its column, the indirect expressions first.
         let indirect = |sid: &usize| plan.slots[*sid].index != Index::LoopVar;
         let (mut slot_order, direct): (Vec<usize>, Vec<usize>) =
             (0..plan.slots.len()).partition(indirect);
         let placer = slot_order.first().map(|&sid| group_of_slot[sid]);
+        // The extent every indirect column is checked against (unread when
+        // the loop has none).
+        let ind_extent = placer.map_or(0, |g| groups[g].1.len());
         let nplacing = if placer.is_some() {
             slot_order.len()
         } else {
@@ -346,11 +361,9 @@ impl<B: Backend> Executor<B> {
                 columns.push(Column {
                     index: &slot.index,
                     values,
-                    extent,
                 });
                 columns.len() - 1
             });
-            columns[col].extent = columns[col].extent.min(extent);
             col_of_slot[sid] = col;
             if k < nplacing {
                 weights.resize(weights.len().max(col + 1), 0);
@@ -360,10 +373,9 @@ impl<B: Backend> Executor<B> {
 
         // The one pass over the references, a column at a time. 1-based
         // indirection values become 0-based globals, each checked against
-        // the smallest extent its column is read at (a 0 wraps to
-        // `usize::MAX` and fails the same compare). This is the only
-        // validation they get: the partitioner, the inspector and the
-        // kernels trust the table. A failed check names the first slot, in
+        // the indirect slots' extent (a 0 wraps to `usize::MAX` and fails
+        // the same compare). This is the only validation they get: the
+        // partitioner, the inspector and the kernels trust the table. A failed check names the first slot, in
         // check order, that the iteration's value does not fit.
         let width = columns.len();
         let share = niters.div_ceil(nprocs).max(1);
@@ -384,13 +396,13 @@ impl<B: Backend> Executor<B> {
                 let mut fits = true;
                 for (cell, &value) in cells.zip(values) {
                     let global = (value as usize).wrapping_sub(1);
-                    fits &= global < column.extent;
+                    fits &= global < ind_extent;
                     *cell = global as u32;
                 }
                 if !fits {
                     let bad = values
                         .iter()
-                        .position(|&v| (v as usize).wrapping_sub(1) >= column.extent);
+                        .position(|&v| (v as usize).wrapping_sub(1) >= ind_extent);
                     first_bad = first_bad.min(bad.unwrap_or(rows));
                 }
             }
@@ -402,25 +414,12 @@ impl<B: Backend> Executor<B> {
                         || plan.slots[sid].index == Index::LoopVar
                 };
                 let sid = slot_order.iter().find(|sid| !fits(sid));
-                // The column's smallest extent is a slot's, so one fails.
+                // A slot reads the failing column, so one fails.
                 let sid = *sid.unwrap_or(&slot_order[0]);
                 let (slot, extent) = (&plan.slots[sid], extent_of_slot[sid]);
                 return Err(bad_reference(slot, lo + it0, value(sid), extent));
             }
             blocks.push(globals);
-        }
-
-        // The front end wants the indirectly referenced arrays on one
-        // decomposition where the loop stands, but a later ALIGN can move
-        // one of them: placement reads every placing column through one
-        // distribution, so an entry that fits only another decomposition's
-        // extent would index that distribution out of range.
-        let indirect_decomps = plan.slots.iter().zip(&group_of_slot);
-        let indirect_decomps = indirect_decomps
-            .filter(|(slot, _)| slot.index != Index::LoopVar)
-            .map(|(_, &g)| groups[g].0.decomp.as_str());
-        if let Some(message) = mixed_decompositions(&plan.label, indirect_decomps) {
-            return Err(LangError::runtime(message));
         }
 
         Ok(RefTable {
@@ -577,7 +576,6 @@ impl<B: Backend> Executor<B> {
                     sig,
                     array: gb.array.clone(),
                     rows: vec![Vec::new(); nprocs],
-                    era: 0,
                     fresh: Vec::new(),
                 });
                 run.regions.len() - 1

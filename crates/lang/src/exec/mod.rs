@@ -270,7 +270,7 @@ impl<B: Backend> Executor<B> {
     /// measured wall time and the modeled clock. Observing never changes
     /// modeled clocks, values or statistics; with nothing installed each
     /// hook is a single branch. Share the `Arc` to read the timeline
-    /// afterwards — see [`TraceSink::chrome_trace_json`] and
+    /// afterwards — see [`TraceSink::chrome_trace`] and
     /// [`TraceSink::summary`].
     pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
         self.backend.machine_mut().install_trace(Some(sink));
@@ -283,8 +283,8 @@ impl<B: Backend> Executor<B> {
     /// phase-kind transitions feed the cost-model auditor (modeled-vs-wall
     /// drift per [`PhaseKind`](chaos_dmsim::PhaseKind)). Same contract as
     /// [`Executor::with_trace`]. Share the `Arc` and call
-    /// [`MetricsRegistry::snapshot`] / [`MetricsRegistry::audit_report`]
-    /// once the pool is quiescent.
+    /// [`MetricsRegistry::snapshot`] (counters, span histograms and the
+    /// audit rows) once the pool is quiescent.
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.backend.machine_mut().install_metrics(Some(registry));
         self

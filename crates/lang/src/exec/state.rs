@@ -54,9 +54,9 @@ impl<T> ArrayTable<T> {
 /// The resident value rows of one `(distribution, array)` ghost region:
 /// what the shared region currently holds for that array, carried across
 /// loops and sweeps so later loops can fetch only the ghosts earlier loops
-/// didn't. Freshness is tracked per region chunk against the array's write
-/// stamp (`era`): when the stamp moves, every chunk's values are stale and
-/// the next reader of each chunk falls back to a full gather.
+/// didn't. Freshness is tracked per region chunk: a write to the array
+/// marks every chunk stale ([`RunState::stale_ghosts`]), and the next
+/// reader of each chunk falls back to a full gather.
 #[derive(Debug, Clone)]
 pub(crate) struct RegionValues {
     /// The distribution signature of the region the rows mirror.
@@ -66,10 +66,8 @@ pub(crate) struct RegionValues {
     /// Per-rank resident value rows, sized to the region when a loop record
     /// binds to them; sweeps gather into them and lend them in place.
     pub rows: Vec<Vec<f64>>,
-    /// The array write stamp the freshness flags are valid for.
-    pub era: u64,
     /// `fresh[c]` — region chunk `c`'s slots hold the array's current
-    /// values (gathered this era, not overwritten since).
+    /// values (gathered since the array was last written).
     pub fresh: Vec<bool>,
 }
 
@@ -155,6 +153,16 @@ pub(super) struct RunState {
     /// resolved.
     pub regions: Vec<RegionValues>,
     pub report: ExecReport,
+}
+
+impl RunState {
+    /// The named array's values may have changed: no resident ghost-region
+    /// chunk holds them any more, so its next gather fetches in full.
+    pub fn stale_ghosts(&mut self, array: &str) {
+        for rv in self.regions.iter_mut().filter(|rv| rv.array == array) {
+            rv.fresh.fill(false);
+        }
+    }
 }
 
 /// Everything a snapshot holds and a restore puts back; `Clone` *is* the

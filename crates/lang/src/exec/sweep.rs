@@ -25,9 +25,7 @@ use crate::kernel::oracle;
 use crate::kernel::{run_rank, ArrLoc, RankSweepArea, SweepView};
 use crate::lower::LoopPlan;
 use chaos_dmsim::Backend;
-use chaos_runtime::{
-    gather_inline, scatter_combine_rows, scatter_pack_kernel, DistArray, Landing, ReuseRegistry,
-};
+use chaos_runtime::{gather_inline, scatter_combine_rows, scatter_pack_kernel, DistArray, Landing};
 
 /// The sweep's three borrow tables, parked empty between sweeps. A table
 /// holds borrows of one sweep's arrays, so between sweeps it is kept at a
@@ -62,7 +60,6 @@ pub(super) fn gather_ghosts<B: Backend>(
     backend: &mut B,
     real: &[DistArray<f64>],
     regions: &mut [RegionValues],
-    registry: &ReuseRegistry,
     rec: &Inspected,
 ) {
     // If every chunk this binding depends on still holds fresh values for
@@ -73,13 +70,6 @@ pub(super) fn gather_ghosts<B: Backend>(
         let group = &rec.groups[gb.group as usize];
         let (result, rb) = (&group.result, &group.region);
         let (arr, rv) = (&real[arr], &mut regions[rv]);
-        let stamp = registry.array_stamp(&gb.array);
-        if rv.era != stamp {
-            // The array was written since the region rows were last
-            // gathered: every chunk's values are stale for it.
-            rv.era = stamp;
-            rv.fresh.fill(false);
-        }
         let (fetch, landing) = if rb.deps.iter().all(|&c| rv.fresh[c as usize]) {
             // Everything outside this binding's own chunk is resident
             // and fresh: fetch only the ghosts earlier loops didn't.

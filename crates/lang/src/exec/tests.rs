@@ -559,75 +559,16 @@ fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
 }
 
 #[test]
-fn a_reference_read_at_two_extents_is_checked_against_the_smaller() {
-    // One index expression, end_pt1(i), read by slots on two decompositions
-    // of different extents: w on `wide` (60 elements) and x on `reg` (40).
-    // The reference table keeps one column for the expression, checked
-    // against the smaller extent. An entry only `wide` holds must name x,
-    // the slot it does not fit, even though w's slot is checked first; a 0
-    // entry fails w's slot first and names the indirection array. The
-    // front end wants a loop's indirectly referenced arrays on one
-    // decomposition where the loop stands, so a setup program re-ALIGNs w
-    // and the loop then runs on its own. Input that passes the table's
-    // checks then meets the same rule at run time.
-    let decls = r#"
-        REAL*8 x(nnode), y(nnode), w(nedge)
-        INTEGER end_pt1(nedge), end_pt2(nedge)
-        DECOMPOSITION reg(nnode), reg2(nedge), wide(nedge)
-        DISTRIBUTE reg(BLOCK)
-        DISTRIBUTE reg2(BLOCK)
-        DISTRIBUTE wide(BLOCK)
-        ALIGN end_pt1, end_pt2 WITH reg2
-    "#;
-    let setup = format!(
-        "{decls}
-        ALIGN x, y WITH reg
-        ALIGN w WITH wide
-        CALL READ_DATA(x, y, w, end_pt1, end_pt2)"
-    );
-    let forall = format!(
-        "{decls}
-        ALIGN x, y, w WITH reg
-        FORALL i = 1, nedge
-          REDUCE(ADD, y(end_pt2(i)), w(end_pt1(i)) + x(end_pt1(i)))
-        END FORALL"
-    );
-    let lower = |src: &str| lower_program(parse_program(src).unwrap()).unwrap();
-    let (setup, forall) = (lower(&setup), lower(&forall));
-    let (nnode, nedge) = (40, 60);
-    let run = |at: usize, value: u32| {
-        let mut inputs = random_inputs(nnode, nedge).real("w", vec![1.0; nedge]);
-        inputs.int_arrays.get_mut("end_pt1").unwrap()[at] = value;
-        let mut exec = Executor::new(MachineConfig::ipsc860(4), inputs);
-        exec.run(&setup).unwrap();
-        let err = exec.execute_loop(&forall, "L1").unwrap_err();
-        assert_eq!(exec.report().inspector_runs, 0, "nothing saved");
-        err.to_string()
-    };
-    let expected = LangError::runtime(
-        "indirection array 'end_pt1' contains 43 at iteration 6, \
-         beyond the 40 elements of 'x'",
-    );
-    assert_eq!(run(5, 43), expected.to_string());
-    let expected = LangError::runtime(
-        "indirection array 'end_pt1' contains 0 at iteration 8 (values are 1-based)",
-    );
-    assert_eq!(run(7, 0), expected.to_string());
-    let expected = LangError::runtime(
-        "loop L1 indirectly references arrays on different decompositions \
-         ({\"reg\", \"wide\"}); this reproduction requires them to share one",
-    );
-    assert_eq!(run(5, 40), expected.to_string());
-}
-
-#[test]
 fn a_loop_realigned_onto_two_decompositions_is_a_typed_error_on_both_engines() {
-    // x sits on an irregular reg(40) and w, re-ALIGNed after the loop was
-    // checked, on a BLOCK wide(60). end_pt2 is read by w alone, so its
-    // entry 55 fits its column; placement, which reads every placing
-    // column through the first indirect slot's distribution (x's), would
-    // look it up in reg's 40-entry translation table. The executor refuses
-    // the loop as the front end does, before anything is placed.
+    // x sits on reg(40) and w, re-ALIGNed after the loop was checked, on a
+    // BLOCK wide(60). The executor refuses the loop as the front end does,
+    // before an indirection array is read, so whatever the entries hold the
+    // error is the decomposition one. On an irregular reg, end_pt2 is read
+    // by w alone, so its entry 55 fits its own extent; placement, which
+    // reads every placing column through the first indirect slot's
+    // distribution (x's), would look it up in reg's 40-entry translation
+    // table. On a BLOCK reg, end_pt1 is read by both w and x: an entry only
+    // wide holds (43), one neither holds (0) and one both hold (40).
     let decls = r#"
         REAL*8 x(nnode), y(nnode), w(nedge)
         INTEGER end_pt1(nedge), end_pt2(nedge), pmap(nnode)
@@ -638,54 +579,63 @@ fn a_loop_realigned_onto_two_decompositions_is_a_typed_error_on_both_engines() {
         ALIGN pmap WITH regmap
         ALIGN end_pt1, end_pt2 WITH reg2
     "#;
-    let setup = format!(
-        "{decls}
-        CALL READ_DATA(pmap)
-        DISTRIBUTE reg(pmap)
-        ALIGN x, y WITH reg
-        ALIGN w WITH wide
-        CALL READ_DATA(x, y, w, end_pt1, end_pt2)"
-    );
-    let forall = format!(
-        "{decls}
-        ALIGN x, y, w WITH reg
-        FORALL i = 1, nedge
-          REDUCE(ADD, y(end_pt1(i)), x(end_pt1(i)) + w(end_pt2(i)))
-        END FORALL"
-    );
     let lower = |src: &str| lower_program(parse_program(src).unwrap()).unwrap();
-    let (setup, forall) = (lower(&setup), lower(&forall));
+    let setup = |reg: &str| {
+        lower(&format!(
+            "{decls}
+            CALL READ_DATA(pmap)
+            DISTRIBUTE reg({reg})
+            ALIGN x, y WITH reg
+            ALIGN w WITH wide
+            CALL READ_DATA(x, y, w, end_pt1, end_pt2)"
+        ))
+    };
+    let forall = |reduce: &str| {
+        lower(&format!(
+            "{decls}
+            ALIGN x, y, w WITH reg
+            FORALL i = 1, nedge
+              {reduce}
+            END FORALL"
+        ))
+    };
     let (nnode, nedge) = (40, 60);
-    let mut inputs = random_inputs(nnode, nedge)
-        .real("w", vec![1.0; nedge])
-        .int("pmap", (0..nnode as u32).map(|i| (i * 7) % 4).collect());
-    inputs.int_arrays.get_mut("end_pt2").unwrap()[9] = 55;
+    let irregular = (setup("pmap"), "IRREGULAR");
+    let block = (setup("BLOCK"), "BLOCK");
+    let w_alone = forall("REDUCE(ADD, y(end_pt1(i)), x(end_pt1(i)) + w(end_pt2(i)))");
+    let w_and_x = forall("REDUCE(ADD, y(end_pt2(i)), w(end_pt1(i)) + x(end_pt1(i)))");
+    let cases = [
+        (&irregular, &w_alone, "end_pt2", 9, 55),
+        (&block, &w_and_x, "end_pt1", 5, 43),
+        (&block, &w_and_x, "end_pt1", 7, 0),
+        (&block, &w_and_x, "end_pt1", 5, 40),
+    ];
     let expected = LangError::runtime(
         "loop L1 indirectly references arrays on different decompositions \
          ({\"reg\", \"wide\"}); this reproduction requires them to share one",
     );
     fn check<B: Backend>(
         mut exec: Executor<B>,
-        (setup, forall): (&CompiledProgram, &CompiledProgram),
+        ((setup, kind), forall): (&(CompiledProgram, &str), &CompiledProgram),
         expected: &LangError,
     ) {
         exec.run(setup).unwrap();
-        assert_eq!(exec.decomposition("reg").unwrap().kind_name(), "IRREGULAR");
+        assert_eq!(exec.decomposition("reg").unwrap().kind_name(), *kind);
         assert_eq!(exec.execute_loop(forall, "L1").as_ref(), Err(expected));
         assert_eq!(exec.report().inspector_runs, 0, "nothing saved");
         assert_eq!(exec.machine().stats().current_kind(), None);
     }
-    let cfg = MachineConfig::ipsc860(4);
-    check(
-        Executor::new(cfg.clone(), inputs.clone()),
-        (&setup, &forall),
-        &expected,
-    );
-    check(
-        Executor::new_pooled_with_workers(cfg, 3, inputs),
-        (&setup, &forall),
-        &expected,
-    );
+    for (setup, forall, array, at, value) in cases {
+        let mut inputs = random_inputs(nnode, nedge)
+            .real("w", vec![1.0; nedge])
+            .int("pmap", (0..nnode as u32).map(|i| (i * 7) % 4).collect());
+        inputs.int_arrays.get_mut(array).unwrap()[at] = value;
+        let cfg = MachineConfig::ipsc860(4);
+        let machine = Executor::new(cfg.clone(), inputs.clone());
+        check(machine, (setup, forall), &expected);
+        let pool = Executor::new_pooled_with_workers(cfg, 3, inputs);
+        check(pool, (setup, forall), &expected);
+    }
 }
 
 #[test]

@@ -427,7 +427,6 @@ mod tests {
             sig,
             array: "x".to_string(),
             rows: vec![region],
-            era: 0,
             fresh: Vec::new(),
         }];
         let x = [(0..owned)

@@ -55,8 +55,8 @@ pub mod parser;
 
 pub use ast::{Program, Stmt};
 pub use chaos_dmsim::{
-    AuditReport, Counter, EngineKind, Fault, FaultKind, FaultPlan, MetricsRegistry,
-    MetricsSnapshot, PhaseError, SpanKind, TraceEvent, TraceEventKind, TraceSink, TraceSummary,
+    AuditReport, Counter, Fault, FaultKind, FaultPlan, MetricsRegistry, MetricsSnapshot,
+    PhaseError, SpanKind, TraceEvent, TraceEventKind, TraceSink, TraceSummary,
 };
 pub use error::LangError;
 pub use exec::{

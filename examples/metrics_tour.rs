@@ -2,18 +2,16 @@
 //! pooled executor sweep.
 //!
 //! Runs the Fortran-D-like edge-flux template on the worker-pool engine
-//! with a [`MetricsRegistry`] installed, then shows the three exposition
+//! with a [`MetricsRegistry`] installed, then shows the two exposition
 //! surfaces the registry offers:
 //!
 //! 1. the **human-readable snapshot** — counters (epochs, kernel/combine
 //!    runs, barrier waits, pack volume, worker releases) plus the
 //!    cost-model audit table ranking phase kinds by modeled-vs-wall drift,
 //! 2. the **Prometheus text exposition** — `chaos_*_total` counters,
-//!    per-engine/span/phase latency histograms and `chaos_model_drift_*`
-//!    gauges, ready for a scrape endpoint (pass an output path as the
-//!    first argument to write it to a file),
-//! 3. the **JSON snapshot** — the same data as one machine-readable value
-//!    tree for dashboards and the bench harness.
+//!    per-span/phase latency histograms and `chaos_model_*` gauges, the
+//!    machine-readable scrape (pass an output path as the first argument
+//!    to write it to a file).
 //!
 //! Metering is an observer: the metered run is bit-identical to a bare
 //! one (asserted here on the modeled clock).
@@ -97,16 +95,16 @@ fn main() {
     assert!(!snap.spans.is_empty(), "span histograms recorded");
     println!("{snap}");
 
-    let audit = registry.audit_report();
-    if let Some(worst) = audit.worst() {
+    // The audit rows are sorted worst offender first.
+    if let Some(worst) = snap.audit.rows.first() {
         println!(
             "worst cost-model offender: {:?} (drift {:.3}, {} samples)",
             worst.kind, worst.drift, worst.samples
         );
     }
 
-    // Surface 3: the wall clocks this container spent vs the modeled
-    // iPSC/860 clocks the paper's tables report.
+    // The wall clocks this host spent vs the modeled iPSC/860 clocks the
+    // paper's tables report.
     println!(
         "\nmodeled {:.3} ms across {} epochs ({} ranks on {} pool lanes)",
         metered_modeled * 1e3,
@@ -115,7 +113,7 @@ fn main() {
         WORKERS,
     );
 
-    // Surface 2: the Prometheus text exposition (and the JSON twin).
+    // Surface 2: the Prometheus text exposition.
     let prom = snap.prometheus_text();
     assert!(prom.contains("chaos_epochs_total"), "counter exposition");
     assert!(
@@ -123,21 +121,14 @@ fn main() {
         "histogram exposition"
     );
     assert!(prom.contains("chaos_model_drift_ratio"), "audit exposition");
-    let json = snap.to_json();
-    assert!(
-        json.starts_with('{') && json.ends_with('}'),
-        "JSON snapshot"
-    );
     match out_path {
         Some(path) => {
             std::fs::write(&path, &prom).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
             println!("wrote Prometheus exposition to {path}");
         }
         None => println!(
-            "pass an output path to write the {}-byte Prometheus exposition \
-             ({} bytes of JSON twin available via snapshot().to_json())",
-            prom.len(),
-            json.len()
+            "pass an output path to write the {}-byte Prometheus exposition",
+            prom.len()
         ),
     }
 }

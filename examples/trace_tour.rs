@@ -21,6 +21,7 @@
 //! Run with `cargo run --example trace_tour --release [-- trace.json]`.
 
 use chaos_lang::{lower_program, parse_program, Executor, ProgramInputs, TraceSink};
+use chaos_repro::dmsim::serde_json;
 use chaos_repro::prelude::*;
 use chaos_workloads::{MeshConfig, UnstructuredMesh};
 use std::sync::Arc;
@@ -107,16 +108,17 @@ fn main() {
     );
 
     // Surface 2: the Chrome-trace export.
+    let chrome = serde_json::to_string(&sink.chrome_trace()).expect("chrome trace serializes");
     match out_path {
         Some(path) => {
-            std::fs::write(&path, sink.chrome_trace_json())
+            std::fs::write(&path, &chrome)
                 .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
             println!("wrote Chrome trace to {path} — open it in chrome://tracing or Perfetto");
         }
         None => println!(
             "pass an output path to write the {}-byte Chrome trace \
              (cargo run --example trace_tour --release -- trace.json)",
-            sink.chrome_trace_json().len()
+            chrome.len()
         ),
     }
 }
