@@ -275,14 +275,10 @@ impl MapperCoupler {
         }
         machine.end_phase(phase);
 
-        // The new irregular distribution uses the CHAOS-style distributed
-        // (paged) translation table, so subsequent inspectors pay the
-        // dereference communication the paper measures.
-        let distribution = Distribution::irregular_from_map_with_policy(
-            partitioning.owners(),
-            nprocs,
-            crate::ttable::TTablePolicy::Distributed,
-        );
+        // The new irregular distribution's paged translation table makes
+        // subsequent inspectors pay the dereference communication the paper
+        // measures.
+        let distribution = Distribution::irregular_from_map(partitioning.owners(), nprocs);
         machine.set_phase_kind(prev);
         PartitionOutcome {
             partitioning,
@@ -463,7 +459,7 @@ mod tests {
         assert_eq!(x.to_global(), data, "redistribution preserves values");
         assert!(moved > 0);
         assert!(registry.nmod() > nmod_before);
-        assert_ne!(x.dad().signature(), old_dad.signature());
+        assert_ne!(x.dad(), old_dad);
         assert!(f.machine.stats().totals_for(PhaseKind::Remap).phases > 0);
     }
 

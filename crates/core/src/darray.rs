@@ -241,8 +241,8 @@ mod tests {
     fn dad_reflects_distribution() {
         let a: DistArray<f64> = DistArray::new("x", Distribution::block(10, 2));
         let b: DistArray<f64> = DistArray::new("y", Distribution::block(10, 2));
-        assert_eq!(a.dad().signature(), b.dad().signature());
-        assert_eq!(a.dad().dist_kind, "BLOCK");
+        assert_eq!(a.dad(), b.dad());
+        assert_eq!(a.dad(), Dad::Block { n: 10, p: 2 });
     }
 
     #[test]

@@ -49,26 +49,13 @@ impl Distribution {
     }
 
     /// An irregular distribution built directly from a map array
-    /// (`map[i]` = owning processor of global element `i`), using a
-    /// replicated translation table.
+    /// (`map[i]` = owning processor of global element `i`), through a new
+    /// paged translation table: lookups on other processors' pages cost a
+    /// request/response message pair, the inspector cost the paper's tables
+    /// show.
     pub fn irregular_from_map(map: &[u32], p: usize) -> Self {
         Distribution::Irregular {
             table: Arc::new(TranslationTable::from_map(map, p)),
-        }
-    }
-
-    /// An irregular distribution with an explicit translation-table layout
-    /// policy. The CHAOS default (and the mapper coupler's choice) is the
-    /// distributed, paged table: lookups for other processors' pages cost a
-    /// request/response message pair, which is the dominant inspector cost
-    /// the paper's tables show.
-    pub fn irregular_from_map_with_policy(
-        map: &[u32],
-        p: usize,
-        policy: crate::ttable::TTablePolicy,
-    ) -> Self {
-        Distribution::Irregular {
-            table: Arc::new(TranslationTable::from_map_with_policy(map, p, policy)),
         }
     }
 
@@ -164,41 +151,17 @@ impl Distribution {
             Distribution::Irregular { table } => table.local_size(proc),
         }
     }
-
-    /// Global indices owned by `proc`, in ascending local-offset order.
-    pub fn owned_globals(&self, proc: usize) -> Vec<usize> {
-        match self {
-            Distribution::Block { n, p } => {
-                let b = Self::block_size(*n, *p);
-                let start = (proc * b).min(*n);
-                let end = ((proc + 1) * b).min(*n);
-                (start..end).collect()
-            }
-            Distribution::Cyclic { n, p } => (proc..*n).step_by(*p).collect(),
-            Distribution::Irregular { table } => table.owned_globals(proc),
-        }
-    }
-
-    /// A stable signature identifying this distribution for DAD comparison.
-    /// Two block (or cyclic) distributions of the same size over the same
-    /// processor count are identical; irregular distributions are identified
-    /// by their translation table's unique id (a remap always produces a new
-    /// table, hence a new signature — exactly the paper's "if the array is
-    /// remapped, DAD(a) changes").
-    pub fn signature(&self) -> u64 {
-        match self {
-            Distribution::Block { n, p } => 0x1000_0000_0000_0000 | ((*n as u64) << 20) | *p as u64,
-            Distribution::Cyclic { n, p } => {
-                0x2000_0000_0000_0000 | ((*n as u64) << 20) | *p as u64
-            }
-            Distribution::Irregular { table } => 0x3000_0000_0000_0000 | table.id(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dad::Dad;
+
+    /// The globals `d` places on `proc`, in ascending global order.
+    fn owned(d: &Distribution, proc: usize) -> Vec<usize> {
+        (0..d.len()).filter(|&g| d.owner(g) == proc).collect()
+    }
 
     #[test]
     fn block_distribution_layout() {
@@ -214,8 +177,8 @@ mod tests {
         assert_eq!(d.locate(2), (0, 2));
         assert_eq!(d.locate(3), (1, 0));
         assert_eq!(d.locate(9), (3, 0));
-        assert_eq!(d.owned_globals(1), vec![3, 4, 5]);
-        assert_eq!(d.owned_globals(3), vec![9]);
+        assert_eq!(owned(&d, 1), vec![3, 4, 5]);
+        assert_eq!(owned(&d, 3), vec![9]);
     }
 
     #[test]
@@ -236,7 +199,7 @@ mod tests {
         assert_eq!(d.locate(0), (0, 0));
         assert_eq!(d.locate(4), (0, 1));
         assert_eq!(d.locate(7), (3, 1));
-        assert_eq!(d.owned_globals(1), vec![1, 5, 9]);
+        assert_eq!(owned(&d, 1), vec![1, 5, 9]);
     }
 
     #[test]
@@ -253,11 +216,11 @@ mod tests {
         assert_eq!(d.local_size(0), 2);
         assert_eq!(d.local_size(1), 2);
         assert_eq!(d.local_size(2), 2);
-        assert_eq!(d.owned_globals(2), vec![0, 4]);
+        assert_eq!(owned(&d, 2), vec![0, 4]);
     }
 
     #[test]
-    fn owned_globals_and_locate_are_consistent() {
+    fn locate_numbers_each_ranks_elements_densely() {
         for d in [
             Distribution::block(23, 4),
             Distribution::cyclic(23, 4),
@@ -267,7 +230,9 @@ mod tests {
             ),
         ] {
             for p in 0..4 {
-                for (off, g) in d.owned_globals(p).iter().enumerate() {
+                let mine = owned(&d, p);
+                assert_eq!(mine.len(), d.local_size(p), "{} rank {p}", d.kind_name());
+                for (off, g) in mine.iter().enumerate() {
                     assert_eq!(d.locate(*g), (p, off), "{} idx {g}", d.kind_name());
                 }
             }
@@ -277,20 +242,22 @@ mod tests {
     }
 
     #[test]
-    fn signatures_distinguish_kinds_and_sizes() {
+    fn dads_distinguish_kinds_sizes_and_tables() {
         let a = Distribution::block(100, 4);
         let b = Distribution::block(100, 4);
         let c = Distribution::block(101, 4);
         let d = Distribution::cyclic(100, 4);
-        assert_eq!(a.signature(), b.signature());
-        assert_ne!(a.signature(), c.signature());
-        assert_ne!(a.signature(), d.signature());
+        let e = Distribution::block(100, 5);
+        assert_eq!(Dad::of(&a), Dad::of(&b));
+        assert_ne!(Dad::of(&a), Dad::of(&c));
+        assert_ne!(Dad::of(&a), Dad::of(&d));
+        assert_ne!(Dad::of(&a), Dad::of(&e));
         let m = vec![0u32; 100];
         let i1 = Distribution::irregular_from_map(&m, 4);
         let i2 = Distribution::irregular_from_map(&m, 4);
         // Each irregular build is a *new* mapping event and therefore a new DAD.
-        assert_ne!(i1.signature(), i2.signature());
-        assert_eq!(i1.signature(), i1.clone().signature());
+        assert_ne!(Dad::of(&i1), Dad::of(&i2));
+        assert_eq!(Dad::of(&i1), Dad::of(&i1.clone()));
     }
 
     #[test]

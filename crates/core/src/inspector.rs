@@ -237,7 +237,7 @@ impl Inspector {
         // distributions it is rank-local arithmetic.
         match data_dist {
             Distribution::Irregular { table } => {
-                table.dereference_packed(backend, &pattern.refs, &mut scratch.located);
+                table.dereference(backend, &pattern.refs, &mut scratch.located);
             }
             _ => {
                 scratch.located.resize_with(nprocs, Vec::new);

@@ -557,7 +557,9 @@ mod tests {
                 Distribution::cyclic(n, nprocs),
                 Distribution::irregular_from_map(&map, nprocs),
             ] {
-                let owned: Vec<Vec<usize>> = (0..nprocs).map(|p| d.owned_globals(p)).collect();
+                let owned: Vec<Vec<usize>> = (0..nprocs)
+                    .map(|p| (0..n).filter(|&g| d.owner(g) == p).collect())
+                    .collect();
                 let rows: Vec<Vec<u32>> = (0..120)
                     .map(|i| {
                         if i % 3 != 0 {

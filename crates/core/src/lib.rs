@@ -79,7 +79,7 @@ pub mod ttable;
 
 pub use ckpt::charge_checkpoint;
 pub use coupler::{GeoColSpec, MapperCoupler, PartitionOutcome};
-pub use dad::{Dad, DadSignature};
+pub use dad::Dad;
 pub use darray::DistArray;
 pub use dist::Distribution;
 pub use executor::{
@@ -91,9 +91,9 @@ pub use inspector::{
 };
 pub use iterpart::{IterPartitionPolicy, IterationPartition};
 pub use remap::remap;
-pub use reuse::{GhostRegion, LoopId, LoopRecord, RegionBinding, ReuseDecision, ReuseRegistry};
+pub use reuse::{GhostRegion, LoopId, RegionBinding, ReuseDecision, ReuseRegistry};
 pub use schedule::{charge_request_exchange, CommSchedule, SendRef};
-pub use ttable::{TTablePolicy, TranslationTable};
+pub use ttable::TranslationTable;
 
 /// Convenient prelude for downstream crates and examples.
 pub mod prelude {

@@ -136,6 +136,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dad::Dad;
     use chaos_dmsim::{Machine, MachineConfig};
 
     #[test]
@@ -147,7 +148,7 @@ mod tests {
         let new_dist = Distribution::irregular_from_map(&map, 4);
         let moved = remap(&mut m, &mut a, new_dist);
         assert_eq!(a.to_global(), data, "values survive the remap");
-        assert_eq!(a.dad().dist_kind, "IRREGULAR");
+        assert!(matches!(a.dad(), Dad::Irregular { .. }));
         assert!(moved > 0);
         assert!(m.stats().grand_totals().messages > 0);
     }
@@ -184,10 +185,10 @@ mod tests {
             Distribution::block(8, 2),
             &(0..8).map(|i| i as f64).collect::<Vec<_>>(),
         );
-        let before = a.dad().signature();
+        let before = a.dad();
         let map: Vec<u32> = (0..8).map(|i| (i % 2) as u32).collect();
         remap(&mut m, &mut a, Distribution::irregular_from_map(&map, 2));
-        assert_ne!(a.dad().signature(), before);
+        assert_ne!(a.dad(), before);
     }
 
     #[test]

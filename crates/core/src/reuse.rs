@@ -20,7 +20,7 @@
 //! been written since the last inspector. Anything else conservatively
 //! triggers a fresh inspector.
 
-use crate::dad::{Dad, DadSignature};
+use crate::dad::Dad;
 use crate::schedule::CommSchedule;
 use chaos_dmsim::{collectives, Machine};
 use std::borrow::Borrow;
@@ -85,16 +85,16 @@ impl std::fmt::Display for LoopId {
     }
 }
 
-/// What a loop's inspector recorded the last time it ran: the comparison
-/// signature of each DAD (all the guard ever compares) and the stamps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoopRecord {
-    /// The signature of `L.DAD(x_i)` for each data array.
-    pub data_sigs: Vec<DadSignature>,
-    /// The signature of `L.DAD(ind_j)` for each indirection array.
-    pub ind_sigs: Vec<DadSignature>,
+/// What a loop's inspector recorded the last time it ran: the DADs and the
+/// indirection arrays' stamps.
+#[derive(Debug, Clone)]
+struct LoopRecord {
+    /// `L.DAD(x_i)` for each data array.
+    data: Vec<Dad>,
+    /// `L.DAD(ind_j)` for each indirection array.
+    ind: Vec<Dad>,
     /// `L.last_mod(DAD(ind_j))` for each indirection array.
-    pub ind_stamps: Vec<u64>,
+    ind_stamps: Vec<u64>,
 }
 
 /// Why an inspector had to be re-run.
@@ -140,8 +140,8 @@ impl ReuseDecision {
     }
 }
 
-/// The union of ghost elements every loop over one distribution signature
-/// has bound so far — the shared resident ghost region incremental
+/// The union of ghost elements every loop over one distribution's DAD has
+/// bound so far — the shared resident ghost region incremental
 /// schedules fetch into.
 ///
 /// The region is **append-only**: a [`ReuseRegistry::region_bind`] that
@@ -251,8 +251,8 @@ impl GhostRegion {
 /// ghost slots map into the region rows.
 #[derive(Debug, Clone)]
 pub struct RegionBinding {
-    /// The distribution signature whose region this binds into.
-    pub sig: DadSignature,
+    /// The DAD of the distribution whose region this binds into.
+    pub dad: Dad,
     /// The chunk this bind appended: what a fetch of
     /// [`RegionBinding::diff`] makes value-fresh. `None` when nothing was
     /// missing — `diff` is empty and there is nothing to mark.
@@ -275,12 +275,12 @@ pub struct RegionBinding {
 #[derive(Debug, Clone, Default)]
 pub struct ReuseRegistry {
     nmod: u64,
-    last_mod: HashMap<DadSignature, u64>,
+    last_mod: HashMap<Dad, u64>,
     /// Per-loop records, dense-indexed by [`LoopId::index`] — the per-sweep
     /// reuse check is a bounds-checked array load, never a string hash.
     records: Vec<Option<LoopRecord>>,
-    /// Shared resident ghost regions, one per distribution signature.
-    regions: HashMap<DadSignature, GhostRegion>,
+    /// Shared resident ghost regions, one per distribution DAD.
+    regions: HashMap<Dad, GhostRegion>,
 }
 
 impl ReuseRegistry {
@@ -296,11 +296,7 @@ impl ReuseRegistry {
 
     /// `last_mod` for a DAD (0 when never written).
     pub fn last_mod(&self, dad: &Dad) -> u64 {
-        self.stamp_of(dad.signature())
-    }
-
-    fn stamp_of(&self, sig: DadSignature) -> u64 {
-        self.last_mod.get(&sig).copied().unwrap_or(0)
+        self.last_mod.get(dad).copied().unwrap_or(0)
     }
 
     /// Record that one block of code (a loop, an array intrinsic or a
@@ -312,7 +308,7 @@ impl ReuseRegistry {
         let stamp = self.nmod + 1;
         for dad in dads {
             self.nmod = stamp;
-            self.last_mod.insert(dad.borrow().signature(), stamp);
+            self.last_mod.insert(*dad.borrow(), stamp);
         }
     }
 
@@ -330,20 +326,17 @@ impl ReuseRegistry {
     }
 
     /// Store what loop `id`'s inspector saw (call right after running the
-    /// inspector): the signature of every DAD and the indirection arrays'
-    /// current stamps.
+    /// inspector): every DAD and the indirection arrays' current stamps.
     pub fn save_inspector<D, I>(&mut self, id: LoopId, data_dads: D, ind_dads: I)
     where
         D: IntoIterator<Item: Borrow<Dad>>,
         I: IntoIterator<Item: Borrow<Dad>>,
     {
-        let data_sigs = data_dads.into_iter().map(|d| d.borrow().signature());
-        let ind_sigs = ind_dads.into_iter().map(|d| d.borrow().signature());
-        let ind_sigs: Vec<DadSignature> = ind_sigs.collect();
+        let ind: Vec<Dad> = ind_dads.into_iter().map(|d| *d.borrow()).collect();
         let record = LoopRecord {
-            data_sigs: data_sigs.collect(),
-            ind_stamps: ind_sigs.iter().map(|&sig| self.stamp_of(sig)).collect(),
-            ind_sigs,
+            data: data_dads.into_iter().map(|d| *d.borrow()).collect(),
+            ind_stamps: ind.iter().map(|dad| self.last_mod(dad)).collect(),
+            ind,
         };
         if self.records.len() <= id.index() {
             self.records.resize_with(id.index() + 1, || None);
@@ -352,7 +345,7 @@ impl ReuseRegistry {
     }
 
     /// The saved record for a loop, if any.
-    pub fn record(&self, id: &LoopId) -> Option<&LoopRecord> {
+    fn record(&self, id: &LoopId) -> Option<&LoopRecord> {
         self.records.get(id.index()).and_then(Option::as_ref)
     }
 
@@ -369,26 +362,26 @@ impl ReuseRegistry {
         let Some(record) = self.record(id) else {
             return ReuseDecision::Rerun(vec![RerunReason::FirstExecution]);
         };
-        if record.data_sigs.len() != data.len() || record.ind_sigs.len() != ind.len() {
+        if record.data.len() != data.len() || record.ind.len() != ind.len() {
             return ReuseDecision::Rerun(vec![RerunReason::ShapeChanged]);
         }
         let mut reasons = Vec::new();
         // Condition 1: DAD(x_i) == L.DAD(x_i)
-        for (index, (cur, saved)) in data.zip(&record.data_sigs).enumerate() {
-            if cur.borrow().signature() != *saved {
+        for (index, (cur, saved)) in data.zip(&record.data).enumerate() {
+            if cur.borrow() != saved {
                 reasons.push(RerunReason::DataDadChanged { index });
             }
         }
         // Condition 2: DAD(ind_j) == L.DAD(ind_j), and condition 3:
         // last_mod(DAD(ind_j)) == L.last_mod(DAD(ind_j)), reported after it.
         let mut modified = Vec::new();
-        let saved = record.ind_sigs.iter().zip(&record.ind_stamps);
+        let saved = record.ind.iter().zip(&record.ind_stamps);
         for (index, (cur, (saved, &stamp))) in ind.zip(saved).enumerate() {
-            let sig = cur.borrow().signature();
-            if sig != *saved {
+            let cur = cur.borrow();
+            if cur != saved {
                 reasons.push(RerunReason::IndirectionDadChanged { index });
             }
-            if self.stamp_of(sig) != stamp {
+            if self.last_mod(cur) != stamp {
                 modified.push(RerunReason::IndirectionModified { index });
             }
         }
@@ -423,8 +416,8 @@ impl ReuseRegistry {
         self.check(id, data, ind)
     }
 
-    /// Bind a loop's schedule into the shared resident ghost region of
-    /// distribution signature `sig`, creating the region on first use.
+    /// Bind a loop's schedule into the shared resident ghost region of the
+    /// distribution whose DAD is `dad`, creating the region on first use.
     ///
     /// The loop's still-missing sources are appended as a new chunk; when
     /// none are missing — the same loop re-inspected over unchanged
@@ -434,11 +427,11 @@ impl ReuseRegistry {
     /// and the earlier chunks whose values the loop piggybacks on. Purely
     /// local bookkeeping — no communication is charged here; the caller owns
     /// the (folded) request exchange for `diff`.
-    pub fn region_bind(&mut self, sig: DadSignature, schedule: &CommSchedule) -> RegionBinding {
+    pub fn region_bind(&mut self, dad: Dad, schedule: &CommSchedule) -> RegionBinding {
         let nprocs = schedule.nprocs();
         let region = self
             .regions
-            .entry(sig)
+            .entry(dad)
             .or_insert_with(|| GhostRegion::empty(nprocs));
         assert_eq!(
             region.resident.nprocs(),
@@ -470,7 +463,7 @@ impl ReuseRegistry {
         });
         region.resident = merged;
         let bind = RegionBinding {
-            sig,
+            dad,
             chunk,
             deps,
             slot_map,
@@ -483,10 +476,10 @@ impl ReuseRegistry {
         bind
     }
 
-    /// The resident ghost region for a distribution signature, if any loop
-    /// has bound into it.
-    pub fn region(&self, sig: DadSignature) -> Option<&GhostRegion> {
-        self.regions.get(&sig)
+    /// The resident ghost region for a distribution's DAD, if any loop has
+    /// bound into it.
+    pub fn region(&self, dad: Dad) -> Option<&GhostRegion> {
+        self.regions.get(&dad)
     }
 }
 
@@ -532,7 +525,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let data = block_dad(100);
         let ind = block_dad(300);
-        reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
+        reg.save_inspector(LoopId::new("L"), [data], [ind]);
         let d = reg.check(&LoopId::new("L"), &[data], &[ind]);
         assert!(d.can_reuse());
     }
@@ -542,7 +535,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let data = block_dad(100);
         let ind = block_dad(300);
-        reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
+        reg.save_inspector(LoopId::new("L"), [data], [ind]);
         // Some loop writes an array with the indirection array's DAD.
         reg.record_write(&ind);
         let d = reg.check(&LoopId::new("L"), &[data], &[ind]);
@@ -561,7 +554,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let data = block_dad(100);
         let ind = block_dad(300);
-        reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
+        reg.save_inspector(LoopId::new("L"), [data], [ind]);
         reg.record_write(&data);
         reg.record_write(&data);
         assert!(reg.check(&LoopId::new("L"), &[data], &[ind]).can_reuse());
@@ -576,7 +569,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let ind = block_dad(300);
         let same_dad_other_array = block_dad(300);
-        reg.save_inspector(LoopId::new("L"), vec![block_dad(100)], vec![ind.clone()]);
+        reg.save_inspector(LoopId::new("L"), [block_dad(100)], [ind]);
         reg.record_write(&same_dad_other_array);
         assert!(!reg
             .check(&LoopId::new("L"), &[block_dad(100)], &[ind])
@@ -588,7 +581,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let data_old = Dad::of(&Distribution::block(100, 4));
         let ind = block_dad(300);
-        reg.save_inspector(LoopId::new("L"), vec![data_old.clone()], vec![ind.clone()]);
+        reg.save_inspector(LoopId::new("L"), [data_old], [ind]);
         // Remap: the data array now has an irregular distribution.
         let map: Vec<u32> = (0..100).map(|i| (i % 4) as u32).collect();
         let data_new = Dad::of(&Distribution::irregular_from_map(&map, 4));
@@ -605,7 +598,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let data = block_dad(100);
         let ind = block_dad(300);
-        reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
+        reg.save_inspector(LoopId::new("L"), [data], [ind]);
         reg.record_write(&ind);
         assert!(!reg
             .check(
@@ -615,7 +608,7 @@ mod tests {
             )
             .can_reuse());
         // Re-run the inspector (records the new stamp).
-        reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
+        reg.save_inspector(LoopId::new("L"), [data], [ind]);
         assert!(reg.check(&LoopId::new("L"), &[data], &[ind]).can_reuse());
     }
 
@@ -624,8 +617,8 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let data = block_dad(100);
         let ind = block_dad(300);
-        reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
-        let d = reg.check(&LoopId::new("L"), &[data.clone(), data.clone()], &[ind]);
+        reg.save_inspector(LoopId::new("L"), [data], [ind]);
+        let d = reg.check(&LoopId::new("L"), &[data, data], &[ind]);
         assert_eq!(d, ReuseDecision::Rerun(vec![RerunReason::ShapeChanged]));
     }
 
@@ -665,11 +658,11 @@ mod tests {
     #[test]
     fn region_bind_appends_chunks_and_diffs_against_residents() {
         let mut reg = ReuseRegistry::new();
-        let sig = block_dad(64).signature();
+        let dad = block_dad(64);
         let a = sched2(vec![(1, 3), (1, 5)], vec![(0, 0)]);
         let b = sched2(vec![(1, 5), (1, 7)], vec![(0, 0), (0, 2)]);
         // First bind: everything is missing; identity binding at base 0.
-        let ra = reg.region_bind(sig, &a);
+        let ra = reg.region_bind(dad, &a);
         assert_eq!(ra.chunk, Some(0));
         assert!(ra.deps.is_empty());
         assert_eq!(ra.base, vec![0, 0]);
@@ -677,7 +670,7 @@ mod tests {
         assert_eq!(ra.slot_map, vec![vec![0, 1], vec![0]]);
         // Second bind: only (1,7) on proc 0 and (0,2) on proc 1 are new;
         // the shared slots come from chunk 0.
-        let rb = reg.region_bind(sig, &b);
+        let rb = reg.region_bind(dad, &b);
         assert_eq!(rb.chunk, Some(1));
         assert_eq!(rb.deps, vec![0]);
         assert_eq!(rb.base, vec![2, 1]);
@@ -688,15 +681,15 @@ mod tests {
         // slot 2.
         assert_eq!(rb.slot_map[0], vec![1, 2]);
         assert_eq!(rb.slot_map[1], vec![0, 1]);
-        let region = reg.region(sig).unwrap();
+        let region = reg.region(dad).unwrap();
         assert_eq!(region.nchunks(), 2);
         assert_eq!(region.size(0), 3);
         assert_eq!(region.size(1), 2);
         // A fully covered third loop appends no chunk and fetches nothing.
-        let rc = reg.region_bind(sig, &sched2(vec![(1, 3)], vec![]));
+        let rc = reg.region_bind(dad, &sched2(vec![(1, 3)], vec![]));
         assert_eq!(rc.diff.total_ghosts(), 0);
         assert_eq!((rc.chunk, rc.deps), (None, vec![0]));
-        let region = reg.region(sig).unwrap();
+        let region = reg.region(dad).unwrap();
         assert_eq!(
             (region.nchunks(), region.size(0)),
             (2, 3),
@@ -708,10 +701,10 @@ mod tests {
     /// assert that `check_binding` panics naming `invariant`.
     fn assert_breaks(invariant: &str, corrupt: impl FnOnce(&mut GhostRegion, &mut RegionBinding)) {
         let mut reg = ReuseRegistry::new();
-        let sig = block_dad(64).signature();
-        let _ = reg.region_bind(sig, &sched2(vec![(1, 3), (1, 5)], vec![(0, 0)]));
-        let mut bind = reg.region_bind(sig, &sched2(vec![(1, 5), (1, 7)], vec![(0, 2)]));
-        let mut region = reg.region(sig).unwrap().clone();
+        let dad = block_dad(64);
+        let _ = reg.region_bind(dad, &sched2(vec![(1, 3), (1, 5)], vec![(0, 0)]));
+        let mut bind = reg.region_bind(dad, &sched2(vec![(1, 5), (1, 7)], vec![(0, 2)]));
+        let mut region = reg.region(dad).unwrap().clone();
         region.check_binding(&bind);
         corrupt(&mut region, &mut bind);
         let payload =
@@ -743,26 +736,67 @@ mod tests {
         // stay put — earlier offsets into the region remain valid — and
         // only the sources it did not hold before are appended.
         let mut reg = ReuseRegistry::new();
-        let sig = block_dad(64).signature();
-        let _ = reg.region_bind(sig, &sched2(vec![(1, 3)], vec![]));
+        let dad = block_dad(64);
+        let _ = reg.region_bind(dad, &sched2(vec![(1, 3)], vec![]));
         let changed = sched2(vec![(1, 4)], vec![]);
-        let r2 = reg.region_bind(sig, &changed);
+        let r2 = reg.region_bind(dad, &changed);
         assert_eq!(r2.chunk, Some(1));
         assert_eq!(r2.base, vec![1, 0], "the earlier chunk keeps its slots");
-        assert_eq!(reg.region(sig).unwrap().size(0), 2);
+        assert_eq!(reg.region(dad).unwrap().size(0), 2);
         // Re-inspecting the unchanged loop — every sweep, with reuse off —
         // grows nothing: no chunk, no slot, the same binding each time.
         for _ in 0..50 {
-            let again = reg.region_bind(sig, &changed);
+            let again = reg.region_bind(dad, &changed);
             assert_eq!((again.chunk, &again.deps), (None, &vec![1]));
             assert_eq!(again.slot_map, r2.slot_map);
             assert_eq!(again.diff.total_ghosts(), 0);
         }
-        let region = reg.region(sig).unwrap();
+        let region = reg.region(dad).unwrap();
         assert_eq!((region.nchunks(), region.size(0)), (2, 2));
-        // A different signature gets an independent region.
-        let other = block_dad(128).signature();
+        // A different DAD gets an independent region.
+        let other = block_dad(128);
         assert!(reg.region(other).is_none());
+    }
+
+    /// An irregular distribution of `n` elements, all on rank 0.
+    fn irregular(n: usize) -> Distribution {
+        Distribution::irregular_from_map(&vec![0; n], 2)
+    }
+
+    fn table_id(dist: &Distribution) -> u64 {
+        match dist {
+            Distribution::Irregular { table } => table.id(),
+            _ => unreachable!("an irregular distribution"),
+        }
+    }
+
+    #[test]
+    fn distinct_tables_get_distinct_dads() {
+        // Tables of 70 000 and 4 464 elements with ids 2k and 2k + 1 — a
+        // pair that size-and-id bit packing folds into one value. Other
+        // tests build tables concurrently, so draw until the ids line up.
+        let (a, b) = loop {
+            let a = irregular(70_000);
+            if !table_id(&a).is_multiple_of(2) {
+                continue;
+            }
+            let b = irregular(4_464);
+            if table_id(&b) == table_id(&a) + 1 {
+                break (Dad::of(&a), Dad::of(&b));
+            }
+        };
+        assert_ne!(a, b);
+        let mut reg = ReuseRegistry::new();
+        reg.record_write(&a);
+        assert_eq!((reg.last_mod(&a), reg.last_mod(&b)), (1, 0));
+        let schedule = sched2(vec![(1, 3)], vec![(0, 0)]);
+        let (ra, rb) = (reg.region_bind(a, &schedule), reg.region_bind(b, &schedule));
+        assert_eq!(
+            (ra.chunk, rb.chunk),
+            (Some(0), Some(0)),
+            "each fetches into its own region"
+        );
+        assert_eq!(reg.regions.len(), 2);
     }
 
     #[test]
@@ -770,7 +804,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let data = block_dad(100);
         let ind = block_dad(300);
-        reg.save_inspector(LoopId::new("L"), vec![data.clone()], vec![ind.clone()]);
+        reg.save_inspector(LoopId::new("L"), [data], [ind]);
         let mut m = Machine::new(MachineConfig::unit(4));
         let d = reg.check_on_machine(&mut m, &LoopId::new("L"), &[data], &[ind]);
         assert!(d.can_reuse());

@@ -172,7 +172,7 @@ impl<B: Backend> Executor<B> {
         let prev_kind = machine.set_phase_kind(Some(PhaseKind::Inspector));
         // Reuse check (Section 3): compare the arrays' current DADs and the
         // indirection arrays' modification stamps, read in place, with the
-        // signatures and stamps the last inspector recorded.
+        // DADs and stamps the last inspector recorded.
         let can_reuse = self.reuse_enabled && {
             let data_dads = dads(real, &plan.data_arrays, "REAL")?;
             let ind_dads = dads(int, &plan.indirection_arrays, "INTEGER")?;
@@ -523,8 +523,11 @@ impl<B: Backend> Executor<B> {
                 pattern,
                 &mut self.localize_scratch,
             );
-            let sig = Dad::of(dist).signature();
-            let region = self.state.run.registry.region_bind(sig, &result.schedule);
+            let region = self
+                .state
+                .run
+                .registry
+                .region_bind(Dad::of(dist), &result.schedule);
             if region.diff.total_ghosts() < result.schedule.total_ghosts() {
                 self.state.run.report.incremental_bindings += 1;
             }
@@ -563,17 +566,17 @@ impl<B: Backend> Executor<B> {
         }
         let mut ghost_sources = Vec::with_capacity(bindings.ghosts.len());
         for gb in &bindings.ghosts {
-            let sig = groups[gb.group as usize].region.sig;
-            let region = run.registry.region(sig).ok_or_else(|| {
+            let dad = groups[gb.group as usize].region.dad;
+            let region = run.registry.region(dad).ok_or_else(|| {
                 LangError::runtime(format!("no ghost region bound for '{}'", gb.array))
             })?;
             let found = run
                 .regions
                 .iter()
-                .position(|rv| rv.sig == sig && rv.array == gb.array);
+                .position(|rv| rv.dad == dad && rv.array == gb.array);
             let at = found.unwrap_or_else(|| {
                 run.regions.push(RegionValues {
-                    sig,
+                    dad,
                     array: gb.array.clone(),
                     rows: vec![Vec::new(); nprocs],
                     fresh: Vec::new(),

@@ -12,8 +12,7 @@ use super::ExecReport;
 use crate::kernel::{ArrLoc, CompiledKernel, KernelBindings, RankSweepArea, BLOCK};
 use chaos_geocol::GeoCoL;
 use chaos_runtime::{
-    DadSignature, DistArray, Distribution, InspectorResult, IterationPartition, RegionBinding,
-    ReuseRegistry,
+    Dad, DistArray, Distribution, InspectorResult, IterationPartition, RegionBinding, ReuseRegistry,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,8 +58,8 @@ impl<T> ArrayTable<T> {
 /// reader of each chunk falls back to a full gather.
 #[derive(Debug, Clone)]
 pub(crate) struct RegionValues {
-    /// The distribution signature of the region the rows mirror.
-    pub sig: DadSignature,
+    /// The DAD of the distribution whose region the rows mirror.
+    pub dad: Dad,
     /// The array whose values the rows hold.
     pub array: String,
     /// Per-rank resident value rows, sized to the region when a loop record
@@ -148,7 +147,7 @@ pub(super) struct RunState {
     pub registry: ReuseRegistry,
     /// The loop records, indexed by [`LoopId::index`](chaos_runtime::LoopId::index).
     pub loops: Vec<Option<LoopState>>,
-    /// Resident ghost-region value rows. Found by `(sig, array)` only while
+    /// Resident ghost-region value rows. Found by `(dad, array)` only while
     /// a loop record is built; sweeps index them by the position the record
     /// resolved.
     pub regions: Vec<RegionValues>,

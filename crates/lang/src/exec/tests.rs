@@ -1047,7 +1047,7 @@ fn reinspecting_an_unchanged_loop_grows_no_region_state() {
     exec.run(&cp).unwrap();
     let shape = |exec: &Executor| {
         let binding = &record(exec, &cp).inspected.groups[0].region;
-        let region = exec.state.run.registry.region(binding.sig).unwrap();
+        let region = exec.state.run.registry.region(binding.dad).unwrap();
         let fresh: Vec<usize> = exec
             .state
             .run

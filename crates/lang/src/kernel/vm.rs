@@ -355,9 +355,7 @@ mod tests {
     use crate::kernel::oracle::run_rank_interpreted;
     use crate::lower::lower_program;
     use crate::parser::parse_program;
-    use chaos_runtime::{
-        CommSchedule, DadSignature, InspectorResult, IterationPartition, RegionBinding,
-    };
+    use chaos_runtime::{CommSchedule, Dad, InspectorResult, IterationPartition, RegionBinding};
 
     /// `body` in a loop over `ia` / `ib` into x, y (one decomposition).
     fn program(body: &str) -> String {
@@ -396,7 +394,7 @@ mod tests {
             .collect();
         // Region rows hold more than this loop's ghosts; the slot map picks.
         let region: Vec<f64> = (0..6).map(|g| 1.5 - g as f64 * 0.4).collect();
-        let sig = DadSignature(0);
+        let dad = Dad::Block { n: owned, p: 1 };
         let no_traffic = CommSchedule::from_csr_parts(1, vec![0, 0], vec![], vec![]);
         let group = InspectedGroup {
             result: InspectorResult {
@@ -406,7 +404,7 @@ mod tests {
                 ghost_counts: vec![nghosts],
             },
             region: RegionBinding {
-                sig,
+                dad,
                 chunk: None,
                 deps: Vec::new(),
                 slot_map: vec![vec![4, 0, 2]],
@@ -424,7 +422,7 @@ mod tests {
         };
         let (bindings, kernel) = (&rec.bindings, &rec.kernel);
         let regions = [RegionValues {
-            sig,
+            dad,
             array: "x".to_string(),
             rows: vec![region],
             fresh: Vec::new(),

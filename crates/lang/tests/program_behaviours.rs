@@ -5,8 +5,8 @@
 //! Figure 3) distributions, and multiple loops with independent reuse state.
 
 use chaos_dmsim::collectives::charge_all_reduce_word;
-use chaos_dmsim::{Machine, MachineConfig, PhaseKind};
-use chaos_lang::{lower_program, parse_program, Executor, ProgramInputs};
+use chaos_dmsim::{Backend, CommStats, Machine, MachineConfig, PhaseKind};
+use chaos_lang::{lower_program, parse_program, CompiledProgram, Executor, ProgramInputs};
 
 fn run(src: &str, inputs: ProgramInputs, nprocs: usize) -> Executor {
     let program = lower_program(parse_program(src).expect("parse")).expect("lower");
@@ -161,7 +161,7 @@ fn figure3_map_array_distribution() {
         .int("map", map)
         .int("e1", e1.clone())
         .int("e2", e2.clone());
-    let exec = run(src, inputs, 4);
+    let exec = run(src, inputs.clone(), 4);
     assert_eq!(exec.decomposition("reg").unwrap().kind_name(), "IRREGULAR");
     let y = exec.real_global("y").unwrap();
     let mut expected = vec![0.0; n];
@@ -169,6 +169,32 @@ fn figure3_map_array_distribution() {
         expected[e1[i] as usize - 1] += x[e2[i] as usize - 1];
     }
     assert_eq!(y, expected);
+
+    // The map array's translation table is paged: the loop's one inspection
+    // dereferences it in a request round and a reply round, which the same
+    // program distributed BLOCK does not pay. The references to x(11..20)
+    // leave the pages of y(1..10), so the rounds carry messages.
+    fn inspector<B: Backend>(mut exec: Executor<B>, program: &CompiledProgram) -> CommStats {
+        exec.run(program).unwrap();
+        exec.machine().stats().totals_for(PhaseKind::Inspector)
+    }
+    let program = |format: &str| {
+        let src = src.replace("DISTRIBUTE reg(map)", &format!("DISTRIBUTE reg({format})"));
+        lower_program(parse_program(&src).unwrap()).unwrap()
+    };
+    let (paged, block) = (program("map"), program("BLOCK"));
+    let cfg = || MachineConfig::ipsc860(4);
+    let paged_totals = inspector(Executor::new(cfg(), inputs.clone()), &paged);
+    let block_totals = inspector(Executor::new(cfg(), inputs.clone()), &block);
+    assert_eq!(paged_totals.phases - block_totals.phases, 2);
+    assert!(paged_totals.messages > block_totals.messages);
+    let pool = || Executor::new_pooled_with_workers(cfg(), 3, inputs.clone());
+    assert_eq!(
+        inspector(pool(), &paged),
+        paged_totals,
+        "the pool charges the same"
+    );
+    assert_eq!(inspector(pool(), &block), block_totals);
 }
 
 #[test]

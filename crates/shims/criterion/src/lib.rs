@@ -32,7 +32,7 @@ pub struct BenchmarkId {
 }
 
 impl BenchmarkId {
-    /// `BenchmarkId::new("dereference", "replicated")` → `dereference/replicated`.
+    /// `BenchmarkId::new("partition_16", "RCB")` → `partition_16/RCB`.
     pub fn new(function: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
         BenchmarkId {
             id: format!("{function}/{parameter}"),

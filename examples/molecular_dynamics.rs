@@ -14,8 +14,8 @@
 use chaos_repro::prelude::*;
 use chaos_runtime::iterpart::partition_iterations;
 use chaos_runtime::{
-    gather, resolve_local, resolve_local_mut, scatter_add, Dad, GeoColSpec, Inspector,
-    InspectorResult, IterationPartition, LoopId, MapperCoupler,
+    gather, resolve_local, resolve_local_mut, scatter_add, GeoColSpec, Inspector, InspectorResult,
+    IterationPartition, LoopId, MapperCoupler,
 };
 use chaos_workloads::pair_force_kernel;
 
@@ -86,8 +86,8 @@ fn main() {
             );
         }
 
-        let data_dads: Vec<Dad> = vec![charge.dad(), fx.dad()];
-        let ind_dads: Vec<Dad> = vec![pair1.dad()];
+        let data_dads = [charge.dad(), fx.dad()];
+        let ind_dads = [pair1.dad()];
         let valid = cached.is_some()
             && registry
                 .check_on_machine(&mut machine, &loop_id, &data_dads, &ind_dads)

@@ -50,22 +50,18 @@ fn main() {
     check(
         &registry,
         "first execution of L2",
-        &[x_dad.clone(), y_dad.clone()],
-        std::slice::from_ref(&ind_dad),
+        &[x_dad, y_dad],
+        &[ind_dad],
     );
-    registry.save_inspector(
-        loop_id,
-        vec![x_dad.clone(), y_dad.clone()],
-        vec![ind_dad.clone()],
-    );
+    registry.save_inspector(loop_id, [x_dad, y_dad], [ind_dad]);
     println!("  (inspector runs, results saved)\n");
 
     // Case 1: nothing changed.
     check(
         &registry,
         "second execution, nothing modified",
-        &[x_dad.clone(), y_dad.clone()],
-        std::slice::from_ref(&ind_dad),
+        &[x_dad, y_dad],
+        &[ind_dad],
     );
 
     // Case 2: the loop writes y every sweep — y's DAD differs from the
@@ -74,8 +70,8 @@ fn main() {
     check(
         &registry,
         "after the executor wrote y (a data array)",
-        &[x_dad.clone(), y_dad.clone()],
-        std::slice::from_ref(&ind_dad),
+        &[x_dad, y_dad],
+        &[ind_dad],
     );
 
     // Case 3: an adaptive step rewrites the edge list (the indirection
@@ -85,15 +81,11 @@ fn main() {
     let reused = check(
         &registry,
         "after the mesh adapted (end_pt arrays rewritten)",
-        &[x_dad.clone(), y_dad.clone()],
-        std::slice::from_ref(&ind_dad),
+        &[x_dad, y_dad],
+        &[ind_dad],
     );
     assert!(!reused);
-    registry.save_inspector(
-        loop_id,
-        vec![x_dad.clone(), y_dad.clone()],
-        vec![ind_dad.clone()],
-    );
+    registry.save_inspector(loop_id, [x_dad, y_dad], [ind_dad]);
     println!("  (inspector re-runs, new stamps recorded)\n");
 
     // Case 4: REDISTRIBUTE gives x and y a new irregular distribution — a
@@ -106,8 +98,8 @@ fn main() {
     check(
         &registry,
         "after REDISTRIBUTE remapped x to an irregular distribution",
-        &[x_new.clone(), y_dad.clone()],
-        std::slice::from_ref(&ind_dad),
+        &[x_new, y_dad],
+        &[ind_dad],
     );
 
     println!(

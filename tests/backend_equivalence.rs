@@ -15,7 +15,7 @@ use chaos_repro::geocol::{
 };
 use chaos_repro::prelude::*;
 use chaos_repro::runtime::{
-    gather, resolve_local, resolve_local_mut, scatter_add, scatter_op, Inspector, TTablePolicy,
+    gather, resolve_local, resolve_local_mut, scatter_add, scatter_op, Inspector,
 };
 use proptest::prelude::*;
 
@@ -111,7 +111,7 @@ fn run_pipeline<B: Backend>(
 }
 
 /// Strategy: a processor count, a map array and a reference pattern seed.
-fn workload_strategy() -> impl Strategy<Value = (usize, Vec<u32>, u64, usize, usize)> {
+fn workload_strategy() -> impl Strategy<Value = (usize, Vec<u32>, u64, usize)> {
     (2usize..=8).prop_flat_map(|p| {
         (16usize..300).prop_flat_map(move |n| {
             (
@@ -119,7 +119,6 @@ fn workload_strategy() -> impl Strategy<Value = (usize, Vec<u32>, u64, usize, us
                 proptest::collection::vec(0u32..p as u32, n),
                 0u64..1000,
                 1usize..40,
-                0usize..2,
             )
         })
     })
@@ -140,22 +139,17 @@ fn build_pattern(p: usize, n: usize, seed: u64, refs_per_proc: usize) -> AccessP
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Property: over randomized irregular workloads (both translation-table
-    /// layouts), the sequential and pooled engines agree on values, ghost
-    /// buffers, modeled clocks and statistics, bit for bit. One pool has a
-    /// lane per rank; the other's worker count is derived from the seed so
+    /// Property: over randomized irregular workloads, the sequential and
+    /// pooled engines agree on values, ghost buffers, modeled clocks and
+    /// statistics, bit for bit. One pool has a lane per rank; the other's worker count is derived from the seed so
     /// the sweep covers ranks > workers (striping) and workers > ranks
     /// (idle lanes).
     #[test]
     fn both_engines_agree_on_random_workloads(
-        (p, map, seed, refs_per_proc, distributed_sel) in workload_strategy(),
+        (p, map, seed, refs_per_proc) in workload_strategy(),
     ) {
         let n = map.len();
-        let dist = if distributed_sel == 1 {
-            Distribution::irregular_from_map_with_policy(&map, p, TTablePolicy::Distributed)
-        } else {
-            Distribution::irregular_from_map(&map, p)
-        };
+        let dist = Distribution::irregular_from_map(&map, p);
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.37 - 5.0).collect();
         let pattern = build_pattern(p, n, seed, refs_per_proc);
 
@@ -180,7 +174,7 @@ fn pool_with_more_ranks_than_workers_is_exact() {
     let p = 64;
     let n = 4096;
     let map: Vec<u32> = (0..n).map(|i| ((i * 31 + i / 7) % p) as u32).collect();
-    let dist = Distribution::irregular_from_map_with_policy(&map, p, TTablePolicy::Distributed);
+    let dist = Distribution::irregular_from_map(&map, p);
     let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin() + 2.0).collect();
     let pattern = build_pattern(p, n, 0xC4A05, 512);
 

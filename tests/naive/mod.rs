@@ -145,7 +145,15 @@ pub fn localize(
     let nprocs = machine.nprocs();
     assert_eq!(pattern.refs.len(), nprocs);
     let located: Vec<Vec<(u32, u32)>> = match data_dist {
-        Distribution::Irregular { table } => table.dereference(machine, &pattern.refs),
+        Distribution::Irregular { table } => {
+            let mut packed = Vec::new();
+            table.dereference(machine, &pattern.refs, &mut packed);
+            let unpack = |&k: &u64| ((k >> 32) as u32, k as u32);
+            packed
+                .iter()
+                .map(|row| row.iter().map(unpack).collect())
+                .collect()
+        }
         _ => {
             let mut out = Vec::with_capacity(nprocs);
             for (p, refs) in pattern.refs.iter().enumerate() {

@@ -431,14 +431,14 @@ fn steady_state_incremental_region_gather_is_allocation_free() {
     // Bind both loops into the shared ghost region (inspector-time work,
     // done once). The second bind's difference must be a strict subset.
     let mut registry = ReuseRegistry::new();
-    let sig = Dad::of(&dist).signature();
-    let rb1 = registry.region_bind(sig, &r1.schedule);
-    let rb2 = registry.region_bind(sig, &r2.schedule);
+    let dad = Dad::of(&dist);
+    let rb1 = registry.region_bind(dad, &r1.schedule);
+    let rb2 = registry.region_bind(dad, &r2.schedule);
     assert!(
         rb2.diff.total_ghosts() < r2.schedule.total_ghosts(),
         "second loop should re-bind resident ghosts instead of refetching"
     );
-    let region = registry.region(sig).expect("region exists");
+    let region = registry.region(dad).expect("region exists");
     let mut rows: Vec<Vec<f64>> = (0..nprocs).map(|p| vec![0.0; region.size(p)]).collect();
 
     machine.set_phase_kind(Some(PhaseKind::Executor));

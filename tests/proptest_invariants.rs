@@ -163,20 +163,13 @@ proptest! {
     fn csr_pipeline_matches_naive_reference(
         (p, map) in map_strategy(),
         seed in 0u64..1000,
-        distributed_sel in 0usize..2,
     ) {
         // The flat CSR schedule + hash-free localize must produce
         // byte-identical gather/scatter results AND identical message /
         // volume accounting versus the retained naive reference
         // implementation (tests/naive).
         let n = map.len();
-        let distributed = distributed_sel == 1;
-        let dist = if distributed {
-            Distribution::irregular_from_map_with_policy(
-                &map, p, chaos_repro::runtime::TTablePolicy::Distributed)
-        } else {
-            Distribution::irregular_from_map(&map, p)
-        };
+        let dist = Distribution::irregular_from_map(&map, p);
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.5 - 7.0).collect();
         let arr = DistArray::from_global("x", dist.clone(), &data);
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);
@@ -245,7 +238,7 @@ proptest! {
         let ind = Dad::of(&Distribution::block(333, 4));
         let unrelated = Dad::of(&Distribution::cyclic(55, 4));
         let id = LoopId::new("L");
-        registry.save_inspector(id, vec![data.clone()], vec![ind.clone()]);
+        registry.save_inspector(id, [data], [ind]);
         let mut ind_written = false;
         for w in writes {
             match w {
