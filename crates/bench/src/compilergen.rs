@@ -117,6 +117,8 @@ mod tests {
     use super::*;
     use crate::handcoded::run_handcoded;
     use crate::workload::mesh_workload;
+    use chaos_dmsim::Backend;
+    use chaos_runtime::Dad;
     use chaos_workloads::MeshConfig;
 
     fn small_mesh() -> PairLoopWorkload {
@@ -146,12 +148,10 @@ mod tests {
     fn compiler_generated_is_close_to_hand_coded() {
         // The paper's headline claim: within ~10 % of hand-coded at the 53K /
         // 32-processor, 100-iteration scale. At the tiny scale used in a unit
-        // test the compiler path's fixed costs are not yet amortized — it
-        // remaps all five arrays aligned with `reg` (x, y, xc, yc, zc) where
-        // the hand-coded driver moves two, and its inspector reads each
-        // indirection array once and scans four references per iteration
-        // to place it, not two — so allow a wider margin here; the full-size
-        // `table2` binary reports the real ratio.
+        // test the compiler path's fixed costs are not yet amortized — its
+        // inspector reads each indirection array once and scans four
+        // references per iteration to place it, not two — so allow a wider
+        // margin here; the full-size `table2` binary reports the real ratio.
         let w = small_mesh();
         let cfg = ExperimentConfig::paper(4, Method::Rcb).with_iterations(40);
         let hand = run_handcoded(&w, &cfg);
@@ -165,6 +165,67 @@ mod tests {
         );
         assert_eq!(compiler.executor_sweeps, hand.executor_sweeps);
         assert_eq!(compiler.inspector_runs, hand.inspector_runs);
+    }
+
+    /// The template's REDISTRIBUTE moves what its FORALL reads, `x` and
+    /// `y`, at the loop: the coordinates the partitioner read keep their
+    /// BLOCK layout and values. A second FORALL that reads `xc` moves it
+    /// there, once, however often it sweeps.
+    #[test]
+    fn the_template_moves_only_the_arrays_its_loops_read() {
+        let w = small_mesh();
+        let template = program_text(Method::Rcb);
+        let reads_xc = format!(
+            "{template}        FORALL i = 1, nnode\n          REDUCE(ADD, y(i), xc(i))\n        END FORALL\n"
+        );
+        let block = Some(Dad::Block { n: w.nnodes, p: 4 });
+        fn run<B: Backend>(mut exec: Executor<B>, text: &str) -> Executor<B> {
+            let cp = lower_program(parse_program(text).unwrap()).unwrap();
+            exec.run(&cp).expect("the program runs to the end");
+            let last = cp.program.loop_labels().last().unwrap().to_string();
+            for _ in 0..2 {
+                exec.execute_loop(&cp, &last)
+                    .expect("the last loop sweeps again");
+            }
+            exec
+        }
+        fn check<B: Backend>(
+            engine: impl Fn() -> Executor<B>,
+            template: &str,
+            reads_xc: &str,
+            w: &PairLoopWorkload,
+            block: Option<Dad>,
+        ) {
+            let exec = run(engine(), template);
+            assert_eq!(exec.report().arrays_redistributed, 2, "x and y moved");
+            let reg = exec.decomposition("reg").map(Dad::of);
+            assert!(matches!(reg, Some(Dad::Irregular { .. })));
+            assert_eq!(exec.array_dad("x"), reg);
+            assert_eq!(exec.array_dad("y"), reg);
+            for (axis, name) in ["xc", "yc", "zc"].into_iter().enumerate() {
+                assert_eq!(exec.array_dad(name), block, "{name} stays BLOCK");
+                assert_eq!(exec.real_global(name).as_ref(), Some(&w.coords[axis]));
+            }
+
+            let exec = run(engine(), reads_xc);
+            assert_eq!(exec.report().arrays_redistributed, 3, "xc moved once");
+            assert_eq!(exec.array_dad("xc"), exec.array_dad("x"));
+            assert_eq!(exec.real_global("xc").as_ref(), Some(&w.coords[0]));
+            for name in ["yc", "zc"] {
+                assert_eq!(exec.array_dad(name), block, "{name} stays BLOCK");
+            }
+        }
+        let cfg = || MachineConfig::ipsc860(4);
+        let inputs = || program_inputs(&w);
+        check(
+            || Executor::new(cfg(), inputs()),
+            &template,
+            &reads_xc,
+            &w,
+            block,
+        );
+        let pooled = || Executor::new_pooled_with_workers(cfg(), 2, inputs());
+        check(pooled, &template, &reads_xc, &w, block);
     }
 
     #[test]

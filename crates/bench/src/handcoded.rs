@@ -16,7 +16,7 @@ use chaos_runtime::iterpart::partition_iterations;
 use chaos_runtime::{
     gather_into, resolve_local, resolve_local_mut, scatter_add, AccessPattern, Dad, DistArray,
     Distribution, GeoColSpec, Inspector, InspectorResult, IterPartitionPolicy, LocalizeScratch,
-    LoopId, MapperCoupler, ReuseRegistry,
+    LoopId, MapperCoupler, RemapPlan, ReuseRegistry,
 };
 use std::time::Instant;
 
@@ -86,8 +86,9 @@ fn drive<B: Backend>(
         let geocol = MapperCoupler.construct_geocol(backend.machine_mut(), &spec);
         let partitioner = partitioner_by_name(pname).expect("registered partitioner");
         let outcome = MapperCoupler.partition(backend, partitioner.as_ref(), &geocol);
-        MapperCoupler.redistribute(backend, &mut registry, &mut x, &outcome.distribution);
-        MapperCoupler.redistribute(backend, &mut registry, &mut y, &outcome.distribution);
+        let remap = RemapPlan::new(&node_dist, &outcome.distribution);
+        MapperCoupler.redistribute_through(backend, &mut registry, &remap, &mut x);
+        MapperCoupler.redistribute_through(backend, &mut registry, &remap, &mut y);
         data_dist = outcome.distribution;
     }
 

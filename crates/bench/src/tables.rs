@@ -384,6 +384,38 @@ pub fn format_seconds(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::mesh_workload;
+    use chaos_workloads::MeshConfig;
+
+    /// Table 2's claim: compiler-generated code is within a few percent of
+    /// hand-coded in total. Table 2's RCB compiler (reuse) and hand-coded
+    /// columns at `--quick`, on the mesh generator's seeds 1–4 and its
+    /// default: the compiler's total is at most 1.05 × hand-coded's.
+    #[test]
+    fn compiler_total_is_within_5_percent_of_hand_coded() {
+        let opts = Options::parse(["--quick".to_string()]).expect("--quick parses");
+        let runs = table_runs(2, &opts);
+        let column = |name: &str| {
+            let run = runs.iter().find(|r| r.column == name);
+            run.expect("a Table 2 column").clone()
+        };
+        let (compiler, hand) = (column("RCB Compiler (reuse)"), column("RCB Hand Coded"));
+        let mut ratios = Vec::new();
+        for seed in [1, 2, 3, 4, MeshConfig::default().seed] {
+            let w = mesh_workload(MeshConfig {
+                nnodes: (53_000 / opts.scale).max(64),
+                seed,
+                ..MeshConfig::default()
+            });
+            let c = (compiler.driver)(&w, &compiler.cfg).expect("the compiler column runs");
+            let h = (hand.driver)(&w, &hand.cfg).expect("the hand-coded column runs");
+            ratios.push((seed, c.total / h.total));
+        }
+        assert!(
+            ratios.iter().all(|&(_, ratio)| ratio <= 1.05),
+            "compiler / hand-coded total by seed: {ratios:?}"
+        );
+    }
 
     #[test]
     fn seconds_formatting_matches_paper_style() {

@@ -17,7 +17,7 @@
 
 use crate::darray::DistArray;
 use crate::dist::Distribution;
-use crate::remap::remap;
+use crate::remap::RemapPlan;
 use crate::reuse::ReuseRegistry;
 use chaos_dmsim::{Backend, Machine, PhaseKind};
 use chaos_geocol::{
@@ -288,8 +288,8 @@ impl MapperCoupler {
 
     /// Phase C: remap an array to the newly computed distribution (the
     /// `REDISTRIBUTE` directive), recording the DAD change in the reuse
-    /// registry so that dependent inspectors are invalidated. The data
-    /// movement runs rank-parallel through [`Backend::run_exchange`].
+    /// registry so that dependent inspectors are invalidated: the one-array
+    /// case of [`MapperCoupler::redistribute_through`].
     pub fn redistribute<T: Clone + Default + Send + Sync, B: Backend>(
         &self,
         backend: &mut B,
@@ -297,9 +297,25 @@ impl MapperCoupler {
         array: &mut DistArray<T>,
         new_dist: &Distribution,
     ) -> usize {
+        let plan = RemapPlan::new(array.dist(), new_dist);
+        self.redistribute_through(backend, registry, &plan, array)
+    }
+
+    /// Phase C through a [`RemapPlan`] built once for every array making the
+    /// same move: the data movement runs rank-parallel through
+    /// [`Backend::run_phase`] under [`PhaseKind::Remap`], and the DAD change
+    /// is recorded in the reuse registry. Returns the number of elements
+    /// that changed owner.
+    pub fn redistribute_through<T: Clone + Default + Send + Sync, B: Backend>(
+        &self,
+        backend: &mut B,
+        registry: &mut ReuseRegistry,
+        plan: &RemapPlan,
+        array: &mut DistArray<T>,
+    ) -> usize {
         let prev = backend.machine_mut().set_phase_kind(Some(PhaseKind::Remap));
         let old_dad = array.dad();
-        let moved = remap(backend, array, new_dist.clone());
+        let moved = plan.apply(backend, array);
         registry.record_remap(&old_dad, &array.dad());
         backend.machine_mut().set_phase_kind(prev);
         moved

@@ -90,7 +90,7 @@ pub use inspector::{
     resolve_local, resolve_local_mut, AccessPattern, Inspector, InspectorResult, LocalizeScratch,
 };
 pub use iterpart::{IterPartitionPolicy, IterationPartition};
-pub use remap::remap;
+pub use remap::{remap, RemapPlan};
 pub use reuse::{GhostRegion, LoopId, RegionBinding, ReuseDecision, ReuseRegistry};
 pub use schedule::{charge_request_exchange, CommSchedule, SendRef};
 pub use ttable::TranslationTable;

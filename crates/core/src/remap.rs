@@ -1,36 +1,173 @@
-//! Array remapping: move a distributed array from one distribution to
+//! Array remapping: move distributed arrays from one distribution to
 //! another (the runtime work behind the `REDISTRIBUTE` directive and
 //! Figure 2's phase C).
 //!
-//! A remap builds a one-shot communication schedule from the old
-//! distribution to the new one, ships every element whose owner changes, and
-//! rebuilds the array's local segments in the new layout. The paper's
-//! "Remap" table rows are exactly this cost (for the data arrays plus the
-//! indirection arrays that follow the loop iterations).
-//!
-//! The global data-movement pass runs **rank-parallel** through
-//! [`Backend::run_exchange`] mailboxes: each old owner scans its own local
-//! segment, posts `(new offset, value)` payloads for the elements whose
-//! owner changes and charges the per-pair transfer volume from its side of
-//! the exchange; each new owner copies the elements it keeps straight
-//! across from its old segment and unpacks the movers from its inbox. On
-//! the pooled engine REDISTRIBUTE therefore scales with
-//! worker lanes, while the charge model — one memory word per element that stays,
-//! a pack/unpack word plus one point-to-point message per moving pair — is
-//! the same on every engine, replayed in ascending rank order.
+//! A [`RemapPlan`] is built once per (old, new) distribution pair: two
+//! driver-side O(n) passes locate every element in both layouts and file
+//! it, as an (old offset, new offset) move, under its (old owner, new
+//! owner) pair, in one flat list of the array's length. Any number of
+//! arrays on the old distribution then move through the plan, each as one
+//! communication phase ([`Backend::run_phase`]): every old owner charges
+//! one memory word per element that stays and, per rank it sends to, a
+//! pack word, an unpack word and one point-to-point message; then every
+//! new owner fills its new segment by reading each old owner's segment in
+//! place (the simulator shares one address space, as the gather's unpack
+//! does). The rank kernels are pure data movement and charging, O(n/P) per
+//! rank, and the charges are the same on every engine, replayed in
+//! ascending rank order. The paper's "Remap" table rows are exactly this
+//! cost (for the data arrays plus the indirection arrays that follow the
+//! loop iterations).
 
+use crate::dad::Dad;
 use crate::darray::DistArray;
 use crate::dist::Distribution;
-use chaos_dmsim::{Backend, Inbox, Outbox, RankCtx};
+use chaos_dmsim::{Backend, RankCtx};
+
+/// Where every element goes when an array moves from one distribution to
+/// another: built once per (old, new) pair, then applied to each array that
+/// makes the same move.
+#[derive(Debug)]
+pub struct RemapPlan {
+    /// The DAD of the distribution the moved arrays leave.
+    source: Dad,
+    /// The distribution they arrive on.
+    target: Distribution,
+    /// The (old offset on `src`, new offset on `dst`) of every element, one
+    /// list per (`src`, `dst`) pair in pair order `src * nprocs + dst`,
+    /// each in global order; `src == dst` lists the elements that stay.
+    moves: Vec<(u32, u32)>,
+    /// `moves[starts[k]..starts[k + 1]]` is pair `k`'s list.
+    starts: Vec<u32>,
+}
+
+impl RemapPlan {
+    /// Locate every element of `source` in `target`: one pass counts each
+    /// (old owner, new owner) pair's elements, a second files their offsets
+    /// into one allocation of the array's length.
+    ///
+    /// # Panics
+    /// Panics if the two distributions differ in global length or
+    /// processor count.
+    pub fn new(source: &Distribution, target: &Distribution) -> Self {
+        assert_eq!(
+            source.len(),
+            target.len(),
+            "remap cannot change the global array length"
+        );
+        assert_eq!(
+            source.nprocs(),
+            target.nprocs(),
+            "remap cannot change the processor count"
+        );
+        let nprocs = source.nprocs();
+        let pair = |g: usize| source.owner(g) * nprocs + target.owner(g);
+        let mut starts = vec![0u32; nprocs * nprocs + 1];
+        for g in 0..source.len() {
+            starts[pair(g) + 1] += 1;
+        }
+        for k in 0..nprocs * nprocs {
+            starts[k + 1] += starts[k];
+        }
+        let mut next = starts.clone();
+        let mut moves = vec![(0, 0); source.len()];
+        for g in 0..source.len() {
+            let (old_p, old_off) = source.locate(g);
+            let (new_p, new_off) = target.locate(g);
+            let at = &mut next[old_p * nprocs + new_p];
+            moves[*at as usize] = (old_off as u32, new_off as u32);
+            *at += 1;
+        }
+        RemapPlan {
+            source: Dad::of(source),
+            target: target.clone(),
+            moves,
+            starts,
+        }
+    }
+
+    /// The DAD of the distribution the plan moves arrays off.
+    pub fn source(&self) -> Dad {
+        self.source
+    }
+
+    /// The distribution the plan moves arrays onto.
+    pub fn target(&self) -> &Distribution {
+        &self.target
+    }
+
+    /// The moves from rank `src`'s old segment to rank `dst`'s new one.
+    fn pair(&self, src: usize, dst: usize) -> &[(u32, u32)] {
+        let k = src * self.target.nprocs() + dst;
+        &self.moves[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+
+    /// Elements that change owner under the plan.
+    pub fn moved(&self) -> usize {
+        let stay = (0..self.target.nprocs()).map(|p| self.pair(p, p).len());
+        self.moves.len() - stay.sum::<usize>()
+    }
+
+    /// Move `array` onto the plan's target distribution, charging the data
+    /// movement to `backend`'s machine as one communication phase. Returns
+    /// the number of elements that changed owner.
+    ///
+    /// # Panics
+    /// Panics if `array` is not on the plan's source distribution.
+    pub fn apply<T, B>(&self, backend: &mut B, array: &mut DistArray<T>) -> usize
+    where
+        T: Clone + Default + Send + Sync,
+        B: Backend,
+    {
+        assert_eq!(
+            array.dad(),
+            self.source,
+            "array '{}' is not on the remap plan's source distribution",
+            array.name()
+        );
+        let nprocs = self.target.nprocs();
+        let mut new_local: Vec<Vec<T>> = (0..nprocs)
+            .map(|p| vec![T::default(); self.target.local_size(p)])
+            .collect();
+        let old = &*array;
+        backend.run_phase(
+            |ctx: &mut RankCtx<'_>| {
+                // Pack (as old owner): one memory word per element that
+                // stays, then per destination the pack and unpack words and
+                // one message.
+                let src = ctx.rank();
+                for _ in 0..self.pair(src, src).len() {
+                    ctx.charge_memory(src, 1.0);
+                }
+                for dst in (0..nprocs).filter(|&dst| dst != src) {
+                    let words = self.pair(src, dst).len();
+                    if words > 0 {
+                        ctx.charge_memory(src, words as f64);
+                        ctx.charge_memory(dst, words as f64);
+                        ctx.charge_p2p(src, dst, words);
+                    }
+                }
+            },
+            new_local.iter_mut(),
+            |ctx: &mut RankCtx<'_>, segment: &mut Vec<T>| {
+                // Unpack (as new owner): copy each old owner's elements for
+                // this rank out of its old segment, read in place.
+                let dst = ctx.rank();
+                for src in 0..nprocs {
+                    let local = old.local(src);
+                    for &(old_off, new_off) in self.pair(src, dst) {
+                        segment[new_off as usize] = local[old_off as usize].clone();
+                    }
+                }
+            },
+        );
+        array.replace_storage(self.target.clone(), new_local);
+        self.moved()
+    }
+}
 
 /// Remap `array` in place to `new_dist`, charging the data movement to
-/// `backend`'s machine. Returns the number of elements that changed owner.
-///
-/// Values are placed directly into the new layout (the simulator shares one
-/// address space) through per-rank exchange mailboxes; the per-pair
-/// transfer volume is tallied rank-locally in one counting pass and charged
-/// through the rank's [`RankCtx`], so the modeled clocks and statistics are
-/// engine-independent by the `Backend` determinism contract.
+/// `backend`'s machine: a [`RemapPlan`] built for this one array. Returns
+/// the number of elements that changed owner.
 ///
 /// # Panics
 /// Panics if the new distribution has a different global length or processor
@@ -40,104 +177,13 @@ where
     T: Clone + Default + Send + Sync,
     B: Backend,
 {
-    let old_dist = array.dist().clone();
-    assert_eq!(
-        old_dist.len(),
-        new_dist.len(),
-        "remap cannot change the global array length"
-    );
-    assert_eq!(
-        old_dist.nprocs(),
-        new_dist.nprocs(),
-        "remap cannot change the processor count"
-    );
-    let nprocs = old_dist.nprocs();
-
-    // New local storage, built per rank in the unpack stage, plus a per-rank
-    // tally of how many elements arrived from *other* ranks.
-    let mut new_local: Vec<Vec<T>> = (0..nprocs)
-        .map(|p| vec![T::default(); new_dist.local_size(p)])
-        .collect();
-    let mut moved_in = vec![0usize; nprocs];
-
-    // One driver-side O(n) grouping pass (exactly the locate work the old
-    // global scan performed): each rank's old-owned elements as
-    // (old offset, new owner, new offset) triples, in local-offset order.
-    // Both exchange stages iterate these rank-local lists, so the rank
-    // kernels are pure data movement and charging — no per-element
-    // translation lookups, and O(n/P) work per rank regardless of the
-    // distribution kind.
-    let mut owned: Vec<Vec<(u32, u32, u32)>> = (0..nprocs)
-        .map(|p| Vec::with_capacity(old_dist.local_size(p)))
-        .collect();
-    for g in 0..old_dist.len() {
-        let (old_p, old_off) = old_dist.locate(g);
-        let (new_p, new_off) = new_dist.locate(g);
-        owned[old_p].push((old_off as u32, new_p as u32, new_off as u32));
-    }
-
-    {
-        let array = &*array;
-        let owned = &owned;
-        backend.run_exchange(
-            |ctx: &mut RankCtx<'_>, outbox: &mut Outbox<'_, (u32, T)>| {
-                // Pack (as old owner): scan this rank's segment in local
-                // order, post the elements whose owner changes to their new
-                // owners, charge one memory word per element that stays and
-                // tally the per-pair words for the movers.
-                let src = ctx.rank();
-                let local = array.local(src);
-                let mut pair_words = vec![0u32; nprocs];
-                for &(old_off, new_p, new_off) in &owned[src] {
-                    if new_p as usize == src {
-                        ctx.charge_memory(src, 1.0);
-                    } else {
-                        pair_words[new_p as usize] += 1;
-                        outbox.post(new_p as usize, [(new_off, local[old_off as usize].clone())]);
-                    }
-                }
-                for (dst, &words) in pair_words.iter().enumerate() {
-                    if words > 0 {
-                        ctx.charge_memory(src, words as f64);
-                        ctx.charge_memory(dst, words as f64);
-                        ctx.charge_p2p(src, dst, words as usize);
-                    }
-                }
-            },
-            new_local.iter_mut().zip(moved_in.iter_mut()),
-            |ctx: &mut RankCtx<'_>,
-             (segment, moved): (&mut Vec<T>, &mut usize),
-             inbox: &Inbox<'_, (u32, T)>| {
-                // Unpack (as new owner): copy the elements this rank keeps
-                // straight across from its own old segment, then place every
-                // arriving mover at its new offset.
-                let me = ctx.rank();
-                let local = array.local(me);
-                for &(old_off, new_p, new_off) in &owned[me] {
-                    if new_p as usize == me {
-                        segment[new_off as usize] = local[old_off as usize].clone();
-                    }
-                }
-                for from in 0..ctx.nprocs() {
-                    let payload = inbox.from_rank(from);
-                    *moved += payload.len();
-                    for &(new_off, ref value) in payload {
-                        segment[new_off as usize] = value.clone();
-                    }
-                }
-            },
-        );
-    }
-
-    array.replace_storage(new_dist, new_local);
-    moved_in.iter().sum()
+    RemapPlan::new(array.dist(), &new_dist).apply(backend, array)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dad::Dad;
-    use chaos_dmsim::{Machine, MachineConfig};
+    use chaos_dmsim::{Machine, MachineConfig, PooledBackend};
 
     #[test]
     fn remap_block_to_irregular_preserves_values() {
@@ -189,6 +235,104 @@ mod tests {
         let map: Vec<u32> = (0..8).map(|i| (i % 2) as u32).collect();
         remap(&mut m, &mut a, Distribution::irregular_from_map(&map, 2));
         assert_ne!(a.dad(), before);
+    }
+
+    /// Values, DADs, clock bits and communication totals of two arrays and
+    /// the machine they were moved on.
+    type Outcome = (
+        Vec<u64>,
+        Vec<u32>,
+        Dad,
+        Dad,
+        Vec<u64>,
+        chaos_dmsim::CommStats,
+    );
+
+    fn outcome<B: Backend>(backend: &B, a: &DistArray<f64>, b: &DistArray<u32>) -> Outcome {
+        let machine = backend.machine();
+        let clocks = machine.elapsed().per_proc;
+        (
+            a.to_global().iter().map(|v| v.to_bits()).collect(),
+            b.to_global(),
+            a.dad(),
+            b.dad(),
+            clocks.iter().map(|t| t.to_bits()).collect(),
+            machine.stats().grand_totals(),
+        )
+    }
+
+    #[test]
+    fn one_plan_moves_many_arrays_as_one_remap_each_does() {
+        // An f64 and a u32 array moved through one plan end exactly as two
+        // `remap` calls leave them — values, DADs, clock bits, statistics —
+        // on both engines, for BLOCK → irregular, irregular → CYCLIC and the
+        // identity, which moves nothing and charges no message.
+        let (n, p) = (29, 4);
+        let map: Vec<u32> = (0..n).map(|i| ((i * 7 + 3) % p) as u32).collect();
+        let irregular = Distribution::irregular_from_map(&map, p);
+        let moves = [
+            (Distribution::block(n, p), irregular.clone()),
+            (irregular, Distribution::cyclic(n, p)),
+            (Distribution::block(n, p), Distribution::block(n, p)),
+        ];
+        let reals: Vec<f64> = (0..n).map(|i| i as f64 * 0.25 - 3.0).collect();
+        let ints: Vec<u32> = (0..n).map(|i| (i * i) as u32).collect();
+        fn run<B: Backend>(
+            mut backend: B,
+            from: &Distribution,
+            to: &Distribution,
+            reals: &[f64],
+            ints: &[u32],
+            one_plan: bool,
+        ) -> Outcome {
+            let mut a = DistArray::from_global("a", from.clone(), reals);
+            let mut b = DistArray::from_global("b", from.clone(), ints);
+            let moved = if one_plan {
+                let plan = RemapPlan::new(from, to);
+                plan.apply(&mut backend, &mut a) + plan.apply(&mut backend, &mut b)
+            } else {
+                remap(&mut backend, &mut a, to.clone()) + remap(&mut backend, &mut b, to.clone())
+            };
+            assert_eq!(moved, 2 * RemapPlan::new(from, to).moved());
+            assert_eq!(a.to_global(), reals);
+            assert_eq!(b.to_global(), ints);
+            outcome(&backend, &a, &b)
+        }
+        for (from, to) in &moves {
+            let what = format!("{} -> {}", from.kind_name(), to.kind_name());
+            let want = run(
+                Machine::new(MachineConfig::ipsc860(p)),
+                from,
+                to,
+                &reals,
+                &ints,
+                false,
+            );
+            assert_eq!((want.2, want.3), (Dad::of(to), Dad::of(to)), "{what}");
+            let identity = Dad::of(from) == Dad::of(to);
+            assert_eq!(want.5.messages == 0, identity, "{what}: messages");
+            let pool = || PooledBackend::from_config_with_workers(MachineConfig::ipsc860(p), 2);
+            for (engine, got) in [
+                (
+                    "machine",
+                    run(
+                        Machine::new(MachineConfig::ipsc860(p)),
+                        from,
+                        to,
+                        &reals,
+                        &ints,
+                        true,
+                    ),
+                ),
+                ("pool", run(pool(), from, to, &reals, &ints, true)),
+                (
+                    "pool, two remaps",
+                    run(pool(), from, to, &reals, &ints, false),
+                ),
+            ] {
+                assert_eq!(got, want, "{what} on the {engine}");
+            }
+        }
     }
 
     #[test]

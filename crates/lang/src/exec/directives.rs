@@ -3,16 +3,19 @@
 //! interpreted as calls into the mapper coupler. They establish (and change)
 //! the arrays, distributions and alignments of the program state the loop
 //! records are later built against, and stamp what they write so the reuse
-//! guard sees it.
+//! guard sees it. `DISTRIBUTE` and `REDISTRIBUTE` only set a
+//! decomposition's distribution: an array aligned with it moves when a
+//! FORALL first references it (`place_referenced_arrays`, which the FORALL
+//! runs before its reuse guard), so an array no loop reads never moves.
 
-use super::state::RunState;
+use super::state::{ProgramState, RunState};
 use super::Executor;
 use crate::ast::{ConstructSection, ElemType, SizeExpr};
 use crate::error::LangError;
-use crate::lower::CompiledProgram;
+use crate::lower::{CompiledProgram, LoopPlan};
 use chaos_dmsim::Backend;
 use chaos_geocol::{partitioner_by_name, GeoColError};
-use chaos_runtime::{DistArray, Distribution, GeoColSpec, MapperCoupler};
+use chaos_runtime::{Dad, DistArray, Distribution, GeoColSpec, MapperCoupler, RemapPlan};
 
 impl<B: Backend> Executor<B> {
     pub(super) fn eval_size(&self, size: &SizeExpr) -> Result<usize, LangError> {
@@ -272,31 +275,77 @@ impl<B: Backend> Executor<B> {
                 )));
             }
         }
-        // REAL arrays in ALIGN order, then INTEGER arrays in ALIGN order —
-        // the order the array tables hold — so the remap records and the
-        // epoch each array moves at are the same on every run.
-        let st = &mut self.state;
-        let on_decomp = |name: &str| st.array_decomp.get(name).is_some_and(|d| d == decomp);
-        for arr in st.real.0.iter_mut().filter(|a| on_decomp(a.name())) {
-            remap_aligned(&mut self.backend, &mut st.run, arr, &new_dist);
-        }
-        for arr in st.int.0.iter_mut().filter(|a| on_decomp(a.name())) {
-            remap_aligned(&mut self.backend, &mut st.run, arr, &new_dist);
-        }
-        st.decomp_dist.insert(decomp.to_string(), new_dist);
+        // No array moves here: each moves when a FORALL first references it
+        // (see `place_referenced_arrays`), so an array no loop reads stays
+        // where it is.
+        self.state.decomp_dist.insert(decomp.to_string(), new_dist);
         Ok(())
+    }
+
+    /// Move every array `plan` references, data or indirection, whose
+    /// layout is not its decomposition's current distribution onto that
+    /// distribution, under `PhaseKind::Remap` — REAL arrays in ALIGN
+    /// order, then INTEGER arrays in ALIGN order (the order the array
+    /// tables hold), so the remap records and the epoch each array moves at
+    /// are the same on every run. Arrays that leave one DAD for one
+    /// distribution move through one [`RemapPlan`]. This is where
+    /// `DISTRIBUTE` and `REDISTRIBUTE` take effect on the arrays: nothing
+    /// else reads an array through its decomposition's layout.
+    pub(super) fn place_referenced_arrays(&mut self, plan: &LoopPlan) {
+        let ProgramState {
+            real,
+            int,
+            decomp_dist,
+            array_decomp,
+            run,
+            ..
+        } = &mut self.state;
+        let target = |name: &str| array_decomp.get(name).and_then(|d| decomp_dist.get(d));
+        let named = |names: &[String], name: &str| names.iter().any(|n| n == name);
+        let mut plans: Vec<RemapPlan> = Vec::new();
+        let backend = &mut self.backend;
+        for arr in real
+            .0
+            .iter_mut()
+            .filter(|a| named(&plan.data_arrays, a.name()))
+        {
+            if let Some(to) = target(arr.name()) {
+                place(backend, run, &mut plans, arr, to);
+            }
+        }
+        for arr in int
+            .0
+            .iter_mut()
+            .filter(|a| named(&plan.indirection_arrays, a.name()))
+        {
+            if let Some(to) = target(arr.name()) {
+                place(backend, run, &mut plans, arr, to);
+            }
+        }
     }
 }
 
-/// Move one array aligned with a redistributed decomposition onto
-/// `new_dist`.
-fn remap_aligned<T: Clone + Default + Send + Sync, B: Backend>(
+/// Move `arr` onto `to` unless it is there already, through the plan in
+/// `plans` that makes the same move (built and kept there if none does).
+fn place<T: Clone + Default + Send + Sync, B: Backend>(
     backend: &mut B,
     run: &mut RunState,
+    plans: &mut Vec<RemapPlan>,
     arr: &mut DistArray<T>,
-    new_dist: &Distribution,
+    to: &Distribution,
 ) {
-    MapperCoupler.redistribute(backend, &mut run.registry, arr, new_dist);
+    let (from, to_dad) = (arr.dad(), Dad::of(to));
+    if from == to_dad {
+        return;
+    }
+    let found = plans
+        .iter()
+        .position(|p| p.source() == from && Dad::of(p.target()) == to_dad);
+    let at = found.unwrap_or_else(|| {
+        plans.push(RemapPlan::new(arr.dist(), to));
+        plans.len() - 1
+    });
+    MapperCoupler.redistribute_through(backend, &mut run.registry, &plans[at], arr);
     run.report.arrays_redistributed += 1;
     // The shards moved: any resident ghost-region values for the array are
     // stale regardless of which distribution they were gathered under.

@@ -1,7 +1,9 @@
 //! The inspector seam: one FORALL execution as Figure 6 has it — the
-//! schedule-reuse guard, then (when it fails) iteration partitioning and the
-//! inspector, whose results are saved as the loop's one record, then the
-//! sweep over that record and the write stamps.
+//! arrays it references moved onto their decompositions' distributions
+//! where a DISTRIBUTE or REDISTRIBUTE changed them, the schedule-reuse
+//! guard, then (when it fails) iteration partitioning and the inspector,
+//! whose results are saved as the loop's one record, then the sweep over
+//! that record and the write stamps.
 //!
 //! An inspection starts from **one reference table** (`RefTable`), built by
 //! `reference_table` and by nothing else. Before the loop over iterations it
@@ -163,6 +165,9 @@ impl<B: Backend> Executor<B> {
             return Ok(());
         }
 
+        // Arrays a DISTRIBUTE or REDISTRIBUTE left behind move first, so
+        // the guard reads the DADs the loop will run on.
+        self.place_referenced_arrays(plan);
         let ix = plan.id.index();
         let ProgramState { real, int, run, .. } = &mut self.state;
         let machine = self.backend.machine_mut();

@@ -41,7 +41,7 @@ use crate::lower::{CompiledProgram, LoopPlan};
 use chaos_dmsim::{
     Backend, FaultPlan, Machine, MachineConfig, MetricsRegistry, PooledBackend, TraceSink,
 };
-use chaos_runtime::{DistArray, Distribution, LocalizeScratch};
+use chaos_runtime::{Dad, DistArray, Distribution, LocalizeScratch};
 use recover::ExecSnapshot;
 pub use recover::RecoveryPolicy;
 use state::ProgramState;
@@ -108,7 +108,9 @@ pub struct ExecReport {
     pub reuse_hits: usize,
     /// Number of iteration-partitioning passes.
     pub iteration_partitions: usize,
-    /// Number of REDISTRIBUTE operations performed (counting each array).
+    /// Number of arrays moved onto their decomposition's distribution after
+    /// a DISTRIBUTE or REDISTRIBUTE changed it: an array moves at the first
+    /// FORALL that references it, so one no loop reads is never counted.
     pub arrays_redistributed: usize,
     /// Number of kernel (re)compilations: every inspection compiles the
     /// body, so this equals `inspector_runs`.
@@ -189,8 +191,8 @@ impl Executor<PooledBackend> {
     /// Create an executor whose runtime phases run rank-parallel on a pool
     /// of long-lived workers (ranks striped over `min(nprocs, cores)`
     /// lanes) — the rank-parallel engine, byte-identical to the sequential
-    /// one. Kernel sweeps, gathers, scatters, inspector passes and
-    /// REDISTRIBUTE all execute through the pool.
+    /// one. Kernel sweeps, gathers, scatters, inspector passes and array
+    /// remaps all execute through the pool.
     pub fn new_pooled(config: MachineConfig, inputs: ProgramInputs) -> Self {
         Self::with_backend(PooledBackend::from_config(config), inputs)
     }
@@ -323,6 +325,13 @@ impl<B: Backend> Executor<B> {
     /// Gather a REAL array back to a global vector (verification helper).
     pub fn real_global(&self, name: &str) -> Option<Vec<f64>> {
         self.state.real.named(name).map(DistArray::to_global)
+    }
+
+    /// The current DAD of an array of either type (verification helper):
+    /// the layout it holds now, which is its decomposition's distribution
+    /// once a FORALL has referenced it.
+    pub fn array_dad(&self, name: &str) -> Option<Dad> {
+        self.state.dad_of(name)
     }
 
     /// The current distribution of a decomposition, if distributed.

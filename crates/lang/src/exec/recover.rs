@@ -51,8 +51,9 @@ pub enum RecoveryPolicy {
     /// after every directive); on a failure, restore the checkpoint, replay
     /// the journalled sweeps since it, then rerun the failed sweep. A
     /// refresh re-copies only the arrays dirtied since the previous
-    /// checkpoint (values-only) and charges their modeled scan cost through
-    /// [`chaos_runtime::charge_checkpoint`].
+    /// checkpoint (values-only, or whole for an array a FORALL moved onto
+    /// its decomposition's distribution) and charges their modeled scan
+    /// cost through [`chaos_runtime::charge_checkpoint`].
     RollbackToCheckpoint {
         /// Checkpoint cadence in machine epochs (at least 1).
         every: u64,
@@ -116,10 +117,13 @@ fn add_shard_lens<T>(words: &mut [usize], arrays: &[DistArray<T>], include: impl
 
 impl<B: Backend> Executor<B> {
     /// Modeled words each rank scans to copy the dirty (or, on a full
-    /// refresh, all) arrays into the checkpoint.
+    /// refresh, all) arrays into the checkpoint: those the journalled
+    /// sweeps wrote and those their FORALLs moved.
     fn checkpoint_rank_words(&self, everything: bool) -> Vec<usize> {
         let mut words = vec![0usize; self.backend.nprocs()];
-        let include = |name: &str| everything || wrote(&self.journal, name);
+        let ckpt = self.checkpoint.as_deref().map(|c| &c.state);
+        let moved = |name: &str| ckpt.is_some_and(|c| c.dad_of(name) != self.state.dad_of(name));
+        let include = |name: &str| everything || wrote(&self.journal, name) || moved(name);
         add_shard_lens(&mut words, &self.state.real.0, include);
         add_shard_lens(&mut words, &self.state.int.0, include);
         words
@@ -130,8 +134,8 @@ impl<B: Backend> Executor<B> {
     /// (a directive changed distributions, alignments or array storage since
     /// the checkpoint) or there is no checkpoint yet, unchanged arrays are
     /// left alone — only dirty shards are re-copied, values-only, into the
-    /// checkpoint's existing storage — and the machine snapshot reuses its
-    /// buffers.
+    /// checkpoint's existing storage (an array a FORALL moved is re-copied
+    /// whole) — and the machine snapshot reuses its buffers.
     pub(super) fn refresh_checkpoint(&mut self, structural: bool) {
         let full = structural || self.checkpoint.is_none();
         let rank_words = self.checkpoint_rank_words(full);

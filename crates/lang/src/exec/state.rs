@@ -184,14 +184,29 @@ pub(super) struct ProgramState {
 }
 
 impl ProgramState {
+    /// The DAD of the array called `name`, of either element type.
+    pub fn dad_of(&self, name: &str) -> Option<Dad> {
+        let real = self.real.named(name).map(DistArray::dad);
+        real.or_else(|| self.int.named(name).map(DistArray::dad))
+    }
+
     /// Bring `self` — a copy of `live` from which `live` has since moved on
-    /// by FORALL sweeps only — up to date: the arrays those sweeps `wrote`
-    /// are re-copied values-only into the storage the copy already has, and
-    /// nothing else outside `run` can differ.
+    /// by FORALLs only — up to date: the arrays those FORALLs moved onto
+    /// their decompositions' distributions (the DADs differ) are re-copied
+    /// whole, the others their sweeps `wrote` values-only into the storage
+    /// the copy already has, and nothing else outside `run` can differ.
     pub fn refresh_from(&mut self, live: &ProgramState, wrote: impl Fn(&str) -> bool) {
-        let arrays = self.real.0.iter_mut().zip(&live.real.0);
-        for (dst, src) in arrays.filter(|(_, src)| wrote(src.name())) {
-            dst.copy_values_from(src);
+        for (dst, src) in self.real.0.iter_mut().zip(&live.real.0) {
+            if dst.dad() != src.dad() {
+                dst.clone_from(src);
+            } else if wrote(src.name()) {
+                dst.copy_values_from(src);
+            }
+        }
+        for (dst, src) in self.int.0.iter_mut().zip(&live.int.0) {
+            if dst.dad() != src.dad() {
+                dst.clone_from(src);
+            }
         }
         self.run.clone_from(&live.run);
     }

@@ -4,7 +4,7 @@ use super::*;
 use crate::kernel::vm::eflux as chaos_workloads_eflux;
 use crate::lower::lower_program;
 use crate::parser::parse_program;
-use chaos_dmsim::PhaseKind;
+use chaos_dmsim::{FaultKind, PhaseKind};
 use chaos_runtime::IterPartitionPolicy;
 
 const EDGE_PROGRAM: &str = r#"
@@ -366,10 +366,11 @@ C$          REDISTRIBUTE reg(distfmt)
 #[test]
 fn redistribute_remaps_real_then_integer_arrays_in_align_order() {
     // Six arrays on the redistributed decomposition, ALIGNed out of name
-    // order and interleaving the two types: every fresh executor remaps the
-    // REAL ones in ALIGN order, then the INTEGER ones, so the clocks, which
-    // each remap's charges advance in turn, and the per-kind totals never
-    // vary run to run.
+    // order and interleaving the two types, all referenced by the FORALL
+    // after the REDISTRIBUTE (`tag` and `mark` as indirection): every fresh
+    // executor remaps the REAL ones in ALIGN order, then the INTEGER ones,
+    // so the clocks, which each remap's charges advance in turn, and the
+    // per-kind totals never vary run to run.
     let src = r#"
             REAL*8 zc(nnode), x(nnode), yc(nnode), y(nnode)
             INTEGER tag(nnode), mark(nnode), end_pt1(nedge), end_pt2(nedge)
@@ -379,11 +380,21 @@ fn redistribute_remaps_real_then_integer_arrays_in_align_order() {
             ALIGN zc, tag, x WITH reg
             ALIGN end_pt1, end_pt2 WITH reg2
             ALIGN mark, yc, y WITH reg
-            CALL READ_DATA(end_pt1, end_pt2)
+            CALL READ_DATA(end_pt1, end_pt2, tag, mark)
 C$          CONSTRUCT G (nnode, LINK(nedge, end_pt1, end_pt2))
 C$          SET distfmt BY PARTITIONING G USING RSB
 C$          REDISTRIBUTE reg(distfmt)
+            FORALL i = 1, nnode
+              REDUCE(ADD, y(tag(i)), x(mark(i)) + zc(i) * yc(i))
+            END FORALL
     "#;
+    let inputs = |nnode: usize| {
+        let tag = (0..nnode).map(|i| ((i * 5 + 3) % nnode) as u32 + 1);
+        let mark = (0..nnode).map(|i| ((i * 7 + 1) % nnode) as u32 + 1);
+        ring_inputs(nnode)
+            .int("tag", tag.collect())
+            .int("mark", mark.collect())
+    };
     let cp = lower_program(parse_program(src).unwrap()).unwrap();
     let fingerprint = |exec: &Executor| {
         let machine = exec.machine();
@@ -404,12 +415,156 @@ C$          REDISTRIBUTE reg(distfmt)
     };
     let mut first = None;
     for run in 0..8 {
-        let mut exec = Executor::new(MachineConfig::ipsc860(4), ring_inputs(32));
+        let mut exec = Executor::new(MachineConfig::ipsc860(4), inputs(32));
         exec.run(&cp).unwrap();
         let got = fingerprint(&exec);
         assert_eq!(got.2, 6, "every array on reg remapped");
         assert_eq!(&got, first.get_or_insert_with(|| got.clone()), "run {run}");
     }
+}
+
+#[test]
+fn a_distribute_after_read_data_moves_the_arrays_at_the_first_forall() {
+    // DISTRIBUTE sets the decomposition's distribution and moves nothing:
+    // the FORALL moves x and y onto CYCLIC before its guard reads a DAD, so
+    // the loop runs on the layout its schedules are built for.
+    let src = EDGE_PROGRAM.replace(
+        "CALL READ_DATA(x, y, end_pt1, end_pt2)\n",
+        "CALL READ_DATA(x, y, end_pt1, end_pt2)\n        DISTRIBUTE reg(CYCLIC)\n",
+    );
+    assert_ne!(src, EDGE_PROGRAM);
+    let cp = lower_program(parse_program(&src).unwrap()).unwrap();
+    let inputs = ring_inputs(37);
+    let expected = reference_y(&inputs);
+    fn check<B: Backend>(mut exec: Executor<B>, cp: &CompiledProgram, expected: &[f64]) {
+        exec.run(cp).expect("the loop runs on the CYCLIC layout");
+        let y = exec.real_global("y").unwrap();
+        for (i, (a, b)) in y.iter().zip(expected).enumerate() {
+            assert!((a - b).abs() < 1e-10, "y[{i}]: {a} vs {b}");
+        }
+        assert_eq!(exec.array_dad("x"), Some(Dad::Cyclic { n: 37, p: 4 }));
+        assert_eq!(exec.report().arrays_redistributed, 2, "x and y moved");
+    }
+    let cfg = MachineConfig::ipsc860(4);
+    check(Executor::new(cfg.clone(), inputs.clone()), &cp, &expected);
+    check(
+        Executor::new_pooled_with_workers(cfg, 2, inputs),
+        &cp,
+        &expected,
+    );
+}
+
+#[test]
+fn a_panic_in_a_forall_s_array_move_recovers_bit_identically() {
+    // The FORALL after REDISTRIBUTE moves x, then y, as its first two
+    // epochs, inside its guarded attempt: a kernel panic at y's move is
+    // retried from the pre-sweep snapshot and the run ends bit-identical
+    // to the fault-free run under the same policy.
+    let at = MAPPED_PROGRAM.find("C$      REDISTRIBUTE").unwrap();
+    let prefix = lower_program(parse_program(&MAPPED_PROGRAM[..at]).unwrap()).unwrap();
+    let cp = lower_program(parse_program(MAPPED_PROGRAM).unwrap()).unwrap();
+    let inputs = ring_inputs(48);
+    let cfg = MachineConfig::ipsc860(4);
+    let policy = RecoveryPolicy::RetryPhase { max_attempts: 1 };
+    let mut before = Executor::new(cfg.clone(), inputs.clone());
+    before.run(&prefix).unwrap();
+    let y_move = before.machine().epoch() + 2;
+    fn check<B: Backend>(
+        mut clean: Executor<B>,
+        faulted: Executor<B>,
+        cp: &CompiledProgram,
+        y_move: u64,
+    ) {
+        let plan = Arc::new(FaultPlan::new().with_fault(y_move, 1, FaultKind::KernelPanic));
+        let mut faulted = faulted.with_fault_plan(Arc::clone(&plan));
+        clean.run(cp).unwrap();
+        faulted.run(cp).expect("the retry recovers the move");
+        assert!(plan.exhausted(), "the fault fired");
+        assert_eq!(clean.report().arrays_redistributed, 2);
+        assert_runs_agree(&clean, &faulted);
+        let (a, b) = (clean.machine().stats(), faulted.machine().stats());
+        for kind in PhaseKind::ALL {
+            assert_eq!(a.totals_for(kind), b.totals_for(kind), "{kind:?}");
+        }
+        assert_eq!(
+            a.totals_for(PhaseKind::Remap).phases,
+            2,
+            "one phase per move"
+        );
+        assert_eq!(clean.machine().epoch(), faulted.machine().epoch());
+    }
+    let seq = || Executor::new(cfg.clone(), inputs.clone()).with_recovery_policy(policy);
+    check(seq(), seq(), &cp, y_move);
+    let pool = || {
+        Executor::new_pooled_with_workers(cfg.clone(), 2, inputs.clone())
+            .with_recovery_policy(policy)
+    };
+    check(pool(), pool(), &cp, y_move);
+}
+
+#[test]
+fn rollback_recovers_every_epoch_of_a_forall_that_moves_its_arrays() {
+    // L2 moves x and y onto the RSB distribution the REDISTRIBUTE set, so
+    // the checkpoint refreshed after its first sweep sees two arrays with a
+    // new layout, one of them also written: both are re-copied whole. A
+    // kernel panic at any epoch from L2's first attempt on recovers
+    // bit-identically to the fault-free run under the same policy.
+    const SRC: &str = r#"
+        REAL*8 x(nnode), y(nnode)
+        INTEGER end_pt1(nedge), end_pt2(nedge)
+        DYNAMIC, DECOMPOSITION reg(nnode), reg2(nedge)
+        DISTRIBUTE reg(BLOCK)
+        DISTRIBUTE reg2(BLOCK)
+        ALIGN x, y WITH reg
+        ALIGN end_pt1, end_pt2 WITH reg2
+        CALL READ_DATA(x, y, end_pt1, end_pt2)
+        FORALL i = 1, nedge
+          REDUCE(ADD, y(end_pt1(i)), EFLUX1(x(end_pt1(i)), x(end_pt2(i))))
+        END FORALL
+C$      CONSTRUCT G (nnode, LINK(nedge, end_pt1, end_pt2))
+C$      SET distfmt BY PARTITIONING G USING RSB
+C$      REDISTRIBUTE reg(distfmt)
+        FORALL i = 1, nedge
+          REDUCE(ADD, y(end_pt1(i)), EFLUX1(x(end_pt1(i)), x(end_pt2(i))))
+          REDUCE(ADD, y(end_pt2(i)), EFLUX2(x(end_pt1(i)), x(end_pt2(i))))
+        END FORALL
+    "#;
+    let at = SRC.rfind("        FORALL").unwrap();
+    let prefix = lower_program(parse_program(&SRC[..at]).unwrap()).unwrap();
+    let cp = lower_program(parse_program(SRC).unwrap()).unwrap();
+    let inputs = random_inputs(48, 160);
+    let cfg = MachineConfig::ipsc860(4);
+    let policy = RecoveryPolicy::RollbackToCheckpoint { every: 2 };
+    fn drive<B: Backend>(mut exec: Executor<B>, cp: &CompiledProgram) -> Executor<B> {
+        exec.run(cp).expect("the program runs");
+        for _ in 0..3 {
+            exec.execute_loop(cp, "L2").expect("the loop sweeps");
+        }
+        exec
+    }
+    fn check<B: Backend>(
+        engine: impl Fn() -> Executor<B>,
+        prefix: &CompiledProgram,
+        cp: &CompiledProgram,
+    ) {
+        let mut start = engine();
+        start.run(prefix).unwrap();
+        let clean = drive(engine(), cp);
+        assert_eq!(clean.report().arrays_redistributed, 2);
+        for epoch in start.machine().epoch() + 1..=clean.machine().epoch() {
+            let plan = Arc::new(FaultPlan::new().with_fault(epoch, 1, FaultKind::KernelPanic));
+            let faulted = drive(engine().with_fault_plan(Arc::clone(&plan)), cp);
+            assert!(plan.exhausted(), "epoch {epoch}: the fault fired");
+            assert_runs_agree(&clean, &faulted);
+        }
+    }
+    let seq = || Executor::new(cfg.clone(), inputs.clone()).with_recovery_policy(policy);
+    check(seq, &prefix, &cp);
+    let pool = || {
+        Executor::new_pooled_with_workers(cfg.clone(), 2, inputs.clone())
+            .with_recovery_policy(policy)
+    };
+    check(pool, &prefix, &cp);
 }
 
 #[test]

@@ -275,9 +275,9 @@ fn faulted_incremental_run_recovers_bit_identically() {
     assert_eq!(drive(&mut full, &cp), want, "lane-per-rank pool");
 }
 
-/// REDISTRIBUTE gives every aligned array a fresh irregular-distribution
-/// DAD: the old resident ghost region must never serve the re-inspected
-/// loop. The regression this guards: serving stale region rows (or stale
+/// After REDISTRIBUTE, the loop that reads the aligned arrays moves them
+/// onto a fresh irregular-distribution DAD: the old resident ghost region
+/// must never serve the re-inspected loop. The regression this guards: serving stale region rows (or stale
 /// slot maps) after a remap would silently read pre-remap values.
 #[test]
 fn redistribute_invalidates_incremental_bindings() {

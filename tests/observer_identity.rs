@@ -576,12 +576,13 @@ fn each_event_has_one_definition_on_both_engines() {
 }
 
 /// The engines tell one story to the metrics registry: for a program that
-/// remaps (`REDISTRIBUTE`, a mailbox exchange per aligned array), runs two
-/// FORALLs and scatters, the counters that describe *what ran* — regions,
-/// rank kernels, combine ranks, fired faults, pack volume — are equal on
-/// the sequential engine and on the pool at 1, 2 and `nprocs` workers.
-/// Every region is built from the same stages on both: the exchange's pack
-/// is a rank-kernel stage everywhere, not only on the pool.
+/// remaps (the FORALL after `REDISTRIBUTE` moves each array it reads, one
+/// communication phase per array), runs two FORALLs and scatters, the
+/// counters that describe *what ran* — regions, rank kernels, combine
+/// ranks, fired faults, pack volume — are equal on the sequential engine
+/// and on the pool at 1, 2 and `nprocs` workers. Every region is built
+/// from the same stages on both: a remap's unpack is a rank-kernel stage
+/// everywhere, not only on the pool.
 #[test]
 fn what_ran_counters_agree_across_engines() {
     const SRC: &str = r#"
