@@ -14,6 +14,13 @@
 //!
 //! This is the work whose cost the paper amortizes via schedule reuse.
 //!
+//! Step 1 has two forms. [`Inspector::localize`] and its variants translate
+//! an [`AccessPattern`]. The lang inspector translates the references of
+//! the group that places a loop's iterations where it places them
+//! ([`place_and_locate`](crate::iterpart::place_and_locate)) and hands the
+//! [`Located`] rows to [`Inspector::localize_located`], which charges the
+//! translation and runs steps 2 to 4 over them, as the pattern forms do.
+//!
 //! # The local index space
 //!
 //! As in PARTI, every reference localizes to **one** `u32` in a per-processor
@@ -31,6 +38,7 @@
 
 use crate::dist::Distribution;
 use crate::schedule::{charge_request_exchange, CommSchedule};
+use crate::ttable::charge_dereference;
 use chaos_dmsim::Backend;
 
 /// Read the element a local index names: `local[idx]` when `idx` is an owned
@@ -123,29 +131,54 @@ impl InspectorResult {
 #[derive(Debug, Clone, Default)]
 pub struct LocalizeScratch {
     /// Packed `owner << 32 | offset` location of every reference, per proc.
-    located: Vec<Vec<u64>>,
+    pub(crate) located: Vec<Vec<u64>>,
     /// Sorted, deduplicated off-processor keys, per proc (rank-local so the
     /// dedup kernels can run one per thread).
     offproc: Vec<Vec<u64>>,
     /// One word of off-processor flags per 64 references, per proc: their
     /// count sizes `pending` exactly.
     flags: Vec<Vec<u64>>,
-    /// The position of each off-processor reference, per proc: sorted by
-    /// key, they give the ghost slots and where each one is written.
-    pending: Vec<Vec<u32>>,
+    /// The off-processor references as `offset << 32 | position`, bucketed
+    /// by owner in rank order, per proc: each bucket sorted, they give the
+    /// ghost slots and where each one is written.
+    pending: Vec<Vec<u64>>,
     /// Flat CSR ghost-source arrays under construction.
     ghost_off: Vec<u32>,
     ghost_owner: Vec<u32>,
     ghost_src: Vec<u32>,
 }
 
+/// A group's references translated to packed `owner << 32 | offset` keys
+/// by [`place_and_locate`](crate::iterpart::place_and_locate), not yet
+/// localized or charged.
+#[derive(Debug)]
+pub struct Located {
+    /// Each rank's keys, its iterations in ascending order, a row each.
+    pub(crate) rows: Vec<Vec<u64>>,
+    /// Each rank's requests per table page (`pages[p * nprocs + page]`)
+    /// when the translation is the dereference; `None` for BLOCK or CYCLIC.
+    pub(crate) pages: Option<Vec<u32>>,
+}
+
 /// One rank's rows of the dedup / rewrite kernel: its off-processor flags,
-/// the positions of its off-processor references, its deduplicated keys
-/// and its localized references.
+/// its bucketed off-processor references, its deduplicated keys and its
+/// localized references.
 type Rows<'a> = (
-    ((&'a mut Vec<u64>, &'a mut Vec<u32>), &'a mut Vec<u64>),
+    ((&'a mut Vec<u64>, &'a mut Vec<u64>), &'a mut Vec<u64>),
     &'a mut Vec<u32>,
 );
+
+/// The positions of the set bits of `flags`, in ascending order.
+fn set_bits(flags: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    flags.iter().enumerate().flat_map(|(c, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let bit = (rest != 0).then(|| c * 64 + rest.trailing_zeros() as usize);
+            rest &= rest.wrapping_sub(1);
+            bit
+        })
+    })
+}
 
 /// The inspector itself. Stateless; all state lives in the returned
 /// [`InspectorResult`] (and optionally a caller-held [`LocalizeScratch`]).
@@ -173,13 +206,6 @@ impl Inspector {
     /// repeated inspector runs (schedule-reuse misses) stop allocating
     /// intermediates after the first call.
     ///
-    /// Deduplication is hash-free: every reference is translated to a packed
-    /// `owner << 32 | local_offset` key, one pass rewrites the owned ones and
-    /// sets the off-processor ones aside with their positions, and sorting
-    /// those by key deduplicates them and assigns ghost slots by rank in that
-    /// sorted order (identical slot numbering to the paper's
-    /// owner-then-offset convention).
-    ///
     /// It is [`Inspector::localize_deferred_exchange`] followed by the
     /// schedule's request exchange, [`charge_request_exchange`] over the one
     /// schedule. `_label` is ignored: a phase is counted under its
@@ -202,10 +228,12 @@ impl Inspector {
     /// as usual, but the returned schedule has not paid its build exchange
     /// (building a schedule never charges).
     ///
-    /// Translation, dedup and reference rewriting are rank-local kernels
-    /// (each rank touches only its own scratch rows), so on the pooled
-    /// [`Backend`] they run on the worker lanes; only the final CSR assembly
-    /// remains on the driver.
+    /// Every reference is translated to a packed `owner << 32 | offset` key
+    /// — by dereferencing the translation table in one batched pass for an
+    /// irregular distribution, by rank-local arithmetic for a regular one —
+    /// and the rows are then localized as [`Inspector::localize_located`]
+    /// does. Both are rank-local kernels, so on the pooled [`Backend`] they
+    /// run on the worker lanes; only the CSR assembly stays on the driver.
     ///
     /// Used by callers that bind the schedule into a resident ghost region
     /// ([`ReuseRegistry::region_bind`](crate::reuse::ReuseRegistry::region_bind))
@@ -230,18 +258,14 @@ impl Inspector {
             nprocs,
             "data distribution processor count must match the machine"
         );
-
-        // Step 1: translate all references to packed (owner, offset) keys.
-        // For irregular distributions this dereferences the translation
-        // table in one batched pass (charging its comm/compute); for regular
-        // distributions it is rank-local arithmetic.
+        let mut rows = std::mem::take(&mut scratch.located);
         match data_dist {
             Distribution::Irregular { table } => {
-                table.dereference(backend, &pattern.refs, &mut scratch.located);
+                table.dereference(backend, &pattern.refs, &mut rows);
             }
             _ => {
-                scratch.located.resize_with(nprocs, Vec::new);
-                backend.run_compute(scratch.located.iter_mut(), |ctx, row: &mut Vec<u64>| {
+                rows.resize_with(nprocs, Vec::new);
+                backend.run_compute(rows.iter_mut(), |ctx, row: &mut Vec<u64>| {
                     let refs = &pattern.refs[ctx.rank()];
                     ctx.charge_compute(ctx.rank(), refs.len() as f64);
                     row.clear();
@@ -253,124 +277,176 @@ impl Inspector {
                 });
             }
         }
+        let result = localize_rows(backend, data_dist, &rows, scratch);
+        scratch.located = rows;
+        result
+    }
 
-        // Steps 2 & 4 (rank-local kernels), one pass over the translated
-        // references: an owned reference is rewritten to its offset where
-        // it stands, and an off-processor one's position is set aside.
-        // Sorting those by key deduplicates them, assigns the ghost slots
-        // (rank in sorted order — owner-major, then offset) and reaches
-        // every position holding each key, which is then rewritten to its
-        // slot.
-        let located = &scratch.located;
-        let (flags, pending) = (&mut scratch.flags, &mut scratch.pending);
-        let offproc = &mut scratch.offproc;
-        flags.resize_with(nprocs, Vec::new);
-        pending.resize_with(nprocs, Vec::new);
-        offproc.resize_with(nprocs, Vec::new);
-        let owned_counts: Vec<usize> = (0..nprocs).map(|p| data_dist.local_size(p)).collect();
-        let mut localized: Vec<Vec<u32>> = Vec::new();
-        localized.resize_with(nprocs, Vec::new);
-        let rows = flags
-            .iter_mut()
-            .zip(pending.iter_mut())
-            .zip(offproc.iter_mut())
-            .zip(localized.iter_mut());
-        backend.run_compute(
-            rows,
-            |ctx, (((flags, pending), offproc), locals): Rows<'_>| {
-                let me = ctx.rank() as u64;
-                let located = &located[ctx.rank()];
-                assert!(
-                    u32::try_from(located.len()).is_ok(),
-                    "rank {me} has more than u32::MAX references"
-                );
-                // The one pass over the references, 64 at a time: their low
-                // words (an owned reference's offset) are copied as a block,
-                // beside a word of off-processor flags. Only a word that holds
-                // a flag is branched on, and the flags' count sizes the
-                // positions exactly.
-                flags.clear();
-                flags.reserve_exact(located.len().div_ceil(64));
-                locals.reserve_exact(located.len());
-                for chunk in located.chunks(64) {
-                    locals.extend(chunk.iter().map(|&k| k as u32));
-                    let flag = |(j, &k): (usize, &u64)| u64::from((k >> 32) != me) << j;
-                    flags.push(chunk.iter().enumerate().map(flag).fold(0, |a, b| a | b));
-                }
-                pending.clear();
-                pending.reserve_exact(flags.iter().map(|w| w.count_ones() as usize).sum());
-                for (c, &word) in flags.iter().enumerate() {
-                    let mut off = word;
-                    while off != 0 {
-                        pending.push((c * 64) as u32 + off.trailing_zeros());
-                        off &= off - 1;
-                    }
-                }
-                pending.sort_unstable_by_key(|&at| located[at as usize]);
-                // Ghost slots sit behind the owned elements in the rank's
-                // local index space.
-                let n_owned = owned_counts[ctx.rank()];
-                offproc.clear();
-                offproc.reserve(pending.len());
-                for &at in pending.iter() {
-                    let k = located[at as usize];
-                    if offproc.last() != Some(&k) {
-                        offproc.push(k);
-                    }
-                    locals[at as usize] = (n_owned + offproc.len() - 1) as u32;
-                }
-                assert!(
-                    u32::try_from(n_owned + offproc.len()).is_ok(),
-                    "local index space of rank {me} exceeds u32"
-                );
-                // Charge dedup / rewrite work: ~2 ops per reference plus 1
-                // per distinct off-processor element (same model as the
-                // paper's hash-table accounting — the layout changed, not
-                // the cost).
-                ctx.charge_compute(
-                    ctx.rank(),
-                    2.0 * located.len() as f64 + offproc.len() as f64,
-                );
-            },
+    /// [`Inspector::localize_deferred_exchange`] over references already
+    /// translated by [`place_and_locate`](crate::iterpart::place_and_locate):
+    /// the translation is charged first (the dereference's two rounds from
+    /// the walk's page counts, or the locate charge), then the rows are
+    /// localized, with the same charges, results and schedule.
+    pub fn localize_located<B: Backend>(
+        &self,
+        backend: &mut B,
+        data_dist: &Distribution,
+        located: Located,
+        scratch: &mut LocalizeScratch,
+    ) -> InspectorResult {
+        let Located { rows, pages } = located;
+        assert_eq!(
+            (rows.len(), data_dist.nprocs()),
+            (backend.nprocs(), backend.nprocs()),
+            "located rows and distribution must have one entry per processor"
         );
+        match pages {
+            Some(pages) => charge_dereference(backend, &pages),
+            None => backend.run_charges(|ctx| {
+                ctx.charge_compute(ctx.rank(), rows[ctx.rank()].len() as f64);
+            }),
+        }
+        let result = localize_rows(backend, data_dist, &rows, scratch);
+        scratch.located = rows;
+        result
+    }
+}
 
-        // Serial CSR assembly of the per-rank dedup results (cheap: one
-        // append pass over the ghost sets).
-        scratch.ghost_off.clear();
-        scratch.ghost_owner.clear();
-        scratch.ghost_src.clear();
-        scratch.ghost_off.push(0);
-        let total_ghosts = scratch.offproc.iter().map(Vec::len).sum();
-        scratch.ghost_off.reserve(nprocs);
-        scratch.ghost_owner.reserve(total_ghosts);
-        scratch.ghost_src.reserve(total_ghosts);
-        let mut ghost_counts: Vec<usize> = Vec::with_capacity(nprocs);
-        for offproc in scratch.offproc.iter() {
-            for &k in offproc {
-                scratch.ghost_owner.push((k >> 32) as u32);
-                scratch.ghost_src.push(k as u32);
+/// Localize each rank's located `rows` (steps 2 to 4 of the module docs).
+///
+/// Deduplication is hash-free. One pass over a rank's keys rewrites the
+/// owned ones to their offsets where they stand and flags the
+/// off-processor ones. Those are counted per owner and set out in one
+/// bucket per owner, in rank order, as `offset << 32 | position`; sorting
+/// each bucket deduplicates it and assigns the ghost slots by rank in that
+/// order, owner-major then offset (the paper's slot numbering), and reaches
+/// every position holding each element, which is then rewritten to its
+/// slot.
+fn localize_rows<B: Backend>(
+    backend: &mut B,
+    data_dist: &Distribution,
+    rows: &[Vec<u64>],
+    scratch: &mut LocalizeScratch,
+) -> InspectorResult {
+    let nprocs = backend.nprocs();
+    let (flags, pending) = (&mut scratch.flags, &mut scratch.pending);
+    let offproc = &mut scratch.offproc;
+    flags.resize_with(nprocs, Vec::new);
+    pending.resize_with(nprocs, Vec::new);
+    offproc.resize_with(nprocs, Vec::new);
+    let owned_counts: Vec<usize> = (0..nprocs).map(|p| data_dist.local_size(p)).collect();
+    let mut localized: Vec<Vec<u32>> = Vec::new();
+    localized.resize_with(nprocs, Vec::new);
+    let state = flags
+        .iter_mut()
+        .zip(pending.iter_mut())
+        .zip(offproc.iter_mut())
+        .zip(localized.iter_mut());
+    backend.run_compute(
+        state,
+        |ctx, (((flags, pending), offproc), locals): Rows<'_>| {
+            let me = ctx.rank();
+            let located = &rows[me];
+            assert!(
+                u32::try_from(located.len()).is_ok(),
+                "rank {me} has more than u32::MAX references"
+            );
+            // The one pass over the references, 64 at a time: their low
+            // words (an owned reference's offset) are copied as a block,
+            // beside a word of off-processor flags. Only the flagged
+            // positions are visited again.
+            flags.clear();
+            flags.reserve_exact(located.len().div_ceil(64));
+            locals.reserve_exact(located.len());
+            for chunk in located.chunks(64) {
+                locals.extend(chunk.iter().map(|&k| k as u32));
+                let flag = |(j, &k): (usize, &u64)| u64::from((k >> 32) != me as u64) << j;
+                flags.push(chunk.iter().enumerate().map(flag).fold(0, |a, b| a | b));
             }
-            scratch.ghost_off.push(scratch.ghost_owner.len() as u32);
-            ghost_counts.push(offproc.len());
-        }
+            // `end[o]` counts owner `o`'s references, then becomes where
+            // its bucket starts, then (once filled) where it ends.
+            let mut end = vec![0u32; nprocs];
+            for at in set_bits(flags) {
+                end[(located[at] >> 32) as usize] += 1;
+            }
+            let mut start = 0;
+            for n in end.iter_mut() {
+                (*n, start) = (start, start + *n);
+            }
+            pending.clear();
+            pending.resize(start as usize, 0);
+            for at in set_bits(flags) {
+                let k = located[at];
+                let next = &mut end[(k >> 32) as usize];
+                pending[*next as usize] = (k << 32) | at as u64;
+                *next += 1;
+            }
+            // Ghost slots sit behind the owned elements in the rank's
+            // local index space.
+            let n_owned = owned_counts[me];
+            offproc.clear();
+            offproc.reserve(pending.len());
+            let mut begin = 0;
+            for (owner, &end) in end.iter().enumerate() {
+                let bucket = &mut pending[begin..end as usize];
+                bucket.sort_unstable();
+                for &k in bucket.iter() {
+                    let key = ((owner as u64) << 32) | (k >> 32);
+                    if offproc.last() != Some(&key) {
+                        offproc.push(key);
+                    }
+                    locals[k as u32 as usize] = (n_owned + offproc.len() - 1) as u32;
+                }
+                begin = end as usize;
+            }
+            assert!(
+                u32::try_from(n_owned + offproc.len()).is_ok(),
+                "local index space of rank {me} exceeds u32"
+            );
+            // Charge dedup / rewrite work: ~2 ops per reference plus 1
+            // per distinct off-processor element (same model as the
+            // paper's hash-table accounting — the layout changed, not
+            // the cost).
+            ctx.charge_compute(me, 2.0 * located.len() as f64 + offproc.len() as f64);
+        },
+    );
 
-        // Step 3: build the communication schedule (its request exchange is
-        // the caller's to charge). The schedule owns its arenas, so the
-        // scratch arrays are cloned out — their capacity stays with the
-        // scratch for the next run.
-        let schedule = CommSchedule::from_csr_parts(
-            nprocs,
-            scratch.ghost_off.clone(),
-            scratch.ghost_owner.clone(),
-            scratch.ghost_src.clone(),
-        );
-
-        InspectorResult {
-            schedule,
-            localized,
-            owned_counts,
-            ghost_counts,
+    // Serial CSR assembly of the per-rank dedup results (cheap: one
+    // append pass over the ghost sets).
+    scratch.ghost_off.clear();
+    scratch.ghost_owner.clear();
+    scratch.ghost_src.clear();
+    scratch.ghost_off.push(0);
+    let total_ghosts = scratch.offproc.iter().map(Vec::len).sum();
+    scratch.ghost_off.reserve(nprocs);
+    scratch.ghost_owner.reserve(total_ghosts);
+    scratch.ghost_src.reserve(total_ghosts);
+    let mut ghost_counts: Vec<usize> = Vec::with_capacity(nprocs);
+    for offproc in scratch.offproc.iter() {
+        for &k in offproc {
+            scratch.ghost_owner.push((k >> 32) as u32);
+            scratch.ghost_src.push(k as u32);
         }
+        scratch.ghost_off.push(scratch.ghost_owner.len() as u32);
+        ghost_counts.push(offproc.len());
+    }
+
+    // Step 3: build the communication schedule (its request exchange is
+    // the caller's to charge). The schedule owns its arenas, so the
+    // scratch arrays are cloned out — their capacity stays with the
+    // scratch for the next run.
+    let schedule = CommSchedule::from_csr_parts(
+        nprocs,
+        scratch.ghost_off.clone(),
+        scratch.ghost_owner.clone(),
+        scratch.ghost_src.clone(),
+    );
+
+    InspectorResult {
+        schedule,
+        localized,
+        owned_counts,
+        ghost_counts,
     }
 }
 

@@ -16,29 +16,22 @@
 //!
 //! [`partition_iterations`] reads a loop's references one iteration at a
 //! time as a `&[u32]` **row** and does not care how the rows are stored: the
-//! lang inspector hands it strided chunks of its flat reference table, the
 //! pair-loop workloads hand it `Vec<[u32; 2]>`, a nested `Vec<Vec<u32>>`
 //! works too. No form needs one heap allocation per iteration, so none
-//! should be built that way.
+//! should be built that way. Each row counts into an `nprocs`-wide array
+//! that is all zeros between rows and zeroes only the owners it named, so
+//! a row costs its references, not `nprocs`.
 //!
-//! [`partition_iterations_weighted`] is the same vote over rows whose entry
-//! `j` stands for `weights[j]` references: a table that stores one column
-//! per distinct index expression (`x(e1(i))` and `y(e1(i))` read one value)
-//! votes exactly as the rows with each column repeated once per reference
-//! would. [`partition_iterations`] is its unit-weight case; both run one
-//! implementation.
-//!
-//! The vote resolves the distribution's variant once per call, not once
-//! per reference, and a weighted row of one to four entries votes through
-//! a kernel of that width fixed at compile time (every paper loop's
-//! distinct-expression row is one or two entries wide): its owners and
-//! weights sit in registers and the winner is found by comparing them
-//! pairwise. A wider row, and every unit-weight row, counts into an
-//! `nprocs`-wide array that is all zeros between rows and zeroes only the
-//! owners it named, so either way a row costs its references, not
-//! `nprocs`.
+//! [`place_and_locate`] is the inspector's own entry point: one walk over
+//! a loop's columns (the indirection arrays, made 0-based, and the loop
+//! variable), each standing for `weights[j]` references, looks each
+//! reference up once as a packed `owner << 32 | offset` key, votes the
+//! owners — through a kernel of the row's width fixed at compile time for
+//! one to four columns, its winner found by comparing them pairwise — and
+//! appends the keys to the home rank's located row.
 
 use crate::dist::Distribution;
+use crate::inspector::{LocalizeScratch, Located};
 use chaos_dmsim::Machine;
 
 /// The iteration-assignment convention.
@@ -108,15 +101,13 @@ impl IterationPartition {
 /// `iteration_refs` yields one **row** per iteration, in iteration order:
 /// the global indices (into arrays aligned with `data_dist`) that iteration
 /// references, as anything that reads as a `&[u32]`. The rows need not be
-/// stored as rows — strided chunks of one flat table, `[u32; 2]` pairs and
-/// nested `Vec`s are all the same input — they may be empty, and they may
-/// differ in length. Every entry must be below `data_dist.len()`. The
-/// source must know its length up front (`BlockOfIterations` sizes its
-/// blocks by it) and is walked exactly once.
+/// stored as rows — `[u32; 2]` pairs and nested `Vec`s are the same input —
+/// they may be empty, and they may differ in length. Every entry must be
+/// below `data_dist.len()`. The source must know its length up front
+/// (`BlockOfIterations` sizes its blocks by it) and is walked exactly once.
 ///
 /// Placing an iteration costs its references, not `nprocs` (see the
-/// [module docs](self)). It is [`partition_iterations_weighted`] with every
-/// entry weighing one reference.
+/// [module docs](self)).
 ///
 /// The cost of scanning the references is charged to the simulated machine:
 /// in the real system this scan is distributed (each processor examines the
@@ -133,115 +124,41 @@ where
     R::IntoIter: ExactSizeIterator,
     R::Item: AsRef<[u32]>,
 {
-    place(machine, data_dist, iteration_refs, Weights::Unit, policy)
-}
-
-/// [`partition_iterations`] over rows whose entry `j` stands for
-/// `weights[j]` references: every row has `weights.len()` entries, and the
-/// vote, the tie rule and the charge are those of the rows with entry `j`
-/// repeated `weights[j]` times. So a reference table that keeps one column
-/// per distinct index expression places iterations exactly as one that
-/// keeps a column per reference, for the cost of its distinct ones.
-///
-/// # Panics
-///
-/// If a weight is 0 or a row's length is not `weights.len()`.
-pub fn partition_iterations_weighted<R>(
-    machine: &mut Machine,
-    data_dist: &Distribution,
-    iteration_refs: R,
-    weights: &[u32],
-    policy: IterPartitionPolicy,
-) -> IterationPartition
-where
-    R: IntoIterator,
-    R::IntoIter: ExactSizeIterator,
-    R::Item: AsRef<[u32]>,
-{
-    assert!(
-        weights.iter().all(|&w| w > 0),
-        "every column weighs at least one reference"
-    );
-    place(
-        machine,
-        data_dist,
-        iteration_refs,
-        Weights::Columns(weights),
-        policy,
-    )
-}
-
-/// How many references each entry of a row stands for.
-#[derive(Clone, Copy)]
-enum Weights<'a> {
-    /// One each: rows of any length.
-    Unit,
-    /// `weights[j]` for entry `j`: every row is `weights.len()` wide.
-    Columns(&'a [u32]),
-}
-
-/// The one implementation behind both entry points: the owner lookup is
-/// resolved to one closure per distribution variant here, so the row loop
-/// is compiled once per variant and never matches on it.
-fn place<R>(
-    machine: &mut Machine,
-    data_dist: &Distribution,
-    iteration_refs: R,
-    weights: Weights<'_>,
-    policy: IterPartitionPolicy,
-) -> IterationPartition
-where
-    R: IntoIterator,
-    R::IntoIter: ExactSizeIterator,
-    R::Item: AsRef<[u32]>,
-{
     let nprocs = machine.nprocs();
     let rows = iteration_refs.into_iter();
+    // The owner lookup is resolved to one closure per distribution variant
+    // here, so the row loop is compiled once per variant and never matches
+    // on it. The per-variant lookups keep `Distribution::owner`'s range
+    // check (debug builds only, as there).
     let (home, load, total_refs) = match (policy, data_dist) {
         (IterPartitionPolicy::BlockOfIterations, _) => {
             let block = rows.len().div_ceil(nprocs).max(1);
-            let width = |i: usize, refs: &[u32]| match weights {
-                Weights::Unit => refs.len(),
-                Weights::Columns(w) => {
-                    assert_eq!(refs.len(), w.len(), "row {i} is not one entry per weight");
-                    w.iter().map(|&w| w as usize).sum()
-                }
-            };
             homes(nprocs, rows, |i, refs| {
-                ((i / block).min(nprocs - 1), width(i, refs))
+                ((i / block).min(nprocs - 1), refs.len())
             })
         }
-        // The per-variant lookups keep `Distribution::owner`'s range check
-        // (debug builds only, as there).
         (IterPartitionPolicy::AlmostOwnerComputes, Distribution::Block { n, p }) => {
             let (b, last) = (Distribution::block_size(*n, *p), p - 1);
-            vote_rows(nprocs, rows, weights, |g| {
+            vote_rows(nprocs, rows, |g| {
                 debug_assert!((g as usize) < *n, "global index {g} out of range");
                 (g as usize / b).min(last)
             })
         }
         (IterPartitionPolicy::AlmostOwnerComputes, Distribution::Cyclic { n, p }) => {
-            vote_rows(nprocs, rows, weights, |g| {
+            vote_rows(nprocs, rows, |g| {
                 debug_assert!((g as usize) < *n, "global index {g} out of range");
                 g as usize % p
             })
         }
         (IterPartitionPolicy::AlmostOwnerComputes, Distribution::Irregular { table }) => {
-            vote_rows(nprocs, rows, weights, |g| table.owner(g as usize))
+            vote_rows(nprocs, rows, |g| table.owner(g as usize))
         }
     };
     let mut iters: Vec<Vec<u32>> = load.iter().map(|&n| Vec::with_capacity(n)).collect();
     for (i, &p) in home.iter().enumerate() {
         iters[p as usize].push(i as u32);
     }
-
-    // Cost: every reference of every iteration is inspected once; the scan is
-    // parallel over processors.
-    let per_proc = total_refs as f64 / nprocs as f64;
-    for p in 0..nprocs {
-        machine.charge_compute(p, per_proc);
-    }
-
+    charge_scan(machine, total_refs);
     IterationPartition::new(iters)
 }
 
@@ -271,68 +188,256 @@ where
     (home, load, total_refs)
 }
 
-/// The almost-owner-computes vote over every row, with `owner` the
-/// distribution's lookup. Weighted rows of one to four entries vote
-/// through a kernel of that width, fixed at compile time and dispatched
-/// once per call; wider weighted rows and unit-weight rows, which may
-/// differ in length, go to [`Tally::vote`]. An empty row goes round-robin.
+/// The almost-owner-computes vote over every row through [`Tally::vote`],
+/// with `owner` the distribution's lookup. An empty row goes round-robin.
 #[inline(always)]
 fn vote_rows<R>(
     nprocs: usize,
     rows: R,
-    weights: Weights<'_>,
     owner: impl Fn(u32) -> usize,
 ) -> (Vec<u32>, Vec<usize>, usize)
 where
     R: ExactSizeIterator,
     R::Item: AsRef<[u32]>,
 {
-    let o = &owner;
-    match weights {
-        Weights::Columns(&[a]) => fixed_rows(nprocs, rows, [a], o),
-        Weights::Columns(&[a, b]) => fixed_rows(nprocs, rows, [a, b], o),
-        Weights::Columns(&[a, b, c]) => fixed_rows(nprocs, rows, [a, b, c], o),
-        Weights::Columns(&[a, b, c, d]) => fixed_rows(nprocs, rows, [a, b, c, d], o),
-        Weights::Columns(w) => {
-            let mut tally = Tally::new(nprocs);
-            homes(nprocs, rows, |i, refs| {
-                assert_eq!(refs.len(), w.len(), "row {i} is not one entry per weight");
-                match refs {
-                    [] => (i % nprocs, 0),
-                    _ => tally.vote(refs, o, Some(w)),
-                }
-            })
+    let mut tally = Tally::new(nprocs);
+    homes(nprocs, rows, |i, refs| match refs {
+        [] => (i % nprocs, 0),
+        _ => tally.vote(refs, &owner, None),
+    })
+}
+
+/// The placement scan's charge: every reference of every iteration is
+/// inspected once, and the scan is parallel over processors.
+fn charge_scan(machine: &mut Machine, total_refs: usize) {
+    let nprocs = machine.nprocs();
+    let per_proc = total_refs as f64 / nprocs as f64;
+    for p in 0..nprocs {
+        machine.charge_compute(p, per_proc);
+    }
+}
+
+/// One column of a loop's references over its iterations, as
+/// [`place_and_locate`] reads it: iteration `it0` (0-based) references
+/// global `at(it0)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefColumn<'a> {
+    /// One 0-based global per iteration: an indirection array's entries
+    /// over the loop range, made 0-based.
+    Globals(&'a [u32]),
+    /// The loop variable: iteration `it0` references `first + it0`.
+    LoopVar {
+        /// The global of iteration 0.
+        first: u32,
+    },
+}
+
+impl RefColumn<'_> {
+    #[inline(always)]
+    fn at(self, it0: usize) -> u32 {
+        match self {
+            RefColumn::Globals(globals) => globals[it0],
+            RefColumn::LoopVar { first } => first + it0 as u32,
         }
-        Weights::Unit => {
-            let mut tally = Tally::new(nprocs);
-            homes(nprocs, rows, |i, refs| match refs {
-                [] => (i % nprocs, 0),
-                _ => tally.vote(refs, o, None),
+    }
+}
+
+/// Place a loop's iterations almost-owner-computes over `dist` and
+/// translate the placing group's references in the same walk (see the
+/// [module docs](self)). `columns` are that group's columns over `niters`
+/// iterations, in its localized row's order; column `j` stands for
+/// `weights[j]` references in the vote (0 for the loop variable beside
+/// indirect columns). Every global must be below `dist.len()`.
+///
+/// Placement and the scan's charge are those of [`partition_iterations`]
+/// over the rows with column `j` repeated `weights[j]` times. The
+/// translation's charge travels with the [`Located`] rows (which take over
+/// `scratch`'s) to
+/// [`Inspector::localize_located`](crate::inspector::Inspector::localize_located),
+/// run when the group's turn to localize comes; its result is that of
+/// `Inspector::localize` over the pattern cut from those rows.
+///
+/// # Panics
+///
+/// If `weights` is not one per column or all 0, a column of globals is
+/// shorter than the loop, or `dist` is not over the machine's processors.
+pub fn place_and_locate(
+    machine: &mut Machine,
+    dist: &Distribution,
+    niters: usize,
+    columns: &[RefColumn<'_>],
+    weights: &[u32],
+    scratch: &mut LocalizeScratch,
+) -> (IterationPartition, Located) {
+    let nprocs = machine.nprocs();
+    assert_eq!(columns.len(), weights.len(), "one weight per column");
+    assert!(weights.iter().any(|&w| w > 0), "a column votes");
+    assert_eq!(dist.nprocs(), nprocs, "distribution over another machine");
+    for column in columns {
+        if let RefColumn::Globals(globals) = column {
+            assert!(globals.len() >= niters, "a column is shorter than the loop");
+        }
+    }
+    let mut rows = std::mem::take(&mut scratch.located);
+    let lists = Lists::new(nprocs, niters, columns.len(), &mut rows);
+    // The lookups are resolved to one closure per distribution variant
+    // here, so the row loops are compiled once per variant and never match
+    // on it. The BLOCK and CYCLIC lookups keep `Distribution::owner`'s
+    // range check (debug builds only, as there).
+    let (iters, pages) = match dist {
+        Distribution::Block { n, p } => {
+            let (b, last) = (Distribution::block_size(*n, *p), p - 1);
+            let key = move |g: u32| {
+                debug_assert!((g as usize) < *n, "global index {g} out of range");
+                let o = (g as usize / b).min(last);
+                ((o as u64) << 32) | (g as usize - o * b) as u64
+            };
+            (place(lists, columns, weights, key, |_, _| {}), None)
+        }
+        Distribution::Cyclic { n, p } => {
+            let key = move |g: u32| {
+                debug_assert!((g as usize) < *n, "global index {g} out of range");
+                (((g as usize % p) as u64) << 32) | (g as usize / p) as u64
+            };
+            (place(lists, columns, weights, key, |_, _| {}), None)
+        }
+        Distribution::Irregular { table } => {
+            let (page_of, keys) = (table.page_of(), &table.packed);
+            let mut pages = vec![0u32; nprocs * nprocs];
+            let count = |p: usize, g: u32| pages[p * nprocs + page_of(g)] += 1;
+            let iters = place(lists, columns, weights, |g| keys[g as usize], count);
+            (iters, Some(pages))
+        }
+    };
+    let refs_per_row: usize = weights.iter().map(|&w| w as usize).sum();
+    charge_scan(machine, niters * refs_per_row);
+    (IterationPartition::new(iters), Located { rows, pages })
+}
+
+/// Each rank's iterations and located row, as one walk fills them. A row
+/// keeps its capacity from the scratch's last inspection (at least a
+/// rank's even share of the loop), its iteration list starts at that, and
+/// a list that outgrows it grows by an eighth of a share at a time.
+struct Lists<'a> {
+    iters: Vec<Vec<u32>>,
+    rows: &'a mut Vec<Vec<u64>>,
+    /// The loop's iterations.
+    niters: usize,
+    /// Iterations per growth step.
+    step: usize,
+}
+
+impl<'a> Lists<'a> {
+    fn new(nprocs: usize, niters: usize, width: usize, rows: &'a mut Vec<Vec<u64>>) -> Self {
+        let share = niters.div_ceil(nprocs);
+        rows.resize_with(nprocs, Vec::new);
+        let iters = rows
+            .iter_mut()
+            .map(|row| {
+                row.clear();
+                row.reserve_exact(share * width);
+                Vec::with_capacity(row.capacity().checked_div(width).unwrap_or(share))
+            })
+            .collect();
+        Lists {
+            iters,
+            rows,
+            niters,
+            step: share.div_ceil(8).max(1),
+        }
+    }
+
+    /// Iteration `it0` joins rank `p`, and its keys `p`'s row.
+    #[inline(always)]
+    fn push(&mut self, p: usize, it0: usize, keys: &[u64]) {
+        let (iters, row) = (&mut self.iters[p], &mut self.rows[p]);
+        if iters.len() == iters.capacity() {
+            iters.reserve_exact(self.step);
+            row.reserve_exact(self.step * keys.len());
+        }
+        iters.push(it0 as u32);
+        row.extend_from_slice(keys);
+    }
+}
+
+/// The one walk: each iteration's references are translated through `key`
+/// (`count(home, global)` sees each one), its home is the vote of their
+/// owners, ties to the lowest rank, and it joins its home's lists. Rows of
+/// one to four columns vote through a kernel of that width fixed at
+/// compile time, dispatched once per call; a wider row through
+/// [`Tally::vote`]. Returns the iteration lists.
+#[inline(always)]
+fn place(
+    lists: Lists<'_>,
+    columns: &[RefColumn<'_>],
+    weights: &[u32],
+    key: impl Fn(u32) -> u64,
+    count: impl FnMut(usize, u32),
+) -> Vec<Vec<u32>> {
+    let (k, c) = (&key, count);
+    match (columns, weights) {
+        (&[a], &[wa]) => place_fixed(lists, [a], [wa], k, c),
+        (&[a, b], &[wa, wb]) => place_fixed(lists, [a, b], [wa, wb], k, c),
+        (&[a, b, cc], &[wa, wb, wc]) => place_fixed(lists, [a, b, cc], [wa, wb, wc], k, c),
+        (&[a, b, cc, d], &[wa, wb, wc, wd]) => {
+            place_fixed(lists, [a, b, cc, d], [wa, wb, wc, wd], k, c)
+        }
+        _ => {
+            let mut tally = Tally::new(lists.iters.len());
+            let mut owners = vec![0u32; columns.len()];
+            place_rows(lists, columns, k, c, |keys| {
+                for (o, &key) in owners.iter_mut().zip(keys) {
+                    *o = (key >> 32) as u32;
+                }
+                tally.vote(&owners, |o| o as usize, Some(weights)).0
             })
         }
     }
 }
 
-/// The vote over rows of exactly `N` entries, entry `j` weighing
-/// `weights[j]`.
+/// [`place`] over rows of exactly `N` columns, their keys and owners in
+/// registers.
 #[inline(always)]
-fn fixed_rows<const N: usize, R>(
-    nprocs: usize,
-    rows: R,
+fn place_fixed<const N: usize>(
+    mut lists: Lists<'_>,
+    columns: [RefColumn<'_>; N],
     weights: [u32; N],
-    owner: impl Fn(u32) -> usize,
-) -> (Vec<u32>, Vec<usize>, usize)
-where
-    R: ExactSizeIterator,
-    R::Item: AsRef<[u32]>,
-{
-    let refs_per_row = weights.iter().map(|&w| w as usize).sum();
-    homes(nprocs, rows, |i, refs| {
-        let Ok(refs) = <&[u32; N]>::try_from(refs) else {
-            panic!("row {i} is not one entry per weight");
-        };
-        (fixed_vote(refs.map(&owner), weights), refs_per_row)
-    })
+    key: impl Fn(u32) -> u64,
+    mut count: impl FnMut(usize, u32),
+) -> Vec<Vec<u32>> {
+    for it0 in 0..lists.niters {
+        let globals = columns.map(|c| c.at(it0));
+        let keys = globals.map(&key);
+        let p = fixed_vote(keys.map(|k| (k >> 32) as usize), weights);
+        for g in globals {
+            count(p, g);
+        }
+        lists.push(p, it0, &keys);
+    }
+    lists.iters
+}
+
+/// [`place`] over rows of any width, `home(keys)` voting each.
+#[inline(always)]
+fn place_rows(
+    mut lists: Lists<'_>,
+    columns: &[RefColumn<'_>],
+    key: impl Fn(u32) -> u64,
+    mut count: impl FnMut(usize, u32),
+    mut home: impl FnMut(&[u64]) -> usize,
+) -> Vec<Vec<u32>> {
+    let (mut globals, mut keys) = (vec![0u32; columns.len()], vec![0u64; columns.len()]);
+    for it0 in 0..lists.niters {
+        for ((g, k), c) in globals.iter_mut().zip(keys.iter_mut()).zip(columns) {
+            (*g, *k) = (c.at(it0), key(c.at(it0)));
+        }
+        let p = home(&keys);
+        for &g in &globals {
+            count(p, g);
+        }
+        lists.push(p, it0, &keys);
+    }
+    lists.iters
 }
 
 /// The vote of a row of `N` entries owned by `owners`, entry `j` weighing
@@ -407,7 +512,9 @@ impl Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chaos_dmsim::MachineConfig;
+    use crate::inspector::{AccessPattern, Inspector, InspectorResult};
+    use crate::schedule::{charge_request_exchange, CommSchedule};
+    use chaos_dmsim::{Backend, CommStats, CostModel, MachineConfig, PooledBackend};
 
     /// 4 iterations referencing a block(8,2) array:
     ///   it0 -> [0,1]   both on proc 0
@@ -592,13 +699,88 @@ mod tests {
         }
     }
 
+    /// What one run of the placing group's inspection leaves: the
+    /// partition, the localized result, and the machine's clock bits and
+    /// traffic.
+    type Inspection = (
+        IterationPartition,
+        Vec<Vec<u32>>,
+        CommSchedule,
+        Vec<usize>,
+        Vec<usize>,
+        Vec<u64>,
+        CommStats,
+    );
+
+    fn observe<B: Backend>(b: &B, part: IterationPartition, r: InspectorResult) -> Inspection {
+        let e = b.machine().elapsed();
+        let clocks = [&e.compute, &e.comm, &e.idle].into_iter().flatten();
+        (
+            part,
+            r.localized,
+            r.schedule,
+            r.owned_counts,
+            r.ghost_counts,
+            clocks.map(|c| c.to_bits()).collect(),
+            b.machine().stats().grand_totals(),
+        )
+    }
+
+    /// The oracle of [`place_and_locate`]: the unit-weight vote over rows
+    /// with column `j` repeated `weights[j]` times, then each rank's access
+    /// pattern cut from its iterations' columns, then `Inspector::localize`.
+    fn vote_cut_localize<B: Backend>(
+        b: &mut B,
+        d: &Distribution,
+        niters: usize,
+        columns: &[RefColumn<'_>],
+        weights: &[u32],
+    ) -> Inspection {
+        let repeated: Vec<Vec<u32>> = (0..niters)
+            .map(|it0| {
+                let copies = columns.iter().zip(weights);
+                copies
+                    .flat_map(|(c, &w)| std::iter::repeat_n(c.at(it0), w as usize))
+                    .collect()
+            })
+            .collect();
+        let policy = IterPartitionPolicy::AlmostOwnerComputes;
+        let part = partition_iterations(b.machine_mut(), d, &repeated, policy);
+        let refs = (0..b.nprocs())
+            .map(|p| {
+                let iters = part.iters(p).iter();
+                iters
+                    .flat_map(|&it0| columns.iter().map(move |c| c.at(it0 as usize)))
+                    .collect()
+            })
+            .collect();
+        let result = Inspector.localize(b, d, &AccessPattern { refs });
+        observe(b, part, result)
+    }
+
+    fn place_then_localize<B: Backend>(
+        b: &mut B,
+        d: &Distribution,
+        niters: usize,
+        columns: &[RefColumn<'_>],
+        weights: &[u32],
+    ) -> Inspection {
+        let mut scratch = LocalizeScratch::default();
+        let (part, located) =
+            place_and_locate(b.machine_mut(), d, niters, columns, weights, &mut scratch);
+        let result = Inspector.localize_located(b, d, located, &mut scratch);
+        charge_request_exchange(b.machine_mut(), &[&result.schedule]);
+        observe(b, part, result)
+    }
+
     #[test]
-    fn the_weighted_vote_is_the_vote_of_the_repeated_columns() {
-        // Rows of width 0..=6 (so every fixed-width kernel and the wide
-        // tally), weights 1..=3, over BLOCK, CYCLIC and irregular data on
-        // 1..=12 ranks: the weighted call must give the partition and the
-        // clocks of the unit-weight call on rows with column `j` repeated
-        // `w[j]` times.
+    fn placing_and_locating_is_the_repeated_vote_then_the_cut_and_localize() {
+        // 1 to 5 indirect columns (every fixed-width kernel and the wide
+        // tally), weights 1..=3, sometimes a loop-variable column that does
+        // not vote, loops of 0 to 40 iterations, over BLOCK, CYCLIC and
+        // irregular data on 1..=12 ranks, on `Machine` and a 2-lane pool:
+        // partition, localized rows, schedule, counts, clock bits and
+        // traffic must be the oracle's.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut next = |m: usize| -> usize {
             state ^= state << 13;
@@ -614,39 +796,48 @@ mod tests {
                 Distribution::cyclic(n, nprocs),
                 Distribution::irregular_from_map(&map, nprocs),
             ] {
-                for width in 0..=6 {
-                    let weights: Vec<u32> = (0..width).map(|_| 1 + next(3) as u32).collect();
-                    let rows: Vec<Vec<u32>> = (0..60)
-                        .map(|_| (0..width).map(|_| next(n) as u32).collect())
+                for width in 1..=5 {
+                    let niters = if width == 3 { 0 } else { 20 + next(n - 19) };
+                    let globals: Vec<Vec<u32>> = (0..width)
+                        .map(|_| (0..niters).map(|_| next(n) as u32).collect())
                         .collect();
-                    let repeated: Vec<Vec<u32>> = rows
-                        .iter()
-                        .map(|row| {
-                            let copies = row.iter().zip(&weights);
-                            copies
-                                .flat_map(|(&g, &w)| std::iter::repeat_n(g, w as usize))
-                                .collect()
-                        })
-                        .collect();
-                    for policy in [
-                        IterPartitionPolicy::AlmostOwnerComputes,
-                        IterPartitionPolicy::BlockOfIterations,
-                    ] {
-                        let mut unit = Machine::new(MachineConfig::unit(nprocs));
-                        let expected = partition_iterations(&mut unit, &d, &repeated, policy);
-                        let mut m = Machine::new(MachineConfig::unit(nprocs));
-                        let got =
-                            partition_iterations_weighted(&mut m, &d, &rows, &weights, policy);
-                        let what = format!(
-                            "{} on {nprocs} ranks, weights {weights:?}, {policy:?}",
-                            d.kind_name()
-                        );
-                        assert_eq!(got, expected, "{what}");
-                        for p in 0..nprocs {
-                            let (a, b) = (m.elapsed().per_proc[p], unit.elapsed().per_proc[p]);
-                            assert_eq!(a.to_bits(), b.to_bits(), "{what}: charge on rank {p}");
-                        }
+                    let mut columns: Vec<RefColumn<'_>> =
+                        globals.iter().map(|g| RefColumn::Globals(g)).collect();
+                    let mut weights: Vec<u32> = (0..width).map(|_| 1 + next(3) as u32).collect();
+                    if next(2) == 0 {
+                        let at = next(width + 1);
+                        let first = next(n - niters + 1) as u32;
+                        columns.insert(at, RefColumn::LoopVar { first });
+                        weights.insert(at, 0);
                     }
+                    let what = format!(
+                        "{} on {nprocs} ranks, {niters} iterations, weights {weights:?}",
+                        d.kind_name()
+                    );
+                    // iPSC/860 costs, whose sums round, on a topology any rank
+                    // count fits.
+                    let cfg = MachineConfig {
+                        cost: CostModel::ipsc860(),
+                        ..MachineConfig::unit(nprocs)
+                    };
+                    let expected = vote_cut_localize(
+                        &mut Machine::new(cfg.clone()),
+                        &d,
+                        niters,
+                        &columns,
+                        &weights,
+                    );
+                    let got = place_then_localize(
+                        &mut Machine::new(cfg.clone()),
+                        &d,
+                        niters,
+                        &columns,
+                        &weights,
+                    );
+                    assert!(got == expected, "{what} on Machine");
+                    let mut pool = PooledBackend::from_config_with_workers(cfg, 2);
+                    let got = place_then_localize(&mut pool, &d, niters, &columns, &weights);
+                    assert!(got == expected, "{what} on the pool");
                 }
             }
         }
@@ -660,8 +851,12 @@ mod tests {
         let d = Distribution::block(8, 4);
         let home = |row: &[u32], weights: &[u32]| {
             let mut m = Machine::new(MachineConfig::unit(4));
-            let policy = IterPartitionPolicy::AlmostOwnerComputes;
-            let part = partition_iterations_weighted(&mut m, &d, [row], weights, policy);
+            let columns: Vec<RefColumn<'_>> = row
+                .iter()
+                .map(|g| RefColumn::Globals(std::slice::from_ref(g)))
+                .collect();
+            let mut scratch = LocalizeScratch::default();
+            let (part, _) = place_and_locate(&mut m, &d, 1, &columns, weights, &mut scratch);
             (0..4).find(|&p| part.iters(p) == [0])
         };
         // Width 3: rank 3 and rank 1 weigh two references each, whichever
@@ -676,16 +871,24 @@ mod tests {
         assert_eq!(home(&[6, 7, 0, 2, 3], &[3, 1, 1, 1, 1]), Some(3));
         // A three-way tie goes to the lowest of the three.
         assert_eq!(home(&[6, 7, 0, 2, 3], &[1, 1, 2, 1, 1]), Some(0));
+        // A column that does not vote does not break a tie.
+        assert_eq!(home(&[6, 2, 0], &[1, 1, 0]), Some(1));
     }
 
     #[test]
-    #[should_panic(expected = "row 1 is not one entry per weight")]
-    fn a_block_of_iterations_checks_the_row_width_too() {
+    #[should_panic(expected = "a column is shorter than the loop")]
+    fn a_column_shorter_than_the_loop_is_refused() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let d = Distribution::block(8, 2);
-        let rows = [vec![0u32, 1], vec![2]];
-        let policy = IterPartitionPolicy::BlockOfIterations;
-        partition_iterations_weighted(&mut m, &d, &rows, &[1, 1], policy);
+        let columns = [RefColumn::Globals(&[0, 1]), RefColumn::Globals(&[2])];
+        place_and_locate(
+            &mut m,
+            &d,
+            2,
+            &columns,
+            &[1, 1],
+            &mut LocalizeScratch::default(),
+        );
     }
 
     #[test]
@@ -694,8 +897,15 @@ mod tests {
     fn a_block_vote_range_checks_its_references_in_debug_builds() {
         let mut m = Machine::new(MachineConfig::unit(2));
         let d = Distribution::block(8, 2);
-        let policy = IterPartitionPolicy::AlmostOwnerComputes;
-        partition_iterations_weighted(&mut m, &d, [[8u32, 1]], &[1, 1], policy);
+        let columns = [RefColumn::Globals(&[8]), RefColumn::Globals(&[1])];
+        place_and_locate(
+            &mut m,
+            &d,
+            1,
+            &columns,
+            &[1, 1],
+            &mut LocalizeScratch::default(),
+        );
     }
 
     #[test]

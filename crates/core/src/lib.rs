@@ -88,8 +88,9 @@ pub use executor::{
 };
 pub use inspector::{
     resolve_local, resolve_local_mut, AccessPattern, Inspector, InspectorResult, LocalizeScratch,
+    Located,
 };
-pub use iterpart::{IterPartitionPolicy, IterationPartition};
+pub use iterpart::{place_and_locate, IterPartitionPolicy, IterationPartition, RefColumn};
 pub use remap::{remap, RemapPlan};
 pub use reuse::{GhostRegion, LoopId, RegionBinding, ReuseDecision, ReuseRegistry};
 pub use schedule::{charge_request_exchange, CommSchedule, SendRef};

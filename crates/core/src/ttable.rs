@@ -21,7 +21,7 @@ pub struct TranslationTable {
     /// `owner << 32 | local_offset` per global index — the single arena
     /// every lookup answers from (one load instead of two parallel-array
     /// loads, and no duplicated state).
-    packed: Vec<u64>,
+    pub(crate) packed: Vec<u64>,
     local_sizes: Vec<usize>,
 }
 
@@ -88,6 +88,14 @@ impl TranslationTable {
         self.local_sizes[proc]
     }
 
+    /// The page of `global`: the rank that holds its entry, one block of the
+    /// BLOCK split of the index space per rank.
+    #[inline]
+    pub(crate) fn page_of(&self) -> impl Fn(u32) -> usize + Copy {
+        let (block, last) = (self.len().div_ceil(self.nprocs).max(1), self.nprocs - 1);
+        move |g: u32| (g as usize / block).min(last)
+    }
+
     /// Dereference a batch of global indices on behalf of each requesting
     /// processor, charging the machine for the table-page traffic.
     ///
@@ -96,11 +104,10 @@ impl TranslationTable {
     /// `owner << 32 | local_offset` keys, so repeated inspector runs reuse
     /// capacity instead of reallocating. The answer fill is a rank-local
     /// kernel (it parallelizes on the pooled engine) that also counts each
-    /// rank's requests per page, so the requests are read once. Each request
-    /// batch to a remote page owner then costs a request/response message
-    /// pair, the dominant inspector cost the paper measures. The simulator
-    /// answers from the shared table; only the transfer is modeled,
-    /// identically to shipping the indices.
+    /// rank's requests per page, so the requests are read once; the rounds
+    /// are then [`charge_dereference`]'s. The simulator answers from the
+    /// shared table; only the transfer is modeled, identically to shipping
+    /// the indices.
     pub fn dereference<B: Backend>(
         &self,
         backend: &mut B,
@@ -109,10 +116,7 @@ impl TranslationTable {
     ) {
         assert_eq!(requests.len(), self.nprocs);
         out.resize_with(self.nprocs, Vec::new);
-        let nprocs = self.nprocs;
-        // A page is one block of the BLOCK split of the index space.
-        let (block, last) = (self.len().div_ceil(nprocs).max(1), nprocs - 1);
-        let page_of = move |g: u32| (g as usize / block).min(last);
+        let (nprocs, page_of) = (self.nprocs, self.page_of());
         // `counts[p * nprocs + page]`: rank p's requests landing on `page`.
         let mut counts = vec![0u32; nprocs * nprocs];
         let rows = out.iter_mut().zip(counts.chunks_mut(nprocs));
@@ -123,29 +127,37 @@ impl TranslationTable {
                 self.packed[g as usize]
             }));
         });
-        // Round 1: ship requests to page owners (one word per index).
-        backend.run_charge_phase(|ctx| {
-            let p = ctx.rank();
-            for page in 0..nprocs {
-                let cnt = counts[p * nprocs + page] as usize;
-                if cnt > 0 {
-                    ctx.charge_p2p(p, page, cnt);
-                }
-            }
-        });
-        // Round 2: page owners probe their pages and answer with
-        // (owner, offset) pairs — twice the volume of the request.
-        backend.run_charge_phase(|ctx| {
-            let p = ctx.rank();
-            for page in 0..nprocs {
-                let cnt = counts[p * nprocs + page] as usize;
-                if cnt > 0 {
-                    ctx.charge_compute(page, cnt as f64);
-                    ctx.charge_p2p(page, p, 2 * cnt);
-                }
-            }
-        });
+        charge_dereference(backend, &counts);
     }
+}
+
+/// The dereference's two charge rounds from `counts[p * nprocs + page]`:
+/// each request batch to a remote page owner costs a request/response
+/// message pair, the dominant inspector cost the paper measures.
+pub(crate) fn charge_dereference<B: Backend>(backend: &mut B, counts: &[u32]) {
+    let nprocs = backend.nprocs();
+    // Round 1: ship requests to page owners (one word per index).
+    backend.run_charge_phase(|ctx| {
+        let p = ctx.rank();
+        for page in 0..nprocs {
+            let cnt = counts[p * nprocs + page] as usize;
+            if cnt > 0 {
+                ctx.charge_p2p(p, page, cnt);
+            }
+        }
+    });
+    // Round 2: page owners probe their pages and answer with
+    // (owner, offset) pairs — twice the volume of the request.
+    backend.run_charge_phase(|ctx| {
+        let p = ctx.rank();
+        for page in 0..nprocs {
+            let cnt = counts[p * nprocs + page] as usize;
+            if cnt > 0 {
+                ctx.charge_compute(page, cnt as f64);
+                ctx.charge_p2p(page, p, 2 * cnt);
+            }
+        }
+    });
 }
 
 #[cfg(test)]

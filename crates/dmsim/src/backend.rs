@@ -1,5 +1,5 @@
 //! The SPMD execution engine behind the runtime: rank-local kernels, charge
-//! recording and payload mailboxes.
+//! recording and charge replay.
 //!
 //! The CHAOS/PARTI runtime is an SPMD library — on a real machine every node
 //! runs the inspector/executor code concurrently. This module abstracts *how*
@@ -16,10 +16,9 @@
 //! What an engine implements is **one fan-out** — [`Backend::fan_out`], a
 //! stage of rank kernels whose charges reach the machine in rank order —
 //! plus the fused [`Backend::run_sweep`]. The regions built out of stages
-//! (`run_compute`, `run_phase`, `run_exchange`) are provided methods of the
-//! trait, written once: their epoch advance, charge-only pack
-//! (`charge_stage`), mailbox matrix and phase close touch only the shared
-//! [`Machine`].
+//! (`run_compute`, `run_phase`) are provided methods of the trait, written
+//! once: their epoch advance, charge-only pack (`charge_stage`) and phase
+//! close touch only the shared [`Machine`].
 //!
 //! # The determinism contract
 //!
@@ -38,12 +37,10 @@
 //!   engine). Both paths perform the exact same sequence of floating-point
 //!   additions on the exact same accumulators, so clocks and per-phase
 //!   statistics agree bit-for-bit.
-//! * **Payloads** — when ranks must hand values to each other inside one
-//!   phase they post into per-rank [mailboxes](Outbox): rank `r` owns the
-//!   outgoing row `r` of a `P × P` matrix during the pack stage (no locks,
-//!   no contention) and reads column `r` through an [`Inbox`] in the unpack
-//!   stage, after a barrier. Cell `(from, to)` is written by exactly one
-//!   rank and read by exactly one rank, in different stages.
+//! * **Payloads** — values cross ranks only between stages: a stage reads
+//!   what earlier stages wrote (a phase's unpack reads shared inputs, a
+//!   fused sweep's combine stage reads every rank's posted area after the
+//!   stage barrier), never what another rank is writing in the same stage.
 //!
 //! The `tests/backend_equivalence.rs` property suite exercises this contract
 //! over randomized workloads, for worker counts below, at and above the rank
@@ -62,9 +59,6 @@ pub(crate) enum ChargeEvent {
     Compute { proc: u32, units: f64 },
     /// `words` of local memory traffic on `proc`'s clock.
     Memory { proc: u32, words: f64 },
-    /// One point-to-point message, charged to both endpoint clocks and the
-    /// current phase statistics.
-    P2p { from: u32, to: u32, words: usize },
 }
 
 enum Sink<'a> {
@@ -74,10 +68,7 @@ enum Sink<'a> {
         phase: Option<&'a mut PhaseCharge>,
     },
     /// Record charges for later in-order replay (the pooled engine).
-    Record {
-        events: &'a mut Vec<ChargeEvent>,
-        in_phase: bool,
-    },
+    Record { events: &'a mut Vec<ChargeEvent> },
 }
 
 /// The per-rank execution context handed to every SPMD kernel: the rank id
@@ -106,16 +97,11 @@ impl<'a> RankCtx<'a> {
 
     /// A context that records charges into `events` for later in-rank-order
     /// replay (the pooled engine).
-    pub(crate) fn recording(
-        rank: usize,
-        nprocs: usize,
-        events: &'a mut Vec<ChargeEvent>,
-        in_phase: bool,
-    ) -> Self {
+    pub(crate) fn recording(rank: usize, nprocs: usize, events: &'a mut Vec<ChargeEvent>) -> Self {
         RankCtx {
             rank,
             nprocs,
-            sink: Sink::Record { events, in_phase },
+            sink: Sink::Record { events },
         }
     }
 
@@ -172,46 +158,9 @@ impl<'a> RankCtx<'a> {
                     .expect("charge_p2p outside an exchange phase's pack stage");
                 machine.charge_p2p(phase, from, to, words);
             }
-            Sink::Record { events, in_phase } => {
-                assert!(
-                    *in_phase,
-                    "charge_p2p outside an exchange phase's pack stage"
-                );
-                events.push(ChargeEvent::P2p {
-                    from: from as u32,
-                    to: to as u32,
-                    words,
-                });
-            }
+            // Messages are charged by the driver-side pack stages only.
+            Sink::Record { .. } => panic!("charge_p2p outside an exchange phase's pack stage"),
         }
-    }
-}
-
-/// A rank's outgoing mailboxes during the pack stage of
-/// [`Backend::run_exchange`]: one payload buffer per destination rank.
-pub struct Outbox<'a, T> {
-    row: &'a mut [Vec<T>],
-}
-
-impl<T> Outbox<'_, T> {
-    /// Append `values` to the payload destined for rank `to`.
-    pub fn post<I: IntoIterator<Item = T>>(&mut self, to: ProcId, values: I) {
-        self.row[to].extend(values);
-    }
-}
-
-/// A rank's incoming mailboxes during the unpack stage of
-/// [`Backend::run_exchange`]: everything the other ranks posted to it.
-pub struct Inbox<'a, T> {
-    matrix: &'a [Vec<Vec<T>>],
-    me: usize,
-}
-
-impl<T> Inbox<'_, T> {
-    /// The payload rank `from` posted to this rank (empty if none).
-    #[inline]
-    pub fn from_rank(&self, from: ProcId) -> &[T] {
-        &self.matrix[from][self.me]
     }
 }
 
@@ -247,11 +196,11 @@ pub trait Backend {
     /// state item, each entry a fault-injection point and a `KernelEnter`
     /// span. This is the engines' building block, not a region of its own —
     /// it advances no epoch. However the ranks execute, their charges reach
-    /// the machine in ascending rank order; with a `phase` they land in that
-    /// accumulator, which makes `charge_p2p` legal inside the kernel (the
-    /// pack stage of [`Backend::run_exchange`]). If a rank panics the pooled
+    /// the machine in ascending rank order; a kernel charges no messages
+    /// (those belong to the driver-side pack stages). If a rank panics the
+    /// pooled
     /// engine applies none of the stage's charges.
-    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
+    fn fan_out<St, I, F>(&mut self, state: I, kernel: F)
     where
         St: Send,
         I: IntoIterator<Item = St>,
@@ -267,7 +216,7 @@ pub trait Backend {
         F: Fn(&mut RankCtx<'_>, St) + Sync,
     {
         self.machine_mut().advance_epoch();
-        self.fan_out(None, state, kernel);
+        self.fan_out(state, kernel);
     }
 
     /// Run one communication phase: `pack` runs for every rank and charges
@@ -286,38 +235,7 @@ pub trait Backend {
         let machine = self.machine_mut();
         machine.advance_epoch();
         charge_stage(machine, true, pack);
-        self.fan_out(None, state, unpack);
-    }
-
-    /// Run one communication phase in which ranks exchange typed payloads
-    /// through per-rank mailboxes: `pack` posts values into its [`Outbox`]
-    /// (and charges the messages), the phase is closed, then `unpack` reads
-    /// its [`Inbox`]. Both halves are rank-kernel stages.
-    fn run_exchange<T, St, I, A, B>(&mut self, pack: A, state: I, unpack: B)
-    where
-        T: Send + Sync,
-        St: Send,
-        I: IntoIterator<Item = St>,
-        A: Fn(&mut RankCtx<'_>, &mut Outbox<'_, T>) + Sync,
-        B: Fn(&mut RankCtx<'_>, St, &Inbox<'_, T>) + Sync,
-    {
-        self.machine_mut().advance_epoch();
-        let nprocs = self.nprocs();
-        let mut matrix: Vec<Vec<Vec<T>>> = (0..nprocs)
-            .map(|_| (0..nprocs).map(|_| Vec::new()).collect())
-            .collect();
-        // Pack: rank r owns row r of the mailbox matrix.
-        let mut phase = PhaseCharge::new();
-        self.fan_out(Some(&mut phase), matrix.iter_mut(), |ctx, row| {
-            pack(ctx, &mut Outbox { row })
-        });
-        self.machine_mut().end_phase(phase);
-        // Unpack: rank r reads column r of the (now frozen) matrix.
-        let matrix = &matrix;
-        self.fan_out(None, state, |ctx, st| {
-            let me = ctx.rank();
-            unpack(ctx, st, &Inbox { matrix, me });
-        });
+        self.fan_out(state, unpack);
     }
 
     /// Run one **fused executor sweep** — compute plus every scatter stage —
@@ -471,21 +389,11 @@ where
 
 /// Replay recorded charge events against the machine, in the order they were
 /// recorded — the tail of every pooled-engine stage.
-pub(crate) fn replay_events(
-    machine: &mut Machine,
-    mut phase: Option<&mut PhaseCharge>,
-    events: &[ChargeEvent],
-) {
+pub(crate) fn replay_events(machine: &mut Machine, events: &[ChargeEvent]) {
     for &event in events {
         match event {
             ChargeEvent::Compute { proc, units } => machine.charge_compute(proc as usize, units),
             ChargeEvent::Memory { proc, words } => machine.charge_memory(proc as usize, words),
-            ChargeEvent::P2p { from, to, words } => {
-                let phase = phase
-                    .as_deref_mut()
-                    .expect("p2p event outside an exchange phase");
-                machine.charge_p2p(phase, from as usize, to as usize, words);
-            }
         }
     }
 }
@@ -496,13 +404,8 @@ pub(crate) fn replay_events(
 /// stages are rank-kernel stages proper — a fault-injection point and a
 /// `KernelEnter` span per rank; the unpack of an inline phase and the
 /// sequential combine stage are not.
-fn serial_stage<St, I, F>(
-    machine: &mut Machine,
-    mut phase: Option<&mut PhaseCharge>,
-    observed: bool,
-    state: I,
-    kernel: F,
-) where
+fn serial_stage<St, I, F>(machine: &mut Machine, observed: bool, state: I, kernel: F)
+where
     I: IntoIterator<Item = St>,
     F: Fn(&mut RankCtx<'_>, St),
 {
@@ -516,7 +419,7 @@ fn serial_stage<St, I, F>(
         let probe = machine.probe();
         let span =
             observed.then(|| probe.enter(Lane::Driver, TraceEventKind::KernelEnter, rank as u32));
-        let mut ctx = RankCtx::direct(rank, nprocs, machine, phase.as_deref_mut());
+        let mut ctx = RankCtx::direct(rank, nprocs, machine, None);
         kernel(&mut ctx, st);
         if let Some(span) = span {
             machine.probe().exit(Lane::Driver, span, 1);
@@ -544,7 +447,7 @@ where
     B: Fn(&mut RankCtx<'_>, St),
 {
     charge_stage(machine, false, pack);
-    serial_stage(machine, None, false, state, unpack);
+    serial_stage(machine, false, state, unpack);
 }
 
 /// The sequential engine: rank kernels run on the driver thread in ascending
@@ -559,13 +462,13 @@ impl Backend for Machine {
         self
     }
 
-    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
+    fn fan_out<St, I, F>(&mut self, state: I, kernel: F)
     where
         St: Send,
         I: IntoIterator<Item = St>,
         F: Fn(&mut RankCtx<'_>, St) + Sync,
     {
-        serial_stage(self, phase, true, state, kernel);
+        serial_stage(self, true, state, kernel);
     }
 
     fn run_sweep<Sc, Px, C, A, P, S>(
@@ -590,7 +493,7 @@ impl Backend for Machine {
         assert_eq!(scratch.len(), nprocs, "one scratch item per rank");
         assert_eq!(posted.len(), nprocs, "one posted area per rank");
         let stripe = scratch.iter_mut().zip(posted.iter_mut());
-        self.fan_out(None, stripe, |ctx, (sc, px)| compute(ctx, sc, px));
+        self.fan_out(stripe, |ctx, (sc, px)| compute(ctx, sc, px));
         let posted = &*posted;
         for j in 0..nscatter {
             if !scatter_active(posted, j) {
@@ -602,7 +505,7 @@ impl Backend for Machine {
             let span = self
                 .probe()
                 .enter(Lane::Driver, TraceEventKind::CombineEnter, j as u32);
-            serial_stage(self, None, false, scratch.iter_mut(), |ctx, sc| {
+            serial_stage(self, false, scratch.iter_mut(), |ctx, sc| {
                 combine(ctx, j, sc, posted)
             });
             self.probe().exit(Lane::Driver, span, nprocs as u64);
@@ -712,97 +615,6 @@ mod tests {
         let per_proc = m.elapsed().per_proc;
         assert!(per_proc.windows(2).all(|w| w[0] < w[1]), "{per_proc:?}");
         assert_eq!(m.epoch(), 1);
-    }
-
-    #[test]
-    fn mailbox_exchange_rotates_payloads() {
-        let mut m = machine(8);
-        let mut got = vec![0u64; 8];
-        m.run_exchange(
-            |ctx, outbox: &mut Outbox<'_, u64>| {
-                let r = ctx.rank();
-                let to = (r + 1) % ctx.nprocs();
-                outbox.post(to, [r as u64 * 100]);
-                ctx.charge_p2p(r, to, 1);
-            },
-            got.iter_mut(),
-            |ctx, slot, inbox| {
-                let from = (ctx.rank() + ctx.nprocs() - 1) % ctx.nprocs();
-                assert_eq!(inbox.from_rank(ctx.rank()).len(), 0);
-                *slot = inbox.from_rank(from)[0];
-                ctx.charge_memory(ctx.rank(), 1.0);
-            },
-        );
-        let expect: Vec<u64> = (0..8).map(|r| ((r + 7) % 8) as u64 * 100).collect();
-        assert_eq!(got, expect);
-        assert_eq!(m.stats().grand_totals().messages, 8);
-    }
-
-    #[test]
-    fn exchange_pack_is_a_fault_point_at_one_coordinate_on_both_engines() {
-        use crate::fault::{FaultKind, FaultPlan, PhaseCause};
-        use crate::pool::PooledBackend;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-
-        // A clean compute region, then an exchange whose epoch carries a
-        // planted panic on `rank`: the error's coordinates, whether the
-        // unpack stage ran, and what the machine looks like afterwards.
-        fn failed_exchange<B: Backend>(backend: &mut B, rank: usize) -> (PhaseError, bool, bool) {
-            backend.run_charges(|ctx| ctx.charge_compute(ctx.rank(), 1.0));
-            let before = (
-                backend.machine().elapsed(),
-                backend.machine().stats().grand_totals(),
-            );
-            let plan = FaultPlan::new().with_fault(2, rank, FaultKind::KernelPanic);
-            backend
-                .machine_mut()
-                .install_fault_plan(Some(Arc::new(plan)));
-            let unpacked = AtomicBool::new(false);
-            let mut got = vec![0u64; backend.nprocs()];
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                backend.run_exchange(
-                    |ctx, outbox: &mut Outbox<'_, u64>| {
-                        let (r, to) = (ctx.rank(), (ctx.rank() + 1) % ctx.nprocs());
-                        outbox.post(to, [r as u64]);
-                        ctx.charge_p2p(r, to, 1);
-                    },
-                    got.iter_mut(),
-                    |_, _, _| unpacked.store(true, Ordering::Relaxed),
-                )
-            }));
-            let err = diagnose_attempt(backend, attempt).unwrap_err();
-            let machine = backend.machine();
-            assert_eq!(machine.epoch(), 2);
-            // The phase never closed, whichever rank failed.
-            assert_eq!(machine.stats().grand_totals(), before.1);
-            let clocks_untouched = machine.elapsed() == before.0;
-            (err, unpacked.load(Ordering::Relaxed), clocks_untouched)
-        }
-
-        for rank in [0, 2] {
-            let mut seq = machine(4);
-            let mut pool = PooledBackend::from_config_with_workers(MachineConfig::ipsc860(4), 2);
-            let (seq_err, seq_unpacked, seq_untouched) = failed_exchange(&mut seq, rank);
-            let (pool_err, pool_unpacked, pool_untouched) = failed_exchange(&mut pool, rank);
-            for (err, unpacked) in [(&seq_err, seq_unpacked), (&pool_err, pool_unpacked)] {
-                assert!(!unpacked, "the fault fires at the pack stage");
-                let PhaseError::RankPanic { epoch, failures } = err else {
-                    panic!("expected RankPanic, got {err:?}");
-                };
-                assert_eq!((*epoch, failures.len()), (2, 1));
-                assert_eq!((failures[0].epoch, failures[0].rank), (2, Some(rank)));
-                assert_eq!(
-                    failures[0].cause,
-                    PhaseCause::Injected(FaultKind::KernelPanic)
-                );
-            }
-            // The pool replays nothing of a failed stage. The oracle charges
-            // as it goes, so only the ranks before the failing one have
-            // packed: none of them when rank 0 fails.
-            assert!(pool_untouched, "rank {rank}: pool clocks moved");
-            assert_eq!(seq_untouched, rank == 0, "rank {rank}: oracle clocks");
-        }
     }
 
     #[test]

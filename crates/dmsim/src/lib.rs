@@ -71,7 +71,7 @@ pub mod trace;
 // downstream users can serialize it without their own dependency on it.
 pub use serde_json;
 
-pub use backend::{diagnose_attempt, run_phase_inline, Backend, Inbox, Outbox, RankCtx};
+pub use backend::{diagnose_attempt, run_phase_inline, Backend, RankCtx};
 pub use config::{CostModel, MachineConfig, Topology};
 pub use fault::{Fault, FaultKind, FaultPlan, InjectedFault, PhaseCause, PhaseError, RankFailure};
 pub use machine::{Machine, MachineSnapshot, PhaseCharge, ProcId};

@@ -42,7 +42,7 @@ use crate::backend::{charge_stage, replay_events, Backend, ChargeEvent, RankCtx}
 use crate::cells::{Cells, Claims, Job, JobSlot};
 use crate::config::MachineConfig;
 use crate::fault::{self, CaughtPanic, PanicBundle, PhaseError};
-use crate::machine::{Machine, PhaseCharge};
+use crate::machine::Machine;
 use crate::probe::Lane;
 use crate::trace::TraceEventKind;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -495,7 +495,6 @@ impl PooledBackend {
     #[allow(clippy::too_many_arguments)]
     fn run_lanes<Sc, Px, K, A, S>(
         &mut self,
-        in_phase: bool,
         scratch: &mut [Sc],
         posted: &mut [Px],
         kernel: K,
@@ -535,8 +534,7 @@ impl PooledBackend {
                             let span = probe.enter(me, TraceEventKind::KernelEnter, rank as u32);
                             let result = catch_unwind(AssertUnwindSafe(|| {
                                 fault::fire_traced(machine, rank, me);
-                                let mut ctx =
-                                    RankCtx::recording(rank, nprocs, &mut arena.events, in_phase);
+                                let mut ctx = RankCtx::recording(rank, nprocs, &mut arena.events);
                                 scratch.with(rank, |sc| {
                                     posted.with(rank, |px| kernel(&mut ctx, sc, px))
                                 });
@@ -584,7 +582,7 @@ impl PooledBackend {
                                 arena.starts.push(arena.events.len() as u32);
                                 if active {
                                     let mut ctx =
-                                        RankCtx::recording(rank, nprocs, &mut arena.events, false);
+                                        RankCtx::recording(rank, nprocs, &mut arena.events);
                                     scratch.with(rank, |sc| combine(&mut ctx, j, sc, posted));
                                     ran += 1;
                                 }
@@ -622,7 +620,7 @@ impl PooledBackend {
     /// ascending **rank** order — the sequential engine's exact charge
     /// sequence — as one driver-side replay span. Stage `0` is the kernel
     /// stage, stage `1 + j` scatter buffer `j`'s combine ([`ChargeArena`]).
-    fn replay_stage(&mut self, stage: usize, mut phase: Option<&mut PhaseCharge>) {
+    fn replay_stage(&mut self, stage: usize) {
         let lanes = self.pool.lanes;
         let nprocs = self.machine.nprocs();
         let span = self
@@ -634,11 +632,7 @@ impl PooledBackend {
             let arena = &self.arenas[lane];
             let i = stage * stripe_len(nprocs, lanes, lane) + rank / lanes;
             let (start, end) = (arena.starts[i] as usize, arena.starts[i + 1] as usize);
-            replay_events(
-                &mut self.machine,
-                phase.as_deref_mut(),
-                &arena.events[start..end],
-            );
+            replay_events(&mut self.machine, &arena.events[start..end]);
         }
         self.machine.probe().replayed(span, &self.machine);
     }
@@ -653,14 +647,14 @@ impl Backend for PooledBackend {
         &mut self.machine
     }
 
-    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
+    fn fan_out<St, I, F>(&mut self, state: I, kernel: F)
     where
         St: Send,
         I: IntoIterator<Item = St>,
         F: Fn(&mut RankCtx<'_>, St) + Sync,
     {
         if self.inline {
-            return self.machine.fan_out(phase, state, kernel);
+            return self.machine.fan_out(state, kernel);
         }
         let mut states: Vec<Option<St>> = state.into_iter().map(Some).collect();
         let nprocs = self.machine.nprocs();
@@ -668,7 +662,6 @@ impl Backend for PooledBackend {
         // A plain fan-out posts nothing (a `Vec` of `()` never allocates).
         let mut posted = vec![(); nprocs];
         self.run_lanes(
-            phase.is_some(),
             &mut states,
             &mut posted,
             |ctx, st, _| kernel(ctx, st.take().expect("state slot")),
@@ -676,7 +669,7 @@ impl Backend for PooledBackend {
             |_, _| false,
             |_, _, _, _| {},
         );
-        self.replay_stage(0, phase);
+        self.replay_stage(0);
     }
 
     fn run_sweep<Sc, Px, C, A, P, S>(
@@ -712,25 +705,17 @@ impl Backend for PooledBackend {
         assert_eq!(scratch.len(), nprocs, "one scratch item per rank");
         assert_eq!(posted.len(), nprocs, "one posted area per rank");
         // One release runs the whole sweep: compute, stage crossing, combine.
-        self.run_lanes(
-            false,
-            scratch,
-            posted,
-            compute,
-            nscatter,
-            &scatter_active,
-            combine,
-        );
+        self.run_lanes(scratch, posted, compute, nscatter, &scatter_active, combine);
         // Replay compute, then per active buffer the driver-side pack stage
         // (charges only), the phase close and the buffer's combine spans: the
         // sequential engine's exact sequence.
-        self.replay_stage(0, None);
+        self.replay_stage(0);
         for j in 0..nscatter {
             if !scatter_active(posted, j) {
                 continue;
             }
             charge_stage(&mut self.machine, false, |ctx| scatter_pack(ctx, j));
-            self.replay_stage(1 + j, None);
+            self.replay_stage(1 + j);
         }
     }
 
@@ -747,7 +732,6 @@ impl Backend for PooledBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Outbox;
 
     fn engines(p: usize, workers: usize) -> (Machine, PooledBackend) {
         (
@@ -812,34 +796,6 @@ mod tests {
             assert_eq!(out_a, out_b, "workers={workers}");
             assert_bit_identical(&seq, &pool);
         }
-    }
-
-    #[test]
-    fn pooled_exchange_rotates_payloads() {
-        fn rotate<B: Backend>(backend: &mut B) -> Vec<u64> {
-            let n = backend.nprocs();
-            let mut got = vec![0u64; n];
-            backend.run_exchange(
-                |ctx, outbox: &mut Outbox<'_, u64>| {
-                    let r = ctx.rank();
-                    let to = (r + 1) % ctx.nprocs();
-                    outbox.post(to, [r as u64 * 100]);
-                    ctx.charge_p2p(r, to, 1);
-                },
-                got.iter_mut(),
-                |ctx, slot, inbox| {
-                    let from = (ctx.rank() + ctx.nprocs() - 1) % ctx.nprocs();
-                    *slot = inbox.from_rank(from)[0];
-                    ctx.charge_memory(ctx.rank(), 1.0);
-                },
-            );
-            got
-        }
-        let (mut seq, mut pool) = engines(8, 3);
-        let a = rotate(&mut seq);
-        let b = rotate(&mut pool);
-        assert_eq!(a, b);
-        assert_bit_identical(&seq, &pool);
     }
 
     #[test]

@@ -5,37 +5,35 @@
 //! whose results are saved as the loop's one record, then the sweep over
 //! that record and the write stamps.
 //!
-//! An inspection starts from **one reference table** (`RefTable`), built by
-//! `reference_table` and by nothing else. Before the loop over iterations it
-//! refuses a loop whose indirectly referenced arrays a later ALIGN has
-//! spread over two decompositions, in the front end's words. It then
-//! resolves every name a reference goes through — each slot to a column, to
-//! the extent of the decomposition it indexes and to the values of its
-//! indirection array, each indirection array read once — and checks each
-//! slot's source against the loop range. The table holds one column per
-//! **distinct index expression** of the plan, not per slot: the edge loop's
+//! An inspection reads each reference once, straight from the indirection
+//! arrays. `references` first refuses a loop whose indirectly referenced
+//! arrays a later ALIGN has spread over two decompositions, in the front
+//! end's words. It then resolves every name a reference goes through —
+//! each slot to its decomposition group, to that decomposition's extent and
+//! to the values of its indirection array, each indirection array read
+//! once — and checks each slot's source against the loop range. Each
+//! snapshot is made 0-based over the loop range in place and compared with
+//! the extent of the one decomposition the indirect slots index: a short
+//! indirection array, a 0 entry or an entry beyond the extent is a typed
+//! [`LangError`] naming the array, the iteration, the value and the extent
+//! of the first slot, in the per-slot check order, that the earliest
+//! failing iteration's value does not fit — raised here and nowhere later.
+//!
+//! The group of the first indirect slot places the iterations, and all the
+//! indirect slots are in it. Its columns are the **distinct index
+//! expressions** among its slots ([`GroupSpec`]): the edge loop's
 //! `x(e1(i))`, `x(e2(i))`, `y(e1(i))`, `y(e2(i))` are 2 columns, `e1` and
-//! `e2`. A single pass then fills `niters × ncolumns` 0-based globals, a
-//! column at a time, and compares every indirection value with the extent
-//! of the one decomposition the indirect slots index: a short indirection
-//! array, a 0 entry or an entry beyond the extent is a typed [`LangError`]
-//! naming the array, the iteration, the value and the extent of the first
-//! slot, in the per-slot check order, that the value does not fit — raised
-//! here and nowhere later. The table has two readers, which only index it:
-//! iteration partitioning takes the leading (placing) columns of each row
-//! as that iteration's `&[u32]`, each column weighted by the number of
-//! placing slots that read it, so the vote still counts a reference per
-//! slot; and every decomposition group's `AccessPattern` copies, from the
-//! rows each rank was given, the columns of the distinct index expressions
-//! among the group's slots ([`GroupSpec`]). So the edge loop's pattern —
-//! and the localized row a sweep reads — holds 2 entries per iteration,
-//! not 4. The set of
-//! distinct off-processor elements is the same either way, so the
-//! schedules do not change. The table is held in one block of rows per rank
-//! and dropped as soon as the patterns are cut, before the localize working
-//! set is refilled in its place. That working set (`LocalizeScratch`) is
-//! parked on the executor, so a re-inspection refills buffers that have
-//! already grown to the loop's size.
+//! `e2`, each standing for the 2 placing slots that read it, so the vote
+//! still counts a reference per slot. `place_and_locate` walks those
+//! columns, votes each iteration home and appends its translated keys to
+//! the home rank's located row, so that group's pattern — and the
+//! localized row a sweep reads — holds 2 entries per iteration, not 4; the
+//! set of distinct off-processor elements is the same either way, so the
+//! schedules do not change. A group on another decomposition can only index
+//! by the loop variable: its pattern is the iteration lists, `lo − 1 + it`.
+//! The localize working set (`LocalizeScratch`) is parked on the executor,
+//! so a re-inspection refills buffers that have already grown to the loop's
+//! size.
 //!
 //! `inspect` is the only place a loop record is built: every name a sweep
 //! would otherwise look up (the arrays it lends, the region rows each ghost
@@ -53,7 +51,10 @@ use crate::error::LangError;
 use crate::kernel::{compile_kernel, ArrLoc, GroupSpec, KernelBindings};
 use crate::lower::{LoopPlan, RefSlot};
 use chaos_dmsim::{Backend, PhaseKind};
-use chaos_runtime::{AccessPattern, Dad, DistArray, Distribution, Inspector, IterPartitionPolicy};
+use chaos_runtime::{
+    place_and_locate, AccessPattern, Dad, DistArray, Distribution, Inspector, IterPartitionPolicy,
+    RefColumn,
+};
 use std::collections::BTreeMap;
 
 /// The current DADs of the named arrays, read in place off the array table
@@ -74,34 +75,12 @@ fn dads<'a, T>(
     Ok(names.iter().map(dad))
 }
 
-/// One inspection's reference table: the 0-based global index of every
-/// distinct reference of every iteration, read and validated once, which
-/// iteration partitioning and every group's access pattern then only index.
-struct RefTable {
-    /// `niters` rows of `width` globals, iteration-major, in one block per
-    /// rank: the rows of that rank's share of a BLOCK distribution of the
-    /// iteration space, `share` rows each (the last may be short). The
-    /// table is the one inspector allocation that would otherwise be as
-    /// large as the loop in a single piece, and it lives for a fraction of
-    /// an inspection. In rank-sized blocks its memory comes from, and goes
-    /// back to, the heap the localize working set is allocated from next; a
-    /// loop-sized piece is served by a mapping of its own, and releasing
-    /// that raises glibc's mmap and trim thresholds to its size for the
-    /// rest of the process, after which freed inspector memory stays
-    /// resident.
-    blocks: Vec<Vec<u32>>,
-    /// Rows per block.
-    share: usize,
-    /// Entries per row: one column per distinct index expression of the
-    /// plan, the indirect ones first. `x(e1(i))` and `y(e1(i))` read one
-    /// column.
-    width: usize,
-    /// One weight per leading (placing) column: how many of the slots that
-    /// place an iteration read it. Placement votes each column that many
-    /// times, so it counts a reference per slot, as the paper's rule does.
-    weights: Vec<u32>,
-    /// The column holding each slot's references.
-    col_of_slot: Vec<usize>,
+/// One inspection's references, resolved and checked once (see the
+/// [module docs](self)).
+struct References {
+    /// Each of the plan's indirection arrays (in `indirection_arrays`
+    /// order), its entries over the loop range made 0-based.
+    snapshots: Vec<Vec<u32>>,
     /// The slots grouped by the decomposition they index (name-sorted),
     /// each group with that decomposition's current distribution.
     groups: Vec<(GroupSpec, Distribution)>,
@@ -109,33 +88,6 @@ struct RefTable {
     /// first indirect slot. `None` for a loop with no indirect reference,
     /// whose iterations are placed in blocks.
     placer: Option<usize>,
-}
-
-/// A [`RefTable`] column while the table is built: its index expression
-/// and the indirection values it reads over the loop range (`None` for the
-/// loop variable).
-struct Column<'a> {
-    index: &'a Index,
-    values: Option<&'a [u32]>,
-}
-
-/// A reader of [`RefTable`] rows for ascending iteration numbers (0-based):
-/// it steps from block to block as the numbers pass each block's end,
-/// rather than dividing every number by `share`. Iteration placement reads
-/// every row in order, and each rank's pattern its own iterations, which
-/// `IterationPartition` lists in ascending order.
-fn row_walker<'a>(
-    blocks: &'a [Vec<u32>],
-    share: usize,
-    width: usize,
-) -> impl FnMut(usize) -> &'a [u32] {
-    let (mut block, mut start) = (0, 0);
-    move |it0| {
-        while it0 >= start + share {
-            (block, start) = (block + 1, start + share);
-        }
-        &blocks[block][(it0 - start) * width..][..width]
-    }
 }
 
 /// The error for iteration `it` (1-based) referencing outside the `extent`
@@ -249,16 +201,16 @@ impl<B: Backend> Executor<B> {
         }
     }
 
-    /// Build the loop's reference table (see [`RefTable`]): resolve every
-    /// name a reference goes through, read every indirection array, and fill
-    /// and check every distinct reference of every iteration — each exactly
-    /// once.
-    fn reference_table(
+    /// Resolve and check the loop's references (see [`References`]):
+    /// resolve every name a reference goes through, read every indirection
+    /// array once, and make each one 0-based and check it over the loop
+    /// range.
+    fn references(
         &mut self,
         plan: &LoopPlan,
         lo: usize,
         niters: usize,
-    ) -> Result<RefTable, LangError> {
+    ) -> Result<References, LangError> {
         if lo == 0 {
             return Err(LangError::runtime(format!(
                 "FORALL '{}' starts at iteration 0 (iterations are 1-based)",
@@ -306,12 +258,12 @@ impl<B: Backend> Executor<B> {
         // Snapshot each indirection array's global values (1-based) once;
         // reading it costs one pass over it.
         let nprocs = self.backend.nprocs();
-        let mut ind_values: Vec<Vec<u32>> = Vec::with_capacity(plan.indirection_arrays.len());
+        let mut snapshots: Vec<Vec<u32>> = Vec::with_capacity(plan.indirection_arrays.len());
         for ia in &plan.indirection_arrays {
             let arr = self.state.int.named(ia).ok_or_else(|| {
                 LangError::runtime(format!("indirection array '{ia}' not materialized"))
             })?;
-            ind_values.push(arr.to_global());
+            snapshots.push(arr.to_global());
             let words = arr.len() as f64 / nprocs as f64;
             self.backend.machine_mut().charge_compute_all(words);
         }
@@ -320,119 +272,78 @@ impl<B: Backend> Executor<B> {
         // irregular loop they alone place an iteration. Each slot's source
         // is checked against the loop range here — a directly indexed array
         // must reach the last iteration, an indirection array must have an
-        // entry for every one — which also bounds the table by the arrays
-        // the program already holds. Slots reading one index expression
-        // share its column, the indirect expressions first.
+        // entry for every one.
         let indirect = |sid: &usize| plan.slots[*sid].index != Index::LoopVar;
         let (mut slot_order, direct): (Vec<usize>, Vec<usize>) =
             (0..plan.slots.len()).partition(indirect);
         let placer = slot_order.first().map(|&sid| group_of_slot[sid]);
-        // The extent every indirect column is checked against (unread when
-        // the loop has none).
-        let ind_extent = placer.map_or(0, |g| groups[g].1.len());
-        let nplacing = if placer.is_some() {
-            slot_order.len()
-        } else {
-            direct.len()
-        };
         slot_order.extend(direct);
+        let snapshot_of = |ia: &String| plan.indirection_arrays.iter().position(|n| n == ia);
         let hi = lo - 1 + niters;
-        let mut col_of_slot = vec![0usize; plan.slots.len()];
-        let mut columns: Vec<Column<'_>> = Vec::new();
-        let mut weights: Vec<u32> = Vec::new();
-        for (k, &sid) in slot_order.iter().enumerate() {
+        for &sid in &slot_order {
             let (slot, extent) = (&plan.slots[sid], extent_of_slot[sid]);
-            let values = match &slot.index {
+            match &slot.index {
                 Index::LoopVar if hi > extent => {
                     return Err(bad_reference(slot, lo.max(extent + 1), 0, extent));
                 }
-                Index::LoopVar => None,
+                Index::LoopVar => {}
                 Index::Indirect(ia) => {
-                    let at = plan.indirection_arrays.iter().position(|n| n == ia);
-                    let all = at.map(|at| &ind_values[at]).ok_or_else(|| {
+                    let all = snapshot_of(ia).map(|at| &snapshots[at]).ok_or_else(|| {
                         LangError::runtime(format!("indirection array '{ia}' not read"))
                     })?;
-                    Some(all.get(lo - 1..hi).ok_or_else(|| {
-                        LangError::runtime(format!(
+                    if all.len() < hi {
+                        return Err(LangError::runtime(format!(
                             "iteration {} out of range for indirection array '{ia}' ({} entries)",
                             lo.max(all.len() + 1),
                             all.len()
-                        ))
-                    })?)
+                        )));
+                    }
+                }
+            }
+        }
+
+        // The one pass over the indirection values, an array at a time:
+        // 1-based values become 0-based globals in place, each checked
+        // against the indirect slots' extent (a 0 wraps to `u32::MAX` and
+        // fails the same compare). This is the only validation they get:
+        // the partitioner, the inspector and the kernels trust them. A
+        // failed check names the earliest failing iteration and the first
+        // slot, in check order, that its value does not fit.
+        let ind_extent = placer.map_or(0, |g| groups[g].1.len());
+        let mut first_bad = niters;
+        for snapshot in &mut snapshots {
+            let mut fits = true;
+            for value in &mut snapshot[lo - 1..hi] {
+                *value = value.wrapping_sub(1);
+                fits &= (*value as usize) < ind_extent;
+            }
+            if !fits {
+                let values = &snapshot[lo - 1..hi];
+                let bad = values.iter().position(|&g| g as usize >= ind_extent);
+                first_bad = first_bad.min(bad.unwrap_or(niters));
+            }
+        }
+        if first_bad < niters {
+            let it0 = first_bad;
+            let value = |sid: usize| match &plan.slots[sid].index {
+                Index::LoopVar => 0,
+                Index::Indirect(ia) => {
+                    snapshot_of(ia).map_or(0, |at| snapshots[at][lo - 1 + it0].wrapping_add(1))
                 }
             };
-            let seen = columns.iter().position(|c| c.index == &slot.index);
-            let col = seen.unwrap_or_else(|| {
-                columns.push(Column {
-                    index: &slot.index,
-                    values,
-                });
-                columns.len() - 1
-            });
-            col_of_slot[sid] = col;
-            if k < nplacing {
-                weights.resize(weights.len().max(col + 1), 0);
-                weights[col] += 1;
-            }
+            let fits = |&sid: &usize| {
+                (value(sid) as usize).wrapping_sub(1) < extent_of_slot[sid]
+                    || plan.slots[sid].index == Index::LoopVar
+            };
+            let sid = slot_order.iter().find(|sid| !fits(sid));
+            // A slot reads the failing array, so one fails.
+            let sid = *sid.unwrap_or(&slot_order[0]);
+            let (slot, extent) = (&plan.slots[sid], extent_of_slot[sid]);
+            return Err(bad_reference(slot, lo + it0, value(sid), extent));
         }
 
-        // The one pass over the references, a column at a time. 1-based
-        // indirection values become 0-based globals, each checked against
-        // the indirect slots' extent (a 0 wraps to `usize::MAX` and fails
-        // the same compare). This is the only validation they get: the
-        // partitioner, the inspector and the kernels trust the table. A failed check names the first slot, in
-        // check order, that the iteration's value does not fit.
-        let width = columns.len();
-        let share = niters.div_ceil(nprocs).max(1);
-        let mut blocks: Vec<Vec<u32>> = Vec::with_capacity(nprocs);
-        for start in (0..niters).step_by(share) {
-            let rows = share.min(niters - start);
-            let mut globals = vec![0u32; rows * width];
-            let mut first_bad = rows;
-            for (col, column) in columns.iter().enumerate() {
-                let cells = globals.chunks_exact_mut(width).map(|row| &mut row[col]);
-                let Some(values) = column.values else {
-                    for (cell, it0) in cells.zip(start..) {
-                        *cell = (lo - 1 + it0) as u32;
-                    }
-                    continue;
-                };
-                let values = &values[start..start + rows];
-                let mut fits = true;
-                for (cell, &value) in cells.zip(values) {
-                    let global = (value as usize).wrapping_sub(1);
-                    fits &= global < ind_extent;
-                    *cell = global as u32;
-                }
-                if !fits {
-                    let bad = values
-                        .iter()
-                        .position(|&v| (v as usize).wrapping_sub(1) >= ind_extent);
-                    first_bad = first_bad.min(bad.unwrap_or(rows));
-                }
-            }
-            if first_bad < rows {
-                let it0 = start + first_bad;
-                let value = |sid: usize| columns[col_of_slot[sid]].values.map_or(0, |v| v[it0]);
-                let fits = |&sid: &usize| {
-                    (value(sid) as usize).wrapping_sub(1) < extent_of_slot[sid]
-                        || plan.slots[sid].index == Index::LoopVar
-                };
-                let sid = slot_order.iter().find(|sid| !fits(sid));
-                // A slot reads the failing column, so one fails.
-                let sid = *sid.unwrap_or(&slot_order[0]);
-                let (slot, extent) = (&plan.slots[sid], extent_of_slot[sid]);
-                return Err(bad_reference(slot, lo + it0, value(sid), extent));
-            }
-            blocks.push(globals);
-        }
-
-        Ok(RefTable {
-            blocks,
-            share,
-            width,
-            weights,
-            col_of_slot,
+        Ok(References {
+            snapshots,
             groups,
             placer,
         })
@@ -446,73 +357,66 @@ impl<B: Backend> Executor<B> {
         lo: usize,
         niters: usize,
     ) -> Result<LoopState, LangError> {
-        let RefTable {
-            blocks,
-            share,
-            width,
-            weights,
-            col_of_slot,
+        let References {
+            snapshots,
             groups,
             placer,
-        } = self.reference_table(plan, lo, niters)?;
-
-        // Iteration partitioning (phase B). Irregular loops partition
-        // almost-owner-computes with respect to the indirectly-referenced
-        // data decomposition; regular loops fall back to a block partition
-        // of the iteration space.
+        } = self.references(plan, lo, niters)?;
         let nprocs = self.backend.nprocs();
-        let (policy, part_dist) = match placer {
-            Some(g) => (
-                IterPartitionPolicy::AlmostOwnerComputes,
-                groups[g].1.clone(),
-            ),
-            None => (
-                IterPartitionPolicy::BlockOfIterations,
-                Distribution::block(niters.max(1), nprocs),
-            ),
-        };
         let prev_kind = self
             .machine_mut()
             .set_phase_kind(Some(PhaseKind::Inspector));
-        let placing = weights.len();
-        let mut row_of = row_walker(&blocks, share, width);
-        let iter_part = chaos_runtime::iterpart::partition_iterations_weighted(
-            self.backend.machine_mut(),
-            &part_dist,
-            (0..niters).map(move |it0| &row_of(it0)[..placing]),
-            &weights,
-            policy,
-        );
+
+        // Iteration partitioning (phase B). Irregular loops partition
+        // almost-owner-computes with respect to the indirectly-referenced
+        // data decomposition, and the placing group's references are
+        // translated in the same walk; regular loops fall back to a block
+        // partition of the iteration space.
+        let first = (lo - 1) as u32;
+        let mut located = None;
+        let iter_part = match placer {
+            Some(g) => {
+                let (spec, dist) = &groups[g];
+                let mut columns = vec![RefColumn::LoopVar { first }; spec.ncols as usize];
+                let mut weights = vec![0u32; spec.ncols as usize];
+                for (&sid, &col) in spec.slot_ids.iter().zip(&spec.cols) {
+                    if let Index::Indirect(ia) = &plan.slots[sid].index {
+                        let at = plan.indirection_arrays.iter().position(|n| n == ia);
+                        let at = at.expect("every indirection array was read");
+                        columns[col as usize] = RefColumn::Globals(&snapshots[at][lo - 1..]);
+                        weights[col as usize] += 1;
+                    }
+                }
+                let (part, rows) = place_and_locate(
+                    self.backend.machine_mut(),
+                    dist,
+                    niters,
+                    &columns,
+                    &weights,
+                    &mut self.localize_scratch,
+                );
+                located = Some(rows);
+                part
+            }
+            // Every slot indexes by the loop variable: a row stands for
+            // them all, and the block split reads only its length.
+            None => {
+                let row = vec![0u32; plan.slots.len()];
+                chaos_runtime::iterpart::partition_iterations(
+                    self.backend.machine_mut(),
+                    &Distribution::block(niters.max(1), nprocs),
+                    (0..niters).map(|_| &row[..]),
+                    IterPartitionPolicy::BlockOfIterations,
+                )
+            }
+        };
+        drop(snapshots);
         self.state.run.report.iteration_partitions += 1;
 
-        // Each group's access pattern: one reference per distinct index
-        // expression among its slots — the table column any of them reads —
-        // from the rows of the iterations each rank was given.
-        let mut specs: Vec<GroupSpec> = Vec::with_capacity(groups.len());
-        let mut pending: Vec<(Distribution, AccessPattern)> = Vec::with_capacity(groups.len());
-        for (spec, dist) in groups {
-            let mut cols = vec![0usize; spec.ncols as usize];
-            for (&sid, &col) in spec.slot_ids.iter().zip(&spec.cols) {
-                cols[col as usize] = col_of_slot[sid];
-            }
-            let mut pattern = AccessPattern::new(nprocs);
-            for (p, refs) in pattern.refs.iter_mut().enumerate() {
-                let iters = iter_part.iters(p);
-                refs.reserve(iters.len() * cols.len());
-                let mut row_of = row_walker(&blocks, share, width);
-                for &it0 in iters {
-                    let row = row_of(it0 as usize);
-                    refs.extend(cols.iter().map(|&c| row[c]));
-                }
-            }
-            specs.push(spec);
-            pending.push((dist, pattern));
-        }
-        // Both readers are done: the localize working set reuses the memory.
-        drop(blocks);
-
-        // Localize every group with its request exchange deferred, bind
-        // each schedule into its distribution's shared resident ghost
+        // Localize every group with its request exchange deferred — the
+        // placing group from its located rows, in its turn, and a group on
+        // another decomposition from its iteration lists, the loop variable
+        // being all it can index by — bind each schedule into its distribution's shared resident ghost
         // region (computing the difference against the union of ghosts
         // already requested by earlier loops), and request only the missing
         // ghosts: one tagged-offset exchange folds every group's difference
@@ -520,26 +424,40 @@ impl<B: Backend> Executor<B> {
         // message per processor pair.
         let mut full_msgs = 0usize;
         let mut full_words = 0usize;
-        let mut groups: Vec<InspectedGroup> = Vec::with_capacity(pending.len());
-        for (dist, pattern) in &pending {
-            let result = Inspector.localize_deferred_exchange(
-                &mut self.backend,
-                dist,
-                pattern,
-                &mut self.localize_scratch,
-            );
+        let mut specs: Vec<GroupSpec> = Vec::with_capacity(groups.len());
+        let mut inspected: Vec<InspectedGroup> = Vec::with_capacity(groups.len());
+        for (g, (spec, dist)) in groups.into_iter().enumerate() {
+            let scratch = &mut self.localize_scratch;
+            let result = match located.take_if(|_| placer == Some(g)) {
+                Some(rows) => Inspector.localize_located(&mut self.backend, &dist, rows, scratch),
+                None => {
+                    let iters = (0..nprocs).map(|p| iter_part.iters(p).iter());
+                    let refs = iters
+                        .map(|its| its.map(|&it| first + it).collect())
+                        .collect();
+                    let pattern = AccessPattern { refs };
+                    Inspector.localize_deferred_exchange(
+                        &mut self.backend,
+                        &dist,
+                        &pattern,
+                        scratch,
+                    )
+                }
+            };
             let region = self
                 .state
                 .run
                 .registry
-                .region_bind(Dad::of(dist), &result.schedule);
+                .region_bind(Dad::of(&dist), &result.schedule);
             if region.diff.total_ghosts() < result.schedule.total_ghosts() {
                 self.state.run.report.incremental_bindings += 1;
             }
             full_msgs += result.schedule.message_count();
             full_words += result.schedule.total_ghosts();
-            groups.push(InspectedGroup { result, region });
+            specs.push(spec);
+            inspected.push(InspectedGroup { result, region });
         }
+        let groups = inspected;
         let parts: Vec<&chaos_runtime::CommSchedule> =
             groups.iter().map(|g| &g.region.diff).collect();
         let (msgs, words) =

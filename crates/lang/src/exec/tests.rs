@@ -647,7 +647,7 @@ fn check<B: Backend>(
 fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
     // The inspector's input errors — a short indirection array, a 0 entry, an
     // entry beyond the extent, and their directly indexed kin — each caught
-    // while the reference table is built, before the partitioner or a kernel
+    // while the references are checked, before the partitioner or a kernel
     // can index with the value, and each leaving the program's arrays where
     // they were.
     let corrupt = |at: usize, value: u32| {
@@ -710,6 +710,40 @@ fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
             let pool = Executor::new_pooled_with_workers(cfg, 3, inputs.clone());
             check(pool.with_kernel_mode(mode), &cp, what, expected);
         }
+    }
+}
+
+#[test]
+fn the_earliest_bad_iteration_is_reported_whichever_array_holds_it() {
+    // `end_pt1` goes bad at iteration 21 and `end_pt2` at iteration 10: the
+    // error names iteration 10, and the first slot in check order that
+    // reads `end_pt2` — `x(end_pt2(i))`, the value of the first statement.
+    let mut inputs = ring_inputs(40);
+    inputs.int_arrays.get_mut("end_pt1").unwrap()[20] = 0;
+    inputs.int_arrays.get_mut("end_pt2").unwrap()[9] = 41;
+    let expected = "indirection array 'end_pt2' contains 41 at iteration 10, \
+                    beyond the 40 elements of 'x'";
+    let cp = compiled();
+    for mode in [KernelMode::Compiled, KernelMode::Interpreted] {
+        let cfg = MachineConfig::ipsc860(4);
+        let machine = Executor::new(cfg.clone(), inputs.clone()).with_kernel_mode(mode);
+        let what = "two bad arrays on Machine";
+        let err = check(machine, &cp, what, &[expected]).run(&cp).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("runtime error: {expected}"),
+            "{what}"
+        );
+        let pool = Executor::new_pooled_with_workers(cfg, 3, inputs.clone());
+        let what = "two bad arrays on the pool";
+        let err = check(pool.with_kernel_mode(mode), &cp, what, &[expected])
+            .run(&cp)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("runtime error: {expected}"),
+            "{what}"
+        );
     }
 }
 

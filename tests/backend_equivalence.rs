@@ -216,12 +216,11 @@ struct RegionsObservation {
     epoch: u64,
 }
 
-/// One region through each of the four `Backend` entry points —
-/// `run_compute`, `run_phase`, `run_exchange`, `run_sweep` — each charging
+/// One region through each of the three `Backend` entry points —
+/// `run_compute`, `run_phase`, `run_sweep` — each charging
 /// and each feeding its values to the next: the values, the clock bits and
 /// the traffic totals afterwards.
 fn drive_every_entry_point<B: Backend>(backend: &mut B) -> RegionsObservation {
-    use chaos_repro::dmsim::Outbox;
     let n = backend.nprocs();
     let mut v = vec![0.0f64; n];
     backend.run_compute(v.iter_mut(), |ctx, s| {
@@ -237,20 +236,6 @@ fn drive_every_entry_point<B: Backend>(backend: &mut B) -> RegionsObservation {
         ctx.charge_compute(ctx.rank(), 0.25);
         *s += 1.0;
     });
-    let sent = v.clone();
-    backend.run_exchange(
-        |ctx, outbox: &mut Outbox<'_, f64>| {
-            let (r, to) = (ctx.rank(), (ctx.rank() + 1) % ctx.nprocs());
-            outbox.post(to, [sent[r]]);
-            ctx.charge_p2p(r, to, 1);
-        },
-        v.iter_mut(),
-        |ctx, s, inbox| {
-            let from = (ctx.rank() + ctx.nprocs() - 1) % ctx.nprocs();
-            *s += 3.0 * inbox.from_rank(from)[0];
-            ctx.charge_memory(ctx.rank(), 1.0);
-        },
-    );
     let mut posted = vec![0.0f64; n];
     backend.run_sweep(
         &mut v,
@@ -287,7 +272,7 @@ fn drive_every_entry_point<B: Backend>(backend: &mut B) -> RegionsObservation {
 
 /// `degrade()` turns the pool into the sequential oracle for every region
 /// that follows: a pool degraded before the run agrees bit for bit with
-/// `Machine` and with the live pool through all four entry points.
+/// `Machine` and with the live pool through all three entry points.
 #[test]
 fn degraded_pool_is_exact_through_every_entry_point() {
     let cfg = || MachineConfig::ipsc860(8);
@@ -301,7 +286,7 @@ fn degraded_pool_is_exact_through_every_entry_point() {
         want,
         "degraded pool"
     );
-    assert_eq!(want.epoch, 4, "one epoch per region");
+    assert_eq!(want.epoch, 3, "one epoch per region");
 }
 
 /// Everything one coupler-driven partitioning run observes on an engine.

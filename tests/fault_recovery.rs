@@ -10,8 +10,8 @@
 //! of the same program under the same recovery policy.
 
 use chaos_repro::dmsim::{
-    Backend, Counter, FaultKind, FaultPlan, MetricsRegistry, PhaseCause, PhaseCharge, PhaseError,
-    PooledBackend, RankCtx,
+    Backend, Counter, FaultKind, FaultPlan, MetricsRegistry, PhaseCause, PhaseError, PooledBackend,
+    RankCtx,
 };
 use chaos_repro::lang::{CompiledProgram, LangError, RecoveryPolicy};
 use chaos_repro::prelude::*;
@@ -175,6 +175,59 @@ fn injected_panic_recovers_bit_identically_on_both_engines() {
             .with_fault_plan(plan())
             .with_recovery_policy(retry());
         assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
+    }
+}
+
+#[test]
+fn a_panic_in_an_inspections_dedup_recovers_bit_identically_on_both_engines() {
+    // With reuse off every sweep re-inspects. This loop's placing group is
+    // BLOCK, so an inspection opens two regions before its sweep: the
+    // locate charge, then the dedup. The fault is planted on the dedup of
+    // the first sweep after the preamble.
+    let cp = program();
+    let cfg = || MachineConfig::ipsc860(NPROCS);
+    let ins = || inputs(120, 480);
+    let mut probe = Executor::new(cfg(), ins()).with_reuse(false);
+    probe.run(&cp).unwrap();
+    let dedup = probe.machine().epoch() + 2;
+    let plan = || Arc::new(FaultPlan::new().with_fault(dedup, 1, FaultKind::KernelPanic));
+
+    // Unrecovered, the panic stops the inspection itself: nothing new is
+    // saved, and the error names the dedup's epoch.
+    let mut abort = Executor::new(cfg(), ins())
+        .with_reuse(false)
+        .with_fault_plan(plan());
+    abort.run(&cp).unwrap();
+    let err = abort.execute_loop(&cp, "L1").unwrap_err();
+    assert!(
+        matches!(err, LangError::Phase(PhaseError::RankPanic { epoch, .. }) if epoch == dedup),
+        "{err:?}"
+    );
+    assert_eq!(
+        abort.report().inspector_runs,
+        1,
+        "the failed inspection saved nothing"
+    );
+
+    let mut clean = Executor::new(cfg(), ins())
+        .with_reuse(false)
+        .with_recovery_policy(retry());
+    let want = drive(&mut clean, &cp).unwrap();
+    let plan_seq = plan();
+    let mut seq = Executor::new(cfg(), ins())
+        .with_reuse(false)
+        .with_fault_plan(Arc::clone(&plan_seq))
+        .with_recovery_policy(retry());
+    assert_eq!(drive(&mut seq, &cp).unwrap(), want, "sequential engine");
+    assert!(plan_seq.exhausted(), "the fault fired on Machine");
+    for workers in POOL_WORKERS {
+        let plan_pool = plan();
+        let mut pool = Executor::new_pooled_with_workers(cfg(), workers, ins())
+            .with_reuse(false)
+            .with_fault_plan(Arc::clone(&plan_pool))
+            .with_recovery_policy(retry());
+        assert_eq!(drive(&mut pool, &cp).unwrap(), want, "pool/{workers}");
+        assert!(plan_pool.exhausted(), "the fault fired on pool/{workers}");
     }
 }
 
@@ -361,13 +414,13 @@ impl Backend for FlakySweep {
         &mut self.machine
     }
 
-    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
+    fn fan_out<St, I, F>(&mut self, state: I, kernel: F)
     where
         St: Send,
         I: IntoIterator<Item = St>,
         F: Fn(&mut RankCtx<'_>, St) + Sync,
     {
-        self.machine.fan_out(phase, state, kernel);
+        self.machine.fan_out(state, kernel);
     }
 
     fn run_sweep<Sc, Px, C, A, P, S>(
@@ -845,13 +898,13 @@ impl Backend for LoggedPool {
         self.pool.machine_mut()
     }
 
-    fn fan_out<St, I, F>(&mut self, phase: Option<&mut PhaseCharge>, state: I, kernel: F)
+    fn fan_out<St, I, F>(&mut self, state: I, kernel: F)
     where
         St: Send,
         I: IntoIterator<Item = St>,
         F: Fn(&mut RankCtx<'_>, St) + Sync,
     {
-        self.pool.fan_out(phase, state, kernel);
+        self.pool.fan_out(state, kernel);
     }
 
     fn run_sweep<Sc, Px, C, A, P, S>(

@@ -749,9 +749,8 @@ fn steady_executor_sweep_allocates_nothing() {
 
 /// The other half of the claim, on the path that cannot reuse: with
 /// `with_reuse(false)` every sweep re-runs the inspector, and what that
-/// allocates is per rank and per group — the reference table, the
-/// iteration lists, the access patterns, the schedule — never per
-/// iteration. So the count over ten re-inspecting sweeps is the same on a
+/// allocates is per rank and per group — the indirection snapshots, the
+/// iteration lists, the schedule — never per iteration. So the count over ten re-inspecting sweeps is the same on a
 /// mesh four times the size.
 #[test]
 fn reinspecting_sweep_allocations_do_not_grow_with_the_loop() {
