@@ -72,15 +72,27 @@ impl<T: Clone + Default> DistArray<T> {
     /// BLOCK array is its shards end to end, one slice copy each; CYCLIC
     /// and irregular arrays are read element by element.
     pub fn to_global(&self) -> Vec<T> {
+        let mut out = Vec::new();
+        self.to_global_into(&mut out);
+        out
+    }
+
+    /// [`Self::to_global`] into `out`, which is cleared first: a reader
+    /// that gathers the array again refills the same buffer.
+    pub fn to_global_into(&self, out: &mut Vec<T>) {
+        out.clear();
         if let Distribution::Block { .. } = self.dist {
-            return self.local.concat();
+            out.reserve_exact(self.dist.len());
+            for shard in &self.local {
+                out.extend_from_slice(shard);
+            }
+            return;
         }
-        let mut out = vec![T::default(); self.dist.len()];
+        out.resize(self.dist.len(), T::default());
         for (g, slot) in out.iter_mut().enumerate() {
             let (p, off) = self.dist.locate(g);
             *slot = self.local[p][off].clone();
         }
-        out
     }
 }
 

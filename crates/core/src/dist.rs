@@ -153,6 +153,68 @@ impl Distribution {
     }
 }
 
+/// The BLOCK split of `n` globals over `p` ranks with no division per
+/// lookup: `g / block` is the high word of `⌈2⁶⁴ / block⌉ · g`, exact for
+/// every `u32` global (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019). It places a BLOCK array's elements and a
+/// translation table's pages.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockSplit {
+    block: usize,
+    /// `⌈2⁶⁴ / block⌉ − 1`, that is `⌊(2⁶⁴ − 1) / block⌋`: the reciprocal
+    /// less one, which fits a `u64` for `block = 1` too.
+    reciprocal: u64,
+    last: usize,
+}
+
+impl BlockSplit {
+    /// The split [`Distribution::block`] makes of `n` over `p > 0` ranks.
+    pub(crate) fn new(n: usize, p: usize) -> Self {
+        let block = Distribution::block_size(n, p);
+        BlockSplit {
+            block,
+            reciprocal: u64::MAX / block as u64,
+            last: p - 1,
+        }
+    }
+
+    /// The rank of `g`: `(g / block).min(p - 1)`.
+    #[inline(always)]
+    pub(crate) fn owner(self, g: u32) -> usize {
+        let g = u128::from(g);
+        let quotient = (u128::from(self.reciprocal) * g + g) >> 64;
+        (quotient as usize).min(self.last)
+    }
+
+    /// `(owner, offset)` of `g`, as [`Distribution::locate`] gives them.
+    #[inline(always)]
+    pub(crate) fn locate(self, g: u32) -> (usize, usize) {
+        let owner = self.owner(g);
+        (owner, g as usize - owner * self.block)
+    }
+}
+
+/// BLOCK's packed `owner << 32 | offset` key of each global, through a
+/// [`BlockSplit`]; range-checked in debug builds only, as
+/// [`Distribution::owner`] is.
+pub(crate) fn block_key(n: usize, p: usize) -> impl Fn(u32) -> u64 + Copy + Sync {
+    let split = BlockSplit::new(n, p);
+    move |g: u32| {
+        debug_assert!((g as usize) < n, "global index {g} out of range");
+        let (owner, offset) = split.locate(g);
+        ((owner as u64) << 32) | offset as u64
+    }
+}
+
+/// CYCLIC's packed `owner << 32 | offset` key of each global, range-checked
+/// as [`block_key`] is.
+pub(crate) fn cyclic_key(n: usize, p: usize) -> impl Fn(u32) -> u64 + Copy + Sync {
+    move |g: u32| {
+        debug_assert!((g as usize) < n, "global index {g} out of range");
+        (((g as usize % p) as u64) << 32) | (g as usize / p) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,6 +320,53 @@ mod tests {
         // Each irregular build is a *new* mapping event and therefore a new DAD.
         assert_ne!(Dad::of(&i1), Dad::of(&i2));
         assert_eq!(Dad::of(&i1), Dad::of(&i1.clone()));
+    }
+
+    /// The globals a split is checked on: all of them below `n` when there
+    /// are few, else every block's first and last two and a seeded sample.
+    fn probe_globals(n: usize, block: usize, next: &mut impl FnMut(usize) -> usize) -> Vec<u32> {
+        if n <= 1 << 16 {
+            return (0..n as u32).collect();
+        }
+        let mut globals: Vec<u32> = (0..10_000).map(|_| next(n) as u32).collect();
+        for start in (0..n).step_by(block) {
+            for g in [start, start + 1, start + block - 2, start + block - 1] {
+                globals.extend(u32::try_from(g).ok().filter(|&g| (g as usize) < n));
+            }
+        }
+        globals.extend([0, (n - 1) as u32]);
+        globals
+    }
+
+    #[test]
+    fn the_reciprocal_split_is_the_division() {
+        // Random (n, p), n < p, block = 1, and n near 2³², where the
+        // reciprocal's error term is largest: owner and offset must be the
+        // divisions' for every global probed (every global below 2¹⁶).
+        let mut state = 0x853C_49E6_748F_EA9Bu64;
+        let mut next = |m: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let mut cases: Vec<(usize, usize)> =
+            (0..60).map(|_| (1 + next(70_000), 1 + next(64))).collect();
+        cases.extend([(3, 8), (1, 1), (0, 4), (7, 7), (9, 9), (64, 64), (5, 2)]);
+        let top = 1usize << 32;
+        for p in [1, 2, 3, 7, 32, 1000, 65_535] {
+            cases.extend([(top, p), (top - 1, p), (top - 7, p), (top - p, p)]);
+        }
+        for (n, p) in cases {
+            let split = BlockSplit::new(n, p);
+            let block = Distribution::block_size(n, p);
+            for g in probe_globals(n, block, &mut next) {
+                let owner = (g as usize / block).min(p - 1);
+                let want = (owner, g as usize - owner * block);
+                assert_eq!(split.locate(g), want, "g = {g}, n = {n}, p = {p}");
+                assert_eq!(split.owner(g), owner, "g = {g}, n = {n}, p = {p}");
+            }
+        }
     }
 
     #[test]

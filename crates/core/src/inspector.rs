@@ -14,12 +14,18 @@
 //!
 //! This is the work whose cost the paper amortizes via schedule reuse.
 //!
-//! Step 1 has two forms. [`Inspector::localize`] and its variants translate
-//! an [`AccessPattern`]. The lang inspector translates the references of
-//! the group that places a loop's iterations where it places them
+//! Step 1 has one form and two callers. Each translated reference is
+//! *located* where it is found: an owned one goes straight into its rank's
+//! `u32` localized row as its offset, an off-processor one leaves a
+//! placeholder there, joins the rank's pending list as `(key, position)`
+//! and is counted against its owner. No key is kept per reference.
+//! [`Inspector::localize`] and its variants locate an [`AccessPattern`],
+//! one rank kernel per rank. The lang inspector locates the references of
+//! the group that places a loop's iterations in the walk that places them
 //! ([`place_and_locate`](crate::iterpart::place_and_locate)) and hands the
 //! [`Located`] rows to [`Inspector::localize_located`], which charges the
-//! translation and runs steps 2 to 4 over them, as the pattern forms do.
+//! translation. One dedup then runs steps 2 to 4 for both: it reads only
+//! the pending lists, buckets them by owner and sorts each bucket.
 //!
 //! # The local index space
 //!
@@ -36,7 +42,7 @@
 //! tests use; the `chaos-lang` kernel VM decodes the same way, once per
 //! block of iterations.
 
-use crate::dist::Distribution;
+use crate::dist::{block_key, cyclic_key, Distribution};
 use crate::schedule::{charge_request_exchange, CommSchedule};
 use crate::ttable::charge_dereference;
 use chaos_dmsim::Backend;
@@ -122,63 +128,110 @@ impl InspectorResult {
 
 /// Reusable intermediate buffers for [`Inspector::localize_with_scratch`].
 ///
-/// The inspector's working set — packed translated references, the per-
-/// processor off-processor references and dedup buffer, and the flat
-/// ghost-source arrays handed to the schedule constructor — lives here, so
-/// a loop that re-runs its inspector (the schedule-reuse miss path) stops
-/// allocating once the buffers have grown to the workload's size. The lang
-/// `Executor` keeps one between inspections.
+/// The inspector's working set — the per-processor off-processor
+/// references and their per-owner counts, the dedup buckets and distinct
+/// keys, and the flat ghost-source arrays handed to the schedule
+/// constructor — lives here, so a loop that re-runs its inspector (the
+/// schedule-reuse miss path) stops allocating once the buffers have grown
+/// to the workload's size. The lang `Executor` keeps one between
+/// inspections.
 #[derive(Debug, Clone, Default)]
 pub struct LocalizeScratch {
-    /// Packed `owner << 32 | offset` location of every reference, per proc.
-    pub(crate) located: Vec<Vec<u64>>,
-    /// Sorted, deduplicated off-processor keys, per proc (rank-local so the
-    /// dedup kernels can run one per thread).
-    offproc: Vec<Vec<u64>>,
-    /// One word of off-processor flags per 64 references, per proc: their
-    /// count sizes `pending` exactly.
-    flags: Vec<Vec<u64>>,
+    /// Each rank's pending references and owner counts, lent to every
+    /// [`Located`] and given back by its dedup (the rows go to the result).
+    ranks: Vec<RankLocated>,
+    /// Each rank's iterations at the last placement: what the next one's
+    /// lists reserve.
+    pub(crate) loads: Vec<usize>,
     /// The off-processor references as `offset << 32 | position`, bucketed
     /// by owner in rank order, per proc: each bucket sorted, they give the
     /// ghost slots and where each one is written.
-    pending: Vec<Vec<u64>>,
+    buckets: Vec<Vec<u64>>,
+    /// Sorted, deduplicated off-processor keys, per proc (rank-local so the
+    /// dedup kernels can run one per thread).
+    offproc: Vec<Vec<u64>>,
     /// Flat CSR ghost-source arrays under construction.
     ghost_off: Vec<u32>,
     ghost_owner: Vec<u32>,
     ghost_src: Vec<u32>,
 }
 
-/// A group's references translated to packed `owner << 32 | offset` keys
-/// by [`place_and_locate`](crate::iterpart::place_and_locate), not yet
-/// localized or charged.
+/// What an off-processor reference's place in a localized row holds until
+/// the dedup writes its ghost slot there.
+const PENDING: u32 = u32::MAX;
+
+/// A group's references located rank by rank, not yet deduplicated or
+/// charged: what [`place_and_locate`](crate::iterpart::place_and_locate)
+/// leaves for [`Inspector::localize_located`], and what
+/// [`Inspector::localize_deferred_exchange`] builds from a pattern.
 #[derive(Debug)]
 pub struct Located {
-    /// Each rank's keys, its iterations in ascending order, a row each.
-    pub(crate) rows: Vec<Vec<u64>>,
+    /// Each rank's share, in rank order.
+    pub(crate) ranks: Vec<RankLocated>,
     /// Each rank's requests per table page (`pages[p * nprocs + page]`)
     /// when the translation is the dereference; `None` for BLOCK or CYCLIC.
     pub(crate) pages: Option<Vec<u32>>,
 }
 
-/// One rank's rows of the dedup / rewrite kernel: its off-processor flags,
-/// its bucketed off-processor references, its deduplicated keys and its
-/// localized references.
-type Rows<'a> = (
-    ((&'a mut Vec<u64>, &'a mut Vec<u64>), &'a mut Vec<u64>),
-    &'a mut Vec<u32>,
-);
-
-/// The positions of the set bits of `flags`, in ascending order.
-fn set_bits(flags: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    flags.iter().enumerate().flat_map(|(c, &word)| {
-        let mut rest = word;
-        std::iter::from_fn(move || {
-            let bit = (rest != 0).then(|| c * 64 + rest.trailing_zeros() as usize);
-            rest &= rest.wrapping_sub(1);
-            bit
-        })
-    })
+/// One rank's located references.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RankLocated {
+    /// The localized row, the rank's references in order: an owned
+    /// reference's offset, or a placeholder the dedup overwrites with the
+    /// reference's ghost slot.
+    pub(crate) row: Vec<u32>,
+    /// The off-processor references as `(owner << 32 | offset, position in
+    /// the row)`, in row order.
+    pending: Vec<(u64, u32)>,
+    /// `owners[o]`: how many of the pending references owner `o` holds.
+    owners: Vec<u32>,
 }
+
+impl RankLocated {
+    /// Append rank `me`'s next references, as packed `owner << 32 |
+    /// offset` keys: an owned one as its offset, an off-processor one as a
+    /// placeholder, with a pending `(key, position)` entry and a count
+    /// against its owner.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, me: usize, keys: &[u64]) {
+        let at = self.row.len();
+        let local = |key: u64| (key >> 32) as usize == me;
+        let offsets = keys
+            .iter()
+            .map(|&key| if local(key) { key as u32 } else { PENDING });
+        self.row.extend(offsets);
+        for (j, &key) in keys.iter().enumerate() {
+            if !local(key) {
+                self.pending.push((key, (at + j) as u32));
+                self.owners[(key >> 32) as usize] += 1;
+            }
+        }
+    }
+}
+
+impl Located {
+    /// Empty rows for `nprocs` ranks, row `p` reserving `capacity(p)`, over
+    /// the pending lists and counts `scratch` lends.
+    pub(crate) fn lend(
+        scratch: &mut LocalizeScratch,
+        nprocs: usize,
+        capacity: impl Fn(usize) -> usize,
+    ) -> Self {
+        let mut ranks = std::mem::take(&mut scratch.ranks);
+        ranks.resize_with(nprocs, RankLocated::default);
+        for (p, rank) in ranks.iter_mut().enumerate() {
+            rank.row = Vec::with_capacity(capacity(p));
+            rank.pending.clear();
+            rank.owners.clear();
+            rank.owners.resize(nprocs, 0);
+        }
+        Located { ranks, pages: None }
+    }
+}
+
+/// One rank's rows of the dedup / rewrite kernel: its located references,
+/// its buckets and its deduplicated keys.
+type Rows<'a> = (&'a mut RankLocated, (&'a mut Vec<u64>, &'a mut Vec<u64>));
 
 /// The inspector itself. Stateless; all state lives in the returned
 /// [`InspectorResult`] (and optionally a caller-held [`LocalizeScratch`]).
@@ -228,12 +281,15 @@ impl Inspector {
     /// as usual, but the returned schedule has not paid its build exchange
     /// (building a schedule never charges).
     ///
-    /// Every reference is translated to a packed `owner << 32 | offset` key
-    /// — by dereferencing the translation table in one batched pass for an
-    /// irregular distribution, by rank-local arithmetic for a regular one —
-    /// and the rows are then localized as [`Inspector::localize_located`]
-    /// does. Both are rank-local kernels, so on the pooled [`Backend`] they
-    /// run on the worker lanes; only the CSR assembly stays on the driver.
+    /// Each rank's references are translated to packed `owner << 32 |
+    /// offset` keys — by dereferencing the translation table for an
+    /// irregular distribution, whose page requests are counted on the way,
+    /// by rank-local arithmetic for a regular one — and located as
+    /// [`place_and_locate`](crate::iterpart::place_and_locate) locates
+    /// them; the rows are then deduplicated as
+    /// [`Inspector::localize_located`] does. Both are rank-local kernels, so
+    /// on the pooled [`Backend`] they run on the worker lanes; only the CSR
+    /// assembly stays on the driver.
     ///
     /// Used by callers that bind the schedule into a resident ghost region
     /// ([`ReuseRegistry::region_bind`](crate::reuse::ReuseRegistry::region_bind))
@@ -258,35 +314,40 @@ impl Inspector {
             nprocs,
             "data distribution processor count must match the machine"
         );
-        let mut rows = std::mem::take(&mut scratch.located);
+        let mut located = Located::lend(scratch, nprocs, |p| pattern.refs[p].len());
         match data_dist {
             Distribution::Irregular { table } => {
-                table.dereference(backend, &pattern.refs, &mut rows);
+                let (page_of, keys) = (table.page_of(), &table.packed);
+                // `pages[p * nprocs + page]`: rank p's requests landing on
+                // `page`.
+                let mut pages = vec![0u32; nprocs * nprocs];
+                let ranks = located.ranks.iter_mut().zip(pages.chunks_mut(nprocs));
+                backend.run_compute(
+                    ranks,
+                    |ctx, (rank, pages): (&mut RankLocated, &mut [u32])| {
+                        for &g in &pattern.refs[ctx.rank()] {
+                            pages[page_of(g)] += 1;
+                            rank.push(ctx.rank(), &[keys[g as usize]]);
+                        }
+                    },
+                );
+                charge_dereference(backend, &pages);
             }
-            _ => {
-                rows.resize_with(nprocs, Vec::new);
-                backend.run_compute(rows.iter_mut(), |ctx, row: &mut Vec<u64>| {
-                    let refs = &pattern.refs[ctx.rank()];
-                    ctx.charge_compute(ctx.rank(), refs.len() as f64);
-                    row.clear();
-                    row.reserve(refs.len());
-                    for &g in refs {
-                        let (o, off) = data_dist.locate(g as usize);
-                        row.push(((o as u64) << 32) | off as u64);
-                    }
-                });
+            Distribution::Block { n, p } => {
+                locate(backend, &mut located, pattern, block_key(*n, *p))
+            }
+            Distribution::Cyclic { n, p } => {
+                locate(backend, &mut located, pattern, cyclic_key(*n, *p))
             }
         }
-        let result = localize_rows(backend, data_dist, &rows, scratch);
-        scratch.located = rows;
-        result
+        localize_rows(backend, data_dist, located, scratch)
     }
 
     /// [`Inspector::localize_deferred_exchange`] over references already
-    /// translated by [`place_and_locate`](crate::iterpart::place_and_locate):
+    /// located by [`place_and_locate`](crate::iterpart::place_and_locate):
     /// the translation is charged first (the dereference's two rounds from
     /// the walk's page counts, or the locate charge), then the rows are
-    /// localized, with the same charges, results and schedule.
+    /// deduplicated, with the same charges, results and schedule.
     pub fn localize_located<B: Backend>(
         &self,
         backend: &mut B,
@@ -294,122 +355,116 @@ impl Inspector {
         located: Located,
         scratch: &mut LocalizeScratch,
     ) -> InspectorResult {
-        let Located { rows, pages } = located;
         assert_eq!(
-            (rows.len(), data_dist.nprocs()),
+            (located.ranks.len(), data_dist.nprocs()),
             (backend.nprocs(), backend.nprocs()),
             "located rows and distribution must have one entry per processor"
         );
-        match pages {
-            Some(pages) => charge_dereference(backend, &pages),
+        match &located.pages {
+            Some(pages) => charge_dereference(backend, pages),
             None => backend.run_charges(|ctx| {
-                ctx.charge_compute(ctx.rank(), rows[ctx.rank()].len() as f64);
+                ctx.charge_compute(ctx.rank(), located.ranks[ctx.rank()].row.len() as f64);
             }),
         }
-        let result = localize_rows(backend, data_dist, &rows, scratch);
-        scratch.located = rows;
-        result
+        localize_rows(backend, data_dist, located, scratch)
     }
 }
 
-/// Localize each rank's located `rows` (steps 2 to 4 of the module docs).
+/// Locate each rank's pattern references through `key`, a regular
+/// distribution's arithmetic, charging one operation per reference.
+fn locate<B: Backend>(
+    backend: &mut B,
+    located: &mut Located,
+    pattern: &AccessPattern,
+    key: impl Fn(u32) -> u64 + Sync,
+) {
+    backend.run_compute(&mut located.ranks, |ctx, rank: &mut RankLocated| {
+        let refs = &pattern.refs[ctx.rank()];
+        ctx.charge_compute(ctx.rank(), refs.len() as f64);
+        for &g in refs {
+            rank.push(ctx.rank(), &[key(g)]);
+        }
+    });
+}
+
+/// Localize each rank's `located` row (steps 2 to 4 of the module docs).
 ///
-/// Deduplication is hash-free. One pass over a rank's keys rewrites the
-/// owned ones to their offsets where they stand and flags the
-/// off-processor ones. Those are counted per owner and set out in one
-/// bucket per owner, in rank order, as `offset << 32 | position`; sorting
-/// each bucket deduplicates it and assigns the ghost slots by rank in that
-/// order, owner-major then offset (the paper's slot numbering), and reaches
-/// every position holding each element, which is then rewritten to its
-/// slot.
+/// Deduplication is hash-free and reads only the off-processor
+/// references: the walk that located them left each one's owner count and
+/// a pending `(key, position)` entry. The pending entries are set out in
+/// one bucket per owner, in rank order, as `offset << 32 | position`;
+/// sorting each bucket deduplicates it and assigns the ghost slots by rank
+/// in that order, owner-major then offset (the paper's slot numbering), and
+/// reaches every position holding each element, which is then rewritten to
+/// its slot.
 fn localize_rows<B: Backend>(
     backend: &mut B,
     data_dist: &Distribution,
-    rows: &[Vec<u64>],
+    located: Located,
     scratch: &mut LocalizeScratch,
 ) -> InspectorResult {
     let nprocs = backend.nprocs();
-    let (flags, pending) = (&mut scratch.flags, &mut scratch.pending);
-    let offproc = &mut scratch.offproc;
-    flags.resize_with(nprocs, Vec::new);
-    pending.resize_with(nprocs, Vec::new);
+    let mut ranks = located.ranks;
+    let (buckets, offproc) = (&mut scratch.buckets, &mut scratch.offproc);
+    buckets.resize_with(nprocs, Vec::new);
     offproc.resize_with(nprocs, Vec::new);
     let owned_counts: Vec<usize> = (0..nprocs).map(|p| data_dist.local_size(p)).collect();
-    let mut localized: Vec<Vec<u32>> = Vec::new();
-    localized.resize_with(nprocs, Vec::new);
-    let state = flags
+    let state = ranks
         .iter_mut()
-        .zip(pending.iter_mut())
-        .zip(offproc.iter_mut())
-        .zip(localized.iter_mut());
-    backend.run_compute(
-        state,
-        |ctx, (((flags, pending), offproc), locals): Rows<'_>| {
-            let me = ctx.rank();
-            let located = &rows[me];
-            assert!(
-                u32::try_from(located.len()).is_ok(),
-                "rank {me} has more than u32::MAX references"
-            );
-            // The one pass over the references, 64 at a time: their low
-            // words (an owned reference's offset) are copied as a block,
-            // beside a word of off-processor flags. Only the flagged
-            // positions are visited again.
-            flags.clear();
-            flags.reserve_exact(located.len().div_ceil(64));
-            locals.reserve_exact(located.len());
-            for chunk in located.chunks(64) {
-                locals.extend(chunk.iter().map(|&k| k as u32));
-                let flag = |(j, &k): (usize, &u64)| u64::from((k >> 32) != me as u64) << j;
-                flags.push(chunk.iter().enumerate().map(flag).fold(0, |a, b| a | b));
-            }
-            // `end[o]` counts owner `o`'s references, then becomes where
-            // its bucket starts, then (once filled) where it ends.
-            let mut end = vec![0u32; nprocs];
-            for at in set_bits(flags) {
-                end[(located[at] >> 32) as usize] += 1;
-            }
-            let mut start = 0;
-            for n in end.iter_mut() {
-                (*n, start) = (start, start + *n);
-            }
-            pending.clear();
-            pending.resize(start as usize, 0);
-            for at in set_bits(flags) {
-                let k = located[at];
-                let next = &mut end[(k >> 32) as usize];
-                pending[*next as usize] = (k << 32) | at as u64;
-                *next += 1;
-            }
-            // Ghost slots sit behind the owned elements in the rank's
-            // local index space.
-            let n_owned = owned_counts[me];
-            offproc.clear();
-            offproc.reserve(pending.len());
-            let mut begin = 0;
-            for (owner, &end) in end.iter().enumerate() {
-                let bucket = &mut pending[begin..end as usize];
-                bucket.sort_unstable();
-                for &k in bucket.iter() {
-                    let key = ((owner as u64) << 32) | (k >> 32);
-                    if offproc.last() != Some(&key) {
-                        offproc.push(key);
-                    }
-                    locals[k as u32 as usize] = (n_owned + offproc.len() - 1) as u32;
+        .zip(buckets.iter_mut().zip(offproc.iter_mut()));
+    backend.run_compute(state, |ctx, (rank, (bucket, offproc)): Rows<'_>| {
+        let me = ctx.rank();
+        let (locals, pending, end) = (&mut rank.row, &rank.pending, &mut rank.owners);
+        assert!(
+            u32::try_from(locals.len()).is_ok(),
+            "rank {me} has more than u32::MAX references"
+        );
+        // `end[o]` counts owner `o`'s references, then becomes where
+        // its bucket starts, then (once filled) where it ends.
+        let mut start = 0;
+        for n in end.iter_mut() {
+            (*n, start) = (start, start + *n);
+        }
+        bucket.clear();
+        bucket.resize(pending.len(), 0);
+        for &(key, at) in pending {
+            let next = &mut end[(key >> 32) as usize];
+            bucket[*next as usize] = (key << 32) | u64::from(at);
+            *next += 1;
+        }
+        // Ghost slots sit behind the owned elements in the rank's
+        // local index space.
+        let n_owned = owned_counts[me];
+        offproc.clear();
+        offproc.reserve(bucket.len());
+        let mut begin = 0;
+        for (owner, &end) in end.iter().enumerate() {
+            let bucket = &mut bucket[begin..end as usize];
+            bucket.sort_unstable();
+            for &k in bucket.iter() {
+                let key = ((owner as u64) << 32) | (k >> 32);
+                if offproc.last() != Some(&key) {
+                    offproc.push(key);
                 }
-                begin = end as usize;
+                locals[k as u32 as usize] = (n_owned + offproc.len() - 1) as u32;
             }
-            assert!(
-                u32::try_from(n_owned + offproc.len()).is_ok(),
-                "local index space of rank {me} exceeds u32"
-            );
-            // Charge dedup / rewrite work: ~2 ops per reference plus 1
-            // per distinct off-processor element (same model as the
-            // paper's hash-table accounting — the layout changed, not
-            // the cost).
-            ctx.charge_compute(me, 2.0 * located.len() as f64 + offproc.len() as f64);
-        },
-    );
+            begin = end as usize;
+        }
+        assert!(
+            u32::try_from(n_owned + offproc.len()).is_ok(),
+            "local index space of rank {me} exceeds u32"
+        );
+        // Charge dedup / rewrite work: ~2 ops per reference plus 1
+        // per distinct off-processor element (same model as the
+        // paper's hash-table accounting — the layout changed, not
+        // the cost).
+        ctx.charge_compute(me, 2.0 * locals.len() as f64 + offproc.len() as f64);
+    });
+    let localized = ranks
+        .iter_mut()
+        .map(|rank| std::mem::take(&mut rank.row))
+        .collect();
+    scratch.ranks = ranks;
 
     // Serial CSR assembly of the per-rank dedup results (cheap: one
     // append pass over the ghost sets).

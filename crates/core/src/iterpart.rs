@@ -28,9 +28,14 @@
 //! reference up once as a packed `owner << 32 | offset` key, votes the
 //! owners — through a kernel of the row's width fixed at compile time for
 //! one to four columns, its winner found by comparing them pairwise — and
-//! appends the keys to the home rank's located row.
+//! localizes them in the home rank's row as it goes: an owned reference is
+//! written as its offset, an off-processor one as a placeholder beside a
+//! pending `(key, position)` entry and a count against its owner, so the
+//! dedup reads only those. A BLOCK owner and a translation-table page are
+//! found by one multiply by a precomputed reciprocal of the block size,
+//! not by a division per reference.
 
-use crate::dist::Distribution;
+use crate::dist::{block_key, cyclic_key, Distribution};
 use crate::inspector::{LocalizeScratch, Located};
 use chaos_dmsim::Machine;
 
@@ -243,7 +248,7 @@ impl RefColumn<'_> {
 }
 
 /// Place a loop's iterations almost-owner-computes over `dist` and
-/// translate the placing group's references in the same walk (see the
+/// localize the placing group's references in the same walk (see the
 /// [module docs](self)). `columns` are that group's columns over `niters`
 /// iterations, in its localized row's order; column `j` stands for
 /// `weights[j]` references in the vote (0 for the loop variable beside
@@ -251,8 +256,8 @@ impl RefColumn<'_> {
 ///
 /// Placement and the scan's charge are those of [`partition_iterations`]
 /// over the rows with column `j` repeated `weights[j]` times. The
-/// translation's charge travels with the [`Located`] rows (which take over
-/// `scratch`'s) to
+/// translation's charge travels with the [`Located`] rows (whose pending
+/// lists are `scratch`'s) to
 /// [`Inspector::localize_located`](crate::inspector::Inspector::localize_located),
 /// run when the group's turn to localize comes; its result is that of
 /// `Inspector::localize` over the pattern cut from those rows.
@@ -278,27 +283,26 @@ pub fn place_and_locate(
             assert!(globals.len() >= niters, "a column is shorter than the loop");
         }
     }
-    let mut rows = std::mem::take(&mut scratch.located);
-    let lists = Lists::new(nprocs, niters, columns.len(), &mut rows);
+    // Each rank's lists reserve its load at the last placement, and at
+    // least an even share of the loop.
+    let share = niters.div_ceil(nprocs);
+    let loads: Vec<usize> = (0..nprocs)
+        .map(|p| scratch.loads.get(p).map_or(share, |&load| load.max(share)))
+        .collect();
+    let width = columns.len();
+    let located = Located::lend(scratch, nprocs, |p| loads[p] * width);
+    let lists = Lists::new(niters, share, &loads, located);
     // The lookups are resolved to one closure per distribution variant
     // here, so the row loops are compiled once per variant and never match
     // on it. The BLOCK and CYCLIC lookups keep `Distribution::owner`'s
     // range check (debug builds only, as there).
-    let (iters, pages) = match dist {
+    let ((iters, mut located), pages) = match dist {
         Distribution::Block { n, p } => {
-            let (b, last) = (Distribution::block_size(*n, *p), p - 1);
-            let key = move |g: u32| {
-                debug_assert!((g as usize) < *n, "global index {g} out of range");
-                let o = (g as usize / b).min(last);
-                ((o as u64) << 32) | (g as usize - o * b) as u64
-            };
+            let key = block_key(*n, *p);
             (place(lists, columns, weights, key, |_, _| {}), None)
         }
         Distribution::Cyclic { n, p } => {
-            let key = move |g: u32| {
-                debug_assert!((g as usize) < *n, "global index {g} out of range");
-                (((g as usize % p) as u64) << 32) | (g as usize / p) as u64
-            };
+            let key = cyclic_key(*n, *p);
             (place(lists, columns, weights, key, |_, _| {}), None)
         }
         Distribution::Irregular { table } => {
@@ -309,54 +313,46 @@ pub fn place_and_locate(
             (iters, Some(pages))
         }
     };
+    located.pages = pages;
+    scratch.loads.clear();
+    scratch.loads.extend(iters.iter().map(Vec::len));
     let refs_per_row: usize = weights.iter().map(|&w| w as usize).sum();
     charge_scan(machine, niters * refs_per_row);
-    (IterationPartition::new(iters), Located { rows, pages })
+    (IterationPartition::new(iters), located)
 }
 
-/// Each rank's iterations and located row, as one walk fills them. A row
-/// keeps its capacity from the scratch's last inspection (at least a
-/// rank's even share of the loop), its iteration list starts at that, and
-/// a list that outgrows it grows by an eighth of a share at a time.
-struct Lists<'a> {
+/// Each rank's iterations and [`Located`] rows, as one walk fills them. A
+/// rank's lists start at the load they were reserved for, and a list that
+/// outgrows it grows by an eighth of a share at a time.
+struct Lists {
     iters: Vec<Vec<u32>>,
-    rows: &'a mut Vec<Vec<u64>>,
+    located: Located,
     /// The loop's iterations.
     niters: usize,
     /// Iterations per growth step.
     step: usize,
 }
 
-impl<'a> Lists<'a> {
-    fn new(nprocs: usize, niters: usize, width: usize, rows: &'a mut Vec<Vec<u64>>) -> Self {
-        let share = niters.div_ceil(nprocs);
-        rows.resize_with(nprocs, Vec::new);
-        let iters = rows
-            .iter_mut()
-            .map(|row| {
-                row.clear();
-                row.reserve_exact(share * width);
-                Vec::with_capacity(row.capacity().checked_div(width).unwrap_or(share))
-            })
-            .collect();
+impl Lists {
+    fn new(niters: usize, share: usize, loads: &[usize], located: Located) -> Self {
         Lists {
-            iters,
-            rows,
+            iters: loads.iter().map(|&load| Vec::with_capacity(load)).collect(),
+            located,
             niters,
             step: share.div_ceil(8).max(1),
         }
     }
 
-    /// Iteration `it0` joins rank `p`, and its keys `p`'s row.
+    /// Iteration `it0` joins rank `p`, and its keys `p`'s localized row.
     #[inline(always)]
     fn push(&mut self, p: usize, it0: usize, keys: &[u64]) {
-        let (iters, row) = (&mut self.iters[p], &mut self.rows[p]);
+        let (iters, rank) = (&mut self.iters[p], &mut self.located.ranks[p]);
         if iters.len() == iters.capacity() {
             iters.reserve_exact(self.step);
-            row.reserve_exact(self.step * keys.len());
+            rank.row.reserve_exact(self.step * keys.len());
         }
         iters.push(it0 as u32);
-        row.extend_from_slice(keys);
+        rank.push(p, keys);
     }
 }
 
@@ -368,12 +364,12 @@ impl<'a> Lists<'a> {
 /// [`Tally::vote`]. Returns the iteration lists.
 #[inline(always)]
 fn place(
-    lists: Lists<'_>,
+    lists: Lists,
     columns: &[RefColumn<'_>],
     weights: &[u32],
     key: impl Fn(u32) -> u64,
     count: impl FnMut(usize, u32),
-) -> Vec<Vec<u32>> {
+) -> (Vec<Vec<u32>>, Located) {
     let (k, c) = (&key, count);
     match (columns, weights) {
         (&[a], &[wa]) => place_fixed(lists, [a], [wa], k, c),
@@ -399,12 +395,12 @@ fn place(
 /// registers.
 #[inline(always)]
 fn place_fixed<const N: usize>(
-    mut lists: Lists<'_>,
+    mut lists: Lists,
     columns: [RefColumn<'_>; N],
     weights: [u32; N],
     key: impl Fn(u32) -> u64,
     mut count: impl FnMut(usize, u32),
-) -> Vec<Vec<u32>> {
+) -> (Vec<Vec<u32>>, Located) {
     for it0 in 0..lists.niters {
         let globals = columns.map(|c| c.at(it0));
         let keys = globals.map(&key);
@@ -414,18 +410,18 @@ fn place_fixed<const N: usize>(
         }
         lists.push(p, it0, &keys);
     }
-    lists.iters
+    (lists.iters, lists.located)
 }
 
 /// [`place`] over rows of any width, `home(keys)` voting each.
 #[inline(always)]
 fn place_rows(
-    mut lists: Lists<'_>,
+    mut lists: Lists,
     columns: &[RefColumn<'_>],
     key: impl Fn(u32) -> u64,
     mut count: impl FnMut(usize, u32),
     mut home: impl FnMut(&[u64]) -> usize,
-) -> Vec<Vec<u32>> {
+) -> (Vec<Vec<u32>>, Located) {
     let (mut globals, mut keys) = (vec![0u32; columns.len()], vec![0u64; columns.len()]);
     for it0 in 0..lists.niters {
         for ((g, k), c) in globals.iter_mut().zip(keys.iter_mut()).zip(columns) {
@@ -437,7 +433,7 @@ fn place_rows(
         }
         lists.push(p, it0, &keys);
     }
-    lists.iters
+    (lists.iters, lists.located)
 }
 
 /// The vote of a row of `N` entries owned by `owners`, entry `j` weighing

@@ -19,6 +19,13 @@
 //! indirection-array DAD is unchanged **and** no indirection array may have
 //! been written since the last inspector. Anything else conservatively
 //! triggers a fresh inspector.
+//!
+//! A fresh inspector's schedule is bound into the shared [`GhostRegion`] of
+//! its distribution ([`ReuseRegistry::region_bind`]): only the ghosts no
+//! earlier bind requested are fetched again. The region keeps a sorted
+//! index of its sources, so a re-inspection whose ghosts are all resident
+//! — every sweep of a loop run without reuse — costs one lookup per ghost
+//! and leaves the region untouched.
 
 use crate::dad::Dad;
 use crate::schedule::CommSchedule;
@@ -152,6 +159,12 @@ impl ReuseDecision {
 /// grows with the ghosts requested, not with the inspections run. A loop
 /// that re-binds leaves its earlier chunk's slots where they are (offset
 /// stability); value freshness is tracked per chunk by the consumer.
+///
+/// Beside the resident schedule the region keeps, per processor, its
+/// sources sorted with their slots. A bind looks each of its sources up
+/// there once, which yields the slot map, the dependencies, the difference
+/// and the fresh tail in one pass; an append extends the index, and a bind
+/// that appends nothing leaves the resident schedule as it is.
 #[derive(Debug, Clone)]
 pub struct GhostRegion {
     /// Union schedule over all chunks, per-processor in chunk order (NOT
@@ -161,6 +174,27 @@ pub struct GhostRegion {
     /// Per processor, the chunk boundaries: chunk `c`'s slots on processor
     /// `p` are `chunk_off[p][c] .. chunk_off[p][c+1]`. Length `nchunks + 1`.
     chunk_off: Vec<Vec<u32>>,
+    /// Per processor, every resident source as `(owner << 32 | offset,
+    /// slot)`, sorted: what a bind looks each of its sources up in, once.
+    index: Vec<Vec<(u64, u32)>>,
+}
+
+/// What a slot map holds for a missing source until its fresh slot is
+/// known.
+const MISSING: u32 = u32::MAX;
+
+/// The first position at or after `from` in the sorted `index` whose source
+/// is not below `key`, every source in `index[..from]` being below it: a
+/// gallop from `from`, so a bind whose sources come sorted walks the index
+/// once.
+fn seek(index: &[(u64, u32)], from: usize, key: u64) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= index.len() && index[lo + step - 1].0 < key {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(index.len());
+    lo + index[lo..hi].partition_point(|&(k, _)| k < key)
 }
 
 impl GhostRegion {
@@ -173,7 +207,30 @@ impl GhostRegion {
                 Vec::new(),
             ),
             chunk_off: vec![vec![0]; nprocs],
+            index: vec![Vec::new(); nprocs],
         }
+    }
+
+    /// Append each rank's fresh tail (sorted, deduplicated, none of it
+    /// resident) as one new chunk, and index it; returns the chunk.
+    fn append(&mut self, fresh: &[Vec<u64>]) -> u32 {
+        let nprocs = self.chunk_off.len();
+        let chunk = self.nchunks() as u32;
+        let (mut ghost_off, mut ghost_owner, mut ghost_src) = (vec![0u32], Vec::new(), Vec::new());
+        for (p, tail) in fresh.iter().enumerate() {
+            let base = self.size(p) as u32;
+            ghost_owner.extend_from_slice(self.resident.ghost_owners(p));
+            ghost_src.extend_from_slice(self.resident.ghost_src_offsets(p));
+            ghost_owner.extend(tail.iter().map(|&k| (k >> 32) as u32));
+            ghost_src.extend(tail.iter().map(|&k| k as u32));
+            ghost_off.push(ghost_owner.len() as u32);
+            let index = &mut self.index[p];
+            index.extend(tail.iter().copied().zip(base..));
+            index.sort_unstable();
+            self.chunk_off[p].push(base + tail.len() as u32);
+        }
+        self.resident = CommSchedule::from_csr_parts(nprocs, ghost_off, ghost_owner, ghost_src);
+        chunk
     }
 
     /// The resident union schedule (all chunks).
@@ -419,14 +476,18 @@ impl ReuseRegistry {
     /// Bind a loop's schedule into the shared resident ghost region of the
     /// distribution whose DAD is `dad`, creating the region on first use.
     ///
-    /// The loop's still-missing sources are appended as a new chunk; when
-    /// none are missing — the same loop re-inspected over unchanged
-    /// references, the `with_reuse(false)` steady state — nothing is
-    /// appended. The returned binding carries the difference schedule to
-    /// fetch, the per-processor chunk bases, the slot map into the region,
-    /// and the earlier chunks whose values the loop piggybacks on. Purely
-    /// local bookkeeping — no communication is charged here; the caller owns
-    /// the (folded) request exchange for `diff`.
+    /// Each of the schedule's sources is looked up once in the region's
+    /// index: a held one maps to its resident slot and marks its chunk a
+    /// dependency, a missing one joins the difference schedule and the
+    /// fresh tail. The fresh tails, sorted by `(owner, offset)`, are
+    /// appended as a new chunk; when none is missing — the same loop
+    /// re-inspected over unchanged references, the `with_reuse(false)`
+    /// steady state — nothing is appended and the resident schedule is
+    /// left as it is. The returned binding carries the difference schedule
+    /// to fetch, the per-processor chunk bases, the slot map into the
+    /// region, and the earlier chunks whose values the loop piggybacks on.
+    /// Purely local bookkeeping — no communication is charged here; the
+    /// caller owns the (folded) request exchange for `diff`.
     pub fn region_bind(&mut self, dad: Dad, schedule: &CommSchedule) -> RegionBinding {
         let nprocs = schedule.nprocs();
         let region = self
@@ -438,30 +499,54 @@ impl ReuseRegistry {
             nprocs,
             "region/schedule machine size mismatch"
         );
-        let diff = schedule.difference(&region.resident);
-        let (merged, slot_map) = region.resident.merge_incremental(schedule);
-        let base: Vec<u32> = (0..nprocs)
-            .map(|p| region.resident.ghost_count(p) as u32)
-            .collect();
+        let base: Vec<u32> = (0..nprocs).map(|p| region.size(p) as u32).collect();
         let mut needed = vec![false; region.nchunks()];
-        for p in 0..nprocs {
-            let offs = &region.chunk_off[p];
-            for &slot in &slot_map[p] {
-                if slot < base[p] {
-                    needed[offs.partition_point(|&o| o <= slot) - 1] = true;
+        let mut slot_map = Vec::with_capacity(nprocs);
+        // The missing sources in the schedule's slot order (the diff's
+        // ghost side), and each rank's fresh tail: those sources sorted and
+        // deduplicated, the slots the new chunk holds.
+        let (mut diff_off, mut diff_owner, mut diff_src) = (vec![0u32], Vec::new(), Vec::new());
+        let mut fresh: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
+        for (p, tail) in fresh.iter_mut().enumerate() {
+            let (index, offs) = (&region.index[p], &region.chunk_off[p]);
+            let mut map = Vec::with_capacity(schedule.ghost_count(p));
+            let (mut at, mut last) = (0, 0);
+            for (o, s) in schedule.ghost_sources(p) {
+                let key = ((o as u64) << 32) | s as u64;
+                at = seek(index, if key >= last { at } else { 0 }, key);
+                last = key;
+                match index.get(at) {
+                    Some(&(held, slot)) if held == key => {
+                        needed[offs.partition_point(|&off| off <= slot) - 1] = true;
+                        map.push(slot);
+                    }
+                    _ => {
+                        diff_owner.push(o);
+                        diff_src.push(s);
+                        tail.push(key);
+                        map.push(MISSING);
+                    }
                 }
             }
+            diff_off.push(diff_owner.len() as u32);
+            if !tail.is_empty() {
+                tail.sort_unstable();
+                tail.dedup();
+                let sources = schedule.ghost_sources(p);
+                for (slot, (o, s)) in map.iter_mut().zip(sources) {
+                    if *slot == MISSING {
+                        let key = ((o as u64) << 32) | s as u64;
+                        *slot = base[p] + tail.partition_point(|&k| k < key) as u32;
+                    }
+                }
+            }
+            slot_map.push(map);
         }
         let deps: Vec<u32> = (0..needed.len() as u32)
             .filter(|&c| needed[c as usize])
             .collect();
-        let chunk = (diff.total_ghosts() > 0).then(|| {
-            for p in 0..nprocs {
-                region.chunk_off[p].push(merged.ghost_count(p) as u32);
-            }
-            needed.len() as u32
-        });
-        region.resident = merged;
+        let diff = CommSchedule::from_csr_parts(nprocs, diff_off, diff_owner, diff_src);
+        let chunk = (diff.total_ghosts() > 0).then(|| region.append(&fresh));
         let bind = RegionBinding {
             dad,
             chunk,

@@ -100,7 +100,8 @@ impl CommSchedule {
         assert_eq!(*ghost_off.last().unwrap() as usize, ghost_owner.len());
 
         // Validate the ghost side, then hand the layout pass to
-        // `from_ghost_arrays` (shared with `difference` / `merge_incremental`).
+        // `from_ghost_arrays` (shared with the test oracles `difference` /
+        // `merge_incremental`).
         for p in 0..nprocs {
             let (lo, hi) = (ghost_off[p] as usize, ghost_off[p + 1] as usize);
             for &owner in &ghost_owner[lo..hi] {
@@ -185,11 +186,12 @@ impl CommSchedule {
     /// schedule containing exactly the `(owner, offset)` sources of `self`
     /// that `resident` does not hold, in `self`'s slot order.
     ///
-    /// This is the incremental-schedule primitive: when a later loop's
-    /// ghost set overlaps what earlier loops already fetched into a shared
-    /// resident region, only the difference needs a request exchange and a
-    /// per-sweep gather. Purely local — no communication is charged.
-    pub fn difference(&self, resident: &CommSchedule) -> CommSchedule {
+    /// With [`CommSchedule::merge_incremental`], the oracle of
+    /// [`ReuseRegistry::region_bind`](crate::reuse::ReuseRegistry::region_bind),
+    /// which finds the same difference in one lookup per source against
+    /// the region's kept index instead of re-sorting the resident side.
+    #[cfg(test)]
+    pub(crate) fn difference(&self, resident: &CommSchedule) -> CommSchedule {
         assert_eq!(
             self.nprocs, resident.nprocs,
             "cannot difference schedules built for different machine sizes"
@@ -225,8 +227,10 @@ impl CommSchedule {
     /// Returns the grown union plus, per processor, the mapping from
     /// `newer`'s ghost-slot numbers to slots in the union — the re-binding
     /// table that lets the later loop's kernels read the shared resident
-    /// ghost region. Purely local; no communication is charged.
-    pub fn merge_incremental(&self, newer: &CommSchedule) -> (CommSchedule, Vec<Vec<u32>>) {
+    /// ghost region. Purely local; no communication is charged. A test
+    /// oracle, as [`CommSchedule::difference`] is.
+    #[cfg(test)]
+    pub(crate) fn merge_incremental(&self, newer: &CommSchedule) -> (CommSchedule, Vec<Vec<u32>>) {
         assert_eq!(
             self.nprocs, newer.nprocs,
             "cannot merge schedules built for different machine sizes"
@@ -644,6 +648,134 @@ mod tests {
             for (slot, (o, s)) in newer.ghost_sources(p).enumerate() {
                 let at = map[p][slot] as usize;
                 assert_eq!(ghosts[p][at], x.local(o as usize)[s as usize]);
+            }
+        }
+    }
+
+    /// A region as binds built it before the region kept an index: the
+    /// resident union and its chunk bounds, grown by `difference` and
+    /// `merge_incremental`.
+    struct OracleRegion {
+        resident: CommSchedule,
+        chunk_off: Vec<Vec<u32>>,
+    }
+
+    /// What one bind returns: chunk, deps, slot map, diff and base.
+    type Bound = (Option<u32>, Vec<u32>, Vec<Vec<u32>>, CommSchedule, Vec<u32>);
+
+    impl OracleRegion {
+        fn new(nprocs: usize) -> Self {
+            OracleRegion {
+                resident: schedule(nprocs, &vec![Vec::new(); nprocs]),
+                chunk_off: vec![vec![0]; nprocs],
+            }
+        }
+
+        fn bind(&mut self, schedule: &CommSchedule) -> Bound {
+            let nprocs = schedule.nprocs();
+            let diff = schedule.difference(&self.resident);
+            let (merged, slot_map) = self.resident.merge_incremental(schedule);
+            let base: Vec<u32> = (0..nprocs)
+                .map(|p| self.resident.ghost_count(p) as u32)
+                .collect();
+            let mut needed = vec![false; self.chunk_off[0].len() - 1];
+            for p in 0..nprocs {
+                let offs = &self.chunk_off[p];
+                for &slot in &slot_map[p] {
+                    if slot < base[p] {
+                        needed[offs.partition_point(|&o| o <= slot) - 1] = true;
+                    }
+                }
+            }
+            let deps = (0..needed.len() as u32)
+                .filter(|&c| needed[c as usize])
+                .collect();
+            let chunk = (diff.total_ghosts() > 0).then(|| {
+                for p in 0..nprocs {
+                    self.chunk_off[p].push(merged.ghost_count(p) as u32);
+                }
+                needed.len() as u32
+            });
+            self.resident = merged;
+            (chunk, deps, slot_map, diff, base)
+        }
+    }
+
+    #[test]
+    fn region_bind_is_the_difference_and_merge_composition() {
+        // Seeded sequences of 1 to 4 schedules on 1 to 8 ranks, each after
+        // the first a repeat, a subset, a superset or a disjoint set of an
+        // earlier one, or fresh; rows sorted as the inspector leaves them,
+        // or shuffled. Every bind's chunk, deps, slot map, diff and base,
+        // and the resident union after it, must be the old composition's.
+        use crate::{dad::Dad, dist::Distribution, reuse::ReuseRegistry};
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let mut next = move |m: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        // A row of distinct off-rank sources for rank p of `nprocs`, offsets
+        // from `lo` up.
+        let row = |next: &mut dyn FnMut(usize) -> usize, nprocs: usize, p: usize, lo: u32| {
+            let mut row: Vec<(u32, u32)> = (0..next(12))
+                .map(|_| (next(nprocs) as u32, lo + next(16) as u32))
+                .filter(|&(o, _)| o as usize != p)
+                .collect();
+            row.sort_unstable();
+            row.dedup();
+            row
+        };
+        for case in 0..400 {
+            let nprocs = 1 + next(8);
+            let mut rows: Vec<Vec<Vec<(u32, u32)>>> = Vec::new();
+            for _ in 0..1 + next(4) {
+                let kind = if rows.is_empty() { 0 } else { next(5) };
+                let earlier = (!rows.is_empty()).then(|| rows[next(rows.len())].clone());
+                let lo = 100 * rows.len() as u32 + 100;
+                let sched: Vec<Vec<(u32, u32)>> = (0..nprocs)
+                    .map(|p| match (kind, &earlier) {
+                        (1, Some(e)) => e[p].clone(),
+                        (2, Some(e)) => e[p].iter().copied().filter(|_| next(3) > 0).collect(),
+                        (3, Some(e)) => {
+                            let mut grown = e[p].clone();
+                            grown.extend(row(&mut next, nprocs, p, 0));
+                            grown.sort_unstable();
+                            grown.dedup();
+                            grown
+                        }
+                        (4, _) => row(&mut next, nprocs, p, lo),
+                        _ => row(&mut next, nprocs, p, 0),
+                    })
+                    .collect();
+                rows.push(sched);
+            }
+            let dad = Dad::of(&Distribution::block(64, nprocs));
+            let (mut reg, mut oracle) = (ReuseRegistry::new(), OracleRegion::new(nprocs));
+            for (at, sched) in rows.iter().enumerate() {
+                let mut sched = sched.clone();
+                if next(3) == 0 {
+                    for row in &mut sched {
+                        for i in (1..row.len()).rev() {
+                            row.swap(i, next(i + 1));
+                        }
+                    }
+                }
+                let s = schedule(nprocs, &sched);
+                let what = format!("case {case}: bind {at} of {} on {nprocs} ranks", rows.len());
+                let got = reg.region_bind(dad, &s);
+                let want = oracle.bind(&s);
+                assert_eq!(
+                    (got.chunk, got.deps, got.slot_map, got.diff, got.base),
+                    want,
+                    "{what}"
+                );
+                assert_eq!(
+                    reg.region(dad).unwrap().resident(),
+                    &oracle.resident,
+                    "{what}"
+                );
             }
         }
     }

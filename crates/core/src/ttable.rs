@@ -8,6 +8,7 @@
 //! request/response message pair — the *dereference* step of the
 //! inspector, charged by [`TranslationTable::dereference`].
 
+use crate::dist::BlockSplit;
 use chaos_dmsim::Backend;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -89,11 +90,12 @@ impl TranslationTable {
     }
 
     /// The page of `global`: the rank that holds its entry, one block of the
-    /// BLOCK split of the index space per rank.
+    /// BLOCK split of the index space per rank, found by one multiply
+    /// ([`BlockSplit`]).
     #[inline]
-    pub(crate) fn page_of(&self) -> impl Fn(u32) -> usize + Copy {
-        let (block, last) = (self.len().div_ceil(self.nprocs).max(1), self.nprocs - 1);
-        move |g: u32| (g as usize / block).min(last)
+    pub(crate) fn page_of(&self) -> impl Fn(u32) -> usize + Copy + Sync {
+        let split = BlockSplit::new(self.len(), self.nprocs);
+        move |g: u32| split.owner(g)
     }
 
     /// Dereference a batch of global indices on behalf of each requesting
@@ -220,6 +222,22 @@ mod tests {
         let totals = m.stats().grand_totals();
         assert_eq!(totals.messages, 2, "one request and one reply");
         assert_eq!(totals.phases, 2, "a request round and a reply round");
+    }
+
+    #[test]
+    fn a_page_is_the_divisions_block() {
+        // Tables shorter than, as long as and longer than the rank count.
+        for (n, nprocs) in [(3, 8), (8, 8), (8, 4), (1000, 7), (1, 1)] {
+            let t = TranslationTable::from_map(&vec![0; n], nprocs);
+            let (block, page_of) = (n.div_ceil(nprocs).max(1), t.page_of());
+            for g in 0..n as u32 {
+                assert_eq!(
+                    page_of(g),
+                    (g as usize / block).min(nprocs - 1),
+                    "{g} of {n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,15 +25,17 @@
 //! `x(e1(i))`, `x(e2(i))`, `y(e1(i))`, `y(e2(i))` are 2 columns, `e1` and
 //! `e2`, each standing for the 2 placing slots that read it, so the vote
 //! still counts a reference per slot. `place_and_locate` walks those
-//! columns, votes each iteration home and appends its translated keys to
-//! the home rank's located row, so that group's pattern — and the
-//! localized row a sweep reads — holds 2 entries per iteration, not 4; the
-//! set of distinct off-processor elements is the same either way, so the
-//! schedules do not change. A group on another decomposition can only index
-//! by the loop variable: its pattern is the iteration lists, `lo − 1 + it`.
-//! The localize working set (`LocalizeScratch`) is parked on the executor,
-//! so a re-inspection refills buffers that have already grown to the loop's
-//! size.
+//! columns, votes each iteration home and writes its references into the
+//! home rank's localized row as it goes, so that group's localized row — the
+//! one a sweep reads — holds 2 entries per iteration, not 4; the set of
+//! distinct off-processor elements is the same either way, so the schedules
+//! do not change. `references` hands `inspect` the snapshot each slot reads,
+//! so no name is looked up twice. A group on another decomposition can only
+//! index by the loop variable: its pattern is the iteration lists,
+//! `lo − 1 + it`. The localize working set (`LocalizeScratch`) and the
+//! snapshots are parked on the executor, and a re-inspected loop's old
+//! record is retired before the new one is built, so a re-inspection
+//! refills memory that has already grown to the loop's size.
 //!
 //! `inspect` is the only place a loop record is built: every name a sweep
 //! would otherwise look up (the arrays it lends, the region rows each ghost
@@ -81,6 +83,9 @@ struct References {
     /// Each of the plan's indirection arrays (in `indirection_arrays`
     /// order), its entries over the loop range made 0-based.
     snapshots: Vec<Vec<u32>>,
+    /// Per slot, the position in `snapshots` of the indirection array it
+    /// reads; `None` for a slot indexed by the loop variable.
+    snapshot_of_slot: Vec<Option<usize>>,
     /// The slots grouped by the decomposition they index (name-sorted),
     /// each group with that decomposition's current distribution.
     groups: Vec<(GroupSpec, Distribution)>,
@@ -142,8 +147,11 @@ impl<B: Backend> Executor<B> {
             run.report.reuse_hits += 1;
             run.report.kernel_reuse_hits += 1;
         } else {
-            // Overwriting the record retires the previous inspection's
-            // schedules, bindings, bytecode and buffers together.
+            // The previous inspection's schedules, bindings, bytecode and
+            // buffers retire together, before the new record is built, so
+            // the new one reuses their memory. A failed inspection leaves
+            // no record, and the guard then inspects again.
+            run.loops[ix] = None;
             let record = self.inspect(plan, lo, niters)?;
             let ProgramState { real, int, run, .. } = &mut self.state;
             run.loops[ix] = Some(record);
@@ -255,15 +263,17 @@ impl<B: Backend> Executor<B> {
             return Err(LangError::runtime(message));
         }
 
-        // Snapshot each indirection array's global values (1-based) once;
-        // reading it costs one pass over it.
+        // Snapshot each indirection array's global values (1-based) once,
+        // into the buffers the last inspection parked; reading it costs one
+        // pass over it.
         let nprocs = self.backend.nprocs();
-        let mut snapshots: Vec<Vec<u32>> = Vec::with_capacity(plan.indirection_arrays.len());
-        for ia in &plan.indirection_arrays {
+        let mut snapshots = std::mem::take(&mut self.snapshots);
+        snapshots.resize_with(plan.indirection_arrays.len(), Vec::new);
+        for (ia, snapshot) in plan.indirection_arrays.iter().zip(&mut snapshots) {
             let arr = self.state.int.named(ia).ok_or_else(|| {
                 LangError::runtime(format!("indirection array '{ia}' not materialized"))
             })?;
-            snapshots.push(arr.to_global());
+            arr.to_global_into(snapshot);
             let words = arr.len() as f64 / nprocs as f64;
             self.backend.machine_mut().charge_compute_all(words);
         }
@@ -279,6 +289,7 @@ impl<B: Backend> Executor<B> {
         let placer = slot_order.first().map(|&sid| group_of_slot[sid]);
         slot_order.extend(direct);
         let snapshot_of = |ia: &String| plan.indirection_arrays.iter().position(|n| n == ia);
+        let mut snapshot_of_slot = vec![None; plan.slots.len()];
         let hi = lo - 1 + niters;
         for &sid in &slot_order {
             let (slot, extent) = (&plan.slots[sid], extent_of_slot[sid]);
@@ -288,9 +299,11 @@ impl<B: Backend> Executor<B> {
                 }
                 Index::LoopVar => {}
                 Index::Indirect(ia) => {
-                    let all = snapshot_of(ia).map(|at| &snapshots[at]).ok_or_else(|| {
+                    let at = snapshot_of(ia).ok_or_else(|| {
                         LangError::runtime(format!("indirection array '{ia}' not read"))
                     })?;
+                    snapshot_of_slot[sid] = Some(at);
+                    let all = &snapshots[at];
                     if all.len() < hi {
                         return Err(LangError::runtime(format!(
                             "iteration {} out of range for indirection array '{ia}' ({} entries)",
@@ -325,11 +338,9 @@ impl<B: Backend> Executor<B> {
         }
         if first_bad < niters {
             let it0 = first_bad;
-            let value = |sid: usize| match &plan.slots[sid].index {
-                Index::LoopVar => 0,
-                Index::Indirect(ia) => {
-                    snapshot_of(ia).map_or(0, |at| snapshots[at][lo - 1 + it0].wrapping_add(1))
-                }
+            let value = |sid: usize| {
+                let at = snapshot_of_slot[sid];
+                at.map_or(0, |at| snapshots[at][lo - 1 + it0].wrapping_add(1))
             };
             let fits = |&sid: &usize| {
                 (value(sid) as usize).wrapping_sub(1) < extent_of_slot[sid]
@@ -344,6 +355,7 @@ impl<B: Backend> Executor<B> {
 
         Ok(References {
             snapshots,
+            snapshot_of_slot,
             groups,
             placer,
         })
@@ -359,6 +371,7 @@ impl<B: Backend> Executor<B> {
     ) -> Result<LoopState, LangError> {
         let References {
             snapshots,
+            snapshot_of_slot,
             groups,
             placer,
         } = self.references(plan, lo, niters)?;
@@ -380,9 +393,7 @@ impl<B: Backend> Executor<B> {
                 let mut columns = vec![RefColumn::LoopVar { first }; spec.ncols as usize];
                 let mut weights = vec![0u32; spec.ncols as usize];
                 for (&sid, &col) in spec.slot_ids.iter().zip(&spec.cols) {
-                    if let Index::Indirect(ia) = &plan.slots[sid].index {
-                        let at = plan.indirection_arrays.iter().position(|n| n == ia);
-                        let at = at.expect("every indirection array was read");
+                    if let Some(at) = snapshot_of_slot[sid] {
                         columns[col as usize] = RefColumn::Globals(&snapshots[at][lo - 1..]);
                         weights[col as usize] += 1;
                     }
@@ -410,7 +421,7 @@ impl<B: Backend> Executor<B> {
                 )
             }
         };
-        drop(snapshots);
+        self.snapshots = snapshots;
         self.state.run.report.iteration_partitions += 1;
 
         // Localize every group with its request exchange deferred — the

@@ -165,6 +165,9 @@ pub struct Executor<B: Backend = Machine> {
     /// The inspector's working set, kept between inspections so that a
     /// re-inspection refills buffers already grown to the loop's size.
     localize_scratch: LocalizeScratch,
+    /// The indirection arrays' snapshots, parked between inspections for
+    /// the same reason.
+    snapshots: Vec<Vec<u32>>,
 
     // --- fault recovery (see ARCHITECTURE.md § "Fault model & recovery") ---
     policy: RecoveryPolicy,
@@ -234,6 +237,7 @@ impl<B: Backend> Executor<B> {
             state: ProgramState::default(),
             sweep_tables: SweepTables::default(),
             localize_scratch: LocalizeScratch::default(),
+            snapshots: Vec::new(),
             policy: RecoveryPolicy::default(),
             checkpoint: None,
             journal: Vec::new(),
