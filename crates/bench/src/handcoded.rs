@@ -14,9 +14,9 @@ use chaos_dmsim::{Backend, Machine, MachineConfig, PhaseKind};
 use chaos_geocol::partitioner_by_name;
 use chaos_runtime::iterpart::partition_iterations;
 use chaos_runtime::{
-    gather_into, resolve_local, resolve_local_mut, scatter_add, AccessPattern, Dad, DistArray,
-    Distribution, GeoColSpec, Inspector, InspectorResult, IterPartitionPolicy, LocalizeScratch,
-    LoopId, MapperCoupler, RemapPlan, ReuseRegistry,
+    resolve_local, resolve_local_mut, sweep, AccessPattern, Dad, DistArray, Distribution,
+    GeoColSpec, Inspector, InspectorResult, IterPartitionPolicy, LocalizeScratch, LoopId,
+    MapperCoupler, RemapPlan, ReuseRegistry, ScatterKind, SweepAreas,
 };
 use std::time::Instant;
 
@@ -133,12 +133,10 @@ fn drive<B: Backend>(
     };
 
     let mut inspect = run_inspector(backend, &mut pattern, &mut scratch);
-    // Per-rank ghost and contribution buffers reused by every sweep, so the
-    // steady-state loop (gather → kernel → scatter-add with a reused
-    // schedule) allocates nothing after the first sweep on the sequential
-    // engine, and the compute kernel can run rank-parallel.
-    let mut ghosts = vec![Vec::new(); p];
-    let mut contributions = vec![Vec::new(); p];
+    // Per-rank ghost and contribution rows reused by every sweep, so a
+    // steady-state sweep with a reused schedule allocates nothing after the
+    // first one.
+    let mut areas = SweepAreas::default();
     registry.save_inspector(loop_id, &data_dads, &ind_dads);
     let mut inspector_runs = 1;
     let local_fraction = inspect.local_fraction();
@@ -160,15 +158,7 @@ fn drive<B: Backend>(
             inspector_runs += 1;
         }
 
-        execute_sweep(
-            backend,
-            workload,
-            &inspect,
-            &x,
-            &mut y,
-            &mut ghosts,
-            &mut contributions,
-        );
+        execute_sweep(backend, workload, &inspect, &x, &mut y, &mut areas);
 
         // The loop wrote y: record it, exactly as the generated code would.
         registry.record_write(&y.dad());
@@ -184,49 +174,44 @@ fn drive<B: Backend>(
     (times, y.to_global())
 }
 
-/// One executor sweep: gather → local pair kernel → scatter-add.
+/// One executor sweep, through the same engine path as the compiled
+/// program's: the gather folded ahead of one `run_sweep` region that runs
+/// the pair kernel and the scatter-add — one epoch and one engine release.
 ///
-/// The pair kernel between the two communication phases is a rank-local
-/// compute kernel: rank `q` reads its own iterations, its own `x` shard and
-/// its own ghost buffer, and writes its own `y` shard / contribution
-/// buffer — so on the pooled backend the whole sweep (communication *and*
-/// computation) runs rank-parallel.
+/// The pair kernel is a rank-local compute kernel: rank `q` reads its own
+/// iterations, its own `x` shard and its own ghost row, and writes its own
+/// `y` shard and contribution row — so on the pooled backend the kernel
+/// runs rank-parallel.
 fn execute_sweep<B: Backend>(
     backend: &mut B,
     workload: &PairLoopWorkload,
     inspect: &InspectorResult,
     x: &DistArray<f64>,
     y: &mut DistArray<f64>,
-    ghosts: &mut [Vec<f64>],
-    contributions: &mut [Vec<f64>],
+    areas: &mut SweepAreas,
 ) {
     let prev = backend
         .machine_mut()
         .set_phase_kind(Some(PhaseKind::Executor));
-    // Size the buffers for this inspector result (no-op when the sizes are
-    // unchanged); contributions start from zero.
-    for (q, &count) in inspect.ghost_counts.iter().enumerate() {
-        ghosts[q].resize(count, 0.0);
-        contributions[q].clear();
-        contributions[q].resize(count, 0.0);
-    }
-    gather_into(backend, "edge-loop", &inspect.schedule, x, ghosts);
-
-    let ghosts = &*ghosts;
-    backend.run_compute(
-        y.par_shards_mut().zip(contributions.iter_mut()),
-        |ctx, (y_local, contrib): (&mut [f64], &mut Vec<f64>)| {
+    sweep(
+        backend,
+        &inspect.schedule,
+        x,
+        y,
+        areas,
+        &[ScatterKind::Add],
+        |ctx, y_local, area| {
             let proc = ctx.rank();
             let localized = &inspect.localized[proc];
             let x_local = x.local(proc);
-            let x_ghost = &ghosts[proc];
+            let (ghosts, contrib) = (&area.ghosts, &mut area.contrib[0]);
             // `x` is only read and `y` only written, so each iteration's
             // two updates are applied where they are computed: owned
             // elements in place, off-processor ones into the contributions.
             for refs in localized.chunks_exact(2) {
                 let (r1, r2) = (refs[0], refs[1]);
-                let v1 = *resolve_local(r1, x_local, x_ghost);
-                let v2 = *resolve_local(r2, x_local, x_ghost);
+                let v1 = *resolve_local(r1, x_local, ghosts);
+                let v2 = *resolve_local(r2, x_local, ghosts);
                 let (f1, f2) = (workload.kernel)(v1, v2);
                 *resolve_local_mut(r1, y_local, contrib) += f1;
                 *resolve_local_mut(r2, y_local, contrib) += f2;
@@ -235,7 +220,6 @@ fn execute_sweep<B: Backend>(
             ctx.charge_compute(proc, niters as f64 * workload.ops_per_iteration);
         },
     );
-    scatter_add(backend, "edge-loop", &inspect.schedule, y, contributions);
     backend.machine_mut().set_phase_kind(prev);
 }
 

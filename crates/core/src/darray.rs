@@ -137,6 +137,11 @@ impl<T> DistArray<T> {
         &self.local
     }
 
+    /// Every rank's local segment, mutably: the state a sweep hands the engine.
+    pub(crate) fn shards_mut(&mut self) -> &mut [Vec<T>] {
+        &mut self.local
+    }
+
     /// Independently borrowable per-processor shards, in rank order — the
     /// form the rank-parallel executor kernels consume: each rank's kernel
     /// receives exclusive access to its own segment, so the shards can be

@@ -1,37 +1,35 @@
 //! Executor primitives: the communication that runs *every* loop iteration.
 //!
 //! PARTI's executor phase is two collective operations around the local
-//! computation:
+//! computation: a **gather** prefetches the off-processor elements named by
+//! a [`CommSchedule`] into each processor's ghost buffer, and a **scatter**
+//! pushes ghost-buffer accumulations back to the owning processors and
+//! combines them into the owned elements (the paper's left-hand-side
+//! `REDUCE (ADD, ...)` loops).
 //!
-//! * [`gather`] — prefetch the off-processor elements named by a
-//!   [`CommSchedule`] into each processor's ghost buffer, and
-//! * [`scatter_add`] / [`scatter_op`] — push ghost-buffer accumulations back
-//!   to the owning processors and combine them into the owned elements
-//!   (the paper's left-hand-side `REDUCE (ADD, ...)` loops).
-//!
-//! Both are **drivers** over rank-local kernels executed through a
-//! [`Backend`]: a pack kernel that charges each rank's outgoing messages,
-//! and an unpack/combine kernel that moves the actual data while touching
-//! only its own rank's buffers (its ghost buffer for gather, its
-//! [`DistArray`] shard — via [`DistArray::par_shards_mut`] — for scatter).
-//! Handing the same kernels to the sequential [`Machine`] engine or to
-//! `chaos_dmsim::PooledBackend` produces byte-identical array contents
-//! *and* byte-identical modeled clocks/statistics; only the wall-clock time
-//! changes.
+//! Both are written once, as rank-local kernels: a pack kernel that charges
+//! each rank's outgoing messages, and an unpack / combine kernel that moves
+//! the data while touching only its own rank's buffers. An executor sweep
+//! runs them as one region: [`gather_inline`] folds the gather into the
+//! driver, ahead of the sweep, then [`Backend::run_sweep`] runs the compute
+//! and each scatter's pack ([`scatter_pack_kernel`]) and combine
+//! ([`scatter_combine_rows`]) — one epoch and one engine release per sweep.
+//! The lang executor composes its multi-array sweeps from these pieces
+//! itself; [`sweep`] is the same composition over one schedule with a Rust
+//! closure kernel, the one hand-written programs (the hand-coded Table 2
+//! driver, the examples, the tests) call. Handing the kernels to the
+//! sequential [`Machine`] engine or to `chaos_dmsim::PooledBackend` produces
+//! byte-identical array contents *and* byte-identical modeled clocks and
+//! statistics; only the wall-clock time changes.
 //!
 //! Kernels walk the schedule's flat CSR arenas (see [`crate::schedule`]):
 //! every send is a pair of contiguous `&[u32]` slices, so the per-iteration
 //! inner loop is a strided copy with no nested-`Vec` pointer chasing, and
 //! the transfer is charged per message without materializing an exchange
-//! plan. The `*_into` variants reuse caller-owned buffers and perform
-//! **zero heap allocations** in steady state on the sequential engine
-//! (verified by the counting-allocator integration test), which is what
-//! makes an inspector schedule worth reusing.
-//!
-//! The local computation between gather and scatter belongs to the
-//! application (see the workload crates): its kernels charge their flops
-//! through their [`RankCtx`], so executor rows in the tables include both
-//! communication and computation.
+//! plan. With its [`SweepAreas`] kept across sweeps, a steady [`sweep`]
+//! performs **zero heap allocations** (verified by the counting-allocator
+//! integration test), which is what makes an inspector schedule worth
+//! reusing.
 
 use crate::darray::DistArray;
 use crate::schedule::CommSchedule;
@@ -131,7 +129,7 @@ pub enum Landing<'a> {
     Mapped(&'a [Vec<u32>]),
 }
 
-/// Rank-local pack kernel of [`scatter_op`]: the executing rank, as an
+/// Rank-local pack kernel of every scatter: the executing rank, as an
 /// *owner*, charges each requester's packing and the reverse transfer of
 /// its ghost contributions. Public so a fused-sweep driver can charge the
 /// same pack stage inside `Backend::run_sweep` — call it only inside an
@@ -149,7 +147,7 @@ pub fn scatter_pack_kernel(ctx: &mut RankCtx<'_>, schedule: &CommSchedule) {
 
 /// Rank-local combine of one scatter stage, reading each requester's
 /// contribution row through `row_of` — the generalized form used by both
-/// [`scatter_op`] (rows in one rank-major matrix) and the fused sweep
+/// [`scatter_add`] (rows in one rank-major matrix) and the fused sweeps
 /// (rows inside per-rank sweep areas). Charge order and combine order are
 /// identical either way: the owner's schedule send-list order.
 pub fn scatter_combine_rows<'a, T, F, G>(
@@ -177,29 +175,12 @@ pub fn scatter_combine_rows<'a, T, F, G>(
 }
 
 /// Gather the off-processor elements described by `schedule` from `array`
-/// into per-processor ghost buffers.
-///
-/// Returns `ghosts[p][slot]` aligned with the schedule's ghost slots for
-/// processor `p`. Allocates the buffers; iteration loops that reuse a
-/// schedule should allocate once and call [`gather_into`].
-pub fn gather<B, T>(backend: &mut B, schedule: &CommSchedule, array: &DistArray<T>) -> Vec<Vec<T>>
-where
-    B: Backend,
-    T: Clone + Default + Send + Sync,
-{
-    let nprocs = backend.nprocs();
-    check_schedule(nprocs, schedule);
-    let mut ghosts: Vec<Vec<T>> = (0..nprocs)
-        .map(|p| vec![T::default(); schedule.ghost_count(p)])
-        .collect();
-    gather_into(backend, "", schedule, array, &mut ghosts);
-    ghosts
-}
-
-/// [`gather`] into caller-owned ghost buffers (`ghosts[p]` must have exactly
-/// `schedule.ghost_count(p)` elements). Performs no heap allocation on the
-/// sequential engine. `_label` is ignored: a phase is counted under its
-/// [`PhaseKind`](chaos_dmsim::PhaseKind), not by name.
+/// into caller-owned ghost buffers (`ghosts[p]` holds exactly
+/// `schedule.ghost_count(p)` elements) as one engine phase, allocating
+/// nothing on the sequential engine. No program calls it, since a [`sweep`]
+/// folds its gather into one region; it stays public, with its ignored
+/// `_label`, only for the end-to-end benchmark's probes and as the tests'
+/// oracle, until ROADMAP item 1B deletes it.
 pub fn gather_into<B, T>(
     backend: &mut B,
     _label: &str,
@@ -287,9 +268,10 @@ pub fn gather_inline<'g, T, I>(
     );
 }
 
-/// Scatter ghost-buffer contributions back to their owners, adding them into
-/// the owned elements (`y(owner) += contribution`). `_label` is ignored, as
-/// in [`gather_into`].
+/// Scatter ghost-buffer contributions back to their owners as one engine
+/// phase, adding them into the owned elements (`y(owner) += contribution`)
+/// in each owner's send-list order. Public, and `_label` ignored, for the
+/// same reasons as [`gather_into`].
 pub fn scatter_add<B: Backend>(
     backend: &mut B,
     _label: &str,
@@ -297,28 +279,6 @@ pub fn scatter_add<B: Backend>(
     array: &mut DistArray<f64>,
     contributions: &[Vec<f64>],
 ) {
-    scatter_op(backend, schedule, array, contributions, |acc, c| *acc += c);
-}
-
-/// Scatter ghost-buffer contributions back to their owners combining with an
-/// arbitrary reduction operator (`add`, `max`, `min`, ... — the paper allows
-/// any associative reduction on the left-hand side). Performs no heap
-/// allocation on the sequential engine.
-///
-/// Each owner combines in its schedule's send-list order, so the reduction
-/// order — and therefore the floating-point result — is identical on every
-/// backend.
-pub fn scatter_op<B, T, F>(
-    backend: &mut B,
-    schedule: &CommSchedule,
-    array: &mut DistArray<T>,
-    contributions: &[Vec<T>],
-    combine: F,
-) where
-    B: Backend,
-    T: Clone + Send + Sync,
-    F: Fn(&mut T, T) + Sync,
-{
     let nprocs = backend.nprocs();
     check_ghost_buffers(
         nprocs,
@@ -327,24 +287,112 @@ pub fn scatter_op<B, T, F>(
         "contributions must have one ghost buffer per processor",
         "ghost contribution",
     );
-
-    // Reverse traffic: each requester sends its ghost slots back to the
-    // owner, which combines them into its local elements. With the CSR
-    // layout the owner's shard and the requesters' contribution buffers are
-    // disjoint borrows, so the combine is rank-local with no intermediate
-    // update list. Pack charges and transfers first, then the phase barrier,
-    // then the owner-side combine — the same charge order as the plan-based
-    // scatter.
+    // Reverse traffic: pack charges and transfers first, then the phase
+    // barrier, then the owner-side combine.
     backend.run_phase(
         |ctx| scatter_pack_kernel(ctx, schedule),
         array.par_shards_mut(),
-        |ctx, local: &mut [T]| {
+        |ctx, local: &mut [f64]| {
             scatter_combine_rows(
                 ctx,
                 schedule,
                 |p| contributions[p].as_slice(),
                 local,
-                &combine,
+                &|acc, c| *acc += c,
+            )
+        },
+    );
+}
+
+/// One rank's area of a [`sweep`]: the ghost values gathered for it and its
+/// contributions to other ranks' elements, one row per scatter stage.
+#[derive(Debug, Clone, Default)]
+pub struct SweepArea {
+    /// The gathered array's ghost values, one per ghost slot.
+    pub ghosts: Vec<f64>,
+    /// Per scatter stage, one contribution per ghost slot, reset to the
+    /// stage's [`ScatterKind::identity`] before the kernel runs.
+    pub contrib: Vec<Vec<f64>>,
+}
+
+/// The per-rank [`SweepArea`]s [`sweep`] runs in, kept by the caller across
+/// sweeps: once they have grown to the schedule, a sweep allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SweepAreas {
+    areas: Vec<SweepArea>,
+    /// Zero `Landing::Offset` bases: ghosts land at the start of each row.
+    bases: Vec<u32>,
+}
+
+impl SweepAreas {
+    /// Rank `p`'s area as the last sweep left it.
+    pub fn area(&self, p: usize) -> &SweepArea {
+        &self.areas[p]
+    }
+}
+
+/// One executor sweep over `schedule`, as the compiled program runs one:
+/// gather `x`'s ghosts ([`gather_inline`]), then one [`Backend::run_sweep`]
+/// region — `kernel` on every rank, then a scatter stage per entry of
+/// `scatters` — one epoch and one engine release.
+///
+/// `kernel(ctx, y_local, area)` finds `x`'s ghosts in `area.ghosts` and
+/// `area.contrib[j]` at `scatters[j]`'s identity; it updates owned `y`
+/// elements in place and off-processor ones in the contributions
+/// ([`resolve_local_mut`](crate::resolve_local_mut)), and charges its own
+/// compute. Every stage runs, with or without contributions, so by
+/// [`Backend::run_sweep`]'s contract the charges are those of
+/// [`gather_into`], `run_compute` and one [`scatter_add`] per stage, event
+/// for event; only the epoch count differs.
+pub fn sweep<B, K>(
+    backend: &mut B,
+    schedule: &CommSchedule,
+    x: &DistArray<f64>,
+    y: &mut DistArray<f64>,
+    areas: &mut SweepAreas,
+    scatters: &[ScatterKind],
+    kernel: K,
+) where
+    B: Backend,
+    K: Fn(&mut RankCtx<'_>, &mut [f64], &mut SweepArea) + Sync,
+{
+    let nprocs = backend.nprocs();
+    check_schedule(nprocs, schedule);
+    areas.bases.resize(nprocs, 0);
+    areas.areas.resize_with(nprocs, SweepArea::default);
+    for (p, area) in areas.areas.iter_mut().enumerate() {
+        area.ghosts.resize(schedule.ghost_count(p), 0.0);
+        area.contrib.resize_with(scatters.len(), Vec::new);
+    }
+    gather_inline(
+        backend.machine_mut(),
+        schedule,
+        x,
+        Landing::Offset(&areas.bases),
+        areas.areas.iter_mut().map(|area| &mut area.ghosts),
+    );
+    backend.run_sweep(
+        y.shards_mut(),
+        &mut areas.areas,
+        |ctx, y_local: &mut Vec<f64>, area: &mut SweepArea| {
+            let count = area.ghosts.len();
+            for (row, kind) in area.contrib.iter_mut().zip(scatters) {
+                row.clear();
+                row.resize(count, kind.identity());
+            }
+            kernel(ctx, y_local, area);
+        },
+        scatters.len(),
+        |_, _| true,
+        |ctx, _| scatter_pack_kernel(ctx, schedule),
+        |ctx, j, y_local: &mut Vec<f64>, areas: &[SweepArea]| {
+            let kind = scatters[j];
+            scatter_combine_rows(
+                ctx,
+                schedule,
+                |p| areas[p].contrib[j].as_slice(),
+                y_local,
+                &|c, v| kind.apply(c, v),
             )
         },
     );
@@ -400,12 +448,12 @@ impl ScatterKind {
 mod tests {
     use super::*;
     use crate::dist::Distribution;
-    use crate::inspector::{AccessPattern, Inspector};
+    use crate::inspector::{AccessPattern, Inspector, InspectorResult};
     use chaos_dmsim::MachineConfig;
 
     /// Set up: x = [0,10,20,...,70] block-distributed over 2 procs; proc 0
     /// references globals [4, 5], proc 1 references [0].
-    fn setup() -> (Machine, DistArray<f64>, crate::inspector::InspectorResult) {
+    fn setup() -> (Machine, DistArray<f64>, InspectorResult) {
         let mut m = Machine::new(MachineConfig::unit(2));
         let dist = Distribution::block(8, 2);
         let x = DistArray::from_global(
@@ -420,10 +468,17 @@ mod tests {
         (m, x, r)
     }
 
+    /// [`gather_into`] fresh ghost buffers shaped by `r`.
+    fn gathered(m: &mut impl Backend, r: &InspectorResult, x: &DistArray<f64>) -> Vec<Vec<f64>> {
+        let mut ghosts: Vec<Vec<f64>> = r.ghost_counts.iter().map(|&c| vec![0.0; c]).collect();
+        gather_into(m, "L", &r.schedule, x, &mut ghosts);
+        ghosts
+    }
+
     #[test]
     fn gather_fills_ghost_buffers() {
         let (mut m, x, r) = setup();
-        let ghosts = gather(&mut m, &r.schedule, &x);
+        let ghosts = gathered(&mut m, &r, &x);
         // Proc 0's ghosts are globals 4 and 5 (owner-local offsets 0 and 1).
         assert_eq!(ghosts[0], vec![40.0, 50.0]);
         // Proc 1's ghost is global 0.
@@ -455,7 +510,7 @@ mod tests {
     fn gather_charges_messages() {
         let (mut m, x, r) = setup();
         let before = m.stats().grand_totals().messages;
-        let _ = gather(&mut m, &r.schedule, &x);
+        let _ = gathered(&mut m, &r, &x);
         assert_eq!(m.stats().grand_totals().messages - before, 2);
     }
 
@@ -475,13 +530,21 @@ mod tests {
     }
 
     #[test]
-    fn scatter_op_supports_max() {
-        let (mut m, _x, r) = setup();
+    fn sweep_scatter_stage_supports_max() {
+        let (mut m, x, r) = setup();
         let mut y = DistArray::from_global("y", Distribution::block(8, 2), &[3.0; 8]);
-        let contributions = vec![vec![10.0, 1.0], vec![2.0]];
-        scatter_op(&mut m, &r.schedule, &mut y, &contributions, |a, b| {
-            *a = f64::max(*a, b)
-        });
+        let posted = [vec![10.0, 1.0], vec![2.0]];
+        let mut areas = SweepAreas::default();
+        let max = [ScatterKind::Max];
+        sweep(
+            &mut m,
+            &r.schedule,
+            &x,
+            &mut y,
+            &mut areas,
+            &max,
+            |ctx, _, area| area.contrib[0].copy_from_slice(&posted[ctx.rank()]),
+        );
         let g = y.to_global();
         assert_eq!(g[4], 10.0);
         assert_eq!(g[5], 3.0);
@@ -493,7 +556,7 @@ mod tests {
         // Property: scatter_add of gathered values doubles exactly the
         // referenced elements.
         let (mut m, x, r) = setup();
-        let ghosts = gather(&mut m, &r.schedule, &x);
+        let ghosts = gathered(&mut m, &r, &x);
         let mut y = x.clone();
         scatter_add(&mut m, "L", &r.schedule, &mut y, &ghosts);
         let xg = x.to_global();
@@ -514,8 +577,8 @@ mod tests {
         let (_, x, r) = setup();
         let mut seq = Machine::new(MachineConfig::unit(2));
         let mut pool = PooledBackend::from_config_with_workers(MachineConfig::unit(2), 2);
-        let ghosts_seq = gather(&mut seq, &r.schedule, &x);
-        let ghosts_pool = gather(&mut pool, &r.schedule, &x);
+        let ghosts_seq = gathered(&mut seq, &r, &x);
+        let ghosts_pool = gathered(&mut pool, &r, &x);
         assert_eq!(ghosts_seq, ghosts_pool);
         let mut y_seq = x.clone();
         let mut y_pool = x.clone();
@@ -550,7 +613,7 @@ mod tests {
     fn gather_rejects_mismatched_machine() {
         let (_, x, r) = setup();
         let mut wrong = Machine::new(MachineConfig::unit(4));
-        let _ = gather(&mut wrong, &r.schedule, &x);
+        let _ = gathered(&mut wrong, &r, &x);
     }
 
     /// One test over the two landings of [`gather_inline`], each against

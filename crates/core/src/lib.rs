@@ -17,8 +17,8 @@
 //! distributions, a translation table for irregular distributions, the
 //! inspector (`localize`) that deduplicates off-processor references, builds
 //! communication schedules, allocates ghost buffers and translates global
-//! indices to local ones, and the executor primitives (`gather`,
-//! `scatter_add`) that carry the actual communication of each iteration.
+//! indices to local ones, and the executor sweep ([`executor::sweep`]) that
+//! carries the actual communication of each iteration.
 //!
 //! Everything runs on the simulated distributed-memory machine from
 //! [`chaos_dmsim`]: data movement is exact, costs are charged to per-processor
@@ -42,7 +42,7 @@
 //! | [`schedule`] | communication schedules as flat CSR arenas (gather / scatter) |
 //! | [`inspector`] | inspector: localize with hash-free sort+dedup over packed keys |
 //! | [`iterpart`] | loop-iteration partitioning (almost-owner-computes) |
-//! | [`executor`] | executor: gather → compute → scatter-add reduction, allocation-free in steady state |
+//! | [`executor`] | executor: one gather → compute → scatter sweep per engine region, allocation-free in steady state |
 //! | [`mod@remap`] | array remapping between distributions |
 //! | [`reuse`] | `nmod`, `last_mod`, per-loop inspector-reuse records |
 //! | [`coupler`] | CONSTRUCT / SET ... BY PARTITIONING / REDISTRIBUTE |
@@ -53,10 +53,10 @@
 //! Schedule *use* is the cost every executor iteration pays, so
 //! [`schedule::CommSchedule`] stores its ghost sources and send lists as
 //! flat CSR offset arrays (struct-of-arrays payloads) exactly like the
-//! original PARTI/CHAOS C runtime; [`executor::gather_into`] /
-//! [`executor::scatter_op`] iterate contiguous slices, charge transfers
-//! through [`chaos_dmsim::Machine::charge_p2p`] and perform **no heap
-//! allocation** with reused buffers. The original nested-`Vec` formulation
+//! original PARTI/CHAOS C runtime; the gather and scatter kernels of
+//! [`executor::sweep`] iterate contiguous slices, charge transfers through
+//! [`chaos_dmsim::Machine::charge_p2p`] and perform **no heap allocation**
+//! with the sweep areas reused. The original nested-`Vec` formulation
 //! survives as test support (`tests/naive`), the oracle
 //! `tests/proptest_invariants.rs` compares against.
 //! `ARCHITECTURE.md` § "The inspector → executor CSR data flow" draws the
@@ -83,8 +83,8 @@ pub use dad::Dad;
 pub use darray::DistArray;
 pub use dist::Distribution;
 pub use executor::{
-    gather, gather_inline, gather_into, scatter_add, scatter_combine_rows, scatter_op,
-    scatter_pack_kernel, Landing, ScatterKind,
+    gather_inline, gather_into, scatter_add, scatter_combine_rows, scatter_pack_kernel, sweep,
+    Landing, ScatterKind, SweepArea, SweepAreas,
 };
 pub use inspector::{
     resolve_local, resolve_local_mut, AccessPattern, Inspector, InspectorResult, LocalizeScratch,
@@ -101,7 +101,7 @@ pub mod prelude {
     pub use crate::coupler::{GeoColSpec, MapperCoupler};
     pub use crate::darray::DistArray;
     pub use crate::dist::Distribution;
-    pub use crate::executor::{gather, scatter_add};
+    pub use crate::executor::{sweep, ScatterKind, SweepAreas};
     pub use crate::inspector::{AccessPattern, Inspector};
     pub use crate::iterpart::{IterPartitionPolicy, IterationPartition};
     pub use crate::remap::remap;

@@ -4,10 +4,10 @@
 //! data a loop references: which elements each owner must send to which
 //! requester (the *send lists*), and into which ghost-buffer slot each
 //! incoming value lands (the *receive slots*). Building a schedule requires
-//! one request exchange (an inspector cost); using it — with
-//! [`crate::executor::gather`] / [`crate::executor::scatter_add`] — is an
-//! executor cost paid every iteration. Amortizing the former over many of
-//! the latter is exactly what the paper's schedule-reuse mechanism is for.
+//! one request exchange (an inspector cost); using it — a gather and a
+//! scatter in every [`crate::executor::sweep`] — is an executor cost paid
+//! every iteration. Amortizing the former over many of the latter is
+//! exactly what the paper's schedule-reuse mechanism is for.
 //!
 //! Constructing a [`CommSchedule`] never charges the machine: the request
 //! exchange is charged by one function, [`charge_request_exchange`], over
@@ -634,13 +634,15 @@ mod tests {
         assert_eq!(map2, map);
         // One gather of the union serves both loops: each reads its values
         // through its own map (the resident side's is the identity).
-        use crate::{darray::DistArray, dist::Distribution, executor::gather};
+        use crate::executor::{gather_inline, Landing};
+        use crate::{darray::DistArray, dist::Distribution};
         let x = DistArray::from_global(
             "x",
             Distribution::block(16, 2),
             &(0..16).map(|i| i as f64 * 10.0).collect::<Vec<_>>(),
         );
-        let ghosts = gather(&mut m, &merged, &x);
+        let mut ghosts: Vec<Vec<f64>> = (0..2).map(|p| vec![0.0; merged.ghost_count(p)]).collect();
+        gather_inline(&mut m, &merged, &x, Landing::Offset(&[0, 0]), &mut ghosts);
         for p in 0..2 {
             for (slot, (o, s)) in resident.ghost_sources(p).enumerate() {
                 assert_eq!(ghosts[p][slot], x.local(o as usize)[s as usize]);

@@ -6,7 +6,11 @@
 //! block of global indices `p` would own under a BLOCK distribution (its
 //! "page"), and a lookup on another processor's page costs a
 //! request/response message pair — the *dereference* step of the
-//! inspector, charged by [`TranslationTable::dereference`].
+//! inspector. [`Inspector::localize_located`](crate::Inspector::localize_located)
+//! and [`Inspector::localize_deferred_exchange`](crate::Inspector::localize_deferred_exchange)
+//! read their answers from the table directly, counting each rank's
+//! requests per page on the way; `charge_dereference` charges the two
+//! rounds from those counts.
 
 use crate::dist::BlockSplit;
 use chaos_dmsim::Backend;
@@ -97,40 +101,6 @@ impl TranslationTable {
         let split = BlockSplit::new(self.len(), self.nprocs);
         move |g: u32| split.owner(g)
     }
-
-    /// Dereference a batch of global indices on behalf of each requesting
-    /// processor, charging the machine for the table-page traffic.
-    ///
-    /// `requests[p]` is the list of global indices processor `p` needs to
-    /// translate; `out[p]` is cleared and refilled with their packed
-    /// `owner << 32 | local_offset` keys, so repeated inspector runs reuse
-    /// capacity instead of reallocating. The answer fill is a rank-local
-    /// kernel (it parallelizes on the pooled engine) that also counts each
-    /// rank's requests per page, so the requests are read once; the rounds
-    /// are then [`charge_dereference`]'s. The simulator answers from the
-    /// shared table; only the transfer is modeled, identically to shipping
-    /// the indices.
-    pub fn dereference<B: Backend>(
-        &self,
-        backend: &mut B,
-        requests: &[Vec<u32>],
-        out: &mut Vec<Vec<u64>>,
-    ) {
-        assert_eq!(requests.len(), self.nprocs);
-        out.resize_with(self.nprocs, Vec::new);
-        let (nprocs, page_of) = (self.nprocs, self.page_of());
-        // `counts[p * nprocs + page]`: rank p's requests landing on `page`.
-        let mut counts = vec![0u32; nprocs * nprocs];
-        let rows = out.iter_mut().zip(counts.chunks_mut(nprocs));
-        backend.run_compute(rows, |ctx, (row, pages): (&mut Vec<u64>, &mut [u32])| {
-            row.clear();
-            row.extend(requests[ctx.rank()].iter().map(|&g| {
-                pages[page_of(g)] += 1;
-                self.packed[g as usize]
-            }));
-        });
-        charge_dereference(backend, &counts);
-    }
 }
 
 /// The dereference's two charge rounds from `counts[p * nprocs + page]`:
@@ -171,18 +141,17 @@ mod tests {
         vec![2, 0, 0, 1, 2, 1, 0, 3]
     }
 
-    /// Dereference `requests` on `m`, unpacked to `(owner, offset)` pairs.
-    fn dereference(
-        t: &TranslationTable,
-        m: &mut Machine,
-        requests: &[Vec<u32>],
-    ) -> Vec<Vec<(u32, u32)>> {
-        let mut out = Vec::new();
-        t.dereference(m, requests, &mut out);
-        let unpack = |&k: &u64| ((k >> 32) as u32, k as u32);
-        out.iter()
-            .map(|row| row.iter().map(unpack).collect())
-            .collect()
+    /// Charge the dereference of `requests` on `m`: count each rank's
+    /// requests per page, as the inspector's walk does, then run the rounds.
+    fn charge_requests(t: &TranslationTable, m: &mut Machine, requests: &[Vec<u32>]) {
+        let (nprocs, page_of) = (t.nprocs(), t.page_of());
+        let mut counts = vec![0u32; nprocs * nprocs];
+        for (p, reqs) in requests.iter().enumerate() {
+            for &g in reqs {
+                counts[p * nprocs + page_of(g)] += 1;
+            }
+        }
+        charge_dereference(m, &counts);
     }
 
     #[test]
@@ -217,8 +186,9 @@ mod tests {
         let t = TranslationTable::from_map(&sample_map(), 4);
         let mut m = Machine::new(MachineConfig::unit(4));
         // proc 0 asks about global 7 whose page (block size 2) lives on proc 3.
-        let answers = dereference(&t, &mut m, &[vec![7], vec![], vec![], vec![]]);
-        assert_eq!(answers[0], vec![(3, 0)]);
+        assert_eq!((t.page_of())(7), 3);
+        charge_requests(&t, &mut m, &[vec![7], vec![], vec![], vec![]]);
+        assert_eq!((t.owner(7), t.local_offset(7)), (3, 0));
         let totals = m.stats().grand_totals();
         assert_eq!(totals.messages, 2, "one request and one reply");
         assert_eq!(totals.phases, 2, "a request round and a reply round");
@@ -245,8 +215,7 @@ mod tests {
         let t = TranslationTable::from_map(&sample_map(), 4);
         let mut m = Machine::new(MachineConfig::unit(4));
         // proc 0 asks about globals 0 and 1: page owner of both is proc 0.
-        let answers = dereference(&t, &mut m, &[vec![0, 1], vec![], vec![], vec![]]);
-        assert_eq!(answers[0], vec![(2, 0), (0, 0)]);
+        charge_requests(&t, &mut m, &[vec![0, 1], vec![], vec![], vec![]]);
         let totals = m.stats().grand_totals();
         assert_eq!(totals.messages, 0);
         assert_eq!(totals.phases, 2, "both rounds run, carrying nothing");

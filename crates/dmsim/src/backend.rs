@@ -50,7 +50,6 @@ use crate::fault::{self, PhaseError};
 use crate::machine::{Machine, PhaseCharge, ProcId};
 use crate::probe::Lane;
 use crate::trace::TraceEventKind;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One recorded charge, replayed against the machine in rank order.
 #[derive(Debug, Clone, Copy)]
@@ -166,8 +165,9 @@ impl<'a> RankCtx<'a> {
 
 /// An SPMD execution engine over a simulated [`Machine`].
 ///
-/// The runtime's primitives (gather / scatter / localize / dereference) are
-/// written as *drivers* that hand rank-local kernels to a backend; the
+/// The runtime's primitives (the executor sweep's gather and scatter, the
+/// inspector's localize and dereference rounds) are written as *drivers*
+/// that hand rank-local kernels to a backend; the
 /// backend decides whether the ranks run sequentially ([`Machine`]) or on
 /// worker threads ([`PooledBackend`](crate::pool::PooledBackend)), while
 /// guaranteeing identical results and identical modeled costs either way
@@ -303,22 +303,6 @@ pub trait Backend {
     {
         let n = self.nprocs();
         self.run_phase(pack, (0..n).map(|_| ()), |_, ()| {});
-    }
-
-    /// [`Backend::run_compute`] with detection: rank panics (organic or
-    /// injected) are caught and returned as a typed [`PhaseError`] instead
-    /// of unwinding, and a post-phase flaw (a pool straggler report) is
-    /// surfaced the same way. On `Err` the failed region's recorded charges
-    /// were never replayed, so a restored snapshot can rerun it as if it
-    /// never happened.
-    fn try_run_compute<St, I, F>(&mut self, state: I, kernel: F) -> Result<(), PhaseError>
-    where
-        St: Send,
-        I: IntoIterator<Item = St>,
-        F: Fn(&mut RankCtx<'_>, St) + Sync,
-    {
-        let attempt = catch_unwind(AssertUnwindSafe(|| self.run_compute(state, kernel)));
-        diagnose_attempt(self, attempt)
     }
 
     /// Take the flaw detected during the last completed region, if any —

@@ -9,12 +9,12 @@
 //!   [`PooledBackend`](crate::PooledBackend)) consult the installed plan at
 //!   every per-rank kernel entry, so the same plan produces the same fault
 //!   at the same point of the same phase on either engine.
-//! * **Detection** — [`Backend::try_run_compute`](crate::Backend::try_run_compute)
-//!   and the lang executor's one guarded attempt per FORALL both catch rank
-//!   panics and take the pool's barrier-deadline straggler reports, and
-//!   [`diagnose_attempt`](crate::diagnose_attempt) surfaces either as a
-//!   typed [`PhaseError`] carrying `(epoch, rank, lane, cause)` instead of
-//!   unwinding through the driver.
+//! * **Detection** — a guarded attempt (the lang executor's one per FORALL,
+//!   or any region wrapped in `catch_unwind`) hands its outcome to
+//!   [`diagnose_attempt`](crate::diagnose_attempt), which takes the pool's
+//!   barrier-deadline straggler report and surfaces a caught rank panic or
+//!   a straggler as a typed [`PhaseError`] carrying `(epoch, rank, lane,
+//!   cause)` instead of unwinding through the driver.
 //! * **Recovery** — because kernels charge modeled costs only through their
 //!   [`RankCtx`](crate::RankCtx), a phase whose recorded charges were never
 //!   replayed left no trace on the machine: rerunning it from a restored
@@ -86,7 +86,10 @@ pub struct Fault {
 /// # Example: inject one panic and recover bit-identically
 ///
 /// ```
-/// use chaos_dmsim::{Backend, FaultKind, FaultPlan, Machine, MachineConfig, PhaseError};
+/// use chaos_dmsim::{
+///     diagnose_attempt, Backend, FaultKind, FaultPlan, Machine, MachineConfig, PhaseError,
+/// };
+/// use std::panic::{catch_unwind, AssertUnwindSafe};
 /// use std::sync::Arc;
 ///
 /// let mut machine = Machine::new(MachineConfig::ipsc860(4));
@@ -96,25 +99,25 @@ pub struct Fault {
 /// // Checkpoint the pre-phase state (clones share the plan's consumed flags).
 /// let checkpoint = machine.clone();
 ///
+/// // One guarded compute phase: a caught panic is diagnosed as a typed error.
+/// fn guarded(machine: &mut Machine, hits: &mut [u32]) -> Result<(), PhaseError> {
+///     let attempt = catch_unwind(AssertUnwindSafe(|| {
+///         machine.run_compute(hits.iter_mut(), |ctx, h| {
+///             *h += 1;
+///             ctx.charge_compute(ctx.rank(), 1.0);
+///         })
+///     }));
+///     diagnose_attempt(machine, attempt)
+/// }
 /// let mut hits = vec![0u32; 4];
-/// let err = machine
-///     .try_run_compute(hits.iter_mut(), |ctx, h| {
-///         *h += 1;
-///         ctx.charge_compute(ctx.rank(), 1.0);
-///     })
-///     .unwrap_err();
+/// let err = guarded(&mut machine, &mut hits).unwrap_err();
 /// assert!(matches!(err, PhaseError::RankPanic { epoch: 1, .. }));
 ///
 /// // The fault was consumed: restore the checkpoint and rerun — the retried
 /// // phase succeeds and the machine is bit-identical to a fault-free run.
 /// machine = checkpoint;
 /// let mut hits = vec![0u32; 4];
-/// machine
-///     .try_run_compute(hits.iter_mut(), |ctx, h| {
-///         *h += 1;
-///         ctx.charge_compute(ctx.rank(), 1.0);
-///     })
-///     .unwrap();
+/// guarded(&mut machine, &mut hits).unwrap();
 /// assert_eq!(hits, vec![1; 4]);
 /// ```
 #[derive(Debug, Default)]
@@ -306,8 +309,8 @@ impl fmt::Display for RankFailure {
 }
 
 /// A detected phase failure, returned by
-/// [`Backend::try_run_compute`](crate::Backend::try_run_compute) (and the
-/// lang executor's guarded FORALL attempt) in place of an unwinding panic.
+/// [`diagnose_attempt`](crate::diagnose_attempt) (the lang executor's
+/// guarded FORALL attempt calls it) in place of an unwinding panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhaseError {
     /// One or more ranks panicked during the phase. `failures` names every

@@ -455,7 +455,8 @@ impl PooledBackend {
     /// Enable straggler detection: when the driver lane has waited
     /// `deadline` at a crossing (stage or completion) for a worker lane, the
     /// region's first such lane is reported as a [`PhaseError::Straggler`]
-    /// through [`Backend::take_phase_flaw`] / [`Backend::try_run_compute`].
+    /// through [`Backend::take_phase_flaw`], which
+    /// [`diagnose_attempt`](crate::diagnose_attempt) reads.
     /// The region still completes: the driver waits out the real arrival.
     pub fn set_barrier_deadline(&mut self, deadline: Duration) {
         self.deadline = Some(deadline);
@@ -1049,10 +1050,8 @@ mod tests {
         pool.machine_mut().install_fault_plan(Some(Arc::new(plan)));
 
         let mut out = [0u64; 2];
-        let err = pool
-            .try_run_compute(out.iter_mut(), |ctx, slot| *slot = ctx.rank() as u64 + 1)
-            .unwrap_err();
-        match err {
+        pool.run_compute(out.iter_mut(), |ctx, slot| *slot = ctx.rank() as u64 + 1);
+        match pool.take_phase_flaw().expect("a straggler report") {
             PhaseError::Straggler {
                 epoch,
                 rank,
@@ -1073,8 +1072,8 @@ mod tests {
 
         // The next phase is flaw-free: the fault was consumed.
         let mut out = [0u64; 2];
-        pool.try_run_compute(out.iter_mut(), |ctx, slot| *slot = ctx.rank() as u64)
-            .unwrap();
+        pool.run_compute(out.iter_mut(), |ctx, slot| *slot = ctx.rank() as u64);
+        assert!(pool.take_phase_flaw().is_none());
         assert_eq!(out, [0, 1]);
     }
 
@@ -1195,13 +1194,14 @@ mod tests {
         // join promptly — the pool may not deadlock on the poisoned phase.
         let mut pool = PooledBackend::from_config_with_workers(MachineConfig::unit(4), 4);
         let mut out = [0u8; 4];
-        let err = pool
-            .try_run_compute(out.iter_mut(), |ctx, _| {
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_compute(out.iter_mut(), |ctx, _| {
                 if ctx.rank() == 3 {
                     panic!("mid-epoch failure");
                 }
             })
-            .unwrap_err();
+        }));
+        let err = crate::diagnose_attempt(&mut pool, attempt).unwrap_err();
         assert!(matches!(err, PhaseError::RankPanic { .. }));
         let all_joined = pool.pool.shutdown_with_deadline(Duration::from_secs(5));
         assert!(all_joined, "workers must join after a caught panic");

@@ -14,8 +14,8 @@
 use chaos_repro::prelude::*;
 use chaos_runtime::iterpart::partition_iterations;
 use chaos_runtime::{
-    gather, resolve_local, resolve_local_mut, scatter_add, GeoColSpec, Inspector, InspectorResult,
-    IterationPartition, LoopId, MapperCoupler,
+    resolve_local, resolve_local_mut, GeoColSpec, Inspector, InspectorResult, IterationPartition,
+    LoopId, MapperCoupler, SweepArea,
 };
 use chaos_workloads::pair_force_kernel;
 
@@ -65,6 +65,7 @@ fn main() {
     let mut pair1 = DistArray::from_global("pair1", pair_dist.clone(), &water.pair1);
 
     let mut cached: Option<(IterationPartition, InspectorResult)> = None;
+    let mut areas = SweepAreas::default();
     let mut inspector_runs = 0usize;
     let mut reuse_hits = 0usize;
 
@@ -115,38 +116,35 @@ fn main() {
         }
         let (iter_part, inspect) = cached.as_ref().unwrap();
 
-        // Executor: gather charges, accumulate pairwise force x-components.
-        let ghosts = gather(&mut machine, &inspect.schedule, &charge);
-        let mut contributions: Vec<Vec<f64>> = (0..nprocs)
-            .map(|p| vec![0.0; inspect.ghost_counts[p]])
-            .collect();
-        for p in 0..nprocs {
-            let localized = &inspect.localized[p];
-            let q_local = charge.local(p);
-            let q_ghost = &ghosts[p];
-            let f_local = fx.local_mut(p);
-            for (pos, &it) in iter_part.iters(p).iter().enumerate() {
-                let (r1, r2) = (localized[2 * pos], localized[2 * pos + 1]);
-                let (a, b) = (
-                    water.pair1[it as usize] as usize,
-                    water.pair2[it as usize] as usize,
-                );
-                let f = pair_force_kernel(
-                    (water.xc[a], water.yc[a], water.zc[a]),
-                    (water.xc[b], water.yc[b], water.zc[b]),
-                    *resolve_local(r1, q_local, q_ghost),
-                    *resolve_local(r2, q_local, q_ghost),
-                );
-                *resolve_local_mut(r1, f_local, &mut contributions[p]) += f.0;
-                *resolve_local_mut(r2, f_local, &mut contributions[p]) -= f.0;
-            }
-        }
-        scatter_add(
+        // Executor: one sweep gathers the charges, accumulates pairwise
+        // force x-components and scatter-adds them to their owners.
+        sweep(
             &mut machine,
-            "force-loop",
             &inspect.schedule,
+            &charge,
             &mut fx,
-            &contributions,
+            &mut areas,
+            &[ScatterKind::Add],
+            |ctx, f_local, area| {
+                let p = ctx.rank();
+                let (localized, q_local) = (&inspect.localized[p], charge.local(p));
+                let SweepArea { ghosts, contrib } = area;
+                for (pos, &it) in iter_part.iters(p).iter().enumerate() {
+                    let (r1, r2) = (localized[2 * pos], localized[2 * pos + 1]);
+                    let (a, b) = (
+                        water.pair1[it as usize] as usize,
+                        water.pair2[it as usize] as usize,
+                    );
+                    let f = pair_force_kernel(
+                        (water.xc[a], water.yc[a], water.zc[a]),
+                        (water.xc[b], water.yc[b], water.zc[b]),
+                        *resolve_local(r1, q_local, ghosts),
+                        *resolve_local(r2, q_local, ghosts),
+                    );
+                    *resolve_local_mut(r1, f_local, &mut contrib[0]) += f.0;
+                    *resolve_local_mut(r2, f_local, &mut contrib[0]) -= f.0;
+                }
+            },
         );
         registry.record_write(&fx.dad());
     }

@@ -6,7 +6,7 @@
 //! Phase B  partition loop iterations
 //! Phase C  remap the data arrays                          (REDISTRIBUTE)
 //! Phase D  inspector: schedules, ghost buffers, indices
-//! Phase E  executor: gather -> compute -> scatter-add
+//! Phase E  executor: one sweep per step (gather -> compute -> scatter-add)
 //! ```
 //!
 //! Run with `cargo run --example quickstart --release`.
@@ -14,7 +14,7 @@
 use chaos_repro::prelude::*;
 use chaos_runtime::iterpart::partition_iterations;
 use chaos_runtime::{
-    gather, resolve_local, resolve_local_mut, scatter_add, GeoColSpec, Inspector, MapperCoupler,
+    resolve_local, resolve_local_mut, GeoColSpec, Inspector, MapperCoupler, SweepArea,
 };
 use chaos_workloads::edge_flux_kernel;
 
@@ -90,34 +90,32 @@ fn main() {
     );
 
     // Phase E: ten executor sweeps of the paper's loop L2, reusing the
-    // schedule every time.
+    // schedule every time; each is one gather -> flux -> scatter-add region.
+    let mut areas = SweepAreas::default();
     for _ in 0..10 {
-        let ghosts = gather(&mut machine, &inspect.schedule, &x);
-        let mut contributions: Vec<Vec<f64>> = (0..nprocs)
-            .map(|p| vec![0.0; inspect.ghost_counts[p]])
-            .collect();
-        for p in 0..nprocs {
-            let x_local = x.local(p);
-            let x_ghost = &ghosts[p];
-            let y_local = y.local_mut(p);
-            // One local index per reference: an owned offset, or — behind
-            // the owned elements — a ghost slot.
-            for refs in inspect.localized[p].chunks_exact(2) {
-                let (r1, r2) = (refs[0], refs[1]);
-                let (f1, f2) = edge_flux_kernel(
-                    *resolve_local(r1, x_local, x_ghost),
-                    *resolve_local(r2, x_local, x_ghost),
-                );
-                *resolve_local_mut(r1, y_local, &mut contributions[p]) += f1;
-                *resolve_local_mut(r2, y_local, &mut contributions[p]) += f2;
-            }
-        }
-        scatter_add(
+        sweep(
             &mut machine,
-            "edge-loop",
             &inspect.schedule,
+            &x,
             &mut y,
-            &contributions,
+            &mut areas,
+            &[ScatterKind::Add],
+            |ctx, y_local, area| {
+                let p = ctx.rank();
+                let x_local = x.local(p);
+                let SweepArea { ghosts, contrib } = area;
+                // One local index per reference: an owned offset, or —
+                // behind the owned elements — a ghost slot.
+                for refs in inspect.localized[p].chunks_exact(2) {
+                    let (r1, r2) = (refs[0], refs[1]);
+                    let (f1, f2) = edge_flux_kernel(
+                        *resolve_local(r1, x_local, ghosts),
+                        *resolve_local(r2, x_local, ghosts),
+                    );
+                    *resolve_local_mut(r1, y_local, &mut contrib[0]) += f1;
+                    *resolve_local_mut(r2, y_local, &mut contrib[0]) += f2;
+                }
+            },
         );
     }
 

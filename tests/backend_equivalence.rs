@@ -9,106 +9,18 @@
 //! once), with more ranks than lanes (striping) and with more lanes than
 //! ranks (idle lanes).
 
-use chaos_repro::dmsim::{Backend, PooledBackend};
+use chaos_repro::dmsim::{Backend, PooledBackend, RankCtx};
 use chaos_repro::geocol::{
     GeoCoL, GeoColBuilder, Partitioner, Partitioning, RcbPartitioner, RsbPartitioner,
 };
 use chaos_repro::prelude::*;
-use chaos_repro::runtime::{
-    gather, resolve_local, resolve_local_mut, scatter_add, scatter_op, Inspector,
-};
 use proptest::prelude::*;
 
-/// What one pipeline run observes: everything that must match across
-/// engines.
-#[derive(Debug, PartialEq)]
-struct PipelineObservation {
-    localized: Vec<Vec<u32>>,
-    ghost_counts: Vec<usize>,
-    ghost_bits: Vec<Vec<u64>>,
-    y_add_bits: Vec<u64>,
-    y_max_bits: Vec<u64>,
-    clock_bits: Vec<(u64, u64, u64)>,
-    messages: usize,
-    bytes: usize,
-    phases: usize,
-    comm_seconds_bits: u64,
-    /// Per [`PhaseKind`]: messages, bytes, phases and `comm_seconds` bits.
-    kind_totals: Vec<(usize, usize, usize, u64)>,
-}
+mod pipeline;
+use pipeline::{build_pattern, run_pipeline};
 
-/// Run the full inspector/executor pipeline (localize → gather → rank-local
-/// compute → scatter-add → scatter-max) on any engine and snapshot every
-/// observable.
-fn run_pipeline<B: Backend>(
-    backend: &mut B,
-    dist: &Distribution,
-    data: &[f64],
-    pattern: &AccessPattern,
-) -> PipelineObservation {
-    let n = data.len();
-    let x = DistArray::from_global("x", dist.clone(), data);
-    let result = Inspector.localize(backend, dist, pattern);
-    let ghosts = gather(backend, &result.schedule, &x);
-
-    // Rank-local compute: each rank folds 2*x over its references into its
-    // own y shard / contribution buffer (the executor template).
-    let mut y = DistArray::from_global("y", dist.clone(), &vec![1.0; n]);
-    let mut contributions: Vec<Vec<f64>> = ghosts.clone();
-    backend.run_compute(
-        y.par_shards_mut().zip(contributions.iter_mut()),
-        |ctx, (y_local, contrib): (&mut [f64], &mut Vec<f64>)| {
-            let q = ctx.rank();
-            contrib.fill(0.0);
-            for &r in &result.localized[q] {
-                let v = 2.0 * *resolve_local(r, x.local(q), &ghosts[q]);
-                *resolve_local_mut(r, y_local, contrib) += v;
-            }
-            ctx.charge_compute(q, result.localized[q].len() as f64);
-        },
-    );
-    scatter_add(backend, "L", &result.schedule, &mut y, &contributions);
-
-    // A second reduction operator over the same schedule.
-    let mut z = DistArray::from_global("z", dist.clone(), &vec![0.5; n]);
-    scatter_op(backend, &result.schedule, &mut z, &ghosts, |a, b| {
-        *a = f64::max(*a, b)
-    });
-
-    let machine = backend.machine();
-    let elapsed = machine.elapsed();
-    let totals = machine.stats().grand_totals();
-    PipelineObservation {
-        localized: result.localized,
-        ghost_counts: result.ghost_counts,
-        ghost_bits: ghosts
-            .iter()
-            .map(|g| g.iter().map(|v| v.to_bits()).collect())
-            .collect(),
-        y_add_bits: y.to_global().iter().map(|v| v.to_bits()).collect(),
-        y_max_bits: z.to_global().iter().map(|v| v.to_bits()).collect(),
-        clock_bits: (0..machine.nprocs())
-            .map(|p| {
-                (
-                    elapsed.compute[p].to_bits(),
-                    elapsed.comm[p].to_bits(),
-                    elapsed.idle[p].to_bits(),
-                )
-            })
-            .collect(),
-        messages: totals.messages,
-        bytes: totals.bytes,
-        phases: totals.phases,
-        comm_seconds_bits: totals.comm_seconds.to_bits(),
-        kind_totals: PhaseKind::ALL
-            .iter()
-            .map(|&kind| {
-                let t = machine.stats().totals_for(kind);
-                (t.messages, t.bytes, t.phases, t.comm_seconds.to_bits())
-            })
-            .collect(),
-    }
-}
+/// This suite's salt for [`build_pattern`].
+const SALT: u64 = 11;
 
 /// Strategy: a processor count, a map array and a reference pattern seed.
 fn workload_strategy() -> impl Strategy<Value = (usize, Vec<u32>, u64, usize)> {
@@ -122,18 +34,6 @@ fn workload_strategy() -> impl Strategy<Value = (usize, Vec<u32>, u64, usize)> {
             )
         })
     })
-}
-
-fn build_pattern(p: usize, n: usize, seed: u64, refs_per_proc: usize) -> AccessPattern {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
-    let mut pattern = AccessPattern::new(p);
-    for q in 0..p {
-        for _ in 0..refs_per_proc {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            pattern.refs[q].push(((state >> 33) as usize % n) as u32);
-        }
-    }
-    pattern
 }
 
 proptest! {
@@ -151,7 +51,7 @@ proptest! {
         let n = map.len();
         let dist = Distribution::irregular_from_map(&map, p);
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.37 - 5.0).collect();
-        let pattern = build_pattern(p, n, seed, refs_per_proc);
+        let pattern = build_pattern(p, n, seed, refs_per_proc, SALT);
 
         let cfg = || MachineConfig::unit(p);
         let mut seq = Machine::new(cfg());
@@ -176,7 +76,7 @@ fn pool_with_more_ranks_than_workers_is_exact() {
     let map: Vec<u32> = (0..n).map(|i| ((i * 31 + i / 7) % p) as u32).collect();
     let dist = Distribution::irregular_from_map(&map, p);
     let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin() + 2.0).collect();
-    let pattern = build_pattern(p, n, 0xC4A05, 512);
+    let pattern = build_pattern(p, n, 0xC4A05, 512, SALT);
 
     let cfg = || MachineConfig::unit(p);
     let mut seq = Machine::new(cfg());
@@ -184,7 +84,10 @@ fn pool_with_more_ranks_than_workers_is_exact() {
     let obs_seq = run_pipeline(&mut seq, &dist, &data, &pattern);
     let obs_pool = run_pipeline(&mut pool, &dist, &data, &pattern);
     assert_eq!(obs_seq, obs_pool);
-    assert!(obs_seq.messages > 0, "the stress workload must communicate");
+    assert!(
+        obs_seq.totals[0].0 > 0,
+        "the stress workload must communicate"
+    );
 }
 
 /// Stress the opposite imbalance: a pool with far more workers (32) than
@@ -197,7 +100,7 @@ fn pool_with_more_workers_than_cores_is_exact() {
     let map: Vec<u32> = (0..n).map(|i| ((i * 13 + 3) % p) as u32).collect();
     let dist = Distribution::irregular_from_map(&map, p);
     let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos() - 1.0).collect();
-    let pattern = build_pattern(p, n, 0xBEEF, 96);
+    let pattern = build_pattern(p, n, 0xBEEF, 96, SALT);
 
     let cfg = || MachineConfig::unit(p);
     let mut seq = Machine::new(cfg());
@@ -695,6 +598,117 @@ fn mesh_workload_experiment_is_engine_independent() {
         assert_eq!(seq.inspector.to_bits(), other.inspector.to_bits());
         assert_eq!(seq.messages, other.messages);
         assert_eq!(seq.bytes, other.bytes);
+    }
+}
+
+/// Three hand-coded pair sweeps over BLOCK (owner computes) on `backend`,
+/// each fused ([`sweep`]) or, the oracle, phase per op (`gather_into` →
+/// `run_compute` → `scatter_add`) around the same pair kernel. Returns `y`,
+/// every rank's clocks and each phase kind's traffic as one row of bits,
+/// the executor's traffic, and the epochs the sweeps took.
+fn three_pair_sweeps<B: Backend>(
+    backend: &mut B,
+    w: &chaos_bench::PairLoopWorkload,
+    fused: bool,
+) -> (Vec<u64>, chaos_repro::dmsim::CommStats, u64) {
+    use chaos_repro::runtime::{gather_into, resolve_local, resolve_local_mut, scatter_add};
+    let p = backend.nprocs();
+    let dist = Distribution::block(w.nnodes, p);
+    let x = DistArray::from_global("x", dist.clone(), &w.input);
+    let mut y = DistArray::from_global("y", dist.clone(), &vec![0.5; w.nnodes]);
+    let mut pattern = AccessPattern::new(p);
+    for (&a, &b) in w.e1.iter().zip(&w.e2) {
+        pattern.refs[dist.locate(a as usize).0].extend([a, b]);
+    }
+    let inspect = chaos_repro::runtime::Inspector.localize(backend, &dist, &pattern);
+    let pair_kernel =
+        |ctx: &mut RankCtx<'_>, y_local: &mut [f64], ghosts: &[f64], contrib: &mut [f64]| {
+            let q = ctx.rank();
+            for refs in inspect.localized[q].chunks_exact(2) {
+                let (r1, r2) = (refs[0], refs[1]);
+                let (f1, f2) = (w.kernel)(
+                    *resolve_local(r1, x.local(q), ghosts),
+                    *resolve_local(r2, x.local(q), ghosts),
+                );
+                *resolve_local_mut(r1, y_local, contrib) += f1;
+                *resolve_local_mut(r2, y_local, contrib) += f2;
+            }
+            ctx.charge_compute(
+                q,
+                (inspect.localized[q].len() / 2) as f64 * w.ops_per_iteration,
+            );
+        };
+    let machine = backend.machine_mut();
+    machine.set_phase_kind(Some(PhaseKind::Executor));
+    let before = machine.epoch();
+    let counts = &inspect.ghost_counts;
+    let mut ghosts: Vec<Vec<f64>> = counts.iter().map(|&c| vec![0.0; c]).collect();
+    let (mut contributions, mut areas) = (ghosts.clone(), SweepAreas::default());
+    for _ in 0..3 {
+        if fused {
+            sweep(
+                backend,
+                &inspect.schedule,
+                &x,
+                &mut y,
+                &mut areas,
+                &[ScatterKind::Add],
+                |ctx, y, area| pair_kernel(ctx, y, &area.ghosts, &mut area.contrib[0]),
+            );
+            continue;
+        }
+        gather_into(backend, "L", &inspect.schedule, &x, &mut ghosts);
+        backend.run_compute(
+            y.par_shards_mut().zip(&mut contributions),
+            |ctx, (y_local, contrib): (&mut [f64], &mut Vec<f64>)| {
+                contrib.fill(0.0);
+                pair_kernel(ctx, y_local, &ghosts[ctx.rank()], contrib)
+            },
+        );
+        scatter_add(backend, "L", &inspect.schedule, &mut y, &contributions);
+    }
+    let (m, e) = (backend.machine(), backend.machine().elapsed());
+    let traffic = PhaseKind::ALL.map(|k| m.stats().totals_for(k));
+    let counts = traffic.iter().flat_map(|t| [t.messages, t.bytes, t.phases]);
+    let bits = (y.to_global().into_iter())
+        .chain((0..p).flat_map(|q| [e.compute[q], e.comm[q], e.idle[q]]))
+        .chain(traffic.iter().map(|t| t.comm_seconds))
+        .map(f64::to_bits)
+        .chain(counts.map(|n| n as u64))
+        .collect();
+    let executor = traffic[PhaseKind::Executor.index()];
+    (bits, executor, m.epoch() - before)
+}
+
+/// Fusing the hand-coded sweep changes no charge: on `Machine` and a 2-lane
+/// pool, the fused sweep leaves the phase-per-op sweep's `y`, clock bits and
+/// traffic, in one epoch per sweep against three — also with no ghosts
+/// (self-pairs), where its always-active scatter stage closes the phase.
+#[test]
+fn the_fused_sweep_charges_what_the_phase_per_op_sweep_charged() {
+    let mesh = chaos_bench::workload::mesh_workload(MeshConfig::tiny(600));
+    let local = chaos_bench::PairLoopWorkload {
+        e2: mesh.e1.clone(),
+        ..mesh.clone()
+    };
+    let cfg = || MachineConfig::ipsc860(4);
+    for (w, has_ghosts) in [(&mesh, true), (&local, false)] {
+        for workers in [0, 2] {
+            let run = |fused| match workers {
+                0 => three_pair_sweeps(&mut Machine::new(cfg()), w, fused),
+                n => {
+                    let mut pool = PooledBackend::from_config_with_workers(cfg(), n);
+                    three_pair_sweeps(&mut pool, w, fused)
+                }
+            };
+            let ((fused, executor, fused_epochs), (phased, _, phased_epochs)) =
+                (run(true), run(false));
+            assert_eq!((fused_epochs, phased_epochs), (3, 9), "workers: {workers}");
+            // Messages exactly when there are ghosts, and a gather and a
+            // scatter phase per sweep either way.
+            assert_eq!((executor.messages > 0, executor.phases), (has_ghosts, 6));
+            assert_eq!(fused, phased, "workers: {workers}, ghosts: {has_ghosts}");
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 use chaos_repro::prelude::*;
 use chaos_repro::runtime::iterpart::partition_iterations;
 use chaos_repro::runtime::{
-    gather, resolve_local, resolve_local_mut, scatter_add, GeoColSpec, Inspector,
-    IterPartitionPolicy, MapperCoupler,
+    resolve_local, resolve_local_mut, GeoColSpec, Inspector, IterPartitionPolicy, MapperCoupler,
+    SweepArea,
 };
 use chaos_repro::workloads::edge_flux_kernel;
 
@@ -96,28 +96,29 @@ fn execute(
     }
     let inspect = Inspector.localize(machine, dist, &pattern);
     machine.set_phase_kind(Some(PhaseKind::Executor));
+    let mut areas = SweepAreas::default();
     for _ in 0..sweeps {
-        let ghosts = gather(machine, &inspect.schedule, x);
-        let mut contributions: Vec<Vec<f64>> = (0..nprocs)
-            .map(|p| vec![0.0; inspect.ghost_counts[p]])
-            .collect();
-        for p in 0..nprocs {
-            let localized = &inspect.localized[p];
-            let mut updates = Vec::with_capacity(localized.len());
-            for it in 0..iter_part.iters(p).len() {
-                let (r1, r2) = (localized[2 * it], localized[2 * it + 1]);
-                let v1 = *resolve_local(r1, x.local(p), &ghosts[p]);
-                let v2 = *resolve_local(r2, x.local(p), &ghosts[p]);
-                let (f1, f2) = edge_flux_kernel(v1, v2);
-                updates.push((r1, f1));
-                updates.push((r2, f2));
-            }
-            let y_local = y.local_mut(p);
-            for (r, f) in updates {
-                *resolve_local_mut(r, y_local, &mut contributions[p]) += f;
-            }
-        }
-        scatter_add(machine, "L2", &inspect.schedule, y, &contributions);
+        sweep(
+            machine,
+            &inspect.schedule,
+            x,
+            y,
+            &mut areas,
+            &[ScatterKind::Add],
+            |ctx, y_local, area| {
+                let p = ctx.rank();
+                let SweepArea { ghosts, contrib } = area;
+                for refs in inspect.localized[p].chunks_exact(2) {
+                    let (r1, r2) = (refs[0], refs[1]);
+                    let (f1, f2) = edge_flux_kernel(
+                        *resolve_local(r1, x.local(p), ghosts),
+                        *resolve_local(r2, x.local(p), ghosts),
+                    );
+                    *resolve_local_mut(r1, y_local, &mut contrib[0]) += f1;
+                    *resolve_local_mut(r2, y_local, &mut contrib[0]) += f2;
+                }
+            },
+        );
     }
     let t = machine.phase_elapsed(PhaseKind::Executor);
     machine.set_phase_kind(None);
@@ -268,33 +269,24 @@ fn md_pipeline_runs_end_to_end() {
         }
     }
     let inspect = Inspector.localize(&mut machine, &dist, &pattern);
-    let ghosts = gather(&mut machine, &inspect.schedule, &q);
-    let mut contributions: Vec<Vec<f64>> = (0..nprocs)
-        .map(|p| vec![0.0; inspect.ghost_counts[p]])
-        .collect();
-    for p in 0..nprocs {
-        let mut updates = Vec::new();
-        for it in 0..iter_part.iters(p).len() {
-            let (r1, r2) = (
-                inspect.localized[p][2 * it],
-                inspect.localized[p][2 * it + 1],
-            );
-            let qa = *resolve_local(r1, q.local(p), &ghosts[p]);
-            let qb = *resolve_local(r2, q.local(p), &ghosts[p]);
-            updates.push((r1, qa * qb));
-            updates.push((r2, -(qa * qb)));
-        }
-        let f_local = f.local_mut(p);
-        for (r, v) in updates {
-            *resolve_local_mut(r, f_local, &mut contributions[p]) += v;
-        }
-    }
-    scatter_add(
+    sweep(
         &mut machine,
-        "md",
         &inspect.schedule,
+        &q,
         &mut f,
-        &contributions,
+        &mut SweepAreas::default(),
+        &[ScatterKind::Add],
+        |ctx, f_local, area| {
+            let p = ctx.rank();
+            let SweepArea { ghosts, contrib } = area;
+            for refs in inspect.localized[p].chunks_exact(2) {
+                let (r1, r2) = (refs[0], refs[1]);
+                let qa = *resolve_local(r1, q.local(p), ghosts);
+                let qb = *resolve_local(r2, q.local(p), ghosts);
+                *resolve_local_mut(r1, f_local, &mut contrib[0]) += qa * qb;
+                *resolve_local_mut(r2, f_local, &mut contrib[0]) += -(qa * qb);
+            }
+        },
     );
 
     // Reference.

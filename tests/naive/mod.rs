@@ -1,14 +1,15 @@
 //! Naive reference implementation of the inspector/executor pipeline.
 //!
 //! This module preserves the original nested-`Vec` + `HashMap` formulation
-//! of `localize`, `gather` and `scatter_add` (schedules as
-//! `Vec<Vec<(owner, offset)>>` ghost lists and per-owner `Vec<SendList>`s,
-//! communication through materialized [`ExchangePlan`]s, which this module
-//! owns along with their one consumer, [`exchange`]). It is **not** used
-//! by the runtime — the flat CSR implementation in `chaos_runtime::schedule`
-//! / `chaos_runtime::executor` is — but is retained as an executable
-//! specification: `csr_pipeline_matches_naive_reference` asserts that the CSR
-//! hot path produces byte-identical gather/scatter results and identical
+//! of `localize` (with the translation table's `dereference`), `gather` and
+//! `scatter_add` (schedules as `Vec<Vec<(owner, offset)>>` ghost lists and
+//! per-owner `Vec<SendList>`s, communication through materialized
+//! [`ExchangePlan`]s, which this module owns along with their one consumer,
+//! [`exchange`]). It is **not** used by the runtime — the flat CSR
+//! implementation in `chaos_runtime::schedule` / `chaos_runtime::executor`
+//! is — but is retained as an executable specification:
+//! `csr_pipeline_matches_naive_reference` asserts that the CSR executor
+//! sweep produces byte-identical gather/scatter results and identical
 //! message/volume accounting against this reference.
 
 // This module intentionally preserves the seed's code shape, idioms
@@ -16,7 +17,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use chaos_repro::dmsim::{Machine, PhaseCharge};
-use chaos_repro::runtime::{AccessPattern, DistArray, Distribution};
+use chaos_repro::runtime::{AccessPattern, DistArray, Distribution, TranslationTable};
 use std::collections::HashMap;
 
 /// One phase of materialized `(from, to, payload)` messages.
@@ -135,6 +136,48 @@ pub struct NaiveInspectorResult {
     pub ghost_counts: Vec<usize>,
 }
 
+/// The seed's `TranslationTable::dereference`: ship each rank's requests
+/// to their page owners (one block of the BLOCK split per rank) through a
+/// real exchange, then have the owners probe their pages and answer with
+/// `(owner, offset)` pairs, twice the volume of the request.
+pub fn dereference(
+    machine: &mut Machine,
+    table: &TranslationTable,
+    requests: &[Vec<u32>],
+) -> Vec<Vec<(u32, u32)>> {
+    let nprocs = machine.nprocs();
+    let block = table.len().div_ceil(nprocs).max(1);
+    let mut plan: ExchangePlan<u32> = Vec::new();
+    for (p, reqs) in requests.iter().enumerate() {
+        let mut per_dest: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
+        for &g in reqs {
+            per_dest[(g as usize / block).min(nprocs - 1)].push(g);
+        }
+        for (page, payload) in per_dest.into_iter().enumerate() {
+            if !payload.is_empty() {
+                plan.push((p, page, payload));
+            }
+        }
+    }
+    let reply: ExchangePlan<u32> = plan
+        .iter()
+        .map(|(p, page, payload)| (*page, *p, vec![0u32; 2 * payload.len()]))
+        .collect();
+    exchange(machine, plan);
+    for (page, _, answers) in &reply {
+        machine.charge_compute(*page, (answers.len() / 2) as f64);
+    }
+    exchange(machine, reply);
+    let answer = |&g: &u32| {
+        let g = g as usize;
+        (table.owner(g) as u32, table.local_offset(g) as u32)
+    };
+    requests
+        .iter()
+        .map(|reqs| reqs.iter().map(answer).collect())
+        .collect()
+}
+
 /// The seed's `Inspector::localize`: per-index translation, `HashMap`-based
 /// slot assignment, nested-`Vec` schedule.
 pub fn localize(
@@ -145,15 +188,7 @@ pub fn localize(
     let nprocs = machine.nprocs();
     assert_eq!(pattern.refs.len(), nprocs);
     let located: Vec<Vec<(u32, u32)>> = match data_dist {
-        Distribution::Irregular { table } => {
-            let mut packed = Vec::new();
-            table.dereference(machine, &pattern.refs, &mut packed);
-            let unpack = |&k: &u64| ((k >> 32) as u32, k as u32);
-            packed
-                .iter()
-                .map(|row| row.iter().map(unpack).collect())
-                .collect()
-        }
+        Distribution::Irregular { table } => dereference(machine, table, &pattern.refs),
         _ => {
             let mut out = Vec::with_capacity(nprocs);
             for (p, refs) in pattern.refs.iter().enumerate() {

@@ -2,14 +2,14 @@
 //!
 //! The whole point of reusing an inspector schedule is that the executor
 //! cost paid every iteration is as small as possible. With the flat CSR
-//! schedule, `gather_into` + local compute + `scatter_op` into reused
-//! buffers must not touch the heap at all: this test wraps the global
-//! allocator in a counter, warms the loop up (first iterations may grow
-//! stats tables and buffer capacities), and then asserts that further
-//! iterations perform exactly zero allocations.
+//! schedule, an executor sweep (gather, local compute, scatter-add, one
+//! engine region) over reused sweep areas must not touch the heap at all:
+//! this test wraps the global allocator in a counter, warms the loop up
+//! (first iterations may grow stats tables and buffer capacities), and
+//! then asserts that further iterations perform exactly zero allocations.
 
 use chaos_repro::prelude::*;
-use chaos_repro::runtime::{gather_into, resolve_local, scatter_op, Inspector};
+use chaos_repro::runtime::{resolve_local, Inspector, InspectorResult, SweepArea};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -89,126 +89,33 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-#[test]
-fn steady_state_executor_iteration_is_allocation_free() {
-    let _serial = serialised();
-    let nprocs = 8;
-    let n = 4096usize;
-    // A deterministic irregular distribution and access pattern (no RNG so
-    // the test is bit-stable).
+/// A hand-written executor sweep on engine `B` with all its persistent
+/// state — the inspected schedule, `x`, `y` and the sweep areas — so
+/// [`FusedSweep::step`] is one steady-state [`sweep`]: gather → compute →
+/// scatter in one epoch.
+struct FusedSweep<B> {
+    backend: B,
+    x: DistArray<f64>,
+    y: DistArray<f64>,
+    inspect: InspectorResult,
+    areas: SweepAreas,
+}
+
+/// A deterministic irregular distribution of `n` elements over `nprocs`
+/// and an `x` over it (no RNG, so the tests are bit-stable).
+fn irregular_x(nprocs: usize, n: usize) -> (Distribution, DistArray<f64>) {
     let map: Vec<u32> = (0..n).map(|i| ((i * 7 + i / 13) % nprocs) as u32).collect();
     let dist = Distribution::irregular_from_map(&map, nprocs);
     let data: Vec<f64> = (0..n).map(|i| 1.0 + (i % 97) as f64).collect();
     let x = DistArray::from_global("x", dist.clone(), &data);
-    let mut y = DistArray::from_global("y", dist.clone(), &vec![0.0; n]);
-
-    let mut pattern = AccessPattern::new(nprocs);
-    for p in 0..nprocs {
-        for k in 0..512 {
-            pattern.refs[p].push(((p * 131 + k * 17) % n) as u32);
-        }
-    }
-
-    let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-    let inspect = Inspector.localize(&mut machine, &dist, &pattern);
-    machine.set_phase_kind(Some(PhaseKind::Executor));
-
-    // Reused executor buffers: ghost values and ghost contributions.
-    let mut ghosts: Vec<Vec<f64>> = (0..nprocs)
-        .map(|p| vec![0.0; inspect.ghost_counts[p]])
-        .collect();
-    let mut contributions: Vec<Vec<f64>> = ghosts.clone();
-
-    let iteration = |machine: &mut Machine,
-                     y: &mut DistArray<f64>,
-                     ghosts: &mut Vec<Vec<f64>>,
-                     contributions: &mut Vec<Vec<f64>>| {
-        gather_into(machine, "L", &inspect.schedule, &x, ghosts);
-        for contrib in contributions.iter_mut() {
-            contrib.fill(0.0);
-        }
-        // Local compute: y(ref) += 2 * x(ref) for every reference.
-        for p in 0..nprocs {
-            let x_local = x.local(p);
-            let x_ghost = &ghosts[p];
-            let contrib = &mut contributions[p];
-            let mut owned_updates = 0u32;
-            for &r in &inspect.localized[p] {
-                let v = 2.0 * *resolve_local(r, x_local, x_ghost);
-                match (r as usize).checked_sub(x_local.len()) {
-                    None => owned_updates += 1,
-                    Some(slot) => contrib[slot] += v,
-                }
-            }
-            machine.charge_compute(p, owned_updates as f64);
-        }
-        // Owned updates write y directly.
-        for p in 0..nprocs {
-            let x_local = x.local(p);
-            let y_local = y.local_mut(p);
-            for &r in &inspect.localized[p] {
-                if let Some(x) = x_local.get(r as usize) {
-                    y_local[r as usize] += 2.0 * x;
-                }
-            }
-        }
-        scatter_op(machine, &inspect.schedule, y, contributions, |a, b| *a += b);
-    };
-
-    // Warm-up: grows any lazily-sized state.
-    for _ in 0..3 {
-        iteration(&mut machine, &mut y, &mut ghosts, &mut contributions);
-    }
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let messages_before = machine.stats().grand_totals().messages;
-    for _ in 0..10 {
-        iteration(&mut machine, &mut y, &mut ghosts, &mut contributions);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    let messages_after = machine.stats().grand_totals().messages;
-
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state executor iterations allocated {} times",
-        after - before
-    );
-    // The iterations really did run and charge communication.
-    assert!(messages_after > messages_before);
-    assert!(machine.elapsed().max_seconds() > 0.0);
+    (dist, x)
 }
 
-/// One rank's sweep area: ghost values and ghost contributions (the posted
-/// half of a fused sweep, frozen during combine).
-struct RankArea {
-    ghosts: Vec<f64>,
-    contrib: Vec<f64>,
-}
-
-/// A fused-sweep workload on the sequential engine with all its persistent
-/// state — the inspected schedule, per-rank `y` shards (the sweep scratch)
-/// and per-rank sweep areas — so [`FusedSweep::sweep`] is one steady-state
-/// gather → compute → scatter epoch.
-struct FusedSweep {
-    machine: Machine,
-    x: DistArray<f64>,
-    inspect: chaos_repro::runtime::InspectorResult,
-    y: Vec<Vec<f64>>,
-    areas: Vec<RankArea>,
-    /// Where each rank's ghosts land in its area's `ghosts` row: at 0, the
-    /// row being exactly the schedule's ghost buffer.
-    bases: Vec<u32>,
-}
-
-impl FusedSweep {
-    fn new() -> Self {
-        let nprocs = 8;
-        let n = 4096usize;
-        let map: Vec<u32> = (0..n).map(|i| ((i * 7 + i / 13) % nprocs) as u32).collect();
-        let dist = Distribution::irregular_from_map(&map, nprocs);
-        let data: Vec<f64> = (0..n).map(|i| 1.0 + (i % 97) as f64).collect();
-        let x = DistArray::from_global("x", dist.clone(), &data);
+impl<B: Backend> FusedSweep<B> {
+    fn new(mut backend: B) -> Self {
+        let (nprocs, n) = (backend.nprocs(), 4096);
+        let (dist, x) = irregular_x(nprocs, n);
+        let y = DistArray::from_global("y", dist.clone(), &vec![0.0; n]);
 
         let mut pattern = AccessPattern::new(nprocs);
         for p in 0..nprocs {
@@ -216,108 +123,127 @@ impl FusedSweep {
                 pattern.refs[p].push(((p * 131 + k * 17) % n) as u32);
             }
         }
-
-        let mut machine = Machine::new(MachineConfig::ipsc860(nprocs));
-        let inspect = Inspector.localize(&mut machine, &dist, &pattern);
-        machine.set_phase_kind(Some(PhaseKind::Executor));
-        let y = (0..nprocs).map(|p| vec![0.0; x.local(p).len()]).collect();
-        let areas = (0..nprocs)
-            .map(|p| RankArea {
-                ghosts: vec![0.0; inspect.ghost_counts[p]],
-                contrib: vec![0.0; inspect.ghost_counts[p]],
-            })
-            .collect();
+        let inspect = Inspector.localize(&mut backend, &dist, &pattern);
+        backend
+            .machine_mut()
+            .set_phase_kind(Some(PhaseKind::Executor));
         FusedSweep {
-            machine,
+            backend,
             x,
-            inspect,
             y,
-            areas,
-            bases: vec![0; nprocs],
+            inspect,
+            areas: SweepAreas::default(),
         }
     }
 
-    fn sweep(&mut self) {
-        use chaos_repro::runtime::{
-            gather_inline, scatter_combine_rows, scatter_pack_kernel, Landing,
-        };
+    /// One sweep: `y(ref) += 2 * x(ref)` for every reference.
+    fn step(&mut self) {
         let (x, inspect) = (&self.x, &self.inspect);
-        gather_inline(
-            &mut self.machine,
+        sweep(
+            &mut self.backend,
             &inspect.schedule,
             x,
-            Landing::Offset(&self.bases),
-            self.areas.iter_mut().map(|a| &mut a.ghosts),
-        );
-        self.machine.run_sweep(
-            &mut self.y[..],
-            &mut self.areas[..],
+            &mut self.y,
+            &mut self.areas,
+            &[ScatterKind::Add],
             |ctx, y_local, area| {
                 let rank = ctx.rank();
-                area.contrib.fill(0.0);
                 let x_local = x.local(rank);
+                let SweepArea { ghosts, contrib } = area;
                 let mut owned = 0u32;
                 for &r in &inspect.localized[rank] {
+                    let v = 2.0 * *resolve_local(r, x_local, ghosts);
                     match (r as usize).checked_sub(x_local.len()) {
                         None => {
-                            y_local[r as usize] += 2.0 * x_local[r as usize];
+                            y_local[r as usize] += v;
                             owned += 1;
                         }
-                        Some(slot) => area.contrib[slot] += 2.0 * area.ghosts[slot],
+                        Some(slot) => contrib[0][slot] += v,
                     }
                 }
                 ctx.charge_compute(rank, owned as f64);
             },
-            1,
-            |_areas, _j| true,
-            |ctx, _j| scatter_pack_kernel(ctx, &inspect.schedule),
-            |ctx, _j, y_local, areas| {
-                scatter_combine_rows(
-                    ctx,
-                    &inspect.schedule,
-                    |p| areas[p].contrib.as_slice(),
-                    &mut y_local[..],
-                    &|a, b| *a += b,
-                );
-            },
         );
     }
 
-    /// Allocations made by `sweeps` further sweeps.
-    fn allocations_over(&mut self, sweeps: usize) -> u64 {
+    /// Allocations made by `sweeps` further sweeps, on this thread or, with
+    /// `all_threads`, on every thread (the pool's worker lanes included).
+    fn allocations_over(&mut self, sweeps: usize, all_threads: bool) -> u64 {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
+        ALL_THREADS.store(all_threads, Ordering::Relaxed);
         for _ in 0..sweeps {
-            self.sweep();
+            self.step();
         }
+        ALL_THREADS.store(false, Ordering::Relaxed);
         ALLOCATIONS.load(Ordering::Relaxed) - before
+    }
+
+    fn machine(&self) -> &Machine {
+        self.backend.machine()
     }
 }
 
-/// The fused sweep must be just as allocation-free as the engine phases:
-/// `gather_inline` + `Backend::run_sweep` drive the same pack / compute /
-/// combine kernels through driver-side contexts and a stack-local
-/// `PhaseCharge`, so a steady-state fused sweep — one epoch for the whole
-/// gather → compute → scatter — performs exactly zero allocations once the
-/// per-rank sweep areas exist.
+/// The hand-coded sweep on a 2-lane pool, with every thread counted, the
+/// pool's worker lanes included: once its sweep areas have grown, a steady
+/// [`sweep`] allocates nothing there either. A libtest thread still
+/// reporting the previous test can fall into an all-threads window, so the
+/// count is the median of three windows.
+#[test]
+fn steady_state_executor_iteration_is_allocation_free() {
+    let _serial = serialised();
+    let cfg = MachineConfig::ipsc860(8);
+    let mut pool = FusedSweep::new(PooledBackend::from_config_with_workers(cfg, 2));
+    pool.allocations_over(3, false);
+    let messages_before = pool.machine().stats().grand_totals().messages;
+    let mut windows: Vec<u64> = (0..3).map(|_| pool.allocations_over(10, true)).collect();
+    windows.sort_unstable();
+    assert_eq!(
+        windows[1], 0,
+        "ten steady pooled sweeps allocated: {windows:?}"
+    );
+    assert!(pool.machine().stats().grand_totals().messages > messages_before);
+}
+
+/// The same sweep on `Machine`: a steady-state fused sweep — one epoch for
+/// the whole gather → compute → scatter — performs exactly zero
+/// allocations once the per-rank sweep areas exist: `gather_inline` +
+/// `Backend::run_sweep` drive the pack / compute / combine kernels through
+/// driver-side contexts and a stack-local `PhaseCharge`. So does the
+/// phase-per-op pair the benchmark's probes time, `gather_into` +
+/// `scatter_add` over caller-owned buffers.
 #[test]
 fn steady_state_fused_sweep_is_allocation_free() {
     let _serial = serialised();
-    let mut fused = FusedSweep::new();
+    use chaos_repro::runtime::{gather_into, scatter_add};
+    let mut fused = FusedSweep::new(Machine::new(MachineConfig::ipsc860(8)));
     // Warm-up: grows any lazily-sized state.
-    fused.allocations_over(3);
+    fused.allocations_over(3, false);
 
-    let epoch_before = fused.machine.epoch();
-    let messages_before = fused.machine.stats().grand_totals().messages;
-    let allocs = fused.allocations_over(10);
+    let epoch_before = fused.machine().epoch();
+    let messages_before = fused.machine().stats().grand_totals().messages;
+    let allocs = fused.allocations_over(10, false);
     assert_eq!(
         allocs, 0,
         "steady-state fused sweeps allocated {allocs} times"
     );
     // Ten sweeps advanced exactly ten epochs (one per fused sweep) and
     // really communicated.
-    assert_eq!(fused.machine.epoch(), epoch_before + 10);
-    assert!(fused.machine.stats().grand_totals().messages > messages_before);
-    assert!(fused.machine.elapsed().max_seconds() > 0.0);
+    assert_eq!(fused.machine().epoch(), epoch_before + 10);
+    assert!(fused.machine().stats().grand_totals().messages > messages_before);
+    assert!(fused.machine().elapsed().max_seconds() > 0.0);
+
+    let f = &mut fused;
+    let mut ghosts: Vec<Vec<f64>> = (0..8).map(|p| f.areas.area(p).ghosts.clone()).collect();
+    let mut phase_per_op = |sweeps| {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..sweeps {
+            gather_into(&mut f.backend, "L", &f.inspect.schedule, &f.x, &mut ghosts);
+            scatter_add(&mut f.backend, "L", &f.inspect.schedule, &mut f.y, &ghosts);
+        }
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    phase_per_op(3);
+    assert_eq!(phase_per_op(10), 0, "steady phase-per-op pairs allocated");
 }
 
 /// Observing must be zero-cost in the heap sense on both sides of the
@@ -334,7 +260,7 @@ fn steady_state_sweep_is_allocation_free_with_observers_off_and_on() {
     use chaos_repro::dmsim::{Counter, MetricsRegistry, TraceSink};
     use std::sync::Arc;
 
-    let mut fused = FusedSweep::new();
+    let mut fused = FusedSweep::new(Machine::new(MachineConfig::ipsc860(8)));
     for (trace, metrics) in [(true, false), (false, true), (true, true)] {
         let sink = trace.then(|| Arc::new(TraceSink::new(0)));
         let registry = metrics.then(|| Arc::new(MetricsRegistry::new(0)));
@@ -353,15 +279,16 @@ fn steady_state_sweep_is_allocation_free_with_observers_off_and_on() {
             // Not installed: the observers were installed once and then
             // removed, so the disabled branch of every hook is the one
             // actually running.
-            fused.machine.install_trace(sink.clone());
-            fused.machine.install_metrics(registry.clone());
+            let machine = fused.backend.machine_mut();
+            machine.install_trace(sink.clone());
+            machine.install_metrics(registry.clone());
             if !installed {
-                fused.machine.install_trace(None);
-                fused.machine.install_metrics(None);
+                machine.install_trace(None);
+                machine.install_metrics(None);
             }
-            fused.allocations_over(3);
+            fused.allocations_over(3, false);
             let (events_before, epochs_before) = recorded();
-            let allocs = fused.allocations_over(10);
+            let allocs = fused.allocations_over(10, false);
             assert_eq!(
                 allocs, 0,
                 "steady-state sweeps allocated {allocs} times with trace={trace} \
@@ -401,12 +328,8 @@ fn steady_state_incremental_region_gather_is_allocation_free() {
     let _serial = serialised();
     use chaos_repro::runtime::{gather_inline, Dad, Inspector, Landing, ReuseRegistry};
 
-    let nprocs = 8;
-    let n = 4096usize;
-    let map: Vec<u32> = (0..n).map(|i| ((i * 7 + i / 13) % nprocs) as u32).collect();
-    let dist = Distribution::irregular_from_map(&map, nprocs);
-    let data: Vec<f64> = (0..n).map(|i| 1.0 + (i % 97) as f64).collect();
-    let x = DistArray::from_global("x", dist.clone(), &data);
+    let (nprocs, n) = (8, 4096);
+    let (dist, x) = irregular_x(nprocs, n);
 
     // Two overlapping access patterns over the same distribution: the
     // second repeats half the first loop's references and adds new ones.

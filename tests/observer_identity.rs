@@ -12,105 +12,19 @@
 //! `Straggler` must arrive with the hung lane's flight-recorder tail.
 
 use chaos_repro::dmsim::{
-    Backend, Counter, FaultKind, FaultPlan, MetricsRegistry, PhaseError, PooledBackend, TraceEvent,
-    TraceEventKind, TraceSink,
+    diagnose_attempt, Backend, Counter, FaultKind, FaultPlan, MetricsRegistry, PhaseError,
+    PooledBackend, TraceEvent, TraceEventKind, TraceSink,
 };
 use chaos_repro::lang::{CompiledProgram, RecoveryPolicy};
 use chaos_repro::prelude::*;
-use chaos_repro::runtime::{gather, resolve_local, resolve_local_mut, scatter_add, Inspector};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Everything one pipeline run observes: all of it must be unchanged by
-/// installing observers.
-#[derive(Debug, PartialEq)]
-struct Obs {
-    ghost_bits: Vec<Vec<u64>>,
-    y_bits: Vec<u64>,
-    clock_bits: Vec<(u64, u64, u64)>,
-    messages: usize,
-    bytes: usize,
-    phases: usize,
-    comm_seconds_bits: u64,
-    /// Per [`PhaseKind`]: messages, bytes, phases and `comm_seconds` bits.
-    kind_totals: Vec<(usize, usize, usize, u64)>,
-    epoch: u64,
-}
-
-/// Localize → gather → rank-parallel compute → scatter-add on any engine.
-fn run_pipeline<B: Backend>(
-    backend: &mut B,
-    dist: &Distribution,
-    data: &[f64],
-    pattern: &AccessPattern,
-) -> Obs {
-    let n = data.len();
-    let x = DistArray::from_global("x", dist.clone(), data);
-    let result = Inspector.localize(backend, dist, pattern);
-    let ghosts = gather(backend, &result.schedule, &x);
-
-    let mut y = DistArray::from_global("y", dist.clone(), &vec![1.0; n]);
-    let mut contributions: Vec<Vec<f64>> = ghosts.clone();
-    backend.run_compute(
-        y.par_shards_mut().zip(contributions.iter_mut()),
-        |ctx, (y_local, contrib): (&mut [f64], &mut Vec<f64>)| {
-            let q = ctx.rank();
-            contrib.fill(0.0);
-            for &r in &result.localized[q] {
-                let v = 2.0 * *resolve_local(r, x.local(q), &ghosts[q]);
-                *resolve_local_mut(r, y_local, contrib) += v;
-            }
-            ctx.charge_compute(q, result.localized[q].len() as f64);
-        },
-    );
-    scatter_add(backend, "L", &result.schedule, &mut y, &contributions);
-
-    let machine = backend.machine();
-    let elapsed = machine.elapsed();
-    let totals = machine.stats().grand_totals();
-    Obs {
-        ghost_bits: ghosts
-            .iter()
-            .map(|g| g.iter().map(|v| v.to_bits()).collect())
-            .collect(),
-        y_bits: y.to_global().iter().map(|v| v.to_bits()).collect(),
-        clock_bits: (0..machine.nprocs())
-            .map(|p| {
-                (
-                    elapsed.compute[p].to_bits(),
-                    elapsed.comm[p].to_bits(),
-                    elapsed.idle[p].to_bits(),
-                )
-            })
-            .collect(),
-        messages: totals.messages,
-        bytes: totals.bytes,
-        phases: totals.phases,
-        comm_seconds_bits: totals.comm_seconds.to_bits(),
-        kind_totals: PhaseKind::ALL
-            .iter()
-            .map(|&kind| {
-                let t = machine.stats().totals_for(kind);
-                (t.messages, t.bytes, t.phases, t.comm_seconds.to_bits())
-            })
-            .collect(),
-        epoch: machine.epoch(),
-    }
-}
-
-fn build_pattern(p: usize, n: usize, seed: u64, refs_per_proc: usize) -> AccessPattern {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(29);
-    let mut pattern = AccessPattern::new(p);
-    for q in 0..p {
-        for _ in 0..refs_per_proc {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            pattern.refs[q].push(((state >> 33) as usize % n) as u32);
-        }
-    }
-    pattern
-}
+mod pipeline;
+use pipeline::{build_pattern, run_pipeline};
 
 /// The traced run must have actually traced: events were retained and every
 /// lane's span events nest monotonically.
@@ -264,7 +178,7 @@ proptest! {
         let map: Vec<u32> = (0..n).map(|i| ((i as u64 * 31 + seed) % p as u64) as u32).collect();
         let dist = Distribution::irregular_from_map(&map, p);
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.41 - 3.0).collect();
-        let pattern = build_pattern(p, n, seed, refs_per_proc);
+        let pattern = build_pattern(p, n, seed, refs_per_proc, 29);
         let cfg = || MachineConfig::unit(p);
         // Sequential oracle.
         let mut bare = Machine::new(cfg());
@@ -307,9 +221,10 @@ fn straggler_error_carries_the_hung_lanes_flight_recorder_tail() {
     pool.machine_mut().install_fault_plan(Some(Arc::new(plan)));
 
     let mut out = [0u64; 2];
-    let err = pool
-        .try_run_compute(out.iter_mut(), |ctx, slot| *slot = ctx.rank() as u64 + 1)
-        .unwrap_err();
+    let attempt = catch_unwind(AssertUnwindSafe(|| {
+        pool.run_compute(out.iter_mut(), |ctx, slot| *slot = ctx.rank() as u64 + 1)
+    }));
+    let err = diagnose_attempt(&mut pool, attempt).unwrap_err();
     let (rank, lane) = match &err {
         PhaseError::Straggler { rank, lane, .. } => (*rank, *lane),
         other => panic!("expected Straggler, got {other:?}"),
@@ -338,7 +253,7 @@ fn straggler_error_carries_the_hung_lanes_flight_recorder_tail() {
             .any(|e| e.kind == TraceEventKind::ErrorDiagnosed),
         "tail is missing the diagnosis instant"
     );
-    // `try_run_*` stamps the diagnosis with the failing epoch.
+    // `diagnose_attempt` stamps the diagnosis with the failing epoch.
     let diagnosed = tail
         .iter()
         .find(|e| e.kind == TraceEventKind::ErrorDiagnosed);
@@ -559,7 +474,7 @@ fn each_event_has_one_definition_on_both_engines() {
     assert!(help.contains("completion-barrier") && help.contains("stage-barrier"));
 
     // `ErrorDiagnosed`: `arg` is the failing epoch from the lang recovery
-    // driver, exactly as from `try_run_*` (the straggler test above).
+    // driver, exactly as from `diagnose_attempt` (the straggler test above).
     let mut clean = pooled_lang(&inputs);
     clean.run(&cp).expect("program runs");
     let failing = clean.machine().epoch() + 1;

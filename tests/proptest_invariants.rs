@@ -6,19 +6,20 @@
 //!   contents,
 //! * the inspector's localized references always resolve to the value the
 //!   global index would have produced,
-//! * gather followed by scatter-add applies each off-processor contribution
-//!   exactly once,
+//! * an executor sweep's scatter-add applies each off-processor
+//!   contribution exactly once, and its gather and scatter match the seed's
+//!   naive pipeline,
 //! * partitioners always produce complete, in-range assignments and the
 //!   schedule-reuse check is sound (a modified indirection array is never
 //!   reported as reusable).
 
 use chaos_repro::prelude::*;
-use chaos_repro::runtime::{
-    gather, resolve_local, resolve_local_mut, scatter_add, Dad, Inspector, LoopId,
-};
+use chaos_repro::runtime::{resolve_local, resolve_local_mut, Dad, Inspector, LoopId};
 use proptest::prelude::*;
 
 mod naive;
+mod pipeline;
+use pipeline::build_pattern;
 
 /// Strategy: a processor count and a map array assigning each of `n`
 /// elements to one of the processors.
@@ -70,21 +71,17 @@ proptest! {
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.25 + 1.0).collect();
         let arr = DistArray::from_global("x", dist.clone(), &data);
         // Random access pattern derived from the seed.
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut pattern = AccessPattern::new(p);
-        for q in 0..p {
-            for _ in 0..10 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                pattern.refs[q].push(((state >> 33) as usize % n) as u32);
-            }
-        }
+        let pattern = build_pattern(p, n, seed, 10, 1);
         let mut machine = Machine::new(MachineConfig::unit(p));
         let result = Inspector.localize(&mut machine, &dist, &pattern);
-        let ghosts = gather(&mut machine, &result.schedule, &arr);
+        let mut areas = SweepAreas::default();
+        let mut y = arr.clone();
+        sweep(&mut machine, &result.schedule, &arr, &mut y, &mut areas, &[], |_, _, _| {});
         #[allow(clippy::needless_range_loop)]
         for q in 0..p {
+            let ghosts = &areas.area(q).ghosts;
             for (k, &g) in pattern.refs[q].iter().enumerate() {
-                let resolved = *resolve_local(result.localized[q][k], arr.local(q), &ghosts[q]);
+                let resolved = *resolve_local(result.localized[q][k], arr.local(q), ghosts);
                 prop_assert_eq!(resolved, data[g as usize]);
             }
         }
@@ -96,8 +93,8 @@ proptest! {
     ) {
         let n = map.len();
         let dist = Distribution::irregular_from_map(&map, p);
-        // Every processor references every element once -> after
-        // scatter_add of all-ones ghost contributions plus local increments,
+        // Every processor references every element once -> after a sweep's
+        // scatter-add of all-ones ghost contributions plus local increments,
         // each element receives exactly (p) increments in total.
         let mut pattern = AccessPattern::new(p);
         for q in 0..p {
@@ -108,15 +105,20 @@ proptest! {
         let mut y = DistArray::from_global("y", dist.clone(), &vec![0.0; n]);
         // Local references incremented directly, ghost references through
         // the contribution buffers.
-        let mut contributions: Vec<Vec<f64>> =
-            (0..p).map(|q| vec![0.0; result.ghost_counts[q]]).collect();
-        #[allow(clippy::needless_range_loop)]
-        for q in 0..p {
-            for &r in &result.localized[q] {
-                *resolve_local_mut(r, y.local_mut(q), &mut contributions[q]) += 1.0;
-            }
-        }
-        scatter_add(&mut machine, "prop", &result.schedule, &mut y, &contributions);
+        let x = y.clone();
+        sweep(
+            &mut machine,
+            &result.schedule,
+            &x,
+            &mut y,
+            &mut SweepAreas::default(),
+            &[ScatterKind::Add],
+            |ctx, y_local, area| {
+                for &r in &result.localized[ctx.rank()] {
+                    *resolve_local_mut(r, y_local, &mut area.contrib[0]) += 1.0;
+                }
+            },
+        );
         let got = y.to_global();
         for (i, v) in got.iter().enumerate() {
             prop_assert!((v - p as f64).abs() < 1e-9, "element {i} got {v}, expected {p}");
@@ -172,14 +174,7 @@ proptest! {
         let dist = Distribution::irregular_from_map(&map, p);
         let data: Vec<f64> = (0..n).map(|i| (i as f64) * 0.5 - 7.0).collect();
         let arr = DistArray::from_global("x", dist.clone(), &data);
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);
-        let mut pattern = AccessPattern::new(p);
-        for q in 0..p {
-            for _ in 0..12 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                pattern.refs[q].push(((state >> 33) as usize % n) as u32);
-            }
-        }
+        let pattern = build_pattern(p, n, seed, 12, 3);
 
         let cfg = || MachineConfig::unit(p);
         let mut m_csr = Machine::new(cfg());
@@ -197,20 +192,31 @@ proptest! {
             prop_assert_eq!(&csr_sources, &reference.schedule.ghost_sources[q]);
         }
 
-        // Byte-identical gather.
-        let g_csr = gather(&mut m_csr, &csr.schedule, &arr);
-        let g_naive = naive::gather(&mut m_naive, &reference.schedule, &arr);
-        prop_assert_eq!(&g_csr, &g_naive);
-
-        // Byte-identical scatter-add of the gathered ghosts.
+        // One executor sweep that scatter-adds the ghosts it gathered,
+        // against the naive gather, then scatter-add of the gathered ghosts:
+        // byte-identical ghosts and results.
         let mut y_csr = DistArray::from_global("y", dist.clone(), &vec![1.0; n]);
         let mut y_naive = y_csr.clone();
-        scatter_add(&mut m_csr, "L", &csr.schedule, &mut y_csr, &g_csr);
+        let mut areas = SweepAreas::default();
+        sweep(
+            &mut m_csr,
+            &csr.schedule,
+            &arr,
+            &mut y_csr,
+            &mut areas,
+            &[ScatterKind::Add],
+            |_, _, area| area.contrib[0].copy_from_slice(&area.ghosts),
+        );
+        let g_naive = naive::gather(&mut m_naive, &reference.schedule, &arr);
+        for (q, naive_ghosts) in g_naive.iter().enumerate() {
+            prop_assert_eq!(&areas.area(q).ghosts, naive_ghosts);
+        }
         naive::scatter_add(&mut m_naive, &reference.schedule, &mut y_naive, &g_naive);
         prop_assert_eq!(y_csr.to_global(), y_naive.to_global());
 
         // Identical message / volume accounting for the whole pipeline
-        // (inspector + gather + scatter), and matching modeled clocks.
+        // (inspector + sweep against inspector + gather + scatter), and
+        // matching modeled clocks.
         let t_csr = m_csr.stats().grand_totals();
         let t_naive = m_naive.stats().grand_totals();
         prop_assert_eq!(t_csr.messages, t_naive.messages);
