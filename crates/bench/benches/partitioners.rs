@@ -1,11 +1,10 @@
 //! Micro-benchmark of the partitioner library (Table 2's partitioner row):
-//! BLOCK vs RCB vs inertial vs RSB on the same mesh, measuring both runtime
+//! BLOCK vs RCB vs RSB on the same mesh, measuring both runtime
 //! and (via the printed quality) edge cut.
 
 use chaos_bench::workload::mesh_workload;
 use chaos_geocol::{
-    BlockPartitioner, GeoColBuilder, InertialPartitioner, PartitionQuality, Partitioner,
-    RcbPartitioner, RsbPartitioner,
+    BlockPartitioner, GeoColBuilder, PartitionQuality, Partitioner, RcbPartitioner, RsbPartitioner,
 };
 use chaos_workloads::MeshConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,7 +25,6 @@ fn bench_partitioners(c: &mut Criterion) {
     let partitioners: Vec<(&str, Box<dyn Partitioner>)> = vec![
         ("block", Box::new(BlockPartitioner)),
         ("rcb", Box::new(RcbPartitioner)),
-        ("inertial", Box::new(InertialPartitioner)),
         (
             "rsb",
             Box::new(RsbPartitioner {

@@ -29,17 +29,11 @@ C$      CONSTRUCT G (nnode, LINK(nedge, end_pt1, end_pt2))
 C$      SET distfmt BY PARTITIONING G USING RSB
 C$      REDISTRIBUTE reg(distfmt)\n"
             .to_string(),
-        Method::Rcb | Method::Inertial => format!(
-            "\
+        Method::Rcb => "\
 C$      CONSTRUCT G (nnode, GEOMETRY(3, xc, yc, zc))
-C$      SET distfmt BY PARTITIONING G USING {}
-C$      REDISTRIBUTE reg(distfmt)\n",
-            if method == Method::Rcb {
-                "RCB"
-            } else {
-                "INERTIAL"
-            }
-        ),
+C$      SET distfmt BY PARTITIONING G USING RCB
+C$      REDISTRIBUTE reg(distfmt)\n"
+            .to_string(),
     };
     format!(
         "\
@@ -127,7 +121,7 @@ mod tests {
 
     #[test]
     fn template_parses_for_every_method() {
-        for m in [Method::Block, Method::Rcb, Method::Rsb, Method::Inertial] {
+        for m in [Method::Block, Method::Rcb, Method::Rsb] {
             let cp = lower_program(parse_program(&program_text(m)).unwrap()).unwrap();
             assert_eq!(cp.plans.len(), 1);
         }

@@ -12,8 +12,6 @@ pub enum Method {
     Rcb,
     /// Recursive spectral bisection (Table 2, "Spectral Bisection").
     Rsb,
-    /// Recursive inertial bisection (extension; not in the paper's tables).
-    Inertial,
 }
 
 impl Method {
@@ -23,7 +21,6 @@ impl Method {
             Method::Block => "Block Partition",
             Method::Rcb => "Binary Coordinate Bisection",
             Method::Rsb => "Spectral Bisection",
-            Method::Inertial => "Inertial Bisection",
         }
     }
 
@@ -34,7 +31,6 @@ impl Method {
             Method::Block => None,
             Method::Rcb => Some("RCB"),
             Method::Rsb => Some("RSB"),
-            Method::Inertial => Some("INERTIAL"),
         }
     }
 }

@@ -77,7 +77,7 @@ fn drive<B: Backend>(
     let mut data_dist = node_dist.clone();
     if let Some(pname) = cfg.method.partitioner_name() {
         let spec = match cfg.method {
-            Method::Rcb | Method::Inertial => GeoColSpec::new(n)
+            Method::Rcb => GeoColSpec::new(n)
                 .with_geometry(vec![&xc, &yc, &zc])
                 .with_load(&load),
             Method::Rsb => GeoColSpec::new(n).with_link(&e1, &e2),
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn handcoded_matches_sequential_for_all_methods() {
         let w = small_mesh();
-        for method in [Method::Block, Method::Rcb, Method::Rsb, Method::Inertial] {
+        for method in [Method::Block, Method::Rcb, Method::Rsb] {
             let err = verify_against_sequential(&w, 4, method);
             assert!(err < 1e-9, "{method:?}: max error {err}");
         }
@@ -299,7 +299,7 @@ mod tests {
         // the persistent worker pool, including with more ranks (8) than the
         // pool has lanes: every modeled quantity must agree exactly.
         let w = mesh_workload(MeshConfig::tiny(800));
-        let cfg = ExperimentConfig::paper(8, Method::Inertial).with_iterations(4);
+        let cfg = ExperimentConfig::paper(8, Method::Rcb).with_iterations(4);
         let seq = run_handcoded(&w, &cfg);
         let mut backend = PooledBackend::from_config_with_workers(MachineConfig::ipsc860(8), 3);
         let pooled = run_handcoded_on(&mut backend, &w, &cfg);

@@ -79,8 +79,7 @@ impl<'a> GeoColSpec<'a> {
 /// partials, which the caller combines in ascending rank order. This is how
 /// partitioners that implement `partition_with_scans` — RSB's Lanczos
 /// matvecs, moment reductions and updates, RCB's extent/histogram median
-/// scans, the inertial partitioner's moment scans — run rank-parallel on
-/// every engine. The
+/// scans — run rank-parallel on every engine. The
 /// partitioners build every pass from `chaos_geocol`'s `map_scan` /
 /// `block_scan` conventions (disjoint per-item writes; fixed-size-block
 /// partial sums), so the partitioning they produce through any backend is
@@ -223,7 +222,7 @@ impl MapperCoupler {
     /// estimated operation count is divided across the processors, and the
     /// resulting map array is exchanged so that every processor learns the
     /// new distribution. Partitioners that implement `partition_with_scans`
-    /// (RSB, RCB, inertial) additionally run their per-vertex map and
+    /// (RSB, RCB) additionally run their per-vertex map and
     /// reduction passes rank-parallel through the backend — on the pooled
     /// engine the `SET ... BY PARTITIONING` phase of a program therefore
     /// executes on the worker lanes, not only the driver. The
@@ -326,7 +325,7 @@ impl MapperCoupler {
 mod tests {
     use super::*;
     use chaos_dmsim::MachineConfig;
-    use chaos_geocol::{PartitionQuality, RcbPartitioner, RsbPartitioner};
+    use chaos_geocol::{PartitionQuality, RcbPartitioner, RsbPartitioner, Section};
 
     /// A small 2-D grid workload: node coordinate arrays plus an edge list,
     /// all block-distributed initially.
@@ -381,7 +380,7 @@ mod tests {
         let g = MapperCoupler.construct_geocol(&mut f.machine, &spec);
         assert_eq!(g.nvertices(), 36);
         assert_eq!(g.nedges(), 60);
-        assert!(g.has_geometry() && g.has_connectivity());
+        assert!(g.has(Section::Geometry) && g.has(Section::Link));
         // Graph-generation phase must have been charged.
         let stats = f.machine.stats().totals_for(PhaseKind::GraphGeneration);
         assert!(stats.phases > 0);
@@ -426,8 +425,8 @@ mod tests {
     #[test]
     fn scan_partitioners_match_the_serial_oracle_on_every_engine() {
         use chaos_dmsim::PooledBackend;
-        use chaos_geocol::{InertialPartitioner, Partitioner};
-        // RSB, RCB and inertial route their scans through the backend; the
+        use chaos_geocol::Partitioner;
+        // RSB and RCB route their scans through the backend; the
         // resulting partitioning must equal the pure serial partition()
         // bit for bit on both engines (the pool with ranks folded onto 3
         // lanes and with one lane per rank), and the engines must agree on
@@ -438,8 +437,7 @@ mod tests {
             .with_link(&f.e1, &f.e2);
         let g = MapperCoupler.construct_geocol(&mut f.machine, &spec);
         let rsb = RsbPartitioner::default();
-        let inertial = InertialPartitioner;
-        let partitioners: [&dyn Partitioner; 3] = [&RcbPartitioner, &rsb, &inertial];
+        let partitioners: [&dyn Partitioner; 2] = [&RcbPartitioner, &rsb];
         for p in partitioners {
             let oracle = p.partition(&g, 4);
             let mut seq = Machine::new(MachineConfig::unit(4));
@@ -486,8 +484,7 @@ mod tests {
             DistArray::from_global("w", Distribution::block(f.nnodes, 2), &vec![2.0; f.nnodes]);
         let spec = GeoColSpec::new(f.nnodes).with_load(&load);
         let g = MapperCoupler.construct_geocol(&mut f.machine, &spec);
-        assert!(g.has_load());
-        assert!(!g.has_geometry());
-        assert_eq!(g.total_load(), 32.0);
+        assert!(!g.has(Section::Geometry));
+        assert!((0..g.nvertices()).all(|v| g.vertex_load(v) == 2.0));
     }
 }

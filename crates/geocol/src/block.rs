@@ -1,25 +1,20 @@
-//! Regular partitioners used as baselines: BLOCK, CYCLIC and RANDOM.
+//! Regular partitioners used as baselines: BLOCK and CYCLIC.
 //!
 //! `BLOCK` is the naive HPF distribution the paper compares against in
 //! Table 4 ("we assigned each processor contiguous blocks of array
 //! elements"). `CYCLIC` is the other standard HPF regular distribution.
-//! `RANDOM` is a deliberately terrible strawman used by tests and ablation
-//! benches to bound the worst case.
 
 use crate::geocol::GeoCoL;
 use crate::partition::{Partitioner, Partitioning, RankScans};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Contiguous block partitioning: vertex `i` goes to part
 /// `i / ceil(n / nparts)` (HPF `BLOCK`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BlockPartitioner;
 
-/// Assign contiguous blocks of `n` elements to `nparts` parts, the same
-/// arithmetic used by the runtime's `BlockDist`. Exposed so the runtime and
-/// the partitioner can never disagree.
-pub fn block_owner(n: usize, nparts: usize, index: usize) -> usize {
+/// Assign contiguous blocks of `n` elements to `nparts` parts, with the
+/// block size of the runtime's `Distribution::block_size`.
+fn block_owner(n: usize, nparts: usize, index: usize) -> usize {
     debug_assert!(index < n);
     let block = n.div_ceil(nparts).max(1);
     (index / block).min(nparts - 1)
@@ -64,37 +59,6 @@ impl Partitioner for CyclicPartitioner {
     ) -> Partitioning {
         let owners = (0..geocol.nvertices())
             .map(|i| (i % nparts) as u32)
-            .collect();
-        Partitioning::new(owners, nparts)
-    }
-
-    fn cost_estimate(&self, geocol: &GeoCoL, _nparts: usize) -> f64 {
-        geocol.nvertices() as f64
-    }
-}
-
-/// Uniform random assignment from the fixed seed 0xC4A05 ("CHAOS").
-/// Deterministic for a given (vertex count, nparts) pair.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomPartitioner;
-
-/// [`RandomPartitioner`]'s RNG seed.
-const RANDOM_SEED: u64 = 0xC4A05;
-
-impl Partitioner for RandomPartitioner {
-    fn name(&self) -> &'static str {
-        "RANDOM"
-    }
-
-    fn partition_with_scans(
-        &self,
-        geocol: &GeoCoL,
-        nparts: usize,
-        _scans: &mut dyn RankScans,
-    ) -> Partitioning {
-        let mut rng = StdRng::seed_from_u64(RANDOM_SEED);
-        let owners = (0..geocol.nvertices())
-            .map(|_| rng.gen_range(0..nparts) as u32)
             .collect();
         Partitioning::new(owners, nparts)
     }
@@ -160,17 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn random_is_deterministic_per_seed() {
-        let g = line(50);
-        let a = RandomPartitioner.partition(&g, 4);
-        let b = RandomPartitioner.partition(&g, 4);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn names_are_stable() {
         assert_eq!(BlockPartitioner.name(), "BLOCK");
         assert_eq!(CyclicPartitioner.name(), "CYCLIC");
-        assert_eq!(RandomPartitioner.name(), "RANDOM");
     }
 }

@@ -47,6 +47,15 @@ pub enum GeoColError {
         /// Number of vertices.
         nvertices: usize,
     },
+    /// A vertex coordinate is NaN or infinite.
+    InvalidCoordinate {
+        /// Which coordinate axis (0 = x, 1 = y, ...).
+        axis: usize,
+        /// Offending vertex.
+        vertex: usize,
+        /// The coordinate value.
+        value: f64,
+    },
     /// A vertex load is negative or non-finite.
     InvalidLoad {
         /// Offending vertex.
@@ -85,6 +94,14 @@ impl std::fmt::Display for GeoColError {
                 f,
                 "edge {edge} references vertex {vertex} but only {nvertices} vertices exist"
             ),
+            GeoColError::InvalidCoordinate {
+                axis,
+                vertex,
+                value,
+            } => write!(
+                f,
+                "vertex {vertex} has non-finite coordinate {value} on axis {axis}"
+            ),
             GeoColError::InvalidLoad { vertex, value } => {
                 write!(f, "vertex {vertex} has invalid load {value}")
             }
@@ -97,6 +114,25 @@ impl std::fmt::Display for GeoColError {
 }
 
 impl std::error::Error for GeoColError {}
+
+/// A GeoCoL section a partitioner splits on: the `GEOMETRY` or `LINK`
+/// clause of the `CONSTRUCT` directive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// Spatial coordinates (`GEOMETRY`).
+    Geometry,
+    /// Connectivity (`LINK`).
+    Link,
+}
+
+impl std::fmt::Display for Section {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Section::Geometry => "GEOMETRY",
+            Section::Link => "LINK",
+        })
+    }
+}
 
 /// The GeoCoL interface data structure handed to partitioners.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,22 +168,14 @@ impl GeoCoL {
         self.coords.len()
     }
 
-    /// True when spatial coordinates are available.
+    /// True when `section` is available: spatial coordinates for
+    /// `GEOMETRY`, at least one edge for `LINK`.
     #[inline]
-    pub fn has_geometry(&self) -> bool {
-        !self.coords.is_empty()
-    }
-
-    /// True when connectivity (edges) is available.
-    #[inline]
-    pub fn has_connectivity(&self) -> bool {
-        !self.edges.is_empty()
-    }
-
-    /// True when an explicit load array was supplied.
-    #[inline]
-    pub fn has_load(&self) -> bool {
-        self.load.is_some()
+    pub fn has(&self, section: Section) -> bool {
+        match section {
+            Section::Geometry => !self.coords.is_empty(),
+            Section::Link => !self.edges.is_empty(),
+        }
     }
 
     /// Coordinate of `vertex` along `axis`.
@@ -172,7 +200,8 @@ impl GeoCoL {
     }
 
     /// Total load over all vertices.
-    pub fn total_load(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_load(&self) -> f64 {
         match &self.load {
             Some(l) => l.iter().sum(),
             None => self.nvertices as f64,
@@ -253,6 +282,14 @@ impl GeoColBuilder {
                     axis,
                     got: c.len(),
                     expected: n,
+                });
+            }
+            if let Some(vertex) = c.iter().position(|v| !v.is_finite()) {
+                let value = c[vertex];
+                return Err(GeoColError::InvalidCoordinate {
+                    axis,
+                    vertex,
+                    value,
                 });
             }
         }
@@ -361,8 +398,8 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.neighbors(2), &[0, 1, 3]);
         assert_eq!(g.degree(3), 1);
-        assert!(!g.has_geometry());
-        assert!(g.has_connectivity());
+        assert!(!g.has(Section::Geometry));
+        assert!(g.has(Section::Link));
     }
 
     #[test]
@@ -410,6 +447,25 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("axis 0"));
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = GeoColBuilder::new(3)
+                .geometry(vec![vec![0.0, 1.0, 2.0], vec![0.0, bad, 1.0]])
+                .build()
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                GeoColError::InvalidCoordinate {
+                    axis: 1,
+                    vertex: 1,
+                    ..
+                }
+            ));
+            assert!(err.to_string().contains("axis 1"), "{err}");
+        }
     }
 
     #[test]

@@ -12,34 +12,30 @@
 //!
 //! * [`GeoCoL`] and [`GeoColBuilder`] — the interface data structure,
 //! * [`Partitioning`] — the result (an owner per vertex) plus quality
-//!   metrics (edge cut, load imbalance, boundary vertices),
+//!   metrics (edge cut, load imbalance),
 //! * the partitioner library the paper's users choose from:
 //!   * [`BlockPartitioner`] / [`CyclicPartitioner`] — the regular HPF
 //!     distributions used as baselines (Table 4),
 //!   * [`RcbPartitioner`] — recursive (binary) coordinate bisection
 //!     (Berger & Bokhari), the geometry-based partitioner of Tables 2–3,
-//!   * [`InertialPartitioner`] — recursive inertial bisection,
 //!   * [`RsbPartitioner`] — recursive spectral bisection (Simon), the
 //!     connectivity-based partitioner of Table 2,
-//!   * [`RandomPartitioner`] — a worst-case strawman used in tests and
-//!     ablation benches,
 //! * a string-keyed [`registry`] so the `SET distfmt BY PARTITIONING G
 //!   USING RSB` directive can look partitioners up by name.
 //!
 //! # Recursive bisection
 //!
-//! RCB, inertial bisection and RSB are one recursion with three split
-//! rules. The recursion (in [`partition`]) splits the active vertex set in
-//! two — `nparts / 2` parts to the left, the rest to the right — until
-//! each set is bound for one part; a part count that is not a power of two
-//! splits its part range unevenly. Each split rule only *orders* the set:
-//! RCB along the coordinate axis of largest extent, inertial bisection by
-//! projection onto the principal axis of the load-weighted point cloud,
-//! RSB by the subgraph's Fiedler vector. All three then cut at the same
-//! load-weighted median — the shortest prefix whose load reaches the left
-//! parts' share of the set's total — so neither side is empty. Keys are
-//! computed once per vertex and ties break by vertex id, so every ordering,
-//! and therefore every partitioning, is unique.
+//! RCB and RSB are one recursion with two split rules. The recursion (in
+//! [`partition`]) splits the active vertex set in two — `nparts / 2` parts
+//! to the left, the rest to the right — until each set is bound for one
+//! part; a part count that is not a power of two splits its part range
+//! unevenly. Each split rule only *orders* the set: RCB along the
+//! coordinate axis of largest extent, RSB by the subgraph's Fiedler vector.
+//! Both then cut at the same load-weighted median — the shortest prefix
+//! whose load reaches the left parts' share of the set's total — so neither
+//! side is empty. Keys are computed once per vertex and ties break by
+//! vertex id, so every ordering, and therefore every partitioning, is
+//! unique.
 //!
 //! # Rank-parallel partitioner passes
 //!
@@ -59,8 +55,7 @@
 //! |---|---|---|
 //! | [`RsbPartitioner`] | the active set's Lanczos matvec, moment reductions and update, Ritz-vector accumulation, total load | sliced-ELLPACK Laplacian setup, coarsening and the coarse levels' Lanczos runs, tridiagonal Ritz pair, Fiedler sort, median walk |
 //! | [`RcbPartitioner`] | extents + load scan, histogram median scan | boundary-bucket select, below-cutoff sorts, median walk |
-//! | [`InertialPartitioner`] | mean + covariance moment scans | `dim × dim` power iteration, projection sort, total load, median walk |
-//! | [`BlockPartitioner`] / [`CyclicPartitioner`] / [`RandomPartitioner`] | — (O(n) arithmetic, charged as lump sum) | everything |
+//! | [`BlockPartitioner`] / [`CyclicPartitioner`] | — (O(n) arithmetic, charged as lump sum) | everything |
 //!
 //! The remaining driver-side cost of each partitioner is still charged to
 //! the simulated machine through the cost estimate, preserving the paper's
@@ -72,16 +67,14 @@
 
 pub mod block;
 pub mod geocol;
-pub mod inertial;
 pub mod metrics;
 pub mod partition;
 pub mod rcb;
 pub mod registry;
 pub mod rsb;
 
-pub use block::{BlockPartitioner, CyclicPartitioner, RandomPartitioner};
-pub use geocol::{GeoCoL, GeoColBuilder, GeoColError};
-pub use inertial::InertialPartitioner;
+pub use block::{BlockPartitioner, CyclicPartitioner};
+pub use geocol::{GeoCoL, GeoColBuilder, GeoColError, Section};
 pub use metrics::PartitionQuality;
 pub use partition::{
     block_scan, map_scan, scan_chunk, Partitioner, Partitioning, RangeKernel, RankScans,

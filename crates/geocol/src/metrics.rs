@@ -1,5 +1,4 @@
-//! Partition quality metrics: edge cut, load imbalance, boundary size and
-//! estimated communication volume.
+//! Partition quality metrics: edge cut and load imbalance.
 //!
 //! These are the quantities that explain the executor-time differences in
 //! Tables 2 and 4 of the paper: a partitioning with a smaller edge cut needs
@@ -17,12 +16,6 @@ pub struct PartitionQuality {
     pub total_edges: usize,
     /// Maximum part load divided by average part load (1.0 = perfect).
     pub load_imbalance: f64,
-    /// Number of vertices with at least one off-part neighbour.
-    pub boundary_vertices: usize,
-    /// Total communication volume: for every part, the number of distinct
-    /// off-part vertices adjacent to it (the size of its ghost region),
-    /// summed over parts.
-    pub comm_volume: usize,
     /// Per-part vertex counts.
     pub part_sizes: Vec<usize>,
 }
@@ -57,37 +50,6 @@ impl PartitionQuality {
             }
         }
 
-        let mut boundary_vertices = 0usize;
-        for v in 0..geocol.nvertices() {
-            let owner = partitioning.owner(v);
-            if geocol
-                .neighbors(v)
-                .iter()
-                .any(|&n| partitioning.owner(n as usize) != owner)
-            {
-                boundary_vertices += 1;
-            }
-        }
-
-        // Ghost-region sizes: for each part, the set of off-part vertices it
-        // references. Use a stamped visited array to avoid a HashSet per part.
-        let mut comm_volume = 0usize;
-        let mut stamp = vec![usize::MAX; geocol.nvertices()];
-        for part in 0..nparts {
-            for v in 0..geocol.nvertices() {
-                if partitioning.owner(v) != part {
-                    continue;
-                }
-                for &n in geocol.neighbors(v) {
-                    let n = n as usize;
-                    if partitioning.owner(n) != part && stamp[n] != part {
-                        stamp[n] = part;
-                        comm_volume += 1;
-                    }
-                }
-            }
-        }
-
         let loads = partitioning.part_loads(geocol);
         let total: f64 = loads.iter().sum();
         let mean = if nparts > 0 {
@@ -102,8 +64,6 @@ impl PartitionQuality {
             edge_cut,
             total_edges: geocol.nedges(),
             load_imbalance,
-            boundary_vertices,
-            comm_volume,
             part_sizes: partitioning.part_sizes(),
         }
     }
@@ -137,8 +97,6 @@ mod tests {
         assert_eq!(q.edge_cut, 2);
         assert_eq!(q.total_edges, 10);
         assert_eq!(q.load_imbalance, 1.0);
-        assert_eq!(q.boundary_vertices, 4); // 1,5,2,6
-        assert_eq!(q.comm_volume, 4); // each part references 2 ghosts
         assert!((q.cut_fraction() - 0.2).abs() < 1e-12);
         assert_eq!(q.part_sizes, vec![4, 4]);
     }
@@ -150,8 +108,6 @@ mod tests {
         let p = Partitioning::new(vec![0, 1, 0, 1, 0, 1, 0, 1], 2);
         let q = PartitionQuality::evaluate(&g, &p);
         assert_eq!(q.edge_cut, 6);
-        assert_eq!(q.boundary_vertices, 8);
-        assert!(q.comm_volume > 4);
     }
 
     #[test]
@@ -168,8 +124,6 @@ mod tests {
         let p = Partitioning::new(vec![0; 8], 1);
         let q = PartitionQuality::evaluate(&g, &p);
         assert_eq!(q.edge_cut, 0);
-        assert_eq!(q.boundary_vertices, 0);
-        assert_eq!(q.comm_volume, 0);
         assert_eq!(q.load_imbalance, 1.0);
     }
 
@@ -179,6 +133,5 @@ mod tests {
         let p = Partitioning::new(vec![0, 1, 0, 1], 2);
         let q = PartitionQuality::evaluate(&g, &p);
         assert_eq!(q.cut_fraction(), 0.0);
-        assert_eq!(q.comm_volume, 0);
     }
 }

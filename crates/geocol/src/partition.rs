@@ -1,6 +1,6 @@
 //! Partitionings and the [`Partitioner`] trait.
 
-use crate::geocol::GeoCoL;
+use crate::geocol::{GeoCoL, Section};
 
 /// The result of partitioning a GeoCoL graph: an owning processor for each
 /// vertex. In the paper this is exactly the irregular `map` array passed to
@@ -55,15 +55,6 @@ impl Partitioning {
     #[inline]
     pub fn owners(&self) -> &[u32] {
         &self.owners
-    }
-
-    /// The vertices owned by each part, in ascending vertex order.
-    pub fn members(&self) -> Vec<Vec<u32>> {
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); self.nparts];
-        for (v, &o) in self.owners.iter().enumerate() {
-            out[o as usize].push(v as u32);
-        }
-        out
     }
 
     /// Number of vertices owned by each part.
@@ -308,6 +299,19 @@ pub trait Partitioner {
     /// benchmark tables (e.g. `"RCB"`, `"RSB"`, `"BLOCK"`).
     fn name(&self) -> &'static str;
 
+    /// The GeoCoL section this partitioner splits on, if any: `GEOMETRY`
+    /// for RCB, `LINK` for RSB, none for the regular distributions.
+    /// [`Partitioner::partition_with_scans`] panics on a GeoCoL without it.
+    fn required_section(&self) -> Option<Section> {
+        None
+    }
+
+    /// The section this partitioner requires and `geocol` lacks, if any:
+    /// the check a caller with untrusted input makes before partitioning.
+    fn missing_section(&self, geocol: &GeoCoL) -> Option<Section> {
+        self.required_section().filter(|&s| !geocol.has(s))
+    }
+
     /// Compute a partitioning of `geocol` into `nparts` parts — the
     /// partitioning [`Partitioner::partition_with_scans`] computes over a
     /// single-chunk [`SerialScans`].
@@ -318,11 +322,10 @@ pub trait Partitioner {
     /// Compute a partitioning of `geocol` into `nparts` parts with a
     /// [`RankScans`] executor the implementation may route its
     /// data-parallel passes through. Driver-side algorithms (`BLOCK`,
-    /// `CYCLIC`, `RANDOM`) ignore the executor; partitioners restructured
-    /// rank-parallel — `RSB`'s Lanczos matvecs, `RCB`'s
-    /// extent/histogram median scans and `INERTIAL`'s moment scans — use
-    /// it, making them scale with ranks when the runtime passes a
-    /// `Backend`-backed executor.
+    /// `CYCLIC`) ignore the executor; partitioners restructured
+    /// rank-parallel — `RSB`'s Lanczos matvecs and `RCB`'s
+    /// extent/histogram median scans — use it, making them scale with
+    /// ranks when the runtime passes a `Backend`-backed executor.
     ///
     /// The restructured partitioners express every pass through
     /// [`map_scan`] (disjoint per-item writes) or [`block_scan`]
@@ -364,7 +367,7 @@ pub trait Partitioner {
     }
 }
 
-/// The recursive bisection behind RCB, inertial bisection and RSB: assign
+/// The recursive bisection behind RCB and RSB: assign
 /// every vertex of `geocol` to one of `nparts` parts by splitting the active
 /// vertex set in two, `nparts / 2` parts to the left and the rest to the
 /// right, until each set is bound for one part.
@@ -374,12 +377,22 @@ pub trait Partitioner {
 /// parts: it reorders `vertices` so the ones bound for the first
 /// `left_parts` parts are a prefix and returns the prefix length. Sets with
 /// more parts than vertices leave the extra parts empty.
+///
+/// Panics if `geocol` lacks the section `partitioner` splits on
+/// ([`Partitioner::required_section`]).
 pub(crate) fn recursive_bisection(
+    partitioner: &dyn Partitioner,
     geocol: &GeoCoL,
     nparts: usize,
     scans: &mut dyn RankScans,
     mut split: impl FnMut(&mut [u32], usize, usize, &mut dyn RankScans) -> usize,
 ) -> Partitioning {
+    if let Some(section) = partitioner.missing_section(geocol) {
+        panic!(
+            "{} requires a {section} section in the GeoCoL structure",
+            partitioner.name()
+        );
+    }
     let n = geocol.nvertices();
     let mut owners = vec![0u32; n];
     if n == 0 || nparts == 1 {
@@ -487,7 +500,7 @@ mod tests {
         assert_eq!(p.len(), 5);
         assert_eq!(p.nparts(), 3);
         assert_eq!(p.part_sizes(), vec![2, 2, 1]);
-        assert_eq!(p.members(), vec![vec![0, 3], vec![1, 2], vec![4]]);
+        assert_eq!(p.owners(), &[0, 1, 1, 0, 2]);
         assert_eq!(p.owner(2), 1);
     }
 

@@ -23,7 +23,7 @@
 //!
 //! Both paths depend only on the input — never on the rank count or engine.
 
-use crate::geocol::GeoCoL;
+use crate::geocol::{GeoCoL, Section};
 use crate::partition::{
     block_scan, left_target, load_prefix, recursive_bisection, sort_by_key, Partitioner,
     Partitioning, RankScans,
@@ -45,6 +45,10 @@ impl Partitioner for RcbPartitioner {
         "RCB"
     }
 
+    fn required_section(&self) -> Option<Section> {
+        Some(Section::Geometry)
+    }
+
     /// The rank-parallel entry point: the extent/load scans and the
     /// histogram median selection behind every split run through `scans`,
     /// one chunk per rank, so the runtime can execute them through
@@ -56,11 +60,8 @@ impl Partitioner for RcbPartitioner {
         nparts: usize,
         scans: &mut dyn RankScans,
     ) -> Partitioning {
-        assert!(
-            geocol.has_geometry(),
-            "RCB requires a GEOMETRY section in the GeoCoL structure"
-        );
         recursive_bisection(
+            self,
             geocol,
             nparts,
             scans,

@@ -7,26 +7,22 @@
 //! [`Partitioner`] implementation directly to the runtime coupler (the
 //! "customized partitioner with a matching calling sequence" case).
 
-use crate::block::{BlockPartitioner, CyclicPartitioner, RandomPartitioner};
-use crate::inertial::InertialPartitioner;
+use crate::block::{BlockPartitioner, CyclicPartitioner};
 use crate::partition::Partitioner;
 use crate::rcb::RcbPartitioner;
 use crate::rsb::RsbPartitioner;
 
 /// Look up a library partitioner by its directive name (case-insensitive).
 ///
-/// Recognized names: `BLOCK`, `CYCLIC`, `RANDOM`, `RCB` (aliases
-/// `COORDINATE`, `BINARY-COORDINATE`), `INERTIAL` and `RSB` (alias
-/// `SPECTRAL`).
+/// Recognized names: `BLOCK`, `CYCLIC`, `RCB` (aliases `COORDINATE`,
+/// `BINARY-COORDINATE`) and `RSB` (alias `SPECTRAL`).
 pub fn partitioner_by_name(name: &str) -> Option<Box<dyn Partitioner + Send + Sync>> {
     match name.to_ascii_uppercase().as_str() {
         "BLOCK" => Some(Box::new(BlockPartitioner)),
         "CYCLIC" => Some(Box::new(CyclicPartitioner)),
-        "RANDOM" => Some(Box::new(RandomPartitioner)),
         "RCB" | "COORDINATE" | "BINARY-COORDINATE" | "BINARY_COORDINATE" => {
             Some(Box::new(RcbPartitioner))
         }
-        "INERTIAL" => Some(Box::new(InertialPartitioner)),
         "RSB" | "SPECTRAL" => Some(Box::new(RsbPartitioner::default())),
         _ => None,
     }
@@ -34,7 +30,7 @@ pub fn partitioner_by_name(name: &str) -> Option<Box<dyn Partitioner + Send + Sy
 
 /// The canonical names accepted by [`partitioner_by_name`].
 pub fn registered_partitioner_names() -> &'static [&'static str] {
-    &["BLOCK", "CYCLIC", "RANDOM", "RCB", "INERTIAL", "RSB"]
+    &["BLOCK", "CYCLIC", "RCB", "RSB"]
 }
 
 #[cfg(test)]
@@ -57,6 +53,8 @@ mod tests {
         assert_eq!(partitioner_by_name("coordinate").unwrap().name(), "RCB");
         assert!(partitioner_by_name("METIS").is_none());
         assert!(partitioner_by_name("RCB-KL").is_none());
+        assert!(partitioner_by_name("inertial").is_none());
+        assert!(partitioner_by_name("random").is_none());
     }
 
     #[test]
@@ -66,7 +64,7 @@ mod tests {
             .link((0..7u32).collect::<Vec<_>>(), (1..8u32).collect::<Vec<_>>())
             .build()
             .unwrap();
-        for name in ["BLOCK", "CYCLIC", "RCB", "RSB", "INERTIAL", "RANDOM"] {
+        for name in registered_partitioner_names() {
             let p = partitioner_by_name(name).unwrap();
             let part = p.partition(&g, 2);
             assert_eq!(part.len(), 8, "{name}");

@@ -90,7 +90,7 @@
 //! few thousand vertices few ranks fold). The remainder stands for the
 //! driver-side coarse work.
 
-use crate::geocol::GeoCoL;
+use crate::geocol::{GeoCoL, Section};
 use crate::partition::{
     block_scan, left_target, load_prefix, map_scan, recursive_bisection, sort_by_key, Partitioner,
     Partitioning, RankScans, SerialScans,
@@ -139,6 +139,10 @@ impl Partitioner for RsbPartitioner {
         "RSB"
     }
 
+    fn required_section(&self) -> Option<Section> {
+        Some(Section::Link)
+    }
+
     /// The rank-parallel entry point: both Lanczos passes behind every
     /// active set's Fiedler vector — sparse matvec, moment reductions,
     /// update and accumulation — run through `scans`, one chunk per rank,
@@ -150,13 +154,10 @@ impl Partitioner for RsbPartitioner {
         nparts: usize,
         scans: &mut dyn RankScans,
     ) -> Partitioning {
-        assert!(
-            geocol.has_connectivity(),
-            "RSB requires a LINK (connectivity) section in the GeoCoL structure"
-        );
         // Global → local index scratch, reset after every use.
         let mut local = vec![u32::MAX; geocol.nvertices()];
         recursive_bisection(
+            self,
             geocol,
             nparts,
             scans,

@@ -230,6 +230,19 @@ impl<B: Backend> Executor<B> {
                     )
                 })
             }
+            (
+                GeoColError::InvalidCoordinate {
+                    axis,
+                    vertex,
+                    value,
+                },
+                _,
+            ) => LangError::runtime(format!(
+                "CONSTRUCT {name}: GEOMETRY array '{}' holds {value} at position {}, \
+                 not a finite coordinate",
+                geometry_names[axis],
+                vertex + 1
+            )),
             (err, _) => LangError::runtime(format!("CONSTRUCT {name}: {err}")),
         })?;
         self.state.geocols.insert(name.to_string(), geocol);
@@ -251,6 +264,12 @@ impl<B: Backend> Executor<B> {
                 chaos_geocol::registered_partitioner_names()
             ))
         })?;
+        if let Some(section) = p.missing_section(g) {
+            return Err(LangError::runtime(format!(
+                "partitioner {} cannot split GeoCoL '{geocol}': it has no {section} section",
+                p.name()
+            )));
+        }
         let outcome = MapperCoupler.partition(&mut self.backend, p.as_ref(), g);
         self.state
             .distfmts

@@ -612,15 +612,24 @@ fn unknown_partitioner_is_reported() {
 C$          CONSTRUCT G (n, LINK(m, e1, e2))
 C$          SET fmt BY PARTITIONING G USING METIS
     "#;
-    let cp = lower_program(parse_program(src).unwrap()).unwrap();
     let inputs = ProgramInputs::new()
         .scalar("n", 8)
         .scalar("m", 4)
         .int("e1", vec![1, 2, 3, 4])
         .int("e2", vec![5, 6, 7, 8]);
-    let mut exec = Executor::new(MachineConfig::ipsc860(2), inputs);
-    let err = exec.run(&cp).unwrap_err();
-    assert!(err.to_string().contains("unknown partitioner"));
+    // Names are read case-insensitively, and reported lower-cased.
+    for name in ["metis", "inertial", "random"] {
+        let src = src.replace("USING METIS", &format!("USING {}", name.to_uppercase()));
+        let cp = lower_program(parse_program(&src).unwrap()).unwrap();
+        let mut exec = Executor::new(MachineConfig::ipsc860(2), inputs.clone());
+        let err = exec.run(&cp).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!(
+                "unknown partitioner '{name}' (known: [\"BLOCK\", \"CYCLIC\", \"RCB\", \"RSB\"])"
+            )),
+            "{err}"
+        );
+    }
 }
 
 /// Running `cp` fails with an error holding every part of `expected`, saves
@@ -710,6 +719,64 @@ fn bad_indirection_input_is_a_typed_error_on_every_engine_and_mode() {
             let pool = Executor::new_pooled_with_workers(cfg, 3, inputs.clone());
             check(pool.with_kernel_mode(mode), &cp, what, expected);
         }
+    }
+}
+
+/// [`EDGE_PROGRAM`] with `mapping` (CONSTRUCT, SET and REDISTRIBUTE lines)
+/// between its `READ_DATA` and its loop.
+fn edge_program_mapped(mapping: &str) -> CompiledProgram {
+    let read = "CALL READ_DATA(x, y, end_pt1, end_pt2)\n";
+    assert!(EDGE_PROGRAM.contains(read));
+    let src = EDGE_PROGRAM.replace(read, &format!("{read}{mapping}"));
+    lower_program(parse_program(&src).unwrap()).unwrap()
+}
+
+/// `cp` fails with an error holding every part of `expected` on `Machine`
+/// and on a 2-lane pool, each leaving the REAL arrays materialized.
+fn check_on_both_engines(cp: &CompiledProgram, inputs: &ProgramInputs, expected: &[&str]) {
+    let cfg = MachineConfig::ipsc860(4);
+    check(
+        Executor::new(cfg.clone(), inputs.clone()),
+        cp,
+        "Machine",
+        expected,
+    );
+    let pool = Executor::new_pooled_with_workers(cfg, 2, inputs.clone());
+    check(pool, cp, "a 2-lane pool", expected);
+}
+
+#[test]
+fn a_non_finite_geometry_coordinate_is_a_construct_error_on_both_engines() {
+    let cp = edge_program_mapped(
+        "C$      CONSTRUCT G (nnode, GEOMETRY(1, x))
+C$      SET fmt BY PARTITIONING G USING RCB
+C$      REDISTRIBUTE reg(fmt)\n",
+    );
+    for (bad, shown) in [(f64::NAN, "NaN"), (f64::INFINITY, "inf")] {
+        let mut inputs = ring_inputs(40);
+        inputs.real_arrays.get_mut("x").unwrap()[6] = bad;
+        let expected =
+            format!("CONSTRUCT g: GEOMETRY array 'x' holds {shown} at position 7, not a finite");
+        check_on_both_engines(&cp, &inputs, &[&expected]);
+    }
+}
+
+#[test]
+fn a_partitioner_missing_its_section_is_a_set_error_on_both_engines() {
+    let cases = [
+        (
+            "C$      CONSTRUCT G (nnode, LINK(nedge, end_pt1, end_pt2))
+C$      SET fmt BY PARTITIONING G USING RCB\n",
+            "partitioner RCB cannot split GeoCoL 'g': it has no GEOMETRY section",
+        ),
+        (
+            "C$      CONSTRUCT G (nnode, GEOMETRY(1, x))
+C$      SET fmt BY PARTITIONING G USING RSB\n",
+            "partitioner RSB cannot split GeoCoL 'g': it has no LINK section",
+        ),
+    ];
+    for (mapping, expected) in cases {
+        check_on_both_engines(&edge_program_mapped(mapping), &ring_inputs(40), &[expected]);
     }
 }
 

@@ -8,7 +8,7 @@
 //! * [`dmsim`] — the simulated distributed-memory machine (iPSC/860-like
 //!   α–β cost model, deterministic charge-only message accounting),
 //! * [`geocol`] — the GeoCoL interface data structure and the partitioner
-//!   library (BLOCK, CYCLIC, RCB, inertial, RSB),
+//!   library (BLOCK, CYCLIC, RCB, RSB),
 //! * [`runtime`] — the CHAOS/PARTI-style runtime: distributed arrays,
 //!   translation tables, inspectors/executors, communication schedules,
 //!   array remapping, the mapper coupler and the schedule-reuse registry,

@@ -354,7 +354,7 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// The recursive-bisection partitioners the golden hashes pin.
-const BISECTIONS: [&str; 3] = ["RCB", "RSB", "INERTIAL"];
+const BISECTIONS: [&str; 2] = ["RCB", "RSB"];
 
 /// The golden-partition graphs: a mesh above `SORT_CUTOFF` (so RCB's
 /// histogram select runs) and an MD box, each with unit loads and with
@@ -416,7 +416,7 @@ fn assert_golden(
 }
 
 /// Every recursive-bisection partitioning against recorded values: the
-/// owner array of RCB, RSB and INERTIAL on the golden graphs at
+/// owner array of RCB and RSB on the golden graphs at
 /// P = 3, 4, 8 and 16. A change to a split rule, its sort order or its
 /// weighted-median walk moves a hash.
 #[test]
@@ -457,8 +457,8 @@ fn recursive_bisection_coupler_clocks_match_their_recorded_hashes() {
 /// clocks. They were re-recorded again when every set above 500 vertices
 /// started its run from its coarsened hierarchy's Fiedler vector: another
 /// vector within the tolerance orders some sets differently, and a run of
-/// about 4 steps charges the clocks far less. No RCB or INERTIAL line moved
-/// either time.
+/// about 4 steps charges the clocks far less. No RCB line moved either
+/// time.
 const GOLDEN_OWNERS: &[&str] = &[
     "mesh unit RCB P=3 0d9639180baa1d25",
     "mesh unit RCB P=4 8f36d7d53aee9845",
@@ -468,10 +468,6 @@ const GOLDEN_OWNERS: &[&str] = &[
     "mesh unit RSB P=4 ccbb677b49e2dc25",
     "mesh unit RSB P=8 ca3cee1f9efaaec5",
     "mesh unit RSB P=16 945b64f2b4205e25",
-    "mesh unit INERTIAL P=3 8cd700d317129025",
-    "mesh unit INERTIAL P=4 b6d0014718d2cce5",
-    "mesh unit INERTIAL P=8 f44a6077ddf591a5",
-    "mesh unit INERTIAL P=16 84b7ef9535aa7045",
     "mesh loads RCB P=3 6b60960ac1825ce4",
     "mesh loads RCB P=4 bc99a4355dff5c66",
     "mesh loads RCB P=8 5fc593ac0d08fbe2",
@@ -480,10 +476,6 @@ const GOLDEN_OWNERS: &[&str] = &[
     "mesh loads RSB P=4 44212c4f3b6ceee4",
     "mesh loads RSB P=8 c1fea01adace1e67",
     "mesh loads RSB P=16 18ce3760cfafdcc1",
-    "mesh loads INERTIAL P=3 b76894dd4cfdf107",
-    "mesh loads INERTIAL P=4 ad5f90e6b5fd31a5",
-    "mesh loads INERTIAL P=8 3cc2ad09e868afc5",
-    "mesh loads INERTIAL P=16 9aa701e1cce32764",
     "md unit RCB P=3 76d3d521e307b445",
     "md unit RCB P=4 4edb50b8083eb525",
     "md unit RCB P=8 7b0f1c46a1e01825",
@@ -492,10 +484,6 @@ const GOLDEN_OWNERS: &[&str] = &[
     "md unit RSB P=4 ff0c40ba774f4bc5",
     "md unit RSB P=8 785cd45e3211a2c5",
     "md unit RSB P=16 a8b8b62f3136d8a5",
-    "md unit INERTIAL P=3 8cca6a3d369d3d65",
-    "md unit INERTIAL P=4 3b14e666896fc1c5",
-    "md unit INERTIAL P=8 98c4981b950bc1a5",
-    "md unit INERTIAL P=16 f88e581c2e331365",
     "md loads RCB P=3 7606774e61f16085",
     "md loads RCB P=4 80e8662d9e65cdc6",
     "md loads RCB P=8 6322dc42ccf05aa3",
@@ -504,10 +492,6 @@ const GOLDEN_OWNERS: &[&str] = &[
     "md loads RSB P=4 4c2825c1c4a14307",
     "md loads RSB P=8 664820834cd71940",
     "md loads RSB P=16 bbb37e44b8bda9ee",
-    "md loads INERTIAL P=3 c88f8a9893db4284",
-    "md loads INERTIAL P=4 1a7f6b35fd470604",
-    "md loads INERTIAL P=8 2d821e7794bb1526",
-    "md loads INERTIAL P=16 627fea1128c409a2",
 ];
 
 /// FNV-1a of each run's per-processor `(compute, comm, idle)` clock bits,
@@ -519,36 +503,24 @@ const GOLDEN_CLOCKS: &[&str] = &[
     "mesh unit RSB P=4 24fe25759cc9f1b1",
     "mesh unit RSB P=8 e888eb7c19647865",
     "mesh unit RSB P=16 dcae9c4c446a66d4",
-    "mesh unit INERTIAL P=4 07997e5565a36c2d",
-    "mesh unit INERTIAL P=8 df3ae083c994cf3c",
-    "mesh unit INERTIAL P=16 b46f1262a3cb410e",
     "mesh loads RCB P=4 490071ebe729064b",
     "mesh loads RCB P=8 09c8d9d2d2f285b9",
     "mesh loads RCB P=16 e12629a136c9637f",
     "mesh loads RSB P=4 d6bb5a2d6d27e822",
     "mesh loads RSB P=8 26b40ec07a76f8b5",
     "mesh loads RSB P=16 847ff49d2941f07c",
-    "mesh loads INERTIAL P=4 07997e5565a36c2d",
-    "mesh loads INERTIAL P=8 df3ae083c994cf3c",
-    "mesh loads INERTIAL P=16 b46f1262a3cb410e",
     "md unit RCB P=4 7d2f31e7593f3e81",
     "md unit RCB P=8 aae69621c9b742b6",
     "md unit RCB P=16 5d6d6fd1a8963fa3",
     "md unit RSB P=4 4e605896d067846f",
     "md unit RSB P=8 b21072c9567f3cb8",
     "md unit RSB P=16 f060db093c6fa031",
-    "md unit INERTIAL P=4 b9b13a5ebbf311a1",
-    "md unit INERTIAL P=8 abc448c1dc8c6fa2",
-    "md unit INERTIAL P=16 5740ce2c9fa74e3a",
     "md loads RCB P=4 7d2f31e7593f3e81",
     "md loads RCB P=8 aae69621c9b742b6",
     "md loads RCB P=16 5d6d6fd1a8963fa3",
     "md loads RSB P=4 79e42a860f6a32aa",
     "md loads RSB P=8 2c0c480b6110953b",
     "md loads RSB P=16 033b9fadc434c8cf",
-    "md loads INERTIAL P=4 b9b13a5ebbf311a1",
-    "md loads INERTIAL P=8 abc448c1dc8c6fa2",
-    "md loads INERTIAL P=16 b66dd8aaba577be3",
 ];
 
 /// The disconnected-graph edge case, pinned (the proptest also sweeps it):

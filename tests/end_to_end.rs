@@ -138,13 +138,7 @@ fn parallel_pipeline_matches_sequential_reference_for_every_partitioner() {
             *e += o;
         }
     }
-    for partitioner in [
-        None,
-        Some("RCB"),
-        Some("RSB"),
-        Some("INERTIAL"),
-        Some("CYCLIC"),
-    ] {
+    for partitioner in [None, Some("RCB"), Some("RSB"), Some("CYCLIC")] {
         let (got, _) = run_pipeline(&mesh, &state, 8, partitioner);
         for (i, (a, b)) in got.iter().zip(&expected).enumerate() {
             assert!(
